@@ -19,7 +19,7 @@ minimal integration effort" (paper Section 3.2).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.net.node import Node
 
@@ -31,6 +31,35 @@ LookupCallback = Callable[[int], None]
 BatchLookupCallback = Callable[[int, List[int]], None]
 #: Callback type for location-map changes (no arguments; consult the layer).
 LocationMapCallback = Callable[[], None]
+
+
+class RoutingTableField:
+    """A routing-table attribute; assigning it drops the next-hop index.
+
+    Each routing layer derives a next-hop index from its routing table and
+    rebuilds it lazily on the next routed hop.  A table attribute declared
+    with this descriptor is stored through ``freeze`` as an immutable
+    snapshot (tuple, frozenset, read-only mapping), so the only way to
+    change the table is to assign the attribute — and assignment is what
+    invalidates the index.  No write site has to remember to.
+    """
+
+    def __init__(self, freeze: Optional[Callable[[Any], Any]] = None):
+        self._freeze = freeze
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self._name = name
+
+    def __get__(self, instance: Any, owner: Optional[type] = None) -> Any:
+        if instance is None:
+            return self
+        return instance.__dict__[self._name]
+
+    def __set__(self, instance: Any, value: Any) -> None:
+        if self._freeze is not None:
+            value = self._freeze(value)
+        instance.__dict__[self._name] = value
+        instance._next_hops = None
 
 
 class BatchLookupState:
@@ -55,6 +84,11 @@ class RoutingLayer(ABC):
     :meth:`_batch_entry_owned` and :meth:`_batch_next_hop` — and register
     their ``PROTOCOL_ROUTE_BATCH`` / ``PROTOCOL_BATCH_LOOKUP_REPLY`` names
     against the inherited handlers.
+
+    The hooks answer from a **next-hop index** (``_next_hops``) that each
+    layer derives from its routing table on the first routed hop after the
+    table changed; the table's attributes are :class:`RoutingTableField`
+    descriptors, so any assignment to them drops the index.
     """
 
     #: Name used as a service key on the node and as a protocol prefix.
@@ -66,6 +100,9 @@ class RoutingLayer(ABC):
     ROUTE_HOP_BYTES = 40
     #: Safety valve: routed batches are dropped after this many overlay hops.
     MAX_ROUTE_HOPS = 128
+
+    #: Next-hop index derived from the routing table; ``None`` = rebuild.
+    _next_hops: Optional[Any] = None
 
     def __init__(self, node: Node):
         self.node = node
@@ -126,12 +163,8 @@ class RoutingLayer(ABC):
         self._pending_batch_lookups[request_id] = BatchLookupState(
             callback, len(entries), on_unresolved=on_unresolved
         )
-        payload = {
-            "entries": entries,
-            "origin": self.address,
-            "request_id": request_id,
-        }
-        self._forward_batch(payload, payload_bytes, hops=0)
+        self._forward_batch(entries, self.address, request_id, payload_bytes,
+                            hops=0)
 
     # Geometry hooks implemented by each DHT.
 
@@ -149,28 +182,42 @@ class RoutingLayer(ABC):
 
     # Generic machinery shared by all DHTs.
 
-    def _forward_batch(self, payload: dict, entry_bytes: int, hops: int,
-                       exclude: Optional[int] = None) -> None:
-        """Partition a routed batch by best next hop and forward each group.
+    def _forward_batch(self, entries: List[dict], origin: int, request_id: int,
+                       entry_bytes: int, hops: int,
+                       exclude: Optional[int] = None,
+                       reply_owned: bool = False) -> None:
+        """Route a batch one hop further, in one pass over its entries.
 
-        Entries with no viable next hop (or past the hop limit) are reported
-        back to the origin as unresolved rather than silently dropped, so
-        the origin's pending state never leaks.
+        With ``reply_owned`` (a batch that arrived over the network) the
+        entries this node owns are answered to the origin first; the others
+        are grouped by best next hop — one consultation of the layer's
+        next-hop index per entry — and each group forwarded.  Entries with no
+        viable next hop (or past the hop limit) are reported back to the
+        origin as unresolved rather than silently dropped, so the origin's
+        pending state never leaks.
         """
-        entries = payload["entries"]
-        origin = payload["origin"]
-        request_id = payload["request_id"]
-        groups: Dict[int, List[dict]] = {}
+        owned: List[int] = []
         dropped: List[int] = []
-        if hops >= self.MAX_ROUTE_HOPS:
-            dropped = [entry["key"] for entry in entries]
-        else:
-            for entry in entries:
-                next_hop = self._batch_next_hop(entry, exclude)
-                if next_hop is None or next_hop == self.address:
-                    dropped.append(entry["key"])
-                    continue
-                groups.setdefault(next_hop, []).append(entry)
+        groups: Dict[int, List[dict]] = {}
+        is_owned = self._batch_entry_owned
+        next_hop_of = self._batch_next_hop
+        expired = hops >= self.MAX_ROUTE_HOPS
+        me = self.address
+        for entry in entries:
+            if reply_owned and is_owned(entry):
+                owned.append(entry["key"])
+                continue
+            next_hop = None if expired else next_hop_of(entry, exclude)
+            if next_hop is None or next_hop == me:
+                dropped.append(entry["key"])
+                continue
+            group = groups.get(next_hop)
+            if group is None:
+                groups[next_hop] = [entry]
+            else:
+                group.append(entry)
+        if owned:
+            self._send_batch_reply(origin, request_id, me, owned, hops)
         for next_hop, group in groups.items():
             self.node.send(
                 next_hop,
@@ -204,34 +251,22 @@ class RoutingLayer(ABC):
     def _on_route_batch(self, node: Node, message) -> None:
         payload = message.payload
         entries = payload["entries"]
-        owned: List[int] = []
-        rest: List[dict] = []
-        for entry in entries:
-            if self._batch_entry_owned(entry):
-                owned.append(entry["key"])
-            else:
-                rest.append(entry)
-        if owned:
-            self._send_batch_reply(payload["origin"], payload["request_id"],
-                                   self.address, owned, message.hops)
-        if rest:
-            entry_bytes = max(1, message.payload_bytes // len(entries))
-            self._forward_batch(
-                {
-                    "entries": rest,
-                    "origin": payload["origin"],
-                    "request_id": payload["request_id"],
-                },
-                entry_bytes, message.hops, exclude=message.src,
-            )
+        self._forward_batch(
+            entries, payload["origin"], payload["request_id"],
+            max(1, message.payload_bytes // max(1, len(entries))),
+            message.hops, exclude=message.src, reply_owned=True,
+        )
 
     def _on_route_batch_bounce(self, node: Node, message) -> None:
         """A batched hop hit a dead node: mark it dead and re-route the batch."""
         self.mark_neighbor_dead(message.dst)
-        entries = message.payload["entries"]
-        entry_bytes = max(1, message.payload_bytes // max(1, len(entries)))
-        self._forward_batch(message.payload, entry_bytes, message.hops,
-                            exclude=message.dst)
+        payload = message.payload
+        entries = payload["entries"]
+        self._forward_batch(
+            entries, payload["origin"], payload["request_id"],
+            max(1, message.payload_bytes // max(1, len(entries))),
+            message.hops, exclude=message.dst,
+        )
 
     def _on_batch_lookup_reply(self, node: Node, message) -> None:
         payload = message.payload

@@ -17,6 +17,14 @@ Two ways to stand up a CAN are provided:
   partitioning and neighbour tables directly.  The paper's measurements are
   all taken "after the CAN routing stabilizes", so benchmarks use this bulk
   construction to avoid simulating thousands of sequential joins.
+
+**Next-hop index.**  Routing does not walk :class:`Zone` objects: a node's
+own zones and its live neighbours' zones are flattened to per-dimension
+``(lo, hi)`` bounds (in ``neighbor_zones`` order, so distance ties break as
+they always did), with the paper's ``d = 2`` unrolled.  The flat tables are
+built on the first routed hop after ``zones``, ``neighbor_zones`` or the dead
+set was assigned (they are :class:`~repro.dht.api.RoutingTableField`
+attributes).
 """
 
 from __future__ import annotations
@@ -24,10 +32,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import RoutingError
-from repro.dht.api import LookupCallback, RoutingLayer
+from repro.dht.api import LookupCallback, RoutingLayer, RoutingTableField
 from repro.dht.naming import key_to_unit_coordinates
 from repro.net.network import Network
 from repro.net.node import Node
@@ -42,6 +51,8 @@ ROUTE_HOP_BYTES = 40
 #: Greedy geometric forwarding can, in rare corner configurations, bounce
 #: between zones that are equidistant from the target; the TTL bounds that.
 MAX_ROUTE_HOPS = 128
+
+_INFINITY = float("inf")
 
 
 @dataclass(frozen=True)
@@ -143,6 +154,20 @@ class Zone:
         return f"Zone({ranges})"
 
 
+def _freeze_zone_map(zone_map: Mapping[int, Sequence[Zone]]
+                     ) -> Mapping[int, Tuple[Zone, ...]]:
+    """Read-only, order-preserving snapshot of an address -> zones map."""
+    return MappingProxyType(
+        {address: tuple(zones) for address, zones in zone_map.items()})
+
+
+def _flat_bounds(zone: Zone) -> tuple:
+    """``(x_lo, x_hi, y_lo, y_hi)`` for d = 2, else ``(((lo, hi), ...),)``."""
+    if len(zone.lo) == 2:
+        return (zone.lo[0], zone.hi[0], zone.lo[1], zone.hi[1])
+    return (tuple(zip(zone.lo, zone.hi)),)
+
+
 class CanRouting(RoutingLayer):
     """CAN routing layer instance bound to one node.
 
@@ -164,15 +189,21 @@ class CanRouting(RoutingLayer):
     PROTOCOL_NEIGHBOR_UPDATE = "can.neighbor_update"
     PROTOCOL_LEAVE_HANDOFF = "can.leave_handoff"
 
+    # The routing table: what the next-hop index is derived from.
+    #: Zones this node owns (a tuple: replace it, do not edit it).
+    zones = RoutingTableField(tuple)
+    #: neighbour address -> zones that neighbour owns (read-only mapping).
+    neighbor_zones = RoutingTableField(_freeze_zone_map)
+    _dead_neighbors = RoutingTableField(frozenset)
+
     def __init__(self, node: Node, dimensions: int = DEFAULT_DIMENSIONS, seed: int = 0):
         super().__init__(node)
         if dimensions <= 0:
             raise ValueError("CAN dimensionality must be positive")
         self.dimensions = dimensions
-        self.zones: List[Zone] = []
-        #: neighbour address -> list of zones that neighbour owns.
-        self.neighbor_zones: Dict[int, List[Zone]] = {}
-        self._dead_neighbors: set[int] = set()
+        self.zones = ()
+        self.neighbor_zones = {}
+        self._dead_neighbors = ()
         self._rng = random.Random((seed << 20) ^ node.address)
         self._pending_lookups: Dict[int, LookupCallback] = {}
         self._lookup_ids = itertools.count(1)
@@ -198,9 +229,40 @@ class CanRouting(RoutingLayer):
         """Map a flat DHT key to a point in the unit d-cube."""
         return key_to_unit_coordinates(key, self.dimensions)
 
+    def _build_next_hops(self) -> Tuple[List[tuple], List[tuple]]:
+        """Flatten own zones and live neighbours' zones for the routing loops.
+
+        Rows are :func:`_flat_bounds`, neighbour rows behind their address
+        and in ``neighbor_zones`` iteration order, so the first-minimum
+        tie-break is the table's.
+        """
+        dead = self._dead_neighbors
+        index = (
+            [_flat_bounds(zone) for zone in self.zones],
+            [
+                (address, *_flat_bounds(zone))
+                for address, zones in self.neighbor_zones.items()
+                if address not in dead
+                for zone in zones
+            ],
+        )
+        self._next_hops = index
+        return index
+
     def owns_point(self, point: Sequence[float]) -> bool:
         """Whether any of this node's zones contains ``point``."""
-        return any(zone.contains(point) for zone in self.zones)
+        own = (self._next_hops or self._build_next_hops())[0]
+        if self.dimensions == 2:
+            x, y = point
+            for x_lo, x_hi, y_lo, y_hi in own:
+                if x_lo <= x < x_hi and y_lo <= y < y_hi:
+                    return True
+            return False
+        return any(
+            all(low <= coordinate < high
+                for (low, high), coordinate in zip(bounds, point))
+            for (bounds,) in own
+        )
 
     def owns(self, key: int) -> bool:
         return self.owns_point(self.key_to_point(key))
@@ -214,12 +276,13 @@ class CanRouting(RoutingLayer):
 
     def mark_neighbor_dead(self, address: int) -> None:
         """Record a detected neighbour failure; routing avoids it afterwards."""
-        if address in self.neighbor_zones:
-            self._dead_neighbors.add(address)
+        if address in self.neighbor_zones and address not in self._dead_neighbors:
+            self._dead_neighbors = self._dead_neighbors | {address}
 
     def mark_neighbor_alive(self, address: int) -> None:
         """Clear a previously-detected neighbour failure."""
-        self._dead_neighbors.discard(address)
+        if address in self._dead_neighbors:
+            self._dead_neighbors = self._dead_neighbors - {address}
 
     # ---------------------------------------------------------------- lookup
 
@@ -265,42 +328,46 @@ class CanRouting(RoutingLayer):
         The node the message just arrived from is avoided unless it is the
         only live neighbour, which prevents two-node ping-pong cycles.
         """
-        # Squared distances: sqrt is monotone, so the argmin is unchanged and
-        # the per-zone cost drops on what profiling shows is the hottest
-        # routing loop in large simulations.
+        # Squared distances: sqrt is monotone, so the argmin is unchanged.
+        neighbors = (self._next_hops or self._build_next_hops())[1]
         best_address: Optional[int] = None
-        best_distance = float("inf")
-        fallback_address: Optional[int] = None
-        fallback_distance = float("inf")
-        dead = self._dead_neighbors
-        for address, zones in self.neighbor_zones.items():
-            if address in dead:
-                continue
-            for zone in zones:
-                lo = zone.lo
-                hi = zone.hi
+        best_distance = _INFINITY
+        if self.dimensions == 2:
+            x, y = point
+            for address, x_lo, x_hi, y_lo, y_hi in neighbors:
+                if x < x_lo:
+                    delta = x_lo - x
+                    distance = delta * delta
+                elif x >= x_hi:
+                    delta = x - x_hi
+                    distance = delta * delta
+                else:
+                    distance = 0.0
+                if y < y_lo:
+                    delta = y_lo - y
+                    distance += delta * delta
+                elif y >= y_hi:
+                    delta = y - y_hi
+                    distance += delta * delta
+                if distance < best_distance and address != exclude:
+                    best_distance = distance
+                    best_address = address
+        else:
+            for address, bounds in neighbors:
                 distance = 0.0
-                for dim, coordinate in enumerate(point):
-                    low = lo[dim]
+                for (low, high), coordinate in zip(bounds, point):
                     if coordinate < low:
                         delta = low - coordinate
                         distance += delta * delta
-                    else:
-                        high = hi[dim]
-                        if coordinate >= high:
-                            delta = coordinate - high
-                            distance += delta * delta
-                if address == exclude:
-                    if distance < fallback_distance:
-                        fallback_distance = distance
-                        fallback_address = address
-                    continue
-                if distance < best_distance:
+                    elif coordinate >= high:
+                        delta = coordinate - high
+                        distance += delta * delta
+                if distance < best_distance and address != exclude:
                     best_distance = distance
                     best_address = address
-        if best_address is not None:
-            return best_address
-        return fallback_address
+        if best_address is None and any(row[0] == exclude for row in neighbors):
+            return exclude
+        return best_address
 
     def _on_route(self, node: Node, message) -> None:
         payload = message.payload
@@ -401,7 +468,9 @@ class CanRouting(RoutingLayer):
         previous_neighbors = {
             address: list(zones) for address, zones in self.neighbor_zones.items()
         }
-        self.zones[primary_index] = kept
+        zones = list(self.zones)
+        zones[primary_index] = kept
+        self.zones = zones
 
         items: list = []
         if self.extract_items is not None:
@@ -422,7 +491,7 @@ class CanRouting(RoutingLayer):
             payload_bytes=200 + item_bytes,
         )
         # The joiner becomes a neighbour of the splitter.
-        self.neighbor_zones[joiner] = [given]
+        self.neighbor_zones = {**self.neighbor_zones, joiner: [given]}
         self._prune_non_adjacent()
         self._broadcast_zone_update()
         self.notify_location_map_change()
@@ -476,13 +545,15 @@ class CanRouting(RoutingLayer):
 
     def _on_leave_handoff(self, node: Node, message) -> None:
         payload = message.payload
-        self.zones.extend(payload["zones"])
-        self.neighbor_zones.pop(payload["departing"], None)
+        self.zones = [*self.zones, *payload["zones"]]
+        neighbor_zones = dict(self.neighbor_zones)
+        neighbor_zones.pop(payload["departing"], None)
         for address, zones in payload["neighbor_zones"].items():
             if address == self.address:
                 continue
             if self._adjacent_to_me(zones):
-                self.neighbor_zones[address] = zones
+                neighbor_zones[address] = zones
+        self.neighbor_zones = neighbor_zones
         if self.install_items is not None and payload["items"]:
             self.install_items(payload["items"])
         self._broadcast_zone_update(
@@ -498,13 +569,11 @@ class CanRouting(RoutingLayer):
         )
 
     def _prune_non_adjacent(self) -> None:
-        stale = [
-            address
+        self.neighbor_zones = {
+            address: zones
             for address, zones in self.neighbor_zones.items()
-            if not self._adjacent_to_me(zones)
-        ]
-        for address in stale:
-            del self.neighbor_zones[address]
+            if self._adjacent_to_me(zones)
+        }
 
     def _broadcast_zone_update(self, extra_recipients=()) -> None:
         recipients = set(self.neighbor_zones) | set(extra_recipients)
@@ -523,11 +592,13 @@ class CanRouting(RoutingLayer):
         zones = payload["zones"]
         if address == self.address:
             return
+        neighbor_zones = dict(self.neighbor_zones)
         if zones and self._adjacent_to_me(zones):
-            self.neighbor_zones[address] = zones
-            self._dead_neighbors.discard(address)
+            neighbor_zones[address] = zones
+            self.mark_neighbor_alive(address)
         else:
-            self.neighbor_zones.pop(address, None)
+            neighbor_zones.pop(address, None)
+        self.neighbor_zones = neighbor_zones
 
     # ------------------------------------------------------------ inspection
 
@@ -653,18 +724,24 @@ class CanNetworkBuilder:
         """
         if count <= 0:
             raise ValueError("need at least one node")
-        zone = Zone.full_space(self.dimensions)
+        # The current zone as bare bounds; only the split dimension changes,
+        # and a point inside the zone is in the lower half iff it is below
+        # the midpoint along that dimension.
+        lo = [0.0] * self.dimensions
+        hi = [1.0] * self.dimensions
         offset = 0
         depth = 0
         remaining = count
         while remaining > 1:
             dim = depth % self.dimensions
-            lower, upper = zone.split(dim)
+            mid = (lo[dim] + hi[dim]) / 2.0
             first = (remaining + 1) // 2
-            if lower.contains(point):
-                zone, remaining = lower, first
+            if point[dim] < mid:
+                hi[dim] = mid
+                remaining = first
             else:
-                zone, remaining = upper, remaining - first
+                lo[dim] = mid
+                remaining -= first
                 offset += first
             depth += 1
         return offset

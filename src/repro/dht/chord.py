@@ -12,15 +12,25 @@ points to when discussing CAN's ``n^{1/2}`` hop count.
 As with CAN, both a message-level join protocol and a bulk stabilised
 builder are provided; the bulk builder computes successors and finger tables
 directly from the sorted identifier list.
+
+**Next-hop index.**  A finger table has ``key_bits`` slots but only about
+``log2 n`` distinct nodes in them, so a hop does not scan the slots: the
+distinct, live, non-self fingers (plus the live successor) are kept as a
+sorted array of clockwise offsets from this node with a parallel address
+array, and the closest preceding finger of a key is one ``bisect`` on the
+key's offset.  The index is built on the first routed hop after ``fingers``,
+``successor`` or the dead set was assigned (they are
+:class:`~repro.dht.api.RoutingTableField` attributes), so a hop costs
+``O(log f)`` for ``f`` distinct fingers, independent of ``key_bits``.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.dht.api import LookupCallback, RoutingLayer
+from repro.dht.api import LookupCallback, RoutingLayer, RoutingTableField
 from repro.dht.naming import KEY_BITS, node_identifier
 from repro.net.network import Network
 from repro.net.node import Node
@@ -39,8 +49,9 @@ def _in_interval(value: int, start: int, end: int, inclusive_end: bool = False) 
     half-closed ``(start, end]`` which is the ownership rule of Chord.
     """
     if start == end:
-        # The whole ring (single-node case).
-        return True if not inclusive_end else True
+        # Both ends on one identifier: the interval goes once round the whole
+        # ring (a single node owns every key), whether or not the end counts.
+        return True
     if start < end:
         return start < value < end or (inclusive_end and value == end)
     return value > start or value < end or (inclusive_end and value == end)
@@ -57,16 +68,23 @@ class ChordRouting(RoutingLayer):
     PROTOCOL_NOTIFY = "chord.notify"
     PROTOCOL_LEAVE = "chord.leave"
 
+    # The routing table: what the next-hop index is derived from.
+    #: Address of the next node clockwise (``None`` off the ring).
+    successor = RoutingTableField()
+    #: finger index -> (identifier, address) of the finger node, or ``None``.
+    fingers = RoutingTableField(tuple)
+    _dead = RoutingTableField(frozenset)
+
     def __init__(self, node: Node, key_bits: int = KEY_BITS):
         super().__init__(node)
         self.key_bits = key_bits
-        self.identifier = node_identifier(node.address) % (1 << key_bits)
-        self.successor: Optional[int] = None
+        self._modulus = 1 << key_bits
+        self.identifier = node_identifier(node.address) % self._modulus
+        self.successor = None
         self.predecessor: Optional[int] = None
-        #: finger index -> (identifier, address) of the finger node.
-        self.fingers: List[Optional[tuple]] = [None] * key_bits
+        self.fingers = [None] * key_bits
         self._ids: Dict[int, int] = {}  # address -> identifier cache
-        self._dead: set[int] = set()
+        self._dead = ()
         self._pending_lookups: Dict[int, LookupCallback] = {}
         self._lookup_ids = itertools.count(1)
         self.extract_items = None
@@ -88,12 +106,12 @@ class ChordRouting(RoutingLayer):
 
     def _identifier_of(self, address: int) -> int:
         if address not in self._ids:
-            self._ids[address] = node_identifier(address) % (1 << self.key_bits)
+            self._ids[address] = node_identifier(address) % self._modulus
         return self._ids[address]
 
     def ring_key(self, key: int) -> int:
         """Project a flat DHT key onto this ring."""
-        return key % (1 << self.key_bits)
+        return key % self._modulus
 
     def owns(self, key: int) -> bool:
         ring_key = self.ring_key(key)
@@ -118,11 +136,13 @@ class ChordRouting(RoutingLayer):
 
     def mark_neighbor_dead(self, address: int) -> None:
         """Record a detected neighbour failure; routing avoids it afterwards."""
-        self._dead.add(address)
+        if address not in self._dead:
+            self._dead = self._dead | {address}
 
     def mark_neighbor_alive(self, address: int) -> None:
         """Clear a previously-detected neighbour failure."""
-        self._dead.discard(address)
+        if address in self._dead:
+            self._dead = self._dead - {address}
 
     # ---------------------------------------------------------------- lookup
 
@@ -141,28 +161,46 @@ class ChordRouting(RoutingLayer):
         }
         self._forward(payload, payload_bytes, hops=0)
 
-    def _closest_preceding(self, ring_key: int) -> Optional[int]:
-        """Finger (or successor) closest to, but preceding, ``ring_key``."""
-        candidates = []
+    def _build_next_hops(self) -> Tuple[List[int], List[int], Optional[int]]:
+        """Index the table: sorted finger offsets, their addresses, fallback.
+
+        Among fingers on one identifier the first in slot order is kept (the
+        successor counts as the last slot); a finger on this node's own
+        identifier precedes no key and is left out.
+        """
+        dead = self._dead
+        me = self.address
+        base = self.identifier
+        modulus = self._modulus
+        by_offset: Dict[int, int] = {}
         for finger in self.fingers:
             if finger is None:
                 continue
             identifier, address = finger
-            if address in self._dead or address == self.address:
+            if address in dead or address == me:
                 continue
-            candidates.append((identifier, address))
-        if self.successor is not None and self.successor not in self._dead:
-            candidates.append((self._identifier_of(self.successor), self.successor))
-        best = None
-        for identifier, address in candidates:
-            if _in_interval(identifier, self.identifier, ring_key) and (
-                    best is None or _in_interval(identifier, best[0], ring_key)):
-                best = (identifier, address)
-        if best is not None:
-            return best[1]
-        if self.successor is not None and self.successor not in self._dead:
-            return self.successor
-        return None
+            by_offset.setdefault((identifier - base) % modulus, address)
+        successor = self.successor
+        if successor in dead:
+            successor = None
+        if successor is not None:
+            by_offset.setdefault(
+                (self._identifier_of(successor) - base) % modulus, successor)
+        by_offset.pop(0, None)
+        offsets = sorted(by_offset)
+        index = (offsets, [by_offset[offset] for offset in offsets], successor)
+        self._next_hops = index
+        return index
+
+    def _closest_preceding(self, ring_key: int) -> Optional[int]:
+        """Finger (or successor) closest to, but preceding, ``ring_key``."""
+        offsets, addresses, live_successor = (
+            self._next_hops or self._build_next_hops())
+        position = bisect.bisect_left(
+            offsets, (ring_key - self.identifier) % self._modulus)
+        if position:
+            return addresses[position - 1]
+        return live_successor
 
     def _forward(self, payload: dict, payload_bytes: int, hops: int) -> None:
         if hops >= MAX_ROUTE_HOPS:
@@ -224,11 +262,8 @@ class ChordRouting(RoutingLayer):
 
     def _batch_next_hop(self, entry: dict, exclude: Optional[int]) -> Optional[int]:
         # Chord's finger geometry has no source to avoid; dead nodes are
-        # already excluded inside _closest_preceding.
-        next_hop = self._closest_preceding(entry["ring_key"])
-        if next_hop == self.address:
-            return None
-        return next_hop
+        # already left out of the next-hop index.
+        return self._closest_preceding(entry["ring_key"])
 
     # --------------------------------------------------------------- joining
 
@@ -357,6 +392,7 @@ class ChordNetworkBuilder:
     def __init__(self, key_bits: int = KEY_BITS):
         self.key_bits = key_bits
         self._ring: Optional[List[tuple]] = None
+        self._identifiers: List[int] = []  # of _ring, for owner_of_key
 
     def build_stabilized(self, network: Network,
                          addresses: Optional[Sequence[int]] = None
@@ -389,6 +425,7 @@ class ChordNetworkBuilder:
                 fingers.append(ring[position_in_ring])
             routing.fingers = fingers
         self._ring = ring
+        self._identifiers = identifiers
         return routings
 
     # --------------------------------------------------------- owner lookup
@@ -398,6 +435,5 @@ class ChordNetworkBuilder:
         if not self._ring:
             raise RuntimeError("owner_of_key() requires build_stabilized() first")
         ring_key = key % (1 << self.key_bits)
-        identifiers = [identifier for identifier, _address in self._ring]
-        position = bisect.bisect_left(identifiers, ring_key) % len(self._ring)
+        position = bisect.bisect_left(self._identifiers, ring_key) % len(self._ring)
         return self._ring[position][1]

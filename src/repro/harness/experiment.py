@@ -297,14 +297,15 @@ class PierNetwork:
             for row in rows:
                 resource_id = relation.resource_id(row)
                 if fast:
-                    owner = self.owner_of(relation.namespace, resource_id)
+                    key = hash_key(relation.namespace, resource_id)
+                    owner = self.builder.owner_of_key(key)
                     instance_id = provider.next_instance_id()
                     self.providers[owner].storage.store(StoredItem(
                         namespace=relation.namespace,
                         resource_id=resource_id,
                         instance_id=instance_id,
                         value=row,
-                        key=hash_key(relation.namespace, resource_id),
+                        key=key,
                         expires_at=self.now + lifetime,
                         stored_at=self.now,
                         publisher=publisher,

@@ -234,7 +234,7 @@ def test_leave_hands_zone_to_a_neighbor():
     departing = 3
     routings[departing].leave()
     network.run_until_idle()
-    assert routings[departing].zones == []
+    assert routings[departing].zones == ()
     remaining_volume = sum(
         routing.total_volume() for address, routing in routings.items() if address != departing
     )
