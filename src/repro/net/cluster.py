@@ -58,9 +58,7 @@ class ClusterTopology(Topology):
         self._jitter = float(load_jitter)
         self._rng = random.Random(seed)
 
-    def latency(self, src: int, dst: int) -> float:
-        self.validate_address(src)
-        self.validate_address(dst)
+    def latency_between(self, src: int, dst: int) -> float:
         if src == dst:
             return 0.0
         base = self._latency

@@ -2,67 +2,46 @@
 
 The paper's baseline simulation setup places the network bottleneck at each
 node's inbound ("last hop") link: 10 Mbps per node, with contention whenever
-several senders ship data to the same destination at once.  This module
-models each receiver's inbound link as a single FIFO server:
+several senders ship data to the same destination at once.  Each receiver's
+inbound link is a single FIFO server:
 
 * a message arriving at virtual time ``t`` (after propagation latency) begins
-  service at ``max(t, link_busy_until)``;
+  service at ``max(t, busy_until)``; the wait ``start - t`` is its queueing
+  delay, excluding its own serialisation;
 * service lasts ``size_bytes / capacity`` seconds;
 * the link is then busy until service completes, delaying later arrivals.
 
-With ``capacity == inf`` the link degenerates to pure propagation delay,
-which is exactly the paper's "infinite bandwidth" scenario of Section 5.5.1.
+With ``capacity == inf`` the link degenerates to pure propagation delay
+(delivery at ``t``, no queueing, ``busy_until`` never moves), which is
+exactly the paper's "infinite bandwidth" scenario of Section 5.5.1.
+
+:class:`InboundLink` is only the server's state.  The arithmetic above is
+executed in one place, :meth:`repro.net.network.SimulatedNetwork.send`, once
+per message, and is tested through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass
 class InboundLink:
-    """FIFO queueing model of one node's inbound link.
+    """State of one node's inbound FIFO link.
 
     Attributes
     ----------
     capacity_bytes_per_s:
         Link speed.  ``float('inf')`` disables serialisation delay.
+    infinite:
+        Whether the capacity is infinite.
     busy_until:
         Virtual time until which the link is occupied by earlier messages.
+    bytes_served:
+        Bytes admitted since construction or the node's last recovery.
     """
 
-    capacity_bytes_per_s: float
-    busy_until: float = 0.0
-    bytes_served: int = 0
+    __slots__ = ("capacity_bytes_per_s", "infinite", "busy_until", "bytes_served")
 
-    def admit(self, arrival_time: float, size_bytes: int) -> tuple[float, float]:
-        """Admit a message and return ``(delivery_time, queueing_delay)``.
-
-        ``arrival_time`` is when the first bit reaches the link (propagation
-        already accounted for).  ``queueing_delay`` is the time spent waiting
-        behind earlier messages, excluding this message's own serialisation.
-        """
-        if size_bytes < 0:
-            raise ValueError("message size must be non-negative")
-        if self.capacity_bytes_per_s == float("inf"):
-            self.bytes_served += size_bytes
-            return arrival_time, 0.0
-        start = max(arrival_time, self.busy_until)
-        queueing_delay = start - arrival_time
-        service = size_bytes / self.capacity_bytes_per_s
-        finish = start + service
-        self.busy_until = finish
-        self.bytes_served += size_bytes
-        return finish, queueing_delay
-
-    def utilisation_since(self, since: float, now: float) -> float:
-        """Approximate utilisation of the link over ``[since, now]``."""
-        if now <= since or self.capacity_bytes_per_s == float("inf"):
-            return 0.0
-        busy = min(self.busy_until, now) - since
-        return max(0.0, busy) / (now - since)
-
-    def reset(self, now: float = 0.0) -> None:
-        """Forget queued backlog; used when a node restarts after a failure."""
-        self.busy_until = now
+    def __init__(self, capacity_bytes_per_s: float):
+        self.capacity_bytes_per_s = capacity_bytes_per_s
+        self.infinite = capacity_bytes_per_s == float("inf")
+        self.busy_until = 0.0
         self.bytes_served = 0

@@ -16,14 +16,10 @@ control traffic is negligible next to rehashed tuples.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 #: Fixed per-message header overhead (bytes).
 HEADER_BYTES = 60
-
-_message_ids = itertools.count(1)
 
 
 class Message:
@@ -45,35 +41,34 @@ class Message:
     payload:
         Arbitrary protocol-specific content.  The simulator never inspects it.
     payload_bytes:
-        Size of the payload on the wire, used by the bandwidth model.
+        Size of the payload on the wire, used by the bandwidth model.  Fixed
+        at construction, like everything else about a message in flight.
+    size_bytes:
+        Total size on the wire including the fixed header, derived from
+        ``payload_bytes`` once, here, and read by link admission and traffic
+        accounting.
     hops:
         Overlay hop counter, incremented by DHT routing layers when they
         forward a logical request; used by the hop-count ablation.
     """
 
     __slots__ = ("src", "dst", "protocol", "payload", "payload_bytes",
-                 "hops", "msg_id")
+                 "hops", "size_bytes")
 
     def __init__(self, src: int, dst: int, protocol: str, payload: Any = None,
-                 payload_bytes: int = 0, hops: int = 0,
-                 msg_id: Optional[int] = None):
+                 payload_bytes: int = 0, hops: int = 0):
         self.src = src
         self.dst = dst
         self.protocol = protocol
         self.payload = payload
         self.payload_bytes = payload_bytes
         self.hops = hops
-        self.msg_id = next(_message_ids) if msg_id is None else msg_id
+        self.size_bytes = HEADER_BYTES + max(0, int(payload_bytes))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Message(src={self.src}, dst={self.dst}, "
                 f"protocol={self.protocol!r}, payload_bytes={self.payload_bytes}, "
-                f"hops={self.hops}, msg_id={self.msg_id})")
-
-    @property
-    def size_bytes(self) -> int:
-        """Total size on the wire including the fixed header."""
-        return HEADER_BYTES + max(0, int(self.payload_bytes))
+                f"hops={self.hops})")
 
     def forwarded(self, new_src: int, new_dst: int) -> "Message":
         """Create a copy of this message forwarded one overlay hop."""
@@ -85,25 +80,6 @@ class Message:
             payload_bytes=self.payload_bytes,
             hops=self.hops + 1,
         )
-
-
-@dataclass
-class DeliveryReceipt:
-    """Bookkeeping record produced when a message is delivered.
-
-    Used by :class:`repro.net.stats.TrafficStats` and by tests that assert on
-    latency and queueing behaviour.
-    """
-
-    message: Message
-    sent_at: float
-    delivered_at: float
-    queued_for: float
-
-    @property
-    def latency(self) -> float:
-        """End-to-end delay experienced by the message (seconds)."""
-        return self.delivered_at - self.sent_at
 
 
 def tuple_payload_bytes(tuple_count: int, tuple_bytes: int) -> int:

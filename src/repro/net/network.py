@@ -25,12 +25,13 @@ preserved (each message is admitted to the inbound link individually, so
 byte counts and queueing delays match the uncoalesced path exactly).
 
 Every coalesced group costs **one** delivery event: the first message
-schedules it, and joining messages move it to the group's latest link-finish
-time (never earlier than any member's own finish).  Because the group fires
-once, members other than the last can be delivered later than their own
-link finish — bounded by the group's remaining service time; the group's
-*last* delivery matches the uncoalesced path exactly.  The window controls
-who may join:
+schedules it, and each joining message *postpones* that same event
+(:meth:`repro.net.simulator.Simulator.postpone`) to the group's latest
+link-finish time — never earlier than any member's own finish.  Because the
+group fires once, members other than the last can be delivered later than
+their own link finish — bounded by the group's remaining service time; the
+group's *last* delivery matches the uncoalesced path exactly.  The window
+controls who may join:
 
 * ``0.0`` — the default when coalescing is on — merges only messages
   *arriving* at a destination at the same virtual instant, which keeps the
@@ -43,32 +44,37 @@ who may join:
 
 ``None`` (the default) disables coalescing and reproduces the
 one-event-per-message seed behaviour bit for bit.
+
+One pass per message
+--------------------
+:meth:`SimulatedNetwork.send` is the whole path of a message up to its
+delivery event: it checks both addresses, reads the clock once, draws one
+latency from the topology, runs the inbound link's FIFO arithmetic
+(:mod:`repro.net.links`) and then schedules, opens or joins.  What a message
+is — its wire size — was fixed when it was built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.exceptions import NetworkError
 from repro.net.links import InboundLink
 from repro.net.message import Message
 from repro.net.node import Node
-from repro.net.simulator import Simulator
+from repro.net.simulator import EventHandle, Simulator
 from repro.net.stats import TrafficStats
 from repro.net.topology import Topology
 from repro.net.transport import TimerService, Transport
 
-
-@dataclass
-class _PendingBatch:
-    """Messages bound for one destination sharing one delivery event."""
-
-    opened_at: float
-    #: (message, sent_at, queued_for) per member, in send order.
-    entries: List[Tuple[Message, float, float]] = field(default_factory=list)
-    #: Handle of the scheduled delivery event (zero-window mode).
-    handle: object = None
+#: A group's key: the destination in window mode, ``(destination, arrival
+#: time)`` in zero-window mode.
+_GroupKey = Union[int, Tuple[int, float]]
+#: ``(message, queued_for)`` per member of a delivery group, in send order.
+_Entries = List[Tuple[Message, float]]
+#: An open group: when its first member was sent, its one delivery event,
+#: and its members.
+_Group = Tuple[float, EventHandle, _Entries]
 
 
 class SimulatedNetwork(Transport):
@@ -100,9 +106,7 @@ class SimulatedNetwork(Transport):
             for address in range(topology.num_nodes)
         }
         self._coalesce_window: Optional[float] = None
-        #: Open batches: keyed by destination in window mode, by
-        #: (destination, arrival time) in zero-window mode.
-        self._pending_batches: Dict[Union[int, Tuple[int, float]], _PendingBatch] = {}
+        self._groups: Dict[_GroupKey, _Group] = {}  # the open groups
         self.batches_flushed = 0
         self.messages_coalesced = 0
         self.set_coalescing(coalesce_window_s)
@@ -157,103 +161,88 @@ class SimulatedNetwork(Transport):
 
     def send(self, message: Message) -> None:
         """Queue ``message`` for delivery according to the network model."""
-        if message.dst not in self.nodes:
-            raise NetworkError(f"message addressed to unknown node {message.dst}")
-        if message.src not in self.nodes:
-            raise NetworkError(f"message sent from unknown node {message.src}")
-        self.stats.record_send(message)
-        sent_at = self.simulator.now
+        src, dst = message.src, message.dst
+        if dst not in self.nodes:
+            raise NetworkError(f"message addressed to unknown node {dst}")
+        if src not in self.nodes:
+            raise NetworkError(f"message sent from unknown node {src}")
+        self.stats.messages_sent += 1
+        simulator = self.simulator
 
-        if message.src == message.dst:
+        if src == dst:
             # Local delivery: no propagation, no link serialisation; still
             # asynchronous (zero-delay event) to preserve callback ordering.
-            self.simulator.schedule(0.0, self._deliver, message, sent_at, 0.0)
+            simulator.schedule(0.0, self._deliver, message, 0.0)
             return
 
-        if self._coalesce_window is not None:
-            self._enqueue_coalesced(message, sent_at)
-            return
-
-        latency = self.topology.latency(message.src, message.dst)
-        arrival = sent_at + latency
-        link = self._links[message.dst]
-        delivery_time, queued_for = link.admit(arrival, message.size_bytes)
-        self.simulator.schedule_at(delivery_time, self._deliver, message, sent_at, queued_for)
-
-    def _enqueue_coalesced(self, message: Message, sent_at: float) -> None:
-        """Attach a message to an open delivery batch, or start a new one.
-
-        Every message is admitted to the inbound link individually (identical
-        byte and queueing accounting to the uncoalesced path); only the
-        delivery *event* is shared.  Joining a batch cancels its scheduled
-        delivery and reschedules it at the latest link-finish time seen so
-        far, so no member is ever delivered before its own finish.
-        """
-        latency = self.topology.latency(message.src, message.dst)
-        arrival = sent_at + latency
-        link = self._links[message.dst]
-        delivery_time, queued_for = link.admit(arrival, message.size_bytes)
-
-        if self._coalesce_window > 0:
-            # Window mode: one open batch per destination; sends within the
-            # window of the batch's first send join it.
-            key = message.dst
-            batch = self._pending_batches.get(key)
-            if batch is not None and sent_at - batch.opened_at > self._coalesce_window:
-                batch = None
+        sent_at = simulator.now
+        arrival = sent_at + self.topology.latency_between(src, dst)
+        # The inbound link's FIFO server (see repro.net.links).
+        link = self._links[dst]
+        size = message.size_bytes
+        link.bytes_served += size
+        if link.infinite:
+            finish, queued_for = arrival, 0.0
         else:
-            # Zero window: only same-instant arrivals share an event, which
-            # bounds the delivery slip of early members to the group's own
-            # service time (the last member's delivery matches the seed).
-            key = (message.dst, arrival)
-            batch = self._pending_batches.get(key)
+            start = max(arrival, link.busy_until)
+            queued_for = start - arrival
+            finish = link.busy_until = start + size / link.capacity_bytes_per_s
 
-        if batch is None:
-            batch = _PendingBatch(opened_at=sent_at)
-            self._pending_batches[key] = batch
+        # Events are armed by delay: ``now + (finish - now)``, the same time
+        # ``schedule_at(finish)`` and ``postpone(event, finish)`` arrive at.
+        window = self._coalesce_window
+        if window is None:
+            simulator.schedule(finish - sent_at, self._deliver, message, queued_for)
+            return
+        # Only the delivery *event* is shared.  Window mode: one open group
+        # per destination, joined by sends within the window of its first.
+        # Zero window: only same-instant arrivals share an event, which
+        # bounds the delivery slip of early members to the group's own
+        # service time.
+        key = dst if window > 0 else (dst, arrival)
+        group = self._groups.get(key)
+        if group is not None and window > 0 and sent_at - group[0] > window:
+            group = None  # replaced under its key; its event is still pending
+        if group is None:
+            entries = [(message, queued_for)]
+            event = simulator.schedule(finish - sent_at, self._deliver_batch,
+                                       key, entries)
+            self._groups[key] = (sent_at, event, entries)
             self.batches_flushed += 1
         else:
             # The group's event only ever moves later (max over finishes),
             # which matters under infinite bandwidth where a late send from
             # a nearby source can finish before an earlier distant one.
-            delivery_time = max(delivery_time, batch.handle.time)
-            batch.handle.cancel()
+            _, event, entries = group
+            entries.append((message, queued_for))
+            simulator.postpone(event, max(finish, event.time))
             self.messages_coalesced += 1
-        batch.entries.append((message, sent_at, queued_for))
-        batch.handle = self.simulator.schedule_at(
-            delivery_time, self._deliver_batch, key, batch
-        )
 
-    def _deliver_batch(self, key, batch: _PendingBatch) -> None:
-        """Deliver every message of a coalesced batch in send order."""
-        if self._pending_batches.get(key) is batch:
-            del self._pending_batches[key]
-        for message, sent_at, queued_for in batch.entries:
-            self._deliver(message, sent_at, queued_for)
+    def _deliver_batch(self, key: _GroupKey, entries: _Entries) -> None:
+        """Deliver every message of a coalesced group in send order."""
+        group = self._groups.get(key)
+        if group is not None and group[2] is entries:
+            del self._groups[key]
+        for message, queued_for in entries:
+            self._deliver(message, queued_for)
 
-    def _deliver(self, message: Message, sent_at: float, queued_for: float) -> None:
+    def _deliver(self, message: Message, queued_for: float) -> None:
         """Final delivery step executed by the simulator."""
         destination = self.nodes[message.dst]
-        if not destination.alive:
-            self.stats.record_drop(message)
-            self._bounce(message)
+        if destination.alive:
+            self.stats.record_delivery(message, queued_for)
+            destination.deliver(message)
             return
-        self.stats.record_delivery(message, queued_for)
-        destination.deliver(message)
-
-    def _bounce(self, message: Message) -> None:
-        """Notify the sender that delivery failed (models a transport timeout).
-
-        The notification arrives one extra propagation delay after the failed
-        delivery attempt and is purely local to the sender (no bytes are
-        charged to the network).  Senders opt in per protocol via
-        :meth:`repro.net.node.Node.register_bounce_handler`.
-        """
-        sender = self.nodes.get(message.src)
-        if sender is None or message.src == message.dst:
-            return
-        delay = self.topology.latency(message.src, message.dst)
-        self.simulator.schedule(delay, sender.deliver_bounce, message)
+        # Dropped: notify the sender (models a transport timeout).  The
+        # notification arrives one extra propagation delay after the failed
+        # delivery attempt and is purely local to the sender (no bytes are
+        # charged to the network).  Senders opt in per protocol via
+        # :meth:`repro.net.node.Node.register_bounce_handler`.
+        self.stats.messages_dropped += 1
+        src = message.src
+        if src != message.dst:
+            delay = self.topology.latency_between(src, message.dst)
+            self.simulator.schedule(delay, self.nodes[src].deliver_bounce, message)
 
     # ------------------------------------------------------------------ run
 
@@ -281,7 +270,9 @@ class SimulatedNetwork(Transport):
         """Bring a failed node back up and clear its inbound backlog."""
         node = self.node(address)
         node.recover()
-        self._links[address].reset(self.simulator.now)
+        link = self._links[address]
+        link.busy_until = self.simulator.now
+        link.bytes_served = 0
 
     def fail_nodes(self, addresses: Iterable[int]) -> None:
         """Fail several nodes at once."""

@@ -86,14 +86,7 @@ class Node:
     def send(self, dst: int, protocol: str, payload: Any = None,
              payload_bytes: int = 0, hops: int = 0) -> Message:
         """Send a message to another node through the network."""
-        message = Message(
-            src=self.address,
-            dst=dst,
-            protocol=protocol,
-            payload=payload,
-            payload_bytes=payload_bytes,
-            hops=hops,
-        )
+        message = Message(self.address, dst, protocol, payload, payload_bytes, hops)
         self.network.send(message)
         return message
 

@@ -11,6 +11,8 @@ layers schedule work on.  The design is a classic calendar queue built on
 * Periodic processes (soft-state sweeps, keep-alives, renewals) are
   expressed with :meth:`Simulator.schedule_periodic`, which returns a handle
   that can be cancelled.
+* :meth:`Simulator.postpone` moves a pending event later; the network uses
+  it to keep one event per coalesced delivery group.
 
 Events scheduled for the same timestamp fire in FIFO order of scheduling,
 which keeps runs deterministic for a fixed seed.
@@ -18,23 +20,29 @@ which keeps runs deterministic for a fixed seed.
 Same-timestamp hot path
 -----------------------
 Large simulations (the 10k-node scale-up runs) are dominated by zero-delay
-events: local deliveries, coalesced-batch flushes and callback chains that
-all fire at the *current* virtual time.  Pushing those through the heap costs
-``O(log n)`` per event for no ordering benefit, so :meth:`Simulator.schedule`
-routes zero-delay events scheduled *during* a run into a plain FIFO deque
-(the "ready lane") that :meth:`Simulator.run` drains in O(1) per event.
-Ordering stays exactly as before: heap entries at the current timestamp were
-necessarily scheduled earlier (their sequence numbers are smaller), so they
-drain ahead of the ready lane.
+events: local deliveries and callback chains that all fire at the *current*
+virtual time.  Pushing those through the heap costs ``O(log n)`` per event
+for no ordering benefit, so :meth:`Simulator.schedule` routes zero-delay
+events scheduled *during* a run into a plain FIFO deque (the "ready lane")
+that :meth:`Simulator.run` drains in O(1) per event.
 
-Heap entry layout
------------------
-The heap stores plain ``(time, seq, event)`` tuples, so every sift compares
-a float (and, on ties, an int) at C speed; the event object itself is a
-``__slots__`` class that is never compared.  A live-event counter tracks
+Entry layout
+------------
+Both lanes hold plain ``(time, seq, event)`` tuples, so every heap sift
+compares a float (and, on ties, an int) at C speed; the event object itself
+is never compared.  An event's *current* key lives on the event.  Each
+pending event has exactly one entry, and that entry may be **stale**: filed
+under an older key than the event now carries, because the event was
+postponed since.  That is safe because a postponement never lowers the key
+(the time does not decrease and the sequence number is fresh), so a stale
+entry surfaces no later than the event is due; :meth:`Simulator._peek`
+re-files it under the current key at the point where it also discards the
+entries of cancelled events.  The result is exactly the firing position that
+cancelling the event and scheduling a new one would give, without the dead
+heap entry per postponement.  A live-event counter tracks
 scheduled-minus-(fired-or-cancelled) events so :attr:`pending_events` and
-the idle check at the end of :meth:`run` are O(1) instead of scanning the
-heap for cancelled entries.
+the idle check at the end of :meth:`run` are O(1); postponing leaves it
+untouched.
 """
 
 from __future__ import annotations
@@ -42,53 +50,39 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Tuple
 
 from repro.exceptions import SimulationError
 from repro.net.transport import TimerService
 
 
-class _Event:
-    """Internal event record; heap ordering lives in the ``(time, seq)``
-    tuple wrapping it, never in the object itself."""
+class EventHandle:
+    """One scheduled event, returned by :meth:`Simulator.schedule`.
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "fired")
+    ``time`` is the virtual time at which the event is due to fire and
+    ``cancelled`` whether :meth:`cancel` has been called; ``time``/``seq``
+    are the event's current calendar key.
+    """
 
-    def __init__(self, time: float, seq: int, callback: Callable[..., None], args: tuple):
+    __slots__ = ("time", "seq", "callback", "args", "cancelled", "fired", "_sim")
+
+    def __init__(self, time: float, seq: int, callback: Callable[..., None],
+                 args: tuple, sim: "Simulator"):
         self.time = time
         self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
         self.fired = False
-
-
-class EventHandle:
-    """Handle returned by :meth:`Simulator.schedule`; allows cancellation."""
-
-    __slots__ = ("_event", "_sim")
-
-    def __init__(self, event: _Event, sim: "Simulator"):
-        self._event = event
         self._sim = sim
-
-    @property
-    def time(self) -> float:
-        """Virtual time at which the event is due to fire."""
-        return self._event.time
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` has been called."""
-        return self._event.cancelled
 
     def cancel(self) -> None:
         """Prevent the event from firing (no-op if it already fired)."""
-        event = self._event
-        if event.cancelled or event.fired:
-            return
-        event.cancelled = True
-        self._sim._live -= 1
+        self._sim._cancel(self)
+
+
+#: A calendar entry: ``(time, seq, event)``, possibly stale (module docs).
+_Entry = Tuple[float, int, EventHandle]
 
 
 class PeriodicHandle:
@@ -122,8 +116,9 @@ class Simulator(TimerService):
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self._queue: list[tuple] = []  # (time, seq, _Event) heap entries
-        self._ready: deque = deque()  # zero-delay events due at the current time
+        self._queue: list[_Entry] = []  # heap
+        #: Zero-delay events of the current timestamp, in sequence order.
+        self._ready: deque[_Entry] = deque()
         self._seq = itertools.count()
         self._running = False
         self._events_processed = 0
@@ -159,17 +154,18 @@ class Simulator(TimerService):
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule event in the past (delay={delay})")
+        time = self._now + delay
         seq = next(self._seq)
-        event = _Event(self._now + delay, seq, callback, args)
+        event = EventHandle(time, seq, callback, args, self)
         self._live += 1
         if delay == 0 and self._running:
             # Hot path: a zero-delay event scheduled mid-run fires at the
             # current timestamp after everything already queued there, which
             # is exactly FIFO order on the ready lane — no heap needed.
-            self._ready.append(event)
+            self._ready.append((time, seq, event))
         else:
-            heapq.heappush(self._queue, (event.time, seq, event))
-        return EventHandle(event, self)
+            heapq.heappush(self._queue, (time, seq, event))
+        return event
 
     def schedule_at(
         self,
@@ -177,12 +173,50 @@ class Simulator(TimerService):
         callback: Callable[..., None],
         *args: Any,
     ) -> EventHandle:
-        """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
+        """Schedule ``callback(*args)`` at absolute virtual time ``time``.
+
+        The event's time is ``now + (time - now)``, which floating point
+        may leave an ulp away from ``time``.
+        """
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule event at {time}, clock already at {self._now}"
             )
         return self.schedule(time - self._now, callback, *args)
+
+    def postpone(self, event: EventHandle, time: float) -> None:
+        """Move a pending ``event`` to ``time`` (not before its current time).
+
+        Equivalent to cancelling the event and calling :meth:`schedule_at`
+        with the same callback — same time arithmetic, a fresh sequence
+        number, so the event queues behind everything already due at
+        ``time`` — but the event object, and its single calendar entry,
+        stay (see "Entry layout" in the module docs).
+        """
+        if event.cancelled or event.fired:
+            raise SimulationError("only a pending event can be postponed")
+        if time < event.time:
+            raise SimulationError(
+                f"cannot postpone an event due at {event.time} back to {time}"
+            )
+        previous = event.time
+        time = self._now + (time - self._now)  # as schedule_at stores it
+        event.time = time
+        event.seq = next(self._seq)
+        if time < previous:
+            # Rounded to an ulp *before* the old time: an entry filed later
+            # than that would surface too late, so it is re-filed now.
+            for index, entry in enumerate(self._queue):
+                if entry[2] is event and entry[0] > time:
+                    self._queue[index] = (time, event.seq, event)
+                    heapq.heapify(self._queue)
+                    break
+
+    def _cancel(self, event: EventHandle) -> None:
+        if event.cancelled or event.fired:
+            return
+        event.cancelled = True
+        self._live -= 1
 
     def schedule_periodic(
         self,
@@ -235,13 +269,17 @@ class Simulator(TimerService):
             raise SimulationError("simulator run() is not re-entrant")
         self._running = True
         executed = 0
+        queue, ready = self._queue, self._ready
         try:
-            while self._queue or self._ready:
-                if max_events is not None and executed >= max_events:
+            while max_events is None or executed < max_events:
+                entry = self._peek()
+                if entry is None or (until is not None and entry[0] > until):
                     break
-                event = self._next_event(until)
-                if event is None:
-                    break
+                if ready and ready[0] is entry:
+                    ready.popleft()
+                else:
+                    heapq.heappop(queue)
+                event = entry[2]
                 self._now = event.time
                 event.fired = True
                 self._live -= 1
@@ -252,40 +290,38 @@ class Simulator(TimerService):
             self._running = False
             # Anything left in the ready lane must survive across runs; merge
             # it back into the heap (time == now, sequence numbers preserved).
-            # Cancelled events are dead weight and are dropped here.
-            while self._ready:
-                event = self._ready.popleft()
-                if not event.cancelled:
-                    heapq.heappush(self._queue, (event.time, event.seq, event))
+            while ready:
+                heapq.heappush(queue, ready.popleft())
         if until is not None and self._now < until and not self._has_runnable(until):
             self._now = until
         return self._now
 
-    def _next_event(self, until: Optional[float]) -> Optional[_Event]:
-        """Pop the next runnable event, honouring FIFO order at equal times."""
-        queue = self._queue
-        ready = self._ready
-        while True:
-            if ready:
-                # Heap entries due at the current timestamp predate anything
-                # in the ready lane (smaller sequence numbers), so they win.
-                while queue and queue[0][2].cancelled:
-                    heapq.heappop(queue)
-                if queue and queue[0][0] <= self._now:
-                    return heapq.heappop(queue)[2]
-                event = ready.popleft()
-                if event.cancelled:
-                    continue
-                return event
-            if not queue:
-                return None
-            head = queue[0]
-            if head[2].cancelled:
+    def _peek(self) -> Optional[_Entry]:
+        """Entry of the next event to fire, left at the head of its lane.
+
+        The lane whose head has the smaller key goes first (ready-lane
+        entries are all due now; a heap entry due now precedes them only if
+        it was filed earlier).  A head belonging to a cancelled event is
+        discarded and a stale one re-filed under its event's current key,
+        until the head is a live event's current entry.
+        """
+        queue, ready = self._queue, self._ready
+        while queue or ready:
+            from_ready = bool(ready) and not (queue and queue[0] < ready[0])
+            entry = ready[0] if from_ready else queue[0]
+            event = entry[2]
+            if not event.cancelled and entry[1] == event.seq:
+                return entry
+            current = (event.time, event.seq, event)
+            if from_ready:
+                ready.popleft()
+                if not event.cancelled:
+                    heapq.heappush(queue, current)
+            elif event.cancelled:
                 heapq.heappop(queue)
-                continue
-            if until is not None and head[0] > until:
-                return None
-            return heapq.heappop(queue)[2]
+            else:
+                heapq.heapreplace(queue, current)
+        return None
 
     def run_until_idle(self, max_events: Optional[int] = None) -> float:
         """Run until no events remain; convenience wrapper over :meth:`run`."""
@@ -294,29 +330,15 @@ class Simulator(TimerService):
     def next_event_time(self) -> Optional[float]:
         """Timestamp of the earliest runnable event, or ``None`` when idle.
 
-        Cancelled events at the head of the queue are discarded on the way,
-        so callers polling between :meth:`run` calls (e.g. result cursors
-        deciding how far to drive) see the true next activity time.
+        Cancelled and postponed events are seen through, so callers polling
+        between :meth:`run` calls (e.g. result cursors deciding how far to
+        drive) see the true next activity time.
         """
-        queue = self._queue
-        while queue and queue[0][2].cancelled:
-            heapq.heappop(queue)
-        ready = self._ready
-        while ready and ready[0].cancelled:
-            ready.popleft()
-        if ready:
-            return self._now
-        if queue:
-            return queue[0][0]
-        return None
+        entry = self._peek()
+        return None if entry is None else entry[0]
 
     def _has_runnable(self, until: float) -> bool:
-        """Whether any non-cancelled event is due at or before ``until``.
-
-        O(1) in the common cases: the live counter short-circuits an empty
-        calendar, and :meth:`next_event_time` only pops already-cancelled
-        heap heads.
-        """
+        """Whether any non-cancelled event is due at or before ``until``."""
         if self._live == 0:
             return False
         next_time = self.next_event_time()

@@ -26,7 +26,12 @@ from repro.net.message import Message
 
 @dataclass
 class TrafficStats:
-    """Mutable accumulator of message/byte counters."""
+    """Mutable accumulator of message/byte counters.
+
+    The network bumps ``messages_sent`` and ``messages_dropped`` directly;
+    a delivery touches every per-node and per-protocol table and goes
+    through :meth:`record_delivery`.
+    """
 
     messages_sent: int = 0
     messages_delivered: int = 0
@@ -39,10 +44,6 @@ class TrafficStats:
     total_queueing_delay: float = 0.0
     overlay_hops: int = 0
 
-    def record_send(self, message: Message) -> None:
-        """Record that a message has been handed to the network."""
-        self.messages_sent += 1
-
     def record_delivery(self, message: Message, queued_for: float = 0.0) -> None:
         """Record a successful delivery and its queueing delay."""
         size = message.size_bytes
@@ -54,10 +55,6 @@ class TrafficStats:
         self.protocol_messages[message.protocol] += 1
         self.total_queueing_delay += queued_for
         self.overlay_hops += message.hops
-
-    def record_drop(self, message: Message) -> None:
-        """Record a message dropped because the destination was unreachable."""
-        self.messages_dropped += 1
 
     # ------------------------------------------------------------------ views
 

@@ -39,9 +39,20 @@ class Topology(ABC):
         """Number of addressable nodes in the topology."""
         return self._num_nodes
 
-    @abstractmethod
     def latency(self, src: int, dst: int) -> float:
         """One-way propagation delay in seconds between two addresses."""
+        self.validate_address(src)
+        self.validate_address(dst)
+        return self.latency_between(src, dst)
+
+    @abstractmethod
+    def latency_between(self, src: int, dst: int) -> float:
+        """:meth:`latency` for addresses the caller has already validated.
+
+        The network calls this exactly once per non-local send and once per
+        bounce, in send order: a topology may draw from a random stream
+        here, so the result must never be cached.
+        """
 
     @abstractmethod
     def inbound_capacity(self, node: int) -> float:
@@ -94,12 +105,8 @@ class FullMeshTopology(Topology):
         self._latency = float(latency_s)
         self._capacity = float(capacity_bytes_per_s)
 
-    def latency(self, src: int, dst: int) -> float:
-        self.validate_address(src)
-        self.validate_address(dst)
-        if src == dst:
-            return 0.0
-        return self._latency
+    def latency_between(self, src: int, dst: int) -> float:
+        return 0.0 if src == dst else self._latency
 
     def inbound_capacity(self, node: int) -> float:
         self.validate_address(node)

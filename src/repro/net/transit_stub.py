@@ -110,9 +110,7 @@ class TransitStubTopology(Topology):
         self.validate_address(node)
         return self._assignments[node]
 
-    def latency(self, src: int, dst: int) -> float:
-        self.validate_address(src)
-        self.validate_address(dst)
+    def latency_between(self, src: int, dst: int) -> float:
         if src == dst:
             return 0.0
         a = self._assignments[src]

@@ -2,8 +2,10 @@
 
 import pytest
 
+import pathlib
+import re
+
 from repro.net.cluster import ClusterTopology
-from repro.net.links import InboundLink
 from repro.net.message import (
     HEADER_BYTES,
     Message,
@@ -11,6 +13,7 @@ from repro.net.message import (
     data_message,
     tuple_payload_bytes,
 )
+from repro.net.network import Network
 from repro.net.topology import FullMeshTopology, MBPS_10
 from repro.net.transit_stub import TransitStubTopology
 
@@ -28,10 +31,15 @@ def test_message_negative_payload_clamped():
     assert message.size_bytes == HEADER_BYTES
 
 
-def test_message_ids_are_unique():
-    a = Message(src=0, dst=1, protocol="x")
-    b = Message(src=0, dst=1, protocol="x")
-    assert a.msg_id != b.msg_id
+def test_payload_bytes_is_never_written_after_construction():
+    # ``size_bytes`` is derived from ``payload_bytes`` once, in __init__; a
+    # later write to ``payload_bytes`` anywhere in src/ would leave it stale.
+    source = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+    write = re.compile(r"\.payload_bytes\s*(?:[-+*/|&^%]|//|<<|>>)?=(?!=)")
+    writes = [(path.relative_to(source).as_posix(), line.strip())
+              for path in sorted(source.rglob("*.py"))
+              for line in path.read_text().splitlines() if write.search(line)]
+    assert writes == [("net/message.py", "self.payload_bytes = payload_bytes")]
 
 
 def test_forwarded_message_increments_hops():
@@ -163,45 +171,72 @@ def test_cluster_rejects_negative_jitter():
 # -------------------------------------------------------------- inbound link
 
 
+# The link is state only; its FIFO arithmetic runs inside ``Network.send``, so
+# these drive node 0 -> node 1 over a zero-latency mesh (arrival == send time).
+
+
+def link_deliveries(capacity, sends, recover_at=None):
+    """``(delivered_at, queued_for)`` per ``(send_time, wire_bytes)`` send."""
+    network = Network(FullMeshTopology(2, latency_s=0.0,
+                                       capacity_bytes_per_s=capacity))
+    seen = {}
+    total = [0.0]
+
+    def on_message(node, message):
+        # The delivery was recorded just before the handler ran.
+        delay = network.stats.total_queueing_delay
+        seen[message.payload] = (network.now, delay - total[0])
+        total[0] = delay
+
+    network.node(1).register_handler("x", on_message)
+    if recover_at is not None:
+        network.simulator.schedule_at(recover_at, network.recover_node, 1)
+    for index, (send_time, wire_bytes) in enumerate(sends):
+        network.simulator.schedule_at(send_time, network.node(0).send, 1, "x",
+                                      index, wire_bytes - HEADER_BYTES)
+    network.run_until_idle()
+    return network, [seen[index] for index in range(len(sends))]
+
+
 def test_infinite_link_has_no_delay():
-    link = InboundLink(float("inf"))
-    delivery, queued = link.admit(5.0, 10_000_000)
+    network, [(delivery, queued)] = link_deliveries(float("inf"),
+                                                    [(5.0, 10_000_000)])
     assert delivery == pytest.approx(5.0)
     assert queued == 0.0
+    assert network.link(1).infinite
+    assert network.link(1).busy_until == 0.0
+    assert network.link(1).bytes_served == 10_000_000
 
 
 def test_link_serialisation_delay():
-    link = InboundLink(1000.0)  # 1000 bytes/s
-    delivery, queued = link.admit(0.0, 500)
+    network, [(delivery, queued)] = link_deliveries(1000.0, [(0.0, 500)])
     assert delivery == pytest.approx(0.5)
     assert queued == 0.0
+    assert not network.link(1).infinite
+    assert network.link(1).busy_until == pytest.approx(0.5)
 
 
 def test_link_queueing_behind_earlier_message():
-    link = InboundLink(1000.0)
-    link.admit(0.0, 1000)          # busy until t=1.0
-    delivery, queued = link.admit(0.2, 500)
+    # The first message keeps the link busy until t=1.0.
+    _, [_, (delivery, queued)] = link_deliveries(1000.0,
+                                                 [(0.0, 1000), (0.2, 500)])
     assert queued == pytest.approx(0.8)
     assert delivery == pytest.approx(1.5)
 
 
 def test_link_idle_gap_resets_queue():
-    link = InboundLink(1000.0)
-    link.admit(0.0, 100)           # busy until 0.1
-    delivery, queued = link.admit(5.0, 100)
+    _, [_, (delivery, queued)] = link_deliveries(1000.0,
+                                                 [(0.0, 100), (5.0, 100)])
     assert queued == 0.0
     assert delivery == pytest.approx(5.1)
 
 
-def test_link_rejects_negative_size():
-    with pytest.raises(ValueError):
-        InboundLink(1000.0).admit(0.0, -1)
-
-
-def test_link_reset_clears_backlog():
-    link = InboundLink(1000.0)
-    link.admit(0.0, 10_000)
-    link.reset(now=2.0)
-    delivery, queued = link.admit(2.0, 1000)
+def test_recovery_clears_link_backlog():
+    # Busy until t=10 when the node restarts at t=2; the next message is
+    # served at once, ahead of the backlog the restart forgot.
+    network, [(first, _), (delivery, queued)] = link_deliveries(
+        1000.0, [(0.0, 10_000), (2.0, 1000)], recover_at=2.0)
     assert queued == 0.0
     assert delivery == pytest.approx(3.0)
+    assert first == pytest.approx(10.0)
+    assert network.link(1).bytes_served == 1000

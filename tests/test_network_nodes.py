@@ -130,6 +130,86 @@ def test_live_nodes_listing():
     assert network.live_addresses() == [0, 1, 3, 4]
 
 
+# ------------------------------------------------- failure and delivery groups
+
+
+def make_coalescing_network(window, capacity=math.inf):
+    network = Network(FullMeshTopology(4, latency_s=0.1,
+                                       capacity_bytes_per_s=capacity),
+                      coalesce_window_s=window)
+    received, bounced = [], []
+    for node in network.nodes.values():
+        node.register_handler("test", lambda node, msg: received.append(
+            (msg.payload, network.now)))
+        node.register_bounce_handler("test", lambda node, msg: bounced.append(
+            (node.address, msg.src, msg.payload)))
+    return network, received, bounced
+
+
+def send_group_to_node_3(network):
+    """Three senders, one delivery group: opened by 0, postponed by 1 and 2."""
+    for sender in (0, 1, 2):
+        network.node(sender).send(3, "test", payload=f"from {sender}",
+                                  payload_bytes=440)
+    assert network.batches_flushed == 1
+    assert network.messages_coalesced == 2
+    assert network.simulator.pending_events == 1
+
+
+@pytest.mark.parametrize("window", [0.0, 0.5])
+def test_group_to_a_node_that_dies_drops_and_bounces_each_member_once(window):
+    network, received, bounced = make_coalescing_network(window, capacity=1000.0)
+    send_group_to_node_3(network)
+    network.simulator.schedule(0.05, network.fail_node, 3)
+    network.run_until_idle()
+    assert received == []
+    assert network.stats.messages_dropped == 3
+    assert network.stats.messages_delivered == 0
+    # Each sender hears about its own message, in send order.
+    assert bounced == [(0, 0, "from 0"), (1, 1, "from 1"), (2, 2, "from 2")]
+
+
+@pytest.mark.parametrize("window", [0.0, 0.5])
+def test_group_to_a_node_that_recovers_in_time_is_delivered_whole(window):
+    network, received, bounced = make_coalescing_network(window, capacity=1000.0)
+    send_group_to_node_3(network)
+    network.simulator.schedule(0.02, network.fail_node, 3)
+    network.simulator.schedule(0.05, network.recover_node, 3)
+    network.run_until_idle()
+    # One event, at the last member's link finish: 0.1 + 3 * 500 B / 1000 B/s.
+    assert received == [(f"from {sender}", pytest.approx(1.6))
+                        for sender in (0, 1, 2)]
+    assert bounced == []
+    assert network.stats.messages_dropped == 0
+
+
+def test_window_group_replaced_under_its_key_still_delivers_its_members():
+    network, received, _ = make_coalescing_network(0.05, capacity=1000.0)
+    send = network.node(0).send
+    send(3, "test", payload="a", payload_bytes=940)  # served until t=1.1
+    for delay, payload in ((0.2, "b"), (0.22, "c")):  # 0.2 is past a's window
+        network.simulator.schedule(delay, send, 3, "test", payload, 940)
+    network.run(until=0.21)
+    assert network.batches_flushed == 2  # b opened a new group for node 3 ...
+    assert network.simulator.pending_events == 3  # ... a's is still pending
+    network.run_until_idle()
+    assert network.messages_coalesced == 1  # c joined b
+    assert received == [("a", pytest.approx(1.1)), ("b", pytest.approx(3.1)),
+                        ("c", pytest.approx(3.1))]
+
+
+@pytest.mark.parametrize("window", [None, 0.0, 0.5])
+@pytest.mark.parametrize("src, dst", [(0, 9), (9, 0)])
+def test_unknown_address_raises_before_anything_is_counted(window, src, dst):
+    network, _, _ = make_coalescing_network(window, capacity=1000.0)
+    with pytest.raises(NetworkError):
+        network.send(Message(src=src, dst=dst, protocol="test", payload_bytes=100))
+    assert network.stats.messages_sent == 0
+    assert network.simulator.pending_events == 0
+    assert network.batches_flushed == 0
+    assert all(network.link(address).bytes_served == 0 for address in range(4))
+
+
 # --------------------------------------------------------------------- stats
 
 

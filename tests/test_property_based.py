@@ -19,7 +19,8 @@ from repro.dht.chord import _in_interval
 from repro.dht.naming import KEY_SPACE, hash_key, key_to_unit_coordinates
 from repro.dht.storage import StorageManager, StoredItem
 from repro.metrics.recall import precision, recall
-from repro.net.links import InboundLink
+from repro.net.network import Network
+from repro.net.topology import FullMeshTopology
 
 
 # ------------------------------------------------------------------- naming
@@ -189,15 +190,24 @@ def test_storage_extract_install_preserves_items(keys, threshold):
                           st.integers(min_value=0, max_value=100_000)),
                 min_size=1, max_size=40))
 def test_inbound_link_deliveries_are_monotone_and_causal(arrivals):
-    link = InboundLink(10_000.0)
-    ordered = sorted(arrivals, key=lambda pair: pair[0])
-    last_delivery = 0.0
-    for arrival_time, size in ordered:
-        delivery, queued = link.admit(arrival_time, size)
+    # Zero latency: a message arrives at the link the instant it is sent.
+    network = Network(FullMeshTopology(2, latency_s=0.0,
+                                       capacity_bytes_per_s=10_000.0))
+    deliveries = []
+    network.node(1).register_handler("x", lambda node, message: deliveries.append(
+        (message.payload, network.now, network.stats.total_queueing_delay)))
+    ordered = sorted(arrival_time for arrival_time, _ in arrivals)
+    for (_, size), arrival_time in zip(arrivals, ordered):
+        network.simulator.schedule_at(arrival_time, network.node(0).send, 1, "x",
+                                      arrival_time, size)
+    network.run_until_idle()
+    assert [arrival_time for arrival_time, _, _ in deliveries] == ordered
+    last_delivery = queued_so_far = 0.0
+    for arrival_time, delivery, queued_total in deliveries:
         assert delivery >= arrival_time
-        assert queued >= 0.0
+        assert queued_total >= queued_so_far
         assert delivery >= last_delivery
-        last_delivery = delivery
+        last_delivery, queued_so_far = delivery, queued_total
 
 
 # --------------------------------------------------------------------- rows

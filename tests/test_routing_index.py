@@ -14,6 +14,11 @@ assigned.  The old scans live on here, as test-only references:
   recorded before the index existed.
 """
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -546,9 +551,9 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("dht", ["can", "chord"])
-def test_fixed_seed_query_counts_are_pinned(dht):
-    pier = PierNetwork(SimulationConfig(num_nodes=64, dht=dht, seed=7))
+def run_pinned_query(dht, **config):
+    """The pinned query on a fresh deployment: ``(pier, cursor)`` when done."""
+    pier = PierNetwork(SimulationConfig(num_nodes=64, dht=dht, seed=7, **config))
     workload = JoinWorkload(WorkloadConfig(num_nodes=64, s_tuples_per_node=2,
                                            seed=11))
     pier.load_relation(workload.r_relation, workload.r_by_node)
@@ -556,18 +561,150 @@ def test_fixed_seed_query_counts_are_pinned(dht):
     client = pier.client(catalog=workload.catalog())
     query = workload.make_query(strategy=JoinStrategy.SYMMETRIC_HASH)
     query.query_id = PINNED_QUERY_ID
-    rows = client.query(query).fetchall()
+    cursor = client.query(query)
+    rows = cursor.fetchall()
 
     def multiset(results):
         return Counter(tuple(sorted(row.items())) for row in results)
 
     assert len(rows) == 128
     assert multiset(rows) == multiset(workload.expected_results())
+    return pier, cursor
+
+
+def simulated_counts(pier):
     stats = pier.network.stats
-    assert {
+    return {
         "messages_sent": stats.messages_sent,
         "bytes_delivered": stats.bytes_delivered,
         "events_processed": pier.network.simulator.events_processed,
         "lookup_hops": sum(sum(routing.lookup_hops_observed)
                            for routing in pier.routings.values()),
-    } == PINNED[dht]
+    }
+
+
+@pytest.mark.parametrize("dht", ["can", "chord"])
+def test_fixed_seed_query_counts_are_pinned(dht):
+    pier, _ = run_pinned_query(dht)
+    assert simulated_counts(pier) == PINNED[dht]
+
+
+# ------------------------------------------- determinism pins, per network mode
+#
+# The simulated message path (``net/``) has three delivery modes — one event
+# per message, zero-window groups, positive-window groups — and the link and
+# the topology each have a special case (infinite bandwidth; a latency drawn
+# from a random stream per call).  Recorded at the commit before delivery
+# groups kept one postponable event each (cancel + reschedule per join), with
+# the queueing-delay sum and every row's arrival time on top of the counts.
+#
+# The order in which one node's same-instant sends are issued follows set
+# iteration in the executor, i.e. string hashes, and the float sums and the
+# cluster's latency draws follow that order.  So the query runs in a child
+# interpreter under ``PYTHONHASHSEED=0``, and the constants hold for the string
+# hash of the interpreter that recorded them (CPython >= 3.11).
+
+NETWORK_MODES = {
+    "window 0": {},
+    "window 10 ms": {"coalesce_window_s": 0.010},
+    "one event per message": {"batching": False},
+    "cluster (jittered latency)": {"topology": "cluster"},
+    "infinite bandwidth": {"bandwidth_bytes_per_s": None},
+}
+#: ``arrivals`` is (rows, first, last, sha256 of the repr of the whole tuple).
+PINNED_BY_MODE = {
+    ("window 0", "can"): {
+        **PINNED["can"], "max_inbound_bytes": 147012,
+        "total_queueing_delay": 1.8000080000001004,
+        "arrivals": [128, 1.0075904, 2.810940800000003, "c691202892bad9d4"]},
+    ("window 0", "chord"): {
+        **PINNED["chord"], "max_inbound_bytes": 148094,
+        "total_queueing_delay": 2.4563903999999632,
+        "arrivals": [128, 0.603424, 1.3067904000000001, "8bdcbec215819eb4"]},
+    ("window 10 ms", "can"): {
+        "messages_sent": 3960, "bytes_delivered": 1242410,
+        "events_processed": 845, "lookup_hops": 3544,
+        "max_inbound_bytes": 146832, "total_queueing_delay": 2.24791840000013,
+        "arrivals": [128, 1.021545599999999, 2.853920000000005,
+                     "310736d37aa33cb3"]},
+    ("window 10 ms", "chord"): {
+        "messages_sent": 3606, "bytes_delivered": 1300164,
+        "events_processed": 690, "lookup_hops": 2504,
+        "max_inbound_bytes": 148214, "total_queueing_delay": 2.473580799999909,
+        "arrivals": [128, 0.6090304, 1.3285344, "3a0df6497775e232"]},
+    ("one event per message", "can"): {
+        "messages_sent": 5448, "bytes_delivered": 1338170,
+        "events_processed": 5448, "lookup_hops": 3668,
+        "max_inbound_bytes": 146892, "total_queueing_delay": 1.9591312000003775,
+        "arrivals": [128, 1.0047679999999999, 2.8120192000000035,
+                     "a767122e86878555"]},
+    ("one event per message", "chord"): {
+        "messages_sent": 4927, "bytes_delivered": 1388520,
+        "events_processed": 4927, "lookup_hops": 2596,
+        "max_inbound_bytes": 148738, "total_queueing_delay": 3.3923631999999295,
+        "arrivals": [128, 0.602512, 1.3074687999999994, "aa3fad51834d470a"]},
+    ("cluster (jittered latency)", "can"): {
+        "messages_sent": 3964, "bytes_delivered": 1242650,
+        "events_processed": 3964, "lookup_hops": 3544,
+        "max_inbound_bytes": 147072, "total_queueing_delay": 8.258200636188926,
+        "arrivals": [128, 0.007850179013905135, 0.119043779013905,
+                     "194b508726ebd6a9"]},
+    ("cluster (jittered latency)", "chord"): {
+        "messages_sent": 3612, "bytes_delivered": 1301724,
+        "events_processed": 3612, "lookup_hops": 2504,
+        "max_inbound_bytes": 148394, "total_queueing_delay": 11.049094634967743,
+        "arrivals": [128, 0.010433317375230691, 0.12119811737523059,
+                     "9588fa9c04e7a998"]},
+    ("infinite bandwidth", "can"): {
+        "messages_sent": 3959, "bytes_delivered": 1242350,
+        "events_processed": 826, "lookup_hops": 3544,
+        "max_inbound_bytes": 146772, "total_queueing_delay": 0.0,
+        "arrivals": [128, 0.9999999999999999, 2.800000000000001,
+                     "bf82f474a17622a0"]},
+    ("infinite bandwidth", "chord"): {
+        "messages_sent": 3605, "bytes_delivered": 1299704,
+        "events_processed": 668, "lookup_hops": 2504,
+        "max_inbound_bytes": 148214, "total_queueing_delay": 0.0,
+        "arrivals": [128, 0.6, 1.3, "69c2f51dd23c443a"]},
+}
+
+
+def network_mode_facts():
+    """Every ``(mode, dht)`` run of the pinned query, as JSON-able facts."""
+    facts = []
+    for mode, config in NETWORK_MODES.items():
+        for dht in ("can", "chord"):
+            pier, cursor = run_pinned_query(dht, **config)
+            times = tuple(cursor.arrival_times())
+            facts.append([mode, dht, {
+                **simulated_counts(pier),
+                "max_inbound_bytes": pier.network.stats.max_inbound_bytes(),
+                "total_queueing_delay": pier.network.stats.total_queueing_delay,
+                "arrivals": [len(times), times[0], times[-1],
+                             hashlib.sha256(repr(times).encode()).hexdigest()[:16]],
+            }])
+    return facts
+
+
+@pytest.fixture(scope="module")
+def facts_under_hash_seed_zero():
+    if sys.hash_info.algorithm != "siphash13":
+        pytest.skip("pins were recorded under CPython >= 3.11's string hash")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import json, test_routing_index as t; "
+         "print(json.dumps(t.network_mode_facts()))"],
+        env={**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": os.pathsep.join(
+            filter(None, [tests, os.path.join(os.path.dirname(tests), "src"),
+                          os.environ.get("PYTHONPATH")]))},
+        capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    return {(mode, dht): facts
+            for mode, dht, facts in json.loads(child.stdout.splitlines()[-1])}
+
+
+@pytest.mark.parametrize("mode, dht", sorted(PINNED_BY_MODE))
+def test_fixed_seed_query_is_pinned_in_every_network_mode(
+        facts_under_hash_seed_zero, mode, dht):
+    assert facts_under_hash_seed_zero[mode, dht] == PINNED_BY_MODE[mode, dht]

@@ -1,6 +1,9 @@
 """Unit tests for the discrete-event simulator."""
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.exceptions import SimulationError
 from repro.net.simulator import Simulator
@@ -160,3 +163,270 @@ def test_run_is_not_reentrant():
 
     sim.schedule(1.0, reenter)
     sim.run_until_idle()
+
+
+# ------------------------------------------------------------- postponement
+#
+# ``Simulator.postpone`` replaced "cancel the event, schedule a new one" (what
+# the network did per message joining a delivery group).  That mechanism lives
+# on here as the reference: a calendar that is nothing but a list of
+# ``(time, seq)``-keyed records, scanned for its minimum.
+
+
+class ReferenceHandle:
+    def __init__(self, time, seq, callback, args):
+        self.time, self.seq, self.callback, self.args = time, seq, callback, args
+        self.cancelled = self.fired = False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class ReferenceSimulator:
+    """Same surface as :class:`Simulator`; ``postpone`` returns a new handle."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_processed = 0
+        self._seq = 0
+        self._events = []
+
+    def _live(self):
+        return [e for e in self._events if not (e.cancelled or e.fired)]
+
+    @property
+    def pending_events(self):
+        return len(self._live())
+
+    def next_event_time(self):
+        return min((e.time for e in self._live()), default=None)
+
+    def schedule(self, delay, callback, *args):
+        if delay < 0:
+            raise SimulationError("negative delay")
+        handle = ReferenceHandle(self.now + delay, self._seq, callback, args)
+        self._seq += 1
+        self._events.append(handle)
+        return handle
+
+    def schedule_at(self, time, callback, *args):
+        if time < self.now:
+            raise SimulationError("in the past")
+        return self.schedule(time - self.now, callback, *args)
+
+    def postpone(self, handle, time):
+        handle.cancel()
+        return self.schedule_at(time, handle.callback, *handle.args)
+
+    def run(self, until=None, max_events=None):
+        executed = 0
+        while self._live() and (max_events is None or executed < max_events):
+            event = min(self._live(), key=lambda e: (e.time, e.seq))
+            if until is not None and event.time > until:
+                break
+            self.now = event.time
+            event.fired = True
+            event.callback(*event.args)
+            self.events_processed += 1
+            executed += 1
+        next_time = self.next_event_time()
+        if until is not None and self.now < until and not (
+                next_time is not None and next_time <= until):
+            self.now = until
+        return self.now
+
+
+class Side:
+    """One simulator plus the events a test named, and what fired when.
+
+    An event is named by a label and carries a *script*: what its callback
+    does when it fires — spawn children (zero-delay ones land in the ready
+    lane), postpone or cancel other events.  Both sides run the same script.
+    """
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.handles = {}
+        self.log = []
+
+    def pending(self, label):
+        handle = self.handles[label]
+        return not (handle.cancelled or handle.fired)
+
+    def schedule(self, label, delay, script=(), absolute=False):
+        arm = self.sim.schedule_at if absolute else self.sim.schedule
+        when = self.sim.now + delay if absolute else delay
+        self.handles[label] = arm(when, self.fire, label, script)
+
+    def postpone(self, label, extra):
+        handle = self.handles[label]
+        self.handles[label] = self.sim.postpone(handle, handle.time + extra) or handle
+
+    def pick(self, pick, due_now=False):
+        """A pending event (``due_now``: one due at the current instant)."""
+        labels = sorted(label for label in self.handles if self.pending(label)
+                        and (self.handles[label].time == self.sim.now or not due_now))
+        return labels[pick % len(labels)] if labels else None
+
+    def fire(self, label, script):
+        self.log.append((label, self.sim.now))
+        for step, (action, pick, amount) in enumerate(script):
+            target = self.pick(pick, due_now=action.endswith("due now"))
+            if action.startswith("spawn"):
+                self.schedule(f"{label}/{step}", 0.0 if action == "spawn now" else amount)
+            elif target is not None and action.startswith("postpone"):
+                # "due now": to the same instant, behind what is queued there.
+                self.postpone(target, 0.0 if action.endswith("due now") else amount)
+            elif target is not None:
+                self.handles[target].cancel()
+
+    def observe(self):
+        sim = self.sim
+        times = {label: handle.time for label, handle in self.handles.items()
+                 if self.pending(label)}
+        return (self.log, sim.now, sim.events_processed, sim.pending_events,
+                sim.next_event_time(), times)
+
+
+#: Zero and binary fractions make ties (same-timestamp postponements, the
+#: ready lane) common; decimal fractions and arbitrary floats make
+#: ``now + (time - now)`` round both ways.
+delays = st.one_of(st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.1, 0.35, 0.45]),
+                   st.floats(min_value=0.0, max_value=4.0))
+picks = st.integers(min_value=0, max_value=50)
+scripts = st.lists(
+    st.tuples(st.sampled_from(["spawn", "spawn now", "postpone", "postpone due now",
+                               "cancel", "cancel due now"]), picks, delays),
+    max_size=4)
+
+
+class PostponeEquivalence(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.sides = (Side(Simulator()), Side(ReferenceSimulator()))
+        self.count = 0
+
+    def both(self, action):
+        for side in self.sides:
+            action(side)
+
+    @rule(delay=delays, script=scripts, absolute=st.booleans())
+    def schedule(self, delay, script, absolute):
+        self.count += 1
+        label = f"e{self.count}"
+        self.both(lambda side: side.schedule(label, delay, script, absolute))
+
+    @rule(pick=picks, extra=delays, due_now=st.booleans())
+    def postpone(self, pick, extra, due_now):
+        label = self.sides[1].pick(pick, due_now)
+        if label is not None:
+            self.both(lambda side: side.postpone(label, extra))
+
+    @rule()
+    def postpone_head(self):
+        # The event at the head of the calendar, to its own timestamp.
+        handles = self.sides[1].handles
+        pending = [label for label in handles if self.sides[1].pending(label)]
+        if pending:
+            head = min(pending, key=lambda label: (handles[label].time,
+                                                   handles[label].seq))
+            self.both(lambda side: side.postpone(head, 0.0))
+
+    @rule(pick=picks)
+    def cancel(self, pick):
+        label = self.sides[1].pick(pick)
+        if label is not None:
+            self.both(lambda side: side.handles[label].cancel())
+
+    @rule(span=st.one_of(st.none(), delays),
+          max_events=st.one_of(st.none(), st.integers(min_value=0, max_value=4)))
+    def run(self, span, max_events):
+        self.both(lambda side: side.sim.run(
+            until=None if span is None else side.sim.now + span,
+            max_events=max_events))
+
+    @invariant()
+    def sides_agree(self):
+        real, reference = (side.observe() for side in self.sides)
+        assert real == reference
+
+
+PostponeEquivalence.TestCase.settings = settings(
+    max_examples=200, stateful_step_count=30, deadline=None)
+TestPostponeEquivalence = PostponeEquivalence.TestCase
+
+
+def test_postponed_event_fires_once_at_its_new_position():
+    sim = Simulator()
+    order = []
+    early = sim.schedule(1.0, order.append, "postponed")
+    sim.schedule(2.0, order.append, "already there")
+    sim.postpone(early, 2.0)  # same timestamp: queues behind what is there
+    assert early.time == 2.0
+    assert sim.pending_events == 2
+    assert sim.next_event_time() == 2.0
+    sim.run_until_idle()
+    assert order == ["already there", "postponed"]
+    assert sim.events_processed == 2
+
+
+def test_postponed_head_is_seen_through_by_run_until():
+    sim = Simulator()
+    fired = []
+    head = sim.schedule(1.0, fired.append, "head")
+    sim.postpone(head, 5.0)
+    assert sim.run(until=3.0) == 3.0  # nothing runnable: the clock moves on
+    assert fired == []
+    sim.postpone(head, 5.0)
+    head.cancel()  # postponed, then cancelled
+    assert sim.pending_events == 0
+    assert sim.next_event_time() is None
+    assert sim.run_until_idle() == 3.0
+    assert fired == []
+
+
+def test_zero_delay_event_postponed_from_a_callback():
+    sim = Simulator()
+    order = []
+
+    def root():
+        first = sim.schedule(0.0, order.append, "first")  # ready lane
+        sim.schedule(0.0, order.append, "second")
+        sim.postpone(first, sim.now)  # same instant, now behind "second"
+        later = sim.schedule(0.0, order.append, "later")
+        sim.postpone(later, sim.now + 1.0)
+
+    sim.schedule(1.0, root)
+    sim.run_until_idle()
+    assert order == ["second", "first", "later"]
+    assert sim.now == 2.0
+
+
+def test_postponing_rounds_like_schedule_at_even_to_an_ulp_earlier():
+    # 0.1 + (0.45 - 0.1) is one ulp *below* 0.45: cancel + schedule_at put
+    # the event ahead of one already due at 0.45, and so must postpone.
+    assert 0.1 + (0.45 - 0.1) < 0.45
+    sim = Simulator()
+    order = []
+    sim.schedule(0.45, order.append, "exactly 0.45")
+    moved = sim.schedule(0.45, lambda: order.append(("moved", sim.now)))
+    sim.run(until=0.1)
+    sim.postpone(moved, 0.45)
+    assert moved.time == 0.1 + (0.45 - 0.1)
+    assert sim.next_event_time() == moved.time
+    sim.run_until_idle()
+    assert order == [("moved", 0.1 + (0.45 - 0.1)), "exactly 0.45"]
+
+
+def test_postpone_rejects_earlier_times_and_dead_events():
+    sim = Simulator()
+    handle = sim.schedule(2.0, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.postpone(handle, 1.0)
+    handle.cancel()
+    with pytest.raises(SimulationError):
+        sim.postpone(handle, 3.0)
+    fired = sim.schedule(1.0, lambda: None)
+    sim.run_until_idle()
+    with pytest.raises(SimulationError):
+        sim.postpone(fired, 3.0)
