@@ -151,18 +151,13 @@ def build_loaded_network(num_nodes: int,
                          workload_overrides: Optional[dict] = None,
                          batching: bool = True,
                          coalesce_window_s: float = 0.0,
-                         compiled_rows: bool = True,
-                         columnar: bool = True,
                          ) -> tuple:
     """Build a PIER deployment with the benchmark workload loaded.
 
     Returns ``(pier, workload)``.  ``batching=False`` reproduces the seed's
     one-message-per-item path (used for the event-reduction baseline);
     ``coalesce_window_s`` sets the network-level coalescing window (``0.0``
-    merges same-instant arrivals only); ``compiled_rows=False`` selects the
-    interpreted dict-per-row pipeline (the perf-profile A/B baseline);
-    ``columnar=False`` keeps the compiled pipeline but turns off columnar
-    chunk execution (the per-row compiled A/B point).
+    merges same-instant arrivals only).
     """
     seed = bench_seed(seed)
     workload_config = dict(num_nodes=num_nodes, s_tuples_per_node=s_tuples_per_node,
@@ -177,8 +172,6 @@ def build_loaded_network(num_nodes: int,
         seed=seed,
         batching=batching,
         coalesce_window_s=coalesce_window_s,
-        compiled_rows=compiled_rows,
-        columnar=columnar,
         bandwidth_bytes_per_s=None if infinite_bandwidth else (
             bandwidth_bytes_per_s if bandwidth_bytes_per_s is not None else
             SimulationConfig(num_nodes=2).bandwidth_bytes_per_s

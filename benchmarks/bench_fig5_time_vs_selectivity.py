@@ -22,7 +22,7 @@ from repro.core.query import JoinStrategy
 
 SELECTIVITIES = (0.1, 0.4, 0.7, 1.0)
 
-#: Committed optimizer-trajectory artifact (like ``BENCH_perf.json``).
+#: Committed optimizer-trajectory artifact.
 BENCH_OPTIMIZER_PATH = Path(__file__).resolve().parent.parent / "BENCH_optimizer.json"
 
 #: Acceptance bar: AUTO completion time within 15 % of the best forced

@@ -36,7 +36,7 @@ from repro.harness import ChurnConfig, PierNetwork, SimulationConfig
 from repro.metrics.recall import recall_and_precision
 from repro.workloads import JoinWorkload, WorkloadConfig
 
-#: Committed churn-trajectory artifact (like ``BENCH_perf.json``).
+#: Committed churn-trajectory artifact.
 BENCH_CHURN_PATH = Path(__file__).resolve().parent.parent / "BENCH_churn.json"
 
 #: Fractions of the population failing per minute (the paper sweeps 0..~6 %).

@@ -38,7 +38,7 @@ from bench_common import (
 from repro.core.operators.aggregate import GroupByAggregate
 from repro.sketches import HyperLogLog, KLLSketch, TopKSketch
 
-#: Committed accuracy/size artifact (like ``BENCH_perf.json``).
+#: Committed accuracy/size artifact.
 ROOT_ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_sketch.json"
 
 #: Distinct-value axis of the pure-sketch error curve (smoke keeps two).

@@ -1,10 +1,12 @@
-"""Per-node query executor: an operator-graph interpreter over the DHT.
+"""Per-node query executor: runs physical operator graphs over the DHT.
 
 Every node runs one :class:`QueryExecutor`.  The initiating node calls
 :meth:`QueryExecutor.submit`, which multicasts the :class:`QuerySpec` into
 the query namespace; every reachable node lowers the spec into its physical
-operator graph (:func:`repro.core.opgraph.build_opgraph`) and *interprets*
-it:
+operator graph (:func:`repro.core.opgraph.build_opgraph`), takes the graph's
+plan artifacts (``OpGraph.artifacts`` — compiled once, on arrival at the
+first executor, and shared by every node holding the same spec) and brings
+the graph to life:
 
 * ``START`` nodes (scan chains) run immediately, feeding their terminal
   exchange — rehash puts, Fetch Matches gets, Bloom filter publication,
@@ -14,6 +16,14 @@ it:
 * ``MULTICAST`` nodes subscribe to summary floods (Bloom distribution);
 * ``TIMER`` nodes schedule the collection-window flushes (Bloom collectors,
   aggregation combiners and group owners).
+
+There is one execution pipeline.  A scan chain is one fused chunk kernel:
+stored dicts in, one dense :class:`repro.core.tuples.Chunk` out.  Rehash,
+Bloom build, partial aggregation and the scan sink consume the chunk column
+by column; probe, Fetch Matches and the semi-join rejoin work a matched pair
+of slotted rows at a time (``Chunk.rows()`` at that boundary).  Rehash
+fragments cross the network as ``(side, slotted_row)`` pairs; dicts appear
+only in the rows shipped to the initiator.
 
 The four join strategies of paper Section 4 and both aggregation variants
 are therefore *graph constructions* in :mod:`repro.core.opgraph`; the
@@ -35,29 +45,25 @@ records per-tuple arrival times so the harness can report the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core import aggregation_tree
 from repro.core.bloom import BloomFilter
 from repro.core.opgraph import (
     Activation,
+    FetchArtifact,
     OpGraph,
     OpKind,
     OpNode,
+    PlanArtifacts,
     bloom_distribution_namespace,
     build_opgraph,
-    scan_chain_parts,
 )
 from repro.core.operators.aggregate import GroupByAggregate
-from repro.core.operators.projection import Projection
-from repro.core.operators.scan import ProviderScan
-from repro.core.operators.selection import Selection
-from repro.core.operators.sink import Collector
-from repro.core.operators.base import Operator, chain
 from repro.core.plan import build_final_aggregation, finalize_aggregation_rows
 from repro.core.query import QuerySpec, QueryTeardown
 from repro.core.stats import StatsRegistry
-from repro.core.tuples import merge_rows, project_row, qualify
+from repro.core.tuples import Chunk, Row, SlottedRow
 from repro.dht.naming import hash_key
 from repro.dht.provider import DHTItem, Provider
 from repro.exceptions import PlanError
@@ -128,14 +134,7 @@ class QueryHandle:
         """
         query = self.query
         if query.is_aggregation and not query.distributed_aggregation:
-            final = GroupByAggregate(
-                group_by=query.group_by,
-                aggregates=[
-                    (a.function, a.column, a.alias, getattr(a, "param", None))
-                    for a in query.aggregates
-                ],
-                having=None,
-            )
+            final = build_final_aggregation(query, name="InitiatorAgg")
             final.push_many(self.rows)
             return finalize_aggregation_rows(query, final)
         return self.rows
@@ -145,8 +144,6 @@ class QueryHandle:
 class _PendingSemiJoinFetch:
     """State of one semi-join pair awaiting its two full-tuple fetches."""
 
-    left_alias: str
-    right_alias: str
     left_rows: Optional[List[dict]] = None
     right_rows: Optional[List[dict]] = None
 
@@ -161,6 +158,8 @@ class _NodeQueryState:
 
     query: QuerySpec
     graph: OpGraph
+    #: ``graph.artifacts``: the kernels and closures this node runs it with.
+    plan: PlanArtifacts
     arrived_at: float
     expires_at: float
     rehash_done_for: set = field(default_factory=set)
@@ -190,23 +189,9 @@ class QueryExecutor:
     PROTOCOL_RESULT = "pier.result"
 
     def __init__(self, node: Node, provider: Provider,
-                 compiled_rows: bool = True,
-                 columnar: bool = True,
                  failure_aware: bool = False):
         self.node = node
         self.provider = provider
-        #: Whether queries run the compiled row pipeline (slotted tuples and
-        #: plan-time-compiled expressions) or the interpreted dict-per-row
-        #: path.  All nodes of a deployment must agree: rehashed fragments
-        #: are exchanged in the representation the pipeline works on.
-        self.compiled_rows = compiled_rows
-        #: Whether scan chains, partial aggregation and scan sinks run the
-        #: columnar chunk kernels on top of the compiled pipeline (rows move
-        #: between operators as one array per slot; fragments still cross
-        #: the network as the compiled ``(side, slotted_row)`` pairs, so
-        #: columnar and compiled nodes interoperate).  Requires — and is
-        #: silently disabled without — ``compiled_rows``.
-        self.columnar = columnar and compiled_rows
         #: Churn deployments set this: operators arm failure fallbacks (the
         #: Bloom gate's unfiltered rehash) so lost control messages degrade
         #: recall instead of blocking the sink.  Off by default — the timers
@@ -368,10 +353,11 @@ class QueryExecutor:
         if query.query_id in self._states or query.query_id in self._finished:
             return
         self._expire_stale_states()
-        graph = build_opgraph(query, compiled=self.compiled_rows,
-                              columnar=self.columnar)
+        graph = build_opgraph(query)
+        # Lowering happens here, on arrival: a predicate that cannot be
+        # resolved raises now, not on some later row.
         state = _NodeQueryState(
-            query=query, graph=graph, arrived_at=self.now,
+            query=query, graph=graph, plan=graph.artifacts, arrived_at=self.now,
             expires_at=self.now + query.temp_lifetime_s,
             temp_namespaces=set(graph.temp_namespaces()),
         )
@@ -387,7 +373,7 @@ class QueryExecutor:
             state.timers.append(handle)
         self._instantiate(query, state)
 
-    # ------------------------------------------------------- graph interpreter
+    # -------------------------------------------------------- instantiation
 
     def _instantiate(self, query: QuerySpec, state: _NodeQueryState) -> None:
         """Bring the query's operator graph to life on this node.
@@ -416,97 +402,23 @@ class QueryExecutor:
     def _run_source_chain(self, query: QuerySpec, state: _NodeQueryState,
                           scan_node: OpNode,
                           bloom_filter: Optional[BloomFilter] = None) -> None:
-        """Run a Scan → (Filter) → (Project) chain and feed its terminal node."""
-        graph = state.graph
-        if graph.columnar is not None:
-            self._run_source_chain_columnar(query, state, scan_node, bloom_filter)
-            return
-        if graph.compiled is not None:
-            chain = graph.compiled.chains[scan_node.op_id]
-            rows = self._scan_rows_compiled(chain)
-            terminal = chain.terminal
-        else:
-            predicate, columns, terminal = scan_chain_parts(graph, scan_node)
-            if terminal is None:
-                return
-            rows = self._scan_rows(query, scan_node.params["alias"],
-                                   predicate, columns)
+        """Run a Scan → (Filter) → (Project) chain and feed its terminal node.
 
-        # Runtime-cardinality feedback: remember what this chain's scan
-        # actually produced (max, not sum — Bloom runs a side's chain twice).
-        alias = scan_node.params["alias"]
-        state.observed_selected[alias] = max(
-            state.observed_selected.get(alias, 0), len(rows)
-        )
-
-        if terminal.kind is OpKind.REHASH:
-            self._run_rehash(query, state, terminal, rows, bloom_filter)
-        elif terminal.kind is OpKind.FETCH:
-            self._run_fetch_matches(query, state, terminal, rows)
-        elif terminal.kind is OpKind.BLOOM_BUILD:
-            self._run_bloom_build(query, state, terminal, rows)
-        elif terminal.kind is OpKind.PARTIAL_AGG:
-            self._run_partial_agg(query, state, terminal, rows)
-        elif terminal.kind is OpKind.SINK:
-            self._run_scan_sink(query, state, terminal, rows)
-        else:  # pragma: no cover - constructions only build the kinds above
-            raise PlanError(f"scan chain cannot terminate in {terminal.kind}")
-
-    def _scan_rows(self, query: QuerySpec, alias: str, predicate,
-                   columns: Optional[List[str]]) -> List[dict]:
-        """Execute the node-local scan → select → (project) pipeline."""
-        table = query.table(alias)
-        scan = ProviderScan(self.provider, table.namespace, name=f"Scan({alias})")
-        operators: List[Operator] = [scan, Selection(predicate, name=f"Select({alias})")]
-        if columns:
-            operators.append(Projection(columns, name=f"Project({alias})"))
-        collector = Collector(name=f"Collect({alias})")
-        operators.append(collector)
-        chain(*operators)
-        scan.run()
-        return collector.rows
-
-    def _scan_rows_compiled(self, chain_artifact) -> List[tuple]:
-        """Compiled scan → select → (project) over the local partition.
-
-        Reads stored values straight out of the storage manager (no per-item
-        DHTItem view), converts each published dict to a slotted row once,
-        and runs the chain's plan-time-compiled predicate and projection.
+        One fused kernel call reads the stored dicts of the local partition
+        (straight out of the storage manager, no per-item DHTItem view) and
+        returns one dense chunk: columns extracted, predicate vectorized,
+        projection applied.  Rehash, bloom build, partial aggregation and
+        the sink consume the chunk directly; fetch-matches works a row at a
+        time, so the chunk converts to slotted rows there.
         """
-        reader = chain_artifact.reader
-        predicate = chain_artifact.predicate
-        project = chain_artifact.project
-        rows: List[tuple] = []
-        append = rows.append
-        for item in self.provider.storage.scan(chain_artifact.namespace, self.now):
-            row = reader(item.value)
-            if predicate is not None and not predicate(row):
-                continue
-            append(project(row) if project is not None else row)
-        return rows
-
-    # ------------------------------------------------------- columnar chains
-
-    def _run_source_chain_columnar(self, query: QuerySpec,
-                                   state: _NodeQueryState, scan_node: OpNode,
-                                   bloom_filter: Optional[BloomFilter] = None
-                                   ) -> None:
-        """Columnar scan chain: one fused kernel call, chunks downstream.
-
-        The kernel reads the stored dicts of the local partition and returns
-        one dense chunk (columns extracted, predicate vectorized, projection
-        applied).  Terminals with chunk kernels (rehash, bloom build, partial
-        agg, sink) consume the chunk directly; fetch-matches keeps its
-        per-row compiled artifacts, so the chunk converts back to slotted
-        rows there — the chunk → row fallback.
-        """
-        graph = state.graph
-        chain = graph.columnar.chains[scan_node.op_id]
+        chain = state.plan.chains[scan_node.op_id]
         values = [item.value
                   for item in self.provider.storage.scan(chain.namespace, self.now)]
         chunk = chain.kernel(values)
 
-        alias = scan_node.params["alias"]
+        # Runtime-cardinality feedback: remember what this chain's scan
+        # actually produced (max, not sum — Bloom runs a side's chain twice).
+        alias = chain.alias
         state.observed_selected[alias] = max(
             state.observed_selected.get(alias, 0), chunk.length
         )
@@ -514,33 +426,30 @@ class QueryExecutor:
         terminal = chain.terminal
         kind = terminal.kind
         if kind is OpKind.REHASH:
-            self._run_rehash_chunk(query, state, terminal, chunk, bloom_filter)
+            self._run_rehash(query, state, terminal, chunk, bloom_filter)
         elif kind is OpKind.FETCH:
             self._run_fetch_matches(query, state, terminal, chunk.rows())
         elif kind is OpKind.BLOOM_BUILD:
-            self._run_bloom_build_chunk(query, state, terminal, chunk)
+            self._run_bloom_build(query, state, terminal, chunk)
         elif kind is OpKind.PARTIAL_AGG:
-            self._run_partial_agg_chunk(query, state, terminal, chunk)
+            self._run_partial_agg(query, state, terminal, chunk)
         elif kind is OpKind.SINK:
-            emit = graph.columnar.sinks[terminal.op_id]
+            emit = state.plan.sinks[terminal.op_id]
             self._send_results(query, emit(chunk),
                                bytes_per_row=query.result_tuple_bytes)
         else:  # pragma: no cover - constructions only build the kinds above
             raise PlanError(f"scan chain cannot terminate in {kind}")
 
-    def _run_rehash_chunk(self, query: QuerySpec, state: _NodeQueryState,
-                          node: OpNode, chunk,
-                          bloom_filter: Optional[BloomFilter] = None) -> int:
-        """Columnar rehash: key column read once, per-target chunk slices.
+    def _run_rehash(self, query: QuerySpec, state: _NodeQueryState,
+                    node: OpNode, chunk: Chunk,
+                    bloom_filter: Optional[BloomFilter] = None) -> int:
+        """Rehash surviving tuples on the join key into the temp namespace.
 
-        The fragments that cross the network are the same ``(side,
-        slotted_row)`` pairs the compiled path exchanges, so probes (and
-        mixed compiled/columnar deployments) are unaffected; what changes is
-        that keys come from one column pass and the batch ships through
-        :meth:`Provider.put_chunk` as parallel arrays.
+        The key column is read once; fragments cross the network as
+        ``(side, slotted_row)`` pairs — no per-fragment dict — and the batch
+        ships through :meth:`Provider.put_chunk` as parallel arrays.
         """
-        compiled = state.graph.compiled
-        key_slot = compiled.key_slots[node.op_id]
+        key_slot = state.plan.key_slots[node.op_id]
         if bloom_filter is not None and chunk.length:
             chunk = chunk.compress(
                 [key in bloom_filter for key in chunk.columns[key_slot]]
@@ -578,121 +487,6 @@ class QueryExecutor:
                 lifetime=query.temp_lifetime_s, item_bytes=item_bytes,
             )
 
-    def _run_bloom_build_chunk(self, query: QuerySpec, state: _NodeQueryState,
-                               node: OpNode, chunk) -> None:
-        """Columnar Bloom build: one ``update`` over the key column."""
-        if not chunk.length:
-            return
-        compiled = state.graph.compiled
-        bloom = BloomFilter(query.bloom_bits, query.bloom_hashes)
-        bloom.update(chunk.columns[compiled.key_slots[node.op_id]])
-        self.provider.put_batch(
-            node.params["namespace"],
-            [("collector", bloom)],
-            lifetime=query.temp_lifetime_s,
-            item_bytes=bloom.size_bytes,
-        )
-
-    def _run_partial_agg_chunk(self, query: QuerySpec, state: _NodeQueryState,
-                               node: OpNode, chunk) -> None:
-        """Columnar partial aggregation: group over key columns, bulk adds."""
-        alias = node.params["alias"]
-        partial = self._build_partial_agg(query, alias)
-        if chunk.length:
-            agg = state.graph.columnar.aggs[node.op_id]
-            if agg.group_slots:
-                key_columns = [chunk.columns[s] for s in agg.group_slots]
-                groups: Dict[Tuple, List[int]] = {}
-                for index, key in enumerate(zip(*key_columns)):
-                    group = groups.get(key)
-                    if group is None:
-                        groups[key] = [index]
-                    else:
-                        group.append(index)
-            else:
-                groups = {(): list(range(chunk.length))}
-            for key, indices in groups.items():
-                partial.accumulate_many(
-                    key,
-                    [extract(chunk, indices) for extract in agg.extractors],
-                    len(indices),
-                )
-        self._ship_partial_aggregates(query, node.params["namespace"], partial)
-
-    # ------------------------------------------------------ terminal runners
-
-    def _run_scan_sink(self, query: QuerySpec, state: _NodeQueryState,
-                       node: OpNode, rows: List[dict]) -> None:
-        """Selection/projection-only query: qualify, project and ship."""
-        compiled = state.graph.compiled
-        if compiled is not None:
-            emit = compiled.sinks[node.op_id]
-            rows = [emit(row) for row in rows]
-        else:
-            alias = query.tables[0].alias
-            rows = [qualify(alias, row) for row in rows]
-            if query.output_columns and not query.is_aggregation:
-                rows = [project_row(row, query.output_columns) for row in rows]
-        self._send_results(query, rows, bytes_per_row=query.result_tuple_bytes)
-
-    def _run_rehash(self, query: QuerySpec, state: _NodeQueryState,
-                    node: OpNode, rows: List[dict],
-                    bloom_filter: Optional[BloomFilter] = None) -> int:
-        """Rehash surviving tuples on the join key into the temp namespace.
-
-        Compiled pipelines exchange fragments as ``(side, slotted_row)``
-        pairs — the join key is read by slot and no per-fragment dict is
-        allocated; the interpreted path keeps the seed's
-        ``{"side": ..., "row": ...}`` dict fragments.
-        """
-        namespace = node.params["namespace"]
-        alias = node.params["alias"]
-        compiled = state.graph.compiled
-        entries: List[Tuple] = []
-        if compiled is not None:
-            key_slot = compiled.key_slots[node.op_id]
-            for row in rows:
-                join_value = row[key_slot]
-                if bloom_filter is not None and join_value not in bloom_filter:
-                    continue
-                entries.append((join_value, (alias, row)))
-        else:
-            key_column = node.params["key_column"]
-            for row in rows:
-                join_value = row[key_column]
-                if bloom_filter is not None and join_value not in bloom_filter:
-                    continue
-                entries.append((join_value, {"side": alias, "row": row}))
-        self._put_fragments(query, namespace, entries, node.params["item_bytes"])
-        return len(entries)
-
-    def _put_fragments(self, query: QuerySpec, namespace: str,
-                       entries: List[Tuple], item_bytes: int) -> None:
-        """Publish temporary query fragments, honouring computation-node limits.
-
-        ``entries`` are ``(resource_id, value)`` pairs; the whole batch is
-        published through the Provider's batch interface so fragments sharing
-        a destination travel in one message.
-        """
-        if not entries:
-            return
-        if query.computation_nodes:
-            nodes = query.computation_nodes
-            by_target: Dict[int, List[Tuple]] = {}
-            for resource_id, value in entries:
-                target = nodes[hash_key(namespace, resource_id) % len(nodes)]
-                by_target.setdefault(target, []).append((resource_id, value))
-            for target, group in by_target.items():
-                self.provider.put_direct_batch(
-                    target, namespace, group,
-                    lifetime=query.temp_lifetime_s, item_bytes=item_bytes,
-                )
-        else:
-            self.provider.put_batch(
-                namespace, entries,
-                lifetime=query.temp_lifetime_s, item_bytes=item_bytes,
-            )
-
     # ----------------------------------------------------------------- probes
 
     def _setup_probe(self, query: QuerySpec, state: _NodeQueryState,
@@ -721,26 +515,15 @@ class QueryExecutor:
         state = self._states.get(query.query_id)
         if state is None:
             return
-        compiled = state.graph.compiled
-        value = item.value
-        if compiled is not None:
-            side, row = value
-        else:
-            side = value["side"]
-            row = value["row"]
+        side, row = item.value
         other_alias = query.join.other_alias(side)
         if restrict_to is not None:
             candidates = restrict_to
         else:
             candidates = self.provider.get_local(item.namespace, item.resource_id)
-        matches: List[Tuple[dict, dict]] = []
+        matches: List[Tuple[SlottedRow, SlottedRow]] = []
         for candidate in candidates:
-            candidate_value = candidate.value
-            if compiled is not None:
-                candidate_side, candidate_row = candidate_value
-            else:
-                candidate_side = candidate_value["side"]
-                candidate_row = candidate_value["row"]
+            candidate_side, candidate_row = candidate.value
             if candidate_side != other_alias:
                 continue
             if candidate.instance_id == item.instance_id:
@@ -758,133 +541,84 @@ class QueryExecutor:
             for left_row, right_row in matches:
                 self._fetch_semi_join_pair(query, left_row, right_row)
         else:
-            emitter = (compiled.pair_emitters[probe_node.op_id]
-                       if compiled is not None else None)
-            self._emit_join_results(query, matches, emitter=emitter)
+            self._emit_join_results(
+                query, matches, state.plan.pair_emitters[probe_node.op_id])
 
     def _emit_join_results(self, query: QuerySpec,
-                           matches: List[Tuple[dict, dict]],
-                           emitter=None) -> None:
+                           matches: List[Tuple[Any, Any]],
+                           emit: Callable[[Any, Any], Optional[Row]]) -> None:
         """Apply the residual predicate, project, and ship matched pairs.
 
-        ``emitter`` is the compiled join tail (slotted rows in, boundary dict
-        or ``None`` out); without it the interpreted qualify/merge/evaluate/
-        project dict pipeline runs.
+        ``emit`` is the lowered join tail: ``(left, right)`` in, boundary
+        dict — or ``None`` when the residual rejects the pair — out.
         """
         results = []
-        if emitter is not None:
-            for left_row, right_row in matches:
-                out = emitter(left_row, right_row)
-                if out is not None:
-                    results.append(out)
-        else:
-            for left_row, right_row in matches:
-                merged = merge_rows(
-                    qualify(query.join.left_alias, left_row),
-                    qualify(query.join.right_alias, right_row),
-                )
-                if query.post_join_predicate is not None and not query.post_join_predicate.evaluate(merged):
-                    continue
-                if query.output_columns:
-                    results.append(project_row(merged, query.output_columns))
-                else:
-                    results.append(merged)
+        for left_row, right_row in matches:
+            out = emit(left_row, right_row)
+            if out is not None:
+                results.append(out)
         self._send_results(query, results)
 
     # ------------------------------------------------------- fetch matches
 
     def _run_fetch_matches(self, query: QuerySpec, state: _NodeQueryState,
-                           node: OpNode, rows: List[dict]) -> None:
+                           node: OpNode, rows: List[SlottedRow]) -> None:
         """Issue one ``get`` per scanned tuple (batched per owner) and join."""
-        scan_alias = node.params["scan_alias"]
-        fetch_alias = node.params["fetch_alias"]
         namespace = node.params["namespace"]
-        compiled = state.graph.compiled
-        fetch_artifact = (compiled.fetches[node.op_id]
-                          if compiled is not None else None)
-        if fetch_artifact is not None:
-            key_slot = fetch_artifact.key_slot
-            key_of = lambda row: row[key_slot]  # noqa: E731
-        else:
-            key_column = node.params["key_column"]
-            key_of = lambda row: row[key_column]  # noqa: E731
+        fetch = state.plan.fetches[node.op_id]
+        key_slot = fetch.key_slot
         if not self.provider.batching:
             # Seed pattern: one get per scanned row, duplicates included.
             for row in rows:
                 self.provider.get(
-                    namespace, key_of(row),
+                    namespace, row[key_slot],
                     lambda items, row=row: self._on_fetch_matches_reply(
-                        query, scan_alias, fetch_alias, row, items, fetch_artifact),
+                        query, fetch, row, items),
                     scope=query.query_id,
                 )
             return
-        rows_by_value: Dict[Any, List[dict]] = {}
+        rows_by_value: Dict[Any, List[SlottedRow]] = {}
         for row in rows:
-            rows_by_value.setdefault(key_of(row), []).append(row)
+            rows_by_value.setdefault(row[key_slot], []).append(row)
         if not rows_by_value:
             return
 
         def _on_fetch(join_value, items) -> None:
             for row in rows_by_value.get(join_value, ()):
-                self._on_fetch_matches_reply(
-                    query, scan_alias, fetch_alias, row, items, fetch_artifact
-                )
+                self._on_fetch_matches_reply(query, fetch, row, items)
 
         # One get per distinct join value, grouped by owner on the wire.
         self.provider.get_batch(namespace, list(rows_by_value), _on_fetch,
                                 scope=query.query_id)
 
-    def _on_fetch_matches_reply(self, query: QuerySpec, scan_alias: str,
-                                fetch_alias: str, scan_row: dict,
-                                items: List[DHTItem],
-                                fetch_artifact=None) -> None:
+    def _on_fetch_matches_reply(self, query: QuerySpec, fetch: FetchArtifact,
+                                scan_row: SlottedRow,
+                                items: List[DHTItem]) -> None:
         if query.query_id not in self._states:
             return  # torn down while the get was in flight
-        if fetch_artifact is not None:
-            reader = fetch_artifact.reader
-            predicate = fetch_artifact.predicate
-            emit = fetch_artifact.emit
-            results = []
-            for item in items:
-                fetched_row = item.value
-                if not isinstance(fetched_row, dict):
-                    continue
-                fetched = reader(fetched_row)
-                if predicate is not None and not predicate(fetched):
-                    continue
-                out = (emit(scan_row, fetched) if fetch_artifact.scan_is_left
-                       else emit(fetched, scan_row))
-                if out is not None:
-                    results.append(out)
-            if results:
-                self._send_results(query, results)
-            return
-        predicate = query.local_predicates.get(fetch_alias)
+        reader = fetch.reader
+        predicate = fetch.predicate
         matches = []
         for item in items:
-            fetched_row = item.value
-            if not isinstance(fetched_row, dict):
+            if not isinstance(item.value, dict):
                 continue
-            if predicate is not None and not predicate.evaluate(fetched_row):
+            fetched = reader(item.value)
+            if predicate is not None and not predicate(fetched):
                 continue
-            if scan_alias == query.join.left_alias:
-                matches.append((scan_row, fetched_row))
-            else:
-                matches.append((fetched_row, scan_row))
-        if matches:
-            self._emit_join_results(query, matches)
+            matches.append((scan_row, fetched) if fetch.scan_is_left
+                           else (fetched, scan_row))
+        self._emit_join_results(query, matches, fetch.emit)
 
     # --------------------------------------------------- symmetric semi-join
 
-    def _fetch_semi_join_pair(self, query: QuerySpec, left_projection: dict,
-                              right_projection: dict) -> None:
+    def _fetch_semi_join_pair(self, query: QuerySpec,
+                              left_projection: SlottedRow,
+                              right_projection: SlottedRow) -> None:
         """Fetch both full tuples of a matched projection pair, in parallel."""
         state = self._states[query.query_id]
         state.fetch_sequence += 1
         pair_id = state.fetch_sequence
-        pending = _PendingSemiJoinFetch(
-            left_alias=query.join.left_alias, right_alias=query.join.right_alias
-        )
+        pending = _PendingSemiJoinFetch()
         state.pending_fetches[pair_id] = pending
 
         def _collect(side: str, items: List[DHTItem]) -> None:
@@ -897,51 +631,35 @@ class QueryExecutor:
                 pending.right_rows = rows
             if pending.complete:
                 del state.pending_fetches[pair_id]
-                self._finish_semi_join_pair(query, pending)
+                self._finish_semi_join_pair(query, state, pending)
 
         left_relation = query.table(query.join.left_alias).relation
         right_relation = query.table(query.join.right_alias).relation
-        semi = state.graph.compiled.semi if state.graph.compiled else None
-        if semi is not None:
-            left_key = left_projection[semi.left_rid_slot]
-            right_key = right_projection[semi.right_rid_slot]
-        else:
-            left_key = left_projection[left_relation.resource_id_column]
-            right_key = right_projection[right_relation.resource_id_column]
-        self.provider.get(left_relation.namespace, left_key,
+        semi = state.plan.semi
+        self.provider.get(left_relation.namespace,
+                          left_projection[semi.left_rid_slot],
                           lambda items: _collect("left", items),
                           scope=query.query_id)
-        self.provider.get(right_relation.namespace, right_key,
+        self.provider.get(right_relation.namespace,
+                          right_projection[semi.right_rid_slot],
                           lambda items: _collect("right", items),
                           scope=query.query_id)
 
-    def _finish_semi_join_pair(self, query: QuerySpec,
+    def _finish_semi_join_pair(self, query: QuerySpec, state: _NodeQueryState,
                                pending: _PendingSemiJoinFetch) -> None:
+        """Re-join the fetched full tuples of one surviving pair and emit.
+
+        Full base tuples arrive as published dicts; the lowered tail reads
+        them into slotted rows once and emits the boundary dict.
+        """
         join = query.join
-        state = self._states.get(query.query_id)
-        semi = state.graph.compiled.semi if state and state.graph.compiled else None
-        if semi is not None:
-            # Full base tuples arrive as published dicts; the compiled tail
-            # reads them into slotted rows once and emits the boundary dict.
-            results = []
-            for left_row in pending.left_rows or ():
-                for right_row in pending.right_rows or ():
-                    if left_row.get(join.left_column) != right_row.get(join.right_column):
-                        continue
-                    out = semi.emit(left_row, right_row)
-                    if out is not None:
-                        results.append(out)
-            if results:
-                self._send_results(query, results)
-            return
-        matches = []
-        for left_row in pending.left_rows or ():
-            for right_row in pending.right_rows or ():
-                if left_row.get(join.left_column) != right_row.get(join.right_column):
-                    continue
-                matches.append((left_row, right_row))
-        if matches:
-            self._emit_join_results(query, matches)
+        matches = [
+            (left_row, right_row)
+            for left_row in pending.left_rows or ()
+            for right_row in pending.right_rows or ()
+            if left_row.get(join.left_column) == right_row.get(join.right_column)
+        ]
+        self._emit_join_results(query, matches, state.plan.semi.emit)
 
     # -------------------------------------------------------------- bloom join
 
@@ -981,21 +699,14 @@ class QueryExecutor:
         self._run_source_chain(query, state, scan_node, bloom_filter=None)
 
     def _run_bloom_build(self, query: QuerySpec, state: _NodeQueryState,
-                         node: OpNode, rows: List[dict]) -> None:
+                         node: OpNode, chunk: Chunk) -> None:
         """Build this side's local filter and publish it to its collectors."""
-        if not rows:
+        if not chunk.length:
             return
-        namespace = node.params["namespace"]
-        compiled = state.graph.compiled
         bloom = BloomFilter(query.bloom_bits, query.bloom_hashes)
-        if compiled is not None:
-            key_slot = compiled.key_slots[node.op_id]
-            bloom.update(row[key_slot] for row in rows)
-        else:
-            key_column = node.params["key_column"]
-            bloom.update(row[key_column] for row in rows)
+        bloom.update(chunk.columns[state.plan.key_slots[node.op_id]])
         self.provider.put_batch(
-            namespace,
+            node.params["namespace"],
             [("collector", bloom)],
             lifetime=query.temp_lifetime_s,
             item_bytes=bloom.size_bytes,
@@ -1045,35 +756,36 @@ class QueryExecutor:
 
     # ------------------------------------------------------------ aggregation
 
-    @staticmethod
-    def _build_partial_agg(query: QuerySpec, alias: str) -> GroupByAggregate:
-        """Fresh partial-aggregation operator for one scan chain."""
-        return GroupByAggregate(
-            group_by=query.group_by,
-            aggregates=[
-                (a.function, a.column, a.alias, getattr(a, "param", None))
-                for a in query.aggregates
-            ],
-            having=None,  # HAVING is applied only after partials are merged.
-            name=f"PartialAgg({alias})",
-        )
-
     def _run_partial_agg(self, query: QuerySpec, state: _NodeQueryState,
-                         node: OpNode, rows: List[dict]) -> None:
-        """Compute local partial aggregates and ship them to their owners."""
-        namespace = node.params["namespace"]
-        alias = node.params["alias"]
-        partial = self._build_partial_agg(query, alias)
-        compiled = state.graph.compiled
-        if compiled is not None:
-            agg = compiled.aggs[node.op_id]
-            key = agg.key
-            extractors = agg.extractors
-            for row in rows:
-                partial.accumulate(key(row), [extract(row) for extract in extractors])
-        else:
-            partial.push_many(qualify(alias, row) for row in rows)
-        self._ship_partial_aggregates(query, namespace, partial)
+                         node: OpNode, chunk: Chunk) -> None:
+        """Compute local partial aggregates and ship them to their owners.
+
+        Rows are grouped over the key columns and every aggregate takes its
+        group's inputs in one bulk add.
+        """
+        # HAVING is applied only after partials are merged.
+        partial = build_final_aggregation(
+            query, name=f"PartialAgg({node.params['alias']})")
+        if chunk.length:
+            agg = state.plan.aggs[node.op_id]
+            if agg.group_slots:
+                key_columns = [chunk.columns[s] for s in agg.group_slots]
+                groups: Dict[Tuple, List[int]] = {}
+                for index, key in enumerate(zip(*key_columns)):
+                    group = groups.get(key)
+                    if group is None:
+                        groups[key] = [index]
+                    else:
+                        group.append(index)
+            else:
+                groups = {(): list(range(chunk.length))}
+            for key, indices in groups.items():
+                partial.accumulate_many(
+                    key,
+                    [extract(chunk, indices) for extract in agg.extractors],
+                    len(indices),
+                )
+        self._ship_partial_aggregates(query, node.params["namespace"], partial)
 
     def _ship_partial_aggregates(self, query: QuerySpec, namespace: str,
                                  partial: GroupByAggregate) -> None:
@@ -1081,10 +793,9 @@ class QueryExecutor:
         payloads = partial.partial_payloads()
         sizes = partial.partial_sizes()
         if query.hierarchical_aggregation:
-            branching = getattr(query, "aggregation_branching", None)
             bucket = aggregation_tree.combiner_bucket(
                 self.node.address, query.query_id,
-                **({"branching": branching} if branching else {}),
+                query.aggregation_branching or aggregation_tree.DEFAULT_BRANCHING,
             )
             entries = [
                 (aggregation_tree.level1_resource_id(bucket, group_key),

@@ -12,25 +12,27 @@ provides a small, explicit expression language covering those needs:
 * :class:`Arithmetic` — ``+ - * /``;
 * :class:`FunctionCall` — calls into a registry of scalar UDFs.
 
-Expressions support two execution modes:
+An expression has three forms, each with one job in the engine:
 
-* **interpreted** — :meth:`Expression.evaluate` walks the tree against a
-  *row environment*: a dict mapping column names (qualified like
-  ``"R.num2"`` or bare like ``"num2"``) to values, resolving ambiguous
-  references on every evaluation;
-* **compiled** — :meth:`Expression.compile` takes a
-  :class:`repro.core.tuples.RowLayout` and emits nested closures over
-  *slotted* rows (plain tuples): every :class:`ColumnRef` is resolved to a
-  fixed slot exactly once, so resolution (and ambiguity) errors surface at
-  plan time and the per-row work is index access plus the operator itself;
-* **vectorized** — :meth:`Expression.compile_vector` compiles against the
-  same layout but evaluates a whole columnar chunk per call: the closure
-  takes ``(columns, length)`` and returns one result list, so a thousand-row
-  predicate is a handful of list comprehensions instead of a thousand nested
-  closure invocations.  Resolution errors surface at plan time exactly as in
+* :meth:`Expression.evaluate` walks the tree against a *row environment*: a
+  dict mapping column names (qualified like ``"R.num2"`` or bare like
+  ``"num2"``) to values, resolving references on every evaluation.  It is
+  the definition of an expression's meaning, and what runs where rows are
+  dicts already: HAVING and derived columns over final aggregate rows;
+* :meth:`Expression.compile` takes a :class:`repro.core.tuples.RowLayout`
+  and emits nested closures over *slotted* rows (plain tuples): every
+  :class:`ColumnRef` is resolved to a fixed slot exactly once, so resolution
+  (and ambiguity) errors surface at plan time and the per-row work is index
+  access plus the operator itself.  Join tails run it: the residual
+  predicate of a matched pair, the fetched side's predicate in Fetch Matches;
+* :meth:`Expression.compile_vector` compiles against the same layout but
+  evaluates a whole chunk per call: the closure takes ``(columns, length)``
+  and returns one result list, so a thousand-row predicate is a handful of
+  list comprehensions instead of a thousand nested closure invocations.
+  Scan chains run it.  Resolution errors surface at plan time exactly as in
   ``compile``; ``And``/``Or`` keep per-row short-circuit semantics by
   evaluating later terms only on the rows still alive (a selection vector),
-  so whether a row ever reaches an erroring term matches the row pipeline.
+  so whether a row ever reaches an erroring term matches ``compile``.
   Within one chunk evaluation is column-at-a-time, so when *multiple
   independent* subexpressions would error on different rows, which of them
   raises first may differ from row-major order — the error class for any

@@ -1,42 +1,30 @@
-"""Push-based dataflow operators ("boxes and arrows", paper Section 3.3).
+"""Aggregation operators of the push-based dataflow (paper Section 3.3).
 
-Unlike the Volcano iterator model, PIER's operators *push*: a producer emits
-rows as fast as it can into an explicit intermediate queue, and consumers
-drain the queue.  The queue is what hides network latency when rows must be
-shipped to another node — in this reproduction the network-shipping stages
-live in :mod:`repro.core.executor`, while these operators implement the
-node-local portions of every plan (scans, selections, projections, the local
-halves of joins and aggregation) and are also usable stand-alone as a small
-single-node query engine.
+PIER's operators *push*: a producer emits rows into an explicit intermediate
+queue and consumers drain it.  Scans, selections, projections and joins run
+as lowered chunk kernels and slotted-row closures (:mod:`repro.core.opgraph`,
+:mod:`repro.core.executor`); what lives here is the part of the dataflow that
+keeps state across rows — :class:`GroupByAggregate` and its mergeable
+aggregate states, used for partial aggregation at the sources, merging at
+combiners and group owners, and grouping at the initiator — on the small
+:class:`Operator` base it shares with the row-at-a-time reference operators
+under ``tests/reference/``.
 """
 
 from repro.core.operators.base import Operator, OutputQueue, chain
-from repro.core.operators.scan import ListScan, ProviderScan
-from repro.core.operators.selection import Selection
-from repro.core.operators.projection import Projection, Qualify
-from repro.core.operators.join import SymmetricHashJoin
 from repro.core.operators.aggregate import (
     AGGREGATE_FUNCTIONS,
     AggregateState,
     GroupByAggregate,
     make_aggregate,
 )
-from repro.core.operators.sink import Collector, Tee
 
 __all__ = [
     "Operator",
     "OutputQueue",
     "chain",
-    "ListScan",
-    "ProviderScan",
-    "Selection",
-    "Projection",
-    "Qualify",
-    "SymmetricHashJoin",
     "GroupByAggregate",
     "AggregateState",
     "AGGREGATE_FUNCTIONS",
     "make_aggregate",
-    "Collector",
-    "Tee",
 ]

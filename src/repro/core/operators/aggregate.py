@@ -46,7 +46,7 @@ class AggregateState:
         raise NotImplementedError
 
     def add_many(self, values: Sequence[Any]) -> None:
-        """Accumulate a whole column of input values (columnar pipeline).
+        """Accumulate a whole column of input values.
 
         Semantically identical to calling :meth:`add` per value; states with
         a cheaper bulk form (count, sum, min, max) override this.
@@ -518,25 +518,14 @@ class GroupByAggregate(Operator):
             value = 1 if column is None else row.get(column)
             state.add(value)
 
-    def accumulate(self, group_key: Tuple, values: Sequence[Any]) -> None:
-        """Compiled-pipeline entry: pre-extracted group key and input values.
-
-        ``values`` is aligned with :attr:`aggregates` (``count(*)`` slots
-        receive the constant 1), exactly what :meth:`process` would have
-        extracted by name.
-        """
-        self.rows_in += 1
-        states = self._states_for(group_key)
-        for state, value in zip(states, values):
-            state.add(value)
-
     def accumulate_many(self, group_key: Tuple,
                         columns: Sequence[Sequence[Any]], count: int) -> None:
-        """Columnar-pipeline entry: one call per group per chunk.
+        """Chunk entry: one call per group per chunk.
 
         ``columns`` is aligned with :attr:`aggregates`; each entry holds the
-        ``count`` input values of that aggregate for this group's rows, as
-        :meth:`accumulate` would have received them one row at a time.
+        ``count`` input values of that aggregate for this group's rows
+        (``count(*)`` slots receive constant 1s) — exactly what
+        :meth:`process` would have extracted by name, a row at a time.
         """
         self.rows_in += count
         states = self._states_for(group_key)

@@ -9,10 +9,14 @@ rehash-exchange, probe, bloom build/combine, partial/final aggregation,
 sink) and whose edges carry a kind (local pipeline, DHT exchange, multicast
 flood, or the direct IP hop to the initiator).
 
-The :class:`repro.core.executor.QueryExecutor` is a *graph interpreter*: it
-instantiates whatever graph it is handed, so each join strategy and the
-aggregation variants are purely graph **constructions** here — adding a new
-strategy means composing a new graph, not forking the executor.
+The :class:`repro.core.executor.QueryExecutor` runs whatever graph it is
+handed, so each join strategy and the aggregation variants are purely graph
+**constructions** here — adding a new strategy means composing a new graph,
+not forking the executor.  What the executor runs a graph *with* is lowered
+here too, once per plan and only when an executor asks
+(:attr:`OpGraph.artifacts`): one fused chunk kernel per scan chain, key
+slots, pair emitters and aggregate extractors, every column name resolved
+to a slot at plan time.
 
 Every node also carries an ``activation`` describing *when* it runs on a
 participating node:
@@ -31,7 +35,6 @@ surfaced by ``PierClient.explain``.
 from __future__ import annotations
 
 import enum
-import operator as _operator
 from dataclasses import dataclass, field
 from itertools import compress as _compress
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -39,7 +42,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.core.expressions import compile_expression, compile_vector_expression
 from repro.core.query import JoinStrategy, QuerySpec
 from repro.core.tuples import Chunk, Row, RowLayout, SlottedRow
-from repro.exceptions import PlanError, QueryError
+from repro.exceptions import ExpressionError, PlanError, QueryError, SchemaError
 
 
 class OpKind(enum.Enum):
@@ -122,14 +125,20 @@ class OpGraph:
         self.query = query
         self.nodes: List[OpNode] = []
         self.edges: List[OpEdge] = []
-        #: Compiled row-pipeline artifacts (:class:`CompiledGraph`), attached
-        #: by :func:`build_opgraph` when lowering with ``compiled=True``;
-        #: ``None`` selects the interpreted dict-per-row path.
-        self.compiled: Optional["CompiledGraph"] = None
-        #: Columnar chunk kernels (:class:`ColumnarGraph`), attached when
-        #: lowering with ``columnar=True`` on top of the compiled artifacts;
-        #: ``None`` keeps the per-row compiled path.
-        self.columnar: Optional["ColumnarGraph"] = None
+        self._artifacts: Optional["PlanArtifacts"] = None
+
+    @property
+    def artifacts(self) -> "PlanArtifacts":
+        """Kernels and closures the executor runs this graph with.
+
+        Lowered on first access and kept: planning, costing and EXPLAIN only
+        walk the boxes and arrows and never pay for compilation, while the
+        first executor to receive the query compiles once for every node
+        sharing the spec — and is where a bad column reference surfaces.
+        """
+        if self._artifacts is None:
+            self._artifacts = _lower(self)
+        return self._artifacts
 
     # -------------------------------------------------------------- building
 
@@ -292,35 +301,19 @@ def fetch_sides(query: QuerySpec) -> Tuple[str, str]:
     return scan_alias, fetch_alias
 
 
-def build_opgraph(query: QuerySpec, compiled: bool = False,
-                  columnar: bool = False) -> OpGraph:
+def build_opgraph(query: QuerySpec) -> OpGraph:
     """Lower a :class:`QuerySpec` into its physical operator graph.
 
-    With ``compiled=True`` the lowering additionally runs the row-pipeline
-    compiler (:func:`compile_graph`): every filter/project/probe/agg
-    expression is resolved against its slotted-row layout exactly once, here
-    at plan time, and the executor's hot path runs the resulting closures.
-    ``columnar=True`` (which requires ``compiled=True``) further attaches
-    chunk kernels (:func:`compile_columnar`) so scan chains, partial
-    aggregation and scan sinks run column-at-a-time; operators without a
-    chunk kernel fall back to the compiled per-row artifacts.
-
     The built graph is cached on the query spec: every participant of an
-    N-node simulation lowers the *same* multicast spec, so the plan (and its
-    compiled closures) is shared instead of being rebuilt N times.  All
-    variants are cached independently (``explain`` lowers interpreted while
-    executors lower compiled or columnar), keyed additionally by
-    ``query_id`` — continuous queries allocate a fresh id (and spec clone)
-    per window, which naturally invalidates the cache.
+    N-node simulation lowers the *same* multicast spec, so the plan (and the
+    kernels behind :attr:`OpGraph.artifacts`) is shared instead of being
+    rebuilt N times.  The single cache entry is keyed by ``query_id`` —
+    continuous queries allocate a fresh id (and spec clone) per window,
+    which naturally invalidates it.
     """
-    if columnar and not compiled:
-        raise PlanError("columnar lowering requires the compiled row pipeline")
-    mode = (compiled, columnar)
-    cache = getattr(query, "_opgraph_cache", None)
-    if cache is not None:
-        cached = cache.get(mode)
-        if cached is not None and cached[0] == query.query_id:
-            return cached[1]
+    cached = getattr(query, "_opgraph_cache", None)
+    if cached is not None and cached[0] == query.query_id:
+        return cached[1]
     if query.strategy is JoinStrategy.AUTO:
         # Cost-based resolution: enumerate candidate strategy graphs, cost
         # each from the planning context attached to the spec (statistics,
@@ -348,14 +341,7 @@ def build_opgraph(query: QuerySpec, compiled: bool = False,
         _build_distributed_aggregation(graph)
     else:
         _build_scan(graph)
-    if compiled:
-        graph.compiled = compile_graph(graph)
-    if columnar:
-        graph.columnar = compile_columnar(graph)
-    if cache is None or next(iter(cache.values()))[0] != query.query_id:
-        cache = {}
-        query._opgraph_cache = cache
-    cache[mode] = (query.query_id, graph)
+    query._opgraph_cache = (query.query_id, graph)
     return graph
 
 
@@ -368,9 +354,7 @@ def scan_chain_parts(graph: OpGraph, scan_node: OpNode
 
     Walks the LOCAL pipeline hanging off a SCAN node, collecting the filter
     predicate and projection columns until the first non-FILTER/PROJECT
-    operator (the chain's exchange terminal).  Shared by the row compiler
-    and the interpreted executor so the two pipelines classify chains
-    identically.
+    operator (the chain's exchange terminal).
     """
     predicate = None
     columns: Optional[List[str]] = None
@@ -663,15 +647,21 @@ def bloom_distribution_namespace(query: QuerySpec, alias: str) -> str:
     return f"__pier_bloomdist_{query.query_id}_{alias}__"
 
 
-# ----------------------------------------------------------- row compilation
+# --------------------------------------------------------------------- lowering
 #
-# The compiler below is the plan-time half of the compiled row pipeline: it
-# resolves every name the graph will ever look up — scan readers, filter and
-# residual predicates, projection slots, join/rehash key slots, aggregate
-# group and input columns, output projections — against slotted-row layouts
-# exactly once, and packages the resulting closures per operator node.  The
-# executor's hot path then runs closures over plain tuples; the dict view of
-# a row is rebuilt only in the emitters that cross the client boundary.
+# Lowering is the plan-time half of the execution pipeline: it resolves every
+# name the graph will ever look up — scan columns, filter and residual
+# predicates, projection slots, join/rehash key slots, aggregate group and
+# input columns, output projections — against slotted-row layouts exactly
+# once, and packages the resulting kernels and closures per operator node.
+# Scan chains, partial aggregation and scan sinks get chunk kernels (one pass
+# over a column); the operators that work a matched pair at a time (probe
+# emission, fetch-matches, semi-join rejoin) get closures over slotted rows,
+# fed through ``Chunk.rows()``.  The dict view of a row is rebuilt only in
+# the emitters that cross the client boundary.
+
+#: A scan-chain chunk kernel: stored base dicts → one dense output chunk.
+ChunkKernel = Callable[[List[Row]], Chunk]
 
 #: An output emitter for a matched pair of slotted rows: applies the residual
 #: predicate and output projection, returning the boundary dict (or ``None``
@@ -680,26 +670,23 @@ PairEmitter = Callable[[SlottedRow, SlottedRow], Optional[Row]]
 
 
 @dataclass
-class CompiledChain:
-    """Compiled Scan → (Filter) → (Project) chain of one table alias."""
+class ChainArtifact:
+    """Fused Scan → (Filter) → (Project) chunk kernel of one table alias."""
 
     alias: str
     namespace: str
-    #: Published dict → slotted row (base schema order).
-    reader: Callable[[Row], SlottedRow]
-    #: Local predicate over the base layout (``None`` passes everything).
-    predicate: Optional[Callable[[SlottedRow], bool]]
-    #: Projection onto the chain's output layout (``None`` keeps the row).
-    project: Optional[Callable[[SlottedRow], SlottedRow]]
-    #: Layout of the rows the chain emits.
+    #: Stored dicts → dense chunk: column extraction, vectorized predicate,
+    #: mask compaction and projection in one call.
+    kernel: ChunkKernel
+    #: Layout of the chunk the kernel emits.
     layout: RowLayout
     #: The exchange operator the chain feeds (rehash/fetch/bloom/agg/sink).
     terminal: OpNode
 
 
 @dataclass
-class CompiledFetch:
-    """Compiled Fetch Matches artifacts (scan-side keys, fetched-side join)."""
+class FetchArtifact:
+    """Fetch Matches artifacts (scan-side keys, fetched-side join)."""
 
     #: Slot of the scan side's join key in its chain layout.
     key_slot: int
@@ -713,8 +700,8 @@ class CompiledFetch:
 
 
 @dataclass
-class CompiledSemiJoin:
-    """Compiled symmetric semi-join artifacts (rid slots + full-tuple tail)."""
+class SemiJoinArtifact:
+    """Symmetric semi-join artifacts (rid slots + full-tuple tail)."""
 
     #: Slots of the resourceID columns inside the rehashed projections.
     left_rid_slot: int
@@ -724,38 +711,80 @@ class CompiledSemiJoin:
 
 
 @dataclass
-class CompiledAgg:
-    """Compiled group-key and aggregate-input extraction for partial agg."""
+class AggArtifact:
+    """Group-key and aggregate-input extraction for partial aggregation."""
 
-    #: Slotted row → group key tuple.
-    key: Callable[[SlottedRow], Tuple]
-    #: One input extractor per aggregate (``count(*)`` yields a constant 1).
-    extractors: Tuple[Callable[[SlottedRow], Any], ...]
+    #: Slots of the group-by columns in the chunk layout.
+    group_slots: Tuple[int, ...]
+    #: One per aggregate: ``(chunk, row_indices) -> input value list``
+    #: (``count(*)`` yields constant 1s, a missing column constant ``None``s).
+    extractors: Tuple[Callable[[Chunk, List[int]], list], ...]
 
 
 @dataclass
-class CompiledGraph:
-    """Per-node compiled artifacts of one operator graph, keyed by ``op_id``."""
+class PlanArtifacts:
+    """Everything the executor runs one operator graph with, by ``op_id``."""
 
-    chains: Dict[int, CompiledChain] = field(default_factory=dict)
+    chains: Dict[int, ChainArtifact] = field(default_factory=dict)
     #: Rehash / Bloom-build join-key slots in their chain layouts.
     key_slots: Dict[int, int] = field(default_factory=dict)
-    fetches: Dict[int, CompiledFetch] = field(default_factory=dict)
+    fetches: Dict[int, FetchArtifact] = field(default_factory=dict)
     #: Probe-node pair emitters (symmetric hash / Bloom rehash layouts).
     pair_emitters: Dict[int, PairEmitter] = field(default_factory=dict)
-    semi: Optional[CompiledSemiJoin] = None
-    aggs: Dict[int, CompiledAgg] = field(default_factory=dict)
-    #: Scan-sink emitters: slotted row → boundary dict.
-    sinks: Dict[int, Callable[[SlottedRow], Row]] = field(default_factory=dict)
+    semi: Optional[SemiJoinArtifact] = None
+    aggs: Dict[int, AggArtifact] = field(default_factory=dict)
+    #: Scan-sink emitters: chunk → boundary dicts.
+    sinks: Dict[int, Callable[[Chunk], List[Row]]] = field(default_factory=dict)
+
+
+def _compile_chain_kernel(query: QuerySpec, alias: str, predicate_expr,
+                          columns: Optional[List[str]]) -> Tuple[ChunkKernel, RowLayout]:
+    """Fuse one scan chain into a chunk kernel.
+
+    Reads from storage only the base columns the predicate or the output
+    actually touches, evaluates the predicate as one vectorized pass, and
+    compacts the survivors into the chain's output layout.
+    """
+    base_layout = query.table(alias).relation.schema.layout()
+    out_names = list(columns) if columns else list(base_layout.names)
+    out_layout = RowLayout(columns) if columns else base_layout
+    missing = [name for name in out_names if name not in base_layout.slots]
+    if missing:
+        raise SchemaError(f"projection references missing columns {missing}")
+
+    read = set(out_names)
+    if predicate_expr is not None:
+        for name in predicate_expr.columns_referenced():
+            slot = base_layout.slot(name, ambiguity_error=ExpressionError)
+            if slot is not None:
+                read.add(base_layout.names[slot])
+            # Unresolvable references are left out so the compile below
+            # raises the plan-time ExpressionError.
+    read_names = [name for name in base_layout.names if name in read]
+    read_layout = RowLayout(read_names)
+    predicate = compile_vector_expression(predicate_expr, read_layout)
+    out_slots = [read_layout.slots[name] for name in out_names]
+
+    def kernel(values: List[Row]) -> Chunk:
+        n = len(values)
+        if not n:
+            return Chunk.empty(out_layout)
+        cols = [[value[name] for value in values] for name in read_names]
+        if predicate is None:
+            return Chunk(out_layout, [cols[s] for s in out_slots], n)
+        mask = predicate(cols, n)
+        return Chunk(out_layout,
+                     [list(_compress(cols[s], mask)) for s in out_slots])
+
+    return kernel, out_layout
 
 
 def _compile_pair_emitter(query: QuerySpec, left_layout: RowLayout,
                           right_layout: RowLayout) -> PairEmitter:
     """Compile the join tail (qualify + merge + residual + output projection).
 
-    The interpreted tail allocates two qualified dicts, a merged dict and a
-    projected dict per matched pair; the compiled tail is one tuple ``+``,
-    one residual closure, one itemgetter and the single boundary dict.
+    Per matched pair: one tuple ``+``, one residual closure, one itemgetter
+    and the single boundary dict.
     """
     join = query.join
     merged = left_layout.qualified(join.left_alias).concat(
@@ -778,263 +807,14 @@ def _compile_pair_emitter(query: QuerySpec, left_layout: RowLayout,
     return emit
 
 
-def _compile_agg(query: QuerySpec, layout: RowLayout) -> CompiledAgg:
-    """Compile group-key / aggregate-input extraction over ``layout``.
+def _compile_agg(query: QuerySpec, layout: RowLayout) -> AggArtifact:
+    """Group-key / aggregate-input extraction over a qualified ``layout``.
 
-    Resolution is *exact* by design: the interpreted
-    :class:`~repro.core.operators.aggregate.GroupByAggregate` indexes rows
-    with the literal group-by name (missing → ``QueryError``) and reads
-    aggregate inputs with ``row.get`` (missing → ``None``); the compiled
-    form preserves both behaviours, surfacing the error at plan time.
+    Resolution is *exact* by design, matching what
+    :class:`~repro.core.operators.aggregate.GroupByAggregate` does with dict
+    rows: a missing group-by name is a ``QueryError`` (here at plan time), a
+    missing aggregate input reads as ``None``.
     """
-    group_slots = []
-    for column in query.group_by:
-        slot = layout.slots.get(column)
-        if slot is None:
-            raise QueryError(f"group-by column missing from row: {column!r}")
-        group_slots.append(slot)
-    if not group_slots:
-        def key(_row: SlottedRow) -> Tuple:
-            return ()
-    elif len(group_slots) == 1:
-        only = group_slots[0]
-
-        def key(row: SlottedRow) -> Tuple:
-            return (row[only],)
-    else:
-        key = _operator.itemgetter(*group_slots)
-
-    extractors: List[Callable[[SlottedRow], Any]] = []
-    for aggregate in query.aggregates:
-        if aggregate.column is None:
-            extractors.append(lambda _row: 1)
-        else:
-            slot = layout.slots.get(aggregate.column)
-            if slot is None:
-                extractors.append(lambda _row: None)
-            else:
-                extractors.append(_operator.itemgetter(slot))
-    return CompiledAgg(key=key, extractors=tuple(extractors))
-
-
-def _compile_chain(graph: OpGraph, compiled: CompiledGraph,
-                   scan: OpNode) -> None:
-    """Compile one scan chain and its terminal's artifacts."""
-    query = graph.query
-    alias = scan.params["alias"]
-    table = query.table(alias)
-    base_layout = table.relation.schema.layout()
-
-    predicate_expr, columns, terminal = scan_chain_parts(graph, scan)
-    if terminal is None:  # pragma: no cover - every construction has a terminal
-        return
-
-    layout = base_layout
-    project = None
-    if columns:
-        project = base_layout.getter(columns)
-        layout = RowLayout(columns)
-    chain = CompiledChain(
-        alias=alias,
-        namespace=table.namespace,
-        reader=base_layout.reader(),
-        predicate=compile_expression(predicate_expr, base_layout),
-        project=project,
-        layout=layout,
-        terminal=terminal,
-    )
-    compiled.chains[scan.op_id] = chain
-
-    kind = terminal.kind
-    if kind in (OpKind.REHASH, OpKind.BLOOM_BUILD):
-        key_column = terminal.params["key_column"]
-        slot = layout.slots.get(key_column)
-        if slot is None:  # pragma: no cover - projections keep the join key
-            raise PlanError(
-                f"join key {key_column!r} missing from rehash projection {layout.names}"
-            )
-        compiled.key_slots[terminal.op_id] = slot
-    elif kind is OpKind.FETCH:
-        scan_alias = terminal.params["scan_alias"]
-        fetch_alias = terminal.params["fetch_alias"]
-        fetch_layout = query.table(fetch_alias).relation.schema.layout()
-        scan_is_left = scan_alias == query.join.left_alias
-        left, right = ((layout, fetch_layout) if scan_is_left
-                       else (fetch_layout, layout))
-        compiled.fetches[terminal.op_id] = CompiledFetch(
-            key_slot=layout.slots[terminal.params["key_column"]],
-            reader=fetch_layout.reader(),
-            predicate=compile_expression(
-                query.local_predicates.get(fetch_alias), fetch_layout
-            ),
-            scan_is_left=scan_is_left,
-            emit=_compile_pair_emitter(query, left, right),
-        )
-    elif kind is OpKind.PARTIAL_AGG:
-        # The interpreted path qualifies rows before aggregating; qualification
-        # is a pure rename, so compiling against the qualified layout indexes
-        # the same slots of the unchanged slotted row.
-        compiled.aggs[terminal.op_id] = _compile_agg(
-            query, layout.qualified(alias)
-        )
-    elif kind is OpKind.SINK:
-        qualified = layout.qualified(alias)
-        if query.output_columns and not query.is_aggregation:
-            names = tuple(query.output_columns)
-            getter = qualified.getter(names)
-            compiled.sinks[terminal.op_id] = (
-                lambda row, _names=names, _get=getter: dict(zip(_names, _get(row)))
-            )
-        else:
-            compiled.sinks[terminal.op_id] = qualified.to_dict
-
-
-def compile_graph(graph: OpGraph) -> CompiledGraph:
-    """Compile every row-touching operator of ``graph`` at plan time."""
-    query = graph.query
-    compiled = CompiledGraph()
-    for scan in graph.nodes_of_kind(OpKind.SCAN):
-        _compile_chain(graph, compiled, scan)
-
-    probes = graph.nodes_of_kind(OpKind.PROBE)
-    if probes:
-        # Layouts of what actually crossed the network per side: the rehash
-        # chains' projections (full tuples for SHJ/Bloom, rid+key for semi).
-        rehash_layouts = {
-            chain.terminal.params["alias"]: chain.layout
-            for chain in compiled.chains.values()
-            if chain.terminal.kind is OpKind.REHASH
-        }
-        join = query.join
-        for probe in probes:
-            if probe.params.get("semi_join"):
-                left_relation = query.table(join.left_alias).relation
-                right_relation = query.table(join.right_alias).relation
-                full_left = left_relation.schema.layout()
-                full_right = right_relation.schema.layout()
-                left_reader = full_left.reader()
-                right_reader = full_right.reader()
-                pair_emit = _compile_pair_emitter(query, full_left, full_right)
-                compiled.semi = CompiledSemiJoin(
-                    left_rid_slot=rehash_layouts[join.left_alias].slots[
-                        left_relation.resource_id_column],
-                    right_rid_slot=rehash_layouts[join.right_alias].slots[
-                        right_relation.resource_id_column],
-                    emit=lambda left_row, right_row: pair_emit(
-                        left_reader(left_row), right_reader(right_row)
-                    ),
-                )
-            else:
-                compiled.pair_emitters[probe.op_id] = _compile_pair_emitter(
-                    query,
-                    rehash_layouts[join.left_alias],
-                    rehash_layouts[join.right_alias],
-                )
-    return compiled
-
-
-# ------------------------------------------------------- columnar compilation
-#
-# The columnar compiler is a second, optional layer on top of the compiled
-# artifacts: where the row compiler turns plan-time name resolution into
-# per-row closures, the columnar compiler turns the closures themselves into
-# chunk kernels — one pass over a column instead of one call per row.  Only
-# the operators that dominate the hot path get kernels (scan chains, partial
-# aggregation grouping, scan sinks); everything else (probe pair emission,
-# fetch-matches, semi-join rejoin) converts the chunk back to slotted rows
-# and reuses the compiled per-row artifacts, which is the documented
-# chunk → row fallback.
-
-#: A scan-chain chunk kernel: stored base dicts → one dense output chunk.
-ChunkKernel = Callable[[List[Row]], Chunk]
-
-
-@dataclass
-class ColumnarChain:
-    """Fused Scan → (Filter) → (Project) chunk kernel of one table alias."""
-
-    alias: str
-    namespace: str
-    #: Stored dicts → dense chunk: column extraction, vectorized predicate,
-    #: mask compaction and projection in one call.
-    kernel: ChunkKernel
-    #: Layout of the chunk the kernel emits (identical to the compiled
-    #: chain's layout, so downstream slot artifacts are shared).
-    layout: RowLayout
-    #: The exchange operator the chain feeds (rehash/fetch/bloom/agg/sink).
-    terminal: OpNode
-
-
-@dataclass
-class ColumnarAgg:
-    """Columnar group-key and aggregate-input extraction for partial agg."""
-
-    #: Slots of the group-by columns in the chunk layout.
-    group_slots: Tuple[int, ...]
-    #: One per aggregate: ``(chunk, row_indices) -> input value list``
-    #: (``count(*)`` yields constant 1s, a missing column constant ``None``s,
-    #: matching the compiled extractors).
-    extractors: Tuple[Callable[[Chunk, List[int]], list], ...]
-
-
-@dataclass
-class ColumnarGraph:
-    """Chunk kernels of one operator graph, keyed by ``op_id``.
-
-    Slot-level artifacts (rehash/bloom key slots, fetch and probe emitters)
-    live on the :class:`CompiledGraph` and are shared: columnar chunks carry
-    the same layouts the row compiler resolved against.
-    """
-
-    chains: Dict[int, ColumnarChain] = field(default_factory=dict)
-    aggs: Dict[int, ColumnarAgg] = field(default_factory=dict)
-    #: Scan-sink chunk emitters: chunk → boundary dicts.
-    sinks: Dict[int, Callable[[Chunk], List[Row]]] = field(default_factory=dict)
-
-
-def _compile_chain_kernel(query: QuerySpec, alias: str, predicate_expr,
-                          columns: Optional[List[str]]) -> Tuple[ChunkKernel, RowLayout]:
-    """Fuse one scan chain into a chunk kernel.
-
-    Reads from storage only the base columns the predicate or the output
-    actually touches, evaluates the predicate as one vectorized pass, and
-    compacts the survivors into the chain's output layout.
-    """
-    base_layout = query.table(alias).relation.schema.layout()
-    out_names = list(columns) if columns else list(base_layout.names)
-    out_layout = RowLayout(columns) if columns else base_layout
-
-    read = set(out_names)
-    if predicate_expr is not None:
-        from repro.exceptions import ExpressionError
-
-        for name in predicate_expr.columns_referenced():
-            slot = base_layout.slot(name, ambiguity_error=ExpressionError)
-            if slot is not None:
-                read.add(base_layout.names[slot])
-            # Unresolvable references are left out so the compile below
-            # raises the same plan-time ExpressionError the row path does.
-    read_names = [name for name in base_layout.names if name in read]
-    read_layout = RowLayout(read_names)
-    predicate = compile_vector_expression(predicate_expr, read_layout)
-    out_slots = [read_layout.slots[name] for name in out_names]
-
-    def kernel(values: List[Row]) -> Chunk:
-        n = len(values)
-        if not n:
-            return Chunk.empty(out_layout)
-        cols = [[value[name] for value in values] for name in read_names]
-        if predicate is None:
-            return Chunk(out_layout, [cols[s] for s in out_slots], n)
-        mask = predicate(cols, n)
-        return Chunk(out_layout,
-                     [list(_compress(cols[s], mask)) for s in out_slots])
-
-    return kernel, out_layout
-
-
-def _compile_columnar_agg(query: QuerySpec, layout: RowLayout) -> ColumnarAgg:
-    """Columnar analogue of :func:`_compile_agg` over a qualified layout."""
     group_slots = []
     for column in query.group_by:
         slot = layout.slots.get(column)
@@ -1056,27 +836,19 @@ def _compile_columnar_agg(query: QuerySpec, layout: RowLayout) -> ColumnarAgg:
                         chunk.columns[_s][i] for i in indices
                     ]
                 )
-    return ColumnarAgg(group_slots=tuple(group_slots),
+    return AggArtifact(group_slots=tuple(group_slots),
                        extractors=tuple(extractors))
 
 
-def _compile_chunk_sink(query: QuerySpec,
-                        qualified: RowLayout) -> Callable[[Chunk], List[Row]]:
+def _compile_sink(query: QuerySpec,
+                  qualified: RowLayout) -> Callable[[Chunk], List[Row]]:
     """Chunk → boundary dicts for a scan sink (vectorized output projection)."""
-    from repro.exceptions import SchemaError
-
     if query.output_columns and not query.is_aggregation:
         names = tuple(query.output_columns)
-        slots = []
-        missing = []
-        for name in names:
-            index = qualified.slots.get(name)
-            if index is None:
-                missing.append(name)
-            else:
-                slots.append(index)
+        missing = [name for name in names if name not in qualified.slots]
         if missing:
             raise SchemaError(f"projection references missing columns {missing}")
+        slots = [qualified.slots[name] for name in names]
     else:
         names = qualified.names
         slots = list(range(len(names)))
@@ -1090,29 +862,93 @@ def _compile_chunk_sink(query: QuerySpec,
     return emit
 
 
-def compile_columnar(graph: OpGraph) -> ColumnarGraph:
-    """Attach chunk kernels to every scan chain (and its terminal) of ``graph``."""
+def _lower_chain(graph: OpGraph, plan: PlanArtifacts, scan: OpNode) -> None:
+    """Lower one scan chain and its terminal's artifacts."""
     query = graph.query
-    columnar = ColumnarGraph()
-    for scan in graph.nodes_of_kind(OpKind.SCAN):
-        alias = scan.params["alias"]
-        predicate_expr, columns, terminal = scan_chain_parts(graph, scan)
-        if terminal is None:  # pragma: no cover - every construction has a terminal
-            continue
-        kernel, layout = _compile_chain_kernel(query, alias, predicate_expr, columns)
-        columnar.chains[scan.op_id] = ColumnarChain(
-            alias=alias,
-            namespace=query.table(alias).namespace,
-            kernel=kernel,
-            layout=layout,
-            terminal=terminal,
+    alias = scan.params["alias"]
+    predicate_expr, columns, terminal = scan_chain_parts(graph, scan)
+    if terminal is None:  # pragma: no cover - every construction has a terminal
+        return
+    kernel, layout = _compile_chain_kernel(query, alias, predicate_expr, columns)
+    plan.chains[scan.op_id] = ChainArtifact(
+        alias=alias,
+        namespace=query.table(alias).namespace,
+        kernel=kernel,
+        layout=layout,
+        terminal=terminal,
+    )
+
+    kind = terminal.kind
+    if kind in (OpKind.REHASH, OpKind.BLOOM_BUILD):
+        key_column = terminal.params["key_column"]
+        slot = layout.slots.get(key_column)
+        if slot is None:  # pragma: no cover - projections keep the join key
+            raise PlanError(
+                f"join key {key_column!r} missing from rehash projection {layout.names}"
+            )
+        plan.key_slots[terminal.op_id] = slot
+    elif kind is OpKind.FETCH:
+        fetch_alias = terminal.params["fetch_alias"]
+        fetch_layout = query.table(fetch_alias).relation.schema.layout()
+        scan_is_left = alias == query.join.left_alias
+        left, right = ((layout, fetch_layout) if scan_is_left
+                       else (fetch_layout, layout))
+        plan.fetches[terminal.op_id] = FetchArtifact(
+            key_slot=layout.slots[terminal.params["key_column"]],
+            reader=fetch_layout.reader(),
+            predicate=compile_expression(
+                query.local_predicates.get(fetch_alias), fetch_layout
+            ),
+            scan_is_left=scan_is_left,
+            emit=_compile_pair_emitter(query, left, right),
         )
-        if terminal.kind is OpKind.PARTIAL_AGG:
-            columnar.aggs[terminal.op_id] = _compile_columnar_agg(
-                query, layout.qualified(alias)
-            )
-        elif terminal.kind is OpKind.SINK:
-            columnar.sinks[terminal.op_id] = _compile_chunk_sink(
-                query, layout.qualified(alias)
-            )
-    return columnar
+    elif kind is OpKind.PARTIAL_AGG:
+        # Qualification is a pure rename: the qualified layout indexes the
+        # same slots of the unchanged chunk.
+        plan.aggs[terminal.op_id] = _compile_agg(query, layout.qualified(alias))
+    elif kind is OpKind.SINK:
+        plan.sinks[terminal.op_id] = _compile_sink(query, layout.qualified(alias))
+
+
+def _lower(graph: OpGraph) -> PlanArtifacts:
+    """Compile every row-touching operator of ``graph`` (once per plan)."""
+    query = graph.query
+    plan = PlanArtifacts()
+    for scan in graph.nodes_of_kind(OpKind.SCAN):
+        _lower_chain(graph, plan, scan)
+
+    probes = graph.nodes_of_kind(OpKind.PROBE)
+    if probes:
+        # Layouts of what actually crossed the network per side: the rehash
+        # chains' projections (full tuples for SHJ/Bloom, rid+key for semi).
+        rehash_layouts = {
+            chain.alias: chain.layout
+            for chain in plan.chains.values()
+            if chain.terminal.kind is OpKind.REHASH
+        }
+        join = query.join
+        for probe in probes:
+            if probe.params.get("semi_join"):
+                left_relation = query.table(join.left_alias).relation
+                right_relation = query.table(join.right_alias).relation
+                full_left = left_relation.schema.layout()
+                full_right = right_relation.schema.layout()
+                left_reader = full_left.reader()
+                right_reader = full_right.reader()
+                pair_emit = _compile_pair_emitter(query, full_left, full_right)
+                plan.semi = SemiJoinArtifact(
+                    left_rid_slot=rehash_layouts[join.left_alias].slots[
+                        left_relation.resource_id_column],
+                    right_rid_slot=rehash_layouts[join.right_alias].slots[
+                        right_relation.resource_id_column],
+                    emit=lambda left_row, right_row: pair_emit(
+                        left_reader(left_row), right_reader(right_row)
+                    ),
+                )
+            else:
+                plan.pair_emitters[probe.op_id] = _compile_pair_emitter(
+                    query,
+                    rehash_layouts[join.left_alias],
+                    rehash_layouts[join.right_alias],
+                )
+    return plan

@@ -1,11 +1,11 @@
-"""Node-local aggregation plan helpers shared by the graph interpreter.
+"""Node-local aggregation plan helpers shared by the executor's runners.
 
 The distributed choreography lives in :mod:`repro.core.executor`, which
-interprets the physical operator graphs of :mod:`repro.core.opgraph`; this
-module keeps the pieces of node-local plan logic that are shared between
-the executor's aggregation runners and the initiator-side finalisation
-(merging partial group-by states, derived columns, HAVING), plus small
-in-memory pipeline and plan-description helpers used by tests and examples.
+runs the physical operator graphs of :mod:`repro.core.opgraph`; this module
+keeps the pieces of node-local plan logic that are shared between the
+executor's aggregation runners and the initiator-side finalisation (the
+group-by operator itself, derived columns, HAVING), plus a small
+plan-description helper used by tests and examples.
 """
 
 from __future__ import annotations
@@ -13,48 +13,25 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.operators.aggregate import GroupByAggregate
-from repro.core.operators.base import Operator, chain
-from repro.core.operators.projection import Projection
-from repro.core.operators.scan import ListScan
-from repro.core.operators.selection import Selection
-from repro.core.operators.sink import Collector
 from repro.core.query import QuerySpec
 
 
-def build_local_filter_pipeline(rows, predicate, columns=None) -> List[dict]:
-    """Run an in-memory scan → select → (project) pipeline and return its rows.
+def build_final_aggregation(query: QuerySpec,
+                            name: str = "FinalAgg") -> GroupByAggregate:
+    """The query's group-by operator: accumulates rows or merges partials.
 
-    Convenience used by tests and by executor phases that filter rows they
-    already hold in memory (e.g. applying the opposite side's Bloom filter).
-    """
-    scan = ListScan(rows)
-    select = Selection(predicate)
-    collector = Collector()
-    operators: List[Operator] = [scan, select]
-    if columns:
-        operators.append(Projection(list(columns)))
-    operators.append(collector)
-    chain(*operators)
-    scan.run()
-    return collector.rows
-
-
-def build_final_aggregation(query: QuerySpec) -> GroupByAggregate:
-    """Group-by operator used to merge partial states (at group owners or the
-    initiator).
-
-    HAVING and derived columns are *not* applied here — they are applied by
-    :func:`finalize_aggregation_rows`, because derived columns (``count(*) *
-    sum(w)``) must be computed before HAVING can be evaluated.
+    The one place the engine spells it out — scan chains build their partial
+    aggregates from it, combiners, group owners and the initiator their
+    merges.  HAVING and derived columns are *not* applied here — they are
+    applied by :func:`finalize_aggregation_rows`, because derived columns
+    (``count(*) * sum(w)``) must be computed before HAVING can be evaluated.
     """
     return GroupByAggregate(
         group_by=query.group_by,
-        aggregates=[
-            (a.function, a.column, a.alias, getattr(a, "param", None))
-            for a in query.aggregates
-        ],
+        aggregates=[(a.function, a.column, a.alias, a.param)
+                    for a in query.aggregates],
         having=None,
-        name="FinalAgg",
+        name=name,
     )
 
 

@@ -11,7 +11,7 @@ processor does).
 
 Inside the dataflow, dicts are too slow: re-qualifying, merging and
 projecting a dict per operator allocates and hashes on every tuple.  The
-compiled row pipeline instead works on *slotted* rows — plain Python tuples
+execution pipeline instead works on *slotted* rows — plain Python tuples
 whose positions are described by a :class:`RowLayout` (an ordered name list
 with a precomputed name→slot map).  A layout compiles the classic row
 operations once, at plan time:
@@ -23,8 +23,10 @@ operations once, at plan time:
 * :meth:`RowLayout.to_dict` — the dict view restored only at the
   client/cursor boundary.
 
-The module-level ``qualify`` / ``project_row`` / ``merge_rows`` dict helpers
-remain the interpreted path (``SimulationConfig(compiled_rows=False)``).
+Between operators rows travel in batches: a :class:`Chunk` holds one value
+array per layout slot, so a scan chain's predicate and projection touch a
+whole column per call.  A chunk transposes to slotted rows
+(:meth:`Chunk.rows`) where an operator works a matched pair at a time.
 """
 
 from __future__ import annotations
@@ -117,9 +119,8 @@ class RowLayout:
     def getter(self, names: Sequence[str]) -> Callable[[SlottedRow], SlottedRow]:
         """Compiled projection onto ``names`` (exact-name resolution).
 
-        Matches the interpreted :func:`project_row` contract: every name must
-        be present verbatim, and all missing names are reported at once — but
-        at plan time instead of per row.
+        Every name must be present verbatim, and all missing names are
+        reported at once — at plan time instead of per row.
         """
         slots: List[int] = []
         missing: List[str] = []
@@ -137,17 +138,16 @@ class RowLayout:
         return operator.itemgetter(*slots)
 
     def qualified(self, alias: str) -> "RowLayout":
-        """Layout with every name prefixed ``alias.`` — the compiled ``qualify``.
+        """Layout with every name prefixed ``alias.`` (qualification).
 
         A pure metadata operation: the slotted row itself is untouched.
         """
         return RowLayout(tuple(f"{alias}.{name}" for name in self.names))
 
     def concat(self, other: "RowLayout") -> "RowLayout":
-        """Layout of ``left_row + right_row`` — the compiled ``merge``.
+        """Layout of ``left_row + right_row`` (the merge of a matched pair).
 
-        On duplicate names the right side wins lookups, matching
-        :func:`merge_rows`.
+        On duplicate names the right side wins lookups, as in a dict merge.
         """
         return RowLayout(self.names + other.names)
 
@@ -159,19 +159,18 @@ class RowLayout:
 class Chunk:
     """A columnar batch of slotted rows: one value array per layout slot.
 
-    The columnar pipeline moves data between operators as chunks instead of
-    per-row tuples, so a compiled expression touches a whole column in one
-    pass rather than invoking a closure per row.  The header is the row
+    The pipeline moves data between operators as chunks instead of per-row
+    tuples, so a compiled expression touches a whole column in one pass
+    rather than invoking a closure per row.  The header is the row
     ``length``; validity is expressed as a transient boolean mask that
     :meth:`compress` folds away, so every chunk in flight is dense — slot
     ``columns[s][i]`` is row ``i``'s value for ``layout.names[s]``, and all
     columns share the same length.
 
-    Chunks convert losslessly to and from the row pipeline's slotted tuples
-    (:meth:`from_rows` / :meth:`rows`), which is how operators that keep
-    per-row kernels (probe, fetch, semi-join emission) fall back without a
-    separate code path, and to plain dicts only at the result boundary
-    (:meth:`dicts`).
+    Chunks convert losslessly to and from slotted tuples (:meth:`from_rows`
+    / :meth:`rows`), which is what the operators that work a matched pair at
+    a time (probe, fetch, semi-join emission) consume, and to plain dicts
+    only at the result boundary (:meth:`dicts`).
     """
 
     __slots__ = ("layout", "columns", "length")
@@ -203,7 +202,7 @@ class Chunk:
         return cls(layout, [list(column) for column in zip(*rows)], len(rows))
 
     def rows(self) -> List[SlottedRow]:
-        """Transpose back to slotted rows (the chunk → row fallback)."""
+        """Transpose back to slotted rows (the chunk → row boundary)."""
         if not self.length:
             return []
         return list(zip(*self.columns))
@@ -284,8 +283,8 @@ class Schema:
         if len(names) != len(set(names)):
             raise SchemaError(f"duplicate column names in schema: {names}")
         # Precomputed layout (with its name→slot map): every by-name
-        # operation is O(1) and the compiled pipeline resolves slots from it
-        # exactly once per plan.
+        # operation is O(1) and plan lowering resolves slots from it exactly
+        # once per plan.
         object.__setattr__(self, "_layout", RowLayout(names))
 
     @property
@@ -403,23 +402,3 @@ class RelationDef:
     def validate(self, row: Row) -> None:
         """Validate a tuple against this relation's schema."""
         self.schema.validate(row)
-
-
-def qualify(alias: str, row: Row) -> Row:
-    """Prefix every column of ``row`` with ``alias.`` (for post-join rows)."""
-    return {f"{alias}.{name}": value for name, value in row.items()}
-
-
-def project_row(row: Row, names: Sequence[str]) -> Row:
-    """Keep only the listed columns of ``row``."""
-    missing = [name for name in names if name not in row]
-    if missing:
-        raise SchemaError(f"projection references missing columns {missing}")
-    return {name: row[name] for name in names}
-
-
-def merge_rows(left: Row, right: Row) -> Row:
-    """Concatenate two (already qualified) rows."""
-    merged = dict(left)
-    merged.update(right)
-    return merged

@@ -114,17 +114,6 @@ class SimulationConfig:
     #: Coalescing window for same-destination sends; ``0.0`` merges sends
     #: issued at the same virtual instant.  Ignored when ``batching`` is off.
     coalesce_window_s: float = 0.0
-    #: Compiled row pipeline: slotted tuples plus plan-time expression
-    #: compilation on every executor.  ``False`` restores the interpreted
-    #: dict-per-row path (the seed behaviour) for A/B comparisons; the flag
-    #: is deployment-wide because rehashed fragments travel in the
-    #: representation the pipeline works on.
-    compiled_rows: bool = True
-    #: Columnar chunk execution on top of the compiled pipeline: scan-side
-    #: operators work on column arrays and rehash fragments ship as chunk
-    #: slices (``prov.put_chunk``).  ``False`` restores the per-row compiled
-    #: path bit-for-bit; ignored when ``compiled_rows`` is off.
-    columnar: bool = True
     #: Churn: run a failure injector alongside real queries and switch the
     #: whole stack into its failure-aware mode.  ``None`` (the default)
     #: reproduces the seed's failure-free behaviour exactly.
@@ -174,9 +163,7 @@ class PierNetwork:
             )
             self.providers[address] = provider
             self.executors[address] = QueryExecutor(
-                node, provider, compiled_rows=config.compiled_rows,
-                columnar=config.columnar,
-                failure_aware=churn is not None,
+                node, provider, failure_aware=churn is not None,
             )
         self.renewal_agents: Dict[int, RenewalAgent] = {}
         #: Failure injector driving churn (``None`` without a ChurnConfig).

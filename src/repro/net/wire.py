@@ -29,7 +29,7 @@ code  type        payload
 Objects are captured reflectively (``__dict__`` plus ``__slots__``) and
 rebuilt with ``cls.__new__`` + ``object.__setattr__`` (which also restores
 frozen dataclasses).  Per-class hooks drop transient state — e.g. a
-:class:`repro.core.query.QuerySpec`'s compiled-opgraph cache, which every
+:class:`repro.core.query.QuerySpec`'s opgraph cache, which every
 receiver recompiles locally.
 
 This is **not** pickle: decoding imports classes only from ``repro.*``
@@ -79,8 +79,8 @@ def _drop_keys(*keys: str) -> Callable[[Dict[str, Any]], Dict[str, Any]]:
     return _filter
 
 
-# The compiled operator graph is plan-local (closures over node state);
-# every receiver of a QuerySpec rebuilds it from the spec itself.
+# The cached operator graph is plan-local (kernels and closures); every
+# receiver of a QuerySpec rebuilds it from the spec itself.
 _STATE_FILTERS["repro.core.query:QuerySpec"] = _drop_keys("_opgraph_cache")
 
 

@@ -143,8 +143,6 @@ class PierNode:
                  nodes: int = 0,
                  dht: str = "can", can_dimensions: int = 2, seed: int = 0,
                  sweep_period_s: float = DEFAULT_SWEEP_PERIOD_S,
-                 compiled_rows: bool = True,
-                 columnar: bool = True,
                  heartbeat_period_s: float = DEFAULT_HEARTBEAT_PERIOD_S,
                  suspicion_timeout_s: float = DEFAULT_DETECTION_DELAY_S,
                  request_timeout_s: float = DEFAULT_REQUEST_TIMEOUT_S,
@@ -158,8 +156,6 @@ class PierNode:
             "can_dimensions": can_dimensions,
             "seed": seed,
             "sweep_period_s": sweep_period_s,
-            "compiled_rows": compiled_rows,
-            "columnar": columnar,
             "heartbeat_period_s": heartbeat_period_s,
             "suspicion_timeout_s": suspicion_timeout_s,
             "request_timeout_s": request_timeout_s,
@@ -359,11 +355,7 @@ class PierNode:
             batching=True,
             request_timeout_s=request_timeout if request_timeout > 0 else None,
         )
-        self.executor = QueryExecutor(
-            self.node, self.provider,
-            compiled_rows=self.config["compiled_rows"],
-            columnar=self.config.get("columnar", True),
-        )
+        self.executor = QueryExecutor(self.node, self.provider)
         self.node.register_handler("cluster.update", self._on_cluster_update)
         self.node.register_handler("cluster.transfer", self._on_transfer)
         self.node.register_handler("cluster.dead", self._on_peer_dead_msg)
@@ -765,11 +757,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         default=DEFAULT_REQUEST_TIMEOUT_S,
                         help="per-request timeout for DHT gets; 0 disables "
                              "(bootstrap only)")
-    parser.add_argument("--interpreted-rows", action="store_true",
-                        help="disable the compiled row pipeline")
-    parser.add_argument("--no-columnar", action="store_true",
-                        help="disable columnar chunk execution (keep the "
-                             "per-row compiled pipeline)")
     parser.add_argument("--log-level", default="INFO")
     return parser
 
@@ -790,8 +777,6 @@ def main(argv=None) -> int:
         can_dimensions=args.can_dimensions,
         seed=args.seed,
         sweep_period_s=args.sweep_period,
-        compiled_rows=not args.interpreted_rows,
-        columnar=not args.no_columnar,
         heartbeat_period_s=args.heartbeat_period,
         suspicion_timeout_s=args.suspicion_timeout,
         request_timeout_s=args.request_timeout,

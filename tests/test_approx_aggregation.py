@@ -2,11 +2,11 @@
 
 The tentpole guarantees: ``APPROX COUNT(DISTINCT x)`` runs through the full
 PierClient path on both DHT geometries, through flat hash grouping and the
-hierarchical combiner tree, in both the compiled and interpreted pipelines —
-and every configuration produces the *identical* estimate (the shared-seed
-HLL is exactly order-insensitive), within 2 % of the exact answer.  Shipped
-partials stay constant-size as input cardinality grows, which is the whole
-point of replacing the exact distinct-value set.
+hierarchical combiner tree — and every configuration produces the
+*identical* estimate (the shared-seed HLL is exactly order-insensitive),
+within 2 % of the exact answer.  Shipped partials stay constant-size as
+input cardinality grows, which is the whole point of replacing the exact
+distinct-value set.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from repro.harness.experiment import run_query
 from repro.workloads import NetworkMonitoringWorkload
 
 
-def run_sql(sql, dht="can", compiled=True, num_nodes=16, **query_options):
-    pier = build_pier(num_nodes, dht=dht, compiled_rows=compiled)
+def run_sql(sql, dht="can", num_nodes=16, **query_options):
+    pier = build_pier(num_nodes, dht=dht)
     workload = build_workload(num_nodes, s_tuples_per_node=4)
     load_join_tables(pier, workload)
     pier.run_until_idle()
@@ -40,12 +40,11 @@ def exact_distinct(workload, column="num1"):
 
 
 @pytest.mark.parametrize("dht", ["can", "chord"])
-@pytest.mark.parametrize("compiled", [True, False])
 @pytest.mark.parametrize("hierarchical", [False, True])
-def test_approx_count_distinct_end_to_end(dht, compiled, hierarchical):
+def test_approx_count_distinct_end_to_end(dht, hierarchical):
     result, _pier, _query, workload = run_sql(
         "SELECT APPROX COUNT(DISTINCT R.num1) AS d FROM R",
-        dht=dht, compiled=compiled, hierarchical_aggregation=hierarchical,
+        dht=dht, hierarchical_aggregation=hierarchical,
     )
     truth = exact_distinct(workload)
     assert len(result.rows) == 1

@@ -1,25 +1,21 @@
-"""Columnar chunk execution: containers, kernels, wire format, gating.
+"""Columnar chunk execution: containers, kernels, wire format.
 
-The columnar pipeline is a third executor mode layered on the compiled row
-pipeline: rows travel between operators as :class:`Chunk` objects (one
-value array per layout slot), compiled expressions run as chunk kernels,
-and rehash waves ship per-owner slices through ``Provider.put_chunk``.
-These tests pin the chunk-boundary semantics the mode must preserve —
-empty chunks, chunks split across rehash owners, the chunk→row fallback —
-plus the ``columnar`` configuration gate itself.
+Rows travel between operators as :class:`Chunk` objects (one value array
+per layout slot), compiled expressions run as chunk kernels, and rehash
+waves ship per-owner slices through ``Provider.put_chunk``.  These tests
+pin the chunk-boundary semantics — empty chunks, chunks split across rehash
+owners, the chunk → row boundary.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.expressions import compare
-from repro.core.opgraph import _compile_chain_kernel, build_opgraph
+from repro.core.opgraph import OpKind, _compile_chain_kernel, build_opgraph
 from repro.core.query import JoinStrategy
 from repro.core.tuples import Chunk, RowLayout
 from repro.dht.can import CanNetworkBuilder
 from repro.dht.naming import hash_key
 from repro.dht.provider import Provider
-from repro.exceptions import PlanError
 from repro.harness import run_query
 from repro.net.network import Network
 from repro.net.topology import FullMeshTopology
@@ -228,35 +224,14 @@ def test_put_chunk_matches_put_batch_storage_state():
     assert final_state(chunk_put) == final_state(scalar_put)
 
 
-# -------------------------------------------------------------------- gating
-
-
-def test_columnar_requires_compiled_rows():
-    workload = JoinWorkload(WorkloadConfig(num_nodes=4, seed=3))
-    query = workload.make_query(strategy=JoinStrategy.SYMMETRIC_HASH)
-    with pytest.raises(PlanError):
-        build_opgraph(query, compiled=False, columnar=True)
-
-
-def test_columnar_is_default_and_gated_on_compiled():
-    pier_default = build_pier(8)
-    assert pier_default.executor(0).columnar is True
-    # columnar=False keeps the compiled per-row pipeline of PR 3.
-    pier_rows = build_pier(8, columnar=False)
-    assert pier_rows.executor(0).compiled_rows is True
-    assert pier_rows.executor(0).columnar is False
-    # Turning the compiled pipeline off turns columnar off with it.
-    pier_interp = build_pier(8, compiled_rows=False)
-    assert pier_interp.executor(0).columnar is False
+# ------------------------------------------------------------------ lowering
 
 
 def test_columnar_opgraph_covers_every_scan_chain():
     workload = JoinWorkload(WorkloadConfig(num_nodes=8, seed=3))
     query = workload.make_query(strategy=JoinStrategy.SYMMETRIC_HASH)
-    graph = build_opgraph(query, compiled=True, columnar=True)
-    assert graph.columnar is not None
-    from repro.core.opgraph import OpKind
+    graph = build_opgraph(query)
     scans = graph.nodes_of_kind(OpKind.SCAN)
     assert scans
     for scan in scans:
-        assert scan.op_id in graph.columnar.chains
+        assert scan.op_id in graph.artifacts.chains

@@ -1,13 +1,11 @@
-"""Executor-pipeline equivalence: same rows, same errors, both DHTs.
+"""Compiled expressions and layouts against their interpreted meaning.
 
-The compiled row pipeline (slotted tuples + plan-time expression
-compilation) and the columnar chunk pipeline layered on it must both be
-pure representation changes: every expression evaluates to the same value
-(or fails with the same error class), and every join strategy and
-aggregation shape returns the identical result multiset under all three
-executor modes — interpreted (``compiled_rows=False``), compiled per-row
-(``columnar=False``) and columnar chunks (the default) — on CAN and Chord
-alike.
+``Expression.evaluate`` over a dict environment is the definition;
+``Expression.compile`` over a slotted row must return the same value or fail
+with the same error class (``tests/test_columnar.py`` closes the triangle
+with ``compile_vector`` over a chunk), and resolution errors must surface at
+compile time.  Whole queries are checked against a centralised oracle in
+``tests/test_pipeline_oracle.py``.
 """
 
 import pytest
@@ -25,12 +23,9 @@ from repro.core.expressions import (
     compile_expression,
     lit,
 )
-from repro.core.query import JoinStrategy
 from repro.core.tuples import RowLayout
 from repro.exceptions import ExpressionError, SchemaError
-from repro.harness import run_query
-from repro.workloads import JoinWorkload, WorkloadConfig
-from tests.conftest import build_pier, build_workload, load_join_tables
+from tests.reference import project_row
 
 # --------------------------------------------------------------- expressions
 
@@ -108,144 +103,8 @@ def test_compile_expression_passes_none_through():
 
 
 def test_projection_errors_match_interpreted():
-    from repro.core.tuples import project_row
-
     layout = RowLayout(["a", "b"])
     with pytest.raises(SchemaError):
         layout.getter(["a", "zap"])
     with pytest.raises(SchemaError):
         project_row({"a": 1, "b": 2}, ["a", "zap"])
-
-
-# ------------------------------------------------------------ join strategies
-
-
-#: The three executor pipelines, as SimulationConfig overrides.
-PIPELINES = {
-    "interpreted": dict(compiled_rows=False),
-    "compiled": dict(compiled_rows=True, columnar=False),
-    "columnar": dict(compiled_rows=True, columnar=True),
-}
-
-
-def _strategy_rows(strategy, dht, mode, num_nodes=16):
-    workload = build_workload(num_nodes)
-    pier = build_pier(num_nodes, dht=dht, **PIPELINES[mode])
-    load_join_tables(pier, workload)
-    query = workload.make_query(strategy=strategy)
-    result = run_query(pier, query, initiator=0)
-    return sorted(tuple(sorted(row.items())) for row in result.handle.rows)
-
-
-# ``list(JoinStrategy)`` deliberately includes AUTO: cost-based plans must
-# be row-identical across all three pipelines too.
-@pytest.mark.parametrize("dht", ["can", "chord"])
-@pytest.mark.parametrize("strategy", list(JoinStrategy))
-def test_all_join_strategies_identical_rows_all_pipelines(strategy, dht):
-    rows_by_mode = {mode: _strategy_rows(strategy, dht, mode)
-                    for mode in PIPELINES}
-    assert rows_by_mode["columnar"], \
-        "workload must produce rows for the comparison to bite"
-    assert rows_by_mode["columnar"] == rows_by_mode["compiled"] \
-        == rows_by_mode["interpreted"]
-
-
-def test_auto_resolves_to_same_strategy_under_both_pipelines():
-    """AUTO's cost decision is pipeline-independent (same stats, same
-    topology), so A/B runs compare the same physical plan."""
-
-    def resolved(compiled):
-        workload = build_workload(16)
-        pier = build_pier(16, compiled_rows=compiled)
-        load_join_tables(pier, workload)
-        query = workload.make_query(strategy=JoinStrategy.AUTO)
-        run_query(pier, query, initiator=0)
-        return query.strategy
-
-    first, second = resolved(True), resolved(False)
-    assert first is second
-    assert first in JoinStrategy.physical()
-
-
-def test_unprojected_join_rows_identical_all_pipelines():
-    """Without an output list the merged qualified row crosses the boundary."""
-    from repro.core.query import JoinClause, QuerySpec, TableRef
-
-    def run(mode):
-        workload = build_workload(12)
-        pier = build_pier(12, **PIPELINES[mode])
-        load_join_tables(pier, workload)
-        query = QuerySpec(
-            tables=[TableRef(workload.r_relation, "R"),
-                    TableRef(workload.s_relation, "S")],
-            output_columns=["R.pkey", "S.pkey", "S.num3"],
-            join=JoinClause("R", "num1", "S", "pkey"),
-        )
-        result = run_query(pier, query, initiator=0)
-        return sorted(tuple(sorted(row.items())) for row in result.handle.rows)
-
-    assert run("columnar") == run("compiled") == run("interpreted")
-
-
-# -------------------------------------------------------------- aggregation
-
-
-def _aggregation_rows(mode, hierarchical=False, distributed=True):
-    from repro.core.sql import SQLPlanner
-    from repro.workloads import NetworkMonitoringWorkload
-
-    workload = NetworkMonitoringWorkload(num_nodes=20, seed=5)
-    pier = build_pier(20, **PIPELINES[mode])
-    pier.load_relation(workload.intrusions, workload.intrusions_by_node)
-    planner = SQLPlanner(workload.catalog())
-    query = planner.plan_sql(
-        "SELECT I.fingerprint, count(*) AS cnt, max(I.port) AS hi "
-        "FROM intrusions I GROUP BY I.fingerprint"
-    )
-    query.hierarchical_aggregation = hierarchical
-    query.distributed_aggregation = distributed
-    result = run_query(pier, query, initiator=0)
-    return sorted(tuple(sorted(row.items())) for row in result.rows)
-
-
-@pytest.mark.parametrize("variant", ["flat", "hierarchical", "initiator"])
-def test_aggregation_identical_rows_all_pipelines(variant):
-    kwargs = {
-        "flat": dict(),
-        "hierarchical": dict(hierarchical=True),
-        "initiator": dict(distributed=False),
-    }[variant]
-    rows_by_mode = {mode: _aggregation_rows(mode, **kwargs)
-                    for mode in PIPELINES}
-    assert rows_by_mode["columnar"]
-    assert rows_by_mode["columnar"] == rows_by_mode["compiled"] \
-        == rows_by_mode["interpreted"]
-
-
-# ------------------------------------------------------------- error parity
-
-
-def test_bad_predicate_raises_expression_error_in_both_pipelines():
-    """A predicate over a nonexistent column fails identically in both modes.
-
-    The compiled pipeline surfaces it at plan (graph-lowering) time, the
-    interpreted one on the first scanned row — both as ExpressionError while
-    the simulation advances.
-    """
-    for compiled in (True, False):
-        workload = build_workload(8)
-        pier = build_pier(8, compiled_rows=compiled)
-        load_join_tables(pier, workload)
-        query = workload.make_query(strategy=JoinStrategy.SYMMETRIC_HASH)
-        query.local_predicates["R"] = compare("no_such_column", ">", 1)
-        with pytest.raises(ExpressionError):
-            run_query(pier, query, initiator=0)
-
-
-def test_compiled_is_default_and_interpreted_is_optional():
-    workload = JoinWorkload(WorkloadConfig(num_nodes=8, seed=3))
-    pier_default = build_pier(8)
-    load_join_tables(pier_default, workload)
-    assert pier_default.executor(0).compiled_rows is True
-    pier_off = build_pier(8, compiled_rows=False)
-    assert pier_off.executor(0).compiled_rows is False

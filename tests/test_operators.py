@@ -1,20 +1,14 @@
-"""Unit tests for the push-based dataflow operators."""
+"""Unit tests for the push-based dataflow operators.
+
+The aggregation operators are engine code; the row-at-a-time scan /
+selection / projection / join / sink operators are the reference
+implementation under ``tests/reference/`` that the engine is tested against.
+"""
 
 import pytest
 
 from repro.core.expressions import Comparison, col, lit
-from repro.core.operators import (
-    Collector,
-    GroupByAggregate,
-    ListScan,
-    Projection,
-    Qualify,
-    Selection,
-    SymmetricHashJoin,
-    Tee,
-    chain,
-    make_aggregate,
-)
+from repro.core.operators import GroupByAggregate, chain, make_aggregate
 from repro.core.operators.aggregate import (
     AvgState,
     CountState,
@@ -25,6 +19,15 @@ from repro.core.operators.aggregate import (
 )
 from repro.core.operators.base import Operator, OutputQueue
 from repro.exceptions import QueryError
+from tests.reference import (
+    Collector,
+    ListScan,
+    Projection,
+    Qualify,
+    Selection,
+    SymmetricHashJoin,
+    Tee,
+)
 
 
 ROWS = [

