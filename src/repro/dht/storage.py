@@ -6,7 +6,10 @@ implementation; so do we.  Items are addressed by the full
 ``(namespace, resourceID, instanceID)`` triple and carry an expiry time for
 soft state.  Secondary indexes by namespace and by ``(namespace,
 resourceID)`` support the Provider's ``lscan`` and ``get`` operations
-without full scans.
+without full scans.  Both are insertion-ordered (dicts used as ordered
+sets), so ``scan`` and ``retrieve`` return items in the order they were
+first stored: chunk row order, rehash key order and same-instant send order
+downstream never depend on how strings hash.
 
 Expiry is driven by a lazily-compacted min-heap of ``(expires_at, item_key)``
 entries: :meth:`StorageManager.expire_items` pops only entries whose deadline
@@ -22,7 +25,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.exceptions import StorageError
 
@@ -81,8 +84,10 @@ class StorageManager:
 
     def __init__(self) -> None:
         self._items: Dict[ItemKey, StoredItem] = {}
-        self._by_namespace: Dict[str, Set[ItemKey]] = {}
-        self._by_resource: Dict[Tuple[str, Any], Set[ItemKey]] = {}
+        #: The two indexes are ordered sets: ``{item_key: None}`` in
+        #: first-store order (an overwrite keeps the item's position).
+        self._by_namespace: Dict[str, Dict[ItemKey, None]] = {}
+        self._by_resource: Dict[Tuple[str, Any], Dict[ItemKey, None]] = {}
         #: Min-heap of ``(expires_at, seq, item_key)``; ``seq`` breaks ties so
         #: heterogeneous resource ids are never compared.
         self._expiry_heap: List[Tuple[float, int, ItemKey]] = []
@@ -105,8 +110,9 @@ class StorageManager:
             self._heap_stale += 1  # the overwritten item's heap entry
         else:
             self._items[key] = item
-            self._by_namespace.setdefault(item.namespace, set()).add(key)
-            self._by_resource.setdefault((item.namespace, item.resource_id), set()).add(key)
+            self._by_namespace.setdefault(item.namespace, {})[key] = None
+            self._by_resource.setdefault(
+                (item.namespace, item.resource_id), {})[key] = None
         heapq.heappush(self._expiry_heap,
                        (item.expires_at, next(self._heap_seq), key))
 
@@ -114,7 +120,7 @@ class StorageManager:
         """Insert many items with grouped index updates (hot ingestion path).
 
         Batched ``put`` delivery and join/leave migration hand whole groups
-        of items to one node; updating the namespace/resource sets per group
+        of items to one node; updating the namespace/resource indexes per group
         instead of per item avoids repeated hashing of the same index keys.
         """
         items = list(items)
@@ -138,9 +144,11 @@ class StorageManager:
             stored[key] = item
             heapq.heappush(heap, (item.expires_at, next(self._heap_seq), key))
         for namespace, keys in by_namespace.items():
-            self._by_namespace.setdefault(namespace, set()).update(keys)
+            self._by_namespace.setdefault(namespace, {}).update(
+                dict.fromkeys(keys))
         for resource, keys in by_resource.items():
-            self._by_resource.setdefault(resource, set()).update(keys)
+            self._by_resource.setdefault(resource, {}).update(
+                dict.fromkeys(keys))
 
     def retrieve(self, namespace: str, resource_id: Any, now: float) -> List[StoredItem]:
         """All live items matching ``(namespace, resourceID)`` (``retrieve``)."""
@@ -170,7 +178,7 @@ class StorageManager:
                 self._remove_key(key)
                 return 1
             return 0
-        keys = list(self._by_resource.get((namespace, resource_id), set()))
+        keys = list(self._by_resource.get((namespace, resource_id), ()))
         for key in keys:
             self._remove_key(key)
         return len(keys)
@@ -182,12 +190,12 @@ class StorageManager:
         self._heap_stale += 1  # the removed item's heap entry lingers
         namespace_keys = self._by_namespace.get(item.namespace)
         if namespace_keys is not None:
-            namespace_keys.discard(key)
+            namespace_keys.pop(key, None)
             if not namespace_keys:
                 del self._by_namespace[item.namespace]
         resource_keys = self._by_resource.get((item.namespace, item.resource_id))
         if resource_keys is not None:
-            resource_keys.discard(key)
+            resource_keys.pop(key, None)
             if not resource_keys:
                 del self._by_resource[(item.namespace, item.resource_id)]
 
@@ -232,7 +240,7 @@ class StorageManager:
         (rehash fragments, Bloom filters, partial aggregates) without
         waiting for their soft-state lifetimes to elapse.
         """
-        keys = list(self._by_namespace.get(namespace, set()))
+        keys = list(self._by_namespace.get(namespace, ()))
         for key in keys:
             self._remove_key(key)
         return len(keys)

@@ -15,10 +15,6 @@ assigned.  The old scans live on here, as test-only references:
 """
 
 import hashlib
-import json
-import os
-import subprocess
-import sys
 from collections import Counter
 
 import pytest
@@ -594,15 +590,18 @@ def test_fixed_seed_query_counts_are_pinned(dht):
 # The simulated message path (``net/``) has three delivery modes — one event
 # per message, zero-window groups, positive-window groups — and the link and
 # the topology each have a special case (infinite bandwidth; a latency drawn
-# from a random stream per call).  Recorded at the commit before delivery
-# groups kept one postponable event each (cancel + reschedule per join), with
-# the queueing-delay sum and every row's arrival time on top of the counts.
+# from a random stream per call).  Each pin holds the queueing-delay sum and
+# every row's arrival time on top of the counts.
 #
-# The order in which one node's same-instant sends are issued follows set
-# iteration in the executor, i.e. string hashes, and the float sums and the
-# cluster's latency draws follow that order.  So the query runs in a child
-# interpreter under ``PYTHONHASHSEED=0``, and the constants hold for the string
-# hash of the interpreter that recorded them (CPython >= 3.11).
+# The order in which one node's same-instant sends are issued follows the
+# order ``StorageManager.scan`` yields stored tuples, which is the order they
+# were stored in — so nothing here depends on how strings hash.  The two
+# coalescing modes were recorded at the commit before delivery groups kept
+# one postponable event each and have not moved since; the other three were
+# re-recorded once, when the storage indexes stopped being hash-ordered sets
+# (a probe ships its matches in one result message, so without coalescing
+# the order fragments arrive in moves a handful of messages as well as the
+# times; rows and hops do not move).
 
 NETWORK_MODES = {
     "window 0": {},
@@ -633,32 +632,32 @@ PINNED_BY_MODE = {
         "max_inbound_bytes": 148214, "total_queueing_delay": 2.473580799999909,
         "arrivals": [128, 0.6090304, 1.3285344, "3a0df6497775e232"]},
     ("one event per message", "can"): {
-        "messages_sent": 5448, "bytes_delivered": 1338170,
-        "events_processed": 5448, "lookup_hops": 3668,
-        "max_inbound_bytes": 146892, "total_queueing_delay": 1.9591312000003775,
-        "arrivals": [128, 1.0047679999999999, 2.8120192000000035,
-                     "a767122e86878555"]},
+        "messages_sent": 5447, "bytes_delivered": 1338110,
+        "events_processed": 5447, "lookup_hops": 3668,
+        "max_inbound_bytes": 146832, "total_queueing_delay": 1.9334736000003785,
+        "arrivals": [128, 1.0047679999999999, 2.812547200000004,
+                     "82363c157c15dcc5"]},
     ("one event per message", "chord"): {
         "messages_sent": 4927, "bytes_delivered": 1388520,
         "events_processed": 4927, "lookup_hops": 2596,
-        "max_inbound_bytes": 148738, "total_queueing_delay": 3.3923631999999295,
-        "arrivals": [128, 0.602512, 1.3074687999999994, "aa3fad51834d470a"]},
+        "max_inbound_bytes": 148738, "total_queueing_delay": 3.368615999999941,
+        "arrivals": [128, 0.6025919999999999, 1.3063168, "4224ce5e07b993eb"]},
     ("cluster (jittered latency)", "can"): {
-        "messages_sent": 3964, "bytes_delivered": 1242650,
-        "events_processed": 3964, "lookup_hops": 3544,
-        "max_inbound_bytes": 147072, "total_queueing_delay": 8.258200636188926,
-        "arrivals": [128, 0.007850179013905135, 0.119043779013905,
-                     "194b508726ebd6a9"]},
+        "messages_sent": 3962, "bytes_delivered": 1242530,
+        "events_processed": 3962, "lookup_hops": 3544,
+        "max_inbound_bytes": 146952, "total_queueing_delay": 8.067384718660916,
+        "arrivals": [128, 0.007726394977055088, 0.11890399497705495,
+                     "797437afa22ae851"]},
     ("cluster (jittered latency)", "chord"): {
-        "messages_sent": 3612, "bytes_delivered": 1301724,
-        "events_processed": 3612, "lookup_hops": 2504,
-        "max_inbound_bytes": 148394, "total_queueing_delay": 11.049094634967743,
-        "arrivals": [128, 0.010433317375230691, 0.12119811737523059,
-                     "9588fa9c04e7a998"]},
+        "messages_sent": 3605, "bytes_delivered": 1301254,
+        "events_processed": 3605, "lookup_hops": 2504,
+        "max_inbound_bytes": 148034, "total_queueing_delay": 10.79894780108014,
+        "arrivals": [128, 0.010859336491886853, 0.12128813649188677,
+                     "31b7d259839482f5"]},
     ("infinite bandwidth", "can"): {
-        "messages_sent": 3959, "bytes_delivered": 1242350,
+        "messages_sent": 3960, "bytes_delivered": 1242410,
         "events_processed": 826, "lookup_hops": 3544,
-        "max_inbound_bytes": 146772, "total_queueing_delay": 0.0,
+        "max_inbound_bytes": 146832, "total_queueing_delay": 0.0,
         "arrivals": [128, 0.9999999999999999, 2.800000000000001,
                      "bf82f474a17622a0"]},
     ("infinite bandwidth", "chord"): {
@@ -669,42 +668,19 @@ PINNED_BY_MODE = {
 }
 
 
-def network_mode_facts():
-    """Every ``(mode, dht)`` run of the pinned query, as JSON-able facts."""
-    facts = []
-    for mode, config in NETWORK_MODES.items():
-        for dht in ("can", "chord"):
-            pier, cursor = run_pinned_query(dht, **config)
-            times = tuple(cursor.arrival_times())
-            facts.append([mode, dht, {
-                **simulated_counts(pier),
-                "max_inbound_bytes": pier.network.stats.max_inbound_bytes(),
-                "total_queueing_delay": pier.network.stats.total_queueing_delay,
-                "arrivals": [len(times), times[0], times[-1],
-                             hashlib.sha256(repr(times).encode()).hexdigest()[:16]],
-            }])
-    return facts
-
-
-@pytest.fixture(scope="module")
-def facts_under_hash_seed_zero():
-    if sys.hash_info.algorithm != "siphash13":
-        pytest.skip("pins were recorded under CPython >= 3.11's string hash")
-    tests = os.path.dirname(os.path.abspath(__file__))
-    child = subprocess.run(
-        [sys.executable, "-c",
-         "import json, test_routing_index as t; "
-         "print(json.dumps(t.network_mode_facts()))"],
-        env={**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": os.pathsep.join(
-            filter(None, [tests, os.path.join(os.path.dirname(tests), "src"),
-                          os.environ.get("PYTHONPATH")]))},
-        capture_output=True, text=True, timeout=300)
-    assert child.returncode == 0, child.stderr
-    return {(mode, dht): facts
-            for mode, dht, facts in json.loads(child.stdout.splitlines()[-1])}
+def network_mode_facts(mode, dht):
+    """One ``(mode, dht)`` run of the pinned query, as comparable facts."""
+    pier, cursor = run_pinned_query(dht, **NETWORK_MODES[mode])
+    times = tuple(cursor.arrival_times())
+    return {
+        **simulated_counts(pier),
+        "max_inbound_bytes": pier.network.stats.max_inbound_bytes(),
+        "total_queueing_delay": pier.network.stats.total_queueing_delay,
+        "arrivals": [len(times), times[0], times[-1],
+                     hashlib.sha256(repr(times).encode()).hexdigest()[:16]],
+    }
 
 
 @pytest.mark.parametrize("mode, dht", sorted(PINNED_BY_MODE))
-def test_fixed_seed_query_is_pinned_in_every_network_mode(
-        facts_under_hash_seed_zero, mode, dht):
-    assert facts_under_hash_seed_zero[mode, dht] == PINNED_BY_MODE[mode, dht]
+def test_fixed_seed_query_is_pinned_in_every_network_mode(mode, dht):
+    assert network_mode_facts(mode, dht) == PINNED_BY_MODE[mode, dht]

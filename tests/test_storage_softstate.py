@@ -99,6 +99,42 @@ def test_scan_skips_and_purges_expired_items():
     assert len(storage) == 1  # the stale item was dropped during the scan
 
 
+def test_scan_and_retrieve_return_insertion_order():
+    """Read order is first-store order — never the hash order of the keys
+    (strings hash differently in every interpreter) — for ``store`` and
+    ``store_batch`` alike, and across a remove followed by a re-store."""
+    storage = StorageManager()
+    names = ["zeta", "alpha", "mu", "beta", "omega", "chi", "eta", "psi"]
+    storage.store_batch([make_item(resource=name, instance=i)
+                         for i, name in enumerate(names[:5])])
+    for i, name in enumerate(names[5:], start=5):
+        storage.store(make_item(resource=name, instance=i))
+    for i, tag in enumerate(["third", "first", "second"], start=100):
+        storage.store(make_item(resource="mu", instance=i, value=tag))
+
+    def scanned():
+        return [(item.resource_id, item.instance_id)
+                for item in storage.scan("ns", now=0.0)]
+
+    def retrieved():
+        return [item.value for item in storage.retrieve("ns", "mu", now=0.0)]
+
+    in_order = list(zip(names, range(8))) + [("mu", 100), ("mu", 101), ("mu", 102)]
+    assert scanned() == in_order
+    assert retrieved() == ["v", "third", "first", "second"]
+
+    # An overwrite (renewal) keeps the item's place ...
+    storage.store(make_item(resource="alpha", instance=1, value="renewed"))
+    assert scanned() == in_order
+    # ... a removed item leaves no gap, and re-storing it appends.
+    assert storage.remove("ns", "mu", 100) == 1
+    assert storage.remove("ns", "zeta") == 1
+    storage.store(make_item(resource="mu", instance=100, value="third"))
+    storage.store(make_item(resource="zeta", instance=0))
+    assert scanned() == in_order[1:8] + in_order[9:] + [("mu", 100), ("zeta", 0)]
+    assert retrieved() == ["v", "first", "second", "third"]
+
+
 # ----------------------------------------------------------------- soft state
 
 
