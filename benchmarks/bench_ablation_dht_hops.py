@@ -10,10 +10,10 @@ and compares each against its closed-form prediction.
 import statistics
 
 from bench_common import node_axis, report
+from repro.core import costmodel
 from repro.dht.can import CanNetworkBuilder
 from repro.dht.chord import ChordNetworkBuilder
 from repro.dht.naming import hash_key
-from repro.harness import analytical
 from repro.net.network import Network
 from repro.net.topology import FullMeshTopology
 
@@ -43,11 +43,11 @@ def sweep():
             routings = builder.build_stabilized(network)
             mean_hops = measure_hops(builder, network, routings)
             if label == "can d=2":
-                model = analytical.can_average_hops(num_nodes, 2)
+                model = costmodel.can_average_hops(num_nodes, 2)
             elif label == "can d=3":
-                model = analytical.can_average_hops(num_nodes, 3)
+                model = costmodel.can_average_hops(num_nodes, 3)
             else:
-                model = analytical.chord_average_hops(num_nodes)
+                model = costmodel.chord_average_hops(num_nodes)
             rows.append({
                 "nodes": num_nodes,
                 "dht": label,

@@ -9,10 +9,10 @@ against the closed-form overlay-diameter estimate.
 """
 
 from bench_common import node_axis, report
+from repro.core import costmodel
 from repro.dht.can import CanNetworkBuilder
 from repro.dht.chord import ChordNetworkBuilder
 from repro.dht.multicast import MulticastService
-from repro.harness import analytical
 from repro.net.network import Network
 from repro.net.topology import FullMeshTopology
 
@@ -44,7 +44,7 @@ def measure(num_nodes: int, dht: str):
         "dht": dht,
         "reached": reached,
         "time_to_all_s": round(last, 3),
-        "model_time_s": round(analytical.multicast_latency(num_nodes), 3),
+        "model_time_s": round(costmodel.multicast_latency(num_nodes), 3),
         "messages": network.stats.messages_delivered,
     }
 

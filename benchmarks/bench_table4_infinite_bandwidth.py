@@ -14,8 +14,8 @@ closed-form decomposition (Section 5.5.1).
 """
 
 from bench_common import build_loaded_network, report, run_benchmark_query, scaled
+from repro.core import costmodel
 from repro.core.query import JoinStrategy
-from repro.harness import analytical
 
 PAPER_TABLE4 = {
     "symmetric_hash": 3.73,
@@ -38,7 +38,7 @@ def run_all_strategies():
             "nodes": num_nodes,
             "results": outcome.result_count,
             "t_last_s (measured)": outcome.latency.time_to_last,
-            "t_last_s (analytic model)": analytical.STRATEGY_COST_MODELS[
+            "t_last_s (analytic model)": costmodel.STRATEGY_COST_MODELS[
                 strategy.value].completion_time(num_nodes),
             "t_last_s (paper, 1024 nodes)": PAPER_TABLE4[strategy.value],
         })

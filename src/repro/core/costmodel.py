@@ -6,8 +6,8 @@ harness used that model only to *validate* simulations.  This module
 promotes it into a real optimizer layer:
 
 * the analytic primitives (overlay hop counts, lookup/multicast latencies,
-  :class:`StrategyCostModel`) now live here — ``repro.harness.analytical``
-  re-exports them for back compatibility;
+  :class:`StrategyCostModel`) live here (``repro.harness.analytical`` keeps
+  only the harness's provisioning and recall formulas);
 * :class:`TopologyParams` captures the deployment parameters the model
   needs (node count, DHT flavour, per-hop latency, inbound bandwidth);
 * :func:`estimate_selectivity` estimates predicate selectivities from
@@ -51,8 +51,7 @@ MAX_BLOOM_BITS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
-# Analytic primitives (paper Sections 3.1.1 and 5.5.1) — previously in
-# repro.harness.analytical, which still re-exports them.
+# Analytic primitives (paper Sections 3.1.1 and 5.5.1).
 
 
 def can_average_hops(num_nodes: int, dimensions: int = 2) -> float:

@@ -1,49 +1,20 @@
-"""Closed-form models from the paper's Sections 3.1.1, 5.3 and 5.5.1.
+"""Closed-form harness models from the paper's Sections 5.3 and 5.6.
 
-The overlay-routing and join-strategy decompositions that used to live here
-were promoted into the optimizer layer (:mod:`repro.core.costmodel`), where
-they now drive ``strategy=AUTO`` planning as well as the benchmarks'
-analysis columns.  This module re-exports them unchanged for back
-compatibility, and keeps the harness-only provisioning (Section 5.3) and
-churn-recall (Section 5.6) formulas:
-
-* CAN lookups take ``(d/4)·n^{1/d}`` overlay hops on average (Section 3.1.1),
-  so lookup latency is that times the per-hop delay.
 * A single computation node in an ``n``-node network must receive
   ``D·(n-m)/(n·m)`` bytes of selected data on average, where ``D`` is the
   data passing the selections and ``m`` the number of computation nodes
   (Section 5.3); the required downlink bandwidth follows from the desired
   response time.
-* Each join strategy's infinite-bandwidth completion time decomposes into a
-  multicast, a number of CAN lookups, and a number of direct IP hops
-  (Section 5.5.1).
+* Under churn a lost tuple stays missing for half its refresh period on
+  average, which gives the expected recall (Section 5.6).
+
+The overlay-routing and join-strategy decompositions (Sections 3.1.1 and
+5.5.1) live in the optimizer layer, :mod:`repro.core.costmodel`.
 """
 
 from __future__ import annotations
 
-# Re-exported from the optimizer layer (moved there; kept importable here).
-from repro.core.costmodel import (  # noqa: F401
-    DEFAULT_HOP_LATENCY_S,
-    STRATEGY_COST_MODELS,
-    StrategyCostModel,
-    can_average_hops,
-    chord_average_hops,
-    lookup_latency,
-    multicast_depth,
-    multicast_latency,
-    predicted_strategy_times,
-)
-
 __all__ = [
-    "DEFAULT_HOP_LATENCY_S",
-    "can_average_hops",
-    "chord_average_hops",
-    "lookup_latency",
-    "multicast_depth",
-    "multicast_latency",
-    "StrategyCostModel",
-    "STRATEGY_COST_MODELS",
-    "predicted_strategy_times",
     "selected_data_bytes",
     "inbound_bytes_per_computation_node",
     "required_downlink_mbps",

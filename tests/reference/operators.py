@@ -89,12 +89,7 @@ class Selection(Operator):
 
 
 class Projection(Operator):
-    """Keep only the listed columns of each row.
-
-    The distributed join strategies rely on this to strip tuples down to
-    "only the relevant columns remaining" before rehashing (paper §4.1), and
-    the semi-join rewrite projects all the way down to (resourceID, join key).
-    """
+    """Keep only the listed columns of each row."""
 
     def __init__(self, columns: Sequence[str], name: Optional[str] = None):
         super().__init__(name or f"Projection({list(columns)})")
@@ -119,9 +114,11 @@ class Qualify(Operator):
 
 
 class SymmetricHashJoin(Operator):
-    """Pipelining symmetric hash equi-join.
+    """Pipelining symmetric hash equi-join (Wilschut & Apers).
 
-    Rows are fed through :meth:`push_left` / :meth:`push_right` (or through
+    Two hash tables, one per input, are built and probed simultaneously as
+    rows stream in from either side; every matching pair is emitted exactly
+    once, when its *later* row arrives.  Rows are fed through :meth:`push_left` / :meth:`push_right` (or through
     :meth:`push` with rows pre-tagged by the ``side`` key).  Join keys are
     extracted with the provided callables; an optional residual predicate is
     applied to the merged row before it is emitted.
@@ -205,12 +202,7 @@ class SymmetricHashJoin(Operator):
 
 
 class Collector(Operator):
-    """Terminal operator that accumulates every row it receives.
-
-    The per-node halves of the distributed strategies end in a Collector;
-    the executor then drains :attr:`rows` and ships them (rehash, fetch,
-    result delivery) over the network.
-    """
+    """Terminal operator that accumulates every row it receives."""
 
     def __init__(self, name: Optional[str] = None):
         super().__init__(name or "Collector")

@@ -240,16 +240,3 @@ def test_non_join_auto_normalises():
                       strategy=JoinStrategy.AUTO)
     build_opgraph(query)
     assert query.strategy is JoinStrategy.SYMMETRIC_HASH
-
-
-# ------------------------------------------------------------- shim imports
-
-
-def test_harness_analytical_reexports_moved_model():
-    from repro.harness import analytical
-
-    assert analytical.StrategyCostModel is costmodel.StrategyCostModel
-    assert analytical.STRATEGY_COST_MODELS is costmodel.STRATEGY_COST_MODELS
-    assert analytical.can_average_hops(1024, 2) == pytest.approx(16.0)
-    times = analytical.predicted_strategy_times(1024)
-    assert set(times) == {s.value for s in JoinStrategy.physical()}

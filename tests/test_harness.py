@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import costmodel
 from repro.exceptions import ExperimentError
 from repro.harness import PierNetwork, SimulationConfig, analytical, format_series, format_table, run_query
 from repro.harness.softstate import run_soft_state_experiment
@@ -147,20 +148,20 @@ def test_soft_state_without_failures_has_perfect_recall():
 
 
 def test_can_hops_formula():
-    assert analytical.can_average_hops(1024, 2) == pytest.approx(16.0)
-    assert analytical.can_average_hops(1, 2) == 0.0
-    assert analytical.chord_average_hops(1024) == pytest.approx(5.0)
+    assert costmodel.can_average_hops(1024, 2) == pytest.approx(16.0)
+    assert costmodel.can_average_hops(1, 2) == 0.0
+    assert costmodel.chord_average_hops(1024) == pytest.approx(5.0)
 
 
 def test_lookup_and_multicast_latency_scale_with_n():
-    assert analytical.lookup_latency(4096) > analytical.lookup_latency(256)
-    assert analytical.multicast_latency(4096) > analytical.multicast_latency(256)
+    assert costmodel.lookup_latency(4096) > costmodel.lookup_latency(256)
+    assert costmodel.multicast_latency(4096) > costmodel.multicast_latency(256)
     # Paper: multicast reaches 1024 nodes in roughly 3 seconds.
-    assert 2.0 <= analytical.multicast_latency(1024) <= 4.5
+    assert 2.0 <= costmodel.multicast_latency(1024) <= 4.5
 
 
 def test_strategy_cost_ordering_matches_paper_table4():
-    times = analytical.predicted_strategy_times(1024)
+    times = costmodel.predicted_strategy_times(1024)
     assert times["symmetric_hash"] <= times["fetch_matches"]
     assert times["fetch_matches"] < times["symmetric_semi_join"]
     assert times["symmetric_semi_join"] < times["bloom"]
