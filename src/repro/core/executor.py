@@ -134,7 +134,7 @@ class QueryHandle:
         """
         query = self.query
         if query.is_aggregation and not query.distributed_aggregation:
-            final = build_final_aggregation(query, name="InitiatorAgg")
+            final = build_final_aggregation(query)
             final.push_many(self.rows)
             return finalize_aggregation_rows(query, final)
         return self.rows
@@ -763,7 +763,6 @@ class QueryExecutor:
         Rows are grouped over the key columns and every aggregate takes its
         group's inputs in one bulk add.
         """
-        # HAVING is applied only after partials are merged.
         partial = build_final_aggregation(
             query, name=f"PartialAgg({node.params['alias']})")
         if chunk.length:

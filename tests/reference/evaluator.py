@@ -67,7 +67,9 @@ def evaluate_query(query: QuerySpec,
         for table in query.tables
     }
     collector = Collector()
-    project = query.output_columns and not query.is_aggregation
+    tail: List[Operator] = [collector]
+    if query.output_columns and not query.is_aggregation:
+        tail.insert(0, Projection(query.output_columns))
     if query.is_join:
         join = query.join
         left_key = f"{join.left_alias}.{join.left_column}"
@@ -76,19 +78,13 @@ def evaluate_query(query: QuerySpec,
             lambda row: row[left_key], lambda row: row[right_key],
             residual=query.post_join_predicate,
         )
-        tail: Operator = joiner
-        if project:
-            tail = tail.add_consumer(Projection(query.output_columns))
-        tail.add_consumer(collector)
+        chain(joiner, *tail)
         for row in selected[join.left_alias]:
             joiner.push_left(row)
         for row in selected[join.right_alias]:
             joiner.push_right(row)
     else:
-        rows = selected[query.tables[0].alias]
-        if project:
-            rows = build_local_filter_pipeline(rows, None, query.output_columns)
-        collector.push_many(rows)
+        chain(*tail).push_many(selected[query.tables[0].alias])
     if not query.is_aggregation:
         return collector.rows
 
