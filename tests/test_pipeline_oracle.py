@@ -127,7 +127,7 @@ def test_planning_surfaces_walk_the_graph_without_lowering_it():
     assert graph.describe()
     assert graph.temp_namespaces()
     with pytest.raises(ExpressionError):
-        graph.artifacts
+        _ = graph.artifacts
 
 
 def test_only_the_graph_an_executor_runs_is_lowered(monkeypatch):
