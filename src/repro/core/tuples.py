@@ -169,8 +169,7 @@ class Chunk:
 
     Chunks convert losslessly to and from slotted tuples (:meth:`from_rows`
     / :meth:`rows`), which is what the operators that work a matched pair at
-    a time (probe, fetch, semi-join emission) consume, and to plain dicts
-    only at the result boundary (:meth:`dicts`).
+    a time (probe, fetch, semi-join emission) consume.
     """
 
     __slots__ = ("layout", "columns", "length")
@@ -207,15 +206,6 @@ class Chunk:
             return []
         return list(zip(*self.columns))
 
-    def dicts(self) -> List[Row]:
-        """Dict views of every row (the client/cursor boundary)."""
-        names = self.layout.names
-        return [dict(zip(names, row)) for row in zip(*self.columns)] if self.length else []
-
-    def column(self, name: str) -> List[Any]:
-        """The value array of a column, resolved by exact name."""
-        return self.columns[self.layout.slots[name]]
-
     def compress(self, mask: Sequence[Any]) -> "Chunk":
         """Dense chunk keeping only rows whose mask entry is truthy."""
         kept = sum(1 for keep in mask if keep)
@@ -228,15 +218,6 @@ class Chunk:
             for column in self.columns
         ]
         return Chunk(self.layout, columns, kept)
-
-    def take(self, indices: Sequence[int]) -> "Chunk":
-        """Chunk of the given row indices, in the given order."""
-        columns = [[column[i] for i in indices] for column in self.columns]
-        return Chunk(self.layout, columns, len(indices))
-
-    def select(self, slots: Sequence[int], layout: RowLayout) -> "Chunk":
-        """Projection as column selection; the value arrays are shared."""
-        return Chunk(layout, [self.columns[s] for s in slots], self.length)
 
 
 @dataclass(frozen=True)

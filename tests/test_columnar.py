@@ -32,7 +32,6 @@ def test_empty_chunk_roundtrips():
     chunk = Chunk.empty(LAYOUT)
     assert len(chunk) == 0
     assert chunk.rows() == []
-    assert chunk.dicts() == []
     assert Chunk.from_rows(LAYOUT, []).rows() == []
 
 
@@ -41,8 +40,6 @@ def test_from_rows_rows_roundtrip_is_lossless():
     chunk = Chunk.from_rows(LAYOUT, rows)
     assert len(chunk) == 3
     assert chunk.rows() == rows
-    assert chunk.column("b") == [2.0, 5.0, 8.0]
-    assert chunk.dicts()[1] == {"a": 4, "b": 5.0, "c": "y"}
 
 
 def test_compress_keeps_masked_rows_dense():
@@ -52,15 +49,6 @@ def test_compress_keeps_masked_rows_dense():
     # All-kept returns the same object; none-kept returns an empty chunk.
     assert chunk.compress([1] * 5) is chunk
     assert chunk.compress([0] * 5).rows() == []
-
-
-def test_take_and_select_views():
-    chunk = Chunk.from_rows(LAYOUT, [(i, -i, i * i) for i in range(4)])
-    assert chunk.take([3, 0]).rows() == [(3, -3, 9), (0, 0, 0)]
-    narrow = chunk.select([2, 0], RowLayout(["c", "a"]))
-    assert narrow.rows() == [(0, 0), (1, 1), (4, 2), (9, 3)]
-    # select() shares the underlying value arrays rather than copying.
-    assert narrow.columns[0] is chunk.columns[2]
 
 
 # -------------------------------------------------- vector expression kernels
