@@ -13,10 +13,8 @@ benchmark checks at reduced scale:
 
 Run as a script this benchmark takes a ``--nodes`` axis (e.g.
 ``--nodes 1024,4096,10000``) so the paper's full 10k-node range is
-reachable, reports wall-clock per phase (build / load / query) for every
-configuration, and measures the batched message path against the seed's
-one-event-per-item baseline on a fixed workload (the ``event_reduction``
-block of the JSON output).
+reachable, and reports wall-clock per phase (build / load / query) for every
+configuration.
 """
 
 import time
@@ -27,17 +25,13 @@ from bench_common import (
     node_axis,
     report,
     run_benchmark_query,
-    scaled,
 )
 from repro.core.query import JoinStrategy
 
 #: Default sweep axis (scaled by PIER_BENCH_SCALE, capped in smoke mode).
 DEFAULT_NODE_COUNTS = (2, 8, 32, 64, 128)
 
-#: Fixed workload used for the batched-vs-seed event comparison.
-EVENT_BASELINE_NODES = 64
-
-#: Coalescing window used for large runs and the event-reduction headline.
+#: Coalescing window used for large runs.
 #: 10 ms is 10% of the paper's 100 ms hop latency — enough to merge the
 #: serialisation-staggered waves of a routed batch into per-destination
 #: delivery events without visibly distorting the latency curves.
@@ -91,54 +85,10 @@ def sweep():
     return rows
 
 
-def measure_event_reduction(num_nodes: int = 0) -> dict:
-    """Simulator events for a fixed workload: batched path vs. seed path.
-
-    The acceptance bar for the batching layer is a >= 3x drop in total
-    simulator events on the same workload; this runs the symmetric-hash
-    benchmark query once per configuration and reports the counts and the
-    ratio.  ``events_batched`` (the headline) uses the batch APIs plus the
-    10 ms coalescing window the large runs use; ``events_batched_w0`` is the
-    conservative zero-window mode the test deployments run under.
-    """
-    if not num_nodes:
-        num_nodes = scaled(EVENT_BASELINE_NODES)
-    counts = {}
-    results = {}
-    configurations = (
-        ("seed", dict(batching=False)),
-        ("batched", dict(batching=True, coalesce_window_s=LARGE_RUN_WINDOW_S)),
-        ("batched_w0", dict(batching=True, coalesce_window_s=0.0)),
-    )
-    for label, kwargs in configurations:
-        pier, workload = build_loaded_network(
-            num_nodes, s_tuples_per_node=2, seed=5, **kwargs
-        )
-        outcome = run_benchmark_query(pier, workload, JoinStrategy.SYMMETRIC_HASH)
-        counts[label] = pier.network.simulator.events_processed
-        results[label] = outcome.result_count
-    assert results["seed"] == results["batched"] == results["batched_w0"], \
-        "batched modes must produce identical results to the seed path"
-    reduction = counts["seed"] / max(1, counts["batched"])
-    return {
-        "event_reduction": {
-            "nodes": num_nodes,
-            "coalesce_w_ms": LARGE_RUN_WINDOW_S * 1e3,
-            "events_seed": counts["seed"],
-            "events_batched": counts["batched"],
-            "events_batched_w0": counts["batched_w0"],
-            "result_rows": results["seed"],
-            "reduction_factor": round(reduction, 2),
-        }
-    }
-
-
 def test_fig3_scaleup_full_mesh(benchmark):
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    event_extra = measure_event_reduction()
     report("fig3_scaleup_full_mesh",
-           "Figure 3: time to 30th result tuple, fully connected topology", rows,
-           extra=event_extra)
+           "Figure 3: time to 30th result tuple, fully connected topology", rows)
 
     all_nodes_curve = {row["nodes"]: row["t_30th_s"] for row in rows
                        if row["computation_nodes"] == "N"}
@@ -165,16 +115,12 @@ def test_fig3_scaleup_full_mesh(benchmark):
     assert one_node_inbound[largest] > 3.0 * all_nodes_inbound[largest]
     assert one_node_inbound[largest] > 2.0 * one_node_inbound[smallest]
 
-    # The batching layer must cut total simulator events by >= 3x on the
-    # fixed comparison workload.
-    assert event_extra["event_reduction"]["reduction_factor"] >= 3.0
-
 
 def main(argv=None):
     from bench_common import run_main
     return run_main("fig3_scaleup_full_mesh",
                     "Figure 3: time to 30th result tuple, fully connected topology",
-                    sweep, argv, extra=measure_event_reduction)
+                    sweep, argv)
 
 
 if __name__ == "__main__":

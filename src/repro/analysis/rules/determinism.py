@@ -66,8 +66,7 @@ DICT_VIEW_METHODS = {"keys"}
 
 #: Calls that make loop order observable on the network.
 EFFECT_CALLS = {
-    "send", "put", "put_batch", "put_chunk", "put_direct",
-    "put_direct_batch", "multicast", "multicast_batch",
+    "send", "put", "put_batch", "put_chunk", "multicast", "multicast_batch",
     "store", "store_batch",
 }
 

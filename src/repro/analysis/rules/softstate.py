@@ -14,10 +14,9 @@ pin down mechanically:
 * **PL303** — a ``schedule_periodic(...)`` whose handle is discarded (bare
   expression statement), or a module holding periodic timers with no
   ``.cancel()`` reachable anywhere in it.
-* **PL304** — a DHT publish (``put`` / ``put_batch`` / ``put_chunk`` /
-  ``put_direct`` / ``put_direct_batch``) that does not thread an explicit
-  ``lifetime``: relying on the provider default turns a deliberate
-  soft-state decision into an accident.
+* **PL304** — a DHT publish (``put`` / ``put_batch`` / ``put_chunk``) that
+  does not thread an explicit ``lifetime``: relying on the provider default
+  turns a deliberate soft-state decision into an accident.
 """
 
 from __future__ import annotations
@@ -36,9 +35,7 @@ from repro.analysis.framework import (
 #: publish method → index of its first positional ``lifetime`` argument.
 PUT_LIFETIME_INDEX = {
     "put": 4,                # (namespace, resource_id, instance_id, value, lifetime)
-    "put_direct": 5,         # (target, namespace, rid, iid, value, lifetime)
     "put_batch": 2,          # (namespace, entries, lifetime)
-    "put_direct_batch": 3,   # (target, namespace, entries, lifetime)
     "put_chunk": 3,          # (namespace, resource_ids, values, lifetime)
 }
 

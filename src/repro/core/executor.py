@@ -567,16 +567,6 @@ class QueryExecutor:
         namespace = node.params["namespace"]
         fetch = state.plan.fetches[node.op_id]
         key_slot = fetch.key_slot
-        if not self.provider.batching:
-            # Seed pattern: one get per scanned row, duplicates included.
-            for row in rows:
-                self.provider.get(
-                    namespace, row[key_slot],
-                    lambda items, row=row: self._on_fetch_matches_reply(
-                        query, fetch, row, items),
-                    scope=query.query_id,
-                )
-            return
         rows_by_value: Dict[Any, List[SlottedRow]] = {}
         for row in rows:
             rows_by_value.setdefault(row[key_slot], []).append(row)

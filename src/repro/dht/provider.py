@@ -20,16 +20,22 @@ mapping changing in between.
 
 Batch interface
 ---------------
-``put_batch`` / ``get_batch`` / ``multicast_batch`` are the high-throughput
-companions of the scalar calls: a batch resolves all of its keys through one
+Every put travels in one wire format: a ``prov.put_chunk`` message of
+parallel ``resource_ids`` / ``values`` / ``instance_ids`` / ``keys`` arrays
+for one namespace, lifetime and publisher.  The front-ends differ only in
+what the caller holds.  ``put`` (and ``renew``, the same put again) publishes
+one item behind a scalar ``lookup`` — the paper's message pattern, used by
+catalog and statistics publishing.  ``put_batch`` takes per-entry instance
+ids and sizes (renewal rounds, aggregation partials); ``put_chunk`` takes the
+arrays of a rehash wave as they are, one size for all, with an optional
+computation-node ``target``.  Both resolve all of their keys through one
 :meth:`repro.dht.api.RoutingLayer.lookup_batch` (overlay hops shared between
-keys routed the same way) and then sends **one message per (destination,
-namespace)** carrying every item that destination owns, instead of one per
-item.  Per-item semantics are preserved exactly — every stored item fires
-its own ``newData`` callback and every ``get_batch`` key receives its own
-reply callback.  Constructing the Provider with ``batching=False`` makes the
-batch calls fall back to per-item scalar calls (the seed message pattern),
-which is what the benchmarks use as their baseline.
+keys routed the same way) and send **one message per owner and resolution
+wave** carrying every item that owner is responsible for; ``get_batch`` and
+``multicast_batch`` batch the read and flood sides the same way.  Per-item
+semantics are preserved exactly — every newly stored triple fires its own
+``newData`` callback (a renewal of a live triple fires none) and every
+``get_batch`` key receives its own reply callback.
 
 Failure semantics
 -----------------
@@ -58,7 +64,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.dht.api import RoutingLayer
 from repro.dht.multicast import MulticastHandler, MulticastService
@@ -131,8 +138,6 @@ class Provider:
     """Per-node Provider instance."""
 
     SERVICE_NAME = "dht.provider"
-    PROTOCOL_PUT = "prov.put"
-    PROTOCOL_PUT_BATCH = "prov.put_batch"
     PROTOCOL_PUT_CHUNK = "prov.put_chunk"
     PROTOCOL_GET = "prov.get"
     PROTOCOL_GET_REPLY = "prov.get_reply"
@@ -142,13 +147,11 @@ class Provider:
     def __init__(self, node: Node, routing: RoutingLayer,
                  sweep_period_s: float = DEFAULT_SWEEP_PERIOD_S,
                  instance_seed: int = 0,
-                 batching: bool = True,
                  request_timeout_s: Optional[float] = None,
                  request_retries: int = 1):
         self.node = node
         self.routing = routing
         self.storage = StorageManager()
-        self.batching = batching
         #: Per-request timeout for ``get``/``get_batch`` (``None`` disables
         #: the timer lane; transport bounces still bound dead-owner waits).
         self.request_timeout_s = request_timeout_s
@@ -169,8 +172,6 @@ class Provider:
         self.put_bounces_by_namespace: Dict[str, int] = {}
         node.services[self.SERVICE_NAME] = self
 
-        node.register_handler(self.PROTOCOL_PUT, self._on_put)
-        node.register_handler(self.PROTOCOL_PUT_BATCH, self._on_put_batch)
         node.register_handler(self.PROTOCOL_PUT_CHUNK, self._on_put_chunk)
         node.register_handler(self.PROTOCOL_GET, self._on_get)
         node.register_handler(self.PROTOCOL_GET_REPLY, self._on_get_reply)
@@ -180,9 +181,6 @@ class Provider:
         node.register_bounce_handler(self.PROTOCOL_GET, self._on_get_bounce)
         node.register_bounce_handler(self.PROTOCOL_GET_BATCH,
                                      self._on_get_batch_bounce)
-        node.register_bounce_handler(self.PROTOCOL_PUT, self._on_put_bounce)
-        node.register_bounce_handler(self.PROTOCOL_PUT_BATCH,
-                                     self._on_put_batch_bounce)
         node.register_bounce_handler(self.PROTOCOL_PUT_CHUNK,
                                      self._on_put_chunk_bounce)
 
@@ -224,67 +222,16 @@ class Provider:
 
         Returns the instanceID used (freshly generated when ``None`` is
         passed, matching the paper's "randomly assigned by the user
-        application").
+        application").  The key is resolved with one scalar ``lookup`` —
+        the paper's message pattern — and the item then travels as a
+        ``prov.put_chunk`` of one.
         """
-        request, instance_id = self._build_put_request(
-            namespace, resource_id, instance_id, value, lifetime, item_bytes
-        )
-
-        def _deliver(owner: int) -> None:
-            if owner == self.node.address:
-                self._store_request(request)
-            else:
-                self.node.send(owner, self.PROTOCOL_PUT, payload=request,
-                               payload_bytes=item_bytes)
-
-        self.routing.lookup(request["key"], _deliver)
-        return instance_id
-
-    def _build_put_request(self, namespace: str, resource_id: Any,
-                           instance_id: Optional[int], value: Any,
-                           lifetime: float, item_bytes: int) -> Tuple[dict, int]:
         if instance_id is None:
             instance_id = self.next_instance_id()
-        request = {
-            "namespace": namespace,
-            "resource_id": resource_id,
-            "instance_id": instance_id,
-            "value": value,
-            "lifetime": lifetime,
-            "publisher": self.node.address,
-            "size_bytes": item_bytes,
-            "key": hash_key(namespace, resource_id),
-        }
-        return request, instance_id
-
-    def put_direct(self, target: int, namespace: str, resource_id: Any,
-                   instance_id: Optional[int], value: Any,
-                   lifetime: float = DEFAULT_LIFETIME_S,
-                   item_bytes: int = DEFAULT_ITEM_BYTES,
-                   charge_lookup: bool = True) -> int:
-        """Publish an item onto a *designated* node instead of the key's owner.
-
-        Used for queries that confine their temporary state to a fixed set of
-        computation nodes (the paper's Figure 3 experiments with 1/2/8/16
-        computation nodes).  When ``charge_lookup`` is true an overlay lookup
-        of the item's key is still performed first, so the latency cost of
-        resolving a destination matches the ordinary ``put`` path.
-        """
-        request, instance_id = self._build_put_request(
-            namespace, resource_id, instance_id, value, lifetime, item_bytes
-        )
-
-        def _deliver(_owner: int) -> None:
-            if target == self.node.address:
-                self._store_request(request)
-            else:
-                self.node.send(target, self.PROTOCOL_PUT, payload=request,
-                               payload_bytes=item_bytes)
-
-        if charge_lookup:
-            self.routing.lookup(request["key"], _deliver)
-        else:
-            _deliver(target)
+        key = hash_key(namespace, resource_id)
+        self.routing.lookup(key, lambda owner: self._send_put_chunk(
+            owner, namespace, [resource_id], [value], [instance_id], [key],
+            lifetime, item_bytes))
         return instance_id
 
     def renew(self, namespace: str, resource_id: Any, instance_id: int,
@@ -298,201 +245,34 @@ class Provider:
         self.put(namespace, resource_id, instance_id, value, lifetime, item_bytes)
         return True
 
-    def _on_put(self, node: Node, message) -> None:
-        self._store_request(message.payload)
-
-    def _store_request(self, request: dict) -> None:
-        item = StoredItem(
-            namespace=request["namespace"],
-            resource_id=request["resource_id"],
-            instance_id=request["instance_id"],
-            value=request["value"],
-            key=request["key"],
-            expires_at=self.now + request["lifetime"],
-            stored_at=self.now,
-            publisher=request["publisher"],
-            size_bytes=request["size_bytes"],
-        )
-        # ``newData`` fires only for triples not already live; the indexed
-        # membership check replaces a retrieve() that materialised every
-        # instance of the resource on each put.
-        is_new = not self.storage.has_instance(
-            item.namespace, item.resource_id, item.instance_id, self.now
-        )
-        self.storage.store(item)
-        if is_new:
-            view = self._view(item)
-            for callback in self._new_data_callbacks.get(item.namespace, ()):
-                callback(view)
-
-    # ------------------------------------------------------------- put_batch
-
-    def _normalize_put_entries(self, namespace: str, entries: Sequence[PutEntry],
-                               lifetime: float, item_bytes: int
-                               ) -> Tuple[List[dict], List[int]]:
-        """Expand ``(resource_id, value[, instance_id[, item_bytes]])`` entries."""
-        requests: List[dict] = []
-        instance_ids: List[int] = []
-        for entry in entries:
-            resource_id, value = entry[0], entry[1]
-            instance_id = entry[2] if len(entry) > 2 else None
-            entry_bytes = entry[3] if len(entry) > 3 else item_bytes
-            request, instance_id = self._build_put_request(
-                namespace, resource_id, instance_id, value, lifetime, entry_bytes
-            )
-            requests.append(request)
-            instance_ids.append(instance_id)
-        return requests, instance_ids
-
     def put_batch(self, namespace: str, entries: Sequence[PutEntry],
                   lifetime: float = DEFAULT_LIFETIME_S,
                   item_bytes: int = DEFAULT_ITEM_BYTES) -> List[int]:
         """Publish many items with one routed resolution and one message per owner.
 
         ``entries`` is a sequence of ``(resource_id, value)`` tuples with
-        optional trailing ``instance_id`` and ``item_bytes`` elements.
-        Returns the instanceIDs used, aligned with ``entries``.  Items whose
-        keys share an owner travel in a single ``prov.put_batch`` message
-        whose payload is the sum of the item sizes; every stored item still
-        fires its own ``newData`` callback on arrival.  With
-        ``batching=False`` this degrades to one scalar :meth:`put` per entry.
+        optional trailing ``instance_id`` and ``item_bytes`` elements — the
+        shape of a renewal round or a set of aggregation partials.  Returns
+        the instanceIDs used, aligned with ``entries``.  Items whose keys
+        share an owner travel in a single ``prov.put_chunk`` message whose
+        payload is the sum of the item sizes; every stored item still fires
+        its own ``newData`` callback on arrival.
         """
-        requests, instance_ids = self._normalize_put_entries(
-            namespace, entries, lifetime, item_bytes
-        )
-        if not requests:
-            return instance_ids
-        if not self.batching:
-            for request in requests:
-                self._route_put_request(request)
-            return instance_ids
-        requests_by_key: Dict[int, List[dict]] = {}
-        for request in requests:
-            requests_by_key.setdefault(request["key"], []).append(request)
-
-        def _deliver(owner: int, keys: List[int]) -> None:
-            batch = [request for key in keys for request in requests_by_key[key]]
-            self._send_put_requests(owner, batch)
-
-        self.routing.lookup_batch(
-            list(requests_by_key), _deliver,
-            on_unresolved=lambda keys: self._count_unroutable_puts(
-                namespace, requests_by_key, keys),
-        )
+        resource_ids = [entry[0] for entry in entries]
+        values = [entry[1] for entry in entries]
+        instance_ids = [
+            entry[2] if len(entry) > 2 and entry[2] is not None
+            else self.next_instance_id()
+            for entry in entries
+        ]
+        sizes: Union[int, List[int]] = [
+            entry[3] if len(entry) > 3 else item_bytes for entry in entries
+        ]
+        if len(set(sizes)) == 1:
+            sizes = sizes[0]  # uniform: one int on the wire, as in put_chunk
+        self._put_arrays(namespace, resource_ids, values, instance_ids,
+                         lifetime, sizes)
         return instance_ids
-
-    def _count_unroutable_puts(self, namespace: str,
-                               requests_by_key: Dict[int, List[dict]],
-                               keys: List[int]) -> None:
-        """Batched put keys the overlay could not route: fragments are lost.
-
-        Soft-state semantics (renewal repairs them), but the loss must show
-        up in the namespace's counter or a query's completeness report would
-        read ``complete`` while rehash fragments silently vanished.
-        """
-        lost = sum(len(requests_by_key[key]) for key in keys)
-        if lost:
-            self._record_put_bounce(namespace, lost)
-
-    def put_direct_batch(self, target: int, namespace: str,
-                         entries: Sequence[PutEntry],
-                         lifetime: float = DEFAULT_LIFETIME_S,
-                         item_bytes: int = DEFAULT_ITEM_BYTES,
-                         charge_lookup: bool = True) -> List[int]:
-        """Batch companion of :meth:`put_direct`: everything goes to ``target``.
-
-        With ``charge_lookup`` the keys are still resolved through the
-        overlay first (one batched resolution), so the latency cost matches
-        the ordinary ``put_batch`` path; the items themselves are shipped to
-        ``target`` in one message per resolution wave.
-        """
-        requests, instance_ids = self._normalize_put_entries(
-            namespace, entries, lifetime, item_bytes
-        )
-        if not requests:
-            return instance_ids
-        if not self.batching:
-            for request in requests:
-                self._route_put_request(request, target=target,
-                                        charge_lookup=charge_lookup)
-            return instance_ids
-        requests_by_key: Dict[int, List[dict]] = {}
-        for request in requests:
-            requests_by_key.setdefault(request["key"], []).append(request)
-
-        if not charge_lookup:
-            self._send_put_requests(target, requests)
-            return instance_ids
-
-        def _deliver(_owner: int, keys: List[int]) -> None:
-            batch = [request for key in keys for request in requests_by_key[key]]
-            self._send_put_requests(target, batch)
-
-        self.routing.lookup_batch(
-            list(requests_by_key), _deliver,
-            on_unresolved=lambda keys: self._count_unroutable_puts(
-                namespace, requests_by_key, keys),
-        )
-        return instance_ids
-
-    def _route_put_request(self, request: dict, target: Optional[int] = None,
-                           charge_lookup: bool = True) -> None:
-        """Scalar (seed-pattern) dispatch of one prepared put request."""
-
-        def _deliver(owner: int) -> None:
-            destination = owner if target is None else target
-            self._send_put_requests(destination, [request], batch_protocol=False)
-
-        if charge_lookup:
-            self.routing.lookup(request["key"], _deliver)
-        else:
-            _deliver(target if target is not None else self.node.address)
-
-    def _send_put_requests(self, destination: int, requests: List[dict],
-                           batch_protocol: bool = True) -> None:
-        """Store locally or ship a group of put requests to one destination."""
-        if destination == self.node.address:
-            for request in requests:
-                self._store_request(request)
-            return
-        if not batch_protocol and len(requests) == 1:
-            self.node.send(destination, self.PROTOCOL_PUT, payload=requests[0],
-                           payload_bytes=requests[0]["size_bytes"])
-            return
-        total_bytes = sum(request["size_bytes"] for request in requests)
-        self.node.send(destination, self.PROTOCOL_PUT_BATCH,
-                       payload={"requests": requests},
-                       payload_bytes=total_bytes)
-
-    def _on_put_batch(self, node: Node, message) -> None:
-        for request in message.payload["requests"]:
-            self._store_request(request)
-
-    def _record_put_bounce(self, namespace: str, count: int) -> None:
-        self.put_bounces_by_namespace[namespace] = (
-            self.put_bounces_by_namespace.get(namespace, 0) + count
-        )
-
-    def _on_put_bounce(self, node: Node, message) -> None:
-        """A put's destination was dead: the fragment is lost (soft state).
-
-        Publishers do not retry — renewal is the repair mechanism — but the
-        loss is counted per namespace so query completeness reports can
-        attribute lost temporary fragments to their query.
-        """
-        self._record_put_bounce(message.payload["namespace"], 1)
-
-    def _on_put_batch_bounce(self, node: Node, message) -> None:
-        requests = message.payload["requests"]
-        by_namespace: Dict[str, int] = {}
-        for request in requests:
-            by_namespace[request["namespace"]] = (
-                by_namespace.get(request["namespace"], 0) + 1
-            )
-        for namespace, count in by_namespace.items():
-            self._record_put_bounce(namespace, count)
-
-    # ------------------------------------------------------------- put_chunk
 
     def put_chunk(self, namespace: str, resource_ids: Sequence[Any],
                   values: Sequence[Any],
@@ -502,46 +282,48 @@ class Provider:
         """Columnar companion of :meth:`put_batch`: one namespace, one
         lifetime, one per-item size — the common shape of a rehash wave.
 
-        Items whose keys share an owner travel as *slices* of parallel
-        ``resource_ids``/``values``/``instance_ids`` arrays in a single
-        ``prov.put_chunk`` message instead of a list of per-item request
-        dicts; the receiver expands the slice back into per-item stores, so
-        ``newData`` still fires once per stored triple.  Keys are grouped in
-        first-occurrence order, matching :meth:`put_batch` delivery order.
+        Takes the ``resource_ids``/``values`` arrays as they are (no
+        per-item entry tuples) and assigns every item a fresh instanceID.
         ``target`` confines all items to a designated computation node (keys
         are still resolved through the overlay so latency accounting matches
-        the owner-routed path).  With ``batching=False`` this degrades to
-        one scalar put per item.
+        the owner-routed path).
         """
-        count = len(resource_ids)
-        instance_ids = [self.next_instance_id() for _ in range(count)]
-        if not count:
-            return instance_ids
+        instance_ids = [self.next_instance_id() for _ in resource_ids]
+        self._put_arrays(namespace, resource_ids, values, instance_ids,
+                         lifetime, item_bytes, target)
+        return instance_ids
+
+    def _put_arrays(self, namespace: str, resource_ids: Sequence[Any],
+                    values: Sequence[Any], instance_ids: List[int],
+                    lifetime: float, item_bytes: Union[int, List[int]],
+                    target: Optional[int] = None) -> None:
+        """Resolve a batch's keys at once and ship one chunk per owner.
+
+        Keys are grouped in first-occurrence order; the items of every key
+        an owner is responsible for travel as slices of the parallel arrays
+        in one ``prov.put_chunk`` message (``item_bytes`` is one int for a
+        uniform batch, else a list sliced alongside).  Keys the overlay
+        cannot route lose their fragments (soft state; renewal repairs
+        them), but the loss is counted, or a query's completeness report
+        would read ``complete`` while rehash fragments silently vanished.
+        """
         keys = [hash_key(namespace, rid) for rid in resource_ids]
-        if not self.batching:
-            for i in range(count):
-                request = {
-                    "namespace": namespace,
-                    "resource_id": resource_ids[i],
-                    "instance_id": instance_ids[i],
-                    "value": values[i],
-                    "lifetime": lifetime,
-                    "publisher": self.node.address,
-                    "size_bytes": item_bytes,
-                    "key": keys[i],
-                }
-                self._route_put_request(request, target=target)
-            return instance_ids
         indices_by_key: Dict[int, List[int]] = {}
         for i, key in enumerate(keys):
             indices_by_key.setdefault(key, []).append(i)
 
         def _deliver(owner: int, resolved: List[int]) -> None:
             indices = [i for key in resolved for i in indices_by_key[key]]
-            destination = owner if target is None else target
-            self._send_put_chunk(destination, namespace, resource_ids, values,
-                                 instance_ids, keys, indices, lifetime,
-                                 item_bytes)
+            self._send_put_chunk(
+                owner if target is None else target, namespace,
+                [resource_ids[i] for i in indices],
+                [values[i] for i in indices],
+                [instance_ids[i] for i in indices],
+                [keys[i] for i in indices],
+                lifetime,
+                [item_bytes[i] for i in indices]
+                if isinstance(item_bytes, list) else item_bytes,
+            )
 
         self.routing.lookup_batch(
             list(indices_by_key), _deliver,
@@ -549,19 +331,19 @@ class Provider:
                 namespace,
                 sum(len(indices_by_key[key]) for key in lost_keys)),
         )
-        return instance_ids
 
     def _send_put_chunk(self, destination: int, namespace: str,
-                        resource_ids: Sequence[Any], values: Sequence[Any],
+                        resource_ids: List[Any], values: List[Any],
                         instance_ids: List[int], keys: List[int],
-                        indices: List[int], lifetime: float,
-                        item_bytes: int) -> None:
+                        lifetime: float,
+                        item_bytes: Union[int, List[int]]) -> None:
+        """Store locally or ship one owner's share of a put as parallel arrays."""
         payload = {
             "namespace": namespace,
-            "resource_ids": [resource_ids[i] for i in indices],
-            "values": [values[i] for i in indices],
-            "instance_ids": [instance_ids[i] for i in indices],
-            "keys": [keys[i] for i in indices],
+            "resource_ids": resource_ids,
+            "values": values,
+            "instance_ids": instance_ids,
+            "keys": keys,
             "lifetime": lifetime,
             "publisher": self.node.address,
             "item_bytes": item_bytes,
@@ -569,19 +351,24 @@ class Provider:
         if destination == self.node.address:
             self._store_chunk(payload)
             return
-        self.node.send(destination, self.PROTOCOL_PUT_CHUNK, payload=payload,
-                       payload_bytes=item_bytes * len(indices))
+        self.node.send(
+            destination, self.PROTOCOL_PUT_CHUNK, payload=payload,
+            payload_bytes=(sum(item_bytes) if isinstance(item_bytes, list)
+                           else item_bytes * len(keys)),
+        )
 
     def _store_chunk(self, payload: dict) -> None:
         expires_at = self.now + payload["lifetime"]
         stored_at = self.now
         namespace = payload["namespace"]
         publisher = payload["publisher"]
-        item_bytes = payload["item_bytes"]
+        sizes = payload["item_bytes"]
+        if not isinstance(sizes, list):
+            sizes = itertools.repeat(sizes)
         callbacks = self._new_data_callbacks.get(namespace, ())
-        for resource_id, value, instance_id, key in zip(
+        for resource_id, value, instance_id, key, size_bytes in zip(
                 payload["resource_ids"], payload["values"],
-                payload["instance_ids"], payload["keys"]):
+                payload["instance_ids"], payload["keys"], sizes):
             item = StoredItem(
                 namespace=namespace,
                 resource_id=resource_id,
@@ -591,8 +378,11 @@ class Provider:
                 expires_at=expires_at,
                 stored_at=stored_at,
                 publisher=publisher,
-                size_bytes=item_bytes,
+                size_bytes=size_bytes,
             )
+            # ``newData`` fires only for triples not already live (a renewal
+            # fires none); the indexed membership check avoids a retrieve()
+            # that would materialise every instance of the resource.
             is_new = not self.storage.has_instance(
                 namespace, resource_id, instance_id, self.now
             )
@@ -605,7 +395,18 @@ class Provider:
     def _on_put_chunk(self, node: Node, message) -> None:
         self._store_chunk(message.payload)
 
+    def _record_put_bounce(self, namespace: str, count: int) -> None:
+        self.put_bounces_by_namespace[namespace] = (
+            self.put_bounces_by_namespace.get(namespace, 0) + count
+        )
+
     def _on_put_chunk_bounce(self, node: Node, message) -> None:
+        """A put's destination was dead: its fragments are lost (soft state).
+
+        Publishers do not retry — renewal is the repair mechanism — but the
+        loss is counted per namespace so query completeness reports can
+        attribute lost temporary fragments to their query.
+        """
         payload = message.payload
         self._record_put_bounce(payload["namespace"],
                                 len(payload["resource_ids"]))
@@ -808,8 +609,7 @@ class Provider:
 
         ``callback(resource_id, items)`` fires once per distinct resourceID.
         IDs owned by the same node share a single ``prov.get_batch`` request
-        and a single reply; locally-owned IDs resolve synchronously.  With
-        ``batching=False`` this degrades to one scalar :meth:`get` per ID.
+        and a single reply; locally-owned IDs resolve synchronously.
 
         Like :meth:`get`, every sub-request is tracked until its reply:
         bounces and timeouts retry it (``request_retries`` times) and then
@@ -820,13 +620,6 @@ class Provider:
         """
         unique = list(dict.fromkeys(resource_ids))
         if not unique:
-            return
-        if not self.batching:
-            for resource_id in unique:
-                self.get(namespace, resource_id,
-                         lambda items, rid=resource_id: callback(rid, items),
-                         request_bytes=request_bytes, scope=scope,
-                         _attempts_left=_attempts_left)
             return
         attempts = (self.request_retries if _attempts_left is None
                     else _attempts_left)
@@ -966,29 +759,12 @@ class Provider:
 
         Each entry may carry an optional fourth element with its own wire
         size; ``payload_bytes`` is the per-entry default.  The single flood
-        is charged the sum of the entry sizes.  With ``batching=False`` this
-        degrades to one flood per entry at that entry's own size (the last
-        multicast id is returned), matching the seed message pattern.
+        is charged the sum of the entry sizes.
         """
-        if not entries:
-            raise ValueError("multicast_batch needs at least one entry")
-        normalized = [
-            (entry[0], entry[1], entry[2],
-             entry[3] if len(entry) > 3 else payload_bytes)
-            for entry in entries
-        ]
-        if not self.batching:
-            last = 0
-            for namespace, resource_id, item, entry_bytes in normalized:
-                last = self.multicast_service.multicast(
-                    namespace, resource_id, item, payload_bytes=entry_bytes
-                )
-            return last
         return self.multicast_service.multicast_batch(
-            [(namespace, resource_id, item)
-             for namespace, resource_id, item, _bytes in normalized],
-            payload_bytes=sum(entry_bytes for _ns, _rid, _item, entry_bytes
-                              in normalized),
+            [(entry[0], entry[1], entry[2]) for entry in entries],
+            payload_bytes=sum(entry[3] if len(entry) > 3 else payload_bytes
+                              for entry in entries),
         )
 
     def on_multicast(self, namespace: str, handler: MulticastHandler) -> None:

@@ -107,12 +107,8 @@ class SimulationConfig:
     cluster_jitter: float = 0.35
     sweep_period_s: float = 0.0
     seed: int = 0
-    #: Batched message path: DHT batch APIs plus network-level coalescing.
-    #: ``False`` reproduces the seed's one-event-per-item message pattern
-    #: (the benchmarks' baseline for the event-reduction measurement).
-    batching: bool = True
     #: Coalescing window for same-destination sends; ``0.0`` merges sends
-    #: issued at the same virtual instant.  Ignored when ``batching`` is off.
+    #: issued at the same virtual instant.
     coalesce_window_s: float = 0.0
     #: Churn: run a failure injector alongside real queries and switch the
     #: whole stack into its failure-aware mode.  ``None`` (the default)
@@ -136,10 +132,8 @@ class PierNetwork:
     def __init__(self, config: SimulationConfig):
         self.config = config
         self.topology = self._build_topology(config)
-        self.network = Network(
-            self.topology,
-            coalesce_window_s=config.coalesce_window_s if config.batching else None,
-        )
+        self.network = Network(self.topology,
+                               coalesce_window_s=config.coalesce_window_s)
         if config.dht == "can":
             self.builder = CanNetworkBuilder(dimensions=config.can_dimensions,
                                              seed=config.seed)
@@ -155,7 +149,6 @@ class PierNetwork:
                 node, self.routings[address],
                 sweep_period_s=config.sweep_period_s,
                 instance_seed=address,
-                batching=config.batching,
                 request_timeout_s=(churn.request_timeout_s
                                    if churn is not None else None),
                 request_retries=(churn.request_retries

@@ -8,8 +8,10 @@ failing mid-batch.
 """
 
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dht.can import CanNetworkBuilder
 from repro.dht.chord import ChordNetworkBuilder
@@ -19,12 +21,12 @@ from repro.net.network import Network
 from repro.net.topology import FullMeshTopology
 
 
-def build_network(dht="can", num_nodes=16, latency=0.02, batching=True,
+def build_network(dht="can", num_nodes=16, latency=0.02,
                   coalesce_window_s=0.0, capacity=math.inf):
     network = Network(
         FullMeshTopology(num_nodes, latency_s=latency,
                          capacity_bytes_per_s=capacity),
-        coalesce_window_s=coalesce_window_s if batching else None,
+        coalesce_window_s=coalesce_window_s,
     )
     if dht == "can":
         builder = CanNetworkBuilder(dimensions=2)
@@ -33,8 +35,7 @@ def build_network(dht="can", num_nodes=16, latency=0.02, batching=True,
     routings = builder.build_stabilized(network)
     providers = {
         address: Provider(network.node(address), routings[address],
-                          sweep_period_s=0.0, instance_seed=address,
-                          batching=batching)
+                          sweep_period_s=0.0, instance_seed=address)
         for address in range(num_nodes)
     }
     return network, providers, builder
@@ -58,11 +59,11 @@ def collect_stored(providers, namespace):
 @pytest.mark.parametrize("dht", ["can", "chord"])
 def test_put_batch_equals_sequential_puts(dht):
     """Batched puts land the same items at the same owners as scalar puts."""
-    net_a, prov_a, _ = build_network(dht, batching=True)
+    net_a, prov_a, _ = build_network(dht)
     prov_a[0].put_batch("t", ENTRIES, item_bytes=64)
     net_a.run_until_idle()
 
-    net_b, prov_b, _ = build_network(dht, batching=False)
+    net_b, prov_b, _ = build_network(dht)
     for resource_id, value in ENTRIES:
         prov_b[0].put("t", resource_id, None, value, item_bytes=64)
     net_b.run_until_idle()
@@ -108,19 +109,19 @@ def test_put_batch_returns_aligned_instance_ids():
 
 @pytest.mark.parametrize("dht", ["can", "chord"])
 def test_put_batch_uses_fewer_messages_than_scalar_puts(dht):
-    net_a, prov_a, _ = build_network(dht, batching=True)
+    net_a, prov_a, _ = build_network(dht)
     prov_a[0].put_batch("t", ENTRIES)
     net_a.run_until_idle()
 
-    net_b, prov_b, _ = build_network(dht, batching=False)
+    net_b, prov_b, _ = build_network(dht)
     for resource_id, value in ENTRIES:
         prov_b[0].put("t", resource_id, None, value)
     net_b.run_until_idle()
 
     assert net_a.stats.messages_sent < net_b.stats.messages_sent
     # The put traffic itself is one message per destination, not per item.
-    batched_puts = net_a.stats.protocol_messages.get("prov.put_batch", 0)
-    scalar_puts = net_b.stats.protocol_messages.get("prov.put", 0)
+    batched_puts = net_a.stats.protocol_messages.get("prov.put_chunk", 0)
+    scalar_puts = net_b.stats.protocol_messages.get("prov.put_chunk", 0)
     assert 0 < batched_puts < scalar_puts
 
 
@@ -198,13 +199,171 @@ def test_unroutable_batch_entries_release_pending_state(dht):
         assert providers[other].get_local("t", rid) == []
 
 
+# ---------------------------------------------------------- one put path
+
+
+def tap_put_chunks(network, address, on_send=None):
+    """Record ``(dst, payload_bytes)`` of every prov.put_chunk ``address`` sends."""
+    node = network.node(address)
+    sent = []
+    original = node.send
+
+    def send(dst, protocol, payload=None, payload_bytes=0, hops=0):
+        if protocol == "prov.put_chunk":
+            sent.append((dst, payload_bytes))
+            if on_send is not None:
+                on_send(dst)
+        return original(dst, protocol, payload, payload_bytes, hops)
+
+    node.send = send
+    return sent
+
+
+@pytest.mark.parametrize("dht", ["can", "chord"])
+def test_every_put_front_end_travels_as_put_chunk(dht):
+    """put, renew, put_batch, put_chunk (owner-routed and targeted) and a
+    renewal round all use the one wire format."""
+    network, providers, _builder = build_network(dht)
+    publisher = providers[0]
+    instance_id = publisher.put("t", "key-0", None, "v", lifetime=60.0)
+    publisher.renew("t", "key-0", instance_id, "v", lifetime=60.0)
+    publisher.put_batch("t", ENTRIES, lifetime=60.0)
+    rids = [rid for rid, _v in ENTRIES]
+    publisher.put_chunk("t", rids, rids, lifetime=60.0)
+    publisher.put_chunk("t", rids, rids, lifetime=60.0, target=5)
+    agent = publisher.make_renewal_agent(refresh_period=30.0)
+    for rid, value in ENTRIES:
+        agent.track("t", rid, 900, value, lifetime=60.0, size_bytes=80)
+    assert agent.renew_all() == len(ENTRIES)
+    network.run_until_idle()
+
+    put_protocols = {protocol for protocol in network.stats.protocol_messages
+                     if protocol.startswith("prov.put")}
+    assert put_protocols == {"prov.put_chunk"}
+    for removed in ("batching", "put_direct", "put_direct_batch"):
+        assert not hasattr(publisher, removed)
+
+
+def run_puts(dht, publisher, put):
+    """``put(provider)`` on a fresh deployment; what was stored, announced, sent."""
+    network, providers, _builder = build_network(dht)
+    announced = Counter()
+    for address, provider in providers.items():
+        provider.on_new_data(
+            "t", lambda item, address=address: announced.update(
+                [(address, item.resource_id, item.instance_id, item.value)]))
+    sent = tap_put_chunks(network, publisher)
+    put(providers[publisher])
+    network.run_until_idle()
+    stored = {
+        (address, item.resource_id, item.instance_id, item.value,
+         item.size_bytes, item.publisher)
+        for address, provider in providers.items()
+        for item in provider.lscan("t")
+    }
+    return stored, announced, sent
+
+
+PUT_ENTRIES = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "c", "d", "e"]),        # resource id
+              st.integers(0, 9),                                 # value
+              st.sampled_from([None, None, 7, 8]),               # instance id
+              st.sampled_from([40, 40, 100])),                   # size
+    max_size=12)
+
+
+@pytest.mark.parametrize("dht", ["can", "chord"])
+@settings(max_examples=20, deadline=None)
+@given(entries=PUT_ENTRIES, publisher=st.integers(0, 15))
+def test_put_front_ends_are_equivalent(dht, entries, publisher):
+    """put_batch == the same entries as sequential puts == put_chunk (where
+    put_chunk can say the same thing: fresh instance ids, one size)."""
+
+    def batch(provider):
+        ids = provider.put_batch("t", entries, lifetime=60.0)
+        # Renewing live triples announces nothing new.
+        provider.put_batch(
+            "t", [(rid, value, instance_id, size) for (rid, value, _i, size),
+                  instance_id in zip(entries, ids)], lifetime=60.0)
+
+    def scalar(provider):
+        ids = [provider.put("t", rid, instance_id, value, lifetime=60.0,
+                            item_bytes=size)
+               for rid, value, instance_id, size in entries]
+        for (rid, value, _i, size), instance_id in zip(entries, ids):
+            provider.renew("t", rid, instance_id, value, lifetime=60.0,
+                           item_bytes=size)
+
+    stored, announced, _sent = run_puts(dht, publisher, batch)
+    assert (stored, announced) == run_puts(dht, publisher, scalar)[:2]
+    # Every stored triple was announced exactly once, on the node holding it.
+    assert sorted(key[:3] for key in announced.elements()) == sorted(
+        item[:3] for item in stored)
+
+    uniform = [(rid, value) for rid, value, _instance_id, _size in entries]
+    as_batch = run_puts(dht, publisher, lambda provider: provider.put_batch(
+        "t", uniform, lifetime=60.0, item_bytes=64))
+    as_chunk = run_puts(dht, publisher, lambda provider: provider.put_chunk(
+        "t", [rid for rid, _v in uniform], [value for _r, value in uniform],
+        lifetime=60.0, item_bytes=64))
+    assert as_batch == as_chunk
+    assert sum(size for _dst, size in as_batch[2]) == 64 * sum(
+        1 for item in as_batch[0] if item[0] != publisher)
+
+
+@pytest.mark.parametrize("dht", ["can", "chord"])
+def test_puts_to_a_dead_owner_are_counted_once_per_item(dht):
+    """The owner dies with the put in flight: every front-end reports the
+    lost items through the one per-namespace counter."""
+    publisher = 0
+    _network, _providers, builder = build_network(dht)
+    owners = Counter(builder.owner_of_key(hash_key("t", rid))
+                     for rid, _v in ENTRIES)
+    del owners[publisher]
+    victim, _count = owners.most_common(1)[0]
+    doomed = [(rid, value) for rid, value in ENTRIES
+              if builder.owner_of_key(hash_key("t", rid)) == victim]
+    assert len(doomed) >= 2
+
+    def lost(put):
+        network, providers, _builder = build_network(dht)
+        tap_put_chunks(network, publisher, on_send=network.fail_node)
+        put(providers[publisher])
+        network.run_until_idle()
+        assert list(providers[victim].lscan("t")) == []
+        return providers[publisher].put_bounces_by_namespace
+
+    assert lost(lambda provider: provider.put(
+        "t", doomed[0][0], None, doomed[0][1])) == {"t": 1}
+    assert lost(lambda provider: provider.put_batch("t", doomed)) == {
+        "t": len(doomed)}
+    assert lost(lambda provider: provider.put_chunk(
+        "t", [rid for rid, _v in doomed], [value for _r, value in doomed],
+    )) == {"t": len(doomed)}
+
+
+@pytest.mark.parametrize("dht", ["can", "chord"])
+def test_unroutable_put_keys_are_counted_as_lost_items(dht):
+    """The only other node is dead, so its keys cannot be routed at all."""
+    rids = [rid for rid, _v in ENTRIES]
+    for put in (lambda provider: provider.put_batch("t", ENTRIES),
+                lambda provider: provider.put_chunk("t", rids, rids)):
+        network, providers, builder = build_network(dht, num_nodes=2)
+        remote = [rid for rid in rids
+                  if builder.owner_of_key(hash_key("t", rid)) == 1]
+        assert remote
+        network.fail_node(1)
+        put(providers[0])
+        network.run_until_idle()
+        assert providers[0].put_bounces_by_namespace == {"t": len(remote)}
+
+
 # ------------------------------------------------------------- get_batch
 
 
 @pytest.mark.parametrize("dht", ["can", "chord"])
-@pytest.mark.parametrize("batching", [True, False])
-def test_get_batch_returns_per_id_results(dht, batching):
-    network, providers, _builder = build_network(dht, batching=batching)
+def test_get_batch_returns_per_id_results(dht):
+    network, providers, _builder = build_network(dht)
     providers[1].put_batch("t", ENTRIES)
     network.run_until_idle()
 
@@ -220,7 +379,7 @@ def test_get_batch_returns_per_id_results(dht, batching):
 
 
 def test_get_batch_groups_requests_by_owner():
-    network, providers, _builder = build_network("can", batching=True)
+    network, providers, _builder = build_network("can")
     providers[1].put_batch("t", ENTRIES)
     network.run_until_idle()
     network.stats.reset()
@@ -262,16 +421,17 @@ def test_multicast_batch_delivers_every_entry_everywhere():
 
 
 def test_multicast_batch_floods_once_not_per_entry():
-    net_a, prov_a, _ = build_network("can", batching=True)
+    net_a, prov_a, _ = build_network("can")
     for provider in prov_a.values():
         provider.on_multicast("ns", lambda *args: None)
     prov_a[0].multicast_batch([("ns", i, i) for i in range(5)])
     net_a.run_until_idle()
 
-    net_b, prov_b, _ = build_network("can", batching=False)
+    net_b, prov_b, _ = build_network("can")
     for provider in prov_b.values():
         provider.on_multicast("ns", lambda *args: None)
-    prov_b[0].multicast_batch([("ns", i, i) for i in range(5)])
+    for i in range(5):
+        prov_b[0].multicast("ns", i, i)
     net_b.run_until_idle()
 
     flood_batched = net_a.stats.protocol_messages.get("mc.flood", 0)

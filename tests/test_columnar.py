@@ -114,15 +114,14 @@ def test_fully_filtered_chunk_produces_zero_results_end_to_end():
 # --------------------------------------------------------- put_chunk wire API
 
 
-def build_provider_network(num_nodes=12, batching=True):
+def build_provider_network(num_nodes=12):
     network = Network(FullMeshTopology(num_nodes, latency_s=0.02,
                                        capacity_bytes_per_s=float("inf")))
     builder = CanNetworkBuilder(dimensions=2)
     routings = builder.build_stabilized(network)
     providers = {
         address: Provider(network.node(address), routings[address],
-                          sweep_period_s=0.0, instance_seed=address,
-                          batching=batching)
+                          sweep_period_s=0.0, instance_seed=address)
         for address in range(num_nodes)
     }
     return network, providers, builder
@@ -161,17 +160,6 @@ def test_put_chunk_empty_is_a_noop():
     network.run_until_idle()
     assert all(list(provider.lscan("t")) == []
                for provider in providers.values())
-
-
-def test_put_chunk_without_batching_degrades_to_scalar_puts():
-    network, providers, builder = build_provider_network(8, batching=False)
-    resource_ids = list(range(10))
-    providers[1].put_chunk("t", resource_ids, [str(r) for r in resource_ids])
-    network.run_until_idle()
-    for resource_id in resource_ids:
-        owner = builder.owner_of_key(hash_key("t", resource_id))
-        items = providers[owner].get_local("t", resource_id)
-        assert [item.value for item in items] == [str(resource_id)]
 
 
 def test_put_chunk_target_confines_items_to_computation_node():

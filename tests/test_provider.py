@@ -53,13 +53,6 @@ def test_put_with_same_instance_id_overwrites():
     assert items[0].value == "new"
 
 
-def test_put_direct_targets_designated_node():
-    network, providers, _builder = build_provider_network()
-    providers[0].put_direct(7, "t", "anything", None, {"v": 9}, item_bytes=40)
-    network.run_until_idle()
-    assert providers[7].get_local("t", "anything")[0].value == {"v": 9}
-
-
 # ----------------------------------------------------------------------- get
 
 

@@ -547,9 +547,15 @@ PINNED = {
 }
 
 
-def run_pinned_query(dht, **config):
-    """The pinned query on a fresh deployment: ``(pier, cursor)`` when done."""
+def run_pinned_query(dht, uncoalesced=False, **config):
+    """The pinned query on a fresh deployment: ``(pier, cursor)`` when done.
+
+    ``uncoalesced`` switches the freshly built network to one delivery event
+    per message — a mode ``SimulationConfig`` has no field for.
+    """
     pier = PierNetwork(SimulationConfig(num_nodes=64, dht=dht, seed=7, **config))
+    if uncoalesced:
+        pier.network.set_coalescing(None)
     workload = JoinWorkload(WorkloadConfig(num_nodes=64, s_tuples_per_node=2,
                                            seed=11))
     pier.load_relation(workload.r_relation, workload.r_by_node)
@@ -606,7 +612,7 @@ def test_fixed_seed_query_counts_are_pinned(dht):
 NETWORK_MODES = {
     "window 0": {},
     "window 10 ms": {"coalesce_window_s": 0.010},
-    "one event per message": {"batching": False},
+    "one event per message": {"uncoalesced": True},
     "cluster (jittered latency)": {"topology": "cluster"},
     "infinite bandwidth": {"bandwidth_bytes_per_s": None},
 }
