@@ -607,7 +607,11 @@ def test_fixed_seed_query_counts_are_pinned(dht):
 # re-recorded once, when the storage indexes stopped being hash-ordered sets
 # (a probe ships its matches in one result message, so without coalescing
 # the order fragments arrive in moves a handful of messages as well as the
-# times; rows and hops do not move).
+# times; rows and hops do not move).  "One event per message" was recorded
+# again when the Provider lost its per-item put path: that mode used to
+# switch the Provider's batching off along with the network's coalescing,
+# and now only the network differs from "window 0" — same lookup hops, one
+# event per message.
 
 NETWORK_MODES = {
     "window 0": {},
@@ -638,16 +642,15 @@ PINNED_BY_MODE = {
         "max_inbound_bytes": 148214, "total_queueing_delay": 2.473580799999909,
         "arrivals": [128, 0.6090304, 1.3285344, "3a0df6497775e232"]},
     ("one event per message", "can"): {
-        "messages_sent": 5447, "bytes_delivered": 1338110,
-        "events_processed": 5447, "lookup_hops": 3668,
-        "max_inbound_bytes": 146832, "total_queueing_delay": 1.9334736000003785,
-        "arrivals": [128, 1.0047679999999999, 2.812547200000004,
-                     "82363c157c15dcc5"]},
+        "messages_sent": 3961, "bytes_delivered": 1242470,
+        "events_processed": 3961, "lookup_hops": 3544,
+        "max_inbound_bytes": 146892, "total_queueing_delay": 1.4645616000001034,
+        "arrivals": [128, 1.004032, 2.8093440000000025, "1a6a87189fa859ee"]},
     ("one event per message", "chord"): {
-        "messages_sent": 4927, "bytes_delivered": 1388520,
-        "events_processed": 4927, "lookup_hops": 2596,
-        "max_inbound_bytes": 148738, "total_queueing_delay": 3.368615999999941,
-        "arrivals": [128, 0.6025919999999999, 1.3063168, "4224ce5e07b993eb"]},
+        "messages_sent": 3603, "bytes_delivered": 1301184,
+        "events_processed": 3603, "lookup_hops": 2504,
+        "max_inbound_bytes": 147854, "total_queueing_delay": 2.417150399999986,
+        "arrivals": [128, 0.602528, 1.3069088, "54cf32e1b4b2a2d1"]},
     ("cluster (jittered latency)", "can"): {
         "messages_sent": 3962, "bytes_delivered": 1242530,
         "events_processed": 3962, "lookup_hops": 3544,
