@@ -358,8 +358,8 @@ class Provider:
         )
 
     def _store_chunk(self, payload: dict) -> None:
-        expires_at = self.now + payload["lifetime"]
-        stored_at = self.now
+        now = self.now
+        expires_at = now + payload["lifetime"]
         namespace = payload["namespace"]
         publisher = payload["publisher"]
         sizes = payload["item_bytes"]
@@ -376,7 +376,7 @@ class Provider:
                 value=value,
                 key=key,
                 expires_at=expires_at,
-                stored_at=stored_at,
+                stored_at=now,
                 publisher=publisher,
                 size_bytes=size_bytes,
             )
@@ -384,7 +384,7 @@ class Provider:
             # fires none); the indexed membership check avoids a retrieve()
             # that would materialise every instance of the resource.
             is_new = not self.storage.has_instance(
-                namespace, resource_id, instance_id, self.now
+                namespace, resource_id, instance_id, now
             )
             self.storage.store(item)
             if is_new and callbacks:
