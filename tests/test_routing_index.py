@@ -607,11 +607,9 @@ def test_fixed_seed_query_counts_are_pinned(dht):
 # re-recorded once, when the storage indexes stopped being hash-ordered sets
 # (a probe ships its matches in one result message, so without coalescing
 # the order fragments arrive in moves a handful of messages as well as the
-# times; rows and hops do not move).  "One event per message" was recorded
-# again when the Provider lost its per-item put path: that mode used to
-# switch the Provider's batching off along with the network's coalescing,
-# and now only the network differs from "window 0" — same lookup hops, one
-# event per message.
+# times; rows and hops do not move).  "One event per message" is "window 0"
+# with the network's coalescing switched off (recorded when the Provider's
+# per-item put path went): same lookup hops, one event per message.
 
 NETWORK_MODES = {
     "window 0": {},
