@@ -364,6 +364,13 @@ def test_kill9_mid_query_degrades_without_hanging(churn_cluster):
     cursor = client.query(wl.make_query(strategy=JoinStrategy.FETCH_MATCHES),
                           timeout_s=QUERY_HORIZON_S)
     cursor.fetch(1)  # the dataflow is live before the failure lands
+    # The first row used to reach the client one 50 ms push period after the
+    # submit, when this 15 ms dataflow had long drained; now it arrives within
+    # a few ms.  Keep the kill where it always landed: a lookup in flight
+    # *through* the victim dies with it, and get_batch arms its timeout only
+    # once the lookup has resolved (ROADMAP item 2) — recall then swings
+    # 0.40-0.64 around the 0.52 the surviving owners can give.
+    time.sleep(0.1)
     churn_cluster.kill(victim)
     started = time.monotonic()
     rows = cursor.fetchall(drain=False)
@@ -409,10 +416,24 @@ def test_gateway_kill_fails_over_mid_session(churn_cluster):
     assert pier.gateway_address in pier.endpoints
     assert isinstance(rows, list)
 
-    # The re-homed session keeps working end to end.
+    # The re-homed session keeps working end to end.  The reference is the
+    # rows the shrunk cluster can still produce: both base tuples *and* the
+    # rehash fragment (namespace named after the query id, keyed by the join
+    # value S.pkey) live on surviving owners.  Against any other reference
+    # the recall depends on where this query's id happens to hash relative
+    # to the dead zone — 0.25 to 0.81 over ids 2..25 on this very cluster,
+    # which made the test pass or fail with the process-wide id counter.
     pier.refresh_membership()
-    survivors = churn_cluster.live_addresses()
-    expected_after = wl.expected_results(live_publishers=survivors)
-    rows_after, _ = run_query(churn_cluster, JoinStrategy.SYMMETRIC_HASH)
-    r_after, _ = recall_and_precision(rows_after, expected_after)
-    assert r_after >= 0.5
+    query = wl.make_query(strategy=JoinStrategy.SYMMETRIC_HASH)
+    client = pier.client(catalog=wl.catalog())
+    rows_after = client.query(query, timeout_s=QUERY_HORIZON_S).fetchall(drain=False)
+
+    owner_of = pier.locator.owner_of
+    reachable = [
+        row for row in wl.expected_results()
+        if old_gateway not in (
+            owner_of(wl.r_relation.namespace, row["R.pkey"]),
+            owner_of(wl.s_relation.namespace, row["S.pkey"]),
+            owner_of(query.rehash_namespace(), row["S.pkey"]))]
+    assert reachable, "the workload leaves nothing to recall"
+    assert recall_and_precision(rows_after, reachable) == (1.0, 1.0)
