@@ -90,12 +90,17 @@ class QueryHandle:
         self.submitted_at = submitted_at
         #: ``(arrival_virtual_time, row)`` in arrival order.
         self.arrivals: List[Tuple[float, dict]] = []
+        #: Called after each recorded row; only the real node's result pump
+        #: sets it, it stays ``None`` under the simulator.
+        self.on_row: Optional[Callable[[], None]] = None
 
     # ---------------------------------------------------------------- record
 
     def record(self, time: float, row: dict) -> None:
         """Record one result row arriving at the initiator."""
         self.arrivals.append((time, row))
+        if self.on_row is not None:
+            self.on_row()
 
     # ----------------------------------------------------------------- views
 

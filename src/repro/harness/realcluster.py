@@ -29,6 +29,8 @@ from repro.remote import GatewayConnection, RemotePier
 
 #: How long a cluster may take to assemble before boot fails.
 BOOT_DEADLINE_S = 60.0
+#: Pause between boot probes (each is one loopback connect + status RPC).
+BOOT_POLL_S = 0.03
 
 _SRC_DIR = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -102,39 +104,35 @@ class LocalCluster:
 
     def connect(self, deadline_s: float = BOOT_DEADLINE_S) -> RemotePier:
         """Wait for the overlay to assemble; open the client session."""
-        deadline = time.monotonic() + deadline_s
-        while True:
-            try:
-                self.pier = RemotePier.connect("127.0.0.1", self.ports[0])
-                break
-            except (OSError, NetworkError):
-                if any(proc.poll() is not None for proc in self.processes):
-                    self.stop()
-                    raise RuntimeError("a node process died during boot") from None
-                if time.monotonic() >= deadline:
-                    self.stop()
-                    raise RuntimeError("cluster did not become ready in time") from None
-                time.sleep(0.3)
-        self._resolve_addresses()
+        self._resolve_addresses(deadline_s)
+        if len(self.port_of) < len(self.ports):
+            dead = any(proc.poll() is not None for proc in self.processes)
+            self.stop()
+            raise RuntimeError("a node process died during boot" if dead
+                               else "cluster did not become ready in time")
+        self.pier = RemotePier.connect("127.0.0.1", self.ports[0])
         return self.pier
 
-    def _resolve_addresses(self) -> None:
-        """Learn which process/port holds which overlay address."""
+    def _resolve_addresses(self, deadline_s: float) -> None:
+        """Wait for every node; learn which process/port holds which address."""
         for port, proc in zip(self.ports, self.processes):
-            address = self._address_of_port(port)
+            address = self._address_of_port(port, self.processes, deadline_s)
             if address is None:
-                continue
+                return
             self.port_of[address] = port
             self.proc_of[address] = proc
 
-    def _address_of_port(self, port: int,
+    def _address_of_port(self, port: int, needed: List[subprocess.Popen],
                          deadline_s: float = BOOT_DEADLINE_S) -> Optional[int]:
+        """Poll ``port`` until its node is ready; ``None`` when the deadline
+        passed or one of the ``needed`` processes died first."""
         deadline = time.monotonic() + deadline_s
-        while time.monotonic() < deadline:
+        while (time.monotonic() < deadline
+               and all(proc.poll() is None for proc in needed)):
             try:
                 conn = GatewayConnection("127.0.0.1", port, timeout_s=2.0)
             except OSError:
-                time.sleep(0.2)
+                time.sleep(BOOT_POLL_S)
                 continue
             try:
                 status = conn.rpc("status", timeout_s=2.0)
@@ -144,7 +142,7 @@ class LocalCluster:
                 pass
             finally:
                 conn.close()
-            time.sleep(0.2)
+            time.sleep(BOOT_POLL_S)
         return None
 
     # ------------------------------------------------------------------ churn
@@ -170,7 +168,7 @@ class LocalCluster:
         proc = self._spawn(self._common
                            + ["--listen", f"127.0.0.1:{port}",
                               "--join", f"127.0.0.1:{member_port}"])
-        address = self._address_of_port(port, deadline_s=deadline_s)
+        address = self._address_of_port(port, [proc], deadline_s)
         if address is None:
             raise RuntimeError("dynamic joiner did not become ready in time")
         self.ports.append(port)

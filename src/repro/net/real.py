@@ -17,11 +17,20 @@ Design notes
   exponential backoff; in-flight and queued frames are retried on the new
   connection (peers tolerate duplicates the same way they tolerate
   re-multicasts — soft state).
+* **One write per drain.**  The writer task ships everything queued behind
+  the message that woke it (at most ``MAX_BATCH_MESSAGES``) as one ``write``
+  + one ``drain()``, so a handler that sends hundreds of one-row messages in
+  a loop turn costs one syscall.  The batch is the unit of failure handling:
+  it stays on the peer until the drain returns, and a retry or a bounce
+  covers all of it.  Nothing is ever read from a pooled connection; the task
+  keeps its ``StreamReader`` only to ask it *before* each write whether the
+  peer hung up (``at_eof()`` after a FIN, ``exception()`` after a reset), so
+  a batch queued behind a dead connection is retried, not written and lost.
 * **Bounce semantics.**  When a peer stays unreachable past the backoff
-  budget, every queued message is handed to the local node's
-  ``deliver_bounce`` — the same "transport timeout" notification the
-  simulator synthesises for dead destinations, so the DHT's re-route/repair
-  paths work unchanged.
+  budget, the in-flight batch and every queued message are handed to the
+  local node's ``deliver_bounce`` — the same "transport timeout" notification
+  the simulator synthesises for dead destinations, so the DHT's
+  re-route/repair paths work unchanged.
 * **Wall-clock timers.**  :class:`WallClockTimers` adapts ``loop.call_later``
   to the Simulator's ``schedule``/``schedule_periodic`` surface; handles
   support ``cancel()`` exactly like the virtual-clock ones.
@@ -31,10 +40,11 @@ from __future__ import annotations
 
 import asyncio
 import logging
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.net.message import Message
 from repro.net.node import Node
+from repro.net.simulator import Simulator
 from repro.net.transport import TimerService, Transport
 from repro.net.wire import (
     MAX_FRAME_BYTES,
@@ -53,6 +63,8 @@ RECONNECT_MULTIPLIER = 2.0
 RECONNECT_CAP_S = 2.0
 #: Consecutive failed connection attempts before queued messages bounce.
 MAX_CONNECT_ATTEMPTS = 4
+#: Most messages one ``write`` carries (bounds the encode time per loop turn).
+MAX_BATCH_MESSAGES = 256
 
 
 class _WallClockHandle:
@@ -68,21 +80,6 @@ class _WallClockHandle:
     def cancel(self) -> None:
         self.cancelled = True
         self._timer.cancel()
-
-
-class _WallClockPeriodicHandle:
-    """Periodic handle mirroring :class:`repro.net.simulator.PeriodicHandle`."""
-
-    __slots__ = ("active", "current")
-
-    def __init__(self) -> None:
-        self.active = True
-        self.current: Optional[_WallClockHandle] = None
-
-    def cancel(self) -> None:
-        self.active = False
-        if self.current is not None:
-            self.current.cancel()
 
 
 class WallClockTimers(TimerService):
@@ -106,30 +103,15 @@ class WallClockTimers(TimerService):
         timer = self._loop.call_later(delay, callback, *args)
         return _WallClockHandle(timer, self.now + delay)
 
-    def schedule_periodic(self, period: float, callback: Callable[..., None],
-                          *args: Any,
-                          initial_delay: Optional[float] = None
-                          ) -> _WallClockPeriodicHandle:
-        if period <= 0:
-            raise ValueError(f"periodic timers need a positive period (got {period})")
-        handle = _WallClockPeriodicHandle()
-        first = period if initial_delay is None else initial_delay
-
-        def _fire() -> None:
-            if not handle.active:
-                return
-            callback(*args)
-            if handle.active:
-                handle.current = self.schedule(period, _fire)
-
-        handle.current = self.schedule(first, _fire)
-        return handle
+    #: Built on ``schedule`` alone, so the simulator's implementation (and its
+    #: :class:`repro.net.simulator.PeriodicHandle`) serves the wall clock too.
+    schedule_periodic = Simulator.schedule_periodic
 
 
 class _Peer:
     """Pooled outbound connection to one remote node.
 
-    ``pending`` is the message the writer loop is currently trying to
+    ``pending`` is the batch the writer loop is currently trying to
     deliver; it lives on the peer (not in a loop-local variable) so a
     shutdown can see it and bounce it instead of silently dropping it.
     """
@@ -140,7 +122,7 @@ class _Peer:
         self.endpoint = endpoint
         self.queue: asyncio.Queue = asyncio.Queue()
         self.task: Optional[asyncio.Task] = None
-        self.pending: Optional[Message] = None
+        self.pending: List[Message] = []
 
 
 class RealTransport(Transport):
@@ -260,19 +242,13 @@ class RealTransport(Transport):
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        for peer in self._pool.values():
-            if peer.task is not None:
-                peer.task.cancel()
-        tasks = [p.task for p in self._pool.values() if p.task is not None]
+        tasks = [peer.task for peer in self._pool.values() if peer.task is not None]
         for task in tasks:
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-            except Exception:  # noqa: BLE001 — close() must finish, but a
-                # writer task that *crashed* (vs. was cancelled) is a real
-                # defect: surface it instead of swallowing it.
-                log.exception("peer writer task failed during close")
+            task.cancel()
+        for result in await asyncio.gather(*tasks, return_exceptions=True):
+            if isinstance(result, Exception):  # crashed, not just cancelled:
+                # a real defect — surface it instead of swallowing it.
+                log.error("peer writer task failed during close", exc_info=result)
         for peer in self._pool.values():
             self._drain_peer(peer)
         self._pool.clear()
@@ -293,12 +269,12 @@ class RealTransport(Transport):
         self._drain_peer(peer)
 
     def _drain_peer(self, peer: _Peer) -> None:
-        """Bounce the in-flight frame and everything queued behind it."""
-        if peer.pending is not None:
-            pending, peer.pending = peer.pending, None
-            self._bounce(pending)
+        """Bounce the in-flight batch and everything queued behind it."""
+        batch, peer.pending = peer.pending, []
         while not peer.queue.empty():
-            self._bounce(peer.queue.get_nowait())
+            batch.append(peer.queue.get_nowait())
+        for message in batch:
+            self._bounce(message)
 
     # ------------------------------------------------------------- inbound
 
@@ -355,16 +331,20 @@ class RealTransport(Transport):
         connection failures the queued messages bounce and the backoff
         resets — a peer that later comes back is picked up by the next send.
         """
+        reader: Optional[asyncio.StreamReader] = None
         writer: Optional[asyncio.StreamWriter] = None
         failures = 0
         backoff = RECONNECT_INITIAL_S
         try:
             while True:
-                if peer.pending is None:
-                    peer.pending = await peer.queue.get()
+                batch = peer.pending
+                if not batch:
+                    batch.append(await peer.queue.get())
+                while len(batch) < MAX_BATCH_MESSAGES and not peer.queue.empty():
+                    batch.append(peer.queue.get_nowait())
                 if writer is None:
                     try:
-                        _reader, writer = await asyncio.open_connection(*peer.endpoint)
+                        reader, writer = await asyncio.open_connection(*peer.endpoint)
                         failures = 0
                         backoff = RECONNECT_INITIAL_S
                     except OSError:
@@ -379,15 +359,19 @@ class RealTransport(Transport):
                                       RECONNECT_CAP_S)
                         continue
                 try:
-                    frame = encode_frame(message_to_wire(peer.pending),
-                                         self.max_frame_bytes)
-                    writer.write(frame)
+                    if reader.at_eof() or reader.exception() is not None:
+                        raise ConnectionResetError("peer closed the connection")
+                    data = b"".join([
+                        encode_frame(message_to_wire(message), self.max_frame_bytes)
+                        for message in batch])
+                    writer.write(data)
                     await writer.drain()
-                    self.bytes_sent += len(frame)
-                    peer.pending = None
+                    self.bytes_sent += len(data)
+                    batch.clear()
                 except (ConnectionError, OSError):
-                    # Connection died mid-write: reconnect and retry this
-                    # message (receivers tolerate the possible duplicate).
+                    # Connection found dead, or died mid-write: reconnect
+                    # and retry the whole batch (receivers tolerate the
+                    # possible duplicates).
                     self.reconnects += 1
                     try:
                         writer.close()

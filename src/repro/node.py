@@ -68,7 +68,8 @@ frames:
 * ``store`` — place pre-grouped tuples directly into this node's storage
   (the remote fast load; see :class:`repro.remote.RemotePier`).
 * ``submit`` — run a :class:`repro.core.query.QuerySpec` from this node;
-  result rows stream back as ``{"t": "evt"}`` frames as they arrive.
+  result rows stream back as ``{"t": "evt"}`` frames — the first at once,
+  later ones after 10 ms or as soon as 256 of them wait.
 * ``finish`` — tear the query's distributed dataflow down everywhere.
 * ``scan_count`` — local item count of a namespace (diagnostics).
 * ``shutdown`` — stop this node process (the docker-compose demo's clean
@@ -101,8 +102,10 @@ from repro.net.wire import MAX_FRAME_BYTES, FrameDecoder, encode_frame
 
 log = logging.getLogger("repro.node")
 
-#: How often a running query's new result rows are pushed to its client.
-RESULT_PUSH_PERIOD_S = 0.05
+#: A result row waits for its client at most this long (the first row of a
+#: query not at all), or until this many rows wait with it.
+RESULT_FLUSH_DELAY_S = 0.01
+RESULT_FLUSH_ROWS = 256
 #: Default soft-state sweep period on real nodes (the paper's renewal scale
 #: makes sub-second sweeps pointless; 5 s keeps expiry prompt without churn).
 DEFAULT_SWEEP_PERIOD_S = 5.0
@@ -228,9 +231,7 @@ class PierNode:
         self.membership[0] = self.advertise
         if self.expected_nodes > 1:
             await self._members_complete.wait()
-        frame = {"t": "mem", "nodes": {a: list(e) for a, e in
-                                       self.membership.items()},
-                 "config": self.config}
+        frame = {"t": "mem", "nodes": self.membership, "config": self.config}
         for address, (writer, _endpoint) in enumerate(self._joiners, start=1):
             self.transport.push_frame(writer, dict(frame, you=address))
             await writer.drain()
@@ -261,11 +262,9 @@ class PierNode:
         taken = set(self.membership) | set(self._pending_admissions)
         address = max(taken) + 1
         self._pending_admissions[address] = endpoint
-        nodes = {a: list(e) for a, e in self.membership.items()}
-        nodes[address] = list(endpoint)
         self.transport.push_frame(writer, {
-            "t": "mem", "you": address, "dynamic": True,
-            "epoch": self.epoch, "nodes": nodes, "config": self.config,
+            "t": "mem", "you": address, "dynamic": True, "epoch": self.epoch,
+            "nodes": {**self.membership, address: endpoint}, "config": self.config,
         })
         log.info("admitting joiner %d from %s:%d (awaiting ack)",
                  address, *endpoint)
@@ -283,7 +282,7 @@ class PierNode:
         log.info("member %d joined; broadcasting epoch %d (%d nodes)",
                  address, self.epoch, len(nodes))
         self._apply_membership(nodes, self.epoch)
-        self._broadcast_membership()
+        self._broadcast_membership(self.membership)
 
     async def _join(self) -> Optional[asyncio.StreamWriter]:
         """Register with a member and wait for the membership reply.
@@ -312,18 +311,15 @@ class PierNode:
         self.transport.address = int(membership_frame["you"])
         self.config.update(membership_frame["config"])
         self.epoch = int(membership_frame.get("epoch", 0))
-        self.membership = {
-            int(a): (e[0], int(e[1]))
-            for a, e in membership_frame["nodes"].items()
-        }
+        self.membership = membership_frame["nodes"]
         if membership_frame.get("dynamic"):
             return writer
         writer.close()
         return None
 
     @staticmethod
-    async def _connect_with_retry(endpoint: Tuple[str, int], attempts: int = 40,
-                                  delay_s: float = 0.25):
+    async def _connect_with_retry(endpoint: Tuple[str, int], attempts: int = 200,
+                                  delay_s: float = 0.05):
         """Joiners may start before the bootstrap's socket is up; retry."""
         last: Optional[OSError] = None
         for _ in range(attempts):
@@ -339,14 +335,7 @@ class PierNode:
         self.transport.update_peers(self.membership)
         self.node = Node(self.transport.address, self.transport)
         self.transport.attach_node(self.node)
-        routing, builder = build_local_routing(
-            self.node, list(self.membership),
-            dht=self.config["dht"],
-            can_dimensions=self.config["can_dimensions"],
-            seed=self.config["seed"],
-        )
-        self._routing = routing
-        self._builder = builder
+        routing = self._build_routing()
         request_timeout = float(self.config.get("request_timeout_s") or 0.0)
         self.provider = Provider(
             self.node, routing,
@@ -357,9 +346,12 @@ class PierNode:
         self.executor = QueryExecutor(self.node, self.provider)
         self.node.register_handler("cluster.update", self._on_cluster_update)
         self.node.register_handler("cluster.transfer", self._on_transfer)
-        self.node.register_handler("cluster.dead", self._on_peer_dead_msg)
-        self.node.register_handler("cluster.alive", self._on_peer_alive_msg)
-        self.node.register_handler("cluster.ns", self._on_namespaces_msg)
+        self.node.register_handler("cluster.dead", lambda _node, message: (
+            self._handle_peer_dead(int(message.payload["address"]))))
+        self.node.register_handler("cluster.alive", lambda _node, message: (
+            self._handle_peer_alive(int(message.payload["address"]))))
+        self.node.register_handler("cluster.ns", lambda _node, message: (
+            self.known_namespaces.update(message.payload["namespaces"])))
         self.detector = HeartbeatFailureDetector(
             self.node, routing,
             period_s=float(self.config["heartbeat_period_s"]),
@@ -370,6 +362,16 @@ class PierNode:
         self.detector.start()
         self.ready = True
 
+    def _build_routing(self):
+        """This node's routing layer over the current membership."""
+        self._routing, self._builder = build_local_routing(
+            self.node, list(self.membership),
+            dht=self.config["dht"],
+            can_dimensions=self.config["can_dimensions"],
+            seed=self.config["seed"],
+        )
+        return self._routing
+
     # ----------------------------------------------------- live membership
 
     def _apply_membership(self, nodes: Dict[int, Tuple[str, int]],
@@ -377,7 +379,7 @@ class PierNode:
         """Adopt a membership map: rebuild the overlay, migrate moved items."""
         self.epoch = max(self.epoch, epoch)
         removed = set(self.membership) - set(nodes)
-        self.membership = {a: (e[0], int(e[1])) for a, e in nodes.items()}
+        self.membership = dict(nodes)
         self.transport.update_peers(self.membership)
         for address in removed:
             self.transport.forget_peer(address)
@@ -390,21 +392,17 @@ class PierNode:
         payload = message.payload
         if int(payload["epoch"]) <= self.epoch:
             return  # stale or already applied
-        nodes = {int(a): (e[0], int(e[1]))
-                 for a, e in payload["nodes"].items()}
         log.info("membership epoch %d from node %d: %d nodes",
-                 payload["epoch"], message.src, len(nodes))
-        self._apply_membership(nodes, int(payload["epoch"]))
+                 payload["epoch"], message.src, len(payload["nodes"]))
+        self._apply_membership(payload["nodes"], int(payload["epoch"]))
 
-    def _broadcast_membership(self) -> None:
-        payload = {
-            "epoch": self.epoch,
-            "nodes": {a: list(e) for a, e in self.membership.items()},
-        }
-        for address in self.membership:
+    def _broadcast_membership(self, nodes: Dict[int, Tuple[str, int]]) -> None:
+        """Tell every other node of ``nodes`` that they are the membership."""
+        payload = {"epoch": self.epoch, "nodes": dict(nodes)}
+        for address in nodes:
             if address != self.node.address:
                 self.node.send(address, "cluster.update", payload=payload,
-                               payload_bytes=24 * len(self.membership))
+                               payload_bytes=24 * max(1, len(nodes)))
 
     def _rebuild_overlay(self) -> None:
         """Deterministically rebuild routing over the current address list.
@@ -413,16 +411,9 @@ class PierNode:
         epoch, so no stabilisation traffic is needed; detected-dead marks
         are carried onto the fresh tables so healing survives the rebuild.
         """
-        routing, builder = build_local_routing(
-            self.node, list(self.membership),
-            dht=self.config["dht"],
-            can_dimensions=self.config["can_dimensions"],
-            seed=self.config["seed"],
-        )
+        routing = self._build_routing()
         for address in self.confirmed_dead:
             routing.mark_neighbor_dead(address)
-        self._routing = routing
-        self._builder = builder
         self.provider.rebind_routing(routing)
         self.detector.routing = routing
 
@@ -465,21 +456,34 @@ class PierNode:
                            payload_bytes=sum(e["size_bytes"] for e in entries))
 
     def _on_transfer(self, node: Node, message) -> None:
+        self._store_entries(message.payload["items"])
+
+    def _store_entries(self, entries) -> set:
+        """Store wire entries locally (migration, fast load); returns the
+        namespaces they fall in.  Lifetimes are relative: they re-anchor on
+        this process's clock."""
         now = self.node.now
-        for entry in message.payload["items"]:
+        namespaces: set = set()
+        for entry in entries:
             namespace = entry["namespace"]
+            resource_id = entry["resource_id"]
+            instance_id = entry.get("instance_id")
+            if instance_id is None:
+                instance_id = self.provider.next_instance_id()
             self.provider.storage.store(StoredItem(
                 namespace=namespace,
-                resource_id=entry["resource_id"],
-                instance_id=entry["instance_id"],
+                resource_id=resource_id,
+                instance_id=instance_id,
                 value=entry["value"],
-                key=hash_key(namespace, entry["resource_id"]),
-                expires_at=now + entry["lifetime"],
+                key=hash_key(namespace, resource_id),
+                expires_at=now + entry.get("lifetime", 1e9),
                 stored_at=now,
-                publisher=entry["publisher"],
-                size_bytes=entry["size_bytes"],
+                publisher=entry.get("publisher"),
+                size_bytes=entry.get("size_bytes", 100),
             ))
-            self.known_namespaces.add(namespace)
+            namespaces.add(namespace)
+        self.known_namespaces.update(namespaces)
+        return namespaces
 
     def _graceful_leave(self) -> None:
         """Depart cleanly: hand off stored items, announce, exit."""
@@ -499,13 +503,7 @@ class PierNode:
                 seed=self.config["seed"],
             )
             self._send_items(items, locator.owner_of_key)
-        payload = {
-            "epoch": self.epoch,
-            "nodes": {a: list(e) for a, e in survivors.items()},
-        }
-        for address in survivors:
-            self.node.send(address, "cluster.update", payload=payload,
-                           payload_bytes=24 * max(1, len(survivors)))
+        self._broadcast_membership(survivors)
         self.membership = survivors
         self.node.schedule(LEAVE_LINGER_S, self._stopping.set)
 
@@ -538,25 +536,14 @@ class PierNode:
             for member in self.membership:
                 if member not in (self.node.address, address):
                     self.node.send(member, "cluster.dead",
-                                   payload={"address": address},
-                                   payload_bytes=16)
+                                   payload={"address": address}, payload_bytes=16)
 
     def _on_local_recovery(self, address: int) -> None:
         if self._handle_peer_alive(address):
             for member in self.membership:
                 if member not in (self.node.address, address):
                     self.node.send(member, "cluster.alive",
-                                   payload={"address": address},
-                                   payload_bytes=16)
-
-    def _on_peer_dead_msg(self, node: Node, message) -> None:
-        self._handle_peer_dead(int(message.payload["address"]))
-
-    def _on_peer_alive_msg(self, node: Node, message) -> None:
-        self._handle_peer_alive(int(message.payload["address"]))
-
-    def _on_namespaces_msg(self, node: Node, message) -> None:
-        self.known_namespaces.update(message.payload["namespaces"])
+                                   payload={"address": address}, payload_bytes=16)
 
     # -------------------------------------------------------------- gateway
 
@@ -577,13 +564,11 @@ class PierNode:
 
     def _dispatch_rpc(self, op: str, frame: dict,
                       writer: asyncio.StreamWriter) -> Dict[str, Any]:
-        if op == "ping":
-            return {}
         if op == "status":
             return {
                 "ready": self.ready,
                 "address": self.transport.address,
-                "nodes": {a: list(e) for a, e in self.membership.items()},
+                "nodes": self.membership,
                 "config": self.config,
                 "epoch": self.epoch,
                 "dead": sorted(self.confirmed_dead),
@@ -612,27 +597,8 @@ class PierNode:
 
     def _rpc_store(self, frame: dict) -> Dict[str, Any]:
         """Direct local store of items this node owns (remote fast load)."""
-        now = self.node.now
-        stored = 0
-        namespaces: set = set()
-        for entry in frame["items"]:
-            namespace = entry["namespace"]
-            resource_id = entry["resource_id"]
-            self.provider.storage.store(StoredItem(
-                namespace=namespace,
-                resource_id=resource_id,
-                instance_id=self.provider.next_instance_id(),
-                value=entry["value"],
-                key=hash_key(namespace, resource_id),
-                expires_at=now + entry.get("lifetime", 1e9),
-                stored_at=now,
-                publisher=entry.get("publisher"),
-                size_bytes=entry.get("size_bytes", 100),
-            ))
-            stored += 1
-            namespaces.add(namespace)
-        fresh = namespaces - self.known_namespaces
-        self.known_namespaces.update(namespaces)
+        known = set(self.known_namespaces)
+        fresh = self._store_entries(frame["items"]) - known
         if fresh:
             # Tell the other members these namespaces now hold data, so any
             # gateway can validate submits against them.
@@ -641,7 +607,7 @@ class PierNode:
                     self.node.send(address, "cluster.ns",
                                    payload={"namespaces": sorted(fresh)},
                                    payload_bytes=16 * len(fresh))
-        return {"stored": stored}
+        return {"stored": len(frame["items"])}
 
     def _rpc_submit(self, frame: dict,
                     writer: asyncio.StreamWriter) -> Dict[str, Any]:
@@ -654,18 +620,32 @@ class PierNode:
                 f"query references namespace {namespace!r} but no data has "
                 f"been loaded into it anywhere in the cluster")
         handle = self.executor.submit(query)
-        pump = _ResultPump(handle, writer)
-        pump.timer = self.node.schedule_periodic(
-            RESULT_PUSH_PERIOD_S, self._push_results, query.query_id,
-            initial_delay=RESULT_PUSH_PERIOD_S,
-        )
-        self._pumps[query.query_id] = pump
+        self._pumps[query.query_id] = _ResultPump(handle, writer)
+        handle.on_row = lambda: self._on_row(query.query_id)
+        if handle.arrivals:  # the initiator's own rows, produced inside submit()
+            handle.on_row()
         return {"query_id": query.query_id}
+
+    def _on_row(self, query_id: int) -> None:
+        """A result row arrived: push it now (first row, or a full frame of
+        them waits) or let the one-shot flush armed by the oldest take it."""
+        pump = self._pumps.get(query_id)
+        if pump is None:
+            return
+        waiting = len(pump.handle.arrivals) - pump.sent
+        if pump.sent == 0 or waiting >= RESULT_FLUSH_ROWS:
+            self._push_results(query_id)
+        elif pump.timer is None:
+            pump.timer = self.node.schedule(
+                RESULT_FLUSH_DELAY_S, self._push_results, query_id)
 
     def _push_results(self, query_id: int) -> None:
         pump = self._pumps.get(query_id)
         if pump is None:
             return
+        if pump.timer is not None:
+            pump.timer.cancel()
+            pump.timer = None
         if pump.writer.is_closing():
             self._stop_pump(query_id)
             return
@@ -683,8 +663,10 @@ class PierNode:
 
     def _stop_pump(self, query_id: int) -> None:
         pump = self._pumps.pop(query_id, None)
-        if pump is not None and pump.timer is not None:
-            pump.timer.cancel()
+        if pump is not None:
+            pump.handle.on_row = None
+            if pump.timer is not None:
+                pump.timer.cancel()
 
     def _rpc_completeness(self, frame: dict) -> Dict[str, Any]:
         """This node's share of a query's delivery accounting.
@@ -709,7 +691,7 @@ class PierNode:
 
     def _rpc_finish(self, frame: dict) -> Dict[str, Any]:
         query_id = int(frame["query_id"])
-        # Flush anything that arrived since the last pump tick, then stop.
+        # Flush the rows still waiting for their timer, then stop.
         self._push_results(query_id)
         self._stop_pump(query_id)
         self.executor.finish(query_id,

@@ -18,10 +18,11 @@ How the cursor drive loop maps onto sockets
 ``ResultCursor`` drives a deployment through three calls: ``network.now``,
 ``network.simulator.next_event_time()`` and ``network.run(until=...)``.
 Over a real cluster those become wall-clock reads and bounded socket pumps:
-``now`` is ``time.monotonic()``, the "next event" is one poll interval
-away, and ``run(until=t)`` reads result-event frames off the gateway
-connection until ``t``.  Timeouts, LIMIT handling, initiator-side
-aggregation finalisation — all of the cursor's logic — run unchanged.
+``now`` is ``time.monotonic()``, the "next event" is a short idle horizon
+ahead, and ``run(until=t)`` blocks on the gateway socket until result-event
+frames arrive — returning as soon as it dispatched some — or ``t`` passes.
+Timeouts, LIMIT handling, initiator-side aggregation finalisation — all of
+the cursor's logic — run unchanged.
 
 Everything here is synchronous (plain sockets with timeouts): the client is
 a driver, not a server, and blocking with deadlines keeps it trivially
@@ -37,7 +38,14 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.executor import QueryHandle
 from repro.core.query import QuerySpec
-from repro.core.stats import StatsRegistry
+from repro.core.stats import (
+    STATS_ITEM_BYTES,
+    STATS_LIFETIME_S,
+    STATS_NAMESPACE,
+    RelationStats,
+    StatsRegistry,
+    relation_stats_resource_id,
+)
 from repro.core.tuples import RelationDef
 from repro.exceptions import (
     GatewayError,
@@ -48,7 +56,8 @@ from repro.exceptions import (
 from repro.harness.overlay import OwnerLocator
 from repro.net.wire import FrameDecoder, encode_frame
 
-#: How far ahead the drive shim reports the "next event" (the poll period).
+#: How far ahead the drive shim reports the "next event": the longest one
+#: ``run()`` blocks on a silent socket before the cursor re-checks its deadline.
 POLL_INTERVAL_S = 0.05
 #: Socket-level timeout on every blocking operation (hard hang guard).
 SOCKET_TIMEOUT_S = 10.0
@@ -91,48 +100,44 @@ class GatewayConnection:
                 if not response.get("ok"):
                     raise self._error_for(op, response)
                 return response
-            if time.monotonic() >= deadline:
+            if not self.pump(deadline):
                 raise NetworkError(
                     f"rpc {op!r} to {self.endpoint} timed out after {timeout_s}s"
                 )
-            self._pump_once(deadline)
 
     def _error_for(self, op: str, response: dict) -> NetworkError:
         """Map a structured error frame onto the typed exception hierarchy."""
         message = (f"rpc {op!r} failed on {self.endpoint}: "
                    f"{response.get('error')}")
         code = response.get("code", "internal")
-        if code == NodeNotReadyError.code:
-            return NodeNotReadyError(message)
-        if code == UnknownNamespaceError.code:
-            return UnknownNamespaceError(message)
+        for typed in (NodeNotReadyError, UnknownNamespaceError):
+            if code == typed.code:
+                return typed(message)
         return GatewayError(message, code=code)
 
     # ----------------------------------------------------------------- pump
 
     def pump(self, until: float) -> int:
-        """Read frames until wall-clock ``until`` (monotonic); return count."""
-        dispatched = 0
-        while time.monotonic() < until:
-            dispatched += self._pump_once(until)
-        return dispatched
+        """Block until frames were dispatched or wall-clock ``until`` passed.
 
-    def _pump_once(self, deadline: float) -> int:
-        budget = deadline - time.monotonic()
-        if budget <= 0:
-            return 0
-        self._sock.settimeout(min(budget, SOCKET_TIMEOUT_S))
-        try:
-            data = self._sock.recv(65536)
-        except socket.timeout:
-            return 0
-        if not data:
-            raise NetworkError(f"gateway {self.endpoint} closed the connection")
-        dispatched = 0
-        for frame in self._decoder.feed(data):
-            self._dispatch(frame)
-            dispatched += 1
-        return dispatched
+        Returns how many frames it dispatched (0: the deadline passed).
+        """
+        while True:
+            budget = until - time.monotonic()
+            if budget <= 0:
+                return 0
+            self._sock.settimeout(min(budget, SOCKET_TIMEOUT_S))
+            try:
+                data = self._sock.recv(65536)
+            except socket.timeout:
+                continue
+            if not data:
+                raise NetworkError(f"gateway {self.endpoint} closed the connection")
+            frames = self._decoder.feed(data)
+            for frame in frames:
+                self._dispatch(frame)
+            if frames:
+                return len(frames)
 
     def _dispatch(self, frame: Any) -> None:
         if not isinstance(frame, dict):
@@ -154,43 +159,35 @@ class GatewayConnection:
             pass
 
 
-class _WallClockShim:
-    """``simulator``-shaped poll hints for :class:`ResultCursor`."""
+class _RemoteNetwork:
+    """The ``network`` surface cursors drive, mapped onto socket pumps.
 
-    __slots__ = ("poll_interval_s",)
+    It is its own ``simulator``: the only thing a cursor asks of one is the
+    clock and the next event time.
+    """
 
-    def __init__(self, poll_interval_s: float = POLL_INTERVAL_S):
-        self.poll_interval_s = poll_interval_s
+    def __init__(self, pier: "RemotePier"):
+        self._pier = pier
+        self.simulator = self
 
     @property
     def now(self) -> float:
         return time.monotonic()
 
     def next_event_time(self) -> float:
-        # A real cluster is never "idle" from the client's view; the next
-        # thing worth doing is always one poll interval away.
-        return time.monotonic() + self.poll_interval_s
-
-
-class _RemoteNetwork:
-    """The ``network`` surface cursors drive, mapped onto socket pumps."""
-
-    def __init__(self, pier: "RemotePier"):
-        self._pier = pier
-        self.simulator = _WallClockShim()
-
-    @property
-    def now(self) -> float:
-        return time.monotonic()
+        # A real cluster is never "idle" from the client's view: there is
+        # always a next horizon to block on the socket until.
+        return time.monotonic() + POLL_INTERVAL_S
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> float:
-        horizon = time.monotonic() + POLL_INTERVAL_S if until is None else until
-        self._pier.pump(horizon)
+        self._pier.pump(self.next_event_time() if until is None else until)
         return time.monotonic()
 
     def run_until_idle(self, max_events: Optional[int] = None) -> float:
-        self._pier.pump(time.monotonic() + IDLE_GRACE_S)
+        deadline = time.monotonic() + IDLE_GRACE_S
+        while time.monotonic() < deadline:
+            self._pier.pump(deadline)
         return time.monotonic()
 
 
@@ -238,19 +235,14 @@ class RemotePier:
         if not status["ready"]:
             raise NodeNotReadyError("gateway node is not ready")
         self.gateway_address: int = status["address"]
-        self.config: Dict[str, Any] = status["config"]
-        self.endpoints: Dict[int, Tuple[str, int]] = {
-            int(a): (e[0], int(e[1])) for a, e in status["nodes"].items()
-        }
-        #: Members the cluster has confirmed dead (refreshed with status).
-        self.dead: set = set(status.get("dead", ()))
         #: Gateways this client itself lost mid-session (failover history).
         self._dead_gateways: set = set()
+        self.endpoints: Dict[int, Tuple[str, int]] = dict(status["nodes"])
         self.locator = OwnerLocator(
-            list(self.endpoints),
-            dht=self.config["dht"],
-            can_dimensions=self.config["can_dimensions"],
-            seed=self.config["seed"],
+            list(status["nodes"]),
+            dht=status["config"]["dht"],
+            can_dimensions=status["config"]["can_dimensions"],
+            seed=status["config"]["seed"],
         )
         self.network = _RemoteNetwork(self)
         #: Ground-truth statistics over everything this client loaded.
@@ -258,6 +250,18 @@ class RemotePier:
         self._connections: Dict[int, GatewayConnection] = {
             self.gateway_address: gateway,
         }
+        self._adopt(status)
+
+    def _adopt(self, status: dict) -> None:
+        """Take config, membership and confirmed-dead set from a status reply."""
+        self.config: Dict[str, Any] = status["config"]
+        #: Members the cluster has confirmed dead (refreshed with status).
+        self.dead: set = set(status.get("dead", ()))
+        if set(status["nodes"]) != set(self.endpoints):
+            self.locator.rebuild(list(status["nodes"]))
+        self.endpoints = dict(status["nodes"])
+        for address in set(self._connections) - set(self.endpoints):
+            self._connections.pop(address).close()
 
     @classmethod
     def connect(cls, host: str, port: int,
@@ -340,18 +344,7 @@ class RemotePier:
         subsequent fast loads and scans place keys exactly where the
         cluster's rebuilt overlay expects them.
         """
-        status = self.gateway.rpc("status")
-        self.config = status["config"]
-        self.dead = set(status.get("dead", ()))
-        endpoints = {
-            int(a): (e[0], int(e[1])) for a, e in status["nodes"].items()
-        }
-        if set(endpoints) != set(self.endpoints):
-            self.locator.rebuild(list(endpoints))
-        self.endpoints = endpoints
-        for address in list(self._connections):
-            if address not in endpoints:
-                self._connections.pop(address).close()
+        self._adopt(self.gateway.rpc("status"))
 
     def leave_node(self, address: int, timeout_s: float = 15.0) -> None:
         """Ask ``address`` to leave gracefully; wait until the cluster agrees."""
@@ -424,46 +417,31 @@ class RemotePier:
         acknowledgements make the load synchronous: when this returns, every
         tuple is scannable at its owner.
         """
-        from repro.core.stats import (
-            STATS_ITEM_BYTES,
-            STATS_LIFETIME_S,
-            STATS_NAMESPACE,
-            RelationStats,
-            relation_stats_resource_id,
-        )
+        by_owner: Dict[Tuple[int, str], List[dict]] = {}
 
-        by_owner: Dict[int, List[dict]] = {}
-        loaded = 0
+        def place(namespace: str, resource_id: Any, value: Any,
+                  item_lifetime: float, publisher: int, size_bytes: int) -> None:
+            # One RPC per (owner, namespace): every column of its item list
+            # is homogeneous, which is what the wire codec ships fastest.
+            owner = self.locator.owner_of(namespace, resource_id)
+            by_owner.setdefault((owner, namespace), []).append({
+                "namespace": namespace, "resource_id": resource_id,
+                "value": value, "lifetime": item_lifetime,
+                "publisher": publisher, "size_bytes": size_bytes})
+
         for publisher, rows in rows_by_node.items():
             if rows and publish_stats:
                 partial = RelationStats.from_rows(relation, rows,
                                                   at=time.monotonic())
                 self.relation_stats.merge_partial(partial)
-                stats_rid = relation_stats_resource_id(relation.name)
-                owner = self.locator.owner_of(STATS_NAMESPACE, stats_rid)
-                by_owner.setdefault(owner, []).append({
-                    "namespace": STATS_NAMESPACE,
-                    "resource_id": stats_rid,
-                    "value": partial,
-                    "lifetime": STATS_LIFETIME_S,
-                    "publisher": publisher,
-                    "size_bytes": STATS_ITEM_BYTES,
-                })
+                place(STATS_NAMESPACE, relation_stats_resource_id(relation.name),
+                      partial, STATS_LIFETIME_S, publisher, STATS_ITEM_BYTES)
             for row in rows:
-                resource_id = relation.resource_id(row)
-                owner = self.locator.owner_of(relation.namespace, resource_id)
-                by_owner.setdefault(owner, []).append({
-                    "namespace": relation.namespace,
-                    "resource_id": resource_id,
-                    "value": row,
-                    "lifetime": lifetime,
-                    "publisher": publisher,
-                    "size_bytes": relation.tuple_bytes,
-                })
-                loaded += 1
-        for owner, items in by_owner.items():
+                place(relation.namespace, relation.resource_id(row), row,
+                      lifetime, publisher, relation.tuple_bytes)
+        for (owner, _namespace), items in by_owner.items():
             self.connection(owner).rpc("store", items=items)
-        return loaded
+        return sum(map(len, rows_by_node.values()))
 
     # ------------------------------------------------------------- utilities
 

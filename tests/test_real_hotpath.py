@@ -1,0 +1,382 @@
+"""The real backend's hot path between two frames of a query.
+
+* ``RealTransport`` ships everything queued behind a message in **one**
+  write, checks the connection for EOF *before* writing, and retries or
+  bounces the in-flight batch as a whole;
+* the node's result pump pushes the first row of a query at once and later
+  rows by age or count through a one-shot flush (no periodic timer);
+* ``GatewayConnection.pump`` blocks on the socket and returns as soon as it
+  dispatched a frame, while ``run_until_idle`` keeps its full grace loop.
+
+No subprocess clusters here: raw asyncio servers, an in-process one-node
+``PierNode`` and a plain listening socket stand in for the peers.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import contextlib
+import math
+import socket
+import time
+
+import pytest
+
+from repro import JoinStrategy
+from repro.core.executor import QueryHandle
+from repro.exceptions import NetworkError
+from repro.net.node import Node
+from repro.net.real import MAX_BATCH_MESSAGES, RealTransport
+from repro.net.wire import FrameDecoder, encode_frame
+from repro.node import RESULT_FLUSH_DELAY_S, RESULT_FLUSH_ROWS, PierNode
+from repro.remote import IDLE_GRACE_S, GatewayConnection, _RemoteNetwork
+from repro.workloads import JoinWorkload, WorkloadConfig
+
+
+async def wait_for(predicate, timeout_s=5.0):
+    deadline = asyncio.get_running_loop().time() + timeout_s
+    while not predicate():
+        assert asyncio.get_running_loop().time() < deadline, "condition not reached"
+        await asyncio.sleep(0.005)
+
+
+class RecordingPeer:
+    """A raw frame server that records what each connection delivered."""
+
+    def __init__(self):
+        self.connections = []  # one list of read() chunks per accepted socket
+        self.writers = []
+        self.server = None
+
+    async def start(self) -> int:
+        self.server = await asyncio.start_server(self._serve, "127.0.0.1", 0)
+        return self.server.sockets[0].getsockname()[1]
+
+    async def _serve(self, reader, writer):
+        chunks = []
+        self.connections.append(chunks)
+        self.writers.append(writer)
+        while True:
+            data = await reader.read(65536)
+            if not data:
+                return
+            chunks.append(data)
+
+    def seqs(self, connection: int):
+        frames = FrameDecoder().feed(b"".join(self.connections[connection]))
+        return [frame["payload"]["seq"] for frame in frames]
+
+    async def hang_up(self):
+        """Close every accepted socket gracefully (FIN) and stop listening."""
+        self.server.close()
+        for writer in self.writers:
+            writer.close()
+        await self.server.wait_closed()
+
+
+async def connected_sender(peer: RecordingPeer):
+    """A transport whose pooled connection to ``peer`` is up and idle."""
+    port = await peer.start()
+    transport = RealTransport(0)
+    await transport.start()
+    node = Node(0, transport)
+    transport.attach_node(node)
+    bounced = []
+    node.register_bounce_handler(
+        "test.proto", lambda _node, message: bounced.append(message.payload["seq"]))
+    transport.update_peers({1: ("127.0.0.1", port)})
+    send(node, [-1])
+    await wait_for(lambda: peer.connections and peer.seqs(0) == [-1])
+    return transport, node, bounced
+
+
+def send(node: Node, seqs):
+    for seq in seqs:
+        node.send(1, "test.proto", payload={"seq": seq}, payload_bytes=8)
+
+
+@pytest.fixture()
+def writes(monkeypatch):
+    """Sizes of every ``StreamWriter.write`` made while the test runs."""
+    sizes = []
+    original = asyncio.StreamWriter.write
+
+    def recording_write(self, data):
+        sizes.append(len(data))
+        original(self, data)
+
+    monkeypatch.setattr(asyncio.StreamWriter, "write", recording_write)
+    return sizes
+
+
+# ------------------------------------------------------- coalesced writes
+
+
+@pytest.mark.parametrize("count", [50, MAX_BATCH_MESSAGES + 10])
+def test_messages_queued_in_one_turn_leave_in_one_write(writes, count):
+    async def scenario():
+        peer = RecordingPeer()
+        transport, node, bounced = await connected_sender(peer)
+        del writes[:], peer.connections[0][:]
+        send(node, range(count))  # one loop turn: the writer task runs after it
+        await wait_for(lambda: len(peer.seqs(0)) == count)
+        assert peer.seqs(0) == list(range(count))  # in order
+        assert len(writes) == math.ceil(count / MAX_BATCH_MESSAGES)
+        if count <= MAX_BATCH_MESSAGES:  # and one read-sized burst at the peer
+            assert len(peer.connections[0]) == 1
+        assert transport.bytes_sent >= sum(writes) and not bounced
+        await transport.close()
+        await peer.hang_up()
+
+    asyncio.run(scenario())
+
+
+def test_batch_queued_after_the_peers_fin_bounces_whole(writes):
+    """A FIN has arrived, the peer is gone for good: nothing of the batch is
+    written into the dead connection (where it would vanish without an
+    error) and every message of it bounces."""
+
+    async def scenario():
+        peer = RecordingPeer()
+        transport, node, bounced = await connected_sender(peer)
+        await peer.hang_up()
+        await asyncio.sleep(0.1)  # let the FIN reach the pooled connection
+        del writes[:]
+        send(node, range(5))
+        await wait_for(lambda: len(bounced) == 5)
+        assert bounced == list(range(5))  # none lost ...
+        assert writes == []               # ... because none was written
+        assert transport.bounces == 5 and transport.reconnects == 1
+        await transport.close()
+
+    asyncio.run(scenario())
+
+
+def test_batch_in_flight_when_the_connection_resets_is_retried_whole(monkeypatch):
+    async def scenario():
+        peer = RecordingPeer()
+        transport, node, bounced = await connected_sender(peer)
+        original = asyncio.StreamWriter.drain
+        failures = [ConnectionResetError("reset while the batch was in flight")]
+
+        async def flaky_drain(self):
+            if failures:
+                raise failures.pop()
+            await original(self)
+
+        monkeypatch.setattr(asyncio.StreamWriter, "drain", flaky_drain)
+        send(node, range(6))
+        await wait_for(lambda: len(peer.connections) == 2
+                       and len(peer.seqs(1)) == 6)
+        # The whole batch went out again on the fresh connection, in order;
+        # receivers tolerate the copies the first connection already took.
+        assert peer.seqs(1) == list(range(6))
+        assert transport.reconnects == 1 and not bounced
+        await transport.close()
+        await peer.hang_up()
+
+    asyncio.run(scenario())
+
+
+# ------------------------------------------------------- node result pump
+
+
+class FakeClient:
+    """The gateway connection's writer, stamping frames on the loop clock."""
+
+    def __init__(self):
+        self.frames = []
+        self.closing = False
+        self._decoder = FrameDecoder()
+
+    def is_closing(self):
+        return self.closing
+
+    def write(self, data):
+        now = asyncio.get_running_loop().time()
+        self.frames.extend((now, frame) for frame in self._decoder.feed(data))
+
+    def rows(self):
+        return [row for _at, frame in self.frames for row in frame["rows"]]
+
+
+@contextlib.asynccontextmanager
+async def one_node_cluster():
+    """An in-process ``PierNode`` that is its own (ready) cluster."""
+    node = PierNode(listen=("127.0.0.1", 0), nodes=1)
+    await node.start()
+    try:
+        yield node
+    finally:
+        node.detector.stop()
+        node.provider.close()
+        await node.transport.close()
+
+
+def run_on_a_one_node_cluster(scenario):
+    """``scenario(node, client, handle, query_id)`` with one (resultless) join
+    submitted through the node's gateway."""
+
+    async def main():
+        async with one_node_cluster() as node:
+            workload = JoinWorkload(WorkloadConfig(num_nodes=1,
+                                                   s_tuples_per_node=2, seed=1))
+            query = workload.make_query(strategy=JoinStrategy.SYMMETRIC_HASH)
+            node.known_namespaces.update(
+                table.namespace for table in query.tables)
+            client = FakeClient()
+            reply = node._rpc_submit({"query": query}, client)
+            assert reply == {"query_id": query.query_id}
+            handle = node._pumps[query.query_id].handle
+            await asyncio.sleep(0.05)  # the (empty) dataflow runs dry
+            assert client.frames == [] and node._pumps[query.query_id].timer is None
+            await scenario(node, client, handle, query.query_id)
+
+    asyncio.run(main())
+
+
+def arrive(node: PierNode, handle: QueryHandle, rows):
+    for row in rows:
+        handle.record(node.node.now, {"k": row})
+
+
+def test_first_row_is_pushed_at_once_and_nothing_ticks_while_idle():
+    async def scenario(node, client, handle, query_id):
+        pump = node._pumps[query_id]
+        arrive(node, handle, [0])
+        assert client.rows() == [{"k": 0}]  # synchronously: no period waited
+        assert pump.timer is None           # and nothing left to flush
+        frame = client.frames[0][1]
+        assert (frame["t"], frame["kind"], frame["query_id"]) == ("evt", "rows", query_id)
+        assert len(frame["times"]) == 1
+        await asyncio.sleep(5 * RESULT_FLUSH_DELAY_S)
+        assert len(client.frames) == 1 and pump.timer is None
+
+    run_on_a_one_node_cluster(scenario)
+
+
+def test_a_burst_is_pushed_in_full_frames_plus_one_aged_tail():
+    burst = 2 * RESULT_FLUSH_ROWS + 88
+
+    async def scenario(node, client, handle, query_id):
+        pump = node._pumps[query_id]
+        arrive(node, handle, [0])
+        started = asyncio.get_running_loop().time()
+        arrive(node, handle, range(1, 1 + burst))  # one loop turn
+        sizes = [len(frame["rows"]) for _at, frame in client.frames]
+        assert sizes == [1, RESULT_FLUSH_ROWS, RESULT_FLUSH_ROWS]
+        assert pump.timer is not None  # the tail waits for its age, once
+        await asyncio.sleep(3 * RESULT_FLUSH_DELAY_S)
+        sizes = [len(frame["rows"]) for _at, frame in client.frames]
+        assert sizes == [1, RESULT_FLUSH_ROWS, RESULT_FLUSH_ROWS, 88]
+        assert len(sizes) - 1 <= math.ceil(burst / RESULT_FLUSH_ROWS) + 1
+        assert client.frames[-1][0] - started >= 0.5 * RESULT_FLUSH_DELAY_S
+        assert client.rows() == [{"k": k} for k in range(1 + burst)]
+        assert all(len(frame["times"]) == len(frame["rows"])
+                   for _at, frame in client.frames)
+        assert pump.timer is None
+
+    run_on_a_one_node_cluster(scenario)
+
+
+def test_finish_flushes_the_tail_and_disarms_the_pump():
+    async def scenario(node, client, handle, query_id):
+        arrive(node, handle, range(4))
+        assert len(client.rows()) == 1 and node._pumps[query_id].timer is not None
+        node._rpc_finish({"query_id": query_id})
+        assert client.rows() == [{"k": k} for k in range(4)]  # before the timer
+        assert query_id not in node._pumps and handle.on_row is None
+        arrive(node, handle, [99])  # a straggler after teardown goes nowhere
+        await asyncio.sleep(3 * RESULT_FLUSH_DELAY_S)
+        assert len(client.frames) == 2
+
+    run_on_a_one_node_cluster(scenario)
+
+
+def test_rows_produced_inside_submit_are_pushed_without_a_later_arrival():
+    """On a one-node cluster the whole join runs inside ``submit()``, before
+    the pump listens: those rows must not wait for a row that never comes."""
+
+    async def main():
+        async with one_node_cluster() as node:
+            workload = JoinWorkload(WorkloadConfig(num_nodes=1,
+                                                   s_tuples_per_node=8, seed=2))
+            for relation, rows in ((workload.r_relation, workload.r_by_node[0]),
+                                   (workload.s_relation, workload.s_by_node[0])):
+                node._rpc_store({"items": [
+                    {"namespace": relation.namespace, "value": row,
+                     "resource_id": relation.resource_id(row)} for row in rows]})
+            expected = workload.expected_results()
+            assert expected
+            client = FakeClient()
+            query = workload.make_query(strategy=JoinStrategy.FETCH_MATCHES)
+            node._rpc_submit({"query": query}, client)
+            await asyncio.sleep(5 * RESULT_FLUSH_DELAY_S)
+            assert (sorted(map(sorted, map(dict.items, client.rows())))
+                    == sorted(map(sorted, map(dict.items, expected))))
+            assert node._pumps[query.query_id].timer is None
+            node._rpc_finish({"query_id": query.query_id})
+
+    asyncio.run(main())
+
+
+def test_a_client_that_hung_up_stops_its_pump():
+    async def scenario(node, client, handle, query_id):
+        arrive(node, handle, range(3))
+        client.closing = True
+        await asyncio.sleep(3 * RESULT_FLUSH_DELAY_S)  # the flush finds it closed
+        assert query_id not in node._pumps and handle.on_row is None
+        assert len(client.rows()) == 1
+
+    run_on_a_one_node_cluster(scenario)
+
+
+# ---------------------------------------------------- client gateway pump
+
+
+def rows_frame(query_id, rows):
+    return encode_frame({"t": "evt", "kind": "rows", "query_id": query_id,
+                         "rows": rows, "times": [0.25] * len(rows)})
+
+
+def test_gateway_pump_returns_on_the_first_frame_not_at_the_deadline():
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    conn = GatewayConnection(*listener.getsockname())
+    node, _address = listener.accept()
+    try:
+        handle = conn.handles[7] = QueryHandle(None, submitted_at=time.monotonic())
+
+        def timed(call, *args):
+            started = time.monotonic()
+            return call(*args), time.monotonic() - started
+
+        node.sendall(rows_frame(7, [{"a": 1}]) + rows_frame(7, [{"a": 2}]))
+        dispatched, elapsed = timed(conn.pump, time.monotonic() + 5.0)
+        assert dispatched == 2 and elapsed < 1.0
+        assert handle.rows == [{"a": 1}, {"a": 2}]
+        # Silence is waited out, exactly until the deadline.
+        dispatched, elapsed = timed(conn.pump, time.monotonic() + 0.05)
+        assert dispatched == 0 and 0.04 <= elapsed < 1.0
+        # Half a frame is no frame: the pump keeps blocking for the rest.
+        frame = rows_frame(7, [{"a": 3}])
+        node.sendall(frame[:7])
+        assert conn.pump(time.monotonic() + 0.05) == 0
+        node.sendall(frame[7:])
+        dispatched, elapsed = timed(conn.pump, time.monotonic() + 5.0)
+        assert dispatched == 1 and elapsed < 1.0 and len(handle.rows) == 3
+        # run_until_idle still pumps for its whole grace period.
+        node.sendall(rows_frame(7, [{"a": 4}]))
+        _now, elapsed = timed(_RemoteNetwork(conn).run_until_idle)
+        assert IDLE_GRACE_S * 0.9 <= elapsed < 1.0 and len(handle.rows) == 4
+        # run() with no horizon blocks one idle horizon at most.
+        _now, elapsed = timed(_RemoteNetwork(conn).run)
+        assert elapsed < IDLE_GRACE_S
+        node.close()
+        with pytest.raises(NetworkError):
+            conn.pump(time.monotonic() + 1.0)
+    finally:
+        conn.close()
+        node.close()
+        listener.close()

@@ -1,0 +1,461 @@
+"""Property and fuzz tests for the wire codec (repro.net.wire).
+
+Three families:
+
+* **round trips** of generated values, compared *type-exactly* (``True`` is
+  not ``1``, a tuple is not a list, ``-0.0`` is not ``0.0``, dict key order
+  counts) — with the typed-column ext on both sides of every decision it
+  takes: length threshold, homogeneous vs. mixed, int width boundaries,
+  same-key vs. reordered dicts, same-arity vs. ragged tuples, nesting depth;
+* **hostile input**: forged ext payloads, every prefix and every byte of
+  recorded protocol frames corrupted — decoding either succeeds or raises
+  :class:`WireError`, nothing else, and never allocates past what the
+  payload pays for;
+* **framing**: :class:`FrameDecoder` yields the same frames for any split
+  of the byte stream.
+"""
+
+from __future__ import annotations
+
+import math
+import struct
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.query import JoinStrategy, QueryTeardown
+from repro.net.wire import (
+    COLUMN_MIN_ITEMS,
+    MAX_COLUMN_DEPTH,
+    FrameDecoder,
+    WireError,
+    encode_frame,
+    message_to_wire,
+    pack,
+    unpack,
+)
+
+FUZZ = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+# --------------------------------------------------------------- helpers
+
+
+def same(a, b) -> bool:
+    """Type-exact, order-exact, bit-exact (floats) equality."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is float:
+        return (math.isnan(a) and math.isnan(b)) or (
+            struct.pack(">d", a) == struct.pack(">d", b))
+    if type(a) in (list, tuple):
+        return len(a) == len(b) and all(map(same, a, b))
+    if type(a) is dict:
+        return same(list(a.items()), list(b.items()))
+    if type(a) in (set, frozenset):
+        return same(sorted(a, key=repr), sorted(b, key=repr))
+    return a == b
+
+
+def roundtrips(value) -> bool:
+    return same(unpack(pack(value)), value)
+
+
+def ext(code: int, payload: bytes) -> bytes:
+    return struct.pack(">BIb", 0xC9, len(payload), code) + payload
+
+
+def split_ext(blob: bytes):
+    """``(code, payload)`` of a blob that is exactly one ext 8/32 value."""
+    if blob[0] == 0xC7:
+        return struct.unpack_from(">b", blob, 2)[0], blob[3:]
+    assert blob[0] == 0xC9, hex(blob[0])
+    return struct.unpack_from(">b", blob, 5)[0], blob[6:]
+
+
+def column_kind(value) -> int:
+    """The kind byte the encoder chose for ``value`` (must ship as ext 8)."""
+    code, payload = split_ext(pack(value))
+    assert code == 8
+    assert struct.unpack_from(">I", payload)[0] == len(value)
+    return payload[4]
+
+
+def count_nodes(value) -> int:
+    """Containers plus leaves: what a decoded value made the reader allocate."""
+    if type(value) in (list, tuple, set, frozenset):
+        return 1 + sum(map(count_nodes, value))
+    if type(value) is dict:
+        return 1 + sum(map(count_nodes, value.values()))
+    return 1
+
+
+# ------------------------------------------------------------ round trips
+
+INTS = st.integers(-2**130, 2**130)
+SCALARS = (
+    st.integers(-2**7, 2**7 - 1), st.integers(-2**31, 2**31 - 1),
+    st.integers(-2**63, 2**63 - 1), st.integers(0, 2**128 - 1), INTS,
+    st.floats(allow_nan=True), st.text(max_size=8), st.booleans(), st.none(),
+    st.binary(max_size=6),
+)
+KEYS = st.one_of(st.text(max_size=4), st.integers(0, 9))
+
+
+@st.composite
+def column(draw, n: int, depth: int):
+    """``n`` elements from *one* element strategy: scalars of one kind, or
+    records (tuples / dicts) whose fields are such columns again — sometimes
+    with one ragged tuple or one dict holding its keys in another order."""
+    kind = draw(st.sampled_from(("scalar", "tuple", "dict") if depth
+                                else ("scalar",)))
+    if kind == "scalar":
+        elements = draw(st.sampled_from(SCALARS))
+        return [draw(elements) for _ in range(n)]
+    arity = draw(st.integers(0, 3))
+    fields = [draw(column(n, depth - 1)) for _ in range(arity)]
+    rows = list(zip(*fields)) if arity else [()] * n
+    odd = draw(st.integers(0, n - 1)) if n and draw(st.booleans()) else None
+    if kind == "dict":
+        keys = draw(st.lists(KEYS, min_size=arity, max_size=arity, unique=True))
+        rows = [dict(zip(keys, row)) for row in rows]
+        if odd is not None:
+            rows[odd] = dict(reversed(list(rows[odd].items())))
+    elif odd is not None:
+        rows[odd] = rows[odd][:-1]
+    return rows
+
+
+@FUZZ
+@given(st.data())
+def test_columns_roundtrip_type_exact(data):
+    n = data.draw(st.integers(0, 2 * COLUMN_MIN_ITEMS + 1))
+    value = data.draw(column(n, depth=2))
+    if value and data.draw(st.booleans()):
+        # One element of another type: the column must fall back, not coerce.
+        spot = data.draw(st.integers(0, n - 1))
+        value[spot] = data.draw(st.sampled_from([None, True, 1, 1.5, "x", ()]))
+    assert roundtrips(value)
+    assert roundtrips({"payload": value, "again": tuple(value)})
+
+
+NESTED = st.recursive(
+    st.one_of(*SCALARS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(KEYS, children, max_size=4),
+        st.frozensets(st.one_of(st.integers(-9, 2**70), st.text(max_size=3)),
+                      max_size=6),
+    ),
+    max_leaves=40,
+)
+
+
+@FUZZ
+@given(NESTED)
+def test_nested_values_roundtrip_type_exact(value):
+    assert roundtrips(value)
+    frames = FrameDecoder().feed(encode_frame(value))
+    assert len(frames) == 1 and same(frames[0], value)
+
+
+@pytest.mark.parametrize("bits, kind", [(7, 1), (15, 2), (31, 3), (63, 4)])
+def test_int_columns_take_the_narrowest_width(bits, kind):
+    fits = [-(2**bits), 2**bits - 1, 0, -1]
+    assert column_kind(fits) == kind and roundtrips(fits)
+    for beyond in ([2**bits, 0, 0, 0], [-(2**bits) - 1, 0, 0, 0]):
+        assert column_kind(beyond) != kind and roundtrips(beyond)
+    # A narrow column is what it says: one element per ``bits + 1`` bits.
+    assert len(pack(fits * 64)) < 64 * 4 * (bits + 1) // 8 + 16
+
+
+def test_wide_int_columns():
+    for keys in ([2**63, 0, 1, 2], [2**64, 0, 0, 0], [2**127, 5, 6, 7],
+                 [2**128 - 1] * 4):
+        assert column_kind(keys) == 5 and roundtrips(keys)
+    # Unsigned only, 128 bits only: anything else takes the generic walk.
+    for keys in ([2**128, 0, 0, 0], [-(2**100), 0, 0, 0], [-1, 2**64, 0, 0]):
+        assert column_kind(keys) == 0 and roundtrips(keys)
+
+
+def test_float_and_string_columns():
+    floats = [float("nan"), -0.0, 0.0, math.inf, -math.inf, 5e-324]
+    assert column_kind(floats) == 6 and roundtrips(floats)
+    strings = ["", "é", "日本語", "a" * 300, "", "\x00|"]
+    assert column_kind(strings) == 7 and roundtrips(strings)
+    assert roundtrips([""] * COLUMN_MIN_ITEMS)
+
+
+def test_threshold_and_fallback_lists_stay_plain_arrays():
+    short = list(range(COLUMN_MIN_ITEMS - 1))
+    assert pack(short)[0] == 0x90 | len(short) and roundtrips(short)
+    for mixed in ([1, None, 2, 3], [True, False, True, True], [1, True, 2, 3],
+                  [1, 2.0, 3, 4], ["a", b"a", "b", "c"], [None] * 5,
+                  [[1], [2], [3], [4]]):
+        assert pack(mixed)[0] == 0x90 | len(mixed)
+        assert roundtrips(mixed)
+
+
+def test_record_columns_and_their_fallbacks():
+    rows = [{"R.pkey": i, "R.pad": "x" * i, "S.num": i / 3} for i in range(5)]
+    assert column_kind(rows) == 9 and roundtrips(rows)
+    reordered = rows[:4] + [dict(reversed(list(rows[4].items())))]
+    assert column_kind(reordered) == 0 and roundtrips(reordered)
+    assert column_kind([{"a": 1}] * 3 + [{"b": 1}]) == 0
+    points = [(i, float(i), str(i)) for i in range(6)]
+    assert column_kind(points) == 8 and roundtrips(points)
+    ragged = points[:5] + [(1, 2.0)]
+    assert column_kind(ragged) == 0 and roundtrips(ragged)
+    for empties in ([()] * 4, [{}] * 4):
+        assert column_kind(empties) == 0 and roundtrips(empties)
+    # One field that fits no typed kind falls back alone; its neighbours
+    # stay typed (the payload shrinks against the all-generic encoding).
+    chunk = [("R", (i, None if i == 2 else 1.5, "pad")) for i in range(40)]
+    assert column_kind(chunk) == 8 and roundtrips(chunk)
+    assert len(pack(chunk)) < len(pack([list(row) for row in chunk]))
+
+
+def test_records_nest_to_the_depth_bound_and_fall_back_beyond():
+    def nest(levels):
+        value = [1, 2, 3, 4]
+        for _ in range(levels):
+            value = [(item,) for item in value]
+        return value
+
+    for levels in range(MAX_COLUMN_DEPTH + 3):
+        assert roundtrips(nest(levels))
+    deep, deeper = pack(nest(MAX_COLUMN_DEPTH)), pack(nest(MAX_COLUMN_DEPTH + 1))
+    assert len(deeper) > len(deep) + 8  # the innermost tuples went generic
+
+
+# --------------------------------------------------------- hostile input
+
+
+def test_enum_ext_must_name_an_enum_and_object_ext_must_not():
+    # ext 5 used to *call* whatever repro class the frame named.
+    forged = ext(5, pack(["repro.net.wire", "FrameDecoder", 7]))
+    with pytest.raises(WireError):
+        unpack(forged)
+    with pytest.raises(WireError):
+        unpack(ext(5, pack(["repro.harness.realcluster", "LocalCluster", 2])))
+    with pytest.raises(WireError):
+        unpack(ext(6, pack(["repro.core.query", "JoinStrategy", {}])))
+    with pytest.raises(WireError):  # not a member of the enum
+        unpack(ext(5, pack(["repro.core.query", "JoinStrategy", "no-such"])))
+    assert unpack(pack(JoinStrategy.FETCH_MATCHES)) is JoinStrategy.FETCH_MATCHES
+    assert unpack(pack(QueryTeardown(3))) == QueryTeardown(3)
+
+
+@pytest.mark.parametrize("blob", [
+    b"\xa1\xff",                      # invalid UTF-8 in a str
+    b"\x81\x90\x00",                  # a list as map key
+    b"\xc1",                          # the one unassigned type byte
+    b"\xcb\x00",                      # short float
+    b"\xdb\xff\xff\xff\xff",          # str of 4 GiB, nothing behind it
+    b"\xdd\xff\xff\xff\xff",          # array of 4 G elements, nothing behind
+    b"\xdf\xff\xff\xff\xff\x01",      # map of 4 G entries
+    b"\x91" * 100_000 + b"\x00",      # nesting bomb
+    ext(99, b"\x00"),                 # unknown ext code
+    ext(2, pack([[1], [2]])),         # unhashable set element
+    ext(1, pack({"not": "a list"})),  # tuple ext around a map
+    ext(6, pack(["os", "system", {}])),                     # untrusted module
+    ext(6, pack(["repro.net.wire", "nope", {}])),           # unknown class
+    ext(6, pack(["repro.net.wire", "pack", {}])),           # not a class
+    ext(6, pack(["repro.core.query", "QueryTeardown", 5])),  # state not a map
+    ext(6, pack(["repro.core.query", "QueryTeardown"])),    # short triple
+    ext(6, pack([["x"], "QueryTeardown", {}])),             # unhashable name
+])
+def test_malformed_input_raises_only_wire_error(blob):
+    with pytest.raises(WireError):
+        unpack(blob)
+
+
+def forged_column(count: int, body: bytes) -> bytes:
+    return ext(8, struct.pack(">I", count) + body)
+
+
+@pytest.mark.parametrize("blob", [
+    forged_column(4, bytes([42]) + b"\x00" * 4),              # unknown kind
+    forged_column(2**32 - 1, bytes([0]) + b"\x00" * 8),       # generic, forged count
+    forged_column(2**32 - 1, bytes([1]) + b"\x00" * 8),       # int8, forged count
+    forged_column(2**31, bytes([4]) + b"\x00" * 64),          # int64, forged count
+    forged_column(5, bytes([4]) + b"\x00" * 32),              # one element short
+    forged_column(4, bytes([4]) + b"\x00" * 40),              # one element over
+    forged_column(4, bytes([5]) + b"\x00" * 63),              # uint128, a byte short
+    forged_column(4, bytes([7, 1, 1, 1, 1, 1]) + struct.pack(">I", 3) + b"abc"),
+    forged_column(4, bytes([7, 1, 2, 0xFF, 1, 1]) + struct.pack(">I", 3) + b"abc"),
+    forged_column(4, bytes([7, 1, 1, 1, 1, 0]) + struct.pack(">I", 3) + b"\xff\xfe\xfd"),
+    forged_column(4, bytes([7, 7, 1, 0, 0, 0, 0])),           # lengths are strings
+    forged_column(4, bytes([8, 0])),                          # arity 0
+    forged_column(4, bytes([8, 0xA1, 0x61])),                 # arity "a"
+    forged_column(4, bytes([8, 2, 1, 1, 2, 3, 4])),           # second column missing
+    forged_column(4, bytes([8, 2, 1, 1, 2, 3, 4, 1, 1, 2, 3])),  # ... or short
+    forged_column(4, bytes([9, 0x05, 1, 1, 2, 3, 4])),        # keys are an int
+    forged_column(4, bytes([9, 0x91, 0x90, 1, 1, 2, 3, 4])),  # unhashable key
+    forged_column(4, bytes([8, 1] * 50 + [1, 1, 2, 3, 4])),   # nested too deep
+    forged_column(0, bytes([8, 0xCE, 0xFF, 0xFF, 0xFF, 0xFF])),  # arity 4 G
+])
+def test_forged_columns_are_refused(blob):
+    with pytest.raises(WireError):
+        unpack(blob)
+
+
+def test_forged_column_counts_are_refused_before_allocating():
+    # 16 M declared int8 elements over 15 bytes: were the check to come
+    # after the allocation this would take seconds and a few hundred MB.
+    blob = forged_column(2**24, bytes([8, 1, 1]) + b"\x00" * 15)
+    with pytest.raises(WireError):
+        unpack(blob)
+    # Depth is bounded, so a forged column cannot multiply its elements by a
+    # few header bytes per level: at the bound the reader allocates at most
+    # one object per element per level.
+    body = bytes([8, 1] * MAX_COLUMN_DEPTH + [1]) + bytes(range(100))
+    rows = unpack(forged_column(100, body))
+    assert count_nodes(rows) <= (MAX_COLUMN_DEPTH + 2) * len(body)
+
+
+@pytest.mark.parametrize("value", [
+    (1, "two"), {1, 2}, frozenset({"a"}), JoinStrategy.SYMMETRIC_HASH,
+    QueryTeardown(7), [1, 2, 3, 4], [("a", 1.0)] * 4,
+], ids=repr)
+def test_truncation_and_trailing_bytes_inside_ext_payloads(value):
+    blob = pack(value)
+    assert same(unpack(blob), value)
+    code, payload = split_ext(blob)
+    for forged in (payload + b"\x00", payload + b"\xc0", payload[:-1]):
+        with pytest.raises(WireError):
+            unpack(ext(code, forged))
+    with pytest.raises(WireError):  # the ext claims more than the buffer holds
+        unpack(struct.pack(">BIb", 0xC9, len(payload) + 1, code) + payload)
+    with pytest.raises(WireError):
+        unpack(blob + b"\x00")
+
+
+def recorded_frames():
+    """One frame per bulk protocol, recorded off a toy fig-3 deployment."""
+    from repro.harness.experiment import PierNetwork, SimulationConfig
+    from repro.net.node import Node
+    from repro.workloads.generator import JoinWorkload, WorkloadConfig
+
+    wanted = ("prov.put_chunk", "can.route_batch", "prov.get_batch_reply")
+    recorded = {}
+    original = Node.deliver
+
+    def deliver(self, message):
+        if message.protocol in wanted:
+            recorded.setdefault(message.protocol, []).append(message)
+        original(self, message)
+
+    workload = JoinWorkload(WorkloadConfig(num_nodes=4, s_tuples_per_node=12,
+                                           seed=3))
+    pier = PierNetwork(SimulationConfig(num_nodes=4, seed=3))
+    pier.load_relation(workload.r_relation, workload.r_by_node)
+    pier.load_relation(workload.s_relation, workload.s_by_node)
+    Node.deliver = deliver
+    try:
+        for strategy in (JoinStrategy.SYMMETRIC_HASH, JoinStrategy.FETCH_MATCHES):
+            pier.client(catalog=workload.catalog()).query(
+                workload.make_query(strategy=strategy)).fetchall()
+    finally:
+        Node.deliver = original
+    frames = {}
+    for protocol in wanted:
+        # The smallest message that still ships typed columns.
+        body = min(map(message_to_wire, recorded[protocol]),
+                   key=lambda body: (len(pack(body)) < 400, len(pack(body))))
+        frames[protocol] = body
+    relation = workload.s_relation
+    frames["store"] = {"t": "rpc", "id": 1, "op": "store", "items": [
+        {"namespace": relation.namespace, "resource_id": relation.resource_id(row),
+         "value": row, "lifetime": 1e9, "publisher": 0,
+         "size_bytes": relation.tuple_bytes}
+        for row in workload.s_by_node[0]]}
+    return frames
+
+
+RECORDED = recorded_frames()
+
+
+def ships_a_column(value) -> bool:
+    if type(value) is list and pack(value)[0] in (0xC7, 0xC9):
+        return True
+    children = value.values() if type(value) is dict else (
+        value if type(value) in (list, tuple) else ())
+    return any(map(ships_a_column, children))
+
+
+@pytest.mark.parametrize("protocol", sorted(RECORDED))
+def test_recorded_frames_survive_every_prefix_and_byte_corruption(protocol):
+    body = RECORDED[protocol]
+    blob = pack(body)
+    assert ships_a_column(body), "the recorded frame holds no typed column"
+    decoded = unpack(blob)
+    assert pack(decoded) == blob  # and the round trip is a fixed point
+    budget = (MAX_COLUMN_DEPTH + 2) * len(blob)
+
+    def attempt(data):
+        try:
+            value = unpack(data)
+        except WireError:
+            return
+        assert count_nodes(value) <= budget
+
+    for cut in range(len(blob)):
+        with pytest.raises(WireError):
+            unpack(blob[:cut])
+    for index in range(len(blob)):
+        for flip in (0xFF, 0x01, 0x80, blob[index]):  # last one zeroes it
+            attempt(blob[:index] + bytes([blob[index] ^ flip]) + blob[index + 1:])
+
+
+# ---------------------------------------------------------------- framing
+
+
+def framing_stream():
+    values = [
+        {"t": "msg", "i": 0, "payload": None},
+        {"t": "msg", "i": 1, "payload": "x" * 70_000},
+        {"t": "evt", "rows": [{"a": i, "b": str(i)} for i in range(9)]},
+        {"t": "msg", "i": 3, "payload": list(range(20_000))},
+        [],
+        {"t": "res", "id": 5, "ok": True},
+    ]
+    return values, b"".join(map(encode_frame, values))
+
+
+def feed_in_pieces(stream: bytes, cuts):
+    decoder = FrameDecoder()
+    frames = []
+    start = 0
+    for cut in list(cuts) + [len(stream)]:
+        frames.extend(decoder.feed(stream[start:cut]))
+        start = cut
+    return frames
+
+
+@pytest.mark.parametrize("step", [1, 5, 4096, 65536, 10**9])
+def test_frame_decoder_is_split_invariant(step):
+    values, stream = framing_stream()
+    frames = feed_in_pieces(stream, range(step, len(stream), step))
+    assert same(frames, values)
+
+
+@FUZZ
+@given(st.lists(st.integers(0, 200_000), max_size=12).map(sorted))
+def test_frame_decoder_is_split_invariant_at_random_cuts(cuts):
+    values, stream = framing_stream()
+    assert same(feed_in_pieces(stream, [min(c, len(stream)) for c in cuts]),
+                values)
+
+
+def test_frame_decoder_keeps_the_partial_tail():
+    values, stream = framing_stream()
+    decoder = FrameDecoder()
+    assert same(decoder.feed(stream[:-3]), values[:-1])
+    assert decoder.feed(b"") == []
+    assert same(decoder.feed(stream[-3:] + stream[:2]), values[-1:])
+    assert same(decoder.feed(stream[2:]), values)
+    with pytest.raises(WireError):  # oversized length prefix poisons the stream
+        FrameDecoder(max_frame_bytes=1000).feed(struct.pack(">I", 1001))
