@@ -64,8 +64,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Any, Callable, Collection, Dict, Iterator, List, Optional,
+                    Sequence, Union)
 
 from repro.dht.api import RoutingLayer
 from repro.dht.multicast import MulticastHandler, MulticastService
@@ -80,9 +80,6 @@ DEFAULT_LIFETIME_S = 300.0
 DEFAULT_ITEM_BYTES = 100
 #: How often each node sweeps expired soft state out of its storage manager.
 DEFAULT_SWEEP_PERIOD_S = 5.0
-#: How long a cancelled scope is remembered, so requests whose overlay
-#: lookups were still resolving at cancellation time are suppressed too.
-CANCELLED_SCOPE_TTL_S = 600.0
 
 #: Callback type for ``get``: receives a list of :class:`DHTItem`.
 GetCallback = Callable[[List["DHTItem"]], None]
@@ -114,13 +111,15 @@ class _PendingGet:
 
     ``resource_ids`` holds one id for the scalar lane; the batch lane keeps
     every id of the (destination-grouped) sub-request so a bounce or timeout
-    can retry — or fail — all of them together.  ``attempts_left`` bounds
-    retry-after-reroute; ``timer`` is the optional per-request timeout.
+    can retry — or fail — all of them together, and while a batch's routed
+    lookup is out, one entry holds the ids it has not answered yet (a dict
+    used as an ordered set).  ``attempts_left`` bounds retry-after-reroute;
+    ``timer`` is the optional per-request timeout.
     """
 
     callback: Callable
     namespace: str
-    resource_ids: Tuple[Any, ...]
+    resource_ids: Collection[Any]
     scope: Any = None
     attempts_left: int = 0
     request_bytes: int = 60
@@ -165,9 +164,6 @@ class Provider:
         self._instance_ids = itertools.count(instance_seed * 1_000_003 + 1)
         #: Per-scope (query) get accounting: issued/completed/failed/cancelled.
         self._scope_counters: Dict[Any, Dict[str, int]] = {}
-        #: scope -> cancellation time; suppresses requests whose lookups were
-        #: mid-flight when the scope was cancelled (TTL-pruned).
-        self._cancelled_scopes: Dict[Any, float] = {}
         #: Put fragments bounced off dead destinations, per namespace.
         self.put_bounces_by_namespace: Dict[str, int] = {}
         node.services[self.SERVICE_NAME] = self
@@ -571,18 +567,7 @@ class Provider:
                 self._disarm(entry)
                 dropped += len(entry.resource_ids)
         self._scope_counters.pop(scope, None)
-        now = self.now
-        self._cancelled_scopes[scope] = now
-        if len(self._cancelled_scopes) > 64:
-            self._cancelled_scopes = {
-                cancelled: when
-                for cancelled, when in self._cancelled_scopes.items()
-                if now - when <= CANCELLED_SCOPE_TTL_S
-            }
         return dropped
-
-    def _scope_cancelled(self, scope: Any) -> bool:
-        return scope is not None and scope in self._cancelled_scopes
 
     def pending_get_count(self, scope: Any = None) -> int:
         """Number of in-flight get requests (optionally for one scope)."""
@@ -611,29 +596,59 @@ class Provider:
         IDs owned by the same node share a single ``prov.get_batch`` request
         and a single reply; locally-owned IDs resolve synchronously.
 
-        Like :meth:`get`, every sub-request is tracked until its reply:
+        Like :meth:`get`, the request is tracked from issue time.  While the
+        routed lookup is out, one pending entry holds every id it has not
+        answered yet, so a lookup that dies with a relay (a hop killed after
+        it took the routed batch but before it forwarded it — no bounce can
+        report that) is retried by the timeout like any other request.  Each
+        owner the lookup names turns its ids into a sub-request of their own:
         bounces and timeouts retry it (``request_retries`` times) and then
         complete each of its ids with an empty item list, and ids whose
         routed lookups dead-end are failed as soon as the routing layer
         reports them unresolved.  ``scope`` tags the requests for
         :meth:`cancel_pending` and the delivery accounting.
         """
-        unique = list(dict.fromkeys(resource_ids))
-        if not unique:
+        outstanding = dict.fromkeys(resource_ids)
+        if not outstanding:
             return
         attempts = (self.request_retries if _attempts_left is None
                     else _attempts_left)
         if _attempts_left is None:
-            self._count(scope, "issued", len(unique))
+            self._count(scope, "issued", len(outstanding))
         rids_by_key: Dict[int, List[Any]] = {}
-        for resource_id in unique:
+        for resource_id in outstanding:
             key = hash_key(namespace, resource_id)
             rids_by_key.setdefault(key, []).append(resource_id)
+        lookup_id = next(self._get_ids)
+        lookup = _PendingGet(
+            callback=callback, namespace=namespace, resource_ids=outstanding,
+            scope=scope, attempts_left=attempts, request_bytes=request_bytes,
+            batch=True,
+        )
+        self._pending_batch_gets[lookup_id] = lookup
+        self._arm_timeout(lookup, lookup_id)
+
+        def _answered(keys: List[int]) -> List[Any]:
+            """Take the ids of ``keys`` out of the lookup-phase entry.
+
+            Empty once that entry is gone: cancelled, or timed out and
+            retried — a late answer must not issue the request twice.
+            """
+            if self._pending_batch_gets.get(lookup_id) is not lookup:
+                return []
+            rids = [rid for key in keys for rid in rids_by_key[key]
+                    if rid in outstanding]  # a resent hop can answer twice
+            for rid in rids:
+                del outstanding[rid]
+            if not outstanding:
+                del self._pending_batch_gets[lookup_id]
+                self._disarm(lookup)
+            return rids
 
         def _ask(owner: int, keys: List[int]) -> None:
-            if self._scope_cancelled(scope):
-                return  # cancelled while the batch lookup was resolving
-            rids = [rid for key in keys for rid in rids_by_key[key]]
+            rids = _answered(keys)
+            if not rids:
+                return
             if owner == self.node.address:
                 for rid in rids:
                     self._count(scope, "completed")
@@ -661,17 +676,13 @@ class Provider:
             )
 
         def _unresolved(keys: List[int]) -> None:
-            if self._scope_cancelled(scope):
-                return
             # The overlay could not route these keys at all (dead-end): fail
             # their ids immediately instead of leaving the caller waiting.
-            stale = _PendingGet(
-                callback=callback, namespace=namespace,
-                resource_ids=tuple(rid for key in keys
-                                   for rid in rids_by_key[key]),
-                scope=scope, batch=True,
-            )
-            self._fail_entry(stale)
+            rids = _answered(keys)
+            if rids:
+                self._fail_entry(_PendingGet(
+                    callback=callback, namespace=namespace,
+                    resource_ids=tuple(rids), scope=scope, batch=True))
 
         self.routing.lookup_batch(list(rids_by_key), _ask,
                                   on_unresolved=_unresolved)
@@ -803,7 +814,8 @@ class Provider:
         Provider's (and its multicast service's) routing reference and
         re-wires the item-migration hooks onto the new layer.  Pending
         gets keep their bookkeeping — their replies, bounces and timeout
-        timers all resolve through the node, not the routing layer.
+        timers all resolve through the node, not the routing layer (a batch
+        lookup still routing on the old layer is retried by its timeout).
         """
         self.routing = routing
         self.multicast_service.routing = routing

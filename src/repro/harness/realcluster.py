@@ -104,31 +104,35 @@ class LocalCluster:
 
     def connect(self, deadline_s: float = BOOT_DEADLINE_S) -> RemotePier:
         """Wait for the overlay to assemble; open the client session."""
-        self._resolve_addresses(deadline_s)
-        if len(self.port_of) < len(self.ports):
-            dead = any(proc.poll() is not None for proc in self.processes)
-            self.stop()
-            raise RuntimeError("a node process died during boot" if dead
-                               else "cluster did not become ready in time")
-        self.pier = RemotePier.connect("127.0.0.1", self.ports[0])
+        deadline = time.monotonic() + deadline_s
+        while True:
+            try:
+                self.pier = RemotePier.connect("127.0.0.1", self.ports[0])
+                break
+            except (OSError, NetworkError):
+                if any(proc.poll() is not None for proc in self.processes):
+                    self.stop()
+                    raise RuntimeError("a node process died during boot") from None
+                if time.monotonic() >= deadline:
+                    self.stop()
+                    raise RuntimeError("cluster did not become ready in time") from None
+                time.sleep(BOOT_POLL_S)
+        self._resolve_addresses()
         return self.pier
 
-    def _resolve_addresses(self, deadline_s: float) -> None:
-        """Wait for every node; learn which process/port holds which address."""
+    def _resolve_addresses(self) -> None:
+        """Learn which process/port holds which overlay address."""
         for port, proc in zip(self.ports, self.processes):
-            address = self._address_of_port(port, self.processes, deadline_s)
+            address = self._address_of_port(port)
             if address is None:
-                return
+                continue
             self.port_of[address] = port
             self.proc_of[address] = proc
 
-    def _address_of_port(self, port: int, needed: List[subprocess.Popen],
+    def _address_of_port(self, port: int,
                          deadline_s: float = BOOT_DEADLINE_S) -> Optional[int]:
-        """Poll ``port`` until its node is ready; ``None`` when the deadline
-        passed or one of the ``needed`` processes died first."""
         deadline = time.monotonic() + deadline_s
-        while (time.monotonic() < deadline
-               and all(proc.poll() is None for proc in needed)):
+        while time.monotonic() < deadline:
             try:
                 conn = GatewayConnection("127.0.0.1", port, timeout_s=2.0)
             except OSError:
@@ -168,7 +172,7 @@ class LocalCluster:
         proc = self._spawn(self._common
                            + ["--listen", f"127.0.0.1:{port}",
                               "--join", f"127.0.0.1:{member_port}"])
-        address = self._address_of_port(port, [proc], deadline_s)
+        address = self._address_of_port(port, deadline_s=deadline_s)
         if address is None:
             raise RuntimeError("dynamic joiner did not become ready in time")
         self.ports.append(port)

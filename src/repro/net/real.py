@@ -22,7 +22,8 @@ Design notes
   + one ``drain()``, so a handler that sends hundreds of one-row messages in
   a loop turn costs one syscall.  The batch is the unit of failure handling:
   it stays on the peer until the drain returns, and a retry or a bounce
-  covers all of it.  Nothing is ever read from a pooled connection; the task
+  covers all of it (a message the codec refuses to encode bounces alone; the
+  rest of its batch is written).  Nothing is ever read from a pooled connection; the task
   keeps its ``StreamReader`` only to ask it *before* each write whether the
   peer hung up (``at_eof()`` after a FIN, ``exception()`` after a reset), so
   a batch queued behind a dead connection is retried, not written and lost.
@@ -44,7 +45,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.net.message import Message
 from repro.net.node import Node
-from repro.net.simulator import Simulator
 from repro.net.transport import TimerService, Transport
 from repro.net.wire import (
     MAX_FRAME_BYTES,
@@ -82,6 +82,21 @@ class _WallClockHandle:
         self._timer.cancel()
 
 
+class _WallClockPeriodicHandle:
+    """Periodic handle mirroring :class:`repro.net.simulator.PeriodicHandle`."""
+
+    __slots__ = ("active", "current")
+
+    def __init__(self) -> None:
+        self.active = True
+        self.current: Optional[_WallClockHandle] = None
+
+    def cancel(self) -> None:
+        self.active = False
+        if self.current is not None:
+            self.current.cancel()
+
+
 class WallClockTimers(TimerService):
     """The Simulator's timer surface over ``loop.call_later``.
 
@@ -103,9 +118,24 @@ class WallClockTimers(TimerService):
         timer = self._loop.call_later(delay, callback, *args)
         return _WallClockHandle(timer, self.now + delay)
 
-    #: Built on ``schedule`` alone, so the simulator's implementation (and its
-    #: :class:`repro.net.simulator.PeriodicHandle`) serves the wall clock too.
-    schedule_periodic = Simulator.schedule_periodic
+    def schedule_periodic(self, period: float, callback: Callable[..., None],
+                          *args: Any,
+                          initial_delay: Optional[float] = None
+                          ) -> _WallClockPeriodicHandle:
+        if period <= 0:
+            raise ValueError(f"periodic timers need a positive period (got {period})")
+        handle = _WallClockPeriodicHandle()
+        first = period if initial_delay is None else initial_delay
+
+        def _fire() -> None:
+            if not handle.active:
+                return
+            callback(*args)
+            if handle.active:
+                handle.current = self.schedule(period, _fire)
+
+        handle.current = self.schedule(first, _fire)
+        return handle
 
 
 class _Peer:
@@ -242,13 +272,19 @@ class RealTransport(Transport):
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        tasks = [peer.task for peer in self._pool.values() if peer.task is not None]
+        for peer in self._pool.values():
+            if peer.task is not None:
+                peer.task.cancel()
+        tasks = [p.task for p in self._pool.values() if p.task is not None]
         for task in tasks:
-            task.cancel()
-        for result in await asyncio.gather(*tasks, return_exceptions=True):
-            if isinstance(result, Exception):  # crashed, not just cancelled:
-                # a real defect — surface it instead of swallowing it.
-                log.error("peer writer task failed during close", exc_info=result)
+            try:
+                await task
+            except asyncio.CancelledError:
+                pass
+            except Exception:  # noqa: BLE001 — close() must finish, but a
+                # writer task that *crashed* (vs. was cancelled) is a real
+                # defect: surface it instead of swallowing it.
+                log.exception("peer writer task failed during close")
         for peer in self._pool.values():
             self._drain_peer(peer)
         self._pool.clear()
@@ -361,9 +397,7 @@ class RealTransport(Transport):
                 try:
                     if reader.at_eof() or reader.exception() is not None:
                         raise ConnectionResetError("peer closed the connection")
-                    data = b"".join([
-                        encode_frame(message_to_wire(message), self.max_frame_bytes)
-                        for message in batch])
+                    data = self._encode_batch(batch)
                     writer.write(data)
                     await writer.drain()
                     self.bytes_sent += len(data)
@@ -384,6 +418,26 @@ class RealTransport(Transport):
                     writer.close()
                 except Exception:  # noqa: BLE001
                     pass
+
+    def _encode_batch(self, batch: List[Message]) -> bytes:
+        """The frames of ``batch``, back to back.  A message the codec refuses
+        (oversized frame, non-repro object) leaves the batch and bounces on
+        its own: it must not take the writer task or its neighbours down."""
+        frames: List[bytes] = []
+        refused: List[Message] = []
+        for message in batch:
+            try:
+                frames.append(encode_frame(message_to_wire(message),
+                                           self.max_frame_bytes))
+            except WireError as exc:
+                log.error("node %s: dropping unencodable %r message to %s: %s",
+                          self.address, message.protocol, message.dst, exc)
+                refused.append(message)
+        if refused:
+            batch[:] = [message for message in batch if message not in refused]
+            for message in refused:
+                self._bounce(message)
+        return b"".join(frames)
 
     def _bounce(self, message: Message) -> None:
         """Local failure notification, mirroring the simulator's bounce."""

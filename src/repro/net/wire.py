@@ -33,8 +33,8 @@ as big-endian signed 8/16/32/64-bit, the narrowest that holds ``min`` and
 ``max``; **5** ints as unsigned 128-bit (DHT keys); **6** floats as IEEE
 doubles; **7** strings as a column of character counts, a ``u32`` byte length
 and one UTF-8 blob; **8** same-arity tuples as the arity and one column per
-position; **9** dicts with the same keys in the same order as the key list
-and one column per key; **0** anything as msgpack values back to back.
+position; **9** dicts with the same ``str`` keys in the same order as the key
+list and one column per key; **0** anything as msgpack values back to back.
 Tuple and dict columns are typed recursively, and whatever fits no typed
 kind — mixed types, ``None`` or ``bool`` elements, ragged tuples, ints beyond
 128 bits — falls back **per column** to kind 0, the generic walk, so every
@@ -239,7 +239,8 @@ def _encode_column(buf: bytearray, items: Sequence[Any], depth: int = 0) -> None
         for column in zip(*items):
             _encode_column(buf, column, depth + 1)
         return
-    if kind is dict and nest and len(set(map(tuple, items))) == 1:
+    if (kind is dict and nest and set(map(type, items[0])) == {str}
+            and len(set(map(tuple, items))) == 1):  # 1 == True == 1.0 as keys
         buf.append(_COL_DICT)
         _encode_list(buf, list(items[0]))
         for column in zip(*(item.values() for item in items)):

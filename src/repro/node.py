@@ -231,7 +231,9 @@ class PierNode:
         self.membership[0] = self.advertise
         if self.expected_nodes > 1:
             await self._members_complete.wait()
-        frame = {"t": "mem", "nodes": self.membership, "config": self.config}
+        frame = {"t": "mem", "nodes": {a: list(e) for a, e in
+                                       self.membership.items()},
+                 "config": self.config}
         for address, (writer, _endpoint) in enumerate(self._joiners, start=1):
             self.transport.push_frame(writer, dict(frame, you=address))
             await writer.drain()
@@ -262,9 +264,11 @@ class PierNode:
         taken = set(self.membership) | set(self._pending_admissions)
         address = max(taken) + 1
         self._pending_admissions[address] = endpoint
+        nodes = {a: list(e) for a, e in self.membership.items()}
+        nodes[address] = list(endpoint)
         self.transport.push_frame(writer, {
-            "t": "mem", "you": address, "dynamic": True, "epoch": self.epoch,
-            "nodes": {**self.membership, address: endpoint}, "config": self.config,
+            "t": "mem", "you": address, "dynamic": True,
+            "epoch": self.epoch, "nodes": nodes, "config": self.config,
         })
         log.info("admitting joiner %d from %s:%d (awaiting ack)",
                  address, *endpoint)
@@ -282,7 +286,7 @@ class PierNode:
         log.info("member %d joined; broadcasting epoch %d (%d nodes)",
                  address, self.epoch, len(nodes))
         self._apply_membership(nodes, self.epoch)
-        self._broadcast_membership(self.membership)
+        self._broadcast_membership()
 
     async def _join(self) -> Optional[asyncio.StreamWriter]:
         """Register with a member and wait for the membership reply.
@@ -311,7 +315,10 @@ class PierNode:
         self.transport.address = int(membership_frame["you"])
         self.config.update(membership_frame["config"])
         self.epoch = int(membership_frame.get("epoch", 0))
-        self.membership = membership_frame["nodes"]
+        self.membership = {
+            int(a): (e[0], int(e[1]))
+            for a, e in membership_frame["nodes"].items()
+        }
         if membership_frame.get("dynamic"):
             return writer
         writer.close()
@@ -335,7 +342,14 @@ class PierNode:
         self.transport.update_peers(self.membership)
         self.node = Node(self.transport.address, self.transport)
         self.transport.attach_node(self.node)
-        routing = self._build_routing()
+        routing, builder = build_local_routing(
+            self.node, list(self.membership),
+            dht=self.config["dht"],
+            can_dimensions=self.config["can_dimensions"],
+            seed=self.config["seed"],
+        )
+        self._routing = routing
+        self._builder = builder
         request_timeout = float(self.config.get("request_timeout_s") or 0.0)
         self.provider = Provider(
             self.node, routing,
@@ -346,12 +360,9 @@ class PierNode:
         self.executor = QueryExecutor(self.node, self.provider)
         self.node.register_handler("cluster.update", self._on_cluster_update)
         self.node.register_handler("cluster.transfer", self._on_transfer)
-        self.node.register_handler("cluster.dead", lambda _node, message: (
-            self._handle_peer_dead(int(message.payload["address"]))))
-        self.node.register_handler("cluster.alive", lambda _node, message: (
-            self._handle_peer_alive(int(message.payload["address"]))))
-        self.node.register_handler("cluster.ns", lambda _node, message: (
-            self.known_namespaces.update(message.payload["namespaces"])))
+        self.node.register_handler("cluster.dead", self._on_peer_dead_msg)
+        self.node.register_handler("cluster.alive", self._on_peer_alive_msg)
+        self.node.register_handler("cluster.ns", self._on_namespaces_msg)
         self.detector = HeartbeatFailureDetector(
             self.node, routing,
             period_s=float(self.config["heartbeat_period_s"]),
@@ -362,16 +373,6 @@ class PierNode:
         self.detector.start()
         self.ready = True
 
-    def _build_routing(self):
-        """This node's routing layer over the current membership."""
-        self._routing, self._builder = build_local_routing(
-            self.node, list(self.membership),
-            dht=self.config["dht"],
-            can_dimensions=self.config["can_dimensions"],
-            seed=self.config["seed"],
-        )
-        return self._routing
-
     # ----------------------------------------------------- live membership
 
     def _apply_membership(self, nodes: Dict[int, Tuple[str, int]],
@@ -379,7 +380,7 @@ class PierNode:
         """Adopt a membership map: rebuild the overlay, migrate moved items."""
         self.epoch = max(self.epoch, epoch)
         removed = set(self.membership) - set(nodes)
-        self.membership = dict(nodes)
+        self.membership = {a: (e[0], int(e[1])) for a, e in nodes.items()}
         self.transport.update_peers(self.membership)
         for address in removed:
             self.transport.forget_peer(address)
@@ -392,17 +393,21 @@ class PierNode:
         payload = message.payload
         if int(payload["epoch"]) <= self.epoch:
             return  # stale or already applied
+        nodes = {int(a): (e[0], int(e[1]))
+                 for a, e in payload["nodes"].items()}
         log.info("membership epoch %d from node %d: %d nodes",
-                 payload["epoch"], message.src, len(payload["nodes"]))
-        self._apply_membership(payload["nodes"], int(payload["epoch"]))
+                 payload["epoch"], message.src, len(nodes))
+        self._apply_membership(nodes, int(payload["epoch"]))
 
-    def _broadcast_membership(self, nodes: Dict[int, Tuple[str, int]]) -> None:
-        """Tell every other node of ``nodes`` that they are the membership."""
-        payload = {"epoch": self.epoch, "nodes": dict(nodes)}
-        for address in nodes:
+    def _broadcast_membership(self) -> None:
+        payload = {
+            "epoch": self.epoch,
+            "nodes": {a: list(e) for a, e in self.membership.items()},
+        }
+        for address in self.membership:
             if address != self.node.address:
                 self.node.send(address, "cluster.update", payload=payload,
-                               payload_bytes=24 * max(1, len(nodes)))
+                               payload_bytes=24 * len(self.membership))
 
     def _rebuild_overlay(self) -> None:
         """Deterministically rebuild routing over the current address list.
@@ -411,9 +416,16 @@ class PierNode:
         epoch, so no stabilisation traffic is needed; detected-dead marks
         are carried onto the fresh tables so healing survives the rebuild.
         """
-        routing = self._build_routing()
+        routing, builder = build_local_routing(
+            self.node, list(self.membership),
+            dht=self.config["dht"],
+            can_dimensions=self.config["can_dimensions"],
+            seed=self.config["seed"],
+        )
         for address in self.confirmed_dead:
             routing.mark_neighbor_dead(address)
+        self._routing = routing
+        self._builder = builder
         self.provider.rebind_routing(routing)
         self.detector.routing = routing
 
@@ -456,34 +468,21 @@ class PierNode:
                            payload_bytes=sum(e["size_bytes"] for e in entries))
 
     def _on_transfer(self, node: Node, message) -> None:
-        self._store_entries(message.payload["items"])
-
-    def _store_entries(self, entries) -> set:
-        """Store wire entries locally (migration, fast load); returns the
-        namespaces they fall in.  Lifetimes are relative: they re-anchor on
-        this process's clock."""
         now = self.node.now
-        namespaces: set = set()
-        for entry in entries:
+        for entry in message.payload["items"]:
             namespace = entry["namespace"]
-            resource_id = entry["resource_id"]
-            instance_id = entry.get("instance_id")
-            if instance_id is None:
-                instance_id = self.provider.next_instance_id()
             self.provider.storage.store(StoredItem(
                 namespace=namespace,
-                resource_id=resource_id,
-                instance_id=instance_id,
+                resource_id=entry["resource_id"],
+                instance_id=entry["instance_id"],
                 value=entry["value"],
-                key=hash_key(namespace, resource_id),
-                expires_at=now + entry.get("lifetime", 1e9),
+                key=hash_key(namespace, entry["resource_id"]),
+                expires_at=now + entry["lifetime"],
                 stored_at=now,
-                publisher=entry.get("publisher"),
-                size_bytes=entry.get("size_bytes", 100),
+                publisher=entry["publisher"],
+                size_bytes=entry["size_bytes"],
             ))
-            namespaces.add(namespace)
-        self.known_namespaces.update(namespaces)
-        return namespaces
+            self.known_namespaces.add(namespace)
 
     def _graceful_leave(self) -> None:
         """Depart cleanly: hand off stored items, announce, exit."""
@@ -503,7 +502,13 @@ class PierNode:
                 seed=self.config["seed"],
             )
             self._send_items(items, locator.owner_of_key)
-        self._broadcast_membership(survivors)
+        payload = {
+            "epoch": self.epoch,
+            "nodes": {a: list(e) for a, e in survivors.items()},
+        }
+        for address in survivors:
+            self.node.send(address, "cluster.update", payload=payload,
+                           payload_bytes=24 * max(1, len(survivors)))
         self.membership = survivors
         self.node.schedule(LEAVE_LINGER_S, self._stopping.set)
 
@@ -536,14 +541,25 @@ class PierNode:
             for member in self.membership:
                 if member not in (self.node.address, address):
                     self.node.send(member, "cluster.dead",
-                                   payload={"address": address}, payload_bytes=16)
+                                   payload={"address": address},
+                                   payload_bytes=16)
 
     def _on_local_recovery(self, address: int) -> None:
         if self._handle_peer_alive(address):
             for member in self.membership:
                 if member not in (self.node.address, address):
                     self.node.send(member, "cluster.alive",
-                                   payload={"address": address}, payload_bytes=16)
+                                   payload={"address": address},
+                                   payload_bytes=16)
+
+    def _on_peer_dead_msg(self, node: Node, message) -> None:
+        self._handle_peer_dead(int(message.payload["address"]))
+
+    def _on_peer_alive_msg(self, node: Node, message) -> None:
+        self._handle_peer_alive(int(message.payload["address"]))
+
+    def _on_namespaces_msg(self, node: Node, message) -> None:
+        self.known_namespaces.update(message.payload["namespaces"])
 
     # -------------------------------------------------------------- gateway
 
@@ -564,11 +580,13 @@ class PierNode:
 
     def _dispatch_rpc(self, op: str, frame: dict,
                       writer: asyncio.StreamWriter) -> Dict[str, Any]:
+        if op == "ping":
+            return {}
         if op == "status":
             return {
                 "ready": self.ready,
                 "address": self.transport.address,
-                "nodes": self.membership,
+                "nodes": {a: list(e) for a, e in self.membership.items()},
                 "config": self.config,
                 "epoch": self.epoch,
                 "dead": sorted(self.confirmed_dead),
@@ -597,8 +615,27 @@ class PierNode:
 
     def _rpc_store(self, frame: dict) -> Dict[str, Any]:
         """Direct local store of items this node owns (remote fast load)."""
-        known = set(self.known_namespaces)
-        fresh = self._store_entries(frame["items"]) - known
+        now = self.node.now
+        stored = 0
+        namespaces: set = set()
+        for entry in frame["items"]:
+            namespace = entry["namespace"]
+            resource_id = entry["resource_id"]
+            self.provider.storage.store(StoredItem(
+                namespace=namespace,
+                resource_id=resource_id,
+                instance_id=self.provider.next_instance_id(),
+                value=entry["value"],
+                key=hash_key(namespace, resource_id),
+                expires_at=now + entry.get("lifetime", 1e9),
+                stored_at=now,
+                publisher=entry.get("publisher"),
+                size_bytes=entry.get("size_bytes", 100),
+            ))
+            stored += 1
+            namespaces.add(namespace)
+        fresh = namespaces - self.known_namespaces
+        self.known_namespaces.update(namespaces)
         if fresh:
             # Tell the other members these namespaces now hold data, so any
             # gateway can validate submits against them.
@@ -607,7 +644,7 @@ class PierNode:
                     self.node.send(address, "cluster.ns",
                                    payload={"namespaces": sorted(fresh)},
                                    payload_bytes=16 * len(fresh))
-        return {"stored": len(frame["items"])}
+        return {"stored": stored}
 
     def _rpc_submit(self, frame: dict,
                     writer: asyncio.StreamWriter) -> Dict[str, Any]:

@@ -38,14 +38,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.executor import QueryHandle
 from repro.core.query import QuerySpec
-from repro.core.stats import (
-    STATS_ITEM_BYTES,
-    STATS_LIFETIME_S,
-    STATS_NAMESPACE,
-    RelationStats,
-    StatsRegistry,
-    relation_stats_resource_id,
-)
+from repro.core.stats import StatsRegistry
 from repro.core.tuples import RelationDef
 from repro.exceptions import (
     GatewayError,
@@ -110,9 +103,10 @@ class GatewayConnection:
         message = (f"rpc {op!r} failed on {self.endpoint}: "
                    f"{response.get('error')}")
         code = response.get("code", "internal")
-        for typed in (NodeNotReadyError, UnknownNamespaceError):
-            if code == typed.code:
-                return typed(message)
+        if code == NodeNotReadyError.code:
+            return NodeNotReadyError(message)
+        if code == UnknownNamespaceError.code:
+            return UnknownNamespaceError(message)
         return GatewayError(message, code=code)
 
     # ----------------------------------------------------------------- pump
@@ -159,16 +153,10 @@ class GatewayConnection:
             pass
 
 
-class _RemoteNetwork:
-    """The ``network`` surface cursors drive, mapped onto socket pumps.
+class _WallClockShim:
+    """``simulator``-shaped poll hints for :class:`ResultCursor`."""
 
-    It is its own ``simulator``: the only thing a cursor asks of one is the
-    clock and the next event time.
-    """
-
-    def __init__(self, pier: "RemotePier"):
-        self._pier = pier
-        self.simulator = self
+    __slots__ = ()
 
     @property
     def now(self) -> float:
@@ -179,9 +167,22 @@ class _RemoteNetwork:
         # always a next horizon to block on the socket until.
         return time.monotonic() + POLL_INTERVAL_S
 
+
+class _RemoteNetwork:
+    """The ``network`` surface cursors drive, mapped onto socket pumps."""
+
+    def __init__(self, pier: "RemotePier"):
+        self._pier = pier
+        self.simulator = _WallClockShim()
+
+    @property
+    def now(self) -> float:
+        return time.monotonic()
+
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> float:
-        self._pier.pump(self.next_event_time() if until is None else until)
+        horizon = time.monotonic() + POLL_INTERVAL_S if until is None else until
+        self._pier.pump(horizon)
         return time.monotonic()
 
     def run_until_idle(self, max_events: Optional[int] = None) -> float:
@@ -235,14 +236,19 @@ class RemotePier:
         if not status["ready"]:
             raise NodeNotReadyError("gateway node is not ready")
         self.gateway_address: int = status["address"]
+        self.config: Dict[str, Any] = status["config"]
+        self.endpoints: Dict[int, Tuple[str, int]] = {
+            int(a): (e[0], int(e[1])) for a, e in status["nodes"].items()
+        }
+        #: Members the cluster has confirmed dead (refreshed with status).
+        self.dead: set = set(status.get("dead", ()))
         #: Gateways this client itself lost mid-session (failover history).
         self._dead_gateways: set = set()
-        self.endpoints: Dict[int, Tuple[str, int]] = dict(status["nodes"])
         self.locator = OwnerLocator(
-            list(status["nodes"]),
-            dht=status["config"]["dht"],
-            can_dimensions=status["config"]["can_dimensions"],
-            seed=status["config"]["seed"],
+            list(self.endpoints),
+            dht=self.config["dht"],
+            can_dimensions=self.config["can_dimensions"],
+            seed=self.config["seed"],
         )
         self.network = _RemoteNetwork(self)
         #: Ground-truth statistics over everything this client loaded.
@@ -250,18 +256,6 @@ class RemotePier:
         self._connections: Dict[int, GatewayConnection] = {
             self.gateway_address: gateway,
         }
-        self._adopt(status)
-
-    def _adopt(self, status: dict) -> None:
-        """Take config, membership and confirmed-dead set from a status reply."""
-        self.config: Dict[str, Any] = status["config"]
-        #: Members the cluster has confirmed dead (refreshed with status).
-        self.dead: set = set(status.get("dead", ()))
-        if set(status["nodes"]) != set(self.endpoints):
-            self.locator.rebuild(list(status["nodes"]))
-        self.endpoints = dict(status["nodes"])
-        for address in set(self._connections) - set(self.endpoints):
-            self._connections.pop(address).close()
 
     @classmethod
     def connect(cls, host: str, port: int,
@@ -344,7 +338,18 @@ class RemotePier:
         subsequent fast loads and scans place keys exactly where the
         cluster's rebuilt overlay expects them.
         """
-        self._adopt(self.gateway.rpc("status"))
+        status = self.gateway.rpc("status")
+        self.config = status["config"]
+        self.dead = set(status.get("dead", ()))
+        endpoints = {
+            int(a): (e[0], int(e[1])) for a, e in status["nodes"].items()
+        }
+        if set(endpoints) != set(self.endpoints):
+            self.locator.rebuild(list(endpoints))
+        self.endpoints = endpoints
+        for address in list(self._connections):
+            if address not in endpoints:
+                self._connections.pop(address).close()
 
     def leave_node(self, address: int, timeout_s: float = 15.0) -> None:
         """Ask ``address`` to leave gracefully; wait until the cluster agrees."""
@@ -417,31 +422,46 @@ class RemotePier:
         acknowledgements make the load synchronous: when this returns, every
         tuple is scannable at its owner.
         """
-        by_owner: Dict[Tuple[int, str], List[dict]] = {}
+        from repro.core.stats import (
+            STATS_ITEM_BYTES,
+            STATS_LIFETIME_S,
+            STATS_NAMESPACE,
+            RelationStats,
+            relation_stats_resource_id,
+        )
 
-        def place(namespace: str, resource_id: Any, value: Any,
-                  item_lifetime: float, publisher: int, size_bytes: int) -> None:
-            # One RPC per (owner, namespace): every column of its item list
-            # is homogeneous, which is what the wire codec ships fastest.
-            owner = self.locator.owner_of(namespace, resource_id)
-            by_owner.setdefault((owner, namespace), []).append({
-                "namespace": namespace, "resource_id": resource_id,
-                "value": value, "lifetime": item_lifetime,
-                "publisher": publisher, "size_bytes": size_bytes})
-
+        by_owner: Dict[int, List[dict]] = {}
+        loaded = 0
         for publisher, rows in rows_by_node.items():
             if rows and publish_stats:
                 partial = RelationStats.from_rows(relation, rows,
                                                   at=time.monotonic())
                 self.relation_stats.merge_partial(partial)
-                place(STATS_NAMESPACE, relation_stats_resource_id(relation.name),
-                      partial, STATS_LIFETIME_S, publisher, STATS_ITEM_BYTES)
+                stats_rid = relation_stats_resource_id(relation.name)
+                owner = self.locator.owner_of(STATS_NAMESPACE, stats_rid)
+                by_owner.setdefault(owner, []).append({
+                    "namespace": STATS_NAMESPACE,
+                    "resource_id": stats_rid,
+                    "value": partial,
+                    "lifetime": STATS_LIFETIME_S,
+                    "publisher": publisher,
+                    "size_bytes": STATS_ITEM_BYTES,
+                })
             for row in rows:
-                place(relation.namespace, relation.resource_id(row), row,
-                      lifetime, publisher, relation.tuple_bytes)
-        for (owner, _namespace), items in by_owner.items():
+                resource_id = relation.resource_id(row)
+                owner = self.locator.owner_of(relation.namespace, resource_id)
+                by_owner.setdefault(owner, []).append({
+                    "namespace": relation.namespace,
+                    "resource_id": resource_id,
+                    "value": row,
+                    "lifetime": lifetime,
+                    "publisher": publisher,
+                    "size_bytes": relation.tuple_bytes,
+                })
+                loaded += 1
+        for owner, items in by_owner.items():
             self.connection(owner).rpc("store", items=items)
-        return sum(map(len, rows_by_node.values()))
+        return loaded
 
     # ------------------------------------------------------------- utilities
 

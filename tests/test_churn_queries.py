@@ -235,6 +235,51 @@ def test_get_times_out_when_overlay_dead_ends():
     assert provider.scope_report(7)["failed"] == 1
 
 
+def test_get_batch_retries_a_lookup_that_died_with_its_relay():
+    """A relay killed *holding* a routed batch sends no bounce: on a real
+    cluster the lookup is simply gone.  get_batch tracks its ids from issue
+    time, so the timeout retries them and each id is answered exactly once."""
+    pier, workload = build_churn_pier("can")
+    provider, namespace = pier.providers[0], workload.s_relation.namespace
+    remote = [rid for rid in range(64) if pier.owner_of(namespace, rid) != 0]
+    local = next(rid for rid in range(64) if pier.owner_of(namespace, rid) == 0)
+    route_batch = pier.routings[0].PROTOCOL_ROUTE_BATCH
+    relays = {address: pier.routings[address].node
+              for address in pier.routings[0].neighbors()}
+    swallowed = []
+    for relay in relays.values():  # every first hop takes the batch and dies
+        relay.replace_handler(route_batch,
+                              lambda _node, message: swallowed.append(message))
+
+    answered = []
+    provider.get_batch(namespace, [local] + remote,
+                       lambda rid, items: answered.append(rid), scope=7)
+    assert answered == [local]  # local ids never wait on the overlay
+    assert provider.pending_get_count(7) == len(remote)
+    pier.run(until=pier.now + provider.request_timeout_s - 1.0)
+    assert swallowed and answered == [local]
+
+    for address, relay in relays.items():  # the overlay heals before the retry
+        relay.replace_handler(route_batch, pier.routings[address]._on_route_batch)
+    pier.run(until=pier.now + provider.request_timeout_s)
+    assert sorted(answered) == sorted([local] + remote)
+    report = provider.scope_report(7)
+    assert (report["issued"], report["completed"], report["failed"],
+            report["pending"]) == (len(remote) + 1, len(remote) + 1, 0, 0)
+
+
+def test_get_batch_lookup_answered_after_cancel_issues_nothing():
+    pier, workload = build_churn_pier("can")
+    provider, namespace = pier.providers[0], workload.s_relation.namespace
+    remote = [rid for rid in range(64) if pier.owner_of(namespace, rid) != 0]
+    answered = []
+    provider.get_batch(namespace, remote,
+                       lambda rid, items: answered.append(rid), scope=8)
+    assert provider.cancel_pending(8) == len(remote)  # lookup still routing
+    pier.run_until_idle()
+    assert answered == [] and provider.pending_get_count(8) == 0
+
+
 def test_churn_free_deployment_matches_seed_behaviour():
     """Without a ChurnConfig nothing new is armed: no injector, no timers."""
     pier = PierNetwork(SimulationConfig(num_nodes=8, seed=7))

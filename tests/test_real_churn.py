@@ -364,13 +364,6 @@ def test_kill9_mid_query_degrades_without_hanging(churn_cluster):
     cursor = client.query(wl.make_query(strategy=JoinStrategy.FETCH_MATCHES),
                           timeout_s=QUERY_HORIZON_S)
     cursor.fetch(1)  # the dataflow is live before the failure lands
-    # The first row used to reach the client one 50 ms push period after the
-    # submit, when this 15 ms dataflow had long drained; now it arrives within
-    # a few ms.  Keep the kill where it always landed: a lookup in flight
-    # *through* the victim dies with it, and get_batch arms its timeout only
-    # once the lookup has resolved (ROADMAP item 2) — recall then swings
-    # 0.40-0.64 around the 0.52 the surviving owners can give.
-    time.sleep(0.1)
     churn_cluster.kill(victim)
     started = time.monotonic()
     rows = cursor.fetchall(drain=False)

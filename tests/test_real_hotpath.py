@@ -178,6 +178,30 @@ def test_batch_in_flight_when_the_connection_resets_is_retried_whole(monkeypatch
     asyncio.run(scenario())
 
 
+def test_unencodable_message_bounces_alone_and_its_batch_is_written(writes):
+    """One message the codec refuses must not kill the writer task: it
+    bounces, its neighbours are written, and the peer keeps draining."""
+
+    async def scenario():
+        peer = RecordingPeer()
+        transport, node, bounced = await connected_sender(peer)
+        del writes[:], peer.connections[0][:]
+        send(node, [0, 1])
+        node.send(1, "test.proto", payload={"seq": 2, "bad": object()},
+                  payload_bytes=8)  # not a repro object: WireError on encode
+        send(node, [3, 4])
+        await wait_for(lambda: len(peer.seqs(0)) == 4)
+        assert peer.seqs(0) == [0, 1, 3, 4] and len(writes) == 1
+        assert bounced == [2] and transport.bounces == 1
+        send(node, [5])  # the writer task survived
+        await wait_for(lambda: peer.seqs(0)[-1] == 5)
+        assert not transport._pool[1].pending and not transport._pool[1].task.done()
+        await transport.close()
+        await peer.hang_up()
+
+    asyncio.run(scenario())
+
+
 # ------------------------------------------------------- node result pump
 
 

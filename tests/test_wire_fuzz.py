@@ -100,14 +100,23 @@ SCALARS = (
     st.floats(allow_nan=True), st.text(max_size=8), st.booleans(), st.none(),
     st.binary(max_size=6),
 )
-KEYS = st.one_of(st.text(max_size=4), st.integers(0, 9))
+KEYS = st.one_of(st.text(max_size=4), st.integers(0, 9), st.booleans(),
+                 st.sampled_from([0.0, 1.0]))
+
+
+def lookalike(key):
+    """An equal key of another type (``1 == True == 1.0``), else the key."""
+    if type(key) is str or key not in (0, 1):
+        return key
+    return {int: bool, bool: float, float: int}[type(key)](key)
 
 
 @st.composite
 def column(draw, n: int, depth: int):
     """``n`` elements from *one* element strategy: scalars of one kind, or
     records (tuples / dicts) whose fields are such columns again — sometimes
-    with one ragged tuple or one dict holding its keys in another order."""
+    with one ragged tuple, or one dict holding its keys in another order or
+    under equal keys of another type."""
     kind = draw(st.sampled_from(("scalar", "tuple", "dict") if depth
                                 else ("scalar",)))
     if kind == "scalar":
@@ -120,8 +129,10 @@ def column(draw, n: int, depth: int):
     if kind == "dict":
         keys = draw(st.lists(KEYS, min_size=arity, max_size=arity, unique=True))
         rows = [dict(zip(keys, row)) for row in rows]
-        if odd is not None:
+        if odd is not None and draw(st.booleans()):
             rows[odd] = dict(reversed(list(rows[odd].items())))
+        elif odd is not None:
+            rows[odd] = {lookalike(key): item for key, item in rows[odd].items()}
     elif odd is not None:
         rows[odd] = rows[odd][:-1]
     return rows
@@ -204,6 +215,12 @@ def test_record_columns_and_their_fallbacks():
     reordered = rows[:4] + [dict(reversed(list(rows[4].items())))]
     assert column_kind(reordered) == 0 and roundtrips(reordered)
     assert column_kind([{"a": 1}] * 3 + [{"b": 1}]) == 0
+    # 1 == True == 1.0 (and 0.0 == -0.0) as keys: shipping one row's key list
+    # for all would retype the others, so only exact-str keys make a column.
+    for lookalikes in ([{1: "a"}, {True: "b"}, {1.0: "c"}, {1: "d"}],
+                       [{0.0: 1}, {-0.0: 2}, {0.0: 3}, {0: 4}],
+                       [{1: "a", "k": 2}] * 4):
+        assert column_kind(lookalikes) == 0 and roundtrips(lookalikes)
     points = [(i, float(i), str(i)) for i in range(6)]
     assert column_kind(points) == 8 and roundtrips(points)
     ragged = points[:5] + [(1, 2.0)]
