@@ -20,10 +20,13 @@ the graph to life:
 There is one execution pipeline.  A scan chain is one fused chunk kernel:
 stored dicts in, one dense :class:`repro.core.tuples.Chunk` out.  Rehash,
 Bloom build, partial aggregation and the scan sink consume the chunk column
-by column; probe, Fetch Matches and the semi-join rejoin work a matched pair
-of slotted rows at a time (``Chunk.rows()`` at that boundary).  Rehash
-fragments cross the network as ``(side, slotted_row)`` pairs; dicts appear
-only in the rows shipped to the initiator.
+by column.  The arrival side is chunk-at-a-time as well: the probe answers
+one ``newData`` upcall — every new fragment of one stored chunk — with one
+bucket read per distinct join value and one result message, and a Fetch
+Matches reply joins all scanned rows of its join value at once; only the
+semi-join rejoin still fetches a matched pair at a time.  Rehash fragments
+cross the network as ``(side, slotted_row)`` pairs; dicts appear only in the
+rows shipped to the initiator.
 
 The four join strategies of paper Section 4 and both aggregation variants
 are therefore *graph constructions* in :mod:`repro.core.opgraph`; the
@@ -45,13 +48,12 @@ records per-tuple arrival times so the harness can report the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core import aggregation_tree
 from repro.core.bloom import BloomFilter
 from repro.core.opgraph import (
     Activation,
-    FetchArtifact,
     OpGraph,
     OpKind,
     OpNode,
@@ -66,6 +68,7 @@ from repro.core.stats import StatsRegistry
 from repro.core.tuples import Chunk, Row, SlottedRow
 from repro.dht.naming import hash_key
 from repro.dht.provider import DHTItem, Provider
+from repro.dht.storage import StoredItem
 from repro.exceptions import PlanError
 from repro.net.node import Node
 
@@ -77,6 +80,8 @@ QUERY_MESSAGE_BYTES = 400
 TEARDOWN_MESSAGE_BYTES = 50
 #: Wire size of one aggregation result row shipped to the initiator.
 AGG_RESULT_ROW_BYTES = 64
+#: Most result rows one ``pier.result`` message of join output carries.
+RESULT_SLICE_ROWS = 4096
 #: How long a node remembers that a query was finished, so a teardown that
 #: overtakes its own query flood still suppresses the late-arriving query.
 FINISHED_MARKER_TTL_S = 600.0
@@ -499,69 +504,89 @@ class QueryExecutor:
         """Register the newData probe for the rehash namespace on this node."""
         namespace = node.params["namespace"]
 
-        def _on_new(item: DHTItem, query=query, node=node) -> None:
-            self._probe(query, item, node)
+        def _on_new(items: List[StoredItem], query=query, node=node) -> None:
+            self._probe(query, node, items)
 
         self.provider.on_new_data(namespace, _on_new)
         state.new_data_registrations.append((namespace, _on_new))
-        # Process any fragments that arrived before this node learned of the
-        # query (possible because rehash puts race the query multicast).
-        backlog = sorted(
-            self.provider.lscan(namespace), key=lambda item: item.instance_id
-        )
-        seen: List[DHTItem] = []
-        for item in backlog:
-            self._probe(query, item, node, restrict_to=seen)
-            seen.append(item)
+        # Fragments that arrived before this node learned of the query (rehash
+        # puts race the query multicast) are one chunk with nothing old.
+        backlog = sorted(self.provider.storage.scan(namespace, self.now),
+                         key=lambda item: item.instance_id)
+        if backlog:
+            self._probe(query, node, backlog)
 
-    def _probe(self, query: QuerySpec, item: DHTItem, probe_node: OpNode,
-               restrict_to: Optional[List[DHTItem]] = None) -> None:
-        """Probe the local rehash partition with a newly arrived fragment."""
+    def _probe(self, query: QuerySpec, probe_node: OpNode,
+               items: List[StoredItem]) -> None:
+        """Probe the local rehash partition with one chunk of new fragments."""
         state = self._states.get(query.query_id)
         if state is None:
             return
-        side, row = item.value
-        other_alias = query.join.other_alias(side)
-        if restrict_to is not None:
-            candidates = restrict_to
-        else:
-            candidates = self.provider.get_local(item.namespace, item.resource_id)
-        matches: List[Tuple[SlottedRow, SlottedRow]] = []
-        for candidate in candidates:
-            candidate_side, candidate_row = candidate.value
-            if candidate_side != other_alias:
-                continue
-            if candidate.instance_id == item.instance_id:
-                continue
-            if restrict_to is not None and candidate.resource_id != item.resource_id:
-                continue
-            if side == query.join.left_alias:
-                matches.append((row, candidate_row))
-            else:
-                matches.append((candidate_row, row))
-        if not matches:
-            return
+        pairs = self._probe_pairs(query.join.left_alias, items)
         downstream = state.graph.local_downstream(probe_node)
         if downstream is not None and downstream.kind is OpKind.PAIR_FETCH:
-            for left_row, right_row in matches:
+            for left_row, right_row in pairs:
                 self._fetch_semi_join_pair(query, left_row, right_row)
         else:
             self._emit_join_results(
-                query, matches, state.plan.pair_emitters[probe_node.op_id])
+                query, pairs, state.plan.pair_emitters[probe_node.op_id])
+
+    def _probe_pairs(self, left_alias: str, items: List[StoredItem]
+                     ) -> Iterator[Tuple[SlottedRow, SlottedRow]]:
+        """The symmetric-hash-join kernel: every new ``(left, right)`` pair once.
+
+        The chunk's fresh fragments are grouped by join value in
+        first-occurrence order and each value's stored bucket is read once,
+        straight from the storage manager.  Its records from before this
+        chunk (a renewed triple is one) seed the two build sides; each fresh
+        fragment then probes the other side and joins its own, so it also
+        meets the fresh fragments that precede it in the chunk — the pairs
+        one-by-one arrival made, without a bucket scan per arrival.
+        """
+        groups: Dict[Any, List[StoredItem]] = {}
+        for item in items:
+            groups.setdefault(item.resource_id, []).append(item)
+        retrieve = self.provider.storage.retrieve
+        namespace = items[0].namespace
+        now = self.now
+        for resource_id, fresh in groups.items():
+            fresh_ids = {item.instance_id for item in fresh}  # membership only
+            lefts: List[SlottedRow] = []
+            rights: List[SlottedRow] = []
+            for record in retrieve(namespace, resource_id, now):
+                if record.instance_id not in fresh_ids:
+                    side, row = record.value
+                    (lefts if side == left_alias else rights).append(row)
+            for item in fresh:
+                side, row = item.value
+                if side == left_alias:
+                    for other in rights:
+                        yield row, other
+                    lefts.append(row)
+                else:
+                    for other in lefts:
+                        yield other, row
+                    rights.append(row)
 
     def _emit_join_results(self, query: QuerySpec,
-                           matches: List[Tuple[Any, Any]],
+                           matches: Iterable[Tuple[Any, Any]],
                            emit: Callable[[Any, Any], Optional[Row]]) -> None:
         """Apply the residual predicate, project, and ship matched pairs.
 
         ``emit`` is the lowered join tail: ``(left, right)`` in, boundary
-        dict — or ``None`` when the residual rejects the pair — out.
+        dict — or ``None`` when the residual rejects the pair — out.  The
+        rows of one call leave in one message, cut every
+        ``RESULT_SLICE_ROWS`` so a hot key never materialises its whole
+        cross product.
         """
         results = []
         for left_row, right_row in matches:
             out = emit(left_row, right_row)
             if out is not None:
                 results.append(out)
+                if len(results) == RESULT_SLICE_ROWS:
+                    self._send_results(query, results)
+                    results = []
         self._send_results(query, results)
 
     # ------------------------------------------------------- fetch matches
@@ -578,31 +603,25 @@ class QueryExecutor:
         if not rows_by_value:
             return
 
-        def _on_fetch(join_value, items) -> None:
-            for row in rows_by_value.get(join_value, ()):
-                self._on_fetch_matches_reply(query, fetch, row, items)
+        def _on_fetch(join_value, items: List[DHTItem]) -> None:
+            if query.query_id not in self._states:
+                return  # torn down while the get was in flight
+            # Read and filter each fetched tuple once, then pair it with every
+            # scanned row of this join value: one message per join value.
+            fetched = [fetch.reader(item.value) for item in items
+                       if isinstance(item.value, dict)]
+            if fetch.predicate is not None:
+                fetched = [row for row in fetched if fetch.predicate(row)]
+            scanned = rows_by_value.get(join_value, ())
+            if fetch.scan_is_left:
+                pairs = ((scan, other) for scan in scanned for other in fetched)
+            else:
+                pairs = ((other, scan) for scan in scanned for other in fetched)
+            self._emit_join_results(query, pairs, fetch.emit)
 
         # One get per distinct join value, grouped by owner on the wire.
         self.provider.get_batch(namespace, list(rows_by_value), _on_fetch,
                                 scope=query.query_id)
-
-    def _on_fetch_matches_reply(self, query: QuerySpec, fetch: FetchArtifact,
-                                scan_row: SlottedRow,
-                                items: List[DHTItem]) -> None:
-        if query.query_id not in self._states:
-            return  # torn down while the get was in flight
-        reader = fetch.reader
-        predicate = fetch.predicate
-        matches = []
-        for item in items:
-            if not isinstance(item.value, dict):
-                continue
-            fetched = reader(item.value)
-            if predicate is not None and not predicate(fetched):
-                continue
-            matches.append((scan_row, fetched) if fetch.scan_is_left
-                           else (fetched, scan_row))
-        self._emit_join_results(query, matches, fetch.emit)
 
     # --------------------------------------------------- symmetric semi-join
 

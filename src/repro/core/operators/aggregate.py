@@ -15,6 +15,7 @@ the final value.  The classes here provide the algebra that makes that work:
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.expressions import Expression
@@ -49,7 +50,7 @@ class AggregateState:
         """Accumulate a whole column of input values.
 
         Semantically identical to calling :meth:`add` per value; states with
-        a cheaper bulk form (count, sum, min, max) override this.
+        a cheaper bulk form (count, sum, min, max, the sketches) override this.
         """
         for value in values:
             self.add(value)
@@ -308,6 +309,10 @@ class ApproxCountDistinctState(AggregateState):
         if value is not None:
             self.sketch.add(value)
 
+    def add_many(self, values: Sequence[Any]) -> None:
+        for _type, value in _distinct_counts(values):  # registers are a max
+            self.sketch.add(value)
+
     def merge(self, other: "ApproxCountDistinctState") -> None:
         self.sketch.merge(other.sketch)
 
@@ -348,6 +353,12 @@ class ApproxTopKState(AggregateState):
         if value is not None:
             self.sketch.add(value)
 
+    def add_many(self, values: Sequence[Any]) -> None:
+        # Same grid as the row loop; same candidates while they fit the
+        # capacity, scored at their one add (every merge re-scores them).
+        for (_type, value), count in _distinct_counts(values).items():
+            self.sketch.add(value, count)
+
     def merge(self, other: "ApproxTopKState") -> None:
         self.sketch.merge(other.sketch)
 
@@ -387,11 +398,14 @@ class ApproxPercentileState(AggregateState):
         return cls(p=p)
 
     def add(self, value: Any) -> None:
-        if value is None or isinstance(value, bool):
-            return
-        if not isinstance(value, (int, float)):
-            return
-        self.sketch.add(value)
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            self.sketch.add(value)
+
+    def add_many(self, values: Sequence[Any]) -> None:
+        self.sketch.add_many([
+            value for value in values
+            if isinstance(value, (int, float)) and not isinstance(value, bool)
+        ])
 
     def merge(self, other: "ApproxPercentileState") -> None:
         self.sketch.merge(other.sketch)
@@ -428,6 +442,23 @@ PARAMETERIZED_AGGREGATES = {
     "approx_top_k": "k",
     "approx_percentile": "p",
 }
+
+
+def _distinct_counts(values: Sequence[Any]) -> Dict[Tuple[type, Any], int]:
+    """Multiplicity of each distinct non-null value, in first-occurrence order.
+
+    Distinct means *type-exactly*: ``1``, ``True`` and ``1.0`` are one dict
+    key but sketch differently (``True`` hashes as ``b"t"``, ``1`` as
+    ``b"i1"``), so the key carries the type.  Fed each distinct value once
+    (HLL) or once with its multiplicity (count-min), a sketch ends in the
+    registers / counter grid of the per-row loop at one keyed hash per
+    distinct value instead of one per row.
+    """
+    try:
+        return Counter((type(value), value) for value in values
+                       if value is not None)
+    except TypeError as error:  # unhashable: what ``sketch.add`` would say
+        raise SketchError(f"value cannot be sketched: {error}") from None
 
 
 def _value_wire_bytes(value: Any) -> int:

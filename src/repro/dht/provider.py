@@ -3,14 +3,14 @@
 The Provider ties the routing layer and storage manager together and exposes
 the calls PIER's query processor is written against:
 
-=============================================  ===================================
-``get(namespace, resourceID) → item``          key-based read (may return many)
-``put(namespace, resourceID, instanceID, ...)`` soft-state insert with a lifetime
-``renew(...) → bool``                          refresh an item's lifetime
-``multicast(namespace, resourceID, item)``     deliver to all nodes of a namespace
-``lscan(namespace) → iterator``                scan items stored *locally*
-``newData(namespace) → item``                  callback on local arrival of new data
-=============================================  ===================================
+==================================================  =====================================
+``get(namespace, resourceID) → item``               key-based read (may return many)
+``put(namespace, resourceID, instanceID, ...)``     soft-state insert with a lifetime
+``renew(...) → bool``                               refresh an item's lifetime
+``multicast(namespace, resourceID, item)``          deliver to all nodes of a namespace
+``lscan(namespace) → iterator``                     scan items stored *locally*
+``newData(namespace) → items of one stored chunk``  callback on local arrival of new data
+==================================================  =====================================
 
 Every ``put``/``get`` follows the paper's two-step pattern: an overlay
 ``lookup`` resolves the responsible node, then the item or request is sent to
@@ -32,10 +32,12 @@ computation-node ``target``.  Both resolve all of their keys through one
 :meth:`repro.dht.api.RoutingLayer.lookup_batch` (overlay hops shared between
 keys routed the same way) and send **one message per owner and resolution
 wave** carrying every item that owner is responsible for; ``get_batch`` and
-``multicast_batch`` batch the read and flood sides the same way.  Per-item
-semantics are preserved exactly — every newly stored triple fires its own
-``newData`` callback (a renewal of a live triple fires none) and every
-``get_batch`` key receives its own reply callback.
+``multicast_batch`` batch the read and flood sides the same way.  The
+arrival side is chunk-at-a-time too: the owner stores the chunk and makes
+**one ``newData`` upcall per subscriber per stored chunk**, handing over the
+newly live items in chunk order (every new triple is announced exactly once;
+a chunk that only renews live triples makes no upcall).  Every ``get_batch``
+key still receives its own reply callback.
 
 Failure semantics
 -----------------
@@ -85,8 +87,9 @@ DEFAULT_SWEEP_PERIOD_S = 5.0
 GetCallback = Callable[[List["DHTItem"]], None]
 #: Callback type for ``get_batch``: receives (resource_id, items) per key.
 BatchGetCallback = Callable[[Any, List["DHTItem"]], None]
-#: Callback type for ``newData``: receives the newly stored :class:`DHTItem`.
-NewDataCallback = Callable[["DHTItem"], None]
+#: Callback type for ``newData``: receives the newly live stored records of
+#: one chunk, in chunk order (see :meth:`Provider.on_new_data`).
+NewDataCallback = Callable[[List[StoredItem]], None]
 
 #: A ``put_batch`` entry: ``(resource_id, value)`` with optional trailing
 #: ``instance_id`` and ``item_bytes`` elements.
@@ -251,8 +254,8 @@ class Provider:
         shape of a renewal round or a set of aggregation partials.  Returns
         the instanceIDs used, aligned with ``entries``.  Items whose keys
         share an owner travel in a single ``prov.put_chunk`` message whose
-        payload is the sum of the item sizes; every stored item still fires
-        its own ``newData`` callback on arrival.
+        payload is the sum of the item sizes; the owner announces its new
+        items in one ``newData`` upcall per chunk.
         """
         resource_ids = [entry[0] for entry in entries]
         values = [entry[1] for entry in entries]
@@ -354,6 +357,7 @@ class Provider:
         )
 
     def _store_chunk(self, payload: dict) -> None:
+        """Store one arriving chunk, then announce its new items in one upcall."""
         now = self.now
         expires_at = now + payload["lifetime"]
         namespace = payload["namespace"]
@@ -361,32 +365,31 @@ class Provider:
         sizes = payload["item_bytes"]
         if not isinstance(sizes, list):
             sizes = itertools.repeat(sizes)
-        callbacks = self._new_data_callbacks.get(namespace, ())
-        for resource_id, value, instance_id, key, size_bytes in zip(
+        items = [
+            StoredItem(namespace, resource_id, instance_id, value, key,
+                       expires_at, now, publisher, size_bytes)
+            for resource_id, value, instance_id, key, size_bytes in zip(
                 payload["resource_ids"], payload["values"],
-                payload["instance_ids"], payload["keys"], sizes):
-            item = StoredItem(
-                namespace=namespace,
-                resource_id=resource_id,
-                instance_id=instance_id,
-                value=value,
-                key=key,
-                expires_at=expires_at,
-                stored_at=now,
-                publisher=publisher,
-                size_bytes=size_bytes,
-            )
-            # ``newData`` fires only for triples not already live (a renewal
-            # fires none); the indexed membership check avoids a retrieve()
-            # that would materialise every instance of the resource.
-            is_new = not self.storage.has_instance(
-                namespace, resource_id, instance_id, now
-            )
-            self.storage.store(item)
-            if is_new and callbacks:
-                view = self._view(item)
-                for callback in callbacks:
-                    callback(view)
+                payload["instance_ids"], payload["keys"], sizes)
+        ]
+        # New = not live before this chunk (a renewal announces nothing) and
+        # first of its triple within it; asked only when someone listens, by
+        # indexed membership rather than a retrieve() of every instance.
+        callbacks = self._new_data_callbacks.get(namespace)
+        fresh: Dict[Any, StoredItem] = {}
+        if callbacks:
+            has_instance = self.storage.has_instance
+            for item in items:
+                if not has_instance(namespace, item.resource_id,
+                                    item.instance_id, now):
+                    fresh.setdefault((item.resource_id, item.instance_id), item)
+        store = self.storage.store
+        for item in items:
+            store(item)
+        if fresh:
+            new_items = list(fresh.values())
+            for callback in tuple(callbacks):  # a subscriber may unsubscribe
+                callback(new_items)
 
     def _on_put_chunk(self, node: Node, message) -> None:
         self._store_chunk(message.payload)
@@ -722,7 +725,18 @@ class Provider:
             yield self._view(item)
 
     def on_new_data(self, namespace: str, callback: NewDataCallback) -> None:
-        """Register a ``newData`` callback for a namespace (paper Table 3)."""
+        """Register a ``newData`` callback for a namespace (paper Table 3).
+
+        ``callback(items)`` fires once per stored chunk — whichever front-end
+        published it, local or remote — after the whole chunk is in storage,
+        with its newly live items in chunk order: the stored records
+        themselves, in a list all subscribers share (read, do not mutate).
+        A triple that was already live is a renewal and is not announced (a
+        renewal-only chunk makes no upcall); a triple repeated inside one
+        chunk is new once.  The subscriber list is snapshotted per chunk: a
+        callback unsubscribed by an earlier one in the same round still gets
+        that chunk, one subscribed during the round waits for the next.
+        """
         self._new_data_callbacks.setdefault(namespace, []).append(callback)
 
     def off_new_data(self, namespace: str, callback: NewDataCallback) -> bool:

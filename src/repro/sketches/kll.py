@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Any, List, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
 from repro.exceptions import SketchError
 from repro.sketches.base import DEFAULT_SEED, SketchBase, register_sketch
@@ -55,13 +55,35 @@ class KLLSketch(SketchBase):
 
     # ------------------------------------------------------------------ algebra
 
-    def add(self, value: Any) -> None:
+    @staticmethod
+    def _numeric(value: Any) -> float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SketchError(
                 f"KLL sketches summarise numeric values, got {type(value).__name__}"
             )
-        self.levels[0].append(float(value))
+        return float(value)
+
+    def add(self, value: Any) -> None:
+        self.levels[0].append(self._numeric(value))
         self._compress()
+
+    def add_many(self, values: Iterable[Any]) -> None:
+        """Absorb a column of values; the state equals adding them one by one.
+
+        After the first value (whose ``_compress`` brings even a decoded
+        sketch within its capacities) level 0 takes what fits — up to its
+        capacity + 1, where a single ``add`` would compact — and the
+        hierarchy is compressed there: compactions and the coin fall on the
+        same values as in the per-value loop, without re-checking every level
+        after every value.  A non-numeric value raises before any is absorbed.
+        """
+        numbers = [self._numeric(value) for value in values]
+        start, room = 0, 1
+        while start < len(numbers):
+            self.levels[0].extend(numbers[start:start + room])
+            start += room
+            self._compress()
+            room = self._capacity(0, len(self.levels)) + 1 - len(self.levels[0])
 
     def merge(self, other: SketchBase) -> None:
         self._require_compatible(other, "k", "seed")

@@ -4,7 +4,9 @@
   (``ListScan``, ``Selection``, ``Qualify``, ``SymmetricHashJoin``,
   ``Projection``, ``Collector``, ``Tee``) and the dict helpers they use;
 * :mod:`tests.reference.evaluator` — a *centralised* evaluator of a
-  ``QuerySpec`` built from them: no DHT, no network, no chunks.
+  ``QuerySpec`` built from them: no DHT, no network, no chunks;
+* :mod:`tests.reference.probe` — the per-arrival symmetric-hash-join probe
+  (one candidate scan per fragment) the chunk probe kernel replaced.
 """
 
 from tests.reference.evaluator import (
@@ -25,12 +27,14 @@ from tests.reference.operators import (
     project_row,
     qualify,
 )
+from tests.reference.probe import PerArrivalProbe
 
 __all__ = [
     "evaluate_query",
     "build_local_filter_pipeline",
     "all_rows",
     "row_multiset",
+    "PerArrivalProbe",
     "ListScan",
     "Selection",
     "Projection",

@@ -91,7 +91,8 @@ def test_put_batch_fires_new_data_per_item(dht):
     network, providers, _builder = build_network(dht)
     arrivals = []
     for provider in providers.values():
-        provider.on_new_data("t", lambda item: arrivals.append(item.resource_id))
+        provider.on_new_data(
+            "t", lambda items: arrivals.extend(item.resource_id for item in items))
     providers[0].put_batch("t", ENTRIES)
     network.run_until_idle()
     assert sorted(arrivals) == sorted(rid for rid, _v in ENTRIES)
@@ -143,7 +144,8 @@ def test_put_batch_survives_mid_batch_node_failure(dht):
 
     arrivals = []
     for provider in providers.values():
-        provider.on_new_data("t", lambda item: arrivals.append(item.resource_id))
+        provider.on_new_data(
+            "t", lambda items: arrivals.extend(item.resource_id for item in items))
 
     providers[publisher].put_batch("t", ENTRIES)
     network.fail_node(victim)
@@ -250,8 +252,9 @@ def run_puts(dht, publisher, put):
     announced = Counter()
     for address, provider in providers.items():
         provider.on_new_data(
-            "t", lambda item, address=address: announced.update(
-                [(address, item.resource_id, item.instance_id, item.value)]))
+            "t", lambda items, address=address: announced.update(
+                (address, item.resource_id, item.instance_id, item.value)
+                for item in items))
     sent = tap_put_chunks(network, publisher)
     put(providers[publisher])
     network.run_until_idle()

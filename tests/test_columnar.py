@@ -148,7 +148,8 @@ def test_put_chunk_fires_new_data_per_item():
     network, providers, builder = build_provider_network(6)
     arrivals = []
     for provider in providers.values():
-        provider.on_new_data("t", lambda item: arrivals.append(item.resource_id))
+        provider.on_new_data(
+            "t", lambda items: arrivals.extend(item.resource_id for item in items))
     providers[2].put_chunk("t", ["x", "y", "z"], [1, 2, 3])
     network.run_until_idle()
     assert sorted(arrivals) == ["x", "y", "z"]

@@ -103,7 +103,8 @@ def test_new_data_callback_fires_at_owner():
     network, providers, builder = build_provider_network()
     owner = builder.owner_of_key(hash_key("t", "watched"))
     arrivals = []
-    providers[owner].on_new_data("t", lambda item: arrivals.append(item.value))
+    providers[owner].on_new_data(
+        "t", lambda items: arrivals.extend(item.value for item in items))
     providers[1].put("t", "watched", None, "fresh")
     network.run_until_idle()
     assert arrivals == ["fresh"]
@@ -113,7 +114,8 @@ def test_new_data_not_fired_for_renewal_of_same_instance():
     network, providers, builder = build_provider_network()
     owner = builder.owner_of_key(hash_key("t", "x"))
     arrivals = []
-    providers[owner].on_new_data("t", lambda item: arrivals.append(item.value))
+    providers[owner].on_new_data(
+        "t", lambda items: arrivals.extend(item.value for item in items))
     providers[1].put("t", "x", 7, "v1")
     network.run_until_idle()
     providers[1].renew("t", "x", 7, "v1", lifetime=100.0)
