@@ -76,8 +76,8 @@ class AggregateState:
         """Approximate wire size of :meth:`to_payload` output.
 
         Constant for the classic scalar states; sketch states report their
-        (fixed) serialised size and the exact-distinct state its growing
-        value set, so shipped partials are billed honestly.
+        serialised size (by size, up to the dense form) and the exact-distinct
+        state its growing value set, so shipped partials are billed honestly.
         """
         return 16
 
@@ -291,8 +291,8 @@ class CountDistinctState(AggregateState):
 class ApproxCountDistinctState(AggregateState):
     """``APPROX COUNT(DISTINCT column)`` over a HyperLogLog partial.
 
-    ``param`` is the HLL ``log2m`` accuracy/size knob (default 12: 4 KiB
-    per partial, ~1.6 % standard error) — constant in input cardinality.
+    ``param`` is the HLL ``log2m`` accuracy/size knob (default 12: ~1.6 %
+    standard error, 3 bytes per distinct value up to 4 KiB per partial).
     """
 
     name = "approx_count_distinct"

@@ -79,21 +79,28 @@ class ColumnStats:
 
     @classmethod
     def from_values(cls, values: Iterable[Any]) -> "ColumnStats":
-        """Exact single-pass stats over one publisher's values."""
-        seen = set()
+        """Exact single-pass stats over one publisher's values.
+
+        Each *type-exactly* distinct value is hashed once: ``1``, ``True`` and
+        ``1.0`` are one distinct value but three keys here (``True`` sketches
+        differently from ``1``), so the registers are the per-row loop's.
+        """
+        exact: Dict[Any, None] = {}
+        for value in values:
+            try:
+                exact[type(value), value] = None
+            except TypeError:
+                continue  # unhashable values carry no distinct information
         low: Optional[float] = None
         high: Optional[float] = None
         hll = HyperLogLog(log2m=STATS_HLL_LOG2M)
-        for value in values:
-            try:
-                seen.add(value)
-            except TypeError:
-                continue  # unhashable values carry no distinct information
+        for _kind, value in exact:
             hll.add(value)
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 low = value if low is None else min(low, value)
                 high = value if high is None else max(high, value)
-        return cls(distinct=len(seen), min_value=low, max_value=high, hll=hll)
+        return cls(distinct=len({value for _kind, value in exact}),
+                   min_value=low, max_value=high, hll=hll)
 
     @property
     def width(self) -> Optional[float]:
@@ -110,6 +117,9 @@ class ColumnStats:
         double-count.  Legacy partials without a sketch fall back to the
         additive merge, where overlap makes the sum an overestimate and
         integer ranges cap it at the merged domain width.
+
+        Neither side is mutated: a publisher's partial is aliased by the
+        registries, by its stored DHT item and by the renewal agent.
         """
         low = _opt_min(self.min_value, other.min_value)
         high = _opt_max(self.max_value, other.max_value)

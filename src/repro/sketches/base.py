@@ -1,12 +1,16 @@
 """Shared machinery of the mergeable-sketch subsystem.
 
-Every sketch in :mod:`repro.sketches` is a *mergeable summary*: a fixed-size
+Every sketch in :mod:`repro.sketches` is a *mergeable summary*: a bounded
 partial state that supports ``add`` (absorb one value), ``merge`` (union
 another partial of the same configuration), ``estimate`` (finalise) and a
 compact binary serialisation (``to_payload`` / ``from_payload``).  Because
 merge is order-insensitive, sketch partials flow through PIER's hierarchical
 aggregation tree exactly like the exact aggregate states do — each combiner
-merges what it received and forwards one partial of the *same bounded size*.
+merges what it received and forwards one partial within the *same bound*:
+the dense size of its configuration, and for the register and counter
+sketches proportional to the set registers / non-zero cells below it.  Those
+bytes are canonical — the smaller of the dense and the sparse form, a pure
+function of the contents, and the only choice a decoder accepts.
 
 Two properties matter for a distributed deployment and are centralised here:
 
@@ -30,6 +34,7 @@ hostile payload cannot make a reader materialise gigabytes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from typing import Any, Dict, Type
@@ -53,13 +58,18 @@ def _hash_input(value: Any) -> bytes:
     return encode_value(value)
 
 
+@functools.lru_cache(maxsize=64)
+def _keyed_hasher(seed: int) -> Any:
+    """The blake2b state keyed with ``seed``: keyed once, copied per value."""
+    return hashlib.blake2b(
+        digest_size=8, key=(seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big"))
+
+
 def hash64(value: Any, seed: int = DEFAULT_SEED) -> int:
     """Seeded 64-bit hash, identical on every node and backend."""
-    digest = hashlib.blake2b(
-        _hash_input(value), digest_size=8,
-        key=(seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big"),
-    ).digest()
-    return int.from_bytes(digest, "big")
+    hasher = _keyed_hasher(seed).copy()
+    hasher.update(_hash_input(value))
+    return int.from_bytes(hasher.digest(), "big")
 
 
 # ------------------------------------------------------ value (de)serialising
@@ -95,12 +105,15 @@ def decode_value(data: bytes) -> Any:
         return True
     if tag == b"u":
         return False
-    if tag == b"i":
-        return int(body.decode("ascii"))
-    if tag == b"f":
-        return struct.unpack(">d", body)[0]
-    if tag == b"s":
-        return body.decode("utf-8")
+    try:
+        if tag == b"i":
+            return int(body.decode("ascii"))
+        if tag == b"f":
+            return struct.unpack(">d", body)[0]
+        if tag == b"s":
+            return body.decode("utf-8")
+    except (ValueError, struct.error) as exc:
+        raise SketchError(f"malformed value encoding {data!r}: {exc}") from None
     if tag == b"b":
         return bytes(body)
     raise SketchError(f"unknown value-encoding tag {tag!r}")
@@ -142,7 +155,7 @@ class SketchBase:
         raise NotImplementedError
 
     def payload_bound(self) -> int:
-        """Current serialised size in bytes (the fixed-size-bound witness)."""
+        """Current serialised size in bytes (the bounded-size witness)."""
         return len(self.to_payload())
 
     def _require_compatible(self, other: "SketchBase", *fields: str) -> None:

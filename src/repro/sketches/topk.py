@@ -15,16 +15,24 @@ evicted.  ``merge`` unions the candidate sets and re-scores every candidate
 against the merged grid, so a value that is locally light but globally heavy
 survives as long as *some* partial kept it.  Ties break on the canonical
 value encoding, keeping results deterministic across nodes and backends.
+
+The grid ships by size, like the HLL registers: all ``depth × width``
+``u64`` counters, or — high bit of the ``depth`` field set — a count and the
+non-zero cells as strictly increasing ``(u32 row * width + column, u64
+count)`` entries, whichever is smaller (ties go to the dense form); a decoder
+accepts only that choice.  The in-memory grid is always dense.
 """
 
 from __future__ import annotations
 
 import struct
+from itertools import chain
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exceptions import SketchError
 from repro.sketches.base import (
     DEFAULT_SEED,
+    MAX_SKETCH_BYTES,
     SketchBase,
     decode_value,
     encode_value,
@@ -39,6 +47,15 @@ MAX_WIDTH = 1 << 16
 MAX_DEPTH = 16
 #: Row-seed spacing (a 64-bit odd constant, splitmix64's increment).
 _ROW_SEED_STEP = 0x9E3779B97F4A7C15
+#: High bit of the payload's ``depth`` field (``depth`` <= 16): sparse grid.
+_SPARSE_FLAG = 0x8000
+_HEADER = struct.Struct(">IHHQ")
+_CELL_COUNT = struct.Struct(">I")
+_CELL = struct.Struct(">IQ")
+
+
+def _sparse_grid_is_smaller(nonzero: int, cells: int) -> bool:
+    return _CELL_COUNT.size + _CELL.size * nonzero < 8 * cells
 
 
 @register_sketch
@@ -136,9 +153,19 @@ class TopKSketch(SketchBase):
     # -------------------------------------------------------------------- codec
 
     def to_payload(self) -> bytes:
-        parts = [struct.pack(">IHHQ", self.k, self.width, self.depth, self.seed)]
-        for counters in self.rows:
-            parts.append(struct.pack(f">{self.width}Q", *counters))
+        width, cells = self.width, self.width * self.depth
+        flat = list(chain.from_iterable(self.rows))
+        nonzero = cells - flat.count(0)
+        if _sparse_grid_is_smaller(nonzero, cells):
+            parts = [
+                _HEADER.pack(self.k, width, self.depth | _SPARSE_FLAG, self.seed),
+                _CELL_COUNT.pack(nonzero),
+                *(_CELL.pack(cell, count) for cell, count in enumerate(flat)
+                  if count),
+            ]
+        else:
+            parts = [_HEADER.pack(self.k, width, self.depth, self.seed),
+                     struct.pack(f">{cells}Q", *flat)]
         parts.append(struct.pack(">H", len(self.candidates)))
         for value, count in self.candidates.items():
             encoded = encode_value(value)
@@ -149,20 +176,47 @@ class TopKSketch(SketchBase):
     @classmethod
     def from_payload(cls, payload: bytes) -> "TopKSketch":
         try:
-            k, width, depth, seed = struct.unpack_from(">IHHQ", payload)
+            k, width, depth, seed = _HEADER.unpack_from(payload)
         except struct.error:
             raise SketchError("truncated TopKSketch payload") from None
-        if not 1 <= width <= MAX_WIDTH or not 1 <= depth <= MAX_DEPTH or k <= 0:
+        sparse, depth = depth & _SPARSE_FLAG, depth & ~_SPARSE_FLAG
+        cells = width * depth
+        # A grid whose dense form could not be shipped is refused before it
+        # is allocated, however few cells the payload says are set.
+        if (not 1 <= width <= MAX_WIDTH or not 1 <= depth <= MAX_DEPTH or k <= 0
+                or 8 * cells > MAX_SKETCH_BYTES):
             raise SketchError(
                 f"TopKSketch payload declares invalid dimensions "
                 f"k={k}, width={width}, depth={depth}"
             )
-        offset = 16
+        offset = _HEADER.size
         rows: List[List[int]] = []
         try:
-            for _ in range(depth):
-                rows.append(list(struct.unpack_from(f">{width}Q", payload, offset)))
-                offset += 8 * width
+            if sparse:
+                (nonzero,) = _CELL_COUNT.unpack_from(payload, offset)
+                offset += _CELL_COUNT.size
+                end = offset + _CELL.size * nonzero
+                if not _sparse_grid_is_smaller(nonzero, cells) or end > len(payload):
+                    raise SketchError(
+                        f"TopKSketch payload declares {nonzero} sparse cells: "
+                        f"cut short, or not smaller than the dense grid")
+                rows, previous = [[0] * width for _ in range(depth)], -1
+                for cell, count in _CELL.iter_unpack(payload[offset:end]):
+                    if not previous < cell < cells or not count:
+                        raise SketchError(
+                            f"sparse TopKSketch cell ({cell}, {count}) is out "
+                            f"of order, out of range or zero")
+                    rows[cell // width][cell % width] = count
+                    previous = cell
+                offset = end
+            else:
+                for _ in range(depth):
+                    rows.append(list(struct.unpack_from(f">{width}Q", payload, offset)))
+                    offset += 8 * width
+                nonzero = cells - sum(counters.count(0) for counters in rows)
+                if _sparse_grid_is_smaller(nonzero, cells):
+                    raise SketchError("dense TopKSketch grid where the sparse "
+                                      "form is smaller")
             (count,) = struct.unpack_from(">H", payload, offset)
             offset += 2
             candidates: Dict[Any, int] = {}

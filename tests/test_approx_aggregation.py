@@ -148,9 +148,15 @@ def feed_distinct(function, n, param=None):
 
 
 def test_sketch_partials_constant_exact_partials_grow():
-    approx_small = feed_distinct("approx_count_distinct", 100)
-    approx_large = feed_distinct("approx_count_distinct", 20_000)
-    assert approx_small == approx_large  # constant in input cardinality
+    # By size: non-decreasing in cardinality, never above the dense partial
+    # (24 + 9 + 4096 registers, plus the operator's envelope), equal to it
+    # from the point where the sparse form stops being smaller.
+    approx = [feed_distinct("approx_count_distinct", n)
+              for n in (100, 1_000, 5_000, 20_000, 40_000)]
+    assert approx == sorted(approx)
+    assert approx[0] < approx[1] < approx[2] == approx[3] == approx[4]
+    envelope = approx[-1] - (9 + 4096)  # what rides beside the registers
+    assert 0 < approx[0] - envelope - (9 + 2) <= 3 * 100  # 3 bytes a value
 
     exact_small = feed_distinct("count_distinct", 100)
     exact_large = feed_distinct("count_distinct", 20_000)

@@ -66,6 +66,28 @@ def test_hash64_is_seeded_and_stable():
     assert hash64(True) != hash64(1)
 
 
+@pytest.mark.parametrize("arguments, digest", [
+    (("x",), 0xC1AA0BBCEBCEA89D),
+    ((1,), 0x7F722DA411EC0016),
+    ((1.0,), 0x7F722DA411EC0016),
+    ((True,), 0x05A3524F0720C084),
+    ((None,), 0x0B57F34B1C2D82CE),
+    ((2.5,), 0x43FD47B19F79F080),
+    ((-7,), 0x90C879A61F6AA732),
+    ((2**70,), 0x1A3DB6F346F9F87B),
+    ((b"\x00\xff",), 0xF49041599A10CEA5),
+    (("é",), 0x2DC96306B825DC17),
+    (("x", 1), 0xE0FBA94C63CDAC1A),
+    ((1, 0x9E3779B97F4A7C15), 0x2B0E327D37E32561),
+])
+def test_hash64_values_are_pinned(arguments, digest):
+    """Every register index and count-min column of a deployment follows from
+    these: keyed blake2b-64 over the type-tagged encoding, whether the key is
+    set per call or once per seed and the state copied."""
+    assert hash64(*arguments) == digest
+    assert hash64(*arguments) == digest  # the cached keyed state is unspent
+
+
 @given(st.lists(scalar_values, max_size=20))
 def test_value_codec_roundtrip(values):
     for value in values:
@@ -142,11 +164,21 @@ def test_hll_two_percent_error_at_1e5():
 
 
 def test_hll_payload_is_fixed_size():
+    """By size: proportional to the set registers, fixed from the point where
+    the sparse form stops being smaller (3 bytes an entry against 4096)."""
     sketch = HyperLogLog(log2m=12)
-    empty_size = len(sketch_to_bytes(sketch))
+    dense_size = 1 + 9 + 4096
+    sizes = []
     for i in range(10_000):
         sketch.add(i)
-    assert len(sketch_to_bytes(sketch)) == empty_size == sketch.payload_bound() + 1
+        if i % 100 == 99:
+            sizes.append(len(sketch_to_bytes(sketch)))
+            assert sizes[-1] == sketch.payload_bound() + 1
+    assert sizes == sorted(sizes) and sizes[0] < 400  # non-decreasing
+    assert max(sizes) == dense_size  # never above the dense form ...
+    flat_from = sizes.index(dense_size)
+    assert set(sizes[flat_from:]) == {dense_size}  # ... and flat once there
+    assert sum(1 for rank in sketch.registers if rank) >= (4096 - 2) // 3
 
 
 def test_hll_incompatible_merge_rejected():
