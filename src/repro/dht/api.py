@@ -14,10 +14,18 @@ forwarding.  Its public surface is deliberately tiny:
 Both :class:`repro.dht.can.CanRouting` and :class:`repro.dht.chord.ChordRouting`
 implement this interface, which is what lets PIER swap DHTs with "fairly
 minimal integration effort" (paper Section 3.2).
+
+There is one lookup lane.  :meth:`RoutingLayer.lookup_batch` routes any
+number of keys, and ``lookup`` is its front-end for one key, so a DHT's whole
+share of a lookup is the three geometry hooks ``_batch_entry``,
+``_batch_entry_owned`` and ``_batch_next_hop``; request bookkeeping,
+forwarding, replies, re-routing around a bounced hop and the report of keys
+that cannot be routed are written once, here.
 """
 
 from __future__ import annotations
 
+import itertools
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
@@ -77,9 +85,9 @@ class BatchLookupState:
 class RoutingLayer(ABC):
     """Abstract overlay routing layer bound to one simulated node.
 
-    Besides the scalar Table 1 interface, the base class owns the generic
-    half of **batched lookups**: request bookkeeping, reply handling and the
-    forward loop that re-partitions a batch at every hop.  Concrete layers
+    The base class owns the generic half of **lookups**: the Table 1
+    ``lookup``, request bookkeeping, reply handling and the forward loop
+    that re-partitions a batch at every hop.  Concrete layers
     supply only the geometry through three hooks — :meth:`_batch_entry`,
     :meth:`_batch_entry_owned` and :meth:`_batch_next_hop` — and register
     their ``PROTOCOL_ROUTE_BATCH`` / ``PROTOCOL_BATCH_LOOKUP_REPLY`` names
@@ -96,9 +104,11 @@ class RoutingLayer(ABC):
     #: Routed-batch protocol names; concrete layers override with their own.
     PROTOCOL_ROUTE_BATCH = "dht.route_batch"
     PROTOCOL_BATCH_LOOKUP_REPLY = "dht.batch_lookup_reply"
-    #: Wire size (bytes) charged per batch-entry hop / reply.
+    #: Wire size (bytes) charged per batch-entry hop / reply / control hop.
     ROUTE_HOP_BYTES = 40
-    #: Safety valve: routed batches are dropped after this many overlay hops.
+    #: Safety valve: routed messages are dropped after this many overlay hops
+    #: (CAN's greedy geometric forwarding can, in rare corner configurations,
+    #: bounce between zones that are equidistant from the target).
     MAX_ROUTE_HOPS = 128
 
     #: Next-hop index derived from the routing table; ``None`` = rebuild.
@@ -108,27 +118,31 @@ class RoutingLayer(ABC):
         self.node = node
         self._location_map_listeners: List[LocationMapCallback] = []
         self._pending_batch_lookups: Dict[int, BatchLookupState] = {}
+        self._lookup_ids = itertools.count(1)
         self.lookup_hops_observed: List[int] = []
         node.services[self.SERVICE_NAME] = self
 
     # ------------------------------------------------------------- interface
 
-    @abstractmethod
     def lookup(self, key: int, callback: LookupCallback,
-               payload_bytes: int = 40) -> None:
+               payload_bytes: int = ROUTE_HOP_BYTES) -> None:
         """Resolve ``key`` to the responsible node's address, asynchronously.
 
         If the key maps to the local node the callback fires synchronously
         (paper footnote 3); otherwise the request is routed hop by hop and
-        the owner replies directly to this node.
+        the owner replies directly to this node.  A :meth:`lookup_batch` of
+        one: a key that cannot be routed gets no callback at all (soft-state
+        semantics), never a wrong owner.
         """
+        self.lookup_batch([key], lambda owner, _keys: callback(owner),
+                          payload_bytes)
 
     # ---------------------------------------------------------- batch lookup
 
     def lookup_batch(self, keys: Iterable[int], callback: BatchLookupCallback,
                      payload_bytes: int = ROUTE_HOP_BYTES,
                      on_unresolved: Optional[Callable[[List[int]], None]] = None,
-                     ) -> None:
+                     ) -> Optional[int]:
         """Resolve many keys at once, grouping resolutions by owner.
 
         ``callback(owner, keys)`` fires once per distinct owner with every
@@ -140,14 +154,19 @@ class RoutingLayer(ABC):
         once for all keys it owns — a ready-made (destination → keys)
         grouping for the caller.  Keys that become unroutable (dead
         neighbours, hop limit) are reported back as *unresolved* so the
-        origin's bookkeeping is freed; their items are simply lost, exactly
-        like a dropped scalar lookup (soft-state semantics).  Callers that
-        must not wait on lost keys (the Provider's failure-aware get lane)
-        pass ``on_unresolved`` to be told which keys were dropped.
+        origin's bookkeeping is freed; their items are simply lost
+        (soft-state semantics).  Callers that must not wait on lost keys
+        (the Provider's gets and puts) pass ``on_unresolved`` to be told
+        which keys were dropped.
+
+        Returns the id of the routed request, ``None`` when every key was
+        local.  A relay that dies holding the batch sends neither reply nor
+        bounce, so a caller that gives up on the answer hands the id to
+        :meth:`forget_lookup`.
         """
         unique = list(dict.fromkeys(keys))
         if not unique:
-            return
+            return None
         local: List[int] = []
         entries: List[dict] = []
         for key in unique:
@@ -158,13 +177,21 @@ class RoutingLayer(ABC):
         if local:
             callback(self.address, local)
         if not entries:
-            return
+            return None
         request_id = next(self._lookup_ids)
         self._pending_batch_lookups[request_id] = BatchLookupState(
             callback, len(entries), on_unresolved=on_unresolved
         )
         self._forward_batch(entries, self.address, request_id, payload_bytes,
                             hops=0)
+        return request_id
+
+    def forget_lookup(self, request_id: int) -> None:
+        """Release the bookkeeping of a routed lookup nobody waits on any more.
+
+        Answers that still arrive for it are dropped.
+        """
+        self._pending_batch_lookups.pop(request_id, None)
 
     # Geometry hooks implemented by each DHT.
 

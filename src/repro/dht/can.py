@@ -29,28 +29,19 @@ attributes).
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import RoutingError
-from repro.dht.api import LookupCallback, RoutingLayer, RoutingTableField
+from repro.dht.api import RoutingLayer, RoutingTableField
 from repro.dht.naming import key_to_unit_coordinates
 from repro.net.network import Network
 from repro.net.node import Node
 
 #: Default CAN dimensionality used throughout the paper's evaluation.
 DEFAULT_DIMENSIONS = 2
-
-#: Wire size (bytes) of a routed lookup / control hop.
-ROUTE_HOP_BYTES = 40
-
-#: Safety valve: routed messages are dropped after this many overlay hops.
-#: Greedy geometric forwarding can, in rare corner configurations, bounce
-#: between zones that are equidistant from the target; the TTL bounds that.
-MAX_ROUTE_HOPS = 128
 
 _INFINITY = float("inf")
 
@@ -183,7 +174,6 @@ class CanRouting(RoutingLayer):
 
     PROTOCOL_ROUTE = "can.route"
     PROTOCOL_ROUTE_BATCH = "can.route_batch"
-    PROTOCOL_LOOKUP_REPLY = "can.lookup_reply"
     PROTOCOL_BATCH_LOOKUP_REPLY = "can.batch_lookup_reply"
     PROTOCOL_JOIN_REPLY = "can.join_reply"
     PROTOCOL_NEIGHBOR_UPDATE = "can.neighbor_update"
@@ -205,15 +195,12 @@ class CanRouting(RoutingLayer):
         self.neighbor_zones = {}
         self._dead_neighbors = ()
         self._rng = random.Random((seed << 20) ^ node.address)
-        self._pending_lookups: Dict[int, LookupCallback] = {}
-        self._lookup_ids = itertools.count(1)
         #: Hooks installed by the Provider for item migration on join/leave.
         self.extract_items: Optional[Callable[[Callable[[int], bool]], list]] = None
         self.install_items: Optional[Callable[[list], None]] = None
 
         node.register_handler(self.PROTOCOL_ROUTE, self._on_route)
         node.register_handler(self.PROTOCOL_ROUTE_BATCH, self._on_route_batch)
-        node.register_handler(self.PROTOCOL_LOOKUP_REPLY, self._on_lookup_reply)
         node.register_handler(self.PROTOCOL_BATCH_LOOKUP_REPLY,
                               self._on_batch_lookup_reply)
         node.register_handler(self.PROTOCOL_JOIN_REPLY, self._on_join_reply)
@@ -284,30 +271,16 @@ class CanRouting(RoutingLayer):
         if address in self._dead_neighbors:
             self._dead_neighbors = self._dead_neighbors - {address}
 
-    # ---------------------------------------------------------------- lookup
-
-    def lookup(self, key: int, callback: LookupCallback,
-               payload_bytes: int = ROUTE_HOP_BYTES) -> None:
-        point = self.key_to_point(key)
-        if self.owns_point(point):
-            callback(self.address)
-            return
-        request_id = next(self._lookup_ids)
-        self._pending_lookups[request_id] = callback
-        payload = {
-            "kind": "lookup",
-            "point": point,
-            "origin": self.address,
-            "request_id": request_id,
-        }
-        self._forward(payload, payload_bytes, hops=0)
+    # --------------------------------------------------------------- routing
+    # Lookups are RoutingLayer.lookup_batch over the geometry hooks below;
+    # ``can.route`` carries only a joiner's request to the owner of its point.
 
     def _forward(self, payload: dict, payload_bytes: int, hops: int,
                  exclude: Optional[int] = None) -> None:
-        """Greedy-forward a routed payload one hop closer to its target point."""
-        if hops >= MAX_ROUTE_HOPS:
-            # Routing loop safety valve; upper layers tolerate the loss
-            # (soft-state semantics) and renewal repairs it.
+        """Greedy-forward a join request one hop closer to its target point."""
+        if hops >= self.MAX_ROUTE_HOPS:
+            # Routing loop safety valve: the request is lost, the joiner
+            # gets no zone and has to join again.
             return
         point = payload["point"]
         next_hop = self._best_next_hop(point, exclude=exclude)
@@ -376,22 +349,7 @@ class CanRouting(RoutingLayer):
             self._forward(payload, message.payload_bytes, message.hops,
                           exclude=message.src)
             return
-        kind = payload["kind"]
-        if kind == "lookup":
-            node.send(
-                payload["origin"],
-                self.PROTOCOL_LOOKUP_REPLY,
-                payload={
-                    "request_id": payload["request_id"],
-                    "owner": self.address,
-                    "hops": message.hops,
-                },
-                payload_bytes=ROUTE_HOP_BYTES,
-            )
-        elif kind == "join":
-            self._handle_join_request(payload)
-        else:  # pragma: no cover - defensive
-            raise RoutingError(f"unknown routed payload kind {kind!r}")
+        self._handle_join_request(payload)
 
     def _on_route_bounce(self, node: Node, message) -> None:
         """A forwarded hop hit a dead neighbour: route around it immediately.
@@ -405,16 +363,8 @@ class CanRouting(RoutingLayer):
         self._forward(message.payload, message.payload_bytes, message.hops,
                       exclude=message.dst)
 
-    def _on_lookup_reply(self, node: Node, message) -> None:
-        payload = message.payload
-        callback = self._pending_lookups.pop(payload["request_id"], None)
-        if callback is None:
-            return
-        self.lookup_hops_observed.append(payload.get("hops", 0))
-        callback(payload["owner"])
-
-    # -------------------------------------------- batch lookup geometry hooks
-    # The generic batch machinery (request bookkeeping, per-hop partitioning,
+    # -------------------------------------------------- lookup geometry hooks
+    # The generic lookup machinery (request bookkeeping, per-hop partitioning,
     # owner replies, unresolved-key reporting) lives in RoutingLayer.
 
     def _batch_entry(self, key: int) -> dict:
@@ -439,17 +389,13 @@ class CanRouting(RoutingLayer):
             self.create_network()
             return
         point = tuple(self._rng.random() for _ in range(self.dimensions))
-        payload = {
-            "kind": "join",
-            "point": point,
-            "origin": self.address,
-        }
+        payload = {"point": point, "origin": self.address}
         # The landmark routes the join request toward the chosen point.
         self.node.send(
             landmark,
             self.PROTOCOL_ROUTE,
             payload=payload,
-            payload_bytes=ROUTE_HOP_BYTES,
+            payload_bytes=self.ROUTE_HOP_BYTES,
         )
 
     def _handle_join_request(self, payload: dict) -> None:

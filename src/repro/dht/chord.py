@@ -27,19 +27,12 @@ key's offset.  The index is built on the first routed hop after ``fingers``,
 from __future__ import annotations
 
 import bisect
-import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.dht.api import LookupCallback, RoutingLayer, RoutingTableField
+from repro.dht.api import RoutingLayer, RoutingTableField
 from repro.dht.naming import KEY_BITS, node_identifier
 from repro.net.network import Network
 from repro.net.node import Node
-
-#: Wire size (bytes) of a routed lookup / control hop.
-ROUTE_HOP_BYTES = 40
-
-#: Safety valve: routed messages are dropped after this many overlay hops.
-MAX_ROUTE_HOPS = 128
 
 
 def _in_interval(value: int, start: int, end: int, inclusive_end: bool = False) -> bool:
@@ -62,7 +55,6 @@ class ChordRouting(RoutingLayer):
 
     PROTOCOL_ROUTE = "chord.route"
     PROTOCOL_ROUTE_BATCH = "chord.route_batch"
-    PROTOCOL_LOOKUP_REPLY = "chord.lookup_reply"
     PROTOCOL_BATCH_LOOKUP_REPLY = "chord.batch_lookup_reply"
     PROTOCOL_JOIN_REPLY = "chord.join_reply"
     PROTOCOL_NOTIFY = "chord.notify"
@@ -85,14 +77,11 @@ class ChordRouting(RoutingLayer):
         self.fingers = [None] * key_bits
         self._ids: Dict[int, int] = {}  # address -> identifier cache
         self._dead = ()
-        self._pending_lookups: Dict[int, LookupCallback] = {}
-        self._lookup_ids = itertools.count(1)
         self.extract_items = None
         self.install_items = None
 
         node.register_handler(self.PROTOCOL_ROUTE, self._on_route)
         node.register_handler(self.PROTOCOL_ROUTE_BATCH, self._on_route_batch)
-        node.register_handler(self.PROTOCOL_LOOKUP_REPLY, self._on_lookup_reply)
         node.register_handler(self.PROTOCOL_BATCH_LOOKUP_REPLY,
                               self._on_batch_lookup_reply)
         node.register_handler(self.PROTOCOL_JOIN_REPLY, self._on_join_reply)
@@ -144,22 +133,9 @@ class ChordRouting(RoutingLayer):
         if address in self._dead:
             self._dead = self._dead - {address}
 
-    # ---------------------------------------------------------------- lookup
-
-    def lookup(self, key: int, callback: LookupCallback,
-               payload_bytes: int = ROUTE_HOP_BYTES) -> None:
-        if self.owns(key):
-            callback(self.address)
-            return
-        request_id = next(self._lookup_ids)
-        self._pending_lookups[request_id] = callback
-        payload = {
-            "kind": "lookup",
-            "ring_key": self.ring_key(key),
-            "origin": self.address,
-            "request_id": request_id,
-        }
-        self._forward(payload, payload_bytes, hops=0)
+    # --------------------------------------------------------------- routing
+    # Lookups are RoutingLayer.lookup_batch over the geometry hooks below;
+    # ``chord.route`` carries only a joiner's request to its successor.
 
     def _build_next_hops(self) -> Tuple[List[int], List[int], Optional[int]]:
         """Index the table: sorted finger offsets, their addresses, fallback.
@@ -203,7 +179,8 @@ class ChordRouting(RoutingLayer):
         return live_successor
 
     def _forward(self, payload: dict, payload_bytes: int, hops: int) -> None:
-        if hops >= MAX_ROUTE_HOPS:
+        """Forward a join request one finger closer to the joiner's identifier."""
+        if hops >= self.MAX_ROUTE_HOPS:
             return
         next_hop = self._closest_preceding(payload["ring_key"])
         if next_hop is None or next_hop == self.address:
@@ -222,36 +199,15 @@ class ChordRouting(RoutingLayer):
         if not self.owns(ring_key):
             self._forward(payload, message.payload_bytes, message.hops)
             return
-        kind = payload["kind"]
-        if kind == "lookup":
-            node.send(
-                payload["origin"],
-                self.PROTOCOL_LOOKUP_REPLY,
-                payload={
-                    "request_id": payload["request_id"],
-                    "owner": self.address,
-                    "hops": message.hops,
-                },
-                payload_bytes=ROUTE_HOP_BYTES,
-            )
-        elif kind == "join":
-            self._handle_join_request(payload)
+        self._handle_join_request(payload)
 
     def _on_route_bounce(self, node: Node, message) -> None:
         """A routed hop hit a dead node: mark it dead and re-route around it."""
         self.mark_neighbor_dead(message.dst)
         self._forward(message.payload, message.payload_bytes, message.hops)
 
-    def _on_lookup_reply(self, node: Node, message) -> None:
-        payload = message.payload
-        callback = self._pending_lookups.pop(payload["request_id"], None)
-        if callback is None:
-            return
-        self.lookup_hops_observed.append(payload.get("hops", 0))
-        callback(payload["owner"])
-
-    # -------------------------------------------- batch lookup geometry hooks
-    # The generic batch machinery (request bookkeeping, per-hop partitioning,
+    # -------------------------------------------------- lookup geometry hooks
+    # The generic lookup machinery (request bookkeeping, per-hop partitioning,
     # owner replies, unresolved-key reporting) lives in RoutingLayer.
 
     def _batch_entry(self, key: int) -> dict:
@@ -278,16 +234,12 @@ class ChordRouting(RoutingLayer):
         if landmark is None:
             self.create_network()
             return
-        payload = {
-            "kind": "join",
-            "ring_key": self.identifier,
-            "origin": self.address,
-        }
+        payload = {"ring_key": self.identifier, "origin": self.address}
         self.node.send(
             landmark,
             self.PROTOCOL_ROUTE,
             payload=payload,
-            payload_bytes=ROUTE_HOP_BYTES,
+            payload_bytes=self.ROUTE_HOP_BYTES,
         )
 
     def _handle_join_request(self, payload: dict) -> None:
@@ -331,7 +283,7 @@ class ChordRouting(RoutingLayer):
                 self.predecessor,
                 self.PROTOCOL_NOTIFY,
                 payload={"successor": self.address},
-                payload_bytes=ROUTE_HOP_BYTES,
+                payload_bytes=self.ROUTE_HOP_BYTES,
             )
         self.notify_location_map_change()
 
@@ -366,7 +318,7 @@ class ChordRouting(RoutingLayer):
                 self.predecessor,
                 self.PROTOCOL_NOTIFY,
                 payload={"successor": self.successor},
-                payload_bytes=ROUTE_HOP_BYTES,
+                payload_bytes=self.ROUTE_HOP_BYTES,
             )
         self.successor = None
         self.predecessor = None

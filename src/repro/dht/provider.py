@@ -20,45 +20,64 @@ mapping changing in between.
 
 Batch interface
 ---------------
+There is one write path and one read path, and the scalar calls of Table 3
+are their front-ends for one item.
+
 Every put travels in one wire format: a ``prov.put_chunk`` message of
 parallel ``resource_ids`` / ``values`` / ``instance_ids`` / ``keys`` arrays
 for one namespace, lifetime and publisher.  The front-ends differ only in
 what the caller holds.  ``put`` (and ``renew``, the same put again) publishes
-one item behind a scalar ``lookup`` — the paper's message pattern, used by
-catalog and statistics publishing.  ``put_batch`` takes per-entry instance
-ids and sizes (renewal rounds, aggregation partials); ``put_chunk`` takes the
-arrays of a rehash wave as they are, one size for all, with an optional
-computation-node ``target``.  Both resolve all of their keys through one
-:meth:`repro.dht.api.RoutingLayer.lookup_batch` (overlay hops shared between
-keys routed the same way) and send **one message per owner and resolution
-wave** carrying every item that owner is responsible for; ``get_batch`` and
-``multicast_batch`` batch the read and flood sides the same way.  The
+one item — a lookup and a chunk of its own, the paper's message pattern,
+used by catalog and statistics publishing.  ``put_batch`` takes per-entry
+instance ids and sizes (renewal rounds, aggregation partials); ``put_chunk``
+takes the arrays of a rehash wave as they are, one size for all, with an
+optional computation-node ``target``.  All of them resolve their keys through
+one :meth:`repro.dht.api.RoutingLayer.lookup_batch` (overlay hops shared
+between keys routed the same way) and send **one message per owner and
+resolution wave** carrying every item that owner is responsible for.  The
 arrival side is chunk-at-a-time too: the owner stores the chunk and makes
 **one ``newData`` upcall per subscriber per stored chunk**, handing over the
 newly live items in chunk order (every new triple is announced exactly once;
-a chunk that only renews live triples makes no upcall).  Every ``get_batch``
-key still receives its own reply callback.
+a chunk that only renews live triples makes no upcall).
+
+Every read is a ``get_batch``: one ``lookup_batch`` for its keys, one
+``prov.get_batch`` request per owner the lookup names, one
+``prov.get_batch_reply`` back, one pending table at the origin, and a reply
+callback per key.  ``get`` is a ``get_batch`` of one id whose callback takes
+the items alone; it costs the same messages and bytes as a request format of
+its own would (a routed hop, a lookup reply and a request are charged per
+key, a reply by the items it carries).  ``multicast_batch`` batches the flood
+side the same way.
 
 Failure semantics
 -----------------
 The DHT gives soft-state guarantees only, but a *request* must never hang
-forever: every ``get``/``get_batch`` is tracked as a pending entry until its
-reply (or local resolution) arrives.  Three mechanisms bound that wait:
+forever: every get is tracked as a pending entry until its reply (or local
+resolution) arrives.  Four mechanisms bound that wait, for ``get`` and
+``get_batch`` alike:
 
 * **transport bounces** — a request sent to a dead owner is reported back by
   the network one round trip later; the Provider retries it once through a
   fresh overlay lookup (the routing layer routes around detected failures)
   and, when retries are exhausted, completes the request with an *empty*
   item list so the caller degrades instead of blocking;
+* **unresolved lookups** — a key whose routed lookup dead-ends (every next
+  hop dead, hop limit) is reported back by the routing layer, and its get
+  is completed empty at once, with or without a timeout;
 * **per-request timeouts** — with ``request_timeout_s`` set (churn
-  deployments), a timer armed at issue time catches the cases bounces
-  cannot see (lookups that dead-end in a partitioned overlay);
+  deployments), a timer armed at issue time catches what neither of those
+  can see: a lookup that died with the relay holding it.  Giving up on such
+  a lookup (timeout, cancellation, this node's death) also releases the
+  routing layer's record of it;
 * **query-scoped cancellation** — callers may tag requests with a ``scope``
   (the executor uses the query id) and sweep everything still pending with
   :meth:`Provider.cancel_pending` at query teardown.
 
-Per-scope delivery accounting (issued / completed / failed / cancelled and
-the put fragments bounced off dead nodes) backs the client's query
+A put is not tracked — renewal is its repair — but it is not lost silently
+either: items bounced off a dead owner and items whose key the overlay could
+not route are counted per namespace (``put_bounces_by_namespace``), whichever
+front-end published them.  That count and the per-scope delivery accounting
+(issued / completed / failed / cancelled) back the client's query
 completeness report.
 """
 
@@ -67,7 +86,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import (Any, Callable, Collection, Dict, Iterator, List, Optional,
-                    Sequence, Union)
+                    Sequence, Tuple, Union)
 
 from repro.dht.api import RoutingLayer
 from repro.dht.multicast import MulticastHandler, MulticastService
@@ -110,24 +129,25 @@ class DHTItem:
 
 @dataclass
 class _PendingGet:
-    """Origin-side bookkeeping for one in-flight ``get``/``get_batch`` request.
+    """Origin-side bookkeeping for one in-flight get request.
 
-    ``resource_ids`` holds one id for the scalar lane; the batch lane keeps
-    every id of the (destination-grouped) sub-request so a bounce or timeout
-    can retry — or fail — all of them together, and while a batch's routed
-    lookup is out, one entry holds the ids it has not answered yet (a dict
-    used as an ordered set).  ``attempts_left`` bounds retry-after-reroute;
-    ``timer`` is the optional per-request timeout.
+    ``resource_ids`` keeps every id of the (destination-grouped) sub-request
+    so a bounce or timeout can retry — or fail — all of them together, and
+    while a request's routed lookup is out, one entry holds the ids it has
+    not answered yet (a dict used as an ordered set) and, in ``routed``, the
+    routing layer and request id of that lookup, so that giving up on the
+    entry also releases the routing layer's bookkeeping.  ``attempts_left``
+    bounds retry-after-reroute; ``timer`` is the optional per-request timeout.
     """
 
-    callback: Callable
+    callback: BatchGetCallback
     namespace: str
     resource_ids: Collection[Any]
     scope: Any = None
     attempts_left: int = 0
     request_bytes: int = 60
-    batch: bool = False
     timer: Any = None
+    routed: Optional[Tuple[RoutingLayer, int]] = None
 
 
 def _new_scope_counters() -> Dict[str, int]:
@@ -141,8 +161,6 @@ class Provider:
 
     SERVICE_NAME = "dht.provider"
     PROTOCOL_PUT_CHUNK = "prov.put_chunk"
-    PROTOCOL_GET = "prov.get"
-    PROTOCOL_GET_REPLY = "prov.get_reply"
     PROTOCOL_GET_BATCH = "prov.get_batch"
     PROTOCOL_GET_BATCH_REPLY = "prov.get_batch_reply"
 
@@ -161,7 +179,6 @@ class Provider:
         self.request_retries = max(0, request_retries)
         self.multicast_service = MulticastService(node, routing)
         self._new_data_callbacks: Dict[str, List[NewDataCallback]] = {}
-        self._pending_gets: Dict[int, _PendingGet] = {}
         self._pending_batch_gets: Dict[int, _PendingGet] = {}
         self._get_ids = itertools.count(1)
         self._instance_ids = itertools.count(instance_seed * 1_000_003 + 1)
@@ -172,12 +189,9 @@ class Provider:
         node.services[self.SERVICE_NAME] = self
 
         node.register_handler(self.PROTOCOL_PUT_CHUNK, self._on_put_chunk)
-        node.register_handler(self.PROTOCOL_GET, self._on_get)
-        node.register_handler(self.PROTOCOL_GET_REPLY, self._on_get_reply)
         node.register_handler(self.PROTOCOL_GET_BATCH, self._on_get_batch)
         node.register_handler(self.PROTOCOL_GET_BATCH_REPLY,
                               self._on_get_batch_reply)
-        node.register_bounce_handler(self.PROTOCOL_GET, self._on_get_bounce)
         node.register_bounce_handler(self.PROTOCOL_GET_BATCH,
                                      self._on_get_batch_bounce)
         node.register_bounce_handler(self.PROTOCOL_PUT_CHUNK,
@@ -221,16 +235,15 @@ class Provider:
 
         Returns the instanceID used (freshly generated when ``None`` is
         passed, matching the paper's "randomly assigned by the user
-        application").  The key is resolved with one scalar ``lookup`` —
-        the paper's message pattern — and the item then travels as a
-        ``prov.put_chunk`` of one.
+        application").  A put of one item: the key is resolved by a lookup
+        of its own — the paper's message pattern — and the item then travels
+        as a ``prov.put_chunk`` of one; a key the overlay cannot route is
+        counted in ``put_bounces_by_namespace`` like any other lost put.
         """
         if instance_id is None:
             instance_id = self.next_instance_id()
-        key = hash_key(namespace, resource_id)
-        self.routing.lookup(key, lambda owner: self._send_put_chunk(
-            owner, namespace, [resource_id], [value], [instance_id], [key],
-            lifetime, item_bytes))
+        self._put_arrays(namespace, [resource_id], [value], [instance_id],
+                         lifetime, item_bytes)
         return instance_id
 
     def renew(self, namespace: str, resource_id: Any, instance_id: int,
@@ -413,50 +426,21 @@ class Provider:
     # ------------------------------------------------------------------- get
 
     def get(self, namespace: str, resource_id: Any, callback: GetCallback,
-            request_bytes: int = 60, scope: Any = None,
-            _attempts_left: Optional[int] = None) -> None:
+            request_bytes: int = 60, scope: Any = None) -> None:
         """Fetch all items with the given namespace/resourceID (``get``).
 
-        ``scope`` tags the request for :meth:`cancel_pending` and the
-        per-scope delivery accounting (queries pass their query id).  The
-        request is tracked from issue time: a bounce off a dead owner (or,
-        with ``request_timeout_s`` set, a timeout) retries it through a
-        fresh lookup up to ``request_retries`` times and then completes it
-        with an empty item list — callers degrade, they never hang.
+        A :meth:`get_batch` of one whose answer is handed over as
+        ``callback(items)``: tracked from issue time, retried after a bounce
+        (or, with ``request_timeout_s`` set, a timeout) up to
+        ``request_retries`` times, and completed with an empty item list when
+        the retries run out or the overlay cannot route the key at all —
+        callers degrade, they never hang.  ``scope`` tags the request for
+        :meth:`cancel_pending` and the per-scope delivery accounting (queries
+        pass their query id).
         """
-        key = hash_key(namespace, resource_id)
-        request_id = next(self._get_ids)
-        entry = _PendingGet(
-            callback=callback, namespace=namespace, resource_ids=(resource_id,),
-            scope=scope, request_bytes=request_bytes,
-            attempts_left=(self.request_retries if _attempts_left is None
-                           else _attempts_left),
-        )
-        self._pending_gets[request_id] = entry
-        if _attempts_left is None:
-            self._count(scope, "issued")
-        self._arm_timeout(entry, request_id)
-
-        def _ask(owner: int) -> None:
-            if self._pending_gets.get(request_id) is not entry:
-                return  # cancelled / failed while the lookup was in flight
-            if owner == self.node.address:
-                self._complete_get(request_id,
-                                   self.get_local(namespace, resource_id))
-                return
-            self.node.send(
-                owner,
-                self.PROTOCOL_GET,
-                payload={
-                    "namespace": namespace,
-                    "resource_id": resource_id,
-                    "origin": self.node.address,
-                    "request_id": request_id,
-                },
-                payload_bytes=request_bytes,
-            )
-
-        self.routing.lookup(key, _ask)
+        self.get_batch(namespace, [resource_id],
+                       lambda _resource_id, items: callback(items),
+                       request_bytes=request_bytes, scope=scope)
 
     def get_local(self, namespace: str, resource_id: Any) -> List[DHTItem]:
         """Items for ``(namespace, resourceID)`` stored on this node."""
@@ -464,21 +448,6 @@ class Provider:
             self._view(item)
             for item in self.storage.retrieve(namespace, resource_id, self.now)
         ]
-
-    def _on_get(self, node: Node, message) -> None:
-        payload = message.payload
-        items = self.get_local(payload["namespace"], payload["resource_id"])
-        reply_bytes = sum(item.size_bytes for item in items) or 40
-        node.send(
-            payload["origin"],
-            self.PROTOCOL_GET_REPLY,
-            payload={"request_id": payload["request_id"], "items": items},
-            payload_bytes=reply_bytes,
-        )
-
-    def _on_get_reply(self, node: Node, message) -> None:
-        payload = message.payload
-        self._complete_get(payload["request_id"], payload["items"])
 
     # ------------------------------------------------- pending-get lifecycle
 
@@ -495,64 +464,52 @@ class Provider:
         if self.request_timeout_s is None:
             return
         entry.timer = self.node.schedule(
-            self.request_timeout_s, self._on_get_timeout, request_id, entry.batch
-        )
+            self.request_timeout_s, self._retry_or_fail, request_id)
 
     @staticmethod
     def _disarm(entry: _PendingGet) -> None:
+        """Stop waiting on ``entry``: its timeout and its routed lookup.
+
+        A lookup that died with a relay is never answered, so the routing
+        layer's entry for it would otherwise outlive the request.
+        """
         if entry.timer is not None:
             entry.timer.cancel()
             entry.timer = None
-
-    def _complete_get(self, request_id: int, items: List[DHTItem]) -> None:
-        entry = self._pending_gets.pop(request_id, None)
-        if entry is None:
-            return  # already failed/cancelled; drop the late reply
-        self._disarm(entry)
-        self._count(entry.scope, "completed")
-        entry.callback(items)
-
-    def _on_get_timeout(self, request_id: int, batch: bool) -> None:
-        pending = self._pending_batch_gets if batch else self._pending_gets
-        if request_id in pending:
-            self._retry_or_fail(request_id, batch=batch)
-
-    def _on_get_bounce(self, node: Node, message) -> None:
-        self._retry_or_fail(message.payload["request_id"], batch=False)
+        if entry.routed is not None:
+            routing, lookup_id = entry.routed
+            routing.forget_lookup(lookup_id)
+            entry.routed = None
 
     def _on_get_batch_bounce(self, node: Node, message) -> None:
-        self._retry_or_fail(message.payload["request_id"], batch=True)
+        self._retry_or_fail(message.payload["request_id"])
 
-    def _retry_or_fail(self, request_id: int, batch: bool) -> None:
-        """A request's destination is unreachable: reroute or complete empty."""
-        pending = self._pending_batch_gets if batch else self._pending_gets
-        entry = pending.pop(request_id, None)
+    def _retry_or_fail(self, request_id: int) -> None:
+        """A request timed out or bounced: reroute it or complete it empty.
+
+        A no-op for a request that has been answered, failed or cancelled
+        since the timer was armed or the message sent.
+        """
+        entry = self._pending_batch_gets.pop(request_id, None)
         if entry is None:
             return
         self._disarm(entry)
         if entry.attempts_left > 0:
             # Retry through a fresh overlay resolution: the routing layer has
             # marked the bounced hop dead, so the new lookup reroutes.
-            if batch:
-                self.get_batch(entry.namespace, list(entry.resource_ids),
-                               entry.callback, request_bytes=entry.request_bytes,
-                               scope=entry.scope,
-                               _attempts_left=entry.attempts_left - 1)
-            else:
-                self.get(entry.namespace, entry.resource_ids[0], entry.callback,
-                         request_bytes=entry.request_bytes, scope=entry.scope,
-                         _attempts_left=entry.attempts_left - 1)
+            self.get_batch(entry.namespace, list(entry.resource_ids),
+                           entry.callback, request_bytes=entry.request_bytes,
+                           scope=entry.scope,
+                           _attempts_left=entry.attempts_left - 1)
             return
-        self._fail_entry(entry)
+        self._fail(entry.callback, entry.scope, entry.resource_ids)
 
-    def _fail_entry(self, entry: _PendingGet) -> None:
-        """Complete an unreachable request with empty results (degrade)."""
-        self._count(entry.scope, "failed", len(entry.resource_ids))
-        if entry.batch:
-            for resource_id in entry.resource_ids:
-                entry.callback(resource_id, [])
-        else:
-            entry.callback([])
+    def _fail(self, callback: BatchGetCallback, scope: Any,
+              resource_ids: Collection[Any]) -> None:
+        """Complete unreachable ids with empty results (degrade)."""
+        self._count(scope, "failed", len(resource_ids))
+        for resource_id in resource_ids:
+            callback(resource_id, [])
 
     def cancel_pending(self, scope: Any) -> int:
         """Drop every pending get tagged with ``scope`` without calling back.
@@ -562,23 +519,22 @@ class Provider:
         scope's accounting entry; returns the number of requests dropped.
         """
         dropped = 0
-        for pending in (self._pending_gets, self._pending_batch_gets):
-            stale = [request_id for request_id, entry in pending.items()
-                     if entry.scope == scope]
-            for request_id in stale:
-                entry = pending.pop(request_id)
-                self._disarm(entry)
-                dropped += len(entry.resource_ids)
+        pending = self._pending_batch_gets
+        stale = [request_id for request_id, entry in pending.items()
+                 if entry.scope == scope]
+        for request_id in stale:
+            entry = pending.pop(request_id)
+            self._disarm(entry)
+            dropped += len(entry.resource_ids)
         self._scope_counters.pop(scope, None)
         return dropped
 
     def pending_get_count(self, scope: Any = None) -> int:
         """Number of in-flight get requests (optionally for one scope)."""
         total = 0
-        for pending in (self._pending_gets, self._pending_batch_gets):
-            for entry in pending.values():
-                if scope is None or entry.scope == scope:
-                    total += len(entry.resource_ids)
+        for entry in self._pending_batch_gets.values():
+            if scope is None or entry.scope == scope:
+                total += len(entry.resource_ids)
         return total
 
     def scope_report(self, scope: Any) -> Dict[str, int]:
@@ -599,11 +555,12 @@ class Provider:
         IDs owned by the same node share a single ``prov.get_batch`` request
         and a single reply; locally-owned IDs resolve synchronously.
 
-        Like :meth:`get`, the request is tracked from issue time.  While the
-        routed lookup is out, one pending entry holds every id it has not
-        answered yet, so a lookup that dies with a relay (a hop killed after
-        it took the routed batch but before it forwarded it — no bounce can
-        report that) is retried by the timeout like any other request.  Each
+        The request is tracked from issue time.  While the routed lookup is
+        out, one pending entry holds every id it has not answered yet, so a
+        lookup that dies with a relay (a hop killed after it took the routed
+        batch but before it forwarded it — no bounce can report that) is
+        retried by the timeout like any other request, and the routing
+        layer's record of the dead lookup is released with it.  Each
         owner the lookup names turns its ids into a sub-request of their own:
         bounces and timeouts retry it (``request_retries`` times) and then
         complete each of its ids with an empty item list, and ids whose
@@ -626,7 +583,6 @@ class Provider:
         lookup = _PendingGet(
             callback=callback, namespace=namespace, resource_ids=outstanding,
             scope=scope, attempts_left=attempts, request_bytes=request_bytes,
-            batch=True,
         )
         self._pending_batch_gets[lookup_id] = lookup
         self._arm_timeout(lookup, lookup_id)
@@ -662,7 +618,6 @@ class Provider:
                 callback=callback, namespace=namespace,
                 resource_ids=tuple(rids), scope=scope,
                 attempts_left=attempts, request_bytes=request_bytes,
-                batch=True,
             )
             self._pending_batch_gets[request_id] = entry
             self._arm_timeout(entry, request_id)
@@ -683,12 +638,13 @@ class Provider:
             # their ids immediately instead of leaving the caller waiting.
             rids = _answered(keys)
             if rids:
-                self._fail_entry(_PendingGet(
-                    callback=callback, namespace=namespace,
-                    resource_ids=tuple(rids), scope=scope, batch=True))
+                self._fail(callback, scope, rids)
 
-        self.routing.lookup_batch(list(rids_by_key), _ask,
-                                  on_unresolved=_unresolved)
+        routing = self.routing
+        routed = routing.lookup_batch(list(rids_by_key), _ask,
+                                      on_unresolved=_unresolved)
+        if routed is not None:
+            lookup.routed = (routing, routed)
 
     def _on_get_batch(self, node: Node, message) -> None:
         payload = message.payload
@@ -848,10 +804,9 @@ class Provider:
         process has no callbacks to deliver to.  Returns the number of stored
         items dropped.
         """
-        for pending in (self._pending_gets, self._pending_batch_gets):
-            for entry in pending.values():
-                self._disarm(entry)
-            pending.clear()
+        for entry in self._pending_batch_gets.values():
+            self._disarm(entry)
+        self._pending_batch_gets.clear()
         self._scope_counters.clear()
         self.put_bounces_by_namespace.clear()
         return self.storage.clear()

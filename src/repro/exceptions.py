@@ -14,7 +14,7 @@ class PierError(Exception):
 
 
 class SimulationError(PierError):
-    """Raised when the discrete-event simulator is used incorrectly."""
+    """Raised when the simulator (or any timer service) is used incorrectly."""
 
 
 class NetworkError(PierError):

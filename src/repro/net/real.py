@@ -33,8 +33,9 @@ Design notes
   the simulator synthesises for dead destinations, so the DHT's
   re-route/repair paths work unchanged.
 * **Wall-clock timers.**  :class:`WallClockTimers` adapts ``loop.call_later``
-  to the Simulator's ``schedule``/``schedule_periodic`` surface; handles
-  support ``cancel()`` exactly like the virtual-clock ones.
+  to the Simulator's ``schedule`` surface (``schedule_periodic`` is the
+  shared one built on it); handles support ``cancel()`` exactly like the
+  virtual-clock ones.
 """
 
 from __future__ import annotations
@@ -82,21 +83,6 @@ class _WallClockHandle:
         self._timer.cancel()
 
 
-class _WallClockPeriodicHandle:
-    """Periodic handle mirroring :class:`repro.net.simulator.PeriodicHandle`."""
-
-    __slots__ = ("active", "current")
-
-    def __init__(self) -> None:
-        self.active = True
-        self.current: Optional[_WallClockHandle] = None
-
-    def cancel(self) -> None:
-        self.active = False
-        if self.current is not None:
-            self.current.cancel()
-
-
 class WallClockTimers(TimerService):
     """The Simulator's timer surface over ``loop.call_later``.
 
@@ -117,25 +103,6 @@ class WallClockTimers(TimerService):
         delay = max(0.0, delay)
         timer = self._loop.call_later(delay, callback, *args)
         return _WallClockHandle(timer, self.now + delay)
-
-    def schedule_periodic(self, period: float, callback: Callable[..., None],
-                          *args: Any,
-                          initial_delay: Optional[float] = None
-                          ) -> _WallClockPeriodicHandle:
-        if period <= 0:
-            raise ValueError(f"periodic timers need a positive period (got {period})")
-        handle = _WallClockPeriodicHandle()
-        first = period if initial_delay is None else initial_delay
-
-        def _fire() -> None:
-            if not handle.active:
-                return
-            callback(*args)
-            if handle.active:
-                handle.current = self.schedule(period, _fire)
-
-        handle.current = self.schedule(first, _fire)
-        return handle
 
 
 class _Peer:

@@ -9,8 +9,9 @@ layers schedule work on.  The design is a classic calendar queue built on
 * :meth:`Simulator.run` drains events in timestamp order, advancing the
   virtual clock; wall-clock time never enters the simulation.
 * Periodic processes (soft-state sweeps, keep-alives, renewals) are
-  expressed with :meth:`Simulator.schedule_periodic`, which returns a handle
-  that can be cancelled.
+  expressed with ``schedule_periodic`` (inherited from
+  :class:`repro.net.transport.TimerService`), which returns a handle that
+  can be cancelled.
 * :meth:`Simulator.postpone` moves a pending event later; the network uses
   it to keep one event per coalesced delivery group.
 
@@ -83,22 +84,6 @@ class EventHandle:
 
 #: A calendar entry: ``(time, seq, event)``, possibly stale (module docs).
 _Entry = Tuple[float, int, EventHandle]
-
-
-class PeriodicHandle:
-    """Handle for a repeating event; cancelling stops future repetitions."""
-
-    __slots__ = ("active", "current")
-
-    def __init__(self) -> None:
-        self.active = True
-        self.current: Optional[EventHandle] = None
-
-    def cancel(self) -> None:
-        """Stop the periodic process."""
-        self.active = False
-        if self.current is not None:
-            self.current.cancel()
 
 
 class Simulator(TimerService):
@@ -217,33 +202,6 @@ class Simulator(TimerService):
             return
         event.cancelled = True
         self._live -= 1
-
-    def schedule_periodic(
-        self,
-        period: float,
-        callback: Callable[..., None],
-        *args: Any,
-        initial_delay: Optional[float] = None,
-    ) -> PeriodicHandle:
-        """Run ``callback(*args)`` every ``period`` seconds until cancelled.
-
-        ``initial_delay`` defaults to ``period`` (i.e. the first firing is one
-        full period from now).
-        """
-        if period <= 0:
-            raise SimulationError(f"periodic events need a positive period (got {period})")
-        handle = PeriodicHandle()
-        first = period if initial_delay is None else initial_delay
-
-        def _fire() -> None:
-            if not handle.active:
-                return
-            callback(*args)
-            if handle.active:
-                handle.current = self.schedule(period, _fire)
-
-        handle.current = self.schedule(first, _fire)
-        return handle
 
     def run(
         self,

@@ -35,18 +35,36 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Optional
 
+from repro.exceptions import SimulationError
 from repro.net.message import Message
+
+
+class PeriodicHandle:
+    """Handle for a repeating timer; cancelling stops future repetitions."""
+
+    __slots__ = ("active", "current")
+
+    def __init__(self) -> None:
+        self.active = True
+        #: One-shot handle of the next firing.
+        self.current: Any = None
+
+    def cancel(self) -> None:
+        """Stop the periodic process."""
+        self.active = False
+        if self.current is not None:
+            self.current.cancel()
 
 
 class TimerService(ABC):
     """Clock plus one-shot and periodic timers (the Simulator's surface).
 
-    Handles returned by :meth:`schedule` expose ``cancel()``, ``cancelled``
-    and ``time`` (the absolute due time on this service's clock); handles
-    returned by :meth:`schedule_periodic` expose ``cancel()`` and
-    ``active``.  The simulator's :class:`repro.net.simulator.EventHandle` /
-    :class:`~repro.net.simulator.PeriodicHandle` and the real transport's
-    wall-clock handles both satisfy this.
+    An implementation supplies the clock and :meth:`schedule`, whose handles
+    expose ``cancel()``, ``cancelled`` and ``time`` (the absolute due time on
+    this service's clock): the simulator's
+    :class:`repro.net.simulator.EventHandle` and the real transport's
+    wall-clock handle.  Periodic timers are built on those here, once, and
+    return a :class:`PeriodicHandle` (``cancel()`` / ``active``).
     """
 
     @property
@@ -63,13 +81,29 @@ class TimerService(ABC):
         the concrete handle type is implementation-specific.
         """
 
-    @abstractmethod
     def schedule_periodic(self, period: float, callback: Callable[..., None],
-                          *args: Any, initial_delay: Optional[float] = None) -> Any:
+                          *args: Any, initial_delay: Optional[float] = None
+                          ) -> PeriodicHandle:
         """Run ``callback(*args)`` every ``period`` seconds until cancelled.
 
-        Returns a handle exposing ``cancel()`` / ``active``.
+        ``initial_delay`` defaults to ``period`` (i.e. the first firing is one
+        full period from now).
         """
+        if period <= 0:
+            raise SimulationError(
+                f"periodic timers need a positive period (got {period})")
+        handle = PeriodicHandle()
+        first = period if initial_delay is None else initial_delay
+
+        def _fire() -> None:
+            if not handle.active:
+                return
+            callback(*args)
+            if handle.active:
+                handle.current = self.schedule(period, _fire)
+
+        handle.current = self.schedule(first, _fire)
+        return handle
 
 
 class Transport(ABC):

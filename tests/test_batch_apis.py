@@ -7,14 +7,17 @@ destination messages.  Covered for both CAN and Chord, including a node
 failing mid-batch.
 """
 
+import itertools
 import math
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dht.can import CanNetworkBuilder
-from repro.dht.chord import ChordNetworkBuilder
+from repro.dht.api import RoutingLayer
+from repro.dht.can import CanNetworkBuilder, CanRouting
+from repro.dht.chord import ChordNetworkBuilder, ChordRouting
 from repro.dht.naming import hash_key
 from repro.dht.provider import Provider
 from repro.net.network import Network
@@ -350,7 +353,9 @@ def test_unroutable_put_keys_are_counted_as_lost_items(dht):
     """The only other node is dead, so its keys cannot be routed at all."""
     rids = [rid for rid, _v in ENTRIES]
     for put in (lambda provider: provider.put_batch("t", ENTRIES),
-                lambda provider: provider.put_chunk("t", rids, rids)):
+                lambda provider: provider.put_chunk("t", rids, rids),
+                lambda provider: [provider.put("t", rid, None, rid)
+                                  for rid in rids]):
         network, providers, builder = build_network(dht, num_nodes=2)
         remote = [rid for rid in rids
                   if builder.owner_of_key(hash_key("t", rid)) == 1]
@@ -399,6 +404,187 @@ def test_get_batch_groups_requests_by_owner():
     requests = network.stats.protocol_messages.get("prov.get_batch", 0)
     assert 0 < requests < len(ENTRIES) * 0.75
     assert len(results) == len(ENTRIES)
+
+
+# ------------------------------------------- scalar front-ends of the one lane
+
+#: Origins the scalar calls are issued from, round robin.
+FRONT_END_ORIGINS = (0, 13, 27, 41, 58)
+
+
+def front_end_trace(dht):
+    """Owners, hop counts and traffic totals of scalar ``lookup``/``get``/``put``.
+
+    A 64-node deployment on finite links (so arrival times depend on every
+    byte sent before them), seeded keys, calls issued round robin from five
+    origins.  Each phase reports ``(messages_sent, bytes_delivered,
+    time of the last arrival)``.
+    """
+    rng = random.Random(2203)
+    network, providers, builder = build_network(dht, num_nodes=64,
+                                                capacity=1_000_000.0)
+    origins = itertools.cycle(FRONT_END_ORIGINS)
+    protocols = set()
+
+    def phase_totals():
+        network.run_until_idle()
+        stats = network.stats
+        totals = (stats.messages_sent, stats.bytes_delivered,
+                  round(network.now, 9))
+        protocols.update(stats.protocol_messages)
+        stats.reset()
+        return totals
+
+    def fetch(namespace, entries):
+        """One ``get`` per entry; every one answered once, with its value."""
+        fetched = []
+        for rid, _value in entries:
+            providers[next(origins)].get(
+                namespace, rid, lambda items, rid=rid: fetched.append(
+                    (rid, [item.value for item in items])))
+        totals = phase_totals()
+        assert sorted(fetched) == sorted((rid, [value]) for rid, value in entries)
+        return totals
+
+    keys = [hash_key("pin", rng.randrange(10 ** 9)) for _ in range(200)]
+    resolved = []
+    for key in keys:
+        providers[next(origins)].routing.lookup(
+            key, lambda owner, key=key: resolved.append((key, owner)))
+    lookups = phase_totals()
+    assert sorted(resolved) == sorted(
+        (key, builder.owner_of_key(key)) for key in keys)
+    owners = dict(resolved)
+    hops = [hop for origin in FRONT_END_ORIGINS
+            for hop in providers[origin].routing.lookup_hops_observed]
+
+    loaded = [(rng.randrange(10 ** 9), i) for i in range(200)]
+    providers[1].put_batch("pin", loaded, item_bytes=75)
+    phase_totals()
+    gets = fetch("pin", loaded)
+
+    published = [(rng.randrange(10 ** 9), i) for i in range(50)]
+    for rid, value in published:
+        providers[next(origins)].put("pin2", rid, None, value, item_bytes=90)
+    puts = phase_totals()
+    next(origins)  # every get comes from another origin than its put did
+    gets_of_puts = fetch("pin2", published)
+    return {
+        "owners": [owners[key] for key in keys], "hops": hops,
+        "lookups": lookups, "gets": gets, "puts": puts,
+        "gets_of_puts": gets_of_puts,
+    }, protocols
+
+
+#: :func:`front_end_trace` as recorded at the last commit that had a scalar
+#: lane of its own under ``lookup``, ``get`` and ``put`` (``can.route`` /
+#: ``can.lookup_reply``, ``prov.get`` / ``prov.get_reply`` and their Chord
+#: twins).  The phase totals are (messages sent, bytes delivered, time of the
+#: last arrival).
+FRONT_END_PINS = {
+    "can": {
+        "owners": [
+            11, 57, 16, 39, 16, 5, 41, 42, 63, 13, 37, 41, 35, 27, 61, 39, 23,
+            52, 1, 9, 20, 50, 34, 46, 16, 51, 55, 45, 22, 6, 34, 35, 13, 17, 1,
+            43, 12, 3, 43, 19, 41, 19, 5, 16, 52, 1, 57, 37, 0, 40, 53, 13, 34,
+            54, 46, 14, 49, 52, 3, 22, 34, 30, 0, 16, 50, 34, 11, 29, 43, 36,
+            14, 43, 11, 6, 3, 29, 25, 25, 22, 52, 16, 46, 60, 3, 18, 16, 15, 2,
+            57, 39, 45, 37, 54, 54, 22, 23, 62, 52, 20, 61, 33, 27, 37, 40, 32,
+            9, 14, 22, 61, 54, 52, 10, 61, 15, 42, 9, 30, 50, 11, 47, 18, 11,
+            40, 12, 57, 38, 56, 5, 27, 36, 60, 53, 20, 31, 49, 18, 48, 36, 36,
+            21, 26, 3, 58, 37, 12, 62, 27, 31, 45, 20, 35, 51, 34, 19, 36, 18,
+            20, 15, 23, 37, 21, 44, 1, 6, 35, 13, 33, 60, 1, 61, 41, 52, 42,
+            55, 38, 54, 34, 39, 32, 20, 38, 13, 6, 61, 27, 27, 30, 60, 39, 11,
+            4, 16, 42, 4, 1, 16, 36, 29, 2, 51
+        ],
+        "hops": [
+            1, 2, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 6, 6, 7,
+            7, 7, 7, 7, 7, 7, 8, 8, 8, 8, 9, 9, 10, 10, 11, 11, 12, 13, 1, 1,
+            2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3, 4, 4, 4, 4, 4, 4, 4, 5, 5, 5,
+            5, 5, 5, 5, 6, 6, 6, 6, 6, 6, 6, 7, 7, 8, 1, 2, 2, 2, 2, 2, 3, 3,
+            3, 3, 3, 3, 3, 3, 4, 4, 4, 4, 4, 4, 4, 4, 5, 5, 5, 5, 5, 5, 6, 6,
+            7, 7, 7, 7, 7, 8, 8, 9, 9, 9, 1, 1, 1, 2, 2, 3, 3, 3, 3, 3, 4, 4,
+            5, 5, 5, 5, 6, 6, 6, 6, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7, 7, 9, 9, 9,
+            9, 10, 10, 10, 11, 11, 1, 2, 2, 2, 3, 3, 4, 4, 4, 4, 4, 4, 4, 4, 5,
+            5, 5, 5, 5, 5, 5, 5, 6, 6, 7, 7, 7, 7, 7, 7, 8, 8, 8, 8, 9, 9, 9,
+            10, 10, 10
+        ],
+        "lookups": (1265, 126500, 0.2865),
+        "gets": (1647, 175590, 0.945893),
+        "puts": (338, 36200, 1.227643),
+        "gets_of_puts": (401, 43530, 1.531813),
+    },
+    "chord": {
+        "owners": [
+            41, 58, 58, 25, 2, 8, 8, 34, 22, 43, 56, 3, 24, 28, 52, 60, 51, 1,
+            34, 58, 1, 42, 22, 28, 55, 39, 49, 33, 44, 42, 41, 45, 9, 42, 60,
+            9, 19, 36, 60, 42, 1, 51, 47, 37, 18, 63, 33, 2, 44, 21, 58, 8, 11,
+            25, 13, 18, 22, 33, 16, 58, 47, 40, 24, 42, 60, 9, 16, 0, 2, 58,
+            34, 2, 61, 47, 16, 25, 59, 42, 49, 11, 47, 55, 13, 2, 55, 40, 9,
+            10, 44, 36, 25, 25, 18, 51, 13, 32, 1, 2, 51, 44, 62, 32, 9, 8, 1,
+            14, 49, 38, 7, 28, 49, 47, 62, 16, 49, 28, 28, 50, 34, 21, 41, 44,
+            7, 60, 47, 42, 28, 7, 56, 58, 28, 37, 47, 34, 49, 22, 28, 59, 62,
+            14, 51, 60, 40, 25, 28, 60, 28, 44, 14, 1, 59, 1, 60, 47, 52, 33,
+            55, 22, 8, 42, 49, 60, 42, 22, 55, 58, 54, 40, 52, 25, 34, 28, 9,
+            0, 7, 59, 8, 47, 25, 5, 32, 55, 22, 36, 28, 22, 34, 37, 58, 63, 49,
+            42, 58, 51, 36, 39, 2, 24, 14, 14
+        ],
+        "hops": [
+            2, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4,
+            4, 4, 4, 4, 4, 4, 4, 4, 4, 5, 5, 5, 5, 5, 5, 5, 5, 7, 1, 2, 2, 2,
+            2, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 4, 4, 4, 4, 4, 4, 4, 4,
+            4, 4, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 6, 2, 2, 2, 3, 3, 3, 3, 3,
+            3, 3, 3, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 5, 5,
+            5, 5, 5, 5, 5, 6, 6, 6, 6, 6, 1, 2, 2, 3, 3, 3, 3, 3, 3, 3, 4, 4,
+            4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5,
+            5, 5, 5, 5, 5, 5, 1, 1, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3,
+            4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 5, 5, 5, 5, 6, 6, 6, 6, 6
+        ],
+        "lookups": (965, 96500, 0.1644),
+        "gets": (1330, 143725, 0.537619),
+        "puts": (294, 31850, 0.718869),
+        "gets_of_puts": (348, 38300, 0.900839),
+    },
+}
+
+
+@pytest.mark.parametrize("dht", ["can", "chord"])
+def test_scalar_front_ends_cost_what_the_scalar_lanes_did(dht):
+    """``lookup`` is a ``lookup_batch`` of one and ``get`` a ``get_batch`` of
+    one: same owners, same hop counts, same messages, bytes and arrival
+    times as the lanes they replaced, over the batch protocols only."""
+    trace, protocols = front_end_trace(dht)
+    assert trace == FRONT_END_PINS[dht]
+    assert protocols == {f"{dht}.route_batch", f"{dht}.batch_lookup_reply",
+                         "prov.get_batch", "prov.get_batch_reply",
+                         "prov.put_chunk"}
+    # A DHT's share of a lookup is its geometry hooks, nothing else.
+    for layer in (CanRouting, ChordRouting):
+        assert layer.lookup is RoutingLayer.lookup
+        assert layer.lookup_batch is RoutingLayer.lookup_batch
+
+
+@pytest.mark.parametrize("dht", ["can", "chord"])
+def test_dead_ended_get_and_put_are_reported_without_a_timeout(dht):
+    """Every first hop is dead and no timeout is armed: the unresolved report
+    completes the get empty (it is not left waiting for a reply) and counts
+    the put as lost."""
+    network, providers, builder = build_network(dht)
+    provider = providers[0]
+    assert provider.request_timeout_s is None
+    network.fail_nodes(provider.routing.neighbors())
+    remote = next(rid for rid, _v in ENTRIES
+                  if builder.owner_of_key(hash_key("t", rid)) != 0)
+    results = []
+    provider.get("t", remote, results.append, scope=7)
+    provider.put("t", remote, None, "v")
+    assert results == [] and provider.pending_get_count() == 1
+    network.run_until_idle()
+    assert results == [[]]
+    assert provider.put_bounces_by_namespace == {"t": 1}
+    assert provider.scope_report(7)["failed"] == 1
+    assert provider.pending_get_count() == 0
+    assert provider.routing._pending_batch_lookups == {}
 
 
 # ------------------------------------------------------- multicast_batch

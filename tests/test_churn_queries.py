@@ -235,21 +235,37 @@ def test_get_times_out_when_overlay_dead_ends():
     assert provider.scope_report(7)["failed"] == 1
 
 
-def test_get_batch_retries_a_lookup_that_died_with_its_relay():
-    """A relay killed *holding* a routed batch sends no bounce: on a real
-    cluster the lookup is simply gone.  get_batch tracks its ids from issue
-    time, so the timeout retries them and each id is answered exactly once."""
-    pier, workload = build_churn_pier("can")
-    provider, namespace = pier.providers[0], workload.s_relation.namespace
-    remote = [rid for rid in range(64) if pier.owner_of(namespace, rid) != 0]
-    local = next(rid for rid in range(64) if pier.owner_of(namespace, rid) == 0)
+def swallow_routed_batches(pier):
+    """Every first hop of node 0 takes a routed batch and dies holding it.
+
+    Returns the swallowed messages and a function that heals the overlay.
+    """
     route_batch = pier.routings[0].PROTOCOL_ROUTE_BATCH
     relays = {address: pier.routings[address].node
               for address in pier.routings[0].neighbors()}
     swallowed = []
-    for relay in relays.values():  # every first hop takes the batch and dies
+    for relay in relays.values():
         relay.replace_handler(route_batch,
                               lambda _node, message: swallowed.append(message))
+
+    def heal():
+        for address, relay in relays.items():
+            relay.replace_handler(route_batch,
+                                  pier.routings[address]._on_route_batch)
+
+    return swallowed, heal
+
+
+def test_get_batch_retries_a_lookup_that_died_with_its_relay():
+    """A relay killed *holding* a routed batch sends no bounce: on a real
+    cluster the lookup is simply gone.  get_batch tracks its ids from issue
+    time, so the timeout retries them and each id is answered exactly once —
+    and takes the routing layer's record of the dead lookup with it."""
+    pier, workload = build_churn_pier("can")
+    provider, namespace = pier.providers[0], workload.s_relation.namespace
+    remote = [rid for rid in range(64) if pier.owner_of(namespace, rid) != 0]
+    local = next(rid for rid in range(64) if pier.owner_of(namespace, rid) == 0)
+    swallowed, heal = swallow_routed_batches(pier)
 
     answered = []
     provider.get_batch(namespace, [local] + remote,
@@ -258,14 +274,54 @@ def test_get_batch_retries_a_lookup_that_died_with_its_relay():
     assert provider.pending_get_count(7) == len(remote)
     pier.run(until=pier.now + provider.request_timeout_s - 1.0)
     assert swallowed and answered == [local]
+    assert len(provider.routing._pending_batch_lookups) == 1
 
-    for address, relay in relays.items():  # the overlay heals before the retry
-        relay.replace_handler(route_batch, pier.routings[address]._on_route_batch)
+    heal()  # before the retry
     pier.run(until=pier.now + provider.request_timeout_s)
     assert sorted(answered) == sorted([local] + remote)
     report = provider.scope_report(7)
     assert (report["issued"], report["completed"], report["failed"],
             report["pending"]) == (len(remote) + 1, len(remote) + 1, 0, 0)
+    assert provider.routing._pending_batch_lookups == {}
+
+
+def test_get_retries_a_lookup_that_died_with_its_relay():
+    """The scalar front-end shares the lane: same retry, same release."""
+    pier, workload = build_churn_pier("can")
+    provider, namespace = pier.providers[0], workload.s_relation.namespace
+    remote = next(rid for rid in range(64) if pier.owner_of(namespace, rid) != 0)
+    swallowed, heal = swallow_routed_batches(pier)
+
+    answers = []
+    provider.get(namespace, remote, answers.append, scope=7)
+    pier.run(until=pier.now + provider.request_timeout_s - 1.0)
+    assert swallowed and answers == []
+    assert len(provider.routing._pending_batch_lookups) == 1
+
+    heal()
+    pier.run(until=pier.now + provider.request_timeout_s)
+    assert len(answers) == 1 and answers[0]
+    assert {item.resource_id for item in answers[0]} == {remote}
+    report = provider.scope_report(7)
+    assert (report["issued"], report["completed"], report["failed"],
+            report["pending"]) == (1, 1, 0, 0)
+    assert provider.routing._pending_batch_lookups == {}
+
+
+@pytest.mark.parametrize("dht", ["can", "chord"])
+def test_giving_up_on_a_routed_lookup_releases_the_routing_layer(dht):
+    """Cancelled, or dead with its node: the lookup-phase entry takes the
+    routing layer's record of the lookup with it."""
+    for give_up in (lambda provider: provider.cancel_pending(8),
+                    lambda provider: provider.handle_node_failure()):
+        pier, workload = build_churn_pier(dht)
+        provider, namespace = pier.providers[0], workload.s_relation.namespace
+        remote = [rid for rid in range(64) if pier.owner_of(namespace, rid) != 0]
+        provider.get_batch(namespace, remote, lambda rid, items: None, scope=8)
+        provider.get(namespace, remote[0], lambda items: None, scope=8)
+        assert len(provider.routing._pending_batch_lookups) == 2
+        give_up(provider)
+        assert provider.routing._pending_batch_lookups == {}
 
 
 def test_get_batch_lookup_answered_after_cancel_issues_nothing():

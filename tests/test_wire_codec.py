@@ -141,9 +141,11 @@ def test_dht_item_reply_roundtrip():
     items = [DHTItem(namespace="ns", resource_id=("composite", 9),
                      instance_id=5, value=(1, 2.5, "slotted"), publisher=0,
                      size_bytes=123)]
-    restored = wire_message("prov.get_reply",
-                            {"request_id": 1, "items": items})
-    assert restored.payload["items"] == items
+    results = [{"resource_id": ("composite", 9), "items": items},
+               {"resource_id": "missing", "items": []}]
+    restored = wire_message("prov.get_batch_reply",
+                            {"request_id": 1, "results": results})
+    assert restored.payload["results"] == results
 
 
 def test_query_multicast_roundtrip():
