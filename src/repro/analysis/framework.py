@@ -241,31 +241,6 @@ def call_attr(call: ast.Call) -> Optional[str]:
     return None
 
 
-def resolve_string(node: ast.AST, info: ModuleInfo,
-                   project: Optional["Project"] = None) -> Optional[str]:
-    """Resolve an expression to a string: literal, constant, or class attr."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    name: Optional[str] = None
-    if isinstance(node, ast.Attribute):
-        # self.PROTOCOL_X / cls.PROTOCOL_X / SomeClass.PROTOCOL_X
-        owner = dotted_name(node.value)
-        if owner in ("self", "cls"):
-            name = node.attr
-        elif owner is not None:
-            name = f"{owner}.{node.attr}"
-            if info.str_constants.get(name) is None:
-                name = node.attr  # fall back to the bare constant name
-    elif isinstance(node, ast.Name):
-        name = node.id
-    if name is None:
-        return None
-    value = info.str_constants.get(name)
-    if value is None and project is not None:
-        value = project.str_constants.get(name)
-    return value
-
-
 def resolve_string_candidates(node: ast.AST, info: ModuleInfo,
                               project: Optional["Project"] = None,
                               ) -> Optional[frozenset]:

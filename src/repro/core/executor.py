@@ -22,9 +22,10 @@ stored dicts in, one dense :class:`repro.core.tuples.Chunk` out.  Rehash,
 Bloom build, partial aggregation and the scan sink consume the chunk column
 by column.  The arrival side is chunk-at-a-time as well: the probe answers
 one ``newData`` upcall — every new fragment of one stored chunk — with one
-bucket read per distinct join value and one result message, and a Fetch
-Matches reply joins all scanned rows of its join value at once; only the
-semi-join rejoin still fetches a matched pair at a time.  Rehash fragments
+bucket read per distinct join value and one result message, and Fetch
+Matches joins everything one owner's ``get_batch`` reply fetched at once,
+into one result message; only the semi-join rejoin still fetches a matched
+pair at a time.  Rehash fragments
 cross the network as ``(side, slotted_row)`` pairs; dicts appear only in the
 rows shipped to the initiator.
 
@@ -47,6 +48,7 @@ records per-tuple arrival times so the harness can report the paper's
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -603,21 +605,26 @@ class QueryExecutor:
         if not rows_by_value:
             return
 
-        def _on_fetch(join_value, items: List[DHTItem]) -> None:
-            if query.query_id not in self._states:
-                return  # torn down while the get was in flight
+        def _pairs(results: List[Tuple[Any, List[DHTItem]]]
+                   ) -> Iterator[Tuple[SlottedRow, SlottedRow]]:
             # Read and filter each fetched tuple once, then pair it with every
-            # scanned row of this join value: one message per join value.
-            fetched = [fetch.reader(item.value) for item in items
-                       if isinstance(item.value, dict)]
-            if fetch.predicate is not None:
-                fetched = [row for row in fetched if fetch.predicate(row)]
-            scanned = rows_by_value.get(join_value, ())
-            if fetch.scan_is_left:
-                pairs = ((scan, other) for scan in scanned for other in fetched)
-            else:
-                pairs = ((other, scan) for scan in scanned for other in fetched)
-            self._emit_join_results(query, pairs, fetch.emit)
+            # scanned row of its join value.
+            for join_value, items in results:
+                fetched = [fetch.reader(item.value) for item in items
+                           if isinstance(item.value, dict)]
+                if fetch.predicate is not None:
+                    fetched = [row for row in fetched if fetch.predicate(row)]
+                pairs = itertools.product(rows_by_value.get(join_value, ()),
+                                          fetched)
+                if fetch.scan_is_left:
+                    yield from pairs
+                else:
+                    yield from ((other, scan) for scan, other in pairs)
+
+        def _on_fetch(results: List[Tuple[Any, List[DHTItem]]]) -> None:
+            if query.query_id in self._states:  # else torn down in flight
+                # One owner's reply is joined at once: one message per reply.
+                self._emit_join_results(query, _pairs(results), fetch.emit)
 
         # One get per distinct join value, grouped by owner on the wire.
         self.provider.get_batch(namespace, list(rows_by_value), _on_fetch,

@@ -17,17 +17,22 @@ minimal integration effort" (paper Section 3.2).
 
 There is one lookup lane.  :meth:`RoutingLayer.lookup_batch` routes any
 number of keys, and ``lookup`` is its front-end for one key, so a DHT's whole
-share of a lookup is the three geometry hooks ``_batch_entry``,
-``_batch_entry_owned`` and ``_batch_next_hop``; request bookkeeping,
-forwarding, replies, re-routing around a bounced hop and the report of keys
-that cannot be routed are written once, here.
+share of a lookup is three coordinate hooks: ``_coordinate`` maps a key into
+the DHT's own space (a CAN point, a Chord ring key), ``_owns_coordinate`` and
+``_next_hop`` answer from there.  A key's coordinate is computed once, at the
+origin, and travels with it: a routed batch is two parallel arrays, ``keys``
+and ``coords``, which every hop splits by next hop in one sweep — no per-key
+object in memory or on the wire.  Request bookkeeping, forwarding, replies,
+re-routing around a bounced hop and the report of keys that cannot be routed
+are written once, here — and so is the greedy walk that carries a joiner's
+request to the owner of its coordinate, over the same hooks.
 """
 
 from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.net.node import Node
 
@@ -85,13 +90,15 @@ class BatchLookupState:
 class RoutingLayer(ABC):
     """Abstract overlay routing layer bound to one simulated node.
 
-    The base class owns the generic half of **lookups**: the Table 1
+    The base class owns the generic half of **lookups** — the Table 1
     ``lookup``, request bookkeeping, reply handling and the forward loop
-    that re-partitions a batch at every hop.  Concrete layers
-    supply only the geometry through three hooks — :meth:`_batch_entry`,
-    :meth:`_batch_entry_owned` and :meth:`_batch_next_hop` — and register
-    their ``PROTOCOL_ROUTE_BATCH`` / ``PROTOCOL_BATCH_LOOKUP_REPLY`` names
-    against the inherited handlers.
+    that re-partitions a batch at every hop — and the **join route**.
+    Concrete layers supply only the geometry through three hooks —
+    :meth:`_coordinate`, :meth:`_owns_coordinate` and :meth:`_next_hop` —
+    plus ``create_network``, ``_join_coordinate`` and
+    :meth:`_handle_join_request`, and name the ``PROTOCOL_ROUTE*`` /
+    ``PROTOCOL_BATCH_LOOKUP_REPLY`` protocols the inherited handlers are
+    registered under.
 
     The hooks answer from a **next-hop index** (``_next_hops``) that each
     layer derives from its routing table on the first routed hop after the
@@ -101,7 +108,8 @@ class RoutingLayer(ABC):
 
     #: Name used as a service key on the node and as a protocol prefix.
     SERVICE_NAME = "dht.routing"
-    #: Routed-batch protocol names; concrete layers override with their own.
+    #: Routed protocol names; concrete layers override with their own.
+    PROTOCOL_ROUTE = "dht.route"
     PROTOCOL_ROUTE_BATCH = "dht.route_batch"
     PROTOCOL_BATCH_LOOKUP_REPLY = "dht.batch_lookup_reply"
     #: Wire size (bytes) charged per batch-entry hop / reply / control hop.
@@ -121,6 +129,13 @@ class RoutingLayer(ABC):
         self._lookup_ids = itertools.count(1)
         self.lookup_hops_observed: List[int] = []
         node.services[self.SERVICE_NAME] = self
+        node.register_handler(self.PROTOCOL_ROUTE, self._on_route)
+        node.register_handler(self.PROTOCOL_ROUTE_BATCH, self._on_route_batch)
+        node.register_handler(self.PROTOCOL_BATCH_LOOKUP_REPLY,
+                              self._on_batch_lookup_reply)
+        node.register_bounce_handler(self.PROTOCOL_ROUTE, self._on_route_bounce)
+        node.register_bounce_handler(self.PROTOCOL_ROUTE_BATCH,
+                                     self._on_route_batch_bounce)
 
     # ------------------------------------------------------------- interface
 
@@ -149,7 +164,7 @@ class RoutingLayer(ABC):
         key that owner is responsible for; locally-owned keys resolve
         synchronously.  Keys whose greedy paths leave through the same
         neighbour travel in one routed message; each hop re-partitions the
-        batch (via :meth:`_batch_next_hop`), so the batch fans out only
+        batch (via :meth:`_next_hop`), so the batch fans out only
         where the routes actually diverge.  The owner of a subset replies
         once for all keys it owns — a ready-made (destination → keys)
         grouping for the caller.  Keys that become unroutable (dead
@@ -164,26 +179,28 @@ class RoutingLayer(ABC):
         bounce, so a caller that gives up on the answer hands the id to
         :meth:`forget_lookup`.
         """
-        unique = list(dict.fromkeys(keys))
-        if not unique:
-            return None
         local: List[int] = []
-        entries: List[dict] = []
-        for key in unique:
-            if self.owns(key):
+        routed: List[int] = []
+        coords: List[Any] = []
+        coordinate = self._coordinate
+        owns = self._owns_coordinate
+        for key in dict.fromkeys(keys):
+            coord = coordinate(key)
+            if owns(coord):
                 local.append(key)
             else:
-                entries.append(self._batch_entry(key))
+                routed.append(key)
+                coords.append(coord)
         if local:
             callback(self.address, local)
-        if not entries:
+        if not routed:
             return None
         request_id = next(self._lookup_ids)
         self._pending_batch_lookups[request_id] = BatchLookupState(
-            callback, len(entries), on_unresolved=on_unresolved
+            callback, len(routed), on_unresolved=on_unresolved
         )
-        self._forward_batch(entries, self.address, request_id, payload_bytes,
-                            hops=0)
+        self._forward_batch(routed, coords, self.address, request_id,
+                            payload_bytes, hops=0)
         return request_id
 
     def forget_lookup(self, request_id: int) -> None:
@@ -195,66 +212,68 @@ class RoutingLayer(ABC):
 
     # Geometry hooks implemented by each DHT.
 
-    def _batch_entry(self, key: int) -> dict:
-        """Build the routed-batch entry for ``key`` (must carry ``"key"``)."""
+    def _coordinate(self, key: int) -> Any:
+        """Where ``key`` lies in this DHT's space; what the other hooks take."""
         raise NotImplementedError
 
-    def _batch_entry_owned(self, entry: dict) -> bool:
-        """Whether this node owns the key a batch entry describes."""
+    def _owns_coordinate(self, coord: Any) -> bool:
+        """Whether this node owns the key at ``coord``."""
         raise NotImplementedError
 
-    def _batch_next_hop(self, entry: dict, exclude: Optional[int]) -> Optional[int]:
-        """Best next hop for a batch entry (``None`` when unroutable)."""
+    def _next_hop(self, coord: Any, exclude: Optional[int] = None) -> Optional[int]:
+        """Best next hop towards ``coord`` (``None`` when unroutable)."""
         raise NotImplementedError
 
     # Generic machinery shared by all DHTs.
 
-    def _forward_batch(self, entries: List[dict], origin: int, request_id: int,
-                       entry_bytes: int, hops: int,
+    def _forward_batch(self, keys: List[int], coords: List[Any], origin: int,
+                       request_id: int, entry_bytes: int, hops: int,
                        exclude: Optional[int] = None,
                        reply_owned: bool = False) -> None:
-        """Route a batch one hop further, in one pass over its entries.
+        """Route a batch one hop further, in one pass over its two arrays.
 
         With ``reply_owned`` (a batch that arrived over the network) the
-        entries this node owns are answered to the origin first; the others
+        keys this node owns are answered to the origin first; the others
         are grouped by best next hop — one consultation of the layer's
-        next-hop index per entry — and each group forwarded.  Entries with no
-        viable next hop (or past the hop limit) are reported back to the
-        origin as unresolved rather than silently dropped, so the origin's
-        pending state never leaks.
+        next-hop index per key — and each group's slices of ``keys`` and
+        ``coords`` forwarded.  Keys with no viable next hop (or past the hop
+        limit) are reported back to the origin as unresolved rather than
+        silently dropped, so the origin's pending state never leaks.
         """
         owned: List[int] = []
         dropped: List[int] = []
-        groups: Dict[int, List[dict]] = {}
-        is_owned = self._batch_entry_owned
-        next_hop_of = self._batch_next_hop
+        groups: Dict[int, Tuple[List[int], List[Any]]] = {}
+        is_owned = self._owns_coordinate
+        next_hop_of = self._next_hop
         expired = hops >= self.MAX_ROUTE_HOPS
         me = self.address
-        for entry in entries:
-            if reply_owned and is_owned(entry):
-                owned.append(entry["key"])
+        for key, coord in zip(keys, coords):
+            if reply_owned and is_owned(coord):
+                owned.append(key)
                 continue
-            next_hop = None if expired else next_hop_of(entry, exclude)
+            next_hop = None if expired else next_hop_of(coord, exclude)
             if next_hop is None or next_hop == me:
-                dropped.append(entry["key"])
+                dropped.append(key)
                 continue
             group = groups.get(next_hop)
             if group is None:
-                groups[next_hop] = [entry]
+                groups[next_hop] = ([key], [coord])
             else:
-                group.append(entry)
+                group[0].append(key)
+                group[1].append(coord)
         if owned:
             self._send_batch_reply(origin, request_id, me, owned, hops)
-        for next_hop, group in groups.items():
+        for next_hop, (group_keys, group_coords) in groups.items():
             self.node.send(
                 next_hop,
                 self.PROTOCOL_ROUTE_BATCH,
                 payload={
-                    "entries": group,
+                    "keys": group_keys,
+                    "coords": group_coords,
                     "origin": origin,
                     "request_id": request_id,
                 },
-                payload_bytes=entry_bytes * len(group),
+                payload_bytes=entry_bytes * len(group_keys),
                 hops=hops + 1,
             )
         if dropped:
@@ -275,25 +294,23 @@ class RoutingLayer(ABC):
             payload_bytes=self.ROUTE_HOP_BYTES + 8 * max(0, len(keys) - 1),
         )
 
-    def _on_route_batch(self, node: Node, message) -> None:
+    def _on_route_batch(self, node: Node, message, bounced: bool = False) -> None:
+        """Forward the batch ``message`` carries: arrived, or bounced back."""
         payload = message.payload
-        entries = payload["entries"]
+        keys, coords = payload["keys"], payload["coords"]
+        if len(keys) != len(coords):  # malformed: nothing can be routed
+            self._send_batch_reply(payload["origin"], payload["request_id"],
+                                   None, keys, message.hops)
+            return
         self._forward_batch(
-            entries, payload["origin"], payload["request_id"],
-            max(1, message.payload_bytes // max(1, len(entries))),
-            message.hops, exclude=message.src, reply_owned=True,
-        )
+            keys, coords, payload["origin"], payload["request_id"],
+            max(1, message.payload_bytes // max(1, len(keys))), message.hops,
+            message.dst if bounced else message.src, not bounced)
 
     def _on_route_batch_bounce(self, node: Node, message) -> None:
         """A batched hop hit a dead node: mark it dead and re-route the batch."""
         self.mark_neighbor_dead(message.dst)
-        payload = message.payload
-        entries = payload["entries"]
-        self._forward_batch(
-            entries, payload["origin"], payload["request_id"],
-            max(1, message.payload_bytes // max(1, len(entries))),
-            message.hops, exclude=message.dst,
-        )
+        self._on_route_batch(node, message, bounced=True)
 
     def _on_batch_lookup_reply(self, node: Node, message) -> None:
         payload = message.payload
@@ -314,6 +331,60 @@ class RoutingLayer(ABC):
             return
         self.lookup_hops_observed.extend([payload.get("hops", 0)] * len(keys))
         pending.callback(owner, keys)
+
+    # ------------------------------------------------------------ join route
+    # ``PROTOCOL_ROUTE`` carries only a joiner's request (``coord``,
+    # ``origin``) from its landmark to the node that owns ``coord``.
+
+    def join(self, landmark: Optional[int]) -> None:
+        """Join the overlay via ``landmark`` (``None`` starts a new network).
+
+        The landmark routes the request toward the coordinate the joiner
+        picked (:meth:`_join_coordinate`); its owner answers the joiner.
+        """
+        if landmark is None:
+            self.create_network()
+            return
+        self.node.send(
+            landmark, self.PROTOCOL_ROUTE,
+            payload={"coord": self._join_coordinate(), "origin": self.address},
+            payload_bytes=self.ROUTE_HOP_BYTES)
+
+    def _handle_join_request(self, payload: dict) -> None:
+        """Give the joiner at ``payload["origin"]`` its share of the space."""
+        raise NotImplementedError
+
+    def _forward_join(self, message, exclude: int) -> None:
+        """Greedy-forward a join request one hop closer to its coordinate.
+
+        Past the hop limit (the routing-loop safety valve) or with no live
+        next hop the request is lost: the joiner has to join again.
+        """
+        if message.hops >= self.MAX_ROUTE_HOPS:
+            return
+        next_hop = self._next_hop(message.payload["coord"], exclude)
+        if next_hop is None or next_hop == self.address:
+            return
+        self.node.send(next_hop, self.PROTOCOL_ROUTE, payload=message.payload,
+                       payload_bytes=message.payload_bytes,
+                       hops=message.hops + 1)
+
+    def _on_route(self, node: Node, message) -> None:
+        if self._owns_coordinate(message.payload["coord"]):
+            self._handle_join_request(message.payload)
+        else:
+            self._forward_join(message, exclude=message.src)
+
+    def _on_route_bounce(self, node: Node, message) -> None:
+        """A forwarded hop hit a dead neighbour: route around it immediately.
+
+        This models per-contact failure detection (a reset / timed-out
+        transport connection) as opposed to the slower periodic keep-alives;
+        the neighbour is marked dead locally so subsequent traffic avoids it
+        until it is reported alive again.
+        """
+        self.mark_neighbor_dead(message.dst)
+        self._forward_join(message, exclude=message.dst)
 
     def mark_neighbor_dead(self, address: int) -> None:
         """Record a detected neighbour failure (no-op by default)."""
@@ -342,17 +413,13 @@ class RoutingLayer(ABC):
                 node.register_bounce_handler(protocol, handler)
         return self
 
-    @abstractmethod
     def owns(self, key: int) -> bool:
         """Whether this node is currently responsible for ``key``."""
+        return self._owns_coordinate(self._coordinate(key))
 
     @abstractmethod
     def neighbors(self) -> List[int]:
         """Addresses of overlay neighbours (used for multicast flooding)."""
-
-    @abstractmethod
-    def join(self, landmark: Optional[int]) -> None:
-        """Join the overlay via ``landmark`` (``None`` starts a new network)."""
 
     @abstractmethod
     def leave(self) -> None:

@@ -199,16 +199,9 @@ class CanRouting(RoutingLayer):
         self.extract_items: Optional[Callable[[Callable[[int], bool]], list]] = None
         self.install_items: Optional[Callable[[list], None]] = None
 
-        node.register_handler(self.PROTOCOL_ROUTE, self._on_route)
-        node.register_handler(self.PROTOCOL_ROUTE_BATCH, self._on_route_batch)
-        node.register_handler(self.PROTOCOL_BATCH_LOOKUP_REPLY,
-                              self._on_batch_lookup_reply)
         node.register_handler(self.PROTOCOL_JOIN_REPLY, self._on_join_reply)
         node.register_handler(self.PROTOCOL_NEIGHBOR_UPDATE, self._on_neighbor_update)
         node.register_handler(self.PROTOCOL_LEAVE_HANDOFF, self._on_leave_handoff)
-        node.register_bounce_handler(self.PROTOCOL_ROUTE, self._on_route_bounce)
-        node.register_bounce_handler(self.PROTOCOL_ROUTE_BATCH,
-                                     self._on_route_batch_bounce)
 
     # --------------------------------------------------------------- mapping
 
@@ -251,9 +244,6 @@ class CanRouting(RoutingLayer):
             for (bounds,) in own
         )
 
-    def owns(self, key: int) -> bool:
-        return self.owns_point(self.key_to_point(key))
-
     def neighbors(self) -> List[int]:
         return [
             address
@@ -272,27 +262,8 @@ class CanRouting(RoutingLayer):
             self._dead_neighbors = self._dead_neighbors - {address}
 
     # --------------------------------------------------------------- routing
-    # Lookups are RoutingLayer.lookup_batch over the geometry hooks below;
-    # ``can.route`` carries only a joiner's request to the owner of its point.
-
-    def _forward(self, payload: dict, payload_bytes: int, hops: int,
-                 exclude: Optional[int] = None) -> None:
-        """Greedy-forward a join request one hop closer to its target point."""
-        if hops >= self.MAX_ROUTE_HOPS:
-            # Routing loop safety valve: the request is lost, the joiner
-            # gets no zone and has to join again.
-            return
-        point = payload["point"]
-        next_hop = self._best_next_hop(point, exclude=exclude)
-        if next_hop is None:
-            return
-        self.node.send(
-            next_hop,
-            self.PROTOCOL_ROUTE,
-            payload=payload,
-            payload_bytes=payload_bytes,
-            hops=hops + 1,
-        )
+    # Lookups and the join route are RoutingLayer's, over the coordinate
+    # hooks below; a key's (and a joiner's) coordinate is its point.
 
     def _best_next_hop(self, point: Sequence[float],
                        exclude: Optional[int] = None) -> Optional[int]:
@@ -342,39 +313,9 @@ class CanRouting(RoutingLayer):
             return exclude
         return best_address
 
-    def _on_route(self, node: Node, message) -> None:
-        payload = message.payload
-        point = payload["point"]
-        if not self.owns_point(point):
-            self._forward(payload, message.payload_bytes, message.hops,
-                          exclude=message.src)
-            return
-        self._handle_join_request(payload)
-
-    def _on_route_bounce(self, node: Node, message) -> None:
-        """A forwarded hop hit a dead neighbour: route around it immediately.
-
-        This models per-contact failure detection (a reset / timed-out
-        transport connection) as opposed to the slower periodic keep-alives;
-        the neighbour is marked dead locally so subsequent traffic avoids it
-        until it is reported alive again.
-        """
-        self.mark_neighbor_dead(message.dst)
-        self._forward(message.payload, message.payload_bytes, message.hops,
-                      exclude=message.dst)
-
-    # -------------------------------------------------- lookup geometry hooks
-    # The generic lookup machinery (request bookkeeping, per-hop partitioning,
-    # owner replies, unresolved-key reporting) lives in RoutingLayer.
-
-    def _batch_entry(self, key: int) -> dict:
-        return {"key": key, "point": self.key_to_point(key)}
-
-    def _batch_entry_owned(self, entry: dict) -> bool:
-        return self.owns_point(entry["point"])
-
-    def _batch_next_hop(self, entry: dict, exclude: Optional[int]) -> Optional[int]:
-        return self._best_next_hop(entry["point"], exclude=exclude)
+    _coordinate = key_to_point
+    _owns_coordinate = owns_point
+    _next_hop = _best_next_hop
 
     # --------------------------------------------------------------- joining
 
@@ -384,24 +325,13 @@ class CanRouting(RoutingLayer):
         self.neighbor_zones = {}
         self.notify_location_map_change()
 
-    def join(self, landmark: Optional[int]) -> None:
-        if landmark is None:
-            self.create_network()
-            return
-        point = tuple(self._rng.random() for _ in range(self.dimensions))
-        payload = {"point": point, "origin": self.address}
-        # The landmark routes the join request toward the chosen point.
-        self.node.send(
-            landmark,
-            self.PROTOCOL_ROUTE,
-            payload=payload,
-            payload_bytes=self.ROUTE_HOP_BYTES,
-        )
+    def _join_coordinate(self) -> Tuple[float, ...]:
+        return tuple(self._rng.random() for _ in range(self.dimensions))
 
     def _handle_join_request(self, payload: dict) -> None:
         """Split the local primary zone and hand half to the joining node."""
         joiner = payload["origin"]
-        point = payload["point"]
+        point = payload["coord"]
         primary_index = next(
             (i for i, zone in enumerate(self.zones) if zone.contains(point)), 0
         )

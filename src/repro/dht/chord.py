@@ -80,16 +80,9 @@ class ChordRouting(RoutingLayer):
         self.extract_items = None
         self.install_items = None
 
-        node.register_handler(self.PROTOCOL_ROUTE, self._on_route)
-        node.register_handler(self.PROTOCOL_ROUTE_BATCH, self._on_route_batch)
-        node.register_handler(self.PROTOCOL_BATCH_LOOKUP_REPLY,
-                              self._on_batch_lookup_reply)
         node.register_handler(self.PROTOCOL_JOIN_REPLY, self._on_join_reply)
         node.register_handler(self.PROTOCOL_NOTIFY, self._on_notify)
         node.register_handler(self.PROTOCOL_LEAVE, self._on_leave)
-        node.register_bounce_handler(self.PROTOCOL_ROUTE, self._on_route_bounce)
-        node.register_bounce_handler(self.PROTOCOL_ROUTE_BATCH,
-                                     self._on_route_batch_bounce)
 
     # --------------------------------------------------------------- helpers
 
@@ -102,8 +95,7 @@ class ChordRouting(RoutingLayer):
         """Project a flat DHT key onto this ring."""
         return key % self._modulus
 
-    def owns(self, key: int) -> bool:
-        ring_key = self.ring_key(key)
+    def _owns_coordinate(self, ring_key: int) -> bool:
         if self.predecessor is None:
             return True
         return _in_interval(
@@ -134,8 +126,8 @@ class ChordRouting(RoutingLayer):
             self._dead = self._dead - {address}
 
     # --------------------------------------------------------------- routing
-    # Lookups are RoutingLayer.lookup_batch over the geometry hooks below;
-    # ``chord.route`` carries only a joiner's request to its successor.
+    # Lookups and the join route are RoutingLayer's, over the coordinate
+    # hooks; a key's coordinate is its ring key, a joiner's its identifier.
 
     def _build_next_hops(self) -> Tuple[List[int], List[int], Optional[int]]:
         """Index the table: sorted finger offsets, their addresses, fallback.
@@ -168,8 +160,13 @@ class ChordRouting(RoutingLayer):
         self._next_hops = index
         return index
 
-    def _closest_preceding(self, ring_key: int) -> Optional[int]:
-        """Finger (or successor) closest to, but preceding, ``ring_key``."""
+    def _closest_preceding(self, ring_key: int,
+                           exclude: Optional[int] = None) -> Optional[int]:
+        """Finger (or successor) closest to, but preceding, ``ring_key``.
+
+        ``exclude`` is the lookup hook's: Chord's finger geometry has no
+        source to avoid, and dead nodes are already left out of the index.
+        """
         offsets, addresses, live_successor = (
             self._next_hops or self._build_next_hops())
         position = bisect.bisect_left(
@@ -178,48 +175,8 @@ class ChordRouting(RoutingLayer):
             return addresses[position - 1]
         return live_successor
 
-    def _forward(self, payload: dict, payload_bytes: int, hops: int) -> None:
-        """Forward a join request one finger closer to the joiner's identifier."""
-        if hops >= self.MAX_ROUTE_HOPS:
-            return
-        next_hop = self._closest_preceding(payload["ring_key"])
-        if next_hop is None or next_hop == self.address:
-            return
-        self.node.send(
-            next_hop,
-            self.PROTOCOL_ROUTE,
-            payload=payload,
-            payload_bytes=payload_bytes,
-            hops=hops + 1,
-        )
-
-    def _on_route(self, node: Node, message) -> None:
-        payload = message.payload
-        ring_key = payload["ring_key"]
-        if not self.owns(ring_key):
-            self._forward(payload, message.payload_bytes, message.hops)
-            return
-        self._handle_join_request(payload)
-
-    def _on_route_bounce(self, node: Node, message) -> None:
-        """A routed hop hit a dead node: mark it dead and re-route around it."""
-        self.mark_neighbor_dead(message.dst)
-        self._forward(message.payload, message.payload_bytes, message.hops)
-
-    # -------------------------------------------------- lookup geometry hooks
-    # The generic lookup machinery (request bookkeeping, per-hop partitioning,
-    # owner replies, unresolved-key reporting) lives in RoutingLayer.
-
-    def _batch_entry(self, key: int) -> dict:
-        return {"key": key, "ring_key": self.ring_key(key)}
-
-    def _batch_entry_owned(self, entry: dict) -> bool:
-        return self.owns(entry["ring_key"])
-
-    def _batch_next_hop(self, entry: dict, exclude: Optional[int]) -> Optional[int]:
-        # Chord's finger geometry has no source to avoid; dead nodes are
-        # already left out of the next-hop index.
-        return self._closest_preceding(entry["ring_key"])
+    _coordinate = ring_key
+    _next_hop = _closest_preceding
 
     # --------------------------------------------------------------- joining
 
@@ -230,22 +187,13 @@ class ChordRouting(RoutingLayer):
         self.fingers = [(self.identifier, self.address)] * self.key_bits
         self.notify_location_map_change()
 
-    def join(self, landmark: Optional[int]) -> None:
-        if landmark is None:
-            self.create_network()
-            return
-        payload = {"ring_key": self.identifier, "origin": self.address}
-        self.node.send(
-            landmark,
-            self.PROTOCOL_ROUTE,
-            payload=payload,
-            payload_bytes=self.ROUTE_HOP_BYTES,
-        )
+    def _join_coordinate(self) -> int:
+        return self.identifier
 
     def _handle_join_request(self, payload: dict) -> None:
         """This node is the joiner's successor; splice it in before us."""
         joiner = payload["origin"]
-        joiner_id = payload["ring_key"]
+        joiner_id = payload["coord"]
         old_predecessor = self.predecessor
         items: list = []
         if self.extract_items is not None:

@@ -42,12 +42,25 @@ a chunk that only renews live triples makes no upcall).
 
 Every read is a ``get_batch``: one ``lookup_batch`` for its keys, one
 ``prov.get_batch`` request per owner the lookup names, one
-``prov.get_batch_reply`` back, one pending table at the origin, and a reply
-callback per key.  ``get`` is a ``get_batch`` of one id whose callback takes
-the items alone; it costs the same messages and bytes as a request format of
-its own would (a routed hop, a lookup reply and a request are charged per
-key, a reply by the items it carries).  ``multicast_batch`` batches the flood
-side the same way.
+``prov.get_batch_reply`` back and one pending table at the origin.  The reply
+is shaped like the put: the requested ``resource_ids``, how many items each
+found (``counts``), and the found items flattened into parallel
+``instance_ids`` / ``values`` / ``publishers`` arrays (``namespace`` once,
+``item_bytes`` one int when uniform) — no per-item object crosses the
+network.  The origin rebuilds the :class:`DHTItem` views and makes **one
+upcall per owner reply**, ``callback(results)`` with ``[(resource_id,
+items), ...]`` in request order; locally owned ids and failed ids arrive the
+same way, every requested id in exactly one upcall.  ``get`` is a
+``get_batch`` of one id whose callback takes the items alone; it costs the
+same messages and bytes as a request format of its own would (a routed hop, a
+lookup reply and a request are charged per key, a reply by the items it
+carries).  ``multicast_batch`` batches the flood side the same way.
+
+Arrays off the network are checked before use: a ``prov.put_chunk`` whose
+arrays disagree in length is dropped whole and counted with the lost puts, a
+``prov.get_batch_reply`` whose arrays disagree (or that answers other ids
+than were asked) fails its request's ids — never a partly stored chunk or an
+item under the wrong id.
 
 Failure semantics
 -----------------
@@ -104,8 +117,9 @@ DEFAULT_SWEEP_PERIOD_S = 5.0
 
 #: Callback type for ``get``: receives a list of :class:`DHTItem`.
 GetCallback = Callable[[List["DHTItem"]], None]
-#: Callback type for ``get_batch``: receives (resource_id, items) per key.
-BatchGetCallback = Callable[[Any, List["DHTItem"]], None]
+#: Callback type for ``get_batch``: receives one owner's (or the local, or a
+#: failed) share of the request as ``[(resource_id, items), ...]``.
+BatchGetCallback = Callable[[List[Tuple[Any, List["DHTItem"]]]], None]
 #: Callback type for ``newData``: receives the newly live stored records of
 #: one chunk, in chunk order (see :meth:`Provider.on_new_data`).
 NewDataCallback = Callable[[List[StoredItem]], None]
@@ -117,7 +131,10 @@ PutEntry = Sequence
 
 @dataclass(frozen=True)
 class DHTItem:
-    """Read-only view of a stored item returned by ``get``/``lscan``."""
+    """Read-only view of a stored item returned by ``get``/``lscan``.
+
+    Built by the node that reads it: no protocol ships one.
+    """
 
     namespace: str
     resource_id: Any
@@ -148,6 +165,11 @@ class _PendingGet:
     request_bytes: int = 60
     timer: Any = None
     routed: Optional[Tuple[RoutingLayer, int]] = None
+
+
+def _view(item: StoredItem) -> DHTItem:
+    return DHTItem(item.namespace, item.resource_id, item.instance_id,
+                   item.value, item.publisher, item.size_bytes)
 
 
 def _new_scope_counters() -> Dict[str, int]:
@@ -370,12 +392,22 @@ class Provider:
         )
 
     def _store_chunk(self, payload: dict) -> None:
-        """Store one arriving chunk, then announce its new items in one upcall."""
+        """Store one arriving chunk, then announce its new items in one upcall.
+
+        A chunk whose arrays disagree in length is lost whole, like a bounced
+        one: zipping it would store rows under the wrong id or drop the tail.
+        """
         now = self.now
         expires_at = now + payload["lifetime"]
         namespace = payload["namespace"]
         publisher = payload["publisher"]
         sizes = payload["item_bytes"]
+        count = len(payload["resource_ids"])
+        if (not (len(payload["values"]) == len(payload["instance_ids"])
+                     == len(payload["keys"]) == count)
+                or (isinstance(sizes, list) and len(sizes) != count)):
+            self._record_put_bounce(namespace, count)
+            return
         if not isinstance(sizes, list):
             sizes = itertools.repeat(sizes)
         items = [
@@ -439,15 +471,13 @@ class Provider:
         pass their query id).
         """
         self.get_batch(namespace, [resource_id],
-                       lambda _resource_id, items: callback(items),
+                       lambda results: callback(results[0][1]),
                        request_bytes=request_bytes, scope=scope)
 
     def get_local(self, namespace: str, resource_id: Any) -> List[DHTItem]:
         """Items for ``(namespace, resourceID)`` stored on this node."""
-        return [
-            self._view(item)
-            for item in self.storage.retrieve(namespace, resource_id, self.now)
-        ]
+        return [_view(item) for item in
+                self.storage.retrieve(namespace, resource_id, self.now)]
 
     # ------------------------------------------------- pending-get lifecycle
 
@@ -506,10 +536,9 @@ class Provider:
 
     def _fail(self, callback: BatchGetCallback, scope: Any,
               resource_ids: Collection[Any]) -> None:
-        """Complete unreachable ids with empty results (degrade)."""
+        """Complete unreachable ids with empty results (degrade), in one upcall."""
         self._count(scope, "failed", len(resource_ids))
-        for resource_id in resource_ids:
-            callback(resource_id, [])
+        callback([(resource_id, []) for resource_id in resource_ids])
 
     def cancel_pending(self, scope: Any) -> int:
         """Drop every pending get tagged with ``scope`` without calling back.
@@ -551,9 +580,12 @@ class Provider:
                   _attempts_left: Optional[int] = None) -> None:
         """Fetch the items of many resourceIDs with one request per owner.
 
-        ``callback(resource_id, items)`` fires once per distinct resourceID.
-        IDs owned by the same node share a single ``prov.get_batch`` request
-        and a single reply; locally-owned IDs resolve synchronously.
+        IDs owned by the same node share a single ``prov.get_batch`` request,
+        a single reply and a single upcall: ``callback(results)`` takes that
+        owner's ``[(resource_id, items), ...]`` in request order.  Locally
+        owned IDs resolve synchronously, in one upcall of their own, and so
+        does every group of ids that fails; each distinct resourceID appears
+        in exactly one upcall.
 
         The request is tracked from issue time.  While the routed lookup is
         out, one pending entry holds every id it has not answered yet, so a
@@ -609,9 +641,8 @@ class Provider:
             if not rids:
                 return
             if owner == self.node.address:
-                for rid in rids:
-                    self._count(scope, "completed")
-                    callback(rid, self.get_local(namespace, rid))
+                self._count(scope, "completed", len(rids))
+                callback([(rid, self.get_local(namespace, rid)) for rid in rids])
                 return
             request_id = next(self._get_ids)
             entry = _PendingGet(
@@ -647,38 +678,74 @@ class Provider:
             lookup.routed = (routing, routed)
 
     def _on_get_batch(self, node: Node, message) -> None:
+        """Answer one owner's share of a get with the found items as arrays."""
         payload = message.payload
         namespace = payload["namespace"]
-        results = [
-            {"resource_id": rid, "items": self.get_local(namespace, rid)}
-            for rid in payload["resource_ids"]
-        ]
-        reply_bytes = sum(
-            item.size_bytes for result in results for item in result["items"]
-        ) or 40
+        resource_ids = payload["resource_ids"]
+        now = self.now
+        buckets = [self.storage.retrieve(namespace, resource_id, now)
+                   for resource_id in resource_ids]
+        found = [item for bucket in buckets for item in bucket]
+        sizes = [item.size_bytes for item in found]
         node.send(
             payload["origin"],
             self.PROTOCOL_GET_BATCH_REPLY,
-            payload={"request_id": payload["request_id"], "results": results},
-            payload_bytes=reply_bytes,
+            payload={
+                "request_id": payload["request_id"],
+                "namespace": namespace,
+                "resource_ids": resource_ids,
+                "counts": [len(bucket) for bucket in buckets],
+                "instance_ids": [item.instance_id for item in found],
+                "values": [item.value for item in found],
+                "publishers": [item.publisher for item in found],
+                "item_bytes": sizes[0] if len(set(sizes)) == 1 else sizes,
+            },
+            payload_bytes=sum(sizes) or 40,
         )
 
     def _on_get_batch_reply(self, node: Node, message) -> None:
+        """Rebuild the item views of one reply and hand them over in one upcall.
+
+        A reply that answers something else than the request asked, or whose
+        arrays disagree, fails the request's ids: slicing it by ``counts``
+        would file items under the wrong id.
+        """
         payload = message.payload
         entry = self._pending_batch_gets.pop(payload["request_id"], None)
         if entry is None:
             return
         self._disarm(entry)
-        self._count(entry.scope, "completed", len(payload["results"]))
-        for result in payload["results"]:
-            entry.callback(result["resource_id"], result["items"])
+        namespace, resource_ids = entry.namespace, payload["resource_ids"]
+        counts, values = payload["counts"], payload["values"]
+        instance_ids, publishers = payload["instance_ids"], payload["publishers"]
+        sizes = payload["item_bytes"]
+        if ((payload["namespace"], tuple(resource_ids))
+                != (namespace, entry.resource_ids)
+                or len(counts) != len(resource_ids)
+                or min(counts, default=0) < 0
+                or not (sum(counts) == len(values) == len(instance_ids)
+                        == len(publishers))
+                or (isinstance(sizes, list) and len(sizes) != len(values))):
+            self._fail(entry.callback, entry.scope, entry.resource_ids)
+            return
+        if not isinstance(sizes, list):
+            sizes = itertools.repeat(sizes)
+        found = zip(instance_ids, values, publishers, sizes)
+        self._count(entry.scope, "completed", len(resource_ids))
+        entry.callback([
+            (resource_id, [
+                DHTItem(namespace, resource_id, instance_id, value, publisher, size)
+                for instance_id, value, publisher, size
+                in itertools.islice(found, count)])
+            for resource_id, count in zip(resource_ids, counts)
+        ])
 
     # ------------------------------------------------------------- local ops
 
     def lscan(self, namespace: str) -> Iterator[DHTItem]:
         """Iterate over the items of ``namespace`` stored locally (``lscan``)."""
         for item in self.storage.scan(namespace, self.now):
-            yield self._view(item)
+            yield _view(item)
 
     def on_new_data(self, namespace: str, callback: NewDataCallback) -> None:
         """Register a ``newData`` callback for a namespace (paper Table 3).
@@ -810,16 +877,6 @@ class Provider:
         self._scope_counters.clear()
         self.put_bounces_by_namespace.clear()
         return self.storage.clear()
-
-    def _view(self, item: StoredItem) -> DHTItem:
-        return DHTItem(
-            namespace=item.namespace,
-            resource_id=item.resource_id,
-            instance_id=item.instance_id,
-            value=item.value,
-            publisher=item.publisher,
-            size_bytes=item.size_bytes,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Provider(node={self.node.address}, items={len(self.storage)})"

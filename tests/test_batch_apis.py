@@ -25,7 +25,8 @@ from repro.net.topology import FullMeshTopology
 
 
 def build_network(dht="can", num_nodes=16, latency=0.02,
-                  coalesce_window_s=0.0, capacity=math.inf):
+                  coalesce_window_s=0.0, capacity=math.inf,
+                  request_timeout_s=None):
     network = Network(
         FullMeshTopology(num_nodes, latency_s=latency,
                          capacity_bytes_per_s=capacity),
@@ -38,7 +39,8 @@ def build_network(dht="can", num_nodes=16, latency=0.02,
     routings = builder.build_stabilized(network)
     providers = {
         address: Provider(network.node(address), routings[address],
-                          sweep_period_s=0.0, instance_seed=address)
+                          sweep_period_s=0.0, instance_seed=address,
+                          request_timeout_s=request_timeout_s)
         for address in range(num_nodes)
     }
     return network, providers, builder
@@ -377,7 +379,7 @@ def test_get_batch_returns_per_id_results(dht):
 
     results = {}
     providers[0].get_batch("t", [rid for rid, _v in ENTRIES] + ["missing"],
-                           lambda rid, items: results.__setitem__(rid, items))
+                           results.update)
     network.run_until_idle()
 
     assert set(results) == {rid for rid, _v in ENTRIES} | {"missing"}
@@ -394,7 +396,7 @@ def test_get_batch_groups_requests_by_owner():
 
     results = {}
     providers[0].get_batch("t", [rid for rid, _v in ENTRIES],
-                           lambda rid, items: results.__setitem__(rid, items))
+                           results.update)
     network.run_until_idle()
 
     # Requests are grouped per owner as resolutions arrive.  An owner can be
@@ -404,6 +406,153 @@ def test_get_batch_groups_requests_by_owner():
     requests = network.stats.protocol_messages.get("prov.get_batch", 0)
     assert 0 < requests < len(ENTRIES) * 0.75
     assert len(results) == len(ENTRIES)
+
+
+# ------------------------------------------------- the get_batch upcall
+#
+# ``callback(results)`` fires once per owner reply, once for the locally owned
+# ids and once per group of ids that fails, with ``[(resource_id, items), ...]``
+# in request order.  Whatever happens to the request, every distinct id it
+# named is handed over exactly once.
+
+
+def loaded_network(dht, **kwargs):
+    """A deployment holding ``ENTRIES`` and the ids node 0 asks for.
+
+    The request repeats ids, mixes ids node 0 owns with remote ones and names
+    one nobody published.
+    """
+    network, providers, builder = build_network(dht, **kwargs)
+    providers[1].put_batch("t", ENTRIES)
+    network.run_until_idle()
+    rids = [rid for rid, _v in ENTRIES]
+    requested = rids[::-1] + ["missing"] + rids[:5]
+    owners = {rid: builder.owner_of_key(hash_key("t", rid))
+              for rid in requested}
+    assert 0 in owners.values() and len(set(owners.values())) > 3
+    return network, providers, requested, owners
+
+
+def assert_upcall_contract(upcalls, requested, answered=None):
+    """Each id of ``answered`` (default: all) once, request order per upcall."""
+    position = {rid: i for i, rid in enumerate(dict.fromkeys(requested))}
+    seen = [rid for results in upcalls for rid, _items in results]
+    wanted = position if answered is None else answered
+    assert sorted(seen, key=position.__getitem__) == sorted(
+        wanted, key=position.__getitem__)
+    for results in upcalls:
+        assert results, "an upcall carries at least one id"
+        order = [position[rid] for rid, _items in results]
+        assert order == sorted(order)
+    return {rid: items for results in upcalls for rid, items in results}
+
+
+@pytest.mark.parametrize("dht", ["can", "chord"])
+def test_get_batch_makes_one_upcall_per_owner_reply(dht):
+    network, providers, requested, owners = loaded_network(dht)
+    upcalls = []
+    providers[0].get_batch("t", requested, upcalls.append, scope=3)
+    local = [rid for rid in dict.fromkeys(requested) if owners[rid] == 0]
+    # Locally owned ids never wait on the overlay: one upcall, at once.
+    assert [[rid for rid, _items in results] for results in upcalls] == [local]
+    network.stats.reset()
+    network.run_until_idle()
+
+    found = assert_upcall_contract(upcalls, requested)
+    assert found["missing"] == []
+    for rid, value in ENTRIES:
+        assert [item.value for item in found[rid]] == [value]
+        assert {(item.namespace, item.resource_id, item.publisher)
+                for item in found[rid]} == {("t", rid, 1)}
+    replies = network.stats.protocol_messages["prov.get_batch_reply"]
+    assert len(upcalls) == replies + 1 < len(set(requested))
+    for results in upcalls:  # a reply is one owner's share
+        assert len({owners[rid] for rid, _items in results}) == 1
+    report = providers[0].scope_report(3)
+    assert (report["issued"], report["completed"], report["failed"],
+            report["pending"]) == (len(set(requested)),) * 2 + (0, 0)
+
+
+@pytest.mark.parametrize("dht", ["can", "chord"])
+def test_get_batch_upcalls_when_lookups_dead_end(dht):
+    network, providers, requested, owners = loaded_network(dht)
+    network.fail_nodes(providers[0].routing.neighbors())
+    upcalls = []
+    providers[0].get_batch("t", requested, upcalls.append, scope=3)
+    network.run_until_idle()
+    found = assert_upcall_contract(upcalls, requested)
+    remote = [rid for rid in found if owners[rid] != 0]
+    assert remote and all(found[rid] == [] for rid in remote)
+    assert providers[0].scope_report(3)["failed"] == len(remote)
+    assert providers[0].pending_get_count() == 0
+
+
+@pytest.mark.parametrize("dht", ["can", "chord"])
+def test_get_batch_upcalls_when_an_owner_bounces(dht):
+    network, providers, requested, owners = loaded_network(dht)
+    victim = Counter(owner for owner in owners.values() if owner).most_common(1)[0][0]
+    upcalls = []
+    providers[0].get_batch("t", requested, upcalls.append, scope=3)
+    network.fail_node(victim)  # after the request was issued, before it lands
+    network.run_until_idle()
+    found = assert_upcall_contract(upcalls, requested)
+    for rid, value in ENTRIES:
+        # An id of another owner may have been routed through the victim.
+        values = [item.value for item in found[rid]]
+        assert values == [] if owners[rid] == victim else values in ([], [value])
+    assert any(found[rid] for rid in found)
+    report = providers[0].scope_report(3)
+    assert report["completed"] + report["failed"] == len(set(requested))
+    assert report["failed"] and report["pending"] == 0
+
+
+@pytest.mark.parametrize("dht", ["can", "chord"])
+def test_get_batch_upcalls_after_a_relay_swallowed_the_lookup(dht):
+    """No bounce, no reply: only the timeout sees it, and the retry answers
+    every id the first attempt had not — once."""
+    network, providers, requested, owners = loaded_network(
+        dht, request_timeout_s=2.0)
+    provider = providers[0]
+    route_batch = provider.routing.PROTOCOL_ROUTE_BATCH
+    relays = provider.routing.neighbors()
+    for address in relays:
+        network.node(address).replace_handler(route_batch, lambda *_: None)
+    upcalls = []
+    provider.get_batch("t", requested, upcalls.append, scope=3)
+    network.run(until=network.now + 1.0)
+    assert len(upcalls) == 1  # the local ids
+    for address in relays:
+        network.node(address).replace_handler(
+            route_batch, providers[address].routing._on_route_batch)
+    network.run(until=network.now + 3.0)
+    found = assert_upcall_contract(upcalls, requested)
+    for rid, value in ENTRIES:
+        assert [item.value for item in found[rid]] == [value]
+    assert provider.pending_get_count() == 0
+
+
+@pytest.mark.parametrize("dht", ["can", "chord"])
+def test_get_batch_makes_no_upcall_after_cancel_pending(dht):
+    network, providers, requested, owners = loaded_network(dht)
+    upcalls = []
+    providers[0].get_batch("t", requested, upcalls.append, scope=3)
+    local = [rid for rid in dict.fromkeys(requested) if owners[rid] == 0]
+    assert providers[0].cancel_pending(3) == len(set(requested)) - len(local)
+    network.run_until_idle()
+    assert_upcall_contract(upcalls, requested, answered=local)
+
+
+@pytest.mark.parametrize("dht", ["can", "chord"])
+def test_get_hands_over_the_items_alone(dht):
+    network, providers, requested, owners = loaded_network(dht)
+    answers = {}
+    for rid in dict.fromkeys(requested):
+        providers[0].get("t", rid, lambda items, rid=rid: answers.setdefault(
+            rid, []).append([item.value for item in items]))
+    network.run_until_idle()
+    expected = {rid: [[value]] for rid, value in ENTRIES}
+    expected["missing"] = [[]]
+    assert answers == expected
 
 
 # ------------------------------------------- scalar front-ends of the one lane

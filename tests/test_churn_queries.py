@@ -204,7 +204,7 @@ def test_cancel_pending_sweeps_scoped_requests():
     fired = []
     provider.get(workload.s_relation.namespace, 3, fired.append, scope=99)
     provider.get_batch(workload.s_relation.namespace, [4, 5],
-                       lambda rid, items: fired.append((rid, items)), scope=99)
+                       fired.extend, scope=99)
     dropped = provider.cancel_pending(99)
     pier.run_until_idle()
     assert dropped >= 1
@@ -269,7 +269,8 @@ def test_get_batch_retries_a_lookup_that_died_with_its_relay():
 
     answered = []
     provider.get_batch(namespace, [local] + remote,
-                       lambda rid, items: answered.append(rid), scope=7)
+                       lambda results: answered.extend(rid for rid, _ in results),
+                       scope=7)
     assert answered == [local]  # local ids never wait on the overlay
     assert provider.pending_get_count(7) == len(remote)
     pier.run(until=pier.now + provider.request_timeout_s - 1.0)
@@ -317,7 +318,7 @@ def test_giving_up_on_a_routed_lookup_releases_the_routing_layer(dht):
         pier, workload = build_churn_pier(dht)
         provider, namespace = pier.providers[0], workload.s_relation.namespace
         remote = [rid for rid in range(64) if pier.owner_of(namespace, rid) != 0]
-        provider.get_batch(namespace, remote, lambda rid, items: None, scope=8)
+        provider.get_batch(namespace, remote, lambda results: None, scope=8)
         provider.get(namespace, remote[0], lambda items: None, scope=8)
         assert len(provider.routing._pending_batch_lookups) == 2
         give_up(provider)
@@ -330,7 +331,8 @@ def test_get_batch_lookup_answered_after_cancel_issues_nothing():
     remote = [rid for rid in range(64) if pier.owner_of(namespace, rid) != 0]
     answered = []
     provider.get_batch(namespace, remote,
-                       lambda rid, items: answered.append(rid), scope=8)
+                       lambda results: answered.extend(rid for rid, _ in results),
+                       scope=8)
     assert provider.cancel_pending(8) == len(remote)  # lookup still routing
     pier.run_until_idle()
     assert answered == [] and provider.pending_get_count(8) == 0

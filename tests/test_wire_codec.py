@@ -21,7 +21,6 @@ from repro.core.sql.planner import SQLPlanner
 from repro.core.stats import ColumnStats, RelationStats
 from repro.core.tuples import Column, RelationDef, Schema
 from repro.dht.naming import hash_key
-from repro.dht.provider import DHTItem
 from repro.net.message import Message
 from repro.net.node import Node
 from repro.net.real import MAX_CONNECT_ATTEMPTS, RealTransport
@@ -138,14 +137,27 @@ def test_provider_put_request_roundtrip():
 
 
 def test_dht_item_reply_roundtrip():
-    items = [DHTItem(namespace="ns", resource_id=("composite", 9),
-                     instance_id=5, value=(1, 2.5, "slotted"), publisher=0,
-                     size_bytes=123)]
-    results = [{"resource_id": ("composite", 9), "items": items},
-               {"resource_id": "missing", "items": []}]
-    restored = wire_message("prov.get_batch_reply",
-                            {"request_id": 1, "results": results})
-    assert restored.payload["results"] == results
+    """A get reply is parallel arrays: ``counts`` items per requested id, no
+    per-item object, every element back with exactly the type it had."""
+    from tests.test_wire_fuzz import same
+
+    values = [(1, 2.5, "slotted"), {"pkey": 7, "pad": "x" * 20}, ("R", (3, 4.0)),
+              {"pkey": 8, "pad": ""}, (2, float("inf"), ""), None]
+    reply = {
+        "request_id": 1, "namespace": "ns",
+        "resource_ids": [("composite", 9), "missing", 7, 2**70],
+        "counts": [2, 0, 1, 3],
+        "instance_ids": [5, 2**40, 7, 8, 9, 10],
+        "values": values,
+        "publishers": [0, None, 3, 3, 3, 3],
+        "item_bytes": [123, 100, 100, 64, 2**33, 0],
+    }
+    for item_bytes in (reply["item_bytes"], 123):  # per item, or uniform
+        reply["item_bytes"] = item_bytes
+        restored = wire_message("prov.get_batch_reply", reply)
+        assert same(restored.payload, reply)
+    frame = pack(message_to_wire(Message(1, 2, "prov.get_batch_reply", reply)))
+    assert b"DHTItem" not in frame and b"repro." not in frame
 
 
 def test_query_multicast_roundtrip():

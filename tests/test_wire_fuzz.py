@@ -1,6 +1,6 @@
 """Property and fuzz tests for the wire codec (repro.net.wire).
 
-Three families:
+Four families:
 
 * **round trips** of generated values, compared *type-exactly* (``True`` is
   not ``1``, a tuple is not a list, ``-0.0`` is not ``0.0``, dict key order
@@ -11,6 +11,9 @@ Three families:
   recorded protocol frames corrupted — decoding either succeeds or raises
   :class:`WireError`, nothing else, and never allocates past what the
   payload pays for;
+* **forged lengths**: recorded ``prov.put_chunk``, ``prov.get_batch_reply``
+  and ``can.route_batch`` frames whose parallel arrays disagree decode fine —
+  their receivers refuse them whole;
 * **framing**: :class:`FrameDecoder` yields the same frames for any split
   of the byte stream.
 """
@@ -31,10 +34,12 @@ from repro.net.wire import (
     FrameDecoder,
     WireError,
     encode_frame,
+    message_from_wire,
     message_to_wire,
     pack,
     unpack,
 )
+from tests.test_batch_apis import ENTRIES, build_network
 
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -425,6 +430,113 @@ def test_recorded_frames_survive_every_prefix_and_byte_corruption(protocol):
     for index in range(len(blob)):
         for flip in (0xFF, 0x01, 0x80, blob[index]):  # last one zeroes it
             attempt(blob[:index] + bytes([blob[index] ^ flip]) + blob[index + 1:])
+
+
+# ------------------------------------- forged lengths through the Provider
+#
+# The codec types each array on its own, so a frame whose parallel arrays
+# disagree in length decodes fine.  The Provider and the routing layer must
+# refuse it whole: nothing partly stored, nothing filed under the wrong id,
+# no request left waiting.
+
+
+def through_the_wire(message, **forged):
+    """``message`` as its receiver decodes it, payload fields replaced."""
+    body = message_to_wire(message)
+    body["payload"] = {**message.payload, **forged}
+    return message_from_wire(unpack(pack(body)))
+
+
+def test_forged_put_chunk_lengths_drop_the_chunk_whole():
+    message = message_from_wire(RECORDED["prov.put_chunk"])
+    payload = message.payload
+    count = len(payload["resource_ids"])
+    assert count >= COLUMN_MIN_ITEMS
+    forgeries = {
+        "values": payload["values"][:-1],
+        "instance_ids": payload["instance_ids"] + [7],
+        "keys": payload["keys"][1:],
+        "resource_ids": payload["resource_ids"][:-2],
+        "item_bytes": [payload["item_bytes"]] * (count + 1),
+    }
+    _network, providers, _builder = build_network("can", num_nodes=2)
+    provider, namespace = providers[0], payload["namespace"]
+    announced = []
+    provider.on_new_data(namespace, announced.extend)
+    lost = 0
+    for field, forged in forgeries.items():
+        provider._on_put_chunk(provider.node,
+                               through_the_wire(message, **{field: forged}))
+        lost += len(forged) if field == "resource_ids" else count
+        assert len(provider.storage) == 0 and announced == [], field
+        assert provider.put_bounces_by_namespace == {namespace: lost}, field
+    provider._on_put_chunk(provider.node, through_the_wire(message))
+    assert len(provider.storage) == len(announced) == count
+    assert provider.put_bounces_by_namespace == {namespace: lost}
+
+
+def shifted(counts):
+    """Same length, same sum, one count negative."""
+    return [-1, counts[0] + counts[1] + 1] + counts[2:]
+
+
+REPLY_FORGERIES = {
+    "one count short": lambda p: {"counts": p["counts"][:-1]},
+    "counts overrun": lambda p: {"counts": [p["counts"][0] + 1] + p["counts"][1:]},
+    "negative count": lambda p: {"counts": shifted(p["counts"])},
+    "a value short": lambda p: {"values": p["values"][:-1]},
+    "an instance over": lambda p: {"instance_ids": p["instance_ids"] + [1]},
+    "a publisher short": lambda p: {"publishers": p["publishers"][1:]},
+    "sizes short": lambda p: {"item_bytes": [100] * (len(p["values"]) - 1)},
+    "other ids": lambda p: {"resource_ids": p["resource_ids"][::-1]},
+    "other namespace": lambda p: {"namespace": p["namespace"] + "x"},
+}
+
+
+@pytest.mark.parametrize("forgery", sorted(REPLY_FORGERIES))
+def test_forged_get_reply_lengths_fail_the_request(forgery):
+    network, providers, builder = build_network("can", num_nodes=2)
+    providers[1].put_batch("t", ENTRIES)
+    network.run_until_idle()
+    origin = providers[0]
+    assert origin.request_timeout_s is None  # nothing else would end the wait
+    remote = [rid for rid, _v in ENTRIES
+              if len(providers[1].get_local("t", rid)) == 1]
+    assert len(remote) >= COLUMN_MIN_ITEMS
+    genuine = origin._on_get_batch_reply
+    forged_replies = []
+
+    def forge(node, message):
+        forged = through_the_wire(message,
+                                  **REPLY_FORGERIES[forgery](message.payload))
+        forged_replies.append(forged)
+        genuine(node, forged)
+
+    origin.node.replace_handler(origin.PROTOCOL_GET_BATCH_REPLY, forge)
+    upcalls = []
+    origin.get_batch("t", remote, upcalls.append, scope=5)
+    network.run_until_idle()
+    assert len(forged_replies) == 1 and ships_a_column(forged_replies[0].payload)
+    assert upcalls == [[(rid, []) for rid in remote]]
+    report = origin.scope_report(5)
+    assert (report["completed"], report["failed"], report["pending"]) == (
+        0, len(remote), 0)
+
+
+@pytest.mark.parametrize("field", ["keys", "coords"])
+def test_forged_route_batch_lengths_are_reported_unresolved(field):
+    message = message_from_wire(RECORDED["can.route_batch"])
+    network, providers, _builder = build_network("can", num_nodes=4)
+    routing = providers[message.dst].routing
+    sent = []
+    routing.node.send = lambda dst, protocol, payload=None, **kw: sent.append(
+        (dst, protocol, payload))
+    forged = through_the_wire(message, **{field: message.payload[field][:-1]})
+    routing._on_route_batch(routing.node, forged)
+    (dst, protocol, payload), = sent
+    assert (dst, protocol) == (message.payload["origin"],
+                               routing.PROTOCOL_BATCH_LOOKUP_REPLY)
+    assert payload["owner"] is None and payload["keys"] == forged.payload["keys"]
 
 
 # ---------------------------------------------------------------- framing
