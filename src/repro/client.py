@@ -224,9 +224,9 @@ class ResultCursor:
     def cancel(self) -> None:
         """Stop result delivery and tear the dataflow down everywhere.
 
-        The teardown is multicast immediately (the initiator's own state is
-        released synchronously); remote nodes release theirs as the flood
-        reaches them, which happens as the simulation keeps running.
+        The teardown is multicast immediately; the initiator releases its
+        own state on the next event, remote nodes theirs as the flood
+        reaches them, both as the simulation keeps running.
         """
         if self._closed:
             return

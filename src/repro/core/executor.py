@@ -261,10 +261,10 @@ class QueryExecutor:
         """Tear a query down everywhere (initiator-side lifecycle call).
 
         Multicasts a :class:`QueryTeardown` control message; every node
-        (including this one, synchronously) unregisters the query's probes
-        and subscriptions, cancels its timers, purges locally stored
-        temporary fragments and drops its per-query state.  Result rows
-        still in flight are discarded on arrival.
+        (this one on the next event) unregisters the query's probes and
+        subscriptions, cancels its timers, purges locally stored temporary
+        fragments and drops its per-query state.  Result rows still in
+        flight are discarded on arrival.
 
         ``record_feedback`` folds the query's observed result cardinality
         into the statistics registry first.  Callers must only set it when

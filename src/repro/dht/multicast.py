@@ -6,13 +6,19 @@ implementation options; what matters to the evaluation is only that the
 multicast reaches every node in a few seconds (about 3 s at 1024 nodes with
 100 ms hops) and that its cost is independent of the query itself.
 
-We implement the classic overlay flood: the originator delivers the payload
-locally and forwards it to all of its overlay neighbours; every node, on
-first receipt of a given multicast id, delivers the payload to the
-application and forwards it to its own neighbours (excluding the sender).
+We implement the classic overlay flood: the originator forwards the payload
+to all of its overlay neighbours; every node, on first receipt of a given
+multicast id, forwards it to its own neighbours (excluding the sender).
 Duplicate receipts are suppressed.  Over CAN's neighbour graph this reaches
 all nodes within the overlay diameter (``O(n^{1/d})`` hops); over Chord's
 finger graph the depth is ``O(log n)``.
+
+Forward first, deliver second, at the origin and at every relay: the local
+handlers run on the next event at the same instant.  A query's handler is a
+node's whole scan and rehash, and a TCP send is only written once the
+running handler returns, so delivering first would hold each flood hop
+behind a node's local work.  Under the simulator handlers take no virtual
+time: the order costs one zero-delay event per node and moves no arrival.
 """
 
 from __future__ import annotations
@@ -92,7 +98,8 @@ class MulticastService:
         The whole batch shares a single envelope — and therefore a single
         flood wave over the overlay — instead of one flood per entry;
         ``payload_bytes`` is the combined wire size of all entries.  Handlers
-        still fire once per entry on every receiving node, in entry order.
+        still fire once per entry on every receiving node (here on the next
+        event), in entry order.
         """
         if not entries:
             raise ValueError("multicast_batch needs at least one entry")
@@ -106,8 +113,8 @@ class MulticastService:
             "origin": self.node.address,
         }
         self._seen.add(multicast_id)
-        self._deliver(envelope)
         self._flood(envelope, payload_bytes, exclude=None)
+        self.node.schedule(0.0, self._deliver, envelope)
         return multicast_id[1]
 
     def _flood(self, envelope: dict, payload_bytes: int, exclude) -> None:
@@ -128,8 +135,8 @@ class MulticastService:
         if multicast_id in self._seen:
             return
         self._seen.add(multicast_id)
-        self._deliver(envelope)
         self._flood(envelope, payload_bytes, exclude=message.src)
+        self.node.schedule(0.0, self._deliver, envelope)
 
     def _on_flood_bounce(self, node: Node, message) -> None:
         """A flood hop hit a dead neighbour: re-flood once around it.

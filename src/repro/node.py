@@ -68,8 +68,8 @@ frames:
 * ``store`` — place pre-grouped tuples directly into this node's storage
   (the remote fast load; see :class:`repro.remote.RemotePier`).
 * ``submit`` — run a :class:`repro.core.query.QuerySpec` from this node;
-  result rows stream back as ``{"t": "evt"}`` frames — the first at once,
-  later ones after 10 ms or as soon as 256 of them wait.
+  the reply precedes every row, which stream back as ``{"t": "evt"}``
+  frames — the rows of one event-loop turn at its end, 256 to a frame.
 * ``finish`` — tear the query's distributed dataflow down everywhere.
 * ``scan_count`` — local item count of a namespace (diagnostics).
 * ``shutdown`` — stop this node process (the docker-compose demo's clean
@@ -102,9 +102,8 @@ from repro.net.wire import MAX_FRAME_BYTES, FrameDecoder, encode_frame
 
 log = logging.getLogger("repro.node")
 
-#: A result row waits for its client at most this long (the first row of a
-#: query not at all), or until this many rows wait with it.
-RESULT_FLUSH_DELAY_S = 0.01
+#: Most result rows one ``evt`` frame carries; the rows of one loop turn
+#: leave at its end, cut into frames of this many.
 RESULT_FLUSH_ROWS = 256
 #: Default soft-state sweep period on real nodes (the paper's renewal scale
 #: makes sub-second sweeps pointless; 5 s keeps expiry prompt without churn).
@@ -128,13 +127,12 @@ def parse_endpoint(text: str) -> Tuple[str, int]:
 class _ResultPump:
     """Streams one query's arriving rows to the client that submitted it."""
 
-    __slots__ = ("handle", "writer", "sent", "timer")
+    __slots__ = ("handle", "writer", "sent")
 
     def __init__(self, handle: QueryHandle, writer: asyncio.StreamWriter):
         self.handle = handle
         self.writer = writer
         self.sent = 0
-        self.timer = None
 
 
 class PierNode:
@@ -659,51 +657,37 @@ class PierNode:
         handle = self.executor.submit(query)
         self._pumps[query.query_id] = _ResultPump(handle, writer)
         handle.on_row = lambda: self._on_row(query.query_id)
-        if handle.arrivals:  # the initiator's own rows, produced inside submit()
-            handle.on_row()
         return {"query_id": query.query_id}
 
     def _on_row(self, query_id: int) -> None:
-        """A result row arrived: push it now (first row, or a full frame of
-        them waits) or let the one-shot flush armed by the oldest take it."""
-        pump = self._pumps.get(query_id)
-        if pump is None:
-            return
-        waiting = len(pump.handle.arrivals) - pump.sent
-        if pump.sent == 0 or waiting >= RESULT_FLUSH_ROWS:
-            self._push_results(query_id)
-        elif pump.timer is None:
-            pump.timer = self.node.schedule(
-                RESULT_FLUSH_DELAY_S, self._push_results, query_id)
+        """A result row arrived: the first one waiting arms the zero-delay
+        flush that pushes every row of this loop turn at its end."""
+        pump = self._pumps[query_id]
+        if len(pump.handle.arrivals) - pump.sent == 1:
+            self.node.schedule(0.0, self._push_results, query_id)
 
     def _push_results(self, query_id: int) -> None:
         pump = self._pumps.get(query_id)
         if pump is None:
             return
-        if pump.timer is not None:
-            pump.timer.cancel()
-            pump.timer = None
         if pump.writer.is_closing():
             self._stop_pump(query_id)
             return
         arrivals = pump.handle.arrivals
-        if pump.sent >= len(arrivals):
-            return
-        fresh = arrivals[pump.sent:]
-        pump.sent = len(arrivals)
         submitted = pump.handle.submitted_at
-        self.transport.push_frame(pump.writer, {
-            "t": "evt", "kind": "rows", "query_id": query_id,
-            "rows": [row for _t, row in fresh],
-            "times": [t - submitted for t, _row in fresh],
-        })
+        for start in range(pump.sent, len(arrivals), RESULT_FLUSH_ROWS):
+            fresh = arrivals[start:start + RESULT_FLUSH_ROWS]
+            self.transport.push_frame(pump.writer, {
+                "t": "evt", "kind": "rows", "query_id": query_id,
+                "rows": [row for _t, row in fresh],
+                "times": [t - submitted for t, _row in fresh],
+            })
+        pump.sent = len(arrivals)
 
     def _stop_pump(self, query_id: int) -> None:
         pump = self._pumps.pop(query_id, None)
         if pump is not None:
             pump.handle.on_row = None
-            if pump.timer is not None:
-                pump.timer.cancel()
 
     def _rpc_completeness(self, frame: dict) -> Dict[str, Any]:
         """This node's share of a query's delivery accounting.
@@ -728,7 +712,7 @@ class PierNode:
 
     def _rpc_finish(self, frame: dict) -> Dict[str, Any]:
         query_id = int(frame["query_id"])
-        # Flush the rows still waiting for their timer, then stop.
+        # Flush the rows still waiting for the end of the turn, then stop.
         self._push_results(query_id)
         self._stop_pump(query_id)
         self.executor.finish(query_id,

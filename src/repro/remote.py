@@ -217,8 +217,10 @@ class RemoteExecutor:
         return handle
 
     def finish(self, query_id: int, record_feedback: bool = False) -> None:
-        self._pier.gateway.rpc("finish", query_id=query_id,
-                               record_feedback=record_feedback)
+        # The reply comes after the query's last rows; later ones are dropped.
+        gateway = self._pier.gateway
+        gateway.rpc("finish", query_id=query_id, record_feedback=record_feedback)
+        gateway.handles.pop(query_id, None)
 
 
 class RemotePier:

@@ -3,8 +3,9 @@
 * ``RealTransport`` ships everything queued behind a message in **one**
   write, checks the connection for EOF *before* writing, and retries or
   bounces the in-flight batch as a whole;
-* the node's result pump pushes the first row of a query at once and later
-  rows by age or count through a one-shot flush (no periodic timer);
+* the node's result pump pushes the rows of one loop turn at its end through
+  a one-shot zero-delay flush, cut into frames of ``RESULT_FLUSH_ROWS``
+  (no periodic timer, no row waits for an age);
 * ``GatewayConnection.pump`` blocks on the socket and returns as soon as it
   dispatched a frame, while ``run_until_idle`` keeps its full grace loop.
 
@@ -28,7 +29,7 @@ from repro.exceptions import NetworkError
 from repro.net.node import Node
 from repro.net.real import MAX_BATCH_MESSAGES, RealTransport
 from repro.net.wire import FrameDecoder, encode_frame
-from repro.node import RESULT_FLUSH_DELAY_S, RESULT_FLUSH_ROWS, PierNode
+from repro.node import RESULT_FLUSH_ROWS, PierNode
 from repro.remote import IDLE_GRACE_S, GatewayConnection, _RemoteNetwork
 from repro.workloads import JoinWorkload, WorkloadConfig
 
@@ -253,7 +254,7 @@ def run_on_a_one_node_cluster(scenario):
             assert reply == {"query_id": query.query_id}
             handle = node._pumps[query.query_id].handle
             await asyncio.sleep(0.05)  # the (empty) dataflow runs dry
-            assert client.frames == [] and node._pumps[query.query_id].timer is None
+            assert client.frames == []
             await scenario(node, client, handle, query.query_id)
 
     asyncio.run(main())
@@ -264,62 +265,76 @@ def arrive(node: PierNode, handle: QueryHandle, rows):
         handle.record(node.node.now, {"k": row})
 
 
-def test_first_row_is_pushed_at_once_and_nothing_ticks_while_idle():
+def record_flushes(node: PierNode):
+    """The delays of the result flushes ``node`` arms from now on."""
+    delays = []
+    schedule = node.node.schedule
+
+    def recording(delay, callback, *args):
+        if callback == node._push_results:
+            delays.append(delay)
+        return schedule(delay, callback, *args)
+
+    node.node.schedule = recording
+    return delays
+
+
+def test_rows_of_one_loop_turn_leave_in_one_frame_at_its_end():
     async def scenario(node, client, handle, query_id):
-        pump = node._pumps[query_id]
-        arrive(node, handle, [0])
-        assert client.rows() == [{"k": 0}]  # synchronously: no period waited
-        assert pump.timer is None           # and nothing left to flush
+        flushes = record_flushes(node)
+        arrive(node, handle, range(3))
+        assert client.frames == [] and flushes == [0.0]  # no row waits an age
+        await wait_for(lambda: client.frames)
+        assert [len(frame["rows"]) for _at, frame in client.frames] == [3]
         frame = client.frames[0][1]
         assert (frame["t"], frame["kind"], frame["query_id"]) == ("evt", "rows", query_id)
-        assert len(frame["times"]) == 1
-        await asyncio.sleep(5 * RESULT_FLUSH_DELAY_S)
-        assert len(client.frames) == 1 and pump.timer is None
+        assert len(frame["times"]) == 3
+        await asyncio.sleep(0.05)  # nothing ticks while idle
+        assert len(client.frames) == 1 and flushes == [0.0]
 
     run_on_a_one_node_cluster(scenario)
 
 
-def test_a_burst_is_pushed_in_full_frames_plus_one_aged_tail():
+def test_a_burst_leaves_at_the_end_of_its_turn_cut_into_full_frames():
     burst = 2 * RESULT_FLUSH_ROWS + 88
 
     async def scenario(node, client, handle, query_id):
-        pump = node._pumps[query_id]
-        arrive(node, handle, [0])
-        started = asyncio.get_running_loop().time()
-        arrive(node, handle, range(1, 1 + burst))  # one loop turn
+        flushes = record_flushes(node)
+        arrive(node, handle, range(burst))  # one loop turn, one flush
+        assert client.frames == [] and flushes == [0.0]
+        await wait_for(lambda: client.frames)
         sizes = [len(frame["rows"]) for _at, frame in client.frames]
-        assert sizes == [1, RESULT_FLUSH_ROWS, RESULT_FLUSH_ROWS]
-        assert pump.timer is not None  # the tail waits for its age, once
-        await asyncio.sleep(3 * RESULT_FLUSH_DELAY_S)
-        sizes = [len(frame["rows"]) for _at, frame in client.frames]
-        assert sizes == [1, RESULT_FLUSH_ROWS, RESULT_FLUSH_ROWS, 88]
-        assert len(sizes) - 1 <= math.ceil(burst / RESULT_FLUSH_ROWS) + 1
-        assert client.frames[-1][0] - started >= 0.5 * RESULT_FLUSH_DELAY_S
-        assert client.rows() == [{"k": k} for k in range(1 + burst)]
+        assert sizes == [RESULT_FLUSH_ROWS, RESULT_FLUSH_ROWS, 88]
+        assert client.rows() == [{"k": k} for k in range(burst)]
         assert all(len(frame["times"]) == len(frame["rows"])
                    for _at, frame in client.frames)
-        assert pump.timer is None
+        arrive(node, handle, [burst])  # the next turn arms its own flush
+        await wait_for(lambda: len(client.frames) == 4)
+        assert flushes == [0.0, 0.0] and client.rows()[-1] == {"k": burst}
 
     run_on_a_one_node_cluster(scenario)
 
 
-def test_finish_flushes_the_tail_and_disarms_the_pump():
+def test_finish_flushes_the_rest_and_disarms_the_pump():
     async def scenario(node, client, handle, query_id):
         arrive(node, handle, range(4))
-        assert len(client.rows()) == 1 and node._pumps[query_id].timer is not None
+        assert client.frames == []
         node._rpc_finish({"query_id": query_id})
-        assert client.rows() == [{"k": k} for k in range(4)]  # before the timer
+        assert client.rows() == [{"k": k} for k in range(4)]  # in one frame
+        assert len(client.frames) == 1
         assert query_id not in node._pumps and handle.on_row is None
         arrive(node, handle, [99])  # a straggler after teardown goes nowhere
-        await asyncio.sleep(3 * RESULT_FLUSH_DELAY_S)
-        assert len(client.frames) == 2
+        await asyncio.sleep(0.05)   # and the armed flush finds no pump
+        assert len(client.frames) == 1
 
     run_on_a_one_node_cluster(scenario)
 
 
-def test_rows_produced_inside_submit_are_pushed_without_a_later_arrival():
-    """On a one-node cluster the whole join runs inside ``submit()``, before
-    the pump listens: those rows must not wait for a row that never comes."""
+def test_the_initiators_own_rows_are_produced_after_submit_and_pushed():
+    """On a one-node cluster the whole join runs on the events after
+    ``submit()`` — the query multicast delivers locally on the next event,
+    once the pump listens — and every row reaches the client without a
+    later arrival to push it."""
 
     async def main():
         async with one_node_cluster() as node:
@@ -335,10 +350,10 @@ def test_rows_produced_inside_submit_are_pushed_without_a_later_arrival():
             client = FakeClient()
             query = workload.make_query(strategy=JoinStrategy.FETCH_MATCHES)
             node._rpc_submit({"query": query}, client)
-            await asyncio.sleep(5 * RESULT_FLUSH_DELAY_S)
+            assert node._pumps[query.query_id].handle.arrivals == []
+            await wait_for(lambda: len(client.rows()) == len(expected))
             assert (sorted(map(sorted, map(dict.items, client.rows())))
                     == sorted(map(sorted, map(dict.items, expected))))
-            assert node._pumps[query.query_id].timer is None
             node._rpc_finish({"query_id": query.query_id})
 
     asyncio.run(main())
@@ -348,9 +363,9 @@ def test_a_client_that_hung_up_stops_its_pump():
     async def scenario(node, client, handle, query_id):
         arrive(node, handle, range(3))
         client.closing = True
-        await asyncio.sleep(3 * RESULT_FLUSH_DELAY_S)  # the flush finds it closed
+        await asyncio.sleep(0.05)  # the end-of-turn flush finds it closed
         assert query_id not in node._pumps and handle.on_row is None
-        assert len(client.rows()) == 1
+        assert client.frames == []
 
     run_on_a_one_node_cluster(scenario)
 
