@@ -541,9 +541,9 @@ def test_rebind_keeps_routing_correct(dht):
 PINNED_QUERY_ID = 9001
 PINNED = {
     "can": {"messages_sent": 3963, "bytes_delivered": 1242590,
-            "events_processed": 3238, "lookup_hops": 3544},
+            "events_processed": 3366, "lookup_hops": 3544},
     "chord": {"messages_sent": 3602, "bytes_delivered": 1300724,
-              "events_processed": 2805, "lookup_hops": 2504},
+              "events_processed": 2933, "lookup_hops": 2504},
 }
 
 
@@ -616,6 +616,16 @@ def test_fixed_seed_query_counts_are_pinned(dht):
 # now share a message; "cluster" draws a latency per send from one stream, so
 # its later draws shift too).  Rows, lookup hops, put counts and every CAN
 # entry — whose chunks hold one matching fragment each — did not move.
+# All twelve were re-recorded when a multicast began to flood before it
+# delivers locally: one zero-delay delivery event per node per flood (query
+# and teardown: 128 events more than messages in the one-event modes, +128
+# or +129 in the grouped ones), and the flood now queues ahead of a node's
+# rehash puts on its uplink, which moves the queueing-delay sums.  In the
+# window modes no row arrives at another time; with one event per message or
+# jittered latency the queue order (or the latency each send draws) moves
+# arrival times, how many fragments share a probe chunk (±1–6
+# ``pier.result``) and, on Chord, how many flood duplicates are sent (±4–8
+# ``mc.flood``).  Rows and lookup hops did not move.
 
 NETWORK_MODES = {
     "window 0": {},
@@ -628,55 +638,56 @@ NETWORK_MODES = {
 PINNED_BY_MODE = {
     ("window 0", "can"): {
         **PINNED["can"], "max_inbound_bytes": 147012,
-        "total_queueing_delay": 1.8000080000001004,
+        "total_queueing_delay": 1.8877200000001042,
         "arrivals": [128, 1.0075904, 2.810940800000003, "c691202892bad9d4"]},
     ("window 0", "chord"): {
         **PINNED["chord"], "max_inbound_bytes": 147854,
-        "total_queueing_delay": 2.4077631999999594,
+        "total_queueing_delay": 2.489395199999953,
         "arrivals": [128, 0.603424, 1.3067904000000001, "0cd4ab127f3ada93"]},
     ("window 10 ms", "can"): {
         "messages_sent": 3960, "bytes_delivered": 1242410,
-        "events_processed": 845, "lookup_hops": 3544,
-        "max_inbound_bytes": 146832, "total_queueing_delay": 2.24791840000013,
+        "events_processed": 973, "lookup_hops": 3544,
+        "max_inbound_bytes": 146832, "total_queueing_delay": 2.348238400000131,
         "arrivals": [128, 1.021545599999999, 2.853920000000005,
                      "310736d37aa33cb3"]},
     ("window 10 ms", "chord"): {
         "messages_sent": 3601, "bytes_delivered": 1299864,
-        "events_processed": 690, "lookup_hops": 2504,
-        "max_inbound_bytes": 147914, "total_queueing_delay": 2.4148543999999106,
+        "events_processed": 818, "lookup_hops": 2504,
+        "max_inbound_bytes": 147914, "total_queueing_delay": 2.4969407999999067,
         "arrivals": [128, 0.6090304, 1.3285344, "0a7daf78a00adcca"]},
     ("one event per message", "can"): {
-        "messages_sent": 3961, "bytes_delivered": 1242470,
-        "events_processed": 3961, "lookup_hops": 3544,
-        "max_inbound_bytes": 146892, "total_queueing_delay": 1.4645616000001034,
-        "arrivals": [128, 1.004032, 2.8093440000000025, "1a6a87189fa859ee"]},
-    ("one event per message", "chord"): {
-        "messages_sent": 3599, "bytes_delivered": 1300944,
-        "events_processed": 3599, "lookup_hops": 2504,
-        "max_inbound_bytes": 147614, "total_queueing_delay": 2.380475199999983,
-        "arrivals": [128, 0.602528, 1.3069088, "575e108d359302c7"]},
-    ("cluster (jittered latency)", "can"): {
         "messages_sent": 3962, "bytes_delivered": 1242530,
-        "events_processed": 3962, "lookup_hops": 3544,
-        "max_inbound_bytes": 146952, "total_queueing_delay": 8.067384718660916,
-        "arrivals": [128, 0.007726394977055088, 0.11890399497705495,
-                     "797437afa22ae851"]},
+        "events_processed": 4090, "lookup_hops": 3544,
+        "max_inbound_bytes": 146952, "total_queueing_delay": 1.9181008000001099,
+        "arrivals": [128, 1.0050464000000001, 2.8108512000000028,
+                     "6a01ae4c18cde9e2"]},
+    ("one event per message", "chord"): {
+        "messages_sent": 3600, "bytes_delivered": 1299404,
+        "events_processed": 3728, "lookup_hops": 2504,
+        "max_inbound_bytes": 147914, "total_queueing_delay": 2.7491919999999754,
+        "arrivals": [128, 0.603504, 1.3043072000000002, "16574971efdac155"]},
+    ("cluster (jittered latency)", "can"): {
+        "messages_sent": 3961, "bytes_delivered": 1242470,
+        "events_processed": 4089, "lookup_hops": 3544,
+        "max_inbound_bytes": 146892, "total_queueing_delay": 8.97941318997314,
+        "arrivals": [128, 0.007808582594594356, 0.12105338259459422,
+                     "cab42cc6da6b0e5f"]},
     ("cluster (jittered latency)", "chord"): {
-        "messages_sent": 3605, "bytes_delivered": 1301504,
-        "events_processed": 3605, "lookup_hops": 2504,
-        "max_inbound_bytes": 147734, "total_queueing_delay": 10.545398063149698,
-        "arrivals": [128, 0.010859336491886853, 0.12104813649188681,
-                     "83cd0e6dfcf8fdf1"]},
+        "messages_sent": 3603, "bytes_delivered": 1299234,
+        "events_processed": 3731, "lookup_hops": 2504,
+        "max_inbound_bytes": 148094, "total_queueing_delay": 10.806367428895925,
+        "arrivals": [128, 0.00883776695872841, 0.12078656695872832,
+                     "1d29b3277437c80d"]},
     ("infinite bandwidth", "can"): {
         "messages_sent": 3960, "bytes_delivered": 1242410,
-        "events_processed": 826, "lookup_hops": 3544,
+        "events_processed": 954, "lookup_hops": 3544,
         "max_inbound_bytes": 146832, "total_queueing_delay": 0.0,
         "arrivals": [128, 0.9999999999999999, 2.800000000000001,
                      "bf82f474a17622a0"]},
     ("infinite bandwidth", "chord"): {
-        "messages_sent": 3600, "bytes_delivered": 1299404,
-        "events_processed": 668, "lookup_hops": 2504,
-        "max_inbound_bytes": 147914, "total_queueing_delay": 0.0,
+        "messages_sent": 3602, "bytes_delivered": 1301124,
+        "events_processed": 797, "lookup_hops": 2504,
+        "max_inbound_bytes": 147794, "total_queueing_delay": 0.0,
         "arrivals": [128, 0.6, 1.3, "69c2f51dd23c443a"]},
 }
 
