@@ -250,6 +250,7 @@ class QueryExecutor:
     def submit(self, query: QuerySpec) -> QueryHandle:
         """Submit a query from this node; returns the handle collecting results."""
         query.initiator = self.node.address
+        build_opgraph(query)  # a plan that cannot be lowered raises before the flood
         handle = QueryHandle(query, submitted_at=self.now)
         self._handles[query.query_id] = handle
         self.provider.multicast(
@@ -366,8 +367,8 @@ class QueryExecutor:
             return
         self._expire_stale_states()
         graph = build_opgraph(query)
-        # Lowering happens here, on arrival: a predicate that cannot be
-        # resolved raises now, not on some later row.
+        # Lowering happens on arrival, not on some later row (the initiator
+        # already lowered the spec in submit, before flooding it).
         state = _NodeQueryState(
             query=query, graph=graph, plan=graph.artifacts, arrived_at=self.now,
             expires_at=self.now + query.temp_lifetime_s,

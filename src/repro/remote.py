@@ -211,7 +211,11 @@ class RemoteExecutor:
         gateway = self._pier.gateway
         handle = QueryHandle(query, submitted_at=time.monotonic())
         gateway.handles[query.query_id] = handle
-        response = gateway.rpc("submit", query=query)
+        try:
+            response = gateway.rpc("submit", query=query)
+        except BaseException:
+            gateway.handles.pop(query.query_id, None)
+            raise
         query.initiator = self._pier.gateway_address
         assert response["query_id"] == query.query_id
         return handle
@@ -219,8 +223,10 @@ class RemoteExecutor:
     def finish(self, query_id: int, record_feedback: bool = False) -> None:
         # The reply comes after the query's last rows; later ones are dropped.
         gateway = self._pier.gateway
-        gateway.rpc("finish", query_id=query_id, record_feedback=record_feedback)
-        gateway.handles.pop(query_id, None)
+        try:  # dropped on a failed RPC too, or a failover would carry it over
+            gateway.rpc("finish", query_id=query_id, record_feedback=record_feedback)
+        finally:
+            gateway.handles.pop(query_id, None)
 
 
 class RemotePier:

@@ -5,7 +5,9 @@ the local handlers on the next event at the same instant, at the origin and
 at every relay.  Under the simulator that order shows in the send sequence
 and moves no arrival time; on the TCP backend it means the flood frame is
 already written when the handler — a node's whole scan and rehash for a
-query — starts.
+query — starts.  Because the initiator's own handler runs after the flood,
+``QueryExecutor.submit`` lowers the plan before it multicasts: a plan that
+cannot be lowered raises to the submitter and nothing is sent.
 """
 
 from __future__ import annotations
@@ -17,12 +19,16 @@ from collections import defaultdict
 import pytest
 
 from repro.core.executor import QueryExecutor
-from repro.core.query import QueryTeardown
+from repro.core.query import (JoinClause, JoinStrategy, QuerySpec,
+                              QueryTeardown, TableRef)
 from repro.dht.multicast import MulticastService
+from repro.exceptions import PlanError
 from repro.net.message import Message
 from repro.net.node import Node
 from repro.net.real import RealTransport
 from repro.net.wire import FrameDecoder
+from tests.conftest import build_pier, build_workload, load_join_tables
+from tests.reference import row_multiset
 from tests.test_real_hotpath import RecordingPeer, wait_for
 from tests.test_routing_index import PINNED_BY_MODE, run_pinned_query
 
@@ -78,6 +84,38 @@ def test_every_relay_floods_before_its_own_share_of_the_query(monkeypatch, dht):
     pinned = PINNED_BY_MODE["window 0", dht]["arrivals"]
     assert [len(times), times[0], times[-1],
             hashlib.sha256(repr(times).encode()).hexdigest()[:16]] == pinned
+
+
+def unlowerable_fetch_matches(workload) -> QuerySpec:
+    """Fetch Matches joined on a column neither side is hashed on."""
+    return QuerySpec(
+        tables=[TableRef(workload.r_relation, "R"),
+                TableRef(workload.s_relation, "S")],
+        output_columns=["R.pkey", "S.pkey"],
+        join=JoinClause("R", "num2", "S", "num2"),
+        strategy=JoinStrategy.FETCH_MATCHES,
+    )
+
+
+def test_a_plan_that_cannot_be_lowered_raises_before_anything_is_sent():
+    """The initiator lowers the spec before it floods: the submitter gets the
+    error, no node is sent the query, and the session stays usable."""
+    workload = build_workload(16)
+    pier = build_pier(16)
+    load_join_tables(pier, workload)
+    client = pier.client(catalog=workload.catalog())
+    simulator = pier.network.simulator
+    pending, sent = simulator.pending_events, pier.network.stats.messages_sent
+    with pytest.raises(PlanError):
+        client.query(unlowerable_fetch_matches(workload))
+    assert simulator.pending_events == pending
+    assert pier.network.stats.messages_sent == sent
+    assert client.executor.active_query_ids() == []
+
+    cursor = client.query(workload.make_query(strategy=JoinStrategy.FETCH_MATCHES))
+    assert row_multiset(cursor.fetchall()) == row_multiset(
+        workload.expected_results())
+    cursor.close()
 
 
 class Neighbours:

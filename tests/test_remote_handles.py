@@ -3,7 +3,9 @@
 ``GatewayConnection.handles`` routes streamed row frames to their cursors.
 ``RemoteExecutor.finish`` drops a query's entry once the ``finish`` RPC
 returned — the gateway flushes the query's last rows before it replies — so
-a long-lived session holds no rows of queries it is done with.
+a long-lived session holds no rows of queries it is done with.  A failed
+``submit`` or ``finish`` RPC drops the entry as well, so a later gateway
+failover has nothing stale to carry over.
 """
 
 from __future__ import annotations
@@ -13,7 +15,11 @@ import signal
 import pytest
 
 from repro import JoinStrategy
+from repro.core.query import JoinClause, QuerySpec, TableRef
+from repro.core.stats import StatsRegistry
+from repro.exceptions import GatewayError, NetworkError
 from repro.harness.realcluster import LocalCluster
+from repro.remote import RemoteExecutor
 from repro.workloads import JoinWorkload, WorkloadConfig
 from tests.reference import row_multiset
 
@@ -34,9 +40,13 @@ def wall_clock_guard():
         signal.signal(signal.SIGALRM, previous)
 
 
+def two_node_workload() -> JoinWorkload:
+    return JoinWorkload(WorkloadConfig(num_nodes=2, s_tuples_per_node=6,
+                                       seed=3))
+
+
 def test_cancelled_and_closed_cursors_release_their_gateway_handles():
-    workload = JoinWorkload(WorkloadConfig(num_nodes=2, s_tuples_per_node=6,
-                                           seed=3))
+    workload = two_node_workload()
     expected = row_multiset(workload.expected_results())
     wanted = len(expected)
     assert wanted
@@ -58,3 +68,63 @@ def test_cancelled_and_closed_cursors_release_their_gateway_handles():
             assert row_multiset(rows) == expected
             assert row_multiset(cursor.rows) == expected
             assert pier.gateway.handles == {}
+
+
+def test_a_plan_the_gateway_cannot_lower_is_rejected_by_the_submit_rpc():
+    """The gateway lowers the spec before it floods, so the error comes back
+    as the submit RPC's reply, not as an empty timed-out cursor."""
+    workload = two_node_workload()
+    expected = row_multiset(workload.expected_results())
+    with LocalCluster(2) as cluster:
+        pier = cluster.pier
+        pier.load_relation(workload.r_relation, workload.r_by_node)
+        pier.load_relation(workload.s_relation, workload.s_by_node)
+        client = pier.client(catalog=workload.catalog())
+        unlowerable = QuerySpec(  # Fetch Matches on a non-resourceID column
+            tables=[TableRef(workload.r_relation, "R"),
+                    TableRef(workload.s_relation, "S")],
+            output_columns=["R.pkey", "S.pkey"],
+            join=JoinClause("R", "num2", "S", "num2"),
+            strategy=JoinStrategy.FETCH_MATCHES,
+        )
+        with pytest.raises(GatewayError, match="PlanError"):
+            client.query(unlowerable, timeout_s=30.0)
+        assert pier.gateway.handles == {}
+
+        cursor = client.query(
+            workload.make_query(strategy=JoinStrategy.FETCH_MATCHES),
+            timeout_s=30.0)
+        assert row_multiset(cursor.fetch(len(expected))) == expected
+        cursor.close(drain=False)
+        assert pier.gateway.handles == {}
+
+
+class FailingGateway:
+    """A gateway connection whose every RPC fails."""
+
+    def __init__(self):
+        self.handles = {}
+
+    def rpc(self, op, **fields):
+        raise NetworkError(f"rpc {op!r} timed out")
+
+
+class OneGatewayPier:
+    def __init__(self, gateway):
+        self.gateway = gateway
+        self.gateway_address = 0
+        self.relation_stats = StatsRegistry()
+
+
+@pytest.mark.parametrize("op", ["submit", "finish"])
+def test_a_failed_rpc_drops_the_query_handle(op):
+    gateway = FailingGateway()
+    executor = RemoteExecutor(OneGatewayPier(gateway), 0)
+    query = two_node_workload().make_query()
+    with pytest.raises(NetworkError):
+        if op == "submit":
+            executor.submit(query)
+        else:
+            gateway.handles[query.query_id] = object()
+            executor.finish(query.query_id)
+    assert gateway.handles == {}
