@@ -13,8 +13,9 @@ paper's "d separate hash functions, one for each CAN dimension").
 
 from __future__ import annotations
 
+import functools
 import hashlib
-from typing import Tuple
+from typing import Any, Tuple
 
 #: Width of the flat key space shared by all routing layers.
 KEY_BITS = 128
@@ -27,14 +28,28 @@ def _digest(data: bytes) -> int:
     return int.from_bytes(hashlib.sha1(data).digest()[: KEY_BITS // 8], "big")
 
 
+# Keys hash on from a copy of their fixed prefix's cached SHA-1 state.
+@functools.lru_cache
+def _namespace_prefix(namespace: str) -> Any:
+    return hashlib.sha1(f"{namespace}\x00".encode("utf-8", errors="replace"))
+
+
+@functools.lru_cache
+def _dimension_prefixes(dimensions: int) -> Tuple[Any, ...]:
+    return tuple(hashlib.sha1(f"dim{dim}\x00".encode("ascii"))
+                 for dim in range(dimensions))
+
+
 def hash_key(namespace: str, resource_id) -> int:
     """Map a ``(namespace, resourceID)`` pair to a DHT key.
 
     ``resource_id`` may be any value with a stable ``repr``; the query
-    processor uses primary-key values and join-key values here.
+    processor uses primary-key values and join-key values here.  The key is
+    the SHA-1 of ``f"{namespace}\\x00{resource_id!r}"``.
     """
-    data = f"{namespace}\x00{resource_id!r}".encode("utf-8", errors="replace")
-    return _digest(data)
+    state = _namespace_prefix(namespace).copy()
+    state.update(repr(resource_id).encode("utf-8", "replace"))
+    return int.from_bytes(state.digest()[: KEY_BITS // 8], "big")
 
 
 def hash_namespace(namespace: str) -> int:
@@ -50,10 +65,12 @@ def key_to_unit_coordinates(key: int, dimensions: int) -> Tuple[float, ...]:
     """
     if dimensions <= 0:
         raise ValueError("dimensions must be positive")
+    data = f"{key:x}".encode("ascii")
     coords = []
-    for dim in range(dimensions):
-        salted = _digest(f"dim{dim}\x00{key:x}".encode("ascii"))
-        coords.append(salted / KEY_SPACE)
+    for prefix in _dimension_prefixes(dimensions):  # SHA-1 of f"dim{d}\x00{data}"
+        state = prefix.copy()
+        state.update(data)
+        coords.append(int.from_bytes(state.digest()[: KEY_BITS // 8], "big") / KEY_SPACE)
     return tuple(coords)
 
 

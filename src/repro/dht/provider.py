@@ -221,7 +221,7 @@ class Provider:
 
         # Item migration hooks used by the routing layer on join/leave.
         routing.extract_items = self.storage.extract
-        routing.install_items = self.storage.install
+        routing.install_items = self.storage.store_batch
 
         #: Handle of the periodic expiry sweep, cancelled by :meth:`close`.
         self._sweep_timer = None
@@ -418,21 +418,13 @@ class Provider:
                 payload["instance_ids"], payload["keys"], sizes)
         ]
         # New = not live before this chunk (a renewal announces nothing) and
-        # first of its triple within it; asked only when someone listens, by
-        # indexed membership rather than a retrieve() of every instance.
+        # first of its triple within it: store_batch's answer, once what is
+        # due has expired.  Expiry runs only when someone listens.
         callbacks = self._new_data_callbacks.get(namespace)
-        fresh: Dict[Any, StoredItem] = {}
         if callbacks:
-            has_instance = self.storage.has_instance
-            for item in items:
-                if not has_instance(namespace, item.resource_id,
-                                    item.instance_id, now):
-                    fresh.setdefault((item.resource_id, item.instance_id), item)
-        store = self.storage.store
-        for item in items:
-            store(item)
-        if fresh:
-            new_items = list(fresh.values())
+            self.storage.expire_items(now)
+        new_items = self.storage.store_batch(items)
+        if callbacks and new_items:
             for callback in tuple(callbacks):  # a subscriber may unsubscribe
                 callback(new_items)
 
@@ -857,7 +849,7 @@ class Provider:
         self.routing = routing
         self.multicast_service.routing = routing
         routing.extract_items = self.storage.extract
-        routing.install_items = self.storage.install
+        routing.install_items = self.storage.store_batch
 
     def make_renewal_agent(self, refresh_period: float) -> RenewalAgent:
         """Create (but do not start) a renewal agent bound to this Provider."""

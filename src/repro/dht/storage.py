@@ -2,21 +2,26 @@
 
 The paper expects nothing more of the storage manager than main-memory
 performance that keeps up with the network, and uses a main-memory
-implementation; so do we.  Items are addressed by the full
-``(namespace, resourceID, instanceID)`` triple and carry an expiry time for
-soft state.  Secondary indexes by namespace and by ``(namespace,
-resourceID)`` support the Provider's ``lscan`` and ``get`` operations
-without full scans.  Both are insertion-ordered (dicts used as ordered
-sets), so ``scan`` and ``retrieve`` return items in the order they were
-first stored: chunk row order, rehash key order and same-instant send order
-downstream never depend on how strings hash.
+implementation; so do we.  Items are named by the ``(namespace, resourceID,
+instanceID)`` triple and carry an expiry time for soft state.
 
-Expiry is driven by a lazily-compacted min-heap of ``(expires_at, item_key)``
-entries: :meth:`StorageManager.expire_items` pops only entries whose deadline
-has passed, so every read path (``retrieve``/``scan``/``count``) runs it
-first and then serves straight from the indexes — the work done is
-proportional to what actually expired, never to the store size.  Entries go
-stale when an item is overwritten (renewal) or removed; stale entries are
+Every namespace owns one partition: an insertion-ordered ``{(resourceID,
+instanceID): item}`` dict plus ``{resourceID: {instanceID: item}}`` buckets.
+Both keep first-store order (an overwrite keeps the item's place), so chunk
+row order, rehash key order and same-instant send order downstream never
+depend on how strings hash.  ``scan`` returns a snapshot of the partition (one
+C-level copy) and ``retrieve`` a copy of one bucket, so a consumer may store
+or remove while it iterates.  PIER's queries live in temporary namespaces
+dropped whole at teardown: ``purge_namespace`` detaches the partition and
+empties it, with no Python work per item.
+
+Expiry is driven by a lazily-compacted min-heap of ``(expires_at, seq,
+partition, (resourceID, instanceID))`` entries: :meth:`StorageManager.expire_items`
+pops only entries whose deadline has passed, so every read path runs it first
+and then serves straight from the partitions — the work done is proportional
+to what expired, never to the store size.  An entry goes stale when its item
+is overwritten (renewal) or removed, or its partition is purged; the stale
+check is one ``dict.get`` on the partition the entry names.  Stale entries are
 skipped on pop and the heap is rebuilt once they outnumber the live items.
 """
 
@@ -25,11 +30,11 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.exceptions import StorageError
 
-ItemKey = Tuple[str, Any, int]
+SlotKey = Tuple[Any, int]
 
 
 @dataclass
@@ -50,8 +55,7 @@ class StoredItem:
     stored_at:
         Virtual time at which the item was (last) stored or renewed.
     publisher:
-        Address of the node that published the item, used by the recall
-        metric and by renewal bookkeeping.
+        Address of the publishing node (recall metric, renewal bookkeeping).
     size_bytes:
         Wire size used when the item is shipped between nodes.
     """
@@ -66,37 +70,40 @@ class StoredItem:
     publisher: Optional[int] = None
     size_bytes: int = 100
 
-    @property
-    def item_key(self) -> ItemKey:
-        """The full identifying triple."""
-        return (self.namespace, self.resource_id, self.instance_id)
-
     def is_expired(self, now: float) -> bool:
         """Whether the item's lifetime has elapsed."""
         return now > self.expires_at
 
 
+class _Partition:
+    """One namespace's items, in first-store order, and its buckets."""
+
+    __slots__ = ("namespace", "items", "buckets")
+
+    def __init__(self, namespace: str) -> None:
+        self.namespace = namespace
+        self.items: Dict[SlotKey, StoredItem] = {}
+        self.buckets: Dict[Any, Dict[int, StoredItem]] = {}
+
+
 class StorageManager:
-    """Main-memory store with namespace, resource and expiry indexes."""
+    """Main-memory store partitioned by namespace, with an expiry heap."""
 
     #: Minimum garbage before a heap rebuild is worth considering.
     _COMPACT_FLOOR = 64
 
     def __init__(self) -> None:
-        self._items: Dict[ItemKey, StoredItem] = {}
-        #: The two indexes are ordered sets: ``{item_key: None}`` in
-        #: first-store order (an overwrite keeps the item's position).
-        self._by_namespace: Dict[str, Dict[ItemKey, None]] = {}
-        self._by_resource: Dict[Tuple[str, Any], Dict[ItemKey, None]] = {}
-        #: Min-heap of ``(expires_at, seq, item_key)``; ``seq`` breaks ties so
-        #: heterogeneous resource ids are never compared.
-        self._expiry_heap: List[Tuple[float, int, ItemKey]] = []
+        self._partitions: Dict[str, _Partition] = {}
+        #: Min-heap of ``(expires_at, seq, partition, slot_key)``; ``seq``
+        #: breaks ties so partitions and resource ids are never compared.
+        self._expiry_heap: List[Tuple[float, int, _Partition, SlotKey]] = []
         self._heap_seq = itertools.count()
-        #: Heap entries no longer backed by a live ``(key, expires_at)`` pair.
+        #: Heap entries no longer backed by a live ``(key, expires_at)`` pair;
+        #: every live item has exactly one live entry.
         self._heap_stale = 0
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._expiry_heap) - self._heap_stale
 
     # ------------------------------------------------------------------ core
 
@@ -104,146 +111,129 @@ class StorageManager:
         """Insert or overwrite an item (paper Table 2 ``store``)."""
         if not isinstance(item, StoredItem):
             raise StorageError(f"can only store StoredItem instances, got {type(item)!r}")
-        key = item.item_key
-        if key in self._items:
-            self._items[key] = item
+        partition = self._partitions.get(item.namespace)
+        if partition is None:
+            partition = self._partitions[item.namespace] = _Partition(item.namespace)
+        key = (item.resource_id, item.instance_id)
+        if key in partition.items:
             self._heap_stale += 1  # the overwritten item's heap entry
-        else:
-            self._items[key] = item
-            self._by_namespace.setdefault(item.namespace, {})[key] = None
-            self._by_resource.setdefault(
-                (item.namespace, item.resource_id), {})[key] = None
+        partition.items[key] = item
+        partition.buckets.setdefault(item.resource_id, {})[item.instance_id] = item
         heapq.heappush(self._expiry_heap,
-                       (item.expires_at, next(self._heap_seq), key))
+                       (item.expires_at, next(self._heap_seq), partition, key))
 
-    def store_batch(self, items: Iterable[StoredItem]) -> None:
-        """Insert many items with grouped index updates (hot ingestion path).
+    def store_batch(self, items: Iterable[StoredItem]) -> List[StoredItem]:
+        """Insert many items in one pass; returns the ones that are new.
 
-        Batched ``put`` delivery and join/leave migration hand whole groups
-        of items to one node; updating the namespace/resource indexes per group
-        instead of per item avoids repeated hashing of the same index keys.
+        An item is new when its triple was not live before the call: a
+        renewal is not new, and of a triple repeated within the batch only
+        the first item is (the last one is what stays stored).  This is the
+        Provider's ``newData`` rule, so a stored chunk needs no per-item
+        membership probe of its own.
         """
-        items = list(items)
+        if not isinstance(items, list):  # a chunk arrives as a list
+            items = list(items)
         for item in items:  # validate up front: never mutate a partial batch
             if not isinstance(item, StoredItem):
                 raise StorageError(
                     f"can only store StoredItem instances, got {type(item)!r}"
                 )
-        heap = self._expiry_heap
-        stored = self._items
-        by_namespace: Dict[str, List[ItemKey]] = {}
-        by_resource: Dict[Tuple[str, Any], List[ItemKey]] = {}
+        heap, seq = self._expiry_heap, self._heap_seq
+        fresh: List[StoredItem] = []
+        partition = None
         for item in items:
-            key = item.item_key
+            if partition is None or partition.namespace != item.namespace:
+                partition = self._partitions.get(item.namespace)
+                if partition is None:
+                    partition = self._partitions[item.namespace] = _Partition(
+                        item.namespace)
+                stored, buckets = partition.items, partition.buckets
+            key = (item.resource_id, item.instance_id)
             if key in stored:
                 self._heap_stale += 1
             else:
-                by_namespace.setdefault(item.namespace, []).append(key)
-                by_resource.setdefault(
-                    (item.namespace, item.resource_id), []).append(key)
+                fresh.append(item)
             stored[key] = item
-            heapq.heappush(heap, (item.expires_at, next(self._heap_seq), key))
-        for namespace, keys in by_namespace.items():
-            self._by_namespace.setdefault(namespace, {}).update(
-                dict.fromkeys(keys))
-        for resource, keys in by_resource.items():
-            self._by_resource.setdefault(resource, {}).update(
-                dict.fromkeys(keys))
+            bucket = buckets.get(item.resource_id)
+            if bucket is None:
+                bucket = buckets[item.resource_id] = {}
+            bucket[item.instance_id] = item
+            heapq.heappush(heap, (item.expires_at, next(seq), partition, key))
+        return fresh
 
     def retrieve(self, namespace: str, resource_id: Any, now: float) -> List[StoredItem]:
         """All live items matching ``(namespace, resourceID)`` (``retrieve``)."""
         self.expire_items(now)
-        keys = self._by_resource.get((namespace, resource_id))
-        if not keys:
-            return []
-        items = self._items
-        return [items[key] for key in keys]
-
-    def has_instance(self, namespace: str, resource_id: Any, instance_id: int,
-                     now: float) -> bool:
-        """Whether the exact live triple is currently stored.
-
-        The Provider's ``newData`` suppression check; unlike
-        :meth:`retrieve` it materialises nothing.
-        """
-        self.expire_items(now)
-        return (namespace, resource_id, instance_id) in self._items
+        partition = self._partitions.get(namespace)
+        bucket = partition.buckets.get(resource_id) if partition else None
+        return list(bucket.values()) if bucket else []
 
     def remove(self, namespace: str, resource_id: Any,
                instance_id: Optional[int] = None) -> int:
         """Remove matching item(s); returns the number removed (``remove``)."""
-        if instance_id is not None:
-            key = (namespace, resource_id, instance_id)
-            if key in self._items:
-                self._remove_key(key)
-                return 1
+        partition = self._partitions.get(namespace)
+        if partition is None:
             return 0
-        keys = list(self._by_resource.get((namespace, resource_id), ()))
+        if instance_id is None:
+            keys = [(resource_id, iid)
+                    for iid in partition.buckets.get(resource_id, ())]
+        else:
+            keys = [key for key in [(resource_id, instance_id)]
+                    if key in partition.items]
         for key in keys:
-            self._remove_key(key)
+            self._remove(partition, key)
         return len(keys)
 
-    def _remove_key(self, key: ItemKey) -> None:
-        item = self._items.pop(key, None)
-        if item is None:
-            return
+    def _remove(self, partition: _Partition, key: SlotKey) -> None:
+        """Drop one stored item of ``partition`` (the partition too, if empty)."""
+        del partition.items[key]
         self._heap_stale += 1  # the removed item's heap entry lingers
-        namespace_keys = self._by_namespace.get(item.namespace)
-        if namespace_keys is not None:
-            namespace_keys.pop(key, None)
-            if not namespace_keys:
-                del self._by_namespace[item.namespace]
-        resource_keys = self._by_resource.get((item.namespace, item.resource_id))
-        if resource_keys is not None:
-            resource_keys.pop(key, None)
-            if not resource_keys:
-                del self._by_resource[(item.namespace, item.resource_id)]
+        bucket = partition.buckets[key[0]]
+        del bucket[key[1]]
+        if not bucket:
+            del partition.buckets[key[0]]
+        if not partition.items:
+            del self._partitions[partition.namespace]
 
     # ------------------------------------------------------------- iteration
 
-    def scan(self, namespace: str, now: float) -> Iterator[StoredItem]:
-        """Iterate over live items of a namespace (backs the Provider ``lscan``).
+    def scan(self, namespace: str, now: float) -> List[StoredItem]:
+        """The live items of a namespace, in first-store order (``lscan``).
 
-        Expiry runs once up front (heap-indexed, proportional to what
-        expired); the iteration itself does no per-item deadline checks.
-        The key list is snapshotted so consumers may store/remove while
-        iterating.
+        Expiry runs once up front; the result is a snapshot (one C-level
+        copy), so consumers may store or remove while iterating it.
         """
         self.expire_items(now)
-        keys = self._by_namespace.get(namespace)
-        if not keys:
-            return
-        items = self._items
-        for key in list(keys):
-            item = items.get(key)
-            if item is not None:
-                yield item
+        partition = self._partitions.get(namespace)
+        return list(partition.items.values()) if partition else []
 
     def namespaces(self) -> List[str]:
         """Namespaces that currently hold at least one item."""
-        return sorted(self._by_namespace)
+        return sorted(self._partitions)
 
     def count(self, namespace: str, now: Optional[float] = None) -> int:
-        """Number of items in a namespace (live items only when ``now`` given).
-
-        With ``now`` this expires what is due and then reads the namespace
-        index's size — no items are materialised or yielded.
-        """
+        """Number of items in a namespace (live items only when ``now`` given)."""
         if now is not None:
             self.expire_items(now)
-        return len(self._by_namespace.get(namespace, ()))
+        partition = self._partitions.get(namespace)
+        return len(partition.items) if partition else 0
 
     def purge_namespace(self, namespace: str) -> int:
         """Remove every item of ``namespace``; returns the number removed.
 
         Query teardown uses this to reclaim temporary per-query namespaces
         (rehash fragments, Bloom filters, partial aggregates) without
-        waiting for their soft-state lifetimes to elapse.
+        waiting for their soft-state lifetimes to elapse.  The partition is
+        detached and emptied: its heap entries turn stale at once.
         """
-        keys = list(self._by_namespace.get(namespace, ()))
-        for key in keys:
-            self._remove_key(key)
-        return len(keys)
+        partition = self._partitions.pop(namespace, None)
+        if partition is None:
+            return 0
+        removed = len(partition.items)
+        self._heap_stale += removed
+        partition.items.clear()
+        partition.buckets.clear()
+        return removed
 
     def purge_publisher(self, namespace: str, publisher: int) -> int:
         """Drop every item of ``namespace`` published by ``publisher``.
@@ -254,12 +244,13 @@ class StorageManager:
         stops a dead publisher's partials from poisoning planning decisions
         until their lifetime happens to elapse.  Returns the number removed.
         """
-        keys = [
-            key for key in self._by_namespace.get(namespace, ())
-            if self._items[key].publisher == publisher
-        ]
+        partition = self._partitions.get(namespace)
+        if partition is None:
+            return 0
+        keys = [key for key, item in partition.items.items()
+                if item.publisher == publisher]
         for key in keys:
-            self._remove_key(key)
+            self._remove(partition, key)
         return len(keys)
 
     # ------------------------------------------------------------- soft state
@@ -272,27 +263,28 @@ class StorageManager:
         way — independent of how many live items the store holds.
         """
         heap = self._expiry_heap
-        items = self._items
         dropped = 0
         while heap and heap[0][0] < now:
-            expires_at, _seq, key = heapq.heappop(heap)
-            item = items.get(key)
+            expires_at, _seq, partition, key = heapq.heappop(heap)
+            item = partition.items.get(key)
             if item is None or item.expires_at != expires_at:
                 self._heap_stale -= 1  # consumed a stale entry
                 continue
-            self._remove_key(key)
+            self._remove(partition, key)
             self._heap_stale -= 1  # ... but its entry was just popped
             dropped += 1
+        # More stale entries than live items (heap = live + stale).
         if (self._heap_stale > self._COMPACT_FLOOR
-                and self._heap_stale > len(items)):
+                and 2 * self._heap_stale > len(heap)):
             self._compact_heap()
         return dropped
 
     def _compact_heap(self) -> None:
         """Rebuild the expiry heap from live items only (lazy compaction)."""
         self._expiry_heap = [
-            (item.expires_at, next(self._heap_seq), key)
-            for key, item in self._items.items()
+            (item.expires_at, next(self._heap_seq), partition, key)
+            for partition in self._partitions.values()
+            for key, item in partition.items.items()
         ]
         heapq.heapify(self._expiry_heap)
         self._heap_stale = 0
@@ -303,23 +295,20 @@ class StorageManager:
         """Remove and return items whose DHT key satisfies ``predicate``.
 
         Used by the routing layer to hand items to a new zone owner on
-        join/leave.
+        join/leave; each namespace's items come out in first-store order.
         """
-        moving = [item for item in self._items.values() if predicate(item.key)]
-        for item in moving:
-            self._remove_key(item.item_key)
-        return moving
-
-    def install(self, items: List[StoredItem]) -> None:
-        """Install items received from another node."""
-        self.store_batch(items)
+        moving = [(partition, key, item)
+                  for partition in self._partitions.values()
+                  for key, item in partition.items.items()
+                  if predicate(item.key)]
+        for partition, key, _item in moving:
+            self._remove(partition, key)
+        return [item for _partition, _key, item in moving]
 
     def clear(self) -> int:
         """Drop everything (used when a node fails); returns items dropped."""
-        dropped = len(self._items)
-        self._items.clear()
-        self._by_namespace.clear()
-        self._by_resource.clear()
+        dropped = len(self)
+        self._partitions.clear()
         self._expiry_heap.clear()
         self._heap_stale = 0
         return dropped

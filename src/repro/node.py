@@ -467,20 +467,20 @@ class PierNode:
 
     def _on_transfer(self, node: Node, message) -> None:
         now = self.node.now
-        for entry in message.payload["items"]:
-            namespace = entry["namespace"]
-            self.provider.storage.store(StoredItem(
-                namespace=namespace,
+        entries = message.payload["items"]
+        self.provider.storage.store_batch(
+            StoredItem(
+                namespace=entry["namespace"],
                 resource_id=entry["resource_id"],
                 instance_id=entry["instance_id"],
                 value=entry["value"],
-                key=hash_key(namespace, entry["resource_id"]),
+                key=hash_key(entry["namespace"], entry["resource_id"]),
                 expires_at=now + entry["lifetime"],
                 stored_at=now,
                 publisher=entry["publisher"],
                 size_bytes=entry["size_bytes"],
-            ))
-            self.known_namespaces.add(namespace)
+            ) for entry in entries)
+        self.known_namespaces.update(entry["namespace"] for entry in entries)
 
     def _graceful_leave(self) -> None:
         """Depart cleanly: hand off stored items, announce, exit."""
@@ -614,24 +614,21 @@ class PierNode:
     def _rpc_store(self, frame: dict) -> Dict[str, Any]:
         """Direct local store of items this node owns (remote fast load)."""
         now = self.node.now
-        stored = 0
-        namespaces: set = set()
-        for entry in frame["items"]:
-            namespace = entry["namespace"]
-            resource_id = entry["resource_id"]
-            self.provider.storage.store(StoredItem(
-                namespace=namespace,
-                resource_id=resource_id,
+        items = [
+            StoredItem(
+                namespace=entry["namespace"],
+                resource_id=entry["resource_id"],
                 instance_id=self.provider.next_instance_id(),
                 value=entry["value"],
-                key=hash_key(namespace, resource_id),
+                key=hash_key(entry["namespace"], entry["resource_id"]),
                 expires_at=now + entry.get("lifetime", 1e9),
                 stored_at=now,
                 publisher=entry.get("publisher"),
                 size_bytes=entry.get("size_bytes", 100),
-            ))
-            stored += 1
-            namespaces.add(namespace)
+            ) for entry in frame["items"]
+        ]
+        self.provider.storage.store_batch(items)
+        namespaces = {item.namespace for item in items}
         fresh = namespaces - self.known_namespaces
         self.known_namespaces.update(namespaces)
         if fresh:
@@ -642,7 +639,7 @@ class PierNode:
                     self.node.send(address, "cluster.ns",
                                    payload={"namespaces": sorted(fresh)},
                                    payload_bytes=16 * len(fresh))
-        return {"stored": stored}
+        return {"stored": len(items)}
 
     def _rpc_submit(self, frame: dict,
                     writer: asyncio.StreamWriter) -> Dict[str, Any]:

@@ -240,9 +240,13 @@ class RemotePier:
 
     def __init__(self, gateway: GatewayConnection):
         self.gateway = gateway
-        status = gateway.rpc("status")
-        if not status["ready"]:
-            raise NodeNotReadyError("gateway node is not ready")
+        try:  # a session that never opened must not leak its connection
+            status = gateway.rpc("status")
+            if not status["ready"]:
+                raise NodeNotReadyError("gateway node is not ready")
+        except BaseException:
+            gateway.close()
+            raise
         self.gateway_address: int = status["address"]
         self.config: Dict[str, Any] = status["config"]
         self.endpoints: Dict[int, Tuple[str, int]] = {

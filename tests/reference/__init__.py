@@ -6,7 +6,12 @@
 * :mod:`tests.reference.evaluator` — a *centralised* evaluator of a
   ``QuerySpec`` built from them: no DHT, no network, no chunks;
 * :mod:`tests.reference.probe` — the per-arrival symmetric-hash-join probe
-  (one candidate scan per fragment) the chunk probe kernel replaced.
+  (one candidate scan per fragment) the chunk probe kernel replaced;
+* :mod:`tests.reference.storage` — the flat-index storage manager (one
+  triple-keyed dict, ordered key-set indexes, ``has_instance``) the
+  namespace-partitioned store replaced;
+* :mod:`tests.reference.naming` — key derivation as one SHA-1 over the whole
+  f-string, which the prefix-state hashing must match bit for bit.
 """
 
 from tests.reference.evaluator import (

@@ -18,7 +18,8 @@ from __future__ import annotations
 from typing import Any, Iterable, List, Optional, Tuple
 
 from repro.dht.provider import DHTItem
-from repro.dht.storage import StorageManager, StoredItem
+from repro.dht.storage import StoredItem
+from tests.reference.storage import StorageManager
 
 #: One arriving fragment: ``(resource_id, instance_id, (side, row))``.
 Fragment = Tuple[Any, int, Tuple[str, Any]]

@@ -1,5 +1,8 @@
 """Unit tests for DHT key derivation."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.dht.naming import (
     KEY_SPACE,
     hash_key,
@@ -7,6 +10,7 @@ from repro.dht.naming import (
     key_to_unit_coordinates,
     node_identifier,
 )
+from tests.reference import naming as reference
 
 
 def test_hash_key_is_deterministic():
@@ -56,3 +60,27 @@ def test_key_to_unit_coordinates_rejects_bad_dimension():
 def test_node_identifier_unique_for_small_populations():
     identifiers = {node_identifier(address) for address in range(2000)}
     assert len(identifiers) == 2000
+
+
+# ------------------------------------------ prefix states vs one f-string hash
+
+resource_ids = st.recursive(
+    st.one_of(st.none(), st.integers(), st.floats(allow_nan=False),
+              st.text(), st.sampled_from(["\ud800", "a\udcffb", "\U0001f600"])),
+    lambda inner: st.tuples(inner, inner), max_leaves=4)
+namespace_names = st.one_of(st.text(max_size=12),
+                            st.sampled_from(["R", "rehash_7", "ns\ud800", ""]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(namespace=namespace_names, resource_id=resource_ids)
+def test_hash_key_matches_the_whole_string_digest(namespace, resource_id):
+    assert hash_key(namespace, resource_id) == reference.hash_key(namespace, resource_id)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(key=st.integers(min_value=0, max_value=KEY_SPACE - 1),
+       dimensions=st.sampled_from([1, 2, 3]))
+def test_unit_coordinates_match_the_whole_string_digest(key, dimensions):
+    assert (key_to_unit_coordinates(key, dimensions)
+            == reference.key_to_unit_coordinates(key, dimensions))

@@ -179,7 +179,7 @@ def test_storage_extract_install_preserves_items(keys, threshold):
     assert len(storage) + len(moved) == before
     assert all(item.key >= threshold for item in moved)
     target = StorageManager()
-    target.install(moved)
+    target.store_batch(moved)
     assert len(target) == len(moved)
 
 

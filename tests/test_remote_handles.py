@@ -5,7 +5,8 @@
 returned — the gateway flushes the query's last rows before it replies — so
 a long-lived session holds no rows of queries it is done with.  A failed
 ``submit`` or ``finish`` RPC drops the entry as well, so a later gateway
-failover has nothing stale to carry over.
+failover has nothing stale to carry over.  A session that cannot open (the
+gateway is not ready, or its ``status`` RPC fails) closes its connection.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import pytest
 from repro import JoinStrategy
 from repro.core.query import JoinClause, QuerySpec, TableRef
 from repro.core.stats import StatsRegistry
-from repro.exceptions import GatewayError, NetworkError
+from repro.exceptions import GatewayError, NetworkError, NodeNotReadyError
 from repro.harness.realcluster import LocalCluster
-from repro.remote import RemoteExecutor
+from repro.remote import RemoteExecutor, RemotePier
 from repro.workloads import JoinWorkload, WorkloadConfig
 from tests.reference import row_multiset
 
@@ -114,6 +115,36 @@ class OneGatewayPier:
         self.gateway = gateway
         self.gateway_address = 0
         self.relation_stats = StatsRegistry()
+
+
+class StatusGateway:
+    """A gateway connection that answers ``status`` (or fails it) and
+    records whether it was closed."""
+
+    def __init__(self, status):
+        self.status = status
+        self.closed = False
+
+    def rpc(self, op, **fields):
+        if isinstance(self.status, Exception):
+            raise self.status
+        return self.status
+
+    def close(self):
+        self.closed = True
+
+
+@pytest.mark.parametrize("status, error", [
+    ({"ready": False}, NodeNotReadyError),
+    (NetworkError("rpc 'status' timed out"), NetworkError),
+], ids=["not-ready", "rpc-fails"])
+def test_a_session_that_cannot_open_closes_its_connection(status, error):
+    """``LocalCluster.connect`` polls this path while a cluster boots: every
+    refused attempt must release its socket."""
+    gateway = StatusGateway(status)
+    with pytest.raises(error):
+        RemotePier(gateway)
+    assert gateway.closed
 
 
 @pytest.mark.parametrize("op", ["submit", "finish"])

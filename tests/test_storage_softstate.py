@@ -161,7 +161,7 @@ def test_item_not_expired_exactly_at_deadline():
 # ----------------------------------------------------------------- migration
 
 
-def test_extract_and_install_move_items_by_key_predicate():
+def test_extract_and_store_batch_move_items_by_key_predicate():
     storage = StorageManager()
     storage.store(make_item(resource="low", instance=1, key=10))
     storage.store(make_item(resource="high", instance=2, key=1000))
@@ -170,7 +170,7 @@ def test_extract_and_install_move_items_by_key_predicate():
     assert len(storage) == 1
 
     other = StorageManager()
-    other.install(moved)
+    other.store_batch(moved)
     assert other.retrieve("ns", "high", now=0.0)
 
 
@@ -258,9 +258,18 @@ def test_store_batch_matches_sequential_stores():
     assert len(batched) == len(sequential)
 
 
-def test_has_instance_checks_exact_live_triple():
+def test_store_batch_returns_the_items_of_triples_not_live_before():
     storage = StorageManager()
     storage.store(make_item(instance=1, expires=10.0))
-    assert storage.has_instance("ns", "r1", 1, now=5.0)
-    assert not storage.has_instance("ns", "r1", 2, now=5.0)
-    assert not storage.has_instance("ns", "r1", 1, now=11.0)  # expired
+    renewal, other = make_item(instance=1, value="renewed"), make_item(instance=2)
+    first, repeat = make_item(instance=3, value="a"), make_item(instance=3, value="b")
+    fresh = storage.store_batch([renewal, other, first, repeat])
+    assert len(fresh) == 2 and fresh[0] is other and fresh[1] is first
+    # The last item of a repeated triple is what stays stored.
+    assert [item.value for item in storage.retrieve("ns", "r1", now=5.0)] == [
+        "renewed", "v", "b"]
+    # An expired triple is not live: once expiry ran, storing it is new again.
+    storage.store(make_item(instance=4, expires=10.0))
+    storage.expire_items(now=11.0)
+    again = make_item(instance=4, expires=50.0)
+    assert storage.store_batch([again]) == [again]
