@@ -69,17 +69,14 @@ class StoreEquivalence(RuleBasedStateMachine):
         if expire_first:  # what the Provider does for a subscribed namespace
             assert (self.store.expire_items(self.now)
                     == self.reference.expire_items(self.now))
-            live = lambda item: self.reference.has_instance(  # noqa: E731
-                item.namespace, item.resource_id, item.instance_id, self.now)
-        else:  # migration: whatever is stored counts as live
-            live = lambda item: (  # noqa: E731
-                (item.namespace, item.resource_id, item.instance_id)
-                in self.reference._items)
         expected = {}
         for item in items:
-            if not live(item):
-                expected.setdefault(
-                    (item.namespace, item.resource_id, item.instance_id), item)
+            triple = (item.namespace, item.resource_id, item.instance_id)
+            # Migration stores without expiring: whatever is stored is live.
+            live = (self.reference.has_instance(*triple, self.now) if expire_first
+                    else triple in self.reference._items)
+            if not live:
+                expected.setdefault(triple, item)
         self.reference.store_batch(items)
         assert ids(self.store.store_batch(items)) == ids(expected.values())
 
