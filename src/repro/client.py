@@ -1,4 +1,4 @@
-"""PierClient: the session-level query API over a simulated PIER deployment.
+"""PierClient: the session-level query API over a PIER deployment.
 
 The layers below this module speak in mechanisms — :class:`QuerySpec`
 multicasts, per-node executors, operator graphs.  ``PierClient`` is the one
@@ -10,7 +10,7 @@ composable surface applications use instead:
 
     cursor = client.sql("SELECT R.pkey, S.pkey, R.pad FROM R, S "
                         "WHERE R.num1 = S.pkey LIMIT 100")
-    first = cursor.fetch(10)          # drive the simulation until 10 rows
+    first = cursor.fetch(10)          # drive the deployment until 10 rows
     for row in cursor:                # ... or stream the rest
         consume(row)
     cursor.cancel()                   # tear the dataflow down everywhere
@@ -24,16 +24,19 @@ initiator, and on completion/cancel it multicasts a teardown so every
 node's probes, subscriptions, timers and temporary fragments are released
 (see :meth:`repro.core.executor.QueryExecutor.finish`).
 
-The cursor *drives* the discrete-event simulation on demand (iteration and
-``fetch`` advance virtual time until enough rows arrive).  Experiments that
-run their own event loop — failure injection, renewal agents — can keep
-driving the network themselves and simply read the cursor's views.
+The cursor *drives* the deployment on demand through the :class:`Deployment`
+contract (iteration and ``fetch`` wait until enough rows arrive): a
+simulated :class:`repro.harness.experiment.PierNetwork` advances virtual
+time, a :class:`repro.remote.RemotePier` blocks on its gateway socket.
+Experiments that run their own event loop — failure injection, renewal
+agents — can keep driving the network themselves and simply read the
+cursor's views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Protocol, Sequence
 
 from repro.core import costmodel
 from repro.core.catalog import Catalog
@@ -45,11 +48,6 @@ from repro.core.sql.planner import SQLPlanner
 from repro.core.stats import StatsRegistry
 from repro.core.tuples import RelationDef
 from repro.exceptions import PlanError
-
-#: Simulator events advanced per driving step; between steps the cursor
-#: checks arrivals against LIMIT / timeout, keeping cancellation prompt.
-DRIVE_CHUNK_EVENTS = 256
-
 
 @dataclass
 class CompletenessReport:
@@ -81,6 +79,18 @@ class CompletenessReport:
     degraded_ops: int = 0
     nodes_with_state: int = 0
 
+    def add(self, share: Dict[str, Any]) -> None:
+        """Fold in one node's share (:meth:`QueryExecutor.completeness_share`)."""
+        gets = share["gets"]
+        self.gets_issued += gets["issued"]
+        self.gets_completed += gets["completed"]
+        self.gets_failed += gets["failed"]
+        self.gets_pending += gets["pending"]
+        self.fragments_lost += share["fragments_lost"]
+        if share["has_state"]:
+            self.nodes_with_state += 1
+            self.degraded_ops += share["degraded_ops"]
+
     @property
     def complete(self) -> bool:
         """Whether no delivery loss was observed anywhere for this query."""
@@ -97,12 +107,32 @@ class CompletenessReport:
                 f"degraded ops {self.degraded_ops}")
 
 
+class Deployment(Protocol):
+    """What a client drives and audits a deployment through, implemented by
+    :class:`repro.harness.experiment.PierNetwork` and :class:`repro.remote.RemotePier`.
+
+    ``wait(until)`` advances or blocks until something may have happened, or
+    until ``until``, and returns the time of the next pending activity:
+    ``None`` when idle, a value ``>= until`` when nothing is due before it.
+    ``wait(None)`` lets in-flight work finish."""
+
+    now: float
+
+    def executor(self, node: int) -> QueryExecutor: ...
+
+    def wait(self, until: Optional[float]) -> Optional[float]: ...
+
+    def collect_completeness(self, report: CompletenessReport,
+                             temp_namespaces: Sequence[str]
+                             ) -> CompletenessReport: ...
+
+
 class ResultCursor:
     """Streaming view of one running query, owned by a :class:`PierClient`.
 
-    Iterating (or calling :meth:`fetch` / :meth:`fetchall`) advances the
-    simulation until enough result rows have reached the initiator, the
-    event queue drains, the per-query timeout expires, or the query's
+    Iterating (or calling :meth:`fetch` / :meth:`fetchall`) waits on the
+    deployment until enough result rows have reached the initiator, it goes
+    idle, the per-query timeout expires, or the query's
     ``LIMIT`` is satisfied — whichever comes first.  ``LIMIT`` and timeout
     both cancel the distributed dataflow once they trigger.
 
@@ -114,7 +144,7 @@ class ResultCursor:
     :attr:`timed_out` is set when either bound cut the query short.
     """
 
-    def __init__(self, pier, executor: QueryExecutor, query: QuerySpec,
+    def __init__(self, pier: Deployment, executor: QueryExecutor, query: QuerySpec,
                  handle: QueryHandle, timeout_s: Optional[float] = None):
         self._pier = pier
         self._executor = executor
@@ -122,13 +152,12 @@ class ResultCursor:
         self.handle = handle
         self.timeout_s = timeout_s
         self._limit = query.limit
-        #: Whether the rows streamed to the initiator *are* the final rows.
-        #: Initiator-side aggregations (join + GROUP BY) stream raw join
-        #: rows instead, so LIMIT must apply to the finalised groups and
-        #: must not cut the dataflow off mid-stream.
-        self._streams_final_rows = not (
-            query.is_aggregation and not query.distributed_aggregation
-        )
+        #: LIMIT on the rows streamed to the initiator, when they *are* the
+        #: final rows.  Initiator-side aggregations (join + GROUP BY) stream
+        #: raw join rows instead, so LIMIT must apply to the finalised groups
+        #: and must not cut the dataflow off mid-stream.
+        self._cap = (None if query.is_aggregation and not query.distributed_aggregation
+                     else query.limit)
         self._closed = False
         self.cancelled = False
         self.timed_out = False
@@ -144,10 +173,7 @@ class ResultCursor:
     @property
     def rows(self) -> List[dict]:
         """Result rows received so far (LIMIT applied), in arrival order."""
-        rows = self.handle.rows
-        if self._limit is not None and self._streams_final_rows:
-            rows = rows[:self._limit]
-        return rows
+        return self.handle.rows[:self._cap]
 
     @property
     def result_count(self) -> int:
@@ -169,10 +195,7 @@ class ResultCursor:
 
     def arrival_times(self) -> List[float]:
         """Elapsed arrival times of every received result row."""
-        times = self.handle.arrival_times()
-        if self._limit is not None and self._streams_final_rows:
-            times = times[:self._limit]
-        return times
+        return self.handle.arrival_times()[:self._cap]
 
     def explain(self) -> str:
         """The physical operator graph this query runs as."""
@@ -194,30 +217,8 @@ class ResultCursor:
     def _collect_completeness(self) -> CompletenessReport:
         report = CompletenessReport(query_id=self.query_id,
                                     result_rows=self.handle.result_count)
-        collect = getattr(self._pier, "collect_completeness", None)
-        if collect is not None:  # real cluster: aggregate over the gateway RPC
-            return collect(report, build_opgraph(self.query).temp_namespaces())
-        providers = getattr(self._pier, "providers", None)
-        executors = getattr(self._pier, "executors", None)
-        if not providers:  # stubbed deployments: report what the handle knows
-            return report
-        temp_namespaces = build_opgraph(self.query).temp_namespaces()
-        for provider in providers.values():
-            scope = provider.scope_report(self.query_id)
-            report.gets_issued += scope["issued"]
-            report.gets_completed += scope["completed"]
-            report.gets_failed += scope["failed"]
-            report.gets_pending += scope["pending"]
-            for namespace in temp_namespaces:
-                report.fragments_lost += (
-                    provider.put_bounces_by_namespace.get(namespace, 0)
-                )
-        for executor in (executors or {}).values():
-            state = executor._states.get(self.query_id)
-            if state is not None:
-                report.nodes_with_state += 1
-                report.degraded_ops += state.degraded_ops
-        return report
+        return self._pier.collect_completeness(
+            report, build_opgraph(self.query).temp_namespaces())
 
     # -------------------------------------------------------------- lifecycle
 
@@ -236,8 +237,8 @@ class ResultCursor:
     def close(self, drain: bool = True) -> None:
         """Finish the query and release its distributed state.
 
-        With ``drain`` (the default) the simulation is run until idle so the
-        teardown flood is fully delivered; pass ``drain=False`` inside
+        With ``drain`` (the default) the deployment is waited on until idle
+        so the teardown flood is fully delivered; pass ``drain=False`` inside
         experiments that keep periodic processes running (their event queues
         never drain).  Closing a query that was neither cancelled nor timed
         out records its observed result cardinality as optimizer feedback —
@@ -248,7 +249,7 @@ class ResultCursor:
             return
         self._teardown()
         if drain:
-            self._pier.network.run_until_idle()
+            self._pier.wait(None)
 
     def _teardown(self) -> None:
         self._closed = True
@@ -276,16 +277,15 @@ class ResultCursor:
         return self.handle.submitted_at + horizon
 
     def _limit_satisfied(self) -> bool:
-        return (self._limit is not None and self._streams_final_rows
-                and self.handle.result_count >= self._limit)
+        return self._cap is not None and self.handle.result_count >= self._cap
 
     def _advance(self, target_rows: Optional[int] = None) -> None:
-        """Run the simulation until enough rows arrived / idle / timeout/LIMIT."""
-        network = self._pier.network
+        """Wait until enough rows arrived / idle / timeout / LIMIT."""
         deadline = self._deadline()
         goal = target_rows
-        if self._limit is not None and self._streams_final_rows:
-            goal = self._limit if goal is None else min(goal, self._limit)
+        if self._cap is not None:
+            goal = self._cap if goal is None else min(goal, self._cap)
+        next_time = self._pier.now
         while True:
             if self._limit_satisfied():
                 if not self._closed:
@@ -293,22 +293,18 @@ class ResultCursor:
                 return
             if goal is not None and self.handle.result_count >= goal:
                 return
-            next_time = network.simulator.next_event_time()
             if next_time is None:
                 return  # idle: everything the query will produce has arrived
-            if network.now >= deadline or next_time >= deadline:
+            if next_time >= deadline:
                 # Explicit timeout, or the query outlived its own soft state.
                 if not self._closed:
                     self.timed_out = True
                     self.cancel()
                 return
-            # Drive up to the next activity timestamp only: run(until=...)
-            # would otherwise jump the virtual clock to the deadline when
-            # the queue drains, distorting time for everything that follows.
-            network.run(until=next_time, max_events=DRIVE_CHUNK_EVENTS)
+            next_time = self._pier.wait(deadline)
 
     def fetch(self, k: int) -> List[dict]:
-        """Drive the simulation until ``k`` rows arrived; return the first k.
+        """Wait until ``k`` rows arrived; return the first k.
 
         Returns fewer rows when the query finishes (or times out / hits its
         LIMIT) before producing ``k``.
@@ -322,8 +318,8 @@ class ResultCursor:
         Initiator-side aggregations are finalised here (grouping over the
         streamed rows), and ``LIMIT`` applies to the finalised rows.  The
         query's distributed state is torn down before returning; with
-        ``drain`` (the default) the simulation then runs until idle so the
-        teardown flood is fully delivered — pass ``drain=False`` inside
+        ``drain`` (the default) the deployment is then waited on until idle
+        so the teardown flood is fully delivered — pass ``drain=False`` inside
         experiments with periodic processes, whose event queues never drain.
         """
         self._advance()
@@ -333,11 +329,11 @@ class ResultCursor:
         if not self._closed:
             self._teardown()
         if drain:
-            self._pier.network.run_until_idle()
+            self._pier.wait(None)
         return rows
 
     def __iter__(self) -> Iterator[dict]:
-        """Stream result rows in arrival order, driving the simulation lazily.
+        """Stream result rows in arrival order, driving the deployment lazily.
 
         Initiator-side aggregation queries cannot stream (their groups only
         exist once all inputs arrived), so they run to completion first and
@@ -369,13 +365,14 @@ class ResultCursor:
 
 
 class PierClient:
-    """Session handle bound to one node of a :class:`PierNetwork`.
+    """Session handle bound to one node of a deployment.
 
     Parameters
     ----------
     pier:
-        The assembled deployment (anything exposing ``executor(node)`` and
-        ``network`` works, so tests can stub it).
+        The assembled deployment: any :class:`Deployment` — a simulated
+        :class:`repro.harness.experiment.PierNetwork` or a real cluster's
+        :class:`repro.remote.RemotePier`.
     node:
         Address of the node queries are initiated from.
     catalog:
@@ -393,7 +390,7 @@ class PierClient:
         partials and runtime feedback; planning refreshes it from the DHT.
     """
 
-    def __init__(self, pier, node: int = 0, catalog: Optional[Catalog] = None,
+    def __init__(self, pier: Deployment, node: int = 0, catalog: Optional[Catalog] = None,
                  default_strategy: JoinStrategy = JoinStrategy.AUTO,
                  stats: Optional[StatsRegistry] = None):
         self.pier = pier
@@ -413,12 +410,7 @@ class PierClient:
     @property
     def stats(self) -> StatsRegistry:
         """The statistics registry AUTO planning reads and refreshes."""
-        if self._stats is not None:
-            return self._stats
-        registry = getattr(self.executor, "stats", None)
-        if registry is None:
-            registry = self._stats = StatsRegistry()
-        return registry
+        return self._stats if self._stats is not None else self.executor.stats
 
     def register(self, relation: RelationDef, replace: bool = False) -> RelationDef:
         """Register a relation so SQL can reference it."""
@@ -432,9 +424,9 @@ class PierClient:
         """Refresh relation statistics (and join feedback) from the DHT.
 
         Issues one ``get`` per relation/signature against the
-        ``__pier_stats__`` namespace; with ``drive`` the simulation is
-        advanced until the replies arrive (planning happens from user code,
-        outside simulator events).  ``drive=False`` fires the fetches and
+        ``__pier_stats__`` namespace; with ``drive`` the deployment is
+        waited on until the replies arrive (planning happens from user code,
+        outside event callbacks).  ``drive=False`` fires the fetches and
         returns — the asynchronous pattern continuous queries use inside
         timer callbacks, where the replies refresh the registry for the
         *next* window.
@@ -461,20 +453,14 @@ class PierClient:
             )
         if not drive:
             return
-        network = getattr(self.pier, "network", None)
-        if network is None:
-            return
-        # Bounded drive: a handful of lookups resolve in well under this
+        # Bounded wait: a handful of lookups resolve in well under this
         # horizon; if a reply is lost (owner failed mid-fetch) planning must
         # not spin a never-idle network (renewal agents, monitors) forever —
         # whatever partials arrived are used, the rest fall back to defaults.
-        deadline = network.now + 30.0
-        while pending and network.now < deadline:
-            next_time = network.simulator.next_event_time()
-            if next_time is None:
-                return
-            network.run(until=min(next_time, deadline),
-                        max_events=DRIVE_CHUNK_EVENTS)
+        deadline = self.pier.now + 30.0
+        next_time = self.pier.now
+        while pending and next_time is not None and next_time < deadline:
+            next_time = self.pier.wait(deadline)
 
     def _attach_planning_context(self, query: QuerySpec,
                                  refresh: bool = True) -> None:
@@ -622,7 +608,7 @@ class PierClient:
     def _prepare_continuous_window(self, query: QuerySpec) -> None:
         """Re-optimize one continuous-query window before submission.
 
-        Runs inside a simulator timer event, so the DHT statistics refresh
+        Runs inside a timer event, so the DHT statistics refresh
         is asynchronous: this window plans from the registry as refreshed by
         previous windows' fetches (and the feedback recorded at their
         teardown); its own fetches serve the next window.

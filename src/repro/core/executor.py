@@ -245,6 +245,21 @@ class QueryExecutor:
         """Whether this node still holds state for ``query_id``."""
         return query_id in self._states
 
+    def completeness_share(self, query_id: int,
+                           temp_namespaces: Iterable[str]) -> Dict[str, Any]:
+        """This node's share of a query's delivery accounting (its get scope,
+        bounced temporary fragments and live state), which
+        :meth:`repro.client.CompletenessReport.add` sums."""
+        state = self._states.get(query_id)
+        bounces = self.provider.put_bounces_by_namespace
+        return {
+            "gets": self.provider.scope_report(query_id),
+            "fragments_lost": sum(bounces.get(namespace, 0)
+                                  for namespace in temp_namespaces),
+            "has_state": state is not None,
+            "degraded_ops": state.degraded_ops if state is not None else 0,
+        }
+
     # ------------------------------------------------------- initiator side
 
     def submit(self, query: QuerySpec) -> QueryHandle:

@@ -45,7 +45,6 @@ class MulticastService:
         self.routing = routing
         self._seen: set[Tuple[int, int]] = set()
         self._handlers: Dict[str, List[MulticastHandler]] = {}
-        self._wildcard_handlers: List[MulticastHandler] = []
         #: Envelope ids this node already re-flooded after a bounce (one
         #: failure-repair wave per envelope per node keeps floods bounded).
         self._reflooded: set[Tuple[int, int]] = set()
@@ -60,10 +59,6 @@ class MulticastService:
     def subscribe(self, namespace: str, handler: MulticastHandler) -> None:
         """Deliver multicasts for ``namespace`` to ``handler`` on this node."""
         self._handlers.setdefault(namespace, []).append(handler)
-
-    def subscribe_all(self, handler: MulticastHandler) -> None:
-        """Deliver every multicast (any namespace) to ``handler``."""
-        self._wildcard_handlers.append(handler)
 
     def unsubscribe(self, namespace: str, handler: MulticastHandler) -> bool:
         """Remove a handler previously registered with :meth:`subscribe`.
@@ -163,10 +158,7 @@ class MulticastService:
         origin = envelope["origin"]
         for entry in envelope["entries"]:
             namespace = entry["namespace"]
-            handlers = (
-                list(self._handlers.get(namespace, ())) + list(self._wildcard_handlers)
-            )
-            for handler in handlers:
+            for handler in list(self._handlers.get(namespace, ())):
                 handler(namespace, entry["resource_id"], entry["item"], origin)
 
     @classmethod

@@ -16,7 +16,7 @@ rows for that query — the quantities every benchmark reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.executor import QueryExecutor, QueryHandle
 from repro.core.query import QuerySpec
@@ -48,6 +48,9 @@ from repro.net.transit_stub import TransitStubTopology
 TOPOLOGIES = ("full_mesh", "transit_stub", "cluster")
 #: DHT names accepted by :class:`SimulationConfig`.
 DHTS = ("can", "chord")
+#: Events one :meth:`PierNetwork.wait` step runs at most; between steps a
+#: cursor checks arrivals against LIMIT / timeout (prompt cancellation).
+DRIVE_CHUNK_EVENTS = 256
 
 
 @dataclass
@@ -127,7 +130,8 @@ class SimulationConfig:
 
 
 class PierNetwork:
-    """A fully assembled, stabilised PIER deployment inside the simulator."""
+    """A fully assembled, stabilised PIER deployment inside the simulator
+    (the virtual-time :class:`repro.client.Deployment`)."""
 
     def __init__(self, config: SimulationConfig):
         self.config = config
@@ -385,8 +389,7 @@ class PierNetwork:
 
         def _on_detect(address: int) -> None:
             for routing in self.routings.values():
-                if hasattr(routing, "mark_neighbor_dead"):
-                    routing.mark_neighbor_dead(address)
+                routing.mark_neighbor_dead(address)
             if purge_dead_publisher_stats:
                 for other, provider in self.providers.items():
                     if other != address and self.network.node(other).alive:
@@ -395,8 +398,7 @@ class PierNetwork:
 
         def _on_recover(address: int) -> None:
             for routing in self.routings.values():
-                if hasattr(routing, "mark_neighbor_alive"):
-                    routing.mark_neighbor_alive(address)
+                routing.mark_neighbor_alive(address)
 
         return FailureInjector(
             network=self.network,
@@ -431,6 +433,25 @@ class PierNetwork:
         from repro.client import PierClient
 
         return PierClient(self, node=node, catalog=catalog, **client_options)
+
+    def wait(self, until: Optional[float]) -> Optional[float]:
+        """One cursor step: run the events due at the next activity time
+        (never past it: the clock does not jump to ``until``) unless that is
+        ``until`` or later; return it.  ``wait(None)`` runs until idle."""
+        if until is None:
+            self.network.run_until_idle()
+            return None
+        next_time = self.network.simulator.next_event_time()
+        if next_time is not None and next_time < until:
+            self.network.run(until=next_time, max_events=DRIVE_CHUNK_EVENTS)
+        return next_time
+
+    def collect_completeness(self, report, temp_namespaces: Sequence[str]):
+        """Add every node's share of the query's accounting, failed ones too."""
+        for executor in self.executors.values():
+            report.add(executor.completeness_share(report.query_id,
+                                                   temp_namespaces))
+        return report
 
     # -------------------------------------------------------------- execution
 

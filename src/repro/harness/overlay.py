@@ -93,9 +93,9 @@ class OwnerLocator:
     Wraps a locally-built stabilised overlay over the cluster's address
     list; never sends a message.  Ownership is valid for one membership
     *epoch*: when nodes join or leave, every member deterministically
-    rebuilds the overlay over the new address list, so a client must call
-    :meth:`rebuild` (see :meth:`repro.remote.RemotePier.refresh_membership`)
-    with the refreshed membership to keep placing tuples correctly.
+    rebuilds the overlay over the new address list, so a client must build
+    a locator (see :meth:`repro.remote.RemotePier.refresh_membership`) over
+    the refreshed membership to keep placing tuples correctly.
     Crash failures do *not* remap ownership — the cluster routes around a
     dead node via bounces and detection, exactly like the simulator.
     """

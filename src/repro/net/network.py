@@ -145,10 +145,6 @@ class SimulatedNetwork(Transport):
         except KeyError:
             raise NetworkError(f"unknown node address {address}") from None
 
-    def live_nodes(self) -> List[Node]:
-        """All nodes currently alive."""
-        return [node for node in self.nodes.values() if node.alive]
-
     def live_addresses(self) -> List[int]:
         """Addresses of all nodes currently alive."""
         return [node.address for node in self.nodes.values() if node.alive]

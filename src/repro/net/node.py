@@ -52,14 +52,6 @@ class Node:
         """Register or overwrite the handler for ``protocol``."""
         self._handlers[protocol] = handler
 
-    def unregister_handler(self, protocol: str) -> None:
-        """Remove the handler for ``protocol`` if present."""
-        self._handlers.pop(protocol, None)
-
-    def has_handler(self, protocol: str) -> bool:
-        """Whether a handler is registered for ``protocol``."""
-        return protocol in self._handlers
-
     def register_bounce_handler(self, protocol: str, handler: Handler) -> None:
         """Register a handler for transport-level delivery failures.
 

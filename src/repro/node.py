@@ -67,10 +67,13 @@ frames:
 * ``status`` — readiness, this node's address, the full membership map.
 * ``store`` — place pre-grouped tuples directly into this node's storage
   (the remote fast load; see :class:`repro.remote.RemotePier`).
-* ``submit`` — run a :class:`repro.core.query.QuerySpec` from this node;
-  the reply precedes every row, which stream back as ``{"t": "evt"}``
-  frames — the rows of one event-loop turn at its end, 256 to a frame.
+* ``submit`` — run a :class:`repro.core.query.QuerySpec` from this node
+  under a query id the node assigns (its address, then a per-process count);
+  the reply carries the id and precedes every row, which stream back as
+  ``{"t": "evt"}`` frames — the rows of one event-loop turn at its end, 256
+  to a frame.
 * ``finish`` — tear the query's distributed dataflow down everywhere.
+* ``completeness`` — this node's share of a query's delivery accounting.
 * ``scan_count`` — local item count of a namespace (diagnostics).
 * ``shutdown`` — stop this node process (the docker-compose demo's clean
   exit).
@@ -80,6 +83,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import itertools
 import logging
 import sys
 from typing import Any, Dict, Optional, Tuple
@@ -178,6 +182,7 @@ class PierNode:
         self._routing = None
         self._builder = None
         self._pumps: Dict[int, _ResultPump] = {}
+        self._query_ids = itertools.count(1)
         self._members_complete = asyncio.Event()
         #: (writer, endpoint) per joiner, in arrival order (bootstrap only).
         self._joiners = []
@@ -355,7 +360,8 @@ class PierNode:
             instance_seed=self.node.address,
             request_timeout_s=request_timeout if request_timeout > 0 else None,
         )
-        self.executor = QueryExecutor(self.node, self.provider)
+        self.executor = QueryExecutor(self.node, self.provider,
+                                      failure_aware=True)
         self.node.register_handler("cluster.update", self._on_cluster_update)
         self.node.register_handler("cluster.transfer", self._on_transfer)
         self.node.register_handler("cluster.dead", self._on_peer_dead_msg)
@@ -466,21 +472,25 @@ class PierNode:
                            payload_bytes=sum(e["size_bytes"] for e in entries))
 
     def _on_transfer(self, node: Node, message) -> None:
+        self.known_namespaces |= self._store_entries(message.payload["items"])
+
+    def _store_entries(self, entries) -> set:
+        """Store a fast load's or a hand-off's items; returns their namespaces."""
         now = self.node.now
-        entries = message.payload["items"]
         self.provider.storage.store_batch(
             StoredItem(
                 namespace=entry["namespace"],
                 resource_id=entry["resource_id"],
-                instance_id=entry["instance_id"],
+                instance_id=(entry["instance_id"] if "instance_id" in entry
+                             else self.provider.next_instance_id()),
                 value=entry["value"],
                 key=hash_key(entry["namespace"], entry["resource_id"]),
-                expires_at=now + entry["lifetime"],
+                expires_at=now + entry.get("lifetime", 1e9),
                 stored_at=now,
-                publisher=entry["publisher"],
-                size_bytes=entry["size_bytes"],
+                publisher=entry.get("publisher"),
+                size_bytes=entry.get("size_bytes", 100),
             ) for entry in entries)
-        self.known_namespaces.update(entry["namespace"] for entry in entries)
+        return {entry["namespace"] for entry in entries}
 
     def _graceful_leave(self) -> None:
         """Depart cleanly: hand off stored items, announce, exit."""
@@ -613,24 +623,8 @@ class PierNode:
 
     def _rpc_store(self, frame: dict) -> Dict[str, Any]:
         """Direct local store of items this node owns (remote fast load)."""
-        now = self.node.now
-        items = [
-            StoredItem(
-                namespace=entry["namespace"],
-                resource_id=entry["resource_id"],
-                instance_id=self.provider.next_instance_id(),
-                value=entry["value"],
-                key=hash_key(entry["namespace"], entry["resource_id"]),
-                expires_at=now + entry.get("lifetime", 1e9),
-                stored_at=now,
-                publisher=entry.get("publisher"),
-                size_bytes=entry.get("size_bytes", 100),
-            ) for entry in frame["items"]
-        ]
-        self.provider.storage.store_batch(items)
-        namespaces = {item.namespace for item in items}
-        fresh = namespaces - self.known_namespaces
-        self.known_namespaces.update(namespaces)
+        fresh = self._store_entries(frame["items"]) - self.known_namespaces
+        self.known_namespaces |= fresh
         if fresh:
             # Tell the other members these namespaces now hold data, so any
             # gateway can validate submits against them.
@@ -639,7 +633,7 @@ class PierNode:
                     self.node.send(address, "cluster.ns",
                                    payload={"namespaces": sorted(fresh)},
                                    payload_bytes=16 * len(fresh))
-        return {"stored": len(items)}
+        return {"stored": len(frame["items"])}
 
     def _rpc_submit(self, frame: dict,
                     writer: asyncio.StreamWriter) -> Dict[str, Any]:
@@ -651,6 +645,8 @@ class PierNode:
             raise UnknownNamespaceError(
                 f"query references namespace {namespace!r} but no data has "
                 f"been loaded into it anywhere in the cluster")
+        # Not the client's id: another client process may have run it already.
+        query.query_id = (self.node.address << 32) | next(self._query_ids)
         handle = self.executor.submit(query)
         self._pumps[query.query_id] = _ResultPump(handle, writer)
         handle.on_row = lambda: self._on_row(query.query_id)
@@ -687,25 +683,8 @@ class PierNode:
             pump.handle.on_row = None
 
     def _rpc_completeness(self, frame: dict) -> Dict[str, Any]:
-        """This node's share of a query's delivery accounting.
-
-        Mirrors what :meth:`repro.client.QueryResult._collect_completeness`
-        reads in-process from each Provider/executor; the remote client
-        aggregates these across every reachable member.
-        """
-        query_id = int(frame["query_id"])
-        scope = self.provider.scope_report(query_id)
-        fragments_lost = sum(
-            self.provider.put_bounces_by_namespace.get(namespace, 0)
-            for namespace in frame.get("namespaces", ())
-        )
-        state = self.executor._states.get(query_id)
-        return {
-            "gets": scope,
-            "fragments_lost": fragments_lost,
-            "has_state": state is not None,
-            "degraded_ops": state.degraded_ops if state is not None else 0,
-        }
+        return self.executor.completeness_share(int(frame["query_id"]),
+                                                frame.get("namespaces", ()))
 
     def _rpc_finish(self, frame: dict) -> Dict[str, Any]:
         query_id = int(frame["query_id"])

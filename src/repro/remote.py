@@ -2,10 +2,9 @@
 
 A :class:`RemotePier` is the real-cluster counterpart of
 :class:`repro.harness.experiment.PierNetwork` *as seen by a client*: it
-exposes the duck-typed surface :class:`repro.client.PierClient` needs —
-``executor(node)``, ``network`` — plus the fast-load helper, so the very
-same client/cursor code that drives the simulator drives a cluster of
-``python -m repro.node`` processes over TCP::
+implements the :class:`repro.client.Deployment` contract plus the
+fast-load helper, so the very same client/cursor code that drives the
+simulator drives a cluster of ``python -m repro.node`` processes over TCP::
 
     pier = RemotePier.connect("127.0.0.1", 9100)
     pier.load_relation(workload.r_relation, workload.r_by_node)
@@ -13,16 +12,15 @@ same client/cursor code that drives the simulator drives a cluster of
     rows = client.sql("SELECT ... ", strategy=JoinStrategy.SYMMETRIC_HASH,
                       timeout_s=30.0).fetchall()
 
-How the cursor drive loop maps onto sockets
--------------------------------------------
-``ResultCursor`` drives a deployment through three calls: ``network.now``,
-``network.simulator.next_event_time()`` and ``network.run(until=...)``.
-Over a real cluster those become wall-clock reads and bounded socket pumps:
-``now`` is ``time.monotonic()``, the "next event" is a short idle horizon
-ahead, and ``run(until=t)`` blocks on the gateway socket until result-event
-frames arrive — returning as soon as it dispatched some — or ``t`` passes.
-Timeouts, LIMIT handling, initiator-side aggregation finalisation — all of
-the cursor's logic — run unchanged.
+The client contract over sockets
+--------------------------------
+``executor(node)`` submits and finishes over gateway RPCs (the gateway
+names each query), ``now`` is ``time.monotonic()``, and ``wait(until)`` is
+one blocking pump of the gateway socket, with failover: it returns once it
+dispatched frames or ``until`` passed.  ``wait(None)`` returns at once: the
+``finish`` reply already follows a query's last rows.  A cluster is never
+idle, so a cursor stops on LIMIT, its row goal or its deadline.
+``collect_completeness`` sums each reachable member's ``completeness`` RPC.
 
 Everything here is synchronous (plain sockets with timeouts): the client is
 a driver, not a server, and blocking with deadlines keeps it trivially
@@ -34,7 +32,8 @@ from __future__ import annotations
 import itertools
 import socket
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.core.executor import QueryHandle
 from repro.core.query import QuerySpec
@@ -49,13 +48,8 @@ from repro.exceptions import (
 from repro.harness.overlay import OwnerLocator
 from repro.net.wire import FrameDecoder, encode_frame
 
-#: How far ahead the drive shim reports the "next event": the longest one
-#: ``run()`` blocks on a silent socket before the cursor re-checks its deadline.
-POLL_INTERVAL_S = 0.05
 #: Socket-level timeout on every blocking operation (hard hang guard).
 SOCKET_TIMEOUT_S = 10.0
-#: How long ``run_until_idle`` pumps for trailing frames.
-IDLE_GRACE_S = 0.2
 
 
 class GatewayConnection:
@@ -67,6 +61,8 @@ class GatewayConnection:
         self._sock = socket.create_connection((host, port), timeout=timeout_s)
         self._sock.settimeout(timeout_s)
         self._decoder = FrameDecoder()
+        #: Frames received but not dispatched yet (they followed a response).
+        self._frames: Deque[Any] = deque()
         self._rpc_ids = itertools.count(1)
         #: Responses that arrived while waiting for a different frame.
         self._responses: Dict[int, dict] = {}
@@ -114,9 +110,11 @@ class GatewayConnection:
     def pump(self, until: float) -> int:
         """Block until frames were dispatched or wall-clock ``until`` passed.
 
-        Returns how many frames it dispatched (0: the deadline passed).
+        Dispatch stops behind a response, so the caller of an RPC acts on
+        its reply before any later frame.  Returns how many frames it
+        dispatched (0: the deadline passed).
         """
-        while True:
+        while not self._frames:
             budget = until - time.monotonic()
             if budget <= 0:
                 return 0
@@ -127,15 +125,18 @@ class GatewayConnection:
                 continue
             if not data:
                 raise NetworkError(f"gateway {self.endpoint} closed the connection")
-            frames = self._decoder.feed(data)
-            for frame in frames:
-                self._dispatch(frame)
-            if frames:
-                return len(frames)
+            self._frames.extend(self._decoder.feed(data))
+        dispatched = 0
+        while self._frames:
+            dispatched += 1
+            if self._dispatch(self._frames.popleft()):
+                break
+        return dispatched
 
-    def _dispatch(self, frame: Any) -> None:
+    def _dispatch(self, frame: Any) -> bool:
+        """Deliver one frame; whether it was a response."""
         if not isinstance(frame, dict):
-            return
+            return False
         kind = frame.get("t")
         if kind == "res":
             self._responses[frame.get("id")] = frame
@@ -145,51 +146,13 @@ class GatewayConnection:
                 base = handle.submitted_at
                 for elapsed, row in zip(frame["times"], frame["rows"]):
                     handle.record(base + elapsed, row)
+        return kind == "res"
 
     def close(self) -> None:
         try:
             self._sock.close()
         except OSError:
             pass
-
-
-class _WallClockShim:
-    """``simulator``-shaped poll hints for :class:`ResultCursor`."""
-
-    __slots__ = ()
-
-    @property
-    def now(self) -> float:
-        return time.monotonic()
-
-    def next_event_time(self) -> float:
-        # A real cluster is never "idle" from the client's view: there is
-        # always a next horizon to block on the socket until.
-        return time.monotonic() + POLL_INTERVAL_S
-
-
-class _RemoteNetwork:
-    """The ``network`` surface cursors drive, mapped onto socket pumps."""
-
-    def __init__(self, pier: "RemotePier"):
-        self._pier = pier
-        self.simulator = _WallClockShim()
-
-    @property
-    def now(self) -> float:
-        return time.monotonic()
-
-    def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> float:
-        horizon = time.monotonic() + POLL_INTERVAL_S if until is None else until
-        self._pier.pump(horizon)
-        return time.monotonic()
-
-    def run_until_idle(self, max_events: Optional[int] = None) -> float:
-        deadline = time.monotonic() + IDLE_GRACE_S
-        while time.monotonic() < deadline:
-            self._pier.pump(deadline)
-        return time.monotonic()
 
 
 class RemoteExecutor:
@@ -208,16 +171,13 @@ class RemoteExecutor:
         self.stats: StatsRegistry = pier.relation_stats
 
     def submit(self, query: QuerySpec) -> QueryHandle:
+        # The gateway names the query: ids from two client processes could
+        # collide.  Its reply precedes every row frame of the query.
         gateway = self._pier.gateway
         handle = QueryHandle(query, submitted_at=time.monotonic())
-        gateway.handles[query.query_id] = handle
-        try:
-            response = gateway.rpc("submit", query=query)
-        except BaseException:
-            gateway.handles.pop(query.query_id, None)
-            raise
+        query.query_id = gateway.rpc("submit", query=query)["query_id"]
         query.initiator = self._pier.gateway_address
-        assert response["query_id"] == query.query_id
+        gateway.handles[query.query_id] = handle
         return handle
 
     def finish(self, query_id: int, record_feedback: bool = False) -> None:
@@ -232,42 +192,26 @@ class RemoteExecutor:
 class RemotePier:
     """Client-side handle on a running real cluster.
 
-    Duck-typed to what :class:`repro.client.PierClient` and its cursors
-    need from a ``pier``: ``executor(node)``, ``network``, ``num_nodes``.
-    Construction connects to one node (the *gateway*) and fetches the
-    membership map; per-owner connections for fast loading open lazily.
+    The wall-clock :class:`repro.client.Deployment` (see the module notes),
+    plus ``num_nodes`` and the fast load.  Construction connects to one node
+    (the *gateway*) and fetches the membership map; per-owner connections
+    for fast loading open lazily.
     """
 
     def __init__(self, gateway: GatewayConnection):
         self.gateway = gateway
+        self.endpoints: Dict[int, Tuple[str, int]] = {}
+        self._connections: Dict[int, GatewayConnection] = {}
         try:  # a session that never opened must not leak its connection
-            status = gateway.rpc("status")
-            if not status["ready"]:
-                raise NodeNotReadyError("gateway node is not ready")
+            self.gateway_address: int = self._read_status(gateway.rpc("status"))
         except BaseException:
             gateway.close()
             raise
-        self.gateway_address: int = status["address"]
-        self.config: Dict[str, Any] = status["config"]
-        self.endpoints: Dict[int, Tuple[str, int]] = {
-            int(a): (e[0], int(e[1])) for a, e in status["nodes"].items()
-        }
-        #: Members the cluster has confirmed dead (refreshed with status).
-        self.dead: set = set(status.get("dead", ()))
+        self._connections[self.gateway_address] = gateway
         #: Gateways this client itself lost mid-session (failover history).
         self._dead_gateways: set = set()
-        self.locator = OwnerLocator(
-            list(self.endpoints),
-            dht=self.config["dht"],
-            can_dimensions=self.config["can_dimensions"],
-            seed=self.config["seed"],
-        )
-        self.network = _RemoteNetwork(self)
         #: Ground-truth statistics over everything this client loaded.
         self.relation_stats = StatsRegistry()
-        self._connections: Dict[int, GatewayConnection] = {
-            self.gateway_address: gateway,
-        }
 
     @classmethod
     def connect(cls, host: str, port: int,
@@ -281,6 +225,10 @@ class RemotePier:
     def num_nodes(self) -> int:
         return len(self.endpoints)
 
+    @property
+    def now(self) -> float:
+        return time.monotonic()
+
     def executor(self, node: int) -> RemoteExecutor:
         if node != self.gateway_address and node not in self._dead_gateways:
             raise NetworkError(
@@ -291,10 +239,18 @@ class RemotePier:
 
     # -------------------------------------------------------------- failover
 
+    def wait(self, until: Optional[float]) -> Optional[float]:
+        """Block until result frames arrived or ``until`` passed; returns
+        the wall clock (``None`` at once for ``wait(None)``)."""
+        if until is None:
+            return None
+        self.pump(until)
+        return time.monotonic()
+
     def pump(self, until: float) -> int:
         """Pump the gateway connection, failing over if the gateway died.
 
-        The drive loop's socket pump is where a crashed gateway first shows
+        The cursor's wait is where a crashed gateway first shows
         up client-side (connection reset / closed / stalled).  Rather than
         surfacing a transport error mid-query, the session re-homes onto
         another live member: result streaming resumes there for queries it
@@ -315,17 +271,15 @@ class RemotePier:
         self._connections.pop(dead_address, None)
         dead_conn.close()
         for address in sorted(self.endpoints):
-            if address == dead_address or address in self._dead_gateways:
+            if address in self._dead_gateways or address in self.dead:
                 continue
-            if address in self.dead:
-                continue
-            host, port = self.endpoints[address]
             try:
-                conn = GatewayConnection(host, port)
-                status = conn.rpc("status", timeout_s=2.0)
-            except (NetworkError, OSError):
+                conn = GatewayConnection(*self.endpoints[address])
+            except OSError:
                 continue
-            if not status.get("ready"):
+            try:
+                self._read_status(conn.rpc("status", timeout_s=2.0))
+            except (NetworkError, OSError):
                 conn.close()
                 continue
             # Streamed rows for in-flight queries must keep landing in their
@@ -336,7 +290,6 @@ class RemotePier:
             self.gateway = conn
             self.gateway_address = address
             self._connections[address] = conn
-            self.dead = set(status.get("dead", ()))
             return
         raise NetworkError(
             f"gateway node {dead_address} died and no other member of "
@@ -350,18 +303,33 @@ class RemotePier:
         subsequent fast loads and scans place keys exactly where the
         cluster's rebuilt overlay expects them.
         """
-        status = self.gateway.rpc("status")
-        self.config = status["config"]
-        self.dead = set(status.get("dead", ()))
+        self._read_status(self.gateway.rpc("status"))
+
+    def _read_status(self, status: dict) -> int:
+        """Adopt a ``status`` reply: config, membership, confirmed-dead set.
+
+        A changed address list rebuilds the owner locator and closes the
+        connections to members that left.  Returns the answering node's
+        address; a node still assembling raises :class:`NodeNotReadyError`.
+        """
+        if not status["ready"]:
+            raise NodeNotReadyError("gateway node is not ready")
+        self.config: Dict[str, Any] = status["config"]
+        #: Members the cluster has confirmed dead.
+        self.dead: set = set(status.get("dead", ()))
         endpoints = {
             int(a): (e[0], int(e[1])) for a, e in status["nodes"].items()
         }
         if set(endpoints) != set(self.endpoints):
-            self.locator.rebuild(list(endpoints))
+            self.locator = OwnerLocator(
+                list(endpoints), dht=self.config["dht"],
+                can_dimensions=self.config["can_dimensions"],
+                seed=self.config["seed"])
         self.endpoints = endpoints
         for address in list(self._connections):
             if address not in endpoints:
                 self._connections.pop(address).close()
+        return status["address"]
 
     def leave_node(self, address: int, timeout_s: float = 15.0) -> None:
         """Ask ``address`` to leave gracefully; wait until the cluster agrees."""
@@ -380,33 +348,22 @@ class RemotePier:
                            f"{timeout_s}s")
 
     def collect_completeness(self, report, temp_namespaces) -> Any:
-        """Aggregate per-node delivery accounting for one query.
+        """Add every reachable member's share of one query's accounting.
 
-        The remote counterpart of the client's in-process sweep over
-        ``pier.providers`` / ``pier.executors``: every reachable member
-        reports its get scope, lost fragments and executor state.  Members
-        that died simply don't report — their absence *is* the loss, and it
-        already shows up as failed/pending gets on the survivors.
+        Members that died simply don't report — their absence *is* the
+        loss, and it already shows up as failed/pending gets on the
+        survivors.
         """
         for address in sorted(self.endpoints):
             if address in self.dead or address in self._dead_gateways:
                 continue
             try:
-                part = self.connection(address).rpc(
+                report.add(self.connection(address).rpc(
                     "completeness", query_id=report.query_id,
                     namespaces=sorted(temp_namespaces), timeout_s=2.0,
-                )
+                ))
             except (NetworkError, OSError):
                 continue
-            scope = part["gets"]
-            report.gets_issued += scope["issued"]
-            report.gets_completed += scope["completed"]
-            report.gets_failed += scope["failed"]
-            report.gets_pending += scope["pending"]
-            report.fragments_lost += part["fragments_lost"]
-            if part["has_state"]:
-                report.nodes_with_state += 1
-                report.degraded_ops += part["degraded_ops"]
         return report
 
     def connection(self, node: int) -> GatewayConnection:

@@ -82,6 +82,25 @@ def test_sql_limit_caps_rows_and_cancels_the_dataflow():
         assert pier.executor(address).active_query_ids() == []
 
 
+def test_limit_cancel_pin():
+    """A fixed-seed AUTO query with LIMIT: the statistics refresh and every
+    cursor step are the deployment's ``wait``, and the cancel lands at the
+    same virtual instant after the same events as when the cursor peeked at
+    the simulator itself."""
+    pier, workload, client = client_setup(16, s_tuples_per_node=3)
+    query = client.plan(workload.sql_text() + " LIMIT 5")
+    query.query_id = 4242  # ids name the rehash namespace
+    assert query.strategy is JoinStrategy.SYMMETRIC_HASH
+    cursor = client.query(query)
+    assert len(cursor.fetchall(drain=False)) == 5 and cursor.cancelled
+    assert pier.now == pytest.approx(1.5097248, rel=1e-12)
+    assert pier.network.simulator.events_processed == 295
+    assert cursor.completeness().nodes_with_state == 16
+    pier.run_until_idle()
+    assert pier.now == pytest.approx(2.2120512, rel=1e-12)
+    assert pier.network.simulator.events_processed == 542
+
+
 def test_limit_larger_than_result_returns_everything():
     pier, workload, client = client_setup(8)
     expected = len(workload.expected_results())

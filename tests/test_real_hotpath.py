@@ -7,7 +7,10 @@
   a one-shot zero-delay flush, cut into frames of ``RESULT_FLUSH_ROWS``
   (no periodic timer, no row waits for an age);
 * ``GatewayConnection.pump`` blocks on the socket and returns as soon as it
-  dispatched a frame, while ``run_until_idle`` keeps its full grace loop.
+  dispatched a frame, and no later than behind a response;
+  ``RemotePier.wait`` is one such pump, and ``wait(None)`` does not block;
+* a real node's executor is failure-aware: each query's state holds a
+  reaper timer, which ``finish`` cancels.
 
 No subprocess clusters here: raw asyncio servers, an in-process one-node
 ``PierNode`` and a plain listening socket stand in for the peers.
@@ -30,7 +33,7 @@ from repro.net.node import Node
 from repro.net.real import MAX_BATCH_MESSAGES, RealTransport
 from repro.net.wire import FrameDecoder, encode_frame
 from repro.node import RESULT_FLUSH_ROWS, PierNode
-from repro.remote import IDLE_GRACE_S, GatewayConnection, _RemoteNetwork
+from repro.remote import GatewayConnection, RemotePier
 from repro.workloads import JoinWorkload, WorkloadConfig
 
 
@@ -359,6 +362,42 @@ def test_the_initiators_own_rows_are_produced_after_submit_and_pushed():
     asyncio.run(main())
 
 
+def test_a_real_node_arms_the_state_reaper_and_finish_cancels_it():
+    """A real cluster can lose a node at any moment, so a node process runs
+    a failure-aware executor: the query's state holds a one-shot reaper at
+    its soft-state deadline, and a normal teardown cancels it."""
+
+    async def main():
+        async with one_node_cluster() as node:
+            executor = node.executor
+            reapers = []
+            schedule = node.node.schedule
+
+            def recording(delay, callback, *args):
+                handle = schedule(delay, callback, *args)
+                if callback == executor._expire_stale_states:
+                    reapers.append(handle)
+                return handle
+
+            node.node.schedule = recording
+            workload = JoinWorkload(WorkloadConfig(num_nodes=1,
+                                                   s_tuples_per_node=2, seed=1))
+            query = workload.make_query(strategy=JoinStrategy.SYMMETRIC_HASH)
+            node.known_namespaces.update(
+                table.namespace for table in query.tables)
+            node._rpc_submit({"query": query}, FakeClient())
+            await wait_for(lambda: executor.has_query_state(query.query_id))
+            (reaper,) = reapers
+            assert reaper in executor._states[query.query_id].timers
+            assert reaper.time - node.node.now == pytest.approx(
+                query.temp_lifetime_s + 1.0, abs=0.5)
+            node._rpc_finish({"query_id": query.query_id})
+            await wait_for(lambda: not executor.has_query_state(query.query_id))
+            assert reaper.cancelled
+
+    asyncio.run(main())
+
+
 def test_a_client_that_hung_up_stops_its_pump():
     async def scenario(node, client, handle, query_id):
         arrive(node, handle, range(3))
@@ -405,13 +444,26 @@ def test_gateway_pump_returns_on_the_first_frame_not_at_the_deadline():
         node.sendall(frame[7:])
         dispatched, elapsed = timed(conn.pump, time.monotonic() + 5.0)
         assert dispatched == 1 and elapsed < 1.0 and len(handle.rows) == 3
-        # run_until_idle still pumps for its whole grace period.
-        node.sendall(rows_frame(7, [{"a": 4}]))
-        _now, elapsed = timed(_RemoteNetwork(conn).run_until_idle)
-        assert IDLE_GRACE_S * 0.9 <= elapsed < 1.0 and len(handle.rows) == 4
-        # run() with no horizon blocks one idle horizon at most.
-        _now, elapsed = timed(_RemoteNetwork(conn).run)
-        assert elapsed < IDLE_GRACE_S
+        # Dispatch stops behind a response: the session's status reply is
+        # read, the row frame that followed it waits for the next pump.
+        status = {"t": "res", "id": 1, "ok": True, "ready": True,
+                  "address": 0, "nodes": {0: list(listener.getsockname())},
+                  "config": {"dht": "can", "can_dimensions": 2, "seed": 0}}
+        node.sendall(encode_frame(status) + rows_frame(7, [{"a": 4}]))
+        pier = RemotePier(conn)
+        assert FrameDecoder().feed(node.recv(65536))[0]["op"] == "status"
+        assert len(handle.rows) == 3
+        # RemotePier.wait is one pump: back on the first frame, before until ...
+        until = time.monotonic() + 5.0
+        next_time, elapsed = timed(pier.wait, until)
+        assert next_time < until and elapsed < 1.0 and len(handle.rows) == 4
+        # ... a silent socket is waited out until ``until`` ...
+        until = time.monotonic() + 0.05
+        next_time, elapsed = timed(pier.wait, until)
+        assert next_time >= until and 0.04 <= elapsed < 1.0
+        # ... and wait(None) has nothing to drain.
+        next_time, elapsed = timed(pier.wait, None)
+        assert next_time is None and elapsed < 0.01
         node.close()
         with pytest.raises(NetworkError):
             conn.pump(time.monotonic() + 1.0)

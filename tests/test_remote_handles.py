@@ -1,5 +1,9 @@
 """A finished query leaves nothing behind on the client's gateway connection.
 
+The gateway names every query it runs, so a spec id another client session
+already ran is not mistaken for a finished query, and a loss-free query
+audits the same on a cluster as on the simulator.
+
 ``GatewayConnection.handles`` routes streamed row frames to their cursors.
 ``RemoteExecutor.finish`` drops a query's entry once the ``finish`` RPC
 returned — the gateway flushes the query's last rows before it replies — so
@@ -11,11 +15,12 @@ gateway is not ready, or its ``status`` RPC fails) closes its connection.
 
 from __future__ import annotations
 
+import dataclasses
 import signal
 
 import pytest
 
-from repro import JoinStrategy
+from repro import JoinStrategy, PierNetwork, SimulationConfig
 from repro.core.query import JoinClause, QuerySpec, TableRef
 from repro.core.stats import StatsRegistry
 from repro.exceptions import GatewayError, NetworkError, NodeNotReadyError
@@ -98,6 +103,55 @@ def test_a_plan_the_gateway_cannot_lower_is_rejected_by_the_submit_rpc():
         assert row_multiset(cursor.fetch(len(expected))) == expected
         cursor.close(drain=False)
         assert pier.gateway.handles == {}
+
+
+def test_a_spec_id_another_session_ran_still_returns_every_row():
+    """Spec ids come from a process-wide counter, so a second client process
+    submits ids the cluster has already finished (and keeps suppressing for
+    the finished marker's lifetime).  The gateway assigns its own."""
+    workload = two_node_workload()
+    expected = row_multiset(workload.expected_results())
+    with LocalCluster(2) as cluster:
+        pier = cluster.pier
+        pier.load_relation(workload.r_relation, workload.r_by_node)
+        pier.load_relation(workload.s_relation, workload.s_by_node)
+        client = pier.client(catalog=workload.catalog())
+        first = workload.make_query(strategy=JoinStrategy.SYMMETRIC_HASH)
+        second = workload.make_query(strategy=JoinStrategy.SYMMETRIC_HASH)
+        second.query_id = first.query_id  # what another process would send
+        for query in (first, second):
+            cursor = client.query(query, timeout_s=10.0)
+            assert row_multiset(cursor.fetch(len(expected))) == expected
+            assert not cursor.timed_out
+            cursor.cancel()
+        assert first.query_id != second.query_id
+        assert pier.gateway.handles == {}
+
+
+def completeness_fields(pier, workload):
+    """Rows and delivery report of one loss-free Fetch Matches query."""
+    cursor = pier.client(catalog=workload.catalog()).query(
+        workload.make_query(strategy=JoinStrategy.FETCH_MATCHES), timeout_s=3.0)
+    rows = cursor.fetchall(drain=False)
+    assert cursor.completeness().complete
+    fields = dataclasses.asdict(cursor.completeness())
+    del fields["query_id"]
+    return row_multiset(rows), fields
+
+
+def test_a_loss_free_query_audits_the_same_on_both_backends():
+    workload = two_node_workload()
+    sim = PierNetwork(SimulationConfig(num_nodes=2))
+    sim.load_relation(workload.r_relation, workload.r_by_node)
+    sim.load_relation(workload.s_relation, workload.s_by_node)
+    sim_rows, sim_fields = completeness_fields(sim, workload)
+    assert sim_rows == row_multiset(workload.expected_results())
+    assert sim_fields["gets_issued"] > 0 and sim_fields["nodes_with_state"] == 2
+    with LocalCluster(2) as cluster:
+        pier = cluster.pier
+        pier.load_relation(workload.r_relation, workload.r_by_node)
+        pier.load_relation(workload.s_relation, workload.s_by_node)
+        assert completeness_fields(pier, workload) == (sim_rows, sim_fields)
 
 
 class FailingGateway:
