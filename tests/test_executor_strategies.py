@@ -6,6 +6,7 @@ from repro.core.query import JoinStrategy
 from repro.harness import run_query
 from repro.metrics.recall import recall_and_precision
 from tests.conftest import build_pier, build_workload, load_join_tables
+from tests.reference import row_multiset
 
 
 def run_strategy(strategy, num_nodes=16, dht="can", initiator=0, s_selectivity=None,
@@ -111,6 +112,32 @@ def test_fetch_matches_requires_a_side_hashed_on_join_key():
     with pytest.raises(PlanError):
         pier.executor(0).submit(query)
         pier.run_until_idle()
+
+
+#: ``(prov.get_batch, pier.result, messages sent, bytes delivered, t_last)``
+#: of one symmetric semi-join on 64 nodes x 8 S tuples (514 result rows).
+SEMI_JOIN_PINS = {
+    "can": (2_084, 495, 27_559, 4_710_412, 4.7467264),
+    "chord": (2_060, 496, 21_633, 4_142_524, 2.2074144),
+}
+
+
+@pytest.mark.parametrize("dht", ["can", "chord"])
+def test_semi_join_fixed_seed_pin(dht):
+    workload = build_workload(64, s_tuples_per_node=8)
+    pier = build_pier(64, dht=dht)
+    load_join_tables(pier, workload)
+    pier.network.stats.reset()
+    query = workload.make_query(strategy=JoinStrategy.SYMMETRIC_SEMI_JOIN)
+    query.query_id = 9002
+    result = run_query(pier, query, initiator=0)
+    stats = pier.network.stats
+    assert row_multiset(result.handle.rows) == row_multiset(
+        workload.expected_results())
+    assert (stats.protocol_messages["prov.get_batch"],
+            stats.protocol_messages["pier.result"], stats.messages_sent,
+            stats.bytes_delivered,
+            round(result.handle.time_to_last(), 9)) == SEMI_JOIN_PINS[dht]
 
 
 def test_computation_nodes_confine_rehash_state():
