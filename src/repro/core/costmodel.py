@@ -624,16 +624,17 @@ class OptimizationReport:
 
 def feasible_strategies(query: QuerySpec) -> List[JoinStrategy]:
     """The physical strategies this join query can actually run."""
-    from repro.core.opgraph import fetch_sides
+    from repro.core.opgraph import check_semi_join, fetch_sides
 
     strategies = [JoinStrategy.SYMMETRIC_HASH]
-    try:
-        fetch_sides(query)
-    except PlanError:
-        pass
-    else:
-        strategies.append(JoinStrategy.FETCH_MATCHES)
-    strategies.extend([JoinStrategy.SYMMETRIC_SEMI_JOIN, JoinStrategy.BLOOM])
+    for strategy, check in ((JoinStrategy.FETCH_MATCHES, fetch_sides),
+                            (JoinStrategy.SYMMETRIC_SEMI_JOIN, check_semi_join)):
+        try:
+            check(query)
+        except PlanError:
+            continue
+        strategies.append(strategy)
+    strategies.append(JoinStrategy.BLOOM)
     return strategies
 
 

@@ -22,12 +22,13 @@ stored dicts in, one dense :class:`repro.core.tuples.Chunk` out.  Rehash,
 Bloom build, partial aggregation and the scan sink consume the chunk column
 by column.  The arrival side is chunk-at-a-time as well: the probe answers
 one ``newData`` upcall — every new fragment of one stored chunk — with one
-bucket read per distinct join value and one result message, and Fetch
-Matches joins everything one owner's ``get_batch`` reply fetched at once,
-into one result message; only the semi-join rejoin still fetches a matched
-pair at a time.  Rehash fragments
-cross the network as ``(side, slotted_row)`` pairs; dicts appear only in the
-rows shipped to the initiator.
+bucket read per distinct join value and one result message; Fetch Matches
+joins everything one owner's ``get_batch`` reply fetched at once, into one
+result message; and the semi-join fetches the full tuples of one probe
+call's matches with one ``get_batch`` per side, rejoining them a reply at a
+time.  Every join tail is one kernel over a list of matched pairs.  Rehash
+fragments cross the network as ``(side, slotted_row)`` pairs; dicts appear
+only in the rows shipped to the initiator.
 
 The four join strategies of paper Section 4 and both aggregation variants
 are therefore *graph constructions* in :mod:`repro.core.opgraph`; the
@@ -50,7 +51,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from itertools import compress
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core import aggregation_tree
 from repro.core.bloom import BloomFilter
@@ -59,6 +61,7 @@ from repro.core.opgraph import (
     OpGraph,
     OpKind,
     OpNode,
+    PairKernel,
     PlanArtifacts,
     bloom_distribution_namespace,
     build_opgraph,
@@ -67,7 +70,7 @@ from repro.core.operators.aggregate import GroupByAggregate
 from repro.core.plan import build_final_aggregation, finalize_aggregation_rows
 from repro.core.query import QuerySpec, QueryTeardown
 from repro.core.stats import StatsRegistry
-from repro.core.tuples import Chunk, Row, SlottedRow
+from repro.core.tuples import Chunk, SlottedRow
 from repro.dht.naming import hash_key
 from repro.dht.provider import DHTItem, Provider
 from repro.dht.storage import StoredItem
@@ -147,21 +150,10 @@ class QueryHandle:
         query = self.query
         if query.is_aggregation and not query.distributed_aggregation:
             final = build_final_aggregation(query)
-            final.push_many(self.rows)
+            for _time, row in self.arrivals:
+                final.process(row)
             return finalize_aggregation_rows(query, final)
         return self.rows
-
-
-@dataclass
-class _PendingSemiJoinFetch:
-    """State of one semi-join pair awaiting its two full-tuple fetches."""
-
-    left_rows: Optional[List[dict]] = None
-    right_rows: Optional[List[dict]] = None
-
-    @property
-    def complete(self) -> bool:
-        return self.left_rows is not None and self.right_rows is not None
 
 
 @dataclass
@@ -175,8 +167,6 @@ class _NodeQueryState:
     arrived_at: float
     expires_at: float
     rehash_done_for: set = field(default_factory=set)
-    pending_fetches: Dict[int, _PendingSemiJoinFetch] = field(default_factory=dict)
-    fetch_sequence: int = 0
     #: Registered ``newData`` callbacks, so teardown can unregister them.
     new_data_registrations: List[Tuple[str, Any]] = field(default_factory=list)
     #: Multicast subscriptions (Bloom distribution), likewise.
@@ -265,7 +255,7 @@ class QueryExecutor:
     def submit(self, query: QuerySpec) -> QueryHandle:
         """Submit a query from this node; returns the handle collecting results."""
         query.initiator = self.node.address
-        build_opgraph(query)  # a plan that cannot be lowered raises before the flood
+        build_opgraph(query).artifacts  # an unlowerable plan raises before the flood
         handle = QueryHandle(query, submitted_at=self.now)
         self._handles[query.query_id] = handle
         self.provider.multicast(
@@ -436,8 +426,7 @@ class QueryExecutor:
         (straight out of the storage manager, no per-item DHTItem view) and
         returns one dense chunk: columns extracted, predicate vectorized,
         projection applied.  Rehash, bloom build, partial aggregation and
-        the sink consume the chunk directly; fetch-matches works a row at a
-        time, so the chunk converts to slotted rows there.
+        the sink consume the chunk directly.
         """
         chain = state.plan.chains[scan_node.op_id]
         values = [item.value
@@ -456,7 +445,7 @@ class QueryExecutor:
         if kind is OpKind.REHASH:
             self._run_rehash(query, state, terminal, chunk, bloom_filter)
         elif kind is OpKind.FETCH:
-            self._run_fetch_matches(query, state, terminal, chunk.rows())
+            self._run_fetch_matches(query, state, terminal, chunk)
         elif kind is OpKind.BLOOM_BUILD:
             self._run_bloom_build(query, state, terminal, chunk)
         elif kind is OpKind.PARTIAL_AGG:
@@ -543,8 +532,7 @@ class QueryExecutor:
         pairs = self._probe_pairs(query.join.left_alias, items)
         downstream = state.graph.local_downstream(probe_node)
         if downstream is not None and downstream.kind is OpKind.PAIR_FETCH:
-            for left_row, right_row in pairs:
-                self._fetch_semi_join_pair(query, left_row, right_row)
+            self._rejoin_semi_join(query, state, pairs)
         else:
             self._emit_join_results(
                 query, pairs, state.plan.pair_emitters[probe_node.op_id])
@@ -587,51 +575,62 @@ class QueryExecutor:
                     rights.append(row)
 
     def _emit_join_results(self, query: QuerySpec,
-                           matches: Iterable[Tuple[Any, Any]],
-                           emit: Callable[[Any, Any], Optional[Row]]) -> None:
-        """Apply the residual predicate, project, and ship matched pairs.
+                           matches: Iterable[Tuple[SlottedRow, SlottedRow]],
+                           emit: PairKernel) -> None:
+        """Run matched pairs through the join tail and ship the result rows.
 
-        ``emit`` is the lowered join tail: ``(left, right)`` in, boundary
-        dict — or ``None`` when the residual rejects the pair — out.  The
-        rows of one call leave in one message, cut every
-        ``RESULT_SLICE_ROWS`` so a hot key never materialises its whole
-        cross product.
+        ``emit`` is the lowered tail kernel: a list of ``(left, right)``
+        pairs in, the boundary dicts of the pairs its residual keeps out.
+        It takes ``RESULT_SLICE_ROWS`` pairs per call, and the rows of one
+        call leave cut at exactly ``RESULT_SLICE_ROWS`` rows per message, so
+        a hot key never materialises its whole cross product.
         """
-        results = []
-        for left_row, right_row in matches:
-            out = emit(left_row, right_row)
-            if out is not None:
-                results.append(out)
-                if len(results) == RESULT_SLICE_ROWS:
-                    self._send_results(query, results)
-                    results = []
+        matches = iter(matches)
+        results: List[dict] = []
+        while True:
+            pairs = list(itertools.islice(matches, RESULT_SLICE_ROWS))
+            if not pairs:
+                break
+            results.extend(emit(pairs))
+            while len(results) >= RESULT_SLICE_ROWS:
+                self._send_results(query, results[:RESULT_SLICE_ROWS])
+                del results[:RESULT_SLICE_ROWS]
         self._send_results(query, results)
 
     # ------------------------------------------------------- fetch matches
 
     def _run_fetch_matches(self, query: QuerySpec, state: _NodeQueryState,
-                           node: OpNode, rows: List[SlottedRow]) -> None:
-        """Issue one ``get`` per scanned tuple (batched per owner) and join."""
+                           node: OpNode, chunk: Chunk) -> None:
+        """Issue one ``get`` per scanned join value (batched per owner) and join."""
         namespace = node.params["namespace"]
         fetch = state.plan.fetches[node.op_id]
-        key_slot = fetch.key_slot
         rows_by_value: Dict[Any, List[SlottedRow]] = {}
-        for row in rows:
-            rows_by_value.setdefault(row[key_slot], []).append(row)
+        for value, row in zip(chunk.columns[fetch.key_slot], zip(*chunk.columns)):
+            rows_by_value.setdefault(value, []).append(row)
         if not rows_by_value:
             return
 
         def _pairs(results: List[Tuple[Any, List[DHTItem]]]
                    ) -> Iterator[Tuple[SlottedRow, SlottedRow]]:
-            # Read and filter each fetched tuple once, then pair it with every
-            # scanned row of its join value.
+            # Read the reply's tuples once, filter them with one vector pass,
+            # then pair each join value's survivors with its scanned rows.
+            values: List[Any] = []
+            fetched: List[SlottedRow] = []
             for join_value, items in results:
-                fetched = [fetch.reader(item.value) for item in items
-                           if isinstance(item.value, dict)]
-                if fetch.predicate is not None:
-                    fetched = [row for row in fetched if fetch.predicate(row)]
-                pairs = itertools.product(rows_by_value.get(join_value, ()),
-                                          fetched)
+                for item in items:
+                    if isinstance(item.value, dict):
+                        values.append(join_value)
+                        fetched.append(fetch.reader(item.value))
+            if fetch.predicate is not None and fetched:
+                mask = fetch.predicate([list(column) for column in zip(*fetched)],
+                                       len(fetched))
+                values = list(compress(values, mask))
+                fetched = list(compress(fetched, mask))
+            by_value: Dict[Any, List[SlottedRow]] = {}
+            for join_value, row in zip(values, fetched):
+                by_value.setdefault(join_value, []).append(row)
+            for join_value, rows in by_value.items():
+                pairs = itertools.product(rows_by_value.get(join_value, ()), rows)
                 if fetch.scan_is_left:
                     yield from pairs
                 else:
@@ -648,55 +647,54 @@ class QueryExecutor:
 
     # --------------------------------------------------- symmetric semi-join
 
-    def _fetch_semi_join_pair(self, query: QuerySpec,
-                              left_projection: SlottedRow,
-                              right_projection: SlottedRow) -> None:
-        """Fetch both full tuples of a matched projection pair, in parallel."""
-        state = self._states[query.query_id]
-        state.fetch_sequence += 1
-        pair_id = state.fetch_sequence
-        pending = _PendingSemiJoinFetch()
-        state.pending_fetches[pair_id] = pending
+    def _rejoin_semi_join(self, query: QuerySpec, state: _NodeQueryState,
+                          pairs: Iterable[Tuple[SlottedRow, SlottedRow]]) -> None:
+        """Fetch the full tuples of one probe call's matches and rejoin them.
 
-        def _collect(side: str, items: List[DHTItem]) -> None:
-            if query.query_id not in self._states:
-                return  # torn down while the fetches were in flight
-            rows = [item.value for item in items if isinstance(item.value, dict)]
-            if side == "left":
-                pending.left_rows = rows
-            else:
-                pending.right_rows = rows
-            if pending.complete:
-                del state.pending_fetches[pair_id]
-                self._finish_semi_join_pair(query, state, pending)
-
-        left_relation = query.table(query.join.left_alias).relation
-        right_relation = query.table(query.join.right_alias).relation
-        semi = state.plan.semi
-        self.provider.get(left_relation.namespace,
-                          left_projection[semi.left_rid_slot],
-                          lambda items: _collect("left", items),
-                          scope=query.query_id)
-        self.provider.get(right_relation.namespace,
-                          right_projection[semi.right_rid_slot],
-                          lambda items: _collect("right", items),
-                          scope=query.query_id)
-
-    def _finish_semi_join_pair(self, query: QuerySpec, state: _NodeQueryState,
-                               pending: _PendingSemiJoinFetch) -> None:
-        """Re-join the fetched full tuples of one surviving pair and emit.
-
-        Full base tuples arrive as published dicts; the lowered tail reads
-        them into slotted rows once and emits the boundary dict.
+        The call's distinct left and distinct right resourceIDs are fetched
+        with one scoped ``get_batch`` per side.  Each owner reply records its
+        tuples and sends, through the join tail, every pair of this call
+        whose other side has already landed: a pair is rejoined once, when
+        its second side arrives.
         """
-        join = query.join
-        matches = [
-            (left_row, right_row)
-            for left_row in pending.left_rows or ()
-            for right_row in pending.right_rows or ()
-            if left_row.get(join.left_column) == right_row.get(join.right_column)
-        ]
-        self._emit_join_results(query, matches, state.plan.semi.emit)
+        semi = state.plan.semi
+        left_slot, right_slot = semi.rid_slots
+        # Per side: resourceID -> the other side's resourceID of each pair.
+        partners: Tuple[Dict[Any, List[Any]], Dict[Any, List[Any]]] = ({}, {})
+        for left_row, right_row in pairs:
+            left_rid, right_rid = left_row[left_slot], right_row[right_slot]
+            partners[0].setdefault(left_rid, []).append(right_rid)
+            partners[1].setdefault(right_rid, []).append(left_rid)
+        if not partners[0]:
+            return
+        # Per side: resourceID -> its full slotted tuples, once they landed.
+        landed: Tuple[Dict[Any, List[SlottedRow]], Dict[Any, List[SlottedRow]]] = ({}, {})
+        left_key, right_key = semi.key_slots
+
+        def _matches(side: int, results: List[Tuple[Any, List[DHTItem]]]
+                     ) -> Iterator[Tuple[SlottedRow, SlottedRow]]:
+            read, mine, theirs = semi.readers[side], landed[side], landed[1 - side]
+            for rid, items in results:
+                rows = mine[rid] = [read(item.value) for item in items
+                                    if isinstance(item.value, dict)]
+                for other_rid in partners[side].get(rid, ()):
+                    others = theirs.get(other_rid)
+                    if others is None:
+                        continue  # rejoined when that side lands
+                    lefts, rights = (rows, others) if side == 0 else (others, rows)
+                    yield from ((left_row, right_row)
+                                for left_row in lefts for right_row in rights
+                                if left_row[left_key] == right_row[right_key])
+
+        def _on_reply(side: int, results: List[Tuple[Any, List[DHTItem]]]) -> None:
+            if query.query_id in self._states:  # else torn down in flight
+                self._emit_join_results(query, _matches(side, results), semi.emit)
+
+        for side, namespace in enumerate(semi.namespaces):
+            self.provider.get_batch(
+                namespace, list(partners[side]),
+                lambda results, side=side: _on_reply(side, results),
+                scope=query.query_id)
 
     # -------------------------------------------------------------- bloom join
 
@@ -800,8 +798,7 @@ class QueryExecutor:
         Rows are grouped over the key columns and every aggregate takes its
         group's inputs in one bulk add.
         """
-        partial = build_final_aggregation(
-            query, name=f"PartialAgg({node.params['alias']})")
+        partial = build_final_aggregation(query)
         if chunk.length:
             agg = state.plan.aggs[node.op_id]
             if agg.group_slots:
@@ -952,7 +949,6 @@ class QueryExecutor:
             timer.cancel()
         for namespace in state.temp_namespaces:
             self.provider.purge_namespace(namespace)
-        state.pending_fetches.clear()
         # Drop this query's in-flight gets so a cancelled dataflow stops
         # accumulating (and firing) reply callbacks.
         self.provider.cancel_pending(query_id)

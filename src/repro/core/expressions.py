@@ -12,31 +12,24 @@ provides a small, explicit expression language covering those needs:
 * :class:`Arithmetic` — ``+ - * /``;
 * :class:`FunctionCall` — calls into a registry of scalar UDFs.
 
-An expression has three forms, each with one job in the engine:
+An expression has one executable form.  :meth:`Expression.compile_vector`
+takes a :class:`repro.core.tuples.RowLayout` and returns a chunk kernel: a
+closure over ``(columns, length)`` that returns one result list, so a
+thousand-row predicate is a handful of list comprehensions instead of a
+thousand closure calls.  Every :class:`ColumnRef` resolves to a fixed slot at
+compile time, so resolution (and ambiguity) errors surface at plan time.
+Scan chains, join tails, Fetch Matches' fetched side, derived columns and
+HAVING all run it.  ``And``/``Or`` keep per-row short-circuit semantics by
+evaluating later terms only on the rows still alive (a selection vector), so
+a row that fails an earlier conjunct never reaches a later one's errors.
+Within one chunk evaluation is column-at-a-time, so when *multiple
+independent* subexpressions would error on different rows, which of them
+raises first may differ from row-major order — the error class for any
+single failing site is the same.
 
-* :meth:`Expression.evaluate` walks the tree against a *row environment*: a
-  dict mapping column names (qualified like ``"R.num2"`` or bare like
-  ``"num2"``) to values, resolving references on every evaluation.  It is
-  the definition of an expression's meaning, and what runs where rows are
-  dicts already: HAVING and derived columns over final aggregate rows;
-* :meth:`Expression.compile` takes a :class:`repro.core.tuples.RowLayout`
-  and emits nested closures over *slotted* rows (plain tuples): every
-  :class:`ColumnRef` is resolved to a fixed slot exactly once, so resolution
-  (and ambiguity) errors surface at plan time and the per-row work is index
-  access plus the operator itself.  Join tails run it: the residual
-  predicate of a matched pair, the fetched side's predicate in Fetch Matches;
-* :meth:`Expression.compile_vector` compiles against the same layout but
-  evaluates a whole chunk per call: the closure takes ``(columns, length)``
-  and returns one result list, so a thousand-row predicate is a handful of
-  list comprehensions instead of a thousand nested closure invocations.
-  Scan chains run it.  Resolution errors surface at plan time exactly as in
-  ``compile``; ``And``/``Or`` keep per-row short-circuit semantics by
-  evaluating later terms only on the rows still alive (a selection vector),
-  so whether a row ever reaches an erroring term matches ``compile``.
-  Within one chunk evaluation is column-at-a-time, so when *multiple
-  independent* subexpressions would error on different rows, which of them
-  raises first may differ from row-major order — the error class for any
-  single failing site is identical.
+What an expression *means* row by row — a walk of the tree over a dict — is
+the oracle ``tests/reference/expressions.py``, which the kernels are
+checked against.
 
 ``columns_referenced`` lets planners decide which predicates are local to one
 table and which must wait until after the join.
@@ -51,11 +44,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from repro.core.tuples import RowLayout
 from repro.exceptions import ExpressionError
-
-Row = Dict[str, Any]
-
-#: A compiled expression: a closure evaluated against one slotted row.
-CompiledExpression = Callable[[Sequence[Any]], Any]
 
 #: A vectorized expression: ``(columns, length) -> results`` over one chunk.
 VectorExpression = Callable[[Sequence[List[Any]], int], List[Any]]
@@ -81,28 +69,13 @@ class Expression(ABC):
     """Base class of the expression tree."""
 
     @abstractmethod
-    def evaluate(self, row: Row) -> Any:
-        """Evaluate against a row environment."""
-
-    @abstractmethod
-    def compile(self, layout: RowLayout) -> CompiledExpression:
-        """Compile to a closure over slotted rows of ``layout``.
-
-        Every :class:`ColumnRef` is resolved to a fixed slot here, once —
-        unresolvable or ambiguous references raise :class:`ExpressionError`
-        at compile (plan) time instead of on every row.
-        """
-
     def compile_vector(self, layout: RowLayout) -> VectorExpression:
         """Compile to a chunk kernel: ``(columns, length) -> result list``.
 
-        Column references resolve to fixed slots at compile time, exactly as
-        in :meth:`compile`.  The default implementation falls back to the
-        per-row closure applied across the chunk; node types with a cheaper
-        columnar form override it.
+        Every :class:`ColumnRef` is resolved to a fixed slot of ``layout``
+        here, once: unresolvable or ambiguous references raise
+        :class:`ExpressionError` at compile (plan) time instead of on a row.
         """
-        compiled = self.compile(layout)
-        return lambda columns, n: [compiled(row) for row in zip(*columns)]
 
     @abstractmethod
     def columns_referenced(self) -> Set[str]:
@@ -125,13 +98,6 @@ class Literal(Expression):
 
     value: Any
 
-    def evaluate(self, row: Row) -> Any:
-        return self.value
-
-    def compile(self, layout: RowLayout) -> CompiledExpression:
-        value = self.value
-        return lambda _row: value
-
     def compile_vector(self, layout: RowLayout) -> VectorExpression:
         value = self.value
         return lambda _columns, n: [value] * n
@@ -148,33 +114,6 @@ class ColumnRef(Expression):
     """Reference to a column, optionally qualified (``"R.num2"``)."""
 
     name: str
-
-    def evaluate(self, row: Row) -> Any:
-        if self.name in row:
-            return row[self.name]
-        # Allow an unqualified reference to resolve a qualified column (or
-        # vice versa) when it is unambiguous.
-        if "." in self.name:
-            bare = self.name.split(".", 1)[1]
-            if bare in row:
-                return row[bare]
-        else:
-            matches = [key for key in row if key.endswith("." + self.name)]
-            if len(matches) == 1:
-                return row[matches[0]]
-            if len(matches) > 1:
-                raise ExpressionError(
-                    f"ambiguous column reference {self.name!r}: {sorted(matches)}"
-                )
-        raise ExpressionError(f"row has no column {self.name!r} (row keys: {sorted(row)})")
-
-    def compile(self, layout: RowLayout) -> CompiledExpression:
-        slot = layout.slot(self.name, ambiguity_error=ExpressionError)
-        if slot is None:
-            raise ExpressionError(
-                f"row has no column {self.name!r} (row keys: {sorted(layout.names)})"
-            )
-        return operator.itemgetter(slot)
 
     def compile_vector(self, layout: RowLayout) -> VectorExpression:
         slot = layout.slot(self.name, ambiguity_error=ExpressionError)
@@ -268,15 +207,6 @@ class Comparison(Expression):
         if self.op not in _COMPARATORS:
             raise ExpressionError(f"unknown comparison operator {self.op!r}")
 
-    def evaluate(self, row: Row) -> bool:
-        return bool(_COMPARATORS[self.op](self.left.evaluate(row), self.right.evaluate(row)))
-
-    def compile(self, layout: RowLayout) -> CompiledExpression:
-        compare_op = _COMPARATORS[self.op]
-        left = self.left.compile(layout)
-        right = self.right.compile(layout)
-        return lambda row: bool(compare_op(left(row), right(row)))
-
     def compile_vector(self, layout: RowLayout) -> VectorExpression:
         return _compile_binary_vector(
             _COMPARATORS[self.op], self.left, self.right, layout, as_bool=True
@@ -301,15 +231,6 @@ class Arithmetic(Expression):
         if self.op not in _ARITHMETIC:
             raise ExpressionError(f"unknown arithmetic operator {self.op!r}")
 
-    def evaluate(self, row: Row) -> Any:
-        return _ARITHMETIC[self.op](self.left.evaluate(row), self.right.evaluate(row))
-
-    def compile(self, layout: RowLayout) -> CompiledExpression:
-        arithmetic_op = _ARITHMETIC[self.op]
-        left = self.left.compile(layout)
-        right = self.right.compile(layout)
-        return lambda row: arithmetic_op(left(row), right(row))
-
     def compile_vector(self, layout: RowLayout) -> VectorExpression:
         return _compile_binary_vector(
             _ARITHMETIC[self.op], self.left, self.right, layout, as_bool=False
@@ -324,16 +245,6 @@ class And(Expression):
     """Conjunction of one or more predicates."""
 
     terms: Sequence[Expression]
-
-    def evaluate(self, row: Row) -> bool:
-        return all(term.evaluate(row) for term in self.terms)
-
-    def compile(self, layout: RowLayout) -> CompiledExpression:
-        compiled = tuple(term.compile(layout) for term in self.terms)
-        if len(compiled) == 2:  # the overwhelmingly common shape
-            first, second = compiled
-            return lambda row: bool(first(row)) and bool(second(row))
-        return lambda row: all(term(row) for term in compiled)
 
     def compile_vector(self, layout: RowLayout) -> VectorExpression:
         compiled = tuple(term.compile_vector(layout) for term in self.terms)
@@ -382,16 +293,6 @@ class Or(Expression):
 
     terms: Sequence[Expression]
 
-    def evaluate(self, row: Row) -> bool:
-        return any(term.evaluate(row) for term in self.terms)
-
-    def compile(self, layout: RowLayout) -> CompiledExpression:
-        compiled = tuple(term.compile(layout) for term in self.terms)
-        if len(compiled) == 2:
-            first, second = compiled
-            return lambda row: bool(first(row)) or bool(second(row))
-        return lambda row: any(term(row) for term in compiled)
-
     def compile_vector(self, layout: RowLayout) -> VectorExpression:
         compiled = tuple(term.compile_vector(layout) for term in self.terms)
         if len(compiled) == 1:
@@ -427,13 +328,6 @@ class Not(Expression):
 
     term: Expression
 
-    def evaluate(self, row: Row) -> bool:
-        return not self.term.evaluate(row)
-
-    def compile(self, layout: RowLayout) -> CompiledExpression:
-        term = self.term.compile(layout)
-        return lambda row: not term(row)
-
     def compile_vector(self, layout: RowLayout) -> VectorExpression:
         term = self.term.compile_vector(layout)
         return lambda columns, n: [not value for value in term(columns, n)]
@@ -448,21 +342,6 @@ class FunctionCall(Expression):
 
     name: str
     args: Sequence[Expression]
-
-    def evaluate(self, row: Row) -> Any:
-        function = udf(self.name)
-        return function(*(argument.evaluate(row) for argument in self.args))
-
-    def compile(self, layout: RowLayout) -> CompiledExpression:
-        function = udf(self.name)  # unknown UDFs fail at plan time
-        compiled = tuple(argument.compile(layout) for argument in self.args)
-        if len(compiled) == 1:
-            only = compiled[0]
-            return lambda row: function(only(row))
-        if len(compiled) == 2:  # the paper's f(R.num3, S.num3) shape
-            first, second = compiled
-            return lambda row: function(first(row), second(row))
-        return lambda row: function(*(argument(row) for argument in compiled))
 
     def compile_vector(self, layout: RowLayout) -> VectorExpression:
         function = udf(self.name)  # unknown UDFs fail at plan time
@@ -491,21 +370,10 @@ class FunctionCall(Expression):
 # Compilation helpers
 
 
-def compile_expression(expression: Optional[Expression],
-                       layout: RowLayout) -> Optional[CompiledExpression]:
-    """Compile an optional expression against a layout (``None`` passes through).
-
-    Planners use this so "no predicate" needs no special-casing at the call
-    sites that hold compiled forms.
-    """
-    if expression is None:
-        return None
-    return expression.compile(layout)
-
-
 def compile_vector_expression(expression: Optional[Expression],
                               layout: RowLayout) -> Optional[VectorExpression]:
-    """Vectorized analogue of :func:`compile_expression` (``None`` passes)."""
+    """Compile an optional expression against a layout (``None`` passes
+    through), so "no predicate" needs no special case at the call sites."""
     if expression is None:
         return None
     return expression.compile_vector(layout)

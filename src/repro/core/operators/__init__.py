@@ -1,17 +1,14 @@
-"""Aggregation operators of the push-based dataflow (paper Section 3.3).
+"""Aggregation of the dataflow (paper Section 3.3).
 
-PIER's operators *push*: a producer emits rows into an explicit intermediate
-queue and consumers drain it.  Scans, selections, projections and joins run
-as lowered chunk kernels and slotted-row closures (:mod:`repro.core.opgraph`,
-:mod:`repro.core.executor`); what lives here is the part of the dataflow that
-keeps state across rows — :class:`GroupByAggregate` and its mergeable
-aggregate states, used for partial aggregation at the sources, merging at
-combiners and group owners, and grouping at the initiator — on the small
-:class:`Operator` base it shares with the row-at-a-time reference operators
-under ``tests/reference/``.
+Scans, selections, projections and joins run as lowered chunk kernels
+(:mod:`repro.core.opgraph`, :mod:`repro.core.executor`); what lives here is
+the part of the dataflow that keeps state across rows —
+:class:`GroupByAggregate` and its mergeable aggregate states, used for
+partial aggregation at the sources, merging at combiners and group owners,
+and grouping at the initiator.  The row-at-a-time push operators the engine
+started with are the reference under ``tests/reference/``.
 """
 
-from repro.core.operators.base import Operator, OutputQueue, chain
 from repro.core.operators.aggregate import (
     AGGREGATE_FUNCTIONS,
     AggregateState,
@@ -20,9 +17,6 @@ from repro.core.operators.aggregate import (
 )
 
 __all__ = [
-    "Operator",
-    "OutputQueue",
-    "chain",
     "GroupByAggregate",
     "AggregateState",
     "AGGREGATE_FUNCTIONS",

@@ -9,8 +9,8 @@ the final value.  The classes here provide the algebra that makes that work:
 * :class:`AggregateState` instances support ``add`` (accumulate one row),
   ``merge`` (combine two partials) and ``result`` (finalise), which is the
   standard decomposition into partial/intermediate/final aggregation;
-* :class:`GroupByAggregate` is the node-local operator used both for the
-  partial phase and, at the initiator, for final grouping of join results.
+* :class:`GroupByAggregate` is the node-local hash group-by used both for
+  the partial phase and, at the initiator, for final grouping of join results.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.expressions import Expression
-from repro.core.operators.base import Operator, Row
 from repro.exceptions import QueryError, SketchError
 from repro.sketches import (
     DEFAULT_LOG2M,
@@ -494,7 +492,7 @@ def state_from_payload(payload: Tuple) -> AggregateState:
         raise QueryError(f"unknown aggregate payload kind {kind!r}") from None
 
 
-class GroupByAggregate(Operator):
+class GroupByAggregate:
     """Hash group-by with decomposable aggregates.
 
     Parameters
@@ -506,21 +504,11 @@ class GroupByAggregate(Operator):
         column, alias, param)`` quadruples; ``column`` is ``None`` for
         ``count(*)`` and ``param`` configures parameterised aggregates
         (``approx_top_k``'s ``k``, ``approx_percentile``'s ``p``).
-    having:
-        Optional predicate over the output row (group columns + aliases).
     """
 
-    def __init__(
-        self,
-        group_by: Sequence[str],
-        aggregates: Sequence[Tuple],
-        having: Optional[Expression] = None,
-        name: Optional[str] = None,
-    ):
-        super().__init__(name or "GroupByAggregate")
+    def __init__(self, group_by: Sequence[str], aggregates: Sequence[Tuple]):
         self.group_by = list(group_by)
         self.aggregates = [self._normalize(spec) for spec in aggregates]
-        self.having = having
         self._groups: Dict[Tuple, List[AggregateState]] = {}
 
     @staticmethod
@@ -529,7 +517,7 @@ class GroupByAggregate(Operator):
         param = spec[3] if len(spec) > 3 else None
         return (spec[0], spec[1], spec[2], param)
 
-    def _group_key(self, row: Row) -> Tuple:
+    def _group_key(self, row: Dict[str, Any]) -> Tuple:
         try:
             return tuple(row[column] for column in self.group_by)
         except KeyError as error:
@@ -543,7 +531,8 @@ class GroupByAggregate(Operator):
             ]
         return self._groups[key]
 
-    def process(self, row: Row) -> None:
+    def process(self, row: Dict[str, Any]) -> None:
+        """Accumulate one dict row into its group."""
         states = self._states_for(self._group_key(row))
         for state, (_function, column, _alias, _param) in zip(states, self.aggregates):
             value = 1 if column is None else row.get(column)
@@ -558,7 +547,6 @@ class GroupByAggregate(Operator):
         (``count(*)`` slots receive constant 1s) — exactly what
         :meth:`process` would have extracted by name, a row at a time.
         """
-        self.rows_in += count
         states = self._states_for(group_key)
         for state, values in zip(states, columns):
             state.add_many(values)
@@ -590,20 +578,15 @@ class GroupByAggregate(Operator):
             for key, states in self._groups.items()
         }
 
-    def result_rows(self) -> List[Row]:
+    def result_rows(self) -> List[Dict[str, Any]]:
         """Finalised output rows (group columns + aggregate aliases)."""
         rows = []
         for key, states in self._groups.items():
-            row: Row = dict(zip(self.group_by, key))
+            row = dict(zip(self.group_by, key))
             for state, (_function, _column, alias, _param) in zip(states, self.aggregates):
                 row[alias] = state.result()
-            if self.having is None or self.having.evaluate(row):
-                rows.append(row)
+            rows.append(row)
         return rows
-
-    def on_finish(self) -> None:
-        for row in self.result_rows():
-            self.emit(row)
 
     @property
     def group_count(self) -> int:

@@ -15,8 +15,8 @@ handed, so each join strategy and the aggregation variants are purely graph
 not forking the executor.  What the executor runs a graph *with* is lowered
 here too, once per plan and only when an executor asks
 (:attr:`OpGraph.artifacts`): one fused chunk kernel per scan chain, key
-slots, pair emitters and aggregate extractors, every column name resolved
-to a slot at plan time.
+slots, join-tail kernels, aggregate extractors and the derived-column /
+HAVING kernels, every column name resolved to a slot at plan time.
 
 Every node also carries an ``activation`` describing *when* it runs on a
 participating node:
@@ -37,9 +37,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from itertools import compress as _compress
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.core.expressions import compile_expression, compile_vector_expression
+from repro.core.expressions import Expression, compile_vector_expression
 from repro.core.query import JoinStrategy, QuerySpec
 from repro.core.tuples import Chunk, Row, RowLayout, SlottedRow
 from repro.exceptions import ExpressionError, PlanError, QueryError, SchemaError
@@ -541,9 +541,27 @@ def _build_fetch_matches(graph: OpGraph) -> None:
     _join_tail(graph, tail_head, upstream_edge=edge)
 
 
+def check_semi_join(query: QuerySpec) -> None:
+    """Raise :class:`PlanError` unless the symmetric semi-join can run.
+
+    The rejoin fetches every tuple stored under a matched resourceID and
+    re-applies neither side's local predicate, so each side's resourceID
+    must be its primary key: one resourceID, one tuple.
+    """
+    for alias in query.aliases:
+        relation = query.table(alias).relation
+        if relation.resource_id_column != relation.primary_key:
+            raise PlanError(
+                f"the symmetric semi-join needs {alias} published under its "
+                f"primary key {relation.primary_key!r}, not "
+                f"{relation.resource_id_column!r}"
+            )
+
+
 def _build_semi_join(graph: OpGraph) -> None:
     """Rehash only (resourceID, join key) projections; fetch survivors."""
     query = graph.query
+    check_semi_join(query)
     probe = _probe_and_tail(graph, semi_join=True)
     for alias in query.aliases:
         relation = query.table(alias).relation
@@ -652,21 +670,26 @@ def bloom_distribution_namespace(query: QuerySpec, alias: str) -> str:
 # Lowering is the plan-time half of the execution pipeline: it resolves every
 # name the graph will ever look up — scan columns, filter and residual
 # predicates, projection slots, join/rehash key slots, aggregate group and
-# input columns, output projections — against slotted-row layouts exactly
-# once, and packages the resulting kernels and closures per operator node.
-# Scan chains, partial aggregation and scan sinks get chunk kernels (one pass
-# over a column); the operators that work a matched pair at a time (probe
-# emission, fetch-matches, semi-join rejoin) get closures over slotted rows,
-# fed through ``Chunk.rows()``.  The dict view of a row is rebuilt only in
-# the emitters that cross the client boundary.
+# input columns, derived columns and HAVING, output projections — against
+# slotted-row layouts exactly once, and packages the resulting kernels per
+# operator node.  Every kernel runs over a batch: scan chains, partial
+# aggregation and scan sinks over a chunk's columns, join tails over a list
+# of matched ``(left, right)`` slotted pairs, the Fetch Matches fetched side
+# over one reply's tuples, derived columns and HAVING over a group owner's
+# final rows.  The dict view of a row is rebuilt only where rows cross the
+# client boundary.
 
 #: A scan-chain chunk kernel: stored base dicts → one dense output chunk.
 ChunkKernel = Callable[[List[Row]], Chunk]
 
-#: An output emitter for a matched pair of slotted rows: applies the residual
-#: predicate and output projection, returning the boundary dict (or ``None``
-#: when the residual rejects the pair).
-PairEmitter = Callable[[SlottedRow, SlottedRow], Optional[Row]]
+#: A join-tail kernel over matched slotted pairs: applies the residual
+#: predicate and output projection, returning one boundary dict per pair the
+#: residual keeps, in pair order.
+PairKernel = Callable[[List[Tuple[SlottedRow, SlottedRow]]], List[Row]]
+
+#: Derived columns and HAVING over a group owner's (or the initiator's)
+#: final aggregate rows.
+RowsKernel = Callable[[List[Row]], List[Row]]
 
 
 @dataclass
@@ -692,22 +715,27 @@ class FetchArtifact:
     key_slot: int
     #: Fetched base dict → slotted row (full fetched-relation schema).
     reader: Callable[[Row], SlottedRow]
-    #: Fetched side's local predicate over its full layout.
-    predicate: Optional[Callable[[SlottedRow], bool]]
+    #: Fetched side's local predicate: a vector kernel over its full layout.
+    predicate: Optional[Callable[[List[List[Any]], int], List[Any]]]
     #: Whether the scanned side is the join's left side (pair orientation).
     scan_is_left: bool
-    emit: PairEmitter
+    emit: PairKernel
 
 
 @dataclass
 class SemiJoinArtifact:
-    """Symmetric semi-join artifacts (rid slots + full-tuple tail)."""
+    """Symmetric semi-join artifacts, each pair of fields ordered (left, right)."""
 
     #: Slots of the resourceID columns inside the rehashed projections.
-    left_rid_slot: int
-    right_rid_slot: int
-    #: Emitter over the *full* fetched base dicts of a surviving pair.
-    emit: Callable[[Row, Row], Optional[Row]]
+    rid_slots: Tuple[int, int]
+    #: Base namespaces the full tuples are fetched from.
+    namespaces: Tuple[str, str]
+    #: Fetched base dict → slotted row of the full relation schema.
+    readers: Tuple[Callable[[Row], SlottedRow], Callable[[Row], SlottedRow]]
+    #: Join-column slots in the full layouts (the rejoin's equality check).
+    key_slots: Tuple[int, int]
+    #: Join tail over pairs of full slotted tuples.
+    emit: PairKernel
 
 
 @dataclass
@@ -725,12 +753,15 @@ class AggArtifact:
 class PlanArtifacts:
     """Everything the executor runs one operator graph with, by ``op_id``."""
 
+    #: Derived columns and HAVING over final aggregate rows (identity for a
+    #: query with neither).
+    finalize: RowsKernel
     chains: Dict[int, ChainArtifact] = field(default_factory=dict)
     #: Rehash / Bloom-build join-key slots in their chain layouts.
     key_slots: Dict[int, int] = field(default_factory=dict)
     fetches: Dict[int, FetchArtifact] = field(default_factory=dict)
-    #: Probe-node pair emitters (symmetric hash / Bloom rehash layouts).
-    pair_emitters: Dict[int, PairEmitter] = field(default_factory=dict)
+    #: Probe-node join tails (symmetric hash / Bloom rehash layouts).
+    pair_emitters: Dict[int, PairKernel] = field(default_factory=dict)
     semi: Optional[SemiJoinArtifact] = None
     aggs: Dict[int, AggArtifact] = field(default_factory=dict)
     #: Scan-sink emitters: chunk → boundary dicts.
@@ -752,15 +783,9 @@ def _compile_chain_kernel(query: QuerySpec, alias: str, predicate_expr,
     if missing:
         raise SchemaError(f"projection references missing columns {missing}")
 
-    read = set(out_names)
-    if predicate_expr is not None:
-        for name in predicate_expr.columns_referenced():
-            slot = base_layout.slot(name, ambiguity_error=ExpressionError)
-            if slot is not None:
-                read.add(base_layout.names[slot])
-            # Unresolvable references are left out so the compile below
-            # raises the plan-time ExpressionError.
-    read_names = [name for name in base_layout.names if name in read]
+    read = {base_layout.slots[name] for name in out_names}
+    read |= _slots_read_by(predicate_expr, base_layout)
+    read_names = [base_layout.names[slot] for slot in sorted(read)]
     read_layout = RowLayout(read_names)
     predicate = compile_vector_expression(predicate_expr, read_layout)
     out_slots = [read_layout.slots[name] for name in out_names]
@@ -779,30 +804,67 @@ def _compile_chain_kernel(query: QuerySpec, alias: str, predicate_expr,
     return kernel, out_layout
 
 
+def _slots_read_by(expression: Optional[Expression],
+                   layout: RowLayout) -> Set[int]:
+    """Slots of ``layout`` an expression's column references resolve to.
+
+    Unresolvable references are left out, so compiling the expression
+    against a layout of just these slots raises the plan-time
+    ``ExpressionError``; ambiguous ones raise here.
+    """
+    if expression is None:
+        return set()
+    slots = set()
+    for name in expression.columns_referenced():
+        slot = layout.slot(name, ambiguity_error=ExpressionError)
+        if slot is not None:
+            slots.add(slot)
+    return slots
+
+
 def _compile_pair_emitter(query: QuerySpec, left_layout: RowLayout,
-                          right_layout: RowLayout) -> PairEmitter:
+                          right_layout: RowLayout) -> PairKernel:
     """Compile the join tail (qualify + merge + residual + output projection).
 
-    Per matched pair: one tuple ``+``, one residual closure, one itemgetter
-    and the single boundary dict.
+    Names resolve once against the merged layout (left qualified, then right
+    qualified).  Per call, over a list of matched pairs: the merged columns
+    the residual or the output reads, one vector residual pass, one
+    compress of the output columns and the boundary dicts.
     """
     join = query.join
     merged = left_layout.qualified(join.left_alias).concat(
         right_layout.qualified(join.right_alias)
     )
-    residual = compile_expression(query.post_join_predicate, merged)
     if query.output_columns:
         names = tuple(query.output_columns)
-        getter = merged.getter(names)
+        missing = [name for name in names if name not in merged.slots]
+        if missing:
+            raise SchemaError(f"projection references missing columns {missing}")
+        out_slots = [merged.slots[name] for name in names]
     else:
         names = merged.names
-        getter = None
+        out_slots = list(range(len(names)))
+    read = sorted(set(out_slots)
+                  | _slots_read_by(query.post_join_predicate, merged))
+    residual = compile_vector_expression(
+        query.post_join_predicate, RowLayout([merged.names[s] for s in read]))
+    width = len(left_layout)
+    sources = [(slot < width, slot if slot < width else slot - width)
+               for slot in read]
+    out_positions = [read.index(slot) for slot in out_slots]
 
-    def emit(left_row: SlottedRow, right_row: SlottedRow) -> Optional[Row]:
-        row = left_row + right_row
-        if residual is not None and not residual(row):
-            return None
-        return dict(zip(names, getter(row) if getter is not None else row))
+    def emit(pairs: List[Tuple[SlottedRow, SlottedRow]]) -> List[Row]:
+        if not pairs:
+            return []
+        lefts, rights = zip(*pairs)
+        columns = [[row[i] for row in (lefts if is_left else rights)]
+                   for is_left, i in sources]
+        if residual is None:
+            out = [columns[p] for p in out_positions]
+        else:
+            mask = residual(columns, len(pairs))
+            out = [_compress(columns[p], mask) for p in out_positions]
+        return [dict(zip(names, values)) for values in zip(*out)]
 
     return emit
 
@@ -838,6 +900,41 @@ def _compile_agg(query: QuerySpec, layout: RowLayout) -> AggArtifact:
                 )
     return AggArtifact(group_slots=tuple(group_slots),
                        extractors=tuple(extractors))
+
+
+def _compile_finalize(query: QuerySpec) -> RowsKernel:
+    """Compile derived columns and HAVING against the aggregate output layout.
+
+    The layout is the group-by names, then the aggregate aliases, then each
+    derived alias in order; every derived column compiles against the
+    layout before its own alias, so it may use an earlier one.  A name that
+    repeats resolves to its last slot, as a later dict key overwrites.
+    """
+    names = [*query.group_by, *(a.alias for a in query.aggregates)]
+    base_names = list(names)
+    derived = []
+    for alias, expression in query.derived_columns.items():
+        derived.append((alias, expression.compile_vector(RowLayout(names))))
+        names.append(alias)
+    having = compile_vector_expression(query.having, RowLayout(names))
+    if not derived and having is None:
+        return lambda rows: rows
+
+    def finalize(rows: List[Row]) -> List[Row]:
+        if not rows:
+            return rows
+        n = len(rows)
+        columns = [[row[name] for row in rows] for name in base_names]
+        for alias, kernel in derived:
+            values = kernel(columns, n)
+            columns.append(values)
+            for row, value in zip(rows, values):
+                row[alias] = value
+        if having is not None:
+            rows = list(_compress(rows, having(columns, n)))
+        return rows
+
+    return finalize
 
 
 def _compile_sink(query: QuerySpec,
@@ -896,7 +993,7 @@ def _lower_chain(graph: OpGraph, plan: PlanArtifacts, scan: OpNode) -> None:
         plan.fetches[terminal.op_id] = FetchArtifact(
             key_slot=layout.slots[terminal.params["key_column"]],
             reader=fetch_layout.reader(),
-            predicate=compile_expression(
+            predicate=compile_vector_expression(
                 query.local_predicates.get(fetch_alias), fetch_layout
             ),
             scan_is_left=scan_is_left,
@@ -913,7 +1010,7 @@ def _lower_chain(graph: OpGraph, plan: PlanArtifacts, scan: OpNode) -> None:
 def _lower(graph: OpGraph) -> PlanArtifacts:
     """Compile every row-touching operator of ``graph`` (once per plan)."""
     query = graph.query
-    plan = PlanArtifacts()
+    plan = PlanArtifacts(finalize=_compile_finalize(query))
     for scan in graph.nodes_of_kind(OpKind.SCAN):
         _lower_chain(graph, plan, scan)
 
@@ -929,21 +1026,22 @@ def _lower(graph: OpGraph) -> PlanArtifacts:
         join = query.join
         for probe in probes:
             if probe.params.get("semi_join"):
-                left_relation = query.table(join.left_alias).relation
-                right_relation = query.table(join.right_alias).relation
-                full_left = left_relation.schema.layout()
-                full_right = right_relation.schema.layout()
-                left_reader = full_left.reader()
-                right_reader = full_right.reader()
-                pair_emit = _compile_pair_emitter(query, full_left, full_right)
+                relations = (query.table(join.left_alias).relation,
+                             query.table(join.right_alias).relation)
+                left_full, right_full = (relation.schema.layout()
+                                         for relation in relations)
                 plan.semi = SemiJoinArtifact(
-                    left_rid_slot=rehash_layouts[join.left_alias].slots[
-                        left_relation.resource_id_column],
-                    right_rid_slot=rehash_layouts[join.right_alias].slots[
-                        right_relation.resource_id_column],
-                    emit=lambda left_row, right_row: pair_emit(
-                        left_reader(left_row), right_reader(right_row)
+                    rid_slots=(
+                        rehash_layouts[join.left_alias].slots[
+                            relations[0].resource_id_column],
+                        rehash_layouts[join.right_alias].slots[
+                            relations[1].resource_id_column],
                     ),
+                    namespaces=(relations[0].namespace, relations[1].namespace),
+                    readers=(left_full.reader(), right_full.reader()),
+                    key_slots=(left_full.slots[join.left_column],
+                               right_full.slots[join.right_column]),
+                    emit=_compile_pair_emitter(query, left_full, right_full),
                 )
             else:
                 plan.pair_emitters[probe.op_id] = _compile_pair_emitter(

@@ -4,21 +4,21 @@ The distributed choreography lives in :mod:`repro.core.executor`, which
 runs the physical operator graphs of :mod:`repro.core.opgraph`; this module
 keeps the pieces of node-local plan logic that are shared between the
 executor's aggregation runners and the initiator-side finalisation (the
-group-by operator itself, derived columns, HAVING), plus a small
-plan-description helper used by tests and examples.
+group-by itself, derived columns, HAVING), plus a small plan-description
+helper used by tests and examples.
 """
 
 from __future__ import annotations
 
 from typing import List
 
+from repro.core.opgraph import build_opgraph
 from repro.core.operators.aggregate import GroupByAggregate
 from repro.core.query import QuerySpec
 
 
-def build_final_aggregation(query: QuerySpec,
-                            name: str = "FinalAgg") -> GroupByAggregate:
-    """The query's group-by operator: accumulates rows or merges partials.
+def build_final_aggregation(query: QuerySpec) -> GroupByAggregate:
+    """The query's group-by: accumulates rows or merges partials.
 
     The one place the engine spells it out — scan chains build their partial
     aggregates from it, combiners, group owners and the initiator their
@@ -30,25 +30,18 @@ def build_final_aggregation(query: QuerySpec,
         group_by=query.group_by,
         aggregates=[(a.function, a.column, a.alias, a.param)
                     for a in query.aggregates],
-        having=None,
-        name=name,
     )
 
 
 def finalize_aggregation_rows(query: QuerySpec, final: GroupByAggregate) -> List[dict]:
-    """Produce the query's final aggregate rows from a merged group-by operator.
+    """Produce the query's final aggregate rows from a merged group-by.
 
-    Adds derived (post-aggregation) columns, applies HAVING, and returns rows
-    containing the grouping columns, aggregate aliases and derived aliases.
+    Runs the derived-column and HAVING kernels lowered with the query's plan
+    (``build_opgraph(query).artifacts.finalize``) over the columns of
+    :meth:`GroupByAggregate.result_rows`; the rows hold the grouping
+    columns, aggregate aliases and derived aliases.
     """
-    rows = []
-    for row in final.result_rows():
-        for alias, expression in query.derived_columns.items():
-            row[alias] = expression.evaluate(row)
-        if query.having is not None and not query.having.evaluate(row):
-            continue
-        rows.append(row)
-    return rows
+    return build_opgraph(query).artifacts.finalize(final.result_rows())
 
 
 def describe_plan(query: QuerySpec) -> List[str]:

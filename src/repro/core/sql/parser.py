@@ -39,10 +39,7 @@ class AggregateCall(Expression):
     column: Optional[str]  # None means ``*``
     param: Optional[float] = None  # second argument of parameterized aggregates
 
-    def evaluate(self, row):  # pragma: no cover - aggregates never evaluate directly
-        raise SQLSyntaxError("aggregate calls cannot be evaluated per row")
-
-    def compile(self, layout):  # pragma: no cover - planner replaces these
+    def compile_vector(self, layout):  # pragma: no cover - planner replaces these
         raise SQLSyntaxError("aggregate calls cannot be compiled per row")
 
     def columns_referenced(self):

@@ -13,20 +13,19 @@ Inside the dataflow, dicts are too slow: re-qualifying, merging and
 projecting a dict per operator allocates and hashes on every tuple.  The
 execution pipeline instead works on *slotted* rows — plain Python tuples
 whose positions are described by a :class:`RowLayout` (an ordered name list
-with a precomputed name→slot map).  A layout compiles the classic row
-operations once, at plan time:
+with a precomputed name→slot map).  A layout resolves names once, at plan
+time:
 
+* :meth:`RowLayout.slot` — a column reference to its slot, with the
+  qualified/bare fallbacks of expression resolution;
 * :meth:`RowLayout.reader` — published dict → slotted row;
-* :meth:`RowLayout.getter` — projection as a C-level ``itemgetter``;
 * :meth:`RowLayout.qualified` / :meth:`RowLayout.concat` — qualify and merge
-  as pure layout (metadata) operations: the data motion is tuple ``+``;
-* :meth:`RowLayout.to_dict` — the dict view restored only at the
-  client/cursor boundary.
+  as pure layout (metadata) operations.
 
 Between operators rows travel in batches: a :class:`Chunk` holds one value
-array per layout slot, so a scan chain's predicate and projection touch a
-whole column per call.  A chunk transposes to slotted rows
-(:meth:`Chunk.rows`) where an operator works a matched pair at a time.
+array per layout slot, so a predicate or a projection touches a whole
+column per call.  Join tails take their batch as a list of matched
+``(left, right)`` slotted pairs and build the merged columns they read.
 """
 
 from __future__ import annotations
@@ -55,9 +54,8 @@ SlottedRow = Tuple[Any, ...]
 class RowLayout:
     """Positional layout of slotted rows: ordered names plus a name→slot map.
 
-    Layouts are immutable plan-time objects; every per-row operation they
-    hand out (readers, getters) is resolved to fixed slots exactly once, so
-    the hot path does no name lookups at all.
+    Layouts are immutable plan-time objects; every name is resolved to a
+    fixed slot exactly once, so the hot path does no name lookups at all.
     """
 
     __slots__ = ("names", "slots")
@@ -116,27 +114,6 @@ class RowLayout:
             return lambda row: (row[name],)
         return operator.itemgetter(*self.names)
 
-    def getter(self, names: Sequence[str]) -> Callable[[SlottedRow], SlottedRow]:
-        """Compiled projection onto ``names`` (exact-name resolution).
-
-        Every name must be present verbatim, and all missing names are
-        reported at once — at plan time instead of per row.
-        """
-        slots: List[int] = []
-        missing: List[str] = []
-        for name in names:
-            index = self.slots.get(name)
-            if index is None:
-                missing.append(name)
-            else:
-                slots.append(index)
-        if missing:
-            raise SchemaError(f"projection references missing columns {missing}")
-        if len(slots) == 1:
-            index = slots[0]
-            return lambda row: (row[index],)
-        return operator.itemgetter(*slots)
-
     def qualified(self, alias: str) -> "RowLayout":
         """Layout with every name prefixed ``alias.`` (qualification).
 
@@ -151,10 +128,6 @@ class RowLayout:
         """
         return RowLayout(self.names + other.names)
 
-    def to_dict(self, row: SlottedRow) -> Row:
-        """Dict view of a slotted row (the client/cursor boundary)."""
-        return dict(zip(self.names, row))
-
 
 class Chunk:
     """A columnar batch of slotted rows: one value array per layout slot.
@@ -167,9 +140,8 @@ class Chunk:
     ``columns[s][i]`` is row ``i``'s value for ``layout.names[s]``, and all
     columns share the same length.
 
-    Chunks convert losslessly to and from slotted tuples (:meth:`from_rows`
-    / :meth:`rows`), which is what the operators that work a matched pair at
-    a time (probe, fetch, semi-join emission) consume.
+    :meth:`rows` transposes a chunk to slotted tuples; the engine does so in
+    one place, where a rehash wave ships each fragment as one row.
     """
 
     __slots__ = ("layout", "columns", "length")
@@ -193,15 +165,8 @@ class Chunk:
         """A zero-row chunk of the given layout."""
         return cls(layout, [[] for _ in layout.names], 0)
 
-    @classmethod
-    def from_rows(cls, layout: RowLayout, rows: Sequence[SlottedRow]) -> "Chunk":
-        """Transpose slotted rows into a chunk (the row → chunk boundary)."""
-        if not rows:
-            return cls.empty(layout)
-        return cls(layout, [list(column) for column in zip(*rows)], len(rows))
-
     def rows(self) -> List[SlottedRow]:
-        """Transpose back to slotted rows (the chunk → row boundary)."""
+        """Transpose to slotted rows (the chunk → row boundary)."""
         if not self.length:
             return []
         return list(zip(*self.columns))

@@ -1,8 +1,12 @@
 """Reference semantics the engine is tested against (not engine code).
 
+* :mod:`tests.reference.expressions` — ``evaluate(expression, row)``, an
+  expression tree walked over one dict row: the meaning the engine's chunk
+  kernels (``compile_vector``) are checked against;
 * :mod:`tests.reference.operators` — row-at-a-time dict operators
   (``ListScan``, ``Selection``, ``Qualify``, ``SymmetricHashJoin``,
-  ``Projection``, ``Collector``, ``Tee``) and the dict helpers they use;
+  ``Projection``, ``Collector``, ``Tee``) on the push-based ``Operator`` /
+  ``OutputQueue`` / ``chain`` boxes, and the dict helpers they use;
 * :mod:`tests.reference.evaluator` — a *centralised* evaluator of a
   ``QuerySpec`` built from them: no DHT, no network, no chunks;
 * :mod:`tests.reference.probe` — the per-arrival symmetric-hash-join probe
@@ -20,14 +24,18 @@ from tests.reference.evaluator import (
     evaluate_query,
     row_multiset,
 )
+from tests.reference.expressions import evaluate
 from tests.reference.operators import (
     Collector,
     ListScan,
+    Operator,
+    OutputQueue,
     Projection,
     Qualify,
     Selection,
     SymmetricHashJoin,
     Tee,
+    chain,
     merge_rows,
     project_row,
     qualify,
@@ -35,6 +43,7 @@ from tests.reference.operators import (
 from tests.reference.probe import PerArrivalProbe
 
 __all__ = [
+    "evaluate",
     "evaluate_query",
     "build_local_filter_pipeline",
     "all_rows",
@@ -47,6 +56,9 @@ __all__ = [
     "SymmetricHashJoin",
     "Collector",
     "Tee",
+    "Operator",
+    "OutputQueue",
+    "chain",
     "qualify",
     "project_row",
     "merge_rows",

@@ -2,7 +2,7 @@
 
 ``ListScan → Selection → Qualify → SymmetricHashJoin → Projection →
 Collector`` over every row of every referenced relation, plus
-``GroupByAggregate`` and ``Expression.evaluate`` for grouping, derived
+``GroupByAggregate`` and the reference ``evaluate`` for grouping, derived
 columns and HAVING.  It knows nothing of strategies, exchanges or chunks —
 whatever physical plan the engine picks must return this multiset.
 """
@@ -12,15 +12,18 @@ from __future__ import annotations
 from typing import Any, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.operators.aggregate import GroupByAggregate
-from repro.core.operators.base import Operator, Row, chain
 from repro.core.query import QuerySpec
+from tests.reference.expressions import evaluate
 from tests.reference.operators import (
     Collector,
     ListScan,
+    Operator,
     Projection,
     Qualify,
+    Row,
     Selection,
     SymmetricHashJoin,
+    chain,
 )
 
 
@@ -93,11 +96,12 @@ def evaluate_query(query: QuerySpec,
         aggregates=[(a.function, a.column, a.alias, a.param)
                     for a in query.aggregates],
     )
-    grouped.push_many(collector.rows)
+    for row in collector.rows:
+        grouped.process(row)
     rows = []
     for row in grouped.result_rows():
         for alias, expression in query.derived_columns.items():
-            row[alias] = expression.evaluate(row)
-        if query.having is None or query.having.evaluate(row):
+            row[alias] = evaluate(expression, row)
+        if query.having is None or evaluate(query.having, row):
             rows.append(row)
     return rows

@@ -1,8 +1,8 @@
 """Row-at-a-time dict operators: the reference the engine is tested against.
 
 These were the engine's first execution path — one ``dict`` per row pushed
-through :class:`~repro.core.operators.base.Operator` boxes — and left
-``src/`` when the chunk pipeline became the only way a plan executes.  They
+through :class:`Operator` boxes — and left ``src/`` when the chunk pipeline
+became the only way a plan executes.  They
 stay here because they are the shortest honest statement of what each
 relational step *means*: :func:`tests.reference.evaluate_query` strings them
 into a centralised evaluator of a ``QuerySpec`` that the distributed engine's
@@ -11,12 +11,135 @@ results are compared with.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.core.expressions import Expression
-from repro.core.operators.base import Operator, Row
 from repro.exceptions import SchemaError
+from tests.reference.expressions import evaluate
+
+Row = Dict[str, Any]
+
+# --------------------------------------------------------- push-based boxes
+#
+# An Operator receives rows through ``push``, does its work, and hands derived
+# rows to ``emit``, which pushes them into any attached consumers or, with
+# none attached, appends them to the operator's OutputQueue.
+
+
+class OutputQueue:
+    """FIFO buffer between a producer operator and its consumers."""
+
+    def __init__(self) -> None:
+        self._rows: deque = deque()
+        self.total_enqueued = 0
+
+    def append(self, row: Row) -> None:
+        """Add a row to the tail of the queue."""
+        self._rows.append(row)
+        self.total_enqueued += 1
+
+    def drain(self, limit: Optional[int] = None) -> List[Row]:
+        """Remove and return up to ``limit`` rows from the head (all if None)."""
+        if limit is None:
+            rows = list(self._rows)
+            self._rows.clear()
+            return rows
+        rows = []
+        while self._rows and len(rows) < limit:
+            rows.append(self._rows.popleft())
+        return rows
+
+    def peek_all(self) -> List[Row]:
+        """Non-destructive view of the queued rows."""
+        return list(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __bool__(self) -> bool:
+        return bool(self._rows)
+
+
+class Operator:
+    """Base class for push-based operators."""
+
+    def __init__(self, name: Optional[str] = None):
+        self.name = name or type(self).__name__
+        self.output = OutputQueue()
+        self.consumers: List["Operator"] = []
+        self.rows_in = 0
+        self.rows_out = 0
+        self._finished = False
+
+    # --------------------------------------------------------------- wiring
+
+    def add_consumer(self, consumer: "Operator") -> "Operator":
+        """Attach a downstream operator; returns ``consumer`` for chaining."""
+        self.consumers.append(consumer)
+        return consumer
+
+    # ----------------------------------------------------------------- flow
+
+    def push(self, row: Row) -> None:
+        """Feed one input row into the operator.
+
+        ``push`` is the single counting point for ``rows_in``: ``process``
+        implementations must not adjust the counter.  Operators with extra
+        public entrypoints that bypass ``push`` (e.g. the join's
+        ``push_left``/``push_right``) count those inputs themselves and route
+        the actual work through uncounted internal methods.
+        """
+        self.rows_in += 1
+        self.process(row)
+
+    def push_many(self, rows: Iterable[Row]) -> None:
+        """Feed several rows."""
+        for row in rows:
+            self.push(row)
+
+    def process(self, row: Row) -> None:
+        """Transform one input row; default is the identity."""
+        self.emit(row)
+
+    def emit(self, row: Row) -> None:
+        """Produce one output row: queue it and push it into consumers."""
+        self.rows_out += 1
+        if self.consumers:
+            for consumer in self.consumers:
+                consumer.push(row)
+        else:
+            self.output.append(row)
+
+    def finish(self) -> None:
+        """Signal end of input; propagates downstream exactly once."""
+        if self._finished:
+            return
+        self._finished = True
+        self.on_finish()
+        for consumer in self.consumers:
+            consumer.finish()
+
+    def on_finish(self) -> None:
+        """Hook for operators that emit on end-of-input (e.g. aggregation)."""
+
+    @property
+    def finished(self) -> bool:
+        """Whether :meth:`finish` has been called."""
+        return self._finished
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"{self.name}(in={self.rows_in}, out={self.rows_out})"
+
+
+def chain(*operators: Operator) -> Operator:
+    """Wire operators left-to-right; returns the first (entry) operator."""
+    if not operators:
+        raise ValueError("chain() needs at least one operator")
+    for upstream, downstream in zip(operators, operators[1:]):
+        upstream.add_consumer(downstream)
+    return operators[0]
+
 
 # ------------------------------------------------------------- dict helpers
 
@@ -75,7 +198,7 @@ class Selection(Operator):
         self.rows_filtered = 0
 
     def process(self, row: Row) -> None:
-        if self.predicate is None or self.predicate.evaluate(row):
+        if self.predicate is None or evaluate(self.predicate, row):
             self.emit(row)
         else:
             self.rows_filtered += 1
@@ -182,7 +305,7 @@ class SymmetricHashJoin(Operator):
 
     def _emit_pair(self, left: Row, right: Row) -> None:
         merged = merge_rows(left, right)
-        if self.residual is None or self.residual.evaluate(merged):
+        if self.residual is None or evaluate(self.residual, merged):
             self.emit(merged)
 
     # ------------------------------------------------------------ inspection

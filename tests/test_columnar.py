@@ -1,13 +1,12 @@
 """Columnar chunk execution: containers, kernels, wire format.
 
 Rows travel between operators as :class:`Chunk` objects (one value array
-per layout slot), compiled expressions run as chunk kernels, and rehash
-waves ship per-owner slices through ``Provider.put_chunk``.  These tests
-pin the chunk-boundary semantics — empty chunks, chunks split across rehash
-owners, the chunk → row boundary.
+per layout slot), expressions run as chunk kernels (checked against the
+reference in ``tests/test_compiled_equivalence.py``), and rehash waves ship
+per-owner slices through ``Provider.put_chunk``.  These tests pin the
+chunk-boundary semantics — empty chunks, chunks split across rehash owners,
+the chunk → row boundary.
 """
-
-from hypothesis import given, settings, strategies as st
 
 from repro.core.expressions import compare
 from repro.core.opgraph import OpKind, _compile_chain_kernel, build_opgraph
@@ -21,7 +20,6 @@ from repro.net.network import Network
 from repro.net.topology import FullMeshTopology
 from repro.workloads import JoinWorkload, WorkloadConfig
 from tests.conftest import build_pier, build_workload, load_join_tables
-from tests.test_compiled_equivalence import EXPRESSION_FIXTURES, MERGED_LAYOUT
 
 # ------------------------------------------------------------------- chunks
 
@@ -32,18 +30,17 @@ def test_empty_chunk_roundtrips():
     chunk = Chunk.empty(LAYOUT)
     assert len(chunk) == 0
     assert chunk.rows() == []
-    assert Chunk.from_rows(LAYOUT, []).rows() == []
 
 
-def test_from_rows_rows_roundtrip_is_lossless():
-    rows = [(1, 2.0, "x"), (4, 5.0, "y"), (7, 8.0, "z")]
-    chunk = Chunk.from_rows(LAYOUT, rows)
+def test_rows_transposes_the_columns():
+    chunk = Chunk(LAYOUT, [[1, 4, 7], [2.0, 5.0, 8.0], ["x", "y", "z"]])
     assert len(chunk) == 3
-    assert chunk.rows() == rows
+    assert chunk.rows() == [(1, 2.0, "x"), (4, 5.0, "y"), (7, 8.0, "z")]
 
 
 def test_compress_keeps_masked_rows_dense():
-    chunk = Chunk.from_rows(LAYOUT, [(i, i * 1.0, str(i)) for i in range(5)])
+    chunk = Chunk(LAYOUT, [list(range(5)), [i * 1.0 for i in range(5)],
+                           [str(i) for i in range(5)]])
     kept = chunk.compress([True, False, True, False, True])
     assert kept.rows() == [(0, 0.0, "0"), (2, 2.0, "2"), (4, 4.0, "4")]
     # All-kept returns the same object; none-kept returns an empty chunk.
@@ -51,41 +48,7 @@ def test_compress_keeps_masked_rows_dense():
     assert chunk.compress([0] * 5).rows() == []
 
 
-# -------------------------------------------------- vector expression kernels
-
-
-def _outcome(action):
-    try:
-        return ("ok", action())
-    except Exception as error:  # noqa: BLE001 - class equality is the contract
-        return ("error", type(error))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(
-    st.tuples(st.integers(min_value=-50, max_value=50),
-              st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-              st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)),
-    min_size=0, max_size=17))
-def test_vector_kernels_match_per_row_compilation(rows):
-    """Vector kernels agree with the scalar closures row for row, including
-    on empty chunks — value lists and error classes alike."""
-    # Widen the 3-wide hypothesis rows to the merged join layout.
-    widened = [(a, b, c, a + 1, -a, b / 2.0, c * 3.0) for a, b, c in rows]
-    chunk = Chunk.from_rows(MERGED_LAYOUT, widened)
-    for expression in EXPRESSION_FIXTURES:
-        def scalar_run(expression=expression):
-            compiled = expression.compile(MERGED_LAYOUT)
-            return [compiled(row) for row in widened]
-
-        def vector_run(expression=expression):
-            kernel = expression.compile_vector(MERGED_LAYOUT)
-            return list(kernel(chunk.columns, len(chunk)))
-
-        scalar = _outcome(scalar_run)
-        vector = _outcome(vector_run)
-        assert scalar == vector, f"{expression!r} diverged: " \
-            f"scalar={scalar} vector={vector}"
+# -------------------------------------------------------------- chunk kernels
 
 
 def test_chain_kernel_empty_input_yields_empty_chunk():

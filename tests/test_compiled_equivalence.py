@@ -1,11 +1,11 @@
-"""Compiled expressions and layouts against their interpreted meaning.
+"""Expression kernels and layouts against their row-at-a-time meaning.
 
-``Expression.evaluate`` over a dict environment is the definition;
-``Expression.compile`` over a slotted row must return the same value or fail
-with the same error class (``tests/test_columnar.py`` closes the triangle
-with ``compile_vector`` over a chunk), and resolution errors must surface at
-compile time.  Whole queries are checked against a centralised oracle in
-``tests/test_pipeline_oracle.py``.
+The reference ``evaluate`` walks an expression over one dict row
+(``tests/reference/expressions.py``); the engine's only form,
+``compile_vector``, runs it over a chunk's columns.  The kernel must return
+the reference's value for every row or fail with the same error class, and
+resolution errors must surface when it is compiled.  Whole queries are
+checked against a centralised oracle in ``tests/test_pipeline_oracle.py``.
 """
 
 import pytest
@@ -20,12 +20,15 @@ from repro.core.expressions import (
     Or,
     col,
     compare,
-    compile_expression,
+    compile_vector_expression,
     lit,
 )
+from repro.core.opgraph import _compile_chain_kernel
+from repro.core.query import JoinStrategy
 from repro.core.tuples import RowLayout
 from repro.exceptions import ExpressionError, SchemaError
-from tests.reference import project_row
+from repro.workloads import JoinWorkload, WorkloadConfig
+from tests.reference import evaluate, project_row
 
 # --------------------------------------------------------------- expressions
 
@@ -73,38 +76,53 @@ def _outcome(action):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(
-    st.one_of(st.integers(min_value=-100, max_value=100),
-              st.floats(min_value=0.0, max_value=100.0, allow_nan=False)),
-    min_size=len(MERGED_LAYOUT), max_size=len(MERGED_LAYOUT)))
-def test_every_fixture_expression_is_equivalent_compiled(values):
-    slotted = tuple(values)
-    environment = dict(zip(MERGED_LAYOUT.names, slotted))
+    st.tuples(st.integers(min_value=-50, max_value=50),
+              st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+              st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)),
+    min_size=0, max_size=17))
+def test_every_fixture_vector_kernel_matches_the_reference(rows):
+    """Per fixture: the kernel's value list is the reference's, row for row
+    (empty chunks included), or both fail with the same error class."""
+    # Widen the 3-wide hypothesis rows to the merged join layout.
+    widened = [(a, b, c, a + 1, -a, b / 2.0, c * 3.0) for a, b, c in rows]
+    columns = [[row[slot] for row in widened] for slot in range(len(MERGED_LAYOUT))]
+    environments = [dict(zip(MERGED_LAYOUT.names, row)) for row in widened]
+    probe = dict(zip(MERGED_LAYOUT.names, (1, 1.0, 1.0, 2, -1, 0.5, 3.0)))
     for expression in EXPRESSION_FIXTURES:
-        interpreted = _outcome(lambda e=expression: e.evaluate(environment))
-        compiled = _outcome(lambda e=expression: e.compile(MERGED_LAYOUT)(slotted))
-        assert interpreted == compiled, f"{expression!r} diverged: " \
-            f"interpreted={interpreted} compiled={compiled}"
+        try:
+            kernel = expression.compile_vector(MERGED_LAYOUT)
+        except ExpressionError:
+            # Plan-time resolution error: the reference fails on any row.
+            assert _outcome(lambda e=expression: evaluate(e, probe)) == (
+                "error", ExpressionError), repr(expression)
+            continue
+        reference = _outcome(lambda e=expression: [
+            evaluate(e, environment) for environment in environments])
+        vector = _outcome(lambda k=kernel: list(k(columns, len(widened))))
+        assert reference == vector, f"{expression!r} diverged: " \
+            f"reference={reference} vector={vector}"
 
 
 def test_resolution_errors_surface_at_compile_time():
     layout = RowLayout(["R.num2", "S.num2", "R.pkey"])
     with pytest.raises(ExpressionError):
-        col("missing").compile(layout)
+        col("missing").compile_vector(layout)
     with pytest.raises(ExpressionError):
-        col("num2").compile(layout)  # ambiguous across R and S
+        col("num2").compile_vector(layout)  # ambiguous across R and S
     # Qualified->bare and bare->qualified fallbacks resolve like evaluate().
     bare = RowLayout(["num2", "pkey"])
-    assert col("R.num2").compile(bare)((1.5, 7)) == 1.5
-    assert col("pkey").compile(layout)((0, 0, 9)) == 9
+    assert col("R.num2").compile_vector(bare)([[1.5], [7]], 1) == [1.5]
+    assert col("pkey").compile_vector(layout)([[0], [0], [9]], 1) == [9]
 
 
-def test_compile_expression_passes_none_through():
-    assert compile_expression(None, MERGED_LAYOUT) is None
+def test_compile_vector_expression_passes_none_through():
+    assert compile_vector_expression(None, MERGED_LAYOUT) is None
 
 
 def test_projection_errors_match_interpreted():
-    layout = RowLayout(["a", "b"])
+    query = JoinWorkload(WorkloadConfig(num_nodes=4, seed=3)).make_query(
+        strategy=JoinStrategy.SYMMETRIC_HASH)
     with pytest.raises(SchemaError):
-        layout.getter(["a", "zap"])
+        _compile_chain_kernel(query, "R", None, ["pkey", "zap"])
     with pytest.raises(SchemaError):
-        project_row({"a": 1, "b": 2}, ["a", "zap"])
+        project_row({"pkey": 1, "num2": 2}, ["pkey", "zap"])

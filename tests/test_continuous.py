@@ -7,22 +7,23 @@ from repro.core.expressions import Comparison, col, lit
 from repro.core.query import AggregateSpec, QuerySpec, TableRef
 from repro.workloads import NetworkMonitoringWorkload
 from tests.conftest import build_pier
+from tests.reference import evaluate
 
 
 def test_sliding_window_predicate_bounds():
     window = SlidingWindowPredicate("ts", window_s=10.0)
     predicate = window.at(now=100.0)
-    assert predicate.evaluate({"ts": 95.0})
-    assert not predicate.evaluate({"ts": 80.0})
+    assert evaluate(predicate, {"ts": 95.0})
+    assert not evaluate(predicate, {"ts": 80.0})
 
 
 def test_sliding_window_combined_with_existing_predicate():
     window = SlidingWindowPredicate("ts", window_s=10.0)
     combined = window.combined_with(Comparison(">", col("v"), lit(5)), now=100.0)
-    assert combined.evaluate({"ts": 99.0, "v": 6})
-    assert not combined.evaluate({"ts": 99.0, "v": 1})
-    assert not combined.evaluate({"ts": 1.0, "v": 6})
-    assert window.combined_with(None, now=100.0).evaluate({"ts": 99.0})
+    assert evaluate(combined, {"ts": 99.0, "v": 6})
+    assert not evaluate(combined, {"ts": 99.0, "v": 1})
+    assert not evaluate(combined, {"ts": 1.0, "v": 6})
+    assert evaluate(window.combined_with(None, now=100.0), {"ts": 99.0})
 
 
 def test_periodic_query_rejects_bad_period():

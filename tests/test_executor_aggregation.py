@@ -185,3 +185,72 @@ def test_hand_built_aggregation_query_without_sql():
     result = run_query(pier, query, initiator=2)
     total = sum(row["cnt"] for row in result.rows)
     assert total == sum(len(rows) for rows in workload.intrusions_by_node.values())
+
+
+# ------------------------------------------------- derived columns and HAVING
+
+
+@pytest.mark.parametrize("distributed", [True, False],
+                         ids=["group-owners", "initiator"])
+def test_derived_columns_and_having_match_the_reference(distributed):
+    """Derived columns and HAVING run as kernels lowered against the
+    aggregate output layout: a derived column may use an earlier one, HAVING
+    may use a derived alias and a bare name of a qualified group column."""
+    from repro.core.expressions import And, Arithmetic, Comparison, col, lit
+    from tests.reference import all_rows, evaluate_query, row_multiset
+
+    pier, workload, _planner = build_monitoring(num_nodes=8)
+    query = QuerySpec(
+        tables=[TableRef(workload.intrusions, "I")],
+        group_by=["I.fingerprint"],
+        aggregates=[AggregateSpec("count", None, "cnt"),
+                    AggregateSpec("sum", "I.port", "total")],
+        having=And([Comparison(">", col("per_report"), lit(100)),
+                    Comparison("!=", col("fingerprint"), lit("none"))]),
+        strategy=JoinStrategy.SYMMETRIC_HASH,
+        distributed_aggregation=distributed,
+    )
+    query.derived_columns = {
+        "weighted": Arithmetic("*", col("cnt"), col("total")),
+        "per_report": Arithmetic("/", col("weighted"), Arithmetic(
+            "*", col("cnt"), col("cnt"))),
+    }
+    tables = {workload.intrusions.name: all_rows(workload.intrusions_by_node)}
+    expected = evaluate_query(query, tables)
+    everything = evaluate_query(
+        QuerySpec(tables=query.tables, group_by=query.group_by,
+                  aggregates=query.aggregates), tables)
+    assert 0 < len(expected) < len(everything)
+    rows = pier.client().query(query).fetchall()
+    assert row_multiset(rows) == row_multiset(expected)
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT I.fingerprint, count(*) AS cnt FROM intrusions I "
+    "GROUP BY I.fingerprint HAVING nosuch > 10",
+    "SELECT I.fingerprint, count(*) * nosuch AS w FROM intrusions I "
+    "GROUP BY I.fingerprint",
+], ids=["having", "derived"])
+def test_an_unresolvable_post_aggregation_reference_fails_at_submit(sql):
+    """HAVING and derived columns compile when the plan is lowered, before
+    the flood: the error reaches the submitter, nothing is queued or sent,
+    and the next query on the deployment returns exact rows."""
+    from repro.exceptions import ExpressionError
+
+    workload = NetworkMonitoringWorkload(num_nodes=8, seed=5)
+    pier = build_pier(8, dht="chord")
+    pier.load_relation(workload.intrusions, workload.intrusions_by_node)
+    client = pier.client(catalog=workload.catalog())
+    simulator = pier.network.simulator
+    pending, sent = simulator.pending_events, pier.network.stats.messages_sent
+    with pytest.raises(ExpressionError):
+        client.sql(sql)
+    assert simulator.pending_events == pending
+    assert pier.network.stats.messages_sent == sent
+    assert client.executor.active_query_ids() == []
+
+    rows = client.sql(
+        "SELECT I.fingerprint, count(*) AS cnt FROM intrusions I "
+        "GROUP BY I.fingerprint HAVING cnt > 10").fetchall()
+    got = sorted((row["I.fingerprint"], row["cnt"]) for row in rows)
+    assert got == workload.expected_attack_summary(10)

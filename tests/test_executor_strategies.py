@@ -116,9 +116,13 @@ def test_fetch_matches_requires_a_side_hashed_on_join_key():
 
 #: ``(prov.get_batch, pier.result, messages sent, bytes delivered, t_last)``
 #: of one symmetric semi-join on 64 nodes x 8 S tuples (514 result rows).
+#: With two ``get`` calls and one result message per matched pair these read
+#: (2 084, 495, 27 559, 4 710 412, 4.7467264) on CAN and (2 060, 496,
+#: 21 633, 4 142 524, 2.2074144) on Chord; one ``get_batch`` per side per
+#: probe call and one result message per owner reply give the values below.
 SEMI_JOIN_PINS = {
-    "can": (2_084, 495, 27_559, 4_710_412, 4.7467264),
-    "chord": (2_060, 496, 21_633, 4_142_524, 2.2074144),
+    "can": (1_711, 419, 23_794, 4_358_412, 4.74632),
+    "chord": (1_508, 447, 17_631, 3_777_612, 2.2075936),
 }
 
 
@@ -176,3 +180,61 @@ def test_single_computation_node_receives_more_inbound_traffic():
     inbound_single = pier_one.network.stats.inbound_bytes[3]
     max_inbound_all = result_all.traffic.max_inbound_bytes
     assert inbound_single > max_inbound_all
+
+
+def grouped_resource_id_tables(pier):
+    """R published under a non-key column: two rows per ``grp``, one join key
+    per ``grp``, so one resourceID names two tuples."""
+    from repro.core.tuples import Column, RelationDef, Schema
+
+    r_relation = RelationDef(
+        "RG", Schema([Column("id", "int"), Column("grp", "int"),
+                      Column("k", "int"), Column("v", "int")]),
+        primary_key="id", resource_id_column="grp")
+    s_relation = RelationDef(
+        "SK", Schema([Column("sid", "int"), Column("k", "int")]),
+        primary_key="sid")
+    r_rows = [{"id": i, "grp": i // 2, "k": i // 2, "v": i} for i in range(16)]
+    s_rows = [{"sid": i, "k": i % 8} for i in range(12)]
+    nodes = pier.config.num_nodes
+    pier.load_relation(r_relation, {n: r_rows[n::nodes] for n in range(nodes)})
+    pier.load_relation(s_relation, {n: s_rows[n::nodes] for n in range(nodes)})
+    return r_relation, s_relation, {"RG": r_rows, "SK": s_rows}
+
+
+def test_semi_join_refuses_a_resource_id_that_is_not_the_primary_key():
+    """The rejoin fetches every tuple under a resourceID and never re-applies
+    the local predicate, so over R published by ``grp`` it returned rows that
+    fail ``R.v > 4`` and every other row twice.  Forcing it is a plan error
+    raised before anything is sent; AUTO never picks it."""
+    from repro.core.expressions import compare
+    from repro.core.query import JoinClause, QuerySpec, TableRef
+    from repro.exceptions import PlanError
+    from tests.reference import evaluate_query
+
+    pier = build_pier(8)
+    r_relation, s_relation, tables = grouped_resource_id_tables(pier)
+    client = pier.client()
+
+    def query(strategy):
+        return QuerySpec(
+            tables=[TableRef(r_relation, "R"), TableRef(s_relation, "S")],
+            output_columns=["R.id", "S.sid"],
+            join=JoinClause("R", "k", "S", "k"),
+            local_predicates={"R": compare("R.v", ">", 4)},
+            strategy=strategy,
+        )
+
+    simulator = pier.network.simulator
+    pending, sent = simulator.pending_events, pier.network.stats.messages_sent
+    with pytest.raises(PlanError):
+        client.query(query(JoinStrategy.SYMMETRIC_SEMI_JOIN))
+    assert simulator.pending_events == pending
+    assert pier.network.stats.messages_sent == sent
+
+    auto = query(JoinStrategy.AUTO)
+    rows = client.query(auto).fetchall()
+    assert auto.strategy is not JoinStrategy.SYMMETRIC_SEMI_JOIN
+    expected = evaluate_query(query(JoinStrategy.SYMMETRIC_HASH), tables)
+    assert len(expected) == 14
+    assert row_multiset(rows) == row_multiset(expected)

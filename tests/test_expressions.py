@@ -1,4 +1,10 @@
-"""Unit tests for the expression language."""
+"""Unit tests for the expression language.
+
+Every case runs both forms: the reference walk over a dict row
+(``tests/reference/expressions.py``) and the engine's chunk kernel
+(``compile_vector``) over a one-row chunk of the same columns, which must
+agree — resolution errors surface when the kernel is compiled.
+"""
 
 import pytest
 
@@ -18,45 +24,61 @@ from repro.core.expressions import (
     tables_referenced,
     udf,
 )
+from repro.core.tuples import RowLayout
 from repro.exceptions import ExpressionError
+from tests.reference import evaluate
 
 
 ROW = {"R.num2": 60.0, "R.num3": 10.0, "S.num3": 45.0, "S.pkey": 7}
 
 
+def run(expression, row=ROW):
+    """The expression's value on ``row``; both forms must agree on it."""
+    value = evaluate(expression, row)
+    kernel = expression.compile_vector(RowLayout(list(row)))
+    assert kernel([[cell] for cell in row.values()], 1) == [value]
+    return value
+
+
+def raises(expression, row=ROW):
+    """Both forms reject ``expression`` over ``row``'s columns."""
+    with pytest.raises(ExpressionError):
+        evaluate(expression, row)
+    with pytest.raises(ExpressionError):
+        expression.compile_vector(RowLayout(list(row)))
+
+
 def test_literal_evaluates_to_itself():
-    assert lit(42).evaluate({}) == 42
+    assert run(lit(42), {}) == 42
 
 
 def test_column_ref_qualified_lookup():
-    assert col("R.num2").evaluate(ROW) == 60.0
+    assert run(col("R.num2")) == 60.0
 
 
 def test_column_ref_unqualified_resolves_unique_suffix():
-    assert col("num2").evaluate(ROW) == 60.0
+    assert run(col("num2")) == 60.0
 
 
 def test_column_ref_ambiguous_unqualified_raises():
-    with pytest.raises(ExpressionError):
-        col("num3").evaluate(ROW)
+    raises(col("num3"))
 
 
 def test_column_ref_qualified_falls_back_to_bare_name():
-    assert col("R.num2").evaluate({"num2": 5.0}) == 5.0
+    assert run(col("R.num2"), {"num2": 5.0}) == 5.0
 
 
 def test_column_ref_missing_raises():
-    with pytest.raises(ExpressionError):
-        col("R.missing").evaluate(ROW)
+    raises(col("R.missing"))
 
 
 def test_comparison_operators():
-    assert Comparison(">", col("R.num2"), lit(50)).evaluate(ROW)
-    assert not Comparison("<", col("R.num2"), lit(50)).evaluate(ROW)
-    assert Comparison("=", col("S.pkey"), lit(7)).evaluate(ROW)
-    assert Comparison("!=", col("S.pkey"), lit(8)).evaluate(ROW)
-    assert Comparison("<=", lit(3), lit(3)).evaluate({})
-    assert Comparison(">=", lit(4), lit(3)).evaluate({})
+    assert run(Comparison(">", col("R.num2"), lit(50)))
+    assert not run(Comparison("<", col("R.num2"), lit(50)))
+    assert run(Comparison("=", col("S.pkey"), lit(7)))
+    assert run(Comparison("!=", col("S.pkey"), lit(8)))
+    assert run(Comparison("<=", lit(3), lit(3)), {})
+    assert run(Comparison(">=", lit(4), lit(3)), {})
 
 
 def test_comparison_rejects_unknown_operator():
@@ -65,28 +87,28 @@ def test_comparison_rejects_unknown_operator():
 
 
 def test_arithmetic_operators():
-    assert Arithmetic("+", lit(2), lit(3)).evaluate({}) == 5
-    assert Arithmetic("-", lit(2), lit(3)).evaluate({}) == -1
-    assert Arithmetic("*", lit(2), lit(3)).evaluate({}) == 6
-    assert Arithmetic("/", lit(3), lit(2)).evaluate({}) == pytest.approx(1.5)
+    assert run(Arithmetic("+", lit(2), lit(3)), {}) == 5
+    assert run(Arithmetic("-", lit(2), lit(3)), {}) == -1
+    assert run(Arithmetic("*", lit(2), lit(3)), {}) == 6
+    assert run(Arithmetic("/", lit(3), lit(2)), {}) == pytest.approx(1.5)
 
 
 def test_and_or_not():
     true = Comparison(">", lit(2), lit(1))
     false = Comparison("<", lit(2), lit(1))
-    assert And([true, true]).evaluate({})
-    assert not And([true, false]).evaluate({})
-    assert Or([false, true]).evaluate({})
-    assert not Or([false, false]).evaluate({})
-    assert Not(false).evaluate({})
+    assert run(And([true, true]), {})
+    assert not run(And([true, false]), {})
+    assert run(Or([false, true]), {})
+    assert not run(Or([false, false]), {})
+    assert run(Not(false), {})
 
 
 def test_operator_overloads_build_connectives():
     true = Comparison(">", lit(2), lit(1))
     false = Comparison("<", lit(2), lit(1))
-    assert (true & true).evaluate({})
-    assert (true | false).evaluate({})
-    assert (~false).evaluate({})
+    assert run(true & true, {})
+    assert run(true | false, {})
+    assert run(~false, {})
 
 
 def test_and_flattening():
@@ -106,13 +128,12 @@ def test_columns_referenced_collects_from_subtrees():
 
 def test_function_call_uses_registered_udf():
     register_udf("double_it", lambda x: 2 * x)
-    assert FunctionCall("double_it", (lit(21),)).evaluate({}) == 42
+    assert run(FunctionCall("double_it", (lit(21),)), {}) == 42
     assert udf("double_it")(5) == 10
 
 
 def test_function_call_unknown_udf_raises():
-    with pytest.raises(ExpressionError):
-        FunctionCall("no_such_udf", (lit(1),)).evaluate({})
+    raises(FunctionCall("no_such_udf", (lit(1),)), {})
 
 
 def test_paper_benchmark_udf_registered():
@@ -122,6 +143,6 @@ def test_paper_benchmark_udf_registered():
 
 def test_compare_helper_wraps_values_and_columns():
     predicate = compare("R.num2", ">", 50)
-    assert predicate.evaluate(ROW)
+    assert run(predicate)
     assert isinstance(predicate.left, ColumnRef)
     assert isinstance(predicate.right, Literal)

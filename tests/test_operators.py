@@ -1,14 +1,15 @@
-"""Unit tests for the push-based dataflow operators.
+"""Unit tests for the dataflow operators.
 
-The aggregation operators are engine code; the row-at-a-time scan /
-selection / projection / join / sink operators are the reference
-implementation under ``tests/reference/`` that the engine is tested against.
+The group-by and its aggregate states are engine code; the push-based
+``Operator`` boxes and the row-at-a-time scan / selection / projection /
+join / sink operators are the reference implementation under
+``tests/reference/`` that the engine is tested against.
 """
 
 import pytest
 
 from repro.core.expressions import Comparison, col, lit
-from repro.core.operators import GroupByAggregate, chain, make_aggregate
+from repro.core.operators import GroupByAggregate, make_aggregate
 from repro.core.operators.aggregate import (
     AvgState,
     CountState,
@@ -17,16 +18,18 @@ from repro.core.operators.aggregate import (
     SumState,
     state_from_payload,
 )
-from repro.core.operators.base import Operator, OutputQueue
 from repro.exceptions import QueryError
 from tests.reference import (
     Collector,
     ListScan,
+    Operator,
+    OutputQueue,
     Projection,
     Qualify,
     Selection,
     SymmetricHashJoin,
     Tee,
+    chain,
 )
 
 
@@ -70,13 +73,18 @@ def test_chain_wires_operators_and_finish_propagates():
 
 
 def test_finish_is_idempotent():
-    collector = Collector()
-    aggregate = GroupByAggregate([], [("count", None, "cnt")])
-    aggregate.add_consumer(collector)
-    aggregate.push({"x": 1})
-    aggregate.finish()
-    aggregate.finish()
-    assert len(collector.rows) == 1
+    finished = []
+
+    class CountsFinish(Operator):
+        def on_finish(self):
+            finished.append(self.rows_in)
+
+    operator = CountsFinish()
+    operator.push({"x": 1})
+    operator.finish()
+    operator.finish()
+    assert finished == [1]
+    assert operator.finished
 
 
 def test_tee_invokes_callback_without_altering_rows():
@@ -294,29 +302,35 @@ def test_make_aggregate_rejects_unknown_function():
         state_from_payload(("median", 1))
 
 
-def test_group_by_aggregate_groups_and_having():
-    aggregate = GroupByAggregate(
+def accumulate(aggregate, rows):
+    for row in rows:
+        aggregate.process(row)
+    return aggregate
+
+
+def test_group_by_aggregate_groups():
+    aggregate = accumulate(GroupByAggregate(
         group_by=["group"],
         aggregates=[("count", None, "cnt"), ("sum", "num2", "total")],
-        having=Comparison(">", col("cnt"), lit(1)),
-    )
-    aggregate.push_many(ROWS)
-    rows = aggregate.result_rows()
-    assert rows == [{"group": "a", "cnt": 2, "total": 100.0}]
+    ), ROWS)
+    assert aggregate.result_rows() == [
+        {"group": "a", "cnt": 2, "total": 100.0},
+        {"group": "b", "cnt": 1, "total": 90.0},
+    ]
     assert aggregate.group_count == 2
 
 
 def test_group_by_aggregate_global_group():
-    aggregate = GroupByAggregate(group_by=[], aggregates=[("count", None, "cnt")])
-    aggregate.push_many(ROWS)
+    aggregate = accumulate(
+        GroupByAggregate(group_by=[], aggregates=[("count", None, "cnt")]), ROWS)
     assert aggregate.result_rows() == [{"cnt": 3}]
 
 
 def test_group_by_aggregate_merge_partials():
-    partial_a = GroupByAggregate(["group"], [("count", None, "cnt")])
-    partial_b = GroupByAggregate(["group"], [("count", None, "cnt")])
-    partial_a.push_many(ROWS[:2])
-    partial_b.push_many(ROWS[2:])
+    partial_a = accumulate(GroupByAggregate(["group"], [("count", None, "cnt")]),
+                           ROWS[:2])
+    partial_b = accumulate(GroupByAggregate(["group"], [("count", None, "cnt")]),
+                           ROWS[2:])
     final = GroupByAggregate(["group"], [("count", None, "cnt")])
     for partial in (partial_a, partial_b):
         for group_key, payloads in partial.partial_payloads().items():
@@ -328,13 +342,4 @@ def test_group_by_aggregate_merge_partials():
 def test_group_by_missing_column_raises():
     aggregate = GroupByAggregate(["missing"], [("count", None, "cnt")])
     with pytest.raises(QueryError):
-        aggregate.push({"x": 1})
-
-
-def test_group_by_emits_on_finish():
-    aggregate = GroupByAggregate(["group"], [("count", None, "cnt")])
-    collector = Collector()
-    aggregate.add_consumer(collector)
-    aggregate.push_many(ROWS)
-    aggregate.finish()
-    assert len(collector.rows) == 2
+        aggregate.process({"x": 1})

@@ -164,11 +164,9 @@ def test_finalize_aggregation_rows_applies_derived_and_having():
 
     query.derived_columns = {"wcnt": Arithmetic("*", col("cnt"), col("total"))}
     final = build_final_aggregation(query)
-    final.push_many([
-        {"T.g": "x", "T.w": 3.0},
-        {"T.g": "x", "T.w": 4.0},
-        {"T.g": "y", "T.w": 1.0},
-    ])
+    for row in ({"T.g": "x", "T.w": 3.0}, {"T.g": "x", "T.w": 4.0},
+                {"T.g": "y", "T.w": 1.0}):
+        final.process(row)
     rows = finalize_aggregation_rows(query, final)
     assert rows == [{"T.g": "x", "cnt": 2, "total": 7.0, "wcnt": 14.0}]
 

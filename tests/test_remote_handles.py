@@ -78,7 +78,8 @@ def test_cancelled_and_closed_cursors_release_their_gateway_handles():
 
 def test_a_plan_the_gateway_cannot_lower_is_rejected_by_the_submit_rpc():
     """The gateway lowers the spec before it floods, so the error comes back
-    as the submit RPC's reply, not as an empty timed-out cursor."""
+    as the submit RPC's reply, not as an empty timed-out cursor — whether
+    the strategy cannot run or a HAVING reference does not resolve."""
     workload = two_node_workload()
     expected = row_multiset(workload.expected_results())
     with LocalCluster(2) as cluster:
@@ -86,16 +87,21 @@ def test_a_plan_the_gateway_cannot_lower_is_rejected_by_the_submit_rpc():
         pier.load_relation(workload.r_relation, workload.r_by_node)
         pier.load_relation(workload.s_relation, workload.s_by_node)
         client = pier.client(catalog=workload.catalog())
-        unlowerable = QuerySpec(  # Fetch Matches on a non-resourceID column
-            tables=[TableRef(workload.r_relation, "R"),
-                    TableRef(workload.s_relation, "S")],
-            output_columns=["R.pkey", "S.pkey"],
-            join=JoinClause("R", "num2", "S", "num2"),
-            strategy=JoinStrategy.FETCH_MATCHES,
-        )
-        with pytest.raises(GatewayError, match="PlanError"):
-            client.query(unlowerable, timeout_s=30.0)
-        assert pier.gateway.handles == {}
+        unlowerable = [
+            (QuerySpec(  # Fetch Matches on a non-resourceID column
+                tables=[TableRef(workload.r_relation, "R"),
+                        TableRef(workload.s_relation, "S")],
+                output_columns=["R.pkey", "S.pkey"],
+                join=JoinClause("R", "num2", "S", "num2"),
+                strategy=JoinStrategy.FETCH_MATCHES,
+            ), "PlanError"),
+            (client.plan("SELECT R.num1, count(*) AS cnt FROM R "
+                         "GROUP BY R.num1 HAVING nosuch > 1"), "ExpressionError"),
+        ]
+        for spec, error in unlowerable:
+            with pytest.raises(GatewayError, match=error):
+                client.query(spec, timeout_s=30.0)
+            assert pier.gateway.handles == {}
 
         cursor = client.query(
             workload.make_query(strategy=JoinStrategy.FETCH_MATCHES),

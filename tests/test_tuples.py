@@ -160,21 +160,12 @@ def test_layout_reader_builds_slotted_rows_in_order():
     assert single({"only": 5}) == (5,)
 
 
-def test_layout_getter_is_exact_and_reports_all_missing():
-    layout = RowLayout(["a", "b", "c"])
-    assert layout.getter(["c", "a"])((1, 2, 3)) == (3, 1)
-    assert layout.getter(["b"])((1, 2, 3)) == (2,)
-    with pytest.raises(SchemaError) as error:
-        layout.getter(["a", "x", "y"])
-    assert "x" in str(error.value) and "y" in str(error.value)
-
-
 def test_layout_qualify_and_concat_mirror_dict_helpers():
     left = RowLayout(["pkey", "num2"]).qualified("R")
     right = RowLayout(["pkey", "num3"]).qualified("S")
     merged = left.concat(right)
     row = (1, 2.0, 7, 3.0)
-    assert merged.to_dict(row) == merge_rows(
+    assert dict(zip(merged.names, row)) == merge_rows(
         qualify("R", {"pkey": 1, "num2": 2.0}),
         qualify("S", {"pkey": 7, "num3": 3.0}),
     )
