@@ -80,7 +80,7 @@ def _outcome(action):
               st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
               st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)),
     min_size=0, max_size=17))
-def test_every_fixture_vector_kernel_matches_the_reference(rows):
+def test_every_fixture_expression_is_equivalent_compiled(rows):
     """Per fixture: the kernel's value list is the reference's, row for row
     (empty chunks included), or both fail with the same error class."""
     # Widen the 3-wide hypothesis rows to the merged join layout.
