@@ -1,9 +1,13 @@
 """Unit tests for the storage manager and soft-state renewal."""
 
+import math
+
 import pytest
 
 from repro.dht.storage import StorageManager, StoredItem
 from repro.exceptions import StorageError
+from repro.harness import PierNetwork, SimulationConfig
+from repro.workloads import JoinWorkload, WorkloadConfig
 
 
 def make_item(namespace="ns", resource="r1", instance=1, value="v", expires=100.0,
@@ -273,3 +277,65 @@ def test_store_batch_returns_the_items_of_triples_not_live_before():
     storage.expire_items(now=11.0)
     again = make_item(instance=4, expires=50.0)
     assert storage.store_batch([again]) == [again]
+
+
+# ------------------------------------------------------------ renewal pin
+#
+# The write path end to end: 32-node deployments whose every publisher runs
+# a renewal agent, one refresh period long, with a fresh short-lived
+# ``put_batch`` published at its start.  The fixed-seed query pins cover
+# reads; this one holds the routed puts, the renewal storm and expiry.
+
+RENEWAL_PINS = {
+    "can": {"messages_sent": 2947, "bytes_delivered": 994924,
+            "events_processed": 2500, "lookup_hops": 3291,
+            "protocol_messages": {"can.batch_lookup_reply": 682,
+                                  "can.route_batch": 1583,
+                                  "prov.put_chunk": 682},
+            "fresh_stored": 64, "fresh_expired": 64,
+            "last_store_time": 1.0019039999999997},
+    "chord": {"messages_sent": 2201, "bytes_delivered": 909204,
+              "events_processed": 1482, "lookup_hops": 2493,
+              "protocol_messages": {"chord.batch_lookup_reply": 503,
+                                    "chord.route_batch": 1195,
+                                    "prov.put_chunk": 503},
+              "fresh_stored": 64, "fresh_expired": 64,
+              "last_store_time": 0.6028288000000002},
+}
+
+
+def renewal_period_facts(dht):
+    """One refresh period of the pinned deployment, as comparable facts."""
+    pier = PierNetwork(SimulationConfig(num_nodes=32, dht=dht, seed=7,
+                                        sweep_period_s=5.0))
+    workload = JoinWorkload(WorkloadConfig(num_nodes=32, s_tuples_per_node=2,
+                                           seed=11))
+    pier.start_renewal_agents(30.0)
+    for relation, rows in ((workload.r_relation, workload.r_by_node),
+                           (workload.s_relation, workload.s_by_node)):
+        pier.load_relation(relation, rows, lifetime=60.0, track_renewal=True)
+    entries = [(rid, {"id": rid}, None, 100) for rid in range(64)]
+    pier.provider(3).put_batch("fresh", entries, lifetime=15.0)
+    pier.run(until=10.0)
+    fresh = [item for provider in pier.providers.values()
+             for item in provider.storage.scan("fresh", -math.inf)]
+    pier.run(until=40.0)
+    left = sum(len(provider.storage.scan("fresh", -math.inf))
+               for provider in pier.providers.values())
+    stats = pier.network.stats
+    return {
+        "messages_sent": stats.messages_sent,
+        "bytes_delivered": stats.bytes_delivered,
+        "events_processed": pier.network.simulator.events_processed,
+        "lookup_hops": sum(sum(routing.lookup_hops_observed)
+                           for routing in pier.routings.values()),
+        "protocol_messages": dict(sorted(stats.protocol_messages.items())),
+        "fresh_stored": len(fresh),
+        "fresh_expired": len(fresh) - left,
+        "last_store_time": max(item.stored_at for item in fresh),
+    }
+
+
+@pytest.mark.parametrize("dht", ["can", "chord"])
+def test_renewal_period_is_pinned(dht):
+    assert renewal_period_facts(dht) == RENEWAL_PINS[dht]
