@@ -91,8 +91,12 @@ class RoutingLayer(ABC):
     """Abstract overlay routing layer bound to one simulated node.
 
     The base class owns the generic half of **lookups** — the Table 1
-    ``lookup``, request bookkeeping, reply handling and the forward loop
-    that re-partitions a batch at every hop — and the **join route**.
+    ``lookup``, request bookkeeping, reply handling and the forward step
+    that applies the hop rules (:meth:`_target`) at every hop — and the
+    **join route**.  Most routed messages carry one key; such a batch goes
+    straight to its one outcome (an owned reply, an unresolved reply or one
+    forward of the arrays it came in), and only a larger one is
+    re-partitioned by target.
     Concrete layers supply only the geometry through three hooks —
     :meth:`_coordinate`, :meth:`_owns_coordinate` and :meth:`_next_hop` —
     plus ``create_network``, ``_join_coordinate`` and
@@ -226,85 +230,93 @@ class RoutingLayer(ABC):
 
     # Generic machinery shared by all DHTs.
 
+    def _target(self, coord: Any, exclude: Optional[int], expired: bool,
+                reply_owned: bool) -> Optional[int]:
+        """Where the key at ``coord`` goes from here: the hop rules.
+
+        This node when it is answered as owned (``reply_owned``: a batch
+        that arrived over the network); ``None`` when it is unresolved —
+        past the hop limit, or with no next hop but this node; else its
+        best next hop, from the layer's next-hop index.
+        """
+        me = self.node.address
+        if reply_owned and self._owns_coordinate(coord):
+            return me
+        next_hop = None if expired else self._next_hop(coord, exclude)
+        return None if next_hop == me else next_hop
+
     def _forward_batch(self, keys: List[int], coords: List[Any], origin: int,
                        request_id: int, entry_bytes: int, hops: int,
                        exclude: Optional[int] = None,
                        reply_owned: bool = False) -> None:
         """Route a batch one hop further, in one pass over its two arrays.
 
-        With ``reply_owned`` (a batch that arrived over the network) the
-        keys this node owns are answered to the origin first; the others
-        are grouped by best next hop — one consultation of the layer's
-        next-hop index per key — and each group's slices of ``keys`` and
-        ``coords`` forwarded.  Keys with no viable next hop (or past the hop
-        limit) are reported back to the origin as unresolved rather than
-        silently dropped, so the origin's pending state never leaks.
+        Each key's :meth:`_target` decides it, and :meth:`_dispatch` sends
+        the keys of one target.  A one-key batch — most routed messages —
+        goes straight to its one outcome with the arrays it came in.  A
+        larger batch is grouped by target: the owned keys are answered
+        first, each next hop's slices of ``keys`` and ``coords`` forwarded
+        in the order the hops first occur, the unresolved keys answered
+        last.
         """
-        owned: List[int] = []
-        dropped: List[int] = []
-        groups: Dict[int, Tuple[List[int], List[Any]]] = {}
-        is_owned = self._owns_coordinate
-        next_hop_of = self._next_hop
         expired = hops >= self.MAX_ROUTE_HOPS
-        me = self.address
+        if len(keys) == 1:
+            self._dispatch(self._target(coords[0], exclude, expired, reply_owned),
+                           keys, coords, origin, request_id, entry_bytes, hops)
+            return
+        groups: Dict[Optional[int], Tuple[List[int], List[Any]]] = {}
+        target_of = self._target
         for key, coord in zip(keys, coords):
-            if reply_owned and is_owned(coord):
-                owned.append(key)
-                continue
-            next_hop = None if expired else next_hop_of(coord, exclude)
-            if next_hop is None or next_hop == me:
-                dropped.append(key)
-                continue
-            group = groups.get(next_hop)
+            target = target_of(coord, exclude, expired, reply_owned)
+            group = groups.get(target)
             if group is None:
-                groups[next_hop] = ([key], [coord])
+                groups[target] = ([key], [coord])
             else:
                 group[0].append(key)
                 group[1].append(coord)
-        if owned:
-            self._send_batch_reply(origin, request_id, me, owned, hops)
-        for next_hop, (group_keys, group_coords) in groups.items():
-            self.node.send(
-                next_hop,
-                self.PROTOCOL_ROUTE_BATCH,
-                payload={
-                    "keys": group_keys,
-                    "coords": group_coords,
-                    "origin": origin,
-                    "request_id": request_id,
-                },
-                payload_bytes=entry_bytes * len(group_keys),
-                hops=hops + 1,
-            )
-        if dropped:
-            self._send_batch_reply(origin, request_id, None, dropped, hops)
+        rank = {self.node.address: 0, None: 2}  # owned first, unresolved last
+        for target in sorted(groups, key=lambda target: rank.get(target, 1)):
+            self._dispatch(target, *groups[target], origin, request_id,
+                           entry_bytes, hops)
+
+    def _dispatch(self, target: Optional[int], keys: List[int],
+                  coords: List[Any], origin: int, request_id: int,
+                  entry_bytes: int, hops: int) -> None:
+        """Answer ``keys`` to the origin (owned or unresolved) or forward them."""
+        if target is None or target == self.node.address:
+            self._send_batch_reply(origin, request_id, target, keys, hops)
+            return
+        self.node.send(target, self.PROTOCOL_ROUTE_BATCH,
+                       payload={"keys": keys, "coords": coords,
+                                "origin": origin, "request_id": request_id},
+                       payload_bytes=entry_bytes * len(keys), hops=hops + 1)
 
     def _send_batch_reply(self, origin: int, request_id: int,
                           owner: Optional[int], keys: List[int],
                           hops: int) -> None:
-        self.node.send(
-            origin,
-            self.PROTOCOL_BATCH_LOOKUP_REPLY,
-            payload={
-                "request_id": request_id,
-                "owner": owner,
-                "keys": keys,
-                "hops": hops,
-            },
-            payload_bytes=self.ROUTE_HOP_BYTES + 8 * max(0, len(keys) - 1),
-        )
+        count = len(keys)
+        self.node.send(origin, self.PROTOCOL_BATCH_LOOKUP_REPLY,
+                       payload={"request_id": request_id, "owner": owner,
+                                "keys": keys, "hops": hops},
+                       payload_bytes=self.ROUTE_HOP_BYTES
+                       + (8 * (count - 1) if count > 1 else 0))
 
     def _on_route_batch(self, node: Node, message, bounced: bool = False) -> None:
         """Forward the batch ``message`` carries: arrived, or bounced back."""
         payload = message.payload
         keys, coords = payload["keys"], payload["coords"]
-        if len(keys) != len(coords):  # malformed: nothing can be routed
+        count = len(keys)
+        if count != len(coords):  # malformed: nothing can be routed
             self._send_batch_reply(payload["origin"], payload["request_id"],
                                    None, keys, message.hops)
             return
+        # The bytes each key was charged, at least one.
+        entry_bytes = message.payload_bytes // (count or 1)
+        if entry_bytes < 1:
+            entry_bytes = 1
         self._forward_batch(
             keys, coords, payload["origin"], payload["request_id"],
-            max(1, message.payload_bytes // max(1, len(keys))), message.hops,
+            entry_bytes, message.hops,
             message.dst if bounced else message.src, not bounced)
 
     def _on_route_batch_bounce(self, node: Node, message) -> None:
@@ -442,8 +454,3 @@ class RoutingLayer(ABC):
     def address(self) -> int:
         """Address of the node this routing layer runs on."""
         return self.node.address
-
-    @classmethod
-    def of(cls, node: Node) -> "RoutingLayer":
-        """Fetch the routing layer service installed on ``node``."""
-        return node.services[cls.SERVICE_NAME]

@@ -51,7 +51,14 @@ One pass per message
 delivery event: it checks both addresses, reads the clock once, draws one
 latency from the topology, runs the inbound link's FIFO arithmetic
 (:mod:`repro.net.links`) and then schedules, opens or joins.  What a message
-is — its wire size — was fixed when it was built.
+is — its wire size — was fixed when it was built.  On the other side, one
+loop in :meth:`SimulatedNetwork._deliver_batch` delivers a group: per
+member it checks that the destination is alive, records the delivery and
+dispatches it with :meth:`repro.net.node.Node.deliver` (the one dispatch,
+on every backend, that observers of deliveries wrap).  A member whose
+destination is down by then takes the drop-and-bounce path of
+:meth:`SimulatedNetwork._deliver`, which also delivers the messages that
+travel alone: local sends and the uncoalesced mode.
 """
 
 from __future__ import annotations
@@ -180,7 +187,9 @@ class SimulatedNetwork(Transport):
         if link.infinite:
             finish, queued_for = arrival, 0.0
         else:
-            start = max(arrival, link.busy_until)
+            start = link.busy_until
+            if start < arrival:
+                start = arrival
             queued_for = start - arrival
             finish = link.busy_until = start + size / link.capacity_bytes_per_s
 
@@ -211,16 +220,24 @@ class SimulatedNetwork(Transport):
             # a nearby source can finish before an earlier distant one.
             _, event, entries = group
             entries.append((message, queued_for))
-            simulator.postpone(event, max(finish, event.time))
+            due = event.time
+            simulator.postpone(event, due if due > finish else finish)
             self.messages_coalesced += 1
 
     def _deliver_batch(self, key: _GroupKey, entries: _Entries) -> None:
-        """Deliver every message of a coalesced group in send order."""
+        """Deliver a group's members in send order, each in one pass."""
         group = self._groups.get(key)
         if group is not None and group[2] is entries:
             del self._groups[key]
+        destination = self.nodes[entries[0][0].dst]
+        deliver = destination.deliver
+        record_delivery = self.stats.record_delivery
         for message, queued_for in entries:
-            self._deliver(message, queued_for)
+            if destination.alive:  # an earlier member's handler may fail it
+                record_delivery(message, queued_for)
+                deliver(message)
+            else:
+                self._deliver(message, queued_for)
 
     def _deliver(self, message: Message, queued_for: float) -> None:
         """Final delivery step executed by the simulator."""
