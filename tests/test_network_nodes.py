@@ -170,6 +170,35 @@ def test_group_to_a_node_that_dies_drops_and_bounces_each_member_once(window):
 
 
 @pytest.mark.parametrize("window", [0.0, 0.5])
+def test_group_member_whose_handler_fails_the_node_drops_the_rest(window):
+    network, received, bounced = make_coalescing_network(window, capacity=1000.0)
+
+    def fail_on_arrival(node, message):
+        received.append(message.payload)
+        network.fail_node(node.address)
+
+    network.node(3).replace_handler("test", fail_on_arrival)
+    send_group_to_node_3(network)
+    network.run_until_idle()
+    assert received == ["from 0"]
+    assert network.stats.messages_delivered == 1
+    assert network.stats.messages_dropped == 2
+    assert bounced == [(1, 1, "from 1"), (2, 2, "from 2")]
+
+
+@pytest.mark.parametrize("window", [0.0, 0.5])
+def test_group_member_without_a_handler_raises(window):
+    network, received, _ = make_coalescing_network(window, capacity=1000.0)
+    for sender, protocol in ((0, "test"), (1, "unregistered"), (2, "test")):
+        network.node(sender).send(3, protocol, payload=f"from {sender}",
+                                  payload_bytes=440)
+    assert network.batches_flushed == 1
+    with pytest.raises(NetworkError, match="unregistered"):
+        network.run_until_idle()
+    assert [payload for payload, _ in received] == ["from 0"]
+
+
+@pytest.mark.parametrize("window", [0.0, 0.5])
 def test_group_to_a_node_that_recovers_in_time_is_delivered_whole(window):
     network, received, bounced = make_coalescing_network(window, capacity=1000.0)
     send_group_to_node_3(network)
