@@ -42,7 +42,7 @@ from repro.analysis.framework import (
 REGISTER_METHODS = {"register_handler", "replace_handler"}
 BOUNCE_REGISTER_METHODS = {"register_bounce_handler"}
 #: ``Node.send(dst, protocol, ...)`` — protocol is the 2nd positional.
-SEND_PROTOCOL_INDEX = {"send": 1, "control_message": 2, "data_message": 2}
+SEND_PROTOCOL_INDEX = {"send": 1}
 #: ``Message(src, dst, protocol, ...)`` — protocol is the 3rd positional.
 MESSAGE_CTORS = {"Message": 2}
 

@@ -69,33 +69,3 @@ class Message:
         return (f"Message(src={self.src}, dst={self.dst}, "
                 f"protocol={self.protocol!r}, payload_bytes={self.payload_bytes}, "
                 f"hops={self.hops})")
-
-    def forwarded(self, new_src: int, new_dst: int) -> "Message":
-        """Create a copy of this message forwarded one overlay hop."""
-        return Message(
-            src=new_src,
-            dst=new_dst,
-            protocol=self.protocol,
-            payload=self.payload,
-            payload_bytes=self.payload_bytes,
-            hops=self.hops + 1,
-        )
-
-
-def tuple_payload_bytes(tuple_count: int, tuple_bytes: int) -> int:
-    """Wire size of a batch of ``tuple_count`` tuples of ``tuple_bytes`` each."""
-    return max(0, tuple_count) * max(0, tuple_bytes)
-
-
-def control_message(src: int, dst: int, protocol: str, payload: Any = None,
-                    payload_bytes: int = 40) -> Message:
-    """Build a small control-plane message (lookup hop, ack, keep-alive)."""
-    return Message(src=src, dst=dst, protocol=protocol, payload=payload,
-                   payload_bytes=payload_bytes)
-
-
-def data_message(src: int, dst: int, protocol: str, payload: Any,
-                 payload_bytes: int) -> Message:
-    """Build a data-plane message whose payload size is supplied explicitly."""
-    return Message(src=src, dst=dst, protocol=protocol, payload=payload,
-                   payload_bytes=payload_bytes)

@@ -6,13 +6,7 @@ import pathlib
 import re
 
 from repro.net.cluster import ClusterTopology
-from repro.net.message import (
-    HEADER_BYTES,
-    Message,
-    control_message,
-    data_message,
-    tuple_payload_bytes,
-)
+from repro.net.message import HEADER_BYTES, Message
 from repro.net.network import Network
 from repro.net.topology import FullMeshTopology, MBPS_10
 from repro.net.transit_stub import TransitStubTopology
@@ -40,28 +34,6 @@ def test_payload_bytes_is_never_written_after_construction():
               for path in sorted(source.rglob("*.py"))
               for line in path.read_text().splitlines() if write.search(line)]
     assert writes == [("net/message.py", "self.payload_bytes = payload_bytes")]
-
-
-def test_forwarded_message_increments_hops():
-    message = Message(src=0, dst=1, protocol="x", hops=2)
-    forwarded = message.forwarded(1, 5)
-    assert forwarded.hops == 3
-    assert forwarded.src == 1
-    assert forwarded.dst == 5
-    assert forwarded.protocol == "x"
-
-
-def test_tuple_payload_bytes():
-    assert tuple_payload_bytes(10, 100) == 1000
-    assert tuple_payload_bytes(0, 100) == 0
-    assert tuple_payload_bytes(-1, 100) == 0
-
-
-def test_control_and_data_message_helpers():
-    control = control_message(0, 1, "ctl")
-    data = data_message(0, 1, "data", payload={"x": 1}, payload_bytes=500)
-    assert control.size_bytes < data.size_bytes
-    assert data.payload == {"x": 1}
 
 
 # ---------------------------------------------------------------- full mesh
