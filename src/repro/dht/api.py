@@ -248,21 +248,23 @@ class RoutingLayer(ABC):
     def _forward_batch(self, keys: List[int], coords: List[Any], origin: int,
                        request_id: int, entry_bytes: int, hops: int,
                        exclude: Optional[int] = None,
-                       reply_owned: bool = False) -> None:
+                       reply_owned: bool = False,
+                       payload: Optional[dict] = None) -> None:
         """Route a batch one hop further, in one pass over its two arrays.
 
         Each key's :meth:`_target` decides it, and :meth:`_dispatch` sends
         the keys of one target.  A one-key batch — most routed messages —
-        goes straight to its one outcome with the arrays it came in.  A
-        larger batch is grouped by target: the owned keys are answered
-        first, each next hop's slices of ``keys`` and ``coords`` forwarded
-        in the order the hops first occur, the unresolved keys answered
-        last.
+        goes straight to its one outcome; forwarded, it travels in the
+        ``payload`` it arrived in, if any.  A larger batch is grouped by
+        target: the owned keys are answered first, each next hop's slices of
+        ``keys`` and ``coords`` forwarded in the order the hops first occur,
+        the unresolved keys answered last.
         """
         expired = hops >= self.MAX_ROUTE_HOPS
         if len(keys) == 1:
             self._dispatch(self._target(coords[0], exclude, expired, reply_owned),
-                           keys, coords, origin, request_id, entry_bytes, hops)
+                           keys, coords, origin, request_id, entry_bytes, hops,
+                           payload)
             return
         groups: Dict[Optional[int], Tuple[List[int], List[Any]]] = {}
         target_of = self._target
@@ -281,25 +283,26 @@ class RoutingLayer(ABC):
 
     def _dispatch(self, target: Optional[int], keys: List[int],
                   coords: List[Any], origin: int, request_id: int,
-                  entry_bytes: int, hops: int) -> None:
+                  entry_bytes: int, hops: int,
+                  payload: Optional[dict] = None) -> None:
         """Answer ``keys`` to the origin (owned or unresolved) or forward them."""
         if target is None or target == self.node.address:
             self._send_batch_reply(origin, request_id, target, keys, hops)
             return
-        self.node.send(target, self.PROTOCOL_ROUTE_BATCH,
-                       payload={"keys": keys, "coords": coords,
-                                "origin": origin, "request_id": request_id},
-                       payload_bytes=entry_bytes * len(keys), hops=hops + 1)
+        if payload is None:
+            payload = {"keys": keys, "coords": coords, "origin": origin,
+                       "request_id": request_id}
+        self.node.send(target, self.PROTOCOL_ROUTE_BATCH, payload,
+                       entry_bytes * len(keys), hops + 1)
 
     def _send_batch_reply(self, origin: int, request_id: int,
                           owner: Optional[int], keys: List[int],
                           hops: int) -> None:
         count = len(keys)
         self.node.send(origin, self.PROTOCOL_BATCH_LOOKUP_REPLY,
-                       payload={"request_id": request_id, "owner": owner,
-                                "keys": keys, "hops": hops},
-                       payload_bytes=self.ROUTE_HOP_BYTES
-                       + (8 * (count - 1) if count > 1 else 0))
+                       {"request_id": request_id, "owner": owner, "keys": keys,
+                        "hops": hops},
+                       self.ROUTE_HOP_BYTES + (8 * (count - 1) if count > 1 else 0))
 
     def _on_route_batch(self, node: Node, message, bounced: bool = False) -> None:
         """Forward the batch ``message`` carries: arrived, or bounced back."""
@@ -317,7 +320,7 @@ class RoutingLayer(ABC):
         self._forward_batch(
             keys, coords, payload["origin"], payload["request_id"],
             entry_bytes, message.hops,
-            message.dst if bounced else message.src, not bounced)
+            message.dst if bounced else message.src, not bounced, payload)
 
     def _on_route_batch_bounce(self, node: Node, message) -> None:
         """A batched hop hit a dead node: mark it dead and re-route the batch."""

@@ -63,7 +63,8 @@ class Message:
         self.payload = payload
         self.payload_bytes = payload_bytes
         self.hops = hops
-        self.size_bytes = HEADER_BYTES + max(0, int(payload_bytes))
+        size = int(payload_bytes)
+        self.size_bytes = HEADER_BYTES + size if size > 0 else HEADER_BYTES
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Message(src={self.src}, dst={self.dst}, "

@@ -529,7 +529,7 @@ def test_forged_route_batch_lengths_are_reported_unresolved(field):
     network, providers, _builder = build_network("can", num_nodes=4)
     routing = providers[message.dst].routing
     sent = []
-    routing.node.send = lambda dst, protocol, payload=None, **kw: sent.append(
+    routing.node.send = lambda dst, protocol, payload=None, *args, **kw: sent.append(
         (dst, protocol, payload))
     forged = through_the_wire(message, **{field: message.payload[field][:-1]})
     routing._on_route_batch(routing.node, forged)
