@@ -230,12 +230,11 @@ class SimulatedNetwork(Transport):
         if group is not None and group[2] is entries:
             del self._groups[key]
         destination = self.nodes[entries[0][0].dst]
-        deliver = destination.deliver
-        record_delivery = self.stats.record_delivery
+        stats = self.stats
         for message, queued_for in entries:
             if destination.alive:  # an earlier member's handler may fail it
-                record_delivery(message, queued_for)
-                deliver(message)
+                stats.record_delivery(message, queued_for)
+                destination.deliver(message)
             else:
                 self._deliver(message, queued_for)
 
