@@ -95,7 +95,7 @@ class RoutingLayer(ABC):
     that applies the hop rules (:meth:`_target`) at every hop — and the
     **join route**.  Most routed messages carry one key; such a batch goes
     straight to its one outcome (an owned reply, an unresolved reply or one
-    forward of the arrays it came in), and only a larger one is
+    forward of the payload it came in), and only a larger one is
     re-partitioned by target.
     Concrete layers supply only the geometry through three hooks —
     :meth:`_coordinate`, :meth:`_owns_coordinate` and :meth:`_next_hop` —
