@@ -308,8 +308,8 @@ class ApproxCountDistinctState(AggregateState):
             self.sketch.add(value)
 
     def add_many(self, values: Sequence[Any]) -> None:
-        for _type, value in _distinct_counts(values):  # registers are a max
-            self.sketch.add(value)
+        # Registers are a max: each distinct value once, hashed in one batch.
+        self.sketch.add_many([value for _type, value in _distinct_counts(values)])
 
     def merge(self, other: "ApproxCountDistinctState") -> None:
         self.sketch.merge(other.sketch)

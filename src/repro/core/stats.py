@@ -23,7 +23,7 @@ material a cost-based optimizer needs:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.sketches import HyperLogLog
 
@@ -78,29 +78,31 @@ class ColumnStats:
     hll: Optional[HyperLogLog] = None
 
     @classmethod
-    def from_values(cls, values: Iterable[Any]) -> "ColumnStats":
-        """Exact single-pass stats over one publisher's values.
+    def from_values(cls, values: List[Any]) -> "ColumnStats":
+        """Exact single-pass stats over one publisher's column of values.
 
         Each *type-exactly* distinct value is hashed once: ``1``, ``True`` and
         ``1.0`` are one distinct value but three keys here (``True`` sketches
         differently from ``1``), so the registers are the per-row loop's.
         """
-        exact: Dict[Any, None] = {}
-        for value in values:
-            try:
-                exact[type(value), value] = None
-            except TypeError:
-                continue  # unhashable values carry no distinct information
-        low: Optional[float] = None
-        high: Optional[float] = None
+        try:
+            exact = dict.fromkeys(zip(map(type, values), values))
+        except TypeError:  # unhashable values carry no distinct information
+            exact = {}
+            for key in zip(map(type, values), values):
+                try:
+                    exact[key] = None
+                except TypeError:
+                    continue
+        distinct = [value for _kind, value in exact]
         hll = HyperLogLog(log2m=STATS_HLL_LOG2M)
-        for _kind, value in exact:
-            hll.add(value)
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                low = value if low is None else min(low, value)
-                high = value if high is None else max(high, value)
-        return cls(distinct=len({value for _kind, value in exact}),
-                   min_value=low, max_value=high, hll=hll)
+        hll.add_many(distinct)
+        numeric = [value for value in distinct
+                   if isinstance(value, (int, float))
+                   and not isinstance(value, bool)]
+        return cls(distinct=len(set(distinct)),
+                   min_value=min(numeric, default=None),
+                   max_value=max(numeric, default=None), hll=hll)
 
     @property
     def width(self) -> Optional[float]:
@@ -121,10 +123,11 @@ class ColumnStats:
         Neither side is mutated: a publisher's partial is aliased by the
         registries, by its stored DHT item and by the renewal agent.
         """
-        low = _opt_min(self.min_value, other.min_value)
-        high = _opt_max(self.max_value, other.max_value)
-        self_hll = getattr(self, "hll", None)
-        other_hll = getattr(other, "hll", None)
+        low = min([v for v in (self.min_value, other.min_value) if v is not None],
+                  default=None)
+        high = max([v for v in (self.max_value, other.max_value) if v is not None],
+                   default=None)
+        self_hll, other_hll = self.hll, other.hll
         merged_hll: Optional[HyperLogLog] = None
         if (self_hll is not None and other_hll is not None
                 and self_hll.log2m == other_hll.log2m
@@ -146,22 +149,6 @@ class ColumnStats:
                            hll=merged_hll)
 
 
-def _opt_min(a: Optional[float], b: Optional[float]) -> Optional[float]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
-def _opt_max(a: Optional[float], b: Optional[float]) -> Optional[float]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return max(a, b)
-
-
 @dataclass
 class RelationStats:
     """Statistics for one relation (possibly a publisher's partial view)."""
@@ -177,11 +164,8 @@ class RelationStats:
     def from_rows(cls, relation, rows: List[dict],
                   at: float = 0.0) -> "RelationStats":
         """Collect exact statistics over one publisher's tuples."""
-        columns: Dict[str, ColumnStats] = {}
-        for column in relation.schema.column_names:
-            columns[column] = ColumnStats.from_values(
-                row.get(column) for row in rows
-            )
+        columns = {column: ColumnStats.from_values([row.get(column) for row in rows])
+                   for column in relation.schema.column_names}
         return cls(
             name=relation.name,
             cardinality=len(rows),
@@ -236,7 +220,7 @@ class RelationStats:
         sketch_bytes = sum(
             stats.hll.payload_bound()
             for stats in self.columns.values()
-            if getattr(stats, "hll", None) is not None
+            if stats.hll is not None
         )
         return STATS_ITEM_BYTES + sketch_bytes
 
@@ -263,7 +247,9 @@ class JoinObservation:
 class StatsRegistry:
     """Node-local statistics cache with DHT publication and feedback.
 
-    Publish-time partials accumulate with :meth:`record_publish`; fetched
+    Publish-time partials accumulate with :meth:`record_publish`: they are
+    parked and folded into the local view, in arrival order, by the first
+    read, so a registry nobody reads never pays for the fold.  Fetched
     global views *replace* the local entry (:meth:`install`).  Observed join
     selectivities blend in with an exponential moving average so one noisy
     query does not whipsaw the planner.
@@ -281,6 +267,8 @@ class StatsRegistry:
         #: Stable instanceIDs per published resource, so re-publication
         #: renews the existing soft-state item instead of duplicating it.
         self._published: Dict[str, int] = {}
+        #: Partials not yet folded into :attr:`_relations`, per relation.
+        self._parked: Dict[str, List[RelationStats]] = {}
 
     # ------------------------------------------------------------- local view
 
@@ -292,26 +280,35 @@ class StatsRegistry:
         return partial
 
     def merge_partial(self, partial: RelationStats) -> None:
-        """Fold an already-collected partial into the local view."""
-        existing = self._relations.get(partial.name)
-        self._relations[partial.name] = (
-            partial if existing is None else existing.merge(partial)
-        )
+        """Add an already-collected partial to the local view (on next read)."""
+        self._parked.setdefault(partial.name, []).append(partial)
+
+    def _fold(self) -> Dict[str, RelationStats]:
+        """Fold the parked partials in; returns the local view."""
+        for name, partials in self._parked.items():
+            merged = self._relations.get(name)
+            for partial in partials:
+                merged = partial if merged is None else merged.merge(partial)
+            self._relations[name] = merged
+        self._parked.clear()
+        return self._relations
 
     def install(self, stats: RelationStats) -> None:
         """Replace the local entry with a fetched/observed global view."""
+        self._parked.pop(stats.name, None)
         self._relations[stats.name] = stats
 
     def get(self, name: str) -> Optional[RelationStats]:
         """Local statistics for ``name`` (or ``None``)."""
-        return self._relations.get(name)
+        return self._fold().get(name)
 
     def relation_names(self) -> List[str]:
         """Names of relations with local statistics."""
-        return sorted(self._relations)
+        return sorted(self._fold())
 
     def forget(self, name: str) -> None:
         """Drop the local entry for ``name`` (e.g. after a catalog drop)."""
+        self._parked.pop(name, None)
         self._relations.pop(name, None)
         self._scan_observations.pop(name, None)
         self._published.pop(relation_stats_resource_id(name), None)
@@ -370,7 +367,7 @@ class StatsRegistry:
 
     def best_estimate(self, name: str) -> Optional[RelationStats]:
         """Best available statistics: real entries first, scan floors last."""
-        return self._relations.get(name) or self._scan_observations.get(name)
+        return self._fold().get(name) or self._scan_observations.get(name)
 
     # ------------------------------------------------------- DHT publication
 
@@ -384,7 +381,7 @@ class StatsRegistry:
         """
         published = 0
         for name in (names if names is not None else self.relation_names()):
-            stats = self._relations.get(name)
+            stats = self.get(name)
             if stats is None:
                 continue
             resource_id = relation_stats_resource_id(name)

@@ -29,6 +29,7 @@ attributes).
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -36,7 +37,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import RoutingError
 from repro.dht.api import RoutingLayer, RoutingTableField
-from repro.dht.naming import key_to_unit_coordinates
+from repro.dht.naming import (KEY_BITS, KEY_SPACE, dimension_prefixes,
+                              key_to_unit_coordinates)
 from repro.net.network import Network
 from repro.net.node import Node
 
@@ -594,38 +596,62 @@ class CanNetworkBuilder:
     def locate_index(self, count: int, point: Sequence[float]) -> int:
         """Index (in partition order) of the zone containing ``point``.
 
-        Mirrors the recursion of :meth:`partition` without materialising the
-        zones, so the experiment harness can place data directly at its owner
-        ("fast load") in O(log n) per key.
+        Walks :meth:`partition`'s recursion as a cached decision tree, without
+        materialising the zones: O(log n) per point, as in
+        :meth:`owners_of_keys`.
         """
-        if count <= 0:
-            raise ValueError("need at least one node")
-        # The current zone as bare bounds; only the split dimension changes,
-        # and a point inside the zone is in the lower half iff it is below
-        # the midpoint along that dimension.
-        lo = [0.0] * self.dimensions
-        hi = [1.0] * self.dimensions
-        offset = 0
-        depth = 0
-        remaining = count
-        while remaining > 1:
-            dim = depth % self.dimensions
-            mid = (lo[dim] + hi[dim]) / 2.0
-            first = (remaining + 1) // 2
-            if point[dim] < mid:
-                hi[dim] = mid
-                remaining = first
-            else:
-                lo[dim] = mid
-                remaining -= first
-                offset += first
-            depth += 1
-        return offset
+        node = _split_tree(self.dimensions, count)
+        while type(node) is tuple:
+            dim, mid, lower, upper = node
+            node = lower if point[dim] < mid else upper
+        return node
 
     def owner_of_key(self, key: int) -> int:
         """Address of the node owning ``key`` in the last built network."""
-        if self._built_addresses is None:
+        return self.owners_of_keys([key])[0]
+
+    def owners_of_keys(self, keys: Sequence[int]) -> List[int]:
+        """Addresses of the nodes owning ``keys``, in order (no calls per key)."""
+        addresses = self._built_addresses
+        if addresses is None:
             raise RoutingError("owner_of_key() requires build_stabilized() first")
-        point = key_to_unit_coordinates(key, self.dimensions)
-        index = self.locate_index(len(self._built_addresses), point)
-        return self._built_addresses[index]
+        root = _split_tree(self.dimensions, len(addresses))
+        prefixes = dimension_prefixes(self.dimensions)
+        owners = []
+        for key in keys:
+            data = b"%x" % key
+            point = []
+            for prefix in prefixes:
+                state = prefix.copy()
+                state.update(data)
+                point.append(int.from_bytes(state.digest()[:KEY_BITS // 8], "big")
+                             / KEY_SPACE)
+            node = root
+            while type(node) is tuple:
+                dim, mid, lower, upper = node
+                node = lower if point[dim] < mid else upper
+            owners.append(addresses[node])
+        return owners
+
+
+@functools.lru_cache(maxsize=16)
+def _split_tree(dimensions: int, count: int) -> "int | tuple":
+    """:meth:`CanNetworkBuilder.partition` as a decision tree: a leaf is a zone's
+    index, an inner node ``(dim, mid, lower, upper)`` sends points below ``mid``
+    along ``dim`` to ``lower``."""
+    if count <= 0:
+        raise ValueError("need at least one node")
+
+    def _build(bounds: tuple, offset: int, remaining: int, depth: int) -> "int | tuple":
+        if remaining == 1:
+            return offset
+        dim = depth % dimensions
+        lo, hi = bounds[dim]
+        mid = (lo + hi) / 2.0
+        first = (remaining + 1) // 2
+        below = bounds[:dim] + ((lo, mid),) + bounds[dim + 1:]
+        above = bounds[:dim] + ((mid, hi),) + bounds[dim + 1:]
+        return (dim, mid, _build(below, offset, first, depth + 1),
+                _build(above, offset + first, remaining - first, depth + 1))
+
+    return _build(((0.0, 1.0),) * dimensions, 0, count, 0)

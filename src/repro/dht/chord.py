@@ -332,8 +332,12 @@ class ChordNetworkBuilder:
 
     def owner_of_key(self, key: int) -> int:
         """Address of the node owning ``key`` in the last built ring."""
+        return self.owners_of_keys([key])[0]
+
+    def owners_of_keys(self, keys: Sequence[int]) -> List[int]:
+        """Addresses of the nodes owning ``keys``, in order."""
         if not self._ring:
             raise RuntimeError("owner_of_key() requires build_stabilized() first")
-        ring_key = key % (1 << self.key_bits)
-        position = bisect.bisect_left(self._identifiers, ring_key) % len(self._ring)
-        return self._ring[position][1]
+        ring, identifiers, modulus = self._ring, self._identifiers, 1 << self.key_bits
+        return [ring[bisect.bisect_left(identifiers, key % modulus) % len(ring)][1]
+                for key in keys]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from typing import Any, Tuple
+from typing import Any, Iterable, List, Tuple
 
 #: Width of the flat key space shared by all routing layers.
 KEY_BITS = 128
@@ -35,7 +35,8 @@ def _namespace_prefix(namespace: str) -> Any:
 
 
 @functools.lru_cache
-def _dimension_prefixes(dimensions: int) -> Tuple[Any, ...]:
+def dimension_prefixes(dimensions: int) -> Tuple[Any, ...]:
+    """Cached SHA-1 states of each CAN dimension's ``f"dim{d}\\x00"`` salt."""
     return tuple(hashlib.sha1(f"dim{dim}\x00".encode("ascii"))
                  for dim in range(dimensions))
 
@@ -47,9 +48,18 @@ def hash_key(namespace: str, resource_id) -> int:
     processor uses primary-key values and join-key values here.  The key is
     the SHA-1 of ``f"{namespace}\\x00{resource_id!r}"``.
     """
-    state = _namespace_prefix(namespace).copy()
-    state.update(repr(resource_id).encode("utf-8", "replace"))
-    return int.from_bytes(state.digest()[: KEY_BITS // 8], "big")
+    return hash_keys(namespace, (resource_id,))[0]
+
+
+def hash_keys(namespace: str, resource_ids: Iterable) -> List[int]:
+    """:func:`hash_key` of each resourceID of one namespace, in order."""
+    copy = _namespace_prefix(namespace).copy
+    keys = []
+    for resource_id in resource_ids:
+        state = copy()
+        state.update(repr(resource_id).encode("utf-8", "replace"))
+        keys.append(int.from_bytes(state.digest()[: KEY_BITS // 8], "big"))
+    return keys
 
 
 def hash_namespace(namespace: str) -> int:
@@ -67,7 +77,7 @@ def key_to_unit_coordinates(key: int, dimensions: int) -> Tuple[float, ...]:
         raise ValueError("dimensions must be positive")
     data = f"{key:x}".encode("ascii")
     coords = []
-    for prefix in _dimension_prefixes(dimensions):  # SHA-1 of f"dim{d}\x00{data}"
+    for prefix in dimension_prefixes(dimensions):  # SHA-1 of f"dim{d}\x00{data}"
         state = prefix.copy()
         state.update(data)
         coords.append(int.from_bytes(state.digest()[: KEY_BITS // 8], "big") / KEY_SPACE)

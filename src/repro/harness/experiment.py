@@ -31,7 +31,7 @@ from repro.core.stats import (
 from repro.core.tuples import RelationDef
 from repro.dht.can import CanNetworkBuilder
 from repro.dht.chord import ChordNetworkBuilder
-from repro.dht.naming import hash_key
+from repro.dht.naming import hash_key, hash_keys
 from repro.dht.provider import Provider
 from repro.dht.softstate import RenewalAgent
 from repro.dht.storage import StoredItem
@@ -251,96 +251,73 @@ class PierNetwork:
         via a real ``put`` otherwise), so any planning node can fetch and
         merge them for ``strategy=AUTO``.
 
-        Returns the number of tuples loaded.
+        Returns the number of tuples loaded.  Every publisher address (and,
+        with ``track_renewal``, its renewal agent) is checked before anything
+        is stored, so a rejected load leaves nothing behind.
         """
-        loaded = 0
         for publisher, rows in rows_by_node.items():
-            if publisher >= self.num_nodes:
+            if not 0 <= publisher < self.num_nodes:
                 raise ExperimentError(
                     f"publisher address {publisher} outside the {self.num_nodes}-node network"
                 )
-            provider = self.providers[publisher]
-            agent = self.renewal_agents.get(publisher)
-            if track_renewal and agent is None and rows:
+            if track_renewal and rows and publisher not in self.renewal_agents:
                 raise ExperimentError(
                     "track_renewal=True requires start_renewal_agents() first"
                 )
-            if publish_stats and rows:
-                stats_rid, stats_instance, partial = self._publish_partial_stats(
-                    relation, publisher, rows, fast=fast,
-                    stats_lifetime=stats_lifetime,
-                )
+        loaded = 0
+        for publisher, rows in rows_by_node.items():
+            if not rows:
+                continue
+            # The statistics partial goes first and is soft state like the
+            # rows: renewed under a stable instanceID it survives owner churn,
+            # and the failure wiring untracks it when its publisher dies, so
+            # stale cardinalities age out instead of being resurrected.
+            batches = [(relation.namespace, [relation.resource_id(row) for row in rows],
+                        rows, lifetime, relation.tuple_bytes)]
+            if publish_stats:
+                partial = RelationStats.from_rows(relation, rows, at=self.now)
+                self.relation_stats.merge_partial(partial)
+                self.executors[publisher].stats.merge_partial(partial)
+                batches.insert(0, (STATS_NAMESPACE, [relation_stats_resource_id(relation.name)],
+                                   [partial], stats_lifetime, STATS_ITEM_BYTES))
+            for namespace, resource_ids, values, life, size in batches:
+                instance_ids = self._place(publisher, namespace, resource_ids, values,
+                                           life, size, fast)
                 if track_renewal:
-                    # Statistics are soft state like everything else: the
-                    # publisher renews its partial (stable instanceID) so it
-                    # survives owner churn — and the failure wiring untracks
-                    # it when the publisher itself dies, letting stale
-                    # cardinalities age out instead of being resurrected.
-                    agent.track(STATS_NAMESPACE, stats_rid, stats_instance,
-                                partial, stats_lifetime, STATS_ITEM_BYTES)
-            for row in rows:
-                resource_id = relation.resource_id(row)
-                if fast:
-                    key = hash_key(relation.namespace, resource_id)
-                    owner = self.builder.owner_of_key(key)
-                    instance_id = provider.next_instance_id()
-                    self.providers[owner].storage.store(StoredItem(
-                        namespace=relation.namespace,
-                        resource_id=resource_id,
-                        instance_id=instance_id,
-                        value=row,
-                        key=key,
-                        expires_at=self.now + lifetime,
-                        stored_at=self.now,
-                        publisher=publisher,
-                        size_bytes=relation.tuple_bytes,
-                    ))
-                else:
-                    instance_id = provider.put(
-                        relation.namespace, resource_id, None, row,
-                        lifetime=lifetime, item_bytes=relation.tuple_bytes,
-                    )
-                if track_renewal:
-                    agent.track(relation.namespace, resource_id, instance_id,
-                                row, lifetime, relation.tuple_bytes)
-                loaded += 1
+                    track = self.renewal_agents[publisher].track
+                    for resource_id, instance_id, value in zip(
+                            resource_ids, instance_ids, values):
+                        track(namespace, resource_id, instance_id, value, life, size)
+            loaded += len(rows)
         if not fast:
             self.network.run_until_idle()
         return loaded
 
-    def _publish_partial_stats(self, relation: RelationDef, publisher: int,
-                               rows: List[dict], fast: bool,
-                               stats_lifetime: float):
-        """Collect and publish one publisher's statistics partial.
-
-        Returns ``(resource_id, instance_id, partial)`` so callers can hand
-        the published item to the publisher's renewal agent.
-        """
+    def _place(self, publisher: int, namespace: str, resource_ids: List,
+               values: List, lifetime: float, size_bytes: int,
+               fast: bool) -> List[int]:
+        """Publish ``values`` under ``resource_ids``, returning the instanceIDs:
+        one ``store_batch`` per owner in publishing order, or ``put`` each."""
         provider = self.providers[publisher]
-        partial = RelationStats.from_rows(relation, rows, at=self.now)
-        self.relation_stats.merge_partial(partial)
-        self.executors[publisher].stats.merge_partial(partial)
-        resource_id = relation_stats_resource_id(relation.name)
-        if fast:
-            owner = self.owner_of(STATS_NAMESPACE, resource_id)
-            instance_id = provider.next_instance_id()
-            self.providers[owner].storage.store(StoredItem(
-                namespace=STATS_NAMESPACE,
-                resource_id=resource_id,
-                instance_id=instance_id,
-                value=partial,
-                key=hash_key(STATS_NAMESPACE, resource_id),
-                expires_at=self.now + stats_lifetime,
-                stored_at=self.now,
-                publisher=publisher,
-                size_bytes=STATS_ITEM_BYTES,
-            ))
-        else:
-            instance_id = provider.put(
-                STATS_NAMESPACE, resource_id, None, partial,
-                lifetime=stats_lifetime, item_bytes=STATS_ITEM_BYTES,
-            )
-        return resource_id, instance_id, partial
+        if not fast:
+            return [provider.put(namespace, resource_id, None, value,
+                                 lifetime=lifetime, item_bytes=size_bytes)
+                    for resource_id, value in zip(resource_ids, values)]
+        keys = hash_keys(namespace, resource_ids)
+        owners = self.builder.owners_of_keys(keys)
+        next_id = provider.next_instance_id
+        instance_ids = [next_id() for _ in values]
+        now = self.now
+        expires_at = now + lifetime
+        by_owner: Dict[int, List[StoredItem]] = {}
+        for owner, resource_id, instance_id, value, key in zip(
+                owners, resource_ids, instance_ids, values, keys):
+            by_owner.setdefault(owner, []).append(StoredItem(
+                namespace, resource_id, instance_id, value, key, expires_at,
+                now, publisher, size_bytes))
+        for owner, items in by_owner.items():
+            self.providers[owner].storage.store_batch(items)
+        return instance_ids
 
     # ------------------------------------------------------------ soft state
 

@@ -28,12 +28,12 @@ loader place tuples directly at their owners ("fast load") exactly like
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.dht.api import RoutingLayer
 from repro.dht.can import CanNetworkBuilder
 from repro.dht.chord import ChordNetworkBuilder
-from repro.dht.naming import hash_key
+from repro.dht.naming import hash_keys
 from repro.exceptions import ExperimentError
 from repro.net.node import Node
 
@@ -69,7 +69,7 @@ def build_local_routing(node: Node, addresses: Sequence[int], dht: str = "can",
     """Build the full stabilised overlay locally; rebind this node's layer.
 
     Returns ``(routing, builder)`` — the routing layer now registered on
-    ``node``, and the builder (whose ``owner_of_key`` serves local
+    ``node``, and the builder (whose ``owners_of_keys`` serves local
     owner placement).  The other addresses' layers are built on stand-in
     nodes and discarded; only their *existence* mattered, since the
     builders compute each layer's tables from the whole address list.
@@ -115,13 +115,13 @@ class OwnerLocator:
                                     seed=self.seed)
         self.builder.build_stabilized(stand_in, addresses=self.addresses)
 
-    def owner_of_key(self, key: int) -> int:
-        """Owning address of a flat DHT key."""
-        return self.builder.owner_of_key(key)
-
     def owner_of(self, namespace: str, resource_id) -> int:
         """Owning address of ``(namespace, resourceID)``."""
-        return self.builder.owner_of_key(hash_key(namespace, resource_id))
+        return self.owners_of(namespace, [resource_id])[0]
+
+    def owners_of(self, namespace: str, resource_ids: Sequence) -> List[int]:
+        """Owning addresses of many resourceIDs of one namespace, in order."""
+        return self.builder.owners_of_keys(hash_keys(namespace, resource_ids))
 
 
 __all__ = ["OwnerLocator", "build_local_routing", "make_builder"]

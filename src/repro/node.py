@@ -440,9 +440,9 @@ class PierNode:
             lambda key: not routing.owns(key))
         if not moving:
             return
-        self._send_items(moving, self._builder.owner_of_key)
+        self._send_items(moving, self._builder.owners_of_keys)
 
-    def _send_items(self, items, owner_of_key) -> None:
+    def _send_items(self, items, owners_of_keys) -> None:
         """Ship stored items to their owners, rebasing soft-state lifetimes.
 
         ``expires_at`` is absolute on *this* process's monotonic clock, so
@@ -451,8 +451,8 @@ class PierNode:
         """
         now = self.node.now
         by_owner: Dict[int, list] = {}
-        for item in items:
-            owner = owner_of_key(item.key)
+        owners = owners_of_keys([item.key for item in items])
+        for item, owner in zip(items, owners):
             if owner == self.node.address:
                 self.provider.storage.store(item)
                 continue
@@ -509,7 +509,7 @@ class PierNode:
                 can_dimensions=self.config["can_dimensions"],
                 seed=self.config["seed"],
             )
-            self._send_items(items, locator.owner_of_key)
+            self._send_items(items, locator.builder.owners_of_keys)
         payload = {
             "epoch": self.epoch,
             "nodes": {a: list(e) for a, e in survivors.items()},

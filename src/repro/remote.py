@@ -402,32 +402,21 @@ class RemotePier:
         by_owner: Dict[int, List[dict]] = {}
         loaded = 0
         for publisher, rows in rows_by_node.items():
+            batches = [(relation.namespace, [relation.resource_id(row) for row in rows],
+                        rows, lifetime, relation.tuple_bytes)]
             if rows and publish_stats:
-                partial = RelationStats.from_rows(relation, rows,
-                                                  at=time.monotonic())
+                partial = RelationStats.from_rows(relation, rows, at=time.monotonic())
                 self.relation_stats.merge_partial(partial)
-                stats_rid = relation_stats_resource_id(relation.name)
-                owner = self.locator.owner_of(STATS_NAMESPACE, stats_rid)
-                by_owner.setdefault(owner, []).append({
-                    "namespace": STATS_NAMESPACE,
-                    "resource_id": stats_rid,
-                    "value": partial,
-                    "lifetime": STATS_LIFETIME_S,
-                    "publisher": publisher,
-                    "size_bytes": STATS_ITEM_BYTES,
-                })
-            for row in rows:
-                resource_id = relation.resource_id(row)
-                owner = self.locator.owner_of(relation.namespace, resource_id)
-                by_owner.setdefault(owner, []).append({
-                    "namespace": relation.namespace,
-                    "resource_id": resource_id,
-                    "value": row,
-                    "lifetime": lifetime,
-                    "publisher": publisher,
-                    "size_bytes": relation.tuple_bytes,
-                })
-                loaded += 1
+                batches.insert(0, (STATS_NAMESPACE, [relation_stats_resource_id(relation.name)],
+                                   [partial], STATS_LIFETIME_S, STATS_ITEM_BYTES))
+            for namespace, resource_ids, values, life, size in batches:
+                owners = self.locator.owners_of(namespace, resource_ids)
+                for owner, resource_id, value in zip(owners, resource_ids, values):
+                    by_owner.setdefault(owner, []).append({
+                        "namespace": namespace, "resource_id": resource_id,
+                        "value": value, "lifetime": life,
+                        "publisher": publisher, "size_bytes": size})
+            loaded += len(rows)
         for owner, items in by_owner.items():
             self.connection(owner).rpc("store", items=items)
         return loaded

@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import struct
-from typing import Any, Dict, Type
+from typing import Any, Dict, Iterable, List, Type
 
 from repro.exceptions import SketchError
 
@@ -70,6 +70,28 @@ def hash64(value: Any, seed: int = DEFAULT_SEED) -> int:
     hasher = _keyed_hasher(seed).copy()
     hasher.update(_hash_input(value))
     return int.from_bytes(hasher.digest(), "big")
+
+
+def hash64_many(values: Iterable[Any], seed: int = DEFAULT_SEED) -> List[int]:
+    """:func:`hash64` of each value, from one bound keyed state: exact ``int``,
+    ``float`` and ``str`` are encoded inline, any other type (``bool``, too)
+    by :func:`_hash_input`."""
+    copy = _keyed_hasher(seed).copy
+    hashes: List[int] = []
+    for value in values:
+        kind = type(value)
+        if kind is int or kind is float and value.is_integer():
+            data = b"i%d" % value
+        elif kind is str:
+            data = b"s" + value.encode("utf-8")
+        elif kind is float:
+            data = b"f" + struct.pack(">d", value)
+        else:
+            data = _hash_input(value)
+        hasher = copy()
+        hasher.update(data)
+        hashes.append(int.from_bytes(hasher.digest(), "big"))
+    return hashes
 
 
 # ------------------------------------------------------ value (de)serialising

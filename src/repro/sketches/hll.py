@@ -30,13 +30,14 @@ from __future__ import annotations
 import math
 import struct
 from itertools import starmap
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.exceptions import SketchError
 from repro.sketches.base import (
     DEFAULT_SEED,
     SketchBase,
     hash64,
+    hash64_many,
     register_sketch,
 )
 
@@ -137,18 +138,28 @@ class HyperLogLog(SketchBase):
 
     def add_hash(self, hashed: int) -> None:
         """Absorb a pre-computed :func:`repro.sketches.hash64` value."""
+        self.add_hashes((hashed,))
+
+    def add_many(self, values: Iterable[Any]) -> None:
+        """Absorb many values, hashed by one :func:`hash64_many`."""
+        self.add_hashes(hash64_many(values, self.seed))
+
+    def add_hashes(self, hashes: Iterable[int]) -> None:
+        """Absorb pre-computed hashes: ranks inline, at most one promotion
+        (registers are a max, so the end state is one :meth:`add_hash` each)."""
         shift = 64 - self.log2m
-        index = hashed >> shift
-        tail = hashed & ((1 << shift) - 1)
-        rank = shift - tail.bit_length() + 1
-        dense = self._dense
-        if dense:
-            if dense[index] < rank:
-                dense[index] = rank
-        elif self._sparse.get(index, 0) < rank:
-            self._sparse[index] = rank
-            if len(self._sparse) > (1 << self.log2m) >> SPARSE_SHIFT:
-                self._promote()
+        mask = (1 << shift) - 1
+        dense, sparse = self._dense, self._sparse
+        for hashed in hashes:
+            index = hashed >> shift
+            rank = shift - (hashed & mask).bit_length() + 1
+            if dense:
+                if dense[index] < rank:
+                    dense[index] = rank
+            elif sparse.get(index, 0) < rank:
+                sparse[index] = rank
+        if len(sparse) > (1 << self.log2m) >> SPARSE_SHIFT:
+            self._promote()
 
     def _promote(self) -> None:
         self._dense.extend(self.registers)

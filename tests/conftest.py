@@ -29,6 +29,22 @@ def load_join_tables(pier: PierNetwork, workload: JoinWorkload) -> None:
     pier.load_relation(workload.s_relation, workload.s_by_node)
 
 
+class FakeGateway:
+    """Answers ``status`` and swallows ``store``: no socket, no cluster."""
+
+    def __init__(self):
+        self.stored = []
+
+    def rpc(self, method, **arguments):
+        if method == "status":
+            return {"ready": True, "address": 0, "dead": [],
+                    "config": {"dht": "can", "can_dimensions": 4, "seed": 7},
+                    "nodes": {str(a): ("127.0.0.1", 1) for a in range(4)}}
+        assert method == "store"
+        self.stored.extend(arguments["items"])
+        return {}
+
+
 @pytest.fixture
 def small_pier() -> PierNetwork:
     """A 16-node full-mesh CAN deployment."""

@@ -14,6 +14,9 @@
 * :mod:`tests.reference.storage` — the flat-index storage manager (one
   triple-keyed dict, ordered key-set indexes, ``has_instance``) the
   namespace-partitioned store replaced;
+* :mod:`tests.reference.load` — the per-row fast load (one key, one owner
+  and one ``store`` per row; one ``HyperLogLog.add`` per distinct value) the
+  one-pass ``PierNetwork.load_relation`` replaced;
 * :mod:`tests.reference.naming` — key derivation as one SHA-1 over the whole
   f-string, which the prefix-state hashing must match bit for bit.
 """

@@ -66,11 +66,22 @@ def test_slow_load_matches_fast_load_placement():
         assert fast_keys == slow_keys
 
 
+def assert_nothing_loaded(pier, relation):
+    assert all(len(provider.storage) == 0 for provider in pier.providers.values())
+    assert pier.relation_stats.get(relation.name) is None
+    assert all(executor.stats.get(relation.name) is None
+               for executor in pier.executors.values())
+    assert all(not agent.records for agent in pier.renewal_agents.values())
+
+
 def test_load_rejects_unknown_publisher():
     pier = build_pier(4)
     workload = build_workload(4)
+    rows = workload.r_by_node[0]
+    # A valid publisher ahead of the bad one: the load is refused whole.
     with pytest.raises(ExperimentError):
-        pier.load_relation(workload.r_relation, {99: [workload.r_by_node[0][0]]})
+        pier.load_relation(workload.r_relation, {0: rows, 99: rows[:1]})
+    assert_nothing_loaded(pier, workload.r_relation)
 
 
 def test_track_renewal_requires_agents():
@@ -78,6 +89,13 @@ def test_track_renewal_requires_agents():
     workload = build_workload(4)
     with pytest.raises(ExperimentError):
         pier.load_relation(workload.r_relation, workload.r_by_node, track_renewal=True)
+    assert_nothing_loaded(pier, workload.r_relation)
+    # Publisher 1 alone lacks an agent: publisher 0's rows stay unstored.
+    pier.start_renewal_agents(30.0)
+    del pier.renewal_agents[1]
+    with pytest.raises(ExperimentError):
+        pier.load_relation(workload.r_relation, workload.r_by_node, track_renewal=True)
+    assert_nothing_loaded(pier, workload.r_relation)
 
 
 # ------------------------------------------------------------------ run_query

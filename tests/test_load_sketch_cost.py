@@ -2,11 +2,12 @@
 
 Counts, not timings.  A publisher's partial holds a few dozen values per
 column, so on a 64-node CAN fast load of the fig-3 relations: every sketch of
-a publisher partial is a sparse map; ``hash64`` runs once per type-exactly
-distinct value per column per publisher (not once per row); and the work done
-inside ``sketches/hll.py`` — interpreter line events, which a loop over all
-``2**log2m`` registers per merge would multiply by the publisher count —
-doubles, and does not more than double, when ``s_tuples_per_node`` doubles.
+a publisher partial is a sparse map; the batch hash ``hash64_many`` is handed
+each type-exactly distinct value per column per publisher once (not each
+row); and the work done inside ``sketches/hll.py`` — interpreter line events,
+which a loop over all ``2**log2m`` registers per merge would multiply by the
+publisher count — doubles, and does not more than double, when
+``s_tuples_per_node`` doubles.
 The same holds for the client-side fold of ``RemotePier.load_relation``.
 """
 
@@ -19,22 +20,23 @@ import pytest
 import repro.sketches.hll as hll_module
 from repro.core.stats import STATS_HLL_LOG2M, STATS_NAMESPACE, RelationStats
 from repro.remote import RemotePier
-from tests.conftest import build_pier, build_workload
+from tests.conftest import FakeGateway, build_pier, build_workload
 
 NODES = 64
 REGISTERS = 1 << STATS_HLL_LOG2M
 
 
 class FoldCost:
-    """``hash64`` calls and line events inside ``sketches/hll.py``."""
+    """Values hashed by ``hash64_many`` and line events in ``sketches/hll.py``."""
 
     def __init__(self):
         self.hashes = 0
         self.lines = 0
 
-    def _hash64(self, value, seed):
-        self.hashes += 1
-        return self._original(value, seed)
+    def _hash64_many(self, values, seed):
+        values = list(values)
+        self.hashes += len(values)
+        return self._original(values, seed)
 
     def _on_call(self, frame, event, arg):
         inside = frame.f_code.co_filename == hll_module.__file__
@@ -46,15 +48,15 @@ class FoldCost:
         return self._on_line
 
     def __enter__(self):
-        self._original = hll_module.hash64
-        hll_module.hash64 = self._hash64
+        self._original = hll_module.hash64_many
+        hll_module.hash64_many = self._hash64_many
         self._previous = sys.gettrace()
         sys.settrace(self._on_call)
         return self
 
     def __exit__(self, *exc_info):
         sys.settrace(self._previous)
-        hll_module.hash64 = self._original
+        hll_module.hash64_many = self._original
 
 
 def type_exact_distinct(workload) -> int:
@@ -78,22 +80,6 @@ def sim_load(s_tuples_per_node):
     partials = [item.value for provider in pier.providers.values()
                 for item in provider.storage.scan(STATS_NAMESPACE, pier.now)]
     return workload, cost, partials
-
-
-class FakeGateway:
-    """Answers ``status`` and swallows ``store``: no socket, no cluster."""
-
-    def __init__(self):
-        self.stored = []
-
-    def rpc(self, method, **arguments):
-        if method == "status":
-            return {"ready": True, "address": 0, "dead": [],
-                    "config": {"dht": "can", "can_dimensions": 4, "seed": 7},
-                    "nodes": {str(a): ("127.0.0.1", 1) for a in range(4)}}
-        assert method == "store"
-        self.stored.extend(arguments["items"])
-        return {}
 
 
 def remote_load(s_tuples_per_node):
