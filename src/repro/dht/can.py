@@ -37,8 +37,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import RoutingError
 from repro.dht.api import RoutingLayer, RoutingTableField
-from repro.dht.naming import (KEY_BITS, KEY_SPACE, dimension_prefixes,
-                              key_to_unit_coordinates)
+from repro.dht.naming import key_to_unit_coordinates
 from repro.net.network import Network
 from repro.net.node import Node
 
@@ -600,38 +599,28 @@ class CanNetworkBuilder:
         materialising the zones: O(log n) per point, as in
         :meth:`owners_of_keys`.
         """
-        node = _split_tree(self.dimensions, count)
-        while type(node) is tuple:
-            dim, mid, lower, upper = node
-            node = lower if point[dim] < mid else upper
-        return node
+        return _descend(_split_tree(self.dimensions, count), point)
 
     def owner_of_key(self, key: int) -> int:
         """Address of the node owning ``key`` in the last built network."""
         return self.owners_of_keys([key])[0]
 
     def owners_of_keys(self, keys: Sequence[int]) -> List[int]:
-        """Addresses of the nodes owning ``keys``, in order (no calls per key)."""
+        """Addresses of the nodes owning ``keys``, in order, from one tree."""
         addresses = self._built_addresses
         if addresses is None:
             raise RoutingError("owner_of_key() requires build_stabilized() first")
         root = _split_tree(self.dimensions, len(addresses))
-        prefixes = dimension_prefixes(self.dimensions)
-        owners = []
-        for key in keys:
-            data = b"%x" % key
-            point = []
-            for prefix in prefixes:
-                state = prefix.copy()
-                state.update(data)
-                point.append(int.from_bytes(state.digest()[:KEY_BITS // 8], "big")
-                             / KEY_SPACE)
-            node = root
-            while type(node) is tuple:
-                dim, mid, lower, upper = node
-                node = lower if point[dim] < mid else upper
-            owners.append(addresses[node])
-        return owners
+        return [addresses[_descend(root, key_to_unit_coordinates(key, self.dimensions))]
+                for key in keys]
+
+
+def _descend(node: "int | tuple", point: Sequence[float]) -> int:
+    """Index of the leaf of :func:`_split_tree` that holds ``point``."""
+    while type(node) is tuple:
+        dim, mid, lower, upper = node
+        node = lower if point[dim] < mid else upper
+    return node
 
 
 @functools.lru_cache(maxsize=16)

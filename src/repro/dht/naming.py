@@ -35,8 +35,7 @@ def _namespace_prefix(namespace: str) -> Any:
 
 
 @functools.lru_cache
-def dimension_prefixes(dimensions: int) -> Tuple[Any, ...]:
-    """Cached SHA-1 states of each CAN dimension's ``f"dim{d}\\x00"`` salt."""
+def _dimension_prefixes(dimensions: int) -> Tuple[Any, ...]:
     return tuple(hashlib.sha1(f"dim{dim}\x00".encode("ascii"))
                  for dim in range(dimensions))
 
@@ -77,7 +76,7 @@ def key_to_unit_coordinates(key: int, dimensions: int) -> Tuple[float, ...]:
         raise ValueError("dimensions must be positive")
     data = f"{key:x}".encode("ascii")
     coords = []
-    for prefix in dimension_prefixes(dimensions):  # SHA-1 of f"dim{d}\x00{data}"
+    for prefix in _dimension_prefixes(dimensions):  # SHA-1 of f"dim{d}\x00{data}"
         state = prefix.copy()
         state.update(data)
         coords.append(int.from_bytes(state.digest()[: KEY_BITS // 8], "big") / KEY_SPACE)

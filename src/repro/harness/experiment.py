@@ -251,35 +251,40 @@ class PierNetwork:
         via a real ``put`` otherwise), so any planning node can fetch and
         merge them for ``strategy=AUTO``.
 
-        Returns the number of tuples loaded.  Every publisher address (and,
-        with ``track_renewal``, its renewal agent) is checked before anything
-        is stored, so a rejected load leaves nothing behind.
+        Returns the number of tuples loaded.  Every publisher's address,
+        renewal agent, resourceIDs and statistics are found before anything is
+        stored, so a rejected load leaves nothing behind.
         """
+        # The statistics partial goes first and is soft state like the rows:
+        # renewed under a stable instanceID it survives owner churn, and the
+        # failure wiring untracks it when its publisher dies, so stale
+        # cardinalities age out instead of being resurrected.
+        plans = []
+        loaded = 0
         for publisher, rows in rows_by_node.items():
             if not 0 <= publisher < self.num_nodes:
                 raise ExperimentError(
                     f"publisher address {publisher} outside the {self.num_nodes}-node network"
                 )
-            if track_renewal and rows and publisher not in self.renewal_agents:
+            if not rows:
+                continue
+            if track_renewal and publisher not in self.renewal_agents:
                 raise ExperimentError(
                     "track_renewal=True requires start_renewal_agents() first"
                 )
-        loaded = 0
-        for publisher, rows in rows_by_node.items():
-            if not rows:
-                continue
-            # The statistics partial goes first and is soft state like the
-            # rows: renewed under a stable instanceID it survives owner churn,
-            # and the failure wiring untracks it when its publisher dies, so
-            # stale cardinalities age out instead of being resurrected.
             batches = [(relation.namespace, [relation.resource_id(row) for row in rows],
                         rows, lifetime, relation.tuple_bytes)]
+            partial = None
             if publish_stats:
                 partial = RelationStats.from_rows(relation, rows, at=self.now)
-                self.relation_stats.merge_partial(partial)
-                self.executors[publisher].stats.merge_partial(partial)
                 batches.insert(0, (STATS_NAMESPACE, [relation_stats_resource_id(relation.name)],
                                    [partial], stats_lifetime, STATS_ITEM_BYTES))
+            plans.append((publisher, partial, batches))
+            loaded += len(rows)
+        for publisher, partial, batches in plans:
+            if partial is not None:
+                self.relation_stats.merge_partial(partial)
+                self.executors[publisher].stats.merge_partial(partial)
             for namespace, resource_ids, values, life, size in batches:
                 instance_ids = self._place(publisher, namespace, resource_ids, values,
                                            life, size, fast)
@@ -288,7 +293,6 @@ class PierNetwork:
                     for resource_id, instance_id, value in zip(
                             resource_ids, instance_ids, values):
                         track(namespace, resource_id, instance_id, value, life, size)
-            loaded += len(rows)
         if not fast:
             self.network.run_until_idle()
         return loaded

@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import struct
-from typing import Any, Dict, Iterable, List, Type
+from typing import Any, Callable, Dict, Iterable, List, Type
 
 from repro.exceptions import SketchError
 
@@ -49,6 +49,17 @@ DEFAULT_SEED = 0x5EED_C0DE
 #: configuration (an HLL at the maximum ``log2m`` of 18 is 256 KiB); a
 #: decoder must never allocate more than this from a length field.
 MAX_SKETCH_BYTES = 1 << 20
+
+
+#: :func:`_hash_input` of the exact types most values have, without the chain
+#: of checks :func:`hash64` (the reference) runs; an integer-valued ``float``
+#: hashes as the ``int`` it equals.
+_EXACT_HASH_INPUTS: Dict[type, Callable[[Any], bytes]] = {
+    int: lambda value: b"i%d" % value,
+    float: lambda value: (b"i%d" % value if value.is_integer()
+                          else b"f" + struct.pack(">d", value)),
+    str: lambda value: b"s" + value.encode("utf-8"),
+}
 
 
 def _hash_input(value: Any) -> bytes:
@@ -74,22 +85,14 @@ def hash64(value: Any, seed: int = DEFAULT_SEED) -> int:
 
 def hash64_many(values: Iterable[Any], seed: int = DEFAULT_SEED) -> List[int]:
     """:func:`hash64` of each value, from one bound keyed state: exact ``int``,
-    ``float`` and ``str`` are encoded inline, any other type (``bool``, too)
-    by :func:`_hash_input`."""
+    ``float`` and ``str`` through ``_EXACT_HASH_INPUTS``, the rest (``bool``,
+    too) through :func:`_hash_input`."""
     copy = _keyed_hasher(seed).copy
+    exact = _EXACT_HASH_INPUTS.get
     hashes: List[int] = []
     for value in values:
-        kind = type(value)
-        if kind is int or kind is float and value.is_integer():
-            data = b"i%d" % value
-        elif kind is str:
-            data = b"s" + value.encode("utf-8")
-        elif kind is float:
-            data = b"f" + struct.pack(">d", value)
-        else:
-            data = _hash_input(value)
         hasher = copy()
-        hasher.update(data)
+        hasher.update(exact(type(value), _hash_input)(value))
         hashes.append(int.from_bytes(hasher.digest(), "big"))
     return hashes
 
@@ -98,7 +101,11 @@ def hash64_many(values: Iterable[Any], seed: int = DEFAULT_SEED) -> List[int]:
 
 
 def encode_value(value: Any) -> bytes:
-    """Reversible type-tagged encoding of one scalar value."""
+    """Reversible type-tagged encoding of one scalar value.
+
+    ``_EXACT_HASH_INPUTS`` repeats the ``int`` / ``float`` / ``str`` branches
+    for the hash: change them together.
+    """
     if value is None:
         return b"n"
     if value is True:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import costmodel
-from repro.exceptions import ExperimentError
+from repro.exceptions import ExperimentError, SketchError
 from repro.harness import PierNetwork, SimulationConfig, analytical, format_series, format_table, run_query
 from repro.harness.softstate import run_soft_state_experiment
 from tests.conftest import build_pier, build_workload
@@ -81,6 +81,17 @@ def test_load_rejects_unknown_publisher():
     # A valid publisher ahead of the bad one: the load is refused whole.
     with pytest.raises(ExperimentError):
         pier.load_relation(workload.r_relation, {0: rows, 99: rows[:1]})
+    assert_nothing_loaded(pier, workload.r_relation)
+
+
+def test_load_rejects_rows_a_later_publisher_cannot_sketch():
+    pier = build_pier(4)
+    workload = build_workload(4)
+    rows = workload.r_by_node[0]
+    # Publisher 1's statistics fail only after publisher 0's were computed.
+    bad = dict(workload.r_by_node[1][0], pad=("not", "a", "scalar"))
+    with pytest.raises(SketchError):
+        pier.load_relation(workload.r_relation, {0: rows, 1: [bad]})
     assert_nothing_loaded(pier, workload.r_relation)
 
 

@@ -4,11 +4,12 @@ Counts, not timings.  A publisher's partial holds a few dozen values per
 column, so on a 64-node CAN fast load of the fig-3 relations: every sketch of
 a publisher partial is a sparse map; the batch hash ``hash64_many`` is handed
 each type-exactly distinct value per column per publisher once (not each
-row); and the work done inside ``sketches/hll.py`` — interpreter line events,
-which a loop over all ``2**log2m`` registers per merge would multiply by the
-publisher count — doubles, and does not more than double, when
-``s_tuples_per_node`` doubles.
-The same holds for the client-side fold of ``RemotePier.load_relation``.
+row); and the work done inside ``sketches/hll.py`` by the load and the first
+read of every registry it fed (the fold of the parked partials) —
+interpreter line events, which a loop over all ``2**log2m`` registers per
+merge would multiply by the publisher count — doubles, and does not more than
+double, when ``s_tuples_per_node`` doubles.
+The same holds for the client-side load and fold of ``RemotePier``.
 """
 
 from __future__ import annotations
@@ -71,12 +72,22 @@ def type_exact_distinct(workload) -> int:
     return total
 
 
+def read_back(registries):
+    """Read R and S from each registry (the deployment-wide one first): the
+    parked partials fold here."""
+    read = [registry.get(name) for registry in registries for name in "RS"]
+    assert read[0] is not None and read[1] is not None
+
+
 def sim_load(s_tuples_per_node):
     pier = build_pier(NODES)
     workload = build_workload(NODES, s_tuples_per_node=s_tuples_per_node)
+    registries = [pier.relation_stats] + [executor.stats
+                                          for executor in pier.executors.values()]
     with FoldCost() as cost:
         pier.load_relation(workload.r_relation, workload.r_by_node)
         pier.load_relation(workload.s_relation, workload.s_by_node)
+        read_back(registries)
     partials = [item.value for provider in pier.providers.values()
                 for item in provider.storage.scan(STATS_NAMESPACE, pier.now)]
     return workload, cost, partials
@@ -90,6 +101,7 @@ def remote_load(s_tuples_per_node):
     with FoldCost() as cost:
         loaded = (pier.load_relation(workload.r_relation, workload.r_by_node)
                   + pier.load_relation(workload.s_relation, workload.s_by_node))
+        read_back([pier.relation_stats])
     partials = [item["value"] for item in gateway.stored
                 if item["namespace"] == STATS_NAMESPACE]
     assert loaded == len(gateway.stored) - len(partials)
