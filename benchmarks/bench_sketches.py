@@ -113,8 +113,7 @@ def partial_size_rows():
     def partial_bytes(function, n):
         operator = GroupByAggregate(
             group_by=[], aggregates=[(function, "x", "d", None)])
-        for i in range(n):
-            operator.process({"x": f"value-{i}"})
+        operator.accumulate_many((), [[f"value-{i}" for i in range(n)]], n)
         return operator.partial_sizes()[()]
 
     rows = []

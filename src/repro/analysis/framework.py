@@ -319,12 +319,6 @@ class Project:
             bare = name.rsplit(".", 1)[-1]
             self.attr_values.setdefault(bare, set()).add(value)
 
-    def module_by_name(self, module: str) -> Optional[ModuleInfo]:
-        for info in self.modules:
-            if info.module == module:
-                return info
-        return None
-
 
 def canonical_module(path: Path) -> str:
     """Module-relative posix path: anchored at the ``repro`` package when

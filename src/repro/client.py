@@ -153,11 +153,10 @@ class ResultCursor:
         self.timeout_s = timeout_s
         self._limit = query.limit
         #: LIMIT on the rows streamed to the initiator, when they *are* the
-        #: final rows.  Initiator-side aggregations (join + GROUP BY) stream
-        #: raw join rows instead, so LIMIT must apply to the finalised groups
-        #: and must not cut the dataflow off mid-stream.
-        self._cap = (None if query.is_aggregation and not query.distributed_aggregation
-                     else query.limit)
+        #: final rows.  Aggregations finalised at the initiator (a join with
+        #: GROUP BY) stream partial records instead, so LIMIT applies to the
+        #: merged groups and must not cut the dataflow off mid-stream.
+        self._cap = None if query.finalized_at_initiator else query.limit
         self._closed = False
         self.cancelled = False
         self.timed_out = False
@@ -172,13 +171,19 @@ class ResultCursor:
 
     @property
     def rows(self) -> List[dict]:
-        """Result rows received so far (LIMIT applied), in arrival order."""
+        """Result rows received so far (LIMIT applied), in arrival order.
+
+        For an aggregation finalised at the initiator these are the partial
+        records received so far; :meth:`fetchall` returns its groups.
+        """
         return self.handle.rows[:self._cap]
 
     @property
     def result_count(self) -> int:
-        """Number of result rows delivered so far (LIMIT applied)."""
-        return len(self.rows)
+        """Number of result rows delivered so far (LIMIT applied); the
+        joined rows partial records stand for, when the initiator merges."""
+        count = self.handle.result_count
+        return count if self._cap is None else min(count, self._cap)
 
     @property
     def closed(self) -> bool:
@@ -315,8 +320,9 @@ class ResultCursor:
     def fetchall(self, drain: bool = True) -> List[dict]:
         """Run the query to completion and return its final rows.
 
-        Initiator-side aggregations are finalised here (grouping over the
-        streamed rows), and ``LIMIT`` applies to the finalised rows.  The
+        Aggregations finalised at the initiator are finalised here (merging
+        the partial records the join sites or scan nodes shipped), and
+        ``LIMIT`` applies to the finalised groups.  The
         query's distributed state is torn down before returning; with
         ``drain`` (the default) the deployment is then waited on until idle
         so the teardown flood is fully delivered — pass ``drain=False`` inside
@@ -335,12 +341,11 @@ class ResultCursor:
     def __iter__(self) -> Iterator[dict]:
         """Stream result rows in arrival order, driving the deployment lazily.
 
-        Initiator-side aggregation queries cannot stream (their groups only
-        exist once all inputs arrived), so they run to completion first and
-        then yield the final rows.
+        Aggregations finalised at the initiator cannot stream (their groups
+        only exist once every partial arrived), so they run to completion
+        first and then yield the final rows.
         """
-        query = self.query
-        if query.is_aggregation and not query.distributed_aggregation:
+        if self.query.finalized_at_initiator:
             yield from self.fetchall()
             return
         delivered = 0

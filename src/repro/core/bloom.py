@@ -36,7 +36,6 @@ class BloomFilter:
         self.num_bits = int(num_bits)
         self.num_hashes = int(num_hashes)
         self._bits = 0
-        self._count = 0
 
     # ----------------------------------------------------------------- sizing
 
@@ -58,12 +57,6 @@ class BloomFilter:
         """Wire size of the filter."""
         return (self.num_bits + 7) // 8
 
-    @property
-    def approximate_items(self) -> int:
-        """Number of distinct items added (exact for a single filter, lower
-        bound after unions)."""
-        return self._count
-
     # ------------------------------------------------------------------- ops
 
     def _positions(self, value: Any) -> Iterable[int]:
@@ -76,7 +69,6 @@ class BloomFilter:
         """Insert a value."""
         for position in self._positions(value):
             self._bits |= 1 << position
-        self._count += 1
 
     def update(self, values: Iterable[Any]) -> None:
         """Insert many values."""
@@ -95,14 +87,12 @@ class BloomFilter:
         self._check_compatible(other)
         merged = BloomFilter(self.num_bits, self.num_hashes)
         merged._bits = self._bits | other._bits
-        merged._count = self._count + other._count
         return merged
 
     def union_in_place(self, other: "BloomFilter") -> None:
         """OR ``other`` into this filter (what the collector nodes do)."""
         self._check_compatible(other)
         self._bits |= other._bits
-        self._count += other._count
 
     def _check_compatible(self, other: "BloomFilter") -> None:
         if (self.num_bits, self.num_hashes) != (other.num_bits, other.num_hashes):
@@ -129,7 +119,6 @@ class BloomFilter:
         """Independent copy of this filter."""
         duplicate = BloomFilter(self.num_bits, self.num_hashes)
         duplicate._bits = self._bits
-        duplicate._count = self._count
         return duplicate
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.expressions import And, Comparison, Expression, Literal, Not, Or
+from repro.core.operators.aggregate import GroupByAggregate
 from repro.core.query import JoinStrategy, QuerySpec
 from repro.core.stats import RelationStats, join_signature
 from repro.exceptions import PlanError
@@ -430,7 +431,8 @@ def cost_graph(graph, stats_map: Optional[Dict[str, RelationStats]] = None,
     combines the Section 5.5.1 latency decomposition with bandwidth terms:
     bytes crossing DHT-exchange edges are serialised through the paper's
     bottleneck inbound links (spread over all nodes), and the result stream
-    through the initiator's single inbound link.
+    through the initiator's single inbound link.  A query the initiator
+    finalises ships partial records, not rows: one per group per site.
     """
     from repro.core.opgraph import OpKind
 
@@ -445,7 +447,14 @@ def cost_graph(graph, stats_map: Optional[Dict[str, RelationStats]] = None,
                                         dht_hops=hops)
 
     result_rows = estimates.result_rows
+    groups = _group_estimate(query, stats_map, result_rows)
+    shipped = result_rows
     result_bytes = result_rows * query.result_tuple_bytes
+    if query.finalized_at_initiator:
+        # Every node may be a join site (or scan a share); a site's
+        # partial record holds at most its share of the rows.
+        shipped = topo.num_nodes * min(groups, result_rows / topo.num_nodes)
+        result_bytes = shipped * partial_record_bytes(query)
     strategy = query.strategy
     window = query.collection_window_s
     n = topo.num_nodes
@@ -516,13 +525,11 @@ def cost_graph(graph, stats_map: Optional[Dict[str, RelationStats]] = None,
                 * bloom_pass.get(gated, 1.0))
         elif kind is OpKind.RESIDUAL:
             put(node, result_rows)
-        elif kind in (OpKind.MERGE_PROJECT, OpKind.SINK):
-            put(node, result_rows, result_bytes if kind is OpKind.SINK else 0.0)
-        elif kind in (OpKind.PARTIAL_AGG, OpKind.COMBINE_AGG, OpKind.FINAL_AGG,
-                      OpKind.INITIATOR_AGG):
-            groups = _group_estimate(query, stats_map)
+        elif kind is OpKind.SINK:
+            put(node, shipped, result_bytes)
+        elif kind in (OpKind.PARTIAL_AGG, OpKind.COMBINE_AGG, OpKind.FINAL_AGG):
             put(node, groups, hops=lookup_hops
-                if kind is OpKind.PARTIAL_AGG else 0.0)
+                if "namespace" in node.params else 0.0)
         else:
             put(node, result_rows)
 
@@ -568,15 +575,26 @@ def cost_graph(graph, stats_map: Optional[Dict[str, RelationStats]] = None,
 
 
 def _group_estimate(query: QuerySpec,
-                    stats_map: Optional[Dict[str, RelationStats]]) -> float:
-    if not query.group_by:
-        return 1.0
-    alias = query.tables[0].alias
-    stats = _stats_for(query, stats_map, alias)
+                    stats_map: Optional[Dict[str, RelationStats]],
+                    rows: float) -> float:
+    """Estimated groups: the product of the group-by columns' distinct
+    counts (10 when unknown), at most one per row."""
     estimate = 1.0
     for column in query.group_by:
-        estimate *= float(stats.distinct(column, default=10) or 10)
-    return min(estimate, float(max(1, stats.cardinality)))
+        alias, _, name = column.rpartition(".")
+        stats = _stats_for(query, stats_map,
+                           alias if alias in query.aliases else query.tables[0].alias)
+        estimate *= float(stats.distinct(name, default=10) or 10)
+    return max(1.0, min(estimate, rows))
+
+
+def partial_record_bytes(query: QuerySpec) -> float:
+    """Wire size of one group's partial record, as ``partial_sizes`` bills
+    a group that holds a single row."""
+    probe = GroupByAggregate(query.group_by, [
+        (a.function, a.column, a.alias, a.param) for a in query.aggregates])
+    probe.accumulate_many((), [[None] for _ in query.aggregates], 1)
+    return float(probe.partial_sizes()[()])
 
 
 # ---------------------------------------------------------------------------
@@ -641,15 +659,14 @@ def feasible_strategies(query: QuerySpec) -> List[JoinStrategy]:
 def _candidate_spec(query: QuerySpec, strategy: JoinStrategy) -> QuerySpec:
     """A throwaway copy of ``query`` lowered under ``strategy``.
 
-    The copy shares the immutable payload but gets its own strategy and
-    opgraph cache, so costing candidates never disturbs the spec that will
-    actually be multicast.
+    The copy shares the immutable payload but gets its own strategy (and,
+    being another object, its own graph), so costing candidates never
+    disturbs the spec that will actually be multicast.
     """
     import copy
 
     candidate = copy.copy(query)
     candidate.strategy = strategy
-    candidate.__dict__.pop("_opgraph_cache", None)
     return candidate
 
 

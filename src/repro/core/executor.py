@@ -26,9 +26,12 @@ bucket read per distinct join value and one result message; Fetch Matches
 joins everything one owner's ``get_batch`` reply fetched at once, into one
 result message; and the semi-join fetches the full tuples of one probe
 call's matches with one ``get_batch`` per side, rejoining them a reply at a
-time.  Every join tail is one kernel over a list of matched pairs.  Rehash
-fragments cross the network as ``(side, slotted_row)`` pairs; dicts appear
-only in the rows shipped to the initiator.
+time.  Every join tail is one kernel over a list of matched pairs; in a
+join with GROUP BY it folds them into a partial group-by, so each probe
+call, Fetch Matches reply and semi-join rejoin ships one partial record
+instead of its joined rows.  Rehash fragments cross the network as
+``(side, slotted_row)`` pairs; dicts appear only in what is shipped to the
+initiator.
 
 The four join strategies of paper Section 4 and both aggregation variants
 are therefore *graph constructions* in :mod:`repro.core.opgraph`; the
@@ -43,8 +46,9 @@ stale per-query state is additionally reaped lazily once its soft-state
 lifetime elapses, so long simulations do not accumulate finished queries.
 
 Results are streamed directly to the initiator (single IP hop), which
-records per-tuple arrival times so the harness can report the paper's
-"time to the k-th / last result tuple" metrics.
+records per-arrival times so the harness can report the paper's "time to
+the k-th / last result tuple" metrics, and merges partial records into the
+final groups when a join (or a scan aggregation kept off the DHT) groups.
 """
 
 from __future__ import annotations
@@ -52,16 +56,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core import aggregation_tree
 from repro.core.bloom import BloomFilter
 from repro.core.opgraph import (
     Activation,
+    JoinTail,
     OpGraph,
     OpKind,
     OpNode,
-    PairKernel,
     PlanArtifacts,
     bloom_distribution_namespace,
     build_opgraph,
@@ -95,11 +99,23 @@ FINISHED_MARKER_TTL_S = 600.0
 class QueryHandle:
     """Initiator-side view of a running (or finished) query."""
 
-    def __init__(self, query: QuerySpec, submitted_at: float):
+    def __init__(self, query: QuerySpec, submitted_at: float,
+                 graph: Optional[OpGraph] = None):
         self.query = query
+        #: The plan the initiator runs the query as: holding it keeps every
+        #: lookup of the spec's graph (each node's, this handle's
+        #: finalisation) on one lowered copy while the query lives.
+        self.graph = graph
         self.submitted_at = submitted_at
-        #: ``(arrival_virtual_time, row)`` in arrival order.
+        #: ``(arrival_virtual_time, row)`` in arrival order.  For a query
+        #: :attr:`QuerySpec.finalized_at_initiator` each "row" is one partial
+        #: record: ``{"groups": [(group_key, partial payloads), ...],
+        #: "rows": joined rows it stands for}``.
         self.arrivals: List[Tuple[float, dict]] = []
+        #: Result rows received so far — for partial records, the joined
+        #: (or scanned) rows they stand for.
+        self.result_count = 0
+        self._partials = query is not None and query.finalized_at_initiator
         #: Called after each recorded row; only the real node's result pump
         #: sets it, it stays ``None`` under the simulator.
         self.on_row: Optional[Callable[[], None]] = None
@@ -107,8 +123,9 @@ class QueryHandle:
     # ---------------------------------------------------------------- record
 
     def record(self, time: float, row: dict) -> None:
-        """Record one result row arriving at the initiator."""
+        """Record one result row (or partial record) arriving at the initiator."""
         self.arrivals.append((time, row))
+        self.result_count += row["rows"] if self._partials else 1
         if self.on_row is not None:
             self.on_row()
 
@@ -116,44 +133,39 @@ class QueryHandle:
 
     @property
     def rows(self) -> List[dict]:
-        """All result rows received so far, in arrival order."""
+        """Everything received so far (rows or partial records), in order."""
         return [row for _time, row in self.arrivals]
 
-    @property
-    def result_count(self) -> int:
-        """Number of result rows received so far."""
-        return len(self.arrivals)
-
     def time_to_kth(self, k: int) -> Optional[float]:
-        """Elapsed time from submission to the k-th result row (1-based)."""
+        """Elapsed time from submission to the k-th arrival (1-based)."""
         if k <= 0 or k > len(self.arrivals):
             return None
         return self.arrivals[k - 1][0] - self.submitted_at
 
     def time_to_last(self) -> Optional[float]:
-        """Elapsed time from submission to the last received result row."""
+        """Elapsed time from submission to the last arrival."""
         if not self.arrivals:
             return None
         return self.arrivals[-1][0] - self.submitted_at
 
     def arrival_times(self) -> List[float]:
-        """Elapsed times of every result row."""
+        """Elapsed times of every arrival."""
         return [time - self.submitted_at for time, _row in self.arrivals]
 
     def final_rows(self) -> List[dict]:
-        """Result rows after any initiator-side finalisation.
+        """The query's answer as it stands.
 
-        For non-distributed aggregation queries the raw rows streamed back by
-        participants are grouped/aggregated here; for everything else this is
-        just :attr:`rows`.
+        For a query finalised at the initiator, the partial records received
+        so far are merged into one group-by and finalised (derived columns,
+        HAVING); for everything else this is just :attr:`rows`.
         """
-        query = self.query
-        if query.is_aggregation and not query.distributed_aggregation:
-            final = build_final_aggregation(query)
-            for _time, row in self.arrivals:
-                final.process(row)
-            return finalize_aggregation_rows(query, final)
-        return self.rows
+        if not self._partials:
+            return self.rows
+        final = build_final_aggregation(self.query)
+        for _time, record in self.arrivals:
+            for group_key, payloads in record["groups"]:
+                final.merge_partial(group_key, payloads)
+        return finalize_aggregation_rows(self.query, final)
 
 
 @dataclass
@@ -255,8 +267,9 @@ class QueryExecutor:
     def submit(self, query: QuerySpec) -> QueryHandle:
         """Submit a query from this node; returns the handle collecting results."""
         query.initiator = self.node.address
-        build_opgraph(query).artifacts  # an unlowerable plan raises before the flood
-        handle = QueryHandle(query, submitted_at=self.now)
+        graph = build_opgraph(query)
+        graph.artifacts  # an unlowerable plan raises before the flood
+        handle = QueryHandle(query, submitted_at=self.now, graph=graph)
         self._handles[query.query_id] = handle
         self.provider.multicast(
             QUERY_NAMESPACE, query.query_id, query, payload_bytes=QUERY_MESSAGE_BYTES
@@ -337,6 +350,16 @@ class QueryExecutor:
             return
         for row in payload["rows"]:
             handle.record(self.now, row)
+
+    def _send_partials(self, query: QuerySpec, partial: GroupByAggregate,
+                       rows: int) -> None:
+        """Ship one partial record (every group of ``partial``, standing for
+        ``rows`` joined or scanned rows) to the initiator, which merges it."""
+        payloads = partial.partial_payloads()
+        if payloads:
+            self._send_results(
+                query, [{"groups": list(payloads.items()), "rows": rows}],
+                bytes_per_row=sum(partial.partial_sizes().values()))
 
     def _send_results(self, query: QuerySpec, rows: List[dict],
                       bytes_per_row: Optional[int] = None) -> None:
@@ -576,21 +599,28 @@ class QueryExecutor:
 
     def _emit_join_results(self, query: QuerySpec,
                            matches: Iterable[Tuple[SlottedRow, SlottedRow]],
-                           emit: PairKernel) -> None:
-        """Run matched pairs through the join tail and ship the result rows.
+                           emit: JoinTail) -> None:
+        """Run matched pairs through the join tail and ship what it produces.
 
-        ``emit`` is the lowered tail kernel: a list of ``(left, right)``
-        pairs in, the boundary dicts of the pairs its residual keeps out.
-        It takes ``RESULT_SLICE_ROWS`` pairs per call, and the rows of one
-        call leave cut at exactly ``RESULT_SLICE_ROWS`` rows per message, so
-        a hot key never materialises its whole cross product.
+        ``emit`` is the lowered tail kernel, fed ``RESULT_SLICE_ROWS`` pairs
+        per call, so a hot key never materialises its whole cross product.
+        A plain join's kernel returns the boundary dicts of the pairs its
+        residual keeps; they leave cut at exactly ``RESULT_SLICE_ROWS`` rows
+        per message.  A join with GROUP BY folds every pair of this call
+        into one partial group-by, shipped as one partial record.
         """
         matches = iter(matches)
+        slices = iter(lambda: list(itertools.islice(matches, RESULT_SLICE_ROWS)), [])
+        if query.is_aggregation:
+            first = next(slices, None)
+            if first is not None:  # most probe calls match nothing
+                partial = build_final_aggregation(query)
+                joined = sum(emit(pairs, partial)
+                             for pairs in itertools.chain([first], slices))
+                self._send_partials(query, partial, joined)
+            return
         results: List[dict] = []
-        while True:
-            pairs = list(itertools.islice(matches, RESULT_SLICE_ROWS))
-            if not pairs:
-                break
+        for pairs in slices:
             results.extend(emit(pairs))
             while len(results) >= RESULT_SLICE_ROWS:
                 self._send_results(query, results[:RESULT_SLICE_ROWS])
@@ -793,32 +823,19 @@ class QueryExecutor:
 
     def _run_partial_agg(self, query: QuerySpec, state: _NodeQueryState,
                          node: OpNode, chunk: Chunk) -> None:
-        """Compute local partial aggregates and ship them to their owners.
+        """Compute local partial aggregates and ship them to their owners
+        (into the aggregation tree) or, with no namespace, to the initiator.
 
         Rows are grouped over the key columns and every aggregate takes its
         group's inputs in one bulk add.
         """
         partial = build_final_aggregation(query)
-        if chunk.length:
-            agg = state.plan.aggs[node.op_id]
-            if agg.group_slots:
-                key_columns = [chunk.columns[s] for s in agg.group_slots]
-                groups: Dict[Tuple, List[int]] = {}
-                for index, key in enumerate(zip(*key_columns)):
-                    group = groups.get(key)
-                    if group is None:
-                        groups[key] = [index]
-                    else:
-                        group.append(index)
-            else:
-                groups = {(): list(range(chunk.length))}
-            for key, indices in groups.items():
-                partial.accumulate_many(
-                    key,
-                    [extract(chunk, indices) for extract in agg.extractors],
-                    len(indices),
-                )
-        self._ship_partial_aggregates(query, node.params["namespace"], partial)
+        state.plan.aggs[node.op_id].fold(partial, chunk)
+        namespace = node.params.get("namespace")
+        if namespace is None:
+            self._send_partials(query, partial, chunk.length)
+        else:
+            self._ship_partial_aggregates(query, namespace, partial)
 
     def _ship_partial_aggregates(self, query: QuerySpec, namespace: str,
                                  partial: GroupByAggregate) -> None:

@@ -9,8 +9,10 @@ the final value.  The classes here provide the algebra that makes that work:
 * :class:`AggregateState` instances support ``add`` (accumulate one row),
   ``merge`` (combine two partials) and ``result`` (finalise), which is the
   standard decomposition into partial/intermediate/final aggregation;
-* :class:`GroupByAggregate` is the node-local hash group-by used both for
-  the partial phase and, at the initiator, for final grouping of join results.
+* :class:`GroupByAggregate` is the node-local hash group-by: scan chains and
+  join sites accumulate chunks into it (:meth:`~GroupByAggregate.accumulate_many`),
+  combiners, group owners and the initiator merge shipped partials
+  (:meth:`~GroupByAggregate.merge_partial`).
 """
 
 from __future__ import annotations
@@ -517,12 +519,6 @@ class GroupByAggregate:
         param = spec[3] if len(spec) > 3 else None
         return (spec[0], spec[1], spec[2], param)
 
-    def _group_key(self, row: Dict[str, Any]) -> Tuple:
-        try:
-            return tuple(row[column] for column in self.group_by)
-        except KeyError as error:
-            raise QueryError(f"group-by column missing from row: {error}") from None
-
     def _states_for(self, key: Tuple) -> List[AggregateState]:
         if key not in self._groups:
             self._groups[key] = [
@@ -531,21 +527,14 @@ class GroupByAggregate:
             ]
         return self._groups[key]
 
-    def process(self, row: Dict[str, Any]) -> None:
-        """Accumulate one dict row into its group."""
-        states = self._states_for(self._group_key(row))
-        for state, (_function, column, _alias, _param) in zip(states, self.aggregates):
-            value = 1 if column is None else row.get(column)
-            state.add(value)
-
     def accumulate_many(self, group_key: Tuple,
                         columns: Sequence[Sequence[Any]], count: int) -> None:
         """Chunk entry: one call per group per chunk.
 
         ``columns`` is aligned with :attr:`aggregates`; each entry holds the
         ``count`` input values of that aggregate for this group's rows
-        (``count(*)`` slots receive constant 1s) — exactly what
-        :meth:`process` would have extracted by name, a row at a time.
+        (``count(*)`` slots receive constant 1s) — exactly what a row at a
+        time fold (``tests/reference``) extracts by name.
         """
         states = self._states_for(group_key)
         for state, values in zip(states, columns):

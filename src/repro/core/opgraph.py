@@ -35,14 +35,18 @@ surfaced by ``PierClient.explain``.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass, field
 from itertools import compress as _compress
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.expressions import Expression, compile_vector_expression
 from repro.core.query import JoinStrategy, QuerySpec
 from repro.core.tuples import Chunk, Row, RowLayout, SlottedRow
 from repro.exceptions import ExpressionError, PlanError, QueryError, SchemaError
+
+if TYPE_CHECKING:
+    from repro.core.operators.aggregate import GroupByAggregate
 
 
 class OpKind(enum.Enum):
@@ -62,8 +66,6 @@ class OpKind(enum.Enum):
     COMBINE_AGG = "CombineAgg"
     FINAL_AGG = "FinalAgg"
     RESIDUAL = "ResidualFilter"
-    MERGE_PROJECT = "MergeProject"
-    INITIATOR_AGG = "InitiatorAgg"
     SINK = "Sink"
 
 
@@ -123,6 +125,9 @@ class OpGraph:
 
     def __init__(self, query: QuerySpec):
         self.query = query
+        #: The spec's ``query_id`` when this graph was built (namespaces
+        #: carry it; a spec renumbered since is lowered afresh).
+        self.query_id = query.query_id
         self.nodes: List[OpNode] = []
         self.edges: List[OpEdge] = []
         self._artifacts: Optional["PlanArtifacts"] = None
@@ -214,7 +219,7 @@ class OpGraph:
         if query.is_join:
             text = f"{query.strategy.value} join"
             if query.is_aggregation:
-                text += " + initiator aggregation"
+                text += " + partial aggregation at the join sites"
             return text
         if query.is_aggregation and query.distributed_aggregation:
             if query.hierarchical_aggregation:
@@ -301,19 +306,27 @@ def fetch_sides(query: QuerySpec) -> Tuple[str, str]:
     return scan_alias, fetch_alias
 
 
+#: ``id(spec)`` -> the graph built for that spec object, for as long as
+#: anything (a node's query state, the initiator's handle) holds the graph.
+#: The spec does not point at its graph, so a finished query is freed by
+#: reference counting alone; a live graph holds its spec, so the id is not
+#: reused while the entry exists.
+_GRAPHS: "weakref.WeakValueDictionary[int, OpGraph]" = weakref.WeakValueDictionary()
+
+
 def build_opgraph(query: QuerySpec) -> OpGraph:
     """Lower a :class:`QuerySpec` into its physical operator graph.
 
-    The built graph is cached on the query spec: every participant of an
+    The built graph is shared per spec object: every participant of an
     N-node simulation lowers the *same* multicast spec, so the plan (and the
-    kernels behind :attr:`OpGraph.artifacts`) is shared instead of being
-    rebuilt N times.  The single cache entry is keyed by ``query_id`` —
-    continuous queries allocate a fresh id (and spec clone) per window,
-    which naturally invalidates it.
+    kernels behind :attr:`OpGraph.artifacts`) is built once instead of N
+    times.  A copy of a spec (a costing candidate, a continuous-query
+    window, a spec decoded off the wire) is a different object and builds
+    its own; a spec whose ``query_id`` changed since is built afresh.
     """
-    cached = getattr(query, "_opgraph_cache", None)
-    if cached is not None and cached[0] == query.query_id:
-        return cached[1]
+    cached = _GRAPHS.get(id(query))
+    if cached is not None and cached.query_id == query.query_id:
+        return cached
     if query.strategy is JoinStrategy.AUTO:
         # Cost-based resolution: enumerate candidate strategy graphs, cost
         # each from the planning context attached to the spec (statistics,
@@ -341,7 +354,7 @@ def build_opgraph(query: QuerySpec) -> OpGraph:
         _build_distributed_aggregation(graph)
     else:
         _build_scan(graph)
-    query._opgraph_cache = (query.query_id, graph)
+    _GRAPHS[id(query)] = graph
     return graph
 
 
@@ -407,7 +420,11 @@ def _source_chain(graph: OpGraph, alias: str,
 
 def _join_tail(graph: OpGraph, upstream: OpNode,
                upstream_edge: EdgeKind = EdgeKind.LOCAL) -> OpNode:
-    """Residual filter → merge/project → sink chain after matches are formed."""
+    """Residual filter → (partial aggregation) → sink chain after matches form.
+
+    A join with GROUP BY aggregates where its pairs are matched: each join
+    site ships partial aggregates, not joined rows, to the initiator.
+    """
     query = graph.query
     last = upstream
     edge = upstream_edge
@@ -417,31 +434,35 @@ def _join_tail(graph: OpGraph, upstream: OpNode,
             predicate=query.post_join_predicate,
         ), edge)
         edge = EdgeKind.LOCAL
-    output = ", ".join(query.output_columns) if query.output_columns else "*"
-    merge = graph.connect(last, graph.add(
-        OpKind.MERGE_PROJECT, f"MergeProject({output})",
-        columns=list(query.output_columns),
-    ), edge)
-    sink = graph.connect(merge, graph.add(
-        OpKind.SINK, "Sink(initiator)",
-    ), EdgeKind.DIRECT)
     if query.is_aggregation:
-        # Join + aggregation: grouping happens at the initiator over the
-        # streamed join rows (see SQLPlanner), after the sink.
-        graph.connect(sink, _initiator_agg_node(graph), EdgeKind.LOCAL)
-    return sink
+        last = graph.connect(last, _partial_agg_node(graph, "initiator"), edge)
+    return graph.connect(last, _sink_node(graph), EdgeKind.DIRECT)
 
 
-def _initiator_agg_node(graph: OpGraph) -> OpNode:
+def _partial_agg_node(graph: OpGraph, target: str, **params: Any) -> OpNode:
+    """A PartialAgg box shipping to ``target`` (group owners or the initiator)."""
     query = graph.query
     aggregates = ", ".join(
         f"{a.function}({a.column or '*'}) AS {a.alias}" for a in query.aggregates
     )
     grouping = ", ".join(query.group_by) or "()"
     return graph.add(
-        OpKind.INITIATOR_AGG,
-        f"InitiatorAgg(group by {grouping} computing [{aggregates}])",
+        OpKind.PARTIAL_AGG,
+        f"PartialAgg(group by {grouping} computing [{aggregates}] -> {target})",
+        **params,
     )
+
+
+def _sink_node(graph: OpGraph) -> OpNode:
+    """The initiator's sink: result rows, or partial aggregates it merges."""
+    query = graph.query
+    if query.finalized_at_initiator:
+        having = f", having {query.having!r}" if query.having is not None else ""
+        return graph.add(OpKind.SINK, f"Sink(initiator: merge partials{having})")
+    if query.is_join and query.output_columns:
+        return graph.add(OpKind.SINK,
+                         f"Sink(initiator: {', '.join(query.output_columns)})")
+    return graph.add(OpKind.SINK, "Sink(initiator)")
 
 
 def _probe_and_tail(graph: OpGraph, semi_join: bool = False) -> OpNode:
@@ -487,7 +508,7 @@ def _rehash_node(graph: OpGraph, alias: str, item_bytes: int) -> OpNode:
 
 
 def _build_scan(graph: OpGraph) -> None:
-    """Selection/projection-only query (or initiator-side aggregation)."""
+    """Selection/projection-only query, or one partial aggregate per node."""
     query = graph.query
     alias = query.tables[0].alias
     if query.output_columns and not query.is_aggregation:
@@ -496,10 +517,10 @@ def _build_scan(graph: OpGraph) -> None:
     else:
         columns = query.columns_needed_from(alias)
     last = _source_chain(graph, alias, columns=columns)
-    sink = graph.connect(last, graph.add(OpKind.SINK, "Sink(initiator)"),
-                         EdgeKind.DIRECT)
     if query.is_aggregation:
-        graph.connect(sink, _initiator_agg_node(graph), EdgeKind.LOCAL)
+        last = graph.connect(last, _partial_agg_node(graph, "initiator",
+                                                     alias=alias))
+    graph.connect(last, _sink_node(graph), EdgeKind.DIRECT)
 
 
 def _build_symmetric_hash(graph: OpGraph) -> None:
@@ -624,18 +645,10 @@ def _build_distributed_aggregation(graph: OpGraph) -> None:
     """Ship partial aggregates to group owners (optionally via combiners)."""
     query = graph.query
     alias = query.tables[0].alias
-    aggregates = ", ".join(
-        f"{a.function}({a.column or '*'}) AS {a.alias}" for a in query.aggregates
-    )
-    grouping = ", ".join(query.group_by) or "()"
     namespace = query.aggregation_namespace()
     last = _source_chain(graph, alias, columns=[])
-    partial = graph.connect(last, graph.add(
-        OpKind.PARTIAL_AGG,
-        f"PartialAgg(group by {grouping} computing [{aggregates}]"
-        f" -> {namespace})",
-        alias=alias, namespace=namespace,
-    ))
+    partial = graph.connect(last, _partial_agg_node(
+        graph, namespace, alias=alias, namespace=namespace))
     final_delay = query.collection_window_s * (
         1.3 if query.hierarchical_aggregation else 1.0
     )
@@ -656,8 +669,7 @@ def _build_distributed_aggregation(graph: OpGraph) -> None:
         graph.connect(combine, final, EdgeKind.DHT_EXCHANGE)
     else:
         graph.connect(partial, final, EdgeKind.DHT_EXCHANGE)
-    graph.connect(final, graph.add(OpKind.SINK, "Sink(initiator)"),
-                  EdgeKind.DIRECT)
+    graph.connect(final, _sink_node(graph), EdgeKind.DIRECT)
 
 
 def bloom_distribution_namespace(query: QuerySpec, alias: str) -> str:
@@ -676,8 +688,8 @@ def bloom_distribution_namespace(query: QuerySpec, alias: str) -> str:
 # aggregation and scan sinks over a chunk's columns, join tails over a list
 # of matched ``(left, right)`` slotted pairs, the Fetch Matches fetched side
 # over one reply's tuples, derived columns and HAVING over a group owner's
-# final rows.  The dict view of a row is rebuilt only where rows cross the
-# client boundary.
+# (or the initiator's) final rows.  The dict view of a row is rebuilt only
+# where rows cross the client boundary.
 
 #: A scan-chain chunk kernel: stored base dicts → one dense output chunk.
 ChunkKernel = Callable[[List[Row]], Chunk]
@@ -686,6 +698,14 @@ ChunkKernel = Callable[[List[Row]], Chunk]
 #: predicate and output projection, returning one boundary dict per pair the
 #: residual keeps, in pair order.
 PairKernel = Callable[[List[Tuple[SlottedRow, SlottedRow]]], List[Row]]
+
+#: The join tail of a join with GROUP BY: applies the residual predicate and
+#: folds the pairs it keeps into a partial group-by, returning how many it
+#: kept (the joined rows the partial stands for).
+PairFold = Callable[[List[Tuple[SlottedRow, SlottedRow]], "GroupByAggregate"], int]
+
+#: What a join site runs its matched pairs through.
+JoinTail = Union[PairKernel, PairFold]
 
 #: Derived columns and HAVING over a group owner's (or the initiator's)
 #: final aggregate rows.
@@ -719,7 +739,7 @@ class FetchArtifact:
     predicate: Optional[Callable[[List[List[Any]], int], List[Any]]]
     #: Whether the scanned side is the join's left side (pair orientation).
     scan_is_left: bool
-    emit: PairKernel
+    emit: JoinTail
 
 
 @dataclass
@@ -735,7 +755,7 @@ class SemiJoinArtifact:
     #: Join-column slots in the full layouts (the rejoin's equality check).
     key_slots: Tuple[int, int]
     #: Join tail over pairs of full slotted tuples.
-    emit: PairKernel
+    emit: JoinTail
 
 
 @dataclass
@@ -747,6 +767,27 @@ class AggArtifact:
     #: One per aggregate: ``(chunk, row_indices) -> input value list``
     #: (``count(*)`` yields constant 1s, a missing column constant ``None``s).
     extractors: Tuple[Callable[[Chunk, List[int]], list], ...]
+
+    def fold(self, partial: "GroupByAggregate", chunk: Chunk) -> None:
+        """Group ``chunk``'s rows on the key columns and add each group's
+        inputs to ``partial`` in one bulk add per aggregate."""
+        if not chunk.length:
+            return
+        if self.group_slots:
+            key_columns = [chunk.columns[s] for s in self.group_slots]
+            groups: Dict[Tuple, List[int]] = {}
+            for index, key in enumerate(zip(*key_columns)):
+                group = groups.get(key)
+                if group is None:
+                    groups[key] = [index]
+                else:
+                    group.append(index)
+        else:
+            groups = {(): list(range(chunk.length))}
+        for key, indices in groups.items():
+            partial.accumulate_many(
+                key, [extract(chunk, indices) for extract in self.extractors],
+                len(indices))
 
 
 @dataclass
@@ -761,7 +802,7 @@ class PlanArtifacts:
     key_slots: Dict[int, int] = field(default_factory=dict)
     fetches: Dict[int, FetchArtifact] = field(default_factory=dict)
     #: Probe-node join tails (symmetric hash / Bloom rehash layouts).
-    pair_emitters: Dict[int, PairKernel] = field(default_factory=dict)
+    pair_emitters: Dict[int, JoinTail] = field(default_factory=dict)
     semi: Optional[SemiJoinArtifact] = None
     aggs: Dict[int, AggArtifact] = field(default_factory=dict)
     #: Scan-sink emitters: chunk → boundary dicts.
@@ -823,19 +864,26 @@ def _slots_read_by(expression: Optional[Expression],
 
 
 def _compile_pair_emitter(query: QuerySpec, left_layout: RowLayout,
-                          right_layout: RowLayout) -> PairKernel:
-    """Compile the join tail (qualify + merge + residual + output projection).
+                          right_layout: RowLayout) -> JoinTail:
+    """Compile the join tail (qualify + merge + residual + output or fold).
 
     Names resolve once against the merged layout (left qualified, then right
     qualified).  Per call, over a list of matched pairs: the merged columns
-    the residual or the output reads, one vector residual pass, one
-    compress of the output columns and the boundary dicts.
+    the residual and the output read, one vector residual pass, then one
+    compress of the output columns and the boundary dicts — or, for a join
+    with GROUP BY (:data:`PairFold`), the kept pairs as one chunk of the
+    group and aggregate input columns, folded into the caller's partial.
     """
     join = query.join
     merged = left_layout.qualified(join.left_alias).concat(
         right_layout.qualified(join.right_alias)
     )
-    if query.output_columns:
+    if query.is_aggregation:
+        names = (*query.group_by,
+                 *(a.column for a in query.aggregates if a.column))
+        out_slots = sorted({merged.slots[name] for name in names
+                            if name in merged.slots})
+    elif query.output_columns:
         names = tuple(query.output_columns)
         missing = [name for name in names if name not in merged.slots]
         if missing:
@@ -846,19 +894,36 @@ def _compile_pair_emitter(query: QuerySpec, left_layout: RowLayout,
         out_slots = list(range(len(names)))
     read = sorted(set(out_slots)
                   | _slots_read_by(query.post_join_predicate, merged))
-    residual = compile_vector_expression(
-        query.post_join_predicate, RowLayout([merged.names[s] for s in read]))
+    read_layout = RowLayout([merged.names[s] for s in read])
+    residual = compile_vector_expression(query.post_join_predicate, read_layout)
     width = len(left_layout)
     sources = [(slot < width, slot if slot < width else slot - width)
                for slot in read]
+
+    def gather(pairs: List[Tuple[SlottedRow, SlottedRow]]) -> List[List[Any]]:
+        lefts, rights = zip(*pairs)
+        return [[row[i] for row in (lefts if is_left else rights)]
+                for is_left, i in sources]
+
+    if query.is_aggregation:
+        agg = _compile_agg(query, read_layout)
+
+        def fold(pairs: List[Tuple[SlottedRow, SlottedRow]],
+                 partial: "GroupByAggregate") -> int:
+            chunk = Chunk(read_layout, gather(pairs), len(pairs))
+            if residual is not None:
+                chunk = chunk.compress(residual(chunk.columns, len(pairs)))
+            agg.fold(partial, chunk)
+            return chunk.length
+
+        return fold
+
     out_positions = [read.index(slot) for slot in out_slots]
 
     def emit(pairs: List[Tuple[SlottedRow, SlottedRow]]) -> List[Row]:
         if not pairs:
             return []
-        lefts, rights = zip(*pairs)
-        columns = [[row[i] for row in (lefts if is_left else rights)]
-                   for is_left, i in sources]
+        columns = gather(pairs)
         if residual is None:
             out = [columns[p] for p in out_positions]
         else:
@@ -872,10 +937,9 @@ def _compile_pair_emitter(query: QuerySpec, left_layout: RowLayout,
 def _compile_agg(query: QuerySpec, layout: RowLayout) -> AggArtifact:
     """Group-key / aggregate-input extraction over a qualified ``layout``.
 
-    Resolution is *exact* by design, matching what
-    :class:`~repro.core.operators.aggregate.GroupByAggregate` does with dict
-    rows: a missing group-by name is a ``QueryError`` (here at plan time), a
-    missing aggregate input reads as ``None``.
+    Resolution is *exact* by design, as in a dict row: a missing group-by
+    name is a ``QueryError`` (here at plan time), a missing aggregate input
+    reads as ``None``.
     """
     group_slots = []
     for column in query.group_by:

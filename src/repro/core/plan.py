@@ -20,11 +20,12 @@ from repro.core.query import QuerySpec
 def build_final_aggregation(query: QuerySpec) -> GroupByAggregate:
     """The query's group-by: accumulates rows or merges partials.
 
-    The one place the engine spells it out — scan chains build their partial
-    aggregates from it, combiners, group owners and the initiator their
-    merges.  HAVING and derived columns are *not* applied here — they are
-    applied by :func:`finalize_aggregation_rows`, because derived columns
-    (``count(*) * sum(w)``) must be computed before HAVING can be evaluated.
+    The one place the engine spells it out — scan chains and join sites
+    build their partial aggregates from it, combiners, group owners and the
+    initiator their merges.  HAVING and derived columns are *not* applied
+    here — they are applied by :func:`finalize_aggregation_rows`, because
+    derived columns (``count(*) * sum(w)``) must be computed before HAVING
+    can be evaluated.
     """
     return GroupByAggregate(
         group_by=query.group_by,

@@ -231,9 +231,9 @@ class QuerySpec:
 
         Only the per-window mutable state is rebuilt: the container fields a
         window may rewrite (``local_predicates`` gets the sliding-window
-        conjunct) become fresh copies, the ``query_id`` is reallocated so
-        temporary namespaces do not collide with previous windows, and the
-        cached lowered operator graph is dropped.  The immutable payload —
+        conjunct) become fresh copies, and the ``query_id`` is reallocated so
+        temporary namespaces do not collide with previous windows (the clone
+        is lowered afresh).  The immutable payload —
         relation definitions, expressions, join/aggregate descriptions — is
         shared, not deep-copied.
         """
@@ -247,7 +247,6 @@ class QuerySpec:
         if self.computation_nodes is not None:
             clone.computation_nodes = list(self.computation_nodes)
         clone.query_id = next_query_id()
-        clone.__dict__.pop("_opgraph_cache", None)
         # Each window makes its own optimizer decision (an AUTO template
         # stays AUTO here and is re-resolved against refreshed statistics).
         clone.optimizer_report = None
@@ -274,6 +273,16 @@ class QuerySpec:
     def is_aggregation(self) -> bool:
         """Whether this query computes aggregates."""
         return bool(self.aggregates)
+
+    @property
+    def finalized_at_initiator(self) -> bool:
+        """Whether the initiator merges partial aggregates into the groups.
+
+        A join with aggregates ships partials from its join sites; a scan
+        aggregation with ``distributed_aggregation=False`` one per node.
+        """
+        return self.is_aggregation and (self.is_join
+                                        or not self.distributed_aggregation)
 
     def rehash_namespace(self) -> str:
         """Temporary namespace NQ used for rehashed fragments of this query."""

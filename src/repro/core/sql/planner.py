@@ -111,8 +111,8 @@ class SQLPlanner:
             query_options.setdefault("limit", statement.limit)
 
         if aggregates and is_join:
-            # Join + aggregation: the join runs distributed, grouping happens
-            # at the initiator over the streamed join rows, so the join's
+            # Join + aggregation: each join site folds its matched pairs into
+            # partial aggregates, which the initiator merges; the join's
             # output must carry the grouping and aggregate input columns.
             needed = set(group_by)
             for aggregate in aggregates:

@@ -513,18 +513,7 @@ class CanNetworkBuilder:
         if count <= 0:
             raise ValueError("need at least one node")
         zones: List[Zone] = []
-
-        def _recurse(zone: Zone, remaining: int, depth: int) -> None:
-            if remaining == 1:
-                zones.append(zone)
-                return
-            dim = depth % self.dimensions
-            lower, upper = zone.split(dim)
-            first = (remaining + 1) // 2
-            _recurse(lower, first, depth + 1)
-            _recurse(upper, remaining - first, depth + 1)
-
-        _recurse(Zone.full_space(self.dimensions), count, 0)
+        _split_zone(Zone.full_space(self.dimensions), count, 0, zones)
         return zones
 
     # ------------------------------------------------------------ neighbours
@@ -615,6 +604,18 @@ class CanNetworkBuilder:
                 for key in keys]
 
 
+def _split_zone(zone: Zone, remaining: int, depth: int, out: List[Zone]) -> None:
+    """Halve ``zone`` along ``depth % dimensions`` until each part holds one
+    node, appending the parts to ``out`` in partition order."""
+    if remaining == 1:
+        out.append(zone)
+        return
+    lower, upper = zone.split(depth % zone.dimensions)
+    first = (remaining + 1) // 2
+    _split_zone(lower, first, depth + 1, out)
+    _split_zone(upper, remaining - first, depth + 1, out)
+
+
 def _descend(node: "int | tuple", point: Sequence[float]) -> int:
     """Index of the leaf of :func:`_split_tree` that holds ``point``."""
     while type(node) is tuple:
@@ -630,17 +631,20 @@ def _split_tree(dimensions: int, count: int) -> "int | tuple":
     along ``dim`` to ``lower``."""
     if count <= 0:
         raise ValueError("need at least one node")
+    return _split_subtree(((0.0, 1.0),) * dimensions, 0, count, 0)
 
-    def _build(bounds: tuple, offset: int, remaining: int, depth: int) -> "int | tuple":
-        if remaining == 1:
-            return offset
-        dim = depth % dimensions
-        lo, hi = bounds[dim]
-        mid = (lo + hi) / 2.0
-        first = (remaining + 1) // 2
-        below = bounds[:dim] + ((lo, mid),) + bounds[dim + 1:]
-        above = bounds[:dim] + ((mid, hi),) + bounds[dim + 1:]
-        return (dim, mid, _build(below, offset, first, depth + 1),
-                _build(above, offset + first, remaining - first, depth + 1))
 
-    return _build(((0.0, 1.0),) * dimensions, 0, count, 0)
+def _split_subtree(bounds: tuple, offset: int, remaining: int,
+                   depth: int) -> "int | tuple":
+    """The subtree of :func:`_split_tree` over ``bounds``, whose zones are
+    indexes ``offset`` to ``offset + remaining - 1``."""
+    if remaining == 1:
+        return offset
+    dim = depth % len(bounds)
+    lo, hi = bounds[dim]
+    mid = (lo + hi) / 2.0
+    first = (remaining + 1) // 2
+    below = bounds[:dim] + ((lo, mid),) + bounds[dim + 1:]
+    above = bounds[:dim] + ((mid, hi),) + bounds[dim + 1:]
+    return (dim, mid, _split_subtree(below, offset, first, depth + 1),
+            _split_subtree(above, offset + first, remaining - first, depth + 1))

@@ -73,10 +73,6 @@ class RenewalAgent:
             size_bytes=size_bytes,
         )
 
-    def untrack(self, namespace: str, resource_id: Any, instance_id: int) -> None:
-        """Stop renewing an item (the publisher no longer cares about it)."""
-        self.records.pop((namespace, resource_id, instance_id), None)
-
     def untrack_namespace(self, namespace: str) -> int:
         """Stop renewing every tracked item of one namespace.
 

@@ -21,10 +21,6 @@ class NetworkError(PierError):
     """Raised for invalid network operations (unknown node, dead link...)."""
 
 
-class NodeUnreachableError(NetworkError):
-    """Raised when a message is addressed to a failed or unknown node."""
-
-
 class GatewayError(NetworkError):
     """A gateway RPC was rejected with a structured error frame.
 
@@ -63,10 +59,6 @@ class RoutingError(DHTError):
 
 class StorageError(DHTError):
     """Raised by the storage manager for invalid store/retrieve operations."""
-
-
-class NamespaceError(DHTError):
-    """Raised when an operation references an unknown or invalid namespace."""
 
 
 class SketchError(PierError):

@@ -33,27 +33,44 @@ Delivery contract (both implementations):
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Tuple
 
 from repro.exceptions import SimulationError
 from repro.net.message import Message
 
 
 class PeriodicHandle:
-    """Handle for a repeating timer; cancelling stops future repetitions."""
+    """Handle for a repeating timer; cancelling stops future repetitions.
 
-    __slots__ = ("active", "current")
+    Each firing runs the callback, then schedules the next one-shot firing.
+    The pending one-shot points back at this handle, so :meth:`cancel`
+    drops it: a stopped timer is freed by reference counting.  Mutable by
+    contract and never on the wire, so not slotted.
+    """
 
-    def __init__(self) -> None:
+    def __init__(self, timers: "TimerService", period: float,
+                 callback: Callable[..., None], args: Tuple[Any, ...]) -> None:
         self.active = True
         #: One-shot handle of the next firing.
         self.current: Any = None
+        self._timers = timers
+        self._period = period
+        self._callback = callback
+        self._args = args
+
+    def _fire(self) -> None:
+        if not self.active:
+            return
+        self._callback(*self._args)
+        if self.active:
+            self.current = self._timers.schedule(self._period, self._fire)
 
     def cancel(self) -> None:
         """Stop the periodic process."""
         self.active = False
         if self.current is not None:
             self.current.cancel()
+            self.current = None
 
 
 class TimerService(ABC):
@@ -92,17 +109,9 @@ class TimerService(ABC):
         if period <= 0:
             raise SimulationError(
                 f"periodic timers need a positive period (got {period})")
-        handle = PeriodicHandle()
+        handle = PeriodicHandle(self, period, callback, args)
         first = period if initial_delay is None else initial_delay
-
-        def _fire() -> None:
-            if not handle.active:
-                return
-            callback(*args)
-            if handle.active:
-                handle.current = self.schedule(period, _fire)
-
-        handle.current = self.schedule(first, _fire)
+        handle.current = self.schedule(first, handle._fire)
         return handle
 
 

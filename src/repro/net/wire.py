@@ -97,11 +97,9 @@ _COLUMN_TYPES = frozenset((int, float, str, tuple, dict))
 _TRUSTED_ROOTS = ("repro.",)
 
 #: Per-class state filters: class -> callable(state_dict) -> state_dict.
+#: No class needs one today (a spec's lowered plan lives in
+#: ``core/opgraph.py``, never on the spec).
 _STATE_FILTERS: Dict[str, Callable[[Dict[str, Any]], Dict[str, Any]]] = {}
-# The cached operator graph is plan-local (kernels and closures); every
-# receiver of a QuerySpec rebuilds it from the spec itself.
-_STATE_FILTERS["repro.core.query:QuerySpec"] = lambda state: {
-    name: value for name, value in state.items() if name != "_opgraph_cache"}
 
 
 class WireError(NetworkError):

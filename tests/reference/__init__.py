@@ -7,6 +7,9 @@
   (``ListScan``, ``Selection``, ``Qualify``, ``SymmetricHashJoin``,
   ``Projection``, ``Collector``, ``Tee``) on the push-based ``Operator`` /
   ``OutputQueue`` / ``chain`` boxes, and the dict helpers they use;
+* :mod:`tests.reference.aggregate` — ``RowGroupBy``, the group-by fed one
+  dict row at a time (the fold the engine's chunk folds and partial merges
+  replaced);
 * :mod:`tests.reference.evaluator` — a *centralised* evaluator of a
   ``QuerySpec`` built from them: no DHT, no network, no chunks;
 * :mod:`tests.reference.probe` — the per-arrival symmetric-hash-join probe
@@ -21,6 +24,7 @@
   f-string, which the prefix-state hashing must match bit for bit.
 """
 
+from tests.reference.aggregate import RowGroupBy
 from tests.reference.evaluator import (
     all_rows,
     build_local_filter_pipeline,
@@ -52,6 +56,7 @@ __all__ = [
     "all_rows",
     "row_multiset",
     "PerArrivalProbe",
+    "RowGroupBy",
     "ListScan",
     "Selection",
     "Projection",

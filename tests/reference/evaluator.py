@@ -2,7 +2,7 @@
 
 ``ListScan → Selection → Qualify → SymmetricHashJoin → Projection →
 Collector`` over every row of every referenced relation, plus
-``GroupByAggregate`` and the reference ``evaluate`` for grouping, derived
+``RowGroupBy`` and the reference ``evaluate`` for grouping, derived
 columns and HAVING.  It knows nothing of strategies, exchanges or chunks —
 whatever physical plan the engine picks must return this multiset.
 """
@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Any, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.operators.aggregate import GroupByAggregate
 from repro.core.query import QuerySpec
+from tests.reference.aggregate import RowGroupBy
 from tests.reference.expressions import evaluate
 from tests.reference.operators import (
     Collector,
@@ -91,7 +91,7 @@ def evaluate_query(query: QuerySpec,
     if not query.is_aggregation:
         return collector.rows
 
-    grouped = GroupByAggregate(
+    grouped = RowGroupBy(
         group_by=query.group_by,
         aggregates=[(a.function, a.column, a.alias, a.param)
                     for a in query.aggregates],

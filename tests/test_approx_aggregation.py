@@ -14,9 +14,9 @@ from __future__ import annotations
 import pytest
 
 from conftest import build_pier, build_workload, load_join_tables
-from repro.core.operators.aggregate import GroupByAggregate
 from repro.harness.experiment import run_query
 from repro.workloads import NetworkMonitoringWorkload
+from tests.reference import RowGroupBy
 
 
 def run_sql(sql, dht="can", num_nodes=16, **query_options):
@@ -139,7 +139,7 @@ def test_approx_group_by_with_having():
 
 
 def feed_distinct(function, n, param=None):
-    operator = GroupByAggregate(
+    operator = RowGroupBy(
         group_by=[], aggregates=[(function, "x", "d", param)]
     )
     for i in range(n):

@@ -9,7 +9,7 @@ join / sink operators are the reference implementation under
 import pytest
 
 from repro.core.expressions import Comparison, col, lit
-from repro.core.operators import GroupByAggregate, make_aggregate
+from repro.core.operators import make_aggregate
 from repro.core.operators.aggregate import (
     AvgState,
     CountState,
@@ -26,6 +26,7 @@ from tests.reference import (
     OutputQueue,
     Projection,
     Qualify,
+    RowGroupBy,
     Selection,
     SymmetricHashJoin,
     Tee,
@@ -309,7 +310,7 @@ def accumulate(aggregate, rows):
 
 
 def test_group_by_aggregate_groups():
-    aggregate = accumulate(GroupByAggregate(
+    aggregate = accumulate(RowGroupBy(
         group_by=["group"],
         aggregates=[("count", None, "cnt"), ("sum", "num2", "total")],
     ), ROWS)
@@ -322,16 +323,16 @@ def test_group_by_aggregate_groups():
 
 def test_group_by_aggregate_global_group():
     aggregate = accumulate(
-        GroupByAggregate(group_by=[], aggregates=[("count", None, "cnt")]), ROWS)
+        RowGroupBy(group_by=[], aggregates=[("count", None, "cnt")]), ROWS)
     assert aggregate.result_rows() == [{"cnt": 3}]
 
 
 def test_group_by_aggregate_merge_partials():
-    partial_a = accumulate(GroupByAggregate(["group"], [("count", None, "cnt")]),
+    partial_a = accumulate(RowGroupBy(["group"], [("count", None, "cnt")]),
                            ROWS[:2])
-    partial_b = accumulate(GroupByAggregate(["group"], [("count", None, "cnt")]),
+    partial_b = accumulate(RowGroupBy(["group"], [("count", None, "cnt")]),
                            ROWS[2:])
-    final = GroupByAggregate(["group"], [("count", None, "cnt")])
+    final = RowGroupBy(["group"], [("count", None, "cnt")])
     for partial in (partial_a, partial_b):
         for group_key, payloads in partial.partial_payloads().items():
             final.merge_partial(group_key, payloads)
@@ -340,6 +341,6 @@ def test_group_by_aggregate_merge_partials():
 
 
 def test_group_by_missing_column_raises():
-    aggregate = GroupByAggregate(["missing"], [("count", None, "cnt")])
+    aggregate = RowGroupBy(["missing"], [("count", None, "cnt")])
     with pytest.raises(QueryError):
         aggregate.process({"x": 1})

@@ -5,7 +5,6 @@ import pytest
 from repro.core.catalog import Catalog
 from repro.core.expressions import Comparison, col, lit
 from repro.core.plan import (
-    build_final_aggregation,
     describe_plan,
     finalize_aggregation_rows,
 )
@@ -19,7 +18,7 @@ from repro.core.query import (
 )
 from repro.core.tuples import Column, RelationDef, Schema
 from repro.exceptions import CatalogError, PlanError
-from tests.reference import build_local_filter_pipeline
+from tests.reference import RowGroupBy, build_local_filter_pipeline
 
 
 def make_relation(name="R", columns=("pkey", "num1", "num2")):
@@ -163,7 +162,8 @@ def test_finalize_aggregation_rows_applies_derived_and_having():
     from repro.core.expressions import Arithmetic
 
     query.derived_columns = {"wcnt": Arithmetic("*", col("cnt"), col("total"))}
-    final = build_final_aggregation(query)
+    final = RowGroupBy(query.group_by, [(a.function, a.column, a.alias, a.param)
+                                        for a in query.aggregates])
     for row in ({"T.g": "x", "T.w": 3.0}, {"T.g": "x", "T.w": 4.0},
                 {"T.g": "y", "T.w": 1.0}):
         final.process(row)

@@ -4,7 +4,10 @@ Boots 4 real ``python -m repro.node`` processes on loopback sockets, loads
 the Figure-3 join workload through :class:`repro.remote.RemotePier`, runs
 joins and an aggregation through the unmodified :class:`repro.client.
 PierClient`, and checks the result rows are byte-identical to the same
-workload executed under the discrete-event simulator.
+workload executed under the discrete-event simulator.  A join with GROUP BY
+(the monitoring workload's reputation-weighted summary) ships partial
+records through the wire codec and the gateway's result pump; its groups
+must match the simulator's.
 
 Every test runs under a hard SIGALRM wall-clock guard: a hang in the real
 transport must fail the suite, not stall it.
@@ -13,18 +16,23 @@ transport must fail the suite, not stall it.
 from __future__ import annotations
 
 import functools
+import math
 import signal
 
 import pytest
 
 from repro import JoinStrategy, PierNetwork, SimulationConfig
 from repro.harness.realcluster import LocalCluster
-from repro.workloads import JoinWorkload, WorkloadConfig
+from repro.workloads import JoinWorkload, NetworkMonitoringWorkload, WorkloadConfig
 
 NUM_NODES = 4
 WORKLOAD = WorkloadConfig(num_nodes=NUM_NODES, s_tuples_per_node=4, seed=11)
 AGGREGATE_SQL = "SELECT R.num1, count(*) AS cnt FROM R GROUP BY R.num1"
 TEST_BUDGET_S = 180  # SIGALRM guard per test (pytest-timeout is not installed)
+WEIGHTED_SQL = ("SELECT I.fingerprint, count(*) * sum(R.weight) AS wcnt "
+                "FROM intrusions I, reputation R "
+                "WHERE R.address = I.address AND I.port = 22 "
+                "GROUP BY I.fingerprint HAVING wcnt > 1")
 
 
 def canonical(rows):
@@ -171,3 +179,33 @@ def test_chord_join_matches_simulator(chord_cluster):
     expected, actual = run_join(chord_cluster, JoinStrategy.SYMMETRIC_HASH)
     assert len(expected) > 0
     assert actual == expected
+
+
+def test_join_aggregation_partials_match_simulator(can_cluster):
+    """Partial records cross the wire codec and the result pump; the client
+    merges them into the simulator's groups.  Sums are compared with
+    ``math.isclose``: partials may be merged in another order."""
+    monitoring = NetworkMonitoringWorkload(num_nodes=NUM_NODES,
+                                           intrusions_per_node=40, seed=5)
+    relations = ((monitoring.intrusions, monitoring.intrusions_by_node),
+                 (monitoring.reputation, monitoring.reputation_by_node))
+    sim = PierNetwork(SimulationConfig(num_nodes=NUM_NODES, dht="can"))
+    for relation, by_node in relations:
+        sim.load_relation(relation, by_node)
+        can_cluster.pier.load_relation(relation, by_node)
+    cursors = []
+    for pier, options in ((sim, {}), (can_cluster.pier, {"timeout_s": 5.0})):
+        client = pier.client(catalog=monitoring.catalog())
+        cursors.append(client.sql(WEIGHTED_SQL,
+                                  strategy=JoinStrategy.SYMMETRIC_HASH, **options))
+    expected = {row["I.fingerprint"]: row["wcnt"] for row in cursors[0].fetchall()}
+    joined = cursors[0].completeness().result_rows
+    assert len(expected) > 1 and joined > len(expected)
+    remote = cursors[1]
+    remote.fetch(joined)  # every partial record has arrived
+    assert remote.result_count == joined
+    assert all("groups" in record for record in remote.rows)
+    actual = {row["I.fingerprint"]: row["wcnt"] for row in remote.fetchall()}
+    assert actual.keys() == expected.keys()
+    assert all(math.isclose(actual[key], expected[key], rel_tol=1e-9)
+               for key in expected)

@@ -161,7 +161,10 @@ def test_dht_item_reply_roundtrip():
 
 
 def test_query_multicast_roundtrip():
+    from repro.core.opgraph import build_opgraph
+
     query = planned_query()
+    graph = build_opgraph(query)  # the sender has lowered its spec
     envelope = {
         "id": (0, 17),
         "entries": [{"namespace": "__pier_queries__",
@@ -175,11 +178,10 @@ def test_query_multicast_roundtrip():
     assert item.tables[0].relation.schema == query.tables[0].relation.schema
     assert item.local_predicates.keys() == query.local_predicates.keys()
     assert item.join == query.join
-    # The compiled-opgraph cache never crosses the wire; receivers recompile.
-    assert "_opgraph_cache" not in vars(item)
-    from repro.core.opgraph import build_opgraph
-
-    assert build_opgraph(item).describe() == build_opgraph(query).describe()
+    # A spec carries no plan state over the wire; receivers lower their own.
+    assert vars(item).keys() == vars(query).keys()
+    assert build_opgraph(item) is not graph
+    assert build_opgraph(item).describe() == graph.describe()
 
 
 def test_query_teardown_roundtrip():
