@@ -8,9 +8,9 @@ nodes; this ablation quantifies the trade-off: the group owner's inbound
 load drops, at the cost of an extra hop of latency.
 """
 
-from bench_common import bench_seed, report, scaled
+from bench_common import bench_seed, measure_query, report, scaled
 from repro.core.query import AggregateSpec, QuerySpec, TableRef
-from repro.harness import PierNetwork, SimulationConfig, run_query
+from repro.harness import PierNetwork, SimulationConfig
 from repro.workloads import NetworkMonitoringWorkload
 
 
@@ -26,7 +26,7 @@ def run_once(hierarchical: bool):
         hierarchical_aggregation=hierarchical,
         collection_window_s=6.0,
     )
-    outcome = run_query(pier, query, initiator=0)
+    outcome = measure_query(pier, query)
     owner = pier.owner_of(query.aggregation_namespace(), ("agg-l0", ()))
     return {
         "mode": "hierarchical" if hierarchical else "flat",

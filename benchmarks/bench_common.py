@@ -31,10 +31,14 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
-from repro.harness import PierNetwork, SimulationConfig, run_query
+from repro.client import ResultCursor
+from repro.core.query import QuerySpec
+from repro.harness import PierNetwork, SimulationConfig
 from repro.harness.reporting import format_table
+from repro.metrics.latency import LatencySummary, summarize_latency
+from repro.metrics.traffic import TrafficBreakdown, breakdown_traffic
 from repro.workloads import JoinWorkload, WorkloadConfig
 
 #: Directory where benchmark result tables are written.
@@ -180,6 +184,39 @@ def build_loaded_network(num_nodes: int,
     return pier, workload
 
 
+class QueryOutcome(NamedTuple):
+    """What one measured query produced."""
+
+    cursor: ResultCursor
+    rows: List[dict]
+    latency: LatencySummary
+    traffic: TrafficBreakdown
+
+    @property
+    def result_count(self) -> int:
+        """Number of result rows the initiator received."""
+        return self.cursor.result_count
+
+
+def measure_query(pier: PierNetwork, query: QuerySpec,
+                  initiator: int = 0) -> QueryOutcome:
+    """Run ``query`` to completion through a client cursor, measured alone.
+
+    The deployment is first run idle, which delivers an earlier query's
+    teardown, and its traffic counters are reset.  Latency and traffic are
+    read once the last row is in, before this query's own teardown flood is
+    delivered: traffic is counted on delivery, so the teardown does not show,
+    and per-query counters the teardown releases (``agg_bytes``) can still
+    be read.
+    """
+    pier.run_until_idle()
+    pier.network.stats.reset()
+    cursor = pier.client(node=initiator).query(query)
+    rows = cursor.fetchall(drain=False)
+    return QueryOutcome(cursor, rows, summarize_latency(cursor.handle),
+                        breakdown_traffic(pier.network.stats))
+
+
 def run_benchmark_query(pier: PierNetwork, workload: JoinWorkload, strategy,
                         s_selectivity: Optional[float] = None,
                         computation_nodes: Optional[Sequence[int]] = None,
@@ -192,7 +229,7 @@ def run_benchmark_query(pier: PierNetwork, workload: JoinWorkload, strategy,
     query = workload.make_query(strategy=strategy, s_selectivity=s_selectivity, **options)
     if computation_nodes is not None:
         query.computation_nodes = list(computation_nodes)
-    return run_query(pier, query, initiator=initiator)
+    return measure_query(pier, query, initiator=initiator)
 
 
 def report(name: str, title: str, rows: List[Dict],

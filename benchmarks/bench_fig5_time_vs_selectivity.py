@@ -65,7 +65,7 @@ def sweep():
             })
 
         pier, outcome = run_point(JoinStrategy.AUTO, selectivity)
-        query = outcome.handle.query
+        query = outcome.cursor.query
         report_obj = query.optimizer_report
         chosen = query.strategy.value
         t_auto = outcome.latency.time_to_last

@@ -8,15 +8,18 @@ The shape: recall decreases as the failure rate increases and increases as
 the refresh period shrinks, staying in the 91–100 % band for the paper's
 parameter range.
 
-We run the same experiment at a reduced node count; the failure rates are
-chosen to cover the same *fraction of nodes failing per minute* as the
-paper's sweep, and the analytic estimate of Section 5.6 is printed alongside.
+We run the same experiment at a reduced node count through the Figure 6
+driver of ``bench_fig6_recall_vs_failures.py``: one
+:class:`repro.harness.ChurnConfig` deployment per (refresh period, failure
+rate) point, publishers renewing every refresh period and the benchmark
+query running through PierClient cursors.  The failure rates are chosen to
+cover the same *fraction of nodes failing per minute* as the paper's sweep,
+and the analytic estimate of Section 5.6 is printed alongside.
 """
 
 from bench_common import bench_seed, report, scaled, smoke_trim
-from repro.harness import PierNetwork, SimulationConfig, analytical
-from repro.harness.softstate import run_soft_state_experiment
-from repro.workloads import JoinWorkload, WorkloadConfig
+from bench_fig6_recall_vs_failures import build_point, run_point
+from repro.harness import analytical
 
 REFRESH_PERIODS = (30.0, 60.0, 150.0)
 #: Fractions of the population failing per minute (the paper sweeps 0..~6 %).
@@ -30,24 +33,14 @@ def sweep():
     for refresh in smoke_trim(REFRESH_PERIODS, keep=1):
         for fraction in smoke_trim(FAILURE_FRACTIONS, keep=2):
             failure_rate = fraction * num_nodes
-            pier = PierNetwork(SimulationConfig(num_nodes=num_nodes, seed=seed))
-            workload = JoinWorkload(WorkloadConfig(num_nodes=num_nodes,
-                                                   s_tuples_per_node=1, seed=seed))
-            result = run_soft_state_experiment(
-                pier, workload,
-                refresh_period_s=refresh,
-                failure_rate_per_min=failure_rate,
-                num_queries=3,
-                query_interval_s=60.0,
-                warmup_s=30.0,
-                query_horizon_s=45.0,
-                seed=seed,
-            )
+            pier, workload, client = build_point(num_nodes, "can", fraction, seed,
+                                                 refresh_s=refresh)
+            point = run_point(pier, workload, client, "symmetric_hash")
             rows.append({
                 "refresh_s": refresh,
                 "failure_pct_per_min": round(fraction * 100, 1),
                 "paper_equiv_failures_per_min_at_4096": round(fraction * 4096),
-                "avg_recall_pct": round(result.average_recall_percent, 2),
+                "avg_recall_pct": round(100 * point["avg_recall"], 2),
                 "model_recall_pct": round(
                     100 * analytical.expected_recall(failure_rate, refresh, num_nodes), 2),
             })

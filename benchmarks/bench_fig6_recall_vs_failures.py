@@ -1,12 +1,12 @@
 """Figure 6 through the **real executor** — recall vs. failure rate per strategy.
 
-The companion benchmark ``bench_fig6_recall_soft_state.py`` reproduces the
-paper's recall experiment through the analytical soft-state harness; this one
-runs it through the full PierClient → opgraph → executor path: a
-:class:`repro.harness.ChurnConfig` deployment fails nodes continuously while
-the Section 5.1 benchmark query executes under every join strategy (the four
+The Figure 6 driver: a :class:`repro.harness.ChurnConfig` deployment fails
+nodes continuously while the Section 5.1 benchmark query runs through the
+PierClient → opgraph → executor path under every join strategy (the four
 physical algorithms plus ``AUTO``), and each answer is scored against the
-dilated-reachable reference set (paper §3.3.1) at submission time.
+dilated-reachable reference set (paper §3.3.1) at submission time.  The
+companion ``bench_fig6_recall_soft_state.py`` sweeps the refresh period
+over the same :func:`build_point` / :func:`run_point`.
 
 What the sweep must show (asserted under pytest and by CI's churn-smoke job):
 
@@ -48,7 +48,8 @@ STRATEGIES = ("auto", "symmetric_hash", "fetch_matches",
 CHORD_FRACTIONS = (0.0, 0.06)
 
 REFRESH_PERIOD_S = 30.0
-DATA_LIFETIME_S = 60.0
+#: Tuples live two refresh periods, so one missed renewal does not drop them.
+DATA_LIFETIME_S = 2 * REFRESH_PERIOD_S
 WARMUP_S = 20.0
 #: Per-query horizon: churn deployments never go idle (renewal agents,
 #: injector), so the cursor is timeout-driven.
@@ -59,8 +60,10 @@ QUERY_GAP_S = 10.0
 QUERIES_PER_POINT = 2
 
 
-def build_point(num_nodes: int, dht: str, fraction: float, seed: int):
-    """One churn deployment with the workload loaded and renewal running."""
+def build_point(num_nodes: int, dht: str, fraction: float, seed: int,
+                refresh_s: float = REFRESH_PERIOD_S):
+    """One churn deployment with the workload loaded and renewal running
+    every ``refresh_s``; data lives two refresh periods."""
     churn = ChurnConfig(
         failure_rate_per_min=fraction * num_nodes,
         seed=seed + int(fraction * 1000),
@@ -70,11 +73,11 @@ def build_point(num_nodes: int, dht: str, fraction: float, seed: int):
                                         seed=seed, churn=churn))
     workload = JoinWorkload(WorkloadConfig(num_nodes=num_nodes,
                                            s_tuples_per_node=1, seed=seed))
-    pier.start_renewal_agents(REFRESH_PERIOD_S)
+    pier.start_renewal_agents(refresh_s)
     pier.load_relation(workload.r_relation, workload.r_by_node,
-                       lifetime=DATA_LIFETIME_S, track_renewal=True)
+                       lifetime=2 * refresh_s, track_renewal=True)
     pier.load_relation(workload.s_relation, workload.s_by_node,
-                       lifetime=DATA_LIFETIME_S, track_renewal=True)
+                       lifetime=2 * refresh_s, track_renewal=True)
     pier.run(until=pier.now + WARMUP_S)
     client = pier.client(catalog=workload.catalog())
     return pier, workload, client

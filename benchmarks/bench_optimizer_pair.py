@@ -21,9 +21,9 @@ a few percent by construction, inside placement-noise territory.  CI's
 ``optimizer-smoke`` job runs it at 64 nodes and uploads the JSON.
 """
 
-from bench_common import bench_seed, is_smoke, node_axis, report, row_key
+from bench_common import bench_seed, is_smoke, measure_query, node_axis, report, row_key
 from repro.core.query import JoinStrategy
-from repro.harness import PierNetwork, SimulationConfig, run_query
+from repro.harness import PierNetwork, SimulationConfig
 from repro.workloads import JoinWorkload, WorkloadConfig
 
 SELECTIVITY_PAIR = (0.05, 1.0)
@@ -56,7 +56,7 @@ def run_point(num_nodes: int, seed: int, strategy, selectivity: float):
     pier, workload = build(num_nodes, seed)
     query = workload.make_query(strategy=strategy, s_selectivity=selectivity,
                                 collection_window_s=COLLECTION_WINDOW_S)
-    return run_query(pier, query, initiator=0)
+    return measure_query(pier, query)
 
 
 def sweep():
@@ -78,7 +78,7 @@ def sweep():
                 "t_last_s": outcome.latency.time_to_last,
             })
         outcome = run_point(num_nodes, seed, JoinStrategy.AUTO, selectivity)
-        chosen = outcome.handle.query.strategy.value
+        chosen = outcome.cursor.query.strategy.value
         best = min(forced.values())
         chosen_by_selectivity[selectivity] = {
             "chosen": chosen,

@@ -34,9 +34,9 @@ from bench_common import (
     bench_seed,
     build_loaded_network,
     is_smoke,
+    measure_query,
     node_axis,
     report,
-    run_query,
     smoke_trim,
 )
 from repro.core.operators.aggregate import GroupByAggregate
@@ -142,7 +142,7 @@ def run_network(s_tuples_per_node, approx, branching=None):
         APPROX_SQL if approx else EXACT_SQL, **options)
     if approx:
         query.aggregates = [replace(query.aggregates[0], param=NETWORK_LOG2M)]
-    outcome = run_query(pier, query, initiator=0)
+    outcome = measure_query(pier, query)
     level0 = level1 = 0
     for address in range(num_nodes):
         counters = pier.executor(address).agg_bytes.get(query.query_id)

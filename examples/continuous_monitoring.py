@@ -61,7 +61,7 @@ def main() -> None:
     monitor.start(immediate=False)
 
     pier.run(until=150.0)
-    monitor.stop(teardown_last=True)
+    monitor.stop()
     pier.run(until=180.0)
 
     rows = []

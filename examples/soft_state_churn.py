@@ -3,51 +3,49 @@
 Reproduces, at demo scale, the dynamic behind the paper's Figure 6: nodes
 fail continuously, taking the soft state they stored with them; publishers
 renew their tuples every ``refresh`` seconds, so a shorter refresh period
-repairs the damage faster and yields higher recall.
+repairs the damage faster and yields higher recall.  Each point is a
+``ChurnConfig`` deployment queried through PierClient cursors, built and
+measured by the Figure 6 benchmark driver
+(``benchmarks/bench_fig6_recall_vs_failures.py``).
 
 Run with: ``python examples/soft_state_churn.py``
-(set ``PIER_EXAMPLE_NODES`` / ``PIER_EXAMPLE_QUERIES`` to shrink the sweep,
-as the CI examples-smoke job does).
+(set ``PIER_EXAMPLE_NODES`` to shrink the sweep, as the CI examples-smoke
+job does).
 """
 
 import os
+import sys
+from pathlib import Path
 
-from repro import PierNetwork, SimulationConfig
-from repro.harness.reporting import format_table
-from repro.harness.softstate import run_soft_state_experiment
-from repro.harness import analytical
-from repro.workloads import JoinWorkload, WorkloadConfig
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+
+from bench_fig6_recall_vs_failures import build_point, run_point  # noqa: E402
+from repro.harness import analytical  # noqa: E402
+from repro.harness.reporting import format_table  # noqa: E402
+
+#: Fractions of the nodes failing per minute: none, and about the paper's
+#: worst case.
+FAILURE_FRACTIONS = (0.0, 0.06)
 
 
 def main() -> None:
     num_nodes = int(os.environ.get("PIER_EXAMPLE_NODES", "48"))
-    num_queries = int(os.environ.get("PIER_EXAMPLE_QUERIES", "3"))
-    failure_rate_per_min = 3.0   # ~6 % of the nodes per minute, as in the paper's worst case
     rows = []
     for refresh_period in (30.0, 60.0, 150.0):
-        pier = PierNetwork(SimulationConfig(num_nodes=num_nodes, seed=13))
-        workload = JoinWorkload(WorkloadConfig(num_nodes=num_nodes, s_tuples_per_node=2, seed=13))
-        result = run_soft_state_experiment(
-            pier, workload,
-            refresh_period_s=refresh_period,
-            failure_rate_per_min=failure_rate_per_min,
-            num_queries=num_queries,
-            query_interval_s=60.0,
-            warmup_s=30.0,
-            query_horizon_s=45.0,
-            seed=13,
-        )
-        rows.append({
-            "refresh_s": refresh_period,
-            "failures_per_min": failure_rate_per_min,
-            "avg_recall_pct": round(result.average_recall_percent, 2),
-            "model_recall_pct": round(
-                100 * analytical.expected_recall(failure_rate_per_min, refresh_period, num_nodes), 2
-            ),
-        })
+        for fraction in FAILURE_FRACTIONS:
+            failure_rate_per_min = fraction * num_nodes
+            pier, workload, client = build_point(num_nodes, "can", fraction,
+                                                 seed=13, refresh_s=refresh_period)
+            point = run_point(pier, workload, client, "symmetric_hash")
+            rows.append({
+                "refresh_s": refresh_period,
+                "failures_per_min": round(failure_rate_per_min, 2),
+                "avg_recall_pct": round(100 * point["avg_recall"], 2),
+                "model_recall_pct": round(100 * analytical.expected_recall(
+                    failure_rate_per_min, refresh_period, num_nodes), 2),
+            })
     print(format_table(
-        "Average recall vs. refresh period under churn "
-        f"({num_nodes} nodes, {failure_rate_per_min} failures/min)",
+        f"Average recall vs. refresh period and failure rate ({num_nodes} nodes)",
         rows,
     ))
     print("\nShorter refresh periods repair lost tuples sooner, so recall rises"

@@ -22,8 +22,6 @@ Quick start::
     cursor = client.sql(workload.sql_text())        # streaming result cursor
     print(cursor.fetch(10), cursor.time_to_kth(10))
     rows = cursor.fetchall()                        # completes + tears down
-
-(``run_query`` remains as the batch-style shim the benchmarks use.)
 """
 
 from repro.client import PierClient, ResultCursor
@@ -52,7 +50,7 @@ from repro.core import (
 )
 from repro.core.tuples import Column, RelationDef, Schema
 from repro.dht import CanNetworkBuilder, CanRouting, ChordNetworkBuilder, ChordRouting, Provider
-from repro.harness import PierNetwork, QueryRunResult, SimulationConfig, run_query
+from repro.harness import PierNetwork, SimulationConfig
 from repro.net import (
     ClusterTopology,
     FullMeshTopology,
@@ -122,6 +120,4 @@ __all__ = [
     # harness
     "SimulationConfig",
     "PierNetwork",
-    "QueryRunResult",
-    "run_query",
 ]

@@ -583,7 +583,8 @@ class PierClient:
         Returns the :class:`PeriodicQuery` — call ``start()`` to begin and
         ``stop()`` to end it.  Each window is an ordinary PIER query; the
         previous window's distributed state is torn down when the next one
-        is submitted, so long-running monitors stay bounded.
+        is submitted, so long-running monitors stay bounded, and ``stop()``
+        tears down the last one.
 
         ``window_column``/``window_s`` restrict each execution to rows whose
         timestamp column falls inside the trailing window.
@@ -606,8 +607,7 @@ class PierClient:
         ) else None
         return PeriodicQuery(
             self.executor, template, period_s,
-            window=window, on_window=on_window, teardown_previous=True,
-            prepare_window=prepare,
+            window=window, on_window=on_window, prepare_window=prepare,
         )
 
     def _prepare_continuous_window(self, query: QuerySpec) -> None:

@@ -9,7 +9,8 @@ provides two building blocks:
   the initiating node, collecting one :class:`repro.core.executor.QueryHandle`
   per window.  Each execution is an ordinary PIER query over whatever soft
   state is live at that moment, which composes naturally with publishers
-  that keep streaming new tuples in.
+  that keep streaming new tuples in; a window's distributed state is torn
+  down when the next one starts, the last one's by :meth:`PeriodicQuery.stop`.
 * :class:`SlidingWindowPredicate` — helper that builds a predicate
   restricting a timestamp column to the trailing window, so each periodic
   execution only sees recent data.
@@ -61,13 +62,6 @@ class PeriodicQuery:
     on_window:
         Optional callback invoked with each new :class:`QueryHandle` at the
         moment it is submitted.
-    teardown_previous:
-        When true, submitting a new window first tears down the previous
-        window's distributed state (probes, subscriptions, temporary
-        fragments) via :meth:`QueryExecutor.finish`, so long-running
-        monitors do not accumulate per-node query state.
-        ``PierClient.continuous`` enables this; direct construction keeps
-        the historical default (off) for back compatibility.
     prepare_window:
         Optional callable invoked with each window's cloned
         :class:`QuerySpec` (window predicate already applied) just before
@@ -79,7 +73,6 @@ class PeriodicQuery:
     def __init__(self, executor, query_template: QuerySpec, period_s: float,
                  window: Optional[SlidingWindowPredicate] = None,
                  on_window: Optional[Callable] = None,
-                 teardown_previous: bool = False,
                  prepare_window: Optional[Callable[[QuerySpec], None]] = None):
         if period_s <= 0:
             raise ValueError("continuous queries need a positive period")
@@ -88,7 +81,6 @@ class PeriodicQuery:
         self.period_s = period_s
         self.window = window
         self.on_window = on_window
-        self.teardown_previous = teardown_previous
         self.prepare_window = prepare_window
         self.handles: List = []
         self._timer = None
@@ -105,28 +97,30 @@ class PeriodicQuery:
             self.period_s, self._execute_window
         )
 
-    def stop(self, teardown_last: bool = False) -> None:
-        """Stop scheduling further windows.
+    def stop(self) -> None:
+        """Stop scheduling further windows and tear down the last one.
 
-        With ``teardown_last`` the final window's distributed state is torn
-        down as well (the teardown multicast is delivered as the simulation
-        keeps running).
+        The teardown multicast is delivered as the deployment keeps running.
         """
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        if teardown_last and self.handles:
-            self.executor.finish(self.handles[-1].query.query_id,
-                                 record_feedback=True)
+            self._finish_latest()
 
     # -------------------------------------------------------------- internals
 
-    def _execute_window(self) -> None:
-        if self.teardown_previous and self.handles:
-            # The previous window had a full period to drain, so its result
-            # count is complete — fold it into the optimizer feedback.
+    def _finish_latest(self) -> None:
+        """Tear down the latest window's distributed state (probes,
+        subscriptions, temporary fragments), so a long-running monitor holds
+        the state of one window at most.  Its result count is folded into the
+        optimizer feedback: a window replaced by the next one had a full
+        period to drain."""
+        if self.handles:
             self.executor.finish(self.handles[-1].query.query_id,
                                  record_feedback=True)
+
+    def _execute_window(self) -> None:
+        self._finish_latest()
         # Rebuild only the per-window mutable state (fresh query id and
         # containers); the immutable plan and expressions are shared, so a
         # window costs no deep copy of the whole spec.

@@ -23,7 +23,7 @@ material a cost-based optimizer needs:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sketches import HyperLogLog
 
@@ -223,6 +223,22 @@ class RelationStats:
             if stats.hll is not None
         )
         return STATS_ITEM_BYTES + sketch_bytes
+
+
+def publisher_batches(relation, rows: List[dict], lifetime: float,
+                      at: float) -> Tuple[RelationStats, List[tuple]]:
+    """One publisher's load plan: its statistics partial and what to store.
+
+    The partial goes first and is soft state like the rows.  Each batch is
+    ``(namespace, resource_ids, values, lifetime, item_bytes)``.
+    """
+    partial = RelationStats.from_rows(relation, rows, at=at)
+    return partial, [
+        (STATS_NAMESPACE, [relation_stats_resource_id(relation.name)], [partial],
+         STATS_LIFETIME_S, STATS_ITEM_BYTES),
+        (relation.namespace, [relation.resource_id(row) for row in rows], rows,
+         lifetime, relation.tuple_bytes),
+    ]
 
 
 @dataclass

@@ -1,14 +1,15 @@
-"""Experiment harness: simulated PIER deployments and the paper's experiments."""
+"""Experiment harness: simulated PIER deployments and the paper's experiments.
 
-from repro.harness.experiment import (
-    ChurnConfig,
-    PierNetwork,
-    QueryRunResult,
-    SimulationConfig,
-    run_query,
-)
+:class:`PierNetwork` assembles a stabilised simulated deployment from a
+:class:`SimulationConfig` (with a :class:`ChurnConfig` for failure injection)
+and opens :class:`repro.client.PierClient` sessions on it; queries run
+through their cursors.  ``overlay`` builds the same overlays for real
+clusters, ``analytical`` holds the paper's closed-form models and
+``reporting`` formats result tables.
+"""
+
+from repro.harness.experiment import ChurnConfig, PierNetwork, SimulationConfig
 from repro.harness.overlay import OwnerLocator, build_local_routing
-from repro.harness.softstate import SoftStateResult, run_soft_state_experiment
 from repro.harness import analytical
 from repro.harness.reporting import format_table, format_series
 
@@ -16,10 +17,6 @@ __all__ = [
     "ChurnConfig",
     "SimulationConfig",
     "PierNetwork",
-    "QueryRunResult",
-    "run_query",
-    "run_soft_state_experiment",
-    "SoftStateResult",
     "OwnerLocator",
     "build_local_routing",
     "analytical",

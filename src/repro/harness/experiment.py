@@ -8,36 +8,25 @@ load" that places items directly at their owners — the paper likewise starts
 its measurements only "after the CAN routing stabilizes, and tables R and S
 are loaded into the DHT".
 
-:func:`run_query` submits a query from an initiator node, advances the
-simulation, and returns the latency summary, traffic breakdown and result
-rows for that query — the quantities every benchmark reports.
+Queries run through :meth:`PierNetwork.client`: a
+:class:`repro.client.PierClient` whose cursors drive the simulation and tear
+each query down when it finishes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.executor import QueryExecutor, QueryHandle
-from repro.core.query import QuerySpec
-from repro.core.stats import (
-    STATS_ITEM_BYTES,
-    STATS_LIFETIME_S,
-    STATS_NAMESPACE,
-    RelationStats,
-    StatsRegistry,
-    relation_stats_resource_id,
-)
+from repro.core.executor import QueryExecutor
+from repro.core.stats import STATS_NAMESPACE, StatsRegistry, publisher_batches
 from repro.core.tuples import RelationDef
-from repro.dht.can import CanNetworkBuilder
-from repro.dht.chord import ChordNetworkBuilder
 from repro.dht.naming import hash_key, hash_keys
 from repro.dht.provider import Provider
 from repro.dht.softstate import RenewalAgent
 from repro.dht.storage import StoredItem
 from repro.exceptions import ExperimentError
-from repro.metrics.latency import LatencySummary, summarize_latency
-from repro.metrics.traffic import TrafficBreakdown, breakdown_traffic
+from repro.harness.overlay import make_builder
 from repro.net.cluster import ClusterTopology
 from repro.net.failures import DEFAULT_DETECTION_DELAY_S, FailureInjector
 from repro.net.network import Network
@@ -61,9 +50,9 @@ class ChurnConfig:
     failure-aware end to end: Providers run the per-request timeout/retry
     lanes, executors arm failure fallbacks and the periodic stale-state
     sweep, and a :class:`repro.net.failures.FailureInjector` (exposed as
-    ``PierNetwork.failure_injector``) fails nodes at the configured rate
-    while queries run — the setup of the paper's Figure 6 recall
-    experiment, but through the real PierClient → opgraph → executor path.
+    ``PierNetwork.failure_injector``) fails nodes at the configured rate from
+    the moment the deployment is built — the setup of the paper's Figure 6
+    recall experiment, through the PierClient → opgraph → executor path.
     """
 
     #: Mean failure arrival rate; 0 wires everything up but injects nothing
@@ -80,11 +69,6 @@ class ChurnConfig:
     request_timeout_s: Optional[float] = 10.0
     #: Retries-after-reroute before a get completes empty.
     request_retries: int = 1
-    #: Purge ``__pier_stats__`` partials of a failed publisher from live
-    #: owners at detection time (instead of waiting for expiry).
-    purge_dead_publisher_stats: bool = True
-    #: Start injecting as soon as the deployment is built.
-    auto_start: bool = True
 
     def __post_init__(self) -> None:
         if self.failure_rate_per_min < 0:
@@ -138,11 +122,8 @@ class PierNetwork:
         self.topology = self._build_topology(config)
         self.network = Network(self.topology,
                                coalesce_window_s=config.coalesce_window_s)
-        if config.dht == "can":
-            self.builder = CanNetworkBuilder(dimensions=config.can_dimensions,
-                                             seed=config.seed)
-        else:
-            self.builder = ChordNetworkBuilder()
+        self.builder = make_builder(config.dht, can_dimensions=config.can_dimensions,
+                                    seed=config.seed)
         self.routings = self.builder.build_stabilized(self.network)
         self.providers: Dict[int, Provider] = {}
         self.executors: Dict[int, QueryExecutor] = {}
@@ -166,16 +147,8 @@ class PierNetwork:
         #: Failure injector driving churn (``None`` without a ChurnConfig).
         self.failure_injector: Optional[FailureInjector] = None
         if churn is not None:
-            self.failure_injector = self.attach_failure_injector(
-                failures_per_minute=churn.failure_rate_per_min,
-                detection_delay_s=churn.detection_delay_s,
-                downtime_s=churn.downtime_s,
-                seed=churn.seed,
-                protect=frozenset(churn.protect),
-                purge_dead_publisher_stats=churn.purge_dead_publisher_stats,
-            )
-            if churn.auto_start:
-                self.failure_injector.start()
+            self.failure_injector = self._attach_failure_injector(churn)
+            self.failure_injector.start()
         #: Deployment-wide view of publish-time relation statistics (ground
         #: truth of what :meth:`load_relation` loaded).  Planning nodes
         #: normally fetch the per-publisher partials from the
@@ -231,9 +204,7 @@ class PierNetwork:
                       rows_by_node: Dict[int, List[dict]],
                       lifetime: float = 1e9,
                       fast: bool = True,
-                      track_renewal: bool = False,
-                      publish_stats: bool = True,
-                      stats_lifetime: float = STATS_LIFETIME_S) -> int:
+                      track_renewal: bool = False) -> int:
         """Publish a relation's tuples from their publishing nodes.
 
         ``fast=True`` places each tuple directly into its owner's storage
@@ -243,13 +214,12 @@ class PierNetwork:
         records every tuple with the publisher's renewal agent (create the
         agents first with :meth:`start_renewal_agents`).
 
-        With ``publish_stats`` (the default) each publisher also collects
-        statistics over its batch — cardinality, bytes, per-column distinct
-        counts and min/max bounds — records them in its executor's local
-        registry, and publishes the partial into the ``__pier_stats__``
-        namespace as soft state (directly at the owner under ``fast`` loads,
-        via a real ``put`` otherwise), so any planning node can fetch and
-        merge them for ``strategy=AUTO``.
+        Each publisher also collects statistics over its batch — cardinality,
+        bytes, per-column distinct counts and min/max bounds — records them
+        in its executor's local registry, and publishes the partial into the
+        ``__pier_stats__`` namespace as soft state (directly at the owner
+        under ``fast`` loads, via a real ``put`` otherwise), so any planning
+        node can fetch and merge them for ``strategy=AUTO``.
 
         Returns the number of tuples loaded.  Every publisher's address,
         renewal agent, resourceIDs and statistics are found before anything is
@@ -272,19 +242,12 @@ class PierNetwork:
                 raise ExperimentError(
                     "track_renewal=True requires start_renewal_agents() first"
                 )
-            batches = [(relation.namespace, [relation.resource_id(row) for row in rows],
-                        rows, lifetime, relation.tuple_bytes)]
-            partial = None
-            if publish_stats:
-                partial = RelationStats.from_rows(relation, rows, at=self.now)
-                batches.insert(0, (STATS_NAMESPACE, [relation_stats_resource_id(relation.name)],
-                                   [partial], stats_lifetime, STATS_ITEM_BYTES))
+            partial, batches = publisher_batches(relation, rows, lifetime, at=self.now)
             plans.append((publisher, partial, batches))
             loaded += len(rows)
         for publisher, partial, batches in plans:
-            if partial is not None:
-                self.relation_stats.merge_partial(partial)
-                self.executors[publisher].stats.merge_partial(partial)
+            self.relation_stats.merge_partial(partial)
+            self.executors[publisher].stats.merge_partial(partial)
             for namespace, resource_ids, values, life, size in batches:
                 instance_ids = self._place(publisher, namespace, resource_ids, values,
                                            life, size, fast)
@@ -335,14 +298,9 @@ class PierNetwork:
 
     # ----------------------------------------------------------------- churn
 
-    def attach_failure_injector(self, failures_per_minute: float,
-                                detection_delay_s: float = DEFAULT_DETECTION_DELAY_S,
-                                downtime_s: Optional[float] = None,
-                                seed: int = 0,
-                                protect: frozenset = frozenset(),
-                                purge_dead_publisher_stats: bool = True,
-                                ) -> FailureInjector:
-        """Build a failure injector whose callbacks keep the stack consistent.
+    def _attach_failure_injector(self, churn: ChurnConfig) -> FailureInjector:
+        """Build the churn failure injector, with callbacks that keep the
+        stack consistent.
 
         * **on_fail** — the victim's Provider drops its stored soft state and
           in-flight gets, its executor releases every query's local dataflow
@@ -356,9 +314,6 @@ class PierNetwork:
           dead publisher's cardinalities.
         * **on_recover** — routing marks the identity alive again; it
           resumes with empty storage.
-
-        The injector is returned un-started; call ``start()`` (ChurnConfig
-        deployments do this automatically when ``auto_start`` is set).
         """
 
         def _on_fail(address: int) -> None:
@@ -371,11 +326,9 @@ class PierNetwork:
         def _on_detect(address: int) -> None:
             for routing in self.routings.values():
                 routing.mark_neighbor_dead(address)
-            if purge_dead_publisher_stats:
-                for other, provider in self.providers.items():
-                    if other != address and self.network.node(other).alive:
-                        provider.storage.purge_publisher(STATS_NAMESPACE,
-                                                         address)
+            for other, provider in self.providers.items():
+                if other != address and self.network.node(other).alive:
+                    provider.storage.purge_publisher(STATS_NAMESPACE, address)
 
         def _on_recover(address: int) -> None:
             for routing in self.routings.values():
@@ -383,14 +336,14 @@ class PierNetwork:
 
         return FailureInjector(
             network=self.network,
-            failures_per_minute=failures_per_minute,
-            detection_delay_s=detection_delay_s,
-            downtime_s=downtime_s,
-            seed=seed,
+            failures_per_minute=churn.failure_rate_per_min,
+            detection_delay_s=churn.detection_delay_s,
+            downtime_s=churn.downtime_s,
+            seed=churn.seed,
             on_fail=_on_fail,
             on_detect=_on_detect,
             on_recover=_on_recover,
-            protect=protect,
+            protect=frozenset(churn.protect),
         )
 
     def reachable_snapshot(self, dilation_s: Optional[float] = None) -> frozenset:
@@ -445,52 +398,3 @@ class PierNetwork:
         """Run until the event queue drains."""
         return self.network.run_until_idle(max_events=max_events)
 
-
-@dataclass
-class QueryRunResult:
-    """Everything one query execution produced."""
-
-    handle: QueryHandle
-    latency: LatencySummary
-    traffic: TrafficBreakdown
-    elapsed_virtual_s: float
-    rows: List[dict] = field(default_factory=list)
-
-    @property
-    def result_count(self) -> int:
-        """Number of result rows the initiator received."""
-        return self.handle.result_count
-
-
-def run_query(pier: PierNetwork, query: QuerySpec, initiator: int = 0,
-              until: Optional[float] = None, kth: int = 30,
-              reset_stats: bool = True) -> QueryRunResult:
-    """Submit ``query`` from ``initiator`` and run the simulation to completion.
-
-    Back-compat shim over the :class:`repro.client.PierClient` session API:
-    submits through a client cursor, drives the simulation, and packages the
-    batch-style result the benchmarks consume.  It deliberately does *not*
-    tear the query down afterwards (several experiments inspect the
-    soft state a query leaves behind); use ``PierClient.sql(...)`` cursors
-    for lifecycle-managed queries.
-
-    With no periodic processes active the event queue drains naturally once
-    the query finishes; experiments with renewal agents or failure injection
-    must pass an explicit ``until`` horizon.
-    """
-    if reset_stats:
-        pier.network.stats.reset()
-    start = pier.now
-    cursor = pier.client(node=initiator).query(query)
-    if until is None:
-        pier.run_until_idle()
-    else:
-        pier.run(until=until)
-    handle = cursor.handle
-    return QueryRunResult(
-        handle=handle,
-        latency=summarize_latency(handle, k=kth),
-        traffic=breakdown_traffic(pier.network.stats),
-        elapsed_virtual_s=pier.now - start,
-        rows=handle.final_rows(),
-    )

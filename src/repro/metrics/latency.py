@@ -9,7 +9,7 @@ comparison reports the time to the last tuple.  These helpers summarise a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 #: The k used throughout the paper's scale-up figures.
 PAPER_KTH_TUPLE = 30
@@ -54,20 +54,3 @@ def summarize_latency(handle, k: int = PAPER_KTH_TUPLE) -> LatencySummary:
         k=k,
     )
 
-
-def percentile(values: List[float], fraction: float) -> Optional[float]:
-    """Simple nearest-rank percentile of a list of samples."""
-    if not values:
-        return None
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("percentile fraction must be in [0, 1]")
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, max(0, int(round(fraction * (len(ordered) - 1)))))
-    return ordered[index]
-
-
-def mean(values: List[float]) -> Optional[float]:
-    """Arithmetic mean (None for an empty list)."""
-    if not values:
-        return None
-    return sum(values) / len(values)

@@ -37,7 +37,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.core.executor import QueryHandle
 from repro.core.query import QuerySpec
-from repro.core.stats import StatsRegistry
+from repro.core.stats import StatsRegistry, publisher_batches
 from repro.core.tuples import RelationDef
 from repro.exceptions import (
     GatewayError,
@@ -379,36 +379,25 @@ class RemotePier:
 
     def load_relation(self, relation: RelationDef,
                       rows_by_node: Dict[int, List[dict]],
-                      lifetime: float = 1e9,
-                      publish_stats: bool = True) -> int:
+                      lifetime: float = 1e9) -> int:
         """Fast-load a relation into the cluster (direct store at owners).
 
-        Same shape as the simulator harness's fast load: the client groups
-        each publisher's rows by owner (ownership is a deterministic
-        function of the membership — :class:`OwnerLocator`), ships every
-        group to its owner's gateway in one ``store`` RPC, and publishes
-        per-publisher statistics partials at the statistics owner.  RPC
-        acknowledgements make the load synchronous: when this returns, every
-        tuple is scannable at its owner.
+        Same load plan as the simulator harness's fast load
+        (:func:`repro.core.stats.publisher_batches`): the client groups
+        each publisher's statistics partial and rows by owner (ownership is
+        a deterministic function of the membership — :class:`OwnerLocator`)
+        and ships every group to its owner's gateway in one ``store`` RPC.
+        RPC acknowledgements make the load synchronous: when this returns,
+        every tuple is scannable at its owner.
         """
-        from repro.core.stats import (
-            STATS_ITEM_BYTES,
-            STATS_LIFETIME_S,
-            STATS_NAMESPACE,
-            RelationStats,
-            relation_stats_resource_id,
-        )
-
         by_owner: Dict[int, List[dict]] = {}
         loaded = 0
         for publisher, rows in rows_by_node.items():
-            batches = [(relation.namespace, [relation.resource_id(row) for row in rows],
-                        rows, lifetime, relation.tuple_bytes)]
-            if rows and publish_stats:
-                partial = RelationStats.from_rows(relation, rows, at=time.monotonic())
-                self.relation_stats.merge_partial(partial)
-                batches.insert(0, (STATS_NAMESPACE, [relation_stats_resource_id(relation.name)],
-                                   [partial], STATS_LIFETIME_S, STATS_ITEM_BYTES))
+            if not rows:
+                continue
+            partial, batches = publisher_batches(relation, rows, lifetime,
+                                                 at=time.monotonic())
+            self.relation_stats.merge_partial(partial)
             for namespace, resource_ids, values, life, size in batches:
                 owners = self.locator.owners_of(namespace, resource_ids)
                 for owner, resource_id, value in zip(owners, resource_ids, values):

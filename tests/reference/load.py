@@ -74,9 +74,7 @@ def owner(pier, key: int) -> int:
 
 
 def fast_load(pier, relation, rows_by_node: Dict[int, List[dict]],
-              lifetime: float = 1e9, track_renewal: bool = False,
-              publish_stats: bool = True,
-              stats_lifetime: float = STATS_LIFETIME_S) -> int:
+              lifetime: float = 1e9, track_renewal: bool = False) -> int:
     """Fast-load ``rows_by_node`` into ``pier`` one row at a time."""
     loaded = 0
     for publisher, rows in rows_by_node.items():
@@ -88,7 +86,7 @@ def fast_load(pier, relation, rows_by_node: Dict[int, List[dict]],
         if track_renewal and agent is None and rows:
             raise ExperimentError(
                 "track_renewal=True requires start_renewal_agents() first")
-        if publish_stats and rows:
+        if rows:
             partial = relation_stats(relation, rows, pier.now)
             pier.relation_stats.merge_partial(partial)
             pier.executors[publisher].stats.merge_partial(partial)
@@ -99,12 +97,12 @@ def fast_load(pier, relation, rows_by_node: Dict[int, List[dict]],
                 StoredItem(namespace=STATS_NAMESPACE, resource_id=stats_rid,
                            instance_id=stats_instance, value=partial,
                            key=stats_key,
-                           expires_at=pier.now + stats_lifetime,
+                           expires_at=pier.now + STATS_LIFETIME_S,
                            stored_at=pier.now, publisher=publisher,
                            size_bytes=STATS_ITEM_BYTES))
             if track_renewal:
                 agent.track(STATS_NAMESPACE, stats_rid, stats_instance,
-                            partial, stats_lifetime, STATS_ITEM_BYTES)
+                            partial, STATS_LIFETIME_S, STATS_ITEM_BYTES)
         for row in rows:
             resource_id = relation.resource_id(row)
             key = hash_key(relation.namespace, resource_id)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import pytest
 
 from conftest import build_pier, build_workload, load_join_tables
-from repro.harness.experiment import run_query
 from repro.workloads import NetworkMonitoringWorkload
 from tests.reference import RowGroupBy
 
@@ -26,8 +25,10 @@ def run_sql(sql, dht="can", num_nodes=16, **query_options):
     pier.run_until_idle()
     client = pier.client(catalog=workload.catalog())
     query = client.plan(sql, **query_options)
-    result = run_query(pier, query)
-    return result, pier, query, workload
+    # Undrained: the teardown is still in flight, so per-query counters
+    # (``agg_bytes``) can be read.
+    rows = client.query(query).fetchall(drain=False)
+    return rows, pier, query, workload
 
 
 def exact_distinct(workload, column="num1"):
@@ -42,13 +43,13 @@ def exact_distinct(workload, column="num1"):
 @pytest.mark.parametrize("dht", ["can", "chord"])
 @pytest.mark.parametrize("hierarchical", [False, True])
 def test_approx_count_distinct_end_to_end(dht, hierarchical):
-    result, _pier, _query, workload = run_sql(
+    rows, _pier, _query, workload = run_sql(
         "SELECT APPROX COUNT(DISTINCT R.num1) AS d FROM R",
         dht=dht, hierarchical_aggregation=hierarchical,
     )
     truth = exact_distinct(workload)
-    assert len(result.rows) == 1
-    estimate = result.rows[0]["d"]
+    assert len(rows) == 1
+    estimate = rows[0]["d"]
     assert abs(estimate - truth) / truth <= 0.02
     # The HLL merge is exactly order-insensitive, so every deployment shape
     # lands on one deterministic estimate for this workload.
@@ -56,10 +57,10 @@ def test_approx_count_distinct_end_to_end(dht, hierarchical):
 
 
 def test_exact_count_distinct_end_to_end():
-    result, _pier, _query, workload = run_sql(
+    rows, _pier, _query, workload = run_sql(
         "SELECT COUNT(DISTINCT R.num1) AS d FROM R"
     )
-    assert result.rows == [{"d": exact_distinct(workload)}]
+    assert rows == [{"d": exact_distinct(workload)}]
 
 
 def test_approx_top_k_end_to_end():
@@ -90,8 +91,7 @@ def run_monitoring_sql(sql, num_nodes=16, **query_options):
     pier.run_until_idle()
     client = pier.client(catalog=workload.catalog())
     query = client.plan(sql, **query_options)
-    result = run_query(pier, query)
-    return MonitoringRun(result.rows, workload)
+    return MonitoringRun(client.query(query).fetchall(), workload)
 
 
 def test_approx_percentile_end_to_end():
@@ -175,17 +175,18 @@ def test_agg_bytes_accounting_sketch_vs_exact():
         workload = build_workload(16, s_tuples_per_node=4)
         load_join_tables(pier, workload)
         pier.run_until_idle()
-        query = pier.client(catalog=workload.catalog()).plan(sql)
+        client = pier.client(catalog=workload.catalog())
+        query = client.plan(sql)
         if param is not None:
             query.aggregates = [replace(query.aggregates[0], param=param)]
-        result = run_query(pier, query)
-        assert result.rows
+        rows = client.query(query).fetchall(drain=False)
+        assert rows
         shipped = 0
         for address in range(pier.num_nodes):
             counters = pier.executor(address).agg_bytes.get(query.query_id)
             if counters:
                 shipped += counters["level0"] + counters["level1"]
-        return shipped, result.rows[0]["d"]
+        return shipped, rows[0]["d"]
 
     exact, truth = total_shipped("SELECT COUNT(DISTINCT R.num1) AS d FROM R")
     approx, estimate = total_shipped(
@@ -197,16 +198,15 @@ def test_agg_bytes_accounting_sketch_vs_exact():
 
 
 def test_agg_bytes_cleared_on_teardown():
-    result, pier, query, _workload = run_sql(
+    rows, pier, query, _workload = run_sql(
         "SELECT APPROX COUNT(DISTINCT R.num1) AS d FROM R"
     )
-    assert result.rows
+    assert rows
     tracked = [
         address for address in range(pier.num_nodes)
         if query.query_id in pier.executor(address).agg_bytes
     ]
-    assert tracked  # counters exist while the query's state lives
-    pier.executor(0).finish(query.query_id)
+    assert tracked  # counters exist until the teardown is delivered
     pier.run_until_idle()
     for address in range(pier.num_nodes):
         assert query.query_id not in pier.executor(address).agg_bytes

@@ -26,7 +26,6 @@ NUM_NODES = 16
 #: Renewal / lifetime parameters for the scenarios that need soft state.
 REFRESH_PERIOD_S = 20.0
 DATA_LIFETIME_S = 40.0
-STATS_LIFETIME_S = 60.0
 
 
 def build_churn_pier(dht, rate_per_min=0.0, renewal=False, **churn_overrides):
@@ -39,8 +38,7 @@ def build_churn_pier(dht, rate_per_min=0.0, renewal=False, **churn_overrides):
                                            s_tuples_per_node=2, seed=11))
     if renewal:
         pier.start_renewal_agents(REFRESH_PERIOD_S)
-    load = dict(fast=True, track_renewal=renewal,
-                stats_lifetime=STATS_LIFETIME_S)
+    load = dict(fast=True, track_renewal=renewal)
     if renewal:
         load["lifetime"] = DATA_LIFETIME_S
     pier.load_relation(workload.r_relation, workload.r_by_node, **load)

@@ -1,19 +1,19 @@
 """End-to-end tests for the PierClient session API.
 
 The acceptance bar: every join strategy and aggregation runs through
-``PierClient.sql(...)`` via the operator-graph interpreter with result
-counts identical to the legacy ``run_query`` path, under both CAN and
-Chord; and a mid-flight ``cancel()`` stops result delivery and leaves no
-per-node query state behind.
+``PierClient.sql(...)`` via the operator-graph interpreter and returns the
+workload's golden answer / the ``tests/reference`` oracle's rows, under both
+CAN and Chord; and a mid-flight ``cancel()`` stops result delivery and
+leaves no per-node query state behind.
 """
 
 import pytest
 
 from repro import JoinStrategy
 from repro.core.sql import SQLPlanner
-from repro.harness import run_query
 from repro.workloads import NetworkMonitoringWorkload
 from tests.conftest import build_pier, build_workload, load_join_tables
+from tests.reference import all_rows, evaluate_query, row_multiset
 
 AGG_SQL = (
     "SELECT I.fingerprint, count(*) AS cnt FROM intrusions I "
@@ -60,42 +60,32 @@ def assert_no_query_state(pier, query, expect_empty_storage=True):
 
 @pytest.mark.parametrize("dht", ["can", "chord"])
 @pytest.mark.parametrize("strategy", list(JoinStrategy))
-def test_sql_cursor_matches_legacy_run_query(strategy, dht):
-    legacy_pier = build_pier(12, dht=dht)
-    legacy_workload = build_workload(12)
-    load_join_tables(legacy_pier, legacy_workload)
-    legacy = run_query(
-        legacy_pier, legacy_workload.make_query(strategy=strategy), initiator=0
-    )
-
+def test_sql_cursor_matches_the_golden_result(strategy, dht):
     pier, workload, client = client_setup(12, dht=dht)
     cursor = client.sql(workload.sql_text(), strategy=strategy)
     rows = cursor.fetchall()
 
     expected = workload.expected_results()
-    assert legacy.result_count == len(expected)
-    assert len(rows) == legacy.result_count
+    assert expected
+    assert row_multiset(rows) == row_multiset(expected)
     assert cursor.closed
     assert_no_query_state(pier, cursor.query)
 
 
 @pytest.mark.parametrize("dht", ["can", "chord"])
-def test_sql_aggregation_matches_legacy_run_query(dht):
+def test_sql_aggregation_matches_the_oracle(dht):
     workload = NetworkMonitoringWorkload(num_nodes=16, seed=5)
-    planner = SQLPlanner(workload.catalog())
-
-    legacy_pier = build_pier(16, dht=dht)
-    legacy_pier.load_relation(workload.intrusions, workload.intrusions_by_node)
-    legacy = run_query(legacy_pier, planner.plan_sql(AGG_SQL), initiator=0)
+    expected = evaluate_query(
+        SQLPlanner(workload.catalog()).plan_sql(AGG_SQL),
+        {workload.intrusions.name: all_rows(workload.intrusions_by_node)})
 
     pier = build_pier(16, dht=dht)
     pier.load_relation(workload.intrusions, workload.intrusions_by_node)
     client = pier.client(catalog=workload.catalog())
     rows = client.sql(AGG_SQL).fetchall()
 
-    as_pairs = sorted((row["I.fingerprint"], row["cnt"]) for row in rows)
-    legacy_pairs = sorted((row["I.fingerprint"], row["cnt"]) for row in legacy.rows)
-    assert as_pairs == legacy_pairs and legacy_pairs
+    assert expected
+    assert row_multiset(rows) == row_multiset(expected)
 
 
 def test_client_can_initiate_from_any_node():

@@ -15,7 +15,6 @@ from repro.core.tuples import Chunk, RowLayout
 from repro.dht.can import CanNetworkBuilder
 from repro.dht.naming import hash_key
 from repro.dht.provider import Provider
-from repro.harness import run_query
 from repro.net.network import Network
 from repro.net.topology import FullMeshTopology
 from repro.workloads import JoinWorkload, WorkloadConfig
@@ -70,8 +69,7 @@ def test_fully_filtered_chunk_produces_zero_results_end_to_end():
     load_join_tables(pier, workload)
     query = workload.make_query(strategy=JoinStrategy.SYMMETRIC_HASH)
     query.local_predicates["R"] = compare("R.num2", ">", 1e9)
-    result = run_query(pier, query, initiator=0)
-    assert result.handle.rows == []
+    assert pier.client().query(query).fetchall() == []
 
 
 # --------------------------------------------------------- put_chunk wire API

@@ -118,3 +118,30 @@ def test_windowed_periodic_query_only_counts_recent_rows():
     pier.run(until=40.0)
     rows = continuous.handles[0].final_rows()
     assert rows == [] or rows[0]["cnt"] == 0
+
+
+def test_stop_tears_down_the_last_window_everywhere():
+    """Each window is torn down when the next starts, and ``stop()`` tears
+    down the last one: once its teardown is delivered no node holds state."""
+    workload = NetworkMonitoringWorkload(num_nodes=8, intrusions_per_node=3, seed=5)
+    pier = build_pier(8)
+    pier.load_relation(workload.intrusions, workload.intrusions_by_node)
+    template = QuerySpec(
+        tables=[TableRef(workload.intrusions, "I")],
+        aggregates=[AggregateSpec("count", None, "cnt")],
+        collection_window_s=2.0,
+    )
+    continuous = PeriodicQuery(pier.executor(0), template, period_s=10.0)
+    continuous.start()
+    pier.run(until=35.0)
+    assert continuous.windows_executed == 4
+    newest = continuous.latest_handle().query.query_id
+    assert {query_id for address in range(8)
+            for query_id in pier.executor(address).active_query_ids()} == {newest}
+    continuous.stop()
+    pier.run_until_idle()
+    for address in range(8):
+        assert pier.executor(address).active_query_ids() == []
+    total = sum(len(rows) for rows in workload.intrusions_by_node.values())
+    assert all(handle.final_rows() == [{"cnt": total}]
+               for handle in continuous.handles)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.query import AggregateSpec, JoinStrategy, QuerySpec, TableRef
 from repro.core.sql import SQLPlanner
-from repro.harness import run_query
 from repro.workloads import NetworkMonitoringWorkload
 from tests.conftest import build_pier
 
@@ -28,8 +27,8 @@ def test_distributed_count_matches_golden_summary():
         "SELECT I.fingerprint, count(*) AS cnt FROM intrusions I "
         "GROUP BY I.fingerprint HAVING cnt > 10"
     )
-    result = run_query(pier, query, initiator=0)
-    got = sorted((row["I.fingerprint"], row["cnt"]) for row in result.rows)
+    result = pier.client().query(query).fetchall()
+    got = sorted((row["I.fingerprint"], row["cnt"]) for row in result)
     assert got == workload.expected_attack_summary(10)
 
 
@@ -38,14 +37,14 @@ def test_distributed_aggregation_without_having_returns_every_group():
     query = planner.plan_sql(
         "SELECT I.fingerprint, count(*) AS cnt FROM intrusions I GROUP BY I.fingerprint"
     )
-    result = run_query(pier, query, initiator=0)
+    result = pier.client().query(query).fetchall()
     golden_groups = {
         row["fingerprint"]
         for rows in workload.intrusions_by_node.values()
         for row in rows
     }
-    assert {row["I.fingerprint"] for row in result.rows} == golden_groups
-    total = sum(row["cnt"] for row in result.rows)
+    assert {row["I.fingerprint"] for row in result} == golden_groups
+    total = sum(row["cnt"] for row in result)
     assert total == sum(len(rows) for rows in workload.intrusions_by_node.values())
 
 
@@ -55,9 +54,9 @@ def test_min_max_avg_sum_aggregates_distributed():
         "SELECT count(*) AS cnt, min(I.port) AS lo, max(I.port) AS hi, "
         "avg(I.port) AS mean, sum(I.port) AS total FROM intrusions I"
     )
-    result = run_query(pier, query, initiator=0)
-    assert len(result.rows) == 1
-    row = result.rows[0]
+    result = pier.client().query(query).fetchall()
+    assert len(result) == 1
+    row = result[0]
     ports = [r["port"] for rows in workload.intrusions_by_node.values() for r in rows]
     assert row["cnt"] == len(ports)
     assert row["lo"] == min(ports)
@@ -70,15 +69,15 @@ def test_hierarchical_aggregation_matches_flat_results():
     pier_flat, workload, planner = build_monitoring()
     sql = ("SELECT I.fingerprint, count(*) AS cnt FROM intrusions I "
            "GROUP BY I.fingerprint")
-    flat = run_query(pier_flat, planner.plan_sql(sql), initiator=0)
+    flat = pier_flat.client().query(planner.plan_sql(sql)).fetchall()
 
     pier_tree, workload_tree, planner_tree = build_monitoring()
     tree_query = planner_tree.plan_sql(sql)
     tree_query.hierarchical_aggregation = True
-    tree = run_query(pier_tree, tree_query, initiator=0)
+    tree = pier_tree.client().query(tree_query).fetchall()
 
-    flat_counts = {row["I.fingerprint"]: row["cnt"] for row in flat.rows}
-    tree_counts = {row["I.fingerprint"]: row["cnt"] for row in tree.rows}
+    flat_counts = {row["I.fingerprint"]: row["cnt"] for row in flat}
+    tree_counts = {row["I.fingerprint"]: row["cnt"] for row in tree}
     assert flat_counts == tree_counts
 
 
@@ -87,7 +86,8 @@ def test_hierarchical_aggregation_reduces_group_owner_inbound_messages():
     pier_flat, _workload, planner = build_monitoring(num_nodes=32)
     sql = "SELECT count(*) AS cnt FROM intrusions I"
     flat_query = planner.plan_sql(sql)
-    flat = run_query(pier_flat, flat_query, initiator=0)
+    # Undrained: the teardown is in flight and its traffic not yet counted.
+    flat = pier_flat.client().query(flat_query).fetchall(drain=False)
     flat_owner = pier_flat.owner_of(flat_query.aggregation_namespace(), ("agg-l0", ()))
     # Partial aggregates travel as prov.put_chunk messages; the flat plan
     # must ship partials.
@@ -97,9 +97,9 @@ def test_hierarchical_aggregation_reduces_group_owner_inbound_messages():
     pier_tree, _workload2, planner2 = build_monitoring(num_nodes=32)
     tree_query = planner2.plan_sql(sql)
     tree_query.hierarchical_aggregation = True
-    tree = run_query(pier_tree, tree_query, initiator=0)
+    tree = pier_tree.client().query(tree_query).fetchall(drain=False)
 
-    assert flat.rows[0]["cnt"] == tree.rows[0]["cnt"]
+    assert flat[0]["cnt"] == tree[0]["cnt"]
     # Flat: every node puts its partial directly to the single group owner.
     flat_owner_inbound = pier_flat.network.stats.inbound_bytes.get(flat_owner, 0)
     tree_owner = pier_tree.owner_of(tree_query.aggregation_namespace(), ("agg-l0", ()))
@@ -118,7 +118,7 @@ def test_join_with_aggregation_computes_weighted_counts():
         "FROM intrusions I, reputation R WHERE R.address = I.address "
         "GROUP BY I.fingerprint HAVING wcnt > 10"
     )
-    result = run_query(pier, query, initiator=0)
+    result = pier.client().query(query).fetchall()
     # Golden computation: every intrusion joins its reporter's single
     # reputation row, so per fingerprint wcnt = count * sum(weight of reports).
     weights = {
@@ -137,7 +137,7 @@ def test_join_with_aggregation_computes_weighted_counts():
         for fingerprint, (count, total) in golden.items()
         if count * total > 10
     }
-    got = {row["I.fingerprint"]: row["wcnt"] for row in result.rows}
+    got = {row["I.fingerprint"]: row["wcnt"] for row in result}
     assert set(got) == set(expected)
     for fingerprint, value in expected.items():
         assert got[fingerprint] == pytest.approx(value)
@@ -149,8 +149,8 @@ def test_spam_gateway_robot_join_finds_compromised_sources():
         "SELECT S.source FROM spamGateways AS S, robots AS R "
         "WHERE S.smtpGWDomain = R.clientDomain"
     )
-    result = run_query(pier, query, initiator=0)
-    assert sorted({row["S.source"] for row in result.rows}) == \
+    result = pier.client().query(query).fetchall()
+    assert sorted({row["S.source"] for row in result}) == \
         workload.expected_compromised_sources()
 
 
@@ -160,14 +160,14 @@ def test_spam_gateway_robot_join_finds_compromised_sources():
 def test_simple_scan_query_returns_selected_columns():
     pier, workload, planner = build_monitoring()
     query = planner.plan_sql("SELECT I.fingerprint FROM intrusions I WHERE I.port = 22")
-    result = run_query(pier, query, initiator=0)
+    result = pier.client().query(query).fetchall()
     expected = [
         row["fingerprint"]
         for rows in workload.intrusions_by_node.values()
         for row in rows if row["port"] == 22
     ]
-    assert sorted(row["I.fingerprint"] for row in result.rows) == sorted(expected)
-    for row in result.rows:
+    assert sorted(row["I.fingerprint"] for row in result) == sorted(expected)
+    for row in result:
         assert set(row) == {"I.fingerprint"}
 
 
@@ -182,8 +182,8 @@ def test_hand_built_aggregation_query_without_sql():
         aggregates=[AggregateSpec("count", None, "cnt")],
         strategy=JoinStrategy.SYMMETRIC_HASH,
     )
-    result = run_query(pier, query, initiator=2)
-    total = sum(row["cnt"] for row in result.rows)
+    result = pier.client(node=2).query(query).fetchall()
+    total = sum(row["cnt"] for row in result)
     assert total == sum(len(rows) for rows in workload.intrusions_by_node.values())
 
 

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core.query import JoinStrategy
-from repro.harness import run_query
 from repro.metrics.recall import recall_and_precision
+from repro.metrics.traffic import breakdown_traffic
 from tests.conftest import build_pier, build_workload, load_join_tables
 from tests.reference import row_multiset
 
@@ -15,16 +15,28 @@ def run_strategy(strategy, num_nodes=16, dht="can", initiator=0, s_selectivity=N
     pier = build_pier(num_nodes, dht=dht)
     load_join_tables(pier, workload)
     query = workload.make_query(strategy=strategy, s_selectivity=s_selectivity)
-    result = run_query(pier, query, initiator=initiator)
+    cursor = pier.client(node=initiator).query(query)
+    cursor.fetchall()
     expected = workload.expected_results(s_selectivity=s_selectivity)
-    return result, expected
+    return cursor, expected
+
+
+def data_shipping_bytes(strategy, s_selectivity=None):
+    """Provider bytes one query delivered on 24 nodes, read before its
+    teardown is delivered."""
+    workload = build_workload(24, s_tuples_per_node=3)
+    pier = build_pier(24)
+    load_join_tables(pier, workload)
+    query = workload.make_query(strategy=strategy, s_selectivity=s_selectivity)
+    pier.client().query(query).fetchall(drain=False)
+    return breakdown_traffic(pier.network.stats).data_shipping_bytes
 
 
 @pytest.mark.parametrize("strategy", list(JoinStrategy))
 def test_strategy_returns_exactly_the_golden_result(strategy):
     result, expected = run_strategy(strategy)
     assert result.result_count == len(expected)
-    observed_recall, observed_precision = recall_and_precision(result.handle.rows, expected)
+    observed_recall, observed_precision = recall_and_precision(result.rows, expected)
     assert observed_recall == pytest.approx(1.0)
     assert observed_precision == pytest.approx(1.0)
 
@@ -38,14 +50,14 @@ def test_strategy_correct_over_chord(strategy):
 def test_result_rows_contain_only_projected_columns():
     result, expected = run_strategy(JoinStrategy.SYMMETRIC_HASH)
     assert expected  # sanity: the workload produces output
-    for row in result.handle.rows:
+    for row in result.rows:
         assert set(row) == {"R.pkey", "S.pkey", "R.pad"}
 
 
 def test_results_stream_incrementally_not_in_one_batch():
     result, _expected = run_strategy(JoinStrategy.SYMMETRIC_HASH, num_nodes=24,
                                      s_tuples_per_node=3)
-    times = result.handle.arrival_times()
+    times = result.arrival_times()
     assert len(set(times)) > 1  # arrivals spread over time (pipelined execution)
 
 
@@ -61,8 +73,7 @@ def test_empty_selectivity_produces_no_results():
     load_join_tables(pier, workload)
     # Selectivity 0 on S: no S tuple passes, so no join results.
     query = workload.make_query(s_selectivity=0.0)
-    result = run_query(pier, query, initiator=0)
-    assert result.result_count == 0
+    assert pier.client().query(query).fetchall() == []
 
 
 def test_full_selectivity_returns_more_results_than_half():
@@ -75,24 +86,20 @@ def test_full_selectivity_returns_more_results_than_half():
 
 def test_symmetric_hash_uses_more_data_traffic_than_semi_join():
     """Figure 4's headline: SHJ rehashes everything, the semi-join rewrite does not."""
-    shj, _ = run_strategy(JoinStrategy.SYMMETRIC_HASH, num_nodes=24, s_tuples_per_node=3)
-    semi, _ = run_strategy(JoinStrategy.SYMMETRIC_SEMI_JOIN, num_nodes=24, s_tuples_per_node=3)
-    assert shj.traffic.data_shipping_bytes > semi.traffic.data_shipping_bytes
+    assert (data_shipping_bytes(JoinStrategy.SYMMETRIC_HASH)
+            > data_shipping_bytes(JoinStrategy.SYMMETRIC_SEMI_JOIN))
 
 
 def test_bloom_join_reduces_rehash_traffic_at_low_selectivity():
-    shj, _ = run_strategy(JoinStrategy.SYMMETRIC_HASH, num_nodes=24,
-                          s_tuples_per_node=3, s_selectivity=0.1)
-    bloom, _ = run_strategy(JoinStrategy.BLOOM, num_nodes=24,
-                            s_tuples_per_node=3, s_selectivity=0.1)
-    assert bloom.traffic.data_shipping_bytes < shj.traffic.data_shipping_bytes
+    assert (data_shipping_bytes(JoinStrategy.BLOOM, s_selectivity=0.1)
+            < data_shipping_bytes(JoinStrategy.SYMMETRIC_HASH, s_selectivity=0.1))
 
 
 def test_bloom_join_takes_longer_than_symmetric_hash():
     """Table 4: the two extra phases (collect + redistribute filters) cost latency."""
     shj, _ = run_strategy(JoinStrategy.SYMMETRIC_HASH)
     bloom, _ = run_strategy(JoinStrategy.BLOOM)
-    assert bloom.latency.time_to_last > shj.latency.time_to_last
+    assert bloom.time_to_last() > shj.time_to_last()
 
 
 def test_fetch_matches_requires_a_side_hashed_on_join_key():
@@ -134,14 +141,16 @@ def test_semi_join_fixed_seed_pin(dht):
     pier.network.stats.reset()
     query = workload.make_query(strategy=JoinStrategy.SYMMETRIC_SEMI_JOIN)
     query.query_id = 9002
-    result = run_query(pier, query, initiator=0)
+    # Iterating drives the query until idle without tearing it down, so the
+    # teardown's sends are not counted.
+    cursor = pier.client().query(query)
+    rows = list(cursor)
     stats = pier.network.stats
-    assert row_multiset(result.handle.rows) == row_multiset(
-        workload.expected_results())
+    assert row_multiset(rows) == row_multiset(workload.expected_results())
     assert (stats.protocol_messages["prov.get_batch"],
             stats.protocol_messages["pier.result"], stats.messages_sent,
             stats.bytes_delivered,
-            round(result.handle.time_to_last(), 9)) == SEMI_JOIN_PINS[dht]
+            round(cursor.time_to_last(), 9)) == SEMI_JOIN_PINS[dht]
 
 
 def test_computation_nodes_confine_rehash_state():
@@ -151,8 +160,9 @@ def test_computation_nodes_confine_rehash_state():
     computation_nodes = [2, 5]
     query = workload.make_query()
     query.computation_nodes = computation_nodes
-    result = run_query(pier, query, initiator=0)
-    assert result.result_count == len(workload.expected_results())
+    # Iterating leaves the query's state in place for inspection.
+    rows = list(pier.client().query(query))
+    assert len(rows) == len(workload.expected_results())
     rehash_namespace = query.rehash_namespace()
     for address in range(16):
         count = pier.provider(address).storage.count(rehash_namespace)
@@ -168,17 +178,18 @@ def test_single_computation_node_receives_more_inbound_traffic():
     workload = build_workload(16, s_tuples_per_node=3)
     pier_all = build_pier(16)
     load_join_tables(pier_all, workload)
-    result_all = run_query(pier_all, workload.make_query(), initiator=0)
+    # Undrained: the teardowns are in flight and their traffic not counted.
+    rows_all = pier_all.client().query(workload.make_query()).fetchall(drain=False)
 
     pier_one = build_pier(16)
     load_join_tables(pier_one, workload)
     query_one = workload.make_query()
     query_one.computation_nodes = [3]
-    result_one = run_query(pier_one, query_one, initiator=0)
+    rows_one = pier_one.client().query(query_one).fetchall(drain=False)
 
-    assert result_one.result_count == result_all.result_count
+    assert len(rows_one) == len(rows_all)
     inbound_single = pier_one.network.stats.inbound_bytes[3]
-    max_inbound_all = result_all.traffic.max_inbound_bytes
+    max_inbound_all = pier_all.network.stats.max_inbound_bytes()
     assert inbound_single > max_inbound_all
 
 

@@ -4,8 +4,17 @@ import pytest
 
 from repro.core import costmodel
 from repro.exceptions import ExperimentError, SketchError
-from repro.harness import PierNetwork, SimulationConfig, analytical, format_series, format_table, run_query
-from repro.harness.softstate import run_soft_state_experiment
+from repro.harness import (
+    ChurnConfig,
+    PierNetwork,
+    SimulationConfig,
+    analytical,
+    format_series,
+    format_table,
+)
+from repro.metrics.latency import summarize_latency
+from repro.metrics.recall import recall
+from repro.metrics.traffic import breakdown_traffic
 from tests.conftest import build_pier, build_workload
 
 
@@ -109,68 +118,76 @@ def test_track_renewal_requires_agents():
     assert_nothing_loaded(pier, workload.r_relation)
 
 
-# ------------------------------------------------------------------ run_query
+# -------------------------------------------------------------------- cursors
 
 
-def test_run_query_returns_latency_and_traffic(loaded_pier):
-    pier, workload = loaded_pier
-    result = run_query(pier, workload.make_query(), initiator=0)
-    assert result.result_count == len(workload.expected_results())
-    assert result.latency.time_to_last > 0
-    assert result.traffic.total_bytes > 0
-    assert result.elapsed_virtual_s > 0
-
-
-def test_run_query_resets_stats_between_runs(loaded_pier):
-    pier, workload = loaded_pier
-    first = run_query(pier, workload.make_query(), initiator=0)
-    second = run_query(pier, workload.make_query(), initiator=0)
-    # Same query over the same data: traffic should be of the same magnitude,
-    # not cumulative.
-    assert second.traffic.total_bytes < first.traffic.total_bytes * 2
-
-
-def test_run_query_with_horizon_stops_at_that_time(loaded_pier):
+def test_cursor_reports_latency_and_traffic(loaded_pier):
     pier, workload = loaded_pier
     start = pier.now
-    run_query(pier, workload.make_query(), initiator=0, until=start + 2.0)
+    cursor = pier.client().query(workload.make_query())
+    rows = cursor.fetchall(drain=False)
+    latency = summarize_latency(cursor.handle)
+    assert latency.result_count == len(rows) == len(workload.expected_results())
+    assert latency.time_to_last > 0
+    assert breakdown_traffic(pier.network.stats).total_bytes > 0
+    assert pier.now > start
+
+
+def test_finished_query_leaves_the_network_idle(loaded_pier):
+    pier, workload = loaded_pier
+    delivered = []
+    for _ in range(2):
+        pier.network.stats.reset()
+        pier.client().query(workload.make_query()).fetchall()
+        assert pier.network.simulator.pending_events == 0
+        delivered.append(pier.network.stats.bytes_delivered)
+    # Same query over the same data, counted per query: the same magnitude.
+    assert delivered[1] < delivered[0] * 2
+
+
+def test_cursor_timeout_stops_at_that_time(loaded_pier):
+    pier, workload = loaded_pier
+    start = pier.now
+    pier.client().query(workload.make_query(), timeout_s=2.0).fetchall(drain=False)
     assert pier.now <= start + 2.0 + 1e-9
 
 
 # ------------------------------------------------------------------ softstate
 
 
-def test_soft_state_experiment_reports_recall():
-    pier = build_pier(24)
-    workload = build_workload(24, s_tuples_per_node=2)
-    result = run_soft_state_experiment(
-        pier, workload,
-        refresh_period_s=30.0,
-        failure_rate_per_min=4.0,
-        num_queries=2,
-        query_interval_s=40.0,
-        warmup_s=20.0,
-        query_horizon_s=30.0,
-        seed=3,
-    )
-    assert len(result.recalls) == 2
-    assert 0.0 <= result.average_recall <= 1.0
-    assert result.average_recall_percent == pytest.approx(result.average_recall * 100)
+def churn_recalls(num_nodes, failure_rate_per_min, queries, seed=0):
+    """Recall of the benchmark query on a churn deployment whose publishers
+    renew every 30 s, each query scored against the reachable snapshot."""
+    pier = build_pier(num_nodes, churn=ChurnConfig(
+        failure_rate_per_min=failure_rate_per_min, seed=seed))
+    workload = build_workload(num_nodes, s_tuples_per_node=2)
+    pier.start_renewal_agents(30.0)
+    for relation, by_node in ((workload.r_relation, workload.r_by_node),
+                              (workload.s_relation, workload.s_by_node)):
+        pier.load_relation(relation, by_node, lifetime=60.0, track_renewal=True)
+    pier.run(until=pier.now + 20.0)
+    client = pier.client(catalog=workload.catalog())
+    recalls = []
+    for _ in range(queries):
+        expected = workload.expected_results(
+            live_publishers=pier.reachable_snapshot())
+        cursor = client.query(workload.make_query(), timeout_s=30.0)
+        recalls.append(recall(cursor.fetchall(drain=False), expected))
+        pier.run(until=pier.now + 10.0)
+    return pier, recalls
 
 
-def test_soft_state_without_failures_has_perfect_recall():
-    pier = build_pier(12)
-    workload = build_workload(12, s_tuples_per_node=2)
-    result = run_soft_state_experiment(
-        pier, workload,
-        refresh_period_s=30.0,
-        failure_rate_per_min=0.0,
-        num_queries=1,
-        query_interval_s=40.0,
-        warmup_s=10.0,
-        query_horizon_s=30.0,
-    )
-    assert result.average_recall == pytest.approx(1.0)
+def test_churn_deployment_reports_recall():
+    pier, recalls = churn_recalls(24, failure_rate_per_min=4.0, queries=2, seed=3)
+    assert len(recalls) == 2
+    assert all(0.0 <= value <= 1.0 for value in recalls)
+    assert pier.failure_injector.events, "churn injected no failures"
+
+
+def test_churn_deployment_without_failures_has_perfect_recall():
+    pier, recalls = churn_recalls(12, failure_rate_per_min=0.0, queries=1)
+    assert recalls == [pytest.approx(1.0)]
+    assert not pier.failure_injector.events
 
 
 # ----------------------------------------------------------------- analytical

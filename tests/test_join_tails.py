@@ -18,7 +18,6 @@ from repro.core.opgraph import OpKind, _compile_pair_emitter, build_opgraph
 from repro.core.query import JoinClause, JoinStrategy, QuerySpec, TableRef
 from repro.core.tuples import Column, RelationDef, Schema
 from repro.exceptions import SchemaError
-from repro.harness import run_query
 from repro.workloads import JoinWorkload, WorkloadConfig
 from tests.conftest import build_pier
 from tests.reference import evaluate, evaluate_query, merge_rows, qualify, row_multiset
@@ -111,9 +110,8 @@ def test_a_hot_key_is_cut_into_the_same_result_messages(monkeypatch):
         return send(self, query, rows, bytes_per_row)
 
     monkeypatch.setattr(QueryExecutor, "_send_results", record)
-    result = run_query(pier, query, initiator=0)
-    assert row_multiset(result.handle.rows) == row_multiset(
-        evaluate_query(query, tables))
+    rows = pier.client().query(query).fetchall()
+    assert row_multiset(rows) == row_multiset(evaluate_query(query, tables))
     digest = hashlib.sha256(repr(messages).encode()).hexdigest()[:16]
     assert ([len(rows) for rows in messages], digest) == HOT_KEY_MESSAGES
     assert max(len(rows) for rows in messages) == RESULT_SLICE_ROWS

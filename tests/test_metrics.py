@@ -5,7 +5,7 @@ import pytest
 from repro.core.executor import QueryHandle
 from repro.core.query import QuerySpec, TableRef
 from repro.core.tuples import Column, RelationDef, Schema
-from repro.metrics.latency import mean, percentile, summarize_latency
+from repro.metrics.latency import summarize_latency
 from repro.metrics.recall import precision, recall, recall_and_precision
 from repro.metrics.traffic import breakdown_traffic
 from repro.net.message import Message
@@ -47,17 +47,6 @@ def test_summarize_latency_empty_handle():
     summary = summarize_latency(handle)
     assert summary.result_count == 0
     assert summary.time_to_kth is None and summary.time_to_last is None
-
-
-def test_percentile_and_mean_helpers():
-    values = [1.0, 2.0, 3.0, 4.0]
-    assert percentile(values, 0.0) == 1.0
-    assert percentile(values, 1.0) == 4.0
-    assert percentile([], 0.5) is None
-    assert mean(values) == pytest.approx(2.5)
-    assert mean([]) is None
-    with pytest.raises(ValueError):
-        percentile(values, 2.0)
 
 
 # -------------------------------------------------------------------- recall

@@ -202,7 +202,7 @@ def test_continuous_reoptimizes_each_window_and_flips_on_drift():
                                      max_value=999)},
     ))
     pier.run(until=40.0)
-    monitor.stop(teardown_last=True)
+    monitor.stop()
     pier.run_until_idle()
 
     assert len(strategies) >= 2
@@ -217,6 +217,6 @@ def test_continuous_forced_strategy_not_reoptimized():
     assert monitor.prepare_window is None
     monitor.start(immediate=True)
     pier.run(until=5.0)
-    monitor.stop(teardown_last=True)
+    monitor.stop()
     pier.run_until_idle()
     assert monitor.handles[0].query.strategy is JoinStrategy.BLOOM

@@ -17,7 +17,6 @@ from repro.core.opgraph import build_opgraph
 from repro.core.query import JoinClause, JoinStrategy, QuerySpec, TableRef
 from repro.core.sql import SQLPlanner
 from repro.exceptions import ExpressionError
-from repro.harness import run_query
 from repro.workloads import NetworkMonitoringWorkload
 from tests.conftest import build_pier, build_workload, load_join_tables
 from tests.reference import all_rows, evaluate_query, row_multiset
@@ -43,8 +42,7 @@ def loaded_join_deployment(num_nodes, dht="can"):
 def test_every_join_strategy_matches_the_oracle(strategy, dht):
     pier, workload, tables = loaded_join_deployment(16, dht)
     query = workload.make_query(strategy=strategy)
-    result = run_query(pier, query, initiator=0)
-    rows = row_multiset(result.handle.rows)
+    rows = row_multiset(pier.client().query(query).fetchall())
     assert rows, "workload must produce rows for the comparison to bite"
     assert query.strategy in JoinStrategy.physical()
     assert rows == row_multiset(evaluate_query(query, tables))
@@ -60,10 +58,9 @@ def test_unprojected_join_matches_the_oracle():
         output_columns=["R.pkey", "S.pkey", "S.num3"],
         join=JoinClause("R", "num1", "S", "pkey"),
     )
-    result = run_query(pier, query, initiator=0)
-    assert result.handle.rows
-    assert row_multiset(result.handle.rows) == \
-        row_multiset(evaluate_query(query, tables))
+    rows = pier.client().query(query).fetchall()
+    assert rows
+    assert row_multiset(rows) == row_multiset(evaluate_query(query, tables))
 
 
 def test_join_feeding_initiator_aggregation_matches_the_oracle():
@@ -74,9 +71,9 @@ def test_join_feeding_initiator_aggregation_matches_the_oracle():
         "SELECT S.pkey, count(*) AS cnt, max(R.num3) AS hi FROM R, S "
         "WHERE R.num1 = S.pkey AND R.num2 > 20 GROUP BY S.pkey"
     )
-    result = run_query(pier, query, initiator=0)
-    assert result.rows
-    assert row_multiset(result.rows) == row_multiset(evaluate_query(query, tables))
+    rows = pier.client().query(query).fetchall()
+    assert rows
+    assert row_multiset(rows) == row_multiset(evaluate_query(query, tables))
 
 
 # -------------------------------------------------------------- aggregation
@@ -93,11 +90,11 @@ def test_aggregation_matches_the_oracle(variant):
     )
     query.hierarchical_aggregation = variant == "hierarchical"
     query.distributed_aggregation = variant != "initiator"
-    result = run_query(pier, query, initiator=0)
-    assert result.rows
+    rows = pier.client().query(query).fetchall()
+    assert rows
     expected = evaluate_query(
         query, {workload.intrusions.name: all_rows(workload.intrusions_by_node)})
-    assert row_multiset(result.rows) == row_multiset(expected)
+    assert row_multiset(rows) == row_multiset(expected)
 
 
 # ------------------------------------------------------------------ lowering
@@ -116,7 +113,7 @@ def test_bad_predicate_raises_expression_error_at_the_first_executor():
     pier, workload, _tables = loaded_join_deployment(8)
     query = bad_predicate_query(workload)
     with pytest.raises(ExpressionError):
-        run_query(pier, query, initiator=0)
+        pier.client().query(query)
     assert not any(executor.has_query_state(query.query_id)
                    for executor in pier.executors.values())
 
@@ -139,6 +136,6 @@ def test_only_the_graph_an_executor_runs_is_lowered(monkeypatch):
                         lambda graph: lowered.append(graph) or lower(graph))
     pier, workload, _tables = loaded_join_deployment(8)
     query = workload.make_query(strategy=JoinStrategy.AUTO)
-    run_query(pier, query, initiator=0)
+    pier.client().query(query).fetchall()
     assert len(query.optimizer_report.costs) > 1
     assert lowered == [build_opgraph(query)]

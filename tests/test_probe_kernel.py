@@ -24,7 +24,7 @@ from repro.core.query import JoinClause, JoinStrategy, QuerySpec, TableRef
 from repro.core.tuples import Column, RelationDef, Schema
 from repro.dht.provider import DHTItem
 from repro.dht.storage import StorageManager
-from repro.harness import PierNetwork, SimulationConfig, run_query
+from repro.harness import PierNetwork, SimulationConfig
 from tests.reference import PerArrivalProbe
 
 R = RelationDef("R", Schema([Column("id"), Column("k")]))
@@ -275,8 +275,9 @@ def hot_key_reads(rows_per_side):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(StorageManager, "retrieve", counting_retrieve)
         patch.setattr(DHTItem, "__init__", counting_init)
-        result = run_query(pier, make_query(query_id=QUERY_ID))
-    assert result.result_count == rows_per_side ** 2
+        cursor = pier.client().query(make_query(query_id=QUERY_ID))
+        cursor.fetchall()
+    assert cursor.result_count == rows_per_side ** 2
     return records_read, len(views)
 
 

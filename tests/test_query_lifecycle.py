@@ -14,7 +14,6 @@ import pytest
 from repro import JoinStrategy
 from repro.core.opgraph import bloom_distribution_namespace
 from repro.exceptions import PlanError
-from repro.harness import run_query
 from tests.conftest import build_pier, build_workload, load_join_tables
 
 
@@ -50,12 +49,14 @@ def test_completion_tears_down_every_nodes_state():
             assert provider.multicast_service.subscriber_count(distribution) == 0
 
 
-def test_legacy_run_query_state_is_reaped_after_soft_state_lifetime():
+def test_open_cursor_state_is_reaped_after_soft_state_lifetime():
     """The lazy sweep bounds long simulations even without explicit finish."""
     pier, workload, client = client_setup(8)
     query = workload.make_query(temp_lifetime_s=60.0)
-    run_query(pier, query, initiator=0)
-    # The back-compat path deliberately leaves the query's state in place...
+    cursor = client.query(query)
+    assert list(cursor)
+    # A cursor that is never finished leaves the query's state in place...
+    assert not cursor.closed
     assert any(pier.executor(a).has_query_state(query.query_id) for a in range(8))
     # ...until its soft-state lifetime elapses and a later query arrives.
     pier.run(until=pier.now + 61.0)
@@ -235,7 +236,7 @@ def test_client_continuous_tears_down_previous_windows():
                 for query_id in pier.executor(address).active_query_ids()}
     newest = monitor.latest_handle().query.query_id
     assert live_ids <= {newest}
-    monitor.stop(teardown_last=True)
+    monitor.stop()
     pier.run(until=100.0)
     for address in range(8):
         assert pier.executor(address).active_query_ids() == []

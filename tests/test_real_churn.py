@@ -274,8 +274,8 @@ def poll_scan_counts(pier, wl, expected, deadline_s=30.0):
     return counts
 
 
-def run_query(cluster, strategy, timeout_s=QUERY_HORIZON_S,
-              expected=None):
+def query_rows(cluster, strategy, timeout_s=QUERY_HORIZON_S,
+               expected=None):
     wl = workload()
     client = cluster.pier.client(catalog=wl.catalog())
     cursor = client.query(wl.make_query(strategy=strategy),
@@ -311,8 +311,8 @@ def test_dynamic_join_serves_its_key_range(churn_cluster):
 
     # The get/reply path resolves keys at the *new* owner: full recall.
     expected = wl.expected_results()
-    rows, _ = run_query(churn_cluster, JoinStrategy.FETCH_MATCHES,
-                        expected=len(expected))
+    rows, _ = query_rows(churn_cluster, JoinStrategy.FETCH_MATCHES,
+                         expected=len(expected))
     r, p = recall_and_precision(rows, expected)
     assert (r, p) == (1.0, 1.0)
 
@@ -332,8 +332,8 @@ def test_graceful_leave_hands_off_storage(churn_cluster):
 
     assert poll_scan_counts(pier, wl, totals) == totals
     expected = wl.expected_results()
-    rows, _ = run_query(churn_cluster, JoinStrategy.FETCH_MATCHES,
-                        expected=len(expected))
+    rows, _ = query_rows(churn_cluster, JoinStrategy.FETCH_MATCHES,
+                         expected=len(expected))
     r, p = recall_and_precision(rows, expected)
     assert (r, p) == (1.0, 1.0)
 
@@ -379,8 +379,8 @@ def test_kill9_mid_query_degrades_without_hanging(churn_cluster):
     # crash), so gets for its keys fail: completeness MUST report loss.
     survivors = list(churn_cluster.live_addresses())
     expected_after = wl.expected_results(live_publishers=survivors)
-    rows_after, cursor_after = run_query(churn_cluster,
-                                         JoinStrategy.FETCH_MATCHES)
+    rows_after, cursor_after = query_rows(churn_cluster,
+                                          JoinStrategy.FETCH_MATCHES)
     r_after, _ = recall_and_precision(rows_after, expected_after)
     assert r_after >= 0.5
     # The dead node's *published* tuples live on at surviving owners until
