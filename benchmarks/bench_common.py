@@ -207,12 +207,17 @@ def measure_query(pier: PierNetwork, query: QuerySpec,
     read once the last row is in, before this query's own teardown flood is
     delivered: traffic is counted on delivery, so the teardown does not show,
     and per-query counters the teardown releases (``agg_bytes``) can still
-    be read.
+    be read.  A query its cursor cut short at the soft-state deadline raises
+    instead of being recorded with truncated rows and latency.
     """
     pier.run_until_idle()
     pier.network.stats.reset()
     cursor = pier.client(node=initiator).query(query)
     rows = cursor.fetchall(drain=False)
+    if cursor.timed_out:
+        raise RuntimeError(
+            f"query {query.query_id} did not finish within its "
+            f"{query.temp_lifetime_s:g} s soft-state lifetime")
     return QueryOutcome(cursor, rows, summarize_latency(cursor.handle),
                         breakdown_traffic(pier.network.stats))
 

@@ -15,6 +15,13 @@ rate) point, publishers renewing every refresh period and the benchmark
 query running through PierClient cursors.  The failure rates are chosen to
 cover the same *fraction of nodes failing per minute* as the paper's sweep,
 and the analytic estimate of Section 5.6 is printed alongside.
+
+Each point averages two queries whose spacing grows with the refresh period
+(:func:`run_point`), so they span more than one renewal cycle.  At 48 nodes a
+node failing while a query runs costs about as much recall as the losses
+that pile up between renewals, so the 6 %/min column falls with the refresh
+period on average over seeds, not necessarily in every run; the assertions
+below hold the slowest refresh period to the fastest one.
 """
 
 from bench_common import bench_seed, report, scaled, smoke_trim
@@ -26,16 +33,16 @@ REFRESH_PERIODS = (30.0, 60.0, 150.0)
 FAILURE_FRACTIONS = (0.0, 0.02, 0.06)
 
 
-def sweep():
-    num_nodes = scaled(48)
-    seed = bench_seed(8)
+def recall_grid(num_nodes: int, seed: int):
+    """Average recall of every (refresh period, failure rate) point."""
     rows = []
     for refresh in smoke_trim(REFRESH_PERIODS, keep=1):
         for fraction in smoke_trim(FAILURE_FRACTIONS, keep=2):
             failure_rate = fraction * num_nodes
             pier, workload, client = build_point(num_nodes, "can", fraction, seed,
                                                  refresh_s=refresh)
-            point = run_point(pier, workload, client, "symmetric_hash")
+            point = run_point(pier, workload, client, "symmetric_hash",
+                              refresh_s=refresh)
             rows.append({
                 "refresh_s": refresh,
                 "failure_pct_per_min": round(fraction * 100, 1),
@@ -45,6 +52,10 @@ def sweep():
                     100 * analytical.expected_recall(failure_rate, refresh, num_nodes), 2),
             })
     return rows
+
+
+def sweep():
+    return recall_grid(scaled(48), bench_seed(8))
 
 
 def test_fig6_recall_soft_state(benchmark):
@@ -63,7 +74,7 @@ def test_fig6_recall_soft_state(benchmark):
         assert recall_of(refresh, 0.0) == 100.0
 
     # Recall degrades as the failure rate rises (for the slowest refresh);
-    # a small tolerance absorbs sampling noise from the 3-query average.
+    # a small tolerance absorbs sampling noise from the two-query average.
     slowest = max(REFRESH_PERIODS)
     assert recall_of(slowest, 6.0) <= recall_of(slowest, 2.0) + 2.0
     assert recall_of(slowest, 6.0) < 100.0

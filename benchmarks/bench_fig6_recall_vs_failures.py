@@ -56,6 +56,8 @@ WARMUP_S = 20.0
 QUERY_HORIZON_S = 45.0
 #: Time allowed for the teardown flood to settle before leak accounting.
 TEARDOWN_GRACE_S = 5.0
+#: Idle time after each query at the default refresh period; it scales with
+#: the refresh period (see :func:`run_point`).
 QUERY_GAP_S = 10.0
 QUERIES_PER_POINT = 2
 
@@ -83,8 +85,18 @@ def build_point(num_nodes: int, dht: str, fraction: float, seed: int,
     return pier, workload, client
 
 
-def run_point(pier, workload, client, strategy_name: str) -> dict:
-    """Run the benchmark query a few times under live churn; aggregate."""
+def run_point(pier, workload, client, strategy_name: str,
+              refresh_s: float = REFRESH_PERIOD_S) -> dict:
+    """Run the benchmark query a few times under live churn; aggregate.
+
+    ``refresh_s`` is the deployment's refresh period (as given to
+    :func:`build_point`).  The gap after each query is
+    ``QUERY_GAP_S * refresh_s / REFRESH_PERIOD_S``, so the queries span more
+    than one refresh period and land at different phases of the renewal
+    cycle: a point with a long refresh period sees the losses that pile up
+    between its renewals.
+    """
+    gap_s = QUERY_GAP_S * refresh_s / REFRESH_PERIOD_S
     recalls, precisions = [], []
     hung_queries = leftover_states = 0
     gets_failed = fragments_lost = degraded_ops = 0
@@ -114,7 +126,7 @@ def run_point(pier, workload, client, strategy_name: str) -> dict:
         rows_match_reference = rows_match_reference and (
             sorted(map(row_key, rows)) == sorted(map(row_key, expected))
         )
-        pier.run(until=pier.now + QUERY_GAP_S)
+        pier.run(until=pier.now + gap_s)
     return {
         "strategy": strategy_name,
         "avg_recall": round(sum(recalls) / len(recalls), 4),
