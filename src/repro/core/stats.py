@@ -280,8 +280,8 @@ class StatsRegistry:
         #: cardinality, and must never overwrite a real (published or
         #: fetched) statistics entry.
         self._scan_observations: Dict[str, RelationStats] = {}
-        #: Stable instanceIDs per published resource, so re-publication
-        #: renews the existing soft-state item instead of duplicating it.
+        #: Stable instanceIDs per published resource, so re-publication (a
+        #: full put: the value may change) overwrites the item, no duplicate.
         self._published: Dict[str, int] = {}
         #: Partials not yet folded into :attr:`_relations`, per relation.
         self._parked: Dict[str, List[RelationStats]] = {}
@@ -392,8 +392,8 @@ class StatsRegistry:
         """Publish local relation statistics into ``__pier_stats__``.
 
         Each call re-uses a stable instanceID per relation, so periodic
-        re-publication *renews* the soft-state item instead of accumulating
-        duplicates.  Returns the number of entries published.
+        re-publication overwrites the item with a full ``put`` (the value may
+        change) instead of accumulating duplicates.  Returns the count.
         """
         published = 0
         for name in (names if names is not None else self.relation_names()):

@@ -13,7 +13,7 @@ Section 3.2:
 * **Provider** (:mod:`repro.dht.provider`) — the application-facing
   interface (paper Table 3): ``get``/``put``/``renew``/``multicast``/
   ``lscan``/``newData``, the namespace/resourceID/instanceID naming scheme
-  and soft-state lifetimes.
+  and soft-state lifetimes, renewed by name (:mod:`repro.dht.softstate`).
 """
 
 from repro.dht.api import RoutingLayer

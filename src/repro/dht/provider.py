@@ -6,7 +6,7 @@ the calls PIER's query processor is written against:
 ==================================================  =====================================
 ``get(namespace, resourceID) → item``               key-based read (may return many)
 ``put(namespace, resourceID, instanceID, ...)``     soft-state insert with a lifetime
-``renew(...) → bool``                               refresh an item's lifetime
+``renew(namespace, resourceID, instanceID, ...)``   refresh a stored item's lifetime
 ``multicast(namespace, resourceID, item)``          deliver to all nodes of a namespace
 ``lscan(namespace) → iterator``                     scan items stored *locally*
 ``newData(namespace) → items of one stored chunk``  callback on local arrival of new data
@@ -26,10 +26,10 @@ are their front-ends for one item.
 Every put travels in one wire format: a ``prov.put_chunk`` message of
 parallel ``resource_ids`` / ``values`` / ``instance_ids`` / ``keys`` arrays
 for one namespace, lifetime and publisher.  The front-ends differ only in
-what the caller holds.  ``put`` (and ``renew``, the same put again) publishes
-one item — a lookup and a chunk of its own, the paper's message pattern,
-used by catalog and statistics publishing.  ``put_batch`` takes per-entry
-instance ids and sizes (renewal rounds, aggregation partials); ``put_chunk``
+what the caller holds.  ``put`` publishes one item — a lookup and a chunk of
+its own, the paper's message pattern, used by catalog and statistics
+publishing.  ``put_batch`` takes per-entry instance ids and sizes
+(aggregation partials, items a renewal found missing); ``put_chunk``
 takes the arrays of a rehash wave as they are, one size for all, with an
 optional computation-node ``target``.  All of them resolve their keys through
 one :meth:`repro.dht.api.RoutingLayer.lookup_batch` (overlay hops shared
@@ -38,7 +38,12 @@ resolution wave** carrying every item that owner is responsible for.  The
 arrival side is chunk-at-a-time too: the owner stores the chunk and makes
 **one ``newData`` upcall per subscriber per stored chunk**, handing over the
 newly live items in chunk order (every new triple is announced exactly once;
-a chunk that only renews live triples makes no upcall).
+a chunk that only overwrites live triples makes no upcall).
+
+A renewal (``renew_batch``, or ``renew`` of one) is a ``prov.put_chunk`` of
+names without ``values``, 16 B per item.  The owner extends what it holds
+live, with no upcall, and names the rest in one ``prov.renew_missing`` reply;
+the publisher's renewal agent puts exactly those again.
 
 Every read is a ``get_batch``: one ``lookup_batch`` for its keys, one
 ``prov.get_batch`` request per owner the lookup names, one
@@ -56,11 +61,11 @@ same messages and bytes as a request format of its own would (a routed hop, a
 lookup reply and a request are charged per key, a reply by the items it
 carries).  ``multicast_batch`` batches the flood side the same way.
 
-Arrays off the network are checked before use: a ``prov.put_chunk`` whose
-arrays disagree in length is dropped whole and counted with the lost puts, a
-``prov.get_batch_reply`` whose arrays disagree (or that answers other ids
-than were asked) fails its request's ids — never a partly stored chunk or an
-item under the wrong id.
+Arrays off the network are checked before use: a ``prov.put_chunk`` or
+``prov.renew_missing`` whose arrays disagree in length is dropped whole and
+counted with the lost puts, a ``prov.get_batch_reply`` whose arrays disagree
+(or that answers other ids than were asked) fails its request's ids — never
+a partly stored chunk or an item under the wrong id.
 
 Failure semantics
 -----------------
@@ -86,12 +91,12 @@ resolution) arrives.  Four mechanisms bound that wait, for ``get`` and
   (the executor uses the query id) and sweep everything still pending with
   :meth:`Provider.cancel_pending` at query teardown.
 
-A put is not tracked — renewal is its repair — but it is not lost silently
-either: items bounced off a dead owner and items whose key the overlay could
-not route are counted per namespace (``put_bounces_by_namespace``), whichever
-front-end published them.  That count and the per-scope delivery accounting
-(issued / completed / failed / cancelled) back the client's query
-completeness report.
+A put is not tracked — renewal is its repair — but it is not lost silently:
+items bounced off a dead owner, whose key the overlay could not route, or
+named missing to a node with no renewal agent are counted per namespace
+(``put_bounces_by_namespace``), whichever front-end sent them.  That count
+and the per-scope delivery accounting (issued / completed / failed /
+cancelled) back the client's query completeness report.
 """
 
 from __future__ import annotations
@@ -112,6 +117,8 @@ from repro.net.node import Node
 DEFAULT_LIFETIME_S = 300.0
 #: Default wire size of an item when the caller does not specify one.
 DEFAULT_ITEM_BYTES = 100
+#: Wire size of a renewed (or missing) item's name: resourceID + instanceID.
+RENEW_ITEM_BYTES = 16
 #: How often each node sweeps expired soft state out of its storage manager.
 DEFAULT_SWEEP_PERIOD_S = 5.0
 
@@ -183,6 +190,7 @@ class Provider:
 
     SERVICE_NAME = "dht.provider"
     PROTOCOL_PUT_CHUNK = "prov.put_chunk"
+    PROTOCOL_RENEW_MISSING = "prov.renew_missing"
     PROTOCOL_GET_BATCH = "prov.get_batch"
     PROTOCOL_GET_BATCH_REPLY = "prov.get_batch_reply"
 
@@ -208,9 +216,12 @@ class Provider:
         self._scope_counters: Dict[Any, Dict[str, int]] = {}
         #: Put fragments bounced off dead destinations, per namespace.
         self.put_bounces_by_namespace: Dict[str, int] = {}
+        #: Puts again what a renewal's owner no longer holds (``None``: lost).
+        self.renewal_agent: Optional[RenewalAgent] = None
         node.services[self.SERVICE_NAME] = self
 
         node.register_handler(self.PROTOCOL_PUT_CHUNK, self._on_put_chunk)
+        node.register_handler(self.PROTOCOL_RENEW_MISSING, self._on_renew_missing)
         node.register_handler(self.PROTOCOL_GET_BATCH, self._on_get_batch)
         node.register_handler(self.PROTOCOL_GET_BATCH_REPLY,
                               self._on_get_batch_reply)
@@ -269,15 +280,17 @@ class Provider:
         return instance_id
 
     def renew(self, namespace: str, resource_id: Any, instance_id: int,
-              value: Any, lifetime: float = DEFAULT_LIFETIME_S,
-              item_bytes: int = DEFAULT_ITEM_BYTES) -> bool:
-        """Refresh an item's lifetime (paper Table 3 ``renew``).
-
-        Implemented as an idempotent re-``put`` of the same triple; returns
-        True (best-effort semantics — the DHT gives no stronger guarantee).
-        """
-        self.put(namespace, resource_id, instance_id, value, lifetime, item_bytes)
+              lifetime: float = DEFAULT_LIFETIME_S) -> bool:
+        """Refresh an item's lifetime (paper Table 3 ``renew``): a
+        :meth:`renew_batch` of one; True, as the DHT guarantees no more."""
+        self.renew_batch(namespace, [resource_id], [instance_id], lifetime)
         return True
+
+    def renew_batch(self, namespace: str, resource_ids: Sequence[Any],
+                    instance_ids: Sequence[int], lifetime: float = DEFAULT_LIFETIME_S) -> None:
+        """Refresh stored items' lifetimes by name: routed like
+        :meth:`put_batch`, a chunk of ids without values (16 B per item)."""
+        self._put_arrays(namespace, resource_ids, None, instance_ids, lifetime, RENEW_ITEM_BYTES)
 
     def put_batch(self, namespace: str, entries: Sequence[PutEntry],
                   lifetime: float = DEFAULT_LIFETIME_S,
@@ -328,7 +341,7 @@ class Provider:
         return instance_ids
 
     def _put_arrays(self, namespace: str, resource_ids: Sequence[Any],
-                    values: Sequence[Any], instance_ids: List[int],
+                    values: Optional[Sequence[Any]], instance_ids: Sequence[int],
                     lifetime: float, item_bytes: Union[int, List[int]],
                     target: Optional[int] = None) -> None:
         """Resolve a batch's keys at once and ship one chunk per owner.
@@ -351,7 +364,7 @@ class Provider:
             self._send_put_chunk(
                 owner if target is None else target, namespace,
                 [resource_ids[i] for i in indices],
-                [values[i] for i in indices],
+                None if values is None else [values[i] for i in indices],
                 [instance_ids[i] for i in indices],
                 [keys[i] for i in indices],
                 lifetime,
@@ -367,7 +380,7 @@ class Provider:
         )
 
     def _send_put_chunk(self, destination: int, namespace: str,
-                        resource_ids: List[Any], values: List[Any],
+                        resource_ids: List[Any], values: Optional[List[Any]],
                         instance_ids: List[int], keys: List[int],
                         lifetime: float,
                         item_bytes: Union[int, List[int]]) -> None:
@@ -382,6 +395,8 @@ class Provider:
             "publisher": self.node.address,
             "item_bytes": item_bytes,
         }
+        if values is None:  # a renewal names its items and nothing else
+            del payload["values"], payload["item_bytes"]
         if destination == self.node.address:
             self._store_chunk(payload)
             return
@@ -399,14 +414,22 @@ class Provider:
         """
         now = self.now
         expires_at = now + payload["lifetime"]
-        namespace = payload["namespace"]
-        publisher = payload["publisher"]
-        sizes = payload["item_bytes"]
-        count = len(payload["resource_ids"])
-        if (not (len(payload["values"]) == len(payload["instance_ids"])
-                     == len(payload["keys"]) == count)
+        namespace, publisher = payload["namespace"], payload["publisher"]
+        resource_ids, instance_ids = payload["resource_ids"], payload["instance_ids"]
+        values, sizes = payload.get("values"), payload.get("item_bytes")
+        count = len(resource_ids)
+        if (not len(instance_ids) == len(payload["keys"]) == count
+                or (values is not None and len(values) != count)
                 or (isinstance(sizes, list) and len(sizes) != count)):
             self._record_put_bounce(namespace, count)
+            return
+        if values is None:  # a renewal: extend what is live, name the rest
+            missing = self.storage.renew_batch(namespace, resource_ids,
+                                               instance_ids, expires_at, now)
+            if missing:
+                self._return_missing(publisher, {
+                    "namespace": namespace, "resource_ids": [resource_ids[i] for i in missing],
+                    "instance_ids": [instance_ids[i] for i in missing]})
             return
         if not isinstance(sizes, list):
             sizes = itertools.repeat(sizes)
@@ -414,10 +437,9 @@ class Provider:
             StoredItem(namespace, resource_id, instance_id, value, key,
                        expires_at, now, publisher, size_bytes)
             for resource_id, value, instance_id, key, size_bytes in zip(
-                payload["resource_ids"], payload["values"],
-                payload["instance_ids"], payload["keys"], sizes)
+                resource_ids, values, instance_ids, payload["keys"], sizes)
         ]
-        # New = not live before this chunk (a renewal announces nothing) and
+        # New = not live before this chunk (an overwrite announces nothing) and
         # first of its triple within it: store_batch's answer, once what is
         # due has expired.  Expiry runs only when someone listens.
         callbacks = self._new_data_callbacks.get(namespace)
@@ -427,6 +449,21 @@ class Provider:
         if callbacks and new_items:
             for callback in tuple(callbacks):  # a subscriber may unsubscribe
                 callback(new_items)
+
+    def _on_renew_missing(self, node: Node, message) -> None:
+        self._return_missing(node.address, message.payload)
+
+    def _return_missing(self, publisher: int, reply: dict) -> None:
+        """Hand the items ``reply`` names to ``publisher``'s renewal agent to
+        put again (lost puts without an agent, or when the arrays disagree)."""
+        resource_ids, instance_ids = reply["resource_ids"], reply["instance_ids"]
+        if publisher != self.node.address:
+            self.node.send(publisher, self.PROTOCOL_RENEW_MISSING, reply,
+                           RENEW_ITEM_BYTES * len(resource_ids))
+        elif self.renewal_agent is None or len(resource_ids) != len(instance_ids):
+            self._record_put_bounce(reply["namespace"], len(resource_ids))
+        else:
+            self.renewal_agent.restore(reply["namespace"], resource_ids, instance_ids)
 
     def _on_put_chunk(self, node: Node, message) -> None:
         self._store_chunk(message.payload)
@@ -852,8 +889,8 @@ class Provider:
         routing.install_items = self.storage.store_batch
 
     def make_renewal_agent(self, refresh_period: float) -> RenewalAgent:
-        """Create (but do not start) a renewal agent bound to this Provider."""
-        return RenewalAgent(provider=self, refresh_period=refresh_period)
+        """Create (but do not start) this node's renewal agent."""
+        return RenewalAgent(self, refresh_period)
 
     def handle_node_failure(self) -> int:
         """Model this node's process death (called when the node fails).

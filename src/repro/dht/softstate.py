@@ -8,15 +8,16 @@ lost until their publishers renew them — which is exactly the dynamic the
 recall experiment (Figure 6) measures for different refresh periods.
 
 :class:`RenewalAgent` is the publisher-side half: it remembers every item the
-local node has published and re-``put``s each one every ``refresh_period``
-seconds.  The responsible-node half (expiry) lives in
+local node has published, ``renew``s each by name every ``refresh_period``
+seconds and ``put``s again only what an owner no longer holds.  The
+responsible-node half (renewal and expiry) lives in
 :class:`repro.dht.storage.StorageManager` and the Provider's periodic sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dht.provider import Provider
@@ -38,12 +39,13 @@ class PublishedRecord:
 
 @dataclass
 class RenewalAgent:
-    """Periodically re-publishes every item this node has put into the DHT.
+    """Periodically renews every item this node has put into the DHT.
 
     Parameters
     ----------
     provider:
-        The local Provider used to issue the renewals.
+        The local Provider used to issue the renewals; it hands this agent
+        what the owners report missing.
     refresh_period:
         Seconds between successive renewals of each item.  The paper sweeps
         30 / 60 / 150 / 225 s in Figure 6.
@@ -57,21 +59,15 @@ class RenewalAgent:
         if self.refresh_period <= 0:
             raise ValueError("refresh period must be positive")
         self._timer = None
+        self.provider.renewal_agent = self
 
     # ------------------------------------------------------------- tracking
 
     def track(self, namespace: str, resource_id: Any, instance_id: int,
               value: Any, lifetime: float, size_bytes: int) -> None:
         """Start renewing an item this node just published."""
-        key = (namespace, resource_id, instance_id)
-        self.records[key] = PublishedRecord(
-            namespace=namespace,
-            resource_id=resource_id,
-            instance_id=instance_id,
-            value=value,
-            lifetime=lifetime,
-            size_bytes=size_bytes,
-        )
+        self.records[(namespace, resource_id, instance_id)] = PublishedRecord(
+            namespace, resource_id, instance_id, value, lifetime, size_bytes)
 
     def untrack_namespace(self, namespace: str) -> int:
         """Stop renewing every tracked item of one namespace.
@@ -112,22 +108,29 @@ class RenewalAgent:
             self._timer = None
 
     def renew_all(self) -> int:
-        """Renew every tracked item once; returns the number renewed.
+        """Renew every tracked item once; returns the number renewed.  One
+        :meth:`repro.dht.provider.Provider.renew_batch` per (namespace,
+        lifetime): a storm costs a message per owner and 16 B per item."""
+        for (namespace, lifetime), records in _groups(self.records.values()):
+            self.provider.renew_batch(
+                namespace, [record.resource_id for record in records],
+                [record.instance_id for record in records], lifetime)
+        return len(self.records)
 
-        Renewals are issued through :meth:`repro.dht.provider.Provider.put_batch`
-        grouped by (namespace, lifetime), so a renewal storm costs one message
-        per responsible node rather than one per item.
-        """
-        groups: Dict[Tuple[str, float], list] = {}
-        for record in list(self.records.values()):
-            groups.setdefault((record.namespace, record.lifetime), []).append(record)
-        renewed = 0
-        for (namespace, lifetime), records in groups.items():
-            entries = [
+    def restore(self, namespace: str, resource_ids: Iterable[Any],
+                instance_ids: Iterable[int]) -> None:
+        """Put again, value and all, the named items an owner does not hold;
+        one no longer tracked (a dead publisher's statistics) stays gone."""
+        tracked = (self.records.get((namespace, resource_id, instance_id))
+                   for resource_id, instance_id in zip(resource_ids, instance_ids))
+        for (_namespace, lifetime), records in _groups(filter(None, tracked)):
+            self.provider.put_batch(namespace, [
                 (record.resource_id, record.value, record.instance_id,
-                 record.size_bytes)
-                for record in records
-            ]
-            self.provider.put_batch(namespace, entries, lifetime=lifetime)
-            renewed += len(records)
-        return renewed
+                 record.size_bytes) for record in records], lifetime=lifetime)
+
+
+def _groups(records: Iterable[PublishedRecord]):
+    groups: Dict[Tuple[str, float], List[PublishedRecord]] = {}
+    for record in records:
+        groups.setdefault((record.namespace, record.lifetime), []).append(record)
+    return groups.items()

@@ -161,6 +161,26 @@ class StorageManager:
             heapq.heappush(heap, (item.expires_at, next(seq), partition, key))
         return fresh
 
+    def renew_batch(self, namespace: str, resource_ids: Iterable[Any],
+                    instance_ids: Iterable[int], expires_at: float,
+                    now: float) -> List[int]:
+        """Extend named items' lifetimes as an overwrite would; returns the
+        indices of the triples not live (absent, or expired but not swept)."""
+        partition = self._partitions.get(namespace)
+        stored = partition.items if partition else {}
+        missing: List[int] = []
+        for index, key in enumerate(zip(resource_ids, instance_ids)):
+            item = stored.get(key)
+            if item is None or item.expires_at < now:
+                missing.append(index)
+                continue
+            item = StoredItem(namespace, item.resource_id, item.instance_id, item.value,
+                              item.key, expires_at, now, item.publisher, item.size_bytes)
+            stored[key] = partition.buckets[key[0]][key[1]] = item
+            self._heap_stale += 1
+            heapq.heappush(self._expiry_heap, (expires_at, next(self._heap_seq), partition, key))
+        return missing
+
     def retrieve(self, namespace: str, resource_id: Any, now: float) -> List[StoredItem]:
         """All live items matching ``(namespace, resourceID)`` (``retrieve``)."""
         self.expire_items(now)

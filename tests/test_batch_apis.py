@@ -233,7 +233,7 @@ def test_every_put_front_end_travels_as_put_chunk(dht):
     network, providers, _builder = build_network(dht)
     publisher = providers[0]
     instance_id = publisher.put("t", "key-0", None, "v", lifetime=60.0)
-    publisher.renew("t", "key-0", instance_id, "v", lifetime=60.0)
+    publisher.renew("t", "key-0", instance_id, lifetime=60.0)
     publisher.put_batch("t", ENTRIES, lifetime=60.0)
     rids = [rid for rid, _v in ENTRIES]
     publisher.put_chunk("t", rids, rids, lifetime=60.0)
@@ -290,17 +290,15 @@ def test_put_front_ends_are_equivalent(dht, entries, publisher):
     def batch(provider):
         ids = provider.put_batch("t", entries, lifetime=60.0)
         # Renewing live triples announces nothing new.
-        provider.put_batch(
-            "t", [(rid, value, instance_id, size) for (rid, value, _i, size),
-                  instance_id in zip(entries, ids)], lifetime=60.0)
+        provider.renew_batch("t", [rid for rid, *_rest in entries], ids,
+                             lifetime=60.0)
 
     def scalar(provider):
         ids = [provider.put("t", rid, instance_id, value, lifetime=60.0,
                             item_bytes=size)
                for rid, value, instance_id, size in entries]
-        for (rid, value, _i, size), instance_id in zip(entries, ids):
-            provider.renew("t", rid, instance_id, value, lifetime=60.0,
-                           item_bytes=size)
+        for (rid, *_rest), instance_id in zip(entries, ids):
+            provider.renew("t", rid, instance_id, lifetime=60.0)
 
     stored, announced, _sent = run_puts(dht, publisher, batch)
     assert (stored, announced) == run_puts(dht, publisher, scalar)[:2]

@@ -102,8 +102,7 @@ def test_a_renewal_round_announces_nothing(dht):
     network.run_until_idle()
     chunks, upcalls = watch(providers)
     assert agent.renew_all() == len(ENTRIES)
-    rid, value = ENTRIES[0]
-    publisher.renew("t", rid, 900, value, lifetime=60.0)
+    publisher.renew("t", ENTRIES[0][0], 900, lifetime=60.0)
     network.run_until_idle()
     assert sum(map(len, chunks.values())) > 1  # the round did arrive ...
     assert not any(upcalls.values())           # ... and was news to no one

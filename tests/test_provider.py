@@ -118,7 +118,7 @@ def test_new_data_not_fired_for_renewal_of_same_instance():
         "t", lambda items: arrivals.extend(item.value for item in items))
     providers[1].put("t", "x", 7, "v1")
     network.run_until_idle()
-    providers[1].renew("t", "x", 7, "v1", lifetime=100.0)
+    providers[1].renew("t", "x", 7, lifetime=100.0)
     network.run_until_idle()
     assert arrivals == ["v1"]  # only the first arrival is "new data"
 
@@ -142,7 +142,7 @@ def test_renewal_keeps_item_alive():
     instance = providers[0].put("t", "kept", None, "alive", lifetime=10.0)
     network.run_until_idle()
     owner = builder.owner_of_key(hash_key("t", "kept"))
-    network.simulator.schedule(8.0, lambda: providers[0].renew("t", "kept", instance, "alive", lifetime=10.0))
+    network.simulator.schedule(8.0, lambda: providers[0].renew("t", "kept", instance, lifetime=10.0))
     network.simulator.schedule(15.0, lambda: None)
     network.run_until_idle()
     assert providers[owner].get_local("t", "kept") != []

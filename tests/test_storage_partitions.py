@@ -6,8 +6,9 @@ ordered key-set indexes and a per-item ``has_instance`` probe.  A state
 machine drives both through every operation at random times with the *same*
 ``StoredItem`` objects and compares each answer by identity and order —
 so scan order, bucket order, overwrite-keeps-position, expiry, the heap's
-stale count and ``store_batch``'s fresh list (the ``newData`` rule) all have
-to match.  Separate guards count the Python calls a purge and a scan make.
+stale count, ``store_batch``'s fresh list (the ``newData`` rule) and
+``renew_batch``'s missing list all have to match.  Separate guards count the
+Python calls a purge and a scan make.
 """
 
 from __future__ import annotations
@@ -79,6 +80,32 @@ class StoreEquivalence(RuleBasedStateMachine):
                 expected.setdefault(triple, item)
         self.reference.store_batch(items)
         assert ids(self.store.store_batch(items)) == ids(expected.values())
+
+    @rule(namespace=namespaces,
+          pairs=st.lists(st.tuples(resources, instances), max_size=5),
+          lifetime=st.sampled_from([0.0, 1.0, 5.0, 20.0]))
+    def renew_batch(self, namespace, pairs, lifetime):
+        # The reference has no renew: a live triple is overwritten by the
+        # record the store made, so both hold the same object afterwards.
+        old = [self.reference._items.get((namespace, *pair)) for pair in pairs]
+        times = [item and (item.expires_at, item.stored_at) for item in old]
+        missing = self.store.renew_batch(
+            namespace, [rid for rid, _iid in pairs], [iid for _rid, iid in pairs],
+            self.now + lifetime, self.now)
+        assert missing == [index for index, item in enumerate(old)
+                           if item is None or item.expires_at < self.now]
+        for index, (pair, item) in enumerate(zip(pairs, old)):
+            if index in missing:
+                continue
+            renewed = self.store._partitions[namespace].items[pair]
+            # Whoever holds the old record does not see it change.
+            assert renewed is not item and (item.expires_at, item.stored_at) == times[index]
+            assert (renewed.value, renewed.publisher, renewed.key) == (
+                item.value, item.publisher, item.key)
+            assert renewed.resource_id is item.resource_id  # 1 renews True
+            assert (renewed.expires_at, renewed.stored_at) == (
+                self.now + lifetime, self.now)
+            self.reference.store(renewed)
 
     @rule(namespace=namespaces, resource=resources)
     def retrieve(self, namespace, resource):
