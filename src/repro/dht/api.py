@@ -434,7 +434,18 @@ class RoutingLayer(ABC):
 
     @abstractmethod
     def neighbors(self) -> List[int]:
-        """Addresses of overlay neighbours (used for multicast flooding)."""
+        """Addresses of the live overlay neighbours (the multicast flood's)."""
+
+    def broadcast_scope(self) -> Any:
+        """The scope a multicast covers at its origin (``None``: the flood)."""
+        return None
+
+    def broadcast_children(self, scope: Any
+                           ) -> Optional[List[Tuple[int, Any]]]:
+        """``(address, child scope)`` per child of a multicast here.  Scope
+        ``None`` is the flood (every live neighbour); a tree layer answers
+        ``None`` for a scope it cannot cover (:mod:`repro.dht.multicast`)."""
+        return [(address, None) for address in self.neighbors()]
 
     @abstractmethod
     def leave(self) -> None:

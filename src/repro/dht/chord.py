@@ -22,6 +22,8 @@ key's offset.  The index is built on the first routed hop after ``fingers``,
 ``successor`` or the dead set was assigned (they are
 :class:`~repro.dht.api.RoutingTableField` attributes), so a hop costs
 ``O(log f)`` for ``f`` distinct fingers, independent of ``key_bits``.
+The same index serves **broadcast**: the entries before a multicast's ring
+limit are this node's children in :mod:`repro.dht.multicast`'s tree.
 """
 
 from __future__ import annotations
@@ -177,6 +179,29 @@ class ChordRouting(RoutingLayer):
 
     _coordinate = ring_key
     _next_hop = _closest_preceding
+
+    def broadcast_scope(self) -> int:
+        """A limit on this node's own identifier covers the whole ring."""
+        return self.identifier
+
+    def broadcast_children(self, scope: Optional[int]
+                           ) -> Optional[List[Tuple[int, Optional[int]]]]:
+        """Split the ring interval ``(self, scope)`` among the index's entries:
+        each gets the stretch up to the next, a dead finger's folds into the
+        one before.  ``None`` (flood) when a detected-dead successor leaves
+        the nodes before the next live finger without a tree path."""
+        if scope is None:
+            return super().broadcast_children(None)
+        offsets, addresses, live_successor = (
+            self._next_hops or self._build_next_hops())
+        base, modulus = self.identifier, self._modulus
+        limit = (scope - base) % modulus or modulus
+        if live_successor is None and self.successor is not None and (
+                self._identifier_of(self.successor) - base) % modulus < limit:
+            return None
+        end = bisect.bisect_left(offsets, limit)
+        return [(addresses[i], (base + offsets[i + 1]) % modulus
+                 if i + 1 < end else scope) for i in range(end)]
 
     # --------------------------------------------------------------- joining
 

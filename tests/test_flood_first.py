@@ -1,9 +1,10 @@
 """Forward, then deliver: a multicast leaves a node before its local work.
 
-``MulticastService`` sends the flood to a node's neighbours first and runs
-the local handlers on the next event at the same instant, at the origin and
-at every relay.  Under the simulator that order shows in the send sequence
-and moves no arrival time; on the TCP backend it means the flood frame is
+``MulticastService`` sends a multicast to a node's children first — its
+finger-interval tree children on Chord, every neighbour (the flood) on CAN —
+and runs the local handlers on the next event at the same instant, at the
+origin and at every relay.  Under the simulator that order shows in the send
+sequence and moves no arrival time; on the TCP backend it means the frame is
 already written when the handler — a node's whole scan and rehash for a
 query — starts.  Because the initiator's own handler runs after the flood,
 ``QueryExecutor.submit`` lowers the plan before it multicasts: a plan that
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -37,17 +38,25 @@ def kind_of(item) -> str:
     return "teardown" if isinstance(item, QueryTeardown) else "query"
 
 
+#: Nodes that forward each multicast on 64 nodes: nearly all of them in the
+#: CAN flood, the 30 inner nodes of the Chord tree.
+RELAYS = {"can": 60, "chord": 30}
+
+
 @pytest.mark.parametrize("dht", ["can", "chord"])
 def test_every_relay_floods_before_its_own_share_of_the_query(monkeypatch, dht):
     """Per node and per multicast (query, teardown): every ``mc.flood`` send
+    — tree sends with a scope on Chord, flood sends without on CAN —
     precedes the local delivery, at the same instant, so all of the node's
-    query work — which that delivery starts — is sent after the flood."""
+    query work — which that delivery starts — is sent after it."""
     log = []  # (node, time, what, kind) in the order things happened
+    scoped = Counter()  # mc.flood sends with / without a scope
     send, on_query = Node.send, QueryExecutor._on_query_multicast
 
     def logged_send(self, dst, protocol, payload=None, payload_bytes=0, hops=0):
         if protocol == MulticastService.PROTOCOL:
             entry = payload["envelope"]["entries"][0]
+            scoped["scope" in payload] += 1
             log.append((self.address, self.now, "flood", kind_of(entry["item"])))
         else:
             log.append((self.address, self.now, "work", None))
@@ -77,7 +86,11 @@ def test_every_relay_floods_before_its_own_share_of_the_query(monkeypatch, dht):
             instant = [e for e in entries
                        if e[1] == query_flood[0][1] and e[2] == "work"]
             assert all(work[0] > query_flood[-1][0] for work in instant)
-    assert len(by_node) == 64 and relays >= 2 * 60
+    assert len(by_node) == 64 and relays >= 2 * RELAYS[dht]
+    # Chord sends n - 1 tree copies per multicast and no flood copy; CAN
+    # sends flood copies only.
+    tree, flood = scoped[True], scoped[False]
+    assert (tree, flood > 0) == ((2 * 63, False) if dht == "chord" else (0, True))
 
     # The order costs events, not time: rows and arrival times are the pins'.
     times = tuple(cursor.arrival_times())
@@ -118,21 +131,28 @@ def test_a_plan_that_cannot_be_lowered_raises_before_anything_is_sent():
     cursor.close()
 
 
-class Neighbours:
-    """The one routing call a multicast makes."""
+class Children:
+    """The two routing calls a multicast makes: every child gets ``scope``
+    (an interval limit, as Chord's tree; ``None``, as CAN's flood)."""
 
-    def __init__(self, *addresses):
+    def __init__(self, scope, *addresses):
+        self.scope = scope
         self.addresses = list(addresses)
 
-    def neighbors(self):
-        return self.addresses
+    def broadcast_scope(self):
+        return self.scope
+
+    def broadcast_children(self, scope):
+        return [(address, self.scope) for address in self.addresses]
 
 
+@pytest.mark.parametrize("scope", [1 << 100, None], ids=["tree", "flood"])
 @pytest.mark.parametrize("relay", [False, True], ids=["origin", "relay"])
-def test_the_flood_frame_is_written_before_the_local_handler_runs(relay):
-    """The flood's ``put_nowait`` wakes the peer's writer task, which runs
+def test_the_flood_frame_is_written_before_the_local_handler_runs(relay, scope):
+    """The send's ``put_nowait`` wakes the peer's writer task, which runs
     before the zero-delay timer that delivers locally: when the handler
-    starts, the frame to the neighbour has been written."""
+    starts, the frame to the child has been written — a tree copy (Chord)
+    or a flood copy (CAN)."""
 
     async def scenario():
         peer = RecordingPeer()
@@ -144,24 +164,29 @@ def test_the_flood_frame_is_written_before_the_local_handler_runs(relay):
         transport.update_peers({1: ("127.0.0.1", port)})
         node.send(1, "test.warm", payload={"seq": -1})  # pool the connection
         await wait_for(lambda: peer.connections and peer.connections[0])
-        # A relay excludes the neighbour the flood came from (address 2).
-        multicast = MulticastService(node, Neighbours(1, 2) if relay
-                                     else Neighbours(1))
+        # A relay excludes the node the copy came from (address 2).
+        multicast = MulticastService(node, Children(scope, 1, 2) if relay
+                                     else Children(scope, 1))
         written = []
         multicast.subscribe("ns", lambda *_: written.append(transport.bytes_sent))
         before = transport.bytes_sent
         if relay:
-            node.deliver(Message(2, 0, MulticastService.PROTOCOL, payload={
-                "envelope": {"id": (2, 1), "origin": 2, "entries": [
-                    {"namespace": "ns", "resource_id": 1, "item": "query"}]},
-                "payload_bytes": 64}, payload_bytes=64))
+            copy = {"envelope": {"id": (2, 1), "origin": 2, "entries": [
+                        {"namespace": "ns", "resource_id": 1, "item": "query"}]},
+                    "payload_bytes": 64}
+            if scope is not None:
+                copy["scope"] = scope
+            node.deliver(Message(2, 0, MulticastService.PROTOCOL,
+                                 payload=copy, payload_bytes=64))
         else:
             multicast.multicast("ns", 1, "query", payload_bytes=64)
         assert written == []  # not inside the caller's turn
         await wait_for(lambda: written)
         assert written[0] > before  # the flood frame went first
         await wait_for(lambda: len(frames(peer)) == 2)
-        assert frames(peer)[1]["protocol"] == MulticastService.PROTOCOL
+        frame = frames(peer)[1]
+        assert frame["protocol"] == MulticastService.PROTOCOL
+        assert frame["payload"].get("scope") == scope
         await transport.close()
         await peer.hang_up()
 

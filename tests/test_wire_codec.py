@@ -182,6 +182,17 @@ def test_query_multicast_roundtrip():
     assert vars(item).keys() == vars(query).keys()
     assert build_opgraph(item) is not graph
     assert build_opgraph(item).describe() == graph.describe()
+    # A Chord tree copy carries its ring limit, a 128-bit identifier.
+    scope = (1 << 128) - 5
+    tree_copy = wire_message("mc.flood", {"envelope": envelope,
+                                          "payload_bytes": 200, "scope": scope},
+                             payload_bytes=216)
+    assert tree_copy.payload["scope"] == scope
+    assert tree_copy.payload["payload_bytes"] == 200
+    assert tree_copy.payload_bytes == 216
+    assert tree_copy.payload["envelope"]["id"] == (0, 17)
+    assert tree_copy.payload["envelope"]["entries"][0]["item"].query_id == (
+        query.query_id)
 
 
 def test_query_teardown_roundtrip():
