@@ -16,7 +16,8 @@ Every ``put``/``get`` follows the paper's two-step pattern: an overlay
 ``lookup`` resolves the responsible node, then the item or request is sent to
 it *directly* (single IP hop), because "the bandwidth savings of not having a
 large message hop along the overlay network" outweigh the small chance of the
-mapping changing in between.
+mapping changing in between.  A renewal round skips the first step: it goes
+straight to the node that last took each item (see below).
 
 Batch interface
 ---------------
@@ -40,10 +41,13 @@ arrival side is chunk-at-a-time too: the owner stores the chunk and makes
 newly live items in chunk order (every new triple is announced exactly once;
 a chunk that only overwrites live triples makes no upcall).
 
-A renewal (``renew_batch``, or ``renew`` of one) is a ``prov.put_chunk`` of
-names without ``values``, 16 B per item.  The owner extends what it holds
-live, with no upcall, and names the rest in one ``prov.renew_missing`` reply;
-the publisher's renewal agent puts exactly those again.
+A renewal is a ``prov.put_chunk`` of names without ``values``, 16 B per
+item, sent by the renewal agent straight to the node its last routed put or
+renewal of each item went to (or a fast load placed it at); ``renew_batch``,
+or ``renew`` of one, routes it like a put.  The receiver extends what it both
+holds live and still ``owns``, with no upcall, and names the rest in one
+``prov.renew_missing`` reply (a bounced renewal names all of its items); the
+renewal agent puts exactly those again through the routed put.
 
 Every read is a ``get_batch``: one ``lookup_batch`` for its keys, one
 ``prov.get_batch`` request per owner the lookup names, one
@@ -93,8 +97,8 @@ resolution) arrives.  Four mechanisms bound that wait, for ``get`` and
 
 A put is not tracked — renewal is its repair — but it is not lost silently:
 items bounced off a dead owner, whose key the overlay could not route, or
-named missing to a node with no renewal agent are counted per namespace
-(``put_bounces_by_namespace``), whichever front-end sent them.  That count
+named missing (or bounced as a renewal) to a node with no renewal agent are
+counted per namespace (``put_bounces_by_namespace``), whichever front-end sent them.  That count
 and the per-scope delivery accounting (issued / completed / failed /
 cancelled) back the client's query completeness report.
 """
@@ -109,7 +113,7 @@ from typing import (Any, Callable, Collection, Dict, Iterator, List, Optional,
 from repro.dht.api import RoutingLayer
 from repro.dht.multicast import MulticastHandler, MulticastService
 from repro.dht.naming import hash_key
-from repro.dht.softstate import RenewalAgent
+from repro.dht.softstate import RENEW_ITEM_BYTES, RenewalAgent
 from repro.dht.storage import StorageManager, StoredItem
 from repro.net.node import Node
 
@@ -117,8 +121,6 @@ from repro.net.node import Node
 DEFAULT_LIFETIME_S = 300.0
 #: Default wire size of an item when the caller does not specify one.
 DEFAULT_ITEM_BYTES = 100
-#: Wire size of a renewed (or missing) item's name: resourceID + instanceID.
-RENEW_ITEM_BYTES = 16
 #: How often each node sweeps expired soft state out of its storage manager.
 DEFAULT_SWEEP_PERIOD_S = 5.0
 
@@ -242,11 +244,6 @@ class Provider:
 
     # --------------------------------------------------------------- helpers
 
-    @classmethod
-    def of(cls, node: Node) -> "Provider":
-        """Fetch the Provider installed on ``node``."""
-        return node.services[cls.SERVICE_NAME]
-
     @property
     def now(self) -> float:
         """Current virtual time."""
@@ -361,12 +358,15 @@ class Provider:
 
         def _deliver(owner: int, resolved: List[int]) -> None:
             indices = [i for key in resolved for i in indices_by_key[key]]
+            destination = owner if target is None else target
+            chunk_ids = [resource_ids[i] for i in indices]
+            chunk_instances = [instance_ids[i] for i in indices]
+            if self.renewal_agent is not None:
+                self.renewal_agent.record_owner(destination, namespace, chunk_ids, chunk_instances)
             self._send_put_chunk(
-                owner if target is None else target, namespace,
-                [resource_ids[i] for i in indices],
+                destination, namespace, chunk_ids,
                 None if values is None else [values[i] for i in indices],
-                [instance_ids[i] for i in indices],
-                [keys[i] for i in indices],
+                chunk_instances, [keys[i] for i in indices],
                 lifetime,
                 [item_bytes[i] for i in indices]
                 if isinstance(item_bytes, list) else item_bytes,
@@ -423,9 +423,12 @@ class Provider:
                 or (isinstance(sizes, list) and len(sizes) != count)):
             self._record_put_bounce(namespace, count)
             return
-        if values is None:  # a renewal: extend what is live, name the rest
-            missing = self.storage.renew_batch(namespace, resource_ids,
-                                               instance_ids, expires_at, now)
+        if values is None:  # a renewal: extend what is owned and live, name the rest
+            owned = [i for i, key in enumerate(payload["keys"]) if self.routing.owns(key)]
+            lapsed = self.storage.renew_batch(namespace, [resource_ids[i] for i in owned],
+                                              [instance_ids[i] for i in owned], expires_at, now)
+            renewed = set(owned).difference(owned[j] for j in lapsed)
+            missing = [i for i in range(count) if i not in renewed]
             if missing:
                 self._return_missing(publisher, {
                     "namespace": namespace, "resource_ids": [resource_ids[i] for i in missing],
@@ -478,9 +481,13 @@ class Provider:
 
         Publishers do not retry — renewal is the repair mechanism — but the
         loss is counted per namespace so query completeness reports can
-        attribute lost temporary fragments to their query.
+        attribute lost temporary fragments to their query.  A bounced
+        renewal names its items missing: the renewal agent puts them again.
         """
         payload = message.payload
+        if "values" not in payload:
+            self._return_missing(self.node.address, payload)
+            return
         self._record_put_bounce(payload["namespace"],
                                 len(payload["resource_ids"]))
 

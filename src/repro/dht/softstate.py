@@ -8,8 +8,14 @@ lost until their publishers renew them — which is exactly the dynamic the
 recall experiment (Figure 6) measures for different refresh periods.
 
 :class:`RenewalAgent` is the publisher-side half: it remembers every item the
-local node has published, ``renew``s each by name every ``refresh_period``
-seconds and ``put``s again only what an owner no longer holds.  The
+local node has published and the node that last took it, ``renew``s each by
+name at that owner every ``refresh_period`` seconds, with no overlay lookup
+(an item whose owner is unknown is renewed through a routed one, which
+records it), and ``put``s again through the routed put only what an owner no
+longer holds or owns.  This is safe under churn because a key changes owner
+only at a join or a graceful leave (a failed node recovers under the same
+identity, and nobody takes over its keys); after one, the old owner names the
+moved keys missing and their routed restore records the new owner.  The
 responsible-node half (renewal and expiry) lives in
 :class:`repro.dht.storage.StorageManager` and the Provider's periodic sweep.
 """
@@ -17,12 +23,18 @@ responsible-node half (renewal and expiry) lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
+
+from repro.dht.naming import hash_keys
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dht.provider import Provider
 
 RecordKey = Tuple[str, Any, int]
+
+#: Wire size of a renewed (or missing) item's name: resourceID + instanceID.
+RENEW_ITEM_BYTES = 16
 
 
 @dataclass
@@ -35,6 +47,8 @@ class PublishedRecord:
     value: Any
     lifetime: float
     size_bytes: int
+    #: The node that last took the item (``None`` until a put resolves it).
+    owner: Optional[int] = None
 
 
 @dataclass
@@ -64,10 +78,21 @@ class RenewalAgent:
     # ------------------------------------------------------------- tracking
 
     def track(self, namespace: str, resource_id: Any, instance_id: int,
-              value: Any, lifetime: float, size_bytes: int) -> None:
-        """Start renewing an item this node just published."""
+              value: Any, lifetime: float, size_bytes: int,
+              owner: Optional[int] = None) -> None:
+        """Start renewing an item this node just published (at ``owner``,
+        when the caller placed it there itself)."""
         self.records[(namespace, resource_id, instance_id)] = PublishedRecord(
-            namespace, resource_id, instance_id, value, lifetime, size_bytes)
+            namespace, resource_id, instance_id, value, lifetime, size_bytes,
+            owner)
+
+    def record_owner(self, owner: int, namespace: str, resource_ids: Iterable[Any],
+                     instance_ids: Iterable[int]) -> None:
+        """A routed put or renewal sent these items to ``owner``."""
+        for resource_id, instance_id in zip(resource_ids, instance_ids):
+            record = self.records.get((namespace, resource_id, instance_id))
+            if record is not None:
+                record.owner = owner
 
     def untrack_namespace(self, namespace: str) -> int:
         """Stop renewing every tracked item of one namespace.
@@ -109,28 +134,40 @@ class RenewalAgent:
 
     def renew_all(self) -> int:
         """Renew every tracked item once; returns the number renewed.  One
-        :meth:`repro.dht.provider.Provider.renew_batch` per (namespace,
-        lifetime): a storm costs a message per owner and 16 B per item."""
-        for (namespace, lifetime), records in _groups(self.records.values()):
-            self.provider.renew_batch(
-                namespace, [record.resource_id for record in records],
-                [record.instance_id for record in records], lifetime)
+        value-less chunk per (namespace, lifetime, owner), straight to the
+        owner: a storm costs a message per owner, 16 B per item and no lookup.
+        Unknown owners: one routed :meth:`repro.dht.provider.Provider.renew_batch`."""
+        provider = self.provider
+        for (namespace, lifetime, owner), records in _groups(
+                self.records.values(), attrgetter("namespace", "lifetime", "owner")):
+            resource_ids = [record.resource_id for record in records]
+            instance_ids = [record.instance_id for record in records]
+            if owner is None:
+                provider.renew_batch(namespace, resource_ids, instance_ids,
+                                     lifetime)
+            else:
+                provider._send_put_chunk(
+                    owner, namespace, resource_ids, None, instance_ids,
+                    hash_keys(namespace, resource_ids), lifetime,
+                    RENEW_ITEM_BYTES)
         return len(self.records)
 
     def restore(self, namespace: str, resource_ids: Iterable[Any],
                 instance_ids: Iterable[int]) -> None:
-        """Put again, value and all, the named items an owner does not hold;
-        one no longer tracked (a dead publisher's statistics) stays gone."""
+        """Put again, value and all, through the routed put, the named items
+        an owner does not hold or own or whose renewal bounced; one no longer
+        tracked (a dead publisher's statistics) stays gone."""
         tracked = (self.records.get((namespace, resource_id, instance_id))
                    for resource_id, instance_id in zip(resource_ids, instance_ids))
-        for (_namespace, lifetime), records in _groups(filter(None, tracked)):
+        for (_namespace, lifetime), records in _groups(
+                filter(None, tracked), attrgetter("namespace", "lifetime")):
             self.provider.put_batch(namespace, [
                 (record.resource_id, record.value, record.instance_id,
                  record.size_bytes) for record in records], lifetime=lifetime)
 
 
-def _groups(records: Iterable[PublishedRecord]):
-    groups: Dict[Tuple[str, float], List[PublishedRecord]] = {}
+def _groups(records: Iterable[PublishedRecord], group_of: attrgetter):
+    groups: Dict[tuple, List[PublishedRecord]] = {}
     for record in records:
-        groups.setdefault((record.namespace, record.lifetime), []).append(record)
+        groups.setdefault(group_of(record), []).append(record)
     return groups.items()

@@ -212,7 +212,8 @@ class PierNetwork:
         ``fast=False`` issues real ``put`` traffic from every publisher and
         runs the simulation until it drains.  ``track_renewal`` additionally
         records every tuple with the publisher's renewal agent (create the
-        agents first with :meth:`start_renewal_agents`).
+        agents first with :meth:`start_renewal_agents`) and, under ``fast``,
+        the owner it was placed at, so the first renewal needs no lookup.
 
         Each publisher also collects statistics over its batch — cardinality,
         bytes, per-column distinct counts and min/max bounds — records them
@@ -249,27 +250,28 @@ class PierNetwork:
             self.relation_stats.merge_partial(partial)
             self.executors[publisher].stats.merge_partial(partial)
             for namespace, resource_ids, values, life, size in batches:
-                instance_ids = self._place(publisher, namespace, resource_ids, values,
-                                           life, size, fast)
+                instance_ids, owners = self._place(
+                    publisher, namespace, resource_ids, values, life, size, fast)
                 if track_renewal:
                     track = self.renewal_agents[publisher].track
-                    for resource_id, instance_id, value in zip(
-                            resource_ids, instance_ids, values):
-                        track(namespace, resource_id, instance_id, value, life, size)
+                    for resource_id, instance_id, value, owner in zip(
+                            resource_ids, instance_ids, values, owners):
+                        track(namespace, resource_id, instance_id, value, life, size, owner)
         if not fast:
             self.network.run_until_idle()
         return loaded
 
     def _place(self, publisher: int, namespace: str, resource_ids: List,
                values: List, lifetime: float, size_bytes: int,
-               fast: bool) -> List[int]:
-        """Publish ``values`` under ``resource_ids``, returning the instanceIDs:
-        one ``store_batch`` per owner in publishing order, or ``put`` each."""
+               fast: bool) -> Tuple[List[int], Sequence[Optional[int]]]:
+        """Publish ``values`` under ``resource_ids``, returning the instanceIDs
+        and owners: one ``store_batch`` per owner in publishing order, or
+        ``put`` each (owners unknown: ``None``)."""
         provider = self.providers[publisher]
         if not fast:
             return [provider.put(namespace, resource_id, None, value,
                                  lifetime=lifetime, item_bytes=size_bytes)
-                    for resource_id, value in zip(resource_ids, values)]
+                    for resource_id, value in zip(resource_ids, values)], [None] * len(values)
         keys = hash_keys(namespace, resource_ids)
         owners = self.builder.owners_of_keys(keys)
         next_id = provider.next_instance_id
@@ -284,7 +286,7 @@ class PierNetwork:
                 now, publisher, size_bytes))
         for owner, items in by_owner.items():
             self.providers[owner].storage.store_batch(items)
-        return instance_ids
+        return instance_ids, owners
 
     # ------------------------------------------------------------ soft state
 

@@ -6,9 +6,10 @@ the partial at the statistics owner, and then derived one key, looked up one
 owner and stored one item per row, handing each to the renewal agent as it
 went.  It stays here because it is the shortest statement of what a fast
 load leaves behind: the stored items in each owner's partitions and expiry
-heap, the publishers' instanceIDs, the renewal records and the partials'
-sketch bytes.  An owner is the one node whose routing layer ``owns`` the key,
-so the builders' batched owner lookup is checked too.
+heap, the publishers' instanceIDs, the renewal records (with the owner each
+item was placed at) and the partials' sketch bytes.  An owner is the one node
+whose routing layer ``owns`` the key, so the builders' batched owner lookup
+is checked too, and with it the owner a renewal round goes to.
 
 Unlike today's loader it checks each publisher only when it reaches it, so a
 rejected load could leave the earlier publishers' items stored.
@@ -93,7 +94,8 @@ def fast_load(pier, relation, rows_by_node: Dict[int, List[dict]],
             stats_rid = relation_stats_resource_id(relation.name)
             stats_key = hash_key(STATS_NAMESPACE, stats_rid)
             stats_instance = provider.next_instance_id()
-            pier.providers[owner(pier, stats_key)].storage.store(
+            stats_owner = owner(pier, stats_key)
+            pier.providers[stats_owner].storage.store(
                 StoredItem(namespace=STATS_NAMESPACE, resource_id=stats_rid,
                            instance_id=stats_instance, value=partial,
                            key=stats_key,
@@ -102,18 +104,20 @@ def fast_load(pier, relation, rows_by_node: Dict[int, List[dict]],
                            size_bytes=STATS_ITEM_BYTES))
             if track_renewal:
                 agent.track(STATS_NAMESPACE, stats_rid, stats_instance,
-                            partial, STATS_LIFETIME_S, STATS_ITEM_BYTES)
+                            partial, STATS_LIFETIME_S, STATS_ITEM_BYTES,
+                            stats_owner)
         for row in rows:
             resource_id = relation.resource_id(row)
             key = hash_key(relation.namespace, resource_id)
             instance_id = provider.next_instance_id()
-            pier.providers[owner(pier, key)].storage.store(StoredItem(
+            row_owner = owner(pier, key)
+            pier.providers[row_owner].storage.store(StoredItem(
                 namespace=relation.namespace, resource_id=resource_id,
                 instance_id=instance_id, value=row, key=key,
                 expires_at=pier.now + lifetime, stored_at=pier.now,
                 publisher=publisher, size_bytes=relation.tuple_bytes))
             if track_renewal:
                 agent.track(relation.namespace, resource_id, instance_id,
-                            row, lifetime, relation.tuple_bytes)
+                            row, lifetime, relation.tuple_bytes, row_owner)
             loaded += 1
     return loaded

@@ -4,8 +4,9 @@
 the same relations into two fresh deployments; on CAN and Chord, with and
 without renewal tracking, every storage manager must then hold the same
 partitions with their items in order, the same expiry heap (so the same pop
-order), the same instanceID counters and renewal records, and partials whose
-sketches serialise to the same bytes.
+order), the same instanceID counters and renewal records — each naming the
+owner whose routing layer ``owns`` its key — and partials whose sketches
+serialise to the same bytes.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ def snapshot(pier):
                 for expires_at, seq, partition, key in storage._expiry_heap]
         agent = pier.renewal_agents.get(address)
         records = [] if agent is None else [
-            (key, record.lifetime, record.size_bytes, comparable(record.value))
+            (key, record.lifetime, record.size_bytes, record.owner,
+             comparable(record.value))
             for key, record in agent.records.items()]
         nodes.append((address, partitions, heap, storage._heap_stale,
                       next(provider._instance_ids), records))
@@ -91,6 +93,9 @@ def test_fast_load_matches_the_per_row_reference(dht, track_renewal):
     assert len(partials) > NODES  # every publisher of R twice, and of S
     if track_renewal:
         assert all(agent.records for agent in pier.renewal_agents.values())
+        assert all(record.owner is not None
+                   for agent in pier.renewal_agents.values()
+                   for record in agent.records.values())
     for name in ("R", "S"):
         for registry, reference_registry in (
                 [(pier.relation_stats, expected.relation_stats)]

@@ -286,19 +286,24 @@ def test_store_batch_returns_the_items_of_triples_not_live_before():
 # ``put_batch`` published at its start.  The fixed-seed query pins cover
 # reads; this one holds the routed puts, the renewal storm (names only, no
 # values: every owner still holds what it is asked to renew) and expiry.
+# The fast load records every owner, so the storm is one direct chunk per
+# (publisher, namespace, lifetime, owner) and no lookup: only the fresh
+# put_batch routes (CAN 2 947 -> 704 messages, Chord 2 201 -> 557, when the
+# storm still resolved every key; prov.put_chunk fell 682 -> 611 on CAN, one
+# chunk per owner instead of one per resolution wave).
 
 RENEWAL_PINS = {
-    "can": {"messages_sent": 2947, "bytes_delivered": 354908,
-            "events_processed": 2490, "lookup_hops": 3291,
-            "protocol_messages": {"can.batch_lookup_reply": 682,
-                                  "can.route_batch": 1583,
-                                  "prov.put_chunk": 682},
+    "can": {"messages_sent": 704, "bytes_delivered": 72616,
+            "events_processed": 450, "lookup_hops": 261,
+            "protocol_messages": {"can.batch_lookup_reply": 38,
+                                  "can.route_batch": 55,
+                                  "prov.put_chunk": 611},
             "fresh_stored": 64, "fresh_expired": 64,
             "last_store_time": 1.0019039999999997},
-    "chord": {"messages_sent": 2201, "bytes_delivered": 272236,
-              "events_processed": 1449, "lookup_hops": 2493,
-              "protocol_messages": {"chord.batch_lookup_reply": 503,
-                                    "chord.route_batch": 1195,
+    "chord": {"messages_sent": 557, "bytes_delivered": 60508,
+              "events_processed": 390, "lookup_hops": 201,
+              "protocol_messages": {"chord.batch_lookup_reply": 18,
+                                    "chord.route_batch": 36,
                                     "prov.put_chunk": 503},
               "fresh_stored": 64, "fresh_expired": 64,
               "last_store_time": 0.6028288000000002},
