@@ -5,8 +5,9 @@ department cluster and scales from 2 to 64 nodes with the load: the time to
 the 30th result tuple "practically remains unchanged", with noise attributed
 to the cluster being shared with competing applications.  We model the
 cluster as a switched LAN (sub-millisecond latency, 1 Gbps links) with a
-log-normal background-load jitter — see DESIGN.md for the substitution — and
-check that the curve is flat to within a small factor.
+log-normal background-load jitter standing in for the competing
+applications (``repro.net.cluster.ClusterTopology``), and check that the
+curve is flat to within a small factor.
 """
 
 from bench_common import (SMOKE_NODE_CAP, build_loaded_network, is_smoke,

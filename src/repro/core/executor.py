@@ -223,6 +223,8 @@ class QueryExecutor:
         self.agg_bytes: Dict[int, Dict[str, int]] = {}
         #: query_id -> teardown time, so late query floods are suppressed.
         self._finished: Dict[int, float] = {}
+        #: Numbers the queries submitted here (see :meth:`submit`).
+        self._query_ids = itertools.count(1)
         provider.on_multicast(QUERY_NAMESPACE, self._on_query_multicast)
         node.register_handler(self.PROTOCOL_RESULT, self._on_result)
         node.services[self.SERVICE_NAME] = self
@@ -265,7 +267,12 @@ class QueryExecutor:
     # ------------------------------------------------------- initiator side
 
     def submit(self, query: QuerySpec) -> QueryHandle:
-        """Submit a query from this node; returns the handle collecting results."""
+        """Submit a query from this node; returns the handle collecting results.
+
+        A spec without an id gets ``(address << 32) | n`` for this executor's
+        ``n``-th: unique in the deployment, whatever ran before it."""
+        if query.query_id is None:
+            query.query_id = (self.node.address << 32) | next(self._query_ids)
         query.initiator = self.node.address
         graph = build_opgraph(query)
         graph.artifacts  # an unlowerable plan raises before the flood

@@ -25,21 +25,12 @@ from __future__ import annotations
 
 import copy
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.core.expressions import Expression
 from repro.core.tuples import RelationDef
 from repro.exceptions import PlanError
-
-_query_ids = itertools.count(1)
-
-
-def next_query_id() -> int:
-    """Allocate a process-wide unique query id."""
-    return next(_query_ids)
-
 
 @dataclass(frozen=True)
 class QueryTeardown:
@@ -169,7 +160,8 @@ class QuerySpec:
     #: limit is enforced by the :class:`repro.client.ResultCursor`, which
     #: stops delivering rows and cancels the dataflow once satisfied.
     limit: Optional[int] = None
-    query_id: int = field(default_factory=next_query_id)
+    #: Named by the executor that submits the spec (``None`` until then).
+    query_id: Optional[int] = None
     initiator: int = 0
     #: Wire size of one result tuple delivered to the initiator (the paper
     #: pads results to 1 KB).
@@ -231,11 +223,10 @@ class QuerySpec:
 
         Only the per-window mutable state is rebuilt: the container fields a
         window may rewrite (``local_predicates`` gets the sliding-window
-        conjunct) become fresh copies, and the ``query_id`` is reallocated so
-        temporary namespaces do not collide with previous windows (the clone
-        is lowered afresh).  The immutable payload —
-        relation definitions, expressions, join/aggregate descriptions — is
-        shared, not deep-copied.
+        conjunct) become fresh copies, and the ``query_id`` is cleared so the
+        submitting executor names the window afresh (its temporary namespaces
+        are its own).  The immutable payload — relation definitions,
+        expressions, join/aggregate descriptions — is shared, not deep-copied.
         """
         clone = copy.copy(self)
         clone.tables = list(self.tables)
@@ -246,7 +237,7 @@ class QuerySpec:
         clone.derived_columns = dict(self.derived_columns)
         if self.computation_nodes is not None:
             clone.computation_nodes = list(self.computation_nodes)
-        clone.query_id = next_query_id()
+        clone.query_id = None
         # Each window makes its own optimizer decision (an AUTO template
         # stays AUTO here and is re-resolved against refreshed statistics).
         clone.optimizer_report = None

@@ -410,10 +410,8 @@ class RoutingLayer(ABC):
     def rebind(self, node: Node) -> "RoutingLayer":
         """Move this routing layer (tables intact) onto another node.
 
-        The real-transport bootstrap builds the full stabilised overlay
-        locally over throwaway stand-in nodes — both network builders are
-        deterministic functions of the address list — and then rebinds the
-        one routing layer that belongs to this process onto its real,
+        A real process keeps its layer of an overlay built on stand-in
+        nodes (:func:`repro.stack.build_overlay`) and rebinds it onto its
         socket-backed node.  Every protocol handler (and bounce handler) the
         layer registered on the stand-in is re-registered on the new node,
         so the move is invisible to the layer itself.

@@ -48,8 +48,6 @@ MulticastHandler = Callable[[str, Any, Any, int], None]
 #: Seconds a node remembers an envelope id (see the module docstring).
 DEDUP_HORIZON_S = RoutingLayer.MAX_ROUTE_HOPS * DEFAULT_HEARTBEAT_PERIOD_S
 
-_multicast_sequence = itertools.count(1)
-
 
 class MulticastService:
     """Per-node multicast service: tree forwarding, flood repair, dedup."""
@@ -66,6 +64,8 @@ class MulticastService:
         self._handlers: Dict[str, List[MulticastHandler]] = {}
         #: Multicast messages bounced off dead neighbours (ops/completeness).
         self.flood_bounces = 0
+        #: Numbers the envelopes originated here; the address makes ids unique.
+        self._sequence = itertools.count(1)
         node.register_handler(self.PROTOCOL, self._on_flood)
         node.register_bounce_handler(self.PROTOCOL, self._on_flood_bounce)
 
@@ -113,7 +113,7 @@ class MulticastService:
         """
         if not entries:
             raise ValueError("multicast_batch needs at least one entry")
-        multicast_id = (self.node.address, next(_multicast_sequence))
+        multicast_id = (self.node.address, next(self._sequence))
         envelope = {
             "id": multicast_id,
             "entries": [

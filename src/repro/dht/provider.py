@@ -123,6 +123,8 @@ DEFAULT_LIFETIME_S = 300.0
 DEFAULT_ITEM_BYTES = 100
 #: How often each node sweeps expired soft state out of its storage manager.
 DEFAULT_SWEEP_PERIOD_S = 5.0
+#: Retries after a reroute before a get request completes empty.
+REQUEST_RETRIES = 1
 
 #: Callback type for ``get``: receives a list of :class:`DHTItem`.
 GetCallback = Callable[[List["DHTItem"]], None]
@@ -198,22 +200,18 @@ class Provider:
 
     def __init__(self, node: Node, routing: RoutingLayer,
                  sweep_period_s: float = DEFAULT_SWEEP_PERIOD_S,
-                 instance_seed: int = 0,
-                 request_timeout_s: Optional[float] = None,
-                 request_retries: int = 1):
+                 request_timeout_s: Optional[float] = None):
         self.node = node
         self.routing = routing
         self.storage = StorageManager()
         #: Per-request timeout for ``get``/``get_batch`` (``None`` disables
         #: the timer lane; transport bounces still bound dead-owner waits).
         self.request_timeout_s = request_timeout_s
-        #: Retries after a reroute before a request completes empty.
-        self.request_retries = max(0, request_retries)
         self.multicast_service = MulticastService(node, routing)
         self._new_data_callbacks: Dict[str, List[NewDataCallback]] = {}
         self._pending_batch_gets: Dict[int, _PendingGet] = {}
         self._get_ids = itertools.count(1)
-        self._instance_ids = itertools.count(instance_seed * 1_000_003 + 1)
+        self._instance_ids = itertools.count(node.address * 1_000_003 + 1)
         #: Per-scope (query) get accounting: issued/completed/failed/cancelled.
         self._scope_counters: Dict[Any, Dict[str, int]] = {}
         #: Put fragments bounced off dead destinations, per namespace.
@@ -500,7 +498,7 @@ class Provider:
         A :meth:`get_batch` of one whose answer is handed over as
         ``callback(items)``: tracked from issue time, retried after a bounce
         (or, with ``request_timeout_s`` set, a timeout) up to
-        ``request_retries`` times, and completed with an empty item list when
+        ``REQUEST_RETRIES`` times, and completed with an empty item list when
         the retries run out or the overlay cannot route the key at all —
         callers degrade, they never hang.  ``scope`` tags the request for
         :meth:`cancel_pending` and the per-scope delivery accounting (queries
@@ -630,7 +628,7 @@ class Provider:
         retried by the timeout like any other request, and the routing
         layer's record of the dead lookup is released with it.  Each
         owner the lookup names turns its ids into a sub-request of their own:
-        bounces and timeouts retry it (``request_retries`` times) and then
+        bounces and timeouts retry it (``REQUEST_RETRIES`` times) and then
         complete each of its ids with an empty item list, and ids whose
         routed lookups dead-end are failed as soon as the routing layer
         reports them unresolved.  ``scope`` tags the requests for
@@ -639,7 +637,7 @@ class Provider:
         outstanding = dict.fromkeys(resource_ids)
         if not outstanding:
             return
-        attempts = (self.request_retries if _attempts_left is None
+        attempts = (REQUEST_RETRIES if _attempts_left is None
                     else _attempts_left)
         if _attempts_left is None:
             self._count(scope, "issued", len(outstanding))

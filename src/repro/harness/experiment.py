@@ -19,19 +19,19 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.executor import QueryExecutor
-from repro.core.stats import STATS_NAMESPACE, StatsRegistry, publisher_batches
+from repro.core.stats import StatsRegistry, publisher_batches
 from repro.core.tuples import RelationDef
 from repro.dht.naming import hash_key, hash_keys
 from repro.dht.provider import Provider
 from repro.dht.softstate import RenewalAgent
 from repro.dht.storage import StoredItem
 from repro.exceptions import ExperimentError
-from repro.harness.overlay import make_builder
 from repro.net.cluster import ClusterTopology
 from repro.net.failures import DEFAULT_DETECTION_DELAY_S, FailureInjector
 from repro.net.network import Network
 from repro.net.topology import FullMeshTopology, MBPS_10
 from repro.net.transit_stub import TransitStubTopology
+from repro.stack import NodeStack, build_overlay
 
 #: Topology names accepted by :class:`SimulationConfig`.
 TOPOLOGIES = ("full_mesh", "transit_stub", "cluster")
@@ -67,8 +67,6 @@ class ChurnConfig:
     protect: Tuple[int, ...] = (0,)
     #: Per-request get timeout; bounds waits that bounces cannot see.
     request_timeout_s: Optional[float] = 10.0
-    #: Retries-after-reroute before a get completes empty.
-    request_retries: int = 1
 
     def __post_init__(self) -> None:
         if self.failure_rate_per_min < 0:
@@ -122,27 +120,23 @@ class PierNetwork:
         self.topology = self._build_topology(config)
         self.network = Network(self.topology,
                                coalesce_window_s=config.coalesce_window_s)
-        self.builder = make_builder(config.dht, can_dimensions=config.can_dimensions,
-                                    seed=config.seed)
-        self.routings = self.builder.build_stabilized(self.network)
-        self.providers: Dict[int, Provider] = {}
-        self.executors: Dict[int, QueryExecutor] = {}
+        self.builder, self.routings = build_overlay(
+            config.dht, range(config.num_nodes), config.can_dimensions,
+            config.seed, network=self.network)
         churn = config.churn
-        for address in range(config.num_nodes):
-            node = self.network.node(address)
-            provider = Provider(
-                node, self.routings[address],
+        #: One node's Provider and executor each, and its failure transitions.
+        self.stacks: Dict[int, NodeStack] = {
+            address: NodeStack(
+                self.network.node(address), routing,
                 sweep_period_s=config.sweep_period_s,
-                instance_seed=address,
                 request_timeout_s=(churn.request_timeout_s
                                    if churn is not None else None),
-                request_retries=(churn.request_retries
-                                 if churn is not None else 1),
-            )
-            self.providers[address] = provider
-            self.executors[address] = QueryExecutor(
-                node, provider, failure_aware=churn is not None,
-            )
+                failure_aware=churn is not None)
+            for address, routing in self.routings.items()}
+        self.providers: Dict[int, Provider] = {
+            address: stack.provider for address, stack in self.stacks.items()}
+        self.executors: Dict[int, QueryExecutor] = {
+            address: stack.executor for address, stack in self.stacks.items()}
         self.renewal_agents: Dict[int, RenewalAgent] = {}
         #: Failure injector driving churn (``None`` without a ChurnConfig).
         self.failure_injector: Optional[FailureInjector] = None
@@ -301,40 +295,18 @@ class PierNetwork:
     # ----------------------------------------------------------------- churn
 
     def _attach_failure_injector(self, churn: ChurnConfig) -> FailureInjector:
-        """Build the churn failure injector, with callbacks that keep the
-        stack consistent.
-
-        * **on_fail** — the victim's Provider drops its stored soft state and
-          in-flight gets, its executor releases every query's local dataflow
-          (process death), and its renewal agent stops renewing statistics
-          partials — the data they described died with the node — while
-          data-tuple renewals resume on recovery (the Figure 6 repair
-          dynamic).
-        * **on_detect** — every live routing layer marks the victim dead (so
-          lookups reroute), and live owners purge the victim's
-          ``__pier_stats__`` partials so the optimizer stops planning from a
-          dead publisher's cardinalities.
-        * **on_recover** — routing marks the identity alive again; it
-          resumes with empty storage.
-        """
-
-        def _on_fail(address: int) -> None:
-            self.providers[address].handle_node_failure()
-            self.executors[address].handle_node_failure()
-            agent = self.renewal_agents.get(address)
-            if agent is not None:
-                agent.untrack_namespace(STATS_NAMESPACE)
+        """The churn failure injector: a victim's stack fails, then every
+        stack learns it dead (a failed node's storage is already empty) and,
+        on recovery, alive (:class:`repro.stack.NodeStack`)."""
+        stacks = list(self.stacks.values())
 
         def _on_detect(address: int) -> None:
-            for routing in self.routings.values():
-                routing.mark_neighbor_dead(address)
-            for other, provider in self.providers.items():
-                if other != address and self.network.node(other).alive:
-                    provider.storage.purge_publisher(STATS_NAMESPACE, address)
+            for stack in stacks:
+                stack.peer_dead(address)
 
         def _on_recover(address: int) -> None:
-            for routing in self.routings.values():
-                routing.mark_neighbor_alive(address)
+            for stack in stacks:
+                stack.peer_alive(address)
 
         return FailureInjector(
             network=self.network,
@@ -342,7 +314,7 @@ class PierNetwork:
             detection_delay_s=churn.detection_delay_s,
             downtime_s=churn.downtime_s,
             seed=churn.seed,
-            on_fail=_on_fail,
+            on_fail=lambda address: self.stacks[address].fail(),
             on_detect=_on_detect,
             on_recover=_on_recover,
             protect=frozenset(churn.protect),

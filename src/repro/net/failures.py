@@ -14,7 +14,7 @@ minute).  The paper's model, reproduced here:
 Zone-takeover details of CAN are abstracted: after ``downtime`` the failed
 identity resumes with empty storage, which is indistinguishable, for the
 recall metric, from a neighbour absorbing the zone and later splitting it
-again.  This substitution is documented in DESIGN.md.
+again.
 
 ``FailureInjector`` drives the process as a Poisson-like arrival stream with
 exponential inter-failure gaps (seeded, hence deterministic), and exposes

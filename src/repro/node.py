@@ -22,12 +22,13 @@ Every other process joins through it::
 Joiners send a ``hello`` frame carrying their advertised endpoint; the
 bootstrap assigns overlay addresses in arrival order and, once all ``N``
 members registered, broadcasts the membership map and the cluster
-configuration (DHT kind, CAN dimensions, seed, sweep period, row
-pipeline).  Each process then builds the full stabilised overlay *locally*
-(the network builders are deterministic functions of the address list — see
-:mod:`repro.harness.overlay`) and rebinds its own routing layer onto its
-socket-backed node.  No join messages cross the wire, mirroring the paper's
-"measurements start after the CAN routing stabilizes".
+configuration (DHT kind, CAN dimensions, seed, sweep and heartbeat
+periods, suspicion and request timeouts).  Each process then builds the full
+stabilised overlay *locally* (the network builders are deterministic
+functions of the address list — see :func:`repro.stack.build_overlay`) and
+rebinds its own routing layer onto its socket-backed node.  No join
+messages cross the wire, mirroring the paper's "measurements start after
+the CAN routing stabilizes".
 
 Live membership
 ---------------
@@ -51,12 +52,12 @@ After bootstrap, membership is no longer fixed:
   :class:`repro.net.failures.HeartbeatFailureDetector` over its routing
   neighbours; after ``--suspicion-timeout`` seconds of silence (the
   paper's 15 s keep-alive model) the failure is *confirmed* and the same
-  paths the simulator's injector drives fire here: routing marks the peer
-  dead and heals, its statistics partials are purged everywhere
-  (``cluster.dead`` broadcast), and in-flight requests resolve through
-  the Provider's bounce/timeout lanes so queries degrade instead of
-  hanging.  A crashed node keeps its overlay address (ownership does not
-  remap), exactly like the simulator's model.
+  :class:`repro.stack.NodeStack` transitions the simulator's injector
+  drives fire here: routing marks the peer dead and heals, its statistics
+  partials are purged everywhere (``cluster.dead`` broadcast), and
+  in-flight requests resolve through the Provider's bounce/timeout lanes
+  so queries degrade instead of hanging.  A crashed node keeps its overlay
+  address (ownership does not remap), exactly like the simulator's model.
 
 Gateway RPC
 -----------
@@ -68,7 +69,7 @@ frames:
 * ``store`` — place pre-grouped tuples directly into this node's storage
   (the remote fast load; see :class:`repro.remote.RemotePier`).
 * ``submit`` — run a :class:`repro.core.query.QuerySpec` from this node
-  under a query id the node assigns (its address, then a per-process count);
+  under a query id its executor assigns (its address, then its own count);
   the reply carries the id and precedes every row, which stream back as
   ``{"t": "evt"}`` frames — the rows of one event-loop turn at its end, 256
   to a frame.
@@ -83,7 +84,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import itertools
 import logging
 import sys
 from typing import Any, Dict, Optional, Tuple
@@ -91,10 +91,9 @@ from typing import Any, Dict, Optional, Tuple
 from repro.core.executor import QueryExecutor, QueryHandle
 from repro.core.stats import STATS_NAMESPACE
 from repro.dht.naming import hash_key
-from repro.dht.provider import Provider
+from repro.dht.provider import DEFAULT_SWEEP_PERIOD_S, Provider
 from repro.dht.storage import StoredItem
 from repro.exceptions import NodeNotReadyError, UnknownNamespaceError
-from repro.harness.overlay import OwnerLocator, build_local_routing
 from repro.net.failures import (
     DEFAULT_DETECTION_DELAY_S,
     DEFAULT_HEARTBEAT_PERIOD_S,
@@ -103,15 +102,13 @@ from repro.net.failures import (
 from repro.net.node import Node
 from repro.net.real import RealTransport
 from repro.net.wire import MAX_FRAME_BYTES, FrameDecoder, encode_frame
+from repro.stack import NodeStack, build_overlay
 
 log = logging.getLogger("repro.node")
 
 #: Most result rows one ``evt`` frame carries; the rows of one loop turn
 #: leave at its end, cut into frames of this many.
 RESULT_FLUSH_ROWS = 256
-#: Default soft-state sweep period on real nodes (the paper's renewal scale
-#: makes sub-second sweeps pointless; 5 s keeps expiry prompt without churn).
-DEFAULT_SWEEP_PERIOD_S = 5.0
 #: Default per-request timeout for DHT gets on real nodes.  The simulator
 #: only arms this lane in churn deployments, but a real cluster can lose a
 #: node at any moment, so requests must always be bounded (0 disables).
@@ -168,6 +165,7 @@ class PierNode:
         self.transport = RealTransport(0, listen[0], listen[1],
                                        max_frame_bytes=max_frame_bytes)
         self.node: Optional[Node] = None
+        self.stack: Optional[NodeStack] = None
         self.provider: Optional[Provider] = None
         self.executor: Optional[QueryExecutor] = None
         self.detector: Optional[HeartbeatFailureDetector] = None
@@ -179,10 +177,8 @@ class PierNode:
         self.confirmed_dead: set = set()
         #: Namespaces known to hold data somewhere in the cluster.
         self.known_namespaces: set = set()
-        self._routing = None
         self._builder = None
         self._pumps: Dict[int, _ResultPump] = {}
-        self._query_ids = itertools.count(1)
         self._members_complete = asyncio.Event()
         #: (writer, endpoint) per joiner, in arrival order (bootstrap only).
         self._joiners = []
@@ -345,23 +341,16 @@ class PierNode:
         self.transport.update_peers(self.membership)
         self.node = Node(self.transport.address, self.transport)
         self.transport.attach_node(self.node)
-        routing, builder = build_local_routing(
-            self.node, list(self.membership),
-            dht=self.config["dht"],
-            can_dimensions=self.config["can_dimensions"],
-            seed=self.config["seed"],
-        )
-        self._routing = routing
-        self._builder = builder
+        routing = self._build_routing()
         request_timeout = float(self.config.get("request_timeout_s") or 0.0)
-        self.provider = Provider(
+        self.stack = NodeStack(
             self.node, routing,
             sweep_period_s=self.config["sweep_period_s"],
-            instance_seed=self.node.address,
             request_timeout_s=request_timeout if request_timeout > 0 else None,
+            failure_aware=True,
         )
-        self.executor = QueryExecutor(self.node, self.provider,
-                                      failure_aware=True)
+        self.provider = self.stack.provider
+        self.executor = self.stack.executor
         self.node.register_handler("cluster.update", self._on_cluster_update)
         self.node.register_handler("cluster.transfer", self._on_transfer)
         self.node.register_handler("cluster.dead", self._on_peer_dead_msg)
@@ -413,6 +402,17 @@ class PierNode:
                 self.node.send(address, "cluster.update", payload=payload,
                                payload_bytes=24 * len(self.membership))
 
+    def _build_routing(self):
+        """This node's layer of the overlay over the current membership,
+        rebound onto its node; the builder places keys under it."""
+        self._builder, routings = self._overlay(self.membership)
+        return routings[self.node.address].rebind(self.node)
+
+    def _overlay(self, addresses):
+        return build_overlay(self.config["dht"], addresses,
+                             can_dimensions=self.config["can_dimensions"],
+                             seed=self.config["seed"])
+
     def _rebuild_overlay(self) -> None:
         """Deterministically rebuild routing over the current address list.
 
@@ -420,22 +420,15 @@ class PierNode:
         epoch, so no stabilisation traffic is needed; detected-dead marks
         are carried onto the fresh tables so healing survives the rebuild.
         """
-        routing, builder = build_local_routing(
-            self.node, list(self.membership),
-            dht=self.config["dht"],
-            can_dimensions=self.config["can_dimensions"],
-            seed=self.config["seed"],
-        )
+        routing = self._build_routing()
         for address in self.confirmed_dead:
             routing.mark_neighbor_dead(address)
-        self._routing = routing
-        self._builder = builder
         self.provider.rebind_routing(routing)
         self.detector.routing = routing
 
     def _migrate_items(self) -> None:
         """Hand off locally stored items whose owner changed in the rebuild."""
-        routing = self._routing
+        routing = self.provider.routing
         moving = self.provider.storage.extract(
             lambda key: not routing.owns(key))
         if not moving:
@@ -504,12 +497,7 @@ class PierNode:
         self.epoch += 1
         items = self.provider.storage.extract(lambda key: True)
         if survivors and items:
-            locator = OwnerLocator(
-                list(survivors), dht=self.config["dht"],
-                can_dimensions=self.config["can_dimensions"],
-                seed=self.config["seed"],
-            )
-            self._send_items(items, locator.builder.owners_of_keys)
+            self._send_items(items, self._overlay(survivors)[0].owners_of_keys)
         payload = {
             "epoch": self.epoch,
             "nodes": {a: list(e) for a, e in survivors.items()},
@@ -523,14 +511,10 @@ class PierNode:
     # ----------------------------------------------------- failure wiring
 
     def _handle_peer_dead(self, address: int) -> bool:
-        """Apply the confirmed-failure semantics the simulator's injector
-        drives on detection: mark routing dead (it heals around the peer)
-        and purge the dead publisher's statistics partials."""
         if address in self.confirmed_dead or address not in self.membership:
             return False
         self.confirmed_dead.add(address)
-        self._routing.mark_neighbor_dead(address)
-        purged = self.provider.storage.purge_publisher(STATS_NAMESPACE, address)
+        purged = self.stack.peer_dead(address)
         log.warning("node %d confirmed dead (purged %d stats partials)",
                     address, purged)
         return True
@@ -539,7 +523,7 @@ class PierNode:
         if address not in self.confirmed_dead:
             return False
         self.confirmed_dead.discard(address)
-        self._routing.mark_neighbor_alive(address)
+        self.stack.peer_alive(address)
         log.info("node %d is answering again; routing restored", address)
         return True
 
@@ -646,7 +630,7 @@ class PierNode:
                 f"query references namespace {namespace!r} but no data has "
                 f"been loaded into it anywhere in the cluster")
         # Not the client's id: another client process may have run it already.
-        query.query_id = (self.node.address << 32) | next(self._query_ids)
+        query.query_id = None
         handle = self.executor.submit(query)
         self._pumps[query.query_id] = _ResultPump(handle, writer)
         handle.on_row = lambda: self._on_row(query.query_id)

@@ -45,8 +45,9 @@ from repro.exceptions import (
     NodeNotReadyError,
     UnknownNamespaceError,
 )
-from repro.harness.overlay import OwnerLocator
+from repro.dht.naming import hash_keys
 from repro.net.wire import FrameDecoder, encode_frame
+from repro.stack import build_overlay
 
 #: Socket-level timeout on every blocking operation (hard hang guard).
 SOCKET_TIMEOUT_S = 10.0
@@ -299,7 +300,7 @@ class RemotePier:
     def refresh_membership(self) -> None:
         """Re-read the membership map (after joins/leaves) from the gateway.
 
-        Rebuilds the client-side owner locator over the new address list so
+        Rebuilds the client-side overlay builder over the new address list so
         subsequent fast loads and scans place keys exactly where the
         cluster's rebuilt overlay expects them.
         """
@@ -308,9 +309,10 @@ class RemotePier:
     def _read_status(self, status: dict) -> int:
         """Adopt a ``status`` reply: config, membership, confirmed-dead set.
 
-        A changed address list rebuilds the owner locator and closes the
-        connections to members that left.  Returns the answering node's
-        address; a node still assembling raises :class:`NodeNotReadyError`.
+        A changed address list rebuilds the key-placing overlay builder and
+        closes the connections to members that left.  Returns the answering
+        node's address; a node still assembling raises
+        :class:`NodeNotReadyError`.
         """
         if not status["ready"]:
             raise NodeNotReadyError("gateway node is not ready")
@@ -321,10 +323,10 @@ class RemotePier:
             int(a): (e[0], int(e[1])) for a, e in status["nodes"].items()
         }
         if set(endpoints) != set(self.endpoints):
-            self.locator = OwnerLocator(
-                list(endpoints), dht=self.config["dht"],
+            self.builder = build_overlay(
+                self.config["dht"], endpoints,
                 can_dimensions=self.config["can_dimensions"],
-                seed=self.config["seed"])
+                seed=self.config["seed"])[0]
         self.endpoints = endpoints
         for address in list(self._connections):
             if address not in endpoints:
@@ -385,7 +387,7 @@ class RemotePier:
         Same load plan as the simulator harness's fast load
         (:func:`repro.core.stats.publisher_batches`): the client groups
         each publisher's statistics partial and rows by owner (ownership is
-        a deterministic function of the membership — :class:`OwnerLocator`)
+        a deterministic function of the membership — see :attr:`builder`)
         and ships every group to its owner's gateway in one ``store`` RPC.
         RPC acknowledgements make the load synchronous: when this returns,
         every tuple is scannable at its owner.
@@ -399,7 +401,8 @@ class RemotePier:
                                                  at=time.monotonic())
             self.relation_stats.merge_partial(partial)
             for namespace, resource_ids, values, life, size in batches:
-                owners = self.locator.owners_of(namespace, resource_ids)
+                owners = self.builder.owners_of_keys(
+                    hash_keys(namespace, resource_ids))
                 for owner, resource_id, value in zip(owners, resource_ids, values):
                     by_owner.setdefault(owner, []).append({
                         "namespace": namespace, "resource_id": resource_id,

@@ -51,8 +51,8 @@ class WorkloadConfig:
     """Parameters of the synthetic join workload.
 
     ``s_tuples_per_node`` controls the total data volume (R gets
-    ``r_to_s_ratio`` times as many tuples); scale it down for large networks
-    to keep simulations tractable, as discussed in DESIGN.md.
+    ``r_to_s_ratio`` times as many tuples); the benchmarks keep it at a
+    few tuples per node so that large simulated networks stay tractable.
     """
 
     num_nodes: int

@@ -13,8 +13,7 @@ The paper would obtain these relations from wrappers around Snort, TBIT,
 tcpdump, mail servers and the like; none of those traces are available here,
 so this module synthesises relations with the same schemas and with enough
 skew (a handful of "hot" fingerprints and overlapping domains) that all three
-queries return non-trivial answers.  The substitution is recorded in
-DESIGN.md.
+queries return non-trivial answers.
 """
 
 from __future__ import annotations

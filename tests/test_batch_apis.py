@@ -39,8 +39,7 @@ def build_network(dht="can", num_nodes=16, latency=0.02,
     routings = builder.build_stabilized(network)
     providers = {
         address: Provider(network.node(address), routings[address],
-                          sweep_period_s=0.0, instance_seed=address,
-                          request_timeout_s=request_timeout_s)
+                          sweep_period_s=0.0, request_timeout_s=request_timeout_s)
         for address in range(num_nodes)
     }
     return network, providers, builder

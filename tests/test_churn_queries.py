@@ -18,6 +18,7 @@ import pytest
 
 from repro.core.query import JoinStrategy
 from repro.core.stats import STATS_NAMESPACE, StatsRegistry
+from repro.dht.provider import REQUEST_RETRIES
 from repro.harness import ChurnConfig, PierNetwork, SimulationConfig
 from repro.metrics.recall import recall as compute_recall
 from repro.workloads import JoinWorkload, WorkloadConfig
@@ -226,7 +227,7 @@ def test_get_times_out_when_overlay_dead_ends():
     results = []
     provider.get(workload.s_relation.namespace, resource_id, results.append,
                  scope=7)
-    horizon = provider.request_timeout_s * (provider.request_retries + 1) + 5.0
+    horizon = provider.request_timeout_s * (REQUEST_RETRIES + 1) + 5.0
     pier.run(until=pier.now + horizon)
     assert results == [[]]
     assert provider.pending_get_count(7) == 0

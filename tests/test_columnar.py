@@ -82,7 +82,7 @@ def build_provider_network(num_nodes=12):
     routings = builder.build_stabilized(network)
     providers = {
         address: Provider(network.node(address), routings[address],
-                          sweep_period_s=0.0, instance_seed=address)
+                          sweep_period_s=0.0)
         for address in range(num_nodes)
     }
     return network, providers, builder

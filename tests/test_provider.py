@@ -14,7 +14,7 @@ def build_provider_network(num_nodes=12, latency=0.02, sweep=0.0):
     routings = builder.build_stabilized(network)
     providers = {
         address: Provider(network.node(address), routings[address],
-                          sweep_period_s=sweep, instance_seed=address)
+                          sweep_period_s=sweep)
         for address in range(num_nodes)
     }
     return network, providers, builder

@@ -9,12 +9,18 @@ initiator cursor enforces ``LIMIT`` and per-query timeouts by cancelling
 the distributed dataflow.
 """
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import JoinStrategy
 from repro.core.opgraph import bloom_distribution_namespace
 from repro.exceptions import PlanError
 from tests.conftest import build_pier, build_workload, load_join_tables
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+from bench_fig3_scaleup_full_mesh import run_one  # noqa: E402
 
 
 def client_setup(num_nodes=12, **workload_overrides):
@@ -240,3 +246,22 @@ def test_client_continuous_tears_down_previous_windows():
     pier.run(until=100.0)
     for address in range(8):
         assert pier.executor(address).active_query_ids() == []
+
+
+# ------------------------------------------------------------------ query ids
+
+
+def test_a_run_does_not_depend_on_what_ran_before_it_in_the_process():
+    """The executor that submits a query names it, so the fig-3
+    symmetric-hash query on 32 nodes runs the same alone and after a
+    16-node run (the id names the rehash namespace, so an id that depended
+    on earlier runs would move every fragment)."""
+
+    def simulated(row):
+        return {key: value for key, value in row.items()
+                if not key.startswith("wall_")}
+
+    alone = simulated(run_one(32, None))
+    run_one(16, None)
+    assert simulated(run_one(32, None)) == alone
+    assert alone["sim_events"] == 1213

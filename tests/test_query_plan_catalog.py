@@ -14,10 +14,10 @@ from repro.core.query import (
     JoinStrategy,
     QuerySpec,
     TableRef,
-    next_query_id,
 )
 from repro.core.tuples import Column, RelationDef, Schema
 from repro.exceptions import CatalogError, PlanError
+from tests.conftest import build_pier
 from tests.reference import RowGroupBy, build_local_filter_pipeline
 
 
@@ -41,7 +41,16 @@ def simple_join_query(**overrides):
 
 
 def test_query_ids_are_unique():
-    assert next_query_id() != next_query_id()
+    """The executor that submits a spec names it — its address, then its
+    own count — unless the spec already carries an id."""
+    pier = build_pier(2)
+    specs = [simple_join_query() for _ in range(4)]
+    specs[3].query_id = 77
+    for address, spec in zip((0, 0, 1, 1), specs):
+        assert spec.query_id in (None, 77)
+        pier.executor(address).submit(spec)
+    assert [spec.query_id for spec in specs] == [1, 2, (1 << 32) | 1, 77]
+    assert specs[0].clone_for_window().query_id is None
 
 
 def test_query_requires_tables():
@@ -102,8 +111,8 @@ def test_join_clause_helpers():
 
 
 def test_namespace_names_are_query_specific():
-    first = simple_join_query()
-    second = simple_join_query()
+    first = simple_join_query(query_id=1)
+    second = simple_join_query(query_id=2)
     assert first.rehash_namespace() != second.rehash_namespace()
     assert first.bloom_namespace("R") != first.bloom_namespace("S")
     assert first.aggregation_namespace().startswith("__pier_agg_")

@@ -27,6 +27,7 @@ import time
 import pytest
 
 from repro import JoinStrategy
+from repro.dht.naming import hash_key
 from repro.exceptions import NodeNotReadyError, UnknownNamespaceError
 from repro.harness.realcluster import LocalCluster, free_ports
 from repro.metrics.recall import recall_and_precision
@@ -415,13 +416,15 @@ def test_gateway_kill_fails_over_mid_session(churn_cluster):
     # value S.pkey) live on surviving owners.  Against any other reference
     # the recall depends on where this query's id happens to hash relative
     # to the dead zone — 0.25 to 0.81 over ids 2..25 on this very cluster,
-    # which made the test pass or fail with the process-wide id counter.
+    # so the test would pass or fail with the id the gateway assigns.
     pier.refresh_membership()
     query = wl.make_query(strategy=JoinStrategy.SYMMETRIC_HASH)
     client = pier.client(catalog=wl.catalog())
     rows_after = client.query(query, timeout_s=QUERY_HORIZON_S).fetchall(drain=False)
 
-    owner_of = pier.locator.owner_of
+    def owner_of(namespace, resource_id):
+        return pier.builder.owners_of_keys([hash_key(namespace, resource_id)])[0]
+
     reachable = [
         row for row in wl.expected_results()
         if old_gateway not in (

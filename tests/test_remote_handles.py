@@ -112,9 +112,9 @@ def test_a_plan_the_gateway_cannot_lower_is_rejected_by_the_submit_rpc():
 
 
 def test_a_spec_id_another_session_ran_still_returns_every_row():
-    """Spec ids come from a process-wide counter, so a second client process
-    submits ids the cluster has already finished (and keeps suppressing for
-    the finished marker's lifetime).  The gateway assigns its own."""
+    """A client may send a spec named with an id the cluster has already
+    finished (and keeps suppressing for the finished marker's lifetime) —
+    another session's, say.  The gateway assigns its own."""
     workload = two_node_workload()
     expected = row_multiset(workload.expected_results())
     with LocalCluster(2) as cluster:
@@ -122,14 +122,18 @@ def test_a_spec_id_another_session_ran_still_returns_every_row():
         pier.load_relation(workload.r_relation, workload.r_by_node)
         pier.load_relation(workload.s_relation, workload.s_by_node)
         client = pier.client(catalog=workload.catalog())
-        first = workload.make_query(strategy=JoinStrategy.SYMMETRIC_HASH)
-        second = workload.make_query(strategy=JoinStrategy.SYMMETRIC_HASH)
-        second.query_id = first.query_id  # what another process would send
-        for query in (first, second):
+
+        def run(query):
             cursor = client.query(query, timeout_s=10.0)
             assert row_multiset(cursor.fetch(len(expected))) == expected
             assert not cursor.timed_out
             cursor.cancel()
+
+        first = workload.make_query(strategy=JoinStrategy.SYMMETRIC_HASH)
+        run(first)
+        second = workload.make_query(strategy=JoinStrategy.SYMMETRIC_HASH)
+        second.query_id = first.query_id  # what another session would send
+        run(second)
         assert first.query_id != second.query_id
         assert pier.gateway.handles == {}
 

@@ -123,7 +123,7 @@ def deployment(dht, joiners=0):
     builder = CanNetworkBuilder(dimensions=2) if dht == "can" else ChordNetworkBuilder()
     routings = builder.build_stabilized(network, addresses=range(NODES))
     providers = {address: Provider(network.node(address), routing,
-                                   sweep_period_s=0.0, instance_seed=address)
+                                   sweep_period_s=0.0)
                  for address, routing in routings.items()}
     agent = providers[PUBLISHER].make_renewal_agent(refresh_period=30.0)
     for rid, value in ENTRIES:
@@ -141,8 +141,7 @@ def join(network, dht, routings, providers):
     node = network.node(address)
     routing = (CanRouting(node, dimensions=2, seed=address) if dht == "can"
                else ChordRouting(node))
-    providers[address] = Provider(node, routing, sweep_period_s=0.0,
-                                  instance_seed=address)
+    providers[address] = Provider(node, routing, sweep_period_s=0.0)
     routings[address] = routing
     routing.join(PUBLISHER)
     network.run_until_idle()

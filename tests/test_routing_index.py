@@ -27,7 +27,7 @@ from repro.dht.chord import ChordNetworkBuilder, ChordRouting, _in_interval
 from repro.dht.naming import hash_key
 from repro.dht.provider import Provider
 from repro.harness import PierNetwork, SimulationConfig
-from repro.harness.overlay import build_local_routing
+from repro.stack import build_overlay
 from repro.net.network import Network
 from repro.net.topology import FullMeshTopology
 from repro.workloads import JoinWorkload, WorkloadConfig
@@ -36,6 +36,13 @@ from repro.workloads import JoinWorkload, WorkloadConfig
 def make_network(num_nodes):
     return Network(FullMeshTopology(num_nodes, latency_s=0.01,
                                     capacity_bytes_per_s=float("inf")))
+
+
+def local_routing(node, addresses, dht):
+    """``node``'s layer of an overlay built on stand-ins over ``addresses``,
+    rebound onto ``node``, and the builder (as a real node assembles)."""
+    builder, routings = build_overlay(dht, addresses)
+    return routings[node.address].rebind(node), builder
 
 
 # ------------------------------------------------------------- the references
@@ -511,14 +518,14 @@ def test_rebind_keeps_routing_correct(dht):
         return [reference_closest_preceding(routing, routing.ring_key(k))
                 for k in keys if not routing.owns(k)]
 
-    routing, _builder = build_local_routing(node, range(6), dht=dht)
+    routing, _builder = local_routing(node, range(6), dht)
     assert routing.node is node
     assert next_hops(routing) == references(routing)
     provider = Provider(node, routing)
 
     # Membership grows: a fresh layer over the new address list is rebound
     # onto the same node and the Provider follows it.
-    rebuilt, builder = build_local_routing(node, range(8), dht=dht)
+    rebuilt, builder = local_routing(node, range(8), dht)
     provider.rebind_routing(rebuilt)
     assert provider.routing is rebuilt
     assert next_hops(rebuilt) == references(rebuilt)
@@ -537,7 +544,7 @@ def test_rebind_keeps_routing_correct(dht):
 #: Recorded at the parent commit (linear scans): 64 nodes, config seed 7,
 #: workload seed 11, fig-3 symmetric-hash join through PierClient.  The
 #: query id names the rehash namespace and so decides where every fragment
-#: hashes to; it comes from a process-wide counter, so the test fixes it.
+#: hashes to; the test fixes it to the id it was recorded under.
 PINNED_QUERY_ID = 9001
 PINNED = {
     "can": {"messages_sent": 3963, "bytes_delivered": 1242590,
