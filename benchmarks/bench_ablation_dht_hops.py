@@ -17,15 +17,23 @@ from repro.dht.naming import hash_key
 from repro.net.network import Network
 from repro.net.topology import FullMeshTopology
 
-LOOKUPS_PER_POINT = 60
+LOOKUPS_PER_SOURCE = 60
+SOURCES_PER_POINT = 16
 
 
 def measure_hops(builder, network, routings) -> float:
-    source = routings[0]
-    for resource in range(LOOKUPS_PER_POINT):
-        source.lookup(hash_key("hops", resource), lambda owner: None)
+    """Mean hops of routed lookups from up to ``SOURCES_PER_POINT`` sources
+    spread over the address space (one source is a noisy sample)."""
+    addresses = sorted(routings)
+    sources = addresses[::max(1, len(addresses) // SOURCES_PER_POINT)]
+    for source in sources:
+        for resource in range(LOOKUPS_PER_SOURCE):
+            routings[source].lookup(
+                hash_key("hops", source * LOOKUPS_PER_SOURCE + resource),
+                lambda owner: None)
     network.run_until_idle()
-    observed = source.lookup_hops_observed
+    observed = [hops for source in sources
+                for hops in routings[source].lookup_hops_observed]
     return statistics.mean(observed) if observed else 0.0
 
 
@@ -79,6 +87,11 @@ def test_ablation_dht_hops(benchmark):
     growth_chord = hops("chord", large) / max(hops("chord", small), 0.5)
     growth_can = hops("can d=2", large) / max(hops("can d=2", small), 0.5)
     assert growth_chord < growth_can
+    # CAN routes on a torus, so its paths match the ``(d/4)·n^{1/d}`` model
+    # (the square, with no wrap-around, averaged ``(d/3)·n^{1/d}``).
+    for row in rows:
+        if row["dht"].startswith("can"):
+            assert abs(row["mean_lookup_hops"] / row["model_hops"] - 1) <= 0.10, row
 
 
 def main(argv=None):

@@ -76,7 +76,7 @@ def lookup_latency(num_nodes: int, dimensions: int = 2,
 
 
 def multicast_depth(num_nodes: int, dimensions: int = 2) -> float:
-    """Approximate depth of the neighbour-flood multicast tree (CAN diameter)."""
+    """Approximate depth of the CAN multicast wave (the torus diameter)."""
     if num_nodes <= 1:
         return 0.0
     return (dimensions / 2.0) * num_nodes ** (1.0 / dimensions)

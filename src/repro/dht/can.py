@@ -1,13 +1,23 @@
 """Content Addressable Network (CAN) routing layer.
 
 CAN (Ratnasamy et al., SIGCOMM 2001) organises nodes over a logical
-``d``-dimensional Cartesian unit space partitioned into hyper-rectangular
-*zones*.  Each node owns one zone (plus possibly zones adopted from departed
+``d``-dimensional unit **torus** partitioned into hyper-rectangular *zones*.
+Each node owns one zone (plus possibly zones adopted from departed
 neighbours), keys hash to points, and a key is stored at the node whose zone
-contains its point.  Routing greedily forwards a message to the neighbour
-whose zone is closest to the target point, giving ``(d/4)·n^{1/d}`` hops on
-average — with the paper's choice of ``d = 2`` this is the ``n^{1/2}`` growth
-visible in its scalability figures.
+contains its point.  Coordinates wrap: a zone face at ``1`` meets the faces
+at ``0`` across the seam, so zones on opposite edges of the unit cube are
+neighbours, and distances are measured the short way round each axis.
+Routing greedily forwards a message to the neighbour whose zone is closest
+to the target point, giving ``(d/4)·n^{1/d}`` hops on average — with the
+paper's choice of ``d = 2`` this is the ``n^{1/2}`` growth visible in its
+scalability figures.
+
+A multicast travels **outward** from the centre of the origin's zone: each
+node forwards a copy to its live neighbours that are strictly farther from
+that point (:meth:`CanRouting.broadcast_children`), so every node hears from
+each strictly closer neighbour and the wave costs ``2n`` messages on a
+regular 2-d grid instead of the flood's ``3n``.  A neighbour marked dead
+among those children makes the node flood instead.
 
 Two ways to stand up a CAN are provided:
 
@@ -114,30 +124,38 @@ class Zone:
         return tuple((low + high) / 2.0 for low, high in zip(self.lo, self.hi))
 
     def distance_to_point(self, point: Sequence[float]) -> float:
-        """Euclidean distance from ``point`` to the closest point of the zone."""
+        """Euclidean distance on the unit torus from ``point`` to the zone:
+        each axis is measured the short way round (across the seam at 1 = 0
+        when that is shorter)."""
         total = 0.0
         for low, high, coordinate in zip(self.lo, self.hi, point):
             if coordinate < low:
-                delta = low - coordinate
+                delta = min(low - coordinate, coordinate + 1.0 - high)
             elif coordinate >= high:
-                delta = coordinate - high
+                delta = min(coordinate - high, low + 1.0 - coordinate)
             else:
                 delta = 0.0
             total += delta * delta
         return total ** 0.5
 
     def is_neighbor(self, other: "Zone") -> bool:
-        """CAN adjacency: abut along exactly one dimension, overlap in the rest."""
-        abutting = 0
+        """CAN adjacency on the torus: the zones touch along exactly one
+        dimension (directly or across the seam, where ``hi == 1`` meets
+        ``lo == 0``) and overlap in every other.  Corner contact is not
+        adjacency."""
+        touching = 0
         for dim in range(self.dimensions):
             a_lo, a_hi = self.lo[dim], self.hi[dim]
             b_lo, b_hi = other.lo[dim], other.hi[dim]
-            if a_hi == b_lo or b_hi == a_lo:
-                abutting += 1
-            elif not (a_lo < b_hi and b_lo < a_hi):
-                return False  # disjoint with a gap: cannot be neighbours
-            # otherwise strictly overlapping along this dimension
-        return abutting >= 1
+            if a_lo < b_hi and b_lo < a_hi:
+                continue  # overlapping along this dimension
+            if (a_hi == b_lo or b_hi == a_lo
+                    or (a_hi == 1.0 and b_lo == 0.0)
+                    or (b_hi == 1.0 and a_lo == 0.0)):
+                touching += 1
+            else:
+                return False  # a gap along this dimension
+        return touching == 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         ranges = ", ".join(
@@ -268,10 +286,12 @@ class CanRouting(RoutingLayer):
 
     def _best_next_hop(self, point: Sequence[float],
                        exclude: Optional[int] = None) -> Optional[int]:
-        """Neighbour whose zone is geometrically closest to the target point.
+        """Neighbour whose zone is closest to the target point on the torus.
 
-        The node the message just arrived from is avoided unless it is the
-        only live neighbour, which prevents two-node ping-pong cycles.
+        Each axis is measured the short way round: ``min(lo - x, x + 1 - hi)``
+        below a zone, ``min(x - hi, lo + 1 - x)`` above it.  The node the
+        message just arrived from is avoided unless it is the only live
+        neighbour, which prevents two-node ping-pong cycles.
         """
         # Squared distances: sqrt is monotone, so the argmin is unchanged.
         neighbors = (self._next_hops or self._build_next_hops())[1]
@@ -282,17 +302,29 @@ class CanRouting(RoutingLayer):
             for address, x_lo, x_hi, y_lo, y_hi in neighbors:
                 if x < x_lo:
                     delta = x_lo - x
+                    wrap = x + 1.0 - x_hi
+                    if wrap < delta:
+                        delta = wrap
                     distance = delta * delta
                 elif x >= x_hi:
                     delta = x - x_hi
+                    wrap = x_lo + 1.0 - x
+                    if wrap < delta:
+                        delta = wrap
                     distance = delta * delta
                 else:
                     distance = 0.0
                 if y < y_lo:
                     delta = y_lo - y
+                    wrap = y + 1.0 - y_hi
+                    if wrap < delta:
+                        delta = wrap
                     distance += delta * delta
                 elif y >= y_hi:
                     delta = y - y_hi
+                    wrap = y_lo + 1.0 - y
+                    if wrap < delta:
+                        delta = wrap
                     distance += delta * delta
                 if distance < best_distance and address != exclude:
                     best_distance = distance
@@ -302,10 +334,10 @@ class CanRouting(RoutingLayer):
                 distance = 0.0
                 for (low, high), coordinate in zip(bounds, point):
                     if coordinate < low:
-                        delta = low - coordinate
+                        delta = min(low - coordinate, coordinate + 1.0 - high)
                         distance += delta * delta
                     elif coordinate >= high:
-                        delta = coordinate - high
+                        delta = min(coordinate - high, low + 1.0 - coordinate)
                         distance += delta * delta
                 if distance < best_distance and address != exclude:
                     best_distance = distance
@@ -317,6 +349,35 @@ class CanRouting(RoutingLayer):
     _coordinate = key_to_point
     _owns_coordinate = owns_point
     _next_hop = _best_next_hop
+
+    # ------------------------------------------------------------- multicast
+
+    def broadcast_scope(self) -> Tuple[float, ...]:
+        """The origin zone's centre: a multicast travels outward from it."""
+        return self.zones[0].center()
+
+    def broadcast_children(self, scope: Optional[Sequence[float]]
+                           ) -> Optional[List[Tuple[int, Optional[tuple]]]]:
+        """Live neighbours strictly farther (torus distance) from the point
+        ``scope`` than this node; ``None`` (flood) when one of them is marked
+        dead, since the nodes beyond it may have no other closer neighbour.
+
+        Every node but the origin has a strictly closer neighbour (greedy
+        routing's step), so each receives a copy from every strictly closer
+        live one.
+        """
+        if scope is None:
+            return super().broadcast_children(None)
+        here = min((zone.distance_to_point(scope) for zone in self.zones),
+                   default=_INFINITY)
+        dead = self._dead_neighbors
+        children = []
+        for address, zones in self.neighbor_zones.items():
+            if min(zone.distance_to_point(scope) for zone in zones) > here:
+                if address in dead:
+                    return None
+                children.append((address, scope))
+        return children
 
     # --------------------------------------------------------------- joining
 
@@ -370,7 +431,7 @@ class CanRouting(RoutingLayer):
         # The joiner becomes a neighbour of the splitter.
         self.neighbor_zones = {**self.neighbor_zones, joiner: [given]}
         self._prune_non_adjacent()
-        self._broadcast_zone_update()
+        self._broadcast_zone_update(extra_recipients=previous_neighbors)
         self.notify_location_map_change()
 
     def _on_join_reply(self, node: Node, message) -> None:
@@ -417,6 +478,7 @@ class CanRouting(RoutingLayer):
             payload_bytes=200 + item_bytes,
         )
         self.zones = []
+        self._broadcast_zone_update()  # no zones: every neighbour drops us
         self.neighbor_zones = {}
         self.notify_location_map_change()
 
@@ -523,14 +585,18 @@ class CanNetworkBuilder:
         return a_lo < b_hi and b_lo < a_hi
 
     def neighbor_map(self, zones: List[Zone]) -> Dict[int, List[int]]:
-        """Indices of CAN neighbours for each zone (plane-sweep per dimension)."""
+        """Indices of CAN neighbours for each zone (plane-sweep per dimension).
+
+        The space is a torus: a ``lo == 0`` face also meets the ``hi == 1``
+        faces across the seam.
+        """
         neighbors: Dict[int, set] = {i: set() for i in range(len(zones))}
         for dim in range(self.dimensions):
             hi_at: Dict[float, List[int]] = {}
             lo_at: Dict[float, List[int]] = {}
             for index, zone in enumerate(zones):
                 hi_at.setdefault(zone.hi[dim], []).append(index)
-                lo_at.setdefault(zone.lo[dim], []).append(index)
+                lo_at.setdefault(zone.lo[dim] or 1.0, []).append(index)
             for boundary, left_side in hi_at.items():
                 right_side = lo_at.get(boundary, [])
                 for i in left_side:
@@ -580,15 +646,6 @@ class CanNetworkBuilder:
         return routings
 
     # --------------------------------------------------------- owner lookup
-
-    def locate_index(self, count: int, point: Sequence[float]) -> int:
-        """Index (in partition order) of the zone containing ``point``.
-
-        Walks :meth:`partition`'s recursion as a cached decision tree, without
-        materialising the zones: O(log n) per point, as in
-        :meth:`owners_of_keys`.
-        """
-        return _descend(_split_tree(self.dimensions, count), point)
 
     def owner_of_key(self, key: int) -> int:
         """Address of the node owning ``key`` in the last built network."""

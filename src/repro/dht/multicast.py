@@ -11,17 +11,20 @@ envelope's scope (:meth:`RoutingLayer.broadcast_children`).  On Chord that
 is the interval broadcast of El-Ansary et al. (IPTPS 2003): the scope is a
 ring limit (16 B more per copy), each live finger before it gets the stretch
 up to the next, ``n - 1`` messages in all — but a copy follows a greedy
-finger path (9 hops against the flood's 6 at 1 024 nodes).  CAN's children
-are its live neighbours with no scope: the classic flood, within the overlay
-diameter (``O(n^{1/d})`` hops).  A scope-less copy is the flood, and the
-**repair wave**: a node floods when its send bounces (the child died
-undetected) or, on Chord, when its successor is detected dead (no tree path
-reaches the nodes behind it).  A node floods and delivers an envelope at
-most once each, and forgets its id :data:`DEDUP_HORIZON_S` after first
-seeing it: copies leave a node only as it first receives, first floods or
-bounces the envelope, so all arrive within a few overlay diameters of hops,
-and the horizon allows ``MAX_ROUTE_HOPS`` hops of one keep-alive period (a
-live peer answers within it).
+finger path (9 hops against the flood's 6 at 1 024 nodes).  On CAN the
+scope is the origin zone's centre and a node's children are its live
+neighbours strictly farther from it on the torus: the wave goes outward,
+within the overlay diameter (``O(n^{1/d})`` hops), and each node hears from
+every strictly closer neighbour (``2n`` copies on a regular 2-d grid).  A
+scope-less copy is the flood, and the **repair wave**: a node floods when
+its send bounces (the child died undetected), or when a child is detected
+dead (on Chord its successor: no tree path reaches the nodes behind it).
+A node floods and delivers an envelope at most once each, and forgets its id
+:data:`DEDUP_HORIZON_S` after first seeing it: copies leave a node only as
+it first receives, first floods or bounces the envelope, so all arrive
+within a few overlay diameters of hops, and the horizon allows
+``MAX_ROUTE_HOPS`` hops of one keep-alive period (a live peer answers within
+it).
 
 Forward first, deliver second, at the origin and at every relay: the local
 handlers run on the next event at the same instant.  A query's handler is a

@@ -1,8 +1,14 @@
 """Unit tests for the CAN routing layer: zones, routing, join/leave, bulk build."""
 
-import pytest
+import statistics
 
-from repro.dht.can import CanNetworkBuilder, CanRouting, Zone
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.costmodel import can_average_hops
+from repro.dht.can import (CanNetworkBuilder, CanRouting, Zone, _descend,
+                           _split_tree)
 from repro.dht.naming import hash_key
 from repro.net.network import Network
 from repro.net.topology import FullMeshTopology
@@ -50,18 +56,25 @@ def test_zone_rejects_degenerate_bounds():
 def test_zone_neighbor_detection():
     left = Zone((0.0, 0.0), (0.5, 1.0))
     right = Zone((0.5, 0.0), (1.0, 1.0))
-    far = Zone((0.75, 0.0), (1.0, 0.5))
+    far = Zone((0.625, 0.0), (0.875, 0.5))  # a gap either way round
     assert left.is_neighbor(right)
     assert right.is_neighbor(left)
     assert not left.is_neighbor(far)
+    # The space is a torus: a face at x = 1 meets one at x = 0.
+    seam = Zone((0.75, 0.0), (1.0, 0.5))
+    assert left.is_neighbor(seam)
+    assert seam.is_neighbor(left)
+    assert CanNetworkBuilder(dimensions=2).neighbor_map([left, seam]) == {
+        0: [1], 1: [0]}
 
 
 def test_zone_corner_only_contact_is_not_neighbor():
     a = Zone((0.0, 0.0), (0.5, 0.5))
     b = Zone((0.5, 0.5), (1.0, 1.0))
-    # They touch only at the corner point (0.5, 0.5): abutting in both
-    # dimensions but overlapping in none.
-    assert not a.is_neighbor(b) or a.is_neighbor(b)  # documented ambiguity guard
+    # They touch only at corners, (0.5, 0.5) and across both seams:
+    # abutting in both dimensions but overlapping in none.
+    assert not a.is_neighbor(b)
+    assert not b.is_neighbor(a)
     # The builder's sweep requires strict overlap in the other dimension:
     builder = CanNetworkBuilder(dimensions=2)
     neighbors = builder.neighbor_map([a, b])
@@ -71,7 +84,10 @@ def test_zone_corner_only_contact_is_not_neighbor():
 def test_zone_distance_to_point():
     zone = Zone((0.0, 0.0), (0.5, 0.5))
     assert zone.distance_to_point((0.25, 0.25)) == 0.0
-    assert zone.distance_to_point((1.0, 0.25)) == pytest.approx(0.5)
+    assert zone.distance_to_point((0.625, 0.25)) == pytest.approx(0.125)
+    # Across the seam is shorter: 0.875 -> 1 = 0 is 0.125 away.
+    assert zone.distance_to_point((0.875, 0.25)) == pytest.approx(0.125)
+    assert zone.distance_to_point((0.875, 0.875)) == pytest.approx(0.125 * 2 ** 0.5)
 
 
 # ------------------------------------------------------------------ builder
@@ -110,10 +126,10 @@ def test_neighbor_map_is_symmetric_and_nonempty():
 
 
 def test_locate_index_matches_partition():
-    builder = CanNetworkBuilder(dimensions=2)
-    zones = builder.partition(29)
+    zones = CanNetworkBuilder(dimensions=2).partition(29)
+    root = _split_tree(2, 29)
     for index, zone in enumerate(zones):
-        assert builder.locate_index(29, zone.center()) == index
+        assert _descend(root, zone.center()) == index
 
 
 def test_owner_of_key_agrees_with_routing_owns():
@@ -182,6 +198,91 @@ def test_many_lookups_from_many_sources_all_resolve():
     network.run_until_idle()
     assert len(resolved) == 36
     assert all(resolved)
+
+
+def test_mean_lookup_hops_match_the_torus_model():
+    """Over every source of a 256-node CAN, within 5 % of ``(d/4)·n^{1/d}``
+    (on the square, with no wrap-around, they averaged 10.81 against 8)."""
+    network, routings, _builder = build_can_network(256)
+    for source, routing in routings.items():
+        for resource in range(8):
+            routing.lookup(hash_key("hops", source * 8 + resource),
+                           lambda owner: None)
+    network.run_until_idle()
+    hops = [count for routing in routings.values()
+            for count in routing.lookup_hops_observed]
+    assert len(hops) > 1900
+    assert statistics.mean(hops) == pytest.approx(can_average_hops(256, 2),
+                                                  rel=0.05)
+
+
+def torus_distance(routing, point):
+    """The oracle metric: ``Zone.distance_to_point`` over a node's zones."""
+    return min(zone.distance_to_point(point) for zone in routing.zones)
+
+
+def assert_routes_descend(network, routings, owner_of, keys):
+    """From every live source, each greedy hop toward each key's point is
+    strictly closer to it (torus distance), the walk ends at ``owner_of``'s
+    owner, and the routed lookup resolves there in as many hops."""
+    for key in keys:
+        owner = owner_of(key)
+        for source, routing in routings.items():
+            point = routing.key_to_point(key)
+            previous, current, walk = None, source, 0
+            while not routings[current].owns_point(point):
+                following = routings[current]._best_next_hop(point, previous)
+                assert (torus_distance(routings[following], point)
+                        < torus_distance(routings[current], point))
+                previous, current, walk = current, following, walk + 1
+            assert current == owner
+            results = []
+            routing.lookup_hops_observed.clear()
+            routing.lookup(key, results.append)
+            network.run_until_idle()
+            assert results == [owner]
+            assert routing.lookup_hops_observed == ([walk] if walk else [])
+
+
+@pytest.mark.parametrize("dimensions, num_nodes", [(1, 9), (2, 37), (3, 30)])
+def test_every_hop_descends_to_the_owner_on_bulk_cans(dimensions, num_nodes):
+    network, routings, builder = build_can_network(num_nodes, dimensions)
+    keys = [hash_key("walk", resource) for resource in range(12)]
+    assert_routes_descend(network, routings, builder.owner_of_key, keys)
+
+
+def join_can(num_nodes, dimensions, leavers=()):
+    """A CAN built by protocol joins (each via a node that joined before),
+    then graceful leaves; returns the network and the live nodes' layers."""
+    network = Network(FullMeshTopology(num_nodes, latency_s=0.01,
+                                       capacity_bytes_per_s=float("inf")))
+    routings = {a: CanRouting(network.node(a), dimensions=dimensions, seed=a)
+                for a in range(num_nodes)}
+    routings[0].join(None)
+    for address in range(1, num_nodes):
+        routings[address].join(address // 2)
+        network.run_until_idle()
+    for address in leavers:
+        routings.pop(address).leave()
+        network.run_until_idle()
+    return network, routings
+
+
+@pytest.mark.parametrize("dimensions", [1, 2, 3])
+def test_every_hop_descends_to_the_owner_on_joined_cans(dimensions):
+    """Joins and leaves (heirs hold several zones) keep greedy routing
+    strictly descending."""
+    network, routings = join_can(24, dimensions, leavers=(3, 10, 17))
+    assert any(len(routing.zones) > 1 for routing in routings.values())
+
+    def owner_of(key):
+        owners = [address for address, routing in routings.items()
+                  if routing.owns(key)]
+        assert len(owners) == 1
+        return owners[0]
+
+    keys = [hash_key("walk", resource) for resource in range(8)]
+    assert_routes_descend(network, routings, owner_of, keys)
 
 
 def test_mark_neighbor_dead_removes_from_neighbors():
@@ -261,3 +362,53 @@ def test_can_rejects_bad_dimensions():
         CanRouting(network.node(0), dimensions=0)
     with pytest.raises(ValueError):
         CanNetworkBuilder(dimensions=0)
+
+
+def expected_tables(routings):
+    """Each live node's neighbour table as the live zones imply it: the
+    builder's plane sweep over every zone, grouped by owner."""
+    owners, zones = [], []
+    for address, routing in routings.items():
+        for zone in routing.zones:
+            owners.append(address)
+            zones.append(zone)
+    adjacency = CanNetworkBuilder(dimensions=zones[0].dimensions).neighbor_map(zones)
+    tables = {address: {} for address in routings}
+    for index, adjacent in adjacency.items():
+        for other in adjacent:
+            if owners[index] != owners[other]:
+                tables[owners[index]][owners[other]] = routings[owners[other]].zones
+    return tables
+
+
+@given(dimensions=st.integers(1, 3), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_protocol_tables_match_the_live_zones(dimensions, data):
+    """After any sequence of protocol joins and graceful leaves, every live
+    node's table (addresses and zones) is exactly the adjacency of the live
+    zones: no corner contacts, no entry a split or a leave left behind."""
+    num_nodes = 14
+    network = Network(FullMeshTopology(num_nodes, latency_s=0.01,
+                                       capacity_bytes_per_s=float("inf")))
+    layers = {a: CanRouting(network.node(a), dimensions=dimensions, seed=a)
+              for a in range(num_nodes)}
+    layers[0].join(None)
+    live = {0: layers[0]}
+    unjoined = list(range(1, num_nodes))
+    for action in data.draw(st.lists(st.sampled_from(["join", "leave"]),
+                                     max_size=24)):
+        if action == "join" and unjoined:
+            joiner = unjoined.pop(0)
+            layers[joiner].join(data.draw(st.sampled_from(sorted(live))))
+            network.run_until_idle()
+            assert layers[joiner].zones
+            live[joiner] = layers[joiner]
+        elif action == "leave" and len(live) > 1:
+            leaver = data.draw(st.sampled_from(sorted(live)))
+            live.pop(leaver).leave()
+            network.run_until_idle()
+        else:
+            continue
+        assert sum(r.total_volume() for r in live.values()) == pytest.approx(1.0)
+        assert {address: dict(routing.neighbor_zones)
+                for address, routing in live.items()} == expected_tables(live)

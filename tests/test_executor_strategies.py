@@ -131,8 +131,12 @@ def test_fetch_matches_requires_a_side_hashed_on_join_key():
 #: flooded; the finger-interval tree sends 63 ``mc.flood`` instead of 448
 #: and is one 100 ms hop deeper, so fragments reach their probes at other
 #: times and batch into other ``get_batch`` calls (rows do not move).
+#: CAN read (1 711, 419, 23 794, 4 358 412, 4.74632) on the square; on the
+#: torus its paths are shorter (``can.route_batch`` 13 605 -> 11 349), its
+#: multicast goes outward (``mc.flood`` 161 -> 128), and the last row comes
+#: 1.9 s sooner, so fragments batch into other ``get_batch`` calls.
 SEMI_JOIN_PINS = {
-    "can": (1_711, 419, 23_794, 4_358_412, 4.74632),
+    "can": (1_672, 411, 21_440, 3_979_672, 2.817392),
     "chord": (1_523, 440, 17_354, 3_612_732, 2.3125632),
 }
 

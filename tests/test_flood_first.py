@@ -1,12 +1,13 @@
 """Forward, then deliver: a multicast leaves a node before its local work.
 
 ``MulticastService`` sends a multicast to a node's children first — its
-finger-interval tree children on Chord, every neighbour (the flood) on CAN —
-and runs the local handlers on the next event at the same instant, at the
-origin and at every relay.  Under the simulator that order shows in the send
-sequence and moves no arrival time; on the TCP backend it means the frame is
-already written when the handler — a node's whole scan and rehash for a
-query — starts.  Because the initiator's own handler runs after the flood,
+finger-interval tree children on Chord, its strictly farther neighbours
+(outward from the origin zone's centre) on CAN — and runs the local
+handlers on the next event at the same instant, at the origin and at every
+relay.  Under the simulator that order shows in the send sequence and moves
+no arrival time; on the TCP backend it means the frame is already written
+when the handler — a node's whole scan and rehash for a query — starts.
+Because the initiator's own handler runs after the flood,
 ``QueryExecutor.submit`` lowers the plan before it multicasts: a plan that
 cannot be lowered raises to the submitter and nothing is sent.
 """
@@ -38,17 +39,19 @@ def kind_of(item) -> str:
     return "teardown" if isinstance(item, QueryTeardown) else "query"
 
 
-#: Nodes that forward each multicast on 64 nodes: nearly all of them in the
-#: CAN flood, the 30 inner nodes of the Chord tree.
-RELAYS = {"can": 60, "chord": 30}
+#: Nodes that forward each multicast on 64 nodes: all but the antipode of
+#: the origin in CAN's outward wave, the 30 inner nodes of the Chord tree.
+RELAYS = {"can": 63, "chord": 30}
+#: ``mc.flood`` copies of each multicast on 64 nodes.
+TREE_SENDS = {"can": 128, "chord": 63}
 
 
 @pytest.mark.parametrize("dht", ["can", "chord"])
 def test_every_relay_floods_before_its_own_share_of_the_query(monkeypatch, dht):
     """Per node and per multicast (query, teardown): every ``mc.flood`` send
-    — tree sends with a scope on Chord, flood sends without on CAN —
-    precedes the local delivery, at the same instant, so all of the node's
-    query work — which that delivery starts — is sent after it."""
+    — tree sends, each with a scope — precedes the local delivery, at the
+    same instant, so all of the node's query work — which that delivery
+    starts — is sent after it."""
     log = []  # (node, time, what, kind) in the order things happened
     scoped = Counter()  # mc.flood sends with / without a scope
     send, on_query = Node.send, QueryExecutor._on_query_multicast
@@ -87,10 +90,9 @@ def test_every_relay_floods_before_its_own_share_of_the_query(monkeypatch, dht):
                        if e[1] == query_flood[0][1] and e[2] == "work"]
             assert all(work[0] > query_flood[-1][0] for work in instant)
     assert len(by_node) == 64 and relays >= 2 * RELAYS[dht]
-    # Chord sends n - 1 tree copies per multicast and no flood copy; CAN
-    # sends flood copies only.
-    tree, flood = scoped[True], scoped[False]
-    assert (tree, flood > 0) == ((2 * 63, False) if dht == "chord" else (0, True))
+    # Tree copies only: n - 1 per multicast on Chord, 2n on CAN's 8 x 8 torus
+    # (the square's flood sent 161 copies without a scope).
+    assert (scoped[True], scoped[False]) == (2 * TREE_SENDS[dht], 0)
 
     # The order costs events, not time: rows and arrival times are the pins'.
     times = tuple(cursor.arrival_times())

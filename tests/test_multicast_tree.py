@@ -1,4 +1,4 @@
-"""Chord multicasts go down a finger-interval tree; CAN's still flood.
+"""Chord multicasts go down a finger-interval tree; CAN's go outward.
 
 A Chord multicast reaches ``n`` nodes with exactly ``n - 1`` ``mc.flood``
 sends, each carrying the ring limit of the stretch its receiver covers, and
@@ -7,8 +7,10 @@ message-level joins.  A child that died undetected (its send bounces) and a
 successor detected dead (nothing in the tree reaches the nodes behind it)
 each start the repair wave, a flood, and every live node still delivers
 exactly once.  Under Figure 6 churn no query leaves state behind.  CAN's
-children are its live neighbours with no scope: the flood, message for
-message.  A node forgets an envelope id ``DEDUP_HORIZON_S`` after first
+children are its live neighbours strictly farther from the origin zone's
+centre: ``2n`` sends on a regular torus grid.  A node whose every strictly
+closer neighbour is dead still delivers, through the flood its parents fall
+back to.  A node forgets an envelope id ``DEDUP_HORIZON_S`` after first
 seeing it, and suppresses a duplicate that comes earlier.
 """
 
@@ -154,19 +156,71 @@ def test_fig6_chord_churn_leaves_no_query_state(seed):
         assert point["hung_queries"] == 0, point
 
 
-#: ``mc.flood`` sends of one CAN multicast (2-d, stabilised), recorded while
-#: Chord still flooded too: every node sends to its neighbours but one.
-CAN_FLOOD_SENDS = {16: 33, 64: 161}
+#: ``mc.flood`` sends of one CAN multicast (2-d, stabilised).  Re-recorded
+#: when CAN became a torus and its multicast went outward: each node is sent
+#: one copy per strictly closer neighbour, ``2n`` in all on the 4 x 4 and
+#: 8 x 8 torus grids (the square's flood sent 33 and 161, each node to its
+#: neighbours but one).
+CAN_OUTWARD_SENDS = {16: 32, 64: 128}
 
 
-@pytest.mark.parametrize("num_nodes", sorted(CAN_FLOOD_SENDS))
-def test_can_still_floods(num_nodes):
+@pytest.mark.parametrize("num_nodes", sorted(CAN_OUTWARD_SENDS))
+def test_can_multicasts_outward_with_2n_sends(num_nodes):
     network, routings = stabilised("can", num_nodes)
     services, delivered = attach_multicast(network, routings)
     for origin in (0, 5, 11):
         assert multicast_from(network, services, origin) == (
-            CAN_FLOOD_SENDS[num_nodes])
+            CAN_OUTWARD_SENDS[num_nodes])
     assert set(delivered.values()) == {3}
+
+
+@pytest.mark.parametrize("detected", [True, False],
+                         ids=["dead-marked", "undetected dead"])
+def test_can_nodes_behind_a_dead_neighbour_still_deliver(detected):
+    """On the 8 x 8 torus a node straight out from the origin along one axis
+    has one strictly closer neighbour.  That neighbour dies.  Marked dead,
+    it makes its parents flood (the outward rule alone never reaches the
+    node behind it); undetected, the send to it bounces and the sender
+    floods.  Either way every live node delivers once."""
+    network, routings = stabilised("can", 64)
+    services, delivered = attach_multicast(network, routings)
+    origin = 0
+    scope = routings[origin].broadcast_scope()
+
+    def distance(address):
+        return min(zone.distance_to_point(scope)
+                   for zone in routings[address].zones)
+
+    def closer(address):
+        return [neighbor for neighbor in routings[address].neighbor_zones
+                if distance(neighbor) < distance(address)]
+
+    dead, behind = next((closer(address)[0], address) for address in routings
+                        if len(closer(address)) == 1
+                        and closer(address) != [origin])
+    network.node(dead).fail()
+    if detected:
+        for routing in routings.values():
+            routing.mark_neighbor_dead(dead)
+        for parent in closer(dead):
+            assert routings[parent].broadcast_children(scope) is None
+    multicast_from(network, services, origin)
+    assert delivered[behind] == 1
+    assert delivered == Counter({address: 1 for address in routings
+                                 if address != dead})
+    bounces = sum(service.flood_bounces for service in services.values())
+    assert (bounces == 0) == detected  # undetected, the flood hits it too
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7, 8])
+def test_fig6_can_churn_leaves_no_query_state(seed):
+    """Dead neighbours are common at 6 %/min: without the flood fallback the
+    outward rule left query state behind on the nodes beyond them."""
+    pier, workload, client = build_point(48, "can", 0.06, seed)
+    for strategy in STRATEGIES:
+        point = run_point(pier, workload, client, strategy)
+        assert point["leftover_states"] == 0, point
+        assert point["hung_queries"] == 0, point
 
 
 def test_the_dedup_sets_stay_bounded_and_still_suppress_duplicates():

@@ -13,7 +13,7 @@ from repro.core.operators.aggregate import (
     SumState,
     state_from_payload,
 )
-from repro.dht.can import CanNetworkBuilder, Zone
+from repro.dht.can import CanNetworkBuilder, Zone, _descend, _split_tree
 from repro.dht.chord import _in_interval
 from repro.dht.naming import KEY_SPACE, hash_key, key_to_unit_coordinates
 from repro.dht.storage import StorageManager, StoredItem
@@ -116,9 +116,8 @@ def test_can_partition_tiles_unit_cube(count, dimensions):
        st.lists(st.floats(min_value=0.0, max_value=0.999999), min_size=2, max_size=2))
 @settings(max_examples=50, deadline=None)
 def test_can_locate_index_agrees_with_containment(count, point):
-    builder = CanNetworkBuilder(dimensions=2)
-    zones = builder.partition(count)
-    index = builder.locate_index(count, tuple(point))
+    zones = CanNetworkBuilder(dimensions=2).partition(count)
+    index = _descend(_split_tree(2, count), tuple(point))
     assert zones[index].contains(tuple(point))
 
 

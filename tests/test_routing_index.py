@@ -74,7 +74,8 @@ def reference_closest_preceding(routing, ring_key):
 
 
 def reference_best_next_hop(routing, point, exclude=None):
-    """The nested zone loop ``_best_next_hop`` was before the flat table."""
+    """The nested zone loop ``_best_next_hop`` was before the flat table,
+    measuring each zone with the torus metric of ``Zone.distance_to_point``."""
     best_address = None
     best_distance = float("inf")
     fallback_address = None
@@ -84,19 +85,7 @@ def reference_best_next_hop(routing, point, exclude=None):
         if address in dead:
             continue
         for zone in zones:
-            lo = zone.lo
-            hi = zone.hi
-            distance = 0.0
-            for dim, coordinate in enumerate(point):
-                low = lo[dim]
-                if coordinate < low:
-                    delta = low - coordinate
-                    distance += delta * delta
-                else:
-                    high = hi[dim]
-                    if coordinate >= high:
-                        delta = coordinate - high
-                        distance += delta * delta
+            distance = zone.distance_to_point(point)
             if address == exclude:
                 if distance < fallback_distance:
                     fallback_distance = distance
@@ -547,8 +536,11 @@ def test_rebind_keeps_routing_correct(dht):
 #: hashes to; the test fixes it to the id it was recorded under.
 PINNED_QUERY_ID = 9001
 PINNED = {
-    "can": {"messages_sent": 3963, "bytes_delivered": 1242590,
-            "events_processed": 3366, "lookup_hops": 3544},
+    # Re-recorded when CAN became a torus (3 963 messages, 1 242 590 bytes,
+    # 3 366 events and 3 544 hops on the square): seam neighbours shorten
+    # the paths and the multicast goes outward.
+    "can": {"messages_sent": 3628, "bytes_delivered": 1175864,
+            "events_processed": 3128, "lookup_hops": 2644},
     "chord": {"messages_sent": 2842, "bytes_delivered": 1085390,
               "events_processed": 2664, "lookup_hops": 2504},
 }
@@ -651,19 +643,20 @@ NETWORK_MODES = {
 #: ``arrivals`` is (rows, first, last, sha256 of the repr of the whole tuple).
 PINNED_BY_MODE = {
     ("window 0", "can"): {
-        **PINNED["can"], "max_inbound_bytes": 147012,
-        "total_queueing_delay": 1.8877200000001042,
-        "arrivals": [128, 1.0075904, 2.810940800000003, "c691202892bad9d4"]},
+        **PINNED["can"], "max_inbound_bytes": 149912,
+        "total_queueing_delay": 2.120867199999983,
+        "arrivals": [128, 0.7047871999999997, 1.8150816000000012,
+                     "41dd56e46522c565"]},
     ("window 0", "chord"): {
         **PINNED["chord"], "max_inbound_bytes": 145064,
         "total_queueing_delay": 1.8351071999999724,
         "arrivals": [128, 0.6015488, 1.4068032000000006, "6f276136d0282b7c"]},
     ("window 10 ms", "can"): {
-        "messages_sent": 3960, "bytes_delivered": 1242410,
-        "events_processed": 973, "lookup_hops": 3544,
-        "max_inbound_bytes": 146832, "total_queueing_delay": 2.348238400000131,
-        "arrivals": [128, 1.021545599999999, 2.853920000000005,
-                     "310736d37aa33cb3"]},
+        "messages_sent": 3633, "bytes_delivered": 1176164,
+        "events_processed": 733, "lookup_hops": 2644,
+        "max_inbound_bytes": 150212, "total_queueing_delay": 2.995129599999908,
+        "arrivals": [128, 0.7074079999999991, 1.840390400000002,
+                     "7e83fccac13caa40"]},
     ("window 10 ms", "chord"): {
         "messages_sent": 2842, "bytes_delivered": 1085390,
         "events_processed": 722, "lookup_hops": 2504,
@@ -671,22 +664,22 @@ PINNED_BY_MODE = {
         "arrivals": [128, 0.6066239999999997, 1.4287968000000004,
                      "8649940231346603"]},
     ("one event per message", "can"): {
-        "messages_sent": 3962, "bytes_delivered": 1242530,
-        "events_processed": 4090, "lookup_hops": 3544,
-        "max_inbound_bytes": 146952, "total_queueing_delay": 1.9181008000001099,
-        "arrivals": [128, 1.0050464000000001, 2.8108512000000028,
-                     "6a01ae4c18cde9e2"]},
+        "messages_sent": 3632, "bytes_delivered": 1176104,
+        "events_processed": 3760, "lookup_hops": 2644,
+        "max_inbound_bytes": 150152, "total_queueing_delay": 2.2556479999999954,
+        "arrivals": [128, 0.7040671999999998, 1.8058144000000012,
+                     "b0bd954da8cabe6d"]},
     ("one event per message", "chord"): {
         "messages_sent": 2845, "bytes_delivered": 1085570,
         "events_processed": 2973, "lookup_hops": 2504,
         "max_inbound_bytes": 145244, "total_queueing_delay": 2.1173535999999604,
         "arrivals": [128, 0.6015488, 1.4055136000000004, "d669572c6494f084"]},
     ("cluster (jittered latency)", "can"): {
-        "messages_sent": 3961, "bytes_delivered": 1242470,
-        "events_processed": 4089, "lookup_hops": 3544,
-        "max_inbound_bytes": 146892, "total_queueing_delay": 8.97941318997314,
-        "arrivals": [128, 0.007808582594594356, 0.12105338259459422,
-                     "cab42cc6da6b0e5f"]},
+        "messages_sent": 3633, "bytes_delivered": 1176164,
+        "events_processed": 3761, "lookup_hops": 2644,
+        "max_inbound_bytes": 150212, "total_queueing_delay": 9.506622554486823,
+        "arrivals": [128, 0.009957011808526832, 0.12206261180852673,
+                     "2de18bb220bad6ef"]},
     ("cluster (jittered latency)", "chord"): {
         "messages_sent": 2842, "bytes_delivered": 1085390,
         "events_processed": 2970, "lookup_hops": 2504,
@@ -694,11 +687,11 @@ PINNED_BY_MODE = {
         "arrivals": [128, 0.00832998237385617, 0.11871078237385613,
                      "22df9092ea98286e"]},
     ("infinite bandwidth", "can"): {
-        "messages_sent": 3960, "bytes_delivered": 1242410,
-        "events_processed": 954, "lookup_hops": 3544,
-        "max_inbound_bytes": 146832, "total_queueing_delay": 0.0,
-        "arrivals": [128, 0.9999999999999999, 2.800000000000001,
-                     "bf82f474a17622a0"]},
+        "messages_sent": 3633, "bytes_delivered": 1176164,
+        "events_processed": 726, "lookup_hops": 2644,
+        "max_inbound_bytes": 150212, "total_queueing_delay": 0.0,
+        "arrivals": [128, 0.7, 1.8000000000000005,
+                     "cca5ebaf4ec7559b"]},
     ("infinite bandwidth", "chord"): {
         "messages_sent": 2843, "bytes_delivered": 1085450,
         "events_processed": 704, "lookup_hops": 2504,
