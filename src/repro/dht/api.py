@@ -26,6 +26,18 @@ object in memory or on the wire.  Request bookkeeping, forwarding, replies,
 re-routing around a bounced hop and the report of keys that cannot be routed
 are written once, here — and so is the greedy walk that carries a joiner's
 request to the owner of its coordinate, over the same hooks.
+
+One routed batch can carry the keys of several lookups.  Its third field,
+``runs``, holds one ``(origin, request_id, hops, count)`` per lookup, in key
+order: the next ``count`` keys belong to that lookup, which is ``hops`` hops
+from its origin.  Every run is routed by the rules of a lone lookup and
+answered to its own origin with its own hop count.  Runs meet in a node's
+**outbox**: while the node handles one delivery group (a delivery scope, see
+:mod:`repro.net.node`), the keys it forwards are held per next hop and leave
+as one batch per next hop when the group is done.  A message delivered alone
+and a timer open no scope, so their forwards leave at once.  Each key costs
+:attr:`RoutingLayer.ROUTE_HOP_BYTES` per hop, each run after the first
+:attr:`RoutingLayer.RUN_BYTES`, and the message header is paid once.
 """
 
 from __future__ import annotations
@@ -118,6 +130,9 @@ class RoutingLayer(ABC):
     PROTOCOL_BATCH_LOOKUP_REPLY = "dht.batch_lookup_reply"
     #: Wire size (bytes) charged per batch-entry hop / reply / control hop.
     ROUTE_HOP_BYTES = 40
+    #: Wire size of each run after the first in a routed batch: origin,
+    #: request id, hop count and key count.
+    RUN_BYTES = 16
     #: Safety valve: routed messages are dropped after this many overlay hops
     #: (CAN's greedy geometric forwarding can, in rare corner configurations,
     #: bounce between zones that are equidistant from the target).
@@ -131,6 +146,9 @@ class RoutingLayer(ABC):
         self._location_map_listeners: List[LocationMapCallback] = []
         self._pending_batch_lookups: Dict[int, BatchLookupState] = {}
         self._lookup_ids = itertools.count(1)
+        #: Forwards held in the open delivery scope: next hop -> the
+        #: ``(keys, coords, runs)`` of the one batch it will be sent.
+        self._outbox: Dict[int, Tuple[List[int], List[Any], List[tuple]]] = {}
         self.lookup_hops_observed: List[int] = []
         node.services[self.SERVICE_NAME] = self
         node.register_handler(self.PROTOCOL_ROUTE, self._on_route)
@@ -143,8 +161,7 @@ class RoutingLayer(ABC):
 
     # ------------------------------------------------------------- interface
 
-    def lookup(self, key: int, callback: LookupCallback,
-               payload_bytes: int = ROUTE_HOP_BYTES) -> None:
+    def lookup(self, key: int, callback: LookupCallback) -> None:
         """Resolve ``key`` to the responsible node's address, asynchronously.
 
         If the key maps to the local node the callback fires synchronously
@@ -153,13 +170,11 @@ class RoutingLayer(ABC):
         one: a key that cannot be routed gets no callback at all (soft-state
         semantics), never a wrong owner.
         """
-        self.lookup_batch([key], lambda owner, _keys: callback(owner),
-                          payload_bytes)
+        self.lookup_batch([key], lambda owner, _keys: callback(owner))
 
     # ---------------------------------------------------------- batch lookup
 
     def lookup_batch(self, keys: Iterable[int], callback: BatchLookupCallback,
-                     payload_bytes: int = ROUTE_HOP_BYTES,
                      on_unresolved: Optional[Callable[[List[int]], None]] = None,
                      ) -> Optional[int]:
         """Resolve many keys at once, grouping resolutions by owner.
@@ -203,8 +218,7 @@ class RoutingLayer(ABC):
         self._pending_batch_lookups[request_id] = BatchLookupState(
             callback, len(routed), on_unresolved=on_unresolved
         )
-        self._forward_batch(routed, coords, self.address, request_id,
-                            payload_bytes, hops=0)
+        self._forward_batch(routed, coords, self.address, request_id, hops=0)
         return request_id
 
     def forget_lookup(self, request_id: int) -> None:
@@ -246,16 +260,14 @@ class RoutingLayer(ABC):
         return None if next_hop == me else next_hop
 
     def _forward_batch(self, keys: List[int], coords: List[Any], origin: int,
-                       request_id: int, entry_bytes: int, hops: int,
+                       request_id: int, hops: int,
                        exclude: Optional[int] = None,
-                       reply_owned: bool = False,
-                       payload: Optional[dict] = None) -> None:
-        """Route a batch one hop further, in one pass over its two arrays.
+                       reply_owned: bool = False) -> None:
+        """Route one lookup's keys one hop further, in one pass over its arrays.
 
         Each key's :meth:`_target` decides it, and :meth:`_dispatch` sends
-        the keys of one target.  A one-key batch — most routed messages —
-        goes straight to its one outcome; forwarded, it travels in the
-        ``payload`` it arrived in, if any.  A larger batch is grouped by
+        the keys of one target.  A one-key batch — most routed lookups —
+        goes straight to its one outcome.  A larger batch is grouped by
         target: the owned keys are answered first, each next hop's slices of
         ``keys`` and ``coords`` forwarded in the order the hops first occur,
         the unresolved keys answered last.
@@ -263,8 +275,7 @@ class RoutingLayer(ABC):
         expired = hops >= self.MAX_ROUTE_HOPS
         if len(keys) == 1:
             self._dispatch(self._target(coords[0], exclude, expired, reply_owned),
-                           keys, coords, origin, request_id, entry_bytes, hops,
-                           payload)
+                           keys, coords, origin, request_id, hops)
             return
         groups: Dict[Optional[int], Tuple[List[int], List[Any]]] = {}
         target_of = self._target
@@ -278,22 +289,46 @@ class RoutingLayer(ABC):
                 group[1].append(coord)
         rank = {self.node.address: 0, None: 2}  # owned first, unresolved last
         for target in sorted(groups, key=lambda target: rank.get(target, 1)):
-            self._dispatch(target, *groups[target], origin, request_id,
-                           entry_bytes, hops)
+            self._dispatch(target, *groups[target], origin, request_id, hops)
 
     def _dispatch(self, target: Optional[int], keys: List[int],
                   coords: List[Any], origin: int, request_id: int,
-                  entry_bytes: int, hops: int,
-                  payload: Optional[dict] = None) -> None:
-        """Answer ``keys`` to the origin (owned or unresolved) or forward them."""
+                  hops: int) -> None:
+        """Answer ``keys`` to the origin (owned or unresolved) or forward them.
+
+        A forward joins the outbox while a delivery scope is open, else it
+        leaves at once as a batch of one run.  The outbox extends the first
+        forward's arrays in place: every caller hands over lists of its own.
+        """
         if target is None or target == self.node.address:
             self._send_batch_reply(origin, request_id, target, keys, hops)
             return
-        if payload is None:
-            payload = {"keys": keys, "coords": coords, "origin": origin,
-                       "request_id": request_id}
-        self.node.send(target, self.PROTOCOL_ROUTE_BATCH, payload,
-                       entry_bytes * len(keys), hops + 1)
+        run = (origin, request_id, hops + 1, len(keys))
+        outbox = self._outbox
+        batch = outbox.get(target)
+        if batch is not None:
+            batch[0].extend(keys)
+            batch[1].extend(coords)
+            batch[2].append(run)
+        elif outbox or self.node.defer(self._flush_outbox):
+            outbox[target] = (keys, coords, [run])
+        else:
+            self._send_route_batch(target, keys, coords, [run])
+
+    def _flush_outbox(self) -> None:
+        """Send one routed batch per next hop the closing scope forwarded to."""
+        outbox, self._outbox = self._outbox, {}
+        for target, batch in outbox.items():
+            self._send_route_batch(target, *batch)
+
+    def _send_route_batch(self, target: int, keys: List[int],
+                          coords: List[Any], runs: List[tuple]) -> None:
+        self.node.send(target, self.PROTOCOL_ROUTE_BATCH,
+                       {"keys": keys, "coords": coords, "runs": runs},
+                       self.ROUTE_HOP_BYTES * len(keys)
+                       + self.RUN_BYTES * (len(runs) - 1),
+                       runs[0][2] if len(runs) == 1
+                       else max(run[2] for run in runs))
 
     def _send_batch_reply(self, origin: int, request_id: int,
                           owner: Optional[int], keys: List[int],
@@ -305,22 +340,31 @@ class RoutingLayer(ABC):
                        self.ROUTE_HOP_BYTES + (8 * (count - 1) if count > 1 else 0))
 
     def _on_route_batch(self, node: Node, message, bounced: bool = False) -> None:
-        """Forward the batch ``message`` carries: arrived, or bounced back."""
+        """Route every run of the batch ``message`` carries: arrived, or
+        bounced back (then around the dead neighbour).
+
+        A batch whose arrays or run counts disagree routes nothing: each run
+        is answered unresolved with its share of ``keys``.  The runs of a
+        merged batch are handled in one delivery scope, so the keys they
+        forward to one next hop leave together even off a bounce.
+        """
         payload = message.payload
-        keys, coords = payload["keys"], payload["coords"]
-        count = len(keys)
-        if count != len(coords):  # malformed: nothing can be routed
-            self._send_batch_reply(payload["origin"], payload["request_id"],
-                                   None, keys, message.hops)
-            return
-        # The bytes each key was charged, at least one.
-        entry_bytes = message.payload_bytes // (count or 1)
-        if entry_bytes < 1:
-            entry_bytes = 1
-        self._forward_batch(
-            keys, coords, payload["origin"], payload["request_id"],
-            entry_bytes, message.hops,
-            message.dst if bounced else message.src, not bounced, payload)
+        keys, coords, runs = payload["keys"], payload["coords"], payload["runs"]
+        sound = len(keys) == len(coords) == sum(run[3] for run in runs)
+        exclude = message.dst if bounced else message.src
+        opened = len(runs) > 1 and node.open_scope()
+        start = 0
+        for origin, request_id, hops, count in runs:
+            end = start + count
+            if sound:
+                self._forward_batch(keys[start:end], coords[start:end], origin,
+                                    request_id, hops, exclude, not bounced)
+            else:
+                self._send_batch_reply(origin, request_id, None,
+                                       keys[start:end], hops)
+            start = end
+        if opened:
+            node.close_scope()
 
     def _on_route_batch_bounce(self, node: Node, message) -> None:
         """A batched hop hit a dead node: mark it dead and re-route the batch."""

@@ -112,7 +112,7 @@ from typing import (Any, Callable, Collection, Dict, Iterator, List, Optional,
 
 from repro.dht.api import RoutingLayer
 from repro.dht.multicast import MulticastHandler, MulticastService
-from repro.dht.naming import hash_key
+from repro.dht.naming import hash_keys
 from repro.dht.softstate import RENEW_ITEM_BYTES, RenewalAgent
 from repro.dht.storage import StorageManager, StoredItem
 from repro.net.node import Node
@@ -349,7 +349,7 @@ class Provider:
         them), but the loss is counted, or a query's completeness report
         would read ``complete`` while rehash fragments silently vanished.
         """
-        keys = [hash_key(namespace, rid) for rid in resource_ids]
+        keys = hash_keys(namespace, resource_ids)
         indices_by_key: Dict[int, List[int]] = {}
         for i, key in enumerate(keys):
             indices_by_key.setdefault(key, []).append(i)
@@ -642,8 +642,8 @@ class Provider:
         if _attempts_left is None:
             self._count(scope, "issued", len(outstanding))
         rids_by_key: Dict[int, List[Any]] = {}
-        for resource_id in outstanding:
-            key = hash_key(namespace, resource_id)
+        for resource_id, key in zip(outstanding,
+                                    hash_keys(namespace, outstanding)):
             rids_by_key.setdefault(key, []).append(resource_id)
         lookup_id = next(self._get_ids)
         lookup = _PendingGet(

@@ -49,7 +49,7 @@ class Message:
         accounting.
     hops:
         Overlay hop counter, incremented by DHT routing layers when they
-        forward a logical request; used by the hop-count ablation.
+        forward a request (a routed batch: its largest run's count).
     """
 
     __slots__ = ("src", "dst", "protocol", "payload", "payload_bytes",

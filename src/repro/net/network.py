@@ -55,10 +55,13 @@ is — its wire size — was fixed when it was built.  On the other side, one
 loop in :meth:`SimulatedNetwork._deliver_batch` delivers a group: per
 member it checks that the destination is alive, records the delivery and
 dispatches it with :meth:`repro.net.node.Node.deliver` (the one dispatch,
-on every backend, that observers of deliveries wrap).  A member whose
+on every backend, that observers of deliveries wrap), all inside one
+delivery scope of the destination node, so what the node's layers deferred
+during the group is sent once the group is done.  A member whose
 destination is down by then takes the drop-and-bounce path of
 :meth:`SimulatedNetwork._deliver`, which also delivers the messages that
-travel alone: local sends and the uncoalesced mode.
+travel alone: local sends and the uncoalesced mode.  A message delivered
+alone opens no scope: its handlers send at once.
 """
 
 from __future__ import annotations
@@ -231,12 +234,16 @@ class SimulatedNetwork(Transport):
             del self._groups[key]
         destination = self.nodes[entries[0][0].dst]
         stats = self.stats
-        for message, queued_for in entries:
-            if destination.alive:  # an earlier member's handler may fail it
-                stats.record_delivery(message, queued_for)
-                destination.deliver(message)
-            else:
-                self._deliver(message, queued_for)
+        destination.open_scope()  # groups never nest: each is one event
+        try:
+            for message, queued_for in entries:
+                if destination.alive:  # an earlier member's handler may fail it
+                    stats.record_delivery(message, queued_for)
+                    destination.deliver(message)
+                else:
+                    self._deliver(message, queued_for)
+        finally:
+            destination.close_scope()
 
     def _deliver(self, message: Message, queued_for: float) -> None:
         """Final delivery step executed by the simulator."""

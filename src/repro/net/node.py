@@ -11,11 +11,16 @@ The handler registry is a simple string-keyed dispatch table.  Handlers
 receive the :class:`repro.net.message.Message` that arrived; replies are sent
 explicitly via :meth:`Node.send`, never returned, because everything in this
 system is asynchronous (matching PIER's callback-based design).
+
+A transport that hands a node several messages at once (the simulator's
+delivery group) delivers them in one *delivery scope*; a layer that merges
+what it sends registers a flush with :meth:`Node.defer` and sends when the
+scope closes.  Outside a scope ``defer`` declines and the layer sends at once.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.exceptions import NetworkError
 from repro.net.message import Message
@@ -37,6 +42,8 @@ class Node:
         self._bounce_handlers: Dict[str, Handler] = {}
         #: Free-form per-node services (DHT instance, provider, executor...).
         self.services: Dict[str, Any] = {}
+        #: Flushes registered in the open delivery scope; ``None``: none open.
+        self._flushes: Optional[List[Callable[[], None]]] = None
 
     # ----------------------------------------------------------- registration
 
@@ -97,6 +104,28 @@ class Node:
                 f"node {self.address}: no handler for protocol {message.protocol!r}"
             )
         handler(self, message)
+
+    # ------------------------------------------------------- delivery scope
+
+    def open_scope(self) -> bool:
+        """Open a delivery scope; ``False`` (and nothing opened) if one is."""
+        if self._flushes is not None:
+            return False
+        self._flushes = []
+        return True
+
+    def close_scope(self) -> None:
+        """Close the open scope, then run its flushes in registration order."""
+        flushes, self._flushes = self._flushes, None
+        for flush in flushes:
+            flush()
+
+    def defer(self, flush: Callable[[], None]) -> bool:
+        """Run ``flush`` when the open scope closes; ``False`` if none is open."""
+        if self._flushes is None:
+            return False
+        self._flushes.append(flush)
+        return True
 
     # --------------------------------------------------------------- timers
 

@@ -42,7 +42,6 @@ class TrafficStats:
     protocol_bytes: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
     protocol_messages: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
     total_queueing_delay: float = 0.0
-    overlay_hops: int = 0
 
     def record_delivery(self, message: Message, queued_for: float = 0.0) -> None:
         """Record a successful delivery and its queueing delay."""
@@ -54,7 +53,6 @@ class TrafficStats:
         self.protocol_bytes[message.protocol] += size
         self.protocol_messages[message.protocol] += 1
         self.total_queueing_delay += queued_for
-        self.overlay_hops += message.hops
 
     # ------------------------------------------------------------------ views
 
@@ -99,7 +97,6 @@ class TrafficStats:
         self.protocol_bytes.clear()
         self.protocol_messages.clear()
         self.total_queueing_delay = 0.0
-        self.overlay_hops = 0
 
     def snapshot(self) -> dict:
         """Plain-dict summary suitable for benchmark reporting."""
@@ -109,5 +106,4 @@ class TrafficStats:
             "messages_dropped": self.messages_dropped,
             "aggregate_mb": self.aggregate_traffic_mb,
             "max_inbound_mb": self.max_inbound_bytes() / 1_000_000,
-            "overlay_hops": self.overlay_hops,
         }

@@ -657,10 +657,14 @@ FRONT_END_PINS = {
             6, 7, 7, 7, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 3, 4, 4, 4, 4, 4, 4,
             4, 4, 4, 4, 4, 4, 4, 4, 4, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 6, 7, 7
         ],
-        "lookups": (991, 99100, 0.1631),
-        "gets": (1419, 152790, 0.57153),
-        "puts": (290, 31400, 0.75308),
-        "gets_of_puts": (337, 37130, 0.97465),
+        # Re-recorded when relays began to forward one routed batch per
+        # next hop per delivery group: owners and hop counts did not move;
+        # lookups that meet at a relay share a message, so messages, bytes
+        # and last arrivals fell in every phase.
+        "lookups": (704, 86472, 0.162592),
+        "gets": (1131, 140118, 0.570398),
+        "puts": (262, 30168, 0.751904),
+        "gets_of_puts": (306, 35766, 0.973474),
     },
     "chord": {
         "owners": [
@@ -688,10 +692,11 @@ FRONT_END_PINS = {
             5, 5, 5, 5, 5, 5, 1, 1, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3,
             4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 5, 5, 5, 5, 6, 6, 6, 6, 6
         ],
-        "lookups": (965, 96500, 0.1644),
-        "gets": (1330, 143725, 0.537619),
-        "puts": (294, 31850, 0.718869),
-        "gets_of_puts": (348, 38300, 0.900839),
+        # Re-recorded with the per-delivery outbox, as CAN's totals above.
+        "lookups": (618, 81232, 0.164136),
+        "gets": (1003, 129337, 0.536668),
+        "puts": (250, 29914, 0.717874),
+        "gets_of_puts": (310, 36628, 0.899726),
     },
 }
 
@@ -699,8 +704,10 @@ FRONT_END_PINS = {
 @pytest.mark.parametrize("dht", ["can", "chord"])
 def test_scalar_front_ends_cost_what_the_scalar_lanes_did(dht):
     """``lookup`` is a ``lookup_batch`` of one and ``get`` a ``get_batch`` of
-    one: same owners, same hop counts, same messages, bytes and arrival
-    times as the lanes they replaced, over the batch protocols only."""
+    one: same owners and hop counts as the lanes they replaced, over the
+    batch protocols only.  The traffic totals matched those lanes too until
+    relays began to merge the lookups of one delivery group; they are
+    pinned at what the merged batches send."""
     trace, protocols = front_end_trace(dht)
     assert trace == FRONT_END_PINS[dht]
     assert protocols == {f"{dht}.route_batch", f"{dht}.batch_lookup_reply",

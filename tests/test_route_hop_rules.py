@@ -3,7 +3,9 @@
 A key the relay owns is answered to the origin, a key past the hop limit or
 without a way on is answered *unresolved*, any other key is forwarded.  A
 one-key batch and a larger one are handled in different shapes, so every
-rule is checked on both, on CAN and on Chord.
+rule is checked on both, on CAN and on Chord.  A batch can carry the keys of
+several lookups, one run each; the rules apply per run, and each run is
+answered to its own origin.
 """
 
 import pytest
@@ -18,6 +20,8 @@ from repro.net.topology import FullMeshTopology
 NUM_NODES = 36
 ORIGIN = 0
 REQUEST_ID = 77
+#: The second lookup of a two-run batch: its origin and request id.
+OTHER, OTHER_REQUEST_ID = 5, 78
 BATCH_SIZES = [1, 3]
 
 
@@ -34,21 +38,27 @@ def keys_owned_by_neither(builder, *addresses, count):
             if builder.owner_of_key(key) not in addresses][:count]
 
 
-def await_answers(routing, keys):
+def await_answers(routing, keys, request_id=REQUEST_ID):
     """A pending lookup of ``keys`` at ``routing``, as a relay would see it."""
     answers = {"resolved": [], "unresolved": []}
-    routing._pending_batch_lookups[REQUEST_ID] = BatchLookupState(
+    routing._pending_batch_lookups[request_id] = BatchLookupState(
         lambda owner, resolved: answers["resolved"].append((owner, resolved)),
         len(keys), on_unresolved=answers["unresolved"].append)
     return answers
 
 
-def inject_route_batch(network, routing, relay, keys, coords, hops):
+def inject_route_batch(network, routing, relay, keys, coords, runs):
+    """Send ``relay`` a routed batch from ORIGIN; ``runs`` as on the wire,
+    one ``(origin, request_id, hops, count)`` per lookup."""
     network.node(ORIGIN).send(
         relay, routing.PROTOCOL_ROUTE_BATCH,
-        payload={"keys": keys, "coords": coords, "origin": ORIGIN,
-                 "request_id": REQUEST_ID},
-        payload_bytes=routing.ROUTE_HOP_BYTES * len(keys), hops=hops)
+        payload={"keys": keys, "coords": coords, "runs": runs},
+        payload_bytes=routing.ROUTE_HOP_BYTES * len(keys),
+        hops=max(run[2] for run in runs))
+
+
+def one_run(keys, hops):
+    return [(ORIGIN, REQUEST_ID, hops, len(keys))]
 
 
 @pytest.mark.parametrize("size", BATCH_SIZES)
@@ -61,7 +71,7 @@ def test_batch_at_the_hop_limit_is_answered_unresolved(dht, size):
     answers = await_answers(origin, keys)
     inject_route_batch(network, origin, relay, keys,
                        [origin._coordinate(key) for key in keys],
-                       hops=origin.MAX_ROUTE_HOPS)
+                       one_run(keys, origin.MAX_ROUTE_HOPS))
     network.run_until_idle()
     assert answers == {"resolved": [], "unresolved": [keys]}
     assert REQUEST_ID not in origin._pending_batch_lookups
@@ -79,7 +89,7 @@ def test_batch_with_mismatched_arrays_is_answered_unresolved_whole(dht, size):
     keys = keys_owned_by_neither(builder, ORIGIN, relay, count=size)
     answers = await_answers(origin, keys)
     coords = [origin._coordinate(key) for key in keys + keys[:1]]
-    inject_route_batch(network, origin, relay, keys, coords, hops=1)
+    inject_route_batch(network, origin, relay, keys, coords, one_run(keys, 1))
     network.run_until_idle()
     assert answers == {"resolved": [], "unresolved": [keys]}
     assert REQUEST_ID not in origin._pending_batch_lookups
@@ -118,3 +128,88 @@ def test_bounced_batch_is_rerouted_around_the_dead_neighbour(dht, size):
     assert network.stats.messages_dropped >= 1
     assert resolved == {key: builder.owner_of_key(key) for key in keys}
     assert not origin._pending_batch_lookups
+
+
+# ------------------------------------------------- two lookups in one batch
+
+
+def two_lookups(dht, size):
+    """A relay next to ORIGIN, and a pending lookup at ORIGIN and at OTHER
+    of ``size`` keys each, none owned by the three."""
+    network, routings, builder = build(dht)
+    origin, other = routings[ORIGIN], routings[OTHER]
+    relay = next(address for address in origin.neighbors() if address != OTHER)
+    keys = keys_owned_by_neither(builder, ORIGIN, OTHER, relay, count=2 * size)
+    first, second = keys[:size], keys[size:]
+    return (network, routings, builder, relay, first, second,
+            await_answers(origin, first), await_answers(other, second,
+                                                        OTHER_REQUEST_ID))
+
+
+@pytest.mark.parametrize("size", BATCH_SIZES)
+@pytest.mark.parametrize("dht", ["can", "chord"])
+def test_run_past_the_hop_limit_is_answered_while_the_other_is_forwarded(dht, size):
+    (network, routings, builder, relay, first, second,
+     first_answers, second_answers) = two_lookups(dht, size)
+    origin = routings[ORIGIN]
+    keys = first + second
+    inject_route_batch(network, origin, relay, keys,
+                       [origin._coordinate(key) for key in keys],
+                       [(ORIGIN, REQUEST_ID, origin.MAX_ROUTE_HOPS, size),
+                        (OTHER, OTHER_REQUEST_ID, 1, size)])
+    network.run_until_idle()
+    assert first_answers == {"resolved": [], "unresolved": [first]}
+    assert second_answers["unresolved"] == []
+    assert {key: owner for owner, owned in second_answers["resolved"]
+            for key in owned} == {key: builder.owner_of_key(key) for key in second}
+    other = routings[OTHER]
+    assert not origin._pending_batch_lookups and not other._pending_batch_lookups
+    # The forwarded run kept its own count: the relay is its second hop.
+    assert min(other.lookup_hops_observed) >= 2
+    assert network.stats.protocol_messages[origin.PROTOCOL_ROUTE_BATCH] > 1
+
+
+@pytest.mark.parametrize("size", BATCH_SIZES)
+@pytest.mark.parametrize("dht", ["can", "chord"])
+def test_disagreeing_run_counts_are_answered_unresolved_to_every_origin(dht, size):
+    (network, routings, builder, relay, first, second,
+     first_answers, second_answers) = two_lookups(dht, size)
+    origin = routings[ORIGIN]
+    keys = first + second
+    inject_route_batch(network, origin, relay, keys,
+                       [origin._coordinate(key) for key in keys],
+                       [(ORIGIN, REQUEST_ID, 1, size),
+                        (OTHER, OTHER_REQUEST_ID, 1, size + 1)])
+    network.run_until_idle()
+    assert first_answers == {"resolved": [], "unresolved": [first]}
+    assert second_answers == {"resolved": [], "unresolved": [second]}
+    messages = network.stats.protocol_messages
+    assert messages[origin.PROTOCOL_ROUTE_BATCH] == 1  # nothing was routed
+    assert messages[origin.PROTOCOL_BATCH_LOOKUP_REPLY] == 2
+
+
+@pytest.mark.parametrize("size", BATCH_SIZES)
+@pytest.mark.parametrize("dht", ["can", "chord"])
+def test_bounced_two_run_batch_reroutes_both_runs(dht, size):
+    network, routings, builder = build(dht)
+    origin, other = routings[ORIGIN], routings[OTHER]
+    dead = origin._next_hop(origin._coordinate(hash_key("detour", 0)))
+    assert dead != OTHER
+    keys = [key for key in keys_through(builder, origin, dead, 2 * size + 4)
+            if builder.owner_of_key(key) != OTHER][:2 * size]
+    first, second = keys[:size], keys[size:]
+    first_answers = await_answers(origin, first)
+    second_answers = await_answers(other, second, OTHER_REQUEST_ID)
+    network.fail_node(dead)
+    # ORIGIN relays OTHER's lookup and forwards its own, merged, to ``dead``.
+    origin._send_route_batch(dead, keys, [origin._coordinate(key) for key in keys],
+                             [(ORIGIN, REQUEST_ID, 1, size),
+                              (OTHER, OTHER_REQUEST_ID, 2, size)])
+    network.run_until_idle()
+    assert dead not in origin.neighbors()
+    for answers, wanted in ((first_answers, first), (second_answers, second)):
+        assert answers["unresolved"] == []
+        assert {key: owner for owner, owned in answers["resolved"]
+                for key in owned} == {key: builder.owner_of_key(key)
+                                      for key in wanted}
+    assert not origin._pending_batch_lookups and not other._pending_batch_lookups

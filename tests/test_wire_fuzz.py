@@ -533,10 +533,12 @@ def test_forged_route_batch_lengths_are_reported_unresolved(field):
         (dst, protocol, payload))
     forged = through_the_wire(message, **{field: message.payload[field][:-1]})
     routing._on_route_batch(routing.node, forged)
-    (dst, protocol, payload), = sent
-    assert (dst, protocol) == (message.payload["origin"],
-                               routing.PROTOCOL_BATCH_LOOKUP_REPLY)
-    assert payload["owner"] is None and payload["keys"] == forged.payload["keys"]
+    runs = message.payload["runs"]
+    assert [(dst, protocol) for dst, protocol, _payload in sent] == [
+        (run[0], routing.PROTOCOL_BATCH_LOOKUP_REPLY) for run in runs]
+    assert all(payload["owner"] is None for _dst, _protocol, payload in sent)
+    assert [key for *_sent, payload in sent
+            for key in payload["keys"]] == forged.payload["keys"]
 
 
 # ---------------------------------------------------------------- framing
