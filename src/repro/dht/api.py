@@ -6,14 +6,18 @@ forwarding.  Its public surface is deliberately tiny:
 
 =====================  =========================================================
 ``lookup(key) → addr`` asynchronous; invokes a callback with the owner address
-``join(landmark)``     attach to (or create) an overlay network
-``leave()``            gracefully hand off responsibility and depart
-``locationMapChange``  callback fired when the locally-owned key range changes
+``join`` / ``leave``   a deployment rebuilds the stabilised overlay over its new
+                       address list (:func:`repro.stack.build_overlay`) and
+                       :meth:`RoutingLayer.rebind` moves the layer onto its node
+``locationMapChange``  no callback: after a rebuild the node hands off the
+                       items it no longer ``owns`` (:mod:`repro.node`)
 =====================  =========================================================
 
 Both :class:`repro.dht.can.CanRouting` and :class:`repro.dht.chord.ChordRouting`
 implement this interface, which is what lets PIER swap DHTs with "fairly
-minimal integration effort" (paper Section 3.2).
+minimal integration effort" (paper Section 3.2).  The paper measures "after
+the CAN routing stabilizes", and so does every deployment here: there is no
+message-level join or leave protocol.
 
 There is one lookup lane.  :meth:`RoutingLayer.lookup_batch` routes any
 number of keys, and ``lookup`` is its front-end for one key, so a DHT's whole
@@ -24,8 +28,7 @@ origin, and travels with it: a routed batch is two parallel arrays, ``keys``
 and ``coords``, which every hop splits by next hop in one sweep — no per-key
 object in memory or on the wire.  Request bookkeeping, forwarding, replies,
 re-routing around a bounced hop and the report of keys that cannot be routed
-are written once, here — and so is the greedy walk that carries a joiner's
-request to the owner of its coordinate, over the same hooks.
+are written once, here.
 
 One routed batch can carry the keys of several lookups.  Its third field,
 ``runs``, holds one ``(origin, request_id, hops, count)`` per lookup, in key
@@ -54,8 +57,6 @@ LookupCallback = Callable[[int], None]
 #: Invoked once per distinct owner as resolutions arrive, so callers can
 #: dispatch each destination's traffic without waiting for stragglers.
 BatchLookupCallback = Callable[[int, List[int]], None]
-#: Callback type for location-map changes (no arguments; consult the layer).
-LocationMapCallback = Callable[[], None]
 
 
 class RoutingTableField:
@@ -104,17 +105,14 @@ class RoutingLayer(ABC):
 
     The base class owns the generic half of **lookups** — the Table 1
     ``lookup``, request bookkeeping, reply handling and the forward step
-    that applies the hop rules (:meth:`_target`) at every hop — and the
-    **join route**.  Most routed messages carry one key; such a batch goes
-    straight to its one outcome (an owned reply, an unresolved reply or one
-    forward of the payload it came in), and only a larger one is
-    re-partitioned by target.
+    that applies the hop rules (:meth:`_target`) at every hop.  Most routed
+    messages carry one key; such a batch goes straight to its one outcome
+    (an owned reply, an unresolved reply or one forward of the payload it
+    came in), and only a larger one is re-partitioned by target.
     Concrete layers supply only the geometry through three hooks —
     :meth:`_coordinate`, :meth:`_owns_coordinate` and :meth:`_next_hop` —
-    plus ``create_network``, ``_join_coordinate`` and
-    :meth:`_handle_join_request`, and name the ``PROTOCOL_ROUTE*`` /
-    ``PROTOCOL_BATCH_LOOKUP_REPLY`` protocols the inherited handlers are
-    registered under.
+    and name the ``PROTOCOL_ROUTE_BATCH`` / ``PROTOCOL_BATCH_LOOKUP_REPLY``
+    protocols the inherited handlers are registered under.
 
     The hooks answer from a **next-hop index** (``_next_hops``) that each
     layer derives from its routing table on the first routed hop after the
@@ -125,10 +123,9 @@ class RoutingLayer(ABC):
     #: Name used as a service key on the node and as a protocol prefix.
     SERVICE_NAME = "dht.routing"
     #: Routed protocol names; concrete layers override with their own.
-    PROTOCOL_ROUTE = "dht.route"
     PROTOCOL_ROUTE_BATCH = "dht.route_batch"
     PROTOCOL_BATCH_LOOKUP_REPLY = "dht.batch_lookup_reply"
-    #: Wire size (bytes) charged per batch-entry hop / reply / control hop.
+    #: Wire size (bytes) charged per batch-entry hop and per reply.
     ROUTE_HOP_BYTES = 40
     #: Wire size of each run after the first in a routed batch: origin,
     #: request id, hop count and key count.
@@ -143,7 +140,6 @@ class RoutingLayer(ABC):
 
     def __init__(self, node: Node):
         self.node = node
-        self._location_map_listeners: List[LocationMapCallback] = []
         self._pending_batch_lookups: Dict[int, BatchLookupState] = {}
         self._lookup_ids = itertools.count(1)
         #: Forwards held in the open delivery scope: next hop -> the
@@ -151,11 +147,9 @@ class RoutingLayer(ABC):
         self._outbox: Dict[int, Tuple[List[int], List[Any], List[tuple]]] = {}
         self.lookup_hops_observed: List[int] = []
         node.services[self.SERVICE_NAME] = self
-        node.register_handler(self.PROTOCOL_ROUTE, self._on_route)
         node.register_handler(self.PROTOCOL_ROUTE_BATCH, self._on_route_batch)
         node.register_handler(self.PROTOCOL_BATCH_LOOKUP_REPLY,
                               self._on_batch_lookup_reply)
-        node.register_bounce_handler(self.PROTOCOL_ROUTE, self._on_route_bounce)
         node.register_bounce_handler(self.PROTOCOL_ROUTE_BATCH,
                                      self._on_route_batch_bounce)
 
@@ -367,7 +361,12 @@ class RoutingLayer(ABC):
             node.close_scope()
 
     def _on_route_batch_bounce(self, node: Node, message) -> None:
-        """A batched hop hit a dead node: mark it dead and re-route the batch."""
+        """A batched hop hit a dead node: mark it dead and re-route the batch.
+
+        This models per-contact failure detection (a reset or timed-out
+        transport connection) as opposed to the slower periodic keep-alives;
+        the neighbour stays marked dead locally until it is reported alive.
+        """
         self.mark_neighbor_dead(message.dst)
         self._on_route_batch(node, message, bounced=True)
 
@@ -391,60 +390,6 @@ class RoutingLayer(ABC):
         self.lookup_hops_observed.extend([payload.get("hops", 0)] * len(keys))
         pending.callback(owner, keys)
 
-    # ------------------------------------------------------------ join route
-    # ``PROTOCOL_ROUTE`` carries only a joiner's request (``coord``,
-    # ``origin``) from its landmark to the node that owns ``coord``.
-
-    def join(self, landmark: Optional[int]) -> None:
-        """Join the overlay via ``landmark`` (``None`` starts a new network).
-
-        The landmark routes the request toward the coordinate the joiner
-        picked (:meth:`_join_coordinate`); its owner answers the joiner.
-        """
-        if landmark is None:
-            self.create_network()
-            return
-        self.node.send(
-            landmark, self.PROTOCOL_ROUTE,
-            payload={"coord": self._join_coordinate(), "origin": self.address},
-            payload_bytes=self.ROUTE_HOP_BYTES)
-
-    def _handle_join_request(self, payload: dict) -> None:
-        """Give the joiner at ``payload["origin"]`` its share of the space."""
-        raise NotImplementedError
-
-    def _forward_join(self, message, exclude: int) -> None:
-        """Greedy-forward a join request one hop closer to its coordinate.
-
-        Past the hop limit (the routing-loop safety valve) or with no live
-        next hop the request is lost: the joiner has to join again.
-        """
-        if message.hops >= self.MAX_ROUTE_HOPS:
-            return
-        next_hop = self._next_hop(message.payload["coord"], exclude)
-        if next_hop is None or next_hop == self.address:
-            return
-        self.node.send(next_hop, self.PROTOCOL_ROUTE, payload=message.payload,
-                       payload_bytes=message.payload_bytes,
-                       hops=message.hops + 1)
-
-    def _on_route(self, node: Node, message) -> None:
-        if self._owns_coordinate(message.payload["coord"]):
-            self._handle_join_request(message.payload)
-        else:
-            self._forward_join(message, exclude=message.src)
-
-    def _on_route_bounce(self, node: Node, message) -> None:
-        """A forwarded hop hit a dead neighbour: route around it immediately.
-
-        This models per-contact failure detection (a reset / timed-out
-        transport connection) as opposed to the slower periodic keep-alives;
-        the neighbour is marked dead locally so subsequent traffic avoids it
-        until it is reported alive again.
-        """
-        self.mark_neighbor_dead(message.dst)
-        self._forward_join(message, exclude=message.dst)
-
     def mark_neighbor_dead(self, address: int) -> None:
         """Record a detected neighbour failure (no-op by default)."""
 
@@ -459,9 +404,18 @@ class RoutingLayer(ABC):
         socket-backed node.  Every protocol handler (and bounce handler) the
         layer registered on the stand-in is re-registered on the new node,
         so the move is invisible to the layer itself.
+
+        On a membership change the node already runs the layer of the old
+        overlay; this layer takes over its pending lookups and its request
+        ids, so answers to lookups the old layer sent still reach their
+        callers, and a new request never shares an id with one in flight.
         """
         old = self.node
         self.node = node
+        previous = node.services.get(self.SERVICE_NAME)
+        if previous is not None and previous is not self:
+            self._pending_batch_lookups = previous._pending_batch_lookups
+            self._lookup_ids = previous._lookup_ids
         node.services[self.SERVICE_NAME] = self
         if old is not None and old is not node:
             for protocol, handler in old._handlers.items():
@@ -488,21 +442,6 @@ class RoutingLayer(ABC):
         ``None`` is the flood (every live neighbour); a tree layer answers
         ``None`` for a scope it cannot cover (:mod:`repro.dht.multicast`)."""
         return [(address, None) for address in self.neighbors()]
-
-    @abstractmethod
-    def leave(self) -> None:
-        """Gracefully leave, handing owned keys to a neighbour."""
-
-    # ------------------------------------------------------------- callbacks
-
-    def add_location_map_listener(self, callback: LocationMapCallback) -> None:
-        """Register a ``locationMapChange`` listener (paper Table 1)."""
-        self._location_map_listeners.append(callback)
-
-    def notify_location_map_change(self) -> None:
-        """Fire all registered ``locationMapChange`` listeners."""
-        for callback in list(self._location_map_listeners):
-            callback()
 
     # ------------------------------------------------------------ utilities
 

@@ -2,8 +2,8 @@
 
 CAN (Ratnasamy et al., SIGCOMM 2001) organises nodes over a logical
 ``d``-dimensional unit **torus** partitioned into hyper-rectangular *zones*.
-Each node owns one zone (plus possibly zones adopted from departed
-neighbours), keys hash to points, and a key is stored at the node whose zone
+Each node owns its zones (one after a build; the routing code takes any
+number), keys hash to points, and a key is stored at the node whose zone
 contains its point.  Coordinates wrap: a zone face at ``1`` meets the faces
 at ``0`` across the seam, so zones on opposite edges of the unit cube are
 neighbours, and distances are measured the short way round each axis.
@@ -19,14 +19,11 @@ each strictly closer neighbour and the wave costs ``2n`` messages on a
 regular 2-d grid instead of the flood's ``3n``.  A neighbour marked dead
 among those children makes the node flood instead.
 
-Two ways to stand up a CAN are provided:
-
-* the full **join/leave protocol** (zone splitting, item hand-off, neighbour
-  updates), used by tests and small experiments;
-* :class:`CanNetworkBuilder.build_stabilized`, which constructs the
-  partitioning and neighbour tables directly.  The paper's measurements are
-  all taken "after the CAN routing stabilizes", so benchmarks use this bulk
-  construction to avoid simulating thousands of sequential joins.
+A CAN is stood up one way: :meth:`CanNetworkBuilder.build_stabilized`
+constructs the partitioning and neighbour tables directly, as a function of
+the address list.  The paper's measurements are all taken "after the CAN
+routing stabilizes"; a membership change rebuilds over the new list
+(:func:`repro.stack.build_overlay`).
 
 **Next-hop index.**  Routing does not walk :class:`Zone` objects: a node's
 own zones and its live neighbours' zones are flattened to per-dimension
@@ -40,10 +37,9 @@ attributes).
 from __future__ import annotations
 
 import functools
-import random
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import RoutingError
 from repro.dht.api import RoutingLayer, RoutingTableField
@@ -97,18 +93,8 @@ class Zone:
             volume *= high - low
         return volume
 
-    def extent(self, dim: int) -> float:
-        """Side length along dimension ``dim``."""
-        return self.hi[dim] - self.lo[dim]
-
-    def longest_dimension(self) -> int:
-        """Index of the dimension with the largest extent (ties → lowest)."""
-        return max(range(self.dimensions), key=lambda dim: (self.extent(dim), -dim))
-
-    def split(self, dim: Optional[int] = None) -> Tuple["Zone", "Zone"]:
-        """Split the zone in half along ``dim`` (default: longest dimension)."""
-        if dim is None:
-            dim = self.longest_dimension()
+    def split(self, dim: int) -> Tuple["Zone", "Zone"]:
+        """Split the zone in half along ``dim``."""
         mid = (self.lo[dim] + self.hi[dim]) / 2.0
         lower_hi = list(self.hi)
         lower_hi[dim] = mid
@@ -187,16 +173,10 @@ class CanRouting(RoutingLayer):
         Simulated host this instance runs on.
     dimensions:
         Dimensionality ``d`` of the coordinate space (paper uses 2).
-    seed:
-        Seed for the join-point selection of this node.
     """
 
-    PROTOCOL_ROUTE = "can.route"
     PROTOCOL_ROUTE_BATCH = "can.route_batch"
     PROTOCOL_BATCH_LOOKUP_REPLY = "can.batch_lookup_reply"
-    PROTOCOL_JOIN_REPLY = "can.join_reply"
-    PROTOCOL_NEIGHBOR_UPDATE = "can.neighbor_update"
-    PROTOCOL_LEAVE_HANDOFF = "can.leave_handoff"
 
     # The routing table: what the next-hop index is derived from.
     #: Zones this node owns (a tuple: replace it, do not edit it).
@@ -205,7 +185,7 @@ class CanRouting(RoutingLayer):
     neighbor_zones = RoutingTableField(_freeze_zone_map)
     _dead_neighbors = RoutingTableField(frozenset)
 
-    def __init__(self, node: Node, dimensions: int = DEFAULT_DIMENSIONS, seed: int = 0):
+    def __init__(self, node: Node, dimensions: int = DEFAULT_DIMENSIONS):
         super().__init__(node)
         if dimensions <= 0:
             raise ValueError("CAN dimensionality must be positive")
@@ -213,14 +193,6 @@ class CanRouting(RoutingLayer):
         self.zones = ()
         self.neighbor_zones = {}
         self._dead_neighbors = ()
-        self._rng = random.Random((seed << 20) ^ node.address)
-        #: Hooks installed by the Provider for item migration on join/leave.
-        self.extract_items: Optional[Callable[[Callable[[int], bool]], list]] = None
-        self.install_items: Optional[Callable[[list], None]] = None
-
-        node.register_handler(self.PROTOCOL_JOIN_REPLY, self._on_join_reply)
-        node.register_handler(self.PROTOCOL_NEIGHBOR_UPDATE, self._on_neighbor_update)
-        node.register_handler(self.PROTOCOL_LEAVE_HANDOFF, self._on_leave_handoff)
 
     # --------------------------------------------------------------- mapping
 
@@ -281,8 +253,8 @@ class CanRouting(RoutingLayer):
             self._dead_neighbors = self._dead_neighbors - {address}
 
     # --------------------------------------------------------------- routing
-    # Lookups and the join route are RoutingLayer's, over the coordinate
-    # hooks below; a key's (and a joiner's) coordinate is its point.
+    # Lookups are RoutingLayer's, over the coordinate hooks below; a key's
+    # coordinate is its point.
 
     def _best_next_hop(self, point: Sequence[float],
                        exclude: Optional[int] = None) -> Optional[int]:
@@ -379,166 +351,6 @@ class CanRouting(RoutingLayer):
                 children.append((address, scope))
         return children
 
-    # --------------------------------------------------------------- joining
-
-    def create_network(self) -> None:
-        """Become the first node of a new CAN, owning the whole space."""
-        self.zones = [Zone.full_space(self.dimensions)]
-        self.neighbor_zones = {}
-        self.notify_location_map_change()
-
-    def _join_coordinate(self) -> Tuple[float, ...]:
-        return tuple(self._rng.random() for _ in range(self.dimensions))
-
-    def _handle_join_request(self, payload: dict) -> None:
-        """Split the local primary zone and hand half to the joining node."""
-        joiner = payload["origin"]
-        point = payload["coord"]
-        primary_index = next(
-            (i for i, zone in enumerate(self.zones) if zone.contains(point)), 0
-        )
-        primary = self.zones[primary_index]
-        kept, given = primary.split()
-        # Convention: the joiner receives the half containing its chosen
-        # point, the splitter keeps the other half.
-        if kept.contains(point):
-            kept, given = given, kept
-        previous_neighbors = {
-            address: list(zones) for address, zones in self.neighbor_zones.items()
-        }
-        zones = list(self.zones)
-        zones[primary_index] = kept
-        self.zones = zones
-
-        items: list = []
-        if self.extract_items is not None:
-            items = self.extract_items(lambda key: not self.owns(key))
-
-        reply = {
-            "zone": given,
-            "neighbor_zones": previous_neighbors,
-            "splitter": self.address,
-            "splitter_zones": list(self.zones),
-            "items": items,
-        }
-        item_bytes = sum(getattr(item, "size_bytes", 100) for item in items)
-        self.node.send(
-            joiner,
-            self.PROTOCOL_JOIN_REPLY,
-            payload=reply,
-            payload_bytes=200 + item_bytes,
-        )
-        # The joiner becomes a neighbour of the splitter.
-        self.neighbor_zones = {**self.neighbor_zones, joiner: [given]}
-        self._prune_non_adjacent()
-        self._broadcast_zone_update(extra_recipients=previous_neighbors)
-        self.notify_location_map_change()
-
-    def _on_join_reply(self, node: Node, message) -> None:
-        payload = message.payload
-        self.zones = [payload["zone"]]
-        candidate_map = dict(payload["neighbor_zones"])
-        candidate_map[payload["splitter"]] = list(payload["splitter_zones"])
-        self.neighbor_zones = {
-            address: zones
-            for address, zones in candidate_map.items()
-            if address != self.address and self._adjacent_to_me(zones)
-        }
-        if self.install_items is not None and payload["items"]:
-            self.install_items(payload["items"])
-        self._broadcast_zone_update(extra_recipients=candidate_map.keys())
-        self.notify_location_map_change()
-
-    # ---------------------------------------------------------------- leaving
-
-    def leave(self) -> None:
-        """Hand all zones and items to the smallest live neighbour."""
-        live = [a for a in self.neighbor_zones if a not in self._dead_neighbors]
-        if not live:
-            self.zones = []
-            self.notify_location_map_change()
-            return
-        heir = min(
-            live,
-            key=lambda address: sum(z.volume() for z in self.neighbor_zones[address]),
-        )
-        items: list = []
-        if self.extract_items is not None:
-            items = self.extract_items(lambda key: True)
-        item_bytes = sum(getattr(item, "size_bytes", 100) for item in items)
-        self.node.send(
-            heir,
-            self.PROTOCOL_LEAVE_HANDOFF,
-            payload={
-                "zones": list(self.zones),
-                "items": items,
-                "departing": self.address,
-                "neighbor_zones": dict(self.neighbor_zones),
-            },
-            payload_bytes=200 + item_bytes,
-        )
-        self.zones = []
-        self._broadcast_zone_update()  # no zones: every neighbour drops us
-        self.neighbor_zones = {}
-        self.notify_location_map_change()
-
-    def _on_leave_handoff(self, node: Node, message) -> None:
-        payload = message.payload
-        self.zones = [*self.zones, *payload["zones"]]
-        neighbor_zones = dict(self.neighbor_zones)
-        neighbor_zones.pop(payload["departing"], None)
-        for address, zones in payload["neighbor_zones"].items():
-            if address == self.address:
-                continue
-            if self._adjacent_to_me(zones):
-                neighbor_zones[address] = zones
-        self.neighbor_zones = neighbor_zones
-        if self.install_items is not None and payload["items"]:
-            self.install_items(payload["items"])
-        self._broadcast_zone_update(
-            extra_recipients=payload["neighbor_zones"].keys()
-        )
-        self.notify_location_map_change()
-
-    # ----------------------------------------------------- neighbour updates
-
-    def _adjacent_to_me(self, zones: Sequence[Zone]) -> bool:
-        return any(
-            mine.is_neighbor(theirs) for mine in self.zones for theirs in zones
-        )
-
-    def _prune_non_adjacent(self) -> None:
-        self.neighbor_zones = {
-            address: zones
-            for address, zones in self.neighbor_zones.items()
-            if self._adjacent_to_me(zones)
-        }
-
-    def _broadcast_zone_update(self, extra_recipients=()) -> None:
-        recipients = set(self.neighbor_zones) | set(extra_recipients)
-        recipients.discard(self.address)
-        for address in recipients:
-            self.node.send(
-                address,
-                self.PROTOCOL_NEIGHBOR_UPDATE,
-                payload={"address": self.address, "zones": list(self.zones)},
-                payload_bytes=100,
-            )
-
-    def _on_neighbor_update(self, node: Node, message) -> None:
-        payload = message.payload
-        address = payload["address"]
-        zones = payload["zones"]
-        if address == self.address:
-            return
-        neighbor_zones = dict(self.neighbor_zones)
-        if zones and self._adjacent_to_me(zones):
-            neighbor_zones[address] = zones
-            self.mark_neighbor_alive(address)
-        else:
-            neighbor_zones.pop(address, None)
-        self.neighbor_zones = neighbor_zones
-
     # ------------------------------------------------------------ inspection
 
     def total_volume(self) -> float:
@@ -557,15 +369,14 @@ class CanNetworkBuilder:
 
     ``build_stabilized`` partitions the unit cube into one zone per node with
     balanced recursive bisection and computes neighbour tables directly, so
-    no join-protocol messages are exchanged.  This mirrors the paper's
-    methodology of measuring only after the overlay has stabilised.
+    no message is exchanged.  This mirrors the paper's methodology of
+    measuring only after the overlay has stabilised.
     """
 
-    def __init__(self, dimensions: int = DEFAULT_DIMENSIONS, seed: int = 0):
+    def __init__(self, dimensions: int = DEFAULT_DIMENSIONS):
         if dimensions <= 0:
             raise ValueError("CAN dimensionality must be positive")
         self.dimensions = dimensions
-        self.seed = seed
         self._built_addresses: Optional[List[int]] = None
 
     # ------------------------------------------------------------- partition
@@ -631,9 +442,7 @@ class CanNetworkBuilder:
 
         routings: Dict[int, CanRouting] = {}
         for index, address in enumerate(addresses):
-            routing = CanRouting(
-                network.node(address), dimensions=self.dimensions, seed=self.seed
-            )
+            routing = CanRouting(network.node(address), dimensions=self.dimensions)
             routing.zones = [zones[index]]
             routings[address] = routing
 

@@ -9,9 +9,10 @@ key).  Each node keeps a successor pointer, a predecessor pointer and an
 ``O(log n)`` hops, which is the "logarithmic growth" alternative the paper
 points to when discussing CAN's ``n^{1/2}`` hop count.
 
-As with CAN, both a message-level join protocol and a bulk stabilised
-builder are provided; the bulk builder computes successors and finger tables
-directly from the sorted identifier list.
+As with CAN, a ring is stood up one way: :class:`ChordNetworkBuilder`
+computes successors, predecessors and finger tables directly from the sorted
+identifier list, and a membership change rebuilds over the new list
+(:func:`repro.stack.build_overlay`).
 
 **Next-hop index.**  A finger table has ``key_bits`` slots but only about
 ``log2 n`` distinct nodes in them, so a hop does not scan the slots: the
@@ -55,12 +56,8 @@ def _in_interval(value: int, start: int, end: int, inclusive_end: bool = False) 
 class ChordRouting(RoutingLayer):
     """Chord routing layer instance bound to one node."""
 
-    PROTOCOL_ROUTE = "chord.route"
     PROTOCOL_ROUTE_BATCH = "chord.route_batch"
     PROTOCOL_BATCH_LOOKUP_REPLY = "chord.batch_lookup_reply"
-    PROTOCOL_JOIN_REPLY = "chord.join_reply"
-    PROTOCOL_NOTIFY = "chord.notify"
-    PROTOCOL_LEAVE = "chord.leave"
 
     # The routing table: what the next-hop index is derived from.
     #: Address of the next node clockwise (``None`` off the ring).
@@ -79,12 +76,6 @@ class ChordRouting(RoutingLayer):
         self.fingers = [None] * key_bits
         self._ids: Dict[int, int] = {}  # address -> identifier cache
         self._dead = ()
-        self.extract_items = None
-        self.install_items = None
-
-        node.register_handler(self.PROTOCOL_JOIN_REPLY, self._on_join_reply)
-        node.register_handler(self.PROTOCOL_NOTIFY, self._on_notify)
-        node.register_handler(self.PROTOCOL_LEAVE, self._on_leave)
 
     # --------------------------------------------------------------- helpers
 
@@ -128,8 +119,8 @@ class ChordRouting(RoutingLayer):
             self._dead = self._dead - {address}
 
     # --------------------------------------------------------------- routing
-    # Lookups and the join route are RoutingLayer's, over the coordinate
-    # hooks; a key's coordinate is its ring key, a joiner's its identifier.
+    # Lookups are RoutingLayer's, over the coordinate hooks; a key's
+    # coordinate is its ring key.
 
     def _build_next_hops(self) -> Tuple[List[int], List[int], Optional[int]]:
         """Index the table: sorted finger offsets, their addresses, fallback.
@@ -202,107 +193,6 @@ class ChordRouting(RoutingLayer):
         end = bisect.bisect_left(offsets, limit)
         return [(addresses[i], (base + offsets[i + 1]) % modulus
                  if i + 1 < end else scope) for i in range(end)]
-
-    # --------------------------------------------------------------- joining
-
-    def create_network(self) -> None:
-        """Become the only node on a new ring."""
-        self.successor = self.address
-        self.predecessor = self.address
-        self.fingers = [(self.identifier, self.address)] * self.key_bits
-        self.notify_location_map_change()
-
-    def _join_coordinate(self) -> int:
-        return self.identifier
-
-    def _handle_join_request(self, payload: dict) -> None:
-        """This node is the joiner's successor; splice it in before us."""
-        joiner = payload["origin"]
-        joiner_id = payload["coord"]
-        old_predecessor = self.predecessor
-        items: list = []
-        if self.extract_items is not None:
-            # Keys in (old_predecessor, joiner_id] move to the joiner.
-            def _moves(key: int) -> bool:
-                ring_key = self.ring_key(key)
-                start = self._identifier_of(old_predecessor) if old_predecessor is not None else joiner_id
-                return _in_interval(ring_key, start, joiner_id, inclusive_end=True)
-
-            items = self.extract_items(_moves)
-        self.predecessor = joiner
-        self._ids[joiner] = joiner_id
-        item_bytes = sum(getattr(item, "size_bytes", 100) for item in items)
-        self.node.send(
-            joiner,
-            self.PROTOCOL_JOIN_REPLY,
-            payload={
-                "successor": self.address,
-                "predecessor": old_predecessor,
-                "items": items,
-            },
-            payload_bytes=200 + item_bytes,
-        )
-        self.notify_location_map_change()
-
-    def _on_join_reply(self, node: Node, message) -> None:
-        payload = message.payload
-        self.successor = payload["successor"]
-        self.predecessor = payload["predecessor"]
-        self.fingers = [(self._identifier_of(self.successor), self.successor)] * self.key_bits
-        if self.install_items is not None and payload["items"]:
-            self.install_items(payload["items"])
-        if self.predecessor is not None and self.predecessor != self.address:
-            self.node.send(
-                self.predecessor,
-                self.PROTOCOL_NOTIFY,
-                payload={"successor": self.address},
-                payload_bytes=self.ROUTE_HOP_BYTES,
-            )
-        self.notify_location_map_change()
-
-    def _on_notify(self, node: Node, message) -> None:
-        self.successor = message.payload["successor"]
-
-    # ---------------------------------------------------------------- leaving
-
-    def leave(self) -> None:
-        """Hand stored items to the successor and splice out of the ring."""
-        if self.successor is None or self.successor == self.address:
-            self.successor = None
-            self.predecessor = None
-            self.notify_location_map_change()
-            return
-        items: list = []
-        if self.extract_items is not None:
-            items = self.extract_items(lambda key: True)
-        item_bytes = sum(getattr(item, "size_bytes", 100) for item in items)
-        self.node.send(
-            self.successor,
-            self.PROTOCOL_LEAVE,
-            payload={
-                "departing": self.address,
-                "predecessor": self.predecessor,
-                "items": items,
-            },
-            payload_bytes=200 + item_bytes,
-        )
-        if self.predecessor is not None and self.predecessor != self.address:
-            self.node.send(
-                self.predecessor,
-                self.PROTOCOL_NOTIFY,
-                payload={"successor": self.successor},
-                payload_bytes=self.ROUTE_HOP_BYTES,
-            )
-        self.successor = None
-        self.predecessor = None
-        self.notify_location_map_change()
-
-    def _on_leave(self, node: Node, message) -> None:
-        payload = message.payload
-        self.predecessor = payload["predecessor"]
-        if self.install_items is not None and payload["items"]:
-            self.install_items(payload["items"])
-        self.notify_location_map_change()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

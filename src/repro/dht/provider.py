@@ -230,10 +230,6 @@ class Provider:
         node.register_bounce_handler(self.PROTOCOL_PUT_CHUNK,
                                      self._on_put_chunk_bounce)
 
-        # Item migration hooks used by the routing layer on join/leave.
-        routing.extract_items = self.storage.extract
-        routing.install_items = self.storage.store_batch
-
         #: Handle of the periodic expiry sweep, cancelled by :meth:`close`.
         self._sweep_timer = None
         if sweep_period_s > 0:
@@ -879,19 +875,18 @@ class Provider:
     def rebind_routing(self, routing: RoutingLayer) -> None:
         """Point this Provider at a rebuilt routing layer (live membership).
 
-        When a real node folds a join/leave into its overlay it rebuilds
-        the deterministic routing tables over the new address list and
-        rebinds the fresh layer onto the same node; this swaps the
-        Provider's (and its multicast service's) routing reference and
-        re-wires the item-migration hooks onto the new layer.  Pending
-        gets keep their bookkeeping — their replies, bounces and timeout
-        timers all resolve through the node, not the routing layer (a batch
-        lookup still routing on the old layer is retried by its timeout).
+        A membership change is the one way the overlay changes: a real
+        node rebuilds the deterministic routing tables over the new address
+        list, rebinds the fresh layer onto the same node (which takes over
+        the old layer's in-flight lookups, see
+        :meth:`~repro.dht.api.RoutingLayer.rebind`) and hands off the items
+        it no longer owns itself.  This swaps the Provider's (and its
+        multicast service's) routing reference.  Pending gets keep their
+        bookkeeping — their replies, bounces and timeout timers all resolve
+        through the node, not the routing layer.
         """
         self.routing = routing
         self.multicast_service.routing = routing
-        routing.extract_items = self.storage.extract
-        routing.install_items = self.storage.store_batch
 
     def make_renewal_agent(self, refresh_period: float) -> RenewalAgent:
         """Create (but do not start) this node's renewal agent."""

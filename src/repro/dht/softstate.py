@@ -13,9 +13,9 @@ name at that owner every ``refresh_period`` seconds, with no overlay lookup
 (an item whose owner is unknown is renewed through a routed one, which
 records it), and ``put``s again through the routed put only what an owner no
 longer holds or owns.  This is safe under churn because a key changes owner
-only at a join or a graceful leave (a failed node recovers under the same
-identity, and nobody takes over its keys); after one, the old owner names the
-moved keys missing and their routed restore records the new owner.  The
+only when a real cluster's membership changes (a failed node recovers under
+the same identity, and nobody takes over its keys); after that, the old owner
+names the moved keys missing and their routed restore records the new owner.  The
 responsible-node half (renewal and expiry) lives in
 :class:`repro.dht.storage.StorageManager` and the Provider's periodic sweep.
 """

@@ -49,7 +49,7 @@ class StoredItem:
         Application payload (typically a tuple or a Bloom filter).
     key:
         The flat DHT key derived from ``(namespace, resource_id)``; kept so
-        the routing layer can decide which items migrate on join/leave.
+        a membership change can decide which items migrate.
     expires_at:
         Virtual time after which the item is no longer visible (soft state).
     stored_at:
@@ -314,8 +314,9 @@ class StorageManager:
     def extract(self, predicate: Callable[[int], bool]) -> List[StoredItem]:
         """Remove and return items whose DHT key satisfies ``predicate``.
 
-        Used by the routing layer to hand items to a new zone owner on
-        join/leave; each namespace's items come out in first-store order.
+        Used by a real node to hand items to their new owners after a
+        membership change rebuilt its overlay (:mod:`repro.node`); each
+        namespace's items come out in first-store order.
         """
         moving = [(partition, key, item)
                   for partition in self._partitions.values()

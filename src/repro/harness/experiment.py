@@ -122,7 +122,7 @@ class PierNetwork:
                                coalesce_window_s=config.coalesce_window_s)
         self.builder, self.routings = build_overlay(
             config.dht, range(config.num_nodes), config.can_dimensions,
-            config.seed, network=self.network)
+            network=self.network)
         churn = config.churn
         #: One node's Provider and executor each, and its failure transitions.
         self.stacks: Dict[int, NodeStack] = {

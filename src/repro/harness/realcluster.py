@@ -54,7 +54,8 @@ class LocalCluster:
     Parameters mirror the node CLI; the heartbeat/suspicion/request-timeout
     knobs exist so churn tests can compress the paper's 15 s detection
     delay into CI-friendly wall clock (see ``benchmarks/bench_real_churn``
-    for the exact simulator↔real mapping).
+    for the exact simulator↔real mapping).  ``seed`` is accepted and
+    unused: the overlay is a function of the address list alone.
     """
 
     def __init__(self, num_nodes: int, dht: str = "can", seed: int = 0,
@@ -87,7 +88,7 @@ class LocalCluster:
         self._spawn(self._common
                     + ["--listen", f"127.0.0.1:{self.ports[0]}",
                        "--nodes", str(num_nodes),
-                       "--dht", dht, "--seed", str(seed)])
+                       "--dht", dht])
         for port in self.ports[1:]:
             self._spawn(self._common
                         + ["--listen", f"127.0.0.1:{port}",

@@ -37,7 +37,7 @@ class Message:
         Address of the receiver.
     protocol:
         Name of the handler registered on the destination node that should
-        process this message (e.g. ``"can.route"``, ``"pier.rehash"``).
+        process this message (e.g. ``"can.route_batch"``, ``"pier.rehash"``).
     payload:
         Arbitrary protocol-specific content.  The simulator never inspects it.
     payload_bytes:

@@ -22,8 +22,8 @@ Every other process joins through it::
 Joiners send a ``hello`` frame carrying their advertised endpoint; the
 bootstrap assigns overlay addresses in arrival order and, once all ``N``
 members registered, broadcasts the membership map and the cluster
-configuration (DHT kind, CAN dimensions, seed, sweep and heartbeat
-periods, suspicion and request timeouts).  Each process then builds the full
+configuration (DHT kind, CAN dimensions, sweep and heartbeat periods,
+suspicion and request timeouts).  Each process then builds the full
 stabilised overlay *locally* (the network builders are deterministic
 functions of the address list — see :func:`repro.stack.build_overlay`) and
 rebinds its own routing layer onto its socket-backed node.  No join
@@ -143,7 +143,7 @@ class PierNode:
                  advertise: Optional[Tuple[str, int]] = None,
                  join: Optional[Tuple[str, int]] = None,
                  nodes: int = 0,
-                 dht: str = "can", can_dimensions: int = 2, seed: int = 0,
+                 dht: str = "can", can_dimensions: int = 2,
                  sweep_period_s: float = DEFAULT_SWEEP_PERIOD_S,
                  heartbeat_period_s: float = DEFAULT_HEARTBEAT_PERIOD_S,
                  suspicion_timeout_s: float = DEFAULT_DETECTION_DELAY_S,
@@ -156,7 +156,6 @@ class PierNode:
         self.config: Dict[str, Any] = {
             "dht": dht,
             "can_dimensions": can_dimensions,
-            "seed": seed,
             "sweep_period_s": sweep_period_s,
             "heartbeat_period_s": heartbeat_period_s,
             "suspicion_timeout_s": suspicion_timeout_s,
@@ -410,8 +409,7 @@ class PierNode:
 
     def _overlay(self, addresses):
         return build_overlay(self.config["dht"], addresses,
-                             can_dimensions=self.config["can_dimensions"],
-                             seed=self.config["seed"])
+                             can_dimensions=self.config["can_dimensions"])
 
     def _rebuild_overlay(self) -> None:
         """Deterministically rebuild routing over the current address list.
@@ -701,8 +699,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="overlay kind (bootstrap only; broadcast to all)")
     parser.add_argument("--can-dimensions", type=int, default=2,
                         help="CAN dimensionality (bootstrap only)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="deterministic overlay seed (bootstrap only)")
     parser.add_argument("--sweep-period", type=float,
                         default=DEFAULT_SWEEP_PERIOD_S,
                         help="soft-state expiry sweep period in seconds")
@@ -737,7 +733,6 @@ def main(argv=None) -> int:
         nodes=args.nodes,
         dht=args.dht,
         can_dimensions=args.can_dimensions,
-        seed=args.seed,
         sweep_period_s=args.sweep_period,
         heartbeat_period_s=args.heartbeat_period,
         suspicion_timeout_s=args.suspicion_timeout,

@@ -325,8 +325,7 @@ class RemotePier:
         if set(endpoints) != set(self.endpoints):
             self.builder = build_overlay(
                 self.config["dht"], endpoints,
-                can_dimensions=self.config["can_dimensions"],
-                seed=self.config["seed"])[0]
+                can_dimensions=self.config["can_dimensions"])[0]
         self.endpoints = endpoints
         for address in list(self._connections):
             if address not in endpoints:

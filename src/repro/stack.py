@@ -2,13 +2,12 @@
 
 :func:`build_overlay` builds a stabilised CAN or Chord over an address list.
 Both builders are message-free, deterministic functions of the list (and of
-the CAN dimensions and seed), so every process computes the same tables and
-owners: a real node builds the overlay on transport-less stand-ins and
-rebinds its own layer onto its socket-backed node
-(:meth:`repro.dht.api.RoutingLayer.rebind`) instead of running a join
-protocol — the paper likewise measures "after the CAN routing stabilizes" —
-and on a join or leave every member rebuilds over the new list.  A client
-places keys with the returned builder.
+the CAN dimensions), so every process computes the same tables and owners: a
+real node builds the overlay on transport-less stand-ins and rebinds its own
+layer onto its socket-backed node (:meth:`repro.dht.api.RoutingLayer.rebind`)
+— the paper likewise measures "after the CAN routing stabilizes" — and on a
+join or leave every member rebuilds over the new list.  A client places keys
+with the returned builder.
 
 :class:`NodeStack` builds one node's Provider and QueryExecutor and owns the
 failure transitions that the simulator's failure injector and a real node's
@@ -38,13 +37,12 @@ class _StandIns:
 
 
 def build_overlay(dht: str, addresses: Sequence[int], can_dimensions: int = 2,
-                  seed: int = 0, network=None
-                  ) -> Tuple[object, Dict[int, RoutingLayer]]:
+                  network=None) -> Tuple[object, Dict[int, RoutingLayer]]:
     """``(builder, routings)``: a stabilised ``dht`` over ``addresses``, on
     ``network``'s nodes or else on stand-ins (a process rebinds the layer it
     keeps).  ``builder.owners_of_keys`` places keys under this membership."""
     if dht == "can":
-        builder = CanNetworkBuilder(dimensions=can_dimensions, seed=seed)
+        builder = CanNetworkBuilder(dimensions=can_dimensions)
     elif dht == "chord":
         builder = ChordNetworkBuilder()
     else:

@@ -1,10 +1,9 @@
-"""Unit tests for the CAN routing layer: zones, routing, join/leave, bulk build."""
+"""Unit tests for the CAN routing layer: zones, routing, bulk build, and
+nodes that own several zones."""
 
 import statistics
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.costmodel import can_average_hops
 from repro.dht.can import (CanNetworkBuilder, CanRouting, Zone, _descend,
@@ -40,12 +39,6 @@ def test_zone_split_halves_volume():
     assert upper.volume() == pytest.approx(0.5)
     assert lower.hi[0] == pytest.approx(0.5)
     assert upper.lo[0] == pytest.approx(0.5)
-
-
-def test_zone_split_default_picks_longest_dimension():
-    zone = Zone((0.0, 0.0), (1.0, 0.5))
-    lower, upper = zone.split()
-    assert lower.hi[0] == pytest.approx(0.5)  # split along dimension 0
 
 
 def test_zone_rejects_degenerate_bounds():
@@ -251,28 +244,60 @@ def test_every_hop_descends_to_the_owner_on_bulk_cans(dimensions, num_nodes):
     assert_routes_descend(network, routings, builder.owner_of_key, keys)
 
 
-def join_can(num_nodes, dimensions, leavers=()):
-    """A CAN built by protocol joins (each via a node that joined before),
-    then graceful leaves; returns the network and the live nodes' layers."""
-    network = Network(FullMeshTopology(num_nodes, latency_s=0.01,
-                                       capacity_bytes_per_s=float("inf")))
-    routings = {a: CanRouting(network.node(a), dimensions=dimensions, seed=a)
-                for a in range(num_nodes)}
-    routings[0].join(None)
-    for address in range(1, num_nodes):
-        routings[address].join(address // 2)
-        network.run_until_idle()
-    for address in leavers:
-        routings.pop(address).leave()
-        network.run_until_idle()
-    return network, routings
+def expected_tables(routings):
+    """Each node's neighbour table as its zones imply it: the builder's plane
+    sweep over every zone, grouped by owner."""
+    owners, zones = [], []
+    for address, routing in routings.items():
+        for zone in routing.zones:
+            owners.append(address)
+            zones.append(zone)
+    adjacency = CanNetworkBuilder(dimensions=zones[0].dimensions).neighbor_map(zones)
+    tables = {address: {} for address in routings}
+    for index, adjacent in adjacency.items():
+        for other in adjacent:
+            if owners[index] != owners[other]:
+                tables[owners[index]][owners[other]] = routings[owners[other]].zones
+    return tables
+
+
+def hand_zones_to_a_neighbor(routings, departing):
+    """Give ``departing``'s zones to its smallest neighbour, which then owns
+    several, and set every remaining table to what the zones imply — the
+    shape a takeover of a dead node's zones leaves.  Returns the heir."""
+    leaving = routings.pop(departing)
+    heir = min(leaving.neighbors(),
+               key=lambda address: (routings[address].total_volume(), address))
+    routings[heir].zones = [*routings[heir].zones, *leaving.zones]
+    for address, table in expected_tables(routings).items():
+        routings[address].neighbor_zones = table
+    return heir
 
 
 @pytest.mark.parametrize("dimensions", [1, 2, 3])
-def test_every_hop_descends_to_the_owner_on_joined_cans(dimensions):
-    """Joins and leaves (heirs hold several zones) keep greedy routing
-    strictly descending."""
-    network, routings = join_can(24, dimensions, leavers=(3, 10, 17))
+def test_merged_zone_tables_are_the_torus_adjacency(dimensions):
+    """The plane sweep over zones grouped by owner agrees with
+    ``Zone.is_neighbor`` pair by pair, for nodes with several zones too."""
+    _network, routings, _builder = build_can_network(14, dimensions)
+    heirs = {hand_zones_to_a_neighbor(routings, departing)
+             for departing in (2, 9)}
+    assert any(len(routings[heir].zones) == 2 for heir in heirs)
+    assert sum(r.total_volume() for r in routings.values()) == pytest.approx(1.0)
+    for address, routing in routings.items():
+        for other, peer in routings.items():
+            adjacent = other != address and any(
+                mine.is_neighbor(theirs)
+                for mine in routing.zones for theirs in peer.zones)
+            assert (other in routing.neighbor_zones) == adjacent
+
+
+@pytest.mark.parametrize("dimensions", [1, 2, 3])
+def test_every_hop_descends_to_the_owner_with_several_zones(dimensions):
+    """Heirs that hold several zones keep greedy routing strictly
+    descending."""
+    network, routings, _builder = build_can_network(24, dimensions)
+    for departing in (3, 10, 17):
+        hand_zones_to_a_neighbor(routings, departing)
     assert any(len(routing.zones) > 1 for routing in routings.values())
 
     def owner_of(key):
@@ -295,120 +320,9 @@ def test_mark_neighbor_dead_removes_from_neighbors():
     assert neighbor in routing.neighbors()
 
 
-# ---------------------------------------------------------------- join/leave
-
-
-def test_join_protocol_builds_working_overlay():
-    num_nodes = 8
-    network = Network(FullMeshTopology(num_nodes, latency_s=0.01,
-                                       capacity_bytes_per_s=float("inf")))
-    routings = {a: CanRouting(network.node(a), dimensions=2, seed=a) for a in range(num_nodes)}
-    routings[0].join(None)
-    for address in range(1, num_nodes):
-        routings[address].join(0)
-        network.run_until_idle()
-
-    total_volume = sum(routing.total_volume() for routing in routings.values())
-    assert total_volume == pytest.approx(1.0)
-    assert all(routing.zones for routing in routings.values())
-
-    # Lookups from every node resolve to a node that actually owns the key.
-    for source in range(num_nodes):
-        key = hash_key("J", source)
-        results = []
-        routings[source].lookup(key, results.append)
-        network.run_until_idle()
-        assert len(results) == 1
-        assert routings[results[0]].owns(key)
-
-
-def test_leave_hands_zone_to_a_neighbor():
-    num_nodes = 6
-    network = Network(FullMeshTopology(num_nodes, latency_s=0.01,
-                                       capacity_bytes_per_s=float("inf")))
-    routings = {a: CanRouting(network.node(a), dimensions=2, seed=a) for a in range(num_nodes)}
-    routings[0].join(None)
-    for address in range(1, num_nodes):
-        routings[address].join(0)
-        network.run_until_idle()
-
-    departing = 3
-    routings[departing].leave()
-    network.run_until_idle()
-    assert routings[departing].zones == ()
-    remaining_volume = sum(
-        routing.total_volume() for address, routing in routings.items() if address != departing
-    )
-    assert remaining_volume == pytest.approx(1.0)
-
-
-def test_location_map_change_fires_on_join():
-    network = Network(FullMeshTopology(2, latency_s=0.01,
-                                       capacity_bytes_per_s=float("inf")))
-    first = CanRouting(network.node(0), dimensions=2, seed=0)
-    second = CanRouting(network.node(1), dimensions=2, seed=1)
-    changes = []
-    first.add_location_map_listener(lambda: changes.append("first"))
-    second.add_location_map_listener(lambda: changes.append("second"))
-    first.join(None)
-    second.join(0)
-    network.run_until_idle()
-    assert "first" in changes and "second" in changes
-
-
 def test_can_rejects_bad_dimensions():
     network = Network(FullMeshTopology(1))
     with pytest.raises(ValueError):
         CanRouting(network.node(0), dimensions=0)
     with pytest.raises(ValueError):
         CanNetworkBuilder(dimensions=0)
-
-
-def expected_tables(routings):
-    """Each live node's neighbour table as the live zones imply it: the
-    builder's plane sweep over every zone, grouped by owner."""
-    owners, zones = [], []
-    for address, routing in routings.items():
-        for zone in routing.zones:
-            owners.append(address)
-            zones.append(zone)
-    adjacency = CanNetworkBuilder(dimensions=zones[0].dimensions).neighbor_map(zones)
-    tables = {address: {} for address in routings}
-    for index, adjacent in adjacency.items():
-        for other in adjacent:
-            if owners[index] != owners[other]:
-                tables[owners[index]][owners[other]] = routings[owners[other]].zones
-    return tables
-
-
-@given(dimensions=st.integers(1, 3), data=st.data())
-@settings(max_examples=30, deadline=None)
-def test_protocol_tables_match_the_live_zones(dimensions, data):
-    """After any sequence of protocol joins and graceful leaves, every live
-    node's table (addresses and zones) is exactly the adjacency of the live
-    zones: no corner contacts, no entry a split or a leave left behind."""
-    num_nodes = 14
-    network = Network(FullMeshTopology(num_nodes, latency_s=0.01,
-                                       capacity_bytes_per_s=float("inf")))
-    layers = {a: CanRouting(network.node(a), dimensions=dimensions, seed=a)
-              for a in range(num_nodes)}
-    layers[0].join(None)
-    live = {0: layers[0]}
-    unjoined = list(range(1, num_nodes))
-    for action in data.draw(st.lists(st.sampled_from(["join", "leave"]),
-                                     max_size=24)):
-        if action == "join" and unjoined:
-            joiner = unjoined.pop(0)
-            layers[joiner].join(data.draw(st.sampled_from(sorted(live))))
-            network.run_until_idle()
-            assert layers[joiner].zones
-            live[joiner] = layers[joiner]
-        elif action == "leave" and len(live) > 1:
-            leaver = data.draw(st.sampled_from(sorted(live)))
-            live.pop(leaver).leave()
-            network.run_until_idle()
-        else:
-            continue
-        assert sum(r.total_volume() for r in live.values()) == pytest.approx(1.0)
-        assert {address: dict(routing.neighbor_zones)
-                for address, routing in live.items()} == expected_tables(live)

@@ -4,7 +4,7 @@ import statistics
 
 import pytest
 
-from repro.dht.chord import ChordNetworkBuilder, ChordRouting, _in_interval
+from repro.dht.chord import ChordNetworkBuilder, _in_interval
 from repro.dht.naming import hash_key
 from repro.net.network import Network
 from repro.net.topology import FullMeshTopology
@@ -118,44 +118,6 @@ def test_all_sources_resolve_correct_owner():
         )
     network.run_until_idle()
     assert len(checks) == 25 and all(checks)
-
-
-# ---------------------------------------------------------------- join/leave
-
-
-def test_join_protocol_splices_node_into_ring():
-    network = Network(FullMeshTopology(5, latency_s=0.01,
-                                       capacity_bytes_per_s=float("inf")))
-    routings = {address: ChordRouting(network.node(address)) for address in range(5)}
-    routings[0].join(None)
-    for address in range(1, 5):
-        routings[address].join(0)
-        network.run_until_idle()
-    # Ownership must be partitioned: every key has at least one owner and the
-    # successors chain includes every node.
-    key = hash_key("K", 1)
-    owners = [address for address, routing in routings.items() if routing.owns(key)]
-    assert len(owners) >= 1
-    reachable = set()
-    current = 0
-    for _ in range(10):
-        reachable.add(current)
-        current = routings[current].successor
-    assert reachable == set(range(5))
-
-
-def test_leave_transfers_predecessor_pointer():
-    network = Network(FullMeshTopology(4, latency_s=0.01,
-                                       capacity_bytes_per_s=float("inf")))
-    builder = ChordNetworkBuilder()
-    routings = builder.build_stabilized(network)
-    departing = 2
-    successor = routings[departing].successor
-    predecessor = routings[departing].predecessor
-    routings[departing].leave()
-    network.run_until_idle()
-    assert routings[successor].predecessor == predecessor
-    assert routings[predecessor].successor == successor
 
 
 def test_mark_neighbor_dead_excludes_from_neighbors():

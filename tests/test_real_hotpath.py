@@ -448,7 +448,7 @@ def test_gateway_pump_returns_on_the_first_frame_not_at_the_deadline():
         # read, the row frame that followed it waits for the next pump.
         status = {"t": "res", "id": 1, "ok": True, "ready": True,
                   "address": 0, "nodes": {0: list(listener.getsockname())},
-                  "config": {"dht": "can", "can_dimensions": 2, "seed": 0}}
+                  "config": {"dht": "can", "can_dimensions": 2}}
         node.sendall(encode_frame(status) + rows_frame(7, [{"a": 4}]))
         pier = RemotePier(conn)
         assert FrameDecoder().feed(node.recv(65536))[0]["op"] == "status"

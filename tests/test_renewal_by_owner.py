@@ -13,14 +13,15 @@ from collections import Counter
 
 import pytest
 
-from repro.dht.can import CanNetworkBuilder, CanRouting
-from repro.dht.chord import ChordNetworkBuilder, ChordRouting
+from repro.dht.can import CanNetworkBuilder
+from repro.dht.chord import ChordNetworkBuilder
 from repro.dht.naming import hash_key
 from repro.dht.provider import RENEW_ITEM_BYTES, Provider
 from repro.dht.storage import StoredItem
 from repro.net.message import HEADER_BYTES
 from repro.net.network import Network
 from repro.net.topology import FullMeshTopology
+from repro.stack import build_overlay
 from tests.conftest import build_pier, build_workload
 from tests.test_batch_apis import tap_put_chunks
 
@@ -136,15 +137,25 @@ def deployment(dht, joiners=0):
 
 
 def join(network, dht, routings, providers):
-    """A node joins through the join protocol, taking keys with it."""
+    """A node joins the way a real cluster admits one (``repro.node``): every
+    member rebuilds the overlay over the grown address list, rebinds its
+    layer and its Provider to it, and hands the items it no longer owns to
+    their new owners (one clock here, so no lifetime needs rebasing)."""
     address = len(routings)
-    node = network.node(address)
-    routing = (CanRouting(node, dimensions=2, seed=address) if dht == "can"
-               else ChordRouting(node))
-    providers[address] = Provider(node, routing, sweep_period_s=0.0)
-    routings[address] = routing
-    routing.join(PUBLISHER)
-    network.run_until_idle()
+    builder, rebuilt = build_overlay(dht, range(address + 1))
+    for member, routing in rebuilt.items():
+        node = network.node(member)
+        routings[member] = routing.rebind(node)
+        if member in providers:
+            providers[member].rebind_routing(routing)
+        else:
+            providers[member] = Provider(node, routing, sweep_period_s=0.0)
+    for member, provider in providers.items():
+        moving = provider.storage.extract(
+            lambda key, routing=provider.routing: not routing.owns(key))
+        owners = builder.owners_of_keys([item.key for item in moving])
+        for item, owner in zip(moving, owners):
+            providers[owner].storage.store(item)
     return address
 
 
@@ -171,21 +182,24 @@ def expiry(providers, rid):
 def test_keys_a_join_moves_are_restored_once_and_then_renewed_directly(dht):
     network, routings, providers, agent = deployment(dht, joiners=1)
     assert owners_recorded([agent], routings)
+    before = {rid: agent.records[("t", rid, 900)].owner for rid, _value in ENTRIES}
     joiner = join(network, dht, routings, providers)
-    moved = {rid for rid, _value in ENTRIES
-             if routings[joiner].owns(hash_key("t", rid))}
-    assert moved  # the hand-off carried some of the items to the joiner
-    assert all(agent.records[("t", rid, 900)].owner != joiner for rid in moved)
+    moved = {rid: owner_of(routings, hash_key("t", rid))
+             for rid, _value in ENTRIES}
+    moved = {rid: owner for rid, owner in moved.items() if owner != before[rid]}
+    assert joiner in moved.values()  # the hand-off carried items to the joiner
     puts = tap_puts(providers)
 
     network.stats.reset()
     agent.renew_all()
     network.run_until_idle()
-    # Each moved item is named missing once and put again once, at the joiner.
-    replies = network.stats.protocol_messages["prov.renew_missing"]
+    # Each moved item is named missing once (by message when its old owner is
+    # not the publisher) and put again once, at its new owner.
+    named = [rid for rid in moved if before[rid] != PUBLISHER]
+    replies = network.stats.protocol_messages.get("prov.renew_missing", 0)
     assert network.stats.bytes_for_protocol("prov.renew_missing") == (
-        HEADER_BYTES * replies + RENEW_ITEM_BYTES * len(moved))
-    assert puts == Counter((joiner, rid) for rid in moved)
+        HEADER_BYTES * replies + RENEW_ITEM_BYTES * len(named))
+    assert puts == Counter((owner, rid) for rid, owner in moved.items())
     assert owners_recorded([agent], routings)
 
     puts.clear()

@@ -5,11 +5,13 @@
 an index derived from the routing table and dropped whenever the table is
 assigned.  The old scans live on here, as test-only references:
 
-* equivalence — hypothesis drives bulk-built and protocol-built overlays
-  through joins, leaves and dead marks, and after every step the indexed
-  answer must equal the reference for every key / point the node does not
-  own (the index built before the step must not survive it);
-* staleness — named scenarios where the next hop must change at once;
+* equivalence — hypothesis drives bulk-built overlays through membership
+  rebuilds (over random address subsets, rebound onto the same nodes), CAN
+  zones handed to a neighbour and dead marks, and after every step the
+  indexed answer must equal the reference for every key / point the node
+  does not own (the index built before the step must not survive it);
+* staleness — named scenarios where the next hop must change at once, and
+  lookups in flight across a rebind;
 * determinism — a fixed-seed query pins every simulated count to the values
   recorded before the index existed.
 """
@@ -31,6 +33,7 @@ from repro.stack import build_overlay
 from repro.net.network import Network
 from repro.net.topology import FullMeshTopology
 from repro.workloads import JoinWorkload, WorkloadConfig
+from tests.test_can import hand_zones_to_a_neighbor
 
 
 def make_network(num_nodes):
@@ -43,6 +46,21 @@ def local_routing(node, addresses, dht):
     rebound onto ``node``, and the builder (as a real node assembles)."""
     builder, routings = build_overlay(dht, addresses)
     return routings[node.address].rebind(node), builder
+
+
+def rebuilt(network, builder, addresses):
+    """A membership change: ``builder``'s overlay over ``addresses``, built
+    on another network's nodes and rebound onto ``network``'s, where each
+    layer replaces the one its node ran."""
+    routings = builder.build_stabilized(make_network(network.num_nodes),
+                                        addresses=addresses)
+    return {address: routing.rebind(network.node(address))
+            for address, routing in routings.items()}
+
+
+def members(num_nodes):
+    """A non-empty membership drawn from ``range(num_nodes)``."""
+    return st.sets(st.integers(0, num_nodes - 1), min_size=1).map(sorted)
 
 
 # ------------------------------------------------------------- the references
@@ -155,27 +173,23 @@ def test_chord_index_matches_scan_on_bulk_rings(num_nodes, key_bits, data):
 
 @given(num_nodes=st.integers(1, 12), key_bits=KEY_BITS, data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_chord_index_matches_scan_through_protocol_joins_and_leaves(
+def test_chord_index_matches_scan_through_membership_rebuilds(
         num_nodes, key_bits, data):
-    """Joined tables have every finger equal to the successor at join time."""
+    """Each step rebuilds the ring over a random membership, or marks one
+    node dead or alive on every layer."""
     network = make_network(num_nodes)
-    routings = {a: ChordRouting(network.node(a), key_bits=key_bits)
-                for a in range(num_nodes)}
+    builder = ChordNetworkBuilder(key_bits=key_bits)
+    routings = rebuilt(network, builder, data.draw(members(num_nodes)))
     keys = chord_keys(routings, key_bits, [])
-    routings[0].join(None)
-    for address in range(1, num_nodes):
-        routings[address].join(data.draw(st.integers(0, address - 1)))
-        network.run_until_idle()
-        assert_chord_index_matches(routings, keys)
+    assert_chord_index_matches(routings, keys)
     addresses = st.integers(0, num_nodes - 1)
-    for step in data.draw(st.lists(
-            st.tuples(st.sampled_from(["leave", "dead", "alive"]), addresses),
-            max_size=6)):
-        action, address = step
-        if action == "leave":
-            routings[address].leave()
-            network.run_until_idle()
+    for action in data.draw(st.lists(
+            st.sampled_from(["rebuild", "dead", "alive"]), max_size=6)):
+        if action == "rebuild":
+            routings = rebuilt(network, builder, data.draw(members(num_nodes)))
+            keys = chord_keys(routings, key_bits, [])
         else:
+            address = data.draw(addresses)
             for routing in routings.values():
                 getattr(routing, f"mark_neighbor_{action}")(address)
         assert_chord_index_matches(routings, keys)
@@ -195,7 +209,7 @@ def test_chord_fallbacks_successor_then_none():
     assert reference_closest_preceding(routing, key) is None
     alone = ChordRouting(make_network(1).node(0))
     assert alone._closest_preceding(5) is None  # off the ring: no successor
-    alone.create_network()
+    alone = ChordNetworkBuilder().build_stabilized(make_network(1))[0]
     assert alone.owns(5)
     assert alone._closest_preceding(5) == alone.address  # callers drop "self"
 
@@ -277,56 +291,40 @@ def test_can_index_matches_scan_on_bulk_partitions(num_nodes, dimensions, data):
 @given(num_nodes=st.integers(1, 10), dimensions=st.integers(1, 3),
        data=st.data())
 @settings(max_examples=30, deadline=None)
-def test_can_index_matches_scan_through_protocol_joins_and_leaves(
+def test_can_index_matches_scan_through_membership_rebuilds(
         num_nodes, dimensions, data):
-    """Leaves hand zones over, so heirs route and own with several zones."""
+    """Each step rebuilds over a random membership, hands one node's zones
+    to a neighbour (so heirs route and own with several zones), or marks
+    one node dead or alive on every layer."""
     network = make_network(num_nodes)
-    routings = {a: CanRouting(network.node(a), dimensions=dimensions, seed=a)
-                for a in range(num_nodes)}
+    builder = CanNetworkBuilder(dimensions=dimensions)
     extra = data.draw(unit_points(dimensions))
-    routings[0].join(None)
-    for address in range(1, num_nodes):
-        routings[address].join(data.draw(st.integers(0, address - 1)))
-        network.run_until_idle()
-        assert_can_index_matches(routings,
-                                 can_points(routings, extra))
+    routings = rebuilt(network, builder, data.draw(members(num_nodes)))
+    assert_can_index_matches(routings, can_points(routings, extra))
     addresses = st.integers(0, num_nodes - 1)
-    for step in data.draw(st.lists(
-            st.tuples(st.sampled_from(["leave", "dead", "alive"]), addresses),
+    for action in data.draw(st.lists(
+            st.sampled_from(["rebuild", "merge", "dead", "alive"]),
             max_size=6)):
-        action, address = step
-        if action == "leave":
-            routings[address].leave()
-            network.run_until_idle()
+        if action == "rebuild":
+            routings = rebuilt(network, builder, data.draw(members(num_nodes)))
+        elif action == "merge":
+            if len(routings) > 1:
+                hand_zones_to_a_neighbor(
+                    routings, data.draw(st.sampled_from(sorted(routings))))
         else:
+            address = data.draw(addresses)
             for routing in routings.values():
                 getattr(routing, f"mark_neighbor_{action}")(address)
-        assert_can_index_matches(routings,
-                                 can_points(routings, extra))
-
-
-def build_can_by_joins(num_nodes, joined):
-    """``num_nodes`` CAN layers, the first ``joined`` of them on the overlay."""
-    network = make_network(num_nodes)
-    routings = {a: CanRouting(network.node(a), dimensions=2, seed=a)
-                for a in range(num_nodes)}
-    routings[0].join(None)
-    for address in range(1, joined):
-        routings[address].join(0)
-        network.run_until_idle()
-    return network, routings
+        assert_can_index_matches(routings, can_points(routings, extra))
 
 
 def test_can_heir_owns_and_routes_with_several_zones():
-    network, routings = build_can_by_joins(6, joined=6)
-    departing = routings[3]
-    centre = departing.zones[0].center()
-    heirs_before = {a: len(r.zones) for a, r in routings.items()}
-    departing.leave()
-    network.run_until_idle()
-    heir = next(r for a, r in routings.items()
-                if len(r.zones) > heirs_before[a])
-    assert len(heir.zones) >= 2
+    network = make_network(6)
+    routings = CanNetworkBuilder(dimensions=2).build_stabilized(network)
+    centre = routings[3].zones[0].center()
+    assert_can_index_matches(routings, can_points(routings, [centre]))
+    heir = routings[hand_zones_to_a_neighbor(routings, 3)]
+    assert len(heir.zones) == 2
     assert heir.owns_point(centre)
     assert_can_index_matches(routings, can_points(routings, [centre]))
 
@@ -404,86 +402,135 @@ def test_can_dead_mark_changes_the_next_hop_at_once():
     assert source._best_next_hop(point) == first
 
 
-def build_chord_by_joins(num_nodes, joined):
-    """``num_nodes`` Chord layers, the first ``joined`` of them on the ring."""
-    network = make_network(num_nodes)
-    routings = {a: ChordRouting(network.node(a)) for a in range(num_nodes)}
-    routings[0].join(None)
-    for address in range(1, joined):
-        routings[address].join(0)
-        network.run_until_idle()
-    return network, routings
+def resolved_from_everyone(network, routings, key):
+    """The owners a lookup of ``key`` from every member resolves to."""
+    resolved = []
+    for routing in routings.values():
+        routing.lookup(key, resolved.append)
+    network.run_until_idle()
+    assert len(resolved) == len(routings)
+    return set(resolved)
 
 
-def test_chord_join_between_source_and_owner_reroutes_without_refresh():
-    network, routings = build_chord_by_joins(7, joined=6)
-    joiner = routings[6]
-    modulus = 1 << joiner.key_bits
+def test_chord_join_between_source_and_owner_reroutes_after_the_rebuild():
+    network = make_network(7)
+    builder = ChordNetworkBuilder()
+    routings = rebuilt(network, builder, range(6))
+    joiner_id = ChordRouting(make_network(7).node(6)).identifier
+    modulus = 1 << routings[0].key_bits
     # The joiner lands between its future predecessor and successor.
-    on_ring = sorted((routings[a].identifier, a) for a in range(6))
-    successor = next((a for i, a in on_ring if i > joiner.identifier),
-                     on_ring[0][1])
+    on_ring = sorted((routing.identifier, a) for a, routing in routings.items())
+    successor = next((a for i, a in on_ring if i > joiner_id), on_ring[0][1])
     predecessor = routings[successor].predecessor
-    source = routings[predecessor]
     # A key past the joiner but before its successor: today the successor is
     # the only hop towards it, after the join the joiner precedes it.
-    ring_key = (joiner.identifier + 1) % modulus
-    assert chord_next_hop(source, ring_key) == successor
-    joiner.join(0)
-    network.run_until_idle()
-    assert source.successor == joiner.address
-    assert chord_next_hop(source, ring_key) == joiner.address
-    resolved = []
-    source.lookup(ring_key, resolved.append)
-    network.run_until_idle()
-    assert resolved == [successor]
+    ring_key = (joiner_id + 1) % modulus
+    assert chord_next_hop(routings[predecessor], ring_key) == successor
+    routings = rebuilt(network, builder, range(7))
+    source = routings[predecessor]
+    assert source.successor == 6
+    assert chord_next_hop(source, ring_key) == 6
+    assert resolved_from_everyone(network, routings, ring_key) == {successor}
+    assert resolved_from_everyone(network, routings, joiner_id) == {6}
 
 
-def test_chord_leave_between_source_and_owner_reroutes_without_refresh():
-    network, routings = build_chord_by_joins(6, joined=6)
-    # The last node to join is in nobody's finger table, only a successor.
+def test_chord_leave_between_source_and_owner_reroutes_after_the_rebuild():
+    network = make_network(6)
+    builder = ChordNetworkBuilder()
+    routings = rebuilt(network, builder, range(6))
     departing = routings[5]
-    source = routings[departing.predecessor]
-    heir = departing.successor
-    assert source.successor == departing.address
+    predecessor, heir = departing.predecessor, departing.successor
     ring_key = departing.identifier  # owned by the departing node today
-    assert chord_next_hop(source, ring_key) == departing.address
-    departing.leave()
+    assert chord_next_hop(routings[predecessor], ring_key) == 5
+    routings = rebuilt(network, builder, range(5))
+    assert chord_next_hop(routings[predecessor], ring_key) == heir
+    assert resolved_from_everyone(network, routings, ring_key) == {heir}
+
+
+def test_can_join_and_leave_reroute_after_the_rebuild():
+    network = make_network(6)
+    builder = CanNetworkBuilder(dimensions=2)
+    before = rebuilt(network, builder, range(5))
+    assert_can_index_matches(before, can_points(before))
+    joined = rebuilt(network, builder, range(6))
+    key = next(k for k in (hash_key("T", i) for i in range(200))
+               if joined[5].owns(k))
+    # Whoever owned the key before the join routes it to the joiner now.
+    gave = [a for a, routing in before.items() if routing.owns(key)]
+    assert len(gave) == 1 and not joined[gave[0]].owns(key)
+    assert resolved_from_everyone(network, joined, key) == {5}
+    assert_can_index_matches(joined, can_points(joined))
+
+    left = rebuilt(network, builder, range(5))
+    assert resolved_from_everyone(network, left, key) == {gave[0]}
+    assert_can_index_matches(left, can_points(left))
+
+
+@pytest.mark.parametrize("dht", ["can", "chord"])
+def test_a_rebind_keeps_the_lookups_in_flight(dht):
+    """Node 2 rebinds a rebuilt layer while 20 of its keys are routing: the
+    new layer takes over the old one's pending lookups and request ids, so
+    each key resolves once, at its owner, and a lookup the new layer sends
+    gets a fresh id and only its own keys."""
+    network = make_network(16)
+    builder = (CanNetworkBuilder(dimensions=2) if dht == "can"
+               else ChordNetworkBuilder())
+    source = builder.build_stabilized(network)[2]
+    keys = [key for key in (hash_key("flight", i) for i in range(100))
+            if not source.owns(key)]
+    old_keys, new_keys = keys[:20], keys[20:25]
+    old, new = Counter(), Counter()
+    first = source.lookup_batch(
+        old_keys, lambda owner, batch: old.update((k, owner) for k in batch))
+    rebound, _builder = local_routing(network.node(2), range(16), dht)
+    second = rebound.lookup_batch(
+        new_keys, lambda owner, batch: new.update((k, owner) for k in batch))
+    assert second != first
     network.run_until_idle()
-    assert chord_next_hop(source, ring_key) == heir
-    resolved = []
-    source.lookup(ring_key, resolved.append)
+    assert old == Counter((key, builder.owner_of_key(key)) for key in old_keys)
+    assert new == Counter((key, builder.owner_of_key(key)) for key in new_keys)
+    assert not rebound._pending_batch_lookups
+
+
+@pytest.mark.parametrize("dht", ["can", "chord"])
+def test_puts_in_flight_across_a_rebind_are_stored_once(dht):
+    """Through the Provider: a put routing when node 2 rebinds, and a put
+    sent right after, each store every item once, at its owner."""
+    network = make_network(16)
+    builder = (CanNetworkBuilder(dimensions=2) if dht == "can"
+               else ChordNetworkBuilder())
+    providers = {address: Provider(network.node(address), routing,
+                                   sweep_period_s=0.0)
+                 for address, routing in builder.build_stabilized(network).items()}
+    puts = {"t": list(range(40)), "u": list(range(5))}
+    providers[2].put_batch("t", [(rid, rid, 1, 80) for rid in puts["t"]],
+                           lifetime=60.0)
+    providers[2].rebind_routing(local_routing(network.node(2), range(16), dht)[0])
+    providers[2].put_batch("u", [(rid, rid, 1, 80) for rid in puts["u"]],
+                           lifetime=60.0)
     network.run_until_idle()
-    assert resolved == [heir]
+    for namespace, rids in puts.items():
+        stored = Counter((address, item.resource_id)
+                         for address, provider in providers.items()
+                         for item in provider.storage.scan(namespace, network.now))
+        assert stored == Counter(
+            (builder.owner_of_key(hash_key(namespace, rid)), rid) for rid in rids)
+    assert not providers[2].put_bounces_by_namespace
 
 
-def test_can_join_and_leave_reroute_without_refresh():
-    network, routings = build_can_by_joins(6, joined=5)
-    assert_can_index_matches(routings, can_points(routings))
-    owned_before = {a: list(r.zones) for a, r in routings.items()}
-
-    def reference_owns_point_before(routing, point):
-        return any(zone.contains(point) for zone in owned_before[routing.address])
-
-    joiner = routings[5]
-    joiner.join(0)
-    network.run_until_idle()
-    centre = joiner.zones[0].center()
-    # Whoever split gave the point away: it no longer owns it and routes to
-    # the joiner, though its index was built before the join.
-    gave = [r for r in routings.values()
-            if r is not joiner and reference_owns_point_before(r, centre)]
-    assert len(gave) == 1
-    splitter = gave[0]
-    assert not splitter.owns_point(centre)
-    assert splitter._best_next_hop(centre) == joiner.address
-    assert_can_index_matches(routings, can_points(routings, [centre]))
-
-    joiner.leave()
-    network.run_until_idle()
-    heir = next(r for r in routings.values() if r.owns_point(centre))
-    assert heir.address != 5
-    assert_can_index_matches(routings, can_points(routings, [centre]))
+@pytest.mark.parametrize("dht", ["can", "chord"])
+def test_a_layer_registers_only_the_routed_batch_protocols(dht):
+    """Membership changes by rebuild alone: a node runs no join, leave or
+    neighbour-update protocol, only routed batches and their answers."""
+    network = make_network(4)
+    builder = (CanNetworkBuilder(dimensions=2) if dht == "can"
+               else ChordNetworkBuilder())
+    builder.build_stabilized(network)
+    for address in range(4):
+        node = network.node(address)
+        assert set(node._handlers) == {f"{dht}.route_batch",
+                                       f"{dht}.batch_lookup_reply"}
+        assert set(node._bounce_handlers) == {f"{dht}.route_batch"}
 
 
 @pytest.mark.parametrize("dht", ["can", "chord"])
