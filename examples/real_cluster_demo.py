@@ -2,14 +2,16 @@
 
 Two modes:
 
-* ``python examples/real_cluster_demo.py`` — boots a 4-node cluster of
-  ``python -m repro.node`` subprocesses on loopback ports, loads the
-  Figure-3 join workload, runs the join through :class:`repro.client.
-  PierClient`, and tears everything down.  No arguments needed.
+* ``python examples/real_cluster_demo.py`` — boots a 4-node
+  :class:`repro.harness.realcluster.LocalCluster` of ``python -m
+  repro.node`` subprocesses on loopback ports, loads the Figure-3 join
+  workload, runs the join through :class:`repro.client.PierClient`, and
+  tears everything down.  No arguments needed.
 
 * ``python examples/real_cluster_demo.py --gateway HOST:PORT`` — connects
   to an already-running cluster (for example the ``docker compose up``
-  deployment in the repository root) and does the same from outside it.
+  deployment in the repository root), waits until its membership lists
+  ``PIER_EXAMPLE_NODES`` members, and does the same from outside it.
 
 Either way, the query path is byte-identical to the simulator's: the same
 planner, the same join dataflow, the same result cursor — only the
@@ -18,7 +20,6 @@ transport underneath differs.
 
 import argparse
 import os
-import subprocess
 import sys
 import time
 
@@ -26,37 +27,28 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import JoinStrategy  # noqa: E402
 from repro.exceptions import NetworkError  # noqa: E402
+from repro.harness.realcluster import LocalCluster  # noqa: E402
 from repro.remote import RemotePier  # noqa: E402
 from repro.workloads import JoinWorkload, WorkloadConfig  # noqa: E402
 
 NUM_NODES = int(os.environ.get("PIER_EXAMPLE_NODES", "4"))
-BASE_PORT = int(os.environ.get("PIER_EXAMPLE_PORT", "19900"))
 
 
-def connect_with_retry(host, port, deadline_s=60.0):
+def connect_when_complete(host, port, deadline_s=60.0):
+    """Connect once the gateway's membership lists ``NUM_NODES`` members."""
     deadline = time.monotonic() + deadline_s
     while True:
         try:
-            return RemotePier.connect(host, port)
+            pier = RemotePier.connect(host, port)
+            if pier.num_nodes >= NUM_NODES:
+                return pier
+            pier.close()
         except (OSError, NetworkError):
-            if time.monotonic() >= deadline:
-                raise
-            time.sleep(0.5)
-
-
-def boot_local_cluster():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
-    common = [sys.executable, "-m", "repro.node"]
-    processes = [subprocess.Popen(
-        common + ["--listen", f"127.0.0.1:{BASE_PORT}", "--nodes", str(NUM_NODES)],
-        env=env)]
-    for i in range(1, NUM_NODES):
-        processes.append(subprocess.Popen(
-            common + ["--listen", f"127.0.0.1:{BASE_PORT + i}",
-                      "--join", f"127.0.0.1:{BASE_PORT}"],
-            env=env))
-    return processes
+            pass
+        if time.monotonic() >= deadline:
+            raise RuntimeError(f"the cluster at {host}:{port} did not reach "
+                               f"{NUM_NODES} members in time")
+        time.sleep(0.5)
 
 
 def main():
@@ -65,15 +57,14 @@ def main():
                         help="connect to a running cluster instead of booting one")
     args = parser.parse_args()
 
-    processes = []
+    cluster = None
     if args.gateway:
         host, _, port = args.gateway.rpartition(":")
-        pier = connect_with_retry(host, int(port))
+        pier = connect_when_complete(host, int(port))
     else:
-        print(f"booting a local {NUM_NODES}-node cluster "
-              f"on ports {BASE_PORT}..{BASE_PORT + NUM_NODES - 1} ...")
-        processes = boot_local_cluster()
-        pier = connect_with_retry("127.0.0.1", BASE_PORT)
+        print(f"booting a local {NUM_NODES}-node cluster ...")
+        cluster = LocalCluster(NUM_NODES)
+        pier = cluster.connect()
     print(f"connected: {pier!r}")
 
     workload = JoinWorkload(WorkloadConfig(num_nodes=pier.num_nodes,
@@ -98,15 +89,9 @@ def main():
         print("  ", {k: v for k, v in row.items() if k != "R.pad"})
     cursor.cancel()
 
-    if processes:
+    if cluster is not None:
         print("shutting the local cluster down ...")
-        pier.shutdown_cluster()
-        pier.close()
-        for proc in processes:
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                proc.kill()
+        cluster.stop()
     else:
         pier.close()
     print("done.")

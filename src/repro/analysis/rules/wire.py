@@ -41,8 +41,9 @@ from repro.analysis.framework import (
 #: Methods whose first argument registers a protocol handler.
 REGISTER_METHODS = {"register_handler", "replace_handler"}
 BOUNCE_REGISTER_METHODS = {"register_bounce_handler"}
-#: ``Node.send(dst, protocol, ...)`` — protocol is the 2nd positional.
-SEND_PROTOCOL_INDEX = {"send": 1}
+#: ``Node.send(dst, protocol, ...)`` — protocol is the 2nd positional;
+#: ``PierNode._send_to_members(protocol, ...)`` sends to every other member.
+SEND_PROTOCOL_INDEX = {"send": 1, "_send_to_members": 0}
 #: ``Message(src, dst, protocol, ...)`` — protocol is the 3rd positional.
 MESSAGE_CTORS = {"Message": 2}
 

@@ -3,16 +3,18 @@
 The real-transport tests and the churn benchmarks all need the same
 scaffolding: spawn ``python -m repro.node`` processes on loopback ports,
 wait for the overlay to assemble, map overlay addresses back onto ports and
-processes, and then *perturb* the cluster — dynamic joins, graceful
+processes, and then *perturb* the cluster — later joins, graceful
 leaves, and ``kill -9`` mid-query.  This module is that scaffolding, kept
 in the library (not the test tree) so benchmarks, tests and demos share
 one implementation.
 
-The address↔process map matters because joiners are assigned overlay
-addresses in *arrival* order, which is nondeterministic across process
-startup: after boot the cluster asks every port for its ``status`` to
-learn which process ended up with which address, and :meth:`kill` /
-:meth:`local_scan_count` operate on addresses from then on.
+A cluster boots the way every node enters one: the first process founds
+a one-node cluster and every other process joins through it.  Joiners are
+assigned overlay addresses in *arrival* order, which is nondeterministic
+across process startup, so boot polls every port's ``status`` until all of
+them are ready with the same full address list; that tells which process
+holds which address, and :meth:`kill` / :meth:`local_scan_count` operate on
+addresses from then on.
 """
 
 from __future__ import annotations
@@ -51,6 +53,11 @@ def free_ports(count: int) -> List[int]:
 class LocalCluster:
     """A killable localhost cluster of ``python -m repro.node`` processes.
 
+    The constructor spawns all ``num_nodes`` processes: the first founds
+    the cluster (overlay address 0), the others join through it, exactly
+    as :meth:`add_node` joins one more later.  :meth:`connect` waits until
+    every process is ready with the same ``num_nodes``-member membership.
+
     Parameters mirror the node CLI; the heartbeat/suspicion/request-timeout
     knobs exist so churn tests can compress the paper's 15 s detection
     delay into CI-friendly wall clock (see ``benchmarks/bench_real_churn``
@@ -86,13 +93,9 @@ class LocalCluster:
         if request_timeout_s is not None:
             self._common += ["--request-timeout", str(request_timeout_s)]
         self._spawn(self._common
-                    + ["--listen", f"127.0.0.1:{self.ports[0]}",
-                       "--nodes", str(num_nodes),
-                       "--dht", dht])
+                    + ["--listen", f"127.0.0.1:{self.ports[0]}", "--dht", dht])
         for port in self.ports[1:]:
-            self._spawn(self._common
-                        + ["--listen", f"127.0.0.1:{port}",
-                           "--join", f"127.0.0.1:{self.ports[0]}"])
+            self._spawn_joiner(port, self.ports[0])
 
     def _spawn(self, argv: List[str]) -> subprocess.Popen:
         proc = subprocess.Popen(argv, env=self._env,
@@ -101,54 +104,65 @@ class LocalCluster:
         self.processes.append(proc)
         return proc
 
+    def _spawn_joiner(self, port: int, member_port: int) -> subprocess.Popen:
+        """Start a process on ``port`` that joins through ``member_port``."""
+        return self._spawn(self._common
+                           + ["--listen", f"127.0.0.1:{port}",
+                              "--join", f"127.0.0.1:{member_port}"])
+
     # -------------------------------------------------------------- lifecycle
 
     def connect(self, deadline_s: float = BOOT_DEADLINE_S) -> RemotePier:
-        """Wait for the overlay to assemble; open the client session."""
+        """Wait until every process is ready with all ``num_nodes`` members;
+        open the client session.
+
+        Boot only adds members, so every node that lists ``num_nodes`` of
+        them lists the same address list.
+        """
         deadline = time.monotonic() + deadline_s
-        while True:
+        for port, proc in zip(self.ports, self.processes):
             try:
-                self.pier = RemotePier.connect("127.0.0.1", self.ports[0])
-                break
-            except (OSError, NetworkError):
-                if any(proc.poll() is not None for proc in self.processes):
-                    self.stop()
-                    raise RuntimeError("a node process died during boot") from None
-                if time.monotonic() >= deadline:
-                    self.stop()
-                    raise RuntimeError("cluster did not become ready in time") from None
-                time.sleep(BOOT_POLL_S)
-        self._resolve_addresses()
+                status = self._await_ready(port, self.processes, deadline,
+                                           members=self.num_nodes)
+            except RuntimeError:
+                self.stop()
+                raise
+            self.port_of[status["address"]] = port
+            self.proc_of[status["address"]] = proc
+        self.pier = RemotePier.connect("127.0.0.1", self.ports[0])
         return self.pier
 
-    def _resolve_addresses(self) -> None:
-        """Learn which process/port holds which overlay address."""
-        for port, proc in zip(self.ports, self.processes):
-            address = self._address_of_port(port)
-            if address is None:
-                continue
-            self.port_of[address] = port
-            self.proc_of[address] = proc
-
-    def _address_of_port(self, port: int,
-                         deadline_s: float = BOOT_DEADLINE_S) -> Optional[int]:
-        deadline = time.monotonic() + deadline_s
-        while time.monotonic() < deadline:
-            try:
-                conn = GatewayConnection("127.0.0.1", port, timeout_s=2.0)
-            except OSError:
-                time.sleep(BOOT_POLL_S)
-                continue
-            try:
-                status = conn.rpc("status", timeout_s=2.0)
-                if status.get("ready"):
-                    return int(status["address"])
-            except (NetworkError, OSError):
-                pass
-            finally:
-                conn.close()
+    def _await_ready(self, port: int, processes: List[subprocess.Popen],
+                     deadline: float, members: Optional[int] = None) -> dict:
+        """Poll ``port`` until its node is ready (listing ``members``
+        members, if given); fails once one of ``processes`` exited or at
+        ``deadline``."""
+        while True:
+            status = self._status(port)
+            if (status is not None and status["ready"]
+                    and (members is None or len(status["nodes"]) == members)):
+                return status
+            if any(proc.poll() is not None for proc in processes):
+                raise RuntimeError("a node process exited before it was ready")
+            if time.monotonic() >= deadline:
+                raise RuntimeError(f"the node on port {port} did not become "
+                                   f"ready in time")
             time.sleep(BOOT_POLL_S)
-        return None
+
+    @staticmethod
+    def _status(port: int) -> Optional[dict]:
+        """One ``status`` reply from the node on ``port``; None if it does
+        not answer (yet)."""
+        try:
+            conn = GatewayConnection("127.0.0.1", port, timeout_s=2.0)
+        except OSError:
+            return None
+        try:
+            return conn.rpc("status", timeout_s=2.0)
+        except (NetworkError, OSError):
+            return None
+        finally:
+            conn.close()
 
     # ------------------------------------------------------------------ churn
 
@@ -161,7 +175,7 @@ class LocalCluster:
 
     def add_node(self, via: Optional[int] = None,
                  deadline_s: float = BOOT_DEADLINE_S) -> int:
-        """Dynamically join a fresh node through a live member.
+        """Join a fresh node through a live member.
 
         Returns the new node's overlay address once its stack has
         assembled and the cluster has committed the join.  The caller's
@@ -170,12 +184,9 @@ class LocalCluster:
         member_port = self.port_of.get(
             via if via is not None else self._any_live_address())
         (port,) = free_ports(1)
-        proc = self._spawn(self._common
-                           + ["--listen", f"127.0.0.1:{port}",
-                              "--join", f"127.0.0.1:{member_port}"])
-        address = self._address_of_port(port, deadline_s=deadline_s)
-        if address is None:
-            raise RuntimeError("dynamic joiner did not become ready in time")
+        proc = self._spawn_joiner(port, member_port)
+        address = self._await_ready(port, [proc],
+                                    time.monotonic() + deadline_s)["address"]
         self.ports.append(port)
         self.port_of[address] = port
         self.proc_of[address] = proc

@@ -128,8 +128,8 @@ class RealTransport(Transport):
     Parameters
     ----------
     address:
-        This node's overlay address (may be re-assigned by the bootstrap
-        handshake before the node attaches).
+        This node's overlay address (re-assigned by the join handshake
+        before the node attaches).
     listen_host, listen_port:
         Where :meth:`start` binds the frame server.
     max_frame_bytes:
@@ -150,7 +150,7 @@ class RealTransport(Transport):
         #: overlay address -> (host, port) of every known peer.
         self.peers: Dict[int, Tuple[str, int]] = {}
         self._pool: Dict[int, _Peer] = {}
-        #: Frame handlers for non-"msg" frame kinds (bootstrap, gateway RPC):
+        #: Frame handlers for non-"msg" frame kinds (join handshake, gateway RPC):
         #: kind -> callable(writer, frame_dict).
         self._frame_handlers: Dict[str, Callable] = {}
         self._closing = False
@@ -177,7 +177,7 @@ class RealTransport(Transport):
         """Register a handler for frames whose ``"t"`` field equals ``kind``.
 
         The handler receives ``(writer, frame)`` and runs on the event loop;
-        the bootstrap handshake and the client gateway plug in here, sharing
+        the join handshake and the client gateway plug in here, sharing
         the node-to-node framing and server socket.
         """
         self._frame_handlers[kind] = handler

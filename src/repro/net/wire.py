@@ -1,7 +1,7 @@
 """msgpack wire format for the real transport.
 
-Every frame the asyncio transport ships — node-to-node messages, bootstrap
-membership, client gateway RPCs — is one msgpack-encoded value behind a
+Every frame the asyncio transport ships — node-to-node messages, join
+handshakes, client gateway RPCs — is one msgpack-encoded value behind a
 4-byte big-endian length prefix.  The encoder/decoder here is a
 self-contained, spec-compliant msgpack implementation (the container image
 carries no ``msgpack`` wheel, and the format is small enough that carrying

@@ -2,49 +2,40 @@
 
 Boots one node of a *real* cluster — asyncio TCP transport, wall-clock
 timers — running the exact same DHT/Provider/executor stack the simulator
-drives.  A cluster of ``N`` processes assembles itself with a tiny
-bootstrap handshake, keeps its membership **live** afterwards (dynamic
-joins, graceful leaves, heartbeat-detected crashes), and serves queries to
+drives.  A cluster grows one join at a time, keeps its membership **live**
+(joins, graceful leaves, heartbeat-detected crashes), and serves queries to
 remote :class:`repro.client.PierClient` sessions through a gateway RPC
 surface.
 
-Bootstrap
----------
-The first process is started without ``--join`` and becomes the bootstrap
-(overlay address 0)::
+Membership
+----------
+The first process is started without ``--join``: it takes overlay address
+0 and is at once a ready one-node cluster.  Its ``--dht``, CAN dimensions,
+sweep and heartbeat periods, suspicion and request timeouts are the
+cluster's configuration::
 
-    python -m repro.node --listen 127.0.0.1:9100 --nodes 4
+    python -m repro.node --listen 127.0.0.1:9100
 
-Every other process joins through it::
+Every other process — at boot or at any later time — joins through a live
+member::
 
     python -m repro.node --listen 127.0.0.1:9101 --join 127.0.0.1:9100
 
-Joiners send a ``hello`` frame carrying their advertised endpoint; the
-bootstrap assigns overlay addresses in arrival order and, once all ``N``
-members registered, broadcasts the membership map and the cluster
-configuration (DHT kind, CAN dimensions, sweep and heartbeat periods,
-suspicion and request timeouts).  Each process then builds the full
-stabilised overlay *locally* (the network builders are deterministic
-functions of the address list — see :func:`repro.stack.build_overlay`) and
-rebinds its own routing layer onto its socket-backed node.  No join
-messages cross the wire, mirroring the paper's "measurements start after
-the CAN routing stabilizes".
-
-Live membership
----------------
-After bootstrap, membership is no longer fixed:
-
-* **Dynamic join** — a later process started with ``--join`` pointed at
-  *any ready member* is admitted immediately: the member assigns it the
-  next free overlay address and replies with the membership map and
-  cluster config (same ``mem`` frame as bootstrap, marked ``dynamic``).
-  The joiner assembles its stack, acks with a ``joined`` frame, and the
-  admitting member bumps the membership *epoch* and broadcasts a
+* **Join** — the joiner sends a ``hello`` frame carrying its advertised
+  endpoint.  The member it contacted assigns it the next free overlay
+  address and replies with a ``mem`` frame: the membership map, the
+  membership *epoch*, the cluster configuration and the namespaces known
+  to hold data.  The joiner builds the full stabilised overlay *locally*
+  (the network builders are deterministic functions of the address list —
+  see :func:`repro.stack.build_overlay`), rebinds its own routing layer
+  onto its socket-backed node and acks with a ``joined`` frame.  Only then
+  does the admitting member bump the epoch and broadcast a
   ``cluster.update``.  Every member folds the new address list in by
   deterministically rebuilding its routing tables
   (:meth:`repro.dht.api.RoutingLayer.rebind`) and migrating the stored
   items whose ownership moved (``cluster.transfer``, lifetimes rebased to
-  the receiver's clock).
+  the receiver's clock).  No routing messages cross the wire, mirroring the
+  paper's "measurements start after the CAN routing stabilizes".
 * **Graceful leave** — the ``leave`` RPC makes a node tear down its local
   dataflows, hand off everything it stores to the owners under the
   surviving overlay, broadcast the shrunk membership, and exit.
@@ -142,7 +133,6 @@ class PierNode:
     def __init__(self, listen: Tuple[str, int],
                  advertise: Optional[Tuple[str, int]] = None,
                  join: Optional[Tuple[str, int]] = None,
-                 nodes: int = 0,
                  dht: str = "can", can_dimensions: int = 2,
                  sweep_period_s: float = DEFAULT_SWEEP_PERIOD_S,
                  heartbeat_period_s: float = DEFAULT_HEARTBEAT_PERIOD_S,
@@ -152,7 +142,6 @@ class PierNode:
         self.listen = listen
         self.advertise = advertise or listen
         self.join_endpoint = join
-        self.expected_nodes = nodes
         self.config: Dict[str, Any] = {
             "dht": dht,
             "can_dimensions": can_dimensions,
@@ -178,33 +167,30 @@ class PierNode:
         self.known_namespaces: set = set()
         self._builder = None
         self._pumps: Dict[int, _ResultPump] = {}
-        self._members_complete = asyncio.Event()
-        #: (writer, endpoint) per joiner, in arrival order (bootstrap only).
-        self._joiners = []
-        #: address -> endpoint of dynamic joiners awaiting their ``joined`` ack.
+        #: address -> endpoint of admitted joiners awaiting their ``joined`` ack.
         self._pending_admissions: Dict[int, Tuple[str, int]] = {}
         self._stopping = asyncio.Event()
 
     # ------------------------------------------------------------ lifecycle
 
     async def start(self) -> None:
-        """Bind the server, run the bootstrap handshake, assemble the stack."""
+        """Bind the server, join through a member (or found the cluster),
+        assemble the stack."""
         self.transport.register_frame_handler("hello", self._on_hello)
         self.transport.register_frame_handler("joined", self._on_joined)
         self.transport.register_frame_handler("rpc", self._on_rpc)
         host, port = await self.transport.start()
         log.info("listening on %s:%d (advertising %s:%d)",
                  host, port, *self.advertise)
-        ack_writer = None
         if self.join_endpoint is None:
-            await self._bootstrap()
+            self.membership[0] = self.advertise
+            self._assemble()
         else:
             ack_writer = await self._join()
-        self._assemble()
-        if ack_writer is not None:
-            # Dynamic join: only ack once the stack is assembled, so item
-            # migrations triggered by the membership broadcast find a node
-            # that can store them.
+            self._assemble()
+            # Ack only once the stack is assembled, so item migrations
+            # triggered by the membership broadcast find a node that can
+            # store them.
             ack_writer.write(encode_frame({
                 "t": "joined", "address": self.node.address,
             }))
@@ -221,39 +207,15 @@ class PierNode:
             self.provider.close()
         await self.transport.close()
 
-    async def _bootstrap(self) -> None:
-        """Collect ``N - 1`` joiners, assign addresses, broadcast membership."""
-        if self.expected_nodes <= 0:
-            raise SystemExit("--nodes N is required on the bootstrap node")
-        self.transport.address = 0
-        self.membership[0] = self.advertise
-        if self.expected_nodes > 1:
-            await self._members_complete.wait()
-        frame = {"t": "mem", "nodes": {a: list(e) for a, e in
-                                       self.membership.items()},
-                 "config": self.config}
-        for address, (writer, _endpoint) in enumerate(self._joiners, start=1):
-            self.transport.push_frame(writer, dict(frame, you=address))
-            await writer.drain()
-
     def _on_hello(self, writer: asyncio.StreamWriter, frame: dict) -> None:
-        endpoint = (frame["host"], int(frame["port"]))
-        if self.ready:
-            self._admit_joiner(writer, endpoint)
-            return
-        if self.join_endpoint is not None:
+        if not self.ready:
             log.warning("ignoring hello frame: this node is still assembling")
             return
-        address = len(self._joiners) + 1
-        self._joiners.append((writer, endpoint))
-        self.membership[address] = endpoint
-        log.info("joiner %d registered from %s:%d", address, *endpoint)
-        if len(self.membership) >= self.expected_nodes:
-            self._members_complete.set()
+        self._admit_joiner(writer, (frame["host"], int(frame["port"])))
 
     def _admit_joiner(self, writer: asyncio.StreamWriter,
                       endpoint: Tuple[str, int]) -> None:
-        """Dynamic join: assign the next address, send the membership map.
+        """Assign the joiner the next address, send it the membership map.
 
         The new member is *not* broadcast yet — that happens when its
         ``joined`` ack arrives, proving it has assembled and can answer
@@ -265,14 +227,15 @@ class PierNode:
         nodes = {a: list(e) for a, e in self.membership.items()}
         nodes[address] = list(endpoint)
         self.transport.push_frame(writer, {
-            "t": "mem", "you": address, "dynamic": True,
-            "epoch": self.epoch, "nodes": nodes, "config": self.config,
+            "t": "mem", "you": address, "epoch": self.epoch, "nodes": nodes,
+            "config": self.config,
+            "namespaces": sorted(self.known_namespaces),
         })
         log.info("admitting joiner %d from %s:%d (awaiting ack)",
                  address, *endpoint)
 
     def _on_joined(self, writer: asyncio.StreamWriter, frame: dict) -> None:
-        """A dynamically admitted joiner finished assembling: commit it."""
+        """An admitted joiner finished assembling: commit it."""
         address = int(frame["address"])
         endpoint = self._pending_admissions.pop(address, None)
         if endpoint is None:
@@ -286,14 +249,11 @@ class PierNode:
         self._apply_membership(nodes, self.epoch)
         self._broadcast_membership()
 
-    async def _join(self) -> Optional[asyncio.StreamWriter]:
-        """Register with a member and wait for the membership reply.
+    async def _join(self) -> asyncio.StreamWriter:
+        """Register with a member and wait for its ``mem`` reply.
 
-        At bootstrap the contacted node is the bootstrap and the reply is
-        the all-``N`` broadcast; on a live cluster any ready member
-        answers immediately with a ``dynamic`` membership frame, in which
-        case the open connection is returned so the caller can ack with
-        ``joined`` *after* assembling.
+        Returns the open connection so the caller can ack with ``joined``
+        *after* assembling.
         """
         reader, writer = await self._connect_with_retry(self.join_endpoint)
         writer.write(encode_frame({
@@ -306,26 +266,24 @@ class PierNode:
             data = await reader.read(65536)
             if not data:
                 raise SystemExit("the contacted member closed the connection "
-                                 "before membership was broadcast")
+                                 "before sending the membership")
             for frame in decoder.feed(data):
                 if isinstance(frame, dict) and frame.get("t") == "mem":
                     membership_frame = frame
         self.transport.address = int(membership_frame["you"])
         self.config.update(membership_frame["config"])
-        self.epoch = int(membership_frame.get("epoch", 0))
+        self.epoch = int(membership_frame["epoch"])
         self.membership = {
             int(a): (e[0], int(e[1]))
             for a, e in membership_frame["nodes"].items()
         }
-        if membership_frame.get("dynamic"):
-            return writer
-        writer.close()
-        return None
+        self.known_namespaces.update(membership_frame["namespaces"])
+        return writer
 
     @staticmethod
     async def _connect_with_retry(endpoint: Tuple[str, int], attempts: int = 200,
                                   delay_s: float = 0.05):
-        """Joiners may start before the bootstrap's socket is up; retry."""
+        """Joiners may start before the member's socket is up; retry."""
         last: Optional[OSError] = None
         for _ in range(attempts):
             try:
@@ -333,7 +291,7 @@ class PierNode:
             except OSError as exc:
                 last = exc
                 await asyncio.sleep(delay_s)
-        raise SystemExit(f"cannot reach bootstrap at {endpoint}: {last}")
+        raise SystemExit(f"cannot reach member at {endpoint}: {last}")
 
     def _assemble(self) -> None:
         """Build node + overlay + Provider + executor on this transport."""
@@ -392,14 +350,18 @@ class PierNode:
         self._apply_membership(nodes, int(payload["epoch"]))
 
     def _broadcast_membership(self) -> None:
-        payload = {
+        self._send_to_members("cluster.update", {
             "epoch": self.epoch,
             "nodes": {a: list(e) for a, e in self.membership.items()},
-        }
+        }, payload_bytes=24 * len(self.membership))
+
+    def _send_to_members(self, protocol: str, payload: dict,
+                         payload_bytes: int, skip: Optional[int] = None) -> None:
+        """Send one message to every other member except ``skip``."""
         for address in self.membership:
-            if address != self.node.address:
-                self.node.send(address, "cluster.update", payload=payload,
-                               payload_bytes=24 * len(self.membership))
+            if address not in (self.node.address, skip):
+                self.node.send(address, protocol, payload=payload,
+                               payload_bytes=payload_bytes)
 
     def _build_routing(self):
         """This node's layer of the overlay over the current membership,
@@ -496,14 +458,8 @@ class PierNode:
         items = self.provider.storage.extract(lambda key: True)
         if survivors and items:
             self._send_items(items, self._overlay(survivors)[0].owners_of_keys)
-        payload = {
-            "epoch": self.epoch,
-            "nodes": {a: list(e) for a, e in survivors.items()},
-        }
-        for address in survivors:
-            self.node.send(address, "cluster.update", payload=payload,
-                           payload_bytes=24 * max(1, len(survivors)))
         self.membership = survivors
+        self._broadcast_membership()
         self.node.schedule(LEAVE_LINGER_S, self._stopping.set)
 
     # ----------------------------------------------------- failure wiring
@@ -528,19 +484,13 @@ class PierNode:
     def _on_local_detection(self, address: int) -> None:
         """Our own detector confirmed a silent neighbour: apply + gossip."""
         if self._handle_peer_dead(address):
-            for member in self.membership:
-                if member not in (self.node.address, address):
-                    self.node.send(member, "cluster.dead",
-                                   payload={"address": address},
-                                   payload_bytes=16)
+            self._send_to_members("cluster.dead", {"address": address},
+                                  payload_bytes=16, skip=address)
 
     def _on_local_recovery(self, address: int) -> None:
         if self._handle_peer_alive(address):
-            for member in self.membership:
-                if member not in (self.node.address, address):
-                    self.node.send(member, "cluster.alive",
-                                   payload={"address": address},
-                                   payload_bytes=16)
+            self._send_to_members("cluster.alive", {"address": address},
+                                  payload_bytes=16, skip=address)
 
     def _on_peer_dead_msg(self, node: Node, message) -> None:
         self._handle_peer_dead(int(message.payload["address"]))
@@ -610,11 +560,9 @@ class PierNode:
         if fresh:
             # Tell the other members these namespaces now hold data, so any
             # gateway can validate submits against them.
-            for address in self.membership:
-                if address != self.node.address:
-                    self.node.send(address, "cluster.ns",
-                                   payload={"namespaces": sorted(fresh)},
-                                   payload_bytes=16 * len(fresh))
+            self._send_to_members("cluster.ns",
+                                  {"namespaces": sorted(fresh)},
+                                  payload_bytes=16 * len(fresh))
         return {"stored": len(frame["items"])}
 
     def _rpc_submit(self, frame: dict,
@@ -691,30 +639,28 @@ def build_arg_parser() -> argparse.ArgumentParser:
                              "set to the service name under docker-compose)")
     parser.add_argument("--join", type=parse_endpoint, default=None,
                         metavar="HOST:PORT",
-                        help="bootstrap node to register with (omit on the "
-                             "bootstrap itself)")
-    parser.add_argument("--nodes", type=int, default=0,
-                        help="cluster size (bootstrap only)")
+                        help="live member to join through (omit on the "
+                             "first node, which founds the cluster)")
     parser.add_argument("--dht", choices=("can", "chord"), default="can",
-                        help="overlay kind (bootstrap only; broadcast to all)")
+                        help="overlay kind (first node only; sent to every joiner)")
     parser.add_argument("--can-dimensions", type=int, default=2,
-                        help="CAN dimensionality (bootstrap only)")
+                        help="CAN dimensionality (first node only)")
     parser.add_argument("--sweep-period", type=float,
                         default=DEFAULT_SWEEP_PERIOD_S,
                         help="soft-state expiry sweep period in seconds")
     parser.add_argument("--heartbeat-period", type=float,
                         default=DEFAULT_HEARTBEAT_PERIOD_S,
                         help="keep-alive ping period per routing neighbour "
-                             "(bootstrap only; broadcast to all)")
+                             "(first node only; sent to every joiner)")
     parser.add_argument("--suspicion-timeout", type=float,
                         default=DEFAULT_DETECTION_DELAY_S,
                         help="seconds of silence before a neighbour is "
                              "confirmed dead (paper's 15 s keep-alive model; "
-                             "bootstrap only)")
+                             "first node only)")
     parser.add_argument("--request-timeout", type=float,
                         default=DEFAULT_REQUEST_TIMEOUT_S,
                         help="per-request timeout for DHT gets; 0 disables "
-                             "(bootstrap only)")
+                             "(first node only)")
     parser.add_argument("--log-level", default="INFO")
     return parser
 
@@ -730,7 +676,6 @@ def main(argv=None) -> int:
         listen=args.listen,
         advertise=args.advertise,
         join=args.join,
-        nodes=args.nodes,
         dht=args.dht,
         can_dimensions=args.can_dimensions,
         sweep_period_s=args.sweep_period,

@@ -188,22 +188,26 @@ def test_peer_killed_after_connect_bounces_within_backoff_budget():
 
 
 def test_rpc_before_ready_raises_typed_not_ready_error():
-    """A bootstrap still waiting for members rejects work with not_ready."""
+    """A joiner still waiting for its membership rejects work with not_ready."""
     import os
+    import socket
     import subprocess
     import sys
 
     from repro.harness import realcluster
     from repro.remote import GatewayConnection, RemotePier
 
-    # A bootstrap expecting 2 members that never arrive: forever not-ready.
+    # The joiner's "member" accepts the hello and never answers with the
+    # membership: the joiner stays forever not-ready.
+    silent_member = socket.create_server(("127.0.0.1", 0))
     (port,) = free_ports(1)
     env = dict(os.environ)
     env["PYTHONPATH"] = (realcluster._SRC_DIR + os.pathsep
                          + env.get("PYTHONPATH", ""))
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.node",
-         "--listen", f"127.0.0.1:{port}", "--nodes", "2"],
+         "--listen", f"127.0.0.1:{port}",
+         "--join", f"127.0.0.1:{silent_member.getsockname()[1]}"],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     try:
         deadline = time.monotonic() + 30.0
@@ -212,7 +216,7 @@ def test_rpc_before_ready_raises_typed_not_ready_error():
             try:
                 conn = GatewayConnection("127.0.0.1", port, timeout_s=2.0)
             except OSError:
-                assert time.monotonic() < deadline, "bootstrap never bound"
+                assert time.monotonic() < deadline, "joiner never bound"
                 time.sleep(0.1)
         try:
             status = conn.rpc("status", timeout_s=2.0)
@@ -226,6 +230,7 @@ def test_rpc_before_ready_raises_typed_not_ready_error():
     finally:
         proc.kill()
         proc.wait()
+        silent_member.close()
 
 
 def test_submit_unknown_namespace_raises_typed_error():
@@ -316,6 +321,34 @@ def test_dynamic_join_serves_its_key_range(churn_cluster):
                          expected=len(expected))
     r, p = recall_and_precision(rows, expected)
     assert (r, p) == (1.0, 1.0)
+
+
+def test_late_joiner_accepts_queries_on_loaded_namespaces():
+    """A node that joins after a load learns what the cluster holds: a query
+    submitted through it is served, not refused as an unknown namespace
+    (on 2-node Chord with this seed no S item moves to the joiner)."""
+    from repro.remote import RemotePier
+
+    wl = JoinWorkload(WorkloadConfig(num_nodes=2, s_tuples_per_node=1,
+                                     seed=3))
+    with LocalCluster(2, dht="chord") as cluster:
+        cluster.pier.load_relation(wl.r_relation, wl.r_by_node)
+        cluster.pier.load_relation(wl.s_relation, wl.s_by_node)
+        new_address = cluster.add_node()
+        cluster.pier.refresh_membership()
+        totals = loaded_totals(wl)
+        assert poll_scan_counts(cluster.pier, wl, totals) == totals
+        pier = RemotePier.connect("127.0.0.1", cluster.port_of[new_address])
+        try:
+            expected = wl.expected_results()
+            cursor = pier.client(catalog=wl.catalog()).query(
+                wl.make_query(strategy=JoinStrategy.SYMMETRIC_HASH),
+                timeout_s=QUERY_HORIZON_S)
+            rows = cursor.fetch(len(expected))
+            cursor.cancel()
+        finally:
+            pier.close()
+    assert recall_and_precision(rows, expected) == (1.0, 1.0)
 
 
 def test_graceful_leave_hands_off_storage(churn_cluster):

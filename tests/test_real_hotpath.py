@@ -231,7 +231,7 @@ class FakeClient:
 @contextlib.asynccontextmanager
 async def one_node_cluster():
     """An in-process ``PierNode`` that is its own (ready) cluster."""
-    node = PierNode(listen=("127.0.0.1", 0), nodes=1)
+    node = PierNode(listen=("127.0.0.1", 0))
     await node.start()
     try:
         yield node
