@@ -35,10 +35,11 @@ One routed batch can carry the keys of several lookups.  Its third field,
 order: the next ``count`` keys belong to that lookup, which is ``hops`` hops
 from its origin.  Every run is routed by the rules of a lone lookup and
 answered to its own origin with its own hop count.  Runs meet in a node's
-**outbox**: while the node handles one delivery group (a delivery scope, see
-:mod:`repro.net.node`), the keys it forwards are held per next hop and leave
-as one batch per next hop when the group is done.  A message delivered alone
-and a timer open no scope, so their forwards leave at once.  Each key costs
+**outbox**: while the node handles what its transport handed it at once (a
+delivery scope, see :mod:`repro.net.node`), the keys it forwards are held
+per next hop and leave as one batch per next hop when the scope closes.  A
+timer and a call from outside the event loop run in no scope, so their
+forwards leave at once.  Each key costs
 :attr:`RoutingLayer.ROUTE_HOP_BYTES` per hop, each run after the first
 :attr:`RoutingLayer.RUN_BYTES`, and the message header is paid once.
 """
@@ -338,15 +339,14 @@ class RoutingLayer(ABC):
         bounced back (then around the dead neighbour).
 
         A batch whose arrays or run counts disagree routes nothing: each run
-        is answered unresolved with its share of ``keys``.  The runs of a
-        merged batch are handled in one delivery scope, so the keys they
-        forward to one next hop leave together even off a bounce.
+        is answered unresolved with its share of ``keys``.  The transport
+        delivers the batch, or its bounce, inside a delivery scope, so the
+        keys its runs forward to one next hop leave together.
         """
         payload = message.payload
         keys, coords, runs = payload["keys"], payload["coords"], payload["runs"]
         sound = len(keys) == len(coords) == sum(run[3] for run in runs)
         exclude = message.dst if bounced else message.src
-        opened = len(runs) > 1 and node.open_scope()
         start = 0
         for origin, request_id, hops, count in runs:
             end = start + count
@@ -357,8 +357,6 @@ class RoutingLayer(ABC):
                 self._send_batch_reply(origin, request_id, None,
                                        keys[start:end], hops)
             start = end
-        if opened:
-            node.close_scope()
 
     def _on_route_batch_bounce(self, node: Node, message) -> None:
         """A batched hop hit a dead node: mark it dead and re-route the batch.

@@ -16,34 +16,27 @@ after the propagation delay (the sender gets no error — failure detection is
 the job of keep-alives one layer up, exactly as in the paper's soft-state
 discussion).
 
-Coalesced delivery
-------------------
-With ``coalesce_window_s`` set (see :meth:`Network.set_coalescing`), messages
-to the same destination within the window are delivered by a single simulator
-event in send order, whatever their source, with per-message link accounting
-preserved (each message is admitted to the inbound link individually, so
-byte counts and queueing delays match the uncoalesced path exactly).
-
-Every coalesced group costs **one** delivery event: the first message
-schedules it, and each joining message *postpones* that same event
+Delivery groups
+---------------
+Messages reach a node in *delivery groups*: each group is delivered by one
+simulator event, its members in send order, with per-message link
+accounting preserved (each message is admitted to the inbound link
+individually, so byte counts and queueing delays are those of a lone
+message).  The first member schedules the group's event and each joining
+message *postpones* that same event
 (:meth:`repro.net.simulator.Simulator.postpone`) to the group's latest
-link-finish time — never earlier than any member's own finish.  Because the
-group fires once, members other than the last can be delivered later than
-their own link finish — bounded by the group's remaining service time; the
-group's *last* delivery matches the uncoalesced path exactly.  The window
+link-finish time — never earlier than any member's own finish — so members
+other than the last can be delivered later than their own link finish,
+bounded by the group's remaining service time.  ``coalesce_window_s``
 controls who may join:
 
-* ``0.0`` — the default when coalescing is on — merges only messages
-  *arriving* at a destination at the same virtual instant, which keeps the
-  slip to at most the group's service time; this is the conservative mode
-  the test deployments run under.
+* ``0.0`` — the default — merges only messages *arriving* at a destination
+  at the same virtual instant, which keeps the slip to at most the group's
+  service time; a message that arrives alone is a group of one.
 * a positive window merges all messages to a destination whose sends fall
   within ``window`` seconds of the group's first send, so the slip can
   additionally reach the window length — the classic
   batching-for-throughput trade the 10k-node benchmark runs exploit.
-
-``None`` (the default) disables coalescing and reproduces the
-one-event-per-message seed behaviour bit for bit.
 
 One pass per message
 --------------------
@@ -51,22 +44,21 @@ One pass per message
 delivery event: it checks both addresses, reads the clock once, draws one
 latency from the topology, runs the inbound link's FIFO arithmetic
 (:mod:`repro.net.links`) and then schedules, opens or joins.  What a message
-is — its wire size — was fixed when it was built.  On the other side, one
-loop in :meth:`SimulatedNetwork._deliver_batch` delivers a group: per
-member it checks that the destination is alive, records the delivery and
-dispatches it with :meth:`repro.net.node.Node.deliver` (the one dispatch,
-on every backend, that observers of deliveries wrap), all inside one
-delivery scope of the destination node, so what the node's layers deferred
-during the group is sent once the group is done.  A member whose
-destination is down by then takes the drop-and-bounce path of
-:meth:`SimulatedNetwork._deliver`, which also delivers the messages that
-travel alone: local sends and the uncoalesced mode.  A message delivered
-alone opens no scope: its handlers send at once.
+is — its wire size — was fixed when it was built.  On the other side,
+:meth:`SimulatedNetwork._deliver_batch` delivers a group: per member it
+checks that the destination is alive, records the delivery and dispatches
+it with :meth:`repro.net.node.Node.deliver` (the one dispatch, on every
+backend, that observers of deliveries wrap), or drops and bounces it.
+
+What one event hands a node — a group, a local send (a zero-delay group of
+one) or a bounce — the node handles in one delivery scope
+(:mod:`repro.net.node`), opened only by :meth:`SimulatedNetwork._hand_over`,
+so what its layers deferred is sent when the event is done.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.exceptions import NetworkError
 from repro.net.links import InboundLink
@@ -78,8 +70,8 @@ from repro.net.topology import Topology
 from repro.net.transport import TimerService, Transport
 
 #: A group's key: the destination in window mode, ``(destination, arrival
-#: time)`` in zero-window mode.
-_GroupKey = Union[int, Tuple[int, float]]
+#: time)`` in zero-window mode, ``None`` for a local send (a group of one).
+_GroupKey = Union[None, int, Tuple[int, float]]
 #: ``(message, queued_for)`` per member of a delivery group, in send order.
 _Entries = List[Tuple[Message, float]]
 #: An open group: when its first member was sent, its one delivery event,
@@ -97,14 +89,16 @@ class SimulatedNetwork(Transport):
     simulator:
         Event loop to drive; a fresh one is created when omitted.
     coalesce_window_s:
-        When not ``None``, messages to the same destination (from any
-        source) within this many seconds are delivered by a single event
-        with aggregate byte accounting.  ``0.0`` coalesces only messages
+        Messages to the same destination (from any source) whose sends fall
+        within this many seconds of a group's first are delivered by that
+        group's one event.  ``0.0`` (the default) groups only messages
         arriving at the same virtual instant.
     """
 
     def __init__(self, topology: Topology, simulator: Optional[Simulator] = None,
-                 coalesce_window_s: Optional[float] = None):
+                 coalesce_window_s: float = 0.0):
+        if coalesce_window_s < 0:
+            raise NetworkError(f"coalescing window must be >= 0 (got {coalesce_window_s})")
         self.topology = topology
         self.simulator = simulator if simulator is not None else Simulator()
         self.stats = TrafficStats()
@@ -115,11 +109,10 @@ class SimulatedNetwork(Transport):
             address: InboundLink(topology.inbound_capacity(address))
             for address in range(topology.num_nodes)
         }
-        self._coalesce_window: Optional[float] = None
+        self._window = coalesce_window_s
         self._groups: Dict[_GroupKey, _Group] = {}  # the open groups
         self.batches_flushed = 0
         self.messages_coalesced = 0
-        self.set_coalescing(coalesce_window_s)
 
     # ------------------------------------------------------------ transport
 
@@ -127,19 +120,6 @@ class SimulatedNetwork(Transport):
     def timers(self) -> TimerService:
         """The simulator doubles as this transport's timer service."""
         return self.simulator
-
-    # ----------------------------------------------------------- coalescing
-
-    @property
-    def coalesce_window_s(self) -> Optional[float]:
-        """Current coalescing window (``None`` when coalescing is off)."""
-        return self._coalesce_window
-
-    def set_coalescing(self, window_s: Optional[float]) -> None:
-        """Enable (``window_s >= 0``) or disable (``None``) coalesced delivery."""
-        if window_s is not None and window_s < 0:
-            raise NetworkError(f"coalescing window must be >= 0 (got {window_s})")
-        self._coalesce_window = window_s
 
     # ------------------------------------------------------------- topology
 
@@ -177,8 +157,9 @@ class SimulatedNetwork(Transport):
 
         if src == dst:
             # Local delivery: no propagation, no link serialisation; still
-            # asynchronous (zero-delay event) to preserve callback ordering.
-            simulator.schedule(0.0, self._deliver, message, 0.0)
+            # asynchronous (a zero-delay group of one) to preserve callback
+            # ordering.
+            simulator.schedule(0.0, self._deliver_batch, None, [(message, 0.0)])
             return
 
         sent_at = simulator.now
@@ -198,15 +179,12 @@ class SimulatedNetwork(Transport):
 
         # Events are armed by delay: ``now + (finish - now)``, the same time
         # ``schedule_at(finish)`` and ``postpone(event, finish)`` arrive at.
-        window = self._coalesce_window
-        if window is None:
-            simulator.schedule(finish - sent_at, self._deliver, message, queued_for)
-            return
         # Only the delivery *event* is shared.  Window mode: one open group
         # per destination, joined by sends within the window of its first.
         # Zero window: only same-instant arrivals share an event, which
         # bounds the delivery slip of early members to the group's own
         # service time.
+        window = self._window
         key = dst if window > 0 else (dst, arrival)
         group = self._groups.get(key)
         if group is not None and window > 0 and sent_at - group[0] > window:
@@ -228,25 +206,16 @@ class SimulatedNetwork(Transport):
             self.messages_coalesced += 1
 
     def _deliver_batch(self, key: _GroupKey, entries: _Entries) -> None:
-        """Deliver a group's members in send order, each in one pass."""
+        """Deliver a group's members in send order, in one delivery scope."""
         group = self._groups.get(key)
         if group is not None and group[2] is entries:
             del self._groups[key]
-        destination = self.nodes[entries[0][0].dst]
-        stats = self.stats
-        destination.open_scope()  # groups never nest: each is one event
-        try:
-            for message, queued_for in entries:
-                if destination.alive:  # an earlier member's handler may fail it
-                    stats.record_delivery(message, queued_for)
-                    destination.deliver(message)
-                else:
-                    self._deliver(message, queued_for)
-        finally:
-            destination.close_scope()
+        self._hand_over(self.nodes[entries[0][0].dst], self._deliver, entries)
 
-    def _deliver(self, message: Message, queued_for: float) -> None:
-        """Final delivery step executed by the simulator."""
+    def _deliver(self, entry: Tuple[Message, float]) -> None:
+        """Deliver one member, or drop it if its destination is down (an
+        earlier member's handler may have failed it)."""
+        message, queued_for = entry
         destination = self.nodes[message.dst]
         if destination.alive:
             self.stats.record_delivery(message, queued_for)
@@ -260,8 +229,21 @@ class SimulatedNetwork(Transport):
         self.stats.messages_dropped += 1
         src = message.src
         if src != message.dst:
-            delay = self.topology.latency_between(src, message.dst)
-            self.simulator.schedule(delay, self.nodes[src].deliver_bounce, message)
+            sender = self.nodes[src]
+            self.simulator.schedule(self.topology.latency_between(src, message.dst),
+                                    self._hand_over, sender, sender.deliver_bounce,
+                                    [message])
+
+    @staticmethod
+    def _hand_over(node: Node, deliver: Callable[[Any], None], items: List[Any]) -> None:
+        """``deliver`` each of ``items`` inside one delivery scope of ``node``:
+        the one place this network opens a scope, closed even if one raises."""
+        node.open_scope()  # never nested: each hand-over is one event
+        try:
+            for item in items:
+                deliver(item)
+        finally:
+            node.close_scope()
 
     # ------------------------------------------------------------------ run
 

@@ -12,10 +12,12 @@ receive the :class:`repro.net.message.Message` that arrived; replies are sent
 explicitly via :meth:`Node.send`, never returned, because everything in this
 system is asynchronous (matching PIER's callback-based design).
 
-A transport that hands a node several messages at once (the simulator's
-delivery group) delivers them in one *delivery scope*; a layer that merges
-what it sends registers a flush with :meth:`Node.defer` and sends when the
-scope closes.  Outside a scope ``defer`` declines and the layer sends at once.
+A transport hands a node what arrives at once (a simulated delivery group, a
+local send, a bounce, the frames of one TCP read) in one *delivery scope*,
+opened and closed in one place of the transport; a layer that merges what it
+sends registers a flush with :meth:`Node.defer` and sends when the scope
+closes.  In a timer or a call from outside the event loop ``defer`` declines
+and the layer sends at once.
 """
 
 from __future__ import annotations

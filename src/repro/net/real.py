@@ -32,6 +32,10 @@ Design notes
   local node's ``deliver_bounce`` — the same "transport timeout" notification
   the simulator synthesises for dead destinations, so the DHT's
   re-route/repair paths work unchanged.
+* **One delivery scope per hand-over.**  The frames of one ``reader.read``,
+  a local send or the bounces of one peer reach the node in one delivery
+  scope (:mod:`repro.net.node`), opened only by :meth:`RealTransport._hand_over`:
+  a relay forwards what one read brought in as one routed batch per next hop.
 * **Wall-clock timers.**  :class:`WallClockTimers` adapts ``loop.call_later``
   to the Simulator's ``schedule`` surface (``schedule_periodic`` is the
   shared one built on it); handles support ``cancel()`` exactly like the
@@ -41,6 +45,7 @@ Design notes
 from __future__ import annotations
 
 import asyncio
+import functools
 import logging
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -197,14 +202,14 @@ class RealTransport(Transport):
         if message.dst == self.address:
             # Local sends stay asynchronous, as under the simulator: the
             # handler must not run inside the caller's stack frame.
-            self._loop.call_soon(self._deliver_local, message)
+            self._loop.call_soon(self._hand_over, self._deliver_local, [message])
             return
         peer = self._pool.get(message.dst)
         if peer is None:
             endpoint = self.peers.get(message.dst)
             if endpoint is None:
                 # Unknown peer: indistinguishable from a dead one.
-                self._bounce(message)
+                self._bounce([message])
                 return
             peer = _Peer(endpoint)
             self._pool[message.dst] = peer
@@ -276,8 +281,7 @@ class RealTransport(Transport):
         batch, peer.pending = peer.pending, []
         while not peer.queue.empty():
             batch.append(peer.queue.get_nowait())
-        for message in batch:
-            self._bounce(message)
+        self._bounce(batch)
 
     # ------------------------------------------------------------- inbound
 
@@ -290,9 +294,10 @@ class RealTransport(Transport):
                 if not data:
                     return
                 self.bytes_received += len(data)
-                for frame in decoder.feed(data):
-                    self.frames_received += 1
-                    self._dispatch_frame(writer, frame)
+                frames = decoder.feed(data)
+                self.frames_received += len(frames)
+                self._hand_over(functools.partial(self._dispatch_frame, writer),
+                                frames)
         except (ConnectionError, WireError, asyncio.IncompleteReadError) as exc:
             log.debug("node %s: inbound connection dropped: %s", self.address, exc)
         except asyncio.CancelledError:
@@ -301,6 +306,18 @@ class RealTransport(Transport):
             pass
         finally:
             writer.close()
+
+    def _hand_over(self, deliver: Callable[[Any], None], items: List[Any]) -> None:
+        """``deliver`` each of ``items`` inside one delivery scope of the node:
+        the one place this transport opens a scope, closed even if one raises."""
+        node = self.node
+        opened = node is not None and node.open_scope()
+        try:
+            for item in items:
+                deliver(item)
+        finally:
+            if opened:
+                node.close_scope()
 
     def _dispatch_frame(self, writer: asyncio.StreamWriter, frame: Any) -> None:
         if not isinstance(frame, dict):
@@ -402,15 +419,14 @@ class RealTransport(Transport):
                 refused.append(message)
         if refused:
             batch[:] = [message for message in batch if message not in refused]
-            for message in refused:
-                self._bounce(message)
+            self._bounce(refused)
         return b"".join(frames)
 
-    def _bounce(self, message: Message) -> None:
-        """Local failure notification, mirroring the simulator's bounce."""
-        self.bounces += 1
+    def _bounce(self, messages: List[Message]) -> None:
+        """Local failure notifications, mirroring the simulator's bounce."""
+        self.bounces += len(messages)
         if self.node is not None:
-            self.node.deliver_bounce(message)
+            self._hand_over(self.node.deliver_bounce, messages)
 
     # ------------------------------------------------------------- helpers
 

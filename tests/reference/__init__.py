@@ -21,7 +21,10 @@
   and one ``store`` per row; one ``HyperLogLog.add`` per distinct value) the
   one-pass ``PierNetwork.load_relation`` replaced;
 * :mod:`tests.reference.naming` — key derivation as one SHA-1 over the whole
-  f-string, which the prefix-state hashing must match bit for bit.
+  f-string, which the prefix-state hashing must match bit for bit;
+* :mod:`tests.reference.routing` — ``walk_lookup``, a lookup routed by
+  walking each layer's ``_next_hop`` with no network: the owner and hop
+  count every key of a routed batch must reach, however relays merge it.
 """
 
 from tests.reference.aggregate import RowGroupBy
@@ -48,6 +51,7 @@ from tests.reference.operators import (
     qualify,
 )
 from tests.reference.probe import PerArrivalProbe
+from tests.reference.routing import walk_lookup
 
 __all__ = [
     "evaluate",
@@ -70,4 +74,5 @@ __all__ = [
     "qualify",
     "project_row",
     "merge_rows",
+    "walk_lookup",
 ]

@@ -787,25 +787,25 @@ def test_multicast_batch_floods_once_not_per_entry():
 
 
 def test_zero_window_coalescing_preserves_delivery_semantics():
-    """Same-instant sends to one destination arrive once each, in order."""
-    network_plain = Network(FullMeshTopology(4, latency_s=0.05))
-    network_coal = Network(FullMeshTopology(4, latency_s=0.05),
-                           coalesce_window_s=0.0)
-    for network in (network_plain, network_coal):
-        log = []
-        network.node(1).register_handler(
-            "test.proto", lambda node, msg: log.append(msg.payload))
-        for i in range(10):
-            network.node(0).send(1, "test.proto", payload=i, payload_bytes=100)
-        network.run_until_idle()
-        assert log == list(range(10))
-    # Identical byte accounting in both modes.
-    assert (network_coal.stats.inbound_bytes[1]
-            == network_plain.stats.inbound_bytes[1])
-    # ...but far fewer events in the coalesced network.
-    assert (network_coal.simulator.events_processed
-            < network_plain.simulator.events_processed)
-    assert network_coal.messages_coalesced == 9
+    """Same-instant sends to one destination arrive once each, in order,
+    each charged as a message of its own, by one delivery event."""
+    network = Network(FullMeshTopology(4, latency_s=0.05,
+                                       capacity_bytes_per_s=16_000.0))
+    log = []
+    network.node(1).register_handler(
+        "test.proto", lambda node, msg: log.append((msg.payload, network.now)))
+    for i in range(10):
+        network.node(0).send(1, "test.proto", payload=i, payload_bytes=100)
+    network.run_until_idle()
+    # 160 B per message (60 header + 100 payload) at 16 000 B/s: the link
+    # serves one every 10 ms, the group is handed over when the last is.
+    assert log == [(i, pytest.approx(0.15)) for i in range(10)]
+    assert network.stats.inbound_bytes[1] == 10 * 160
+    assert network.stats.messages_delivered == 10
+    assert network.stats.total_queueing_delay == pytest.approx(
+        sum(0.010 * i for i in range(10)))
+    assert network.simulator.events_processed == 1
+    assert network.messages_coalesced == 9
 
 
 def test_positive_window_coalesces_across_sources():

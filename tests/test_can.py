@@ -264,9 +264,10 @@ def expected_tables(routings):
 def hand_zones_to_a_neighbor(routings, departing):
     """Give ``departing``'s zones to its smallest neighbour, which then owns
     several, and set every remaining table to what the zones imply — the
-    shape a takeover of a dead node's zones leaves.  Returns the heir."""
+    shape a takeover of a dead node's zones leaves.  Returns the heir, picked
+    from the whole table: a neighbour marked dead still borders the zones."""
     leaving = routings.pop(departing)
-    heir = min(leaving.neighbors(),
+    heir = min(leaving.neighbor_zones,
                key=lambda address: (routings[address].total_volume(), address))
     routings[heir].zones = [*routings[heir].zones, *leaving.zones]
     for address, table in expected_tables(routings).items():

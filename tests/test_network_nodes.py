@@ -60,13 +60,22 @@ def test_bandwidth_serialisation_delays_large_messages():
 
 def test_concurrent_senders_queue_at_receiver_inbound_link():
     network = make_network(latency=0.0, capacity=1000.0)
-    times = []
-    network.node(2).register_handler("test", lambda node, msg: times.append(network.now))
+    received = []
+    network.node(2).register_handler(
+        "test", lambda node, msg: received.append((msg.src, network.now)))
     network.node(0).send(2, "test", payload_bytes=940)   # 1000 bytes on wire
     network.node(1).send(2, "test", payload_bytes=940)
+    network.simulator.schedule(0.5, network.node(3).send, 2, "test", None, 940)
     network.run_until_idle()
-    assert times[0] == pytest.approx(1.0)
-    assert times[1] == pytest.approx(2.0)
+    # The link serves 1000 B/s first come, first served: 0's message from
+    # 0 to 1 s, 1's from 1 to 2 s (queued 1 s), 3's from 2 to 3 s (queued
+    # 1.5 s behind them).  The two that arrive together are one delivery
+    # group, handed over in send order when the later of them is served.
+    assert received == [(0, pytest.approx(2.0)), (1, pytest.approx(2.0)),
+                        (3, pytest.approx(3.0))]
+    assert network.stats.total_queueing_delay == pytest.approx(2.5)
+    assert network.stats.inbound_bytes[2] == 3000
+    assert network.link(2).busy_until == pytest.approx(3.0)
 
 
 def test_message_to_unknown_node_raises():
@@ -227,7 +236,7 @@ def test_window_group_replaced_under_its_key_still_delivers_its_members():
                         ("c", pytest.approx(3.1))]
 
 
-@pytest.mark.parametrize("window", [None, 0.0, 0.5])
+@pytest.mark.parametrize("window", [0.0, 0.5])
 @pytest.mark.parametrize("src, dst", [(0, 9), (9, 0)])
 def test_unknown_address_raises_before_anything_is_counted(window, src, dst):
     network, _, _ = make_coalescing_network(window, capacity=1000.0)
@@ -237,6 +246,11 @@ def test_unknown_address_raises_before_anything_is_counted(window, src, dst):
     assert network.simulator.pending_events == 0
     assert network.batches_flushed == 0
     assert all(network.link(address).bytes_served == 0 for address in range(4))
+
+
+def test_a_negative_window_is_refused():
+    with pytest.raises(NetworkError, match="must be >= 0"):
+        Network(FullMeshTopology(2), coalesce_window_s=-0.001)
 
 
 # --------------------------------------------------------------------- stats

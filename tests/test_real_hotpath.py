@@ -3,6 +3,9 @@
 * ``RealTransport`` ships everything queued behind a message in **one**
   write, checks the connection for EOF *before* writing, and retries or
   bounces the in-flight batch as a whole;
+* it hands the node the frames of one read inside one delivery scope, so a
+  relay forwards the routed lookups that arrived together as one batch per
+  next hop;
 * the node's result pump pushes the rows of one loop turn at its end through
   a one-shot zero-delay flush, cut into frames of ``RESULT_FLUSH_ROWS``
   (no periodic timer, no row waits for an age);
@@ -12,8 +15,9 @@
 * a real node's executor is failure-aware: each query's state holds a
   reaper timer, which ``finish`` cancels.
 
-No subprocess clusters here: raw asyncio servers, an in-process one-node
-``PierNode`` and a plain listening socket stand in for the peers.
+No subprocess clusters here: raw asyncio servers, in-process transports on
+one loop, an in-process one-node ``PierNode`` and a plain listening socket
+stand in for the peers.
 """
 
 from __future__ import annotations
@@ -29,12 +33,16 @@ import pytest
 from repro import JoinStrategy
 from repro.core.executor import QueryHandle
 from repro.exceptions import NetworkError
+from repro.dht.naming import hash_key
+from repro.net.message import Message
 from repro.net.node import Node
 from repro.net.real import MAX_BATCH_MESSAGES, RealTransport
-from repro.net.wire import FrameDecoder, encode_frame
+from repro.net.wire import FrameDecoder, encode_frame, message_to_wire
 from repro.node import RESULT_FLUSH_ROWS, PierNode
 from repro.remote import GatewayConnection, RemotePier
+from repro.stack import build_overlay
 from repro.workloads import JoinWorkload, WorkloadConfig
+from tests.reference import walk_lookup
 
 
 async def wait_for(predicate, timeout_s=5.0):
@@ -202,6 +210,113 @@ def test_unencodable_message_bounces_alone_and_its_batch_is_written(writes):
         assert not transport._pool[1].pending and not transport._pool[1].task.done()
         await transport.close()
         await peer.hang_up()
+
+    asyncio.run(scenario())
+
+
+# ------------------------------------------------ one scope per read
+
+
+async def loopback_overlay(dht, size):
+    """``size`` transports on this loop carrying one stabilised overlay:
+    ``(builder, transports, routings)``, every node knowing every peer."""
+    transports = [RealTransport(address) for address in range(size)]
+    ports = [(await transport.start())[1] for transport in transports]
+    builder, routings = build_overlay(dht, range(size))
+    for address, transport in enumerate(transports):
+        node = Node(address, transport)
+        transport.attach_node(node)
+        routings[address].rebind(node)
+        transport.update_peers({peer: ("127.0.0.1", port)
+                                for peer, port in enumerate(ports)
+                                if peer != address})
+    return builder, transports, routings
+
+
+async def write_at_once(transport, messages):
+    """Write the frames of ``messages`` to ``transport`` in one write."""
+    _reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                    transport.listen_port)
+    received = transport.frames_received
+    writer.write(b"".join(encode_frame(message_to_wire(message))
+                          for message in messages))
+    await writer.drain()
+    await wait_for(lambda: transport.frames_received == received + len(messages))
+    return writer
+
+
+def first_hop(routings, origin, key):
+    """``(relay, coordinate)`` of ``key`` looked up from ``origin``."""
+    layer = routings[origin]
+    coord = layer._coordinate(key)
+    return (None if layer._owns_coordinate(coord)
+            else layer._next_hop(coord)), coord
+
+
+def two_lookups_meeting_at_a_relay(routings):
+    """Two lookups from two origins that reach one relay on their first hop
+    and leave it for the same next hop: ``(relay, [(origin, key, coord)])``."""
+    by_exit = {}
+    for index in range(4000):
+        key = hash_key("meet", index)
+        origin = index % len(routings)
+        relay, coord = first_hop(routings, origin, key)
+        if relay is None or routings[relay]._owns_coordinate(coord):
+            continue
+        exit_hop = routings[relay]._next_hop(coord, origin)
+        found = by_exit.setdefault((relay, exit_hop), {})
+        found.setdefault(origin, (origin, key, coord))
+        if len(found) == 2:
+            return relay, list(found.values())
+    raise AssertionError("no two lookups meet at a relay")
+
+
+@pytest.mark.parametrize("dht", ["can", "chord"])
+def test_routed_batches_of_one_read_leave_a_relay_as_one(dht):
+    async def scenario():
+        builder, transports, routings = await loopback_overlay(dht, 8)
+        relay, lookups = two_lookups_meeting_at_a_relay(routings)
+        heard = {}
+        for origin, _key, _coord in lookups:
+            layer = routings[origin]
+            genuine = layer.node._handlers[layer.PROTOCOL_BATCH_LOOKUP_REPLY]
+
+            def on_reply(node, message, genuine=genuine):
+                payload = message.payload
+                heard[node.address, payload["request_id"]] = (
+                    payload["owner"], payload["hops"], payload["keys"])
+                genuine(node, message)
+
+            layer.node.replace_handler(layer.PROTOCOL_BATCH_LOOKUP_REPLY,
+                                       on_reply)
+        sent = []
+        transport = transports[relay]
+        genuine_send = transport.send
+
+        def recording_send(message):
+            sent.append(message)
+            genuine_send(message)
+
+        transport.send = recording_send
+        protocol = routings[relay].PROTOCOL_ROUTE_BATCH
+        frames = [Message(origin, relay, protocol,
+                          {"keys": [key], "coords": [coord],
+                           "runs": [(origin, 100 + origin, 1, 1)]}, 8, 1)
+                  for origin, key, coord in lookups]
+        writer = await write_at_once(transport, frames)
+        await wait_for(lambda: len(heard) == 2)
+        forwarded = [message for message in sent if message.protocol == protocol]
+        assert len(forwarded) == 1
+        assert forwarded[0].payload["runs"] == [
+            (origin, 100 + origin, 2, 1) for origin, _key, _coord in lookups]
+        for origin, key, _coord in lookups:
+            owner, hops = walk_lookup(routings, origin, [key])[0][key]
+            assert owner == builder.owner_of_key(key)
+            assert heard[origin, 100 + origin] == (owner, hops, [key])
+        assert routings[relay]._outbox == {}
+        writer.close()
+        for transport in transports:
+            await transport.close()
 
     asyncio.run(scenario())
 

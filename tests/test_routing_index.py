@@ -598,15 +598,9 @@ PINNED = {
 }
 
 
-def run_pinned_query(dht, uncoalesced=False, **config):
-    """The pinned query on a fresh deployment: ``(pier, cursor)`` when done.
-
-    ``uncoalesced`` switches the freshly built network to one delivery event
-    per message — a mode ``SimulationConfig`` has no field for.
-    """
+def run_pinned_query(dht, **config):
+    """The pinned query on a fresh deployment: ``(pier, cursor)`` when done."""
     pier = PierNetwork(SimulationConfig(num_nodes=64, dht=dht, seed=7, **config))
-    if uncoalesced:
-        pier.network.set_coalescing(None)
     workload = JoinWorkload(WorkloadConfig(num_nodes=64, s_tuples_per_node=2,
                                            seed=11))
     pier.load_relation(workload.r_relation, workload.r_by_node)
@@ -644,11 +638,13 @@ def test_fixed_seed_query_counts_are_pinned(dht):
 
 # ------------------------------------------- determinism pins, per network mode
 #
-# The simulated message path (``net/``) has three delivery modes — one event
-# per message, zero-window groups, positive-window groups — and the link and
-# the topology each have a special case (infinite bandwidth; a latency drawn
-# from a random stream per call).  Each pin holds the queueing-delay sum and
-# every row's arrival time on top of the counts.
+# The simulated message path (``net/``) has two delivery modes — zero-window
+# groups and positive-window groups — and the link and the topology each
+# have a special case (infinite bandwidth; a latency drawn from a random
+# stream per call).  Each pin holds the queueing-delay sum and every row's
+# arrival time on top of the counts.  A third mode, one delivery event per
+# message, was deleted: no deployment ran it, and a node handled what it
+# delivered outside any delivery scope, unlike every other path.
 #
 # The order in which one node's same-instant sends are issued follows the
 # order ``StorageManager.scan`` yields stored tuples, which is the order they
@@ -697,7 +693,6 @@ def test_fixed_seed_query_counts_are_pinned(dht):
 NETWORK_MODES = {
     "window 0": {},
     "window 10 ms": {"coalesce_window_s": 0.010},
-    "one event per message": {"uncoalesced": True},
     "cluster (jittered latency)": {"topology": "cluster"},
     "infinite bandwidth": {"bandwidth_bytes_per_s": None},
 }
@@ -723,17 +718,6 @@ PINNED_BY_MODE = {
         "events_processed": 722, "lookup_hops": 2504,
         "max_inbound_bytes": 144668, "total_queueing_delay": 1.5420287999999907,
         "arrivals": [128, 0.6063776, 1.4282336000000004, "40fa1f5f909ccbe7"]},
-    ("one event per message", "can"): {
-        "messages_sent": 3632, "bytes_delivered": 1176104,
-        "events_processed": 3760, "lookup_hops": 2644,
-        "max_inbound_bytes": 150152, "total_queueing_delay": 2.2556479999999954,
-        "arrivals": [128, 0.7040671999999998, 1.8058144000000012,
-                     "b0bd954da8cabe6d"]},
-    ("one event per message", "chord"): {
-        "messages_sent": 2845, "bytes_delivered": 1085570,
-        "events_processed": 2973, "lookup_hops": 2504,
-        "max_inbound_bytes": 145244, "total_queueing_delay": 2.1173535999999604,
-        "arrivals": [128, 0.6015488, 1.4055136000000004, "d669572c6494f084"]},
     ("cluster (jittered latency)", "can"): {
         "messages_sent": 3633, "bytes_delivered": 1176164,
         "events_processed": 3761, "lookup_hops": 2644,

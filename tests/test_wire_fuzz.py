@@ -13,13 +13,16 @@ Four families:
   payload pays for;
 * **forged lengths**: recorded ``prov.put_chunk``, ``prov.get_batch_reply``
   and ``can.route_batch`` frames whose parallel arrays disagree decode fine —
-  their receivers refuse them whole;
+  their receivers refuse them whole; a routed batch whose coordinates are
+  not points raises in its handler, and the node's delivery scope still
+  closes, on the simulator and over TCP;
 * **framing**: :class:`FrameDecoder` yields the same frames for any split
   of the byte stream.
 """
 
 from __future__ import annotations
 
+import asyncio
 import math
 import struct
 
@@ -28,6 +31,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.query import JoinStrategy, QueryTeardown
+from repro.dht.can import CanNetworkBuilder
+from repro.net.message import Message
+from repro.net.network import Network
+from repro.net.topology import FullMeshTopology
 from repro.net.wire import (
     COLUMN_MIN_ITEMS,
     MAX_COLUMN_DEPTH,
@@ -40,6 +47,7 @@ from repro.net.wire import (
     unpack,
 )
 from tests.test_batch_apis import ENTRIES, build_network
+from tests.test_real_hotpath import loopback_overlay, wait_for, write_at_once
 
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -539,6 +547,64 @@ def test_forged_route_batch_lengths_are_reported_unresolved(field):
     assert all(payload["owner"] is None for _dst, _protocol, payload in sent)
     assert [key for *_sent, payload in sent
             for key in payload["keys"]] == forged.payload["keys"]
+
+
+def unpointed_route_batch(routing, src):
+    """A two-run ``can.route_batch`` from ``src`` whose arrays agree but
+    whose coordinates are ints, not points: routing them raises."""
+    message = Message(src, routing.address, routing.PROTOCOL_ROUTE_BATCH,
+                      {"keys": [11, 12, 13], "coords": [11, 12, 13],
+                       "runs": [(src, 1, 1, 2), (src, 2, 1, 1)]}, 8, 1)
+    return message_from_wire(unpack(pack(message_to_wire(message))))
+
+
+def routed_key(routing):
+    """A key ``routing`` does not own."""
+    return next(key for key in range(1, 1000) if not routing.owns(key))
+
+
+def test_a_route_batch_that_raises_leaves_no_scope_open_in_the_simulator():
+    network = Network(FullMeshTopology(4, latency_s=0.02))
+    builder = CanNetworkBuilder(dimensions=2)
+    relay = builder.build_stabilized(network)[1]
+    network.send(unpointed_route_batch(relay, 0))
+    with pytest.raises(TypeError, match="unpack"):
+        network.run_until_idle()
+    key = routed_key(relay)
+    answers = []
+    relay.lookup_batch([key], lambda owner, keys: answers.append((owner, keys)))
+    network.run_until_idle()
+    assert answers == [(builder.owner_of_key(key), [key])]
+    assert relay._outbox == {} and relay.node.defer(lambda: None) is False
+
+
+def test_a_route_batch_that_raises_leaves_no_scope_open_over_tcp(caplog):
+    """The handler's error is logged and the node keeps routing; so it does
+    after a ``msg`` frame that cannot be made a message, which drops its
+    connection from inside the read's delivery scope."""
+
+    async def scenario():
+        builder, transports, routings = await loopback_overlay("can", 4)
+        relay = routings[1]
+        writer = await write_at_once(transports[1],
+                                     [unpointed_route_batch(relay, 0)])
+        assert "handler for 'can.route_batch' failed" in caplog.text
+        reader, torn = await asyncio.open_connection("127.0.0.1",
+                                                     transports[1].listen_port)
+        torn.write(encode_frame({"t": "msg", "protocol": relay.PROTOCOL_ROUTE_BATCH}))
+        assert await asyncio.wait_for(reader.read(), 5.0) == b""  # hung up
+        torn.close()
+        key = routed_key(relay)
+        answers = []
+        relay.lookup_batch([key], lambda owner, keys: answers.append((owner, keys)))
+        await wait_for(lambda: answers)
+        assert answers == [(builder.owner_of_key(key), [key])]
+        assert relay._outbox == {} and relay.node.defer(lambda: None) is False
+        writer.close()
+        for transport in transports:
+            await transport.close()
+
+    asyncio.run(scenario())
 
 
 # ---------------------------------------------------------------- framing
