@@ -1,43 +1,27 @@
 """Catalog manager (a "future work" item of the paper, implemented here).
 
-The paper notes that declarative queries need a catalog, that catalogs are
-small but have stronger availability needs than ordinary data, and that the
-catalog facility should "reuse the DHT and query processor".  This module
-provides:
-
-* a local, in-memory catalog mapping relation names to
-  :class:`repro.core.tuples.RelationDef`;
-* optional publication of catalog entries into a dedicated DHT namespace
-  (``__catalog__``) with a long soft-state lifetime, so any node can fetch a
-  relation definition it does not know with a normal ``get``.
-
-The SQL planner resolves table names against a Catalog.
+The paper notes that declarative queries need a catalog and that the catalog
+facility should "reuse the DHT and query processor".  This module provides a
+local, in-memory catalog mapping relation names to
+:class:`repro.core.tuples.RelationDef`; the SQL planner resolves table names
+against it.  Relation statistics, the metadata the optimizer reads across
+nodes, reach the DHT with the rows they describe (see
+:func:`repro.core.stats.publisher_batches`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.tuples import Column, RelationDef, Schema
 from repro.exceptions import CatalogError
 
-#: DHT namespace used for published catalog entries.
-CATALOG_NAMESPACE = "__catalog__"
-#: Lifetime of published catalog entries (they matter more than data).
-CATALOG_LIFETIME_S = 3600.0
-
 
 class Catalog:
-    """Relation-name → definition mapping with optional DHT publication."""
+    """Relation-name → definition mapping."""
 
     def __init__(self) -> None:
         self._relations: Dict[str, RelationDef] = {}
-        #: Stable instanceID per published relation name, so re-publication
-        #: *renews* the existing soft-state entry (instead of accumulating
-        #: duplicate items) and :meth:`unpublish` can retract it.
-        self._published: Dict[str, int] = {}
-
-    # -------------------------------------------------------------- local API
 
     def register(self, relation: RelationDef, replace: bool = False) -> RelationDef:
         """Add a relation definition; refuses silent redefinition."""
@@ -84,84 +68,8 @@ class Catalog:
         """Names of all registered relations."""
         return sorted(self._relations)
 
-    def drop(self, name: str, provider=None) -> None:
-        """Remove a relation definition.
-
-        Catalog entries previously :meth:`publish`\\ ed into the DHT are soft
-        state: without retraction they stay fetchable until their lifetime
-        elapses.  Pass ``provider`` to also :meth:`unpublish` the entry, so
-        remote nodes stop resolving the dropped relation immediately.
-        """
+    def drop(self, name: str) -> None:
+        """Remove a relation definition."""
         if name not in self._relations:
             raise CatalogError(f"unknown relation {name!r}")
-        if provider is not None:
-            self.unpublish(provider, name)
         del self._relations[name]
-
-    # ---------------------------------------------------------- DHT publication
-
-    def publish(self, provider, lifetime: float = CATALOG_LIFETIME_S) -> int:
-        """Publish every registered definition into the catalog namespace.
-
-        Returns the number of entries published.  Entries are stored keyed by
-        relation name so any node can ``get`` them.  Each relation re-uses a
-        stable instanceID, so calling this periodically *renews* the
-        soft-state entries rather than duplicating them.
-        """
-        published = 0
-        for name, relation in self._relations.items():
-            instance_id = provider.put(
-                CATALOG_NAMESPACE,
-                name,
-                self._published.get(name),
-                relation,
-                lifetime=lifetime,
-                item_bytes=128,
-            )
-            self._published[name] = instance_id
-            published += 1
-        return published
-
-    def unpublish(self, provider, name: Optional[str] = None) -> int:
-        """Retract previously published catalog entries from the DHT.
-
-        The DHT offers no hard delete — everything is soft state — so
-        retraction is an idempotent re-``put`` of the same
-        (namespace, name, instanceID) triple with a zero lifetime: the
-        owner's storage manager overwrites the live entry with one that is
-        already expired, and subsequent :meth:`fetch_remote` calls see
-        nothing.  With ``name=None`` every entry this catalog published is
-        retracted.  Returns the number of entries retracted; entries never
-        published by *this* catalog instance cannot be retracted (soft-state
-        expiry remains their only end of life).
-        """
-        if name is not None:
-            if name not in self._published:
-                return 0
-            names = [name]
-        else:
-            names = list(self._published)
-        for entry in names:
-            provider.put(
-                CATALOG_NAMESPACE, entry, self._published.pop(entry),
-                None, lifetime=0.0, item_bytes=32,
-            )
-        return len(names)
-
-    def fetch_remote(self, provider, name: str,
-                     callback: Callable[[Optional[RelationDef]], None]) -> None:
-        """Fetch a relation definition from the DHT catalog namespace.
-
-        The callback receives the definition (also cached locally) or ``None``
-        if no entry was found.
-        """
-
-        def _on_items(items) -> None:
-            if not items:
-                callback(None)
-                return
-            relation = items[0].value
-            self._relations.setdefault(name, relation)
-            callback(relation)
-
-        provider.get(CATALOG_NAMESPACE, name, _on_items)

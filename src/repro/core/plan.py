@@ -4,8 +4,8 @@ The distributed choreography lives in :mod:`repro.core.executor`, which
 runs the physical operator graphs of :mod:`repro.core.opgraph`; this module
 keeps the pieces of node-local plan logic that are shared between the
 executor's aggregation runners and the initiator-side finalisation (the
-group-by itself, derived columns, HAVING), plus a small plan-description
-helper used by tests and examples.
+group-by itself, derived columns, HAVING).  A plan is rendered by
+:meth:`repro.core.opgraph.OpGraph.describe`.
 """
 
 from __future__ import annotations
@@ -43,30 +43,3 @@ def finalize_aggregation_rows(query: QuerySpec, final: GroupByAggregate) -> List
     columns, aggregate aliases and derived aliases.
     """
     return build_opgraph(query).artifacts.finalize(final.result_rows())
-
-
-def describe_plan(query: QuerySpec) -> List[str]:
-    """Human-readable summary of the distributed plan (used by examples/docs)."""
-    lines = [f"Query {query.query_id} ({query.strategy.value})"]
-    for table in query.tables:
-        predicate = query.local_predicates.get(table.alias)
-        lines.append(
-            f"  scan {table.relation.name} AS {table.alias}"
-            + (f" WHERE {predicate!r}" if predicate is not None else "")
-        )
-    if query.join is not None:
-        lines.append(
-            f"  join on {query.join.left_alias}.{query.join.left_column} = "
-            f"{query.join.right_alias}.{query.join.right_column}"
-        )
-    if query.post_join_predicate is not None:
-        lines.append(f"  residual {query.post_join_predicate!r}")
-    if query.group_by or query.aggregates:
-        aggregates = ", ".join(
-            f"{a.function}({a.column or '*'}) AS {a.alias}" for a in query.aggregates
-        )
-        lines.append(f"  group by {query.group_by} computing [{aggregates}]")
-    if query.having is not None:
-        lines.append(f"  having {query.having!r}")
-    lines.append(f"  output {query.output_columns or '[aggregate rows]'}")
-    return lines

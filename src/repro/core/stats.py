@@ -9,15 +9,15 @@ material a cost-based optimizer needs:
   average tuple size and per-column distinct counts / min-max bounds,
   collected at publish time (``PierNetwork.load_relation`` accumulates them
   as tuples enter the DHT).
-* A dedicated soft-state DHT namespace (``__pier_stats__``), living
-  alongside the catalog namespace: every publisher publishes its *partial*
-  statistics as its own item, and any planning node ``get``\\ s the partials
-  and merges them into a global view.  Like all PIER state, statistics age
-  out unless re-published.
+* A dedicated soft-state DHT namespace (``__pier_stats__``): every
+  publisher's load plan (:func:`publisher_batches`) puts its *partial*
+  statistics as its own item beside its rows, and any planning node
+  ``get``\\ s the partials and merges them into a global view.  Like all
+  PIER state, statistics age out unless their publisher renews them.
 * :class:`StatsRegistry` — a node-local cache of relation statistics and
-  observed join selectivities, with DHT publication/fetch and the feedback
-  path the executor uses to record *observed* cardinalities at query finish,
-  so estimates converge toward truth over a query workload.
+  observed join selectivities, with the DHT fetch and the feedback path the
+  executor uses to record *observed* cardinalities at query finish, so
+  estimates converge toward truth over a query workload.
 """
 
 from __future__ import annotations
@@ -27,15 +27,14 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sketches import HyperLogLog
 
-#: DHT namespace holding published statistics (alongside ``__catalog__``).
+#: DHT namespace holding published statistics.
 STATS_NAMESPACE = "__pier_stats__"
 #: Register count (``2**log2m``) of the per-column distinct-count sketches
 #: carried by published statistics: 1024 registers ≈ 3 % standard error,
 #: and small domains stay exact via HLL's linear-counting range.
 STATS_HLL_LOG2M = 10
-#: Lifetime of published statistics entries; like catalog entries they are
-#: small and matter more than ordinary data, but unlike catalog entries they
-#: go stale as data churns, so they live shorter than the catalog.
+#: Lifetime of published statistics entries: they are small and matter
+#: more than ordinary data, but go stale as data churns.
 STATS_LIFETIME_S = 1800.0
 #: Approximate wire size of one published statistics item.
 STATS_ITEM_BYTES = 96
@@ -213,17 +212,6 @@ class RelationStats:
         """The same distribution re-scaled to an observed cardinality."""
         return replace(self, cardinality=max(0, int(cardinality)))
 
-    def wire_bytes(self) -> int:
-        """Approximate published size: the scalar envelope plus the columns'
-        distinct-count sketches (honest accounting now that statistics items
-        carry HLL registers)."""
-        sketch_bytes = sum(
-            stats.hll.payload_bound()
-            for stats in self.columns.values()
-            if stats.hll is not None
-        )
-        return STATS_ITEM_BYTES + sketch_bytes
-
 
 def publisher_batches(relation, rows: List[dict], lifetime: float,
                       at: float) -> Tuple[RelationStats, List[tuple]]:
@@ -261,14 +249,15 @@ class JoinObservation:
 
 
 class StatsRegistry:
-    """Node-local statistics cache with DHT publication and feedback.
+    """Node-local statistics cache with DHT fetch and feedback.
 
-    Publish-time partials accumulate with :meth:`record_publish`: they are
+    The load plan's partials accumulate with :meth:`merge_partial`: they are
     parked and folded into the local view, in arrival order, by the first
     read, so a registry nobody reads never pays for the fold.  Fetched
     global views *replace* the local entry (:meth:`install`).  Observed join
     selectivities blend in with an exponential moving average so one noisy
-    query does not whipsaw the planner.
+    query does not whipsaw the planner and are published for other planners
+    (:meth:`publish_join_observation`).
     """
 
     def __init__(self) -> None:
@@ -280,20 +269,14 @@ class StatsRegistry:
         #: cardinality, and must never overwrite a real (published or
         #: fetched) statistics entry.
         self._scan_observations: Dict[str, RelationStats] = {}
-        #: Stable instanceIDs per published resource, so re-publication (a
-        #: full put: the value may change) overwrites the item, no duplicate.
+        #: Stable instanceID per published join observation, so
+        #: re-publication (a full put: the value may change) overwrites the
+        #: item, no duplicate.
         self._published: Dict[str, int] = {}
         #: Partials not yet folded into :attr:`_relations`, per relation.
         self._parked: Dict[str, List[RelationStats]] = {}
 
     # ------------------------------------------------------------- local view
-
-    def record_publish(self, relation, rows: List[dict],
-                       at: float = 0.0) -> RelationStats:
-        """Accumulate publish-time statistics; returns this batch's partial."""
-        partial = RelationStats.from_rows(relation, rows, at=at)
-        self.merge_partial(partial)
-        return partial
 
     def merge_partial(self, partial: RelationStats) -> None:
         """Add an already-collected partial to the local view (on next read)."""
@@ -321,13 +304,6 @@ class StatsRegistry:
     def relation_names(self) -> List[str]:
         """Names of relations with local statistics."""
         return sorted(self._fold())
-
-    def forget(self, name: str) -> None:
-        """Drop the local entry for ``name`` (e.g. after a catalog drop)."""
-        self._parked.pop(name, None)
-        self._relations.pop(name, None)
-        self._scan_observations.pop(name, None)
-        self._published.pop(relation_stats_resource_id(name), None)
 
     # -------------------------------------------------------------- feedback
 
@@ -386,29 +362,6 @@ class StatsRegistry:
         return self._fold().get(name) or self._scan_observations.get(name)
 
     # ------------------------------------------------------- DHT publication
-
-    def publish(self, provider, names: Optional[List[str]] = None,
-                lifetime: float = STATS_LIFETIME_S) -> int:
-        """Publish local relation statistics into ``__pier_stats__``.
-
-        Each call re-uses a stable instanceID per relation, so periodic
-        re-publication overwrites the item with a full ``put`` (the value may
-        change) instead of accumulating duplicates.  Returns the count.
-        """
-        published = 0
-        for name in (names if names is not None else self.relation_names()):
-            stats = self.get(name)
-            if stats is None:
-                continue
-            resource_id = relation_stats_resource_id(name)
-            instance_id = self._published.get(resource_id)
-            instance_id = provider.put(
-                STATS_NAMESPACE, resource_id, instance_id, stats,
-                lifetime=lifetime, item_bytes=stats.wire_bytes(),
-            )
-            self._published[resource_id] = instance_id
-            published += 1
-        return published
 
     def publish_join_observation(self, provider, signature: str,
                                  lifetime: float = STATS_LIFETIME_S) -> bool:

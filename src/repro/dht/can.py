@@ -265,10 +265,15 @@ class CanRouting(RoutingLayer):
         message just arrived from is avoided unless it is the only live
         neighbour, which prevents two-node ping-pong cycles.
         """
-        # Squared distances: sqrt is monotone, so the argmin is unchanged.
+        # Rows are measured in squared distance and only a closer row pays
+        # for its root: sqrt is monotone but not strictly so in floating
+        # point, and two squares an ulp apart can share one root.  Comparing
+        # roots keeps the first of such rows, as ``Zone.distance_to_point``
+        # would.
         neighbors = (self._next_hops or self._build_next_hops())[1]
         best_address: Optional[int] = None
         best_distance = _INFINITY
+        best_root = _INFINITY
         if self.dimensions == 2:
             x, y = point
             for address, x_lo, x_hi, y_lo, y_hi in neighbors:
@@ -299,8 +304,11 @@ class CanRouting(RoutingLayer):
                         delta = wrap
                     distance += delta * delta
                 if distance < best_distance and address != exclude:
-                    best_distance = distance
-                    best_address = address
+                    root = distance ** 0.5
+                    if root < best_root:
+                        best_distance = distance
+                        best_root = root
+                        best_address = address
         else:
             for address, bounds in neighbors:
                 distance = 0.0
@@ -312,8 +320,11 @@ class CanRouting(RoutingLayer):
                         delta = min(coordinate - high, low + 1.0 - coordinate)
                         distance += delta * delta
                 if distance < best_distance and address != exclude:
-                    best_distance = distance
-                    best_address = address
+                    root = distance ** 0.5
+                    if root < best_root:
+                        best_distance = distance
+                        best_root = root
+                        best_address = address
         if best_address is None and any(row[0] == exclude for row in neighbors):
             return exclude
         return best_address

@@ -44,12 +44,13 @@ class HeartbeatFailureDetector:
     The simulator tells :class:`FailureInjector` exactly when a node died
     and synthesises the 15 s detection delay; on a real cluster nobody
     knows — this detector produces the same confirmed-dead events from
-    actual silence.  Each node periodically pings its routing neighbours
-    (plus any explicitly watched addresses); a peer that has not been
-    heard from — no ack, no ping of its own — for ``suspicion_timeout_s``
-    is confirmed dead and ``on_dead`` fires once.  A confirmed-dead peer
-    keeps being probed so a resumed identity is noticed (``on_alive``),
-    matching the injector's recover path.
+    actual silence.  Each node periodically pings its routing neighbours;
+    a peer that has not been heard from — no ack, no ping of its own — for
+    ``suspicion_timeout_s`` is confirmed dead and ``on_dead`` fires once.
+    A confirmed-dead peer keeps being probed so a resumed identity is
+    noticed (``on_alive``), matching the injector's recover path.  A bounced
+    ping is ignored: silence alone confirms a death, so the suspicion
+    timeout stays the single detection-delay knob.
 
     The suspicion timeout *is* the paper's detection-delay model: running
     with the default 15 s reproduces the Figure 6 regime on wall clock;
@@ -82,12 +83,9 @@ class HeartbeatFailureDetector:
         self.on_alive = on_alive
         self.last_heard: Dict[int, float] = {}
         self.confirmed_dead: Set[int] = set()
-        self.ping_bounces = 0
-        self._extra: Set[int] = set()
         self._timer = None
         node.replace_handler(self.PROTOCOL_PING, self._on_ping)
         node.replace_handler(self.PROTOCOL_ACK, self._on_ack)
-        node.register_bounce_handler(self.PROTOCOL_PING, self._on_ping_bounce)
 
     # ------------------------------------------------------------- lifecycle
 
@@ -102,30 +100,16 @@ class HeartbeatFailureDetector:
             self._timer.cancel()
             self._timer = None
 
-    # ----------------------------------------------------------- watch set
-
-    def watch(self, address: int) -> None:
-        """Probe ``address`` even when it is not a routing neighbour."""
-        if address != self.node.address:
-            self._extra.add(address)
-
     def forget(self, address: int) -> None:
         """Stop tracking ``address`` entirely (it left the cluster)."""
-        self._extra.discard(address)
         self.last_heard.pop(address, None)
         self.confirmed_dead.discard(address)
-
-    def watched(self) -> Set[int]:
-        """The addresses currently being probed."""
-        peers = set(self.routing.neighbors()) | self._extra
-        peers.discard(self.node.address)
-        return peers
 
     # ------------------------------------------------------------ mechanics
 
     def _tick(self) -> None:
         now = self.node.now
-        for peer in self.watched():
+        for peer in set(self.routing.neighbors()) - {self.node.address}:
             last = self.last_heard.setdefault(peer, now)
             if (peer not in self.confirmed_dead
                     and now - last >= self.suspicion_timeout_s):
@@ -150,12 +134,6 @@ class HeartbeatFailureDetector:
 
     def _on_ack(self, node: Node, message) -> None:
         self._heard(message.src)
-
-    def _on_ping_bounce(self, node: Node, message) -> None:
-        # The transport exhausted its backoff budget trying to reach the
-        # peer: strong evidence, but silence alone drives confirmation so
-        # the suspicion timeout stays the single detection-delay knob.
-        self.ping_bounces += 1
 
 
 @dataclass

@@ -53,7 +53,6 @@ from repro.net.message import Message
 from repro.net.node import Node
 from repro.net.transport import TimerService, Transport
 from repro.net.wire import (
-    MAX_FRAME_BYTES,
     FrameDecoder,
     WireError,
     encode_frame,
@@ -137,17 +136,15 @@ class RealTransport(Transport):
         before the node attaches).
     listen_host, listen_port:
         Where :meth:`start` binds the frame server.
-    max_frame_bytes:
-        Oversized-frame guard forwarded to the codec.
+
+    Frames in both directions are held to the codec's ``MAX_FRAME_BYTES``.
     """
 
     def __init__(self, address: int, listen_host: str = "127.0.0.1",
-                 listen_port: int = 0,
-                 max_frame_bytes: int = MAX_FRAME_BYTES):
+                 listen_port: int = 0):
         self.address = int(address)
         self.listen_host = listen_host
         self.listen_port = listen_port
-        self.max_frame_bytes = max_frame_bytes
         self.node: Optional[Node] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._timers: Optional[WallClockTimers] = None
@@ -156,8 +153,8 @@ class RealTransport(Transport):
         self.peers: Dict[int, Tuple[str, int]] = {}
         self._pool: Dict[int, _Peer] = {}
         #: Frame handlers for non-"msg" frame kinds (join handshake, gateway RPC):
-        #: kind -> callable(writer, frame_dict).
-        self._frame_handlers: Dict[str, Callable] = {}
+        #: kind -> (callable(writer, frame_dict), required fields).
+        self._frame_handlers: Dict[str, Tuple[Callable, Tuple[str, ...]]] = {}
         self._closing = False
         self.frames_sent = 0
         self.frames_received = 0
@@ -178,14 +175,18 @@ class RealTransport(Transport):
         """Bind the (single) local node this transport delivers to."""
         self.node = node
 
-    def register_frame_handler(self, kind: str, handler: Callable) -> None:
+    def register_frame_handler(self, kind: str, handler: Callable,
+                               fields: Tuple[str, ...] = ()) -> None:
         """Register a handler for frames whose ``"t"`` field equals ``kind``.
 
         The handler receives ``(writer, frame)`` and runs on the event loop;
         the join handshake and the client gateway plug in here, sharing
-        the node-to-node framing and server socket.
+        the node-to-node framing and server socket.  A frame without one of
+        ``fields`` is dropped with a warning before the handler sees it, and
+        one the handler raises on is dropped with the traceback logged; the
+        rest of the read is dispatched either way.
         """
-        self._frame_handlers[kind] = handler
+        self._frame_handlers[kind] = (handler, fields)
 
     def update_peers(self, peers: Dict[int, Tuple[str, int]]) -> None:
         """Install/extend the address book (from the membership broadcast)."""
@@ -287,7 +288,7 @@ class RealTransport(Transport):
 
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
-        decoder = FrameDecoder(self.max_frame_bytes)
+        decoder = FrameDecoder()
         try:
             while True:
                 data = await reader.read(65536)
@@ -325,13 +326,28 @@ class RealTransport(Transport):
             return
         kind = frame.get("t")
         if kind == "msg":
-            self._deliver_local(message_from_wire(frame))
+            try:
+                message = message_from_wire(frame)
+            except WireError as exc:
+                log.warning("node %s: discarding malformed frame: %s",
+                            self.address, exc)
+                return
+            self._deliver_local(message)
             return
-        handler = self._frame_handlers.get(kind)
+        handler, fields = self._frame_handlers.get(kind, (None, ()))
         if handler is None:
             log.warning("node %s: no handler for frame kind %r", self.address, kind)
             return
-        handler(writer, frame)
+        missing = [name for name in fields if name not in frame]
+        if missing:
+            log.warning("node %s: discarding %r frame without %s",
+                        self.address, kind, ", ".join(missing))
+            return
+        try:
+            handler(writer, frame)
+        except Exception:  # noqa: BLE001 — one bad frame must not end the read
+            log.exception("node %s: discarding %r frame its handler refused",
+                          self.address, kind)
 
     def _deliver_local(self, message: Message) -> None:
         if self.node is None:
@@ -411,8 +427,7 @@ class RealTransport(Transport):
         refused: List[Message] = []
         for message in batch:
             try:
-                frames.append(encode_frame(message_to_wire(message),
-                                           self.max_frame_bytes))
+                frames.append(encode_frame(message_to_wire(message)))
             except WireError as exc:
                 log.error("node %s: dropping unencodable %r message to %s: %s",
                           self.address, message.protocol, message.dst, exc)
@@ -432,7 +447,7 @@ class RealTransport(Transport):
 
     def push_frame(self, writer: asyncio.StreamWriter, frame: dict) -> None:
         """Write a control frame (RPC response, event) to a live connection."""
-        data = encode_frame(frame, self.max_frame_bytes)
+        data = encode_frame(frame)
         writer.write(data)
         self.bytes_sent += len(data)
 

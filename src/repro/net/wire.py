@@ -573,9 +573,14 @@ def message_to_wire(message: Message) -> Dict[str, Any]:
 
 
 def message_from_wire(body: Dict[str, Any]) -> Message:
-    """Rebuild the :class:`Message` a peer framed with :func:`message_to_wire`."""
-    return Message(body["src"], body["dst"], body["protocol"], body.get("payload"),
-                   body.get("payload_bytes", 0), body.get("hops", 0))
+    """Rebuild the :class:`Message` a peer framed with :func:`message_to_wire`;
+    a body without ``src``, ``dst`` or ``protocol`` is a :class:`WireError`."""
+    try:
+        return Message(body["src"], body["dst"], body["protocol"],
+                       body.get("payload"), body.get("payload_bytes", 0),
+                       body.get("hops", 0))
+    except KeyError as exc:
+        raise WireError(f"msg frame without {exc}") from None
 
 
 __all__ = [

@@ -92,7 +92,7 @@ from repro.net.failures import (
 )
 from repro.net.node import Node
 from repro.net.real import RealTransport
-from repro.net.wire import MAX_FRAME_BYTES, FrameDecoder, encode_frame
+from repro.net.wire import FrameDecoder, encode_frame
 from repro.stack import NodeStack, build_overlay
 
 log = logging.getLogger("repro.node")
@@ -137,8 +137,7 @@ class PierNode:
                  sweep_period_s: float = DEFAULT_SWEEP_PERIOD_S,
                  heartbeat_period_s: float = DEFAULT_HEARTBEAT_PERIOD_S,
                  suspicion_timeout_s: float = DEFAULT_DETECTION_DELAY_S,
-                 request_timeout_s: float = DEFAULT_REQUEST_TIMEOUT_S,
-                 max_frame_bytes: int = MAX_FRAME_BYTES):
+                 request_timeout_s: float = DEFAULT_REQUEST_TIMEOUT_S):
         self.listen = listen
         self.advertise = advertise or listen
         self.join_endpoint = join
@@ -150,8 +149,7 @@ class PierNode:
             "suspicion_timeout_s": suspicion_timeout_s,
             "request_timeout_s": request_timeout_s,
         }
-        self.transport = RealTransport(0, listen[0], listen[1],
-                                       max_frame_bytes=max_frame_bytes)
+        self.transport = RealTransport(0, listen[0], listen[1])
         self.node: Optional[Node] = None
         self.stack: Optional[NodeStack] = None
         self.provider: Optional[Provider] = None
@@ -176,8 +174,10 @@ class PierNode:
     async def start(self) -> None:
         """Bind the server, join through a member (or found the cluster),
         assemble the stack."""
-        self.transport.register_frame_handler("hello", self._on_hello)
-        self.transport.register_frame_handler("joined", self._on_joined)
+        self.transport.register_frame_handler("hello", self._on_hello,
+                                              fields=("host", "port"))
+        self.transport.register_frame_handler("joined", self._on_joined,
+                                              fields=("address",))
         self.transport.register_frame_handler("rpc", self._on_rpc)
         host, port = await self.transport.start()
         log.info("listening on %s:%d (advertising %s:%d)",
@@ -260,7 +260,7 @@ class PierNode:
             "t": "hello", "host": self.advertise[0], "port": self.advertise[1],
         }))
         await writer.drain()
-        decoder = FrameDecoder(self.transport.max_frame_bytes)
+        decoder = FrameDecoder()
         membership_frame = None
         while membership_frame is None:
             data = await reader.read(65536)

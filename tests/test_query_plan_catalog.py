@@ -4,10 +4,8 @@ import pytest
 
 from repro.core.catalog import Catalog
 from repro.core.expressions import Comparison, col, lit
-from repro.core.plan import (
-    describe_plan,
-    finalize_aggregation_rows,
-)
+from repro.core.opgraph import build_opgraph
+from repro.core.plan import finalize_aggregation_rows
 from repro.core.query import (
     AggregateSpec,
     JoinClause,
@@ -180,11 +178,11 @@ def test_finalize_aggregation_rows_applies_derived_and_having():
     assert rows == [{"T.g": "x", "cnt": 2, "total": 7.0, "wcnt": 14.0}]
 
 
-def test_describe_plan_mentions_tables_and_strategy():
+def test_opgraph_describe_mentions_tables_and_strategy():
     query = simple_join_query(strategy=JoinStrategy.BLOOM)
-    text = "\n".join(describe_plan(query))
+    text = "\n".join(build_opgraph(query).describe())
     assert "bloom" in text
-    assert "R" in text and "S" in text
+    assert "Scan(R)" in text and "Scan(S)" in text
 
 
 # ------------------------------------------------------------------- catalog
@@ -226,24 +224,11 @@ def test_catalog_unknown_lookup_and_drop():
     assert "T" not in catalog
 
 
-def test_catalog_publish_and_fetch_via_dht():
-    from tests.conftest import build_pier
-
-    pier = build_pier(8)
+def test_catalog_drop_then_define_resolves_again():
     catalog = Catalog()
-    catalog.register(make_relation("shared", ("id", "value")))
-    published = catalog.publish(pier.provider(0))
-    assert published == 1
-    pier.run_until_idle()
-
-    remote_catalog = Catalog()
-    fetched = []
-    remote_catalog.fetch_remote(pier.provider(3), "shared", fetched.append)
-    pier.run_until_idle()
-    assert fetched and fetched[0].name == "shared"
-    assert "shared" in remote_catalog
-
-    missing = []
-    remote_catalog.fetch_remote(pier.provider(3), "absent", missing.append)
-    pier.run_until_idle()
-    assert missing == [None]
+    catalog.define("T", [("id", "int")])
+    catalog.drop("T")
+    assert catalog.relations() == []
+    relation = catalog.define("T", [("id", "int"), ("kind", "str")])
+    assert catalog.lookup("T") is relation
+    assert catalog.relations() == ["T"]

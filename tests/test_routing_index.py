@@ -363,6 +363,19 @@ def test_can_squared_argmin_picks_a_closest_zone():
             assert distances[chosen] == pytest.approx(min(distances.values()))
 
 
+def test_can_squares_an_ulp_apart_tie_on_the_first_zone():
+    """Zones 16 and 32 of node 12 are as far from this point as a root can
+    tell, though their squares differ in the last bit: the table's first
+    such zone wins, as in the scan."""
+    network = make_network(37)
+    routing = CanNetworkBuilder(dimensions=3).build_stabilized(network)[12]
+    point = (0.0, 0.0923898878775927, 1e-09)
+    (near,), (far,) = (routing.neighbor_zones[address] for address in (16, 32))
+    assert near.distance_to_point(point) == far.distance_to_point(point)
+    assert reference_best_next_hop(routing, point, exclude=0) == 16
+    assert routing._best_next_hop(point, exclude=0) == 16
+
+
 # ------------------------------------------------------------- stale indexes
 
 

@@ -3,13 +3,14 @@
 import pytest
 
 from repro.core.stats import (
+    STATS_LIFETIME_S,
     STATS_NAMESPACE,
     ColumnStats,
     JoinObservation,
     RelationStats,
     StatsRegistry,
+    join_observation_resource_id,
     join_signature,
-    relation_stats_resource_id,
 )
 from repro.core.tuples import Column, RelationDef, Schema
 from tests.conftest import build_pier
@@ -81,19 +82,6 @@ def test_column_stats_merge_without_hll_falls_back_to_sum():
     assert merged_other_way.hll is None
 
 
-def test_relation_stats_wire_bytes_include_hll_payloads():
-    relation = make_relation()
-    stats = RelationStats.from_rows(relation, rows_for(range(10)))
-    baseline = 96  # STATS_ITEM_BYTES
-    assert stats.wire_bytes() > baseline
-    per_column = sum(
-        column.hll.payload_bound()
-        for column in stats.columns.values()
-        if column.hll is not None
-    )
-    assert stats.wire_bytes() == baseline + per_column
-
-
 # ------------------------------------------------------------ relation stats
 
 
@@ -121,24 +109,22 @@ def test_relation_stats_merge_combines_partials():
 # ---------------------------------------------------------------- registry
 
 
-def test_registry_record_publish_accumulates():
+def test_registry_merge_partial_accumulates():
     registry = StatsRegistry()
     relation = make_relation()
-    registry.record_publish(relation, rows_for(range(4)))
-    registry.record_publish(relation, rows_for(range(4, 10)))
+    registry.merge_partial(RelationStats.from_rows(relation, rows_for(range(4))))
+    registry.merge_partial(RelationStats.from_rows(relation, rows_for(range(4, 10))))
     stats = registry.get("T")
     assert stats.cardinality == 10
     assert registry.relation_names() == ["T"]
 
 
-def test_registry_install_replaces_and_forget_drops():
+def test_registry_install_replaces():
     registry = StatsRegistry()
     relation = make_relation()
-    registry.record_publish(relation, rows_for(range(4)))
+    registry.merge_partial(RelationStats.from_rows(relation, rows_for(range(4))))
     registry.install(RelationStats(name="T", cardinality=99))
     assert registry.get("T").cardinality == 99
-    registry.forget("T")
-    assert registry.get("T") is None
 
 
 def test_registry_observe_join_blends():
@@ -173,42 +159,69 @@ def test_join_signature_is_order_independent():
 # ------------------------------------------------------- DHT publication path
 
 
-def test_registry_publish_and_fetch_merge_partials():
-    pier = build_pier(8)
-    relation = make_relation()
-
-    # Two publishers, disjoint partials, separate registries.
-    first = StatsRegistry()
-    first.record_publish(relation, rows_for(range(6)))
-    assert first.publish(pier.provider(1)) == 1
-
-    second = StatsRegistry()
-    second.record_publish(relation, rows_for(range(6, 10)))
-    assert second.publish(pier.provider(2)) == 1
-    pier.run_until_idle()
-
-    # A third node fetches and merges the global view.
-    planner = StatsRegistry()
+def fetch(pier, node, name):
+    """What ``node``'s own registry fetches of ``name`` from the DHT."""
     fetched = []
-    planner.fetch_relation(pier.provider(5), "T", fetched.append)
+    pier.executor(node).stats.fetch_relation(pier.provider(node), name,
+                                             fetched.append)
     pier.run_until_idle()
-    assert fetched and fetched[0].cardinality == 10
-    assert planner.get("T").distinct("id") == 10
+    assert len(fetched) == 1
+    return fetched[0]
 
 
-def test_registry_republish_renews_instead_of_duplicating():
-    pier = build_pier(8)
+@pytest.mark.parametrize("dht", ["can", "chord"])
+def test_fetch_merges_the_partials_two_loads_published(dht):
+    """A node that published nothing fetches both publishers' partials:
+    cardinalities add and distinct counts are the sketches' union (the
+    publishers share three labels, which a sum would count twice)."""
+    pier = build_pier(8, dht=dht)
     relation = make_relation()
-    registry = StatsRegistry()
-    registry.record_publish(relation, rows_for(range(3)))
-    registry.publish(pier.provider(0))
-    pier.run_until_idle()
-    registry.publish(pier.provider(0))  # renewal: same instance id
-    pier.run_until_idle()
+    rows_by_node = {1: rows_for(range(6)), 2: rows_for(range(3, 10))}
+    pier.load_relation(relation, rows_by_node)
+    first, second = (RelationStats.from_rows(relation, rows)
+                     for rows in rows_by_node.values())
+    union = first.columns["label"].hll.copy()
+    union.merge(second.columns["label"].hll)
 
-    owner = pier.owner_of(STATS_NAMESPACE, relation_stats_resource_id("T"))
-    items = list(pier.provider(owner).lscan(STATS_NAMESPACE))
-    assert len(items) == 1
+    assert pier.executor(5).stats.get("T") is None
+    fetched = fetch(pier, 5, "T")
+    assert fetched.cardinality == 13
+    assert fetched.total_bytes == 1300
+    label = fetched.column("label")
+    assert label.hll.to_payload() == union.to_payload()
+    assert label.distinct == round(union.estimate()) == 10
+    assert fetched.distinct("id") == 10
+    assert pier.executor(5).stats.get("T") is fetched
+
+
+@pytest.mark.parametrize("dht", ["can", "chord"])
+def test_loaded_partials_expire_without_a_renewal_agent(dht):
+    pier = build_pier(8, dht=dht)
+    pier.load_relation(make_relation(), {1: rows_for(range(6))})
+    pier.run(until=pier.now + STATS_LIFETIME_S - 1.0)
+    assert fetch(pier, 5, "T").cardinality == 6
+    pier.run(until=pier.now + 2.0)
+    assert fetch(pier, 5, "T") is None
+
+
+@pytest.mark.parametrize("dht", ["can", "chord"])
+def test_renewed_partials_outlive_their_lifetime_without_duplicating(dht):
+    """The renewal agents re-put each loaded partial under its instanceID:
+    past two lifetimes each publisher still has one stored partial and the
+    fetch counts every row once."""
+    pier = build_pier(8, dht=dht)
+    pier.start_renewal_agents(STATS_LIFETIME_S / 3)
+    pier.load_relation(make_relation(),
+                       {1: rows_for(range(6)), 2: rows_for(range(3, 10))},
+                       track_renewal=True)
+    pier.run(until=pier.now + 2.5 * STATS_LIFETIME_S)
+    partials = [item.value for provider in pier.providers.values()
+                for item in provider.lscan(STATS_NAMESPACE)]
+    assert sorted(partial.cardinality for partial in partials) == [6, 7]
+    fetched = []  # renewal timers never let the network idle: run a while
+    pier.executor(5).stats.fetch_relation(pier.provider(5), "T", fetched.append)
+    pier.run(until=pier.now + 60.0)
+    assert [stats.cardinality for stats in fetched] == [13]
 
 
 def test_join_observation_publish_and_fetch():
@@ -225,6 +238,25 @@ def test_join_observation_publish_and_fetch():
     pier.run_until_idle()
     assert fetched and isinstance(fetched[0], JoinObservation)
     assert remote.join_selectivity(sig) == pytest.approx(0.25)
+
+
+def test_republished_join_observation_replaces_its_item():
+    """A second publication of a signature reuses the first's instanceID:
+    its owner holds one item, the blended observation."""
+    pier = build_pier(8)
+    sig = join_signature("R", "num1", "S", "pkey")
+    registry = StatsRegistry()
+    registry.observe_join(sig, 0.25, result_rows=40, at=pier.now)
+    assert registry.publish_join_observation(pier.provider(0), sig)
+    pier.run_until_idle()
+    blended = registry.observe_join(sig, 0.75, result_rows=120, at=pier.now)
+    assert registry.publish_join_observation(pier.provider(0), sig)
+    pier.run_until_idle()
+
+    owner = pier.owner_of(STATS_NAMESPACE, join_observation_resource_id(sig))
+    items = list(pier.provider(owner).lscan(STATS_NAMESPACE))
+    assert [item.value for item in items] == [blended]
+    assert 0.25 < blended.selectivity < 0.75
 
 
 def test_load_relation_publishes_partials_into_stats_namespace():

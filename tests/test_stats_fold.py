@@ -1,11 +1,11 @@
 """Statistics partials fold when read, into what an eager fold built.
 
-``StatsRegistry.merge_partial`` parks a partial; ``get``, ``best_estimate``,
-``relation_names`` and ``publish`` fold the parked partials in arrival order,
-``install`` and ``forget`` drop them.  Interleaved sequences of those calls
-must read, column for column, what a registry that merged every partial on
-arrival reads — on a bare registry, on ``PierNetwork.relation_stats`` and the
-executors' registries after a fast load, and on the ``RemotePier`` registry
+``StatsRegistry.merge_partial`` parks a partial; ``get``, ``best_estimate``
+and ``relation_names`` fold the parked partials in arrival order, ``install``
+drops them.  Interleaved sequences of those calls must read, column for
+column, what a registry that merged every partial on arrival reads — on a
+bare registry, on ``PierNetwork.relation_stats`` and the executors'
+registries after a fast load, and on the ``RemotePier`` registry
 ``RemoteExecutor`` plans from.
 """
 
@@ -55,20 +55,7 @@ def view(stats):
              for column, column_stats in stats.columns.items()])
 
 
-class RecordingProvider:
-    """Records the statistics a registry publishes."""
-
-    def __init__(self):
-        self.puts = []
-
-    def put(self, namespace, resource_id, instance_id, value, lifetime,
-            item_bytes):
-        self.puts.append((namespace, resource_id, instance_id, view(value),
-                          lifetime, item_bytes))
-        return len(self.puts) if instance_id is None else instance_id
-
-
-def apply(registry, provider, step):
+def apply(registry, step):
     """Run one call on ``registry``; returns what it read."""
     call, argument = step
     if call == "merge":
@@ -78,21 +65,16 @@ def apply(registry, provider, step):
     if call == "install":
         registry.install(PARTIALS[argument % len(PARTIALS)].scaled(argument))
         return None
-    if call == "forget":
-        registry.forget(name)
-        return None
     if call == "get":
         return view(registry.get(name))
     if call == "best_estimate":
         return view(registry.best_estimate(name))
-    if call == "relation_names":
-        return registry.relation_names()
-    return registry.publish(provider)
+    return registry.relation_names()
 
 
 steps = st.lists(st.tuples(
     st.sampled_from(["merge", "merge", "merge", "get", "best_estimate",
-                     "relation_names", "install", "forget", "publish"]),
+                     "relation_names", "install"]),
     st.integers(min_value=0, max_value=len(PARTIALS) * 3)), max_size=30)
 
 
@@ -100,11 +82,8 @@ steps = st.lists(st.tuples(
 @given(steps=steps)
 def test_interleaved_calls_read_what_an_eager_fold_reads(steps):
     deferred, eager = StatsRegistry(), EagerRegistry()
-    deferred_puts, eager_puts = RecordingProvider(), RecordingProvider()
     for step in steps:
-        assert (apply(deferred, deferred_puts, step)
-                == apply(eager, eager_puts, step)), step
-    assert deferred_puts.puts == eager_puts.puts
+        assert apply(deferred, step) == apply(eager, step), step
     for name in NAMES:
         assert view(deferred.get(name)) == view(eager.get(name))
 
@@ -155,5 +134,4 @@ def test_remote_registry_reads_an_eager_fold():
                 eager.merge_partial(item["value"])
         for name in ("R", "S"):
             assert view(planning.best_estimate(name)) == view(eager.get(name))
-    planning.forget("S")
-    assert planning.relation_names() == ["R"]
+    assert planning.relation_names() == ["R", "S"]

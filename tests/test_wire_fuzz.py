@@ -15,7 +15,8 @@ Four families:
   and ``can.route_batch`` frames whose parallel arrays disagree decode fine —
   their receivers refuse them whole; a routed batch whose coordinates are
   not points raises in its handler, and the node's delivery scope still
-  closes, on the simulator and over TCP;
+  closes, on the simulator and over TCP; a frame without the fields its
+  kind needs is dropped and the rest of its read still delivered;
 * **framing**: :class:`FrameDecoder` yields the same frames for any split
   of the byte stream.
 """
@@ -47,7 +48,12 @@ from repro.net.wire import (
     unpack,
 )
 from tests.test_batch_apis import ENTRIES, build_network
-from tests.test_real_hotpath import loopback_overlay, wait_for, write_at_once
+from tests.test_real_hotpath import (
+    loopback_overlay,
+    one_node_cluster,
+    wait_for,
+    write_at_once,
+)
 
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -580,8 +586,8 @@ def test_a_route_batch_that_raises_leaves_no_scope_open_in_the_simulator():
 
 def test_a_route_batch_that_raises_leaves_no_scope_open_over_tcp(caplog):
     """The handler's error is logged and the node keeps routing; so it does
-    after a ``msg`` frame that cannot be made a message, which drops its
-    connection from inside the read's delivery scope."""
+    after a ``msg`` frame that cannot be made a message, which is dropped
+    inside the read's delivery scope."""
 
     async def scenario():
         builder, transports, routings = await loopback_overlay("can", 4)
@@ -589,10 +595,10 @@ def test_a_route_batch_that_raises_leaves_no_scope_open_over_tcp(caplog):
         writer = await write_at_once(transports[1],
                                      [unpointed_route_batch(relay, 0)])
         assert "handler for 'can.route_batch' failed" in caplog.text
-        reader, torn = await asyncio.open_connection("127.0.0.1",
-                                                     transports[1].listen_port)
+        _reader, torn = await asyncio.open_connection("127.0.0.1",
+                                                      transports[1].listen_port)
         torn.write(encode_frame({"t": "msg", "protocol": relay.PROTOCOL_ROUTE_BATCH}))
-        assert await asyncio.wait_for(reader.read(), 5.0) == b""  # hung up
+        await wait_for(lambda: "discarding malformed frame" in caplog.text)
         torn.close()
         key = routed_key(relay)
         answers = []
@@ -605,6 +611,70 @@ def test_a_route_batch_that_raises_leaves_no_scope_open_over_tcp(caplog):
             await transport.close()
 
     asyncio.run(scenario())
+
+
+def test_malformed_frames_are_dropped_and_the_rest_of_the_read_delivered(caplog):
+    """One write carries a ``msg`` frame without ``src``, a ``hello`` without
+    ``port`` and a ``joined`` without ``address`` ahead of a good message:
+    each malformed frame is dropped with a warning, and the good message,
+    from the same read, is delivered."""
+
+    async def scenario():
+        async with one_node_cluster() as pier_node:
+            node = pier_node.node
+            delivered = []
+            node.register_handler("test.echo",
+                                  lambda _node, message: delivered.append(message.payload))
+            _reader, writer = await asyncio.open_connection(
+                "127.0.0.1", pier_node.transport.listen_port)
+            good = Message(node.address, node.address, "test.echo", "after", 8)
+            writer.write(b"".join([
+                encode_frame({"t": "msg", "dst": node.address, "protocol": "test.echo"}),
+                encode_frame({"t": "hello", "host": "127.0.0.1"}),
+                encode_frame({"t": "joined"}),
+                encode_frame(message_to_wire(good)),
+            ]))
+            await writer.drain()
+            await wait_for(lambda: delivered)
+            assert delivered == ["after"]
+            assert pier_node._pending_admissions == {}
+            writer.close()
+
+    asyncio.run(scenario())
+    assert "msg frame without 'src'" in caplog.text
+    assert "'hello' frame without port" in caplog.text
+    assert "'joined' frame without address" in caplog.text
+
+
+@pytest.mark.parametrize("frame", [
+    {"t": "hello", "host": "127.0.0.1", "port": "x"},
+    {"t": "joined", "address": "x"},
+], ids=["hello", "joined"])
+def test_a_frame_whose_field_does_not_parse_is_dropped_and_the_rest_delivered(
+        frame, caplog):
+    """A field that is there but not an integer makes the handler raise; the
+    frame is dropped and the good message after it, from the same read, is
+    still delivered over the same connection."""
+
+    async def scenario():
+        async with one_node_cluster() as pier_node:
+            node = pier_node.node
+            delivered = []
+            node.register_handler("test.echo",
+                                  lambda _node, message: delivered.append(message.payload))
+            _reader, writer = await asyncio.open_connection(
+                "127.0.0.1", pier_node.transport.listen_port)
+            good = Message(node.address, node.address, "test.echo", "after", 8)
+            writer.write(encode_frame(frame) + encode_frame(message_to_wire(good)))
+            await writer.drain()
+            await wait_for(lambda: delivered)
+            assert delivered == ["after"]
+            assert pier_node._pending_admissions == {}
+            assert sorted(pier_node.membership) == [node.address]
+            writer.close()
+
+    asyncio.run(scenario())
+    assert f"discarding {frame['t']!r} frame its handler refused" in caplog.text
 
 
 # ---------------------------------------------------------------- framing
