@@ -21,12 +21,17 @@ message-level join or leave protocol.
 
 There is one lookup lane.  :meth:`RoutingLayer.lookup_batch` routes any
 number of keys, and ``lookup`` is its front-end for one key, so a DHT's whole
-share of a lookup is three coordinate hooks: ``_coordinate`` maps a key into
-the DHT's own space (a CAN point, a Chord ring key), ``_owns_coordinate`` and
-``_next_hop`` answer from there.  A key's coordinate is computed once, at the
-origin, and travels with it: a routed batch is two parallel arrays, ``keys``
-and ``coords``, which every hop splits by next hop in one sweep — no per-key
-object in memory or on the wire.  Request bookkeeping, forwarding, replies,
+share of a lookup is four coordinate hooks: ``_coordinate`` maps a key into
+the DHT's own space (a CAN point, a Chord ring key), ``_owns_coordinate``,
+``_owner_in_table`` and ``_next_hop`` answer from there.  Table 1 asks only
+for the owner's address, so a lookup ends at the first node that owns the
+key *or whose routing table names its owner* (a CAN neighbour whose zone
+holds the point; the Chord successor that covers the key, where Chord's
+``find_successor`` stops), one hop before the owner; the origin answers such
+keys itself.  A key's coordinate is computed once, at the origin, and travels
+with it: a routed batch is two parallel arrays, ``keys`` and ``coords``,
+which every hop splits by next hop in one sweep — no per-key object in memory
+or on the wire.  Request bookkeeping, forwarding, replies,
 re-routing around a bounced hop and the report of keys that cannot be routed
 are written once, here.
 
@@ -108,12 +113,13 @@ class RoutingLayer(ABC):
     ``lookup``, request bookkeeping, reply handling and the forward step
     that applies the hop rules (:meth:`_target`) at every hop.  Most routed
     messages carry one key; such a batch goes straight to its one outcome
-    (an owned reply, an unresolved reply or one forward of the payload it
-    came in), and only a larger one is re-partitioned by target.
-    Concrete layers supply only the geometry through three hooks —
-    :meth:`_coordinate`, :meth:`_owns_coordinate` and :meth:`_next_hop` —
-    and name the ``PROTOCOL_ROUTE_BATCH`` / ``PROTOCOL_BATCH_LOOKUP_REPLY``
-    protocols the inherited handlers are registered under.
+    (a reply naming the owner, an unresolved reply or one forward of the
+    payload it came in), and only a larger one is re-partitioned by target.
+    Concrete layers supply only the geometry through four hooks —
+    :meth:`_coordinate`, :meth:`_owns_coordinate`, :meth:`_owner_in_table`
+    and :meth:`_next_hop` — and name the ``PROTOCOL_ROUTE_BATCH`` /
+    ``PROTOCOL_BATCH_LOOKUP_REPLY`` protocols the inherited handlers are
+    registered under.
 
     The hooks answer from a **next-hop index** (``_next_hops``) that each
     layer derives from its routing table on the first routed hop after the
@@ -159,11 +165,12 @@ class RoutingLayer(ABC):
     def lookup(self, key: int, callback: LookupCallback) -> None:
         """Resolve ``key`` to the responsible node's address, asynchronously.
 
-        If the key maps to the local node the callback fires synchronously
-        (paper footnote 3); otherwise the request is routed hop by hop and
-        the owner replies directly to this node.  A :meth:`lookup_batch` of
-        one: a key that cannot be routed gets no callback at all (soft-state
-        semantics), never a wrong owner.
+        If this node owns the key (paper footnote 3) or its table names the
+        owner, the callback fires synchronously; otherwise the request is
+        routed hop by hop and the node one hop before the owner replies
+        directly to this node.  A :meth:`lookup_batch` of one: a key that
+        cannot be routed gets no callback at all (soft-state semantics),
+        never a wrong owner.
         """
         self.lookup_batch([key], lambda owner, _keys: callback(owner))
 
@@ -175,38 +182,44 @@ class RoutingLayer(ABC):
         """Resolve many keys at once, grouping resolutions by owner.
 
         ``callback(owner, keys)`` fires once per distinct owner with every
-        key that owner is responsible for; locally-owned keys resolve
-        synchronously.  Keys whose greedy paths leave through the same
-        neighbour travel in one routed message; each hop re-partitions the
-        batch (via :meth:`_next_hop`), so the batch fans out only
-        where the routes actually diverge.  The owner of a subset replies
-        once for all keys it owns — a ready-made (destination → keys)
-        grouping for the caller.  Keys that become unroutable (dead
-        neighbours, hop limit) are reported back as *unresolved* so the
-        origin's bookkeeping is freed; their items are simply lost
-        (soft-state semantics).  Callers that must not wait on lost keys
+        key that owner is responsible for.  Keys this node owns or whose
+        owner its table names resolve synchronously, one callback per owner
+        in order of first appearance, and add nothing to
+        ``lookup_hops_observed``.  Keys whose greedy paths leave through the
+        same neighbour travel in one routed message; each hop re-partitions
+        the batch (via :meth:`_next_hop`), so the batch fans out only where
+        the routes actually diverge.  The first node that owns a subset or
+        names its owner replies once for it — a ready-made (destination →
+        keys) grouping for the caller; an owner named from a table may have
+        failed undetected, and the caller's send to it bounces.  Keys that
+        become unroutable (dead neighbours, hop limit) are reported back as
+        *unresolved* so the origin's bookkeeping is freed; their items are
+        simply lost (soft-state semantics).  Callers that must not wait on lost keys
         (the Provider's gets and puts) pass ``on_unresolved`` to be told
         which keys were dropped.
 
         Returns the id of the routed request, ``None`` when every key was
-        local.  A relay that dies holding the batch sends neither reply nor
-        bounce, so a caller that gives up on the answer hands the id to
-        :meth:`forget_lookup`.
+        resolved here.  A relay that dies holding the batch sends neither
+        reply nor bounce, so a caller that gives up on the answer hands the
+        id to :meth:`forget_lookup`.
         """
-        local: List[int] = []
+        resolved: Dict[int, List[int]] = {}
         routed: List[int] = []
         coords: List[Any] = []
+        me = self.address
         coordinate = self._coordinate
         owns = self._owns_coordinate
+        owner_in_table = self._owner_in_table
         for key in dict.fromkeys(keys):
             coord = coordinate(key)
-            if owns(coord):
-                local.append(key)
-            else:
+            owner = me if owns(coord) else owner_in_table(coord)
+            if owner is None:
                 routed.append(key)
                 coords.append(coord)
-        if local:
-            callback(self.address, local)
+            else:
+                resolved.setdefault(owner, []).append(key)
+        for owner, owned in resolved.items():
+            callback(owner, owned)
         if not routed:
             return None
         request_id = next(self._lookup_ids)
@@ -233,82 +246,94 @@ class RoutingLayer(ABC):
         """Whether this node owns the key at ``coord``."""
         raise NotImplementedError
 
+    def _owner_in_table(self, coord: Any) -> Optional[int]:
+        """The live routing-table entry that owns ``coord``, if there is one."""
+        raise NotImplementedError
+
     def _next_hop(self, coord: Any, exclude: Optional[int] = None) -> Optional[int]:
         """Best next hop towards ``coord`` (``None`` when unroutable)."""
         raise NotImplementedError
 
     # Generic machinery shared by all DHTs.
 
-    def _target(self, coord: Any, exclude: Optional[int], expired: bool,
-                reply_owned: bool) -> Optional[int]:
+    def _target(self, coord: Any, exclude: Optional[int],
+                expired: bool) -> Tuple[bool, Optional[int]]:
         """Where the key at ``coord`` goes from here: the hop rules.
 
-        This node when it is answered as owned (``reply_owned``: a batch
-        that arrived over the network); ``None`` when it is unresolved —
-        past the hop limit, or with no next hop but this node; else its
-        best next hop, from the layer's next-hop index.
+        ``(True, owner)`` answers the key to its origin: the owner is this
+        node when it owns the key, else the live table entry that owns it
+        (:meth:`_owner_in_table`), and ``None`` when the key is unresolved —
+        past the hop limit, or with no next hop but this node.
+        ``(False, next_hop)`` forwards it to its best next hop, from the
+        layer's next-hop index.
         """
         me = self.node.address
-        if reply_owned and self._owns_coordinate(coord):
-            return me
+        if self._owns_coordinate(coord):
+            return True, me
+        owner = self._owner_in_table(coord)
+        if owner is not None:
+            return True, owner
         next_hop = None if expired else self._next_hop(coord, exclude)
-        return None if next_hop == me else next_hop
+        if next_hop is None or next_hop == me:
+            return True, None
+        return False, next_hop
 
     def _forward_batch(self, keys: List[int], coords: List[Any], origin: int,
                        request_id: int, hops: int,
-                       exclude: Optional[int] = None,
-                       reply_owned: bool = False) -> None:
+                       exclude: Optional[int] = None) -> None:
         """Route one lookup's keys one hop further, in one pass over its arrays.
 
         Each key's :meth:`_target` decides it, and :meth:`_dispatch` sends
         the keys of one target.  A one-key batch — most routed lookups —
         goes straight to its one outcome.  A larger batch is grouped by
-        target: the owned keys are answered first, each next hop's slices of
-        ``keys`` and ``coords`` forwarded in the order the hops first occur,
-        the unresolved keys answered last.
+        target: the keys with an owner are answered first, each next hop's
+        slices of ``keys`` and ``coords`` forwarded in the order the hops
+        first occur, the unresolved keys answered last.
         """
         expired = hops >= self.MAX_ROUTE_HOPS
         if len(keys) == 1:
-            self._dispatch(self._target(coords[0], exclude, expired, reply_owned),
+            self._dispatch(*self._target(coords[0], exclude, expired),
                            keys, coords, origin, request_id, hops)
             return
-        groups: Dict[Optional[int], Tuple[List[int], List[Any]]] = {}
+        groups: Dict[Tuple[bool, Optional[int]], Tuple[List[int], List[Any]]] = {}
         target_of = self._target
         for key, coord in zip(keys, coords):
-            target = target_of(coord, exclude, expired, reply_owned)
+            target = target_of(coord, exclude, expired)
             group = groups.get(target)
             if group is None:
                 groups[target] = ([key], [coord])
             else:
                 group[0].append(key)
                 group[1].append(coord)
-        rank = {self.node.address: 0, None: 2}  # owned first, unresolved last
-        for target in sorted(groups, key=lambda target: rank.get(target, 1)):
-            self._dispatch(target, *groups[target], origin, request_id, hops)
+        # Answered owners first, forwards next, unresolved keys last.
+        for target in sorted(groups, key=lambda target: (
+                1 if not target[0] else 2 if target[1] is None else 0)):
+            self._dispatch(*target, *groups[target], origin, request_id, hops)
 
-    def _dispatch(self, target: Optional[int], keys: List[int],
+    def _dispatch(self, answer: bool, address: Optional[int], keys: List[int],
                   coords: List[Any], origin: int, request_id: int,
                   hops: int) -> None:
-        """Answer ``keys`` to the origin (owned or unresolved) or forward them.
+        """Answer ``keys`` to the origin with owner ``address`` (``answer``)
+        or forward them to the next hop ``address``.
 
         A forward joins the outbox while a delivery scope is open, else it
         leaves at once as a batch of one run.  The outbox extends the first
         forward's arrays in place: every caller hands over lists of its own.
         """
-        if target is None or target == self.node.address:
-            self._send_batch_reply(origin, request_id, target, keys, hops)
+        if answer:
+            self._send_batch_reply(origin, request_id, address, keys, hops)
             return
         run = (origin, request_id, hops + 1, len(keys))
         outbox = self._outbox
-        batch = outbox.get(target)
+        batch = outbox.get(address)
         if batch is not None:
             batch[0].extend(keys)
             batch[1].extend(coords)
             batch[2].append(run)
         elif outbox or self.node.defer(self._flush_outbox):
-            outbox[target] = (keys, coords, [run])
+            outbox[address] = (keys, coords, [run])
         else:
-            self._send_route_batch(target, keys, coords, [run])
+            self._send_route_batch(address, keys, coords, [run])
 
     def _flush_outbox(self) -> None:
         """Send one routed batch per next hop the closing scope forwarded to."""
@@ -352,7 +377,7 @@ class RoutingLayer(ABC):
             end = start + count
             if sound:
                 self._forward_batch(keys[start:end], coords[start:end], origin,
-                                    request_id, hops, exclude, not bounced)
+                                    request_id, hops, exclude)
             else:
                 self._send_batch_reply(origin, request_id, None,
                                        keys[start:end], hops)

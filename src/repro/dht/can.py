@@ -329,8 +329,25 @@ class CanRouting(RoutingLayer):
             return exclude
         return best_address
 
+    def _neighbor_owning(self, point: Sequence[float]) -> Optional[int]:
+        """First live neighbour row whose half-open zone contains ``point``
+        (the test :meth:`owns_point` applies to this node's own zones)."""
+        neighbors = (self._next_hops or self._build_next_hops())[1]
+        if self.dimensions == 2:
+            x, y = point
+            for address, x_lo, x_hi, y_lo, y_hi in neighbors:
+                if x_lo <= x < x_hi and y_lo <= y < y_hi:
+                    return address
+            return None
+        for address, bounds in neighbors:
+            if all(low <= coordinate < high
+                   for (low, high), coordinate in zip(bounds, point)):
+                return address
+        return None
+
     _coordinate = key_to_point
     _owns_coordinate = owns_point
+    _owner_in_table = _neighbor_owning
     _next_hop = _best_next_hop
 
     # ------------------------------------------------------------- multicast

@@ -168,7 +168,19 @@ class ChordRouting(RoutingLayer):
             return addresses[position - 1]
         return live_successor
 
+    def _successor_owning(self, ring_key: int) -> Optional[int]:
+        """The live successor when ``ring_key`` lies in (self, successor]:
+        where Chord's ``find_successor`` stops."""
+        live_successor = (self._next_hops or self._build_next_hops())[2]
+        if live_successor is None or live_successor == self.address:
+            return None
+        if _in_interval(ring_key, self.identifier,
+                        self._identifier_of(live_successor), inclusive_end=True):
+            return live_successor
+        return None
+
     _coordinate = ring_key
+    _owner_in_table = _successor_owning
     _next_hop = _closest_preceding
 
     def broadcast_scope(self) -> int:

@@ -477,7 +477,11 @@ class Provider:
         loss is counted per namespace so query completeness reports can
         attribute lost temporary fragments to their query.  A bounced
         renewal names its items missing: the renewal agent puts them again.
+        The routing layer marks the destination dead, as a bounced routed hop
+        does: a relay names an owner without contacting it, so this bounce
+        may be the first contact that finds it down.
         """
+        self.routing.mark_neighbor_dead(message.dst)
         payload = message.payload
         if "values" not in payload:
             self._return_missing(self.node.address, payload)
@@ -542,6 +546,9 @@ class Provider:
             entry.routed = None
 
     def _on_get_batch_bounce(self, node: Node, message) -> None:
+        """The owner was down: mark it dead (see :meth:`_on_put_chunk_bounce`)
+        and retry or fail the request."""
+        self.routing.mark_neighbor_dead(message.dst)
         self._retry_or_fail(message.payload["request_id"])
 
     def _retry_or_fail(self, request_id: int) -> None:

@@ -99,6 +99,10 @@ class Simulator(TimerService):
         Initial value of the virtual clock, in seconds.
     """
 
+    #: Events :meth:`run_until_idle` runs between its checks for a calendar
+    #: that only periodic timers keep busy.
+    IDLE_CHECK_EVENTS = 100_000
+
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
         self._queue: list[_Entry] = []  # heap
@@ -282,8 +286,24 @@ class Simulator(TimerService):
         return None
 
     def run_until_idle(self, max_events: Optional[int] = None) -> float:
-        """Run until no events remain; convenience wrapper over :meth:`run`."""
-        return self.run(until=None, max_events=max_events)
+        """Run until no events remain; convenience wrapper over :meth:`run`.
+
+        Without ``max_events`` a run whose only events left are periodic
+        timers' firings would never end: it raises :class:`SimulationError`
+        instead, checked before the run and every ``IDLE_CHECK_EVENTS``
+        events.  Cancel the timers first, or bound the run.
+        """
+        if max_events is not None:
+            return self.run(max_events=max_events)
+        while True:
+            if 0 < self._live <= self.periodic_timers:
+                raise SimulationError(
+                    f"run_until_idle() would never return: only the firings of "
+                    f"{self.periodic_timers} periodic timer(s) are left; cancel "
+                    f"them or pass max_events / run(until=...)")
+            self.run(max_events=self.IDLE_CHECK_EVENTS)
+            if self._live == 0:
+                return self._now
 
     def next_event_time(self) -> Optional[float]:
         """Timestamp of the earliest runnable event, or ``None`` when idle.

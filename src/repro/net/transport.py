@@ -67,6 +67,8 @@ class PeriodicHandle:
 
     def cancel(self) -> None:
         """Stop the periodic process."""
+        if self.active:
+            self._timers.periodic_timers -= 1
         self.active = False
         if self.current is not None:
             self.current.cancel()
@@ -83,6 +85,9 @@ class TimerService(ABC):
     wall-clock handle.  Periodic timers are built on those here, once, and
     return a :class:`PeriodicHandle` (``cancel()`` / ``active``).
     """
+
+    #: Periodic timers started here and not cancelled since.
+    periodic_timers = 0
 
     @property
     @abstractmethod
@@ -110,6 +115,7 @@ class TimerService(ABC):
             raise SimulationError(
                 f"periodic timers need a positive period (got {period})")
         handle = PeriodicHandle(self, period, callback, args)
+        self.periodic_timers += 1
         first = period if initial_delay is None else initial_delay
         handle.current = self.schedule(first, handle._fire)
         return handle

@@ -23,8 +23,9 @@
 * :mod:`tests.reference.naming` — key derivation as one SHA-1 over the whole
   f-string, which the prefix-state hashing must match bit for bit;
 * :mod:`tests.reference.routing` — ``walk_lookup``, a lookup routed by
-  walking each layer's ``_next_hop`` with no network: the owner and hop
-  count every key of a routed batch must reach, however relays merge it.
+  walking each layer's hop rules (``_owner_in_table``, ``_next_hop``) with
+  no network: the owner and hop count every key of a routed batch must
+  reach, however relays merge it.
 """
 
 from tests.reference.aggregate import RowGroupBy

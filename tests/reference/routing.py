@@ -1,14 +1,16 @@
 """A lookup routed offline: each layer's own hop rule, walked without a network.
 
 :func:`walk_lookup` follows what ``RoutingLayer.lookup_batch`` and one
-``*.route_batch`` per hop do to a batch of keys — keys the origin owns are
-answered there, every other key goes to ``_next_hop`` of the node it is at
-(excluding the node it came from), and a relay that owns a key answers it —
-but calls the three coordinate hooks directly: no messages, no outbox, no
-delivery groups.  What the message path does with a lookup (merging runs of
-several lookups into one batch per next hop, deferring forwards to the end
-of a delivery scope) must not change any key's owner or hop count, nor how
-a lookup's keys split on their way.
+``*.route_batch`` per hop do to a batch of keys — a key is answered at the
+first node that owns it or whose routing table names its owner
+(``_owner_in_table``), so the origin answers the keys it or a neighbour
+owns, and every other key goes to ``_next_hop`` of the node it is at
+(excluding the node it came from) — but calls the four coordinate hooks
+directly: no messages, no outbox, no delivery groups.  What the message
+path does with a lookup (merging runs of several lookups into one batch per
+next hop, deferring forwards to the end of a delivery scope) must not
+change any key's owner or hop count, nor how a lookup's keys split on their
+way.
 """
 
 from __future__ import annotations
@@ -30,10 +32,11 @@ def walk_lookup(routings: Mapping[int, object], origin: int, keys: Iterable[int]
     routed = []
     for key in dict.fromkeys(keys):
         coord = layer._coordinate(key)
-        if layer._owns_coordinate(coord):
-            answers[key] = (origin, 0)
-        else:
+        owner = origin if layer._owns_coordinate(coord) else layer._owner_in_table(coord)
+        if owner is None:
             routed.append((key, coord))
+        else:
+            answers[key] = (owner, 0)
     forwards = 0
     walks = [(origin, None, routed, 0)] if routed else []
     while walks:
@@ -43,6 +46,10 @@ def walk_lookup(routings: Mapping[int, object], origin: int, keys: Iterable[int]
         for key, coord in items:
             if came_from is not None and here._owns_coordinate(coord):
                 answers[key] = (address, hops)
+                continue
+            owner = here._owner_in_table(coord)
+            if owner is not None:
+                answers[key] = (owner, hops)
                 continue
             next_hop = here._next_hop(coord, came_from)
             assert next_hop is not None and next_hop != address, (key, address)

@@ -141,9 +141,16 @@ def test_fetch_matches_requires_a_side_hashed_on_join_key():
 #: message (CAN -1 630 messages, Chord -1 207), and the sends a group defers
 #: to its end reorder the link queues, which moves the last row by < 1 ms
 #: and, on Chord, which fragments share a ``get_batch`` (rows do not move).
+#: CAN read (1 672, 411, 19 810, 3 907 808, 2.8170144) and Chord (1 521, 443,
+#: 16 147, 3 558 608, 2.3118272) before a lookup ended at the node whose
+#: routing table names the owner: ``can.route_batch`` 9 719 -> 7 237 and
+#: ``chord.route_batch`` 8 030 -> 5 601, lookup replies 3 940 -> 3 690 and
+#: 3 045 -> 3 001, and the last row, two lookups deep, comes two 100 ms hops
+#: sooner; fragments reach their probes at other times and batch into other
+#: ``get_batch`` calls (rows do not move).
 SEMI_JOIN_PINS = {
-    "can": (1_672, 411, 19_810, 3_907_808, 2.8170144),
-    "chord": (1_521, 443, 16_147, 3_558_608, 2.3118272),
+    "can": (1_675, 415, 17_088, 3_551_980, 2.615248),
+    "chord": (1_520, 442, 13_671, 3_231_292, 2.1127776),
 }
 
 

@@ -84,19 +84,72 @@ def test_can_lookup_routes_around_failed_intermediate_node():
     assert results == [owner]
 
 
-def test_can_lookup_to_failed_owner_is_dropped_not_misdelivered():
-    network, routings, builder = build(25, "can")
+@pytest.mark.parametrize("dht", ["can", "chord"])
+def test_lookup_to_failed_owner_names_it_or_nothing_never_a_wrong_owner(dht):
+    """The contract: a lookup names the true owner or nothing, never a live
+    node that is not the owner.
+
+    While the owner's failure is undetected, the node one hop before it
+    names it from its routing table without contacting it, so every lookup
+    names that true owner (before lookups ended there, none got a reply).
+    Once every node has marked it dead, no table names it and no live node
+    owns its keys: no lookup gets a reply."""
+    network, routings, builder = build(25, dht)
     key = hash_key("T", 3)
     owner = builder.owner_of_key(key)
-    if owner == 0:
-        key = hash_key("T", 4)
-        owner = builder.owner_of_key(key)
     network.fail_node(owner)
+    origins = [address for address in routings if address != owner]
+    for origin in origins:
+        results = []
+        routings[origin].lookup(key, results.append)
+        network.run_until_idle()
+        assert results == [owner], origin
+
+    for routing in routings.values():
+        routing.mark_neighbor_dead(owner)
+    for origin in origins:
+        results = []
+        routings[origin].lookup(key, results.append)
+        network.run_until_idle()
+        # Soft-state semantics: no reply rather than a wrong owner.
+        assert results == [], origin
+
+
+@pytest.mark.parametrize("dht", ["can", "chord"])
+def test_put_and_get_to_an_undetected_failed_owner_bounce_and_mark_it_dead(dht):
+    """A put to the named, dead owner bounces and counts as a lost put; a
+    get bounces, is retried ``REQUEST_RETRIES`` times through a fresh lookup
+    and then completes empty, and the origin has marked the owner dead."""
+    from repro.dht.provider import REQUEST_RETRIES, Provider
+
+    network, routings, builder = build(25, dht)
+    providers = {
+        address: Provider(network.node(address), routings[address], sweep_period_s=0.0)
+        for address in routings
+    }
+    owner = builder.owner_of_key(hash_key("T", 3))
+    origin = next(address for address, routing in routings.items()
+                  if address != owner and owner in routing.neighbors())
+    network.fail_node(owner)
+    get_requests = []
+    send = network.node(origin).send
+
+    def counting_send(dst, protocol, *args, **kwargs):
+        if protocol == Provider.PROTOCOL_GET_BATCH:
+            get_requests.append(dst)
+        return send(dst, protocol, *args, **kwargs)
+
+    network.node(origin).send = counting_send
+    provider = providers[origin]
+    provider.put("T", 3, None, {"v": 1}, item_bytes=50)
     results = []
-    routings[0].lookup(key, results.append)
+    provider.get("T", 3, results.append, scope=1)
     network.run_until_idle()
-    # Soft-state semantics: no reply rather than a wrong owner.
-    assert results == []
+    assert provider.put_bounces_by_namespace == {"T": 1}
+    assert results == [[]]
+    assert get_requests == [owner] * (REQUEST_RETRIES + 1)
+    assert provider.scope_report(1)["failed"] == 1
+    assert owner not in routings[origin].neighbors()
 
 
 def test_can_marks_bounced_neighbor_dead():

@@ -245,23 +245,33 @@ async def write_at_once(transport, messages):
     return writer
 
 
+def answers_at(layer, coord):
+    """Whether a lookup of ``coord`` ends at ``layer``'s node: it owns the
+    key, or its routing table names the owner."""
+    return (layer._owns_coordinate(coord)
+            or layer._owner_in_table(coord) is not None)
+
+
 def first_hop(routings, origin, key):
-    """``(relay, coordinate)`` of ``key`` looked up from ``origin``."""
+    """``(relay, coordinate)`` of ``key`` looked up from ``origin``; the
+    relay is ``None`` when the origin answers the lookup itself."""
     layer = routings[origin]
     coord = layer._coordinate(key)
-    return (None if layer._owns_coordinate(coord)
+    return (None if answers_at(layer, coord)
             else layer._next_hop(coord)), coord
 
 
 def two_lookups_meeting_at_a_relay(routings):
     """Two lookups from two origins that reach one relay on their first hop
-    and leave it for the same next hop: ``(relay, [(origin, key, coord)])``."""
+    and leave it for the same next hop: ``(relay, [(origin, key, coord)])``.
+    Only keys the relay must forward qualify: a key it owns, or whose owner
+    its table names, is answered there."""
     by_exit = {}
     for index in range(4000):
         key = hash_key("meet", index)
         origin = index % len(routings)
         relay, coord = first_hop(routings, origin, key)
-        if relay is None or routings[relay]._owns_coordinate(coord):
+        if relay is None or answers_at(routings[relay], coord):
             continue
         exit_hop = routings[relay]._next_hop(coord, origin)
         found = by_exit.setdefault((relay, exit_hop), {})

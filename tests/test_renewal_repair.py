@@ -205,7 +205,10 @@ def test_a_node_without_an_agent_counts_missing_items_as_lost_puts(dht):
 @pytest.mark.parametrize("dht", ["can", "chord"])
 def test_bounced_and_unroutable_renewals_are_counted_like_puts(dht):
     """A renewal sent as its owner dies bounces; one whose only possible hop
-    is dead cannot be routed.  Both count their items as lost puts."""
+    is known dead cannot be routed.  Both count their items as lost puts.
+
+    The hop must be known dead: while it is not, the publisher's table names
+    it as the owner, and the renewal is sent there directly and bounces."""
     _network, _providers, builder = build_network(dht)
     owner, held = remote_owner(builder)
     network, providers, _builder = build_network(dht)
@@ -219,6 +222,7 @@ def test_bounced_and_unroutable_renewals_are_counted_like_puts(dht):
     remote = [rid for rid, _value in ENTRIES
               if builder.owner_of_key(hash_key("t", rid)) == 1]
     network.fail_node(1)
+    providers[0].routing.mark_neighbor_dead(1)  # detected: no hop is left
     providers[0].make_renewal_agent(30.0)  # node 0's own keys: missing, untracked
     providers[0].renew_batch("t", [rid for rid, _value in ENTRIES], [900] * len(ENTRIES))
     network.run_until_idle()

@@ -4,12 +4,13 @@ While a node handles one delivery group it holds the keys it forwards per
 next hop and sends one ``*.route_batch`` per next hop when the group is
 done.  That may only change how many messages carry the keys: every key
 must reach the owner the builder places it at, in the number of hops an
-offline walk of each layer's ``_next_hop`` from its origin takes
+offline walk of each layer's hop rules from its origin takes
 (:func:`tests.reference.walk_lookup`), and every hop of every lookup must
-still be a run of its own.  Checked on a bulk-built 64-node CAN and a
-64-node Chord ring under a 10 ms window.  Pairwise latencies differ, so
-lookups that are a different number of hops from their origins meet in one
-batch.
+still be a run of its own.  A lookup ends at the first node whose routing
+table names the owner, one hop before the owner itself.  Checked on a
+bulk-built 64-node CAN and a 64-node Chord ring under a 10 ms window.
+Pairwise latencies differ, so lookups that are a different number of hops
+from their origins meet in one batch.
 """
 
 import pytest
@@ -65,11 +66,14 @@ def resolve_from_every_node(dht, window):
         node.replace_handler(reply, heard)
         node.replace_handler(relay, relaying)
     for origin, routing in routings.items():
-        keys = keys_of(origin)
-        routing.lookup_batch(keys, lambda owner, keys: None)
-        for key in keys:
-            if routing.owns(key):
-                answers[origin, key] = (origin, 0)
+        # Keys the origin or a neighbour owns resolve before lookup_batch
+        # returns, with no message.
+        synchronous = []
+        routing.lookup_batch(keys_of(origin),
+                             lambda owner, keys: synchronous.append((owner, keys)))
+        for owner, keys in synchronous:
+            for key in keys:
+                answers[origin, key] = (owner, 0)
     network.run_until_idle()
     assert len(answers) == NUM_NODES * KEYS_PER_NODE
     assert all(answers[origin, key][0] == builder.owner_of_key(key)
@@ -96,3 +100,54 @@ def test_merging_at_relays_keeps_every_owner_and_hop_count(dht):
     # Lookups a different number of hops from their origins shared batches.
     assert any(len({run[2] for run in message.payload["runs"]}) > 1
                for message in relayed)
+
+
+def owner_answers_path_length(routings, origin, key):
+    """Hops a lookup of ``key`` takes when only the owner may answer it:
+    ``_next_hop`` from node to node until one owns the key."""
+    address, came_from, hops = origin, None, 0
+    coord = routings[origin]._coordinate(key)
+    while not routings[address]._owns_coordinate(coord):
+        address, came_from = routings[address]._next_hop(coord, came_from), address
+        hops += 1
+    return hops
+
+
+def routed_keys(relayed):
+    """``(origin, key)`` of every key a routed batch carried."""
+    sent = set()
+    for message in relayed:
+        keys, start = message.payload["keys"], 0
+        for origin, _request_id, _hops, count in message.payload["runs"]:
+            sent.update((origin, key) for key in keys[start:start + count])
+            start += count
+    return sent
+
+
+def names_owner(routing, owner):
+    """Whether the table ``_owner_in_table`` reads may name ``owner``: every
+    live CAN neighbour, but only Chord's successor."""
+    if hasattr(routing, "neighbor_zones"):
+        return owner in routing.neighbors()
+    return owner == routing.successor
+
+
+@pytest.mark.parametrize("dht", ["can", "chord"])
+def test_a_lookup_ends_one_hop_before_its_owner(dht):
+    answers, routings, relayed = resolve_from_every_node(dht, 0.010)
+    sent = routed_keys(relayed)
+    named_at_origin = 0
+    for (origin, key), (owner, hops) in answers.items():
+        if owner == origin:
+            assert hops == 0
+            continue
+        length = owner_answers_path_length(routings, origin, key)
+        # The node one hop before the owner names it: one hop fewer.
+        assert hops == length - 1, (origin, key)
+        if names_owner(routings[origin], owner):
+            # Owned by an origin neighbour: answered with no message at all.
+            assert hops == 0 and (origin, key) not in sent
+            named_at_origin += 1
+        else:
+            assert hops >= 1 and (origin, key) in sent
+    assert named_at_origin > 0

@@ -146,6 +146,60 @@ def test_periodic_rejects_non_positive_period():
         Simulator().schedule_periodic(0.0, lambda: None)
 
 
+def test_run_until_idle_refuses_a_calendar_only_periodic_timers_keep_busy():
+    """It would never return: it raises at once, and returns once the timer
+    is cancelled."""
+    sim = Simulator()
+    handle = sim.schedule_periodic(1.0, lambda: None)
+    with pytest.raises(SimulationError, match="1 periodic timer"):
+        sim.run_until_idle()
+    assert sim.events_processed == 0
+    assert sim.run_until_idle(max_events=3) == pytest.approx(3.0)  # bounded
+    handle.cancel()
+    handle.cancel()  # a second cancel counts nothing
+    assert sim.periodic_timers == 0
+    sim.run_until_idle()
+
+
+def test_run_until_idle_drains_other_events_and_timers_that_stop():
+    """Work besides the periodic firings runs first; a timer started mid-run
+    is caught at the next check; one that cancels itself lets the run end."""
+    sim = Simulator()
+    sim.IDLE_CHECK_EVENTS = 10
+    fired = []
+    sim.schedule(5.0, lambda: sim.schedule_periodic(1.0, fired.append, "tick"))
+    with pytest.raises(SimulationError):
+        sim.run_until_idle()
+    assert 0 < len(fired) <= sim.IDLE_CHECK_EVENTS
+
+    sim = Simulator()
+    sim.IDLE_CHECK_EVENTS = 10
+    ticks = []
+
+    def tick():
+        ticks.append(sim.now)
+        if len(ticks) == 25:
+            handle.cancel()
+
+    handle = sim.schedule_periodic(1.0, tick)
+    sim.schedule(100.0, lambda: None)  # keeps the calendar busy past the ticks
+    assert sim.run_until_idle() == pytest.approx(100.0)
+    assert len(ticks) == 25
+
+
+def test_run_until_idle_on_a_deployment_with_renewal_agents():
+    from repro.harness import PierNetwork, SimulationConfig
+
+    pier = PierNetwork(SimulationConfig(num_nodes=8, seed=1))
+    agents = pier.start_renewal_agents(30.0)
+    with pytest.raises(SimulationError, match="8 periodic timer"):
+        pier.run_until_idle()
+    assert pier.now == 0.0
+    for agent in agents.values():
+        agent.stop()
+    assert pier.run_until_idle() == 0.0
+
+
 def test_events_processed_counter():
     sim = Simulator()
     for _ in range(4):
