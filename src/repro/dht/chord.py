@@ -172,10 +172,9 @@ class ChordRouting(RoutingLayer):
         """The live successor when ``ring_key`` lies in (self, successor]:
         where Chord's ``find_successor`` stops."""
         live_successor = (self._next_hops or self._build_next_hops())[2]
-        if live_successor is None or live_successor == self.address:
-            return None
-        if _in_interval(ring_key, self.identifier,
-                        self._identifier_of(live_successor), inclusive_end=True):
+        if live_successor is not None and _in_interval(
+                ring_key, self.identifier, self._identifier_of(live_successor),
+                inclusive_end=True):
             return live_successor
         return None
 

@@ -23,7 +23,7 @@
 * :mod:`tests.reference.naming` — key derivation as one SHA-1 over the whole
   f-string, which the prefix-state hashing must match bit for bit;
 * :mod:`tests.reference.routing` — ``walk_lookup``, a lookup routed by
-  walking each layer's hop rules (``_owner_in_table``, ``_next_hop``) with
+  walking each layer's hop rules (``answering_owner``, ``_next_hop``) with
   no network: the owner and hop count every key of a routed batch must
   reach, however relays merge it.
 """
@@ -52,7 +52,7 @@ from tests.reference.operators import (
     qualify,
 )
 from tests.reference.probe import PerArrivalProbe
-from tests.reference.routing import walk_lookup
+from tests.reference.routing import answering_owner, walk_lookup
 
 __all__ = [
     "evaluate",
@@ -76,4 +76,5 @@ __all__ = [
     "project_row",
     "merge_rows",
     "walk_lookup",
+    "answering_owner",
 ]

@@ -15,7 +15,16 @@ way.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
+
+
+def answering_owner(layer, coord) -> Optional[int]:
+    """The owner ``layer``'s node answers a lookup of ``coord`` with: itself
+    when it owns the key, else the owner its routing table names; ``None``
+    when it must forward the key."""
+    if layer._owns_coordinate(coord):
+        return layer.address
+    return layer._owner_in_table(coord)
 
 
 def walk_lookup(routings: Mapping[int, object], origin: int, keys: Iterable[int]
@@ -27,27 +36,16 @@ def walk_lookup(routings: Mapping[int, object], origin: int, keys: Iterable[int]
     split into.  Every key must reach an owner on the hop rules of a
     stabilised, failure-free overlay.
     """
-    layer = routings[origin]
     answers: Dict[int, Tuple[int, int]] = {}
-    routed = []
-    for key in dict.fromkeys(keys):
-        coord = layer._coordinate(key)
-        owner = origin if layer._owns_coordinate(coord) else layer._owner_in_table(coord)
-        if owner is None:
-            routed.append((key, coord))
-        else:
-            answers[key] = (owner, 0)
     forwards = 0
-    walks = [(origin, None, routed, 0)] if routed else []
+    coordinate = routings[origin]._coordinate
+    walks = [(origin, None, [(key, coordinate(key)) for key in dict.fromkeys(keys)], 0)]
     while walks:
         address, came_from, items, hops = walks.pop()
         here = routings[address]
         by_next_hop: Dict[int, list] = {}
         for key, coord in items:
-            if came_from is not None and here._owns_coordinate(coord):
-                answers[key] = (address, hops)
-                continue
-            owner = here._owner_in_table(coord)
+            owner = answering_owner(here, coord)
             if owner is not None:
                 answers[key] = (owner, hops)
                 continue

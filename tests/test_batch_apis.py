@@ -22,6 +22,7 @@ from repro.dht.naming import hash_key
 from repro.dht.provider import Provider
 from repro.net.network import Network
 from repro.net.topology import FullMeshTopology
+from tests.reference import answering_owner
 
 
 def build_network(dht="can", num_nodes=16, latency=0.02,
@@ -521,9 +522,8 @@ def test_get_batch_upcalls_after_a_relay_swallowed_the_lookup(dht):
     # and those whose owner its routing table names (asked directly).
     routing = provider.routing
     resolved_at_origin = {
-        rid for rid, owner in owners.items()
-        if owner == 0 or owner == routing._owner_in_table(
-            routing._coordinate(hash_key("t", rid)))}
+        rid for rid in owners
+        if answering_owner(routing, routing._coordinate(hash_key("t", rid))) is not None}
     assert {rid for results in upcalls for rid, _items in results} == (
         resolved_at_origin)
     assert resolved_at_origin != set(owners)  # the rest were swallowed

@@ -23,6 +23,7 @@ from repro.dht.provider import REQUEST_RETRIES
 from repro.harness import ChurnConfig, PierNetwork, SimulationConfig
 from repro.metrics.recall import recall as compute_recall
 from repro.workloads import JoinWorkload, WorkloadConfig
+from tests.reference import answering_owner
 
 NUM_NODES = 16
 #: Renewal / lifetime parameters for the scenarios that need soft state.
@@ -239,8 +240,7 @@ def needs_relay(pier, namespace, rid):
     """Whether node 0 routes a lookup of ``rid``: it does not own it, and its
     routing table does not name the owner (else it asks the owner directly)."""
     routing = pier.routings[0]
-    coord = routing._coordinate(hash_key(namespace, rid))
-    return not routing._owns_coordinate(coord) and routing._owner_in_table(coord) is None
+    return answering_owner(routing, routing._coordinate(hash_key(namespace, rid))) is None
 
 
 def swallow_routed_batches(pier):

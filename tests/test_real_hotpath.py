@@ -42,7 +42,7 @@ from repro.node import RESULT_FLUSH_ROWS, PierNode
 from repro.remote import GatewayConnection, RemotePier
 from repro.stack import build_overlay
 from repro.workloads import JoinWorkload, WorkloadConfig
-from tests.reference import walk_lookup
+from tests.reference import answering_owner, walk_lookup
 
 
 async def wait_for(predicate, timeout_s=5.0):
@@ -245,19 +245,12 @@ async def write_at_once(transport, messages):
     return writer
 
 
-def answers_at(layer, coord):
-    """Whether a lookup of ``coord`` ends at ``layer``'s node: it owns the
-    key, or its routing table names the owner."""
-    return (layer._owns_coordinate(coord)
-            or layer._owner_in_table(coord) is not None)
-
-
 def first_hop(routings, origin, key):
     """``(relay, coordinate)`` of ``key`` looked up from ``origin``; the
     relay is ``None`` when the origin answers the lookup itself."""
     layer = routings[origin]
     coord = layer._coordinate(key)
-    return (None if answers_at(layer, coord)
+    return (None if answering_owner(layer, coord) is not None
             else layer._next_hop(coord)), coord
 
 
@@ -271,7 +264,7 @@ def two_lookups_meeting_at_a_relay(routings):
         key = hash_key("meet", index)
         origin = index % len(routings)
         relay, coord = first_hop(routings, origin, key)
-        if relay is None or answers_at(routings[relay], coord):
+        if relay is None or answering_owner(routings[relay], coord) is not None:
             continue
         exit_hop = routings[relay]._next_hop(coord, origin)
         found = by_exit.setdefault((relay, exit_hop), {})
