@@ -69,7 +69,6 @@ def build_point(num_nodes: int, dht: str, fraction: float, seed: int,
     churn = ChurnConfig(
         failure_rate_per_min=fraction * num_nodes,
         seed=seed + int(fraction * 1000),
-        protect=(0,),
     )
     pier = PierNetwork(SimulationConfig(num_nodes=num_nodes, dht=dht,
                                         seed=seed, churn=churn))

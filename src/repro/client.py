@@ -382,13 +382,11 @@ class PierClient:
         Address of the node queries are initiated from.
     catalog:
         Catalog used by the SQL planner; relations can also be registered
-        later with :meth:`register`.
-    default_strategy:
-        Join strategy used when a call does not pick one explicitly.
-        Defaults to :attr:`JoinStrategy.AUTO`: the cost-based optimizer
-        picks the cheapest feasible strategy from statistics published into
-        the ``__pier_stats__`` DHT namespace.  Pass a physical strategy (or
-        per-call ``strategy=...``) to force one for A/B runs.
+        later with :meth:`register`.  A call that picks no join strategy
+        runs :attr:`JoinStrategy.AUTO`: the cost-based optimizer picks the
+        cheapest feasible strategy from statistics published into the
+        ``__pier_stats__`` DHT namespace.  Pass ``strategy=...`` per call to
+        force one for A/B runs.
     stats:
         Statistics registry used for AUTO planning.  Defaults to the
         initiating node's executor registry, which accumulates publish-time
@@ -396,12 +394,10 @@ class PierClient:
     """
 
     def __init__(self, pier: Deployment, node: int = 0, catalog: Optional[Catalog] = None,
-                 default_strategy: JoinStrategy = JoinStrategy.AUTO,
                  stats: Optional[StatsRegistry] = None):
         self.pier = pier
         self.node = node
         self.catalog = catalog if catalog is not None else Catalog()
-        self.default_strategy = default_strategy
         self.planner = SQLPlanner(self.catalog)
         self._stats = stats
 
@@ -502,7 +498,7 @@ class PierClient:
         template unresolved — continuous queries re-optimize per window).
         """
         query = self.planner.plan_sql(
-            sql, strategy=strategy or self.default_strategy, **query_options
+            sql, strategy=strategy or JoinStrategy.AUTO, **query_options
         )
         if resolve_auto:
             self._resolve_auto(query)

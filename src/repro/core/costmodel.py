@@ -451,8 +451,8 @@ def cost_graph(graph, stats_map: Optional[Dict[str, RelationStats]] = None,
     shipped = result_rows
     result_bytes = result_rows * query.result_tuple_bytes
     if query.finalized_at_initiator:
-        # Every node may be a join site (or scan a share); a site's
-        # partial record holds at most its share of the rows.
+        # Every node may be a join site; a site's partial record holds at
+        # most its share of the rows.
         shipped = topo.num_nodes * min(groups, result_rows / topo.num_nodes)
         result_bytes = shipped * partial_record_bytes(query)
     strategy = query.strategy
@@ -555,7 +555,7 @@ def cost_graph(graph, stats_map: Optional[Dict[str, RelationStats]] = None,
             time += topo.transfer_time(filter_bytes, parallel_links=n)
             time += topo.transfer_time(rehash_bytes, parallel_links=n)
         time += topo.transfer_time(result_bytes)  # initiator's inbound link
-    elif query.is_aggregation and query.distributed_aggregation:
+    elif query.distributed_aggregation:
         time += lookup + hop + window * (1.6 if query.hierarchical_aggregation
                                          else 1.0)
         time += topo.transfer_time(result_bytes)
@@ -673,13 +673,12 @@ def _candidate_spec(query: QuerySpec, strategy: JoinStrategy) -> QuerySpec:
 def optimize_query(query: QuerySpec,
                    stats_map: Optional[Dict[str, RelationStats]] = None,
                    topology: Optional[TopologyParams] = None,
-                   observed_join_selectivity: Optional[float] = None,
-                   target_bloom_fpr: float = DEFAULT_BLOOM_FPR
+                   observed_join_selectivity: Optional[float] = None
                    ) -> OptimizationReport:
     """Pick the cheapest feasible strategy for a join query.
 
     Enumerates candidate strategy graphs, auto-sizes the Bloom candidate's
-    filter from the estimated build-side cardinality and ``target_bloom_fpr``,
+    filter from the estimated build-side cardinality and ``DEFAULT_BLOOM_FPR``,
     costs every graph with :func:`cost_graph`, and returns the report with
     candidates sorted cheapest-first.  The input spec is not modified; apply
     the decision with :func:`resolve_auto_strategy`.
@@ -691,7 +690,7 @@ def optimize_query(query: QuerySpec,
     topo = topology or TopologyParams(num_nodes=64)
     estimates = _join_estimates(query, stats_map, observed_join_selectivity)
     build_side_keys = int(max(1, max(estimates.selected.values() or [1])))
-    bloom_bits, bloom_hashes = bloom_parameters(build_side_keys, target_bloom_fpr)
+    bloom_bits, bloom_hashes = bloom_parameters(build_side_keys, DEFAULT_BLOOM_FPR)
 
     costs: List[GraphCost] = []
     for strategy in feasible_strategies(query):

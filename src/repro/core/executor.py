@@ -113,7 +113,7 @@ class QueryHandle:
         #: "rows": joined rows it stands for}``.
         self.arrivals: List[Tuple[float, dict]] = []
         #: Result rows received so far — for partial records, the joined
-        #: (or scanned) rows they stand for.
+        #: rows they stand for.
         self.result_count = 0
         self._partials = query is not None and query.finalized_at_initiator
         #: Called after each recorded row; only the real node's result pump
@@ -361,7 +361,7 @@ class QueryExecutor:
     def _send_partials(self, query: QuerySpec, partial: GroupByAggregate,
                        rows: int) -> None:
         """Ship one partial record (every group of ``partial``, standing for
-        ``rows`` joined or scanned rows) to the initiator, which merges it."""
+        ``rows`` joined rows) to the initiator, which merges it."""
         payloads = partial.partial_payloads()
         if payloads:
             self._send_results(
@@ -831,18 +831,14 @@ class QueryExecutor:
     def _run_partial_agg(self, query: QuerySpec, state: _NodeQueryState,
                          node: OpNode, chunk: Chunk) -> None:
         """Compute local partial aggregates and ship them to their owners
-        (into the aggregation tree) or, with no namespace, to the initiator.
+        (into the aggregation tree).
 
         Rows are grouped over the key columns and every aggregate takes its
         group's inputs in one bulk add.
         """
         partial = build_final_aggregation(query)
         state.plan.aggs[node.op_id].fold(partial, chunk)
-        namespace = node.params.get("namespace")
-        if namespace is None:
-            self._send_partials(query, partial, chunk.length)
-        else:
-            self._ship_partial_aggregates(query, namespace, partial)
+        self._ship_partial_aggregates(query, node.params["namespace"], partial)
 
     def _ship_partial_aggregates(self, query: QuerySpec, namespace: str,
                                  partial: GroupByAggregate) -> None:

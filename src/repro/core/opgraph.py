@@ -221,12 +221,10 @@ class OpGraph:
             if query.is_aggregation:
                 text += " + partial aggregation at the join sites"
             return text
-        if query.is_aggregation and query.distributed_aggregation:
+        if query.distributed_aggregation:
             if query.hierarchical_aggregation:
                 return "hierarchical in-network aggregation"
             return "distributed hash aggregation"
-        if query.is_aggregation:
-            return "scan + initiator aggregation"
         return "selection/projection scan"
 
     def describe(self, cost=None) -> List[str]:
@@ -350,7 +348,7 @@ def build_opgraph(query: QuerySpec) -> OpGraph:
             _build_bloom(graph)
         else:  # pragma: no cover - enum is exhaustive
             raise PlanError(f"unknown join strategy {strategy}")
-    elif query.is_aggregation and query.distributed_aggregation:
+    elif query.distributed_aggregation:
         _build_distributed_aggregation(graph)
     else:
         _build_scan(graph)
@@ -508,18 +506,15 @@ def _rehash_node(graph: OpGraph, alias: str, item_bytes: int) -> OpNode:
 
 
 def _build_scan(graph: OpGraph) -> None:
-    """Selection/projection-only query, or one partial aggregate per node."""
+    """Selection/projection-only query."""
     query = graph.query
     alias = query.tables[0].alias
-    if query.output_columns and not query.is_aggregation:
+    if query.output_columns:
         columns = [column.split(".", 1)[1]
                    for column in query.output_columns_for(alias)]
     else:
         columns = query.columns_needed_from(alias)
     last = _source_chain(graph, alias, columns=columns)
-    if query.is_aggregation:
-        last = graph.connect(last, _partial_agg_node(graph, "initiator",
-                                                     alias=alias))
     graph.connect(last, _sink_node(graph), EdgeKind.DIRECT)
 
 

@@ -146,9 +146,6 @@ class QuerySpec:
     #: paper's "m computation nodes" experiments constrain the join namespace
     #: the same way).  ``None`` means every node participates in computation.
     computation_nodes: Optional[List[int]] = None
-    #: Whether single-table aggregation is pushed into the DHT (hash grouping
-    #: at the group owners) or computed at the initiator.
-    distributed_aggregation: bool = True
     #: Use the hierarchical in-network aggregation extension instead of flat
     #: hash grouping (ablation of the paper's future-work discussion).
     hierarchical_aggregation: bool = False
@@ -266,14 +263,16 @@ class QuerySpec:
         return bool(self.aggregates)
 
     @property
-    def finalized_at_initiator(self) -> bool:
-        """Whether the initiator merges partial aggregates into the groups.
+    def distributed_aggregation(self) -> bool:
+        """Whether the aggregation is pushed into the DHT: a single-table
+        aggregation groups at the group owners (or through combiners)."""
+        return self.is_aggregation and not self.is_join
 
-        A join with aggregates ships partials from its join sites; a scan
-        aggregation with ``distributed_aggregation=False`` one per node.
-        """
-        return self.is_aggregation and (self.is_join
-                                        or not self.distributed_aggregation)
+    @property
+    def finalized_at_initiator(self) -> bool:
+        """Whether the initiator merges partial aggregates into the groups:
+        a join with aggregates ships partials from its join sites."""
+        return self.is_aggregation and self.is_join
 
     def rehash_namespace(self) -> str:
         """Temporary namespace NQ used for rehashed fragments of this query."""

@@ -119,10 +119,8 @@ class SQLPlanner:
                 if aggregate.column:
                     needed.add(aggregate.column)
             query_output = sorted(needed | set(output_columns))
-            distributed_aggregation = False
         else:
             query_output = output_columns
-            distributed_aggregation = bool(aggregates)
 
         query = QuerySpec(
             tables=tables,
@@ -134,7 +132,6 @@ class SQLPlanner:
             aggregates=aggregates,
             having=having,
             strategy=strategy,
-            distributed_aggregation=distributed_aggregation,
             **query_options,
         )
         query.derived_columns = derived

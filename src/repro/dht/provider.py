@@ -82,15 +82,20 @@ resolution) arrives.  Four mechanisms bound that wait, for ``get`` and
   the network one round trip later; the Provider retries it once through a
   fresh overlay lookup (the routing layer routes around detected failures)
   and, when retries are exhausted, completes the request with an *empty*
-  item list so the caller degrades instead of blocking;
+  item list so the caller degrades instead of blocking (at once for ids
+  the fresh lookup names the bounced owner for again: a relay that has not
+  detected a death keeps naming the dead owner from its table);
 * **unresolved lookups** — a key whose routed lookup dead-ends (every next
   hop dead, hop limit) is reported back by the routing layer, and its get
   is completed empty at once, with or without a timeout;
-* **per-request timeouts** — with ``request_timeout_s`` set (churn
-  deployments), a timer armed at issue time catches what neither of those
-  can see: a lookup that died with the relay holding it.  Giving up on such
-  a lookup (timeout, cancellation, this node's death) also releases the
-  routing layer's record of it;
+* **per-request timeouts** — with ``request_timeout_s`` set (a real node,
+  a churn deployment: :data:`REQUEST_TIMEOUT_S` unless given another), a
+  timer armed at issue time catches what neither of those can see: a
+  lookup that died with the relay holding it, an owner that never answers.
+  Giving up on such a lookup (timeout, cancellation, this node's death)
+  also releases the routing layer's record of it.  A failure-free
+  simulation arms none: its nodes never die, and its inbound links are
+  FIFO queues that can hold a live owner's reply past any fixed deadline;
 * **query-scoped cancellation** — callers may tag requests with a ``scope``
   (the executor uses the query id) and sweep everything still pending with
   :meth:`Provider.cancel_pending` at query teardown.
@@ -125,6 +130,11 @@ DEFAULT_ITEM_BYTES = 100
 DEFAULT_SWEEP_PERIOD_S = 5.0
 #: Retries after a reroute before a get request completes empty.
 REQUEST_RETRIES = 1
+#: Seconds a get request waits for its reply before it is retried (or, with
+#: no retries left, completed empty) on a real node or in a churn deployment.
+REQUEST_TIMEOUT_S = 10.0
+#: Wire size of a ``prov.get_batch`` request for one id (8 B per further id).
+GET_REQUEST_BYTES = 60
 
 #: Callback type for ``get``: receives a list of :class:`DHTItem`.
 GetCallback = Callable[[List["DHTItem"]], None]
@@ -173,7 +183,6 @@ class _PendingGet:
     resource_ids: Collection[Any]
     scope: Any = None
     attempts_left: int = 0
-    request_bytes: int = 60
     timer: Any = None
     routed: Optional[Tuple[RoutingLayer, int]] = None
 
@@ -201,6 +210,9 @@ class Provider:
     def __init__(self, node: Node, routing: RoutingLayer,
                  sweep_period_s: float = DEFAULT_SWEEP_PERIOD_S,
                  request_timeout_s: Optional[float] = None):
+        if request_timeout_s is not None and not request_timeout_s > 0:
+            raise ValueError(f"request timeout must be positive seconds, "
+                             f"got {request_timeout_s!r}")
         self.node = node
         self.routing = routing
         self.storage = StorageManager()
@@ -492,7 +504,7 @@ class Provider:
     # ------------------------------------------------------------------- get
 
     def get(self, namespace: str, resource_id: Any, callback: GetCallback,
-            request_bytes: int = 60, scope: Any = None) -> None:
+            scope: Any = None) -> None:
         """Fetch all items with the given namespace/resourceID (``get``).
 
         A :meth:`get_batch` of one whose answer is handed over as
@@ -505,8 +517,7 @@ class Provider:
         pass their query id).
         """
         self.get_batch(namespace, [resource_id],
-                       lambda results: callback(results[0][1]),
-                       request_bytes=request_bytes, scope=scope)
+                       lambda results: callback(results[0][1]), scope=scope)
 
     def get_local(self, namespace: str, resource_id: Any) -> List[DHTItem]:
         """Items for ``(namespace, resourceID)`` stored on this node."""
@@ -528,7 +539,7 @@ class Provider:
         if self.request_timeout_s is None:
             return
         entry.timer = self.node.schedule(
-            self.request_timeout_s, self._retry_or_fail, request_id)
+            self.request_timeout_s, self._retry_or_fail, request_id, None)
 
     @staticmethod
     def _disarm(entry: _PendingGet) -> None:
@@ -549,10 +560,12 @@ class Provider:
         """The owner was down: mark it dead (see :meth:`_on_put_chunk_bounce`)
         and retry or fail the request."""
         self.routing.mark_neighbor_dead(message.dst)
-        self._retry_or_fail(message.payload["request_id"])
+        self._retry_or_fail(message.payload["request_id"], message.dst)
 
-    def _retry_or_fail(self, request_id: int) -> None:
-        """A request timed out or bounced: reroute it or complete it empty.
+    def _retry_or_fail(self, request_id: int,
+                       bounced_by: Optional[int]) -> None:
+        """A request timed out (``bounced_by`` is ``None``) or bounced off
+        ``bounced_by``: reroute it or complete it empty.
 
         A no-op for a request that has been answered, failed or cancelled
         since the timer was armed or the message sent.
@@ -565,9 +578,9 @@ class Provider:
             # Retry through a fresh overlay resolution: the routing layer has
             # marked the bounced hop dead, so the new lookup reroutes.
             self.get_batch(entry.namespace, list(entry.resource_ids),
-                           entry.callback, request_bytes=entry.request_bytes,
-                           scope=entry.scope,
-                           _attempts_left=entry.attempts_left - 1)
+                           entry.callback, scope=entry.scope,
+                           _attempts_left=entry.attempts_left - 1,
+                           _bounced_by=bounced_by)
             return
         self._fail(entry.callback, entry.scope, entry.resource_ids)
 
@@ -612,9 +625,9 @@ class Provider:
     # ------------------------------------------------------------- get_batch
 
     def get_batch(self, namespace: str, resource_ids: Sequence[Any],
-                  callback: BatchGetCallback, request_bytes: int = 60,
-                  scope: Any = None,
-                  _attempts_left: Optional[int] = None) -> None:
+                  callback: BatchGetCallback, scope: Any = None,
+                  _attempts_left: Optional[int] = None,
+                  _bounced_by: Optional[int] = None) -> None:
         """Fetch the items of many resourceIDs with one request per owner.
 
         IDs owned by the same node share a single ``prov.get_batch`` request,
@@ -634,8 +647,9 @@ class Provider:
         bounces and timeouts retry it (``REQUEST_RETRIES`` times) and then
         complete each of its ids with an empty item list, and ids whose
         routed lookups dead-end are failed as soon as the routing layer
-        reports them unresolved.  ``scope`` tags the requests for
-        :meth:`cancel_pending` and the delivery accounting.
+        reports them unresolved, or, in a retry, named the owner that
+        bounced the request (``_bounced_by``) again.  ``scope`` tags the
+        requests for :meth:`cancel_pending` and the delivery accounting.
         """
         outstanding = dict.fromkeys(resource_ids)
         if not outstanding:
@@ -651,8 +665,7 @@ class Provider:
         lookup_id = next(self._get_ids)
         lookup = _PendingGet(
             callback=callback, namespace=namespace, resource_ids=outstanding,
-            scope=scope, attempts_left=attempts, request_bytes=request_bytes,
-        )
+            scope=scope, attempts_left=attempts)
         self._pending_batch_gets[lookup_id] = lookup
         self._arm_timeout(lookup, lookup_id)
 
@@ -677,6 +690,9 @@ class Provider:
             rids = _answered(keys)
             if not rids:
                 return
+            if owner == _bounced_by:
+                self._fail(callback, scope, rids)
+                return
             if owner == self.node.address:
                 self._count(scope, "completed", len(rids))
                 callback([(rid, self.get_local(namespace, rid)) for rid in rids])
@@ -684,9 +700,7 @@ class Provider:
             request_id = next(self._get_ids)
             entry = _PendingGet(
                 callback=callback, namespace=namespace,
-                resource_ids=tuple(rids), scope=scope,
-                attempts_left=attempts, request_bytes=request_bytes,
-            )
+                resource_ids=tuple(rids), scope=scope, attempts_left=attempts)
             self._pending_batch_gets[request_id] = entry
             self._arm_timeout(entry, request_id)
             self.node.send(
@@ -698,7 +712,7 @@ class Provider:
                     "origin": self.node.address,
                     "request_id": request_id,
                 },
-                payload_bytes=request_bytes + 8 * (len(rids) - 1),
+                payload_bytes=GET_REQUEST_BYTES + 8 * (len(rids) - 1),
             )
 
         def _unresolved(keys: List[int]) -> None:

@@ -22,12 +22,12 @@ from repro.core.executor import QueryExecutor
 from repro.core.stats import StatsRegistry, publisher_batches
 from repro.core.tuples import RelationDef
 from repro.dht.naming import hash_key, hash_keys
-from repro.dht.provider import Provider
+from repro.dht.provider import REQUEST_TIMEOUT_S, Provider
 from repro.dht.softstate import RenewalAgent
 from repro.dht.storage import StoredItem
 from repro.exceptions import ExperimentError
 from repro.net.cluster import ClusterTopology
-from repro.net.failures import DEFAULT_DETECTION_DELAY_S, FailureInjector
+from repro.net.failures import FailureInjector
 from repro.net.network import Network
 from repro.net.topology import FullMeshTopology, MBPS_10
 from repro.net.transit_stub import TransitStubTopology
@@ -53,20 +53,17 @@ class ChurnConfig:
     ``PierNetwork.failure_injector``) fails nodes at the configured rate from
     the moment the deployment is built — the setup of the paper's Figure 6
     recall experiment, through the PierClient → opgraph → executor path.
+    A failure is detected after the paper's 15 s keep-alive delay
+    (:data:`repro.net.failures.DEFAULT_DETECTION_DELAY_S`), when the identity
+    also resumes, empty; node 0, the query initiator site, is never a
+    victim.  The get timeout is the one a real node arms,
+    :data:`repro.dht.provider.REQUEST_TIMEOUT_S`.
     """
 
     #: Mean failure arrival rate; 0 wires everything up but injects nothing
     #: (tests drive ``failure_injector.fail_now`` by hand).
     failure_rate_per_min: float = 0.0
-    #: Keep-alive detection delay (the paper assumes 15 s).
-    detection_delay_s: float = DEFAULT_DETECTION_DELAY_S
-    #: Downtime before the identity resumes empty (defaults to detection).
-    downtime_s: Optional[float] = None
     seed: int = 0
-    #: Addresses never chosen as victims (the query initiator site).
-    protect: Tuple[int, ...] = (0,)
-    #: Per-request get timeout; bounds waits that bounces cannot see.
-    request_timeout_s: Optional[float] = 10.0
 
     def __post_init__(self) -> None:
         if self.failure_rate_per_min < 0:
@@ -89,7 +86,6 @@ class SimulationConfig:
     bandwidth_bytes_per_s: Optional[float] = MBPS_10
     dht: str = "can"
     can_dimensions: int = 2
-    cluster_jitter: float = 0.35
     sweep_period_s: float = 0.0
     seed: int = 0
     #: Coalescing window for same-destination sends; ``0.0`` merges sends
@@ -129,8 +125,8 @@ class PierNetwork:
             address: NodeStack(
                 self.network.node(address), routing,
                 sweep_period_s=config.sweep_period_s,
-                request_timeout_s=(churn.request_timeout_s
-                                   if churn is not None else None),
+                request_timeout_s=(REQUEST_TIMEOUT_S if churn is not None
+                                   else None),
                 failure_aware=churn is not None)
             for address, routing in self.routings.items()}
         self.providers: Dict[int, Provider] = {
@@ -165,7 +161,6 @@ class PierNetwork:
                                        seed=config.seed)
         return ClusterTopology(config.num_nodes,
                                capacity_bytes_per_s=capacity,
-                               load_jitter=config.cluster_jitter,
                                seed=config.seed)
 
     # ----------------------------------------------------------------- access
@@ -311,13 +306,11 @@ class PierNetwork:
         return FailureInjector(
             network=self.network,
             failures_per_minute=churn.failure_rate_per_min,
-            detection_delay_s=churn.detection_delay_s,
-            downtime_s=churn.downtime_s,
             seed=churn.seed,
             on_fail=lambda address: self.stacks[address].fail(),
             on_detect=_on_detect,
             on_recover=_on_recover,
-            protect=frozenset(churn.protect),
+            protect=frozenset({0}),
         )
 
     def reachable_snapshot(self, dilation_s: Optional[float] = None) -> frozenset:

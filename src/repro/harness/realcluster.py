@@ -26,6 +26,7 @@ import sys
 import time
 from typing import Dict, List, Optional
 
+from repro.dht.provider import REQUEST_TIMEOUT_S
 from repro.exceptions import NetworkError
 from repro.remote import GatewayConnection, RemotePier
 
@@ -60,17 +61,17 @@ class LocalCluster:
 
     Parameters mirror the node CLI; the heartbeat/suspicion/request-timeout
     knobs exist so churn tests can compress the paper's 15 s detection
-    delay into CI-friendly wall clock (see ``benchmarks/bench_real_churn``
-    for the exact simulator↔real mapping).  ``seed`` is accepted and
-    unused: the overlay is a function of the address list alone.
+    delay and the 10 s get timeout into CI-friendly wall clock (see
+    ``benchmarks/bench_real_churn`` for the exact simulator↔real mapping).
+    ``seed`` is accepted and unused: the overlay is a function of the
+    address list alone.  The processes' output is discarded.
     """
 
     def __init__(self, num_nodes: int, dht: str = "can", seed: int = 0,
                  sweep_period_s: float = 2.0,
                  heartbeat_period_s: Optional[float] = None,
                  suspicion_timeout_s: Optional[float] = None,
-                 request_timeout_s: Optional[float] = None,
-                 capture_logs: bool = False):
+                 request_timeout_s: float = REQUEST_TIMEOUT_S):
         self.dht = dht
         self.num_nodes = num_nodes
         self.ports: List[int] = free_ports(num_nodes)
@@ -80,18 +81,16 @@ class LocalCluster:
         self.port_of: Dict[int, int] = {}
         self.proc_of: Dict[int, subprocess.Popen] = {}
         self.killed: set = set()
-        self._capture = subprocess.PIPE if capture_logs else subprocess.DEVNULL
         self._env = dict(os.environ)
         self._env["PYTHONPATH"] = (_SRC_DIR + os.pathsep
                                    + self._env.get("PYTHONPATH", ""))
         self._common = [sys.executable, "-m", "repro.node",
-                        "--sweep-period", str(sweep_period_s)]
+                        "--sweep-period", str(sweep_period_s),
+                        "--request-timeout", str(request_timeout_s)]
         if heartbeat_period_s is not None:
             self._common += ["--heartbeat-period", str(heartbeat_period_s)]
         if suspicion_timeout_s is not None:
             self._common += ["--suspicion-timeout", str(suspicion_timeout_s)]
-        if request_timeout_s is not None:
-            self._common += ["--request-timeout", str(request_timeout_s)]
         self._spawn(self._common
                     + ["--listen", f"127.0.0.1:{self.ports[0]}", "--dht", dht])
         for port in self.ports[1:]:
@@ -100,7 +99,7 @@ class LocalCluster:
     def _spawn(self, argv: List[str]) -> subprocess.Popen:
         proc = subprocess.Popen(argv, env=self._env,
                                 stdout=subprocess.DEVNULL,
-                                stderr=self._capture)
+                                stderr=subprocess.DEVNULL)
         self.processes.append(proc)
         return proc
 
@@ -112,14 +111,14 @@ class LocalCluster:
 
     # -------------------------------------------------------------- lifecycle
 
-    def connect(self, deadline_s: float = BOOT_DEADLINE_S) -> RemotePier:
-        """Wait until every process is ready with all ``num_nodes`` members;
-        open the client session.
+    def connect(self) -> RemotePier:
+        """Wait until every process is ready with all ``num_nodes`` members
+        (at most ``BOOT_DEADLINE_S``); open the client session.
 
         Boot only adds members, so every node that lists ``num_nodes`` of
         them lists the same address list.
         """
-        deadline = time.monotonic() + deadline_s
+        deadline = time.monotonic() + BOOT_DEADLINE_S
         for port, proc in zip(self.ports, self.processes):
             try:
                 status = self._await_ready(port, self.processes, deadline,
@@ -173,8 +172,7 @@ class LocalCluster:
         proc.wait()
         self.killed.add(address)
 
-    def add_node(self, via: Optional[int] = None,
-                 deadline_s: float = BOOT_DEADLINE_S) -> int:
+    def add_node(self, via: Optional[int] = None) -> int:
         """Join a fresh node through a live member.
 
         Returns the new node's overlay address once its stack has
@@ -186,7 +184,7 @@ class LocalCluster:
         (port,) = free_ports(1)
         proc = self._spawn_joiner(port, member_port)
         address = self._await_ready(port, [proc],
-                                    time.monotonic() + deadline_s)["address"]
+                                    time.monotonic() + BOOT_DEADLINE_S)["address"]
         self.ports.append(port)
         self.port_of[address] = port
         self.proc_of[address] = proc

@@ -11,8 +11,8 @@ minute).  The paper's model, reproduced here:
   the failure");
 * lost tuples reappear only when their publishers renew them.
 
-Zone-takeover details of CAN are abstracted: after ``downtime`` the failed
-identity resumes with empty storage, which is indistinguishable, for the
+Zone-takeover details of CAN are abstracted: once the failure is detected
+the failed identity resumes with empty storage, which is indistinguishable, for the
 recall metric, from a neighbour absorbing the zone and later splitting it
 again.
 
@@ -158,10 +158,9 @@ class FailureInjector:
         Mean failure arrival rate.  A rate of 0 disables injection.
     detection_delay_s:
         Time before neighbours notice the failure (routing heals afterwards).
-    downtime_s:
-        Time the node stays down before resuming with empty storage.  The
-        default equals the detection delay, i.e. the identity resumes as
-        soon as routing has healed around it.
+        The node stays down exactly that long and then resumes with empty
+        storage: the identity resumes as soon as routing has healed around
+        it.
     seed:
         Seed for the failure arrival process and victim choice.
     on_fail / on_detect / on_recover:
@@ -176,7 +175,6 @@ class FailureInjector:
     network: Network
     failures_per_minute: float
     detection_delay_s: float = DEFAULT_DETECTION_DELAY_S
-    downtime_s: Optional[float] = None
     seed: int = 0
     on_fail: Optional[Callable[[int], None]] = None
     on_detect: Optional[Callable[[int], None]] = None
@@ -187,8 +185,6 @@ class FailureInjector:
     def __post_init__(self) -> None:
         if self.failures_per_minute < 0:
             raise ValueError("failure rate must be non-negative")
-        if self.downtime_s is None:
-            self.downtime_s = self.detection_delay_s
         self._rng = random.Random(self.seed)
         self._running = False
 
@@ -234,14 +230,14 @@ class FailureInjector:
             address=address,
             failed_at=now,
             detected_at=now + self.detection_delay_s,
-            recovered_at=now + float(self.downtime_s),
+            recovered_at=now + self.detection_delay_s,
         )
         self.events.append(event)
         self.network.fail_node(address)
         if self.on_fail is not None:
             self.on_fail(address)
         self.network.simulator.schedule(self.detection_delay_s, self._detect, address)
-        self.network.simulator.schedule(float(self.downtime_s), self._recover, address)
+        self.network.simulator.schedule(self.detection_delay_s, self._recover, address)
         return event
 
     def _detect(self, address: int) -> None:

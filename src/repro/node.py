@@ -82,7 +82,8 @@ from typing import Any, Dict, Optional, Tuple
 from repro.core.executor import QueryExecutor, QueryHandle
 from repro.core.stats import STATS_NAMESPACE
 from repro.dht.naming import hash_key
-from repro.dht.provider import DEFAULT_SWEEP_PERIOD_S, Provider
+from repro.dht.provider import (DEFAULT_SWEEP_PERIOD_S, REQUEST_TIMEOUT_S,
+                                Provider)
 from repro.dht.storage import StoredItem
 from repro.exceptions import NodeNotReadyError, UnknownNamespaceError
 from repro.net.failures import (
@@ -100,10 +101,6 @@ log = logging.getLogger("repro.node")
 #: Most result rows one ``evt`` frame carries; the rows of one loop turn
 #: leave at its end, cut into frames of this many.
 RESULT_FLUSH_ROWS = 256
-#: Default per-request timeout for DHT gets on real nodes.  The simulator
-#: only arms this lane in churn deployments, but a real cluster can lose a
-#: node at any moment, so requests must always be bounded (0 disables).
-DEFAULT_REQUEST_TIMEOUT_S = 10.0
 #: How long a leaving node lingers so its hand-off frames flush.
 LEAVE_LINGER_S = 0.5
 
@@ -114,6 +111,15 @@ def parse_endpoint(text: str) -> Tuple[str, int]:
     if not sep or not host:
         raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {text!r}")
     return host, int(port)
+
+
+def positive_seconds(text: str) -> float:
+    """Parse a duration in seconds that must be greater than zero."""
+    seconds = float(text)
+    if not seconds > 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive number of seconds, got {text!r}")
+    return seconds
 
 
 class _ResultPump:
@@ -137,7 +143,7 @@ class PierNode:
                  sweep_period_s: float = DEFAULT_SWEEP_PERIOD_S,
                  heartbeat_period_s: float = DEFAULT_HEARTBEAT_PERIOD_S,
                  suspicion_timeout_s: float = DEFAULT_DETECTION_DELAY_S,
-                 request_timeout_s: float = DEFAULT_REQUEST_TIMEOUT_S):
+                 request_timeout_s: float = REQUEST_TIMEOUT_S):
         self.listen = listen
         self.advertise = advertise or listen
         self.join_endpoint = join
@@ -299,11 +305,10 @@ class PierNode:
         self.node = Node(self.transport.address, self.transport)
         self.transport.attach_node(self.node)
         routing = self._build_routing()
-        request_timeout = float(self.config.get("request_timeout_s") or 0.0)
         self.stack = NodeStack(
             self.node, routing,
             sweep_period_s=self.config["sweep_period_s"],
-            request_timeout_s=request_timeout if request_timeout > 0 else None,
+            request_timeout_s=float(self.config["request_timeout_s"]),
             failure_aware=True,
         )
         self.provider = self.stack.provider
@@ -657,10 +662,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="seconds of silence before a neighbour is "
                              "confirmed dead (paper's 15 s keep-alive model; "
                              "first node only)")
-    parser.add_argument("--request-timeout", type=float,
-                        default=DEFAULT_REQUEST_TIMEOUT_S,
-                        help="per-request timeout for DHT gets; 0 disables "
-                             "(first node only)")
+    parser.add_argument("--request-timeout", type=positive_seconds,
+                        default=REQUEST_TIMEOUT_S,
+                        help="seconds a DHT get waits for its reply before "
+                             "it is retried, then completed empty; a real "
+                             "node always bounds its gets (first node only; "
+                             "sent to every joiner)")
     parser.add_argument("--log-level", default="INFO")
     return parser
 

@@ -58,7 +58,8 @@ class NodeStack:
 
     ``request_timeout_s`` arms the Provider's per-request timeout lane and
     ``failure_aware`` the executor's failure fallbacks: a churn deployment
-    or a real node sets both.
+    or a real node sets both, the timeout to
+    :data:`repro.dht.provider.REQUEST_TIMEOUT_S` unless given another.
     """
 
     def __init__(self, node: Node, routing: RoutingLayer,

@@ -19,7 +19,7 @@ from repro.dht.api import RoutingLayer
 from repro.dht.can import CanNetworkBuilder, CanRouting
 from repro.dht.chord import ChordNetworkBuilder, ChordRouting
 from repro.dht.naming import hash_key
-from repro.dht.provider import Provider
+from repro.dht.provider import REQUEST_TIMEOUT_S, Provider
 from repro.net.network import Network
 from repro.net.topology import FullMeshTopology
 from tests.reference import answering_owner
@@ -509,15 +509,16 @@ def test_get_batch_upcalls_after_a_relay_swallowed_the_lookup(dht):
     """No bounce, no reply: only the timeout sees it, and the retry answers
     every id the first attempt had not — once."""
     network, providers, requested, owners = loaded_network(
-        dht, request_timeout_s=2.0)
+        dht, request_timeout_s=REQUEST_TIMEOUT_S)
     provider = providers[0]
     route_batch = provider.routing.PROTOCOL_ROUTE_BATCH
     relays = provider.routing.neighbors()
     for address in relays:
         network.node(address).replace_handler(route_batch, lambda *_: None)
     upcalls = []
+    issued_at = network.now
     provider.get_batch("t", requested, upcalls.append, scope=3)
-    network.run(until=network.now + 1.0)
+    network.run(until=issued_at + 1.0)
     # Only the ids the origin resolves itself are answered: those it owns
     # and those whose owner its routing table names (asked directly).
     routing = provider.routing
@@ -530,11 +531,54 @@ def test_get_batch_upcalls_after_a_relay_swallowed_the_lookup(dht):
     for address in relays:
         network.node(address).replace_handler(
             route_batch, providers[address].routing._on_route_batch)
-    network.run(until=network.now + 3.0)
+    network.run(until=issued_at + REQUEST_TIMEOUT_S - 0.5)
+    assert {rid for results in upcalls for rid, _items in results} == (
+        resolved_at_origin)
+    network.run(until=issued_at + REQUEST_TIMEOUT_S + 2.0)
     found = assert_upcall_contract(upcalls, requested)
     for rid, value in ENTRIES:
         assert [item.value for item in found[rid]] == [value]
     assert provider.pending_get_count() == 0
+
+
+@pytest.mark.parametrize("seconds", [0.0, -1.0, math.nan])
+def test_a_provider_refuses_a_request_timeout_that_is_not_positive(seconds):
+    """The timeout also reaches a joiner in the founder's ``mem`` frame:
+    the Provider checks it, not only the node CLI."""
+    network, providers, _builder = build_network()
+    with pytest.raises(ValueError, match="positive"):
+        Provider(network.node(0), providers[0].routing,
+                 request_timeout_s=seconds)
+
+
+@pytest.mark.parametrize("dht", ["can", "chord"])
+def test_a_churn_deployment_bounds_a_get_its_owner_never_answers(dht):
+    """A churn deployment arms the get timeout a real node arms: an owner
+    that takes the request and never replies costs the get its retries, and
+    then the get completes empty instead of waiting for ever."""
+    from repro.dht.provider import REQUEST_RETRIES
+    from repro.harness.experiment import ChurnConfig, PierNetwork, SimulationConfig
+
+    pier = PierNetwork(SimulationConfig(num_nodes=16, dht=dht,
+                                        churn=ChurnConfig()))
+    provider = pier.providers[0]
+    assert provider.request_timeout_s == REQUEST_TIMEOUT_S
+    rid = next(rid for rid, _v in ENTRIES
+               if pier.builder.owner_of_key(hash_key("t", rid)) != 0)
+    owner = pier.builder.owner_of_key(hash_key("t", rid))
+    asked = []
+    pier.network.node(owner).replace_handler(
+        Provider.PROTOCOL_GET_BATCH, lambda _node, message: asked.append(message))
+    results = []
+    issued_at = pier.now
+    provider.get("t", rid, results.append, scope=5)
+    pier.run(until=issued_at + REQUEST_TIMEOUT_S * (REQUEST_RETRIES + 1) - 0.5)
+    assert results == [] and provider.pending_get_count() == 1
+    pier.run(until=issued_at + REQUEST_TIMEOUT_S * (REQUEST_RETRIES + 1) + 5.0)
+    assert results == [[]]
+    assert len(asked) == REQUEST_RETRIES + 1
+    assert provider.scope_report(5) == {
+        "issued": 1, "completed": 0, "failed": 1, "pending": 0}
 
 
 @pytest.mark.parametrize("dht", ["can", "chord"])

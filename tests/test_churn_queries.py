@@ -19,7 +19,7 @@ import pytest
 from repro.core.query import JoinStrategy
 from repro.core.stats import STATS_NAMESPACE, StatsRegistry
 from repro.dht.naming import hash_key
-from repro.dht.provider import REQUEST_RETRIES
+from repro.dht.provider import REQUEST_RETRIES, REQUEST_TIMEOUT_S
 from repro.harness import ChurnConfig, PierNetwork, SimulationConfig
 from repro.metrics.recall import recall as compute_recall
 from repro.workloads import JoinWorkload, WorkloadConfig
@@ -31,10 +31,9 @@ REFRESH_PERIOD_S = 20.0
 DATA_LIFETIME_S = 40.0
 
 
-def build_churn_pier(dht, rate_per_min=0.0, renewal=False, **churn_overrides):
+def build_churn_pier(dht, rate_per_min=0.0, renewal=False):
     """A failure-aware deployment with the benchmark workload loaded."""
-    churn = ChurnConfig(failure_rate_per_min=rate_per_min, seed=5,
-                        **churn_overrides)
+    churn = ChurnConfig(failure_rate_per_min=rate_per_min, seed=5)
     pier = PierNetwork(SimulationConfig(num_nodes=NUM_NODES, dht=dht, seed=7,
                                         churn=churn))
     workload = JoinWorkload(WorkloadConfig(num_nodes=NUM_NODES,
@@ -352,3 +351,20 @@ def test_churn_free_deployment_matches_seed_behaviour():
     assert pier.failure_injector is None
     assert pier.providers[0].request_timeout_s is None
     assert pier.executors[0].failure_aware is False
+
+
+def test_churn_deployment_and_real_node_arm_the_same_get_timeout():
+    """A churn deployment's Providers bound their gets with the timeout a
+    real node's Provider arms by default."""
+    import asyncio
+
+    from tests.test_real_hotpath import one_node_cluster
+
+    async def real_node_timeout():
+        async with one_node_cluster() as node:
+            return node.provider.request_timeout_s
+
+    churned, _workload = build_churn_pier("can")
+    simulated = {provider.request_timeout_s
+                 for provider in churned.providers.values()}
+    assert simulated == {asyncio.run(real_node_timeout())} == {REQUEST_TIMEOUT_S}

@@ -190,9 +190,7 @@ def test_hand_built_aggregation_query_without_sql():
 # ------------------------------------------------- derived columns and HAVING
 
 
-@pytest.mark.parametrize("distributed", [True, False],
-                         ids=["group-owners", "initiator"])
-def test_derived_columns_and_having_match_the_reference(distributed):
+def test_derived_columns_and_having_match_the_reference():
     """Derived columns and HAVING run as kernels lowered against the
     aggregate output layout: a derived column may use an earlier one, HAVING
     may use a derived alias and a bare name of a qualified group column."""
@@ -208,7 +206,6 @@ def test_derived_columns_and_having_match_the_reference(distributed):
         having=And([Comparison(">", col("per_report"), lit(100)),
                     Comparison("!=", col("fingerprint"), lit("none"))]),
         strategy=JoinStrategy.SYMMETRIC_HASH,
-        distributed_aggregation=distributed,
     )
     query.derived_columns = {
         "weighted": Arithmetic("*", col("cnt"), col("total")),

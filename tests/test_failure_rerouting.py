@@ -7,6 +7,7 @@ from repro.dht.chord import ChordNetworkBuilder
 from repro.dht.naming import hash_key
 from repro.net.network import Network
 from repro.net.topology import FullMeshTopology
+from tests.reference import answering_owner
 
 
 def build(num_nodes, kind="can"):
@@ -118,28 +119,16 @@ def test_lookup_to_failed_owner_names_it_or_nothing_never_a_wrong_owner(dht):
 @pytest.mark.parametrize("dht", ["can", "chord"])
 def test_put_and_get_to_an_undetected_failed_owner_bounce_and_mark_it_dead(dht):
     """A put to the named, dead owner bounces and counts as a lost put; a
-    get bounces, is retried ``REQUEST_RETRIES`` times through a fresh lookup
-    and then completes empty, and the origin has marked the owner dead."""
-    from repro.dht.provider import REQUEST_RETRIES, Provider
-
+    get bounces, and its retry's fresh lookup names the same owner (only the
+    origin has marked it dead), so the get completes empty without a second
+    request, and the origin has marked the owner dead."""
     network, routings, builder = build(25, dht)
-    providers = {
-        address: Provider(network.node(address), routings[address], sweep_period_s=0.0)
-        for address in routings
-    }
+    providers = providers_on(network, routings)
     owner = builder.owner_of_key(hash_key("T", 3))
     origin = next(address for address, routing in routings.items()
                   if address != owner and owner in routing.neighbors())
     network.fail_node(owner)
-    get_requests = []
-    send = network.node(origin).send
-
-    def counting_send(dst, protocol, *args, **kwargs):
-        if protocol == Provider.PROTOCOL_GET_BATCH:
-            get_requests.append(dst)
-        return send(dst, protocol, *args, **kwargs)
-
-    network.node(origin).send = counting_send
+    get_requests = get_requests_sent_by(network.node(origin))
     provider = providers[origin]
     provider.put("T", 3, None, {"v": 1}, item_bytes=50)
     results = []
@@ -147,9 +136,88 @@ def test_put_and_get_to_an_undetected_failed_owner_bounce_and_mark_it_dead(dht):
     network.run_until_idle()
     assert provider.put_bounces_by_namespace == {"T": 1}
     assert results == [[]]
-    assert get_requests == [owner] * (REQUEST_RETRIES + 1)
+    assert get_requests == [owner]
     assert provider.scope_report(1)["failed"] == 1
     assert owner not in routings[origin].neighbors()
+
+
+def providers_on(network, routings):
+    from repro.dht.provider import Provider
+
+    return {address: Provider(network.node(address), routing, sweep_period_s=0.0)
+            for address, routing in routings.items()}
+
+
+def get_requests_sent_by(node):
+    """The destinations of the ``prov.get_batch`` requests ``node`` sends
+    from now on, in order."""
+    from repro.dht.provider import Provider
+
+    destinations = []
+    send = node.send
+
+    def counting_send(dst, protocol, *args, **kwargs):
+        if protocol == Provider.PROTOCOL_GET_BATCH:
+            destinations.append(dst)
+        return send(dst, protocol, *args, **kwargs)
+
+    node.send = counting_send
+    return destinations
+
+
+def test_a_retry_that_names_the_bounced_owner_again_fails_at_once():
+    """The owner is dead, undetected, and outside the origin's CAN table:
+    the relay that names it has not learnt of its death, so a retry through
+    it would bounce off the same owner.  The retry fails the get instead:
+    exactly one request goes to the dead owner."""
+    network, routings, builder = build(25, "can")
+    owner, origin = 1, 2
+    assert owner not in routings[origin].neighbors()
+    rid = next(rid for rid in range(10_000)
+               if builder.owner_of_key(hash_key("T", rid)) == owner
+               and answering_owner(routings[origin], routings[origin]._coordinate(
+                   hash_key("T", rid))) is None)
+    provider = providers_on(network, routings)[origin]
+    network.fail_node(owner)
+    get_requests = get_requests_sent_by(network.node(origin))
+    results = []
+    provider.get("T", rid, results.append, scope=1)
+    network.run_until_idle()
+    assert results == [[]]
+    assert get_requests == [owner]
+    assert provider.scope_report(1) == {
+        "issued": 1, "completed": 0, "failed": 1, "pending": 0}
+
+
+def test_a_retry_that_names_another_owner_is_sent():
+    """The overlay is rebuilt over the live members while the request to
+    the dead owner is in flight: the retry's lookup names the key's new
+    owner, and the get asks it."""
+    network, routings, builder = build(25, "can")
+    owner = 1
+    live = [address for address in range(25) if address != owner]
+    stand_ins = Network(FullMeshTopology(25, latency_s=0.02,
+                                         capacity_bytes_per_s=float("inf")))
+    rebuilder = CanNetworkBuilder(dimensions=2)
+    rebuilt = rebuilder.build_stabilized(stand_ins, addresses=live)
+    rid = next(rid for rid in range(10_000)
+               if builder.owner_of_key(hash_key("T", rid)) == owner)
+    heir = rebuilder.owner_of_key(hash_key("T", rid))
+    origin = next(address for address in live if address != heir)
+    providers = providers_on(network, routings)
+    network.fail_node(owner)
+    get_requests = get_requests_sent_by(network.node(origin))
+    results = []
+    providers[origin].get("T", rid, results.append, scope=1)
+    while not get_requests:
+        network.simulator.run(max_events=1)
+    for address, routing in rebuilt.items():
+        providers[address].rebind_routing(routing.rebind(network.node(address)))
+    network.run_until_idle()
+    assert get_requests == [owner, heir]
+    assert results == [[]]  # the heir holds nothing under the key yet
+    assert providers[origin].scope_report(1) == {
+        "issued": 1, "completed": 1, "failed": 0, "pending": 0}
 
 
 def test_can_marks_bounced_neighbor_dead():

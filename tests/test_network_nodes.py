@@ -286,25 +286,26 @@ def test_stats_protocol_breakdown_and_reset():
 
 
 def test_failure_injector_fails_and_recovers_nodes():
+    """A failed node is detected after the detection delay and resumes
+    then, detection first."""
     network = make_network(6)
-    events = {"fail": [], "detect": [], "recover": []}
+    events = []
     injector = FailureInjector(
         network=network,
         failures_per_minute=0.0,
         detection_delay_s=2.0,
-        downtime_s=4.0,
-        on_fail=events["fail"].append,
-        on_detect=events["detect"].append,
-        on_recover=events["recover"].append,
+        on_fail=lambda address: events.append(("fail", address)),
+        on_detect=lambda address: events.append(("detect", address)),
+        on_recover=lambda address: events.append(("recover", address)),
     )
-    injector.fail_now(3)
+    event = injector.fail_now(3)
+    assert (event.detected_at, event.recovered_at) == (2.0, 2.0)
     assert not network.node(3).alive
-    network.run(until=3.0)
-    assert events["fail"] == [3]
-    assert events["detect"] == [3]
-    assert events["recover"] == []
-    network.run(until=5.0)
-    assert events["recover"] == [3]
+    network.run(until=1.9)
+    assert events == [("fail", 3)]
+    assert not network.node(3).alive
+    network.run(until=2.0)
+    assert events == [("fail", 3), ("detect", 3), ("recover", 3)]
     assert network.node(3).alive
 
 

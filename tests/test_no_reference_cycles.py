@@ -65,15 +65,12 @@ def test_queries_leave_no_reference_cycles(collector_off, dht):
     assert client.sql(GROUPED_JOIN_SQL).fetchall()
     assert_no_cycles("join with GROUP BY")
 
-    for hierarchical, distributed in ((False, True), (True, True),
-                                      (False, False)):
+    for hierarchical in (False, True):
         query = client.plan(SCAN_AGG_SQL, collection_window_s=1.0,
                             hierarchical_aggregation=hierarchical)
-        query.distributed_aggregation = distributed
         assert client.query(query).fetchall()
         del query
-        assert_no_cycles(f"scan aggregation (hierarchical={hierarchical}, "
-                         f"distributed={distributed})")
+        assert_no_cycles(f"scan aggregation (hierarchical={hierarchical})")
 
     cursor = client.sql(JOIN_SQL, strategy=JoinStrategy.SYMMETRIC_HASH, limit=2)
     assert len(cursor.fetchall()) == 2 and cursor.cancelled

@@ -79,7 +79,7 @@ def test_join_feeding_initiator_aggregation_matches_the_oracle():
 # -------------------------------------------------------------- aggregation
 
 
-@pytest.mark.parametrize("variant", ["flat", "hierarchical", "initiator"])
+@pytest.mark.parametrize("variant", ["flat", "hierarchical"])
 def test_aggregation_matches_the_oracle(variant):
     workload = NetworkMonitoringWorkload(num_nodes=20, seed=5)
     pier = build_pier(20)
@@ -89,7 +89,6 @@ def test_aggregation_matches_the_oracle(variant):
         "FROM intrusions I GROUP BY I.fingerprint HAVING count(*) > 1"
     )
     query.hierarchical_aggregation = variant == "hierarchical"
-    query.distributed_aggregation = variant != "initiator"
     rows = pier.client().query(query).fetchall()
     assert rows
     expected = evaluate_query(

@@ -38,7 +38,7 @@ from repro.net.message import Message
 from repro.net.node import Node
 from repro.net.real import MAX_BATCH_MESSAGES, RealTransport
 from repro.net.wire import FrameDecoder, encode_frame, message_to_wire
-from repro.node import RESULT_FLUSH_ROWS, PierNode
+from repro.node import RESULT_FLUSH_ROWS, PierNode, build_arg_parser
 from repro.remote import GatewayConnection, RemotePier
 from repro.stack import build_overlay
 from repro.workloads import JoinWorkload, WorkloadConfig
@@ -589,3 +589,16 @@ def test_gateway_pump_returns_on_the_first_frame_not_at_the_deadline():
         conn.close()
         node.close()
         listener.close()
+
+
+@pytest.mark.parametrize("seconds", ["0", "-1", "nan"])
+def test_the_node_cli_refuses_a_request_timeout_that_is_not_positive(
+        seconds, capsys):
+    """A real node always bounds its gets: ``--request-timeout 0`` is an
+    error, not a way to turn the timeout off."""
+    parser = build_arg_parser()
+    assert parser.parse_args(["--listen", "127.0.0.1:1"]).request_timeout == 10.0
+    with pytest.raises(SystemExit):
+        parser.parse_args(["--listen", "127.0.0.1:1",
+                           "--request-timeout", seconds])
+    assert "positive number of seconds" in capsys.readouterr().err
