@@ -14,7 +14,7 @@ from repro.core import costmodel
 from repro.dht.can import CanNetworkBuilder
 from repro.dht.chord import ChordNetworkBuilder
 from repro.dht.naming import hash_key
-from repro.net.network import Network
+from repro.net.network import SimulatedNetwork
 from repro.net.topology import FullMeshTopology
 
 LOOKUPS_PER_SOURCE = 60
@@ -51,8 +51,8 @@ def sweep():
             ("can d=3", lambda: CanNetworkBuilder(dimensions=3)),
             ("chord", ChordNetworkBuilder),
         ):
-            network = Network(FullMeshTopology(num_nodes, latency_s=0.0,
-                                               capacity_bytes_per_s=float("inf")))
+            network = SimulatedNetwork(FullMeshTopology(num_nodes, latency_s=0.0,
+                                                        capacity_bytes_per_s=float("inf")))
             builder = make_builder()
             routings = builder.build_stabilized(network)
             mean_hops = measure_hops(builder, network, routings)

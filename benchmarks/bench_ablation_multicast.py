@@ -14,13 +14,13 @@ from repro.core import costmodel
 from repro.dht.can import CanNetworkBuilder
 from repro.dht.chord import ChordNetworkBuilder
 from repro.dht.multicast import MulticastService
-from repro.net.network import Network
+from repro.net.network import SimulatedNetwork
 from repro.net.topology import FullMeshTopology
 
 
 def measure(num_nodes: int, dht: str):
-    network = Network(FullMeshTopology(num_nodes, latency_s=0.1,
-                                       capacity_bytes_per_s=float("inf")))
+    network = SimulatedNetwork(FullMeshTopology(num_nodes, latency_s=0.1,
+                                                capacity_bytes_per_s=float("inf")))
     if dht == "can":
         routings = CanNetworkBuilder(dimensions=2).build_stabilized(network)
     else:

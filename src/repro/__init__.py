@@ -54,7 +54,6 @@ from repro.harness import PierNetwork, SimulationConfig
 from repro.net import (
     ClusterTopology,
     FullMeshTopology,
-    Network,
     RealTransport,
     SimulatedNetwork,
     Simulator,
@@ -105,7 +104,6 @@ __all__ = [
     "Provider",
     # net
     "Simulator",
-    "Network",
     "SimulatedNetwork",
     "Transport",
     "RealTransport",

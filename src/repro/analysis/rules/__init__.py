@@ -28,7 +28,6 @@ RULE_DOCS = {
     "PL201": "protocol sent but no handler registered anywhere",
     "PL202": "handler registered for a protocol nothing sends",
     "PL203": "__slots__ class mutated outside __init__",
-    "PL204": "wire _STATE_FILTERS key names an unknown class",
     "PL301": "on_new_data without off_new_data in the module",
     "PL302": "multicast subscribe without unsubscribe in the module",
     "PL303": "periodic timer without a cancel()/teardown path",

@@ -3,9 +3,7 @@
 Every payload that crosses the network is dispatched by a protocol string
 (``Message.protocol``) to a handler registered on the destination node, and
 ``Node.deliver`` *raises* on an unknown protocol — so a sent type with no
-registered handler is a latent crash on the receiving node, and the msgpack
-object codec (``net/wire.py``) silently stops filtering transient state
-when a ``_STATE_FILTERS`` entry names a class that was renamed.  These are
+registered handler is a latent crash on the receiving node.  These are
 cross-module properties no unit test sees locally:
 
 * **PL201** — a send names a protocol string that no module ever registers
@@ -17,15 +15,13 @@ cross-module properties no unit test sees locally:
   in-flight envelopes (``Message``) and codec state; post-construction
   mutation breaks the "messages are immutable once sent" contract the
   simulator's zero-copy local delivery relies on.
-* **PL204** — a ``_STATE_FILTERS["module:Class"]`` key in ``net/wire.py``
-  that does not resolve to a class defined in the scanned tree.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.analysis.framework import (
     ModuleInfo,
@@ -33,7 +29,6 @@ from repro.analysis.framework import (
     Rule,
     ScopeStack,
     call_attr,
-    dotted_name,
     keyword_arg,
     resolve_string_candidates,
 )
@@ -69,7 +64,6 @@ class WireConformanceRule(Rule):
         self._sends: List[_ProtocolSite] = []
         self._registrations: List[_ProtocolSite] = []
         self._bounce_registrations: List[_ProtocolSite] = []
-        self._state_filter_keys: List[Tuple[str, ModuleInfo, ast.AST]] = []
 
     # ------------------------------------------------------------ collect
 
@@ -118,27 +112,6 @@ class WireConformanceRule(Rule):
                     f"{shown!r} that nothing sends or handles",
                     detail=f"bounce:{shown}", scope=site.scope,
                     severity="warning")
-
-        known_classes = self._collect_classes(project)
-        for key, info, node in self._state_filter_keys:
-            module, _, qualname = key.partition(":")
-            target = (module.replace(".", "/") + ".py",
-                      qualname.split(".")[0])
-            if target not in known_classes:
-                self.report(
-                    info, node, "PL204",
-                    f"wire state filter names {key!r} but no scanned module "
-                    f"defines that class — the filter is silently dead",
-                    detail=key, scope="<module>")
-
-    @staticmethod
-    def _collect_classes(project: Project) -> Set[Tuple[str, str]]:
-        classes: Set[Tuple[str, str]] = set()
-        for info in project.modules:
-            for node in ast.walk(info.tree):
-                if isinstance(node, ast.ClassDef):
-                    classes.add((info.module, node.name))
-        return classes
 
     # ----------------------------------------------------------- PL203
 
@@ -199,17 +172,6 @@ class _WireVisitor(ScopeStack):
             elif name in MESSAGE_CTORS:
                 self._record_protocol_use(node, MESSAGE_CTORS[name],
                                           self.rule._sends)
-        self.generic_visit(node)
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        # _STATE_FILTERS["repro.core.query:QuerySpec"] = ...
-        for target in node.targets:
-            if (isinstance(target, ast.Subscript)
-                    and dotted_name(target.value) == "_STATE_FILTERS"
-                    and isinstance(target.slice, ast.Constant)
-                    and isinstance(target.slice.value, str)):
-                self.rule._state_filter_keys.append(
-                    (target.slice.value, self.info, node))
         self.generic_visit(node)
 
     def _record_registration(self, node: ast.Call, attr: str) -> None:

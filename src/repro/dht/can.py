@@ -44,7 +44,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.exceptions import RoutingError
 from repro.dht.api import RoutingLayer, RoutingTableField
 from repro.dht.naming import key_to_unit_coordinates
-from repro.net.network import Network
+from repro.net.network import SimulatedNetwork
 from repro.net.node import Node
 
 #: Default CAN dimensionality used throughout the paper's evaluation.
@@ -458,7 +458,7 @@ class CanNetworkBuilder:
 
     # ----------------------------------------------------------------- build
 
-    def build_stabilized(self, network: Network,
+    def build_stabilized(self, network: SimulatedNetwork,
                          addresses: Optional[Sequence[int]] = None
                          ) -> Dict[int, CanRouting]:
         """Install a stabilised CAN on ``addresses`` (default: every node)."""

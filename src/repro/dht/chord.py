@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dht.api import RoutingLayer, RoutingTableField
 from repro.dht.naming import KEY_BITS, node_identifier
-from repro.net.network import Network
+from repro.net.network import SimulatedNetwork
 from repro.net.node import Node
 
 
@@ -220,7 +220,7 @@ class ChordNetworkBuilder:
         self._ring: Optional[List[tuple]] = None
         self._identifiers: List[int] = []  # of _ring, for owner_of_key
 
-    def build_stabilized(self, network: Network,
+    def build_stabilized(self, network: SimulatedNetwork,
                          addresses: Optional[Sequence[int]] = None
                          ) -> Dict[int, ChordRouting]:
         """Install a fully-stabilised ring (successors, predecessors, fingers)."""

@@ -27,8 +27,8 @@ from repro.dht.softstate import RenewalAgent
 from repro.dht.storage import StoredItem
 from repro.exceptions import ExperimentError
 from repro.net.cluster import ClusterTopology
-from repro.net.failures import FailureInjector
-from repro.net.network import Network
+from repro.net.failures import DEFAULT_DETECTION_DELAY_S, FailureInjector
+from repro.net.network import SimulatedNetwork
 from repro.net.topology import FullMeshTopology, MBPS_10
 from repro.net.transit_stub import TransitStubTopology
 from repro.stack import NodeStack, build_overlay
@@ -53,11 +53,13 @@ class ChurnConfig:
     ``PierNetwork.failure_injector``) fails nodes at the configured rate from
     the moment the deployment is built — the setup of the paper's Figure 6
     recall experiment, through the PierClient → opgraph → executor path.
-    A failure is detected after the paper's 15 s keep-alive delay
-    (:data:`repro.net.failures.DEFAULT_DETECTION_DELAY_S`), when the identity
-    also resumes, empty; node 0, the query initiator site, is never a
-    victim.  The get timeout is the one a real node arms,
-    :data:`repro.dht.provider.REQUEST_TIMEOUT_S`.
+    The injector applies each failure to the nodes'
+    :class:`repro.stack.NodeStack` transitions itself: the victim's stack
+    fails at once, and after the paper's 15 s keep-alive delay
+    (:data:`repro.net.failures.DEFAULT_DETECTION_DELAY_S`) every stack
+    confirms it dead and the identity resumes, empty, in one event.  Node 0,
+    the query initiator site, is never a victim.  The get timeout is the one
+    a real node arms, :data:`repro.dht.provider.REQUEST_TIMEOUT_S`.
     """
 
     #: Mean failure arrival rate; 0 wires everything up but injects nothing
@@ -109,13 +111,16 @@ class SimulationConfig:
 
 class PierNetwork:
     """A fully assembled, stabilised PIER deployment inside the simulator
-    (the virtual-time :class:`repro.client.Deployment`)."""
+    (the virtual-time :class:`repro.client.Deployment`): one
+    :class:`repro.stack.NodeStack` per node over one
+    :class:`repro.net.network.SimulatedNetwork`, and under a
+    :class:`ChurnConfig` a failure injector that drives those stacks."""
 
     def __init__(self, config: SimulationConfig):
         self.config = config
         self.topology = self._build_topology(config)
-        self.network = Network(self.topology,
-                               coalesce_window_s=config.coalesce_window_s)
+        self.network = SimulatedNetwork(
+            self.topology, coalesce_window_s=config.coalesce_window_s)
         self.builder, self.routings = build_overlay(
             config.dht, range(config.num_nodes), config.can_dimensions,
             network=self.network)
@@ -137,7 +142,9 @@ class PierNetwork:
         #: Failure injector driving churn (``None`` without a ChurnConfig).
         self.failure_injector: Optional[FailureInjector] = None
         if churn is not None:
-            self.failure_injector = self._attach_failure_injector(churn)
+            self.failure_injector = FailureInjector(
+                self.network, self.stacks, churn.failure_rate_per_min,
+                seed=churn.seed)
             self.failure_injector.start()
         #: Deployment-wide view of publish-time relation statistics (ground
         #: truth of what :meth:`load_relation` loaded).  Planning nodes
@@ -289,31 +296,8 @@ class PierNetwork:
 
     # ----------------------------------------------------------------- churn
 
-    def _attach_failure_injector(self, churn: ChurnConfig) -> FailureInjector:
-        """The churn failure injector: a victim's stack fails, then every
-        stack learns it dead (a failed node's storage is already empty) and,
-        on recovery, alive (:class:`repro.stack.NodeStack`)."""
-        stacks = list(self.stacks.values())
-
-        def _on_detect(address: int) -> None:
-            for stack in stacks:
-                stack.peer_dead(address)
-
-        def _on_recover(address: int) -> None:
-            for stack in stacks:
-                stack.peer_alive(address)
-
-        return FailureInjector(
-            network=self.network,
-            failures_per_minute=churn.failure_rate_per_min,
-            seed=churn.seed,
-            on_fail=lambda address: self.stacks[address].fail(),
-            on_detect=_on_detect,
-            on_recover=_on_recover,
-            protect=frozenset({0}),
-        )
-
-    def reachable_snapshot(self, dilation_s: Optional[float] = None) -> frozenset:
+    def reachable_snapshot(self,
+                           dilation_s: float = DEFAULT_DETECTION_DELAY_S) -> frozenset:
         """Dilated-reachable address snapshot at the current virtual time.
 
         The reference-set helper for recall-under-churn experiments; without
@@ -321,8 +305,6 @@ class PierNetwork:
         """
         if self.failure_injector is None:
             return frozenset(range(self.num_nodes))
-        if dilation_s is None:
-            dilation_s = self.failure_injector.detection_delay_s
         return self.failure_injector.reachable_addresses(
             self.now, dilation_s=dilation_s
         )

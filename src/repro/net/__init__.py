@@ -19,7 +19,7 @@ base.  This package provides that substrate for the reproduction:
 from repro.net.simulator import Simulator
 from repro.net.message import Message
 from repro.net.node import Node
-from repro.net.network import Network, SimulatedNetwork
+from repro.net.network import SimulatedNetwork
 from repro.net.real import RealTransport, WallClockTimers
 from repro.net.transport import TimerService, Transport
 from repro.net.topology import FullMeshTopology, Topology
@@ -32,7 +32,6 @@ __all__ = [
     "Simulator",
     "Message",
     "Node",
-    "Network",
     "SimulatedNetwork",
     "Transport",
     "TimerService",

@@ -7,28 +7,32 @@ minute).  The paper's model, reproduced here:
 * neighbours only notice after a *detection delay* (the paper assumes 15 s of
   unanswered keep-alives); until then messages routed to the failed node are
   simply dropped;
-* after detection, routing heals ("the node will route immediately around
-  the failure");
+* the failed identity resumes with empty storage at the instant the
+  failure is detected;
 * lost tuples reappear only when their publishers renew them.
 
-Zone-takeover details of CAN are abstracted: once the failure is detected
-the failed identity resumes with empty storage, which is indistinguishable, for the
-recall metric, from a neighbour absorbing the zone and later splitting it
-again.
+Zone-takeover details of CAN are abstracted: an identity resuming empty is
+indistinguishable, for the recall metric, from a neighbour absorbing the
+zone and later splitting it again.
 
 ``FailureInjector`` drives the process as a Poisson-like arrival stream with
-exponential inter-failure gaps (seeded, hence deterministic), and exposes
-callbacks so the DHT layer can flush storage and mark routing entries stale.
+exponential inter-failure gaps (seeded, hence deterministic).  It applies
+each failure to the victim's :class:`repro.stack.NodeStack`, and each
+detection and resumption to every node's: the peer transitions a real node
+applies when its ``HeartbeatFailureDetector`` confirms a peer dead or alive.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Set
 
-from repro.net.network import Network
+from repro.net.network import SimulatedNetwork
 from repro.net.node import Node
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.stack import NodeStack
 
 #: Keep-alive based detection delay assumed by the paper.
 DEFAULT_DETECTION_DELAY_S = 15.0
@@ -48,7 +52,7 @@ class HeartbeatFailureDetector:
     a peer that has not been heard from — no ack, no ping of its own — for
     ``suspicion_timeout_s`` is confirmed dead and ``on_dead`` fires once.
     A confirmed-dead peer keeps being probed so a resumed identity is
-    noticed (``on_alive``), matching the injector's recover path.  A bounced
+    noticed (``on_alive``), matching the injector's resume path.  A bounced
     ping is ignored: silence alone confirms a death, so the suspicion
     timeout stays the single detection-delay knob.
 
@@ -59,7 +63,8 @@ class HeartbeatFailureDetector:
 
     Transport-agnostic: everything goes through ``node.send`` and
     ``node.schedule_periodic``, so it runs over either transport (under
-    the simulator it is simply redundant with the injector's callbacks).
+    the simulator it is simply redundant with the injector, which applies
+    the same :class:`repro.stack.NodeStack` transitions).
     """
 
     PROTOCOL_PING = "hb.ping"
@@ -142,50 +147,41 @@ class FailureEvent:
 
     address: int
     failed_at: float
-    detected_at: float
-    recovered_at: float
+    #: When the neighbours detected the failure and the identity resumed.
+    resumed_at: float
 
 
-@dataclass
 class FailureInjector:
-    """Poisson failure process over the live nodes of a network.
+    """Poisson failure process over the live nodes of a simulated network.
+
+    A failure fails the network node and its :class:`repro.stack.NodeStack`
+    (its storage is lost at once).  :data:`DEFAULT_DETECTION_DELAY_S` later
+    one event resumes it: every stack confirms the node dead, the identity
+    comes back with empty storage and every stack routes through it again.
+    Node 0, the query initiator site, is never a random victim, mirroring
+    the paper's implicit assumption that the query site stays up.
 
     Parameters
     ----------
     network:
         The network whose nodes will be failed.
+    stacks:
+        Every node's stack, by address.
     failures_per_minute:
-        Mean failure arrival rate.  A rate of 0 disables injection.
-    detection_delay_s:
-        Time before neighbours notice the failure (routing heals afterwards).
-        The node stays down exactly that long and then resumes with empty
-        storage: the identity resumes as soon as routing has healed around
-        it.
+        Mean failure arrival rate.  A rate of 0 injects nothing (tests fail
+        nodes by hand with :meth:`fail_now`).
     seed:
         Seed for the failure arrival process and victim choice.
-    on_fail / on_detect / on_recover:
-        Callbacks invoked with the node address at the corresponding instant.
-        The DHT layer uses ``on_fail`` to drop stored items and
-        ``on_recover`` to clear stale routing state.
-    protect:
-        Addresses never selected as victims (e.g. the query initiator site),
-        mirroring the paper's implicit assumption that the query site stays up.
     """
 
-    network: Network
-    failures_per_minute: float
-    detection_delay_s: float = DEFAULT_DETECTION_DELAY_S
-    seed: int = 0
-    on_fail: Optional[Callable[[int], None]] = None
-    on_detect: Optional[Callable[[int], None]] = None
-    on_recover: Optional[Callable[[int], None]] = None
-    protect: frozenset = frozenset()
-    events: List[FailureEvent] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.failures_per_minute < 0:
-            raise ValueError("failure rate must be non-negative")
-        self._rng = random.Random(self.seed)
+    def __init__(self, network: SimulatedNetwork,
+                 stacks: Mapping[int, "NodeStack"],
+                 failures_per_minute: float, seed: int = 0):
+        self.network = network
+        self.stacks = stacks
+        self.failures_per_minute = failures_per_minute
+        self.events: List[FailureEvent] = []
+        self._rng = random.Random(seed)
         self._running = False
 
     # ----------------------------------------------------------------- drive
@@ -198,12 +194,10 @@ class FailureInjector:
         self._schedule_next()
 
     def stop(self) -> None:
-        """Stop scheduling new failures (in-flight recoveries still complete)."""
+        """Stop scheduling new failures (in-flight resumptions still complete)."""
         self._running = False
 
     def _schedule_next(self) -> None:
-        if not self._running:
-            return
         mean_gap = 60.0 / self.failures_per_minute
         gap = self._rng.expovariate(1.0 / mean_gap)
         self.network.simulator.schedule(gap, self._inject)
@@ -211,43 +205,35 @@ class FailureInjector:
     def _inject(self) -> None:
         if not self._running:
             return
-        victims = [
-            address
-            for address in self.network.live_addresses()
-            if address not in self.protect
-        ]
+        victims = [address for address in self.network.live_addresses()
+                   if address != 0]
         if victims:
-            address = self._rng.choice(victims)
-            self.fail_now(address)
+            self.fail_now(self._rng.choice(victims))
         self._schedule_next()
 
     # ------------------------------------------------------------ mechanics
 
     def fail_now(self, address: int) -> FailureEvent:
-        """Fail a specific node immediately (also used directly by tests)."""
+        """Fail a live node immediately (also used directly by tests)."""
+        if not self.network.node(address).alive:
+            raise ValueError(f"node {address} is already down")
         now = self.network.now
-        event = FailureEvent(
-            address=address,
-            failed_at=now,
-            detected_at=now + self.detection_delay_s,
-            recovered_at=now + self.detection_delay_s,
-        )
+        event = FailureEvent(address, now, now + DEFAULT_DETECTION_DELAY_S)
         self.events.append(event)
         self.network.fail_node(address)
-        if self.on_fail is not None:
-            self.on_fail(address)
-        self.network.simulator.schedule(self.detection_delay_s, self._detect, address)
-        self.network.simulator.schedule(self.detection_delay_s, self._recover, address)
+        self.stacks[address].fail()
+        self.network.simulator.schedule(DEFAULT_DETECTION_DELAY_S,
+                                        self._resume, address)
         return event
 
-    def _detect(self, address: int) -> None:
-        if self.on_detect is not None:
-            self.on_detect(address)
-
-    def _recover(self, address: int) -> None:
+    def _resume(self, address: int) -> None:
+        """The failure is detected and the identity resumes, empty."""
+        stacks = self.stacks.values()
+        for stack in stacks:
+            stack.peer_dead(address)
         self.network.recover_node(address)
-        if self.on_recover is not None:
-            self.on_recover(address)
+        for stack in stacks:
+            stack.peer_alive(address)
 
     # -------------------------------------------------------------- analysis
 
@@ -263,7 +249,7 @@ class FailureInjector:
         produce over data published by nodes reachable at query time, with a
         dilation window absorbing the ambiguity of failures near the
         snapshot instant.  A node is excluded when any of its recorded down
-        intervals ``[failed_at, recovered_at)`` overlaps
+        intervals ``[failed_at, resumed_at)`` overlaps
         ``[at, at + dilation_s]`` — i.e. it was (or went) unreachable while
         the query could still legitimately have read its data.
         """
@@ -271,7 +257,7 @@ class FailureInjector:
         down = {
             event.address
             for event in self.events
-            if event.failed_at <= window_end and event.recovered_at > at
+            if event.failed_at <= window_end and event.resumed_at > at
         }
         return frozenset(
             address for address in self.network.nodes if address not in down

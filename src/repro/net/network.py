@@ -1,7 +1,6 @@
 """The simulated network tying nodes, topology, links and the simulator together.
 
-``SimulatedNetwork`` (historically exported as ``Network``; both names refer
-to the same class) is the discrete-event implementation of the
+``SimulatedNetwork`` is the discrete-event implementation of the
 :class:`repro.net.transport.Transport` seam.  It owns:
 
 * the :class:`repro.net.simulator.Simulator` (virtual clock),
@@ -86,8 +85,6 @@ class SimulatedNetwork(Transport):
     ----------
     topology:
         Static latency/capacity model.
-    simulator:
-        Event loop to drive; a fresh one is created when omitted.
     coalesce_window_s:
         Messages to the same destination (from any source) whose sends fall
         within this many seconds of a group's first are delivered by that
@@ -95,12 +92,11 @@ class SimulatedNetwork(Transport):
         arriving at the same virtual instant.
     """
 
-    def __init__(self, topology: Topology, simulator: Optional[Simulator] = None,
-                 coalesce_window_s: float = 0.0):
+    def __init__(self, topology: Topology, coalesce_window_s: float = 0.0):
         if coalesce_window_s < 0:
             raise NetworkError(f"coalescing window must be >= 0 (got {coalesce_window_s})")
         self.topology = topology
-        self.simulator = simulator if simulator is not None else Simulator()
+        self.simulator = Simulator()
         self.stats = TrafficStats()
         self.nodes: Dict[int, Node] = {
             address: Node(address, self) for address in range(topology.num_nodes)
@@ -282,7 +278,3 @@ class SimulatedNetwork(Transport):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimulatedNetwork(nodes={self.num_nodes}, topology={self.topology!r})"
-
-
-#: Historical name; the whole simulation stack was written against it.
-Network = SimulatedNetwork

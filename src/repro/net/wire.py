@@ -96,12 +96,6 @@ _COLUMN_TYPES = frozenset((int, float, str, tuple, dict))
 #: Only classes from these package roots may be instantiated by the decoder.
 _TRUSTED_ROOTS = ("repro.",)
 
-#: Per-class state filters: class -> callable(state_dict) -> state_dict.
-#: No class needs one today (a spec's lowered plan lives in
-#: ``core/opgraph.py``, never on the spec).
-_STATE_FILTERS: Dict[str, Callable[[Dict[str, Any]], Dict[str, Any]]] = {}
-
-
 class WireError(NetworkError):
     """Raised for malformed, oversized or untrusted wire data."""
 
@@ -257,7 +251,7 @@ def _encode_sketch(buf: bytearray, value: SketchBase) -> None:
 
 def _class_encoder(cls: Type[Any]) -> Encoder:
     """The reflective plan of an enum or object class, resolved once: root
-    check, packed ``[module, qualname`` header, slot list, state filter."""
+    check, packed ``[module, qualname`` header, slot list."""
     tag = f"{cls.__module__}:{cls.__qualname__}"
     if not _trusted(cls.__module__):
         raise WireError(f"refusing to serialise non-repro object {tag}")
@@ -267,7 +261,6 @@ def _class_encoder(cls: Type[Any]) -> Encoder:
     slots = list(dict.fromkeys(
         slot for klass in cls.__mro__ for slot in getattr(klass, "__slots__", ())
         if slot not in ("__dict__", "__weakref__")))
-    fltr = _STATE_FILTERS.get(tag)
 
     def _write(buf: bytearray, value: Any) -> None:
         buf += header
@@ -281,7 +274,7 @@ def _class_encoder(cls: Type[Any]) -> Encoder:
             except AttributeError:
                 pass  # unset slot: simply absent from the wire state
         state.update(getattr(value, "__dict__", ()))
-        _encode_dict(buf, state if fltr is None else fltr(state))
+        _encode_dict(buf, state)
 
     return lambda buf, value: _put_ext(buf, code, _write, value)
 

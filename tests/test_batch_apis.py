@@ -20,7 +20,7 @@ from repro.dht.can import CanNetworkBuilder, CanRouting
 from repro.dht.chord import ChordNetworkBuilder, ChordRouting
 from repro.dht.naming import hash_key
 from repro.dht.provider import REQUEST_TIMEOUT_S, Provider
-from repro.net.network import Network
+from repro.net.network import SimulatedNetwork
 from repro.net.topology import FullMeshTopology
 from tests.reference import answering_owner
 
@@ -28,7 +28,7 @@ from tests.reference import answering_owner
 def build_network(dht="can", num_nodes=16, latency=0.02,
                   coalesce_window_s=0.0, capacity=math.inf,
                   request_timeout_s=None):
-    network = Network(
+    network = SimulatedNetwork(
         FullMeshTopology(num_nodes, latency_s=latency,
                          capacity_bytes_per_s=capacity),
         coalesce_window_s=coalesce_window_s,
@@ -858,8 +858,8 @@ def test_multicast_batch_floods_once_not_per_entry():
 def test_zero_window_coalescing_preserves_delivery_semantics():
     """Same-instant sends to one destination arrive once each, in order,
     each charged as a message of its own, by one delivery event."""
-    network = Network(FullMeshTopology(4, latency_s=0.05,
-                                       capacity_bytes_per_s=16_000.0))
+    network = SimulatedNetwork(FullMeshTopology(4, latency_s=0.05,
+                                                capacity_bytes_per_s=16_000.0))
     log = []
     network.node(1).register_handler(
         "test.proto", lambda node, msg: log.append((msg.payload, network.now)))
@@ -879,8 +879,8 @@ def test_zero_window_coalescing_preserves_delivery_semantics():
 
 def test_positive_window_coalesces_across_sources():
     """With a window, staggered sends from many sources share delivery events."""
-    network = Network(FullMeshTopology(6, latency_s=0.05),
-                      coalesce_window_s=0.010)
+    network = SimulatedNetwork(FullMeshTopology(6, latency_s=0.05),
+                               coalesce_window_s=0.010)
     log = []
     network.node(5).register_handler(
         "test.proto", lambda node, msg: log.append(msg.src))
@@ -896,8 +896,8 @@ def test_positive_window_coalesces_across_sources():
 
 
 def test_coalescing_drops_and_bounces_per_message_on_dead_node():
-    network = Network(FullMeshTopology(4, latency_s=0.05),
-                      coalesce_window_s=0.0)
+    network = SimulatedNetwork(FullMeshTopology(4, latency_s=0.05),
+                               coalesce_window_s=0.0)
     bounced = []
     network.node(0).register_bounce_handler(
         "test.proto", lambda node, msg: bounced.append(msg.payload))

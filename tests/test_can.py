@@ -7,13 +7,13 @@ from repro.core.costmodel import can_average_hops
 from repro.dht.can import (CanNetworkBuilder, CanRouting, Zone, _descend,
                            _split_tree)
 from repro.dht.naming import hash_key
-from repro.net.network import Network
+from repro.net.network import SimulatedNetwork
 from repro.net.topology import FullMeshTopology
 
 
 def build_can_network(num_nodes, dimensions=2, latency=0.05):
-    network = Network(FullMeshTopology(num_nodes, latency_s=latency,
-                                       capacity_bytes_per_s=float("inf")))
+    network = SimulatedNetwork(FullMeshTopology(num_nodes, latency_s=latency,
+                                                capacity_bytes_per_s=float("inf")))
     builder = CanNetworkBuilder(dimensions=dimensions)
     routings = builder.build_stabilized(network)
     return network, routings, builder
@@ -329,7 +329,7 @@ def test_mark_neighbor_dead_removes_from_neighbors():
 
 
 def test_can_rejects_bad_dimensions():
-    network = Network(FullMeshTopology(1))
+    network = SimulatedNetwork(FullMeshTopology(1))
     with pytest.raises(ValueError):
         CanRouting(network.node(0), dimensions=0)
     with pytest.raises(ValueError):

@@ -6,13 +6,13 @@ import pytest
 
 from repro.dht.chord import ChordNetworkBuilder, _in_interval
 from repro.dht.naming import hash_key
-from repro.net.network import Network
+from repro.net.network import SimulatedNetwork
 from repro.net.topology import FullMeshTopology
 
 
 def build_chord_network(num_nodes, latency=0.05):
-    network = Network(FullMeshTopology(num_nodes, latency_s=latency,
-                                       capacity_bytes_per_s=float("inf")))
+    network = SimulatedNetwork(FullMeshTopology(num_nodes, latency_s=latency,
+                                                capacity_bytes_per_s=float("inf")))
     builder = ChordNetworkBuilder()
     routings = builder.build_stabilized(network)
     return network, routings, builder

@@ -15,7 +15,7 @@ from repro.core.tuples import Chunk, RowLayout
 from repro.dht.can import CanNetworkBuilder
 from repro.dht.naming import hash_key
 from repro.dht.provider import Provider
-from repro.net.network import Network
+from repro.net.network import SimulatedNetwork
 from repro.net.topology import FullMeshTopology
 from repro.workloads import JoinWorkload, WorkloadConfig
 from tests.conftest import build_pier, build_workload, load_join_tables
@@ -76,8 +76,8 @@ def test_fully_filtered_chunk_produces_zero_results_end_to_end():
 
 
 def build_provider_network(num_nodes=12):
-    network = Network(FullMeshTopology(num_nodes, latency_s=0.02,
-                                       capacity_bytes_per_s=float("inf")))
+    network = SimulatedNetwork(FullMeshTopology(num_nodes, latency_s=0.02,
+                                                capacity_bytes_per_s=float("inf")))
     builder = CanNetworkBuilder(dimensions=2)
     routings = builder.build_stabilized(network)
     providers = {

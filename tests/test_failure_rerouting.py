@@ -5,14 +5,14 @@ import pytest
 from repro.dht.can import CanNetworkBuilder
 from repro.dht.chord import ChordNetworkBuilder
 from repro.dht.naming import hash_key
-from repro.net.network import Network
+from repro.net.network import SimulatedNetwork
 from repro.net.topology import FullMeshTopology
 from tests.reference import answering_owner
 
 
 def build(num_nodes, kind="can"):
-    network = Network(FullMeshTopology(num_nodes, latency_s=0.02,
-                                       capacity_bytes_per_s=float("inf")))
+    network = SimulatedNetwork(FullMeshTopology(num_nodes, latency_s=0.02,
+                                                capacity_bytes_per_s=float("inf")))
     if kind == "can":
         builder = CanNetworkBuilder(dimensions=2)
     else:
@@ -25,8 +25,8 @@ def build(num_nodes, kind="can"):
 
 
 def test_bounce_handler_invoked_for_failed_destination():
-    network = Network(FullMeshTopology(3, latency_s=0.05,
-                                       capacity_bytes_per_s=float("inf")))
+    network = SimulatedNetwork(FullMeshTopology(3, latency_s=0.05,
+                                                capacity_bytes_per_s=float("inf")))
     bounced = []
     network.node(0).register_bounce_handler("app", lambda node, msg: bounced.append(msg.dst))
     network.node(1).register_handler("app", lambda node, msg: None)
@@ -39,8 +39,8 @@ def test_bounce_handler_invoked_for_failed_destination():
 
 
 def test_no_bounce_without_registered_handler():
-    network = Network(FullMeshTopology(2, latency_s=0.05,
-                                       capacity_bytes_per_s=float("inf")))
+    network = SimulatedNetwork(FullMeshTopology(2, latency_s=0.05,
+                                                capacity_bytes_per_s=float("inf")))
     network.node(1).register_handler("app", lambda node, msg: None)
     network.fail_node(1)
     network.node(0).send(1, "app")
@@ -49,8 +49,8 @@ def test_no_bounce_without_registered_handler():
 
 
 def test_bounce_not_delivered_to_dead_sender():
-    network = Network(FullMeshTopology(2, latency_s=0.05,
-                                       capacity_bytes_per_s=float("inf")))
+    network = SimulatedNetwork(FullMeshTopology(2, latency_s=0.05,
+                                                capacity_bytes_per_s=float("inf")))
     bounced = []
     network.node(0).register_bounce_handler("app", lambda node, msg: bounced.append(1))
     network.node(1).register_handler("app", lambda node, msg: None)
@@ -196,8 +196,8 @@ def test_a_retry_that_names_another_owner_is_sent():
     network, routings, builder = build(25, "can")
     owner = 1
     live = [address for address in range(25) if address != owner]
-    stand_ins = Network(FullMeshTopology(25, latency_s=0.02,
-                                         capacity_bytes_per_s=float("inf")))
+    stand_ins = SimulatedNetwork(FullMeshTopology(25, latency_s=0.02,
+                                                  capacity_bytes_per_s=float("inf")))
     rebuilder = CanNetworkBuilder(dimensions=2)
     rebuilt = rebuilder.build_stabilized(stand_ins, addresses=live)
     rid = next(rid for rid in range(10_000)

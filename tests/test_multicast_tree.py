@@ -25,7 +25,7 @@ from repro.dht.can import CanNetworkBuilder
 from repro.dht.chord import ChordNetworkBuilder
 from repro.dht.multicast import DEDUP_HORIZON_S, MulticastService
 from repro.net.message import Message
-from repro.net.network import Network
+from repro.net.network import SimulatedNetwork
 from repro.net.topology import FullMeshTopology
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
@@ -34,8 +34,8 @@ from bench_fig6_recall_vs_failures import (  # noqa: E402
 
 
 def make_network(num_nodes):
-    return Network(FullMeshTopology(num_nodes, latency_s=0.1,
-                                    capacity_bytes_per_s=float("inf")))
+    return SimulatedNetwork(FullMeshTopology(num_nodes, latency_s=0.1,
+                                             capacity_bytes_per_s=float("inf")))
 
 
 def attach_multicast(network, routings):

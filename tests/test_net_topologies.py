@@ -7,7 +7,7 @@ import re
 
 from repro.net.cluster import ClusterTopology
 from repro.net.message import HEADER_BYTES, Message
-from repro.net.network import Network
+from repro.net.network import SimulatedNetwork
 from repro.net.topology import FullMeshTopology, MBPS_10
 from repro.net.transit_stub import TransitStubTopology
 
@@ -112,45 +112,33 @@ def test_transit_stub_is_deterministic_for_seed():
     assert [a.assignment(i) for i in range(32)] == [b.assignment(i) for i in range(32)]
 
 
-def test_transit_stub_rejects_bad_structure():
-    with pytest.raises(ValueError):
-        TransitStubTopology(10, num_transit_domains=0)
-    with pytest.raises(ValueError):
-        TransitStubTopology(10, stub_domains_per_transit=0)
-
-
 # ----------------------------------------------------------------- cluster
 
 
 def test_cluster_latency_is_small_and_positive():
-    topology = ClusterTopology(8, load_jitter=0.0)
-    assert topology.latency(0, 1) == pytest.approx(0.0003)
+    topology = ClusterTopology(8)
+    assert all(0.0 < topology.latency(0, 1) < 0.003 for _ in range(100))
     assert topology.latency(2, 2) == 0.0
 
 
 def test_cluster_jitter_perturbs_latency():
-    topology = ClusterTopology(8, load_jitter=0.5, seed=1)
+    topology = ClusterTopology(8, seed=1)
     values = {topology.latency(0, 1) for _ in range(10)}
     assert len(values) > 1
     assert all(value > 0 for value in values)
 
 
-def test_cluster_rejects_negative_jitter():
-    with pytest.raises(ValueError):
-        ClusterTopology(4, load_jitter=-0.1)
-
-
 # -------------------------------------------------------------- inbound link
 
 
-# The link is state only; its FIFO arithmetic runs inside ``Network.send``, so
+# The link is state only; its FIFO arithmetic runs inside ``SimulatedNetwork.send``, so
 # these drive node 0 -> node 1 over a zero-latency mesh (arrival == send time).
 
 
 def link_deliveries(capacity, sends, recover_at=None):
     """``(delivered_at, queued_for)`` per ``(send_time, wire_bytes)`` send."""
-    network = Network(FullMeshTopology(2, latency_s=0.0,
-                                       capacity_bytes_per_s=capacity))
+    network = SimulatedNetwork(FullMeshTopology(2, latency_s=0.0,
+                                                capacity_bytes_per_s=capacity))
     seen = {}
     total = [0.0]
 

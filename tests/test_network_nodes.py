@@ -1,20 +1,21 @@
-"""Unit tests for the Network / Node message fabric, stats and failure injection."""
+"""Unit tests for the SimulatedNetwork / Node message fabric, stats and failure injection."""
 
 import math
 
 import pytest
 
-from repro.exceptions import NetworkError
-from repro.net.failures import FailureInjector
+from repro.exceptions import ExperimentError, NetworkError
+from repro.harness.experiment import ChurnConfig, PierNetwork, SimulationConfig
+from repro.net.failures import DEFAULT_DETECTION_DELAY_S
 from repro.net.message import Message
-from repro.net.network import Network
+from repro.net.network import SimulatedNetwork
 from repro.net.stats import TrafficStats
 from repro.net.topology import FullMeshTopology
 
 
 def make_network(num_nodes=4, latency=0.1, capacity=math.inf):
-    return Network(FullMeshTopology(num_nodes, latency_s=latency,
-                                    capacity_bytes_per_s=capacity))
+    return SimulatedNetwork(FullMeshTopology(num_nodes, latency_s=latency,
+                                             capacity_bytes_per_s=capacity))
 
 
 # ------------------------------------------------------------------ delivery
@@ -143,9 +144,9 @@ def test_live_nodes_listing():
 
 
 def make_coalescing_network(window, capacity=math.inf):
-    network = Network(FullMeshTopology(4, latency_s=0.1,
-                                       capacity_bytes_per_s=capacity),
-                      coalesce_window_s=window)
+    network = SimulatedNetwork(FullMeshTopology(4, latency_s=0.1,
+                                                capacity_bytes_per_s=capacity),
+                               coalesce_window_s=window)
     received, bounced = [], []
     for node in network.nodes.values():
         node.register_handler("test", lambda node, msg: received.append(
@@ -250,7 +251,7 @@ def test_unknown_address_raises_before_anything_is_counted(window, src, dst):
 
 def test_a_negative_window_is_refused():
     with pytest.raises(NetworkError, match="must be >= 0"):
-        Network(FullMeshTopology(2), coalesce_window_s=-0.001)
+        SimulatedNetwork(FullMeshTopology(2), coalesce_window_s=-0.001)
 
 
 # --------------------------------------------------------------------- stats
@@ -285,55 +286,74 @@ def test_stats_protocol_breakdown_and_reset():
 # --------------------------------------------------------------- failure injector
 
 
+def churned(num_nodes, rate=0.0, seed=0):
+    return PierNetwork(SimulationConfig(
+        num_nodes=num_nodes,
+        churn=ChurnConfig(failure_rate_per_min=rate, seed=seed)))
+
+
 def test_failure_injector_fails_and_recovers_nodes():
-    """A failed node is detected after the detection delay and resumes
-    then, detection first."""
-    network = make_network(6)
-    events = []
-    injector = FailureInjector(
-        network=network,
-        failures_per_minute=0.0,
-        detection_delay_s=2.0,
-        on_fail=lambda address: events.append(("fail", address)),
-        on_detect=lambda address: events.append(("detect", address)),
-        on_recover=lambda address: events.append(("recover", address)),
-    )
+    """A failed node resumes when its failure is detected, 15 s later, in
+    one event: every stack confirms it dead before it routes through it."""
+    pier = churned(6)
+    injector = pier.failure_injector
+    seen = []
+    for address, stack in pier.stacks.items():
+        stack.peer_dead = lambda peer, at=address: seen.append((at, "dead", peer))
+        stack.peer_alive = lambda peer, at=address: seen.append((at, "alive", peer))
+    scheduled = []
+    schedule = pier.network.simulator.schedule
+
+    def recording_schedule(delay, callback, *args):
+        if getattr(callback, "__self__", None) is injector:
+            scheduled.append((delay, callback.__name__))
+        return schedule(delay, callback, *args)
+
+    pier.network.simulator.schedule = recording_schedule
     event = injector.fail_now(3)
-    assert (event.detected_at, event.recovered_at) == (2.0, 2.0)
-    assert not network.node(3).alive
-    network.run(until=1.9)
-    assert events == [("fail", 3)]
-    assert not network.node(3).alive
-    network.run(until=2.0)
-    assert events == [("fail", 3), ("detect", 3), ("recover", 3)]
-    assert network.node(3).alive
+    assert scheduled == [(DEFAULT_DETECTION_DELAY_S, "_resume")]
+    assert (event.failed_at, event.resumed_at) == (0.0, 15.0)
+    pier.run(until=14.9)
+    assert not pier.network.node(3).alive
+    assert seen == []
+    pier.run(until=15.0)
+    assert pier.network.node(3).alive
+    assert seen == ([(address, "dead", 3) for address in range(6)]
+                    + [(address, "alive", 3) for address in range(6)])
+
+
+def test_failure_injector_refuses_a_node_that_is_down():
+    pier = churned(6)
+    injector = pier.failure_injector
+    injector.fail_now(3)
+    pier.run(until=10.0)
+    with pytest.raises(ValueError):
+        injector.fail_now(3)
+    pier.run(until=15.0)
+    assert pier.network.node(3).alive
+    assert len(injector.events) == 1
+    assert injector.reachable_addresses(15.0) == frozenset(range(6))
 
 
 def test_failure_injector_rate_produces_failures():
-    network = make_network(20)
-    injector = FailureInjector(network=network, failures_per_minute=60.0, seed=2)
-    injector.start()
-    network.run(until=60.0)
+    pier = churned(20, rate=60.0, seed=2)
+    injector = pier.failure_injector
+    pier.run(until=60.0)
     injector.stop()
     # With a mean of one failure per second over a minute we expect many events.
     assert len(injector.events) > 20
     assert injector.failures_in(0.0, 60.0) == len(injector.events)
 
 
-def test_failure_injector_respects_protected_nodes():
-    network = make_network(3)
-    injector = FailureInjector(
-        network=network, failures_per_minute=600.0, seed=3,
-        protect=frozenset({0}),
-    )
-    injector.start()
-    network.run(until=10.0)
+def test_failure_injector_never_fails_node_zero():
+    pier = churned(3, rate=600.0, seed=3)
+    injector = pier.failure_injector
+    pier.run(until=10.0)
     injector.stop()
     assert all(event.address != 0 for event in injector.events)
     assert injector.events  # someone else did fail
 
 
 def test_failure_injector_rejects_negative_rate():
-    network = make_network(2)
-    with pytest.raises(ValueError):
-        FailureInjector(network=network, failures_per_minute=-1.0)
+    with pytest.raises(ExperimentError):
+        ChurnConfig(failure_rate_per_min=-1.0)

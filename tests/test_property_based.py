@@ -18,7 +18,7 @@ from repro.dht.chord import _in_interval
 from repro.dht.naming import KEY_SPACE, hash_key, key_to_unit_coordinates
 from repro.dht.storage import StorageManager, StoredItem
 from repro.metrics.recall import precision, recall
-from repro.net.network import Network
+from repro.net.network import SimulatedNetwork
 from repro.net.topology import FullMeshTopology
 from tests.reference import merge_rows, project_row, qualify
 
@@ -190,8 +190,8 @@ def test_storage_extract_install_preserves_items(keys, threshold):
                 min_size=1, max_size=40))
 def test_inbound_link_deliveries_are_monotone_and_causal(arrivals):
     # Zero latency: a message arrives at the link the instant it is sent.
-    network = Network(FullMeshTopology(2, latency_s=0.0,
-                                       capacity_bytes_per_s=10_000.0))
+    network = SimulatedNetwork(FullMeshTopology(2, latency_s=0.0,
+                                                capacity_bytes_per_s=10_000.0))
     deliveries = []
     network.node(1).register_handler("x", lambda node, message: deliveries.append(
         (message.payload, network.now, network.stats.total_queueing_delay)))

@@ -3,13 +3,13 @@
 from repro.dht.can import CanNetworkBuilder
 from repro.dht.naming import hash_key
 from repro.dht.provider import Provider
-from repro.net.network import Network
+from repro.net.network import SimulatedNetwork
 from repro.net.topology import FullMeshTopology
 
 
 def build_provider_network(num_nodes=12, latency=0.02, sweep=0.0):
-    network = Network(FullMeshTopology(num_nodes, latency_s=latency,
-                                       capacity_bytes_per_s=float("inf")))
+    network = SimulatedNetwork(FullMeshTopology(num_nodes, latency_s=latency,
+                                                capacity_bytes_per_s=float("inf")))
     builder = CanNetworkBuilder(dimensions=2)
     routings = builder.build_stabilized(network)
     providers = {

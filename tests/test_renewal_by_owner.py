@@ -19,7 +19,7 @@ from repro.dht.naming import hash_key
 from repro.dht.provider import RENEW_ITEM_BYTES, Provider
 from repro.dht.storage import StoredItem
 from repro.net.message import HEADER_BYTES
-from repro.net.network import Network
+from repro.net.network import SimulatedNetwork
 from repro.net.topology import FullMeshTopology
 from repro.stack import build_overlay
 from tests.conftest import build_pier, build_workload
@@ -119,8 +119,8 @@ def test_a_fast_false_load_learns_its_owners_in_the_first_round(dht):
 def deployment(dht, joiners=0):
     """``NODES`` stabilised nodes with Providers (and room for ``joiners``
     more); node 0 has put ``ENTRIES`` under instance 900 and tracks them."""
-    network = Network(FullMeshTopology(NODES + joiners, latency_s=LATENCY_S,
-                                       capacity_bytes_per_s=float("inf")))
+    network = SimulatedNetwork(FullMeshTopology(NODES + joiners, latency_s=LATENCY_S,
+                                                capacity_bytes_per_s=float("inf")))
     builder = CanNetworkBuilder(dimensions=2) if dht == "can" else ChordNetworkBuilder()
     routings = builder.build_stabilized(network, addresses=range(NODES))
     providers = {address: Provider(network.node(address), routing,

@@ -14,7 +14,7 @@ from repro.dht.api import BatchLookupState
 from repro.dht.can import CanNetworkBuilder
 from repro.dht.chord import ChordNetworkBuilder
 from repro.dht.naming import hash_key
-from repro.net.network import Network
+from repro.net.network import SimulatedNetwork
 from repro.net.topology import FullMeshTopology
 
 NUM_NODES = 36
@@ -26,8 +26,8 @@ BATCH_SIZES = [1, 3]
 
 
 def build(dht):
-    network = Network(FullMeshTopology(NUM_NODES, latency_s=0.02,
-                                       capacity_bytes_per_s=float("inf")))
+    network = SimulatedNetwork(FullMeshTopology(NUM_NODES, latency_s=0.02,
+                                                capacity_bytes_per_s=float("inf")))
     builder = CanNetworkBuilder(dimensions=2) if dht == "can" else ChordNetworkBuilder()
     return network, builder.build_stabilized(network), builder
 

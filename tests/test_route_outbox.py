@@ -18,7 +18,7 @@ import pytest
 from repro.dht.can import CanNetworkBuilder
 from repro.dht.chord import ChordNetworkBuilder
 from repro.dht.naming import hash_key
-from repro.net.network import Network
+from repro.net.network import SimulatedNetwork
 from repro.net.topology import FullMeshTopology
 from tests.reference import walk_lookup
 
@@ -41,8 +41,9 @@ def resolve_from_every_node(dht, window):
     """Every node looks up its own keys at t = 0: ``(answers, routings,
     relayed)``, ``answers[(origin, key)] = (owner, hops)`` as the origin
     heard it, ``relayed`` every routed batch delivered."""
-    network = Network(SpreadTopology(NUM_NODES, capacity_bytes_per_s=1_000_000.0),
-                      coalesce_window_s=window)
+    network = SimulatedNetwork(
+        SpreadTopology(NUM_NODES, capacity_bytes_per_s=1_000_000.0),
+        coalesce_window_s=window)
     builder = CanNetworkBuilder(dimensions=2) if dht == "can" else ChordNetworkBuilder()
     routings = builder.build_stabilized(network)
     answers = {}

@@ -30,15 +30,15 @@ from repro.dht.naming import hash_key
 from repro.dht.provider import Provider
 from repro.harness import PierNetwork, SimulationConfig
 from repro.stack import build_overlay
-from repro.net.network import Network
+from repro.net.network import SimulatedNetwork
 from repro.net.topology import FullMeshTopology
 from repro.workloads import JoinWorkload, WorkloadConfig
 from tests.test_can import hand_zones_to_a_neighbor
 
 
 def make_network(num_nodes):
-    return Network(FullMeshTopology(num_nodes, latency_s=0.01,
-                                    capacity_bytes_per_s=float("inf")))
+    return SimulatedNetwork(FullMeshTopology(num_nodes, latency_s=0.01,
+                                             capacity_bytes_per_s=float("inf")))
 
 
 def local_routing(node, addresses, dht):

@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 from repro.core.query import JoinStrategy, QueryTeardown
 from repro.dht.can import CanNetworkBuilder
 from repro.net.message import Message
-from repro.net.network import Network
+from repro.net.network import SimulatedNetwork
 from repro.net.topology import FullMeshTopology
 from repro.net.wire import (
     COLUMN_MIN_ITEMS,
@@ -574,7 +574,7 @@ def routed_key(routing):
 
 
 def test_a_route_batch_that_raises_leaves_no_scope_open_in_the_simulator():
-    network = Network(FullMeshTopology(4, latency_s=0.02))
+    network = SimulatedNetwork(FullMeshTopology(4, latency_s=0.02))
     builder = CanNetworkBuilder(dimensions=2)
     relay = builder.build_stabilized(network)[1]
     network.send(unpointed_route_batch(relay, 0))
