@@ -5,11 +5,14 @@ import pytest
 import pathlib
 import re
 
-from repro.net.cluster import ClusterTopology
+from repro.net.cluster import LATENCY_S, ClusterTopology
 from repro.net.message import HEADER_BYTES, Message
 from repro.net.network import SimulatedNetwork
-from repro.net.topology import FullMeshTopology, MBPS_10
-from repro.net.transit_stub import TransitStubTopology
+from repro.net.topology import GBPS_1, FullMeshTopology, MBPS_10
+from repro.net.transit_stub import (
+    STUB_DOMAINS_PER_TRANSIT, TRANSIT_DOMAINS, TRANSIT_NODES_PER_DOMAIN,
+    TransitStubTopology,
+)
 
 
 # ---------------------------------------------------------------- messages
@@ -112,6 +115,17 @@ def test_transit_stub_is_deterministic_for_seed():
     assert [a.assignment(i) for i in range(32)] == [b.assignment(i) for i in range(32)]
 
 
+def test_transit_stub_places_every_node_inside_the_papers_hierarchy():
+    topology = TransitStubTopology(200, seed=5)
+    placements = [topology.assignment(node) for node in range(200)]
+    assert all(0 <= p.transit_domain < TRANSIT_DOMAINS
+               and 0 <= p.transit_node < TRANSIT_NODES_PER_DOMAIN
+               and 0 <= p.stub_domain < STUB_DOMAINS_PER_TRANSIT
+               for p in placements)
+    # Uniform placement over 120 stub domains reaches every transit domain.
+    assert {p.transit_domain for p in placements} == set(range(TRANSIT_DOMAINS))
+
+
 # ----------------------------------------------------------------- cluster
 
 
@@ -119,6 +133,15 @@ def test_cluster_latency_is_small_and_positive():
     topology = ClusterTopology(8)
     assert all(0.0 < topology.latency(0, 1) < 0.003 for _ in range(100))
     assert topology.latency(2, 2) == 0.0
+
+
+def test_cluster_capacity_and_mean_latency():
+    topology = ClusterTopology(4)
+    assert topology.inbound_capacity(3) == pytest.approx(GBPS_1)
+    assert topology.average_latency() == LATENCY_S
+    assert ClusterTopology(1).average_latency() == 0.0
+    with pytest.raises(ValueError, match="capacity must be positive"):
+        ClusterTopology(4, capacity_bytes_per_s=0.0)
 
 
 def test_cluster_jitter_perturbs_latency():

@@ -354,6 +354,22 @@ def test_failure_injector_never_fails_node_zero():
     assert injector.events  # someone else did fail
 
 
+def test_failure_injector_only_fails_live_nodes():
+    # Two candidate victims at ten failures a second are often both down;
+    # the Poisson path then skips rather than failing a node twice.
+    pier = churned(3, rate=600.0, seed=4)
+    injector = pier.failure_injector
+    pier.run(until=60.0)
+    injector.stop()
+    for address in (1, 2):
+        intervals = sorted((event.failed_at, event.resumed_at)
+                           for event in injector.events
+                           if event.address == address)
+        assert intervals
+        assert all(earlier[1] <= later[0]
+                   for earlier, later in zip(intervals, intervals[1:]))
+
+
 def test_failure_injector_rejects_negative_rate():
     with pytest.raises(ExperimentError):
         ChurnConfig(failure_rate_per_min=-1.0)
