@@ -404,7 +404,7 @@ class Provider:
         if values is None:  # a renewal names its items and nothing else
             del payload["values"], payload["item_bytes"]
         if destination == self.node.address:
-            self._store_chunk(payload)
+            self.store_chunk(payload)
             return
         self.node.send(
             destination, self.PROTOCOL_PUT_CHUNK, payload=payload,
@@ -412,8 +412,11 @@ class Provider:
                            else item_bytes * len(keys)),
         )
 
-    def _store_chunk(self, payload: dict) -> None:
+    def store_chunk(self, payload: dict) -> None:
         """Store one arriving chunk, then announce its new items in one upcall.
+
+        The owner side of every put, and of a real node's fast-load ``store``
+        RPC, which checks its chunks whole before it hands them over.
 
         A chunk whose arrays disagree in length is lost whole, like a bounced
         one: zipping it would store rows under the wrong id or drop the tail.
@@ -475,7 +478,7 @@ class Provider:
             self.renewal_agent.restore(reply["namespace"], resource_ids, instance_ids)
 
     def _on_put_chunk(self, node: Node, message) -> None:
-        self._store_chunk(message.payload)
+        self.store_chunk(message.payload)
 
     def _record_put_bounce(self, namespace: str, count: int) -> None:
         self.put_bounces_by_namespace[namespace] = (

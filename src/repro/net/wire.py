@@ -100,6 +100,10 @@ class WireError(NetworkError):
     """Raised for malformed, oversized or untrusted wire data."""
 
 
+class FrameTooLargeError(WireError):
+    """A frame exceeds the frame limit (a sender may split what it holds)."""
+
+
 def _trusted(module: str) -> bool:
     return any(module.startswith(root) or module == root.rstrip(".")
                for root in _TRUSTED_ROOTS)
@@ -514,7 +518,8 @@ def encode_frame(value: Any, max_frame_bytes: int = MAX_FRAME_BYTES) -> bytes:
     buf = bytearray(4)
     _encode_items(buf, (value,))
     if len(buf) - 4 > max_frame_bytes:
-        raise WireError(f"frame of {len(buf) - 4} bytes exceeds {max_frame_bytes}")
+        raise FrameTooLargeError(
+            f"frame of {len(buf) - 4} bytes exceeds {max_frame_bytes}")
     _U32.pack_into(buf, 0, len(buf) - 4)
     return bytes(buf)
 
@@ -579,6 +584,7 @@ def message_from_wire(body: Dict[str, Any]) -> Message:
 __all__ = [
     "MAX_FRAME_BYTES",
     "FrameDecoder",
+    "FrameTooLargeError",
     "WireError",
     "encode_frame",
     "message_from_wire",

@@ -57,8 +57,12 @@ Clients speak the same length-prefixed msgpack framing as nodes do
 frames:
 
 * ``status`` — readiness, this node's address, the full membership map.
-* ``store`` — place pre-grouped tuples directly into this node's storage
-  (the remote fast load; see :class:`repro.remote.RemotePier`).
+* ``store`` — store this node's share of a fast load (see
+  :class:`repro.remote.RemotePier`): ``chunks`` of parallel
+  ``resource_ids`` / ``values`` / ``keys`` arrays with their ``namespace``,
+  ``publisher``, ``lifetime`` and ``item_bytes``, each item given a fresh
+  instanceID and each chunk stored by ``Provider.store_chunk``, the owner
+  side of a routed put.  A malformed frame is refused whole.
 * ``submit`` — run a :class:`repro.core.query.QuerySpec` from this node
   under a query id its executor assigns (its address, then its own count);
   the reply carries the id and precedes every row, which stream back as
@@ -66,7 +70,8 @@ frames:
   to a frame.
 * ``finish`` — tear the query's distributed dataflow down everywhere.
 * ``completeness`` — this node's share of a query's delivery accounting.
-* ``scan_count`` — local item count of a namespace (diagnostics).
+* ``scan_count`` / ``scan`` — the local item count / the local
+  :class:`repro.dht.storage.StoredItem` records of a namespace (diagnostics).
 * ``shutdown`` — stop this node process (the docker-compose demo's clean
   exit).
 """
@@ -77,7 +82,7 @@ import argparse
 import asyncio
 import logging
 import sys
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.executor import QueryExecutor, QueryHandle
 from repro.core.stats import STATS_NAMESPACE
@@ -103,6 +108,30 @@ log = logging.getLogger("repro.node")
 RESULT_FLUSH_ROWS = 256
 #: How long a leaving node lingers so its hand-off frames flush.
 LEAVE_LINGER_S = 0.5
+#: Fields of one ``store`` chunk: its parallel arrays, then what its items share.
+STORE_CHUNK_FIELDS = ("resource_ids", "values", "keys",
+                      "namespace", "publisher", "lifetime", "item_bytes")
+
+
+def _checked_store_chunks(frame: dict) -> List[dict]:
+    """A ``store`` frame's chunks, all checked before any is stored: every
+    field present, ``values`` too; the arrays lists of one length; hashable
+    resourceIDs; a ``str`` namespace, numeric lifetime and ``int`` size."""
+    chunks = frame.get("chunks")
+    if type(chunks) is not list or not all(type(c) is dict for c in chunks):
+        raise ValueError("a store frame carries a list of chunks")
+    for chunk in chunks:
+        arrays = [chunk.get(field) for field in STORE_CHUNK_FIELDS[:3]]
+        if not (all(field in chunk for field in STORE_CHUNK_FIELDS)
+                and all(type(array) is list for array in arrays)
+                and len(set(map(len, arrays))) == 1
+                and isinstance(chunk["namespace"], str)
+                and isinstance(chunk["lifetime"], (int, float))
+                and isinstance(chunk["item_bytes"], int)):
+            raise ValueError(f"a store chunk has the fields {STORE_CHUNK_FIELDS}"
+                             ", the first three lists of one length")
+        hash(tuple(chunk["resource_ids"]))  # an unhashable resourceID raises
+    return chunks
 
 
 def parse_endpoint(text: str) -> Tuple[str, int]:
@@ -430,25 +459,17 @@ class PierNode:
                            payload_bytes=sum(e["size_bytes"] for e in entries))
 
     def _on_transfer(self, node: Node, message) -> None:
-        self.known_namespaces |= self._store_entries(message.payload["items"])
-
-    def _store_entries(self, entries) -> set:
-        """Store a fast load's or a hand-off's items; returns their namespaces."""
+        """Store a hand-off's items, lifetimes re-anchored to this clock."""
         now = self.node.now
+        entries = message.payload["items"]
         self.provider.storage.store_batch(
-            StoredItem(
-                namespace=entry["namespace"],
-                resource_id=entry["resource_id"],
-                instance_id=(entry["instance_id"] if "instance_id" in entry
-                             else self.provider.next_instance_id()),
-                value=entry["value"],
-                key=hash_key(entry["namespace"], entry["resource_id"]),
-                expires_at=now + entry.get("lifetime", 1e9),
-                stored_at=now,
-                publisher=entry.get("publisher"),
-                size_bytes=entry.get("size_bytes", 100),
-            ) for entry in entries)
-        return {entry["namespace"] for entry in entries}
+            StoredItem(entry["namespace"], entry["resource_id"],
+                       entry["instance_id"], entry["value"],
+                       hash_key(entry["namespace"], entry["resource_id"]),
+                       now + entry["lifetime"], now, entry["publisher"],
+                       entry["size_bytes"])
+            for entry in entries)
+        self.known_namespaces.update(entry["namespace"] for entry in entries)
 
     def _graceful_leave(self) -> None:
         """Depart cleanly: hand off stored items, announce, exit."""
@@ -551,6 +572,9 @@ class PierNode:
         if op == "scan_count":
             count = sum(1 for _ in self.provider.lscan(frame["namespace"]))
             return {"count": count}
+        if op == "scan":
+            return {"items": self.provider.storage.scan(frame["namespace"],
+                                                        self.node.now)}
         if op == "leave":
             asyncio.get_running_loop().call_soon(self._graceful_leave)
             return {}
@@ -559,8 +583,14 @@ class PierNode:
         raise ValueError(f"unknown rpc op {op!r}")
 
     def _rpc_store(self, frame: dict) -> Dict[str, Any]:
-        """Direct local store of items this node owns (remote fast load)."""
-        fresh = self._store_entries(frame["items"]) - self.known_namespaces
+        """Store a fast-load frame's chunks (none of a malformed frame), a
+        fresh instanceID per item in item order, under the client's keys."""
+        chunks = _checked_store_chunks(frame)
+        for chunk in chunks:
+            chunk["instance_ids"] = [self.provider.next_instance_id()
+                                     for _ in chunk["keys"]]
+            self.provider.store_chunk(chunk)
+        fresh = {chunk["namespace"] for chunk in chunks} - self.known_namespaces
         self.known_namespaces |= fresh
         if fresh:
             # Tell the other members these namespaces now hold data, so any
@@ -568,7 +598,7 @@ class PierNode:
             self._send_to_members("cluster.ns",
                                   {"namespaces": sorted(fresh)},
                                   payload_bytes=16 * len(fresh))
-        return {"stored": len(frame["items"])}
+        return {"stored": sum(len(chunk["keys"]) for chunk in chunks)}
 
     def _rpc_submit(self, frame: dict,
                     writer: asyncio.StreamWriter) -> Dict[str, Any]:

@@ -46,11 +46,14 @@ from repro.exceptions import (
     UnknownNamespaceError,
 )
 from repro.dht.naming import hash_keys
-from repro.net.wire import FrameDecoder, encode_frame
+from repro.net.wire import (MAX_FRAME_BYTES, FrameDecoder, FrameTooLargeError,
+                             encode_frame)
 from repro.stack import build_overlay
 
 #: Socket-level timeout on every blocking operation (hard hang guard).
 SOCKET_TIMEOUT_S = 10.0
+#: The parallel arrays of a fast load's ``store`` chunk.
+_ARRAYS = ("resource_ids", "values", "keys")
 
 
 class GatewayConnection:
@@ -67,6 +70,8 @@ class GatewayConnection:
         self._rpc_ids = itertools.count(1)
         #: Responses that arrived while waiting for a different frame.
         self._responses: Dict[int, dict] = {}
+        #: Requests whose wait timed out: their late responses are dropped.
+        self._abandoned: set = set()
         #: query_id -> QueryHandle receiving streamed rows.
         self.handles: Dict[int, QueryHandle] = {}
 
@@ -74,15 +79,27 @@ class GatewayConnection:
 
     def rpc(self, op: str, timeout_s: float = SOCKET_TIMEOUT_S,
             **fields: Any) -> dict:
-        """Send one request and block until its response arrives.
+        """Send one request and block until its response arrives."""
+        return self.await_response(self.send(op, **fields), op, timeout_s)
 
-        Event frames arriving in between are dispatched to their handles,
-        so a pending query keeps streaming while the client issues RPCs.
-        """
+    def send(self, op: str, **fields: Any) -> int:
+        """Send one request without waiting; returns its id for
+        :meth:`await_response`.  A frame over ``MAX_FRAME_BYTES`` raises
+        :class:`FrameTooLargeError` before anything is sent."""
         request_id = next(self._rpc_ids)
         frame = {"t": "rpc", "id": request_id, "op": op}
         frame.update(fields)
-        self._sock.sendall(encode_frame(frame))
+        self._sock.sendall(encode_frame(frame, MAX_FRAME_BYTES))
+        return request_id
+
+    def await_response(self, request_id: int, op: str,
+                       timeout_s: float = SOCKET_TIMEOUT_S) -> dict:
+        """Block until the response to ``request_id`` arrives.
+
+        Event frames arriving in between are dispatched to their handles,
+        so a pending query keeps streaming while the client issues RPCs.  A
+        response that comes after its request timed out is dropped.
+        """
         deadline = time.monotonic() + timeout_s
         while True:
             response = self._responses.pop(request_id, None)
@@ -91,6 +108,7 @@ class GatewayConnection:
                     raise self._error_for(op, response)
                 return response
             if not self.pump(deadline):
+                self._abandoned.add(request_id)
                 raise NetworkError(
                     f"rpc {op!r} to {self.endpoint} timed out after {timeout_s}s"
                 )
@@ -139,7 +157,9 @@ class GatewayConnection:
         if not isinstance(frame, dict):
             return False
         kind = frame.get("t")
-        if kind == "res":
+        if kind == "res" and frame.get("id") in self._abandoned:
+            self._abandoned.discard(frame.get("id"))
+        elif kind == "res":
             self._responses[frame.get("id")] = frame
         elif kind == "evt" and frame.get("kind") == "rows":
             handle = self.handles.get(frame.get("query_id"))
@@ -154,6 +174,33 @@ class GatewayConnection:
             self._sock.close()
         except OSError:
             pass
+
+
+def _send_store(conn: GatewayConnection, chunks: List[dict],
+                sent: List[Tuple[GatewayConnection, int]]) -> None:
+    """Send one owner's chunks as ``store`` frames, noting each in ``sent``.
+
+    Chunks that do not fit one frame are halved by rows (a chunk that
+    straddles the cut is sliced) until each half does.
+    """
+    try:
+        sent.append((conn, conn.send("store", chunks=chunks)))
+        return
+    except FrameTooLargeError:
+        rows = sum(len(chunk["keys"]) for chunk in chunks)
+        if rows < 2:
+            raise
+    cut, head, tail = rows // 2, [], []
+    for chunk in chunks:
+        size = len(chunk["keys"])
+        if 0 < cut < size:
+            head.append({**chunk, **{field: chunk[field][:cut] for field in _ARRAYS}})
+            tail.append({**chunk, **{field: chunk[field][cut:] for field in _ARRAYS}})
+        else:
+            (head if cut >= size else tail).append(chunk)
+        cut -= size
+    _send_store(conn, head, sent)
+    _send_store(conn, tail, sent)
 
 
 class RemoteExecutor:
@@ -384,14 +431,18 @@ class RemotePier:
         """Fast-load a relation into the cluster (direct store at owners).
 
         Same load plan as the simulator harness's fast load
-        (:func:`repro.core.stats.publisher_batches`): the client groups
-        each publisher's statistics partial and rows by owner (ownership is
-        a deterministic function of the membership — see :attr:`builder`)
-        and ships every group to its owner's gateway in one ``store`` RPC.
-        RPC acknowledgements make the load synchronous: when this returns,
-        every tuple is scannable at its owner.
+        (:func:`repro.core.stats.publisher_batches`): the client cuts each
+        publisher's batches by owner (ownership is a deterministic function
+        of the membership — see :attr:`builder`) into chunks of parallel
+        ``resource_ids`` / ``values`` / ``keys`` arrays, the keys that
+        placed them, and sends each owner's chunks in ``store`` frames,
+        halved by rows until each fits ``MAX_FRAME_BYTES``.  Every frame is
+        sent before any acknowledgement is awaited, so the owners store at
+        once; the load returns when all of them acknowledged, so every tuple
+        is scannable at its owner.  After a failure the other replies are
+        still awaited before the first failure is raised.
         """
-        by_owner: Dict[int, List[dict]] = {}
+        shares: Dict[int, List[dict]] = {}
         loaded = 0
         for publisher, rows in rows_by_node.items():
             if not rows:
@@ -400,16 +451,32 @@ class RemotePier:
                                                  at=time.monotonic())
             self.relation_stats.merge_partial(partial)
             for namespace, resource_ids, values, life, size in batches:
-                owners = self.builder.owners_of_keys(
-                    hash_keys(namespace, resource_ids))
-                for owner, resource_id, value in zip(owners, resource_ids, values):
-                    by_owner.setdefault(owner, []).append({
-                        "namespace": namespace, "resource_id": resource_id,
-                        "value": value, "lifetime": life,
-                        "publisher": publisher, "size_bytes": size})
+                keys = hash_keys(namespace, resource_ids)
+                rows_of: Dict[int, List[int]] = {}
+                for row, owner in enumerate(self.builder.owners_of_keys(keys)):
+                    rows_of.setdefault(owner, []).append(row)
+                for owner, picked in rows_of.items():
+                    shares.setdefault(owner, []).append({
+                        "namespace": namespace, "publisher": publisher,
+                        "lifetime": life, "item_bytes": size,
+                        "resource_ids": [resource_ids[i] for i in picked],
+                        "values": [values[i] for i in picked],
+                        "keys": [keys[i] for i in picked]})
             loaded += len(rows)
-        for owner, items in by_owner.items():
-            self.connection(owner).rpc("store", items=items)
+        sent: List[Tuple[GatewayConnection, int]] = []
+        failure: Optional[BaseException] = None
+        try:
+            for owner, chunks in shares.items():
+                _send_store(self.connection(owner), chunks, sent)
+        except (NetworkError, OSError) as exc:
+            failure = exc
+        for conn, request_id in sent:
+            try:
+                conn.await_response(request_id, "store")
+            except (NetworkError, OSError) as exc:
+                failure = failure or exc
+        if failure is not None:
+            raise failure
         return loaded
 
     # ------------------------------------------------------------- utilities

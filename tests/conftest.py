@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import socket
+from unittest import mock
+
 import pytest
 
 from repro.harness import PierNetwork, SimulationConfig
+from repro.net.wire import FrameDecoder
+from repro.remote import SOCKET_TIMEOUT_S, GatewayConnection
 from repro.workloads import JoinWorkload, WorkloadConfig
 
 
@@ -29,20 +34,69 @@ def load_join_tables(pier: PierNetwork, workload: JoinWorkload) -> None:
     pier.load_relation(workload.s_relation, workload.s_by_node)
 
 
-class FakeGateway:
-    """Answers ``status`` and swallows ``store``: no socket, no cluster."""
+class _LoopbackSocket:
+    """The socket of a :class:`FakeGateway`: every frame sent is answered."""
 
-    def __init__(self):
+    def __init__(self, gateway):
+        self.gateway = gateway
+
+    def sendall(self, data):
+        (request,) = FrameDecoder().feed(data)
+        self.gateway.answer(request)
+
+    def settimeout(self, timeout):
+        pass
+
+    def close(self):
+        pass
+
+
+class FakeGateway(GatewayConnection):
+    """A gateway without a socket: answers ``status``, acknowledges ``store``.
+
+    Requests take the real send / await pair, so every frame is encoded
+    under the frame limit; the fake answers each at once, and the reply
+    waits in ``_responses`` until it is awaited.  ``frames`` keeps every
+    ``store`` request, ``stored`` the items they carried, one dict each,
+    and ``log`` (shareable between fakes) every send and await in order.
+    A gateway made with ``refuse=True`` answers ``store`` with an error.
+    """
+
+    def __init__(self, address=0, log=None, refuse=False):
+        self.address = address
+        self.log = [] if log is None else log
+        self.refuse = refuse
+        self.frames = []
         self.stored = []
+        with mock.patch.object(socket, "create_connection",
+                               lambda *args, **kwargs: _LoopbackSocket(self)):
+            super().__init__("fake", address)
 
-    def rpc(self, method, **arguments):
-        if method == "status":
-            return {"ready": True, "address": 0, "dead": [],
-                    "config": {"dht": "can", "can_dimensions": 4, "seed": 7},
-                    "nodes": {str(a): ("127.0.0.1", 1) for a in range(4)}}
-        assert method == "store"
-        self.stored.extend(arguments["items"])
-        return {}
+    def answer(self, request):
+        self.log.append(("send", self.address, request["op"]))
+        response = {"t": "res", "id": request["id"], "ok": True}
+        if request["op"] == "status":
+            response.update(
+                ready=True, address=self.address, dead=[],
+                config={"dht": "can", "can_dimensions": 4, "seed": 7},
+                nodes={str(a): ("127.0.0.1", 1) for a in range(4)})
+        else:
+            assert request["op"] == "store"
+            self.frames.append(request)
+            if self.refuse:
+                response.update(ok=False, error="refused", code="internal")
+            else:
+                self.stored.extend(
+                    {"namespace": chunk["namespace"], "resource_id": resource_id,
+                     "value": value, "key": key}
+                    for chunk in request["chunks"]
+                    for resource_id, value, key in zip(
+                        chunk["resource_ids"], chunk["values"], chunk["keys"]))
+        self._responses[request["id"]] = response
+
+    def await_response(self, request_id, op, timeout_s=SOCKET_TIMEOUT_S):
+        self.log.append(("await", self.address, op))
+        return super().await_response(request_id, op, timeout_s)
 
 
 @pytest.fixture

@@ -22,12 +22,12 @@ def watch(providers, namespace="t"):
     chunks = {address: [] for address in providers}
     upcalls = {address: [] for address in providers}
     for address, provider in providers.items():
-        def store_chunk(payload, address=address, store=provider._store_chunk):
+        def store_chunk(payload, address=address, store=provider.store_chunk):
             chunks[address].append(
                 list(zip(payload["resource_ids"], payload["instance_ids"])))
             store(payload)
 
-        provider._store_chunk = store_chunk
+        provider.store_chunk = store_chunk
         provider.on_new_data(
             namespace, lambda items, address=address: upcalls[address].append(
                 [(item.resource_id, item.instance_id) for item in items]))

@@ -59,7 +59,7 @@ class ProbeRig:
 
     def store_chunk(self, chunk):
         """One ``prov.put_chunk`` arriving at node 1, then drain the network."""
-        self.provider._store_chunk({
+        self.provider.store_chunk({
             "namespace": NAMESPACE, "lifetime": 300.0, "publisher": 0,
             "item_bytes": 16,
             "resource_ids": [rid for rid, _iid, _value in chunk],

@@ -33,7 +33,7 @@ import pytest
 from repro import JoinStrategy
 from repro.core.executor import QueryHandle
 from repro.exceptions import NetworkError
-from repro.dht.naming import hash_key
+from repro.dht.naming import hash_key, hash_keys
 from repro.net.message import Message
 from repro.net.node import Node
 from repro.net.real import MAX_BATCH_MESSAGES, RealTransport
@@ -463,9 +463,12 @@ def test_the_initiators_own_rows_are_produced_after_submit_and_pushed():
                                                    s_tuples_per_node=8, seed=2))
             for relation, rows in ((workload.r_relation, workload.r_by_node[0]),
                                    (workload.s_relation, workload.s_by_node[0])):
-                node._rpc_store({"items": [
-                    {"namespace": relation.namespace, "value": row,
-                     "resource_id": relation.resource_id(row)} for row in rows]})
+                ids = [relation.resource_id(row) for row in rows]
+                node._rpc_store({"chunks": [{
+                    "namespace": relation.namespace, "publisher": 0,
+                    "lifetime": 1e9, "item_bytes": relation.tuple_bytes,
+                    "resource_ids": ids, "values": rows,
+                    "keys": hash_keys(relation.namespace, ids)}]})
             expected = workload.expected_results()
             assert expected
             client = FakeClient()

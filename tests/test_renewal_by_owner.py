@@ -163,12 +163,12 @@ def tap_puts(providers):
     """Count, per (node, resourceID), the value-carrying chunks stored."""
     puts = Counter()
     for address, provider in providers.items():
-        def store_chunk(payload, address=address, store=provider._store_chunk):
+        def store_chunk(payload, address=address, store=provider.store_chunk):
             if "values" in payload:
                 puts.update((address, rid) for rid in payload["resource_ids"])
             store(payload)
 
-        provider._store_chunk = store_chunk
+        provider.store_chunk = store_chunk
     return puts
 
 

@@ -38,13 +38,13 @@ def tap(providers, namespace="t"):
     and of every ``newData`` upcall it makes."""
     puts, announced = Counter(), Counter()
     for address, provider in providers.items():
-        def store_chunk(payload, address=address, store=provider._store_chunk):
+        def store_chunk(payload, address=address, store=provider.store_chunk):
             if "values" in payload:
                 puts.update((address, rid, iid) for rid, iid in zip(
                     payload["resource_ids"], payload["instance_ids"]))
             store(payload)
 
-        provider._store_chunk = store_chunk
+        provider.store_chunk = store_chunk
         provider.on_new_data(namespace, lambda items, address=address: announced.update(
             (address, item.resource_id, item.instance_id) for item in items))
     return puts, announced

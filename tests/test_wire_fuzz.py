@@ -33,6 +33,7 @@ from hypothesis import strategies as st
 
 from repro.core.query import JoinStrategy, QueryTeardown
 from repro.dht.can import CanNetworkBuilder
+from repro.dht.naming import hash_keys
 from repro.net.message import Message
 from repro.net.network import SimulatedNetwork
 from repro.net.topology import FullMeshTopology
@@ -407,11 +408,12 @@ def recorded_frames():
                    key=lambda body: (len(pack(body)) < 400, len(pack(body))))
         frames[protocol] = body
     relation = workload.s_relation
-    frames["store"] = {"t": "rpc", "id": 1, "op": "store", "items": [
-        {"namespace": relation.namespace, "resource_id": relation.resource_id(row),
-         "value": row, "lifetime": 1e9, "publisher": 0,
-         "size_bytes": relation.tuple_bytes}
-        for row in workload.s_by_node[0]]}
+    rows = workload.s_by_node[0]
+    resource_ids = [relation.resource_id(row) for row in rows]
+    frames["store"] = {"t": "rpc", "id": 1, "op": "store", "chunks": [{
+        "namespace": relation.namespace, "publisher": 0, "lifetime": 1e9,
+        "item_bytes": relation.tuple_bytes, "resource_ids": resource_ids,
+        "values": rows, "keys": hash_keys(relation.namespace, resource_ids)}]}
     return frames
 
 
