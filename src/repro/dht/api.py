@@ -28,14 +28,14 @@ for the owner's address, so a lookup ends at the first node that owns the
 key *or whose routing table names its owner* (a CAN neighbour whose zone
 holds the point; the Chord successor that covers the key, where Chord's
 ``find_successor`` stops), one hop before the owner; the origin answers such
-keys itself.  A key's coordinate is computed once, at the origin, and travels
-with it: a routed batch is two parallel arrays, ``keys`` and ``coords``,
-which every hop splits by next hop in one sweep — no per-key object in memory
-or on the wire.  Request bookkeeping, forwarding, replies,
-re-routing around a bounced hop and the report of keys that cannot be routed
-are written once, here.
+keys itself.  A key's coordinate costs a few shifts (CAN) or a modulo
+(Chord), so every hop derives it from the key and only the keys travel: a
+routed batch is one ``keys`` array, which every hop splits by next hop in
+one sweep — no per-key object in memory or on the wire.  Request
+bookkeeping, forwarding, replies, re-routing around a bounced hop and the
+report of keys that cannot be routed are written once, here.
 
-One routed batch can carry the keys of several lookups.  Its third field,
+One routed batch can carry the keys of several lookups.  Its second field,
 ``runs``, holds one ``(origin, request_id, hops, count)`` per lookup, in key
 order: the next ``count`` keys belong to that lookup, which is ``hops`` hops
 from its origin.  Every run is routed by the rules of a lone lookup and
@@ -150,8 +150,8 @@ class RoutingLayer(ABC):
         self._pending_batch_lookups: Dict[int, BatchLookupState] = {}
         self._lookup_ids = itertools.count(1)
         #: Forwards held in the open delivery scope: next hop -> the
-        #: ``(keys, coords, runs)`` of the one batch it will be sent.
-        self._outbox: Dict[int, Tuple[List[int], List[Any], List[tuple]]] = {}
+        #: ``(keys, runs)`` of the one batch it will be sent.
+        self._outbox: Dict[int, Tuple[List[int], List[tuple]]] = {}
         self.lookup_hops_observed: List[int] = []
         node.services[self.SERVICE_NAME] = self
         node.register_handler(self.PROTOCOL_ROUTE_BATCH, self._on_route_batch)
@@ -205,7 +205,6 @@ class RoutingLayer(ABC):
         """
         resolved: Dict[int, List[int]] = {}
         routed: List[int] = []
-        coords: List[Any] = []
         me = self.address
         coordinate = self._coordinate
         owns = self._owns_coordinate
@@ -215,7 +214,6 @@ class RoutingLayer(ABC):
             owner = me if owns(coord) else owner_in_table(coord)
             if owner is None:
                 routed.append(key)
-                coords.append(coord)
             else:
                 resolved.setdefault(owner, []).append(key)
         for owner, owned in resolved.items():
@@ -226,7 +224,7 @@ class RoutingLayer(ABC):
         self._pending_batch_lookups[request_id] = BatchLookupState(
             callback, len(routed), on_unresolved=on_unresolved
         )
-        self._forward_batch(routed, coords, self.address, request_id, hops=0)
+        self._forward_batch(routed, self.address, request_id, hops=0)
         return request_id
 
     def forget_lookup(self, request_id: int) -> None:
@@ -278,47 +276,46 @@ class RoutingLayer(ABC):
             return True, None
         return False, next_hop
 
-    def _forward_batch(self, keys: List[int], coords: List[Any], origin: int,
-                       request_id: int, hops: int,
-                       exclude: Optional[int] = None) -> None:
-        """Route one lookup's keys one hop further, in one pass over its arrays.
+    def _forward_batch(self, keys: List[int], origin: int, request_id: int,
+                       hops: int, exclude: Optional[int] = None) -> None:
+        """Route one lookup's keys one hop further, in one pass over them.
 
-        Each key's :meth:`_target` decides it, and :meth:`_dispatch` sends
-        the keys of one target.  A one-key batch — most routed lookups —
-        goes straight to its one outcome.  A larger batch is grouped by
-        target: the keys with an owner are answered first, each next hop's
-        slices of ``keys`` and ``coords`` forwarded in the order the hops
-        first occur, the unresolved keys answered last.
+        Each key's :meth:`_target`, at the coordinate :meth:`_coordinate`
+        derives here, decides it, and :meth:`_dispatch` sends the keys of one
+        target.  A one-key batch — most routed lookups — goes straight to its
+        one outcome.  A larger batch is grouped by target: the keys with an
+        owner are answered first, each next hop's keys forwarded in the order
+        the hops first occur, the unresolved keys answered last.  The origin
+        derives a routed key's coordinate twice, at under a microsecond each.
         """
         expired = hops >= self.MAX_ROUTE_HOPS
+        coordinate = self._coordinate
         if len(keys) == 1:
-            self._dispatch(*self._target(coords[0], exclude, expired),
-                           keys, coords, origin, request_id, hops)
+            self._dispatch(*self._target(coordinate(keys[0]), exclude, expired),
+                           keys, origin, request_id, hops)
             return
-        groups: Dict[Tuple[bool, Optional[int]], Tuple[List[int], List[Any]]] = {}
+        groups: Dict[Tuple[bool, Optional[int]], List[int]] = {}
         target_of = self._target
-        for key, coord in zip(keys, coords):
-            target = target_of(coord, exclude, expired)
+        for key in keys:
+            target = target_of(coordinate(key), exclude, expired)
             group = groups.get(target)
             if group is None:
-                groups[target] = ([key], [coord])
+                groups[target] = [key]
             else:
-                group[0].append(key)
-                group[1].append(coord)
+                group.append(key)
         # Answered owners first, forwards next, unresolved keys last.
         for target in sorted(groups, key=lambda target: (
                 1 if not target[0] else 2 if target[1] is None else 0)):
-            self._dispatch(*target, *groups[target], origin, request_id, hops)
+            self._dispatch(*target, groups[target], origin, request_id, hops)
 
     def _dispatch(self, answer: bool, address: Optional[int], keys: List[int],
-                  coords: List[Any], origin: int, request_id: int,
-                  hops: int) -> None:
+                  origin: int, request_id: int, hops: int) -> None:
         """Answer ``keys`` to the origin with owner ``address`` (``answer``)
         or forward them to the next hop ``address``.
 
         A forward joins the outbox while a delivery scope is open, else it
         leaves at once as a batch of one run.  The outbox extends the first
-        forward's arrays in place: every caller hands over lists of its own.
+        forward's keys in place: every caller hands over a list of its own.
         """
         if answer:
             self._send_batch_reply(origin, request_id, address, keys, hops)
@@ -328,12 +325,11 @@ class RoutingLayer(ABC):
         batch = outbox.get(address)
         if batch is not None:
             batch[0].extend(keys)
-            batch[1].extend(coords)
-            batch[2].append(run)
+            batch[1].append(run)
         elif outbox or self.node.defer(self._flush_outbox):
-            outbox[address] = (keys, coords, [run])
+            outbox[address] = (keys, [run])
         else:
-            self._send_route_batch(address, keys, coords, [run])
+            self._send_route_batch(address, keys, [run])
 
     def _flush_outbox(self) -> None:
         """Send one routed batch per next hop the closing scope forwarded to."""
@@ -342,9 +338,9 @@ class RoutingLayer(ABC):
             self._send_route_batch(target, *batch)
 
     def _send_route_batch(self, target: int, keys: List[int],
-                          coords: List[Any], runs: List[tuple]) -> None:
+                          runs: List[tuple]) -> None:
         self.node.send(target, self.PROTOCOL_ROUTE_BATCH,
-                       {"keys": keys, "coords": coords, "runs": runs},
+                       {"keys": keys, "runs": runs},
                        self.ROUTE_HOP_BYTES * len(keys)
                        + self.RUN_BYTES * (len(runs) - 1),
                        runs[0][2] if len(runs) == 1
@@ -363,21 +359,21 @@ class RoutingLayer(ABC):
         """Route every run of the batch ``message`` carries: arrived, or
         bounced back (then around the dead neighbour).
 
-        A batch whose arrays or run counts disagree routes nothing: each run
-        is answered unresolved with its share of ``keys``.  The transport
-        delivers the batch, or its bounce, inside a delivery scope, so the
-        keys its runs forward to one next hop leave together.
+        A batch whose key count is not the sum of its run counts routes
+        nothing: each run is answered unresolved with its share of ``keys``.
+        The transport delivers the batch, or its bounce, inside a delivery
+        scope, so the keys its runs forward to one next hop leave together.
         """
         payload = message.payload
-        keys, coords, runs = payload["keys"], payload["coords"], payload["runs"]
-        sound = len(keys) == len(coords) == sum(run[3] for run in runs)
+        keys, runs = payload["keys"], payload["runs"]
+        sound = len(keys) == sum(run[3] for run in runs)
         exclude = message.dst if bounced else message.src
         start = 0
         for origin, request_id, hops, count in runs:
             end = start + count
             if sound:
-                self._forward_batch(keys[start:end], coords[start:end], origin,
-                                    request_id, hops, exclude)
+                self._forward_batch(keys[start:end], origin, request_id, hops,
+                                    exclude)
             else:
                 self._send_batch_reply(origin, request_id, None,
                                        keys[start:end], hops)

@@ -3,10 +3,11 @@
 CAN (Ratnasamy et al., SIGCOMM 2001) organises nodes over a logical
 ``d``-dimensional unit **torus** partitioned into hyper-rectangular *zones*.
 Each node owns its zones (one after a build; the routing code takes any
-number), keys hash to points, and a key is stored at the node whose zone
-contains its point.  Coordinates wrap: a zone face at ``1`` meets the faces
-at ``0`` across the seam, so zones on opposite edges of the unit cube are
-neighbours, and distances are measured the short way round each axis.
+number), a key's point is its own bits (:mod:`repro.dht.naming`), and a
+key is stored at the node whose zone contains its point.  Coordinates
+wrap: a zone face at ``1`` meets the faces at ``0`` across the seam, so
+zones on opposite edges are neighbours, and distances are measured the
+short way round each axis.
 Routing greedily forwards a message to the neighbour whose zone is closest
 to the target point, giving ``(d/4)·n^{1/d}`` hops on average — with the
 paper's choice of ``d = 2`` this is the ``n^{1/2}`` growth visible in its

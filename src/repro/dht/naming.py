@@ -7,8 +7,13 @@ function; the instanceID only disambiguates items that share a key.
 
 Keys live in a flat ``KEY_BITS``-bit integer space.  Each routing layer maps
 that integer into its own identifier space: Chord takes it modulo the ring
-size, CAN re-hashes it with per-dimension salts to obtain coordinates (the
-paper's "d separate hash functions, one for each CAN dimension").
+size, CAN reads its point from the key's own bits.  A key is 128 uniform
+bits of SHA-1, so CAN's ``d`` coordinates are ``d`` disjoint, equal bit
+fields of it, most significant first (the paper's "d separate hash
+functions, one for each CAN dimension", each one a field of one SHA-1
+value).  Each field keeps its top :data:`COORDINATE_BITS` bits, so the
+coordinate is an exact double in ``[0, 1)``.  The point costs a few shifts,
+so every hop derives it from the key again instead of carrying it.
 """
 
 from __future__ import annotations
@@ -21,6 +26,9 @@ from typing import Any, Iterable, List, Tuple
 KEY_BITS = 128
 #: Size of the key space (exclusive upper bound of keys).
 KEY_SPACE = 1 << KEY_BITS
+#: Bits a CAN coordinate keeps of its key field: a double's mantissa, so the
+#: coordinate is exact and never rounds up to 1.0.
+COORDINATE_BITS = 53
 
 
 def _digest(data: bytes) -> int:
@@ -32,12 +40,6 @@ def _digest(data: bytes) -> int:
 @functools.lru_cache
 def _namespace_prefix(namespace: str) -> Any:
     return hashlib.sha1(f"{namespace}\x00".encode("utf-8", errors="replace"))
-
-
-@functools.lru_cache
-def _dimension_prefixes(dimensions: int) -> Tuple[Any, ...]:
-    return tuple(hashlib.sha1(f"dim{dim}\x00".encode("ascii"))
-                 for dim in range(dimensions))
 
 
 def hash_key(namespace: str, resource_id) -> int:
@@ -69,17 +71,24 @@ def hash_namespace(namespace: str) -> int:
 def key_to_unit_coordinates(key: int, dimensions: int) -> Tuple[float, ...]:
     """Spread a flat key over ``dimensions`` coordinates in ``[0, 1)``.
 
-    Used by CAN: each dimension gets an independent salted hash of the key,
-    mirroring the paper's per-dimension hash functions.
+    Used by CAN: coordinate *i* is the *i*-th of ``dimensions`` equal bit
+    fields of the key, most significant first, cut to its top
+    :data:`COORDINATE_BITS` bits and scaled into ``[0, 1)``.  Bits below the
+    last whole field (``KEY_BITS % dimensions`` of them) are not used.
     """
-    if dimensions <= 0:
-        raise ValueError("dimensions must be positive")
-    data = f"{key:x}".encode("ascii")
+    if dimensions == 2:  # the loop's floats for the paper's d, 3x as fast
+        return ((key >> 75) * 2.0 ** -53,
+                ((key >> 11) & 0x1FFFFFFFFFFFFF) * 2.0 ** -53)
+    if not 0 < dimensions <= KEY_BITS:
+        raise ValueError(f"dimensions must be in 1..{KEY_BITS}")
+    width = KEY_BITS // dimensions
+    kept = min(width, COORDINATE_BITS)
+    mask, scale = (1 << kept) - 1, 2.0 ** -kept
+    shift = KEY_BITS - kept  # to the kept bits of the first field
     coords = []
-    for prefix in _dimension_prefixes(dimensions):  # SHA-1 of f"dim{d}\x00{data}"
-        state = prefix.copy()
-        state.update(data)
-        coords.append(int.from_bytes(state.digest()[: KEY_BITS // 8], "big") / KEY_SPACE)
+    for _ in range(dimensions):
+        coords.append(((key >> shift) & mask) * scale)
+        shift -= width
     return tuple(coords)
 
 

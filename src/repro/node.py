@@ -86,7 +86,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.executor import QueryExecutor, QueryHandle
 from repro.core.stats import STATS_NAMESPACE
-from repro.dht.naming import hash_key
 from repro.dht.provider import (DEFAULT_SWEEP_PERIOD_S, REQUEST_TIMEOUT_S,
                                 Provider)
 from repro.dht.storage import StoredItem
@@ -111,6 +110,20 @@ LEAVE_LINGER_S = 0.5
 #: Fields of one ``store`` chunk: its parallel arrays, then what its items share.
 STORE_CHUNK_FIELDS = ("resource_ids", "values", "keys",
                       "namespace", "publisher", "lifetime", "item_bytes")
+#: Parallel arrays of one ``cluster.transfer``, one element per moved item.
+TRANSFER_FIELDS = ("namespaces", "resource_ids", "instance_ids", "values",
+                   "keys", "lifetimes", "publishers", "size_bytes")
+
+
+def _parallel_lists(record: dict, fields: Tuple[str, ...], what: str) -> List[list]:
+    """``record``'s ``fields``, refused unless they are lists of one length
+    whose ``resource_ids`` are hashable."""
+    arrays = [record.get(field) for field in fields]
+    if not (all(type(array) is list for array in arrays)
+            and len(set(map(len, arrays))) == 1):
+        raise ValueError(f"{what} carries the lists {fields}, all of one length")
+    hash(tuple(record["resource_ids"]))  # an unhashable resourceID raises
+    return arrays
 
 
 def _checked_store_chunks(frame: dict) -> List[dict]:
@@ -121,17 +134,26 @@ def _checked_store_chunks(frame: dict) -> List[dict]:
     if type(chunks) is not list or not all(type(c) is dict for c in chunks):
         raise ValueError("a store frame carries a list of chunks")
     for chunk in chunks:
-        arrays = [chunk.get(field) for field in STORE_CHUNK_FIELDS[:3]]
-        if not (all(field in chunk for field in STORE_CHUNK_FIELDS)
-                and all(type(array) is list for array in arrays)
-                and len(set(map(len, arrays))) == 1
-                and isinstance(chunk["namespace"], str)
-                and isinstance(chunk["lifetime"], (int, float))
-                and isinstance(chunk["item_bytes"], int)):
-            raise ValueError(f"a store chunk has the fields {STORE_CHUNK_FIELDS}"
-                             ", the first three lists of one length")
-        hash(tuple(chunk["resource_ids"]))  # an unhashable resourceID raises
+        _parallel_lists(chunk, STORE_CHUNK_FIELDS[:3], "a store chunk")
+        if not ("publisher" in chunk and isinstance(chunk.get("namespace"), str)
+                and isinstance(chunk.get("lifetime"), (int, float))
+                and isinstance(chunk.get("item_bytes"), int)):
+            raise ValueError(f"a store chunk has the fields {STORE_CHUNK_FIELDS}")
     return chunks
+
+
+def _checked_transfer(payload: dict) -> List[list]:
+    """A ``cluster.transfer``'s arrays in :data:`TRANSFER_FIELDS` order,
+    checked whole before any item is stored: lists of one length, hashable
+    resourceIDs, ``str`` namespaces, ``int`` instanceIDs, keys and sizes and
+    numeric lifetimes."""
+    arrays = _parallel_lists(payload, TRANSFER_FIELDS, "a transfer")
+    namespaces, _, instance_ids, _, keys, lifetimes, _, sizes = arrays
+    if not (all(type(namespace) is str for namespace in namespaces)
+            and all(type(value) is int for value in (*instance_ids, *keys, *sizes))
+            and all(type(lifetime) in (int, float) for lifetime in lifetimes)):
+        raise ValueError("a transfer item has a malformed field")
+    return arrays
 
 
 def parse_endpoint(text: str) -> Tuple[str, int]:
@@ -432,44 +454,42 @@ class PierNode:
     def _send_items(self, items, owners_of_keys) -> None:
         """Ship stored items to their owners, rebasing soft-state lifetimes.
 
-        ``expires_at`` is absolute on *this* process's monotonic clock, so
-        transfers carry the remaining lifetime and the receiver re-anchors
-        it — the paper's soft-state contract survives the move.
+        One ``cluster.transfer`` per owner carries the parallel arrays of
+        :data:`TRANSFER_FIELDS`, each item's key among them, so the
+        receiver hashes nothing.  ``expires_at`` is absolute on *this*
+        process's monotonic clock, so transfers carry the remaining lifetime
+        and the receiver re-anchors it — the paper's soft-state contract
+        survives the move.
         """
         now = self.node.now
-        by_owner: Dict[int, list] = {}
+        by_owner: Dict[int, List[tuple]] = {}
         owners = owners_of_keys([item.key for item in items])
         for item, owner in zip(items, owners):
             if owner == self.node.address:
                 self.provider.storage.store(item)
-                continue
-            by_owner.setdefault(owner, []).append({
-                "namespace": item.namespace,
-                "resource_id": item.resource_id,
-                "instance_id": item.instance_id,
-                "value": item.value,
-                "lifetime": max(0.0, item.expires_at - now),
-                "publisher": item.publisher,
-                "size_bytes": item.size_bytes,
-            })
-        for owner, entries in by_owner.items():
-            log.info("migrating %d items to node %d", len(entries), owner)
+            else:  # one row of TRANSFER_FIELDS
+                by_owner.setdefault(owner, []).append((
+                    item.namespace, item.resource_id, item.instance_id,
+                    item.value, item.key, max(0.0, item.expires_at - now),
+                    item.publisher, item.size_bytes))
+        for owner, rows in by_owner.items():
+            log.info("migrating %d items to node %d", len(rows), owner)
+            arrays = [list(column) for column in zip(*rows)]
             self.node.send(owner, "cluster.transfer",
-                           payload={"items": entries},
-                           payload_bytes=sum(e["size_bytes"] for e in entries))
+                           payload=dict(zip(TRANSFER_FIELDS, arrays)),
+                           payload_bytes=sum(arrays[-1]))
 
     def _on_transfer(self, node: Node, message) -> None:
-        """Store a hand-off's items, lifetimes re-anchored to this clock."""
+        """Store a hand-off's items under the keys it carries, lifetimes
+        re-anchored to this clock; a malformed hand-off stores nothing."""
         now = self.node.now
-        entries = message.payload["items"]
-        self.provider.storage.store_batch(
-            StoredItem(entry["namespace"], entry["resource_id"],
-                       entry["instance_id"], entry["value"],
-                       hash_key(entry["namespace"], entry["resource_id"]),
-                       now + entry["lifetime"], now, entry["publisher"],
-                       entry["size_bytes"])
-            for entry in entries)
-        self.known_namespaces.update(entry["namespace"] for entry in entries)
+        arrays = _checked_transfer(message.payload)
+        self.provider.storage.store_batch([
+            StoredItem(namespace, resource_id, instance_id, value, key,
+                       now + lifetime, now, publisher, size)
+            for namespace, resource_id, instance_id, value, key, lifetime,
+            publisher, size in zip(*arrays)])
+        self.known_namespaces.update(arrays[0])
 
     def _graceful_leave(self) -> None:
         """Depart cleanly: hand off stored items, announce, exit."""

@@ -21,7 +21,9 @@
   and one ``store`` per row; one ``HyperLogLog.add`` per distinct value) the
   one-pass ``PierNetwork.load_relation`` replaced;
 * :mod:`tests.reference.naming` — key derivation as one SHA-1 over the whole
-  f-string, which the prefix-state hashing must match bit for bit;
+  f-string, which the prefix-state hashing must match bit for bit, and CAN
+  coordinates sliced from the key's bytes as a bit string, which the
+  shift-and-mask point must match;
 * :mod:`tests.reference.routing` — ``walk_lookup``, a lookup routed by
   walking each layer's hop rules (``answering_owner``, ``_next_hop``) with
   no network: the owner and hop count every key of a routed batch must

@@ -325,8 +325,11 @@ def test_giving_up_on_a_routed_lookup_releases_the_routing_layer(dht):
         pier, workload = build_churn_pier(dht)
         provider, namespace = pier.providers[0], workload.s_relation.namespace
         remote = [rid for rid in range(64) if pier.owner_of(namespace, rid) != 0]
+        # A get whose owner the origin's table does not name is relayed.
+        relayed = next(rid for rid in remote if pier.owner_of(namespace, rid)
+                       not in provider.routing.neighbors())
         provider.get_batch(namespace, remote, lambda results: None, scope=8)
-        provider.get(namespace, remote[0], lambda items: None, scope=8)
+        provider.get(namespace, relayed, lambda items: None, scope=8)
         assert len(provider.routing._pending_batch_lookups) == 2
         give_up(provider)
         assert provider.routing._pending_batch_lookups == {}

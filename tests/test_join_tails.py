@@ -75,10 +75,14 @@ def test_join_tail_projection_is_exact_and_reports_all_missing():
 #: table names the owner: the rehash lookups end a hop sooner, so the
 #: fragments reach the join site at other times and in other chunks, and
 #: each probe call joins another set of pairs.  Every call's rows still
-#: leave as full slices and one last remainder.
+#: leave as full slices and one last remainder.  It read
+#: ([1302, 1501, 2827, 2335, 4096, 3181, 4096, 662, 3775], "bfa4562d165136ac")
+#: until a key's point became its own bit fields instead of a salted
+#: re-hash: the rows' owners and the paths to the join site moved, so the
+#: fragments arrive in other chunks again.
 HOT_KEY_MESSAGES = (
-    [1302, 1501, 2827, 2335, 4096, 3181, 4096, 662, 3775],
-    "bfa4562d165136ac",
+    [1661, 1728, 3202, 2916, 4096, 564, 4096, 754, 4096, 662],
+    "9d7618dbbe518109",
 )
 
 

@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.bloom import BloomFilter
 from repro.core.operators.aggregate import (
@@ -32,8 +32,18 @@ def test_hash_key_stays_in_key_space(namespace, resource):
     assert 0 <= key < KEY_SPACE
 
 
+def edge_key_examples(test):
+    """The keys whose fields are all ones (or nearly): a field wider than a
+    double's mantissa must not round up to 1.0."""
+    for key in (0, KEY_SPACE - 1, 2**64 - 1, 2**64 - 1024):
+        for dimensions in (1, 2, 3, 4, 8):
+            test = example(key, dimensions)(test)
+    return test
+
+
 @given(st.integers(min_value=0, max_value=KEY_SPACE - 1),
-       st.integers(min_value=1, max_value=5))
+       st.integers(min_value=1, max_value=8))
+@edge_key_examples
 def test_key_coordinates_in_unit_cube(key, dimensions):
     coords = key_to_unit_coordinates(key, dimensions)
     assert len(coords) == dimensions

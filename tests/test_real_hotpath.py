@@ -256,7 +256,7 @@ def first_hop(routings, origin, key):
 
 def two_lookups_meeting_at_a_relay(routings):
     """Two lookups from two origins that reach one relay on their first hop
-    and leave it for the same next hop: ``(relay, [(origin, key, coord)])``.
+    and leave it for the same next hop: ``(relay, [(origin, key)])``.
     Only keys the relay must forward qualify: a key it owns, or whose owner
     its table names, is answered there."""
     by_exit = {}
@@ -268,7 +268,7 @@ def two_lookups_meeting_at_a_relay(routings):
             continue
         exit_hop = routings[relay]._next_hop(coord, origin)
         found = by_exit.setdefault((relay, exit_hop), {})
-        found.setdefault(origin, (origin, key, coord))
+        found.setdefault(origin, (origin, key))
         if len(found) == 2:
             return relay, list(found.values())
     raise AssertionError("no two lookups meet at a relay")
@@ -280,7 +280,7 @@ def test_routed_batches_of_one_read_leave_a_relay_as_one(dht):
         builder, transports, routings = await loopback_overlay(dht, 8)
         relay, lookups = two_lookups_meeting_at_a_relay(routings)
         heard = {}
-        for origin, _key, _coord in lookups:
+        for origin, _key in lookups:
             layer = routings[origin]
             genuine = layer.node._handlers[layer.PROTOCOL_BATCH_LOOKUP_REPLY]
 
@@ -303,16 +303,16 @@ def test_routed_batches_of_one_read_leave_a_relay_as_one(dht):
         transport.send = recording_send
         protocol = routings[relay].PROTOCOL_ROUTE_BATCH
         frames = [Message(origin, relay, protocol,
-                          {"keys": [key], "coords": [coord],
-                           "runs": [(origin, 100 + origin, 1, 1)]}, 8, 1)
-                  for origin, key, coord in lookups]
+                          {"keys": [key], "runs": [(origin, 100 + origin, 1, 1)]},
+                          8, 1)
+                  for origin, key in lookups]
         writer = await write_at_once(transport, frames)
         await wait_for(lambda: len(heard) == 2)
         forwarded = [message for message in sent if message.protocol == protocol]
         assert len(forwarded) == 1
         assert forwarded[0].payload["runs"] == [
-            (origin, 100 + origin, 2, 1) for origin, _key, _coord in lookups]
-        for origin, key, _coord in lookups:
+            (origin, 100 + origin, 2, 1) for origin, _key in lookups]
+        for origin, key in lookups:
             owner, hops = walk_lookup(routings, origin, [key])[0][key]
             assert owner == builder.owner_of_key(key)
             assert heard[origin, 100 + origin] == (owner, hops, [key])

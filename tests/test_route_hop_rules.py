@@ -15,6 +15,7 @@ from repro.dht.can import CanNetworkBuilder
 from repro.dht.chord import ChordNetworkBuilder
 from repro.dht.naming import hash_key
 from repro.net.network import SimulatedNetwork
+from repro.net.node import Node
 from repro.net.topology import FullMeshTopology
 
 NUM_NODES = 36
@@ -47,12 +48,12 @@ def await_answers(routing, keys, request_id=REQUEST_ID):
     return answers
 
 
-def inject_route_batch(network, routing, relay, keys, coords, runs):
+def inject_route_batch(network, routing, relay, keys, runs):
     """Send ``relay`` a routed batch from ORIGIN; ``runs`` as on the wire,
     one ``(origin, request_id, hops, count)`` per lookup."""
     network.node(ORIGIN).send(
         relay, routing.PROTOCOL_ROUTE_BATCH,
-        payload={"keys": keys, "coords": coords, "runs": runs},
+        payload={"keys": keys, "runs": runs},
         payload_bytes=routing.ROUTE_HOP_BYTES * len(keys),
         hops=max(run[2] for run in runs))
 
@@ -70,7 +71,6 @@ def test_batch_at_the_hop_limit_is_answered_unresolved(dht, size):
     keys = keys_owned_by_neither(builder, ORIGIN, relay, count=size)
     answers = await_answers(origin, keys)
     inject_route_batch(network, origin, relay, keys,
-                       [origin._coordinate(key) for key in keys],
                        one_run(keys, origin.MAX_ROUTE_HOPS))
     network.run_until_idle()
     assert answers == {"resolved": [], "unresolved": [keys]}
@@ -82,16 +82,16 @@ def test_batch_at_the_hop_limit_is_answered_unresolved(dht, size):
 
 @pytest.mark.parametrize("size", BATCH_SIZES)
 @pytest.mark.parametrize("dht", ["can", "chord"])
-def test_batch_with_mismatched_arrays_is_answered_unresolved_whole(dht, size):
+def test_batch_with_more_keys_than_its_run_counts_is_answered_unresolved_whole(
+        dht, size):
     network, routings, builder = build(dht)
     origin = routings[ORIGIN]
     relay = origin.neighbors()[0]
-    keys = keys_owned_by_neither(builder, ORIGIN, relay, count=size)
-    answers = await_answers(origin, keys)
-    coords = [origin._coordinate(key) for key in keys + keys[:1]]
-    inject_route_batch(network, origin, relay, keys, coords, one_run(keys, 1))
+    keys = keys_owned_by_neither(builder, ORIGIN, relay, count=size + 1)
+    answers = await_answers(origin, keys[:size])
+    inject_route_batch(network, origin, relay, keys, one_run(keys[:size], 1))
     network.run_until_idle()
-    assert answers == {"resolved": [], "unresolved": [keys]}
+    assert answers == {"resolved": [], "unresolved": [keys[:size]]}
     assert REQUEST_ID not in origin._pending_batch_lookups
     assert network.stats.protocol_messages[origin.PROTOCOL_ROUTE_BATCH] == 1
 
@@ -154,7 +154,6 @@ def test_run_past_the_hop_limit_is_answered_while_the_other_is_forwarded(dht, si
     origin = routings[ORIGIN]
     keys = first + second
     inject_route_batch(network, origin, relay, keys,
-                       [origin._coordinate(key) for key in keys],
                        [(ORIGIN, REQUEST_ID, origin.MAX_ROUTE_HOPS, size),
                         (OTHER, OTHER_REQUEST_ID, 1, size)])
     network.run_until_idle()
@@ -177,7 +176,6 @@ def test_disagreeing_run_counts_are_answered_unresolved_to_every_origin(dht, siz
     origin = routings[ORIGIN]
     keys = first + second
     inject_route_batch(network, origin, relay, keys,
-                       [origin._coordinate(key) for key in keys],
                        [(ORIGIN, REQUEST_ID, 1, size),
                         (OTHER, OTHER_REQUEST_ID, 1, size + 1)])
     network.run_until_idle()
@@ -202,9 +200,8 @@ def test_bounced_two_run_batch_reroutes_both_runs(dht, size):
     second_answers = await_answers(other, second, OTHER_REQUEST_ID)
     network.fail_node(dead)
     # ORIGIN relays OTHER's lookup and forwards its own, merged, to ``dead``.
-    origin._send_route_batch(dead, keys, [origin._coordinate(key) for key in keys],
-                             [(ORIGIN, REQUEST_ID, 1, size),
-                              (OTHER, OTHER_REQUEST_ID, 2, size)])
+    origin._send_route_batch(dead, keys, [(ORIGIN, REQUEST_ID, 1, size),
+                                          (OTHER, OTHER_REQUEST_ID, 2, size)])
     network.run_until_idle()
     assert dead not in origin.neighbors()
     for answers, wanted in ((first_answers, first), (second_answers, second)):
@@ -213,3 +210,38 @@ def test_bounced_two_run_batch_reroutes_both_runs(dht, size):
                 for key in owned} == {key: builder.owner_of_key(key)
                                       for key in wanted}
     assert not origin._pending_batch_lookups and not other._pending_batch_lookups
+
+
+# ------------------------------------------------------- what a batch carries
+
+
+@pytest.mark.parametrize("dht", ["can", "chord"])
+def test_a_routed_batch_carries_keys_and_runs_only(dht, monkeypatch):
+    """Every hop derives a key's coordinate from the key, so no coordinate
+    travels: a ``*.route_batch`` is its ``keys`` and its ``runs``, charged
+    ``ROUTE_HOP_BYTES`` per key and ``RUN_BYTES`` per run after the first."""
+    network, routings, builder = build(dht)
+    origin = routings[ORIGIN]
+    batches = []
+    send = Node.send
+
+    def recording_send(self, dst, protocol, payload=None, payload_bytes=0, hops=0):
+        if protocol == origin.PROTOCOL_ROUTE_BATCH:
+            batches.append((payload, payload_bytes))
+        return send(self, dst, protocol, payload, payload_bytes, hops)
+
+    monkeypatch.setattr(Node, "send", recording_send)
+    keys = [hash_key("carry", i) for i in range(200)]
+    resolved = {}
+    for address in (ORIGIN, OTHER):
+        routings[address].lookup_batch(keys, lambda owner, owned: resolved.update(
+            dict.fromkeys(owned, owner)))
+    network.run_until_idle()
+    assert resolved == {key: builder.owner_of_key(key) for key in keys}
+    assert batches and any(len(payload["runs"]) > 1 for payload, _ in batches)
+    for payload, payload_bytes in batches:
+        assert list(payload) == ["keys", "runs"]
+        keys, runs = payload["keys"], payload["runs"]
+        assert len(keys) == sum(run[3] for run in runs)
+        assert payload_bytes == (origin.ROUTE_HOP_BYTES * len(keys)
+                                 + origin.RUN_BYTES * (len(runs) - 1))

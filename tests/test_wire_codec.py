@@ -300,16 +300,13 @@ def test_batch_lookup_reply_roundtrip():
 
 @pytest.mark.parametrize("dht", ["can", "chord"])
 def test_route_batch_with_several_runs_roundtrip(dht):
-    """A merged routed batch: parallel ``keys`` / ``coords`` and one
-    ``(origin, request_id, hops, count)`` run per lookup, every element back
-    with exactly the type it had."""
-    from repro.dht.naming import key_to_unit_coordinates
+    """A merged routed batch: its ``keys`` and one ``(origin, request_id,
+    hops, count)`` run per lookup, every element back with exactly the type
+    it had."""
     from tests.test_wire_fuzz import same
 
     keys = [hash_key("ns", i) for i in range(5)]
-    coords = ([key_to_unit_coordinates(key, 2) for key in keys] if dht == "can"
-              else list(keys))
-    payload = {"keys": keys, "coords": coords,
+    payload = {"keys": keys,
                "runs": [(3, 17, 2, 2), (9, 2**40, 5, 1), (0, 4, 128, 2)]}
     restored = wire_message(f"{dht}.route_batch", payload, payload_bytes=232)
     assert same(restored.payload, payload)
