@@ -22,100 +22,63 @@ Quick start::
     cursor = client.sql(workload.sql_text())        # streaming result cursor
     print(cursor.fetch(10), cursor.time_to_kth(10))
     rows = cursor.fetchall()                        # completes + tears down
+
+Every public name below is bound on first use (PEP 562), so
+``import repro.node`` loads what a node runs, not the client, the SQL front
+end or the simulator.
 """
 
-from repro.client import PierClient, ResultCursor
-from repro.core import (
-    BloomFilter,
-    Catalog,
-    ColumnStats,
-    GraphCost,
-    JoinClause,
-    JoinStrategy,
-    OpGraph,
-    OptimizationReport,
-    PeriodicQuery,
-    QueryExecutor,
-    QueryHandle,
-    QuerySpec,
-    RelationStats,
-    SlidingWindowPredicate,
-    SQLPlanner,
-    StatsRegistry,
-    TableRef,
-    TopologyParams,
-    build_opgraph,
-    optimize_query,
-    parse_sql,
-)
-from repro.core.tuples import Column, RelationDef, Schema
-from repro.dht import CanNetworkBuilder, CanRouting, ChordNetworkBuilder, ChordRouting, Provider
-from repro.harness import PierNetwork, SimulationConfig
-from repro.net import (
-    ClusterTopology,
-    FullMeshTopology,
-    RealTransport,
-    SimulatedNetwork,
-    Simulator,
-    TransitStubTopology,
-    Transport,
-)
-from repro.remote import RemotePier
-from repro.workloads import JoinWorkload, NetworkMonitoringWorkload, WorkloadConfig
+import importlib
+from typing import Any, Dict, List
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # client
-    "PierClient",
-    "ResultCursor",
-    # core
-    "OpGraph",
-    "build_opgraph",
-    "PeriodicQuery",
-    "SlidingWindowPredicate",
-    "QuerySpec",
-    "TableRef",
-    "JoinClause",
-    "JoinStrategy",
-    "QueryExecutor",
-    "QueryHandle",
-    "BloomFilter",
-    "Catalog",
-    "SQLPlanner",
-    "parse_sql",
-    "Column",
-    "Schema",
-    "RelationDef",
-    # statistics / optimizer
-    "ColumnStats",
-    "RelationStats",
-    "StatsRegistry",
-    "GraphCost",
-    "OptimizationReport",
-    "TopologyParams",
-    "optimize_query",
-    # dht
-    "CanRouting",
-    "CanNetworkBuilder",
-    "ChordRouting",
-    "ChordNetworkBuilder",
-    "Provider",
-    # net
-    "Simulator",
-    "SimulatedNetwork",
-    "Transport",
-    "RealTransport",
-    "RemotePier",
-    "FullMeshTopology",
-    "TransitStubTopology",
-    "ClusterTopology",
-    # workloads
-    "WorkloadConfig",
-    "JoinWorkload",
-    "NetworkMonitoringWorkload",
-    # harness
-    "SimulationConfig",
-    "PierNetwork",
-]
+#: Each public name and the module that defines it.
+_EXPORTS: Dict[str, str] = {
+    name: module
+    for module, names in {
+        "repro.client": "PierClient ResultCursor",
+        "repro.core.opgraph": "OpGraph build_opgraph",
+        "repro.core.continuous": "PeriodicQuery SlidingWindowPredicate",
+        "repro.core.query": "QuerySpec TableRef JoinClause JoinStrategy",
+        "repro.core.executor": "QueryExecutor QueryHandle",
+        "repro.core.bloom": "BloomFilter",
+        "repro.core.catalog": "Catalog",
+        "repro.core.sql.planner": "SQLPlanner",
+        "repro.core.sql.parser": "parse_sql",
+        "repro.core.tuples": "Column Schema RelationDef",
+        "repro.core.stats": "ColumnStats RelationStats StatsRegistry",
+        "repro.core.costmodel": "GraphCost OptimizationReport TopologyParams optimize_query",
+        "repro.dht.can": "CanRouting CanNetworkBuilder",
+        "repro.dht.chord": "ChordRouting ChordNetworkBuilder",
+        "repro.dht.provider": "Provider",
+        "repro.net.simulator": "Simulator",
+        "repro.net.network": "SimulatedNetwork",
+        "repro.net.transport": "Transport",
+        "repro.net.real": "RealTransport",
+        "repro.remote": "RemotePier",
+        "repro.net.topology": "FullMeshTopology",
+        "repro.net.transit_stub": "TransitStubTopology",
+        "repro.net.cluster": "ClusterTopology",
+        "repro.workloads.generator": "WorkloadConfig JoinWorkload",
+        "repro.workloads.network_monitoring": "NetworkMonitoringWorkload",
+        "repro.harness.experiment": "SimulationConfig PierNetwork",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str) -> Any:
+    """Import the module defining ``name`` and cache the value here."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted({*globals(), *__all__})

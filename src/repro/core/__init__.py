@@ -11,90 +11,3 @@ manager (:mod:`repro.core.catalog`), a declarative SQL front end
 (:mod:`repro.core.aggregation_tree`) and continuous/windowed queries
 (:mod:`repro.core.continuous`).
 """
-
-from repro.core.tuples import Column, Schema, RelationDef
-from repro.core.expressions import (
-    And,
-    ColumnRef,
-    Comparison,
-    Expression,
-    FunctionCall,
-    Literal,
-    Not,
-    Or,
-    col,
-    lit,
-)
-from repro.core.bloom import BloomFilter
-from repro.core.stats import (
-    STATS_NAMESPACE,
-    ColumnStats,
-    RelationStats,
-    StatsRegistry,
-)
-from repro.core.costmodel import (
-    GraphCost,
-    OptimizationReport,
-    TopologyParams,
-    bloom_parameters,
-    cost_graph,
-    estimate_selectivity,
-    optimize_query,
-)
-from repro.core.query import (
-    AggregateSpec,
-    JoinClause,
-    JoinStrategy,
-    QuerySpec,
-    TableRef,
-)
-from repro.core.executor import QueryExecutor, QueryHandle
-from repro.core.opgraph import OpGraph, OpKind, OpNode, build_opgraph
-from repro.core.catalog import Catalog
-from repro.core.continuous import PeriodicQuery, SlidingWindowPredicate
-from repro.core.sql import parse_sql, SQLPlanner
-
-__all__ = [
-    "Column",
-    "Schema",
-    "RelationDef",
-    "Expression",
-    "ColumnRef",
-    "Literal",
-    "Comparison",
-    "And",
-    "Or",
-    "Not",
-    "FunctionCall",
-    "col",
-    "lit",
-    "BloomFilter",
-    "QuerySpec",
-    "TableRef",
-    "JoinClause",
-    "JoinStrategy",
-    "AggregateSpec",
-    "QueryExecutor",
-    "QueryHandle",
-    "OpGraph",
-    "OpKind",
-    "OpNode",
-    "build_opgraph",
-    "PeriodicQuery",
-    "SlidingWindowPredicate",
-    "Catalog",
-    "parse_sql",
-    "SQLPlanner",
-    # statistics / optimizer
-    "STATS_NAMESPACE",
-    "ColumnStats",
-    "RelationStats",
-    "StatsRegistry",
-    "GraphCost",
-    "OptimizationReport",
-    "TopologyParams",
-    "bloom_parameters",
-    "cost_graph",
-    "estimate_selectivity",
-    "optimize_query",
-]

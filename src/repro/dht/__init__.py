@@ -16,30 +16,3 @@ Section 3.2:
   ``lscan``/``newData``, the namespace/resourceID/instanceID naming scheme
   and soft-state lifetimes, renewed by name (:mod:`repro.dht.softstate`).
 """
-
-from repro.dht.api import RoutingLayer
-from repro.dht.naming import hash_key, KEY_BITS, KEY_SPACE
-from repro.dht.can import CanRouting, CanNetworkBuilder, Zone
-from repro.dht.chord import ChordRouting, ChordNetworkBuilder
-from repro.dht.storage import StorageManager, StoredItem
-from repro.dht.provider import Provider, DHTItem
-from repro.dht.softstate import RenewalAgent
-from repro.dht.multicast import MulticastService
-
-__all__ = [
-    "RoutingLayer",
-    "hash_key",
-    "KEY_BITS",
-    "KEY_SPACE",
-    "CanRouting",
-    "CanNetworkBuilder",
-    "Zone",
-    "ChordRouting",
-    "ChordNetworkBuilder",
-    "StorageManager",
-    "StoredItem",
-    "Provider",
-    "DHTItem",
-    "RenewalAgent",
-    "MulticastService",
-]

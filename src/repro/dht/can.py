@@ -40,13 +40,15 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import RoutingError
 from repro.dht.api import RoutingLayer, RoutingTableField
 from repro.dht.naming import key_to_unit_coordinates
-from repro.net.network import SimulatedNetwork
 from repro.net.node import Node
+
+if TYPE_CHECKING:  # pragma: no cover - a node process never loads the simulator
+    from repro.net.network import SimulatedNetwork
 
 #: Default CAN dimensionality used throughout the paper's evaluation.
 DEFAULT_DIMENSIONS = 2

@@ -30,12 +30,14 @@ limit are this node's children in :mod:`repro.dht.multicast`'s tree.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.dht.api import RoutingLayer, RoutingTableField
 from repro.dht.naming import KEY_BITS, node_identifier
-from repro.net.network import SimulatedNetwork
 from repro.net.node import Node
+
+if TYPE_CHECKING:  # pragma: no cover - a node process never loads the simulator
+    from repro.net.network import SimulatedNetwork
 
 
 def _in_interval(value: int, start: int, end: int, inclusive_end: bool = False) -> bool:

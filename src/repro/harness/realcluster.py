@@ -19,12 +19,14 @@ addresses from then on.
 
 from __future__ import annotations
 
+import functools
 import os
+import signal
 import socket
 import subprocess
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.dht.provider import REQUEST_TIMEOUT_S
 from repro.exceptions import NetworkError
@@ -37,6 +39,16 @@ BOOT_POLL_S = 0.03
 
 _SRC_DIR = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
+
+#: Run in each forked node before exec: on Linux, ``prctl(PR_SET_PDEATHSIG,
+#: SIGTERM)`` has the kernel terminate the node when its parent dies.
+_die_with_parent: Optional[Callable[[], object]] = None
+if sys.platform.startswith("linux"):
+    import ctypes
+
+    _PR_SET_PDEATHSIG = 1
+    _die_with_parent = functools.partial(ctypes.CDLL(None).prctl,
+                                         _PR_SET_PDEATHSIG, signal.SIGTERM)
 
 
 def free_ports(count: int) -> List[int]:
@@ -65,6 +77,11 @@ class LocalCluster:
     ``benchmarks/bench_real_churn`` for the exact simulator↔real mapping).
     ``seed`` is accepted and unused: the overlay is a function of the
     address list alone.  The processes' output is discarded.
+
+    On Linux every process is spawned with ``PR_SET_PDEATHSIG`` set to
+    SIGTERM, so it dies with its harness even when that is SIGKILLed.  The
+    kernel sends the signal when the *thread* that spawned the process
+    exits, so build a cluster on a thread that outlives it.
     """
 
     def __init__(self, num_nodes: int, dht: str = "can", seed: int = 0,
@@ -99,7 +116,8 @@ class LocalCluster:
     def _spawn(self, argv: List[str]) -> subprocess.Popen:
         proc = subprocess.Popen(argv, env=self._env,
                                 stdout=subprocess.DEVNULL,
-                                stderr=subprocess.DEVNULL)
+                                stderr=subprocess.DEVNULL,
+                                preexec_fn=_die_with_parent)
         self.processes.append(proc)
         return proc
 

@@ -15,32 +15,3 @@ base.  This package provides that substrate for the reproduction:
 * :mod:`repro.net.stats` — per-node and aggregate traffic accounting.
 * :mod:`repro.net.failures` — failure injection and keep-alive detection.
 """
-
-from repro.net.simulator import Simulator
-from repro.net.message import Message
-from repro.net.node import Node
-from repro.net.network import SimulatedNetwork
-from repro.net.real import RealTransport, WallClockTimers
-from repro.net.transport import TimerService, Transport
-from repro.net.topology import FullMeshTopology, Topology
-from repro.net.transit_stub import TransitStubTopology
-from repro.net.cluster import ClusterTopology
-from repro.net.stats import TrafficStats
-from repro.net.failures import FailureInjector
-
-__all__ = [
-    "Simulator",
-    "Message",
-    "Node",
-    "SimulatedNetwork",
-    "Transport",
-    "TimerService",
-    "RealTransport",
-    "WallClockTimers",
-    "Topology",
-    "FullMeshTopology",
-    "TransitStubTopology",
-    "ClusterTopology",
-    "TrafficStats",
-    "FailureInjector",
-]

@@ -28,10 +28,10 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Set
 
-from repro.net.network import SimulatedNetwork
 from repro.net.node import Node
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.net.network import SimulatedNetwork
     from repro.stack import NodeStack
 
 #: Keep-alive based detection delay assumed by the paper.
