@@ -33,8 +33,8 @@ def run_once(hierarchical: bool):
         "nodes": num_nodes,
         "count": outcome.rows[0]["cnt"] if outcome.rows else None,
         "t_result_s": outcome.latency.time_to_last,
-        "owner_inbound_kb": pier.network.stats.inbound_bytes.get(owner, 0) / 1e3,
-        "aggregate_kb": pier.network.stats.aggregate_traffic_bytes / 1e3,
+        "owner_inbound_kb": outcome.stats.inbound_bytes.get(owner, 0) / 1e3,
+        "aggregate_kb": outcome.stats.aggregate_traffic_bytes / 1e3,
     }
 
 

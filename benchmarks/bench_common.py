@@ -27,9 +27,12 @@ artifact).
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
+import sys
 import time
+from collections import Counter
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
@@ -39,6 +42,7 @@ from repro.harness import PierNetwork, SimulationConfig
 from repro.harness.reporting import format_table
 from repro.metrics.latency import LatencySummary, summarize_latency
 from repro.metrics.traffic import TrafficBreakdown, breakdown_traffic
+from repro.net.stats import TrafficStats
 from repro.workloads import JoinWorkload, WorkloadConfig
 
 #: Directory where benchmark result tables are written.
@@ -185,17 +189,29 @@ def build_loaded_network(num_nodes: int,
 
 
 class QueryOutcome(NamedTuple):
-    """What one measured query produced."""
+    """What one measured query produced; the deployment's counters are
+    copies taken at its last row, before its teardown was delivered."""
 
     cursor: ResultCursor
     rows: List[dict]
     latency: LatencySummary
-    traffic: TrafficBreakdown
+    #: The network's traffic counters, reset at the submit.
+    stats: TrafficStats
+    #: Events the simulator had run, since it was built.
+    sim_events: int
+    #: ``{"level0": bytes, "level1": bytes}`` shipped into the aggregation
+    #: tree, over every node (empty for a query without one).
+    agg_bytes: Dict[str, int]
 
     @property
     def result_count(self) -> int:
         """Number of result rows the initiator received."""
         return self.cursor.result_count
+
+    @property
+    def traffic(self) -> TrafficBreakdown:
+        """:attr:`stats` in the paper's traffic categories."""
+        return breakdown_traffic(self.stats)
 
 
 def measure_query(pier: PierNetwork, query: QuerySpec,
@@ -203,23 +219,29 @@ def measure_query(pier: PierNetwork, query: QuerySpec,
     """Run ``query`` to completion through a client cursor, measured alone.
 
     The deployment is first run idle, which delivers an earlier query's
-    teardown, and its traffic counters are reset.  Latency and traffic are
-    read once the last row is in, before this query's own teardown flood is
-    delivered: traffic is counted on delivery, so the teardown does not show,
-    and per-query counters the teardown releases (``agg_bytes``) can still
-    be read.  A query its cursor cut short at the soft-state deadline raises
+    teardown, and its traffic counters are reset.  Traffic, the event count
+    and the per-query counters the teardown releases (``agg_bytes``, summed
+    over the nodes) are copied once the last row is in, before the query
+    is torn down: traffic is counted on delivery, so the teardown does not
+    show.  A query its cursor cut short at the soft-state deadline raises
     instead of being recorded with truncated rows and latency.
     """
     pier.run_until_idle()
     pier.network.stats.reset()
     cursor = pier.client(node=initiator).query(query)
-    rows = cursor.fetchall(drain=False)
+    cursor.fetch(sys.maxsize)  # every row, no teardown yet
     if cursor.timed_out:
         raise RuntimeError(
             f"query {query.query_id} did not finish within its "
             f"{query.temp_lifetime_s:g} s soft-state lifetime")
+    stats = copy.deepcopy(pier.network.stats)
+    sim_events = pier.network.simulator.events_processed
+    agg_bytes: Counter = Counter()
+    for executor in pier.executors.values():
+        agg_bytes.update(executor.agg_bytes.get(query.query_id, {}))
+    rows = cursor.fetchall()
     return QueryOutcome(cursor, rows, summarize_latency(cursor.handle),
-                        breakdown_traffic(pier.network.stats))
+                        stats, sim_events, dict(agg_bytes))
 
 
 def run_benchmark_query(pier: PierNetwork, workload: JoinWorkload, strategy,

@@ -61,7 +61,7 @@ def run_one(num_nodes: int, computation_count, seed: int = 5) -> dict:
         "t_30th_s": outcome.latency.time_to_kth,
         "t_last_s": outcome.latency.time_to_last,
         "max_inbound_mb": outcome.traffic.max_inbound_mb,
-        "sim_events": pier.network.simulator.events_processed,
+        "sim_events": outcome.sim_events,
         "coalesce_w_ms": window * 1e3,
         "wall_build_load_s": round(t_loaded - t0, 3),
         "wall_query_s": round(t_done - t_loaded, 3),

@@ -61,7 +61,7 @@ def sweep():
                 "results": outcome.result_count,
                 "t_last_s": outcome.latency.time_to_last,
                 "initiator_inbound_mb":
-                    pier.network.stats.inbound_bytes.get(0, 0) / 1e6,
+                    outcome.stats.inbound_bytes.get(0, 0) / 1e6,
             })
 
         pier, outcome = run_point(JoinStrategy.AUTO, selectivity)
@@ -76,7 +76,7 @@ def sweep():
             "results": outcome.result_count,
             "t_last_s": t_auto,
             "initiator_inbound_mb":
-                pier.network.stats.inbound_bytes.get(0, 0) / 1e6,
+                outcome.stats.inbound_bytes.get(0, 0) / 1e6,
         })
         trajectory.append({
             "selectivity_pct": int(selectivity * 100),

@@ -51,8 +51,8 @@ REFRESH_PERIOD_S = 30.0
 #: Tuples live two refresh periods, so one missed renewal does not drop them.
 DATA_LIFETIME_S = 2 * REFRESH_PERIOD_S
 WARMUP_S = 20.0
-#: Per-query horizon: churn deployments never go idle (renewal agents,
-#: injector), so the cursor is timeout-driven.
+#: Per-query horizon, an upper bound only: a cursor ends as soon as nothing
+#: but background events (renewal agents, the failure injector) is pending.
 QUERY_HORIZON_S = 45.0
 #: Time allowed for the teardown flood to settle before leak accounting.
 TEARDOWN_GRACE_S = 5.0
@@ -105,7 +105,7 @@ def run_point(pier, workload, client, strategy_name: str,
         expected = workload.expected_results(live_publishers=live)
         query = workload.make_query(strategy=JoinStrategy(strategy_name))
         cursor = client.query(query, timeout_s=QUERY_HORIZON_S)
-        rows = cursor.fetchall(drain=False)
+        rows = cursor.fetchall()
         completeness = cursor.completeness()
         pier.run(until=pier.now + TEARDOWN_GRACE_S)
         pending_after = sum(provider.pending_get_count(query.query_id)

@@ -143,7 +143,7 @@ def run_point(cluster: LocalCluster, workload, sim_pct: float, seed: int,
         cursor = client.query(workload.make_query(
             strategy=JoinStrategy(name)), timeout_s=horizon_s)
         started = time.monotonic()
-        rows = cursor.fetchall(drain=False)
+        rows = cursor.fetchall()
         elapsed = time.monotonic() - started
         for timer in timers:
             timer.join()  # a scheduled kill must land before accounting

@@ -40,7 +40,7 @@ def simulated_rows():
         outcome = run_benchmark_query(pier, workload, JoinStrategy.SYMMETRIC_HASH,
                                       computation_nodes=computation_nodes)
         if computation_nodes:
-            hot_inbound = pier.network.stats.inbound_bytes.get(computation_nodes[0], 0)
+            hot_inbound = outcome.stats.inbound_bytes.get(computation_nodes[0], 0)
         else:
             hot_inbound = outcome.traffic.max_inbound_bytes
         results.append({

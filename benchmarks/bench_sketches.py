@@ -143,12 +143,8 @@ def run_network(s_tuples_per_node, approx, branching=None):
     if approx:
         query.aggregates = [replace(query.aggregates[0], param=NETWORK_LOG2M)]
     outcome = measure_query(pier, query)
-    level0 = level1 = 0
-    for address in range(num_nodes):
-        counters = pier.executor(address).agg_bytes.get(query.query_id)
-        if counters:
-            level0 += counters["level0"]
-            level1 += counters["level1"]
+    level0 = outcome.agg_bytes.get("level0", 0)
+    level1 = outcome.agg_bytes.get("level1", 0)
     truth = len({row["num1"] for rows in workload.r_by_node.values()
                  for row in rows})
     estimate = outcome.rows[0]["d"] if outcome.rows else None

@@ -136,11 +136,11 @@ class ResultCursor:
     ``LIMIT`` is satisfied — whichever comes first.  ``LIMIT`` and timeout
     both cancel the distributed dataflow once they trigger.
 
-    Driving is always bounded: with no explicit ``timeout_s`` the cursor
-    stops at the query's own soft-state lifetime (``temp_lifetime_s``) —
-    by then its temporary fragments have expired and no result can
-    legitimately arrive — so cursors terminate even on networks whose
-    periodic processes (renewal agents, monitors) never go idle.
+    Idle means no foreground work is pending: periodic processes, state
+    reapers and churn's failure injection run in the background and never
+    keep a cursor waiting.  With no explicit ``timeout_s`` the cursor stops
+    at the query's own soft-state lifetime (``temp_lifetime_s``) at the
+    latest — its temporary fragments have expired by then.
     :attr:`timed_out` is set when either bound cut the query short.
     """
 
@@ -239,22 +239,18 @@ class ResultCursor:
         self.cancelled = True
         self._teardown()
 
-    def close(self, drain: bool = True) -> None:
+    def close(self) -> None:
         """Finish the query and release its distributed state.
 
-        With ``drain`` (the default) the deployment is waited on until idle
-        so the teardown flood is fully delivered; pass ``drain=False`` inside
-        experiments that keep periodic processes running (their event queues
-        never drain).  Closing a query that was neither cancelled nor timed
-        out records its observed result cardinality as optimizer feedback —
-        drive it to completion first (``fetchall``/iteration) so the count
-        is the full result.
+        The deployment is then waited on until idle, so the teardown flood
+        is fully delivered.  Closing a query that was neither cancelled nor
+        timed out records its observed result cardinality as optimizer
+        feedback — drive it to completion first (``fetchall``/iteration) so
+        the count is the full result.
         """
-        if self._closed:
-            return
-        self._teardown()
-        if drain:
-            self._pier.wait(None)
+        if not self._closed:
+            self._teardown()
+        self._pier.wait(None)
 
     def _teardown(self) -> None:
         self._closed = True
@@ -273,8 +269,8 @@ class ResultCursor:
         """When to stop driving: the explicit timeout, or — failing that —
         the query's own soft-state lifetime: its temporary fragments have
         expired by then, so no result can legitimately arrive later.  This
-        bounds cursor driving even on networks whose periodic processes
-        (renewal agents, monitors) keep the event queue non-empty forever.
+        bounds cursor driving on a deployment that never reports idle (a
+        real cluster).
         """
         horizon = self.query.temp_lifetime_s
         if self.timeout_s is not None:
@@ -317,25 +313,22 @@ class ResultCursor:
         self._advance(target_rows=k)
         return self.rows[:k]
 
-    def fetchall(self, drain: bool = True) -> List[dict]:
+    def fetchall(self) -> List[dict]:
         """Run the query to completion and return its final rows.
 
         Aggregations finalised at the initiator are finalised here (merging
         the partial records the join sites or scan nodes shipped), and
-        ``LIMIT`` applies to the finalised groups.  The
-        query's distributed state is torn down before returning; with
-        ``drain`` (the default) the deployment is then waited on until idle
-        so the teardown flood is fully delivered — pass ``drain=False`` inside
-        experiments with periodic processes, whose event queues never drain.
+        ``LIMIT`` applies to the finalised groups.  The query's distributed
+        state is torn down and the deployment waited on until idle, so the
+        teardown flood is fully delivered, before returning.  To read the
+        deployment before the teardown (its traffic, per-query counters),
+        drive the query with :meth:`fetch` first.
         """
         self._advance()
         rows = self.handle.final_rows()
         if self._limit is not None:
             rows = rows[:self._limit]
-        if not self._closed:
-            self._teardown()
-        if drain:
-            self._pier.wait(None)
+        self.close()
         return rows
 
     def __iter__(self) -> Iterator[dict]:
@@ -456,8 +449,9 @@ class PierClient:
             return
         # Bounded wait: a handful of lookups resolve in well under this
         # horizon; if a reply is lost (owner failed mid-fetch) planning must
-        # not spin a never-idle network (renewal agents, monitors) forever —
-        # whatever partials arrived are used, the rest fall back to defaults.
+        # not wait forever on a deployment that never reports idle (a real
+        # cluster) — whatever partials arrived are used, the rest fall back
+        # to defaults.
         deadline = self.pier.now + 30.0
         next_time = self.pier.now
         while pending and next_time is not None and next_time < deadline:

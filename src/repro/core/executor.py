@@ -42,8 +42,8 @@ Queries are long-lived soft state.  :meth:`QueryExecutor.finish` multicasts
 a :class:`repro.core.query.QueryTeardown` control message that makes every
 node release the query's state — ``newData`` probes, multicast
 subscriptions, pending timers and locally stored temporary fragments — and
-stale per-query state is additionally reaped lazily once its soft-state
-lifetime elapses, so long simulations do not accumulate finished queries.
+each node's state for a query is reaped once its soft-state lifetime
+elapses, so a node the teardown missed does not hold it forever.
 
 Results are streamed directly to the initiator (single IP hop), which
 records per-arrival times so the harness can report the paper's "time to
@@ -89,6 +89,10 @@ QUERY_MESSAGE_BYTES = 400
 TEARDOWN_MESSAGE_BYTES = 50
 #: Wire size of one aggregation result row shipped to the initiator.
 AGG_RESULT_ROW_BYTES = 64
+#: ResourceID of every Bloom filter of one join side: its owner collects them.
+BLOOM_COLLECTOR = "collector"
+#: Wire size of the summary saying that a join side selected no row.
+EMPTY_SUMMARY_BYTES = 16
 #: Most result rows one ``pier.result`` message of join output carries.
 RESULT_SLICE_ROWS = 4096
 #: How long a node remembers that a query was finished, so a teardown that
@@ -177,7 +181,6 @@ class _NodeQueryState:
     #: ``graph.artifacts``: the kernels and closures this node runs it with.
     plan: PlanArtifacts
     arrived_at: float
-    expires_at: float
     rehash_done_for: set = field(default_factory=set)
     #: Registered ``newData`` callbacks, so teardown can unregister them.
     new_data_registrations: List[Tuple[str, Any]] = field(default_factory=list)
@@ -187,6 +190,8 @@ class _NodeQueryState:
     timers: List[Any] = field(default_factory=list)
     #: Temporary namespaces this node may hold fragments of.
     temp_namespaces: Set[str] = field(default_factory=set)
+    #: Join aliases whose Bloom collector this node was when the query arrived.
+    bloom_collecting: Set[str] = field(default_factory=set)
     #: Operators that ran a failure-degraded path on this node (e.g. a Bloom
     #: gate that rehashed unfiltered because its summary never arrived).
     degraded_ops: int = 0
@@ -202,15 +207,9 @@ class QueryExecutor:
     SERVICE_NAME = "pier.executor"
     PROTOCOL_RESULT = "pier.result"
 
-    def __init__(self, node: Node, provider: Provider,
-                 failure_aware: bool = False):
+    def __init__(self, node: Node, provider: Provider):
         self.node = node
         self.provider = provider
-        #: Churn deployments set this: operators arm failure fallbacks (the
-        #: Bloom gate's unfiltered rehash) so lost control messages degrade
-        #: recall instead of blocking the sink.  Off by default — the timers
-        #: it arms would perturb the seed deployments' event timelines.
-        self.failure_aware = failure_aware
         #: Node-local statistics cache: publish-time partials, fetched
         #: global views, and the observed cardinalities / join selectivities
         #: recorded by the feedback path below.
@@ -400,25 +399,20 @@ class QueryExecutor:
         query: QuerySpec = item
         if query.query_id in self._states or query.query_id in self._finished:
             return
-        self._expire_stale_states()
         graph = build_opgraph(query)
         # Lowering happens on arrival, not on some later row (the initiator
         # already lowered the spec in submit, before flooding it).
         state = _NodeQueryState(
             query=query, graph=graph, plan=graph.artifacts, arrived_at=self.now,
-            expires_at=self.now + query.temp_lifetime_s,
             temp_namespaces=set(graph.temp_namespaces()),
         )
         self._states[query.query_id] = state
-        if self.failure_aware:
-            # A node cut off from the teardown flood by churn must not hold
-            # this state forever when no later query triggers the lazy
-            # expiry: a one-shot reaper fires at the state's own soft-state
-            # deadline (cancelled with the rest of the timers on a normal
-            # teardown).
-            handle = self.node.schedule(query.temp_lifetime_s + 1.0,
-                                        self._expire_stale_states)
-            state.timers.append(handle)
+        # A node cut off from the teardown flood must not hold this state
+        # forever: a one-shot background reaper drops it just past its
+        # soft-state lifetime (cancelled with the rest of the timers on a
+        # normal teardown).
+        state.timers.append(self.node.schedule_background(
+            query.temp_lifetime_s + 1.0, self._teardown_local, query.query_id))
         self._instantiate(query, state)
 
     # -------------------------------------------------------- instantiation
@@ -437,6 +431,9 @@ class QueryExecutor:
             elif node.activation is Activation.MULTICAST:
                 self._setup_multicast_gate(query, state, node)
             elif node.activation is Activation.TIMER:
+                if node.kind is OpKind.BLOOM_COMBINE:
+                    state.bloom_collecting = {alias for alias in query.aliases
+                                              if self._collects(query, alias)}
                 handle = self.node.schedule(
                     node.params["delay_s"], self._run_timer_node, query, node
                 )
@@ -739,33 +736,28 @@ class QueryExecutor:
                               node: OpNode) -> None:
         """Subscribe a Bloom gate to its summary-distribution namespace.
 
-        Failure-aware executors additionally arm a fallback timer: if the
-        OR-ed summary never arrives (its collector died, or the
+        The gate also arms a fallback timer, which the summary cancels: if
+        the OR-ed summary never arrives (its collector died, or the
         distribution flood was cut), the gated side rehashes *unfiltered*
         after ``fallback_delay_s`` — the join degrades to symmetric hash
         for that side instead of contributing nothing to the sink.
         """
         distribution_namespace = node.params["distribution_namespace"]
+        fallback = self.node.schedule(node.params["fallback_delay_s"],
+                                      self._bloom_gate_fallback, query, node)
+        state.timers.append(fallback)
 
         def _handler(namespace, resource_id, item, origin, node=node) -> None:
-            self._on_bloom_filter(query, node, item)
+            self._on_bloom_filter(query, node, item, fallback)
 
         self.provider.on_multicast(distribution_namespace, _handler)
         state.multicast_subscriptions.append((distribution_namespace, _handler))
-        if self.failure_aware:
-            handle = self.node.schedule(node.params["fallback_delay_s"],
-                                        self._bloom_gate_fallback, query, node)
-            state.timers.append(handle)
 
     def _bloom_gate_fallback(self, query: QuerySpec, gate_node: OpNode) -> None:
-        """Rehash the gated side unfiltered when its summary never arrived."""
-        state = self._states.get(query.query_id)
-        if state is None:
-            return
-        marker = (gate_node.params["rehash_alias"], "bloom-rehash")
-        if marker in state.rehash_done_for:
-            return  # the summary made it after all
-        state.rehash_done_for.add(marker)
+        """Rehash the gated side unfiltered: its summary never arrived (it
+        would have cancelled this timer), and one arriving late is ignored."""
+        state = self._states[query.query_id]
+        state.rehash_done_for.add((gate_node.params["rehash_alias"], "bloom-rehash"))
         state.degraded_ops += 1
         scan_node = state.graph.local_downstream(gate_node)
         self._run_source_chain(query, state, scan_node, bloom_filter=None)
@@ -779,13 +771,18 @@ class QueryExecutor:
         bloom.update(chunk.columns[state.plan.key_slots[node.op_id]])
         self.provider.put_batch(
             node.params["namespace"],
-            [("collector", bloom)],
+            [(BLOOM_COLLECTOR, bloom)],
             lifetime=query.temp_lifetime_s,
             item_bytes=bloom.size_bytes,
         )
 
     def _flush_bloom_collectors(self, query: QuerySpec) -> None:
-        """OR the filters stored locally for each side and multicast the summary."""
+        """OR the filters stored locally for each side and multicast the summary.
+
+        A side with no filter gets a ``None`` summary from its collector, if
+        that was this node all along: a node that took the key over
+        mid-window may have missed filters, so it leaves the gates' fallback.
+        """
         state = self._states.get(query.query_id)
         if state is None:
             return
@@ -800,29 +797,37 @@ class QueryExecutor:
                     accumulator = incoming.copy()
                 else:
                     accumulator.union_in_place(incoming)
-            if accumulator is None or accumulator.is_empty():
-                continue
-            summaries.append((
-                bloom_distribution_namespace(query, alias),
-                "filter",
-                accumulator,
-                accumulator.size_bytes,
-            ))
+            namespace = bloom_distribution_namespace(query, alias)
+            if accumulator is not None and not accumulator.is_empty():
+                summaries.append((namespace, "filter", accumulator,
+                                  accumulator.size_bytes))
+            elif alias in state.bloom_collecting and self._collects(query, alias):
+                summaries.append((namespace, "filter", None, EMPTY_SUMMARY_BYTES))
         if summaries:
             # Both sides' summaries share one flood wave over the overlay.
             self.provider.multicast_batch(summaries)
 
+    def _collects(self, query: QuerySpec, alias: str) -> bool:
+        """Whether this node owns ``alias``'s Bloom collector key now."""
+        return self.provider.routing.owns(
+            hash_key(query.bloom_namespace(alias), BLOOM_COLLECTOR))
+
     def _on_bloom_filter(self, query: QuerySpec, gate_node: OpNode,
-                         bloom: BloomFilter) -> None:
-        """A summary of one side's join keys arrived: rehash the other side."""
+                         bloom: Optional[BloomFilter], fallback: Any) -> None:
+        """A summary of one side's join keys arrived: cancel the gate's
+        ``fallback`` timer and rehash the other side — unless the summary is
+        ``None`` (that side selected no row, so nothing here can match)."""
         state = self._states.get(query.query_id)
         if state is None:
             return
+        fallback.cancel()
         rehash_alias = gate_node.params["rehash_alias"]
         marker = (rehash_alias, "bloom-rehash")
         if marker in state.rehash_done_for:
             return
         state.rehash_done_for.add(marker)
+        if bloom is None:
+            return
         scan_node = state.graph.local_downstream(gate_node)
         self._run_source_chain(query, state, scan_node, bloom_filter=bloom)
 
@@ -990,19 +995,6 @@ class QueryExecutor:
                 torn_down += 1
         self._handles.clear()
         return torn_down
-
-    def _expire_stale_states(self) -> None:
-        """Lazily reap per-query state whose soft-state lifetime has elapsed.
-
-        Invoked whenever a new query arrives, so long-running simulations
-        with many queries (continuous/periodic workloads) stay bounded even
-        when nobody calls :meth:`finish` explicitly.
-        """
-        now = self.now
-        stale = [query_id for query_id, state in self._states.items()
-                 if now >= state.expires_at]
-        for query_id in stale:
-            self._teardown_local(query_id)
 
     def _prune_finished_markers(self) -> None:
         now = self.now

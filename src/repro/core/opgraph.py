@@ -621,10 +621,10 @@ def _build_bloom(graph: OpGraph) -> None:
             Activation.MULTICAST,
             filtered_alias=alias, rehash_alias=other,
             distribution_namespace=distribution_namespace,
-            # Failure-aware executors arm a fallback at this delay: if the
-            # summary never arrives (collector died, flood cut), the gated
-            # side rehashes unfiltered so the join degrades to symmetric
-            # hash instead of silently producing nothing.
+            # Executors arm a fallback at this delay, which the summary
+            # cancels: if it never arrives (collector died, flood cut), the
+            # gated side rehashes unfiltered so the join degrades to
+            # symmetric hash instead of silently producing nothing.
             fallback_delay_s=query.collection_window_s * 2.5 + 5.0,
         )
         graph.connect(combine, gate, EdgeKind.MULTICAST)

@@ -46,13 +46,14 @@ DRIVE_CHUNK_EVENTS = 256
 class ChurnConfig:
     """Continuous node-failure injection alongside real query execution.
 
-    Attaching one to :class:`SimulationConfig` makes the deployment
-    failure-aware end to end: Providers run the per-request timeout/retry
-    lanes, executors arm failure fallbacks and the periodic stale-state
-    sweep, and a :class:`repro.net.failures.FailureInjector` (exposed as
-    ``PierNetwork.failure_injector``) fails nodes at the configured rate from
-    the moment the deployment is built — the setup of the paper's Figure 6
-    recall experiment, through the PierClient → opgraph → executor path.
+    Attaching one to :class:`SimulationConfig` arms the Providers'
+    per-request timeout/retry lanes and starts a
+    :class:`repro.net.failures.FailureInjector` (exposed as
+    ``PierNetwork.failure_injector``) that fails nodes at the configured rate
+    from the moment the deployment is built — the setup of the paper's
+    Figure 6 recall experiment, through the PierClient → opgraph → executor
+    path.  Failures and resumptions are background events: a cursor still
+    ends once its query's own work is done and the simulator is idle.
     The injector applies each failure to the nodes'
     :class:`repro.stack.NodeStack` transitions itself: the victim's stack
     fails at once, and after the paper's 15 s keep-alive delay
@@ -93,9 +94,9 @@ class SimulationConfig:
     #: Coalescing window for same-destination sends; ``0.0`` merges sends
     #: issued at the same virtual instant.
     coalesce_window_s: float = 0.0
-    #: Churn: run a failure injector alongside real queries and switch the
-    #: whole stack into its failure-aware mode.  ``None`` (the default)
-    #: reproduces the seed's failure-free behaviour exactly.
+    #: Churn: run a failure injector (background events: they never keep
+    #: the deployment busy) alongside real queries and bound every get.
+    #: ``None`` (the default) injects nothing and leaves gets unbounded.
     churn: Optional[ChurnConfig] = None
 
     def __post_init__(self) -> None:
@@ -131,8 +132,7 @@ class PierNetwork:
                 self.network.node(address), routing,
                 sweep_period_s=config.sweep_period_s,
                 request_timeout_s=(REQUEST_TIMEOUT_S if churn is not None
-                                   else None),
-                failure_aware=churn is not None)
+                                   else None))
             for address, routing in self.routings.items()}
         self.providers: Dict[int, Provider] = {
             address: stack.provider for address, stack in self.stacks.items()}
@@ -206,7 +206,7 @@ class PierNetwork:
         ``fast=True`` places each tuple directly into its owner's storage
         manager (no messages), which is how benchmarks pre-load tables;
         ``fast=False`` issues real ``put`` traffic from every publisher and
-        runs the simulation until it drains.  ``track_renewal`` additionally
+        runs the simulation until it is idle.  ``track_renewal`` additionally
         records every tuple with the publisher's renewal agent (create the
         agents first with :meth:`start_renewal_agents`) and, under ``fast``,
         the owner it was placed at, so the first renewal needs no lookup.
@@ -320,12 +320,15 @@ class PierNetwork:
     def wait(self, until: Optional[float]) -> Optional[float]:
         """One cursor step: run the events due at the next activity time
         (never past it: the clock does not jump to ``until``) unless that is
-        ``until`` or later; return it.  ``wait(None)`` runs until idle."""
+        ``until`` or later; return it.  ``None`` when the simulator is idle
+        (only background events left): ``wait(None)`` runs until then."""
+        simulator = self.network.simulator
         if until is None:
-            self.network.run_until_idle()
+            simulator.run_until_idle()
+        if until is None or simulator.idle:
             return None
-        next_time = self.network.simulator.next_event_time()
-        if next_time is not None and next_time < until:
+        next_time = simulator.next_event_time()
+        if next_time < until:
             self.network.run(until=next_time, max_events=DRIVE_CHUNK_EVENTS)
         return next_time
 
@@ -343,7 +346,8 @@ class PierNetwork:
         """Advance the simulation."""
         return self.network.run(until=until, max_events=max_events)
 
-    def run_until_idle(self, max_events: Optional[int] = None) -> float:
-        """Run until the event queue drains."""
-        return self.network.run_until_idle(max_events=max_events)
+    def run_until_idle(self) -> float:
+        """Run until only background events (periodic timers, reapers, failure
+        injection) are pending."""
+        return self.network.run_until_idle()
 

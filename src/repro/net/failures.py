@@ -159,7 +159,9 @@ class FailureInjector:
     one event resumes it: every stack confirms the node dead, the identity
     comes back with empty storage and every stack routes through it again.
     Node 0, the query initiator site, is never a random victim, mirroring
-    the paper's implicit assumption that the query site stays up.
+    the paper's implicit assumption that the query site stays up.  Both the
+    failures and the resumptions are background events: they never keep
+    the simulator from going idle.
 
     Parameters
     ----------
@@ -200,7 +202,7 @@ class FailureInjector:
     def _schedule_next(self) -> None:
         mean_gap = 60.0 / self.failures_per_minute
         gap = self._rng.expovariate(1.0 / mean_gap)
-        self.network.simulator.schedule(gap, self._inject)
+        self.network.simulator.schedule_background(gap, self._inject)
 
     def _inject(self) -> None:
         if not self._running:
@@ -222,8 +224,8 @@ class FailureInjector:
         self.events.append(event)
         self.network.fail_node(address)
         self.stacks[address].fail()
-        self.network.simulator.schedule(DEFAULT_DETECTION_DELAY_S,
-                                        self._resume, address)
+        self.network.simulator.schedule_background(DEFAULT_DETECTION_DELAY_S,
+                                                   self._resume, address)
         return event
 
     def _resume(self, address: int) -> None:

@@ -248,9 +248,9 @@ class SimulatedNetwork(Transport):
         """Advance the simulation (delegates to the simulator)."""
         return self.simulator.run(until=until, max_events=max_events)
 
-    def run_until_idle(self, max_events: Optional[int] = None) -> float:
-        """Run until no events remain."""
-        return self.simulator.run_until_idle(max_events=max_events)
+    def run_until_idle(self) -> float:
+        """Run until only background events remain (:attr:`Simulator.idle`)."""
+        return self.simulator.run_until_idle()
 
     @property
     def now(self) -> float:

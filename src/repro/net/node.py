@@ -22,7 +22,7 @@ and the layer sends at once.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import NetworkError
 from repro.net.message import Message
@@ -131,25 +131,30 @@ class Node:
 
     # --------------------------------------------------------------- timers
 
-    def schedule(self, delay: float, callback: Callable[..., None], *args: Any):
-        """Schedule a local timer; skipped automatically if the node is dead."""
-
+    def _guarded(self, callback: Callable[..., None],
+                 args: Tuple[Any, ...]) -> Callable[[], None]:
         def _guarded() -> None:
             if self.alive:
                 callback(*args)
 
-        return self.network.timers.schedule(delay, _guarded)
+        return _guarded
+
+    def schedule(self, delay: float, callback: Callable[..., None], *args: Any):
+        """Schedule a local timer; skipped automatically if the node is dead."""
+        return self.network.timers.schedule(
+            delay, self._guarded(callback, args))
+
+    def schedule_background(self, delay: float, callback: Callable[..., None],
+                            *args: Any):
+        """:meth:`schedule` upkeep no caller waits on (reapers)."""
+        return self.network.timers.schedule_background(
+            delay, self._guarded(callback, args))
 
     def schedule_periodic(self, period: float, callback: Callable[..., None],
                           *args: Any, initial_delay: Optional[float] = None):
         """Schedule a periodic local timer that pauses while the node is dead."""
-
-        def _guarded() -> None:
-            if self.alive:
-                callback(*args)
-
         return self.network.timers.schedule_periodic(
-            period, _guarded, initial_delay=initial_delay
+            period, self._guarded(callback, args), initial_delay=initial_delay
         )
 
     @property

@@ -12,6 +12,11 @@ layers schedule work on.  The design is a classic calendar queue built on
   expressed with ``schedule_periodic`` (inherited from
   :class:`repro.net.transport.TimerService`), which returns a handle that
   can be cancelled.
+* :meth:`Simulator.schedule_background` registers upkeep no caller waits
+  on: periodic timers' firings, the executor's per-state reaper, the
+  failure injector's failures and resumptions.  The simulator is **idle**
+  when no other (foreground) event is pending, however many background
+  events are: :meth:`Simulator.run_until_idle` stops there.
 * :meth:`Simulator.postpone` moves a pending event later; the network uses
   it to keep one event per coalesced delivery group.
 
@@ -41,9 +46,9 @@ re-files it under the current key at the point where it also discards the
 entries of cancelled events.  The result is exactly the firing position that
 cancelling the event and scheduling a new one would give, without the dead
 heap entry per postponement.  A live-event counter tracks
-scheduled-minus-(fired-or-cancelled) events so :attr:`pending_events` and
-the idle check at the end of :meth:`run` are O(1); postponing leaves it
-untouched.
+scheduled-minus-(fired-or-cancelled) events, and a second one the
+background events among them, so :attr:`pending_events` and :attr:`idle`
+are O(1); postponing leaves both untouched.
 """
 
 from __future__ import annotations
@@ -65,7 +70,8 @@ class EventHandle:
     are the event's current calendar key.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "fired", "_sim")
+    __slots__ = ("time", "seq", "callback", "args", "cancelled", "fired",
+                 "background", "_sim")
 
     def __init__(self, time: float, seq: int, callback: Callable[..., None],
                  args: tuple, sim: "Simulator"):
@@ -75,6 +81,8 @@ class EventHandle:
         self.args = args
         self.cancelled = False
         self.fired = False
+        #: Upkeep that does not keep the simulator busy (module docs).
+        self.background = False
         self._sim = sim
 
     def cancel(self) -> None:
@@ -99,10 +107,6 @@ class Simulator(TimerService):
         Initial value of the virtual clock, in seconds.
     """
 
-    #: Events :meth:`run_until_idle` runs between its checks for a calendar
-    #: that only periodic timers keep busy.
-    IDLE_CHECK_EVENTS = 100_000
-
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
         self._queue: list[_Entry] = []  # heap
@@ -112,6 +116,7 @@ class Simulator(TimerService):
         self._running = False
         self._events_processed = 0
         self._live = 0  # scheduled and neither fired nor cancelled
+        self._background = 0  # the background events among them
 
     @property
     def now(self) -> float:
@@ -127,6 +132,11 @@ class Simulator(TimerService):
     def pending_events(self) -> int:
         """Number of live (non-cancelled) events still waiting to fire."""
         return self._live
+
+    @property
+    def idle(self) -> bool:
+        """Whether only background events (or none) are left to fire."""
+        return self._live == self._background
 
     def schedule(
         self,
@@ -155,6 +165,19 @@ class Simulator(TimerService):
         else:
             heapq.heappush(self._queue, (time, seq, event))
         return event
+
+    def schedule_background(self, delay: float, callback: Callable[..., None],
+                            *args: Any) -> EventHandle:
+        """:meth:`schedule` an event that does not keep the simulator busy."""
+        event = self.schedule(delay, self._fire_background, callback, args)
+        event.background = True
+        self._background += 1
+        return event
+
+    def _fire_background(self, callback: Callable[..., None],
+                         args: Tuple[Any, ...]) -> None:
+        self._background -= 1  # here, not in the run loop every event takes
+        callback(*args)
 
     def schedule_at(
         self,
@@ -206,27 +229,28 @@ class Simulator(TimerService):
             return
         event.cancelled = True
         self._live -= 1
+        self._background -= event.background
 
     def run(
         self,
         until: Optional[float] = None,
         max_events: Optional[int] = None,
     ) -> float:
-        """Process events until the queue drains or a limit is hit.
+        """Process events in order until none is left, the next is due after
+        ``until`` (one due at exactly ``until`` runs) or ``max_events`` ran
+        (a safety valve for tests); returns the virtual time."""
+        return self._run(until, max_events, False)
 
-        Parameters
-        ----------
-        until:
-            Stop once the clock would advance past this virtual time.  Events
-            scheduled exactly at ``until`` are executed.
-        max_events:
-            Stop after executing this many events (safety valve for tests).
+    def run_until_idle(self) -> float:
+        """Run until the simulator is :attr:`idle`; returns the virtual time.
 
-        Returns
-        -------
-        float
-            The virtual time when the run stopped.
+        Background events due before the last foreground one fire in order;
+        the rest stay pending, so periodic processes never hold the run.
         """
+        return self._run(None, None, True)
+
+    def _run(self, until: Optional[float], max_events: Optional[int],
+             to_idle: bool) -> float:
         if self._running:
             raise SimulationError("simulator run() is not re-entrant")
         self._running = True
@@ -234,6 +258,8 @@ class Simulator(TimerService):
         queue, ready = self._queue, self._ready
         try:
             while max_events is None or executed < max_events:
+                if to_idle and self._live == self._background:
+                    break
                 entry = self._peek()
                 if entry is None or (until is not None and entry[0] > until):
                     break
@@ -254,8 +280,10 @@ class Simulator(TimerService):
             # it back into the heap (time == now, sequence numbers preserved).
             while ready:
                 heapq.heappush(queue, ready.popleft())
-        if until is not None and self._now < until and not self._has_runnable(until):
-            self._now = until
+        if until is not None and self._now < until:
+            next_time = self.next_event_time()
+            if next_time is None or next_time > until:
+                self._now = until
         return self._now
 
     def _peek(self) -> Optional[_Entry]:
@@ -285,28 +313,9 @@ class Simulator(TimerService):
                 heapq.heapreplace(queue, current)
         return None
 
-    def run_until_idle(self, max_events: Optional[int] = None) -> float:
-        """Run until no events remain; convenience wrapper over :meth:`run`.
-
-        Without ``max_events`` a run whose only events left are periodic
-        timers' firings would never end: it raises :class:`SimulationError`
-        instead, checked before the run and every ``IDLE_CHECK_EVENTS``
-        events.  Cancel the timers first, or bound the run.
-        """
-        if max_events is not None:
-            return self.run(max_events=max_events)
-        while True:
-            if 0 < self._live <= self.periodic_timers:
-                raise SimulationError(
-                    f"run_until_idle() would never return: only the firings of "
-                    f"{self.periodic_timers} periodic timer(s) are left; cancel "
-                    f"them or pass max_events / run(until=...)")
-            self.run(max_events=self.IDLE_CHECK_EVENTS)
-            if self._live == 0:
-                return self._now
-
     def next_event_time(self) -> Optional[float]:
-        """Timestamp of the earliest runnable event, or ``None`` when idle.
+        """Timestamp of the earliest runnable event, or ``None`` when none is
+        pending (background events count).
 
         Cancelled and postponed events are seen through, so callers polling
         between :meth:`run` calls (e.g. result cursors deciding how far to
@@ -314,13 +323,6 @@ class Simulator(TimerService):
         """
         entry = self._peek()
         return None if entry is None else entry[0]
-
-    def _has_runnable(self, until: float) -> bool:
-        """Whether any non-cancelled event is due at or before ``until``."""
-        if self._live == 0:
-            return False
-        next_time = self.next_event_time()
-        return next_time is not None and next_time <= until
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -42,8 +42,9 @@ from repro.net.message import Message
 class PeriodicHandle:
     """Handle for a repeating timer; cancelling stops future repetitions.
 
-    Each firing runs the callback, then schedules the next one-shot firing.
-    The pending one-shot points back at this handle, so :meth:`cancel`
+    Each firing runs the callback, then schedules the next one-shot firing
+    as a background event (the timer never keeps a simulation busy).  The
+    pending one-shot points back at this handle, so :meth:`cancel`
     drops it: a stopped timer is freed by reference counting.  Mutable by
     contract and never on the wire, so not slotted.
     """
@@ -63,12 +64,11 @@ class PeriodicHandle:
             return
         self._callback(*self._args)
         if self.active:
-            self.current = self._timers.schedule(self._period, self._fire)
+            self.current = self._timers.schedule_background(self._period,
+                                                            self._fire)
 
     def cancel(self) -> None:
         """Stop the periodic process."""
-        if self.active:
-            self._timers.periodic_timers -= 1
         self.active = False
         if self.current is not None:
             self.current.cancel()
@@ -86,9 +86,6 @@ class TimerService(ABC):
     return a :class:`PeriodicHandle` (``cancel()`` / ``active``).
     """
 
-    #: Periodic timers started here and not cancelled since.
-    periodic_timers = 0
-
     @property
     @abstractmethod
     def now(self) -> float:
@@ -103,6 +100,12 @@ class TimerService(ABC):
         the concrete handle type is implementation-specific.
         """
 
+    def schedule_background(self, delay: float, callback: Callable[..., None],
+                            *args: Any) -> Any:
+        """:meth:`schedule` upkeep no caller waits on (reapers, periodic
+        firings), which a simulator does not count as pending work."""
+        return self.schedule(delay, callback, *args)
+
     def schedule_periodic(self, period: float, callback: Callable[..., None],
                           *args: Any, initial_delay: Optional[float] = None
                           ) -> PeriodicHandle:
@@ -115,9 +118,8 @@ class TimerService(ABC):
             raise SimulationError(
                 f"periodic timers need a positive period (got {period})")
         handle = PeriodicHandle(self, period, callback, args)
-        self.periodic_timers += 1
         first = period if initial_delay is None else initial_delay
-        handle.current = self.schedule(first, handle._fire)
+        handle.current = self.schedule_background(first, handle._fire)
         return handle
 
 

@@ -11,8 +11,9 @@ package *is* importable the unit tests cross-validate against it.
 Application extension types (msgpack ``ext``)
 ---------------------------------------------
 The PIER object model crosses the wire as-is — :class:`QuerySpec`
-multicasts, :class:`DHTItem` replies, statistics partials, Bloom filters —
-so the codec adds ext types on top of the standard scalars/arrays/maps:
+multicasts and their teardowns, statistics partials, Bloom filters,
+sketches — so the codec adds ext types on top of the standard
+scalars/arrays/maps:
 
 ====  ==========  =====================================================
 code  type        payload

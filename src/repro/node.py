@@ -360,7 +360,6 @@ class PierNode:
             self.node, routing,
             sweep_period_s=self.config["sweep_period_s"],
             request_timeout_s=float(self.config["request_timeout_s"]),
-            failure_aware=True,
         )
         self.provider = self.stack.provider
         self.executor = self.stack.executor

@@ -56,20 +56,18 @@ def build_overlay(dht: str, addresses: Sequence[int], can_dimensions: int = 2,
 class NodeStack:
     """One node's Provider and QueryExecutor, and what a failure does to them.
 
-    ``request_timeout_s`` arms the Provider's per-request timeout lane and
-    ``failure_aware`` the executor's failure fallbacks: a churn deployment
-    or a real node sets both, the timeout to
-    :data:`repro.dht.provider.REQUEST_TIMEOUT_S` unless given another.
+    ``request_timeout_s`` arms the Provider's per-request timeout lane: a
+    churn deployment or a real node sets it, to
+    :data:`repro.dht.provider.REQUEST_TIMEOUT_S` unless given another.  The
+    executor always arms its state reaper and Bloom-gate fallbacks.
     """
 
     def __init__(self, node: Node, routing: RoutingLayer,
                  sweep_period_s: float = DEFAULT_SWEEP_PERIOD_S,
-                 request_timeout_s: Optional[float] = None,
-                 failure_aware: bool = False):
+                 request_timeout_s: Optional[float] = None):
         self.provider = Provider(node, routing, sweep_period_s=sweep_period_s,
                                  request_timeout_s=request_timeout_s)
-        self.executor = QueryExecutor(node, self.provider,
-                                      failure_aware=failure_aware)
+        self.executor = QueryExecutor(node, self.provider)
 
     def fail(self) -> None:
         """This node's process died: its soft state, in-flight gets and

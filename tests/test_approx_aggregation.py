@@ -11,6 +11,8 @@ distinct-value set.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from conftest import build_pier, build_workload, load_join_tables
@@ -25,9 +27,7 @@ def run_sql(sql, dht="can", num_nodes=16, **query_options):
     pier.run_until_idle()
     client = pier.client(catalog=workload.catalog())
     query = client.plan(sql, **query_options)
-    # Undrained: the teardown is still in flight, so per-query counters
-    # (``agg_bytes``) can be read.
-    rows = client.query(query).fetchall(drain=False)
+    rows = client.query(query).fetchall()
     return rows, pier, query, workload
 
 
@@ -179,13 +179,15 @@ def test_agg_bytes_accounting_sketch_vs_exact():
         query = client.plan(sql)
         if param is not None:
             query.aggregates = [replace(query.aggregates[0], param=param)]
-        rows = client.query(query).fetchall(drain=False)
-        assert rows
+        cursor = client.query(query)
+        cursor.fetch(sys.maxsize)  # every row; not torn down yet
         shipped = 0
         for address in range(pier.num_nodes):
             counters = pier.executor(address).agg_bytes.get(query.query_id)
             if counters:
                 shipped += counters["level0"] + counters["level1"]
+        rows = cursor.fetchall()
+        assert rows
         return shipped, rows[0]["d"]
 
     exact, truth = total_shipped("SELECT COUNT(DISTINCT R.num1) AS d FROM R")
@@ -198,15 +200,19 @@ def test_agg_bytes_accounting_sketch_vs_exact():
 
 
 def test_agg_bytes_cleared_on_teardown():
-    rows, pier, query, _workload = run_sql(
-        "SELECT APPROX COUNT(DISTINCT R.num1) AS d FROM R"
-    )
-    assert rows
+    pier = build_pier(16)
+    workload = build_workload(16, s_tuples_per_node=4)
+    load_join_tables(pier, workload)
+    pier.run_until_idle()
+    cursor = pier.client(catalog=workload.catalog()).sql(
+        "SELECT APPROX COUNT(DISTINCT R.num1) AS d FROM R")
+    query = cursor.query
+    assert cursor.fetch(sys.maxsize)  # every row; not torn down yet
     tracked = [
         address for address in range(pier.num_nodes)
         if query.query_id in pier.executor(address).agg_bytes
     ]
     assert tracked  # counters exist until the teardown is delivered
-    pier.run_until_idle()
+    assert cursor.fetchall()  # tears down and waits until idle
     for address in range(pier.num_nodes):
         assert query.query_id not in pier.executor(address).agg_bytes

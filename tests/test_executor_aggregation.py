@@ -1,5 +1,7 @@
 """Integration tests for distributed aggregation, SQL execution and monitoring queries."""
 
+import sys
+
 import pytest
 
 from repro.core.query import AggregateSpec, JoinStrategy, QuerySpec, TableRef
@@ -86,8 +88,8 @@ def test_hierarchical_aggregation_reduces_group_owner_inbound_messages():
     pier_flat, _workload, planner = build_monitoring(num_nodes=32)
     sql = "SELECT count(*) AS cnt FROM intrusions I"
     flat_query = planner.plan_sql(sql)
-    # Undrained: the teardown is in flight and its traffic not yet counted.
-    flat = pier_flat.client().query(flat_query).fetchall(drain=False)
+    # Read before the teardown is sent: its traffic is not counted.
+    flat = pier_flat.client().query(flat_query).fetch(sys.maxsize)
     flat_owner = pier_flat.owner_of(flat_query.aggregation_namespace(), ("agg-l0", ()))
     # Partial aggregates travel as prov.put_chunk messages; the flat plan
     # must ship partials.
@@ -97,7 +99,7 @@ def test_hierarchical_aggregation_reduces_group_owner_inbound_messages():
     pier_tree, _workload2, planner2 = build_monitoring(num_nodes=32)
     tree_query = planner2.plan_sql(sql)
     tree_query.hierarchical_aggregation = True
-    tree = pier_tree.client().query(tree_query).fetchall(drain=False)
+    tree = pier_tree.client().query(tree_query).fetch(sys.maxsize)
 
     assert flat[0]["cnt"] == tree[0]["cnt"]
     # Flat: every node puts its partial directly to the single group owner.

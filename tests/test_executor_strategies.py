@@ -1,5 +1,7 @@
 """Integration tests: all four distributed join strategies produce the right answer."""
 
+import sys
+
 import pytest
 
 from repro.core.query import JoinStrategy
@@ -28,7 +30,7 @@ def data_shipping_bytes(strategy, s_selectivity=None):
     pier = build_pier(24)
     load_join_tables(pier, workload)
     query = workload.make_query(strategy=strategy, s_selectivity=s_selectivity)
-    pier.client().query(query).fetchall(drain=False)
+    pier.client().query(query).fetch(sys.maxsize)  # every row, no teardown
     return breakdown_traffic(pier.network.stats).data_shipping_bytes
 
 
@@ -204,14 +206,14 @@ def test_single_computation_node_receives_more_inbound_traffic():
     workload = build_workload(16, s_tuples_per_node=3)
     pier_all = build_pier(16)
     load_join_tables(pier_all, workload)
-    # Undrained: the teardowns are in flight and their traffic not counted.
-    rows_all = pier_all.client().query(workload.make_query()).fetchall(drain=False)
+    # Read before the teardowns are sent: their traffic is not counted.
+    rows_all = pier_all.client().query(workload.make_query()).fetch(sys.maxsize)
 
     pier_one = build_pier(16)
     load_join_tables(pier_one, workload)
     query_one = workload.make_query()
     query_one.computation_nodes = [3]
-    rows_one = pier_one.client().query(query_one).fetchall(drain=False)
+    rows_one = pier_one.client().query(query_one).fetch(sys.maxsize)
 
     assert len(rows_one) == len(rows_all)
     inbound_single = pier_one.network.stats.inbound_bytes[3]

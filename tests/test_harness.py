@@ -1,5 +1,7 @@
 """Tests for the experiment harness, analytical models and reporting helpers."""
 
+import sys
+
 import pytest
 
 from repro.core import costmodel
@@ -125,7 +127,7 @@ def test_cursor_reports_latency_and_traffic(loaded_pier):
     pier, workload = loaded_pier
     start = pier.now
     cursor = pier.client().query(workload.make_query())
-    rows = cursor.fetchall(drain=False)
+    rows = cursor.fetchall()
     latency = summarize_latency(cursor.handle)
     assert latency.result_count == len(rows) == len(workload.expected_results())
     assert latency.time_to_last > 0
@@ -148,7 +150,8 @@ def test_finished_query_leaves_the_network_idle(loaded_pier):
 def test_cursor_timeout_stops_at_that_time(loaded_pier):
     pier, workload = loaded_pier
     start = pier.now
-    pier.client().query(workload.make_query(), timeout_s=2.0).fetchall(drain=False)
+    cursor = pier.client().query(workload.make_query(), timeout_s=2.0)
+    cursor.fetch(sys.maxsize)  # a teardown is sent, not yet delivered
     assert pier.now <= start + 2.0 + 1e-9
 
 
@@ -172,7 +175,7 @@ def churn_recalls(num_nodes, failure_rate_per_min, queries, seed=0):
         expected = workload.expected_results(
             live_publishers=pier.reachable_snapshot())
         cursor = client.query(workload.make_query(), timeout_s=30.0)
-        recalls.append(recall(cursor.fetchall(drain=False), expected))
+        recalls.append(recall(cursor.fetchall(), expected))
         pier.run(until=pier.now + 10.0)
     return pier, recalls
 

@@ -302,14 +302,14 @@ def test_failure_injector_fails_and_recovers_nodes():
         stack.peer_dead = lambda peer, at=address: seen.append((at, "dead", peer))
         stack.peer_alive = lambda peer, at=address: seen.append((at, "alive", peer))
     scheduled = []
-    schedule = pier.network.simulator.schedule
+    schedule = pier.network.simulator.schedule_background
 
     def recording_schedule(delay, callback, *args):
         if getattr(callback, "__self__", None) is injector:
             scheduled.append((delay, callback.__name__))
         return schedule(delay, callback, *args)
 
-    pier.network.simulator.schedule = recording_schedule
+    pier.network.simulator.schedule_background = recording_schedule
     event = injector.fail_now(3)
     assert scheduled == [(DEFAULT_DETECTION_DELAY_S, "_resume")]
     assert (event.failed_at, event.resumed_at) == (0.0, 15.0)

@@ -99,7 +99,7 @@ def test_limit_cancel_pin():
     query.query_id = 4242  # ids name the rehash namespace
     assert query.strategy is JoinStrategy.SYMMETRIC_HASH
     cursor = client.query(query)
-    assert len(cursor.fetchall(drain=False)) == 5 and cursor.cancelled
+    assert len(cursor.fetch(5)) == 5 and cursor.cancelled
     # Re-recorded when CAN became a torus (1.5097248 s after 295 events,
     # idle at 2.2120512 s after 542 on the square): the rows come sooner,
     # but on the 4 x 4 torus keys bound for the antipodal row or column
@@ -201,13 +201,20 @@ def test_timeout_not_flagged_when_query_completes_first():
 
 
 def test_cursor_driving_is_bounded_on_never_idle_networks():
-    """A periodic process keeps the queue non-empty forever; the cursor must
-    still terminate — at the query's own soft-state lifetime at the latest."""
+    """Foreground work that never ends (a one-shot timer that re-arms
+    itself) keeps the deployment busy forever; the cursor must still
+    terminate — at the query's own soft-state lifetime at the latest."""
     pier, workload, client = client_setup(8)
-    pier.network.node(0).schedule_periodic(1.0, lambda: None)
+    node = pier.network.node(0)
+
+    def busy():
+        node.schedule(1.0, busy)
+
+    busy()
     cursor = client.sql(workload.sql_text(), temp_lifetime_s=30.0)
-    rows = cursor.fetchall(drain=False)  # run_until_idle would never return
+    rows = list(cursor)  # fetchall would wait for idle, which never comes
     assert len(rows) == len(workload.expected_results())
+    assert cursor.timed_out
     assert pier.now <= 31.0
 
 

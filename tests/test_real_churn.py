@@ -208,7 +208,8 @@ def test_rpc_before_ready_raises_typed_not_ready_error():
         [sys.executable, "-m", "repro.node",
          "--listen", f"127.0.0.1:{port}",
          "--join", f"127.0.0.1:{silent_member.getsockname()[1]}"],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        preexec_fn=realcluster._die_with_parent)  # a killed run leaves no node
     try:
         deadline = time.monotonic() + 30.0
         conn = None
@@ -290,7 +291,7 @@ def query_rows(cluster, strategy, timeout_s=QUERY_HORIZON_S,
         rows = cursor.fetch(expected)
         cursor.cancel()
     else:
-        rows = cursor.fetchall(drain=False)
+        rows = cursor.fetchall()
     return rows, cursor
 
 
@@ -416,7 +417,7 @@ def test_kill9_mid_query_degrades_without_hanging(churn_cluster):
     cursor.fetch(1)  # the dataflow is live before the failure lands
     churn_cluster.kill(victim)
     started = time.monotonic()
-    rows = cursor.fetchall(drain=False)
+    rows = cursor.fetchall()
     elapsed = time.monotonic() - started
     assert elapsed < QUERY_HORIZON_S + 30.0, "query hung past its horizon"
 
@@ -457,7 +458,7 @@ def test_gateway_kill_fails_over_mid_session(churn_cluster):
                           timeout_s=8.0)
     cursor.fetch(1)
     churn_cluster.kill(old_gateway)
-    rows = cursor.fetchall(drain=False)  # must not raise, must not hang
+    rows = cursor.fetchall()  # must not raise, must not hang
     assert pier.gateway_address != old_gateway
     assert pier.gateway_address in pier.endpoints
     assert isinstance(rows, list)
@@ -472,7 +473,7 @@ def test_gateway_kill_fails_over_mid_session(churn_cluster):
     pier.refresh_membership()
     query = wl.make_query(strategy=JoinStrategy.SYMMETRIC_HASH)
     client = pier.client(catalog=wl.catalog())
-    rows_after = client.query(query, timeout_s=QUERY_HORIZON_S).fetchall(drain=False)
+    rows_after = client.query(query, timeout_s=QUERY_HORIZON_S).fetchall()
 
     def owner_of(namespace, resource_id):
         return pier.builder.owners_of_keys([hash_key(namespace, resource_id)])[0]

@@ -12,8 +12,8 @@
 * ``GatewayConnection.pump`` blocks on the socket and returns as soon as it
   dispatched a frame, and no later than behind a response;
   ``RemotePier.wait`` is one such pump, and ``wait(None)`` does not block;
-* a real node's executor is failure-aware: each query's state holds a
-  reaper timer, which ``finish`` cancels.
+* a real node's executor, like every executor, arms a reaper timer per
+  query state, which ``finish`` cancels.
 
 No subprocess clusters here: raw asyncio servers, in-process transports on
 one loop, an in-process one-node ``PierNode`` and a plain listening socket
@@ -484,23 +484,23 @@ def test_the_initiators_own_rows_are_produced_after_submit_and_pushed():
 
 
 def test_a_real_node_arms_the_state_reaper_and_finish_cancels_it():
-    """A real cluster can lose a node at any moment, so a node process runs
-    a failure-aware executor: the query's state holds a one-shot reaper at
-    its soft-state deadline, and a normal teardown cancels it."""
+    """A real cluster can lose a node at any moment, so every executor
+    reaps: the query's state holds a one-shot background reaper at its
+    soft-state deadline, and a normal teardown cancels it."""
 
     async def main():
         async with one_node_cluster() as node:
             executor = node.executor
             reapers = []
-            schedule = node.node.schedule
+            schedule = node.node.schedule_background
 
             def recording(delay, callback, *args):
                 handle = schedule(delay, callback, *args)
-                if callback == executor._expire_stale_states:
-                    reapers.append(handle)
+                if callback == executor._teardown_local:
+                    reapers.append((handle, args))
                 return handle
 
-            node.node.schedule = recording
+            node.node.schedule_background = recording
             workload = JoinWorkload(WorkloadConfig(num_nodes=1,
                                                    s_tuples_per_node=2, seed=1))
             query = workload.make_query(strategy=JoinStrategy.SYMMETRIC_HASH)
@@ -508,7 +508,8 @@ def test_a_real_node_arms_the_state_reaper_and_finish_cancels_it():
                 table.namespace for table in query.tables)
             node._rpc_submit({"query": query}, FakeClient())
             await wait_for(lambda: executor.has_query_state(query.query_id))
-            (reaper,) = reapers
+            ((reaper, args),) = reapers
+            assert args == (query.query_id,)
             assert reaper in executor._states[query.query_id].timers
             assert reaper.time - node.node.now == pytest.approx(
                 query.temp_lifetime_s + 1.0, abs=0.5)

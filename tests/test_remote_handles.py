@@ -68,7 +68,7 @@ def test_cancelled_and_closed_cursors_release_their_gateway_handles():
             assert cursor.query_id in pier.gateway.handles
             rows = cursor.fetch(wanted)
             if index % 2:
-                cursor.close(drain=False)
+                cursor.close()
             else:
                 cursor.cancel()
             assert row_multiset(rows) == expected
@@ -107,7 +107,7 @@ def test_a_plan_the_gateway_cannot_lower_is_rejected_by_the_submit_rpc():
             workload.make_query(strategy=JoinStrategy.FETCH_MATCHES),
             timeout_s=30.0)
         assert row_multiset(cursor.fetch(len(expected))) == expected
-        cursor.close(drain=False)
+        cursor.close()
         assert pier.gateway.handles == {}
 
 
@@ -142,7 +142,7 @@ def completeness_fields(pier, workload):
     """Rows and delivery report of one loss-free Fetch Matches query."""
     cursor = pier.client(catalog=workload.catalog()).query(
         workload.make_query(strategy=JoinStrategy.FETCH_MATCHES), timeout_s=3.0)
-    rows = cursor.fetchall(drain=False)
+    rows = cursor.fetchall()
     assert cursor.completeness().complete
     fields = dataclasses.asdict(cursor.completeness())
     del fields["query_id"]

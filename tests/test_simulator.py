@@ -146,34 +146,36 @@ def test_periodic_rejects_non_positive_period():
         Simulator().schedule_periodic(0.0, lambda: None)
 
 
-def test_run_until_idle_refuses_a_calendar_only_periodic_timers_keep_busy():
-    """It would never return: it raises at once, and returns once the timer
-    is cancelled."""
+def test_run_until_idle_returns_on_a_calendar_only_periodic_timers_keep_busy():
+    """Periodic firings are background events: the simulator is idle with
+    one pending, ``run_until_idle`` returns at once, and ``run(until=)``
+    still fires it."""
     sim = Simulator()
-    handle = sim.schedule_periodic(1.0, lambda: None)
-    with pytest.raises(SimulationError, match="1 periodic timer"):
-        sim.run_until_idle()
+    fired = []
+    handle = sim.schedule_periodic(1.0, lambda: fired.append(sim.now))
+    assert sim.idle and sim.pending_events == 1
+    assert sim.run_until_idle() == 0.0
     assert sim.events_processed == 0
-    assert sim.run_until_idle(max_events=3) == pytest.approx(3.0)  # bounded
+    assert sim.run(until=3.0) == 3.0
+    assert fired == [pytest.approx(1.0), pytest.approx(2.0), pytest.approx(3.0)]
+    assert sim.idle and sim.pending_events == 1
     handle.cancel()
-    handle.cancel()  # a second cancel counts nothing
-    assert sim.periodic_timers == 0
-    sim.run_until_idle()
+    assert sim.idle and sim.pending_events == 0
 
 
 def test_run_until_idle_drains_other_events_and_timers_that_stop():
-    """Work besides the periodic firings runs first; a timer started mid-run
-    is caught at the next check; one that cancels itself lets the run end."""
+    """Foreground work runs to the end, with the background firings due
+    before its last event; those due later stay pending."""
     sim = Simulator()
-    sim.IDLE_CHECK_EVENTS = 10
     fired = []
     sim.schedule(5.0, lambda: sim.schedule_periodic(1.0, fired.append, "tick"))
-    with pytest.raises(SimulationError):
-        sim.run_until_idle()
-    assert 0 < len(fired) <= sim.IDLE_CHECK_EVENTS
+    sim.schedule(7.5, fired.append, "work")
+    assert not sim.idle
+    assert sim.run_until_idle() == pytest.approx(7.5)
+    assert fired == ["tick", "tick", "work"]
+    assert sim.idle and sim.next_event_time() == pytest.approx(8.0)
 
     sim = Simulator()
-    sim.IDLE_CHECK_EVENTS = 10
     ticks = []
 
     def tick():
@@ -185,19 +187,40 @@ def test_run_until_idle_drains_other_events_and_timers_that_stop():
     sim.schedule(100.0, lambda: None)  # keeps the calendar busy past the ticks
     assert sim.run_until_idle() == pytest.approx(100.0)
     assert len(ticks) == 25
+    assert sim.pending_events == 0
+
+
+def test_background_events_count_until_they_fire_or_are_cancelled():
+    """A background one-shot stays background when postponed; firing or
+    cancelling it leaves the idle count consistent with the foreground."""
+    sim = Simulator()
+    fired = []
+    reaper = sim.schedule_background(10.0, fired.append, "reaper")
+    other = sim.schedule_background(3.0, fired.append, "other")
+    assert sim.idle and sim.pending_events == 2
+    work = sim.schedule(2.0, fired.append, "work")
+    assert not sim.idle
+    sim.postpone(reaper, 20.0)
+    work.cancel()
+    work.cancel()  # a second cancel counts nothing
+    assert sim.idle
+    sim.schedule(4.0, fired.append, "late work")
+    assert sim.run_until_idle() == pytest.approx(4.0)
+    assert fired == ["other", "late work"]
+    assert sim.idle and sim.pending_events == 1
+    reaper.cancel()
+    assert sim.pending_events == 0 and sim.next_event_time() is None
 
 
 def test_run_until_idle_on_a_deployment_with_renewal_agents():
     from repro.harness import PierNetwork, SimulationConfig
 
     pier = PierNetwork(SimulationConfig(num_nodes=8, seed=1))
-    agents = pier.start_renewal_agents(30.0)
-    with pytest.raises(SimulationError, match="8 periodic timer"):
-        pier.run_until_idle()
-    assert pier.now == 0.0
-    for agent in agents.values():
-        agent.stop()
+    pier.start_renewal_agents(30.0)
     assert pier.run_until_idle() == 0.0
+    assert pier.network.simulator.pending_events == 8
+    assert pier.wait(None) is None and pier.wait(100.0) is None
+    assert pier.now == 0.0
 
 
 def test_events_processed_counter():
