@@ -48,6 +48,8 @@ from repro.core.sql.planner import SQLPlanner
 from repro.core.stats import StatsRegistry
 from repro.core.tuples import RelationDef
 from repro.exceptions import PlanError
+from repro.net.transport import collector_scope
+
 
 @dataclass
 class CompletenessReport:
@@ -281,28 +283,33 @@ class ResultCursor:
         return self._cap is not None and self.handle.result_count >= self._cap
 
     def _advance(self, target_rows: Optional[int] = None) -> None:
-        """Wait until enough rows arrived / idle / timeout / LIMIT."""
+        """Wait until enough rows arrived / idle / timeout / LIMIT.
+
+        The whole wait is one collector scope: a simulated cursor runs the
+        simulator one timestamp per step, so a scope per ``run`` alone would
+        hand a collection back to every step."""
         deadline = self._deadline()
         goal = target_rows
         if self._cap is not None:
             goal = self._cap if goal is None else min(goal, self._cap)
         next_time = self._pier.now
-        while True:
-            if self._limit_satisfied():
-                if not self._closed:
-                    self.cancel()
-                return
-            if goal is not None and self.handle.result_count >= goal:
-                return
-            if next_time is None:
-                return  # idle: everything the query will produce has arrived
-            if next_time >= deadline:
-                # Explicit timeout, or the query outlived its own soft state.
-                if not self._closed:
-                    self.timed_out = True
-                    self.cancel()
-                return
-            next_time = self._pier.wait(deadline)
+        with collector_scope():
+            while True:
+                if self._limit_satisfied():
+                    if not self._closed:
+                        self.cancel()
+                    return
+                if goal is not None and self.handle.result_count >= goal:
+                    return
+                if next_time is None:
+                    return  # idle: everything the query will produce has arrived
+                if next_time >= deadline:
+                    # Explicit timeout, or the query outlived its own soft state.
+                    if not self._closed:
+                        self.timed_out = True
+                        self.cancel()
+                    return
+                next_time = self._pier.wait(deadline)
 
     def fetch(self, k: int) -> List[dict]:
         """Wait until ``k`` rows arrived; return the first k.

@@ -19,6 +19,13 @@ layers schedule work on.  The design is a classic calendar queue built on
   events are: :meth:`Simulator.run_until_idle` stops there.
 * :meth:`Simulator.postpone` moves a pending event later; the network uses
   it to keep one event per coalesced delivery group.
+* A run drains its events inside
+  :class:`repro.net.transport.collector_scope`: the cyclic collector's
+  thresholds are raised for the loop and the caller's come back when it
+  returns or raises, so code around a run keeps CPython's defaults.  A
+  query's objects die by reference counting alone
+  (``tests/test_no_reference_cycles.py``): the frequent passes the
+  defaults make inside the loop found nothing to free.
 
 Events scheduled for the same timestamp fire in FIFO order of scheduling,
 which keeps runs deterministic for a fixed seed.
@@ -59,7 +66,7 @@ from collections import deque
 from typing import Any, Callable, Optional, Tuple
 
 from repro.exceptions import SimulationError
-from repro.net.transport import TimerService
+from repro.net.transport import TimerService, collector_scope
 
 
 class EventHandle:
@@ -253,33 +260,35 @@ class Simulator(TimerService):
              to_idle: bool) -> float:
         if self._running:
             raise SimulationError("simulator run() is not re-entrant")
-        self._running = True
-        executed = 0
-        queue, ready = self._queue, self._ready
-        try:
-            while max_events is None or executed < max_events:
-                if to_idle and self._live == self._background:
-                    break
-                entry = self._peek()
-                if entry is None or (until is not None and entry[0] > until):
-                    break
-                if ready and ready[0] is entry:
-                    ready.popleft()
-                else:
-                    heapq.heappop(queue)
-                event = entry[2]
-                self._now = event.time
-                event.fired = True
-                self._live -= 1
-                event.callback(*event.args)
-                self._events_processed += 1
-                executed += 1
-        finally:
-            self._running = False
-            # Anything left in the ready lane must survive across runs; merge
-            # it back into the heap (time == now, sequence numbers preserved).
-            while ready:
-                heapq.heappush(queue, ready.popleft())
+        with collector_scope():
+            self._running = True
+            executed = 0
+            queue, ready = self._queue, self._ready
+            try:
+                while max_events is None or executed < max_events:
+                    if to_idle and self._live == self._background:
+                        break
+                    entry = self._peek()
+                    if entry is None or (until is not None and entry[0] > until):
+                        break
+                    if ready and ready[0] is entry:
+                        ready.popleft()
+                    else:
+                        heapq.heappop(queue)
+                    event = entry[2]
+                    self._now = event.time
+                    event.fired = True
+                    self._live -= 1
+                    event.callback(*event.args)
+                    self._events_processed += 1
+                    executed += 1
+            finally:
+                self._running = False
+                # Anything left in the ready lane must survive across runs;
+                # merge it back into the heap (time == now, sequence numbers
+                # preserved).
+                while ready:
+                    heapq.heappush(queue, ready.popleft())
         if until is not None and self._now < until:
             next_time = self.next_event_time()
             if next_time is None or next_time > until:

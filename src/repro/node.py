@@ -74,6 +74,14 @@ frames:
   :class:`repro.dht.storage.StoredItem` records of a namespace (diagnostics).
 * ``shutdown`` — stop this node process (the docker-compose demo's clean
   exit).
+
+Collector
+---------
+:func:`main` runs the event loop inside
+:class:`repro.net.transport.collector_scope` for the life of the process:
+the cyclic collector stays on, at raised thresholds.  A query leaves no
+cyclic garbage on a real node (``tests/test_real_node_cycles.py``), so the
+default 700-allocation trigger only cost the node CPU.
 """
 
 from __future__ import annotations
@@ -97,6 +105,7 @@ from repro.net.failures import (
 )
 from repro.net.node import Node
 from repro.net.real import RealTransport
+from repro.net.transport import collector_scope
 from repro.net.wire import FrameDecoder, encode_frame
 from repro.stack import NodeStack, build_overlay
 
@@ -740,7 +749,8 @@ def main(argv=None) -> int:
         request_timeout_s=args.request_timeout,
     )
     try:
-        asyncio.run(node.run_forever())
+        with collector_scope():
+            asyncio.run(node.run_forever())
     except KeyboardInterrupt:
         pass
     return 0

@@ -25,6 +25,7 @@ accepts only that choice.  The in-memory grid is always dense.
 
 from __future__ import annotations
 
+import operator
 import struct
 from itertools import chain
 from typing import Any, Dict, List, Optional, Tuple
@@ -124,9 +125,7 @@ class TopKSketch(SketchBase):
         self._require_compatible(other, "k", "width", "depth", "seed")
         assert isinstance(other, TopKSketch)  # guaranteed by the check above
         for mine, theirs in zip(self.rows, other.rows):
-            for index, count in enumerate(theirs):
-                if count:
-                    mine[index] += count
+            mine[:] = map(operator.add, mine, theirs)
         # Union the candidate sets and re-score against the merged grid.
         union = set(self.candidates) | set(other.candidates)
         self.candidates = {value: self.point(value) for value in union}

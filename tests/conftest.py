@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import socket
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -97,6 +99,30 @@ class FakeGateway(GatewayConnection):
     def await_response(self, request_id, op, timeout_s=SOCKET_TIMEOUT_S):
         self.log.append(("await", self.address, op))
         return super().await_response(request_id, op, timeout_s)
+
+
+@pytest.fixture
+def collector_off():
+    """Collector disabled; cyclic garbage is kept in ``gc.garbage`` to name."""
+    gc.collect()
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        yield
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+def assert_no_cycles(step: str) -> None:
+    """``gc.collect()`` finds nothing; on failure, name the types it found."""
+    found = gc.collect()
+    leaked = Counter(type(obj).__qualname__ for obj in gc.garbage)
+    gc.garbage.clear()
+    assert found == 0, f"{step} left {found} cyclic objects: {leaked.most_common(12)}"
 
 
 @pytest.fixture

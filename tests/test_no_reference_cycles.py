@@ -11,13 +11,11 @@ the collector found.
 
 from __future__ import annotations
 
-import gc
-from collections import Counter
-
 import pytest
 
 from repro.core.query import JoinStrategy
-from tests.conftest import build_pier, build_workload, load_join_tables
+from tests.conftest import (assert_no_cycles, build_pier, build_workload,
+                            load_join_tables)
 
 JOIN_SQL = ("SELECT R.pkey, S.pkey FROM R, S "
             "WHERE R.num1 = S.pkey AND R.num2 > 20")
@@ -25,29 +23,6 @@ GROUPED_JOIN_SQL = ("SELECT R.num1, count(*) AS cnt, sum(S.num2) AS total "
                     "FROM R, S WHERE R.num1 = S.pkey "
                     "GROUP BY R.num1 HAVING cnt > 0")
 SCAN_AGG_SQL = "SELECT R.num1, count(*) AS cnt FROM R GROUP BY R.num1"
-
-
-@pytest.fixture
-def collector_off():
-    """Collector disabled; cyclic garbage is kept in ``gc.garbage`` to name."""
-    gc.collect()
-    enabled, flags = gc.isenabled(), gc.get_debug()
-    gc.disable()
-    gc.set_debug(gc.DEBUG_SAVEALL)
-    try:
-        yield
-    finally:
-        gc.set_debug(flags)
-        gc.garbage.clear()
-        if enabled:
-            gc.enable()
-
-
-def assert_no_cycles(step: str) -> None:
-    found = gc.collect()
-    leaked = Counter(type(obj).__qualname__ for obj in gc.garbage)
-    gc.garbage.clear()
-    assert found == 0, f"{step} left {found} cyclic objects: {leaked.most_common(12)}"
 
 
 @pytest.mark.parametrize("dht", ["can", "chord"])

@@ -11,6 +11,8 @@ error within its ``O(1/k)`` bound) and the codec guards.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -212,6 +214,39 @@ def test_topk_counter_grid_merge_equals_union_stream(values, cuts):
         merged.merge(partial)
     assert merged.rows == union.rows
     assert all(merged.point(v) == union.point(v) for v in set(values))
+
+
+def cell_loop_merge(mine, other):
+    """``TopKSketch.merge`` as a loop over every non-zero cell of ``other``."""
+    for counters, theirs in zip(mine.rows, other.rows):
+        for index, count in enumerate(theirs):
+            if count:
+                counters[index] += count
+    union = set(mine.candidates) | set(other.candidates)
+    mine.candidates = {value: mine.point(value) for value in union}
+    mine._trim()
+
+
+def random_topk(rng, density):
+    """A width-64 depth-3 sketch whose cells are non-zero with ``density``;
+    its candidates are drawn from 0..199 with arbitrary counts."""
+    rows = [[rng.randrange(1, 2**40) if rng.random() < density else 0
+             for _ in range(64)] for _ in range(3)]
+    candidates = {rng.randrange(200): rng.randrange(2**40)
+                  for _ in range(rng.randrange(40))}
+    return TopKSketch(k=4, width=64, depth=3, rows=rows, candidates=candidates)
+
+
+@pytest.mark.parametrize("density", [0.0, 0.03, 0.5, 1.0])
+def test_topk_lanewise_merge_equals_the_cell_loop(density):
+    rng = random.Random(density)
+    for _ in range(20):
+        mine, theirs = random_topk(rng, density), random_topk(rng, rng.random())
+        expected = TopKSketch.from_payload(mine.to_payload())
+        cell_loop_merge(expected, theirs)
+        mine.merge(theirs)
+        assert mine.rows == expected.rows
+        assert mine.candidates == expected.candidates
 
 
 def test_topk_finds_heavy_hitters_across_partials():
